@@ -1,4 +1,4 @@
-"""Fingerprint database: per-grid-point models/vectors plus JSON persistence."""
+"""Fingerprint database: one stacked block per key over a survey grid, plus JSON persistence."""
 
 import json
 import os
@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Grid, Position
-from .signals import FingerprintKind, FingerprintMeta, FingerprintVector
+from .signals import CORRELATION_KINDS, FingerprintKind, FingerprintMeta, FingerprintVector
+from .stats import GammaParams, GaussianStats, VonMisesParams
 
 __all__ = [
     "DatabaseMeta",
@@ -17,103 +18,45 @@ __all__ = [
     "load_database",
     "database_to_json",
     "database_from_json",
-    "register_codec",
-    "encode_item",
-    "decode_item",
 ]
 
-FORMAT_VERSION = "fingerloc-db-1"
+FORMAT_VERSION = "fingerloc-db-2"
 
-# ---------------------------------------------------------------------------
-# item codecs: every object type a database entry can hold registers one
-# ---------------------------------------------------------------------------
-
-_CODECS = {}        # tag -> (cls, encode, decode)
-_CLASS_TAGS = {}    # cls -> tag
-
-
-def register_codec(tag, cls, encode, decode):
-    """Register a serializable entry type.
-
-    ``encode(obj) -> dict`` (JSON-safe, without the type tag),
-    ``decode(dict) -> obj``.
-    """
-    _CODECS[tag] = (cls, encode, decode)
-    _CLASS_TAGS[cls] = tag
-
-
-def encode_item(obj) -> dict:
-    tag = _CLASS_TAGS.get(type(obj))
-    if tag is None:
-        raise TypeError(f"no codec registered for entry type {type(obj).__name__}")
-    body = _CODECS[tag][1](obj)
-    return {"type": tag, **body}
-
-
-def decode_item(data: dict):
-    tag = data.get("type")
-    if tag not in _CODECS:
-        raise ValueError(f"unknown entry type tag {tag!r}")
-    return _CODECS[tag][2](data)
+# block type tag -> (class, {field: dtype}); every field has the grid as its
+# leading axis, the last one is (N,)
+_MODEL_BLOCKS = {
+    "gaussian": (GaussianStats, {"mean": complex, "cov": complex, "loading": float}),
+    "gamma": (GammaParams, {"shape": float, "scale": float}),
+    "von_mises": (VonMisesParams, {"mu": float, "kappa": float}),
+}
 
 
 def complex_to_json(values) -> list:
-    """Complex 1-D array -> [[re, im], ...] (floats round-trip exactly)."""
+    """Complex array -> nested lists ending in [re, im] pairs (floats round-trip exactly)."""
     arr = np.asarray(values, dtype=complex)
-    return [[float(v.real), float(v.imag)] for v in arr]
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def complex_from_json(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    arr = np.asarray(pairs, dtype=float)
+    if arr.size == 0:
+        return np.zeros(0, dtype=complex)
+    out = np.empty(arr.shape[:-1], dtype=complex)
+    out.real = arr[..., 0]
+    out.imag = arr[..., 1]
+    return out
 
 
 def real_to_json(values) -> list:
-    return [float(v) for v in np.asarray(values, dtype=float)]
+    return np.asarray(values, dtype=float).tolist()
 
 
-# -- fingerprint vector codec ------------------------------------------------
-
-def _encode_fingerprint(fp: FingerprintVector) -> dict:
-    if np.iscomplexobj(fp.values):
-        vals = complex_to_json(fp.values)
-    else:
-        vals = real_to_json(fp.values)
-    meta = {}
-    if fp.meta.sensor is not None:
-        meta["sensor"] = int(fp.meta.sensor)
-    if fp.meta.pair is not None:
-        meta["pair"] = [int(i) for i in fp.meta.pair]
-    if fp.meta.pairs is not None:
-        meta["pairs"] = [[int(i) for i in p] for p in fp.meta.pairs]
-    if fp.meta.freq_hz is not None:
-        meta["freq_hz"] = float(fp.meta.freq_hz)
-    if fp.meta.bandwidth_hz is not None:
-        meta["bandwidth_hz"] = float(fp.meta.bandwidth_hz)
-    return {"kind": fp.kind.value, "values": vals, "meta": meta}
+def _array_to_json(values, dtype) -> list:
+    return complex_to_json(values) if dtype is complex else real_to_json(values)
 
 
-def _decode_fingerprint(data: dict) -> FingerprintVector:
-    kind = FingerprintKind(data["kind"])
-    raw = data["values"]
-    if raw and isinstance(raw[0], list):
-        values = complex_from_json(raw)
-    else:
-        values = np.asarray(raw, dtype=float)
-    m = data.get("meta", {})
-    meta = FingerprintMeta(
-        sensor=m.get("sensor"),
-        pair=tuple(m["pair"]) if "pair" in m else None,
-        pairs=tuple(tuple(p) for p in m["pairs"]) if "pairs" in m else None,
-        freq_hz=m.get("freq_hz"),
-        bandwidth_hz=m.get("bandwidth_hz"),
-    )
-    return FingerprintVector(kind=kind, values=values, meta=meta)
-
-
-register_codec("fingerprint", FingerprintVector, _encode_fingerprint, _decode_fingerprint)
-
-# bare scalars (detection probabilities, confidences)
-register_codec("scalar", float, lambda v: {"value": float(v)}, lambda d: float(d["value"]))
+def _array_from_json(data, dtype) -> np.ndarray:
+    return complex_from_json(data) if dtype is complex else np.asarray(data, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -130,83 +73,128 @@ class DatabaseMeta:
     extra: dict = field(default_factory=dict)
 
 
-class FingerprintDatabase:
-    """Learned radio map: one entry dict per grid index.
+def _model_tag(block) -> str | None:
+    return next((tag for tag, (cls, _) in _MODEL_BLOCKS.items() if isinstance(block, cls)), None)
 
-    Entry dicts map a string key (e.g. ``"pair_0_3"``) to a learned model or a
-    raw :class:`FingerprintVector`.  Every grid index has an entry, in grid
-    order.
+
+def _block_rows(block) -> int:
+    """Grid points a block covers; ValueError unless it is a storable block."""
+    tag = _model_tag(block)
+    if tag is not None:
+        lead = getattr(block, list(_MODEL_BLOCKS[tag][1])[-1])
+    elif isinstance(block, FingerprintVector):
+        lead = block.values[..., 0]
+    else:
+        lead = block
+    if not isinstance(lead, np.ndarray) or lead.ndim != 1:
+        raise ValueError(f"a {type(block).__name__} is not a block with a leading grid axis")
+    return lead.size
+
+
+class FingerprintDatabase:
+    """Learned radio map: one block per key, stacked over the grid.
+
+    A block is a :class:`GaussianStats`, :class:`GammaParams`,
+    :class:`VonMisesParams` or :class:`FingerprintVector` whose arrays carry
+    the grid index as their leading axis, or a plain (N,) float array (e.g.
+    detection probabilities).  Row i of every block belongs to grid point i.
     """
 
-    def __init__(self, grid: Grid, entries=None, meta: DatabaseMeta | None = None):
+    def __init__(self, grid: Grid, blocks=None, meta: DatabaseMeta | None = None):
         self.grid = grid
-        if entries is None:
-            entries = [dict() for _ in range(len(grid))]
-        entries = list(entries)
-        if len(entries) != len(grid):
-            raise ValueError(
-                f"database needs one entry per grid point, got {len(entries)} for {len(grid)}"
-            )
-        self.entries = entries
+        self.blocks = dict(blocks or {})
+        for key, block in self.blocks.items():
+            rows = _block_rows(block)
+            if rows != len(grid):
+                raise ValueError(
+                    f"block {key!r} covers {rows} points, the grid has {len(grid)}")
         self.meta = meta if meta is not None else DatabaseMeta()
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.grid)
 
-    def items_of_kind(self, kind: FingerprintKind, key: str | None = None):
-        """Per grid index, the unique raw vector of ``kind`` (or the one at ``key``).
-
-        Raises if any entry lacks such a vector or holds several candidates.
-        """
-        out = []
-        for idx, entry in enumerate(self.entries):
-            if key is not None:
-                item = entry.get(key)
-                if not isinstance(item, FingerprintVector) or item.kind is not kind:
-                    raise ValueError(
-                        f"entry {idx} key {key!r} does not hold a {kind.value} fingerprint"
-                    )
-                out.append(item)
-                continue
-            found = [v for v in entry.values()
-                     if isinstance(v, FingerprintVector) and v.kind is kind]
-            if len(found) == 0:
-                raise ValueError(f"database entry {idx} holds no {kind.value} fingerprint")
-            if len(found) > 1:
-                raise ValueError(
-                    f"database entry {idx} holds {len(found)} {kind.value} fingerprints; "
-                    "pass an explicit key"
-                )
-            out.append(found[0])
-        return out
+    def block(self, key: str, cls):
+        """The block at ``key``; ValueError unless it is an instance of ``cls``."""
+        block = self.blocks.get(key)
+        if not isinstance(block, cls):
+            raise ValueError(f"database key {key!r} does not hold the expected block")
+        return block
 
 
-def euclidean_match(target: FingerprintVector, db: FingerprintDatabase,
-                    key: str | None = None) -> int:
+def euclidean_match(target: FingerprintVector, db: FingerprintDatabase, key: str) -> int:
     """Nearest-database-vector matching: argmin of the Euclidean distance.
 
     Args:
         target: the measured fingerprint.
-        db: database whose entries hold raw mean vectors of ``target.kind``.
-        key: optional entry key when entries hold several vectors of the kind.
+        db: database holding a raw ``target.kind`` fingerprint block at ``key``.
+        key: the block to match against.
 
     Returns:
         Grid index of the closest stored vector (lowest index on ties).
     """
-    refs = db.items_of_kind(target.kind, key=key)
-    dists = np.empty(len(refs), dtype=float)
-    for i, ref in enumerate(refs):
-        if ref.dim != target.dim:
-            raise ValueError(
-                f"dimension mismatch at entry {i}: target {target.dim}, stored {ref.dim}"
-            )
-        dists[i] = np.linalg.norm(target.values - ref.values)
-    return int(np.argmin(dists))
+    refs = db.block(key, FingerprintVector)
+    if refs.kind is not target.kind or refs.dim != target.dim:
+        raise ValueError(f"block {key!r} holds {refs.kind.value} vectors of dim {refs.dim}, "
+                         f"target is {target.kind.value} of dim {target.dim}")
+    return int(np.argmin(np.linalg.norm(refs.values - target.values, axis=1)))
 
 
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
+
+def _meta_to_json(meta: FingerprintMeta) -> dict:
+    out = {}
+    if meta.sensor is not None:
+        out["sensor"] = int(meta.sensor)
+    if meta.pair is not None:
+        out["pair"] = [int(i) for i in meta.pair]
+    if meta.pairs is not None:
+        out["pairs"] = [[int(i) for i in p] for p in meta.pairs]
+    if meta.freq_hz is not None:
+        out["freq_hz"] = float(meta.freq_hz)
+    if meta.bandwidth_hz is not None:
+        out["bandwidth_hz"] = float(meta.bandwidth_hz)
+    return out
+
+
+def _meta_from_json(m: dict) -> FingerprintMeta:
+    return FingerprintMeta(
+        sensor=m.get("sensor"),
+        pair=tuple(m["pair"]) if "pair" in m else None,
+        pairs=tuple(tuple(p) for p in m["pairs"]) if "pairs" in m else None,
+        freq_hz=m.get("freq_hz"),
+        bandwidth_hz=m.get("bandwidth_hz"),
+    )
+
+
+def _block_to_json(block) -> dict:
+    if isinstance(block, np.ndarray):
+        return {"type": "scalar", "values": real_to_json(block)}
+    if isinstance(block, FingerprintVector):
+        dtype = complex if block.kind in CORRELATION_KINDS else float
+        return {"type": "fingerprint", "kind": block.kind.value,
+                "values": _array_to_json(block.values, dtype),
+                "meta": _meta_to_json(block.meta)}
+    tag = _model_tag(block)
+    return {"type": tag, **{name: _array_to_json(getattr(block, name), dtype)
+                            for name, dtype in _MODEL_BLOCKS[tag][1].items()}}
+
+
+def _block_from_json(data: dict):
+    tag = data.get("type")
+    if tag == "scalar":
+        return np.asarray(data["values"], dtype=float)
+    if tag == "fingerprint":
+        kind = FingerprintKind(data["kind"])
+        dtype = complex if kind in CORRELATION_KINDS else float
+        return FingerprintVector(kind=kind, values=_array_from_json(data["values"], dtype),
+                                 meta=_meta_from_json(data.get("meta", {})))
+    if tag not in _MODEL_BLOCKS:
+        raise ValueError(f"unknown block type {tag!r}")
+    cls, fields = _MODEL_BLOCKS[tag]
+    return cls(**{name: _array_from_json(data[name], dtype) for name, dtype in fields.items()})
+
 
 def database_to_json(db: FingerprintDatabase) -> str:
     doc = {
@@ -221,9 +209,7 @@ def database_to_json(db: FingerprintDatabase) -> str:
             "derived": bool(db.meta.derived),
             "extra": db.meta.extra,
         },
-        "entries": [
-            {k: encode_item(v) for k, v in sorted(entry.items())} for entry in db.entries
-        ],
+        "blocks": {key: _block_to_json(block) for key, block in db.blocks.items()},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
@@ -244,10 +230,8 @@ def database_from_json(text: str) -> FingerprintDatabase:
         derived=bool(m.get("derived", False)),
         extra=m.get("extra", {}),
     )
-    entries = [
-        {k: decode_item(v) for k, v in entry.items()} for entry in doc["entries"]
-    ]
-    return FingerprintDatabase(grid=grid, entries=entries, meta=meta)
+    blocks = {key: _block_from_json(data) for key, data in doc["blocks"].items()}
+    return FingerprintDatabase(grid=grid, blocks=blocks, meta=meta)
 
 
 def save_database(db: FingerprintDatabase, path):

@@ -13,27 +13,22 @@ import os
 
 import numpy as np
 
-from ..database import DatabaseMeta, FingerprintDatabase, load_database, save_database
+from ..database import DatabaseMeta, FingerprintDatabase, save_database
 from ..errors import ConfigError
-from ..geometry import Grid, Position, build_uniform_grid
+from ..geometry import Grid, Position
 from ..lighting import Light, LightingScenario, illuminance, solve_lighting
 from ..matching import LikelihoodMap, binary_likelihood, threshold_set
 from ..signals import FingerprintKind, FingerprintVector
 from ..simulate import SensorCoverage, derive_seed, simulate_binary_sensor
 from ..stats import DetectionMap, learn_detection_map
 from ..tracking import MobilityModel, grid_bayes_step, transition_matrix
-from .common import cdf_table, summarize_errors, write_csv, write_json
+from .common import build_grid, cdf_table, load_db, summarize_errors, write_csv, write_json
 
 MEASUREMENTS_FORMAT = "fingerloc-measurements-1"
 _TAG_TRAIN_VISIT = 301
 _TAG_TRAIN_BIT = 302
 _TAG_WALK = 303
 _TAG_WALK_BIT = 304
-
-
-def build_grid(cfg: dict) -> Grid:
-    g = cfg["scenario"]["grid"]
-    return build_uniform_grid(Position(*g["origin"]), g["nx"], g["ny"], g["spacing_m"])
 
 
 def build_sensors(cfg: dict) -> list:
@@ -107,29 +102,22 @@ def load_training(cfg: dict) -> list:
 
 
 def build_database(cfg: dict, records: list) -> FingerprintDatabase:
-    """Detection probability per sensor per cell, stored as plain scalars."""
+    """Detection probability per sensor per cell, one (N,) block per sensor."""
     grid = build_grid(cfg)
     n_sensors = len(cfg["scenario"]["sensors"])
-    maps = []
+    blocks = {}
     for si in range(n_sensors):
         obs = [(cell, moving, bits[si]) for cell, moving, bits in records]
-        maps.append(learn_detection_map(obs, grid))
-    entries = [
-        {f"det:{si}": float(maps[si].probs[cell]) for si in range(n_sensors)}
-        for cell in range(len(grid))
-    ]
+        blocks[f"det:{si}"] = learn_detection_map(obs, grid).probs
     meta = DatabaseMeta(extra={"pipeline": "bems_binary", "sensors": n_sensors})
-    return FingerprintDatabase(grid=grid, entries=entries, meta=meta)
+    return FingerprintDatabase(grid=grid, blocks=blocks, meta=meta)
 
 
 def detection_maps(db: FingerprintDatabase) -> list:
-    """Rebuild per-sensor DetectionMaps from database scalars."""
-    n_sensors = len([k for k in db.entries[0] if k.startswith("det:")])
-    maps = []
-    for si in range(n_sensors):
-        probs = np.array([entry[f"det:{si}"] for entry in db.entries])
-        maps.append(DetectionMap(grid=db.grid, probs=probs))
-    return maps
+    """Per-sensor DetectionMaps over the database's probability blocks."""
+    n_sensors = sum(key.startswith("det:") for key in db.blocks)
+    return [DetectionMap(grid=db.grid, probs=db.block(f"det:{si}", np.ndarray))
+            for si in range(n_sensors)]
 
 
 def generate_walk(cfg: dict) -> tuple:
@@ -273,13 +261,6 @@ def evaluate_lighting(cfg: dict, grid: Grid, rows: list, candidate_sets: list) -
     return out_rows, summary
 
 
-def _load_db(cfg: dict, out_dir: str) -> FingerprintDatabase:
-    path = os.path.join(out_dir, "db.json")
-    if not os.path.exists(path):
-        cmd_learn(cfg, out_dir)
-    return load_database(path)
-
-
 def cmd_simulate(cfg: dict, out_dir: str) -> dict:
     records = simulate_training(cfg)
     write_json(os.path.join(out_dir, "measurements.json"),
@@ -309,7 +290,7 @@ _TRACK_HEADER = ("step", "true_cell", "true_x", "true_y", "snap_index",
 
 
 def cmd_localize(cfg: dict, out_dir: str) -> dict:
-    db = _load_db(cfg, out_dir)
+    db = load_db(cfg, out_dir, build_grid(cfg), cmd_learn)
     rows, _sets, summary = evaluate_track(cfg, db)
     trial_rows = [(r[0], r[1], r[2], r[3], r[4], r[5]) for r in rows]
     header = ("step", "true_cell", "true_x", "true_y", "est_index", "error_m")
@@ -323,7 +304,7 @@ def cmd_localize(cfg: dict, out_dir: str) -> dict:
 
 
 def cmd_track(cfg: dict, out_dir: str) -> dict:
-    db = _load_db(cfg, out_dir)
+    db = load_db(cfg, out_dir, build_grid(cfg), cmd_learn)
     rows, sets, summary = evaluate_track(cfg, db)
     write_csv(os.path.join(out_dir, "track.csv"), _TRACK_HEADER, rows)
     write_json(os.path.join(out_dir, "track_sets.json"),
@@ -333,7 +314,7 @@ def cmd_track(cfg: dict, out_dir: str) -> dict:
 
 
 def cmd_lighting(cfg: dict, out_dir: str) -> dict:
-    db = _load_db(cfg, out_dir)
+    db = load_db(cfg, out_dir, build_grid(cfg), cmd_learn)
     sets_path = cfg["lighting"]["track_output"] or os.path.join(out_dir, "track_sets.json")
     if os.path.exists(sets_path):
         with open(sets_path, "r", encoding="utf-8") as fh:

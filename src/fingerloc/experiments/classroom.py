@@ -23,21 +23,14 @@ from ..database import (
 )
 from ..errors import ConfigError
 from ..features import cir_xcorr_fingerprint
-from ..geometry import Grid, Position, build_uniform_grid
+from ..geometry import Position
 from ..signals import Cir, FingerprintKind, FingerprintMeta, FingerprintVector
 from ..simulate import ChannelModel, derive_seed, gen_cir
 from ..stats import fit_gaussian, gaussian_loglik
-from ..matching import mle_cir
-from .common import cdf_table, summarize_errors, write_csv, write_json
+from .common import build_grid, cdf_table, summarize_errors, write_csv, write_json
 
 MEASUREMENTS_FORMAT = "fingerloc-measurements-1"
 _TAG_CIR_NOISE = 101
-
-
-def build_grid(cfg: dict) -> Grid:
-    g = cfg["scenario"]["grid"]
-    origin = Position(g["origin"][0], g["origin"][1])
-    return build_uniform_grid(origin, g["nx"], g["ny"], g["spacing_m"])
 
 
 def antenna_layout(cfg: dict) -> tuple:
@@ -148,36 +141,26 @@ def extract_features(cfg: dict, cirs: np.ndarray) -> tuple:
             snap = [Cir(taps=cirs[s, k, a], bandwidth_hz=scn["bandwidth_hz"])
                     for a in range(n_ant)]
             for p, (i, j) in enumerate(pairs):
-                fp = _pair_fingerprint(snap[i], snap[j])
-                xc[s, k, p] = fp.values
+                xc[s, k, p] = cir_xcorr_fingerprint(snap[i], snap[j]).values
             rssi[s, k] = np.sum(np.abs(cirs[s, k]) ** 2, axis=1)
     return xc, rssi
-
-
-def _pair_fingerprint(cir_i: Cir, cir_j: Cir) -> FingerprintVector:
-    return cir_xcorr_fingerprint(cir_i, cir_j)
 
 
 def build_database(cfg: dict, xc: np.ndarray, rssi: np.ndarray) -> FingerprintDatabase:
     """Fit the per-seat Gaussian pair models and mean-power baseline vectors."""
     scn = cfg["scenario"]
-    grid = build_grid(cfg)
-    keys = pair_keys(_n_antennas(xc))
-    entries = []
-    for s in range(xc.shape[0]):
-        entry = {}
-        for p, key in enumerate(keys):
-            entry[key] = fit_gaussian(xc[s, :, p, :], cfg["matching"]["loading_eps"])
-        entry["rssi"] = FingerprintVector(
-            kind=FingerprintKind.RSSI,
-            values=rssi[s].mean(axis=0),
-            meta=FingerprintMeta(freq_hz=scn["freq_hz"], bandwidth_hz=scn["bandwidth_hz"]),
-        )
-        entries.append(entry)
+    loading = cfg["matching"]["loading_eps"]
+    blocks = {key: fit_gaussian(xc[:, :, p, :], loading)
+              for p, key in enumerate(pair_keys(_n_antennas(xc)))}
+    blocks["rssi"] = FingerprintVector(
+        kind=FingerprintKind.RSSI,
+        values=rssi.mean(axis=1),
+        meta=FingerprintMeta(freq_hz=scn["freq_hz"], bandwidth_hz=scn["bandwidth_hz"]),
+    )
     meta = DatabaseMeta(train_freqs_hz=(scn["freq_hz"],),
                         train_bandwidths_hz=(scn["bandwidth_hz"],),
                         extra={"pipeline": "classroom_cir", "snapshots": xc.shape[1]})
-    return FingerprintDatabase(grid=grid, entries=entries, meta=meta)
+    return FingerprintDatabase(grid=build_grid(cfg), blocks=blocks, meta=meta)
 
 
 def _n_antennas(xc: np.ndarray) -> int:
@@ -282,20 +265,3 @@ def cmd_localize(cfg: dict, out_dir: str) -> dict:
     write_csv(os.path.join(out_dir, "trials.csv"), header, rows)
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
-
-
-def localize_one(cfg: dict, db: FingerprintDatabase, cirs_snapshot: np.ndarray) -> int:
-    """Match one snapshot of per-antenna responses against a learned database."""
-    scn = cfg["scenario"]
-    n_ant = cirs_snapshot.shape[0]
-    snap = [Cir(taps=cirs_snapshot[a], bandwidth_hz=scn["bandwidth_hz"])
-            for a in range(n_ant)]
-    keys = pair_keys(n_ant)
-    target = []
-    p = 0
-    for i in range(n_ant):
-        for j in range(i + 1, n_ant):
-            target.append((keys[p], _pair_fingerprint(snap[i], snap[j])))
-            p += 1
-    _, idx = mle_cir(target, db)
-    return idx

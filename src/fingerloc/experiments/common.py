@@ -1,4 +1,4 @@
-"""Deterministic output writers and shared evaluation helpers.
+"""Deterministic output writers and helpers shared by the study pipelines.
 
 Every artifact the experiment harness writes goes through these functions so
 that a rerun with the same config and seed is byte-identical: keys sorted,
@@ -12,8 +12,13 @@ import os
 
 import numpy as np
 
+from ..database import FingerprintDatabase, load_database
+from ..errors import ConfigError
+from ..geometry import Grid, Position, build_uniform_grid
+
 __all__ = ["dump_json", "write_json", "write_csv", "fmt_cell",
-           "summarize_errors", "cdf_table", "CDF_QUANTILES"]
+           "summarize_errors", "cdf_table", "CDF_QUANTILES",
+           "build_grid", "load_db"]
 
 CDF_QUANTILES = tuple(round(0.05 * i, 2) for i in range(21))
 
@@ -79,3 +84,27 @@ def cdf_table(errors) -> dict:
         idx = min(n - 1, max(0, math.ceil(q * n) - 1))
         values.append(float(errs[idx]))
     return {"quantile": list(CDF_QUANTILES), "error": values}
+
+
+def build_grid(cfg: dict) -> Grid:
+    """The configured survey grid, ``scenario.grid``, in row-major order."""
+    g = cfg["scenario"]["grid"]
+    return build_uniform_grid(Position(*g["origin"]), g["nx"], g["ny"], g["spacing_m"])
+
+
+def load_db(cfg: dict, out_dir: str, grid: Grid, learn) -> FingerprintDatabase:
+    """The run's ``db.json``, written first by ``learn(cfg, out_dir)`` when missing.
+
+    Raises:
+        ConfigError: the stored database was learned on another grid than
+            ``grid``, i.e. it is stale for this config.
+    """
+    path = os.path.join(out_dir, "db.json")
+    if not os.path.exists(path):
+        learn(cfg, out_dir)
+    db = load_database(path)
+    if db.grid != grid:
+        raise ConfigError(
+            f"{path} was learned on another grid ({len(db.grid)} points) than the "
+            f"config's ({len(grid)} points); rerun learn")
+    return db

@@ -2,10 +2,11 @@
 
 Each pipeline's configuration is the deep merge of ``COMMON``, its entry
 below, and the user's JSON config (the user wins).  Parameters without an
-established value in the underlying method — fusion weight ``gamma``,
-candidate-set threshold ``eta_rel``, particle count, diagonal loading,
-mobility strengths — live here so they are visible and sweepable rather
-than buried in code.
+established value in the underlying method — the swept fusion weights
+``gamma_sweep``, candidate-set threshold ``eta_rel``, particle count,
+diagonal loading, mobility strengths — live here so they are visible and
+sweepable rather than buried in code.  Every key is read by the pipeline it
+belongs to.
 """
 
 import copy
@@ -16,26 +17,6 @@ COMMON = {
     "version": 1,
     "seed": 20260816,
     "out_dir": "results",
-    "matching": {
-        # Diagonal loading for fingerprint covariance fits (times trace/dim).
-        "loading_eps": 1e-3,
-        # Fusion weight on the phase-difference error in hybrid matching.
-        "gamma": 1.0,
-        # Candidate cells within this likelihood ratio of the best survive
-        # into the threshold set U_t.
-        "eta_rel": 0.2,
-        # Compare correlation fingerprints by magnitude only.
-        "magnitude_only": False,
-        # Keep the zero-delay bin in squared-error comparisons.
-        "include_zero_lag": True,
-    },
-    "tracking": {
-        "p_static": 0.3,
-        "accel_sigma": 0.5,
-        "dt": 1.0,
-        "particles": 1000,
-        "pdr_sigma_m": 0.2,
-    },
 }
 
 _CHANNEL = {
@@ -62,7 +43,11 @@ PIPELINES = {
             "channel": dict(_CHANNEL),
             "measurements": None,
         },
-        "evaluation": {"protocol": "leave_one_out"},
+        "matching": {
+            # Diagonal loading for fingerprint covariance fits (times trace/dim).
+            "loading_eps": 1e-3,
+        },
+        "evaluation": {},
     },
     "wifi_rssi_rspd": {
         "out_dir": "results/wifi_rssi_rspd",
@@ -83,6 +68,7 @@ PIPELINES = {
             "walk": {"steps": 500, "step_sigma_m": 0.4, "start": [4.5, 4.5]},
             "measurements": None,
         },
+        "tracking": {"particles": 1000, "pdr_sigma_m": 0.2},
         "evaluation": {},
     },
     "bems_binary": {
@@ -106,7 +92,12 @@ PIPELINES = {
             "walk": {"steps": 200, "move_prob": 0.92, "start_cell": 27},
             "measurements": None,
         },
-        "tracking": {"p_static": 0.4, "accel_sigma": 1.0},
+        "matching": {
+            # Candidate cells within this likelihood ratio of the best survive
+            # into the threshold set U_t.
+            "eta_rel": 0.2,
+        },
+        "tracking": {"p_static": 0.4, "accel_sigma": 1.0, "dt": 1.0},
         "lighting": {
             "lights": [
                 {"pos": [x, y], "power_w": 40.0, "peak_lux": 420.0, "height_m": 2.5}
@@ -138,7 +129,12 @@ PIPELINES = {
             "pulse_taps": 63,
             "measurements": None,
         },
-        "matching": {"magnitude_only": True},
+        "matching": {
+            # Compare correlation fingerprints by magnitude only.
+            "magnitude_only": True,
+            # Keep the zero-delay bin in squared-error comparisons.
+            "include_zero_lag": True,
+        },
         "evaluation": {
             "trials": 200,
             "gamma_sweep": [0.0, 0.25, 1.0, 4.0, 16.0, 1e12],

@@ -19,7 +19,6 @@ from ..database import (
     FingerprintDatabase,
     complex_from_json,
     complex_to_json,
-    load_database,
     real_to_json,
     save_database,
 )
@@ -50,7 +49,7 @@ from ..signals import (
     SignalBuffer,
 )
 from ..simulate import ChannelModel, TxSignalSpec, derive_seed, gen_cir, synthesize_rx
-from .common import cdf_table, summarize_errors, write_csv, write_json
+from .common import build_grid, cdf_table, load_db, summarize_errors, write_csv, write_json
 
 MEASUREMENTS_FORMAT = "fingerloc-measurements-1"
 _TAG_TRAIN_BITS = 401
@@ -60,11 +59,6 @@ _TAG_TRIAL_BITS = 404
 _TAG_TRIAL_NOISE = 405
 
 ELEMENT_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
-def build_grid(cfg: dict) -> Grid:
-    g = cfg["scenario"]["grid"]
-    return build_uniform_grid(Position(*g["origin"]), g["nx"], g["ny"], g["spacing_m"])
 
 
 def fine_grid(cfg: dict) -> Grid:
@@ -147,7 +141,7 @@ def measure_buffers(cfg: dict, tx: Position, freq_hz: float, pulse: tuple,
 
 def extract_fingerprints(cfg: dict, buffers: list, freq_hz: float,
                          bandwidth_hz: float) -> tuple:
-    """(xcorr vectors, phase vectors) keyed like the database entries."""
+    """(xcorr vectors, phase vectors) keyed like the database blocks."""
     scn = cfg["scenario"]
     max_lag = scn["tap_count"] - 1
     n = scn["uca"]["elements"]
@@ -255,18 +249,16 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> FingerprintData
     t_bw = scn["target"]["bandwidth_hz"]
     train_bw = scn["train_bandwidth_hz"]
     xkeys = xcorr_keys(cfg)
-    pkeys = phase_keys(cfg)
     nearest_fi = int(np.argmin(np.abs(np.asarray(freqs) - t_freq)))
-    n = geom.n_elements
+    pairs = _element_pairs(geom.n_elements)
 
     xc_avg = xc.mean(axis=2)  # (freqs, points, keys, dim)
     ph_avg = np.angle(np.exp(1j * ph).sum(axis=2))  # circular mean
 
-    entries = []
-    confidences = {key: np.empty(len(grid)) for key in pkeys}
-    for p in range(len(grid)):
-        entry = {}
-        for ki, key in enumerate(xkeys):
+    blocks = {}
+    for ki, key in enumerate(xkeys):
+        projected = []
+        for p in range(len(grid)):
             fps = [
                 FingerprintVector(
                     kind=FingerprintKind.RX_XCORR, values=xc_avg[fi, p, ki],
@@ -274,16 +266,25 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> FingerprintData
                 for fi in range(len(freqs))
             ]
             fp = freq_interp_xcorr(freqs, fps, t_freq)
-            entry[key] = bandwidth_interp(fp, train_bw, t_bw)
-        for si, key in enumerate(pkeys):
-            fp = FingerprintVector(
-                kind=FingerprintKind.PHASE_DIFF, values=ph_avg[nearest_fi, p, si],
-                meta=FingerprintMeta(sensor=si, pairs=_element_pairs(n),
-                                     freq_hz=freqs[nearest_fi], bandwidth_hz=train_bw))
-            proj = phasediff_freq_interp(fp, geom, freqs[nearest_fi], t_freq)
-            entry[key] = proj.vector
-            confidences[key][p] = proj.confidence
-        entries.append(entry)
+            projected.append(bandwidth_interp(fp, train_bw, t_bw))
+        blocks[key] = FingerprintVector(kind=FingerprintKind.RX_XCORR,
+                                        values=[fp.values for fp in projected],
+                                        meta=projected[0].meta)
+    confidences = {}
+    for si, key in enumerate(phase_keys(cfg)):
+        projs = [
+            phasediff_freq_interp(
+                FingerprintVector(
+                    kind=FingerprintKind.PHASE_DIFF, values=ph_avg[nearest_fi, p, si],
+                    meta=FingerprintMeta(sensor=si, pairs=pairs,
+                                         freq_hz=freqs[nearest_fi], bandwidth_hz=train_bw)),
+                geom, freqs[nearest_fi], t_freq)
+            for p in range(len(grid))
+        ]
+        blocks[key] = FingerprintVector(kind=FingerprintKind.PHASE_DIFF,
+                                        values=[proj.vector.values for proj in projs],
+                                        meta=projs[0].vector.meta)
+        confidences[key] = np.array([proj.confidence for proj in projs])
 
     meta = DatabaseMeta(
         train_freqs_hz=tuple(float(f) for f in freqs),
@@ -291,13 +292,11 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> FingerprintData
         extra={"pipeline": "illegal_hybrid", "target_freq_hz": float(t_freq),
                "target_bandwidth_hz": float(t_bw)},
     )
-    coarse = FingerprintDatabase(grid=grid, entries=entries, meta=meta)
+    coarse = FingerprintDatabase(grid=grid, blocks=blocks, meta=meta)
     dense = spatial_densify(coarse, fine_grid(cfg), confidences=confidences)
-    for entry in dense.entries:
-        normalized = normalize_power([entry[key] for key in xkeys])
-        for key, fp in zip(xkeys, normalized):
-            entry[key] = fp
-    return dense
+    blocks = dict(dense.blocks)
+    blocks.update(zip(xkeys, normalize_power([blocks[key] for key in xkeys])))
+    return FingerprintDatabase(grid=dense.grid, blocks=blocks, meta=dense.meta)
 
 
 def draw_trials(cfg: dict) -> np.ndarray:
@@ -334,13 +333,12 @@ def error_maps(cfg: dict, db: FingerprintDatabase, xc: dict, pd: dict) -> tuple:
     mcfg = cfg["matching"]
     vx = np.zeros(len(db.grid))
     vp = np.zeros(len(db.grid))
-    for i, entry in enumerate(db.entries):
-        for key, fp in xc.items():
-            vx[i] += fingerprint_sqerr(fp, entry[key],
-                                       magnitude_only=mcfg["magnitude_only"],
-                                       include_zero_lag=mcfg["include_zero_lag"])
-        for key, fp in pd.items():
-            vp[i] += fingerprint_sqerr(fp, entry[key])
+    for key, fp in xc.items():
+        vx += fingerprint_sqerr(fp, db.block(key, FingerprintVector),
+                                magnitude_only=mcfg["magnitude_only"],
+                                include_zero_lag=mcfg["include_zero_lag"])
+    for key, fp in pd.items():
+        vp += fingerprint_sqerr(fp, db.block(key, FingerprintVector))
     return (LikelihoodMap(grid=db.grid, values=vx, mode=MODE_SQUARED_ERROR),
             LikelihoodMap(grid=db.grid, values=vp, mode=MODE_SQUARED_ERROR))
 
@@ -366,10 +364,7 @@ def evaluate(cfg: dict, db: FingerprintDatabase) -> tuple:
             errors[method].append(e)
             rows.append((t, method, "", tx.x, tx.y, idx, pts[idx, 0], pts[idx, 1], e))
         for g in sweep:
-            cfg_h = HybridConfig(gamma=float(g),
-                                 magnitude_only=cfg["matching"]["magnitude_only"],
-                                 include_zero_lag=cfg["matching"]["include_zero_lag"])
-            idx, _ = hybrid_match(err_x, err_p, cfg_h)
+            idx, _ = hybrid_match(err_x, err_p, HybridConfig(gamma=float(g)))
             e = float(np.hypot(pts[idx, 0] - tx.x, pts[idx, 1] - tx.y))
             hybrid_errors[g].append(e)
             rows.append((t, "hybrid", float(g), tx.x, tx.y, idx,
@@ -400,13 +395,6 @@ def evaluate(cfg: dict, db: FingerprintDatabase) -> tuple:
     return rows, summary
 
 
-def _load_db(cfg: dict, out_dir: str) -> FingerprintDatabase:
-    path = os.path.join(out_dir, "db.json")
-    if not os.path.exists(path):
-        cmd_learn(cfg, out_dir)
-    return load_database(path)
-
-
 def cmd_simulate(cfg: dict, out_dir: str) -> dict:
     xc, ph = simulate_training(cfg)
     write_json(os.path.join(out_dir, "measurements.json"),
@@ -429,7 +417,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
 
 
 def cmd_localize(cfg: dict, out_dir: str) -> dict:
-    db = _load_db(cfg, out_dir)
+    db = load_db(cfg, out_dir, fine_grid(cfg), cmd_learn)
     rows, summary = evaluate(cfg, db)
     header = ("trial", "method", "gamma", "true_x", "true_y",
               "est_index", "est_x", "est_y", "error_m")

@@ -14,22 +14,16 @@ import os
 
 import numpy as np
 
-from ..database import (
-    DatabaseMeta,
-    FingerprintDatabase,
-    load_database,
-    real_to_json,
-    save_database,
-)
+from ..database import DatabaseMeta, FingerprintDatabase, real_to_json, save_database
 from ..errors import ConfigError
 from ..features import rssi_rspd
-from ..geometry import Grid, Position, build_uniform_grid
+from ..geometry import Position
 from ..matching import mle_rssi_rspd
 from ..signals import SignalBuffer
 from ..simulate import ChannelModel, TxSignalSpec, derive_seed, gen_cir, simulate_pdr, synthesize_rx
 from ..stats import fit_gamma, fit_vonmises
 from ..tracking import ParticleSet, particle_predict, particle_update
-from .common import cdf_table, summarize_errors, write_csv, write_json
+from .common import build_grid, cdf_table, load_db, summarize_errors, write_csv, write_json
 
 MEASUREMENTS_FORMAT = "fingerloc-measurements-1"
 _TAG_TRAIN_BITS = 201
@@ -39,11 +33,6 @@ _TAG_WALK_NOISE = 204
 _TAG_WALK = 205
 _TAG_PDR = 206
 _TAG_PF = 207
-
-
-def build_grid(cfg: dict) -> Grid:
-    g = cfg["scenario"]["grid"]
-    return build_uniform_grid(Position(*g["origin"]), g["nx"], g["ny"], g["spacing_m"])
 
 
 def room_bounds(cfg: dict) -> tuple:
@@ -146,19 +135,15 @@ def load_measurements(cfg: dict) -> np.ndarray:
 def build_database(cfg: dict, feats: np.ndarray) -> FingerprintDatabase:
     """Gamma power model and von Mises phase model per sensor per grid point."""
     scn = cfg["scenario"]
-    grid = build_grid(cfg)
-    entries = []
-    for p in range(feats.shape[0]):
-        entry = {}
-        for s in range(feats.shape[2]):
-            entry[f"rssi:{s}"] = fit_gamma(feats[p, :, s, 0])
-            entry[f"rspd:{s}"] = fit_vonmises(feats[p, :, s, 1])
-        entries.append(entry)
+    blocks = {}
+    for s in range(feats.shape[2]):
+        blocks[f"rssi:{s}"] = fit_gamma(feats[:, :, s, 0])
+        blocks[f"rspd:{s}"] = fit_vonmises(feats[:, :, s, 1])
     meta = DatabaseMeta(train_freqs_hz=(scn["freq_hz"],),
                         train_bandwidths_hz=(scn["bandwidth_hz"],),
                         extra={"pipeline": "wifi_rssi_rspd",
                                "snapshots": feats.shape[1]})
-    return FingerprintDatabase(grid=grid, entries=entries, meta=meta)
+    return FingerprintDatabase(grid=build_grid(cfg), blocks=blocks, meta=meta)
 
 
 def generate_walk(cfg: dict) -> np.ndarray:
@@ -234,15 +219,15 @@ def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
         for method, feats in (("rssi", _split(features, "rssi:")),
                               ("rspd", _split(features, "rspd:")),
                               ("rssi_rspd", features)):
-            _, idx = mle_rssi_rspd(feats, db)
+            lmap, idx = mle_rssi_rspd(feats, db)
             err = float(np.hypot(*(pts[idx] - true)))
             errors[method].append(err)
             row.append(err)
         if ps is not None:
             ps = particle_predict(ps, pdr[t - 1], cfg["tracking"]["pdr_sigma_m"],
                                   derive_seed(cfg["seed"], _TAG_PF, 1, t))
-            ps, est = particle_update(ps, features, db,
-                                      seed=derive_seed(cfg["seed"], _TAG_PF, 2, t))
+            # the loop ends on "rssi_rspd", so lmap is the combined map
+            ps, est = particle_update(ps, lmap, seed=derive_seed(cfg["seed"], _TAG_PF, 2, t))
             err = float(math.hypot(est.x - true[0], est.y - true[1]))
             errors["pf"].append(err)
             row.extend([float(est.x), float(est.y), err])
@@ -265,13 +250,6 @@ def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
     return rows, summary
 
 
-def _load_db(cfg: dict, out_dir: str) -> FingerprintDatabase:
-    path = os.path.join(out_dir, "db.json")
-    if not os.path.exists(path):
-        cmd_learn(cfg, out_dir)
-    return load_database(path)
-
-
 def cmd_simulate(cfg: dict, out_dir: str) -> dict:
     feats = simulate_measurements(cfg)
     write_json(os.path.join(out_dir, "measurements.json"), measurements_to_obj(cfg, feats))
@@ -292,7 +270,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
 
 
 def cmd_localize(cfg: dict, out_dir: str) -> dict:
-    db = _load_db(cfg, out_dir)
+    db = load_db(cfg, out_dir, build_grid(cfg), cmd_learn)
     rows, summary = evaluate_walk(cfg, db, with_pf=False)
     header = ("step", "true_x", "true_y", "err_rssi", "err_rspd", "err_rssi_rspd")
     write_csv(os.path.join(out_dir, "trials.csv"), header, rows)
@@ -301,7 +279,7 @@ def cmd_localize(cfg: dict, out_dir: str) -> dict:
 
 
 def cmd_track(cfg: dict, out_dir: str) -> dict:
-    db = _load_db(cfg, out_dir)
+    db = load_db(cfg, out_dir, build_grid(cfg), cmd_learn)
     rows, summary = evaluate_walk(cfg, db, with_pf=True)
     header = ("step", "true_x", "true_y", "err_rssi", "err_rspd",
               "err_rssi_rspd", "est_x", "est_y", "err_pf")

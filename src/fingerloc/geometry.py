@@ -31,7 +31,7 @@ class Grid:
     """An ordered set of candidate positions.
 
     ``points`` is the authoritative ordering: every likelihood map, database
-    entry list, and estimated index refers to positions by their index here.
+    block row, and estimated index refers to positions by their index here.
     ``spacing`` is the nominal inter-point distance (0.0 for irregular grids).
     """
 

@@ -14,7 +14,13 @@ import scipy.signal
 
 from .database import DatabaseMeta, FingerprintDatabase
 from .geometry import Grid
-from .signals import FingerprintKind, FingerprintMeta, FingerprintVector, wrap_angle
+from .signals import (
+    CORRELATION_KINDS,
+    FingerprintKind,
+    FingerprintMeta,
+    FingerprintVector,
+    wrap_angle,
+)
 from .simulate import SPEED_OF_LIGHT
 from .stats import KrigingKernel, fit_loglinear, kriging_fit, kriging_predict
 
@@ -33,7 +39,6 @@ __all__ = [
     "normalize_power",
 ]
 
-_CORRELATION_KINDS = (FingerprintKind.CIR_XCORR, FingerprintKind.RX_XCORR)
 AOA_GRID_STEP_DEG = 0.5
 LOWPASS_TAPS = 63
 
@@ -95,7 +100,7 @@ def bandwidth_interp(fp: FingerprintVector, train_bw_hz: float,
     critically sampled lag axis).  The lag support is preserved; equal
     bandwidths return the input untouched.
     """
-    if fp.kind not in _CORRELATION_KINDS:
+    if fp.kind not in CORRELATION_KINDS:
         raise ValueError("bandwidth projection applies to correlation fingerprints")
     if not (train_bw_hz > 0 and target_bw_hz > 0):
         raise ValueError("bandwidths must be positive")
@@ -139,7 +144,7 @@ def freq_interp_xcorr(train_freqs_hz, train_fps, target_freq_hz: float,
         raise ValueError("need one fingerprint per training frequency, at least two")
     kind = fps[0].kind
     dim = fps[0].dim
-    if kind not in _CORRELATION_KINDS:
+    if kind not in CORRELATION_KINDS:
         raise ValueError("frequency projection applies to correlation fingerprints")
     for fp in fps:
         if fp.kind is not kind or fp.dim != dim:
@@ -248,37 +253,29 @@ def phasediff_freq_interp(fp: FingerprintVector, geom: UcaGeometry,
     return PhasediffProjection(vector=vector, aoa_rad=fit.aoa_rad, confidence=fit.confidence)
 
 
-def _nearest_training(train_xy: np.ndarray, query: np.ndarray) -> int:
-    d2 = np.sum((train_xy - query) ** 2, axis=1)
-    return int(np.argmin(d2))
+def _nearest_training(train_xy: np.ndarray, query_xy: np.ndarray) -> np.ndarray:
+    """Per query, the index of the closest training point (lowest on ties)."""
+    d2 = np.sum((train_xy[None, :, :] - query_xy[:, None, :]) ** 2, axis=-1)
+    return np.argmin(d2, axis=1)
 
 
-def _densify_correlation(fps, train_xy, query_xy, kernel, optimize):
-    n_query = query_xy.shape[0]
-    dim = fps[0].dim
-    stack = np.array([fp.values for fp in fps])  # (n_train, dim)
+def _densify_correlation(stack, train_xy, query_xy, kernel, optimize):
+    dim = stack.shape[1]
     mags = np.abs(stack)
     floor = 1e-12 * float(np.max(mags)) if np.max(mags) > 0 else 1e-300
     mags = np.maximum(mags, floor)
 
-    out_mags = np.empty((n_query, dim), dtype=float)
+    out_mags = np.empty((query_xy.shape[0], dim), dtype=float)
     for j in range(dim):
         model = kriging_fit(train_xy, 10.0 * np.log10(mags[:, j]),
                             kernel=kernel, optimize_length_scale=optimize)
         mean, _ = kriging_predict(model, query_xy)
         out_mags[:, j] = 10.0 ** (mean / 10.0)
-
-    out = np.empty((n_query, dim), dtype=complex)
-    for q in range(n_query):
-        near = _nearest_training(train_xy, query_xy[q])
-        out[q] = out_mags[q] * np.exp(1j * np.angle(stack[near]))
-    return out
+    return out_mags * np.exp(1j * np.angle(stack[_nearest_training(train_xy, query_xy)]))
 
 
-def _densify_phasediff(fps, train_xy, query_xy, confidences):
-    n_train = train_xy.shape[0]
-    dim = fps[0].dim
-    stack = np.array([fp.values for fp in fps])  # (n_train, dim) angles
+def _densify_phasediff(stack, train_xy, query_xy, confidences):
+    n_train, dim = stack.shape
     phasors = np.exp(1j * stack)
     conf = np.ones(n_train) if confidences is None else np.asarray(confidences, dtype=float)
     if conf.shape != (n_train,):
@@ -313,8 +310,7 @@ def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
     per-training-point confidence when one is supplied.
 
     Args:
-        db: training database whose entries hold raw fingerprint vectors,
-            every entry sharing the same keys.
+        db: training database whose blocks are all raw fingerprint vectors.
         target_grid: grid to interpolate onto (inside the training hull;
             outside points fall back to nearest-neighbor with a warning).
         kernel: optional kriging hyper-parameters (defaults per key).
@@ -325,15 +321,8 @@ def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
     Returns:
         A new database on ``target_grid`` marked ``derived``.
     """
-    if len(db) == 0:
-        raise ValueError("cannot densify an empty database")
-    keys = sorted(db.entries[0].keys())
-    if len(keys) == 0:
-        raise ValueError("database entries hold no fingerprints")
-    for idx, entry in enumerate(db.entries):
-        if sorted(entry.keys()) != keys:
-            raise ValueError(f"entry {idx} does not share the common key set")
-
+    if len(db.blocks) == 0:
+        raise ValueError("database holds no fingerprints")
     train_xy = db.grid.as_array()
     query_xy = target_grid.as_array()
     lo = train_xy.min(axis=0)
@@ -349,35 +338,21 @@ def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
             stacklevel=2,
         )
 
-    new_entries = [dict() for _ in range(len(target_grid))]
-    for key in keys:
-        fps = [entry[key] for entry in db.entries]
-        first = fps[0]
-        if not isinstance(first, FingerprintVector):
-            raise ValueError(f"key {key!r} does not hold raw fingerprint vectors")
-        for fp in fps:
-            if fp.kind is not first.kind or fp.dim != first.dim:
-                raise ValueError(f"key {key!r} mixes fingerprint kinds or dimensions")
-
-        if first.kind in _CORRELATION_KINDS:
-            values = _densify_correlation(fps, train_xy, query_xy, kernel,
+    blocks = {}
+    for key in sorted(db.blocks):
+        fp = db.block(key, FingerprintVector)
+        if fp.kind in CORRELATION_KINDS:
+            values = _densify_correlation(fp.values, train_xy, query_xy, kernel,
                                           optimize_length_scale)
-        elif first.kind is FingerprintKind.PHASE_DIFF:
+        elif fp.kind is FingerprintKind.PHASE_DIFF:
             conf = None if confidences is None else confidences.get(key)
-            values = _densify_phasediff(fps, train_xy, query_xy, conf)
+            values = _densify_phasediff(fp.values, train_xy, query_xy, conf)
         else:
             raise ValueError(
                 f"key {key!r}: only correlation and phase-difference fingerprints densify"
             )
-
-        for q in outside:
-            near = _nearest_training(train_xy, query_xy[q])
-            values[q] = fps[near].values
-
-        for q in range(len(target_grid)):
-            meta = first.meta
-            new_entries[q][key] = FingerprintVector(kind=first.kind, values=values[q],
-                                                    meta=meta)
+        values[outside] = fp.values[_nearest_training(train_xy, query_xy[outside])]
+        blocks[key] = FingerprintVector(kind=fp.kind, values=values, meta=fp.meta)
 
     meta = DatabaseMeta(
         train_freqs_hz=db.meta.train_freqs_hz,
@@ -385,7 +360,7 @@ def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
         derived=True,
         extra=dict(db.meta.extra),
     )
-    return FingerprintDatabase(grid=target_grid, entries=new_entries, meta=meta)
+    return FingerprintDatabase(grid=target_grid, blocks=blocks, meta=meta)
 
 
 def normalize_power(fps) -> list:
@@ -393,22 +368,23 @@ def normalize_power(fps) -> list:
 
     The power of each vector is the magnitude of its center (zero-lag) entry;
     every vector is divided by the maximum across the list, so an unknown
-    transmit power cancels out of the whole fingerprint set.
+    transmit power cancels out of the whole fingerprint set.  Blocks (N, d)
+    are normalized per grid point.
     """
     fps = list(fps)
     if len(fps) == 0:
         raise ValueError("at least one fingerprint is required")
     centers = []
     for fp in fps:
-        if fp.kind not in _CORRELATION_KINDS:
+        if fp.kind not in CORRELATION_KINDS:
             raise ValueError("power normalization applies to correlation fingerprints")
         if fp.dim % 2 == 0:
             raise ValueError("correlation fingerprints must have an odd lag count")
-        centers.append(abs(fp.values[fp.dim // 2]))
-    scale = max(centers)
-    if scale <= 0.0:
+        centers.append(np.abs(fp.values[..., fp.dim // 2]))
+    scale = np.max(centers, axis=0)
+    if np.any(scale <= 0.0):
         raise ValueError("all fingerprints have zero power at lag 0")
     return [
-        FingerprintVector(kind=fp.kind, values=fp.values / scale, meta=fp.meta)
+        FingerprintVector(kind=fp.kind, values=fp.values / scale[..., None], meta=fp.meta)
         for fp in fps
     ]

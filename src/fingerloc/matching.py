@@ -6,7 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Grid
-from .signals import FingerprintKind, FingerprintVector, wrap_angle
+from .signals import (
+    ANGLE_KINDS,
+    CORRELATION_KINDS,
+    FingerprintKind,
+    FingerprintVector,
+    wrap_angle,
+)
 from .stats import (
     DetectionMap,
     GammaParams,
@@ -31,9 +37,6 @@ __all__ = [
 
 MODE_LOG_LIKELIHOOD = "log_likelihood"
 MODE_SQUARED_ERROR = "squared_error"
-
-_CORRELATION_KINDS = (FingerprintKind.CIR_XCORR, FingerprintKind.RX_XCORR)
-_ANGLE_KINDS = (FingerprintKind.RSPD, FingerprintKind.PHASE_DIFF)
 
 
 @dataclass(frozen=True)
@@ -66,11 +69,9 @@ class LikelihoodMap:
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Weights and flags for combining correlation and phase error maps."""
+    """Weight for combining correlation and phase error maps."""
 
     gamma: float = 1.0
-    magnitude_only: bool = False
-    include_zero_lag: bool = True
 
     def __post_init__(self):
         if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
@@ -82,8 +83,8 @@ def mle_cir(target_pairs, db) -> tuple:
 
     Args:
         target_pairs: iterable of ``(key, FingerprintVector)``; each key names
-            the Gaussian model stored in every database entry.
-        db: FingerprintDatabase whose entries hold GaussianStats per key.
+            a GaussianStats block of the database.
+        db: FingerprintDatabase holding one Gaussian block per key.
 
     Returns:
         (map, index): the summed log-likelihood map over the grid and its
@@ -94,11 +95,7 @@ def mle_cir(target_pairs, db) -> tuple:
         raise ValueError("at least one target fingerprint is required")
     values = np.zeros(len(db.grid), dtype=float)
     for key, fp in pairs:
-        for idx, entry in enumerate(db.entries):
-            model = entry.get(key)
-            if not isinstance(model, GaussianStats):
-                raise ValueError(f"entry {idx} key {key!r} does not hold Gaussian statistics")
-            values[idx] += gaussian_loglik(fp.values, model)
+        values += gaussian_loglik(fp.values, db.block(key, GaussianStats))
     lmap = LikelihoodMap(grid=db.grid, values=values, mode=MODE_LOG_LIKELIHOOD)
     return lmap, int(np.argmax(values))
 
@@ -108,9 +105,9 @@ def mle_rssi_rspd(target_features, db) -> tuple:
 
     Args:
         target_features: iterable of ``(key, value)`` with RSSI features as
-            positive linear powers and phase features in radians; the model
+            positive linear powers and phase features in radians; the block
             type stored at each key (Gamma vs von Mises) selects the density.
-        db: FingerprintDatabase with a fitted model per key per entry.
+        db: FingerprintDatabase with one fitted model block per key.
 
     Returns:
         (map, index) as in :func:`mle_cir`.
@@ -120,18 +117,13 @@ def mle_rssi_rspd(target_features, db) -> tuple:
         raise ValueError("at least one target feature is required")
     values = np.zeros(len(db.grid), dtype=float)
     for key, value in feats:
-        for idx, entry in enumerate(db.entries):
-            model = entry.get(key)
-            if isinstance(model, GammaParams):
-                if value <= 0:
-                    raise ValueError(f"feature {key!r} must be positive for a power model")
-                values[idx] += gamma_logpdf(float(value), model)
-            elif isinstance(model, VonMisesParams):
-                values[idx] += vonmises_logpdf(float(value), model)
-            else:
-                raise ValueError(
-                    f"entry {idx} key {key!r} holds no power or phase model"
-                )
+        model = db.block(key, (GammaParams, VonMisesParams))
+        if isinstance(model, GammaParams):
+            if value <= 0:
+                raise ValueError(f"feature {key!r} must be positive for a power model")
+            values += gamma_logpdf(float(value), model)
+        else:
+            values += vonmises_logpdf(float(value), model)
     lmap = LikelihoodMap(grid=db.grid, values=values, mode=MODE_LOG_LIKELIHOOD)
     return lmap, int(np.argmax(values))
 
@@ -194,37 +186,39 @@ def hybrid_match(err_xcorr: LikelihoodMap, err_phase: LikelihoodMap,
 
 def fingerprint_sqerr(target: FingerprintVector, reference: FingerprintVector,
                       magnitude_only: bool = False,
-                      include_zero_lag: bool = True) -> float:
-    """Squared error between two fingerprints of the same kind and dimension.
+                      include_zero_lag: bool = True):
+    """Squared error between fingerprints of the same kind and dimension.
 
     Angle-valued kinds use wrapped phase differences; correlation kinds use
     complex residuals, or magnitude residuals with ``magnitude_only``; the
     center (zero) lag of correlation kinds can be excluded to ignore the
-    self-noise spike.
+    self-noise spike.  A (N, d) ``reference`` block broadcasts against one
+    target vector and yields one error per grid point.
+
+    Returns:
+        A float, or an (N,) array against a block.
     """
     if target.kind is not reference.kind:
         raise ValueError(
             f"kind mismatch: {target.kind.value} vs {reference.kind.value}"
         )
-    if target.dim != reference.dim:
-        raise ValueError(f"dimension mismatch: {target.dim} vs {reference.dim}")
-    if target.kind in _ANGLE_KINDS:
-        delta = wrap_angle(target.values - reference.values)
-        return float(np.sum(delta ** 2))
+    if target.dim != reference.dim or target.values.ndim != 1:
+        raise ValueError(f"dimension mismatch: {target.values.shape} vs "
+                         f"{reference.values.shape}")
     a = target.values
     b = reference.values
-    if target.kind in _CORRELATION_KINDS:
+    if target.kind in CORRELATION_KINDS:
         if not include_zero_lag:
             if target.dim % 2 == 0:
                 raise ValueError("zero-lag exclusion needs an odd-length lag window")
-            center = target.dim // 2
-            keep = np.arange(target.dim) != center
+            keep = np.arange(target.dim) != target.dim // 2
             a = a[keep]
-            b = b[keep]
+            b = b[..., keep]
         if magnitude_only:
-            return float(np.sum((np.abs(a) - np.abs(b)) ** 2))
-        return float(np.sum(np.abs(a - b) ** 2))
-    return float(np.sum(np.abs(a - b) ** 2))
+            a, b = np.abs(a), np.abs(b)
+    delta = wrap_angle(a - b) if target.kind in ANGLE_KINDS else a - b
+    err = np.sum(np.abs(delta) ** 2, axis=-1)
+    return float(err) if np.ndim(err) == 0 else err
 
 
 def likelihood_map_csv(lmap: LikelihoodMap) -> str:

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Cir", "SignalBuffer", "FingerprintKind", "FingerprintMeta", "FingerprintVector"]
+__all__ = ["Cir", "SignalBuffer", "FingerprintKind", "FingerprintMeta", "FingerprintVector",
+           "CORRELATION_KINDS", "ANGLE_KINDS"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -22,8 +23,9 @@ class FingerprintKind(enum.Enum):
     BINARY = "binary"            # one detection bit per sensor
 
 
-_COMPLEX_KINDS = (FingerprintKind.CIR_XCORR, FingerprintKind.RX_XCORR)
-_ANGLE_KINDS = (FingerprintKind.RSPD, FingerprintKind.PHASE_DIFF)
+# complex-valued correlation kinds, and kinds whose entries are angles
+CORRELATION_KINDS = (FingerprintKind.CIR_XCORR, FingerprintKind.RX_XCORR)
+ANGLE_KINDS = (FingerprintKind.RSPD, FingerprintKind.PHASE_DIFF)
 
 
 @dataclass(frozen=True)
@@ -98,11 +100,12 @@ class FingerprintMeta:
 
 @dataclass(frozen=True)
 class FingerprintVector:
-    """A single fingerprint: a typed value vector plus provenance.
+    """A fingerprint: a typed value vector plus provenance.
 
-    Invariants enforced on construction: entry count matches ``dim``; binary
-    vectors hold only 0/1; angle-valued kinds lie in (-pi, pi]; correlation
-    kinds are complex and everything else is real.
+    ``values`` is one vector (d,) or, in a database, a block (N, d) with one
+    vector per grid point sharing kind and meta.  Invariants enforced on
+    construction: binary vectors hold only 0/1; angle-valued kinds lie in
+    (-pi, pi]; correlation kinds are complex and everything else is real.
     """
 
     kind: FingerprintKind
@@ -110,16 +113,16 @@ class FingerprintVector:
     meta: FingerprintMeta = field(default_factory=FingerprintMeta)
 
     def __post_init__(self):
-        dtype = complex if self.kind in _COMPLEX_KINDS else float
+        dtype = complex if self.kind in CORRELATION_KINDS else float
         values = np.array(self.values, dtype=dtype)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("fingerprint values must be a non-empty 1-D sequence")
+        if values.ndim not in (1, 2) or values.size == 0:
+            raise ValueError("fingerprint values must be a non-empty vector or (N, d) block")
         if not np.all(np.isfinite(values)):
             raise ValueError("fingerprint values must be finite")
         if self.kind is FingerprintKind.BINARY:
             if not np.all((values == 0.0) | (values == 1.0)):
                 raise ValueError("binary fingerprints may contain only 0 and 1")
-        if self.kind in _ANGLE_KINDS:
+        if self.kind in ANGLE_KINDS:
             if np.any(values <= -math.pi) or np.any(values > math.pi):
                 raise ValueError("angular fingerprints must lie in (-pi, pi]")
         if self.kind is FingerprintKind.RSSI and np.any(values < 0):
@@ -129,10 +132,10 @@ class FingerprintVector:
 
     @property
     def dim(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
     def __len__(self):
-        return self.values.size
+        return self.values.shape[0]
 
 
 def wrap_angle(theta):

@@ -7,7 +7,6 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaln, i0e, i1e
 
-from .database import complex_from_json, complex_to_json, real_to_json, register_codec
 from .errors import NumericError
 from .geometry import Grid
 
@@ -37,6 +36,25 @@ _RESULTANT_CAP = 1.0 - 1e-6
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _freeze(obj, **arrays):
+    """Store validated arrays on a frozen dataclass: 0-d as float, else read-only."""
+    for name, arr in arrays.items():
+        if arr.ndim == 0:
+            object.__setattr__(obj, name, float(arr))
+        else:
+            arr.flags.writeable = False
+            object.__setattr__(obj, name, arr)
+
+
+def _param_arrays(**params) -> list:
+    """Float arrays of equal shape, either scalars or (N,) blocks."""
+    arrays = [np.array(v, dtype=float) for v in params.values()]
+    shape = arrays[0].shape
+    if len(shape) > 1 or any(a.shape != shape for a in arrays):
+        raise ValueError(f"parameters {sorted(params)} must be scalars or equal-length vectors")
+    return arrays
+
+
 # ---------------------------------------------------------------------------
 # complex Gaussian fingerprint model
 # ---------------------------------------------------------------------------
@@ -45,7 +63,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class GaussianStats:
     """Circularly symmetric complex Gaussian: mean vector and loaded covariance.
 
-    ``cov`` already includes the diagonal loading recorded in ``loading``.
+    ``cov`` already includes the diagonal loading recorded in ``loading``.  A
+    database block stacks one model per grid point: mean (N, d), cov
+    (N, d, d), loading (N,).
     """
 
     mean: np.ndarray
@@ -55,27 +75,27 @@ class GaussianStats:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=complex)
         cov = np.array(self.cov, dtype=complex)
-        if mean.ndim != 1 or mean.size == 0:
-            raise ValueError("mean must be a non-empty vector")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"covariance shape {cov.shape} does not match dim {mean.size}")
-        herm_gap = float(np.max(np.abs(cov - cov.conj().T))) if cov.size else 0.0
-        scale = max(float(np.abs(np.trace(cov)).real), 1.0)
-        if herm_gap > 1e-12 * scale:
-            raise ValueError(f"covariance is not Hermitian (max asymmetry {herm_gap:.3e})")
-        if self.loading < 0:
+        loading = np.array(self.loading, dtype=float)
+        if mean.ndim not in (1, 2) or mean.size == 0:
+            raise ValueError("mean must be a non-empty vector or (N, d) block")
+        if cov.shape != mean.shape + mean.shape[-1:]:
+            raise ValueError(f"covariance shape {cov.shape} does not match mean {mean.shape}")
+        if loading.shape != mean.shape[:-1]:
+            raise ValueError(f"loading shape {loading.shape} does not match mean {mean.shape}")
+        herm_gap = np.max(np.abs(cov - np.conj(np.swapaxes(cov, -1, -2))), axis=(-2, -1))
+        scale = np.maximum(np.abs(np.trace(cov, axis1=-2, axis2=-1)), 1.0)
+        if np.any(herm_gap > 1e-12 * scale):
+            raise ValueError(f"covariance is not Hermitian (max asymmetry {np.max(herm_gap):.3e})")
+        if np.any(loading < 0):
             raise ValueError("loading must be non-negative")
-        eigmin = float(np.min(scipy.linalg.eigvalsh(cov)))
-        if eigmin < -1e-9 * scale:
-            raise ValueError(f"covariance has negative eigenvalue {eigmin:.3e}")
-        mean.flags.writeable = False
-        cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        eigmin = np.min(np.linalg.eigvalsh(cov), axis=-1)
+        if np.any(eigmin < -1e-9 * scale):
+            raise ValueError(f"covariance has negative eigenvalue {np.min(eigmin):.3e}")
+        _freeze(self, mean=mean, cov=cov, loading=loading)
 
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return self.mean.shape[-1]
 
 
 def fit_gaussian(samples, loading_eps: float = DEFAULT_LOADING_EPS) -> GaussianStats:
@@ -87,7 +107,8 @@ def fit_gaussian(samples, loading_eps: float = DEFAULT_LOADING_EPS) -> GaussianS
     the model invertible with few snapshots.
 
     Args:
-        samples: (n, d) array-like of complex sample vectors, n >= 1.
+        samples: (n, d) array-like of complex sample vectors, n >= 1, or
+            (N, n, d) to fit one model per grid point as a block.
         loading_eps: relative diagonal loading factor.
 
     Returns:
@@ -96,19 +117,19 @@ def fit_gaussian(samples, loading_eps: float = DEFAULT_LOADING_EPS) -> GaussianS
     arr = np.asarray(samples, dtype=complex)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError("samples must form a non-empty (n, d) array")
+    if arr.ndim not in (2, 3) or arr.shape[-2] == 0 or arr.shape[-1] == 0:
+        raise ValueError("samples must form a non-empty (n, d) or (N, n, d) array")
     if loading_eps < 0:
         raise ValueError("loading_eps must be non-negative")
-    n, d = arr.shape
-    mean = arr.mean(axis=0)
-    centered = arr - mean
-    scatter = centered.T @ centered.conj() / n
-    scatter = (scatter + scatter.conj().T) / 2.0
-    trace = float(np.trace(scatter).real)
-    loading = loading_eps * trace / d if trace > 0.0 else loading_eps
-    cov = scatter + loading * np.eye(d)
-    return GaussianStats(mean=mean, cov=cov, loading=float(loading))
+    n, d = arr.shape[-2:]
+    mean = arr.mean(axis=-2)
+    centered = arr - mean[..., None, :]
+    scatter = np.swapaxes(centered, -1, -2) @ centered.conj() / n
+    scatter = (scatter + np.conj(np.swapaxes(scatter, -1, -2))) / 2.0
+    trace = np.real(np.trace(scatter, axis1=-2, axis2=-1))
+    loading = np.where(trace > 0.0, loading_eps * trace / d, loading_eps)
+    cov = scatter + loading[..., None, None] * np.eye(d)
+    return GaussianStats(mean=mean, cov=cov, loading=loading)
 
 
 def gaussian_loglik(f, stats: GaussianStats):
@@ -118,29 +139,37 @@ def gaussian_loglik(f, stats: GaussianStats):
     Cholesky factorization (no explicit inverse).
 
     Args:
-        f: one fingerprint vector (d,) or a batch (n, d).
-        stats: fitted model.
+        f: one fingerprint vector (d,) or a batch (n, d); against a block of
+            N models, one vector (d,).
+        stats: fitted model, or a block of them.
 
     Returns:
-        Scalar for a single vector, (n,) array for a batch.
+        Scalar for a single vector and model, (n,) array for a batch, (N,)
+        array for a block.
     """
     arr = np.asarray(f, dtype=complex)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.shape[1] != stats.dim:
-        raise ValueError(f"fingerprint dim {arr.shape[1]} does not match model dim {stats.dim}")
+    block = stats.mean.ndim == 2
+    if arr.shape[-1] != stats.dim or (block and arr.ndim != 1):
+        raise ValueError(f"fingerprint shape {arr.shape} does not fit model shape "
+                         f"{stats.mean.shape}")
     try:
         cho = scipy.linalg.cho_factor(stats.cov, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(
             f"covariance is not positive definite even after loading {stats.loading}: {exc}"
         ) from exc
-    logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(cho[0])))))
+    logdet = 2.0 * np.sum(np.log(np.real(np.diagonal(cho[0], axis1=-2, axis2=-1))), axis=-1)
     delta = arr - stats.mean
+    if block:
+        z = scipy.linalg.cho_solve(cho, delta[..., None])[..., 0]
+        quad = np.real(np.sum(delta.conj() * z, axis=-1))
+        return -stats.dim * math.log(math.pi) - logdet - quad
+    single = arr.ndim == 1
+    if single:
+        delta = delta[None, :]
     z = scipy.linalg.cho_solve(cho, delta.T)
     quad = np.real(np.sum(delta.conj().T * z, axis=0))
-    out = -stats.dim * math.log(math.pi) - logdet - quad
+    out = -stats.dim * math.log(math.pi) - float(logdet) - quad
     return float(out[0]) if single else out
 
 
@@ -150,43 +179,52 @@ def gaussian_loglik(f, stats: GaussianStats):
 
 @dataclass(frozen=True)
 class GammaParams:
-    """Gamma distribution, shape/scale parameterization."""
+    """Gamma distribution, shape/scale parameterization.
+
+    Floats for one model; (N,) arrays for a database block.
+    """
 
     shape: float
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
+        shape, scale = _param_arrays(shape=self.shape, scale=self.scale)
+        if not (np.all(shape > 0) and np.all(scale > 0)):
             raise ValueError(f"shape and scale must be positive, got {self.shape}, {self.scale}")
+        _freeze(self, shape=shape, scale=scale)
 
 
 def fit_gamma(samples) -> GammaParams:
     """Method-of-moments Gamma fit: scale = var/mean, shape = mean/scale.
 
     Uses the unbiased sample variance, so at least two samples are required
-    and all samples must be positive with non-zero spread.
+    and all samples must be positive with non-zero spread.  A (N, n) array
+    fits one model per row, as a block.
     """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+    arr = np.ascontiguousarray(samples, dtype=float)
+    if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
         raise ValueError("gamma fitting needs at least 2 samples")
     if np.any(arr <= 0):
         raise ValueError("gamma samples must be positive")
-    mean = float(arr.mean())
-    var = float(arr.var(ddof=1))
-    if var == 0.0:
+    mean = arr.mean(axis=-1)
+    var = arr.var(axis=-1, ddof=1)
+    if np.any(var == 0.0):
         raise ValueError("gamma samples have zero variance")
     scale = var / mean
     return GammaParams(shape=mean / scale, scale=scale)
 
 
 def gamma_logpdf(x, p: GammaParams):
-    """Gamma log-density ``(shape-1) ln x - x/scale - ln Gamma(shape) - shape ln scale``."""
+    """Gamma log-density ``(shape-1) ln x - x/scale - ln Gamma(shape) - shape ln scale``.
+
+    Broadcasts ``x`` against the parameters, so one value scores a whole block.
+    """
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("gamma density is defined for positive values only")
     out = ((p.shape - 1.0) * np.log(arr) - arr / p.scale
-           - gammaln(p.shape) - p.shape * math.log(p.scale))
-    return float(out) if np.ndim(x) == 0 else out
+           - gammaln(p.shape) - p.shape * np.log(p.scale))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +233,21 @@ def gamma_logpdf(x, p: GammaParams):
 
 @dataclass(frozen=True)
 class VonMisesParams:
-    """Von Mises distribution on the circle."""
+    """Von Mises distribution on the circle.
+
+    Floats for one model; (N,) arrays for a database block.
+    """
 
     mu: float
     kappa: float
 
     def __post_init__(self):
-        if not (-math.pi < self.mu <= math.pi):
+        mu, kappa = _param_arrays(mu=self.mu, kappa=self.kappa)
+        if not np.all((-math.pi < mu) & (mu <= math.pi)):
             raise ValueError(f"mu must lie in (-pi, pi], got {self.mu}")
-        if not (0.0 <= self.kappa <= KAPPA_MAX):
+        if not np.all((0.0 <= kappa) & (kappa <= KAPPA_MAX)):
             raise ValueError(f"kappa must lie in [0, {KAPPA_MAX}], got {self.kappa}")
-
-
-def _bessel_ratio(kappa: float) -> float:
-    # I1/I0 via exponentially scaled Bessel functions, stable for large kappa
-    return float(i1e(kappa) / i0e(kappa))
+        _freeze(self, mu=mu, kappa=kappa)
 
 
 def fit_vonmises(angles) -> VonMisesParams:
@@ -218,66 +256,42 @@ def fit_vonmises(angles) -> VonMisesParams:
     The mean direction is the argument of the summed phasors.  Concentration
     starts from the rational closed form ``R(2 - R^2)/(1 - R^2)`` and is
     tightened with two Newton steps on the Bessel ratio equation
-    ``I1(k)/I0(k) = R``; nearly aligned samples cap at ``KAPPA_MAX``.
+    ``I1(k)/I0(k) = R``; nearly aligned samples cap at ``KAPPA_MAX``.  A
+    (N, n) array fits one model per row, as a block.
     """
-    arr = np.asarray(angles, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    arr = np.ascontiguousarray(angles, dtype=float)
+    if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
         raise ValueError("von Mises fitting needs at least one angle")
-    z = np.exp(1j * arr).mean()
-    rbar = float(np.abs(z))
-    if rbar == 0.0:
-        return VonMisesParams(mu=0.0, kappa=0.0)
-    mu = float(np.angle(z))
-    if rbar >= _RESULTANT_CAP:
-        return VonMisesParams(mu=mu, kappa=KAPPA_MAX)
-    kappa = rbar * (2.0 - rbar ** 2) / (1.0 - rbar ** 2)
-    for _ in range(2):
-        if kappa <= 0.0:
-            break
-        a = _bessel_ratio(kappa)
-        da = 1.0 - a * a - a / kappa
-        if da <= 0.0:
-            break
-        kappa = kappa - (a - rbar) / da
-        if not math.isfinite(kappa):
-            return VonMisesParams(mu=mu, kappa=KAPPA_MAX)
-    kappa = min(max(kappa, 0.0), KAPPA_MAX)
+    z = np.exp(1j * arr).mean(axis=-1)
+    rbar = np.abs(z)
+    mu = np.where(rbar == 0.0, 0.0, np.angle(z))
+    capped = rbar >= _RESULTANT_CAP
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kappa = rbar * (2.0 - rbar ** 2) / (1.0 - rbar ** 2)
+        active = (rbar > 0.0) & ~capped
+        for _ in range(2):
+            active &= kappa > 0.0
+            a = i1e(kappa) / i0e(kappa)
+            da = 1.0 - a * a - a / kappa
+            active &= da > 0.0
+            kappa = np.where(active, kappa - (a - rbar) / da, kappa)
+            capped |= active & ~np.isfinite(kappa)
+            active &= ~capped
+    kappa = np.where(capped, KAPPA_MAX, np.clip(kappa, 0.0, KAPPA_MAX))
+    kappa = np.where(rbar == 0.0, 0.0, kappa)
     return VonMisesParams(mu=mu, kappa=kappa)
 
 
-def _log_i0(kappa: float) -> float:
-    """ln I0(kappa): power series below 15, asymptotic expansion above.
-
-    Both branches work in log domain, so large concentrations cannot
-    overflow.
-    """
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
-    if kappa < 15.0:
-        q = kappa * kappa / 4.0
-        term = 1.0
-        total = 1.0
-        for k in range(1, 80):
-            term *= q / (k * k)
-            total += term
-            if term < total * 1e-18:
-                break
-        return math.log(total)
-    # I0(k) ~ e^k / sqrt(2 pi k) * (1 + 1/(8k) + 9/(2!(8k)^2) + ...)
-    inv8k = 1.0 / (8.0 * kappa)
-    term = 1.0
-    series = 1.0
-    for k in range(1, 10):
-        term *= (2 * k - 1) ** 2 * inv8k / k
-        series += term
-    return kappa - 0.5 * math.log(2.0 * math.pi * kappa) + math.log(series)
-
-
 def vonmises_logpdf(x, p: VonMisesParams):
-    """Von Mises log-density ``kappa cos(x - mu) - ln(2 pi) - ln I0(kappa)``."""
+    """Von Mises log-density ``kappa cos(x - mu) - ln(2 pi) - ln I0(kappa)``.
+
+    ``ln I0`` comes from the exponentially scaled Bessel function, so large
+    concentrations cannot overflow.  Broadcasts like :func:`gamma_logpdf`.
+    """
     arr = np.asarray(x, dtype=float)
-    out = p.kappa * np.cos(arr - p.mu) - _LOG_2PI - _log_i0(p.kappa)
-    return float(out) if np.ndim(x) == 0 else out
+    log_i0 = np.log(i0e(p.kappa)) + p.kappa
+    out = p.kappa * np.cos(arr - p.mu) - _LOG_2PI - log_i0
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -502,64 +516,3 @@ def kriging_predict(model: KrigingModel, queries) -> tuple:
     if single:
         return float(mean[0]), float(var[0])
     return mean, var
-
-
-# ---------------------------------------------------------------------------
-# database codecs for the fitted models
-# ---------------------------------------------------------------------------
-
-register_codec(
-    "gaussian",
-    GaussianStats,
-    lambda s: {
-        "mean": complex_to_json(s.mean),
-        "cov": [complex_to_json(row) for row in s.cov],
-        "loading": float(s.loading),
-    },
-    lambda d: GaussianStats(
-        mean=complex_from_json(d["mean"]),
-        cov=np.array([complex_from_json(row) for row in d["cov"]]),
-        loading=float(d["loading"]),
-    ),
-)
-
-register_codec(
-    "gamma",
-    GammaParams,
-    lambda p: {"shape": float(p.shape), "scale": float(p.scale)},
-    lambda d: GammaParams(shape=float(d["shape"]), scale=float(d["scale"])),
-)
-
-register_codec(
-    "von_mises",
-    VonMisesParams,
-    lambda p: {"mu": float(p.mu), "kappa": float(p.kappa)},
-    lambda d: VonMisesParams(mu=float(d["mu"]), kappa=float(d["kappa"])),
-)
-
-register_codec(
-    "log_linear",
-    LogLinearModel,
-    lambda m: {"slope_db_per_decade": float(m.slope_db_per_decade),
-               "intercept_db": float(m.intercept_db)},
-    lambda d: LogLinearModel(slope_db_per_decade=float(d["slope_db_per_decade"]),
-                             intercept_db=float(d["intercept_db"])),
-)
-
-register_codec(
-    "kriging",
-    KrigingModel,
-    lambda m: {
-        "length_scale": float(m.kernel.length_scale),
-        "signal_var": float(m.kernel.signal_var),
-        "noise_var": float(m.kernel.noise_var),
-        "locations": [real_to_json(row) for row in m.locations],
-        "values": real_to_json(m.values),
-    },
-    lambda d: kriging_fit(
-        np.asarray(d["locations"], dtype=float),
-        np.asarray(d["values"], dtype=float),
-        kernel=KrigingKernel(float(d["length_scale"]), float(d["signal_var"]),
-                             float(d["noise_var"])),
-    ),
-)

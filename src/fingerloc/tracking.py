@@ -8,7 +8,7 @@ from scipy.special import ndtr
 
 from .errors import DegenerateUpdateError, NumericError
 from .geometry import Grid, Position, uniform_grid_shape
-from .matching import MODE_LOG_LIKELIHOOD, LikelihoodMap, mle_rssi_rspd, threshold_set
+from .matching import MODE_LOG_LIKELIHOOD, LikelihoodMap, threshold_set
 
 __all__ = [
     "MobilityModel",
@@ -190,7 +190,7 @@ def _corner_indices(grid: Grid, nx: int, ny: int, origin: Position, pos) -> np.n
     return np.array([r * nx + c for r in rows for c in cols], dtype=int)
 
 
-def particle_update(ps: ParticleSet, target, db, grid: Grid | None = None,
+def particle_update(ps: ParticleSet, lmap: LikelihoodMap, grid: Grid | None = None,
                     seed=0, estimator: str = "mean") -> tuple:
     """Weight particles by the observation likelihood and estimate the position.
 
@@ -202,10 +202,9 @@ def particle_update(ps: ParticleSet, target, db, grid: Grid | None = None,
 
     Args:
         ps: current particles.
-        target: either a precomputed log-LikelihoodMap, or the feature list
-            accepted by :func:`fingerloc.matching.mle_rssi_rspd`.
-        db: fingerprint database (ignored when ``target`` is already a map).
-        grid: estimation grid; defaults to the map's or database's grid.
+        lmap: the step's observation log-likelihood map, e.g. from
+            :func:`fingerloc.matching.mle_rssi_rspd`.
+        grid: estimation grid; defaults to the map's grid.
         seed: stream for the embedded resampling step.
         estimator: ``"mean"`` for the weighted mean position (default) or
             ``"mode"`` for the highest-weight particle.
@@ -214,10 +213,6 @@ def particle_update(ps: ParticleSet, target, db, grid: Grid | None = None,
         (ParticleSet, Position): the updated (possibly resampled) particles
         and the point estimate from the post-update weights.
     """
-    if isinstance(target, LikelihoodMap):
-        lmap = target
-    else:
-        lmap, _ = mle_rssi_rspd(target, db)
     if grid is None:
         grid = lmap.grid
     if lmap.grid != grid:

@@ -182,6 +182,29 @@ def test_infeasible_lighting_is_a_numeric_error(tmp_path):
     assert main(["lighting", "--config", cfg_path]) == EXIT_NUMERIC
 
 
+def test_database_from_another_grid_is_a_config_error(tmp_path):
+    # learn on the 4x4 grid, then localize under a config that asks for 6x6
+    cfg_path, out_dir = _write_config(tmp_path, "wifi_rssi_rspd")
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    cfg = json.loads(pathlib.Path(cfg_path).read_text())
+    cfg["scenario"]["grid"].update(nx=6, ny=6)
+    pathlib.Path(cfg_path).write_text(json.dumps(cfg))
+    assert main(["localize", "--config", cfg_path, "--seed", "9"]) == EXIT_CONFIG
+    assert not (pathlib.Path(out_dir) / "trials.csv").exists()
+
+
+def test_database_in_the_version_1_layout_is_a_config_error(tmp_path):
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    db_path = pathlib.Path(out_dir) / "db.json"
+    doc = json.loads(db_path.read_text())
+    doc["version"] = "fingerloc-db-1"
+    doc["entries"] = [{} for _ in doc["grid"]["points"]]
+    del doc["blocks"]
+    db_path.write_text(json.dumps(doc))
+    assert main(["track", "--config", cfg_path]) == EXIT_CONFIG
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------

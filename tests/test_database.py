@@ -13,40 +13,39 @@ from fingerloc.database import (
     DatabaseMeta,
     database_from_json,
     database_to_json,
-    decode_item,
-    encode_item,
     euclidean_match,
     load_database,
     save_database,
 )
+from fingerloc.experiments.artifacts import validate_artifact
 from fingerloc.geometry import Position, build_uniform_grid
 from fingerloc.signals import FingerprintKind, FingerprintMeta, FingerprintVector
-from fingerloc.stats import (
-    GammaParams,
-    GaussianStats,
-    LogLinearModel,
-    VonMisesParams,
-    fit_gaussian,
-    kriging_fit,
-)
+from fingerloc.stats import GammaParams, LogLinearModel, VonMisesParams, fit_gaussian
 
 
 def _grid(n=2):
     return build_uniform_grid(Position(0.0, 0.0), nx=n, ny=n, spacing=1.0)
 
 
+def _round_trip(block, n=2):
+    """One block stored at key "k" on an n x n grid, through JSON and back."""
+    db = FingerprintDatabase(grid=_grid(n), blocks={"k": block})
+    return database_from_json(json.dumps(json.loads(database_to_json(db)))).blocks["k"]
+
+
 def test_fingerprint_codec_round_trips_complex_bit_exact():
     rng = np.random.default_rng(5)
-    values = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    values = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
     fp = FingerprintVector(
         kind=FingerprintKind.CIR_XCORR, values=values,
         meta=FingerprintMeta(sensor=3, pair=(0, 2), freq_hz=1.9575e9,
                              bandwidth_hz=3.6e6),
     )
-    data = json.loads(json.dumps(encode_item(fp)))
-    back = decode_item(data)
+    db = FingerprintDatabase(grid=_grid(2), blocks={"k": fp})
+    data = json.loads(database_to_json(db))["blocks"]["k"]
+    back = _round_trip(fp)
     assert data["type"] == "fingerprint"
-    assert data["values"][0] == [values[0].real, values[0].imag]
+    assert data["values"][0][0] == [values[0, 0].real, values[0, 0].imag]
     assert back.kind is fp.kind
     assert np.array_equal(back.values, fp.values)
     assert back.meta.sensor == 3 and back.meta.pair == (0, 2)
@@ -64,85 +63,109 @@ def test_fingerprint_codec_round_trips_every_kind():
     ]
     for kind, values in cases:
         meta = FingerprintMeta(pairs=((0, 1), (1, 2))) if kind is FingerprintKind.PHASE_DIFF else FingerprintMeta()
-        fp = FingerprintVector(kind=kind, values=values, meta=meta)
-        back = decode_item(json.loads(json.dumps(encode_item(fp))))
+        fp = FingerprintVector(kind=kind, values=np.tile(values, (4, 1)), meta=meta)
+        back = _round_trip(fp)
         assert back.kind is kind
+        assert back.values.dtype == fp.values.dtype
         assert np.array_equal(back.values, fp.values)
         assert back.meta.pairs == fp.meta.pairs
 
 
 def test_scalar_codec():
-    back = decode_item(json.loads(json.dumps(encode_item(0.7371))))
-    assert back == 0.7371 and isinstance(back, float)
+    back = _round_trip(np.array([0.7371, 0.5, 0.25, 1e-300]))
+    assert isinstance(back, np.ndarray) and back.dtype == float
+    assert back.tolist() == [0.7371, 0.5, 0.25, 1e-300]
 
 
 def test_gaussian_codec_round_trip():
     rng = np.random.default_rng(9)
-    samples = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    samples = rng.standard_normal((4, 6, 3)) + 1j * rng.standard_normal((4, 6, 3))
     stats = fit_gaussian(samples)
-    back = decode_item(json.loads(json.dumps(encode_item(stats))))
+    back = _round_trip(stats)
     assert np.array_equal(back.mean, stats.mean)
     assert np.array_equal(back.cov, stats.cov)
-    assert back.loading == stats.loading
+    assert np.array_equal(back.loading, stats.loading)
 
 
-def test_gamma_vonmises_loglinear_codecs():
-    for obj in (GammaParams(shape=3.75, scale=2.0 / 3.0),
-                VonMisesParams(mu=-1.25, kappa=17.5),
-                LogLinearModel(slope_db_per_decade=-20.0, intercept_db=120.0)):
-        back = decode_item(json.loads(json.dumps(encode_item(obj))))
-        assert back == obj
+def test_gamma_vonmises_codecs():
+    for block in (GammaParams(shape=[3.75, 1.0, 2.5, 9.0], scale=[2.0 / 3.0, 1.0, 0.5, 3.0]),
+                  VonMisesParams(mu=[-1.25, 0.0, math.pi, 1.0], kappa=[17.5, 0.0, 1000.0, 2.0])):
+        back = _round_trip(block)
+        assert type(back) is type(block)
+        for name in block.__dataclass_fields__:
+            assert np.array_equal(getattr(back, name), getattr(block, name))
 
 
-def test_kriging_codec_reproduces_predictions():
-    rng = np.random.default_rng(13)
-    locs = _grid(3).as_array()
-    vals = rng.standard_normal(9)
-    model = kriging_fit(locs, vals)
-    back = decode_item(json.loads(json.dumps(encode_item(model))))
-    from fingerloc.stats import kriging_predict
-    queries = rng.uniform(0, 2, size=(5, 2))
-    m1, v1 = kriging_predict(model, queries)
-    m2, v2 = kriging_predict(back, queries)
-    assert np.array_equal(m1, m2) and np.array_equal(v1, v2)
-
-
-def test_encode_item_rejects_unknown_types():
-    with pytest.raises(TypeError):
-        encode_item(object())
+def test_database_rejects_unknown_block_types():
+    grid = _grid(1)
     with pytest.raises(ValueError):
-        decode_item({"type": "no_such_codec"})
+        FingerprintDatabase(grid=grid, blocks={"k": object()})
+    with pytest.raises(ValueError):
+        FingerprintDatabase(grid=grid, blocks={
+            "k": LogLinearModel(slope_db_per_decade=-20.0, intercept_db=120.0)})
+    # one model, not a block over the grid
+    with pytest.raises(ValueError):
+        FingerprintDatabase(grid=grid, blocks={"k": GammaParams(shape=1.0, scale=1.0)})
+    with pytest.raises(ValueError):
+        FingerprintDatabase(grid=grid, blocks={
+            "k": FingerprintVector(kind=FingerprintKind.RSSI, values=[1.0])})
+    doc = json.loads(database_to_json(FingerprintDatabase(grid=grid)))
+    doc["blocks"] = {"k": {"type": "no_such_block"}}
+    with pytest.raises(ValueError):
+        database_from_json(json.dumps(doc))
 
 
 def test_database_round_trip_bit_exact():
     grid = _grid(2)
     rng = np.random.default_rng(21)
-    entries = []
-    for _ in range(len(grid)):
-        fp = FingerprintVector(kind=FingerprintKind.CIR_XCORR,
-                               values=rng.standard_normal(5) + 1j * rng.standard_normal(5))
-        entries.append({"pair_0_1": fp, "rssi:0": float(rng.uniform(0.1, 2.0))})
+    blocks = {
+        "pair_0_1": FingerprintVector(
+            kind=FingerprintKind.CIR_XCORR,
+            values=rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))),
+        "rssi:0": rng.uniform(0.1, 2.0, size=4),
+    }
     meta = DatabaseMeta(train_freqs_hz=(8.0e8, 1.5e9), train_bandwidths_hz=(1e7,),
                         derived=False, extra={"note": "round-trip"})
-    db = FingerprintDatabase(grid=grid, entries=entries, meta=meta)
+    db = FingerprintDatabase(grid=grid, blocks=blocks, meta=meta)
     text = database_to_json(db)
     back = database_from_json(text)
     assert back.grid == db.grid
     assert back.meta.train_freqs_hz == (8.0e8, 1.5e9)
     assert back.meta.extra == {"note": "round-trip"}
-    for a, b in zip(db.entries, back.entries):
-        assert sorted(a) == sorted(b)
-        assert np.array_equal(a["pair_0_1"].values, b["pair_0_1"].values)
-        assert a["rssi:0"] == b["rssi:0"]
+    assert sorted(back.blocks) == sorted(blocks)
+    assert np.array_equal(back.blocks["pair_0_1"].values, blocks["pair_0_1"].values)
+    assert np.array_equal(back.blocks["rssi:0"], blocks["rssi:0"])
     # serialization itself is deterministic
     assert database_to_json(back) == text
+
+
+def test_database_json_matches_shipped_schema(tmp_path):
+    rng = np.random.default_rng(3)
+    samples = rng.standard_normal((4, 5, 2)) + 1j * rng.standard_normal((4, 5, 2))
+    blocks = {
+        "g": fit_gaussian(samples),
+        "p": GammaParams(shape=[1.0, 2.0, 3.0, 4.0], scale=[1.0, 1.0, 0.5, 0.25]),
+        "v": VonMisesParams(mu=[0.0, 1.0, -1.0, 2.0], kappa=[0.0, 1.0, 5.0, 1000.0]),
+        "x": FingerprintVector(kind=FingerprintKind.PHASE_DIFF, values=np.zeros((4, 3)),
+                               meta=FingerprintMeta(sensor=0, pairs=((0, 1), (0, 2), (1, 2)))),
+        "d": np.full(4, 0.5),
+    }
+    path = tmp_path / "db.json"
+    save_database(FingerprintDatabase(grid=_grid(2), blocks=blocks), str(path))
+    assert validate_artifact(str(path)) == "db.schema.json"
+    doc = json.loads(path.read_text())
+    assert doc["version"] == "fingerloc-db-2"
+    doc["blocks"]["p"]["shape"] = 1.0  # a bare scalar is not a block
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        validate_artifact(str(path))
 
 
 def test_database_rejects_wrong_version():
     db = FingerprintDatabase(grid=_grid(1))
     doc = json.loads(database_to_json(db))
     assert doc["version"] == FORMAT_VERSION
-    doc["version"] = "fingerloc-db-0"
+    doc["version"] = "fingerloc-db-1"
     with pytest.raises(ValueError):
         database_from_json(json.dumps(doc))
     doc.pop("version")
@@ -151,11 +174,12 @@ def test_database_rejects_wrong_version():
 
 
 def test_database_json_has_no_nan_and_sorted_keys():
-    db = FingerprintDatabase(grid=_grid(2))
+    db = FingerprintDatabase(grid=_grid(2), blocks={"b": np.full(4, 0.5), "a": np.ones(4)})
     text = database_to_json(db)
     doc = json.loads(text)
     assert list(doc) == sorted(doc)
-    assert "NaN" not in text and " " not in text.split('"note"')[0][:50]
+    assert list(doc["blocks"]) == ["a", "b"]
+    assert "NaN" not in text and " " not in text
 
 
 def test_save_load_database_creates_directories(tmp_path):
@@ -171,41 +195,42 @@ def test_save_load_database_creates_directories(tmp_path):
 
 def test_database_needs_one_entry_per_point():
     with pytest.raises(ValueError):
-        FingerprintDatabase(grid=_grid(2), entries=[{}, {}])
+        FingerprintDatabase(grid=_grid(2), blocks={"k": np.full(2, 0.5)})
     db = FingerprintDatabase(grid=_grid(2))
-    assert len(db) == 4 and all(e == {} for e in db.entries)
+    assert len(db) == 4 and db.blocks == {}
 
 
-def test_items_of_kind_unique_or_keyed():
+def test_database_block_lookup_checks_type():
     grid = _grid(1)
-    fp_a = FingerprintVector(kind=FingerprintKind.RSSI, values=[1.0])
-    fp_b = FingerprintVector(kind=FingerprintKind.RSSI, values=[2.0])
-    db = FingerprintDatabase(grid=grid, entries=[{"a": fp_a, "b": fp_b}])
+    fp = FingerprintVector(kind=FingerprintKind.RSSI, values=[[1.0]])
+    db = FingerprintDatabase(grid=grid, blocks={"a": fp, "b": np.array([0.5])})
+    assert db.block("a", FingerprintVector) is fp
+    assert db.block("b", (GammaParams, np.ndarray)) is db.blocks["b"]
     with pytest.raises(ValueError):
-        db.items_of_kind(FingerprintKind.RSSI)  # ambiguous without a key
-    assert db.items_of_kind(FingerprintKind.RSSI, key="b")[0] is fp_b
+        db.block("b", FingerprintVector)  # wrong block type
     with pytest.raises(ValueError):
-        db.items_of_kind(FingerprintKind.BINARY)  # nothing of that kind
+        db.block("missing", FingerprintVector)
 
 
 def test_euclidean_match_minimizes_distance():
     grid = _grid(2)
-    refs = [np.array([0.0, 0.0]), np.array([1.0, 0.0]),
-            np.array([0.0, 1.0]), np.array([1.0, 1.0])]
-    entries = [{"m": FingerprintVector(kind=FingerprintKind.RSSI, values=r)}
-               for r in refs]
-    db = FingerprintDatabase(grid=grid, entries=entries)
+    refs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    db = FingerprintDatabase(grid=grid, blocks={
+        "m": FingerprintVector(kind=FingerprintKind.RSSI, values=refs)})
     target = FingerprintVector(kind=FingerprintKind.RSSI, values=[0.9, 0.1])
-    assert euclidean_match(target, db) == 1
+    assert euclidean_match(target, db, "m") == 1
     # [0.5, 0.5] is equidistant from all four references: lowest index wins
     tie = FingerprintVector(kind=FingerprintKind.RSSI, values=[0.5, 0.5])
-    assert euclidean_match(tie, db) == 0
+    assert euclidean_match(tie, db, "m") == 0
 
 
 def test_euclidean_match_checks_dimensions():
     grid = _grid(1)
-    db = FingerprintDatabase(grid=grid, entries=[
-        {"m": FingerprintVector(kind=FingerprintKind.RSSI, values=[1.0, 2.0])}])
+    db = FingerprintDatabase(grid=grid, blocks={
+        "m": FingerprintVector(kind=FingerprintKind.RSSI, values=[[1.0, 2.0]])})
     bad = FingerprintVector(kind=FingerprintKind.RSSI, values=[1.0])
     with pytest.raises(ValueError):
-        euclidean_match(bad, db)
+        euclidean_match(bad, db, "m")
+    other = FingerprintVector(kind=FingerprintKind.BINARY, values=[1.0, 0.0])
+    with pytest.raises(ValueError):
+        euclidean_match(other, db, "m")

@@ -249,8 +249,7 @@ def test_phasediff_freq_interp_projects_steering_to_new_frequency():
 # ---------------------------------------------------------------------------
 
 def _train_db(kind, field, grid, **meta):
-    entries = [{"k": _fp(kind, field[i], **meta)} for i in range(len(grid))]
-    return FingerprintDatabase(grid=grid, entries=entries)
+    return FingerprintDatabase(grid=grid, blocks={"k": _fp(kind, field, **meta)})
 
 
 def test_spatial_densify_phasediff_exact_at_training_points():
@@ -260,8 +259,7 @@ def test_spatial_densify_phasediff_exact_at_training_points():
     db = _train_db(FingerprintKind.PHASE_DIFF, field, grid, pairs=((0, 1), (0, 2)))
     out = spatial_densify(db, grid)
     assert out.meta.derived is True
-    for i in range(9):
-        assert np.array_equal(out.entries[i]["k"].values, field[i])
+    assert np.array_equal(out.blocks["k"].values, field)
 
 
 def test_spatial_densify_correlation_reproduces_training_magnitudes():
@@ -274,11 +272,10 @@ def test_spatial_densify_correlation_reproduces_training_magnitudes():
     # short length scale + tiny nugget: near-exact interpolation at training points
     kernel = KrigingKernel(length_scale=0.4, signal_var=25.0, noise_var=1e-10)
     out = spatial_densify(db, grid, kernel=kernel)
-    for i in range(9):
-        got = out.entries[i]["k"].values
-        assert np.allclose(np.abs(got), mags[i], rtol=1e-4)
-        # phases copy from the nearest training point, which is the point itself
-        assert np.allclose(np.angle(got), np.angle(field[i]), atol=1e-12)
+    got = out.blocks["k"].values
+    assert np.allclose(np.abs(got), mags, rtol=1e-4)
+    # phases copy from the nearest training point, which is the point itself
+    assert np.allclose(np.angle(got), np.angle(field), atol=1e-12)
 
 
 def test_spatial_densify_denser_grid_and_outside_fallback():
@@ -288,11 +285,11 @@ def test_spatial_densify_denser_grid_and_outside_fallback():
     target = build_uniform_grid(Position(-1.0, 0.5), nx=3, ny=2, spacing=1.0)
     with pytest.warns(UserWarning, match="outside the training hull"):
         out = spatial_densify(db, target)
-    assert len(out.entries) == 6
+    assert len(out) == 6 and out.blocks["k"].values.shape == (6, 1)
     # the off-hull column copies its nearest training vector verbatim:
     # (-1, 0.5) is closest to (0, 0) and (-1, 1.5) to (0, 2)
-    assert np.array_equal(out.entries[0]["k"].values, field[0])
-    assert np.array_equal(out.entries[3]["k"].values, field[2])
+    assert np.array_equal(out.blocks["k"].values[0], field[0])
+    assert np.array_equal(out.blocks["k"].values[3], field[2])
 
 
 def test_spatial_densify_confidence_weighting_and_validation():
@@ -303,29 +300,21 @@ def test_spatial_densify_confidence_weighting_and_validation():
     # all confidence on training point 3: the center query copies its phase
     conf = np.array([0.0, 0.0, 0.0, 5.0])
     out = spatial_densify(db, target, confidences={"k": conf})
-    assert out.entries[0]["k"].values[0] == pytest.approx(2.5, abs=1e-12)
+    assert out.blocks["k"].values[0, 0] == pytest.approx(2.5, abs=1e-12)
     with pytest.raises(ValueError):
         spatial_densify(db, target, confidences={"k": np.ones(3)})
 
 
 def test_spatial_densify_rejects_bad_databases():
     grid = build_uniform_grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
-    empty = FingerprintDatabase(grid=grid, entries=[{}, {}])
+    empty = FingerprintDatabase(grid=grid)
     with pytest.raises(ValueError):
         spatial_densify(empty, grid)
-    ragged = FingerprintDatabase(grid=grid, entries=[
-        {"k": _fp(FingerprintKind.PHASE_DIFF, [0.1], pairs=((0, 1),))},
-        {"other": _fp(FingerprintKind.PHASE_DIFF, [0.1], pairs=((0, 1),))},
-    ])
-    with pytest.raises(ValueError):
-        spatial_densify(ragged, grid)
-    scalars = FingerprintDatabase(grid=grid, entries=[{"k": 1.0}, {"k": 2.0}])
+    scalars = FingerprintDatabase(grid=grid, blocks={"k": np.array([1.0, 2.0])})
     with pytest.raises(ValueError):
         spatial_densify(scalars, grid)
-    rssi = FingerprintDatabase(grid=grid, entries=[
-        {"k": _fp(FingerprintKind.RSSI, [1.0])},
-        {"k": _fp(FingerprintKind.RSSI, [2.0])},
-    ])
+    rssi = FingerprintDatabase(grid=grid, blocks={
+        "k": _fp(FingerprintKind.RSSI, [[1.0], [2.0]])})
     with pytest.raises(ValueError):
         spatial_densify(rssi, grid)
 
@@ -356,6 +345,16 @@ def test_normalize_power_cancels_common_scale():
     out_scaled = normalize_power(scaled)
     for u, v in zip(out_base, out_scaled):
         assert np.array_equal(u.values, v.values)
+
+
+def test_normalize_power_scales_each_block_row_by_its_own_maximum():
+    rng = np.random.default_rng(101)
+    rows = [rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)) for _ in range(3)]
+    blocks = normalize_power([_fp(FingerprintKind.RX_XCORR, r) for r in rows])
+    for i in range(4):
+        single = normalize_power([_fp(FingerprintKind.RX_XCORR, r[i]) for r in rows])
+        for block, one in zip(blocks, single):
+            assert np.array_equal(block.values[i], one.values)
 
 
 def test_normalize_power_validation():

@@ -77,14 +77,9 @@ def test_mle_cir_matches_per_point_loglik_sum():
     rng = np.random.default_rng(17)
     grid = _grid(3)
     keys = ["pair_0_1", "pair_0_2"]
-    entries = []
-    for _ in range(len(grid)):
-        entry = {}
-        for key in keys:
-            samples = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-            entry[key] = fit_gaussian(samples)
-        entries.append(entry)
-    db = FingerprintDatabase(grid=grid, entries=entries)
+    samples = {key: rng.standard_normal((9, 6, 4)) + 1j * rng.standard_normal((9, 6, 4))
+               for key in keys}
+    db = FingerprintDatabase(grid=grid, blocks={k: fit_gaussian(v) for k, v in samples.items()})
     targets = [(key, FingerprintVector(
         kind=FingerprintKind.CIR_XCORR,
         values=rng.standard_normal(4) + 1j * rng.standard_normal(4)))
@@ -92,8 +87,8 @@ def test_mle_cir_matches_per_point_loglik_sum():
     lmap, idx = mle_cir(targets, db)
     want = np.zeros(9)
     for key, fp in targets:
-        for i, entry in enumerate(entries):
-            want[i] += gaussian_loglik(fp.values, entry[key])
+        for i in range(9):
+            want[i] += gaussian_loglik(fp.values, fit_gaussian(samples[key][i]))
     assert np.allclose(lmap.values, want, atol=1e-9)
     assert idx == int(np.argmax(want))
     assert lmap.mode == MODE_LOG_LIKELIHOOD
@@ -104,14 +99,12 @@ def test_mle_cir_invariant_under_common_phase_rotation():
     # the scatter (and hence every log-likelihood) unchanged
     rng = np.random.default_rng(23)
     grid = _grid(2)
-    samples = [rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-               for _ in range(4)]
+    samples = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal((4, 5, 3))
     target = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     rot = np.exp(1j * 0.7371)
 
     def run(phase):
-        entries = [{"k": fit_gaussian(s * phase)} for s in samples]
-        db = FingerprintDatabase(grid=grid, entries=entries)
+        db = FingerprintDatabase(grid=grid, blocks={"k": fit_gaussian(samples * phase)})
         fp = FingerprintVector(kind=FingerprintKind.CIR_XCORR, values=target * phase)
         return mle_cir([("k", fp)], db)
 
@@ -123,10 +116,10 @@ def test_mle_cir_invariant_under_common_phase_rotation():
 
 def test_mle_cir_validation():
     grid = _grid(2)
-    db = FingerprintDatabase(grid=grid, entries=[{"k": 0.5} for _ in range(4)])
+    db = FingerprintDatabase(grid=grid, blocks={"k": np.full(4, 0.5)})
     fp = FingerprintVector(kind=FingerprintKind.CIR_XCORR, values=[1j])
     with pytest.raises(ValueError):
-        mle_cir([("k", fp)], db)  # entries hold no Gaussian model
+        mle_cir([("k", fp)], db)  # the block holds no Gaussian models
     with pytest.raises(ValueError):
         mle_cir([], db)
 
@@ -134,27 +127,23 @@ def test_mle_cir_validation():
 def test_mle_rssi_rspd_mixes_gamma_and_vonmises():
     rng = np.random.default_rng(31)
     grid = _grid(2)
-    entries = []
-    for _ in range(4):
-        entries.append({
-            "rssi:0": GammaParams(shape=float(rng.uniform(1, 5)),
-                                  scale=float(rng.uniform(0.5, 2))),
-            "rspd:0": VonMisesParams(mu=float(rng.uniform(-3, 3)),
-                                     kappa=float(rng.uniform(0.5, 10))),
-        })
-    db = FingerprintDatabase(grid=grid, entries=entries)
+    gam = GammaParams(shape=rng.uniform(1, 5, 4), scale=rng.uniform(0.5, 2, 4))
+    vm = VonMisesParams(mu=rng.uniform(-3, 3, 4), kappa=rng.uniform(0.5, 10, 4))
+    db = FingerprintDatabase(grid=grid, blocks={"rssi:0": gam, "rspd:0": vm})
     feats = [("rssi:0", 1.7), ("rspd:0", -0.4)]
     lmap, idx = mle_rssi_rspd(feats, db)
-    want = np.array([gamma_logpdf(1.7, e["rssi:0"]) + vonmises_logpdf(-0.4, e["rspd:0"])
-                     for e in entries])
+    want = np.array([
+        gamma_logpdf(1.7, GammaParams(gam.shape[i], gam.scale[i]))
+        + vonmises_logpdf(-0.4, VonMisesParams(vm.mu[i], vm.kappa[i]))
+        for i in range(4)])
     assert np.allclose(lmap.values, want, atol=1e-12)
     assert idx == int(np.argmax(want))
 
 
 def test_mle_rssi_rspd_validation():
     grid = _grid(2)
-    entries = [{"rssi:0": GammaParams(shape=2.0, scale=1.0)} for _ in range(4)]
-    db = FingerprintDatabase(grid=grid, entries=entries)
+    db = FingerprintDatabase(grid=grid, blocks={
+        "rssi:0": GammaParams(shape=np.full(4, 2.0), scale=np.ones(4))})
     with pytest.raises(ValueError):
         mle_rssi_rspd([("rssi:0", -1.0)], db)  # power must be positive
     with pytest.raises(ValueError):
@@ -288,6 +277,22 @@ def test_fingerprint_sqerr_matches_brute_force():
         fb = FingerprintVector(kind=FingerprintKind.PHASE_DIFF, values=pb)
         want = float(np.sum(wrap_angle(pa - pb) ** 2))
         assert fingerprint_sqerr(fa, fb) == pytest.approx(want, rel=1e-12)
+
+
+def test_fingerprint_sqerr_broadcasts_over_a_block():
+    rng = np.random.default_rng(45)
+    target = FingerprintVector(kind=FingerprintKind.RX_XCORR,
+                               values=rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    rows = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    block = FingerprintVector(kind=FingerprintKind.RX_XCORR, values=rows)
+    for flags in ({}, {"magnitude_only": True}, {"include_zero_lag": False}):
+        got = fingerprint_sqerr(target, block, **flags)
+        assert got.shape == (7,)
+        for i in range(7):
+            one = FingerprintVector(kind=FingerprintKind.RX_XCORR, values=rows[i])
+            assert got[i] == fingerprint_sqerr(target, one, **flags)
+    with pytest.raises(ValueError):
+        fingerprint_sqerr(block, block)  # the target is one vector
 
 
 def test_fingerprint_sqerr_kind_and_dim_checks():

@@ -27,7 +27,6 @@ from fingerloc.stats import (
     learn_detection_map,
     vonmises_logpdf,
 )
-from fingerloc.stats import _log_i0  # noqa: F401  (log-Bessel oracle check)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +173,6 @@ def test_fit_gamma_recovers_parameters_at_scale():
 # von Mises
 # ---------------------------------------------------------------------------
 
-def test_log_i0_matches_scaled_bessel():
-    for kappa in (0.0, 0.1, 1.0, 5.0, 14.9, 15.1, 50.0, 500.0, 1000.0):
-        want = math.log(float(i0e(kappa))) + kappa
-        assert _log_i0(kappa) == pytest.approx(want, rel=1e-10)
-    with pytest.raises(ValueError):
-        _log_i0(-1.0)
-
-
 def test_vonmises_logpdf_uniform_at_zero_kappa():
     p = VonMisesParams(mu=0.0, kappa=0.0)
     for x in (-3.0, 0.0, 1.5, math.pi):
@@ -194,6 +185,17 @@ def test_vonmises_density_integrates_to_one(kappa):
     total, err = scipy.integrate.quad(lambda x: math.exp(vonmises_logpdf(x, p)),
                                       -math.pi, math.pi, limit=200)
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def test_vonmises_logpdf_normalized_at_capped_kappa():
+    # at KAPPA_MAX a naive ln I0 overflows; the density must still integrate to one
+    p = VonMisesParams(mu=0.7, kappa=KAPPA_MAX)
+    total, err = scipy.integrate.quad(lambda x: math.exp(vonmises_logpdf(x, p)),
+                                      -math.pi, math.pi, points=[0.7], limit=200)
+    assert total == pytest.approx(1.0, abs=1e-6)
+    assert vonmises_logpdf(0.7, p) == pytest.approx(
+        KAPPA_MAX - math.log(2 * math.pi) - math.log(float(i0e(KAPPA_MAX))) - KAPPA_MAX,
+        rel=1e-12)
 
 
 def test_fit_vonmises_recovers_concentration():
@@ -224,6 +226,67 @@ def test_vonmises_params_validation():
         VonMisesParams(mu=0.0, kappa=-1.0)
     with pytest.raises(ValueError):
         VonMisesParams(mu=0.0, kappa=KAPPA_MAX + 1)
+
+
+# ---------------------------------------------------------------------------
+# blocks: one model per grid point along a leading axis
+# ---------------------------------------------------------------------------
+
+def test_block_fits_equal_per_row_fits():
+    rng = np.random.default_rng(43)
+    cplx = rng.standard_normal((5, 6, 3)) + 1j * rng.standard_normal((5, 6, 3))
+    power = rng.gamma(3.0, 1.0, size=(5, 9))
+    angles = rng.vonmises(0.5, 4.0, size=(5, 9))
+    gauss, gam, vm = fit_gaussian(cplx), fit_gamma(power), fit_vonmises(angles)
+    assert gauss.mean.shape == (5, 3) and gauss.cov.shape == (5, 3, 3)
+    assert gauss.loading.shape == gam.shape.shape == vm.kappa.shape == (5,)
+    for i in range(5):
+        one = fit_gaussian(cplx[i])
+        assert np.allclose(gauss.mean[i], one.mean, atol=1e-15)
+        assert np.allclose(gauss.cov[i], one.cov, atol=1e-14)
+        assert gauss.loading[i] == pytest.approx(one.loading, rel=1e-14)
+        assert (gam.shape[i], gam.scale[i]) == (fit_gamma(power[i]).shape,
+                                                fit_gamma(power[i]).scale)
+        assert vm.mu[i] == fit_vonmises(angles[i]).mu
+        assert vm.kappa[i] == pytest.approx(fit_vonmises(angles[i]).kappa, rel=1e-12)
+
+
+def test_block_densities_broadcast_one_value_over_models():
+    rng = np.random.default_rng(47)
+    gam = GammaParams(shape=rng.uniform(1, 5, 6), scale=rng.uniform(0.5, 2, 6))
+    kappa = np.r_[0.0, KAPPA_MAX, rng.uniform(0, 50, 4)]
+    vm = VonMisesParams(mu=rng.uniform(-3, 3, 6), kappa=kappa)
+    stats = fit_gaussian(rng.standard_normal((6, 5, 2)) + 1j * rng.standard_normal((6, 5, 2)))
+    f = np.array([0.3 - 0.2j, 1.1j])
+    got_g = gamma_logpdf(1.3, gam)
+    got_v = vonmises_logpdf(-0.4, vm)
+    got_n = gaussian_loglik(f, stats)
+    for i in range(6):
+        assert got_g[i] == gamma_logpdf(1.3, GammaParams(gam.shape[i], gam.scale[i]))
+        assert got_v[i] == vonmises_logpdf(-0.4, VonMisesParams(vm.mu[i], vm.kappa[i]))
+        one = GaussianStats(mean=stats.mean[i], cov=stats.cov[i], loading=stats.loading[i])
+        assert got_n[i] == pytest.approx(gaussian_loglik(f, one), rel=1e-12)
+    with pytest.raises(ValueError):
+        gaussian_loglik(np.zeros((2, 2), dtype=complex), stats)  # a block scores one vector
+
+
+def test_block_checks_every_model():
+    rng = np.random.default_rng(11)
+    stats = fit_gaussian(rng.standard_normal((3, 4, 2)) + 0j)
+    cov = np.array(stats.cov)
+    cov[1, 0, 0] = -5.0  # one indefinite model spoils the block
+    with pytest.raises(ValueError):
+        GaussianStats(mean=stats.mean, cov=cov, loading=stats.loading)
+    with pytest.raises(ValueError):
+        GaussianStats(mean=stats.mean, cov=stats.cov, loading=stats.loading[:2])
+    with pytest.raises(ValueError):
+        GammaParams(shape=[1.0, -1.0], scale=[1.0, 1.0])
+    with pytest.raises(ValueError):
+        VonMisesParams(mu=[0.0, 4.0], kappa=[1.0, 1.0])
+    with pytest.raises(ValueError):
+        VonMisesParams(mu=[0.0, 1.0], kappa=[1.0])
+    with pytest.raises(ValueError):
+        fit_gamma([[1.0, 2.0], [3.0, 3.0]])  # zero spread in one row
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ def test_particle_update_on_grid_points_reads_map_directly():
     lmap = _logmap(grid, np.log([1.0, 2.0, 3.0, 4.0]))
     # particles sit exactly on grid points 0 and 3
     ps = ParticleSet(positions=[[0.0, 0.0], [1.0, 1.0]], weights=[0.5, 0.5])
-    updated, est = particle_update(ps, lmap, db=None, seed=0)
+    updated, est = particle_update(ps, lmap, seed=0)
     # posterior weights proportional to 0.5*1 and 0.5*4
     assert np.allclose(updated.weights, [0.2, 0.8], atol=1e-12)
     want = 0.2 * np.array([0.0, 0.0]) + 0.8 * np.array([1.0, 1.0])
@@ -247,7 +247,7 @@ def test_particle_update_uniform_map_keeps_weights():
     w = rng.uniform(0.5, 1.5, size=6)
     w /= w.sum()
     ps = ParticleSet(positions=pos, weights=w)
-    updated, _ = particle_update(ps, lmap, db=None, seed=0)
+    updated, _ = particle_update(ps, lmap, seed=0)
     assert np.allclose(updated.weights, w, atol=1e-12)
 
 
@@ -262,7 +262,7 @@ def test_particle_update_interpolates_by_inverse_distance():
     lik_p = float(iw @ dens[corners] / iw.sum())
     # pair the off-grid particle with one pinned at a grid point of density 1
     ps = ParticleSet(positions=[p, [0.0, 0.0]], weights=[0.5, 0.5])
-    updated, _ = particle_update(ps, lmap, db=None, seed=0)
+    updated, _ = particle_update(ps, lmap, seed=0)
     want = np.array([lik_p, 1.0])
     want /= want.sum()
     assert np.allclose(updated.weights, want, atol=1e-12)
@@ -273,10 +273,10 @@ def test_particle_update_mode_estimator():
     lmap = _logmap(grid, np.log([1.0, 1.0, 1.0, 9.0]))
     ps = ParticleSet(positions=[[0.0, 0.0], [1.0, 1.0], [0.3, 0.4]],
                      weights=[1 / 3] * 3)
-    _, est = particle_update(ps, lmap, db=None, seed=0, estimator="mode")
+    _, est = particle_update(ps, lmap, seed=0, estimator="mode")
     assert (est.x, est.y) == (1.0, 1.0)
     with pytest.raises(ValueError):
-        particle_update(ps, lmap, db=None, estimator="median")
+        particle_update(ps, lmap, estimator="median")
 
 
 def test_particle_update_degenerate_likelihood_raises():
@@ -285,7 +285,7 @@ def test_particle_update_degenerate_likelihood_raises():
     lmap = _logmap(grid, [0.0, -9000.0, -9000.0, -9000.0])
     ps = ParticleSet(positions=[[1.0, 0.0]], weights=[1.0])
     with pytest.raises(DegenerateUpdateError):
-        particle_update(ps, lmap, db=None, seed=0)
+        particle_update(ps, lmap, seed=0)
 
 
 def test_particle_update_resamples_when_ess_collapses():
@@ -294,7 +294,7 @@ def test_particle_update_resamples_when_ess_collapses():
     # three particles on dead cells, one on the live cell: ESS drops to 1 < 4/2
     ps = ParticleSet(positions=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]],
                      weights=[0.25] * 4)
-    updated, est = particle_update(ps, lmap, db=None, seed=3)
+    updated, est = particle_update(ps, lmap, seed=3)
     assert np.allclose(updated.weights, 0.25)
     assert np.array_equal(updated.positions, np.tile([0.0, 0.0], (4, 1)))
     assert (est.x, est.y) == (0.0, 0.0)
@@ -304,7 +304,7 @@ def test_particle_update_grid_mismatch_raises():
     lmap = _logmap(_grid(2), np.zeros(4))
     ps = ParticleSet(positions=[[0.0, 0.0]], weights=[1.0])
     with pytest.raises(ValueError):
-        particle_update(ps, lmap, db=None, grid=_grid(3))
+        particle_update(ps, lmap, grid=_grid(3))
 
 
 # ---------------------------------------------------------------------------
