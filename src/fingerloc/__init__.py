@@ -98,7 +98,6 @@ from .matching import (
     binary_likelihood,
     fingerprint_sqerr,
     hybrid_match,
-    likelihood_map_csv,
     mle_cir,
     mle_rssi_rspd,
     threshold_set,
@@ -110,7 +109,6 @@ from .tracking import (
     particle_predict,
     particle_update,
     resample_systematic,
-    track_estimate,
     transition_matrix,
 )
 
@@ -118,7 +116,6 @@ from .tracking import (
 # Fingerprint projection (frequency / bandwidth / space)
 # ----------------------------------------------------------------------------
 from .interp import (
-    EmitterSpec,
     UcaGeometry,
     bandwidth_interp,
     estimate_aoa,

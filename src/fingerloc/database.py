@@ -65,12 +65,17 @@ def _array_from_json(data, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DatabaseMeta:
-    """Training provenance: frequencies/bandwidths used, derived-data marker."""
+    """Training provenance: frequencies/bandwidths used, derived-data marker.
+
+    ``config_digest`` identifies the experiment config a stored database was
+    learned under (None outside the experiment harness).
+    """
 
     train_freqs_hz: tuple = ()
     train_bandwidths_hz: tuple = ()
     derived: bool = False
     extra: dict = field(default_factory=dict)
+    config_digest: str | None = None
 
 
 def _model_tag(block) -> str | None:
@@ -208,6 +213,7 @@ def database_to_json(db: FingerprintDatabase) -> str:
             "train_bandwidths_hz": [float(b) for b in db.meta.train_bandwidths_hz],
             "derived": bool(db.meta.derived),
             "extra": db.meta.extra,
+            "config_digest": db.meta.config_digest,
         },
         "blocks": {key: _block_to_json(block) for key, block in db.blocks.items()},
     }
@@ -229,6 +235,7 @@ def database_from_json(text: str) -> FingerprintDatabase:
         train_bandwidths_hz=tuple(m.get("train_bandwidths_hz", ())),
         derived=bool(m.get("derived", False)),
         extra=m.get("extra", {}),
+        config_digest=m.get("config_digest"),
     )
     blocks = {key: _block_from_json(data) for key, data in doc["blocks"].items()}
     return FingerprintDatabase(grid=grid, blocks=blocks, meta=meta)

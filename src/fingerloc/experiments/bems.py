@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from ..database import DatabaseMeta, FingerprintDatabase, save_database
+from ..database import DatabaseMeta, FingerprintDatabase
 from ..errors import ConfigError
 from ..geometry import Grid, Position
 from ..lighting import Light, LightingScenario, illuminance, solve_lighting
@@ -22,9 +22,18 @@ from ..signals import FingerprintKind, FingerprintVector
 from ..simulate import SensorCoverage, derive_seed, simulate_binary_sensor
 from ..stats import DetectionMap, learn_detection_map
 from ..tracking import MobilityModel, grid_bayes_step, transition_matrix
-from .common import build_grid, cdf_table, load_db, summarize_errors, write_csv, write_json
+from .common import (
+    build_grid,
+    cdf_table,
+    load_db,
+    load_measurements,
+    save_db,
+    save_measurements,
+    summarize_errors,
+    write_csv,
+    write_json,
+)
 
-MEASUREMENTS_FORMAT = "fingerloc-measurements-1"
 _TAG_TRAIN_VISIT = 301
 _TAG_TRAIN_BIT = 302
 _TAG_WALK = 303
@@ -48,66 +57,43 @@ def build_sensors(cfg: dict) -> list:
     return sensors
 
 
-def simulate_training(cfg: dict) -> list:
-    """Training visit records ``(cell, moving, bits)`` for every grid cell."""
+def measurement_shapes(cfg: dict) -> dict:
+    scn = cfg["scenario"]
+    n = len(build_grid(cfg)) * scn["train_visits"]
+    return {"cell": ((n,), int), "moving": ((n,), bool),
+            "bits": ((n, len(scn["sensors"])), int)}
+
+
+def simulate_measurements(cfg: dict) -> dict:
+    """Training visits, cell-major: ``cell`` (n,), ``moving`` (n,), ``bits`` (n, sensors)."""
     grid = build_grid(cfg)
     sensors = build_sensors(cfg)
     scn = cfg["scenario"]
-    records = []
+    cells, moving, bits = [], [], []
     for cell in range(len(grid)):
         for visit in range(scn["train_visits"]):
             rng = np.random.default_rng(
                 derive_seed(cfg["seed"], _TAG_TRAIN_VISIT, cell, visit))
-            moving = bool(rng.random() < scn["train_move_prob"])
-            bits = [
+            moved = bool(rng.random() < scn["train_move_prob"])
+            cells.append(cell)
+            moving.append(moved)
+            bits.append([
                 simulate_binary_sensor(
-                    grid.points[cell], moving, cov,
+                    grid.points[cell], moved, cov,
                     derive_seed(cfg["seed"], _TAG_TRAIN_BIT, cell, visit, si))
                 for si, cov in enumerate(sensors)
-            ]
-            records.append((cell, moving, bits))
-    return records
+            ])
+    return {"cell": np.array(cells, dtype=int), "moving": np.array(moving, dtype=bool),
+            "bits": np.array(bits, dtype=int).reshape(len(cells), len(sensors))}
 
 
-def measurements_to_obj(cfg: dict, records: list) -> dict:
-    return {
-        "format": MEASUREMENTS_FORMAT,
-        "pipeline": "bems_binary",
-        "observations": [[cell, int(moving)] + list(bits)
-                         for cell, moving, bits in records],
-    }
-
-
-def measurements_from_obj(cfg: dict, obj: dict) -> list:
-    if obj.get("format") != MEASUREMENTS_FORMAT or obj.get("pipeline") != "bems_binary":
-        raise ConfigError("measurement file does not hold occupancy observations")
-    raw = obj.get("observations", [])
-    if not raw:
-        raise ConfigError("measurement set is empty")
-    n_sensors = len(cfg["scenario"]["sensors"])
-    records = []
-    for row in raw:
-        if len(row) != 2 + n_sensors:
-            raise ConfigError("observation row does not match the sensor count")
-        records.append((int(row[0]), bool(row[1]), [int(b) for b in row[2:]]))
-    return records
-
-
-def load_training(cfg: dict) -> list:
-    path = cfg["scenario"]["measurements"]
-    if path is None:
-        return simulate_training(cfg)
-    with open(path, "r", encoding="utf-8") as fh:
-        return measurements_from_obj(cfg, json.load(fh))
-
-
-def build_database(cfg: dict, records: list) -> FingerprintDatabase:
+def build_database(cfg: dict, visits: dict) -> FingerprintDatabase:
     """Detection probability per sensor per cell, one (N,) block per sensor."""
     grid = build_grid(cfg)
     n_sensors = len(cfg["scenario"]["sensors"])
     blocks = {}
     for si in range(n_sensors):
-        obs = [(cell, moving, bits[si]) for cell, moving, bits in records]
+        obs = zip(visits["cell"], visits["moving"], visits["bits"][:, si])
         blocks[f"det:{si}"] = learn_detection_map(obs, grid).probs
     meta = DatabaseMeta(extra={"pipeline": "bems_binary", "sensors": n_sensors})
     return FingerprintDatabase(grid=grid, blocks=blocks, meta=meta)
@@ -262,24 +248,21 @@ def evaluate_lighting(cfg: dict, grid: Grid, rows: list, candidate_sets: list) -
 
 
 def cmd_simulate(cfg: dict, out_dir: str) -> dict:
-    records = simulate_training(cfg)
-    write_json(os.path.join(out_dir, "measurements.json"),
-               measurements_to_obj(cfg, records))
-    summary = {"observations": len(records),
+    visits = simulate_measurements(cfg)
+    save_measurements(cfg, out_dir, visits)
+    summary = {"observations": len(visits["cell"]),
                "sensors": len(cfg["scenario"]["sensors"])}
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 
 def cmd_learn(cfg: dict, out_dir: str) -> dict:
-    records = load_training(cfg)
-    db = build_database(cfg, records)
-    save_database(db, os.path.join(out_dir, "db.json"))
-    counts = np.zeros(len(db), dtype=int)
-    for cell, _moving, _bits in records:
-        counts[cell] += 1
+    visits = load_measurements(cfg, out_dir, simulate_measurements, measurement_shapes(cfg))
+    db = build_database(cfg, visits)
+    save_db(cfg, out_dir, db)
+    counts = np.bincount(visits["cell"], minlength=len(db))
     log = {"points": len(db), "sensors": len(cfg["scenario"]["sensors"]),
-           "per_point_samples": [int(c) for c in counts]}
+           "per_point_samples": counts.tolist()}
     write_json(os.path.join(out_dir, "learn_log.json"), log)
     return log
 
@@ -290,7 +273,7 @@ _TRACK_HEADER = ("step", "true_cell", "true_x", "true_y", "snap_index",
 
 
 def cmd_localize(cfg: dict, out_dir: str) -> dict:
-    db = load_db(cfg, out_dir, build_grid(cfg), cmd_learn)
+    db = load_db(cfg, out_dir, cmd_learn)
     rows, _sets, summary = evaluate_track(cfg, db)
     trial_rows = [(r[0], r[1], r[2], r[3], r[4], r[5]) for r in rows]
     header = ("step", "true_cell", "true_x", "true_y", "est_index", "error_m")
@@ -304,7 +287,7 @@ def cmd_localize(cfg: dict, out_dir: str) -> dict:
 
 
 def cmd_track(cfg: dict, out_dir: str) -> dict:
-    db = load_db(cfg, out_dir, build_grid(cfg), cmd_learn)
+    db = load_db(cfg, out_dir, cmd_learn)
     rows, sets, summary = evaluate_track(cfg, db)
     write_csv(os.path.join(out_dir, "track.csv"), _TRACK_HEADER, rows)
     write_json(os.path.join(out_dir, "track_sets.json"),
@@ -314,7 +297,7 @@ def cmd_track(cfg: dict, out_dir: str) -> dict:
 
 
 def cmd_lighting(cfg: dict, out_dir: str) -> dict:
-    db = load_db(cfg, out_dir, build_grid(cfg), cmd_learn)
+    db = load_db(cfg, out_dir, cmd_learn)
     sets_path = cfg["lighting"]["track_output"] or os.path.join(out_dir, "track_sets.json")
     if os.path.exists(sets_path):
         with open(sets_path, "r", encoding="utf-8") as fh:

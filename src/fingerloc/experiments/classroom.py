@@ -8,28 +8,29 @@ received-power Euclidean matcher as the baseline.  Evaluation is
 leave-one-out over the per-seat snapshots.
 """
 
-import json
 import math
 import os
 
 import numpy as np
 
-from ..database import (
-    DatabaseMeta,
-    FingerprintDatabase,
-    complex_from_json,
-    complex_to_json,
-    save_database,
-)
-from ..errors import ConfigError
+from ..database import DatabaseMeta, FingerprintDatabase
 from ..features import cir_xcorr_fingerprint
 from ..geometry import Position
 from ..signals import Cir, FingerprintKind, FingerprintMeta, FingerprintVector
-from ..simulate import ChannelModel, derive_seed, gen_cir
-from ..stats import fit_gaussian, gaussian_loglik
-from .common import build_grid, cdf_table, summarize_errors, write_csv, write_json
+from ..simulate import ChannelModel, add_receiver_noise, derive_seed, gen_cir
+from ..stats import GaussianStats, fit_gaussian, gaussian_loglik
+from .common import (
+    build_grid,
+    cdf_table,
+    load_db,
+    load_measurements,
+    save_db,
+    save_measurements,
+    summarize_errors,
+    write_csv,
+    write_json,
+)
 
-MEASUREMENTS_FORMAT = "fingerloc-measurements-1"
 _TAG_CIR_NOISE = 101
 
 
@@ -60,8 +61,14 @@ def pair_keys(n_antennas: int) -> list:
     return [f"xc:{i}-{j}" for i in range(n_antennas) for j in range(i + 1, n_antennas)]
 
 
-def simulate_measurements(cfg: dict) -> np.ndarray:
-    """Noisy per-antenna channel responses, shape (seats, snapshots, antennas, taps).
+def measurement_shapes(cfg: dict) -> dict:
+    scn = cfg["scenario"]
+    return {"cirs": ((len(build_grid(cfg)), scn["snapshots"], len(antenna_layout(cfg)),
+                      scn["tap_count"]), complex)}
+
+
+def simulate_measurements(cfg: dict) -> dict:
+    """Noisy per-antenna channel responses ``cirs`` (seats, snapshots, antennas, taps).
 
     Each snapshot redraws the diffuse paths and adds receiver noise at the
     configured per-snapshot SNR (noise power referenced to that response's
@@ -71,7 +78,6 @@ def simulate_measurements(cfg: dict) -> np.ndarray:
     grid = build_grid(cfg)
     antennas = antenna_layout(cfg)
     model = ChannelModel(seed=cfg["seed"], **scn["channel"])
-    snr = 10.0 ** (scn["snr_db"] / 10.0)
     n_snap, taps = scn["snapshots"], scn["tap_count"]
     out = np.empty((len(grid), n_snap, len(antennas), taps), dtype=complex)
     for s, seat in enumerate(grid.points):
@@ -79,49 +85,14 @@ def simulate_measurements(cfg: dict) -> np.ndarray:
             for a, ant in enumerate(antennas):
                 cir = gen_cir(seat, ant, scn["freq_hz"], scn["bandwidth_hz"],
                               model, taps, snapshot=k)
-                noise_power = float(np.mean(np.abs(cir.taps) ** 2)) / snr
-                rng = np.random.default_rng(
-                    derive_seed(cfg["seed"], _TAG_CIR_NOISE, s, k, a))
-                noise = math.sqrt(noise_power / 2.0) * (
-                    rng.standard_normal(taps) + 1j * rng.standard_normal(taps))
-                out[s, k, a] = cir.taps + noise
-    return out
+                out[s, k, a] = add_receiver_noise(
+                    cir.taps, scn["snr_db"], derive_seed(cfg["seed"], _TAG_CIR_NOISE, s, k, a))
+    return {"cirs": out}
 
 
-def measurements_to_obj(cfg: dict, cirs: np.ndarray) -> dict:
-    scn = cfg["scenario"]
-    return {
-        "format": MEASUREMENTS_FORMAT,
-        "pipeline": "classroom_cir",
-        "freq_hz": scn["freq_hz"],
-        "bandwidth_hz": scn["bandwidth_hz"],
-        "shape": list(cirs.shape),
-        "cirs": complex_to_json(cirs.reshape(-1)),
-    }
-
-
-def measurements_from_obj(cfg: dict, obj: dict) -> np.ndarray:
-    if obj.get("format") != MEASUREMENTS_FORMAT or obj.get("pipeline") != "classroom_cir":
-        raise ConfigError("measurement file does not hold classroom channel responses")
-    shape = tuple(obj.get("shape", ()))
-    data = complex_from_json(obj.get("cirs", []))
-    if len(shape) != 4 or data.size == 0:
-        raise ConfigError("measurement set is empty")
-    scn = cfg["scenario"]
-    grid = build_grid(cfg)
-    expect = (len(grid), scn["snapshots"], len(antenna_layout(cfg)), scn["tap_count"])
-    if shape != expect or data.size != int(np.prod(shape)):
-        raise ConfigError(f"measurement shape {shape} does not match the scenario {expect}")
-    return data.reshape(shape)
-
-
-def load_measurements(cfg: dict) -> np.ndarray:
-    """Measurements from the configured file, or simulated in-process."""
-    path = cfg["scenario"]["measurements"]
-    if path is None:
-        return simulate_measurements(cfg)
-    with open(path, "r", encoding="utf-8") as fh:
-        return measurements_from_obj(cfg, json.load(fh))
+def training_cirs(cfg: dict, out_dir: str) -> np.ndarray:
+    return load_measurements(cfg, out_dir, simulate_measurements,
+                             measurement_shapes(cfg))["cirs"]
 
 
 def extract_features(cfg: dict, cirs: np.ndarray) -> tuple:
@@ -151,7 +122,7 @@ def build_database(cfg: dict, xc: np.ndarray, rssi: np.ndarray) -> FingerprintDa
     scn = cfg["scenario"]
     loading = cfg["matching"]["loading_eps"]
     blocks = {key: fit_gaussian(xc[:, :, p, :], loading)
-              for p, key in enumerate(pair_keys(_n_antennas(xc)))}
+              for p, key in enumerate(pair_keys(len(antenna_layout(cfg))))}
     blocks["rssi"] = FingerprintVector(
         kind=FingerprintKind.RSSI,
         values=rssi.mean(axis=1),
@@ -163,29 +134,20 @@ def build_database(cfg: dict, xc: np.ndarray, rssi: np.ndarray) -> FingerprintDa
     return FingerprintDatabase(grid=build_grid(cfg), blocks=blocks, meta=meta)
 
 
-def _n_antennas(xc: np.ndarray) -> int:
-    # pairs = n*(n-1)/2 inverted
-    n_pairs = xc.shape[2]
-    n = int(round((1 + math.sqrt(1 + 8 * n_pairs)) / 2))
-    if n * (n - 1) // 2 != n_pairs:
-        raise ValueError(f"pair count {n_pairs} is not a full antenna pairing")
-    return n
-
-
 def cmd_simulate(cfg: dict, out_dir: str) -> dict:
-    cirs = simulate_measurements(cfg)
-    write_json(os.path.join(out_dir, "measurements.json"), measurements_to_obj(cfg, cirs))
-    summary = {"seats": cirs.shape[0], "snapshots": cirs.shape[1],
-               "antennas": cirs.shape[2], "taps": cirs.shape[3]}
+    arrays = simulate_measurements(cfg)
+    save_measurements(cfg, out_dir, arrays)
+    seats, snapshots, antennas, taps = arrays["cirs"].shape
+    summary = {"seats": seats, "snapshots": snapshots, "antennas": antennas, "taps": taps}
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 
 def cmd_learn(cfg: dict, out_dir: str) -> dict:
-    cirs = load_measurements(cfg)
+    cirs = training_cirs(cfg, out_dir)
     xc, rssi = extract_features(cfg, cirs)
     db = build_database(cfg, xc, rssi)
-    save_database(db, os.path.join(out_dir, "db.json"))
+    save_db(cfg, out_dir, db)
     log = {
         "points": len(db),
         "pairs": len(pair_keys(cirs.shape[2])),
@@ -195,12 +157,13 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
     return log
 
 
-def evaluate_loo(cfg: dict, cirs: np.ndarray) -> tuple:
+def evaluate_loo(cfg: dict, cirs: np.ndarray, db: FingerprintDatabase) -> tuple:
     """Leave-one-out evaluation over every (seat, snapshot) trial.
 
-    For the true seat the database's Gaussian statistics (and the baseline's
-    mean power) are refit on the remaining snapshots, so a trial never
-    matches against a model trained on itself.
+    Trials score against the learned per-seat models in ``db``; for the true
+    seat the Gaussian statistics (and the baseline's mean power) are refit
+    on the remaining snapshots, so a trial never matches against a model
+    trained on itself.
 
     Returns:
         (rows, summary): CSV rows for both methods and the summary dict.
@@ -212,10 +175,11 @@ def evaluate_loo(cfg: dict, cirs: np.ndarray) -> tuple:
     n_trials = n_seats * n_snap
     flat = xc.reshape(n_trials, n_pairs, dim)
 
+    blocks = [db.block(key, GaussianStats) for key in pair_keys(len(antenna_layout(cfg)))]
     scores = np.zeros((n_trials, n_seats))
     for s in range(n_seats):
-        for p in range(n_pairs):
-            stats = fit_gaussian(xc[s, :, p, :], loading)
+        for p, block in enumerate(blocks):
+            stats = GaussianStats(mean=block.mean[s], cov=block.cov[s], loading=block.loading[s])
             scores[:, s] += gaussian_loglik(flat[:, p, :], stats)
     for s in range(n_seats):
         for k in range(n_snap):
@@ -228,7 +192,7 @@ def evaluate_loo(cfg: dict, cirs: np.ndarray) -> tuple:
             scores[t, s] = total
     est_mle = np.argmax(scores, axis=1)
 
-    means = rssi.mean(axis=1)  # (seats, antennas)
+    means = db.block("rssi", FingerprintVector).values  # (seats, antennas)
     flat_r = rssi.reshape(n_trials, -1)
     d2 = ((flat_r[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
     for s in range(n_seats):
@@ -258,8 +222,8 @@ def evaluate_loo(cfg: dict, cirs: np.ndarray) -> tuple:
 
 
 def cmd_localize(cfg: dict, out_dir: str) -> dict:
-    cirs = load_measurements(cfg)
-    rows, summary = evaluate_loo(cfg, cirs)
+    db = load_db(cfg, out_dir, cmd_learn)
+    rows, summary = evaluate_loo(cfg, training_cirs(cfg, out_dir), db)
     header = ("method", "seat", "snapshot", "true_x", "true_y",
               "est_index", "est_x", "est_y", "error_m")
     write_csv(os.path.join(out_dir, "trials.csv"), header, rows)

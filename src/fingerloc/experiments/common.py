@@ -1,26 +1,49 @@
-"""Deterministic output writers and helpers shared by the study pipelines.
+"""Deterministic output writers and run-artifact I/O shared by the study pipelines.
 
 Every artifact the experiment harness writes goes through these functions so
 that a rerun with the same config and seed is byte-identical: keys sorted,
 floats rendered by ``repr`` (shortest round-trip), newline-terminated lines,
 and no timestamps or absolute paths anywhere.
+
+A run's ``measurements.json`` and ``db.json`` carry a ``config_digest`` of
+the config sections that produced them.  A verb reading either back from its
+out dir stops with a config error when that digest is not its own config's,
+rather than reuse an artifact of another seed or scenario.
 """
 
+import hashlib
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 
-from ..database import FingerprintDatabase, load_database
+from ..database import (
+    FingerprintDatabase,
+    complex_from_json,
+    complex_to_json,
+    load_database,
+    save_database,
+)
 from ..errors import ConfigError
 from ..geometry import Grid, Position, build_uniform_grid
 
 __all__ = ["dump_json", "write_json", "write_csv", "fmt_cell",
-           "summarize_errors", "cdf_table", "CDF_QUANTILES",
-           "build_grid", "load_db"]
+           "summarize_errors", "cdf_table", "CDF_QUANTILES", "build_grid",
+           "config_digest", "save_measurements", "read_measurements",
+           "load_measurements", "save_db", "load_db"]
 
 CDF_QUANTILES = tuple(round(0.05 * i, 2) for i in range(21))
+
+MEASUREMENTS_VERSION = "fingerloc-measurements-2"
+
+# run artifact -> (config sections its digest covers, the verb that writes it);
+# classroom learn fits with matching.loading_eps, so the database covers matching
+_RUN_ARTIFACTS = {
+    "measurements.json": (("pipeline", "seed", "scenario"), "simulate"),
+    "db.json": (("pipeline", "seed", "scenario", "matching"), "learn"),
+}
 
 
 def dump_json(obj) -> str:
@@ -92,19 +115,107 @@ def build_grid(cfg: dict) -> Grid:
     return build_uniform_grid(Position(*g["origin"]), g["nx"], g["ny"], g["spacing_m"])
 
 
-def load_db(cfg: dict, out_dir: str, grid: Grid, learn) -> FingerprintDatabase:
-    """The run's ``db.json``, written first by ``learn(cfg, out_dir)`` when missing.
+def config_digest(cfg: dict, artifact: str) -> str:
+    """sha256 of the config sections that determine a run artifact."""
+    sections = _RUN_ARTIFACTS[artifact][0]
+    subset = {key: cfg.get(key) for key in sections}
+    return hashlib.sha256(dump_json(subset).encode("utf-8")).hexdigest()
 
-    Raises:
-        ConfigError: the stored database was learned on another grid than
-            ``grid``, i.e. it is stale for this config.
+
+def _array_to_json(arr: np.ndarray) -> dict:
+    flat = arr.reshape(-1)
+    data = complex_to_json(flat) if arr.dtype.kind == "c" else flat.tolist()
+    return {"dtype": arr.dtype.name, "shape": list(arr.shape), "data": data}
+
+
+def _array_from_json(obj: dict) -> np.ndarray:
+    dtype, data = np.dtype(obj["dtype"]), obj["data"]
+    flat = complex_from_json(data) if dtype.kind == "c" else np.asarray(data, dtype=dtype)
+    return flat.reshape(obj["shape"])
+
+
+def save_measurements(cfg: dict, out_dir: str, arrays: dict) -> None:
+    """Write named arrays as the run's ``measurements.json``.
+
+    Format ``fingerloc-measurements-2``: ``{format, pipeline, config_digest,
+    arrays: {name: {dtype, shape, data}}}`` with ``data`` flattened in C
+    order and complex values as ``[re, im]`` pairs, so every value round-trips
+    bit-exactly.
     """
-    path = os.path.join(out_dir, "db.json")
+    write_json(os.path.join(out_dir, "measurements.json"), {
+        "format": MEASUREMENTS_VERSION,
+        "pipeline": cfg["pipeline"],
+        "config_digest": config_digest(cfg, "measurements.json"),
+        "arrays": {name: _array_to_json(np.asarray(arr)) for name, arr in arrays.items()},
+    })
+
+
+def read_measurements(path: str, cfg: dict, expected: dict) -> tuple:
+    """(named arrays, config digest or None) of a measurements file.
+
+    Raises ConfigError unless the file holds this pipeline's arrays in the
+    ``{name: (shape, dtype)}`` that ``expected`` says the scenario calls for.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or (doc.get("format"), doc.get("pipeline")) != (
+            MEASUREMENTS_VERSION, cfg["pipeline"]):
+        raise ConfigError(f"{path} does not hold {cfg['pipeline']} measurements "
+                          f"in the {MEASUREMENTS_VERSION} format")
+    stored = doc.get("arrays")
+    if not isinstance(stored, dict) or sorted(stored) != sorted(expected):
+        raise ConfigError(f"{path} does not hold the arrays {sorted(expected)}")
+    arrays = {}
+    for name, (shape, dtype) in expected.items():
+        want = {"dtype": np.dtype(dtype).name, "shape": list(shape)}
+        entry = stored[name]
+        got = {key: entry.get(key) for key in want} if isinstance(entry, dict) else entry
+        if got != want:
+            raise ConfigError(f"{path}: array {name!r} is not the {want} the scenario needs")
+        arrays[name] = _array_from_json(entry)
+    return arrays, doc.get("config_digest")
+
+
+def _run_artifact(cfg: dict, out_dir: str, name: str, write, read):
+    """``read(path)`` of the run's artifact, written first by ``write()`` when missing."""
+    path = os.path.join(out_dir, name)
     if not os.path.exists(path):
-        learn(cfg, out_dir)
+        write()
+    artifact, digest = read(path)
+    sections, verb = _RUN_ARTIFACTS[name]
+    if digest != config_digest(cfg, name):
+        raise ConfigError(f"{path} was written under another {'/'.join(sections)} "
+                          f"than this config's; rerun {verb}")
+    return artifact
+
+
+def load_measurements(cfg: dict, out_dir: str, simulate, expected: dict) -> dict:
+    """The training measurements, never simulated twice for one run.
+
+    A ``scenario.measurements`` path is outside input, checked by format and
+    shape only.  Otherwise this reads the run's ``measurements.json``,
+    written first from ``simulate(cfg)`` when missing.
+    """
+    path = cfg["scenario"]["measurements"]
+    if path is not None:
+        return read_measurements(path, cfg, expected)[0]
+    return _run_artifact(cfg, out_dir, "measurements.json",
+                         lambda: save_measurements(cfg, out_dir, simulate(cfg)),
+                         lambda p: read_measurements(p, cfg, expected))
+
+
+def save_db(cfg: dict, out_dir: str, db: FingerprintDatabase) -> None:
+    """Write ``db`` as the run's ``db.json``, stamped with the config digest."""
+    meta = replace(db.meta, config_digest=config_digest(cfg, "db.json"))
+    save_database(FingerprintDatabase(grid=db.grid, blocks=db.blocks, meta=meta),
+                  os.path.join(out_dir, "db.json"))
+
+
+def _read_db(path: str) -> tuple:
     db = load_database(path)
-    if db.grid != grid:
-        raise ConfigError(
-            f"{path} was learned on another grid ({len(db.grid)} points) than the "
-            f"config's ({len(grid)} points); rerun learn")
-    return db
+    return db, db.meta.config_digest
+
+
+def load_db(cfg: dict, out_dir: str, learn) -> FingerprintDatabase:
+    """The run's ``db.json``, written first by ``learn(cfg, out_dir)`` when missing."""
+    return _run_artifact(cfg, out_dir, "db.json", lambda: learn(cfg, out_dir), _read_db)

@@ -8,21 +8,12 @@ unknown transmit power cancels.  Matching fuses the two fingerprint kinds
 with a weight gamma that is swept, since no principled value exists.
 """
 
-import json
 import math
 import os
 
 import numpy as np
 
-from ..database import (
-    DatabaseMeta,
-    FingerprintDatabase,
-    complex_from_json,
-    complex_to_json,
-    real_to_json,
-    save_database,
-)
-from ..errors import ConfigError
+from ..database import DatabaseMeta, FingerprintDatabase
 from ..features import phasediff_fingerprint, rx_xcorr_fingerprint
 from ..geometry import Grid, Position, build_uniform_grid
 from ..interp import (
@@ -48,10 +39,25 @@ from ..signals import (
     FingerprintVector,
     SignalBuffer,
 )
-from ..simulate import ChannelModel, TxSignalSpec, derive_seed, gen_cir, synthesize_rx
-from .common import build_grid, cdf_table, load_db, summarize_errors, write_csv, write_json
+from ..simulate import (
+    ChannelModel,
+    TxSignalSpec,
+    add_receiver_noise,
+    derive_seed,
+    gen_cir,
+    synthesize_rx,
+)
+from .common import (
+    build_grid,
+    cdf_table,
+    load_db,
+    load_measurements,
+    save_db,
+    save_measurements,
+    write_csv,
+    write_json,
+)
 
-MEASUREMENTS_FORMAT = "fingerloc-measurements-1"
 _TAG_TRAIN_BITS = 401
 _TAG_TRAIN_NOISE = 402
 _TAG_TRIALS = 403
@@ -117,7 +123,6 @@ def measure_buffers(cfg: dict, tx: Position, freq_hz: float, pulse: tuple,
     model = ChannelModel(seed=cfg["seed"], **scn["channel"])
     spec = TxSignalSpec(kind="random_bits", length=scn["bits"], pulse=pulse,
                         sample_rate_hz=scn["sample_rate_hz"])
-    snr = 10.0 ** (scn["snr_db"] / 10.0)
     amp = math.sqrt(power_scale)
     out = []
     for si, elems in enumerate(sensor_elements(cfg)):
@@ -127,14 +132,9 @@ def measure_buffers(cfg: dict, tx: Position, freq_hz: float, pulse: tuple,
                           scn["tap_count"], snapshot=snapshot)
             cir = Cir(taps=cir.taps * amp, bandwidth_hz=cir.bandwidth_hz)
             clean = synthesize_rx(cir, spec, 0.0, bits_seed)
-            noise_power = float(np.mean(np.abs(clean.samples) ** 2)) / snr
-            rng = np.random.default_rng(
-                derive_seed(cfg["seed"], *noise_parts, si, ai))
-            noise = math.sqrt(noise_power / 2.0) * (
-                rng.standard_normal(clean.samples.size)
-                + 1j * rng.standard_normal(clean.samples.size))
-            bufs.append(SignalBuffer(samples=clean.samples + noise,
-                                     sample_rate_hz=clean.sample_rate_hz))
+            noisy = add_receiver_noise(clean.samples, scn["snr_db"],
+                                       derive_seed(cfg["seed"], *noise_parts, si, ai))
+            bufs.append(SignalBuffer(samples=noisy, sample_rate_hz=clean.sample_rate_hz))
         out.append(bufs)
     return out
 
@@ -160,12 +160,19 @@ def extract_fingerprints(cfg: dict, buffers: list, freq_hz: float,
     return xc, pd
 
 
-def simulate_training(cfg: dict) -> tuple:
-    """Training fingerprints at every (point, frequency, snapshot).
+def measurement_shapes(cfg: dict) -> dict:
+    scn = cfg["scenario"]
+    lead = (len(scn["train_freqs_hz"]), len(build_grid(cfg)), scn["train_snapshots"])
+    return {"xcorr": (lead + (len(xcorr_keys(cfg)), 2 * scn["tap_count"] - 1), complex),
+            "phase": (lead + (len(scn["sensors"]), len(ELEMENT_PAIRS)), float)}
+
+
+def simulate_measurements(cfg: dict) -> dict:
+    """Training fingerprints at every (frequency, point, snapshot).
 
     Returns:
-        (xc, ph): complex (freqs, points, snaps, xcorr keys, lag dim) and
-        real (freqs, points, snaps, sensors, element pairs).
+        ``xcorr`` complex (freqs, points, snaps, xcorr keys, lag dim) and
+        ``phase`` real (freqs, points, snaps, sensors, element pairs).
     """
     scn = cfg["scenario"]
     grid = build_grid(cfg)
@@ -189,47 +196,7 @@ def simulate_training(cfg: dict) -> tuple:
                     xc[fi, p, k, ki] = xfp[key].values
                 for si in range(n_sens):
                     ph[fi, p, k, si] = pfp[f"pd:{si}"].values
-    return xc, ph
-
-
-def measurements_to_obj(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> dict:
-    return {
-        "format": MEASUREMENTS_FORMAT,
-        "pipeline": "illegal_hybrid",
-        "xcorr_shape": list(xc.shape),
-        "xcorr": complex_to_json(xc.reshape(-1)),
-        "phase_shape": list(ph.shape),
-        "phase": real_to_json(ph.reshape(-1)),
-    }
-
-
-def measurements_from_obj(cfg: dict, obj: dict) -> tuple:
-    if obj.get("format") != MEASUREMENTS_FORMAT or obj.get("pipeline") != "illegal_hybrid":
-        raise ConfigError("measurement file does not hold training fingerprints")
-    xshape = tuple(obj.get("xcorr_shape", ()))
-    pshape = tuple(obj.get("phase_shape", ()))
-    xdata = complex_from_json(obj.get("xcorr", []))
-    pdata = np.asarray(obj.get("phase", []), dtype=float)
-    if len(xshape) != 5 or xdata.size == 0:
-        raise ConfigError("measurement set is empty")
-    scn = cfg["scenario"]
-    expect_x = (len(scn["train_freqs_hz"]), len(build_grid(cfg)),
-                scn["train_snapshots"], len(xcorr_keys(cfg)),
-                2 * scn["tap_count"] - 1)
-    expect_p = expect_x[:3] + (len(scn["sensors"]), len(ELEMENT_PAIRS))
-    if xshape != expect_x or pshape != expect_p:
-        raise ConfigError("measurement shapes do not match the scenario")
-    if xdata.size != int(np.prod(xshape)) or pdata.size != int(np.prod(pshape)):
-        raise ConfigError("measurement payload does not match its declared shape")
-    return xdata.reshape(xshape), pdata.reshape(pshape)
-
-
-def load_training(cfg: dict) -> tuple:
-    path = cfg["scenario"]["measurements"]
-    if path is None:
-        return simulate_training(cfg)
-    with open(path, "r", encoding="utf-8") as fh:
-        return measurements_from_obj(cfg, json.load(fh))
+    return {"xcorr": xc, "phase": ph}
 
 
 def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> FingerprintDatabase:
@@ -396,18 +363,19 @@ def evaluate(cfg: dict, db: FingerprintDatabase) -> tuple:
 
 
 def cmd_simulate(cfg: dict, out_dir: str) -> dict:
-    xc, ph = simulate_training(cfg)
-    write_json(os.path.join(out_dir, "measurements.json"),
-               measurements_to_obj(cfg, xc, ph))
+    arrays = simulate_measurements(cfg)
+    save_measurements(cfg, out_dir, arrays)
+    xc = arrays["xcorr"]
     summary = {"points": xc.shape[1], "freqs": xc.shape[0], "snapshots": xc.shape[2]}
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 
 def cmd_learn(cfg: dict, out_dir: str) -> dict:
-    xc, ph = load_training(cfg)
-    db = build_database(cfg, xc, ph)
-    save_database(db, os.path.join(out_dir, "db.json"))
+    arrays = load_measurements(cfg, out_dir, simulate_measurements, measurement_shapes(cfg))
+    xc = arrays["xcorr"]
+    db = build_database(cfg, xc, arrays["phase"])
+    save_db(cfg, out_dir, db)
     log = {"points": len(db), "derived": True,
            "per_point_samples": [int(xc.shape[2])] * xc.shape[1],
            "target_freq_hz": cfg["scenario"]["target"]["freq_hz"],
@@ -417,7 +385,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
 
 
 def cmd_localize(cfg: dict, out_dir: str) -> dict:
-    db = load_db(cfg, out_dir, fine_grid(cfg), cmd_learn)
+    db = load_db(cfg, out_dir, cmd_learn)
     rows, summary = evaluate(cfg, db)
     header = ("trial", "method", "gamma", "true_x", "true_y",
               "est_index", "est_x", "est_y", "error_m")

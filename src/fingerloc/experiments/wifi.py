@@ -8,24 +8,39 @@ and both, and by a particle filter that additionally fuses noisy step
 vectors from pedestrian dead reckoning.
 """
 
-import json
 import math
 import os
 
 import numpy as np
 
-from ..database import DatabaseMeta, FingerprintDatabase, real_to_json, save_database
-from ..errors import ConfigError
+from ..database import DatabaseMeta, FingerprintDatabase
 from ..features import rssi_rspd
 from ..geometry import Position
 from ..matching import mle_rssi_rspd
 from ..signals import SignalBuffer
-from ..simulate import ChannelModel, TxSignalSpec, derive_seed, gen_cir, simulate_pdr, synthesize_rx
+from ..simulate import (
+    ChannelModel,
+    TxSignalSpec,
+    add_receiver_noise,
+    derive_seed,
+    gen_cir,
+    simulate_pdr,
+    synthesize_rx,
+)
 from ..stats import fit_gamma, fit_vonmises
 from ..tracking import ParticleSet, particle_predict, particle_update
-from .common import build_grid, cdf_table, load_db, summarize_errors, write_csv, write_json
+from .common import (
+    build_grid,
+    cdf_table,
+    load_db,
+    load_measurements,
+    save_db,
+    save_measurements,
+    summarize_errors,
+    write_csv,
+    write_json,
+)
 
-MEASUREMENTS_FORMAT = "fingerloc-measurements-1"
 _TAG_TRAIN_BITS = 201
 _TAG_TRAIN_NOISE = 202
 _TAG_WALK_BITS = 203
@@ -67,7 +82,6 @@ def measure_features(cfg: dict, tx: Position, snapshot: int, bits_seed,
     scn = cfg["scenario"]
     model = ChannelModel(seed=cfg["seed"], **scn["channel"])
     spec = _tx_spec(cfg)
-    snr = 10.0 ** (scn["snr_db"] / 10.0)
     out = np.empty((len(scn["sensors"]), 2))
     for si, (ant_a, ant_b) in enumerate(sensor_antennas(cfg)):
         bufs = []
@@ -75,20 +89,21 @@ def measure_features(cfg: dict, tx: Position, snapshot: int, bits_seed,
             cir = gen_cir(tx, ant, scn["freq_hz"], scn["bandwidth_hz"],
                           model, scn["tap_count"], snapshot=snapshot)
             clean = synthesize_rx(cir, spec, 0.0, bits_seed)
-            noise_power = float(np.mean(np.abs(clean.samples) ** 2)) / snr
-            rng = np.random.default_rng(
-                derive_seed(cfg["seed"], *noise_tag_parts, si, ai))
-            noise = math.sqrt(noise_power / 2.0) * (
-                rng.standard_normal(clean.samples.size)
-                + 1j * rng.standard_normal(clean.samples.size))
-            bufs.append(SignalBuffer(samples=clean.samples + noise,
-                                     sample_rate_hz=clean.sample_rate_hz))
+            noisy = add_receiver_noise(clean.samples, scn["snr_db"],
+                                       derive_seed(cfg["seed"], *noise_tag_parts, si, ai))
+            bufs.append(SignalBuffer(samples=noisy, sample_rate_hz=clean.sample_rate_hz))
         out[si] = rssi_rspd(bufs[0], bufs[1])
     return out
 
 
-def simulate_measurements(cfg: dict) -> np.ndarray:
-    """Training features, shape (points, snapshots, sensors, 2)."""
+def measurement_shapes(cfg: dict) -> dict:
+    scn = cfg["scenario"]
+    return {"features": ((len(build_grid(cfg)), scn["train_snapshots"],
+                          len(scn["sensors"]), 2), float)}
+
+
+def simulate_measurements(cfg: dict) -> dict:
+    """Training ``features`` (points, snapshots, sensors, 2): (rssi, rspd) pairs."""
     scn = cfg["scenario"]
     grid = build_grid(cfg)
     n_snap = scn["train_snapshots"]
@@ -98,38 +113,7 @@ def simulate_measurements(cfg: dict) -> np.ndarray:
             bits_seed = derive_seed(cfg["seed"], _TAG_TRAIN_BITS, p, k)
             out[p, k] = measure_features(cfg, point, k, bits_seed,
                                          (_TAG_TRAIN_NOISE, p, k))
-    return out
-
-
-def measurements_to_obj(cfg: dict, feats: np.ndarray) -> dict:
-    return {
-        "format": MEASUREMENTS_FORMAT,
-        "pipeline": "wifi_rssi_rspd",
-        "shape": list(feats.shape),
-        "features": real_to_json(feats.reshape(-1)),
-    }
-
-
-def measurements_from_obj(cfg: dict, obj: dict) -> np.ndarray:
-    if obj.get("format") != MEASUREMENTS_FORMAT or obj.get("pipeline") != "wifi_rssi_rspd":
-        raise ConfigError("measurement file does not hold power/phase features")
-    shape = tuple(obj.get("shape", ()))
-    data = np.asarray(obj.get("features", []), dtype=float)
-    if len(shape) != 4 or data.size == 0:
-        raise ConfigError("measurement set is empty")
-    scn = cfg["scenario"]
-    expect = (len(build_grid(cfg)), scn["train_snapshots"], len(scn["sensors"]), 2)
-    if shape != expect or data.size != int(np.prod(shape)):
-        raise ConfigError(f"measurement shape {shape} does not match the scenario {expect}")
-    return data.reshape(shape)
-
-
-def load_measurements(cfg: dict) -> np.ndarray:
-    path = cfg["scenario"]["measurements"]
-    if path is None:
-        return simulate_measurements(cfg)
-    with open(path, "r", encoding="utf-8") as fh:
-        return measurements_from_obj(cfg, json.load(fh))
+    return {"features": out}
 
 
 def build_database(cfg: dict, feats: np.ndarray) -> FingerprintDatabase:
@@ -251,8 +235,9 @@ def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
 
 
 def cmd_simulate(cfg: dict, out_dir: str) -> dict:
-    feats = simulate_measurements(cfg)
-    write_json(os.path.join(out_dir, "measurements.json"), measurements_to_obj(cfg, feats))
+    arrays = simulate_measurements(cfg)
+    save_measurements(cfg, out_dir, arrays)
+    feats = arrays["features"]
     summary = {"points": feats.shape[0], "snapshots": feats.shape[1],
                "sensors": feats.shape[2]}
     write_json(os.path.join(out_dir, "summary.json"), summary)
@@ -260,9 +245,10 @@ def cmd_simulate(cfg: dict, out_dir: str) -> dict:
 
 
 def cmd_learn(cfg: dict, out_dir: str) -> dict:
-    feats = load_measurements(cfg)
+    feats = load_measurements(cfg, out_dir, simulate_measurements,
+                              measurement_shapes(cfg))["features"]
     db = build_database(cfg, feats)
-    save_database(db, os.path.join(out_dir, "db.json"))
+    save_db(cfg, out_dir, db)
     log = {"points": len(db), "sensors": feats.shape[2],
            "per_point_samples": [int(feats.shape[1])] * len(db)}
     write_json(os.path.join(out_dir, "learn_log.json"), log)
@@ -270,7 +256,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
 
 
 def cmd_localize(cfg: dict, out_dir: str) -> dict:
-    db = load_db(cfg, out_dir, build_grid(cfg), cmd_learn)
+    db = load_db(cfg, out_dir, cmd_learn)
     rows, summary = evaluate_walk(cfg, db, with_pf=False)
     header = ("step", "true_x", "true_y", "err_rssi", "err_rspd", "err_rssi_rspd")
     write_csv(os.path.join(out_dir, "trials.csv"), header, rows)
@@ -279,7 +265,7 @@ def cmd_localize(cfg: dict, out_dir: str) -> dict:
 
 
 def cmd_track(cfg: dict, out_dir: str) -> dict:
-    db = load_db(cfg, out_dir, build_grid(cfg), cmd_learn)
+    db = load_db(cfg, out_dir, cmd_learn)
     rows, summary = evaluate_walk(cfg, db, with_pf=True)
     header = ("step", "true_x", "true_y", "err_rssi", "err_rspd",
               "err_rssi_rspd", "est_x", "est_y", "err_pf")

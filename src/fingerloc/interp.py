@@ -6,13 +6,13 @@ coarse grid serve matching at other emitter parameters on a denser grid.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 import scipy.signal
 
-from .database import DatabaseMeta, FingerprintDatabase
+from .database import FingerprintDatabase
 from .geometry import Grid
 from .signals import (
     CORRELATION_KINDS,
@@ -26,7 +26,6 @@ from .stats import KrigingKernel, fit_loglinear, kriging_fit, kriging_predict
 
 __all__ = [
     "UcaGeometry",
-    "EmitterSpec",
     "PhasorFit",
     "PhasediffProjection",
     "windowed_sinc_lowpass",
@@ -55,19 +54,6 @@ class UcaGeometry:
             raise ValueError("a circular array needs at least two elements")
         if not (self.radius_m > 0):
             raise ValueError("radius must be positive")
-
-
-@dataclass(frozen=True)
-class EmitterSpec:
-    """What is known about the emitter to localize."""
-
-    freq_hz: float
-    bandwidth_hz: float
-    tx_power_known: bool = False
-
-    def __post_init__(self):
-        if not (self.freq_hz > 0 and self.bandwidth_hz > 0):
-            raise ValueError("frequency and bandwidth must be positive")
 
 
 class PhasorFit(NamedTuple):
@@ -354,12 +340,7 @@ def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
         values[outside] = fp.values[_nearest_training(train_xy, query_xy[outside])]
         blocks[key] = FingerprintVector(kind=fp.kind, values=values, meta=fp.meta)
 
-    meta = DatabaseMeta(
-        train_freqs_hz=db.meta.train_freqs_hz,
-        train_bandwidths_hz=db.meta.train_bandwidths_hz,
-        derived=True,
-        extra=dict(db.meta.extra),
-    )
+    meta = replace(db.meta, derived=True, extra=dict(db.meta.extra))
     return FingerprintDatabase(grid=target_grid, blocks=blocks, meta=meta)
 
 

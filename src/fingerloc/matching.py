@@ -32,7 +32,6 @@ __all__ = [
     "threshold_set",
     "hybrid_match",
     "fingerprint_sqerr",
-    "likelihood_map_csv",
 ]
 
 MODE_LOG_LIKELIHOOD = "log_likelihood"
@@ -219,11 +218,3 @@ def fingerprint_sqerr(target: FingerprintVector, reference: FingerprintVector,
     delta = wrap_angle(a - b) if target.kind in ANGLE_KINDS else a - b
     err = np.sum(np.abs(delta) ** 2, axis=-1)
     return float(err) if np.ndim(err) == 0 else err
-
-
-def likelihood_map_csv(lmap: LikelihoodMap) -> str:
-    """Render a map as CSV with columns index,x,y,value."""
-    lines = ["index,x,y,value"]
-    for i, p in enumerate(lmap.grid.points):
-        lines.append(f"{i},{p.x!r},{p.y!r},{float(lmap.values[i])!r}")
-    return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ __all__ = [
     "SensorCoverage",
     "gen_cir",
     "synthesize_rx",
+    "add_receiver_noise",
     "zadoff_chu",
     "tx_sequence",
     "simulate_binary_sensor",
@@ -221,6 +222,20 @@ def synthesize_rx(cir: Cir, tx_spec: TxSignalSpec, noise_power: float,
         scale = math.sqrt(noise_power / 2.0)
         y = y + scale * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size))
     return SignalBuffer(samples=y, sample_rate_hz=tx_spec.sample_rate_hz)
+
+
+def add_receiver_noise(clean, snr_db: float, seed) -> np.ndarray:
+    """``clean`` plus circularly symmetric Gaussian noise at ``snr_db``.
+
+    The noise power is referenced to the clean signal's own mean power, so
+    every buffer meets the stated SNR exactly.  Real parts are drawn before
+    imaginary parts from one stream seeded by ``seed``.
+    """
+    clean = np.asarray(clean)
+    noise_power = float(np.mean(np.abs(clean) ** 2)) / 10.0 ** (snr_db / 10.0)
+    rng = np.random.default_rng(seed)
+    return clean + math.sqrt(noise_power / 2.0) * (
+        rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape))
 
 
 @dataclass(frozen=True)

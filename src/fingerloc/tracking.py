@@ -8,14 +8,13 @@ from scipy.special import ndtr
 
 from .errors import DegenerateUpdateError, NumericError
 from .geometry import Grid, Position, uniform_grid_shape
-from .matching import MODE_LOG_LIKELIHOOD, LikelihoodMap, threshold_set
+from .matching import MODE_LOG_LIKELIHOOD, LikelihoodMap
 
 __all__ = [
     "MobilityModel",
     "ParticleSet",
     "transition_matrix",
     "grid_bayes_step",
-    "track_estimate",
     "particle_predict",
     "particle_update",
     "resample_systematic",
@@ -122,11 +121,6 @@ def grid_bayes_step(prev: LikelihoodMap, trans: np.ndarray, obs: LikelihoodMap) 
     values = obs.values + np.log(mixed) + shift
     values = values - np.max(values)
     return LikelihoodMap(grid=prev.grid, values=values, mode=MODE_LOG_LIKELIHOOD)
-
-
-def track_estimate(lmap: LikelihoodMap, eta: float) -> tuple:
-    """Point estimate plus the thresholded candidate cell set."""
-    return int(np.argmax(lmap.values)), threshold_set(lmap, eta)
 
 
 # ---------------------------------------------------------------------------

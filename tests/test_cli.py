@@ -8,7 +8,11 @@ import pathlib
 import pytest
 
 from fingerloc.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from fingerloc.experiments import bems, classroom, illegal, wifi
 from fingerloc.experiments.artifacts import validate_run_dir
+
+PIPELINE_MODULES = {"classroom_cir": classroom, "wifi_rssi_rspd": wifi,
+                    "bems_binary": bems, "illegal_hybrid": illegal}
 
 # shrunken versions of every pipeline so a full verb chain runs in well under
 # a second; scenario shape stays representative (multiple sensors, real walk)
@@ -193,6 +197,35 @@ def test_database_from_another_grid_is_a_config_error(tmp_path):
     assert not (pathlib.Path(out_dir) / "trials.csv").exists()
 
 
+def test_database_from_another_seed_and_scenario_on_the_same_grid_is_a_config_error(tmp_path):
+    # learn at seed 5 with 4 snapshots, then localize at seed 9 with 9 on the same 4x4 grid
+    cfg_path, out_dir = _write_config(tmp_path, "wifi_rssi_rspd")
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    cfg = json.loads(pathlib.Path(cfg_path).read_text())
+    cfg["scenario"]["train_snapshots"] = 9
+    pathlib.Path(cfg_path).write_text(json.dumps(cfg))
+    assert main(["localize", "--config", cfg_path, "--seed", "9"]) == EXIT_CONFIG
+    assert not (pathlib.Path(out_dir) / "trials.csv").exists()
+
+
+def test_measurements_from_another_seed_are_a_config_error(tmp_path):
+    cfg_path, out_dir = _write_config(tmp_path, "wifi_rssi_rspd")
+    assert main(["simulate", "--config", cfg_path, "--seed", "6"]) == EXIT_OK
+    assert main(["learn", "--config", cfg_path, "--seed", "5"]) == EXIT_CONFIG
+    assert not (pathlib.Path(out_dir) / "db.json").exists()
+
+
+def test_database_learned_at_another_loading_is_a_config_error(tmp_path):
+    # classroom localize scores against the stored fits, so their loading must match
+    cfg_path, out_dir = _write_config(tmp_path, "classroom_cir")
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    cfg = json.loads(pathlib.Path(cfg_path).read_text())
+    cfg["matching"] = {"loading_eps": 0.5}
+    pathlib.Path(cfg_path).write_text(json.dumps(cfg))
+    assert main(["localize", "--config", cfg_path]) == EXIT_CONFIG
+    assert not (pathlib.Path(out_dir) / "trials.csv").exists()
+
+
 def test_database_in_the_version_1_layout_is_a_config_error(tmp_path):
     cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
@@ -203,6 +236,64 @@ def test_database_in_the_version_1_layout_is_a_config_error(tmp_path):
     del doc["blocks"]
     db_path.write_text(json.dumps(doc))
     assert main(["track", "--config", cfg_path]) == EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# the training survey is simulated once per run
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_verbs_after_simulate_never_resimulate_the_training_set(name, tmp_path, monkeypatch):
+    cfg_path, out_dir = _write_config(tmp_path, name)
+    _run_all(cfg_path, name)
+    chained = str(tmp_path / "chained")
+    assert main(["simulate", "--config", cfg_path, "--out", chained]) == EXIT_OK
+
+    def refuse(cfg):
+        raise AssertionError("the training set was simulated again")
+
+    monkeypatch.setattr(PIPELINE_MODULES[name], "simulate_measurements", refuse)
+    for verb in VERBS[name][1:]:
+        assert main([verb, "--config", cfg_path, "--out", chained]) == EXIT_OK
+    assert _hash_tree(chained) == _hash_tree(out_dir)
+
+
+def test_learn_reads_a_measurements_path_from_another_run(tmp_path):
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
+    assert main(["learn", "--config", cfg_path, "--seed", "6"]) == EXIT_OK
+    other = str(pathlib.Path(out_dir) / "measurements.json")
+    # outside input: another seed is fine, only its format and shapes are checked
+    scenario = dict(TINY["bems_binary"]["scenario"], measurements=other)
+    cfg_path, _ = _write_config(tmp_path, "bems_binary", scenario=scenario)
+    reader = str(tmp_path / "reader")
+    assert main(["learn", "--config", cfg_path, "--out", reader]) == EXIT_OK
+    assert not (pathlib.Path(reader) / "measurements.json").exists()
+    blocks = [json.loads((pathlib.Path(d) / "db.json").read_text())["blocks"]
+              for d in (out_dir, reader)]
+    assert blocks[0] == blocks[1]
+
+    scenario["train_visits"] = 7  # the file holds 6 visits per cell
+    cfg_path, _ = _write_config(tmp_path, "bems_binary", scenario=scenario)
+    assert main(["learn", "--config", cfg_path, "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {"format": "fingerloc-measurements-1", "pipeline": "bems_binary", "observations": [[0, 1, 1, 0]]},
+    {"format": "fingerloc-measurements-2", "pipeline": "wifi_rssi_rspd", "arrays": {}},
+    {"format": "fingerloc-measurements-2", "pipeline": "bems_binary", "arrays": []},
+    {"format": "fingerloc-measurements-2", "pipeline": "bems_binary",
+     "arrays": {"cell": 0, "moving": 0, "bits": 0}},
+    {"format": "fingerloc-measurements-2", "pipeline": "bems_binary",
+     "arrays": {name: {"dtype": dtype, "shape": shape, "data": []} for name, dtype, shape
+                in (("cell", "int64", [54]), ("moving", "bool", [54]), ("bits", "int64", [54, 2]))}},
+])
+def test_malformed_measurements_file_is_a_config_error(tmp_path, doc):
+    path = tmp_path / "measurements.json"
+    path.write_text(json.dumps(doc))
+    scenario = dict(TINY["bems_binary"]["scenario"], measurements=str(path))
+    cfg_path, _ = _write_config(tmp_path, "bems_binary", scenario=scenario)
+    assert main(["learn", "--config", cfg_path]) == EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------

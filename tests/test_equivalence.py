@@ -7,7 +7,8 @@ config.  Integers, strings and booleans must match exactly and floats to 1e-9
 relative, so a refactor that claims unchanged behaviour has to reproduce them.
 
 The property tests hold the block-wise matchers to a per-grid-point reference
-loop written out here, on random databases.
+loop written out here, on random databases, and the measurement codec to a
+bit-exact round trip.
 
 Regenerate only for an intended behaviour change, and say why in CHANGES.md::
 
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import i0e
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -34,6 +36,8 @@ from test_cli import TINY, VERBS  # noqa: E402
 
 from fingerloc.cli import EXIT_OK, main  # noqa: E402
 from fingerloc.database import FingerprintDatabase  # noqa: E402
+from fingerloc.experiments.artifacts import validate_artifact  # noqa: E402
+from fingerloc.experiments.common import read_measurements, save_measurements  # noqa: E402
 from fingerloc.experiments.illegal import error_maps  # noqa: E402
 from fingerloc.geometry import Position, build_uniform_grid  # noqa: E402
 from fingerloc.matching import mle_rssi_rspd  # noqa: E402
@@ -206,6 +210,35 @@ def test_error_maps_equal_per_point_loop(nx, ny, n_keys, half, magnitude_only,
     err_x, err_p = error_maps(cfg, db, xc, pd)
     assert _rel_close(err_x.values, want_x)
     assert _rel_close(err_p.values, want_p)
+
+
+# ---------------------------------------------------------------------------
+# measurement codec
+# ---------------------------------------------------------------------------
+
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=4, min_side=1, max_side=3)
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays=st.fixed_dictionaries({
+    "real": hnp.arrays(np.float64, _SHAPES, elements=st.floats(**_FINITE)),
+    "complex": hnp.arrays(np.complex128, _SHAPES, elements=st.complex_numbers(**_FINITE)),
+    "count": hnp.arrays(np.int64, _SHAPES),
+    "flag": hnp.arrays(np.bool_, _SHAPES),
+}))
+def test_measurement_codec_round_trips_bit_exactly(arrays):
+    cfg = {"pipeline": "wifi_rssi_rspd", "seed": 0, "scenario": {}}
+    expected = {name: (arr.shape, arr.dtype) for name, arr in arrays.items()}
+    with tempfile.TemporaryDirectory() as out_dir:
+        save_measurements(cfg, out_dir, arrays)
+        path = os.path.join(out_dir, "measurements.json")
+        validate_artifact(path)
+        back, digest = read_measurements(path, cfg, expected)
+    assert isinstance(digest, str) and len(digest) == 64
+    for name, arr in arrays.items():
+        got = back[name]
+        assert (got.dtype, got.shape, got.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
 
 
 if __name__ == "__main__":

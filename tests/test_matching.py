@@ -15,7 +15,6 @@ from fingerloc.matching import (
     binary_likelihood,
     fingerprint_sqerr,
     hybrid_match,
-    likelihood_map_csv,
     mle_cir,
     mle_rssi_rspd,
     threshold_set,
@@ -303,13 +302,3 @@ def test_fingerprint_sqerr_kind_and_dim_checks():
     c = FingerprintVector(kind=FingerprintKind.RSSI, values=[1.0, 2.0])
     with pytest.raises(ValueError):
         fingerprint_sqerr(a, c)
-
-
-def test_likelihood_map_csv_layout():
-    grid = build_uniform_grid(Position(0.5, 0.0), 2, 1, 1.0)
-    lmap = LikelihoodMap(grid=grid, values=[-1.5, -2.5])
-    text = likelihood_map_csv(lmap)
-    lines = text.strip().split("\n")
-    assert lines[0] == "index,x,y,value"
-    assert lines[1].split(",") == ["0", "0.5", "0.0", "-1.5"]
-    assert len(lines) == 3 and text.endswith("\n")

@@ -12,6 +12,7 @@ from fingerloc.simulate import (
     ChannelModel,
     SensorCoverage,
     TxSignalSpec,
+    add_receiver_noise,
     derive_seed,
     gen_cir,
     simulate_binary_sensor,
@@ -193,6 +194,18 @@ def test_synthesize_rx_draws_bits_before_noise():
     assert float(np.mean(np.abs(resid) ** 2)) == pytest.approx(0.01, rel=0.5)
     with pytest.raises(ValueError):
         synthesize_rx(cir, spec, noise_power=-1.0, seed=0)
+
+
+def test_add_receiver_noise_meets_the_snr_of_the_clean_signal():
+    clean = np.exp(1j * np.linspace(0.0, 6.0, 20000)) * 3.0  # mean power 9
+    noisy = add_receiver_noise(clean, 10.0, derive_seed(4, 2))
+    noise = noisy - clean
+    assert float(np.mean(np.abs(noise) ** 2)) == pytest.approx(0.9, rel=0.05)
+    # one stream, every real part drawn before any imaginary part
+    rng = np.random.default_rng(derive_seed(4, 2))
+    real = rng.standard_normal(clean.size)
+    assert np.allclose(noise.real, math.sqrt(0.9 / 2.0) * real, rtol=1e-9, atol=1e-12)
+    assert np.array_equal(add_receiver_noise(clean, 10.0, derive_seed(4, 2)), noisy)
 
 
 def test_sensor_coverage_bin_lookup():

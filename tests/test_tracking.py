@@ -16,7 +16,6 @@ from fingerloc.tracking import (
     particle_predict,
     particle_update,
     resample_systematic,
-    track_estimate,
     transition_matrix,
 )
 
@@ -180,16 +179,6 @@ def test_grid_bayes_step_validation():
         grid_bayes_step(prev, np.eye(4), sqerr)
     with pytest.raises(ValueError):
         grid_bayes_step(prev, np.eye(3), _logmap(grid, np.zeros(4)))
-
-
-def test_track_estimate_returns_argmax_and_candidates():
-    grid = build_uniform_grid(Position(0, 0), nx=3, ny=1, spacing=1.0)
-    lmap = _logmap(grid, [-3.0, -1.0, -2.0])
-    idx, cands = track_estimate(lmap, -1.5)
-    assert idx == 1
-    assert np.array_equal(cands, [1])
-    _, wide = track_estimate(lmap, -2.5)
-    assert np.array_equal(wide, [1, 2])
 
 
 # ---------------------------------------------------------------------------
