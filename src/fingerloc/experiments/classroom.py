@@ -14,9 +14,9 @@ import os
 import numpy as np
 
 from ..database import DatabaseMeta, FingerprintDatabase
-from ..features import cir_xcorr_fingerprint
+from ..features import pair_xcorr
 from ..geometry import Position
-from ..signals import Cir, FingerprintKind, FingerprintMeta, FingerprintVector
+from ..signals import FingerprintKind, FingerprintMeta, FingerprintVector
 from ..simulate import ChannelModel, add_receiver_noise, derive_seed, gen_cir
 from ..stats import GaussianStats, fit_gaussian, gaussian_loglik
 from .common import (
@@ -95,26 +95,14 @@ def training_cirs(cfg: dict, out_dir: str) -> np.ndarray:
                              measurement_shapes(cfg))["cirs"]
 
 
-def extract_features(cfg: dict, cirs: np.ndarray) -> tuple:
+def extract_features(cirs: np.ndarray) -> tuple:
     """Per-snapshot pair fingerprints and per-antenna received powers.
 
     Returns:
         (xc, rssi): complex (seats, snapshots, pairs, 2*taps-1) and real
         (seats, snapshots, antennas).
     """
-    scn = cfg["scenario"]
-    n_seats, n_snap, n_ant, taps = cirs.shape
-    pairs = [(i, j) for i in range(n_ant) for j in range(i + 1, n_ant)]
-    xc = np.empty((n_seats, n_snap, len(pairs), 2 * taps - 1), dtype=complex)
-    rssi = np.empty((n_seats, n_snap, n_ant))
-    for s in range(n_seats):
-        for k in range(n_snap):
-            snap = [Cir(taps=cirs[s, k, a], bandwidth_hz=scn["bandwidth_hz"])
-                    for a in range(n_ant)]
-            for p, (i, j) in enumerate(pairs):
-                xc[s, k, p] = cir_xcorr_fingerprint(snap[i], snap[j]).values
-            rssi[s, k] = np.sum(np.abs(cirs[s, k]) ** 2, axis=1)
-    return xc, rssi
+    return pair_xcorr(cirs), np.sum(np.abs(cirs) ** 2, axis=-1)
 
 
 def build_database(cfg: dict, xc: np.ndarray, rssi: np.ndarray) -> FingerprintDatabase:
@@ -145,7 +133,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> dict:
 
 def cmd_learn(cfg: dict, out_dir: str) -> dict:
     cirs = training_cirs(cfg, out_dir)
-    xc, rssi = extract_features(cfg, cirs)
+    xc, rssi = extract_features(cirs)
     db = build_database(cfg, xc, rssi)
     save_db(cfg, out_dir, db)
     log = {
@@ -157,52 +145,56 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
     return log
 
 
-def evaluate_loo(cfg: dict, cirs: np.ndarray, db: FingerprintDatabase) -> tuple:
-    """Leave-one-out evaluation over every (seat, snapshot) trial.
+def loo_scores(cfg: dict, xc: np.ndarray, rssi: np.ndarray, db: FingerprintDatabase) -> tuple:
+    """Leave-one-out scores of every (seat, snapshot) trial against every seat.
 
     Trials score against the learned per-seat models in ``db``; for the true
     seat the Gaussian statistics (and the baseline's mean power) are refit
     on the remaining snapshots, so a trial never matches against a model
-    trained on itself.
+    trained on itself.  Each antenna pair costs one cross-scoring call on its
+    stored block and one fit and paired scoring of all trials' folds.
+
+    Returns:
+        (loglik, sqerr): (trials, seats) summed pair log-likelihoods and
+        received-power squared distances, trial ``seat * snapshots + snapshot``.
+    """
+    loading = cfg["matching"]["loading_eps"]
+    n_seats, n_snap, _, dim = xc.shape
+    n_trials = n_seats * n_snap
+    trials = np.arange(n_trials)
+    true_seat = trials // n_snap
+    # row k holds every snapshot index but k
+    folds = np.array([np.delete(np.arange(n_snap), k) for k in range(n_snap)], dtype=int)
+
+    loglik = np.zeros((n_trials, n_seats))
+    held_out = np.zeros(n_trials)
+    for p, key in enumerate(pair_keys(len(antenna_layout(cfg)))):
+        x = xc[:, :, p, :]
+        loglik += gaussian_loglik(x.reshape(n_trials, 1, dim), db.block(key, GaussianStats))
+        fold_fits = fit_gaussian(x[:, folds].reshape(n_trials, n_snap - 1, dim), loading)
+        held_out += gaussian_loglik(x.reshape(n_trials, dim), fold_fits)
+    loglik[trials, true_seat] = held_out
+
+    means = db.block("rssi", FingerprintVector).values  # (seats, antennas)
+    flat_r = rssi.reshape(n_trials, -1)
+    sqerr = ((flat_r[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    fold_means = (n_snap * means[:, None, :] - rssi) / (n_snap - 1)
+    sqerr[trials, true_seat] = ((rssi - fold_means) ** 2).sum(axis=-1).reshape(n_trials)
+    return loglik, sqerr
+
+
+def evaluate_loo(cfg: dict, cirs: np.ndarray, db: FingerprintDatabase) -> tuple:
+    """Leave-one-out evaluation over every (seat, snapshot) trial (see :func:`loo_scores`).
 
     Returns:
         (rows, summary): CSV rows for both methods and the summary dict.
     """
-    xc, rssi = extract_features(cfg, cirs)
-    grid = build_grid(cfg)
-    loading = cfg["matching"]["loading_eps"]
-    n_seats, n_snap, n_pairs, dim = xc.shape
-    n_trials = n_seats * n_snap
-    flat = xc.reshape(n_trials, n_pairs, dim)
+    xc, rssi = extract_features(cirs)
+    loglik, sqerr = loo_scores(cfg, xc, rssi, db)
+    est_mle, est_rssi = np.argmax(loglik, axis=1), np.argmin(sqerr, axis=1)
+    n_trials, n_snap = loglik.shape[0], xc.shape[1]
 
-    blocks = [db.block(key, GaussianStats) for key in pair_keys(len(antenna_layout(cfg)))]
-    scores = np.zeros((n_trials, n_seats))
-    for s in range(n_seats):
-        for p, block in enumerate(blocks):
-            stats = GaussianStats(mean=block.mean[s], cov=block.cov[s], loading=block.loading[s])
-            scores[:, s] += gaussian_loglik(flat[:, p, :], stats)
-    for s in range(n_seats):
-        for k in range(n_snap):
-            t = s * n_snap + k
-            fold = np.delete(np.arange(n_snap), k)
-            total = 0.0
-            for p in range(n_pairs):
-                stats = fit_gaussian(xc[s, fold, p, :], loading)
-                total += float(gaussian_loglik(xc[s, k, p, :], stats))
-            scores[t, s] = total
-    est_mle = np.argmax(scores, axis=1)
-
-    means = db.block("rssi", FingerprintVector).values  # (seats, antennas)
-    flat_r = rssi.reshape(n_trials, -1)
-    d2 = ((flat_r[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    for s in range(n_seats):
-        for k in range(n_snap):
-            t = s * n_snap + k
-            fold_mean = (n_snap * means[s] - rssi[s, k]) / (n_snap - 1)
-            d2[t, s] = ((rssi[s, k] - fold_mean) ** 2).sum()
-    est_rssi = np.argmin(d2, axis=1)
-
-    pts = grid.as_array()
+    pts = build_grid(cfg).as_array()
     rows = []
     errors = {"cir_mle": [], "rssi_euclid": []}
     for method, est in (("cir_mle", est_mle), ("rssi_euclid", est_rssi)):

@@ -44,6 +44,8 @@ _RUN_ARTIFACTS = {
     "measurements.json": (("pipeline", "seed", "scenario"), "simulate"),
     "db.json": (("pipeline", "seed", "scenario", "matching"), "learn"),
 }
+# scenario keys that only the evaluation verbs read, so neither digest covers them
+_EVALUATION_ONLY = ("walk",)
 
 
 def dump_json(obj) -> str:
@@ -119,6 +121,8 @@ def config_digest(cfg: dict, artifact: str) -> str:
     """sha256 of the config sections that determine a run artifact."""
     sections = _RUN_ARTIFACTS[artifact][0]
     subset = {key: cfg.get(key) for key in sections}
+    subset["scenario"] = {key: value for key, value in subset["scenario"].items()
+                          if key not in _EVALUATION_ONLY}
     return hashlib.sha256(dump_json(subset).encode("utf-8")).hexdigest()
 
 

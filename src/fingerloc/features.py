@@ -13,6 +13,7 @@ from .signals import (
 __all__ = [
     "xcorr",
     "cir_xcorr_fingerprint",
+    "pair_xcorr",
     "rssi_rspd",
     "rx_xcorr_fingerprint",
     "phasediff_fingerprint",
@@ -73,6 +74,34 @@ def cir_xcorr_fingerprint(cir_i: Cir, cir_j: Cir,
     values = xcorr(cir_i.taps, cir_j.taps, len(cir_i) - 1)
     return FingerprintVector(kind=FingerprintKind.CIR_XCORR, values=values,
                              meta=meta or FingerprintMeta())
+
+
+def pair_xcorr(taps) -> np.ndarray:
+    """Full cross-correlations of every antenna pair, for stacks of responses.
+
+    Args:
+        taps: (..., A, L) impulse responses of A antennas, L taps each.
+
+    Returns:
+        Complex (..., A(A-1)/2, 2L - 1): pair ``(i, j)``, ``i < j`` in
+        row-major order, holds ``xcorr(taps[..., i, :], taps[..., j, :], L - 1)``
+        (the values of :func:`cir_xcorr_fingerprint`).
+    """
+    arr = np.asarray(taps, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-2] < 2 or arr.shape[-1] == 0:
+        raise ValueError("need (..., antennas, taps) responses with at least two antennas")
+    first, second = np.triu_indices(arr.shape[-2], k=1)
+    a, b = arr[..., first, :], np.conj(arr[..., second, :])
+    n = arr.shape[-1]
+    out = np.empty(a.shape[:-1] + (2 * n - 1,), dtype=complex)
+    # lag tau sits at index tau + n - 1 and sums a(t) conj(b(t - tau))
+    for tau in range(-(n - 1), n):
+        if tau >= 0:
+            prod = a[..., tau:] * b[..., :n - tau]
+        else:
+            prod = a[..., :n + tau] * b[..., -tau:]
+        out[..., tau + n - 1] = prod.sum(axis=-1)
+    return out
 
 
 def rssi_rspd(buf_i: SignalBuffer, buf_j: SignalBuffer) -> tuple:

@@ -135,42 +135,78 @@ def fit_gaussian(samples, loading_eps: float = DEFAULT_LOADING_EPS) -> GaussianS
 def gaussian_loglik(f, stats: GaussianStats):
     """Log-density of fingerprint(s) under a complex Gaussian model.
 
-    Computes ``-d ln(pi) - ln det(R) - (f - m)^H R^{-1} (f - m)`` through a
-    Cholesky factorization (no explicit inverse).
+    Computes ``-d ln(pi) - ln det(R) - (f - m)^H R^{-1} (f - m)`` as
+    ``-d ln(pi) - ln det(R) - |W (f - m)|^2`` with the whitening factor
+    ``W = L^{-1}`` of the Cholesky factor ``R = L L^H`` (no inverse of R).
+
+    Fingerprints broadcast against the model's leading axes: ``(..., d)``
+    against one model gives ``(...)``; against a block of N models,
+    ``(..., N, d)`` scores each fingerprint against its own model and
+    ``(..., 1, d)`` (or one vector ``(d,)``) scores it against every model,
+    giving ``(..., N)``.  Scoring against every model is one matrix product
+    per chunk of fingerprints, with no ``(..., N, d)`` difference array.
 
     Args:
-        f: one fingerprint vector (d,) or a batch (n, d); against a block of
-            N models, one vector (d,).
+        f: fingerprint vector(s), last axis d.
         stats: fitted model, or a block of them.
 
     Returns:
-        Scalar for a single vector and model, (n,) array for a batch, (N,)
-        array for a block.
+        Float for one vector and one model, else the broadcast array.
+
+    Raises:
+        NumericError: a covariance of the block is not positive definite.
     """
     arr = np.asarray(f, dtype=complex)
-    block = stats.mean.ndim == 2
-    if arr.shape[-1] != stats.dim or (block and arr.ndim != 1):
-        raise ValueError(f"fingerprint shape {arr.shape} does not fit model shape "
-                         f"{stats.mean.shape}")
+    n_models = stats.mean.shape[:-1]
+    if arr.ndim == 0 or arr.shape[-1] != stats.dim or (
+            n_models and arr.ndim > 1 and arr.shape[-2] not in (1, *n_models)):
+        raise ValueError(f"fingerprint shape {arr.shape} does not broadcast against "
+                         f"model shape {stats.mean.shape}")
     try:
-        cho = scipy.linalg.cho_factor(stats.cov, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(stats.cov)
+    except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"covariance is not positive definite even after loading {stats.loading}: {exc}"
         ) from exc
-    logdet = 2.0 * np.sum(np.log(np.real(np.diagonal(cho[0], axis1=-2, axis2=-1))), axis=-1)
-    delta = arr - stats.mean
-    if block:
-        z = scipy.linalg.cho_solve(cho, delta[..., None])[..., 0]
-        quad = np.real(np.sum(delta.conj() * z, axis=-1))
-        return -stats.dim * math.log(math.pi) - logdet - quad
-    single = arr.ndim == 1
-    if single:
-        delta = delta[None, :]
-    z = scipy.linalg.cho_solve(cho, delta.T)
-    quad = np.real(np.sum(delta.conj().T * z, axis=0))
-    out = -stats.dim * math.log(math.pi) - float(logdet) - quad
-    return float(out[0]) if single else out
+    logdet = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
+    if not n_models:  # one model: a block of one along a new model axis
+        chol, mean, arr = chol[None], stats.mean[None], arr[..., None, :]
+    else:
+        mean = stats.mean
+        arr = arr if arr.ndim > 1 else arr[None]
+    if arr.shape[-2] == 1:
+        quad = _whitened_cross_norms(arr[..., 0, :], np.linalg.inv(chol), mean)
+    else:
+        z = np.linalg.solve(chol, (arr - mean)[..., None])[..., 0]
+        quad = np.sum(z.real ** 2 + z.imag ** 2, axis=-1)
+    out = -stats.dim * math.log(math.pi) - logdet - quad
+    if not n_models:
+        out = out[..., 0]
+    return float(out) if out.ndim == 0 else out
+
+
+# complex elements of the (rows, N, d) whitened block scored at a time
+_CROSS_CHUNK = 1 << 18
+
+
+def _whitened_cross_norms(f: np.ndarray, white: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``|W_n (f_t - m_n)|^2`` of every fingerprint t against every model n.
+
+    ``W_n f_t`` for all n is one product with the stacked ``(N*d, d)``
+    factors, taken over row chunks so no temporary grows with T*N*d.
+    """
+    n, d = mean.shape
+    rows = f.reshape(-1, d)
+    stacked = white.reshape(n * d, d).T
+    white_mean = np.matmul(white, mean[..., None])[..., 0]
+    out = np.empty((rows.shape[0], n))
+    step = max(1, _CROSS_CHUNK // (n * d))
+    for lo in range(0, rows.shape[0], step):
+        z = (rows[lo:lo + step] @ stacked).reshape(-1, n, d)
+        z -= white_mean
+        parts = z.view(float)  # (rows, n, 2d): real and imaginary parts
+        out[lo:lo + step] = np.einsum("tnk,tnk->tn", parts, parts)
+    return out.reshape(f.shape[:-1] + (n,))
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,23 @@ def test_database_in_the_version_1_layout_is_a_config_error(tmp_path):
     assert main(["track", "--config", cfg_path]) == EXIT_CONFIG
 
 
+def test_a_longer_walk_reuses_the_survey_and_the_map(tmp_path):
+    # track simulates the walk itself; neither measurements.json nor db.json depends on it
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    cfg = json.loads(pathlib.Path(cfg_path).read_text())
+    cfg["scenario"]["walk"]["steps"] = 8
+    pathlib.Path(cfg_path).write_text(json.dumps(cfg))
+    assert main(["track", "--config", cfg_path]) == EXIT_OK
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    fresh_path, fresh_dir = _write_config(fresh, "bems_binary", scenario=cfg["scenario"])
+    for verb in ("simulate", "learn", "track"):
+        assert main([verb, "--config", fresh_path]) == EXIT_OK
+    track = [pathlib.Path(d, "track.csv").read_bytes() for d in (out_dir, fresh_dir)]
+    assert track[0] == track[1] and len(track[0].splitlines()) == 1 + 8
+
+
 # ---------------------------------------------------------------------------
 # the training survey is simulated once per run
 # ---------------------------------------------------------------------------

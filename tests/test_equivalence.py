@@ -7,7 +7,9 @@ config.  Integers, strings and booleans must match exactly and floats to 1e-9
 relative, so a refactor that claims unchanged behaviour has to reproduce them.
 
 The property tests hold the block-wise matchers to a per-grid-point reference
-loop written out here, on random databases, and the measurement codec to a
+loop written out here, on random databases, the batched classroom
+leave-one-out to a per-trial, per-fold loop, the batched pair
+cross-correlation to ``xcorr`` per pair, and the measurement codec to a
 bit-exact round trip.
 
 Regenerate only for an intended behaviour change, and say why in CHANGES.md::
@@ -36,13 +38,23 @@ from test_cli import TINY, VERBS  # noqa: E402
 
 from fingerloc.cli import EXIT_OK, main  # noqa: E402
 from fingerloc.database import FingerprintDatabase  # noqa: E402
+from fingerloc.experiments import classroom  # noqa: E402
 from fingerloc.experiments.artifacts import validate_artifact  # noqa: E402
 from fingerloc.experiments.common import read_measurements, save_measurements  # noqa: E402
+from fingerloc.experiments.configs import parse_config  # noqa: E402
 from fingerloc.experiments.illegal import error_maps  # noqa: E402
+from fingerloc.features import pair_xcorr, xcorr  # noqa: E402
 from fingerloc.geometry import Position, build_uniform_grid  # noqa: E402
 from fingerloc.matching import mle_rssi_rspd  # noqa: E402
 from fingerloc.signals import FingerprintKind, FingerprintVector  # noqa: E402
-from fingerloc.stats import KAPPA_MAX, GammaParams, VonMisesParams  # noqa: E402
+from fingerloc.stats import (  # noqa: E402
+    KAPPA_MAX,
+    GammaParams,
+    GaussianStats,
+    VonMisesParams,
+    fit_gaussian,
+    gaussian_loglik,
+)
 
 PINNED = pathlib.Path(__file__).with_name("data") / "equivalence.json"
 
@@ -210,6 +222,88 @@ def test_error_maps_equal_per_point_loop(nx, ny, n_keys, half, magnitude_only,
     err_x, err_p = error_maps(cfg, db, xc, pd)
     assert _rel_close(err_x.values, want_x)
     assert _rel_close(err_p.values, want_p)
+
+
+# ---------------------------------------------------------------------------
+# batched classroom kernels against per-trial and per-pair loops
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(1, 3), ny=st.integers(1, 3), snapshots=st.integers(2, 4),
+       taps=st.integers(2, 4), elements=st.integers(2, 3),
+       loading_eps=st.sampled_from([1e-3, 0.1, 1.0]), frozen_seat=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_loo_scores_equal_per_trial_fold_loop(nx, ny, snapshots, taps, elements, loading_eps,
+                                               frozen_seat, seed):
+    cfg = parse_config({
+        "version": 1, "pipeline": "classroom_cir",
+        "scenario": {"grid": {"nx": nx, "ny": ny, "origin": [0, 0], "spacing_m": 1.0},
+                     "snapshots": snapshots, "tap_count": taps,
+                     "uca": {"elements": elements, "radius_m": 0.05}},
+        "matching": {"loading_eps": loading_eps},
+    })
+    rng = np.random.default_rng(seed)
+    shape = classroom.measurement_shapes(cfg)["cirs"][0]
+    cirs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if frozen_seat:  # every snapshot of seat 0 alike and integer-valued: zero fold scatter
+        cirs[0] = np.round(4 * cirs[0, 0])
+    n_seats, n_snap, n_ant, _ = shape
+    pairs = [(i, j) for i in range(n_ant) for j in range(i + 1, n_ant)]
+
+    # features and per-seat models, one snapshot, pair and seat at a time
+    xc = np.array([[[xcorr(cirs[s, k, i], cirs[s, k, j], taps - 1) for i, j in pairs]
+                    for k in range(n_snap)] for s in range(n_seats)])
+    power = np.array([[np.sum(np.abs(cirs[s, k]) ** 2, axis=1) for k in range(n_snap)]
+                      for s in range(n_seats)])
+    seat_fits = [[fit_gaussian(xc[n, :, p], loading_eps) for p in range(len(pairs))]
+                 for n in range(n_seats)]
+    # every trial against every seat's model, then the true seat's from its fold
+    want_ll = np.stack([sum(gaussian_loglik(xc[:, :, p], seat_fits[n][p])
+                            for p in range(len(pairs))).reshape(-1)
+                        for n in range(n_seats)], axis=1)
+    want_sq = np.stack([np.sum((power - power[n].mean(axis=0)) ** 2, axis=-1).reshape(-1)
+                        for n in range(n_seats)], axis=1)
+    for s in range(n_seats):
+        for k in range(n_snap):
+            t = s * n_snap + k
+            fold = [j for j in range(n_snap) if j != k]
+            want_ll[t, s] = sum(gaussian_loglik(xc[s, k, p], fit_gaussian(xc[s, fold, p],
+                                                                          loading_eps))
+                                for p in range(len(pairs)))
+            want_sq[t, s] = np.sum((power[s, k] - power[s, fold].mean(axis=0)) ** 2)
+
+    got_xc, got_power = classroom.extract_features(cirs)
+    db = classroom.build_database(cfg, got_xc, got_power)
+    for p, key in enumerate(classroom.pair_keys(n_ant)):
+        block = db.block(key, GaussianStats)
+        for n in range(n_seats):
+            assert np.allclose(block.cov[n], seat_fits[n][p].cov, rtol=1e-9, atol=1e-12)
+    loglik, sqerr = classroom.loo_scores(cfg, got_xc, got_power, db)
+    assert np.allclose(loglik, want_ll, rtol=1e-9, atol=1e-9)
+    assert np.allclose(sqerr, want_sq, rtol=1e-9, atol=1e-12)
+    rows, summary = classroom.evaluate_loo(cfg, cirs, db)
+    assert summary["trials_per_method"] == n_seats * n_snap
+    for method, want, best in (("cir_mle", want_ll, np.max), ("rssi_euclid", want_sq, np.min)):
+        est = [row[5] for row in rows if row[0] == method]
+        for t, e in enumerate(est):
+            assert want[t, e] == pytest.approx(best(want[t]), rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(taps=hnp.arrays(np.int64, hnp.array_shapes(min_dims=4, max_dims=4, min_side=1,
+                                                  max_side=5).filter(lambda s: s[2] >= 2),
+                       elements=st.integers(-1000, 1000)),
+       imag=st.integers(-1000, 1000))
+def test_pair_xcorr_equals_xcorr_per_pair_bit_for_bit(taps, imag):
+    cirs = taps + 1j * np.roll(taps, 1) * imag
+    got = pair_xcorr(cirs)
+    n_ant, n_taps = cirs.shape[-2:]
+    pairs = [(i, j) for i in range(n_ant) for j in range(i + 1, n_ant)]
+    assert got.shape == cirs.shape[:-2] + (len(pairs), 2 * n_taps - 1)
+    for idx in np.ndindex(*cirs.shape[:-2]):
+        for p, (i, j) in enumerate(pairs):
+            want = xcorr(cirs[idx + (i,)], cirs[idx + (j,)], n_taps - 1)
+            assert got[idx + (p,)].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate
 from scipy.special import i0e
 
+import fingerloc.stats
 from fingerloc.errors import NumericError
 from fingerloc.geometry import Position, build_uniform_grid
 from fingerloc.stats import (
@@ -267,7 +268,54 @@ def test_block_densities_broadcast_one_value_over_models():
         one = GaussianStats(mean=stats.mean[i], cov=stats.cov[i], loading=stats.loading[i])
         assert got_n[i] == pytest.approx(gaussian_loglik(f, one), rel=1e-12)
     with pytest.raises(ValueError):
-        gaussian_loglik(np.zeros((2, 2), dtype=complex), stats)  # a block scores one vector
+        # two fingerprints fit neither one per model (6) nor one for all models
+        gaussian_loglik(np.zeros((2, 2), dtype=complex), stats)
+
+
+def _dense_loglik(f, mean, cov):
+    sign, logdet = np.linalg.slogdet(cov)
+    delta = f - mean
+    assert sign == pytest.approx(1.0)
+    return -len(f) * math.log(math.pi) - logdet - float(
+        np.real(delta.conj() @ np.linalg.solve(cov, delta)))
+
+
+def test_gaussian_loglik_broadcasts_fingerprints_against_a_block(monkeypatch):
+    rng = np.random.default_rng(53)
+    stats = fit_gaussian(rng.standard_normal((5, 7, 3)) + 1j * rng.standard_normal((5, 7, 3)))
+    trials = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    own = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    cross = gaussian_loglik(trials[:, None, :], stats)  # every trial against every model
+    paired = gaussian_loglik(own, stats)  # fingerprint i against model i
+    assert cross.shape == (4, 5) and paired.shape == (5,)
+    for i in range(5):
+        for t in range(4):
+            want = _dense_loglik(trials[t], stats.mean[i], stats.cov[i])
+            assert cross[t, i] == pytest.approx(want, rel=1e-12)
+        assert paired[i] == pytest.approx(_dense_loglik(own[i], stats.mean[i], stats.cov[i]),
+                                          rel=1e-12)
+    deep = gaussian_loglik(np.stack([trials, 2 * trials])[:, :, None, :], stats)
+    assert deep.shape == (2, 4, 5)
+    assert np.allclose(deep[0], cross, rtol=1e-12, atol=0.0)
+    # 15 elements (5 models x 3) per trial: chunks of two trials, the last one short
+    monkeypatch.setattr(fingerloc.stats, "_CROSS_CHUNK", 30)
+    assert np.allclose(gaussian_loglik(trials[:3, None, :], stats), cross[:3],
+                       rtol=1e-12, atol=0.0)
+    for bad in (np.zeros((4, 2, 3)), np.zeros((5, 4)), np.zeros(())):
+        with pytest.raises(ValueError):
+            gaussian_loglik(bad, stats)
+
+
+def test_gaussian_loglik_rejects_a_singular_model_inside_a_block():
+    rng = np.random.default_rng(59)
+    samples = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+    samples[1] = 1.0 + 2.0j  # identical snapshots whose mean is exact: zero scatter
+    stats = fit_gaussian(samples, loading_eps=0.0)  # PSD-singular, still a valid model
+    assert stats.loading[1] == 0.0 and np.all(stats.cov[1] == 0.0)
+    with pytest.raises(NumericError):
+        gaussian_loglik(np.zeros(2, dtype=complex), stats)
+    with pytest.raises(NumericError):
+        gaussian_loglik(np.zeros((3, 2), dtype=complex), stats)
 
 
 def test_block_checks_every_model():
