@@ -32,7 +32,6 @@ from .database import (
     FingerprintDatabase,
     database_from_json,
     database_to_json,
-    euclidean_match,
     load_database,
     save_database,
 )
@@ -58,8 +57,6 @@ from .simulate import (
 # Fingerprint extraction
 # ----------------------------------------------------------------------------
 from .features import (
-    cir_xcorr_fingerprint,
-    estimate_cir,
     phasediff_fingerprint,
     rssi_rspd,
     rx_xcorr_fingerprint,

@@ -13,7 +13,6 @@ from .stats import GammaParams, GaussianStats, VonMisesParams
 __all__ = [
     "DatabaseMeta",
     "FingerprintDatabase",
-    "euclidean_match",
     "save_database",
     "load_database",
     "database_to_json",
@@ -124,24 +123,6 @@ class FingerprintDatabase:
         if not isinstance(block, cls):
             raise ValueError(f"database key {key!r} does not hold the expected block")
         return block
-
-
-def euclidean_match(target: FingerprintVector, db: FingerprintDatabase, key: str) -> int:
-    """Nearest-database-vector matching: argmin of the Euclidean distance.
-
-    Args:
-        target: the measured fingerprint.
-        db: database holding a raw ``target.kind`` fingerprint block at ``key``.
-        key: the block to match against.
-
-    Returns:
-        Grid index of the closest stored vector (lowest index on ties).
-    """
-    refs = db.block(key, FingerprintVector)
-    if refs.kind is not target.kind or refs.dim != target.dim:
-        raise ValueError(f"block {key!r} holds {refs.kind.value} vectors of dim {refs.dim}, "
-                         f"target is {target.kind.value} of dim {target.dim}")
-    return int(np.argmin(np.linalg.norm(refs.values - target.values, axis=1)))
 
 
 # ---------------------------------------------------------------------------

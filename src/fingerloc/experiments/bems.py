@@ -224,9 +224,9 @@ def evaluate_lighting(cfg: dict, grid: Grid, rows: list, candidate_sets: list) -
     out_rows = []
     powers = []
     satisfied = []
-    for row, cand in zip(rows, candidate_sets):
+    plans = solve_lighting(scenario, candidate_sets[:len(rows)])
+    for row, cand, plan in zip(rows, candidate_sets, plans):
         t, true_cell = row[0], row[1]
-        plan = solve_lighting(scenario, cand)
         powers.append(plan.power_w)
         in_set = true_cell in cand
         ok = None

@@ -3,7 +3,6 @@
 import numpy as np
 
 from .signals import (
-    Cir,
     FingerprintKind,
     FingerprintMeta,
     FingerprintVector,
@@ -12,12 +11,10 @@ from .signals import (
 
 __all__ = [
     "xcorr",
-    "cir_xcorr_fingerprint",
     "pair_xcorr",
     "rssi_rspd",
     "rx_xcorr_fingerprint",
     "phasediff_fingerprint",
-    "estimate_cir",
 ]
 
 
@@ -58,24 +55,6 @@ def xcorr(a, b, max_lag: int) -> np.ndarray:
     return out
 
 
-def cir_xcorr_fingerprint(cir_i: Cir, cir_j: Cir,
-                          meta: FingerprintMeta | None = None) -> FingerprintVector:
-    """Fingerprint from the full cross-correlation of two impulse responses.
-
-    Both responses must share the same tap count L; the result spans every
-    lag with any overlap, giving dimension 2L - 1.
-    """
-    if len(cir_i) != len(cir_j):
-        raise ValueError(
-            f"impulse responses must have equal tap counts, got {len(cir_i)} and {len(cir_j)}"
-        )
-    if cir_i.bandwidth_hz != cir_j.bandwidth_hz:
-        raise ValueError("impulse responses must share a bandwidth")
-    values = xcorr(cir_i.taps, cir_j.taps, len(cir_i) - 1)
-    return FingerprintVector(kind=FingerprintKind.CIR_XCORR, values=values,
-                             meta=meta or FingerprintMeta())
-
-
 def pair_xcorr(taps) -> np.ndarray:
     """Full cross-correlations of every antenna pair, for stacks of responses.
 
@@ -84,8 +63,7 @@ def pair_xcorr(taps) -> np.ndarray:
 
     Returns:
         Complex (..., A(A-1)/2, 2L - 1): pair ``(i, j)``, ``i < j`` in
-        row-major order, holds ``xcorr(taps[..., i, :], taps[..., j, :], L - 1)``
-        (the values of :func:`cir_xcorr_fingerprint`).
+        row-major order, holds ``xcorr(taps[..., i, :], taps[..., j, :], L - 1)``.
     """
     arr = np.asarray(taps, dtype=complex)
     if arr.ndim < 2 or arr.shape[-2] < 2 or arr.shape[-1] == 0:
@@ -163,26 +141,3 @@ def phasediff_fingerprint(bufs, pairs, meta: FingerprintMeta | None = None) -> F
                                freq_hz=base.freq_hz, bandwidth_hz=base.bandwidth_hz)
     return FingerprintVector(kind=FingerprintKind.PHASE_DIFF,
                              values=np.asarray(phases, dtype=float), meta=out_meta)
-
-
-def estimate_cir(rx: SignalBuffer, replica, tap_count: int) -> Cir:
-    """Correlate a capture against a known transmit replica to recover taps.
-
-    Convenience for replica-based sounding: the sliding correlation at lags
-    0 .. tap_count - 1, normalized by the replica energy.  Faithful only when
-    the replica autocorrelation is impulse-like.
-    """
-    replica = np.asarray(replica, dtype=complex)
-    if replica.size == 0:
-        raise ValueError("replica must be non-empty")
-    if tap_count < 1:
-        raise ValueError("tap_count must be >= 1")
-    energy = float(np.sum(np.abs(replica) ** 2))
-    if energy == 0.0:
-        raise ValueError("replica has zero energy")
-    max_lag = max(len(rx), replica.size) - 1
-    corr = xcorr(rx.samples, replica, max_lag)
-    taps = np.zeros(tap_count, dtype=complex)
-    take = min(tap_count, max_lag + 1)
-    taps[:take] = corr[max_lag: max_lag + take] / energy
-    return Cir(taps=taps, bandwidth_hz=rx.sample_rate_hz)

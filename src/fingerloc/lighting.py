@@ -5,10 +5,10 @@ occupied grid cells; unoccupied cells carry no constraint, which is where
 the energy saving over an all-on baseline comes from.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InfeasibleError
 from .geometry import Grid, Position
@@ -20,19 +20,23 @@ __all__ = ["Light", "LightingScenario", "LightingPlan", "light_gain",
 FEASIBILITY_MARGIN = 1e-9
 
 
-def light_gain(light_pos: Position, height_m: float, peak_lux: float,
-               target: Position) -> float:
+def light_gain(light_pos, height_m, peak_lux, target):
     """Illuminance a ceiling luminaire delivers to a floor location.
 
     Inverse-square law with the cosine of the incidence angle cubed:
     ``peak * h**3 / (h**2 + d**2)**1.5`` for horizontal offset ``d``,
     so a target directly below the light receives ``peak_lux``.
+
+    Positions are ``(..., 2)`` floor coordinates; all arguments broadcast.
     """
-    if not (height_m > 0):
+    height_m = np.asarray(height_m, dtype=float)
+    peak_lux = np.asarray(peak_lux, dtype=float)
+    if not np.all(height_m > 0):
         raise ValueError("mounting height must be positive")
-    if not (peak_lux >= 0):
+    if not np.all(peak_lux >= 0):
         raise ValueError("peak illuminance must be nonnegative")
-    d2 = (target.x - light_pos.x) ** 2 + (target.y - light_pos.y) ** 2
+    offset = np.asarray(target, dtype=float) - np.asarray(light_pos, dtype=float)
+    d2 = offset[..., 0] ** 2 + offset[..., 1] ** 2
     return peak_lux * height_m ** 3 / (height_m ** 2 + d2) ** 1.5
 
 
@@ -53,9 +57,6 @@ class Light:
         if not (self.height_m > 0):
             raise ValueError("mounting height must be positive")
 
-    def gain(self, target: Position) -> float:
-        return light_gain(self.position, self.height_m, self.peak_lux, target)
-
 
 @dataclass(frozen=True)
 class LightingScenario:
@@ -66,12 +67,15 @@ class LightingScenario:
         lights: the controllable luminaires.
         target_lux: minimum illuminance at every occupied cell.
         env_lux: ambient (daylight) illuminance per grid cell.
+        gains: (cells, lights) illuminance of each light at full power,
+            computed once from the grid and the lights.
     """
 
     grid: Grid
     lights: tuple
     target_lux: float
     env_lux: np.ndarray = field(default=None)
+    gains: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lights", tuple(self.lights))
@@ -87,15 +91,16 @@ class LightingScenario:
             raise ValueError("ambient illuminance must be finite and nonnegative")
         env.flags.writeable = False
         object.__setattr__(self, "env_lux", env)
+        gains = light_gain([(l.position.x, l.position.y) for l in self.lights],
+                           [l.height_m for l in self.lights],
+                           [l.peak_lux for l in self.lights],
+                           self.grid.as_array()[:, None, :])
+        gains.flags.writeable = False
+        object.__setattr__(self, "gains", gains)
 
     def gain_matrix(self, cell_indices) -> np.ndarray:
         """Per-cell-per-light illuminance at full power, shape (cells, lights)."""
-        out = np.empty((len(cell_indices), len(self.lights)))
-        for r, idx in enumerate(cell_indices):
-            cell = self.grid.points[idx]
-            for l, light in enumerate(self.lights):
-                out[r, l] = light.gain(cell)
-        return out
+        return self.gains[np.asarray(cell_indices, dtype=int)]
 
 
 @dataclass(frozen=True)
@@ -111,45 +116,56 @@ def illuminance(scenario: LightingScenario, switches, cell_index: int) -> float:
     sw = np.asarray(switches, dtype=float)
     if sw.shape != (len(scenario.lights),):
         raise ValueError("need one dimmer setting per light")
-    cell = scenario.grid.points[cell_index]
-    lit = sum(s * light.gain(cell) for s, light in zip(sw, scenario.lights))
-    return float(lit + scenario.env_lux[cell_index])
+    return float(scenario.gains[cell_index] @ sw + scenario.env_lux[cell_index])
 
 
-def solve_lighting(scenario: LightingScenario, occupied_indices) -> LightingPlan:
+def solve_lighting(scenario: LightingScenario, occupied_sets) -> list:
     """Pick dimmer settings meeting the lux target at occupied cells at min power.
+
+    The sets are independent programs, so they are solved as one
+    block-diagonal LP (one block of gain rows per non-empty set, the light
+    powers tiled as costs): the sum is at its minimum exactly when every
+    block is.
 
     Args:
         scenario: room, lights, and illuminance requirement.
-        occupied_indices: grid indices that must reach ``target_lux``.
+        occupied_sets: sequence of collections of grid indices; every index
+            of a set must reach ``target_lux`` under that set's plan.
 
     Returns:
-        The power-optimal LightingPlan; all lights off when nothing is occupied.
+        One power-optimal LightingPlan per set, in order; all lights off
+        (``power_w == 0.0``) for an empty set.
 
     Raises:
         InfeasibleError: some occupied cell misses the target even with every
-            light fully on; the violated grid indices ride on the exception.
+            light fully on; the violated grid indices of the first such set
+            ride on the exception.
     """
-    occupied = sorted(set(int(i) for i in occupied_indices))
-    n_lights = len(scenario.lights)
-    if any(i < 0 or i >= len(scenario.grid) for i in occupied):
+    sets = [np.unique(np.asarray(list(cells), dtype=int)) for cells in occupied_sets]
+    sizes = [s.size for s in sets]
+    cells = np.concatenate([np.zeros(0, dtype=int)] + sets)
+    if np.any((cells < 0) | (cells >= len(scenario.grid))):
         raise ValueError("occupied cell index out of range")
-    if len(occupied) == 0:
-        return LightingPlan(switches=np.zeros(n_lights), power_w=0.0)
 
-    gains = scenario.gain_matrix(occupied)
-    need = scenario.target_lux - scenario.env_lux[occupied]
-
-    all_on = gains.sum(axis=1)
-    violated = tuple(idx for r, idx in enumerate(occupied)
-                     if all_on[r] < need[r] - FEASIBILITY_MARGIN)
-    if violated:
+    gains = scenario.gain_matrix(cells)
+    need = scenario.target_lux - scenario.env_lux[cells]
+    short = gains.sum(axis=1) < need - FEASIBILITY_MARGIN
+    if np.any(short):
+        owner = np.repeat(np.arange(len(sets)), sizes)
+        first = owner[np.argmax(short)]
+        violated = tuple(int(c) for c in cells[short & (owner == first)])
         raise InfeasibleError(
-            f"{len(violated)} occupied cell(s) cannot reach "
+            f"occupied set {first}: {len(violated)} cell(s) cannot reach "
             f"{scenario.target_lux} lux even with all lights on",
             violated=violated,
         )
 
     powers = np.array([light.power_w for light in scenario.lights])
-    result = solve_bounded_lp(powers, gains, need, np.ones(n_lights))
-    return LightingPlan(switches=result.x, power_w=float(result.objective))
+    switches = np.zeros((len(sets), len(powers)))
+    lit = np.flatnonzero(sizes)
+    if lit.size:
+        blocks = [g for g in np.split(gains, np.cumsum(sizes)[:-1]) if g.size]
+        x = solve_bounded_lp(np.tile(powers, lit.size), sparse.block_diag(blocks, format="csr"),
+                             need, np.ones(lit.size * len(powers)))
+        switches[lit] = x.reshape(lit.size, len(powers))
+    return [LightingPlan(switches=sw, power_w=float(powers @ sw)) for sw in switches]

@@ -1,157 +1,46 @@
-"""Dense two-phase simplex solver for the small LPs used by lighting control."""
-
-from dataclasses import dataclass
+"""Bounded linear programs for lighting control, solved by HiGHS."""
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from .errors import InfeasibleError, NumericError
 
-__all__ = ["LpResult", "solve_standard_lp", "solve_bounded_lp"]
+__all__ = ["solve_bounded_lp"]
 
-_TOL = 1e-9
-_MAX_ITERATIONS = 10_000
-
-
-@dataclass(frozen=True)
-class LpResult:
-    x: np.ndarray
-    objective: float
+_HIGHS_INFEASIBLE = 2
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
-
-
-def _iterate(tableau: np.ndarray, basis: list) -> None:
-    """Run simplex pivots to optimality using Bland's anti-cycling rule."""
-    m = len(basis)
-    for _ in range(_MAX_ITERATIONS):
-        cost = tableau[m, :-1]
-        entering = -1
-        for j in range(cost.size):  # smallest improving index
-            if cost[j] < -_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return
-        leaving = -1
-        best = np.inf
-        for i in range(m):
-            a = tableau[i, entering]
-            if a > _TOL:
-                ratio = tableau[i, -1] / a
-                if ratio < best - _TOL or (ratio < best + _TOL
-                                           and (leaving < 0 or basis[i] < basis[leaving])):
-                    best = ratio
-                    leaving = i
-        if leaving < 0:
-            raise NumericError("linear program is unbounded")
-        _pivot(tableau, leaving, entering)
-        basis[leaving] = entering
-    raise NumericError("simplex failed to converge")
-
-
-def solve_standard_lp(c, a_eq, b_eq) -> LpResult:
-    """Minimize ``c @ x`` subject to ``a_eq @ x == b_eq`` and ``x >= 0``.
-
-    Two-phase method: phase 1 minimizes the sum of one artificial variable
-    per row to find a feasible basis, phase 2 optimizes the true objective.
-
-    Raises:
-        InfeasibleError: no nonnegative solution satisfies the equalities.
-        NumericError: the program is unbounded below.
-    """
-    c = np.asarray(c, dtype=float)
-    a = np.array(a_eq, dtype=float)
-    b = np.array(b_eq, dtype=float)
-    if a.ndim != 2 or c.ndim != 1 or b.ndim != 1:
-        raise ValueError("c and b must be vectors and a_eq a matrix")
-    m, n = a.shape
-    if c.size != n or b.size != m:
-        raise ValueError("inconsistent LP dimensions")
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("LP data must be finite")
-
-    neg = b < 0  # artificials need nonnegative right-hand sides
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Phase 1 tableau: [A | I | b] with artificial basis and cost sum(artificials).
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = a
-    tableau[:m, n:n + m] = np.eye(m)
-    tableau[:m, -1] = b
-    tableau[m, n:n + m] = 1.0
-    tableau[m] -= tableau[:m].sum(axis=0)
-    basis = list(range(n, n + m))
-
-    _iterate(tableau, basis)
-    if -tableau[m, -1] > 1e-7:
-        raise InfeasibleError("equality constraints admit no nonnegative solution")
-
-    # Drive remaining artificials out of the basis; drop redundant rows.
-    keep = []
-    for i in range(m):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        col = next((j for j in range(n) if abs(tableau[i, j]) > _TOL), -1)
-        if col >= 0:
-            _pivot(tableau, i, col)
-            basis[i] = col
-            keep.append(i)
-    if len(keep) < m:
-        rows = keep + [m]
-        tableau = tableau[rows]
-        basis = [basis[i] for i in keep]
-        m = len(basis)
-
-    # Phase 2: original costs over the structural columns only.
-    tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
-    tableau[m, :n] = c
-    tableau[m, -1] = 0.0
-    for i in range(m):
-        tableau[m] -= c[basis[i]] * tableau[i]
-    _iterate(tableau, basis)
-
-    x = np.zeros(n)
-    for i in range(m):
-        x[basis[i]] = tableau[i, -1]
-    return LpResult(x=x, objective=float(c @ x))
-
-
-def solve_bounded_lp(c, a_ge, b_ge, upper) -> LpResult:
+def solve_bounded_lp(c, a_ge, b_ge, upper) -> np.ndarray:
     """Minimize ``c @ x`` subject to ``a_ge @ x >= b_ge`` and ``0 <= x <= upper``.
 
-    Reduced to standard form with one surplus variable per coverage row and
-    one slack per upper bound.
+    One ``scipy.optimize.linprog(method="highs")`` call; ``a_ge`` may be a
+    dense array or a scipy sparse matrix (block-diagonal batches of
+    independent programs stay sparse).
+
+    Returns:
+        The optimal ``x``, clipped into its bounds.
+
+    Raises:
+        InfeasibleError: no ``x`` within the bounds covers every row.
+        NumericError: HiGHS stopped without an optimum for another reason.
     """
     c = np.asarray(c, dtype=float)
-    a = np.asarray(a_ge, dtype=float)
+    a = a_ge if sparse.issparse(a_ge) else np.asarray(a_ge, dtype=float)
     b = np.asarray(b_ge, dtype=float)
     u = np.asarray(upper, dtype=float)
     if a.ndim != 2:
         raise ValueError("a_ge must be a matrix")
     m, n = a.shape
-    if c.size != n or b.size != m or u.size != n:
+    if c.shape != (n,) or b.shape != (m,) or u.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
     if not np.all(u >= 0):
         raise ValueError("upper bounds must be nonnegative")
 
-    # Columns: [x, bound slacks, coverage surpluses].
-    a_eq = np.zeros((n + m, n + n + m))
-    b_eq = np.zeros(n + m)
-    a_eq[:n, :n] = np.eye(n)
-    a_eq[:n, n:2 * n] = np.eye(n)
-    b_eq[:n] = u
-    a_eq[n:, :n] = a
-    a_eq[n:, 2 * n:] = -np.eye(m)
-    b_eq[n:] = b
-    c_eq = np.concatenate([c, np.zeros(n + m)])
-
-    result = solve_standard_lp(c_eq, a_eq, b_eq)
-    x = np.clip(result.x[:n], 0.0, u)
-    return LpResult(x=x, objective=float(c @ x))
+    res = linprog(c, A_ub=-a, b_ub=-b, bounds=np.column_stack([np.zeros(n), u]),
+                  method="highs")
+    if res.status == _HIGHS_INFEASIBLE:
+        raise InfeasibleError("coverage constraints admit no solution within the bounds")
+    if res.status != 0:
+        raise NumericError(f"HiGHS found no optimum: {res.message}")
+    return np.clip(res.x, 0.0, u)

@@ -102,9 +102,11 @@ def fit_gaussian(samples, loading_eps: float = DEFAULT_LOADING_EPS) -> GaussianS
     """Fit mean and covariance of complex fingerprint samples.
 
     The covariance is the biased (divide by n) scatter of complex outer
-    products plus diagonal loading ``loading_eps * trace / dim`` (or
-    ``loading_eps`` outright when the scatter is exactly zero), which keeps
-    the model invertible with few snapshots.
+    products plus diagonal loading ``loading_eps * trace / dim``, which keeps
+    the model invertible with few snapshots.  A scatter whose trace is at or
+    below float rounding of the samples (``trace <= dim * eps * mean |x|^2``)
+    counts as zero: such a model is ``loading_eps * I`` with loading
+    ``loading_eps``.
 
     Args:
         samples: (n, d) array-like of complex sample vectors, n >= 1, or
@@ -127,7 +129,11 @@ def fit_gaussian(samples, loading_eps: float = DEFAULT_LOADING_EPS) -> GaussianS
     scatter = np.swapaxes(centered, -1, -2) @ centered.conj() / n
     scatter = (scatter + np.conj(np.swapaxes(scatter, -1, -2))) / 2.0
     trace = np.real(np.trace(scatter, axis1=-2, axis2=-1))
-    loading = np.where(trace > 0.0, loading_eps * trace / d, loading_eps)
+    # equal samples whose float mean does not reproduce them leave a
+    # rounding-level scatter; below float precision of the samples it is zero
+    zero = trace <= d * np.finfo(float).eps * np.mean(np.abs(arr) ** 2, axis=(-2, -1))
+    scatter[zero] = 0.0
+    loading = np.where(zero, loading_eps, loading_eps * trace / d)
     cov = scatter + loading[..., None, None] * np.eye(d)
     return GaussianStats(mean=mean, cov=cov, loading=loading)
 

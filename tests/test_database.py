@@ -1,4 +1,4 @@
-"""Database container, matching, and JSON persistence round-trips."""
+"""Database container, block lookup, and JSON persistence round-trips."""
 
 import json
 import math
@@ -13,7 +13,6 @@ from fingerloc.database import (
     DatabaseMeta,
     database_from_json,
     database_to_json,
-    euclidean_match,
     load_database,
     save_database,
 )
@@ -210,27 +209,3 @@ def test_database_block_lookup_checks_type():
         db.block("b", FingerprintVector)  # wrong block type
     with pytest.raises(ValueError):
         db.block("missing", FingerprintVector)
-
-
-def test_euclidean_match_minimizes_distance():
-    grid = _grid(2)
-    refs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    db = FingerprintDatabase(grid=grid, blocks={
-        "m": FingerprintVector(kind=FingerprintKind.RSSI, values=refs)})
-    target = FingerprintVector(kind=FingerprintKind.RSSI, values=[0.9, 0.1])
-    assert euclidean_match(target, db, "m") == 1
-    # [0.5, 0.5] is equidistant from all four references: lowest index wins
-    tie = FingerprintVector(kind=FingerprintKind.RSSI, values=[0.5, 0.5])
-    assert euclidean_match(tie, db, "m") == 0
-
-
-def test_euclidean_match_checks_dimensions():
-    grid = _grid(1)
-    db = FingerprintDatabase(grid=grid, blocks={
-        "m": FingerprintVector(kind=FingerprintKind.RSSI, values=[[1.0, 2.0]])})
-    bad = FingerprintVector(kind=FingerprintKind.RSSI, values=[1.0])
-    with pytest.raises(ValueError):
-        euclidean_match(bad, db, "m")
-    other = FingerprintVector(kind=FingerprintKind.BINARY, values=[1.0, 0.0])
-    with pytest.raises(ValueError):
-        euclidean_match(other, db, "m")

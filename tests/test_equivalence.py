@@ -9,8 +9,9 @@ relative, so a refactor that claims unchanged behaviour has to reproduce them.
 The property tests hold the block-wise matchers to a per-grid-point reference
 loop written out here, on random databases, the batched classroom
 leave-one-out to a per-trial, per-fold loop, the batched pair
-cross-correlation to ``xcorr`` per pair, and the measurement codec to a
-bit-exact round trip.
+cross-correlation to ``xcorr`` per pair, the block-diagonal lighting LP to
+one ``linprog`` per occupied set, and the measurement codec to a bit-exact
+round trip.
 
 Regenerate only for an intended behaviour change, and say why in CHANGES.md::
 
@@ -30,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import linprog
 from scipy.special import i0e
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -45,6 +47,7 @@ from fingerloc.experiments.configs import parse_config  # noqa: E402
 from fingerloc.experiments.illegal import error_maps  # noqa: E402
 from fingerloc.features import pair_xcorr, xcorr  # noqa: E402
 from fingerloc.geometry import Position, build_uniform_grid  # noqa: E402
+from fingerloc.lighting import Light, LightingScenario, illuminance, solve_lighting  # noqa: E402
 from fingerloc.matching import mle_rssi_rspd  # noqa: E402
 from fingerloc.signals import FingerprintKind, FingerprintVector  # noqa: E402
 from fingerloc.stats import (  # noqa: E402
@@ -245,8 +248,8 @@ def test_loo_scores_equal_per_trial_fold_loop(nx, ny, snapshots, taps, elements,
     rng = np.random.default_rng(seed)
     shape = classroom.measurement_shapes(cfg)["cirs"][0]
     cirs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if frozen_seat:  # every snapshot of seat 0 alike and integer-valued: zero fold scatter
-        cirs[0] = np.round(4 * cirs[0, 0])
+    if frozen_seat:  # every snapshot of seat 0 alike: zero fold scatter up to rounding
+        cirs[0] = cirs[0, 0]
     n_seats, n_snap, n_ant, _ = shape
     pairs = [(i, j) for i in range(n_ant) for j in range(i + 1, n_ant)]
 
@@ -304,6 +307,44 @@ def test_pair_xcorr_equals_xcorr_per_pair_bit_for_bit(taps, imag):
         for p, (i, j) in enumerate(pairs):
             want = xcorr(cirs[idx + (i,)], cirs[idx + (j,)], n_taps - 1)
             assert got[idx + (p,)].tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# block-diagonal lighting LP against one linprog per occupied set
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(n_lights=st.integers(1, 4), set_sizes=st.lists(st.integers(0, 5), max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_lighting_equals_per_set_linprog(n_lights, set_sizes, seed):
+    rng = np.random.default_rng(seed)
+    grid = build_uniform_grid(Position(0.0, 0.0), 4, 4, 1.0)
+    lights = [Light(position=Position(*rng.uniform(0.0, 3.0, 2)),
+                    power_w=float(rng.uniform(20, 60)), peak_lux=float(rng.uniform(300, 900)),
+                    height_m=float(rng.uniform(2.0, 3.0)))
+              for _ in range(n_lights)]
+    env = rng.uniform(0.0, 5.0, len(grid))
+    all_on = LightingScenario(grid=grid, lights=lights, target_lux=1.0).gains.sum(axis=1)
+    # every cell reachable, and every occupied cell needs some light
+    target = float(env.min() + rng.uniform(0.3, 0.95) * all_on.min())
+    scen = LightingScenario(grid=grid, lights=lights, target_lux=target, env_lux=env)
+    sets = [rng.choice(len(grid), size=k, replace=False).tolist() for k in set_sizes]
+    powers = np.array([light.power_w for light in lights])
+
+    plans = solve_lighting(scen, sets)
+    assert len(plans) == len(sets)
+    for cells, plan in zip(sets, plans):
+        assert plan.switches.shape == (n_lights,)
+        if not cells:
+            assert plan.power_w == 0.0 and np.all(plan.switches == 0.0)
+            continue
+        ref = linprog(powers, A_ub=-scen.gains[cells], b_ub=-(target - env[cells]),
+                      bounds=[(0.0, 1.0)] * n_lights, method="highs")
+        assert ref.status == 0
+        assert plan.power_w == pytest.approx(ref.fun, rel=1e-9)
+        assert np.all(plan.switches >= 0.0) and np.all(plan.switches <= 1.0)
+        for c in cells:
+            assert illuminance(scen, plan.switches, c) >= target - 1e-6
 
 
 # ---------------------------------------------------------------------------

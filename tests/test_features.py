@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from fingerloc.features import (
-    cir_xcorr_fingerprint,
-    estimate_cir,
     phasediff_fingerprint,
     rssi_rspd,
     rx_xcorr_fingerprint,
     xcorr,
 )
-from fingerloc.signals import Cir, FingerprintKind, FingerprintMeta, SignalBuffer, wrap_angle
+from fingerloc.signals import FingerprintKind, FingerprintMeta, SignalBuffer, wrap_angle
 from fingerloc.simulate import zadoff_chu
 
 
@@ -116,25 +114,6 @@ def test_xcorr_validates_inputs():
     assert np.array_equal(xcorr([2.0], [4.0], 0), [8.0])
 
 
-def test_cir_xcorr_fingerprint_spans_all_lags():
-    rng = np.random.default_rng(31)
-    taps_i = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    taps_j = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    fp = cir_xcorr_fingerprint(Cir(taps=taps_i, bandwidth_hz=2e7),
-                               Cir(taps=taps_j, bandwidth_hz=2e7))
-    assert fp.kind is FingerprintKind.CIR_XCORR
-    assert fp.dim == 2 * 5 - 1
-    assert np.allclose(fp.values, xcorr_brute(taps_i, taps_j, 4), rtol=1e-12)
-
-
-def test_cir_xcorr_fingerprint_checks_compatibility():
-    a = Cir(taps=np.ones(4), bandwidth_hz=2e7)
-    with pytest.raises(ValueError):
-        cir_xcorr_fingerprint(a, Cir(taps=np.ones(5), bandwidth_hz=2e7))
-    with pytest.raises(ValueError):
-        cir_xcorr_fingerprint(a, Cir(taps=np.ones(4), bandwidth_hz=1e7))
-
-
 def test_rssi_rspd_analytic_cases():
     same = SignalBuffer(samples=np.array([1.0, 1.0]), sample_rate_hz=1.0)
     rssi, phase = rssi_rspd(same, same)
@@ -189,39 +168,3 @@ def test_phasediff_fingerprint_recovers_element_phase_offsets():
         assert value == pytest.approx(wrap_angle(offsets[i] - offsets[j]), abs=1e-12)
     with pytest.raises(ValueError):
         phasediff_fingerprint(bufs, ())
-
-
-def test_estimate_cir_with_unit_replica_reads_samples():
-    rx = SignalBuffer(samples=np.array([3.0, 4.0, 5.0]), sample_rate_hz=2e6)
-    cir = estimate_cir(rx, [1.0], tap_count=2)
-    assert np.array_equal(cir.taps, [3.0, 4.0])
-    assert cir.bandwidth_hz == 2e6
-    # replica [2] has energy 4: correlation 2*rx divided by 4 gives rx/2
-    cir2 = estimate_cir(rx, [2.0], tap_count=3)
-    assert np.allclose(cir2.taps, [1.5, 2.0, 2.5], rtol=1e-12)
-
-
-def test_estimate_cir_recovers_delayed_replica():
-    x = zadoff_chu(5, 63)
-    rx = SignalBuffer(samples=np.concatenate([np.zeros(2), x]), sample_rate_hz=1e7)
-    cir = estimate_cir(rx, x, tap_count=5)
-    assert abs(cir.taps[2]) == pytest.approx(1.0, rel=1e-12)
-    others = np.delete(np.abs(cir.taps), 2)
-    assert np.all(others < 0.2)  # ZC linear sidelobes are small but nonzero
-
-
-def test_estimate_cir_validation():
-    rx = SignalBuffer(samples=np.ones(4), sample_rate_hz=1.0)
-    with pytest.raises(ValueError):
-        estimate_cir(rx, [], tap_count=2)
-    with pytest.raises(ValueError):
-        estimate_cir(rx, [1.0], tap_count=0)
-    with pytest.raises(ValueError):
-        estimate_cir(rx, [0.0, 0.0], tap_count=2)
-
-
-def test_estimate_cir_pads_beyond_buffer():
-    # tap_count longer than the available lags: the tail stays zero
-    rx = SignalBuffer(samples=np.array([1.0, 2.0]), sample_rate_hz=1.0)
-    cir = estimate_cir(rx, [1.0], tap_count=6)
-    assert np.array_equal(cir.taps, [1.0, 2.0, 0.0, 0.0, 0.0, 0.0])

@@ -1,8 +1,8 @@
-"""Lighting control and the underlying simplex solver against independent oracles."""
+"""Lighting control and its bounded LP against independent oracles."""
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy import sparse
 
 from fingerloc.errors import InfeasibleError, NumericError
 from fingerloc.geometry import Position, build_uniform_grid
@@ -13,88 +13,34 @@ from fingerloc.lighting import (
     light_gain,
     solve_lighting,
 )
-from fingerloc.simplex import solve_bounded_lp, solve_standard_lp
+from fingerloc.simplex import solve_bounded_lp
 
 
 # ---------------------------------------------------------------------------
-# simplex solver
+# bounded LP
 # ---------------------------------------------------------------------------
-
-def test_standard_lp_single_equality():
-    # min x1 + x2 with x1 + 2 x2 = 4: put everything on the cheap-per-unit x2
-    res = solve_standard_lp([1.0, 1.0], [[1.0, 2.0]], [4.0])
-    assert np.allclose(res.x, [0.0, 2.0], atol=1e-9)
-    assert res.objective == pytest.approx(2.0, abs=1e-9)
-
-
-def test_standard_lp_two_constraints_with_slacks():
-    # max x1 + 2 x2 s.t. x1 + x2 <= 4, x2 <= 3, written with explicit slacks
-    c = [-1.0, -2.0, 0.0, 0.0]
-    a = [[1.0, 1.0, 1.0, 0.0],
-         [0.0, 1.0, 0.0, 1.0]]
-    res = solve_standard_lp(c, a, [4.0, 3.0])
-    assert np.allclose(res.x[:2], [1.0, 3.0], atol=1e-9)
-    assert res.objective == pytest.approx(-7.0, abs=1e-9)
-
-
-def test_standard_lp_negative_rhs_and_redundant_rows():
-    # -x1 = -1 flips sign internally; the duplicated row is redundant
-    res = solve_standard_lp([1.0, 5.0], [[-1.0, 0.0], [2.0, 0.0]], [-1.0, 2.0])
-    assert np.allclose(res.x, [1.0, 0.0], atol=1e-9)
-    assert res.objective == pytest.approx(1.0, abs=1e-9)
-
-
-def test_standard_lp_unbounded():
-    # x1 = x2 free to grow while the objective -x1 falls forever
-    with pytest.raises(NumericError):
-        solve_standard_lp([-1.0, 0.0], [[1.0, -1.0]], [0.0])
-
-
-def test_standard_lp_infeasible():
-    with pytest.raises(InfeasibleError):
-        solve_standard_lp([1.0, 1.0], [[1.0, 1.0]], [-1.0])
-
-
-def test_standard_lp_validation():
-    with pytest.raises(ValueError):
-        solve_standard_lp([1.0], [[1.0, 2.0]], [1.0])
-    with pytest.raises(ValueError):
-        solve_standard_lp([1.0, 2.0], [[1.0, np.inf]], [1.0])
-    with pytest.raises(ValueError):
-        solve_standard_lp([1.0, 2.0], [1.0, 2.0], [1.0])
-
-
-def test_standard_lp_matches_reference_solver():
-    # random feasible bounded problems, checked against scipy's solver
-    rng = np.random.default_rng(101)
-    for _ in range(20):
-        m = int(rng.integers(1, 4))
-        n = int(rng.integers(2, 6))
-        a = rng.uniform(-2, 2, size=(m, n))
-        x0 = rng.uniform(0, 3, size=n)  # a known nonnegative solution
-        b = a @ x0
-        c = rng.uniform(0.1, 3.0, size=n)  # positive costs keep it bounded
-        res = solve_standard_lp(c, a, b)
-        ref = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-        assert ref.status == 0
-        assert res.objective == pytest.approx(ref.fun, abs=1e-8)
-        assert np.all(res.x >= -1e-9)
-        assert np.allclose(a @ res.x, b, atol=1e-8)
-
 
 def test_bounded_lp_scalar_coverage():
     # min x with x >= 0.3 and x <= 1
-    res = solve_bounded_lp([1.0], [[1.0]], [0.3], [1.0])
-    assert res.x[0] == pytest.approx(0.3, abs=1e-9)
-    assert res.objective == pytest.approx(0.3, abs=1e-9)
+    x = solve_bounded_lp([1.0], [[1.0]], [0.3], [1.0])
+    assert x[0] == pytest.approx(0.3, abs=1e-9)
 
 
 def test_bounded_lp_binding_upper_bounds():
-    res = solve_bounded_lp([1.0, 1.0], [[1.0, 1.0]], [2.0], [1.0, 1.0])
-    assert np.allclose(res.x, [1.0, 1.0], atol=1e-9)
-    res = solve_bounded_lp([3.0, 1.0], [[1.0, 1.0]], [1.5], [1.0, 1.0])
+    x = solve_bounded_lp([1.0, 1.0], [[1.0, 1.0]], [2.0], [1.0, 1.0])
+    assert np.allclose(x, [1.0, 1.0], atol=1e-9)
+    x = solve_bounded_lp([3.0, 1.0], [[1.0, 1.0]], [1.5], [1.0, 1.0])
     # the cheap variable saturates first
-    assert np.allclose(res.x, [0.5, 1.0], atol=1e-9)
+    assert np.allclose(x, [0.5, 1.0], atol=1e-9)
+
+
+def test_bounded_lp_takes_sparse_coverage_rows():
+    a = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
+    dense = solve_bounded_lp([1.0, 2.0, 1.0], a, [1.0, 1.5], [1.0, 1.0, 1.0])
+    sparse_x = solve_bounded_lp([1.0, 2.0, 1.0], sparse.csr_array(a), [1.0, 1.5],
+                                [1.0, 1.0, 1.0])
+    assert np.allclose(dense, [0.0, 0.5, 1.0], atol=1e-9)  # x3 <= 1 forces x2 >= 0.5
+    assert np.allclose(sparse_x, dense, atol=1e-9)
 
 
 def test_bounded_lp_infeasible_coverage():
@@ -102,22 +48,19 @@ def test_bounded_lp_infeasible_coverage():
         solve_bounded_lp([1.0], [[1.0]], [2.0], [1.0])
 
 
-def test_bounded_lp_matches_reference_solver():
-    rng = np.random.default_rng(103)
-    for _ in range(20):
-        m = int(rng.integers(1, 4))
-        n = int(rng.integers(1, 5))
-        a = rng.uniform(0.2, 2.0, size=(m, n))  # nonnegative coverage rows
-        u = rng.uniform(0.5, 2.0, size=n)
-        b = (a @ u) * rng.uniform(0.2, 0.9, size=m)  # feasible below all-on
-        c = rng.uniform(0.5, 3.0, size=n)
-        res = solve_bounded_lp(c, a, b, u)
-        ref = linprog(c, A_ub=-a, b_ub=-b, bounds=list(zip(np.zeros(n), u)),
-                      method="highs")
-        assert ref.status == 0
-        assert res.objective == pytest.approx(ref.fun, abs=1e-8)
-        assert np.all(a @ res.x >= b - 1e-8)
-        assert np.all(res.x >= 0) and np.all(res.x <= u + 1e-12)
+def test_bounded_lp_unbounded_is_a_numeric_error():
+    # an unbounded variable with negative cost falls forever
+    with pytest.raises(NumericError):
+        solve_bounded_lp([-1.0], [[0.0]], [0.0], [np.inf])
+
+
+def test_bounded_lp_validation():
+    with pytest.raises(ValueError):
+        solve_bounded_lp([1.0, 2.0], [[1.0]], [1.0], [1.0])
+    with pytest.raises(ValueError):
+        solve_bounded_lp([1.0], [1.0], [1.0], [1.0])
+    with pytest.raises(ValueError):
+        solve_bounded_lp([1.0], [[1.0]], [0.5], [-1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -125,24 +68,27 @@ def test_bounded_lp_matches_reference_solver():
 # ---------------------------------------------------------------------------
 
 def test_light_gain_peak_directly_below():
-    assert light_gain(Position(2, 3), 2.5, 420.0, Position(2, 3)) == 420.0
+    assert light_gain((2, 3), 2.5, 420.0, (2, 3)) == 420.0
 
 
 def test_light_gain_follows_inverse_square_cosine_law():
     h, peak, d = 2.5, 420.0, 3.0
     want = peak * h ** 3 / (h ** 2 + d ** 2) ** 1.5
-    assert light_gain(Position(0, 0), h, peak, Position(3, 0)) == pytest.approx(want)
-    assert light_gain(Position(0, 0), h, peak, Position(0, -3)) == pytest.approx(want)
-    # strictly decreasing with horizontal offset
-    gains = [light_gain(Position(0, 0), h, peak, Position(x, 0)) for x in (0, 1, 2, 4)]
+    assert light_gain((0, 0), h, peak, (3, 0)) == pytest.approx(want)
+    assert light_gain((0, 0), h, peak, (0, -3)) == pytest.approx(want)
+    # strictly decreasing with horizontal offset, one broadcast call
+    gains = light_gain((0, 0), h, peak, [(x, 0) for x in (0, 1, 2, 4)])
+    assert gains.shape == (4,)
     assert all(a > b for a, b in zip(gains, gains[1:]))
 
 
 def test_light_gain_validation():
     with pytest.raises(ValueError):
-        light_gain(Position(0, 0), 0.0, 100.0, Position(1, 1))
+        light_gain((0, 0), 0.0, 100.0, (1, 1))
     with pytest.raises(ValueError):
-        light_gain(Position(0, 0), 2.0, -1.0, Position(1, 1))
+        light_gain((0, 0), 2.0, -1.0, (1, 1))
+    with pytest.raises(ValueError):
+        light_gain([(0, 0), (1, 1)], [2.0, 0.0], 100.0, (1, 1))
     with pytest.raises(ValueError):
         Light(position=Position(0, 0), power_w=0.0, peak_lux=100.0, height_m=2.0)
     with pytest.raises(ValueError):
@@ -152,6 +98,27 @@ def test_light_gain_validation():
 def _room(lights, target, env=None, n=3, spacing=2.0):
     grid = build_uniform_grid(Position(0, 0), nx=n, ny=n, spacing=spacing)
     return LightingScenario(grid=grid, lights=lights, target_lux=target, env_lux=env)
+
+
+def _formula(light, cell):
+    h = light.height_m
+    d2 = (cell.x - light.position.x) ** 2 + (cell.y - light.position.y) ** 2
+    return light.peak_lux * h ** 3 / (h ** 2 + d2) ** 1.5
+
+
+def test_gain_matrix_equals_the_law_per_cell_and_light():
+    rng = np.random.default_rng(113)
+    lights = [Light(position=Position(float(rng.uniform(0, 4)), float(rng.uniform(0, 4))),
+                    power_w=40.0, peak_lux=float(rng.uniform(300, 900)),
+                    height_m=float(rng.uniform(2.0, 3.0)))
+              for _ in range(3)]
+    scen = _room(lights, target=300.0, n=4)
+    want = np.array([[_formula(light, cell) for light in lights] for cell in scen.grid.points])
+    assert np.allclose(scen.gains, want, rtol=1e-14, atol=0.0)
+    assert np.array_equal(scen.gain_matrix([5, 0, 5]), scen.gains[[5, 0, 5]])
+    assert scen.gain_matrix([]).shape == (0, 3)
+    with pytest.raises(ValueError):
+        scen.gains[0, 0] = 1.0
 
 
 def test_illuminance_sums_dimmed_lights_and_ambient():
@@ -186,16 +153,20 @@ def test_lighting_scenario_validation():
 
 def test_solve_lighting_empty_occupancy_turns_everything_off():
     light = Light(position=Position(0, 0), power_w=40.0, peak_lux=400.0, height_m=2.5)
-    plan = solve_lighting(_room([light], target=300.0), [])
-    assert np.array_equal(plan.switches, [0.0])
-    assert plan.power_w == 0.0
+    scen = _room([light], target=300.0)
+    assert solve_lighting(scen, []) == []
+    plans = solve_lighting(scen, [[], [0], []])
+    for plan in (plans[0], plans[2]):
+        assert np.array_equal(plan.switches, [0.0])
+        assert plan.power_w == 0.0
+    assert plans[1].power_w > 0.0
 
 
 def test_solve_lighting_single_light_hand_case():
     # occupant right below the light: need (500 - 100) lux out of a peak 800
     light = Light(position=Position(0, 0), power_w=40.0, peak_lux=800.0, height_m=2.5)
     scen = _room([light], target=500.0, env=np.full(9, 100.0))
-    plan = solve_lighting(scen, [0])
+    [plan] = solve_lighting(scen, [[0]])
     assert plan.switches[0] == pytest.approx(0.5, abs=1e-9)
     assert plan.power_w == pytest.approx(20.0, abs=1e-9)
     assert illuminance(scen, plan.switches, 0) == pytest.approx(500.0, abs=1e-6)
@@ -206,10 +177,21 @@ def test_solve_lighting_reports_unreachable_cells():
     light = Light(position=Position(0, 0), power_w=40.0, peak_lux=500.0, height_m=2.5)
     scen = _room([light], target=400.0)
     with pytest.raises(InfeasibleError) as err:
-        solve_lighting(scen, [0, 8])
+        solve_lighting(scen, [[0, 8]])
     assert err.value.violated == (8,)
     with pytest.raises(ValueError):
-        solve_lighting(scen, [0, 9])
+        solve_lighting(scen, [[0, 9]])
+    with pytest.raises(ValueError):
+        solve_lighting(scen, [[0], [-1]])
+
+
+def test_solve_lighting_reports_the_first_infeasible_set():
+    # only cell 0, right below the light, can reach 400 lux
+    light = Light(position=Position(0, 0), power_w=40.0, peak_lux=500.0, height_m=2.5)
+    scen = _room([light], target=400.0)
+    with pytest.raises(InfeasibleError) as err:
+        solve_lighting(scen, [[0], [], [8, 0, 5], [0], [2]])
+    assert err.value.violated == (5, 8)
 
 
 def test_solve_lighting_monotone_in_occupancy_and_below_all_on():
@@ -220,8 +202,7 @@ def test_solve_lighting_monotone_in_occupancy_and_below_all_on():
         for _ in range(3)
     ]
     scen = _room(lights, target=200.0)
-    small = solve_lighting(scen, [0, 4])
-    large = solve_lighting(scen, [0, 4, 8, 2])
+    small, large = solve_lighting(scen, [[0, 4], [0, 4, 8, 2]])
     # more constraints can only cost more power, and never more than all-on
     assert small.power_w <= large.power_w + 1e-9
     assert large.power_w < sum(l.power_w for l in lights)
@@ -251,7 +232,7 @@ def test_solve_lighting_matches_dimmer_grid_search():
         # well inside the dimmer range and the grid quantization gap is small
         target = float(rng.uniform(0.65, 0.9) * gains.sum(axis=1).min())
         scen = LightingScenario(grid=grid, lights=lights, target_lux=target)
-        plan = solve_lighting(scen, occupied)
+        [plan] = solve_lighting(scen, [occupied])
 
         powers = np.array([l.power_w for l in lights])
         lux = (gains[:, 0][:, None, None] * g1[None]

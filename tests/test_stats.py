@@ -48,6 +48,24 @@ def test_fit_gaussian_zero_scatter_still_loads():
     assert stats.cov[0, 0] == pytest.approx(DEFAULT_LOADING_EPS)
 
 
+def test_fit_gaussian_rounding_level_scatter_counts_as_zero():
+    # equal non-integer snapshots whose float mean does not reproduce them
+    # leave a ~1e-31 scatter; it must load like an exactly zero one
+    rng = np.random.default_rng(61)
+    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    last_bit = np.nextafter(x.real, np.inf) + 1j * x.imag
+    assert np.any(np.stack([x, x, x]).mean(axis=0) != x)
+    for samples in (np.stack([x, x, x]), np.stack([x, last_bit, x])):
+        stats = fit_gaussian(samples, loading_eps=1e-3)
+        assert stats.loading == 1e-3
+        assert np.array_equal(stats.cov, 1e-3 * np.eye(4))
+    # inside a block, only that model is zeroed
+    noisy = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    block = fit_gaussian(np.stack([np.stack([x, last_bit, x]), noisy]), loading_eps=1e-3)
+    assert block.loading[0] == 1e-3
+    assert block.loading[1] == fit_gaussian(noisy, loading_eps=1e-3).loading
+
+
 def test_fit_gaussian_matches_direct_formula():
     rng = np.random.default_rng(2)
     for _ in range(10):
