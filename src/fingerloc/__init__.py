@@ -70,13 +70,10 @@ from .stats import (
     DetectionMap,
     GammaParams,
     GaussianStats,
-    KrigingKernel,
     KrigingModel,
-    LogLinearModel,
     VonMisesParams,
     fit_gamma,
     fit_gaussian,
-    fit_loglinear,
     fit_vonmises,
     gamma_logpdf,
     gaussian_loglik,
@@ -95,7 +92,6 @@ from .matching import (
     binary_likelihood,
     fingerprint_sqerr,
     hybrid_match,
-    mle_cir,
     mle_rssi_rspd,
     threshold_set,
 )

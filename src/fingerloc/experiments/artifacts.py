@@ -128,8 +128,13 @@ def _validate_json(path: str, schema: dict) -> None:
         raise ValueError(f"{path}: {where}: {err.message}")
 
 
-def validate_artifact(path: str) -> str:
+def validate_artifact(path: str, artifact: str | None = None) -> str:
     """Validate one output file against its shipped schema.
+
+    Args:
+        path: the file.
+        artifact: the artifact name whose schema applies, when it is not the
+            file's basename (an input file read in place of an artifact).
 
     Returns:
         The schema filename the artifact was validated against.
@@ -137,9 +142,10 @@ def validate_artifact(path: str) -> str:
     Raises:
         ValueError: unknown artifact name or schema violation.
     """
-    name = artifact_schema_name(path)
+    artifact = artifact or path
+    name = artifact_schema_name(artifact)
     schema = _load_schema(name)
-    if os.path.basename(path) in _CSV_ARTIFACTS:
+    if os.path.basename(artifact) in _CSV_ARTIFACTS:
         _validate_csv(path, schema)
     else:
         _validate_json(path, schema)

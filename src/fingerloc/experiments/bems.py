@@ -22,6 +22,7 @@ from ..signals import FingerprintKind, FingerprintVector
 from ..simulate import SensorCoverage, derive_seed, simulate_binary_sensor
 from ..stats import DetectionMap, learn_detection_map
 from ..tracking import MobilityModel, grid_bayes_step, transition_matrix
+from .artifacts import validate_artifact
 from .common import (
     build_grid,
     cdf_table,
@@ -296,14 +297,35 @@ def cmd_track(cfg: dict, out_dir: str) -> dict:
     return summary
 
 
+def read_track_sets(path: str, n_cells: int) -> tuple:
+    """(candidate sets, true cells) of a ``track_sets.json`` file.
+
+    Raises ConfigError unless the file passes the shipped schema, pairs every
+    candidate set with one true cell and every true cell lies on the grid.
+    """
+    try:
+        validate_artifact(path, "track_sets.json")
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    sets, cells = data["candidate_sets"], data["true_cells"]
+    if len(sets) != len(cells):
+        raise ConfigError(f"{path} holds {len(sets)} candidate sets "
+                          f"but {len(cells)} true cells")
+    if any(cell >= n_cells for cell in cells):
+        raise ConfigError(f"{path} names a true cell outside the {n_cells}-cell grid")
+    return sets, cells
+
+
 def cmd_lighting(cfg: dict, out_dir: str) -> dict:
     db = load_db(cfg, out_dir, cmd_learn)
     sets_path = cfg["lighting"]["track_output"] or os.path.join(out_dir, "track_sets.json")
     if os.path.exists(sets_path):
-        with open(sets_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        sets = [[int(c) for c in cand] for cand in data["candidate_sets"]]
-        rows = [(t + 1, int(cell)) for t, cell in enumerate(data["true_cells"])]
+        sets, cells = read_track_sets(sets_path, len(db.grid))
+        rows = [(t + 1, cell) for t, cell in enumerate(cells)]
     else:
         track_rows, sets, _ = evaluate_track(cfg, db)
         rows = [(r[0], r[1]) for r in track_rows]

@@ -199,17 +199,20 @@ def simulate_measurements(cfg: dict) -> dict:
     return {"xcorr": xc, "phase": ph}
 
 
-def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> FingerprintDatabase:
+def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> tuple:
     """Snapshot-averaged training fingerprints projected to the emitter.
 
-    Per point: frequency projection of every correlation fingerprint to the
-    target frequency, bandwidth narrowing to the target bandwidth, and
-    phase-difference re-projection via the fitted arrival azimuth; then
-    spatial densification onto the fine grid and per-point power
-    normalization.
+    Per key, one block call per stage: frequency projection of the
+    correlation fingerprints to the target frequency, bandwidth narrowing to
+    the target bandwidth, and phase-difference re-projection via the fitted
+    arrival azimuth; then spatial densification onto the fine grid and
+    per-point power normalization.
+
+    Returns:
+        (database, filled_bins): the projected map and the number of delay
+        bins the frequency projection filled from their neighbors.
     """
     scn = cfg["scenario"]
-    grid = build_grid(cfg)
     geom = uca_geom(cfg)
     freqs = list(scn["train_freqs_hz"])
     t_freq = scn["target"]["freq_hz"]
@@ -217,41 +220,27 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> FingerprintData
     train_bw = scn["train_bandwidth_hz"]
     xkeys = xcorr_keys(cfg)
     nearest_fi = int(np.argmin(np.abs(np.asarray(freqs) - t_freq)))
-    pairs = _element_pairs(geom.n_elements)
 
     xc_avg = xc.mean(axis=2)  # (freqs, points, keys, dim)
     ph_avg = np.angle(np.exp(1j * ph).sum(axis=2))  # circular mean
 
     blocks = {}
+    filled_bins = 0
     for ki, key in enumerate(xkeys):
-        projected = []
-        for p in range(len(grid)):
-            fps = [
-                FingerprintVector(
-                    kind=FingerprintKind.RX_XCORR, values=xc_avg[fi, p, ki],
-                    meta=FingerprintMeta(freq_hz=freqs[fi], bandwidth_hz=train_bw))
-                for fi in range(len(freqs))
-            ]
-            fp = freq_interp_xcorr(freqs, fps, t_freq)
-            projected.append(bandwidth_interp(fp, train_bw, t_bw))
-        blocks[key] = FingerprintVector(kind=FingerprintKind.RX_XCORR,
-                                        values=[fp.values for fp in projected],
-                                        meta=projected[0].meta)
+        train = [FingerprintVector(kind=FingerprintKind.RX_XCORR, values=xc_avg[fi, :, ki],
+                                   meta=FingerprintMeta(freq_hz=f, bandwidth_hz=train_bw))
+                 for fi, f in enumerate(freqs)]
+        fp, flags = freq_interp_xcorr(freqs, train, t_freq)
+        blocks[key] = bandwidth_interp(fp, train_bw, t_bw)
+        filled_bins += int(np.count_nonzero(flags))
     confidences = {}
     for si, key in enumerate(phase_keys(cfg)):
-        projs = [
-            phasediff_freq_interp(
-                FingerprintVector(
-                    kind=FingerprintKind.PHASE_DIFF, values=ph_avg[nearest_fi, p, si],
-                    meta=FingerprintMeta(sensor=si, pairs=pairs,
-                                         freq_hz=freqs[nearest_fi], bandwidth_hz=train_bw)),
-                geom, freqs[nearest_fi], t_freq)
-            for p in range(len(grid))
-        ]
-        blocks[key] = FingerprintVector(kind=FingerprintKind.PHASE_DIFF,
-                                        values=[proj.vector.values for proj in projs],
-                                        meta=projs[0].vector.meta)
-        confidences[key] = np.array([proj.confidence for proj in projs])
+        fp = FingerprintVector(
+            kind=FingerprintKind.PHASE_DIFF, values=ph_avg[nearest_fi, :, si],
+            meta=FingerprintMeta(sensor=si, pairs=_element_pairs(geom.n_elements),
+                                 freq_hz=freqs[nearest_fi], bandwidth_hz=train_bw))
+        blocks[key], _, confidences[key] = phasediff_freq_interp(fp, geom, freqs[nearest_fi],
+                                                                 t_freq)
 
     meta = DatabaseMeta(
         train_freqs_hz=tuple(float(f) for f in freqs),
@@ -259,11 +248,11 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> FingerprintData
         extra={"pipeline": "illegal_hybrid", "target_freq_hz": float(t_freq),
                "target_bandwidth_hz": float(t_bw)},
     )
-    coarse = FingerprintDatabase(grid=grid, blocks=blocks, meta=meta)
+    coarse = FingerprintDatabase(grid=build_grid(cfg), blocks=blocks, meta=meta)
     dense = spatial_densify(coarse, fine_grid(cfg), confidences=confidences)
     blocks = dict(dense.blocks)
     blocks.update(zip(xkeys, normalize_power([blocks[key] for key in xkeys])))
-    return FingerprintDatabase(grid=dense.grid, blocks=blocks, meta=dense.meta)
+    return FingerprintDatabase(grid=dense.grid, blocks=blocks, meta=dense.meta), filled_bins
 
 
 def draw_trials(cfg: dict) -> np.ndarray:
@@ -374,9 +363,9 @@ def cmd_simulate(cfg: dict, out_dir: str) -> dict:
 def cmd_learn(cfg: dict, out_dir: str) -> dict:
     arrays = load_measurements(cfg, out_dir, simulate_measurements, measurement_shapes(cfg))
     xc = arrays["xcorr"]
-    db = build_database(cfg, xc, arrays["phase"])
+    db, filled_bins = build_database(cfg, xc, arrays["phase"])
     save_db(cfg, out_dir, db)
-    log = {"points": len(db), "derived": True,
+    log = {"points": len(db), "derived": True, "filled_bins": filled_bins,
            "per_point_samples": [int(xc.shape[2])] * xc.shape[1],
            "target_freq_hz": cfg["scenario"]["target"]["freq_hz"],
            "target_bandwidth_hz": cfg["scenario"]["target"]["bandwidth_hz"]}

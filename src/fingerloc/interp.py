@@ -7,27 +7,18 @@ coarse grid serve matching at other emitter parameters on a denser grid.
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 import scipy.signal
 
 from .database import FingerprintDatabase
 from .geometry import Grid
-from .signals import (
-    CORRELATION_KINDS,
-    FingerprintKind,
-    FingerprintMeta,
-    FingerprintVector,
-    wrap_angle,
-)
+from .signals import CORRELATION_KINDS, FingerprintKind, FingerprintVector, wrap_angle
 from .simulate import SPEED_OF_LIGHT
-from .stats import KrigingKernel, fit_loglinear, kriging_fit, kriging_predict
+from .stats import kriging_fit, kriging_predict
 
 __all__ = [
     "UcaGeometry",
-    "PhasorFit",
-    "PhasediffProjection",
     "windowed_sinc_lowpass",
     "bandwidth_interp",
     "freq_interp_xcorr",
@@ -56,17 +47,6 @@ class UcaGeometry:
             raise ValueError("radius must be positive")
 
 
-class PhasorFit(NamedTuple):
-    aoa_rad: float
-    confidence: float
-
-
-class PhasediffProjection(NamedTuple):
-    vector: FingerprintVector
-    aoa_rad: float
-    confidence: float
-
-
 def windowed_sinc_lowpass(cutoff_ratio: float, n_taps: int = LOWPASS_TAPS) -> np.ndarray:
     """Hamming-windowed sinc low-pass with unit DC gain.
 
@@ -79,12 +59,12 @@ def windowed_sinc_lowpass(cutoff_ratio: float, n_taps: int = LOWPASS_TAPS) -> np
 
 def bandwidth_interp(fp: FingerprintVector, train_bw_hz: float,
                      target_bw_hz: float) -> FingerprintVector:
-    """Project a correlation fingerprint to a narrower emitter bandwidth.
+    """Project correlation fingerprints to a narrower emitter bandwidth.
 
-    Filters the lag-domain vector with a 63-tap Hamming windowed-sinc
-    low-pass of cutoff ``target_bw / train_bw`` (fraction of Nyquist on the
-    critically sampled lag axis).  The lag support is preserved; equal
-    bandwidths return the input untouched.
+    Filters every lag-domain vector (the last axis of a block) with a 63-tap
+    Hamming windowed-sinc low-pass of cutoff ``target_bw / train_bw``
+    (fraction of Nyquist on the critically sampled lag axis).  The lag
+    support is preserved; equal bandwidths return the input untouched.
     """
     if fp.kind not in CORRELATION_KINDS:
         raise ValueError("bandwidth projection applies to correlation fingerprints")
@@ -95,80 +75,74 @@ def bandwidth_interp(fp: FingerprintVector, train_bw_hz: float,
     if target_bw_hz == train_bw_hz:
         return fp
     taps = windowed_sinc_lowpass(target_bw_hz / train_bw_hz)
-    # Zero-phase center slice of the full convolution; np.convolve's "same"
+    # Zero-phase center slice of the full convolution of each row; a "same"
     # mode would return max(len, taps) and grow short fingerprints.
-    full = np.convolve(fp.values, taps)
+    full = scipy.signal.convolve(fp.values, taps.reshape((1,) * (fp.values.ndim - 1) + (-1,)),
+                                 method="direct")
     start = (len(taps) - 1) // 2
-    values = full[start:start + len(fp.values)]
-    meta = FingerprintMeta(sensor=fp.meta.sensor, pair=fp.meta.pair, pairs=fp.meta.pairs,
-                           freq_hz=fp.meta.freq_hz, bandwidth_hz=float(target_bw_hz))
-    return FingerprintVector(kind=fp.kind, values=values, meta=meta)
+    return FingerprintVector(kind=fp.kind, values=full[..., start:start + fp.dim],
+                             meta=replace(fp.meta, bandwidth_hz=float(target_bw_hz)))
 
 
-def freq_interp_xcorr(train_freqs_hz, train_fps, target_freq_hz: float,
-                      return_flags: bool = False):
-    """Predict a correlation fingerprint at an untrained frequency.
+def freq_interp_xcorr(train_freqs_hz, train_fps, target_freq_hz: float) -> tuple:
+    """Predict correlation fingerprints at an untrained frequency.
 
-    Magnitudes follow a per-delay-bin straight line in dB over log10
-    frequency; phases are copied from the nearest training frequency.  Bins
-    whose training magnitude is not positive cannot enter the regression:
-    they are flagged and filled with the geometric mean of the neighboring
-    bins' predictions.
+    Magnitudes follow a straight line in dB over log10 frequency, fitted per
+    delay bin (and per grid point of a block) as one least-squares solve
+    with a right-hand side per bin; phases are copied from the nearest
+    training frequency.  Bins whose training magnitude is not positive
+    cannot enter the regression: they are flagged and filled, within their
+    row, with the geometric mean of the nearest live bins' predictions on
+    each side (one side's value at an edge, 0 in an all-dead row).
 
     Args:
         train_freqs_hz: training frequencies, at least two distinct.
-        train_fps: one FingerprintVector per frequency, equal kind/dim.
+        train_fps: one FingerprintVector (or block) per frequency, equal
+            kind and shape.
         target_freq_hz: frequency to predict at.
-        return_flags: also return the boolean array of filled bins.
 
     Returns:
-        The predicted FingerprintVector (and the flag array if requested).
+        (fingerprint, flags): the prediction with the training values'
+        shape, and the boolean array of filled bins of the same shape.
     """
     freqs = np.asarray(train_freqs_hz, dtype=float)
     fps = list(train_fps)
-    if freqs.ndim != 1 or len(fps) != freqs.size or freqs.size < 2:
-        raise ValueError("need one fingerprint per training frequency, at least two")
+    if freqs.ndim != 1 or len(fps) != freqs.size or np.unique(freqs).size < 2:
+        raise ValueError("need one fingerprint per training frequency, "
+                         "at least two distinct")
+    if np.any(freqs <= 0) or not (target_freq_hz > 0):
+        raise ValueError("frequencies must be positive")
     kind = fps[0].kind
-    dim = fps[0].dim
     if kind not in CORRELATION_KINDS:
         raise ValueError("frequency projection applies to correlation fingerprints")
-    for fp in fps:
-        if fp.kind is not kind or fp.dim != dim:
-            raise ValueError("training fingerprints must share kind and dimension")
-    if not (target_freq_hz > 0):
-        raise ValueError("target frequency must be positive")
+    if any(fp.kind is not kind or fp.values.shape != fps[0].values.shape for fp in fps):
+        raise ValueError("training fingerprints must share kind and shape")
 
-    mags = np.abs(np.array([fp.values for fp in fps]))  # (n_freqs, dim)
+    mags = np.abs(np.array([fp.values for fp in fps]))  # (freqs, ..., dim)
     nearest = int(np.argmin(np.abs(freqs - target_freq_hz)))
-    phases = np.angle(fps[nearest].values)
+    live = np.all(mags > 0.0, axis=0)
+    with np.errstate(divide="ignore"):
+        db = np.where(live, 10.0 * np.log10(mags), 0.0)
+    design = np.column_stack([np.log10(freqs), np.ones_like(freqs)])
+    coef, *_ = np.linalg.lstsq(design, db.reshape(freqs.size, -1), rcond=None)
+    pred_db = coef[0] * np.log10(target_freq_hz) + coef[1]
+    pred = 10.0 ** (pred_db.reshape(live.shape) / 10.0)
 
-    pred = np.zeros(dim, dtype=float)
-    flags = np.zeros(dim, dtype=bool)
-    for j in range(dim):
-        col = mags[:, j]
-        if np.all(col > 0.0):
-            model = fit_loglinear(freqs, 10.0 * np.log10(col))
-            pred[j] = 10.0 ** (model.predict_db(target_freq_hz) / 10.0)
-        else:
-            flags[j] = True
-    for j in np.nonzero(flags)[0]:
-        left = next((pred[i] for i in range(j - 1, -1, -1) if not flags[i]), None)
-        right = next((pred[i] for i in range(j + 1, dim) if not flags[i]), None)
-        if left is not None and right is not None:
-            pred[j] = math.sqrt(left * right)
-        elif left is not None:
-            pred[j] = left
-        elif right is not None:
-            pred[j] = right
-        else:
-            pred[j] = 0.0
+    dim = live.shape[-1]
+    pos = np.arange(dim)
+    left = np.maximum.accumulate(np.where(live, pos, -1), axis=-1)
+    right = np.flip(np.minimum.accumulate(np.flip(np.where(live, pos, dim), -1), axis=-1), -1)
+    from_left = np.take_along_axis(pred, np.maximum(left, 0), axis=-1)
+    from_right = np.take_along_axis(pred, np.minimum(right, dim - 1), axis=-1)
+    has_left, has_right = left >= 0, right < dim
+    fill = np.where(has_left & has_right, np.sqrt(from_left * from_right),
+                    np.where(has_left, from_left, np.where(has_right, from_right, 0.0)))
+    pred = np.where(live, pred, fill)
 
-    values = pred * np.exp(1j * phases)
-    base = fps[nearest].meta
-    meta = FingerprintMeta(sensor=base.sensor, pair=base.pair, pairs=base.pairs,
-                           freq_hz=float(target_freq_hz), bandwidth_hz=base.bandwidth_hz)
-    out = FingerprintVector(kind=kind, values=values, meta=meta)
-    return (out, flags) if return_flags else out
+    base = fps[nearest]
+    out = FingerprintVector(kind=kind, values=pred * np.exp(1j * np.angle(base.values)),
+                            meta=replace(base.meta, freq_hz=float(target_freq_hz)))
+    return out, ~live
 
 
 def uca_steering(geom: UcaGeometry, freq_hz: float, aoa_rad: float) -> np.ndarray:
@@ -195,13 +169,18 @@ def _steering_pair_diffs(geom: UcaGeometry, freq_hz: float, aoa_grid: np.ndarray
     return phases[:, cols_i] - phases[:, cols_j]  # (n_angles, n_pairs)
 
 
-def estimate_aoa(fp: FingerprintVector, geom: UcaGeometry, freq_hz: float) -> PhasorFit:
+def estimate_aoa(fp: FingerprintVector, geom: UcaGeometry, freq_hz: float) -> tuple:
     """Dominant-path azimuth from inter-element phase differences.
 
     Scans a 0.5-degree azimuth grid and maximizes the circular correlation
-    between measured and predicted pair phases (lowest angle on ties).  The
-    confidence is the resultant length of the per-pair agreement phasors at
-    the best angle: 1 for a perfect planar fit, near 0 for a flat fit.
+    between measured and predicted pair phases (lowest angle on ties), for
+    every vector of a block at once.  The confidence is the resultant length
+    of the per-pair agreement phasors at the best angle: 1 for a perfect
+    planar fit, near 0 for a flat fit.
+
+    Returns:
+        (aoa_rad, confidence), one value per vector: scalars for one
+        vector, (N,) arrays for a block.
     """
     if fp.kind is not FingerprintKind.PHASE_DIFF:
         raise ValueError("azimuth estimation needs a phase-difference fingerprint")
@@ -209,34 +188,33 @@ def estimate_aoa(fp: FingerprintVector, geom: UcaGeometry, freq_hz: float) -> Ph
         raise ValueError("fingerprint must carry one element pair per entry in meta.pairs")
     grid = np.deg2rad(np.arange(0.0, 360.0, AOA_GRID_STEP_DEG))
     pred = _steering_pair_diffs(geom, freq_hz, grid, fp.meta.pairs)
-    agree = np.exp(1j * (fp.values[None, :] - pred))
-    resultant = np.abs(agree.mean(axis=1))
-    score = np.real(agree.sum(axis=1))
-    best = int(np.argmax(score))
-    return PhasorFit(aoa_rad=float(grid[best]), confidence=float(resultant[best]))
+    agree = np.exp(1j * (fp.values[..., None, :] - pred))  # (..., angles, pairs)
+    resultant = np.abs(agree.mean(axis=-1))
+    best = np.argmax(np.real(agree.sum(axis=-1)), axis=-1)
+    return grid[best], np.take_along_axis(resultant, best[..., None], axis=-1)[..., 0]
 
 
 def phasediff_freq_interp(fp: FingerprintVector, geom: UcaGeometry,
-                          train_freq_hz: float, target_freq_hz: float) -> PhasediffProjection:
+                          train_freq_hz: float, target_freq_hz: float) -> tuple:
     """Re-project phase differences to another frequency via the dominant path.
 
-    Fits the dominant arrival azimuth at the training frequency, then emits
-    the ideal steering pair phases at the target frequency for that azimuth.
+    Fits the dominant arrival azimuth of every vector at the training
+    frequency, then emits the ideal steering pair phases at the target
+    frequency for that azimuth.
 
     Returns:
-        (vector, aoa_rad, confidence); the confidence is the phasor-fit
-        resultant length used downstream to weight spatial interpolation.
+        (fingerprint, aoa_rad, confidence); the confidence is the
+        phasor-fit resultant length used downstream to weight spatial
+        interpolation.
     """
     if not (train_freq_hz > 0 and target_freq_hz > 0):
         raise ValueError("frequencies must be positive")
-    fit = estimate_aoa(fp, geom, train_freq_hz)
-    pred = _steering_pair_diffs(geom, target_freq_hz,
-                                np.array([fit.aoa_rad]), fp.meta.pairs)[0]
-    values = wrap_angle(pred)
-    meta = FingerprintMeta(sensor=fp.meta.sensor, pair=fp.meta.pair, pairs=fp.meta.pairs,
-                           freq_hz=float(target_freq_hz), bandwidth_hz=fp.meta.bandwidth_hz)
-    vector = FingerprintVector(kind=FingerprintKind.PHASE_DIFF, values=values, meta=meta)
-    return PhasediffProjection(vector=vector, aoa_rad=fit.aoa_rad, confidence=fit.confidence)
+    aoa, confidence = estimate_aoa(fp, geom, train_freq_hz)
+    pred = _steering_pair_diffs(geom, target_freq_hz, np.ravel(aoa), fp.meta.pairs)
+    out = FingerprintVector(kind=FingerprintKind.PHASE_DIFF,
+                            values=wrap_angle(pred.reshape(fp.values.shape)),
+                            meta=replace(fp.meta, freq_hz=float(target_freq_hz)))
+    return out, aoa, confidence
 
 
 def _nearest_training(train_xy: np.ndarray, query_xy: np.ndarray) -> np.ndarray:
@@ -245,64 +223,58 @@ def _nearest_training(train_xy: np.ndarray, query_xy: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def _densify_correlation(stack, train_xy, query_xy, kernel, optimize):
-    dim = stack.shape[1]
-    mags = np.abs(stack)
-    floor = 1e-12 * float(np.max(mags)) if np.max(mags) > 0 else 1e-300
-    mags = np.maximum(mags, floor)
-
-    out_mags = np.empty((query_xy.shape[0], dim), dtype=float)
-    for j in range(dim):
-        model = kriging_fit(train_xy, 10.0 * np.log10(mags[:, j]),
-                            kernel=kernel, optimize_length_scale=optimize)
-        mean, _ = kriging_predict(model, query_xy)
-        out_mags[:, j] = 10.0 ** (mean / 10.0)
-    return out_mags * np.exp(1j * np.angle(stack[_nearest_training(train_xy, query_xy)]))
+def _densify_correlation(stacks, train_xy, query_xy):
+    """Krige every key's dB magnitudes (floored per key) with one factorization."""
+    if not stacks:
+        return []
+    db = []
+    for stack in stacks:
+        mags = np.abs(stack)
+        floor = 1e-12 * float(np.max(mags)) if np.max(mags) > 0 else 1e-300
+        db.append(10.0 * np.log10(np.maximum(mags, floor)))
+    mean = kriging_predict(kriging_fit(train_xy, np.concatenate(db, axis=1)), query_xy)
+    out_mags = np.split(10.0 ** (mean / 10.0), np.cumsum([s.shape[1] for s in stacks])[:-1],
+                        axis=1)
+    nearest = _nearest_training(train_xy, query_xy)
+    return [m * np.exp(1j * np.angle(stack[nearest])) for m, stack in zip(out_mags, stacks)]
 
 
 def _densify_phasediff(stack, train_xy, query_xy, confidences):
-    n_train, dim = stack.shape
+    n_train = stack.shape[0]
     phasors = np.exp(1j * stack)
     conf = np.ones(n_train) if confidences is None else np.asarray(confidences, dtype=float)
     if conf.shape != (n_train,):
         raise ValueError("need one confidence per training point")
-
-    out = np.empty((query_xy.shape[0], dim), dtype=float)
-    take = min(4, n_train)
-    for q, pos in enumerate(query_xy):
-        d = np.hypot(train_xy[:, 0] - pos[0], train_xy[:, 1] - pos[1])
-        nearest = np.argsort(d)[:take]
-        if d[nearest[0]] <= 0.0:
-            out[q] = stack[nearest[0]]
-            continue
-        w = conf[nearest] / d[nearest]
-        if np.sum(w) <= 0.0:
-            w = 1.0 / d[nearest]  # all-zero confidences: fall back to distance alone
-        mix = (w[:, None] * phasors[nearest]).sum(axis=0)
-        out[q] = np.angle(mix)
-    return out
+    d = np.hypot(train_xy[None, :, 0] - query_xy[:, None, 0],
+                 train_xy[None, :, 1] - query_xy[:, None, 1])  # (queries, train)
+    nearest = np.argsort(d, axis=1)[:, :min(4, n_train)]
+    dn = np.take_along_axis(d, nearest, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = conf[nearest] / dn
+        # all-zero confidences: fall back to distance alone
+        w = np.where(np.sum(w, axis=1, keepdims=True) <= 0.0, 1.0 / dn, w)
+        mix = (w[:, :, None] * phasors[nearest]).sum(axis=1)
+        # a query on a training point copies its vector
+        return np.where(dn[:, :1] <= 0.0, stack[nearest[:, 0]], np.angle(mix))
 
 
 def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
-                    kernel: KrigingKernel | None = None,
-                    confidences: dict | None = None,
-                    optimize_length_scale: bool = False) -> FingerprintDatabase:
+                    confidences: dict | None = None) -> FingerprintDatabase:
     """Interpolate a fingerprint database onto a denser grid.
 
     Correlation fingerprints are interpolated per delay bin by kriging on dB
-    magnitudes (phases copied from the nearest training point).  Phase-
-    difference fingerprints are interpolated as unit phasors averaged over
-    the 4 nearest training points, weighted by inverse distance times the
-    per-training-point confidence when one is supplied.
+    magnitudes, every bin of every key through one factorization (phases
+    copied from the nearest training point).  Phase-difference fingerprints
+    are interpolated as unit phasors averaged over the 4 nearest training
+    points, weighted by inverse distance times the per-training-point
+    confidence when one is supplied.
 
     Args:
         db: training database whose blocks are all raw fingerprint vectors.
         target_grid: grid to interpolate onto (inside the training hull;
             outside points fall back to nearest-neighbor with a warning).
-        kernel: optional kriging hyper-parameters (defaults per key).
         confidences: optional ``{key: (n_train,) array}`` of phasor-fit
             confidences for phase-difference keys.
-        optimize_length_scale: marginal-likelihood length-scale selection.
 
     Returns:
         A new database on ``target_grid`` marked ``derived``.
@@ -311,34 +283,26 @@ def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
         raise ValueError("database holds no fingerprints")
     train_xy = db.grid.as_array()
     query_xy = target_grid.as_array()
-    lo = train_xy.min(axis=0)
-    hi = train_xy.max(axis=0)
-    outside = np.nonzero(
-        (query_xy[:, 0] < lo[0]) | (query_xy[:, 0] > hi[0])
-        | (query_xy[:, 1] < lo[1]) | (query_xy[:, 1] > hi[1])
-    )[0]
+    outside = np.nonzero(np.any((query_xy < train_xy.min(axis=0))
+                                | (query_xy > train_xy.max(axis=0)), axis=1))[0]
     if outside.size:
-        warnings.warn(
-            f"{outside.size} query point(s) outside the training hull; "
-            "using nearest-neighbor values there",
-            stacklevel=2,
-        )
+        warnings.warn(f"{outside.size} query point(s) outside the training hull; "
+                      "using nearest-neighbor values there", stacklevel=2)
 
+    fps = {key: db.block(key, FingerprintVector) for key in sorted(db.blocks)}
+    corr = [key for key, fp in fps.items() if fp.kind in CORRELATION_KINDS]
+    values = dict(zip(corr, _densify_correlation([fps[key].values for key in corr],
+                                                 train_xy, query_xy)))
     blocks = {}
-    for key in sorted(db.blocks):
-        fp = db.block(key, FingerprintVector)
-        if fp.kind in CORRELATION_KINDS:
-            values = _densify_correlation(fp.values, train_xy, query_xy, kernel,
-                                          optimize_length_scale)
-        elif fp.kind is FingerprintKind.PHASE_DIFF:
+    for key, fp in fps.items():
+        if fp.kind is FingerprintKind.PHASE_DIFF:
             conf = None if confidences is None else confidences.get(key)
-            values = _densify_phasediff(fp.values, train_xy, query_xy, conf)
-        else:
+            values[key] = _densify_phasediff(fp.values, train_xy, query_xy, conf)
+        elif key not in values:
             raise ValueError(
-                f"key {key!r}: only correlation and phase-difference fingerprints densify"
-            )
-        values[outside] = fp.values[_nearest_training(train_xy, query_xy[outside])]
-        blocks[key] = FingerprintVector(kind=fp.kind, values=values, meta=fp.meta)
+                f"key {key!r}: only correlation and phase-difference fingerprints densify")
+        values[key][outside] = fp.values[_nearest_training(train_xy, query_xy[outside])]
+        blocks[key] = FingerprintVector(kind=fp.kind, values=values[key], meta=fp.meta)
 
     meta = replace(db.meta, derived=True, extra=dict(db.meta.extra))
     return FingerprintDatabase(grid=target_grid, blocks=blocks, meta=meta)

@@ -16,17 +16,14 @@ from .signals import (
 from .stats import (
     DetectionMap,
     GammaParams,
-    GaussianStats,
     VonMisesParams,
     gamma_logpdf,
-    gaussian_loglik,
     vonmises_logpdf,
 )
 
 __all__ = [
     "LikelihoodMap",
     "HybridConfig",
-    "mle_cir",
     "mle_rssi_rspd",
     "binary_likelihood",
     "threshold_set",
@@ -77,28 +74,6 @@ class HybridConfig:
             raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
 
 
-def mle_cir(target_pairs, db) -> tuple:
-    """Maximum-likelihood matching of correlation fingerprints.
-
-    Args:
-        target_pairs: iterable of ``(key, FingerprintVector)``; each key names
-            a GaussianStats block of the database.
-        db: FingerprintDatabase holding one Gaussian block per key.
-
-    Returns:
-        (map, index): the summed log-likelihood map over the grid and its
-        argmax (lowest index on ties).
-    """
-    pairs = list(target_pairs)
-    if len(pairs) == 0:
-        raise ValueError("at least one target fingerprint is required")
-    values = np.zeros(len(db.grid), dtype=float)
-    for key, fp in pairs:
-        values += gaussian_loglik(fp.values, db.block(key, GaussianStats))
-    lmap = LikelihoodMap(grid=db.grid, values=values, mode=MODE_LOG_LIKELIHOOD)
-    return lmap, int(np.argmax(values))
-
-
 def mle_rssi_rspd(target_features, db) -> tuple:
     """Maximum-likelihood matching of power/phase features.
 
@@ -109,7 +84,8 @@ def mle_rssi_rspd(target_features, db) -> tuple:
         db: FingerprintDatabase with one fitted model block per key.
 
     Returns:
-        (map, index) as in :func:`mle_cir`.
+        (map, index): the summed log-likelihood map over the grid and its
+        argmax (lowest index on ties).
     """
     feats = list(target_features)
     if len(feats) == 0:

@@ -22,9 +22,6 @@ __all__ = [
     "vonmises_logpdf",
     "DetectionMap",
     "learn_detection_map",
-    "LogLinearModel",
-    "fit_loglinear",
-    "KrigingKernel",
     "KrigingModel",
     "kriging_fit",
     "kriging_predict",
@@ -386,175 +383,69 @@ def learn_detection_map(observations, grid: Grid) -> DetectionMap:
 
 
 # ---------------------------------------------------------------------------
-# log-linear frequency trend
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LogLinearModel:
-    """Straight-line fit of a dB quantity against log10 frequency."""
-
-    slope_db_per_decade: float
-    intercept_db: float
-
-    def predict_db(self, freq_hz):
-        f = np.asarray(freq_hz, dtype=float)
-        out = self.slope_db_per_decade * np.log10(f) + self.intercept_db
-        return float(out) if np.ndim(freq_hz) == 0 else out
-
-
-def fit_loglinear(freqs_hz, values_db) -> LogLinearModel:
-    """Least-squares fit of ``values_db = slope * log10(f) + intercept``."""
-    f = np.asarray(freqs_hz, dtype=float)
-    v = np.asarray(values_db, dtype=float)
-    if f.shape != v.shape or f.ndim != 1:
-        raise ValueError("frequencies and values must be equal-length 1-D arrays")
-    if np.any(f <= 0):
-        raise ValueError("frequencies must be positive")
-    if np.unique(f).size < 2:
-        raise ValueError("log-linear fitting needs at least two distinct frequencies")
-    design = np.column_stack([np.log10(f), np.ones_like(f)])
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-    return LogLinearModel(slope_db_per_decade=float(coef[0]), intercept_db=float(coef[1]))
-
-
-# ---------------------------------------------------------------------------
 # Gaussian-process spatial interpolation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KrigingKernel:
-    """Squared-exponential kernel with a diagonal nugget."""
-
-    length_scale: float
-    signal_var: float
-    noise_var: float
-
-    def __post_init__(self):
-        if not (self.length_scale > 0):
-            raise ValueError("length scale must be positive")
-        if self.signal_var < 0 or self.noise_var < 0:
-            raise ValueError("variances must be non-negative")
+# nugget as a fraction of the signal variance
+KRIGING_NUGGET = 1e-6
 
 
 @dataclass(frozen=True)
 class KrigingModel:
-    """Fitted Gaussian-process interpolator (zero prior mean)."""
+    """Fitted Gaussian-process interpolator (zero prior mean).
 
-    kernel: KrigingKernel
+    ``alpha`` holds ``(R + nugget I)^{-1} v`` for every value column, where
+    R is the unit-variance squared-exponential correlation matrix.
+    """
+
     locations: np.ndarray
-    values: np.ndarray
+    length_scale: float
     alpha: np.ndarray
-    cho: tuple
-
-    @property
-    def n_train(self) -> int:
-        return self.locations.shape[0]
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _correlation(a: np.ndarray, b: np.ndarray, length_scale: float) -> np.ndarray:
     diff = a[:, None, :] - b[None, :, :]
-    return np.sum(diff * diff, axis=-1)
+    return np.exp(-np.sum(diff * diff, axis=-1) / (2 * length_scale ** 2))
 
 
-def _default_length_scale(locations: np.ndarray) -> float:
-    # 2x the typical nearest-neighbor distance; equals 2*spacing on uniform grids
-    d2 = _sq_dists(locations, locations)
-    np.fill_diagonal(d2, np.inf)
-    nn = np.sqrt(np.min(d2, axis=1))
-    return 2.0 * float(np.median(nn))
-
-
-def _log_marginal_likelihood(kernel, locations, values) -> float:
-    k = kernel.signal_var * np.exp(-_sq_dists(locations, locations) / (2 * kernel.length_scale ** 2))
-    k[np.diag_indices_from(k)] += kernel.noise_var
-    try:
-        cho = scipy.linalg.cho_factor(k, lower=True)
-    except scipy.linalg.LinAlgError:
-        return -np.inf
-    alpha = scipy.linalg.cho_solve(cho, values)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    n = values.size
-    return float(-0.5 * values @ alpha - 0.5 * logdet - 0.5 * n * _LOG_2PI)
-
-
-def kriging_fit(locations, values, kernel: KrigingKernel | None = None,
-                optimize_length_scale: bool = False) -> KrigingModel:
+def kriging_fit(locations, values) -> KrigingModel:
     """Fit a Gaussian-process interpolator to scattered real values.
 
-    Without an explicit kernel the defaults are: length scale twice the
-    typical nearest-neighbor spacing, signal variance equal to the sample
-    variance of the values, nugget 1e-6 of the signal variance.  With
-    ``optimize_length_scale`` the length scale is picked from a log-spaced
-    candidate grid (several per decade) by maximum marginal likelihood.
-
-    Raises:
-        NumericError: the kernel matrix is numerically singular; a larger
-            nugget is the usual fix.
-    """
-    locs = np.array(locations, dtype=float)
-    vals = np.array(values, dtype=float)
-    if locs.ndim != 2 or locs.shape[1] != 2 or locs.shape[0] == 0:
-        raise ValueError("locations must form a non-empty (n, 2) array")
-    if vals.shape != (locs.shape[0],):
-        raise ValueError("need exactly one value per location")
-    if kernel is None:
-        if locs.shape[0] < 2:
-            raise ValueError("kernel defaults need at least two training points")
-        sigf = float(np.var(vals, ddof=1)) if vals.size > 1 else 1.0
-        sigf = max(sigf, 1e-12)
-        kernel = KrigingKernel(
-            length_scale=_default_length_scale(locs),
-            signal_var=sigf,
-            noise_var=1e-6 * sigf,
-        )
-    if optimize_length_scale:
-        base = kernel.length_scale
-        candidates = np.geomspace(base / 3.0, base * 3.0, 7)
-        scored = [
-            (_log_marginal_likelihood(
-                KrigingKernel(float(ls), kernel.signal_var, kernel.noise_var), locs, vals), -i)
-            for i, ls in enumerate(candidates)
-        ]
-        best = int(-max(scored)[1])
-        kernel = KrigingKernel(float(candidates[best]), kernel.signal_var, kernel.noise_var)
-
-    gram = kernel.signal_var * np.exp(-_sq_dists(locs, locs) / (2 * kernel.length_scale ** 2))
-    gram[np.diag_indices_from(gram)] += kernel.noise_var
-    try:
-        cho = scipy.linalg.cho_factor(gram, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError(
-            "kriging kernel matrix is singular; increase the nugget (noise_var)"
-        ) from exc
-    alpha = scipy.linalg.cho_solve(cho, vals)
-    locs.flags.writeable = False
-    vals.flags.writeable = False
-    return KrigingModel(kernel=kernel, locations=locs, values=vals, alpha=alpha, cho=cho)
-
-
-def kriging_predict(model: KrigingModel, queries) -> tuple:
-    """Posterior mean and variance at query locations.
+    The squared-exponential kernel has a length scale of twice the median
+    nearest-neighbor spacing, a signal variance equal to the sample variance
+    of each value column and a nugget of ``KRIGING_NUGGET`` times that
+    variance.  The variance scales the Gram matrix and the query
+    covariances alike, so it cancels from the posterior mean: one Cholesky
+    factor of ``R + nugget I`` serves every column as a multi-RHS solve
+    (Rasmussen & Williams, GPML Alg. 2.1).
 
     Args:
-        model: fitted interpolator.
-        queries: (m, 2) array of positions.
-
-    Returns:
-        (mean, var) arrays of shape (m,); variances are clipped at zero.
+        locations: (n, 2) training positions, n >= 2, not all coincident.
+        values: (n,) values, or (n, m) for m independent fields.
     """
+    locs = np.array(locations, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if locs.ndim != 2 or locs.shape[1] != 2 or locs.shape[0] == 0:
+        raise ValueError("locations must form a non-empty (n, 2) array")
+    if vals.ndim not in (1, 2) or vals.shape[0] != locs.shape[0]:
+        raise ValueError("need exactly one value row per location")
+    if locs.shape[0] < 2:
+        raise ValueError("kernel defaults need at least two training points")
+    d2 = np.sum((locs[:, None, :] - locs[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    length_scale = 2.0 * float(np.median(np.sqrt(np.min(d2, axis=1))))
+    if not (length_scale > 0):
+        raise ValueError("training locations coincide; the length scale would be zero")
+    gram = _correlation(locs, locs, length_scale)
+    gram[np.diag_indices_from(gram)] += KRIGING_NUGGET
+    alpha = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), vals)
+    locs.flags.writeable = False
+    return KrigingModel(locations=locs, length_scale=length_scale, alpha=alpha)
+
+
+def kriging_predict(model: KrigingModel, queries) -> np.ndarray:
+    """Posterior mean at (m, 2) query positions: (m,) or (m, columns)."""
     q = np.asarray(queries, dtype=float)
-    single = q.ndim == 1
-    if single:
-        q = q[None, :]
     if q.ndim != 2 or q.shape[1] != 2:
         raise ValueError("queries must form an (m, 2) array")
-    kstar = model.kernel.signal_var * np.exp(
-        -_sq_dists(q, model.locations) / (2 * model.kernel.length_scale ** 2)
-    )
-    mean = kstar @ model.alpha
-    v = scipy.linalg.cho_solve(model.cho, kstar.T)
-    var = model.kernel.signal_var - np.sum(kstar * v.T, axis=1)
-    var = np.maximum(var, 0.0)
-    if single:
-        return float(mean[0]), float(var[0])
-    return mean, var
+    return _correlation(q, model.locations, model.length_scale) @ model.alpha

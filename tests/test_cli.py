@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 
+import numpy as np
 import pytest
 
 from fingerloc.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
@@ -184,6 +185,54 @@ def test_infeasible_lighting_is_a_numeric_error(tmp_path):
         "target_lux": 900, "env_lux": 0,
     })
     assert main(["lighting", "--config", cfg_path]) == EXIT_NUMERIC
+
+
+def _lighting_from_file(tmp_path, doc):
+    path = tmp_path / "sets.json"
+    path.write_text(json.dumps(doc))
+    lighting = dict(TINY["bems_binary"]["lighting"], track_output=str(path))
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary", lighting=lighting)
+    return main(["lighting", "--config", cfg_path]), path, pathlib.Path(out_dir)
+
+
+def test_lighting_reads_a_track_sets_file(tmp_path):
+    rc, _, out_dir = _lighting_from_file(
+        tmp_path, {"candidate_sets": [[0], [4, 5]], "true_cells": [0, 4]})
+    assert rc == EXIT_OK
+    assert len((out_dir / "lighting.csv").read_text().splitlines()) == 1 + 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"candidate_sets": [[0], [1, 2], [4]], "true_cells": [0, 1]},  # one true cell short
+    {"candidate_sets": [[0], [1]], "true_cells": [0, 9]},  # true cell off the 3x3 grid
+    {"candidate_sets": [[0], [1.5]], "true_cells": [0, 1]},  # schema: a non-integer cell
+    {"candidate_sets": [[0]]},  # schema: no true cells
+])
+def test_malformed_track_sets_file_is_a_config_error(tmp_path, capsys, doc):
+    rc, path, out_dir = _lighting_from_file(tmp_path, doc)
+    assert rc == EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
+    assert not (out_dir / "lighting.csv").exists()
+
+
+def test_illegal_learn_log_counts_filled_projection_bins(tmp_path):
+    cfg_path, out_dir = _write_config(tmp_path, "illegal_hybrid")
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    log = json.loads((pathlib.Path(out_dir) / "learn_log.json").read_text())
+    assert log["filled_bins"] == 0
+    # zero one delay bin of one key at one point and frequency in every snapshot
+    doc = json.loads((pathlib.Path(out_dir) / "measurements.json").read_text())
+    xcorr = doc["arrays"]["xcorr"]
+    for snap in range(xcorr["shape"][2]):
+        xcorr["data"][int(np.ravel_multi_index((1, 2, snap, 3, 0), xcorr["shape"]))] = [0.0, 0.0]
+    planted = tmp_path / "planted.json"
+    planted.write_text(json.dumps(doc))
+    scenario = dict(TINY["illegal_hybrid"]["scenario"], measurements=str(planted))
+    cfg_path, _ = _write_config(tmp_path, "illegal_hybrid", scenario=scenario)
+    reader = tmp_path / "reader"
+    assert main(["learn", "--config", cfg_path, "--out", str(reader)]) == EXIT_OK
+    assert json.loads((reader / "learn_log.json").read_text())["filled_bins"] == 1
+    validate_run_dir(str(reader))
 
 
 def test_database_from_another_grid_is_a_config_error(tmp_path):

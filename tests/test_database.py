@@ -19,7 +19,7 @@ from fingerloc.database import (
 from fingerloc.experiments.artifacts import validate_artifact
 from fingerloc.geometry import Position, build_uniform_grid
 from fingerloc.signals import FingerprintKind, FingerprintMeta, FingerprintVector
-from fingerloc.stats import GammaParams, LogLinearModel, VonMisesParams, fit_gaussian
+from fingerloc.stats import GammaParams, VonMisesParams, fit_gaussian, kriging_fit
 
 
 def _grid(n=2):
@@ -101,7 +101,7 @@ def test_database_rejects_unknown_block_types():
         FingerprintDatabase(grid=grid, blocks={"k": object()})
     with pytest.raises(ValueError):
         FingerprintDatabase(grid=grid, blocks={
-            "k": LogLinearModel(slope_db_per_decade=-20.0, intercept_db=120.0)})
+            "k": kriging_fit(grid.as_array(), np.arange(4.0))})
     # one model, not a block over the grid
     with pytest.raises(ValueError):
         FingerprintDatabase(grid=grid, blocks={"k": GammaParams(shape=1.0, scale=1.0)})

@@ -10,8 +10,9 @@ The property tests hold the block-wise matchers to a per-grid-point reference
 loop written out here, on random databases, the batched classroom
 leave-one-out to a per-trial, per-fold loop, the batched pair
 cross-correlation to ``xcorr`` per pair, the block-diagonal lighting LP to
-one ``linprog`` per occupied set, and the measurement codec to a bit-exact
-round trip.
+one ``linprog`` per occupied set, the unknown-emitter projection stages to
+per-point, per-bin and per-query loops, multi-column kriging to one dense
+solve per column, and the measurement codec to a bit-exact round trip.
 
 Regenerate only for an intended behaviour change, and say why in CHANGES.md::
 
@@ -47,9 +48,23 @@ from fingerloc.experiments.configs import parse_config  # noqa: E402
 from fingerloc.experiments.illegal import error_maps  # noqa: E402
 from fingerloc.features import pair_xcorr, xcorr  # noqa: E402
 from fingerloc.geometry import Position, build_uniform_grid  # noqa: E402
+from fingerloc.interp import (  # noqa: E402
+    UcaGeometry,
+    bandwidth_interp,
+    freq_interp_xcorr,
+    phasediff_freq_interp,
+    spatial_densify,
+    windowed_sinc_lowpass,
+)
 from fingerloc.lighting import Light, LightingScenario, illuminance, solve_lighting  # noqa: E402
 from fingerloc.matching import mle_rssi_rspd  # noqa: E402
-from fingerloc.signals import FingerprintKind, FingerprintVector  # noqa: E402
+from fingerloc.signals import (  # noqa: E402
+    FingerprintKind,
+    FingerprintMeta,
+    FingerprintVector,
+    wrap_angle,
+)
+from fingerloc.simulate import SPEED_OF_LIGHT  # noqa: E402
 from fingerloc.stats import (  # noqa: E402
     KAPPA_MAX,
     GammaParams,
@@ -57,6 +72,8 @@ from fingerloc.stats import (  # noqa: E402
     VonMisesParams,
     fit_gaussian,
     gaussian_loglik,
+    kriging_fit,
+    kriging_predict,
 )
 
 PINNED = pathlib.Path(__file__).with_name("data") / "equivalence.json"
@@ -345,6 +362,190 @@ def test_batched_lighting_equals_per_set_linprog(n_lights, set_sizes, seed):
         assert np.all(plan.switches >= 0.0) and np.all(plan.switches <= 1.0)
         for c in cells:
             assert illuminance(scen, plan.switches, c) >= target - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# unknown-emitter projection stages against per-point loops
+# ---------------------------------------------------------------------------
+
+def _ref_freq_interp(freqs, rows, target):
+    """One grid point: a least-squares line per live bin, then the dead-bin fill."""
+    mags = np.abs(rows)  # (freqs, dim)
+    dim = mags.shape[1]
+    design = np.column_stack([np.log10(freqs), np.ones(len(freqs))])
+    pred, flags = np.zeros(dim), np.zeros(dim, dtype=bool)
+    for j in range(dim):
+        if np.all(mags[:, j] > 0.0):
+            coef, *_ = np.linalg.lstsq(design, 10.0 * np.log10(mags[:, j]), rcond=None)
+            pred[j] = 10.0 ** ((coef[0] * np.log10(target) + coef[1]) / 10.0)
+        else:
+            flags[j] = True
+    for j in np.nonzero(flags)[0]:
+        left = next((pred[i] for i in range(j - 1, -1, -1) if not flags[i]), None)
+        right = next((pred[i] for i in range(j + 1, dim) if not flags[i]), None)
+        if left is not None and right is not None:
+            pred[j] = math.sqrt(left * right)
+        else:
+            pred[j] = left if left is not None else right if right is not None else 0.0
+    nearest = int(np.argmin(np.abs(np.asarray(freqs) - target)))
+    return pred * np.exp(1j * np.angle(rows[nearest])), flags
+
+
+def _ref_phase_projection(values, geom, pairs, train_freq, target_freq):
+    """One grid point: scan the azimuth grid, then steer at the target frequency."""
+    def pair_diffs(freq, aoa):
+        k = np.arange(geom.n_elements)
+        gain = 2.0 * math.pi * freq * geom.radius_m / SPEED_OF_LIGHT
+        phases = gain * np.cos(aoa - 2.0 * math.pi * k / geom.n_elements)
+        return np.array([phases[i] - phases[j] for i, j in pairs])
+
+    angles = np.deg2rad(np.arange(0.0, 360.0, 0.5))
+    best, best_score, best_conf = None, -np.inf, None
+    for aoa in angles:
+        agree = np.exp(1j * (values - pair_diffs(train_freq, aoa)))
+        score = float(np.real(agree.sum()))
+        if score > best_score:
+            best, best_score, best_conf = aoa, score, float(np.abs(agree.mean()))
+    return wrap_angle(pair_diffs(target_freq, best)), best, best_conf
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_freqs=st.integers(2, 4), n_points=st.integers(1, 5), half=st.integers(0, 5),
+       dead=st.sets(st.sampled_from(["leading", "trailing", "interior", "row"])),
+       bw_ratio=st.sampled_from([1.0, 0.9, 0.5, 0.13]), elements=st.integers(2, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_projection_equals_per_point_loop(n_freqs, n_points, half, dead, bw_ratio,
+                                                elements, seed):
+    rng = np.random.default_rng(seed)
+    freqs = np.sort(rng.choice([0.4e9, 0.8e9, 1.5e9, 2.4e9, 5.0e9], n_freqs, replace=False))
+    target = float(rng.uniform(0.3e9, 6.0e9))
+    dim = 2 * half + 1
+    shape = (n_freqs, n_points, dim)
+    stack = np.exp(rng.normal(0.0, 2.0, shape)) * np.exp(1j * rng.uniform(-3, 3, shape))
+    point = rng.integers(n_points, size=4)
+    # a dead bin: zero magnitude at one training frequency
+    for kind, p in zip(("leading", "trailing", "interior", "row"), point):
+        if kind in dead:
+            bins = {"leading": [0], "trailing": [dim - 1], "interior": [half],
+                    "row": list(range(dim))}[kind]
+            stack[rng.integers(n_freqs), p, bins] = 0.0
+    train = [FingerprintVector(kind=FingerprintKind.RX_XCORR, values=stack[f])
+             for f in range(n_freqs)]
+    fp, flags = freq_interp_xcorr(freqs, train, target)
+    out = bandwidth_interp(fp, 1e7, 1e7 * bw_ratio)
+
+    taps = windowed_sinc_lowpass(bw_ratio) if bw_ratio < 1.0 else np.array([1.0])
+    start = (len(taps) - 1) // 2
+    assert out.values.shape == flags.shape == (n_points, dim)
+    for p in range(n_points):
+        want, want_flags = _ref_freq_interp(freqs, stack[:, p], target)
+        assert np.array_equal(flags[p], want_flags)
+        assert np.allclose(fp.values[p], want, rtol=1e-12, atol=0.0)
+        want = np.convolve(want, taps)[start:start + dim]
+        scale = np.max(np.abs(want), initial=0.0)
+        assert np.allclose(out.values[p], want, rtol=1e-12, atol=1e-12 * scale)
+
+    geom = UcaGeometry(n_elements=elements, radius_m=float(rng.uniform(0.02, 0.2)))
+    pairs = tuple((a, b) for a in range(elements) for b in range(a + 1, elements))
+    phases = wrap_angle(rng.uniform(-math.pi, math.pi, (n_points, len(pairs))))
+    block = FingerprintVector(kind=FingerprintKind.PHASE_DIFF, values=phases,
+                              meta=FingerprintMeta(pairs=pairs))
+    got, aoa, conf = phasediff_freq_interp(block, geom, freqs[0], target)
+    assert aoa.shape == conf.shape == (n_points,)
+    for p in range(n_points):
+        want, want_aoa, want_conf = _ref_phase_projection(phases[p], geom, pairs,
+                                                          freqs[0], target)
+        assert aoa[p] == want_aoa
+        assert conf[p] == pytest.approx(want_conf, rel=1e-12)
+        assert np.allclose(got.values[p], want, rtol=1e-12, atol=1e-12)
+
+
+# relative to each column's largest value; the dense solves condition up to ~2e7
+KRIGING_TOL = 1e-8
+
+
+def _ref_kriging_mean(locs, column, queries, length_scale):
+    """The posterior mean with the column's own signal variance and nugget."""
+    sigf = max(float(np.var(column, ddof=1)), 1e-12)
+
+    def cov(a, b):
+        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+        return sigf * np.exp(-d2 / (2 * length_scale ** 2))
+
+    gram = cov(locs, locs) + 1e-6 * sigf * np.eye(len(locs))
+    return cov(queries, locs) @ np.linalg.solve(gram, column)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(2, 6), ny=st.integers(2, 6), n_cols=st.integers(1, 6),
+       spacing=st.sampled_from([0.3, 1.0, 3.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_multi_column_kriging_equals_per_column_dense_solve(nx, ny, n_cols, spacing, seed):
+    rng = np.random.default_rng(seed)
+    locs = build_uniform_grid(Position(0.0, 0.0), nx, ny, spacing).as_array()
+    # columns of very different scales, one of them constant (zero variance)
+    vals = rng.normal(0.0, 1.0, (len(locs), n_cols)) * 10.0 ** rng.uniform(-3, 3, n_cols)
+    vals[:, 0] = rng.uniform(-50.0, 50.0)
+    queries = np.vstack([locs, rng.uniform(0.0, [(nx - 1) * spacing, (ny - 1) * spacing],
+                                           (7, 2))])
+    model = kriging_fit(locs, vals)
+    assert model.length_scale == pytest.approx(2.0 * spacing, rel=1e-12)
+    got = kriging_predict(model, queries)
+    assert got.shape == (len(queries), n_cols)
+    for j in range(n_cols):
+        want = _ref_kriging_mean(locs, vals[:, j], queries, model.length_scale)
+        scale = np.max(np.abs(vals[:, j]))
+        assert np.allclose(got[:, j], want, rtol=0.0, atol=KRIGING_TOL * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(2, 4), ny=st.integers(2, 4), factor=st.integers(1, 3),
+       n_corr=st.integers(1, 3), half=st.integers(0, 3), zero_conf=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_spatial_densify_equals_per_key_and_per_query_loops(nx, ny, factor, n_corr, half,
+                                                            zero_conf, seed):
+    rng = np.random.default_rng(seed)
+    coarse = build_uniform_grid(Position(0.0, 0.0), nx, ny, 2.0)
+    fine = build_uniform_grid(Position(0.0, 0.0), (nx - 1) * factor + 1,
+                              (ny - 1) * factor + 1, 2.0 / factor)
+    train, query = coarse.as_array(), fine.as_array()
+    n, dim = len(train), 2 * half + 1
+    blocks = {}
+    for k in range(n_corr):
+        field = (np.exp(rng.normal(0.0, 2.0, (n, dim))) * 10.0 ** rng.uniform(-6, 6)
+                 * np.exp(1j * rng.uniform(-3, 3, (n, dim))))
+        field[rng.integers(n), rng.integers(dim)] = 0.0  # floored at 1e-12 of the key's peak
+        blocks[f"xc:{k}"] = FingerprintVector(kind=FingerprintKind.RX_XCORR, values=field)
+    blocks["pd"] = FingerprintVector(kind=FingerprintKind.PHASE_DIFF,
+                                     values=rng.uniform(-3.1, 3.1, (n, 3)))
+    conf = np.zeros(n) if zero_conf else rng.uniform(0.0, 1.0, n)
+    out = spatial_densify(FingerprintDatabase(grid=coarse, blocks=blocks), fine,
+                          confidences={"pd": conf})
+
+    nearest = [int(np.argmin(np.sum((train - q) ** 2, axis=1))) for q in query]
+    length_scale = 4.0  # twice the training spacing
+    for k in range(n_corr):
+        stack = blocks[f"xc:{k}"].values
+        mags = np.abs(stack)
+        db = 10.0 * np.log10(np.maximum(mags, 1e-12 * mags.max()))
+        for j in range(dim):
+            want_db = _ref_kriging_mean(train, db[:, j], query, length_scale)
+            got = out.blocks[f"xc:{k}"].values[:, j]
+            assert np.allclose(10.0 * np.log10(np.abs(got)), want_db, rtol=0.0,
+                               atol=KRIGING_TOL * np.max(np.abs(db[:, j])))
+            assert np.allclose(got / np.abs(got), np.exp(1j * np.angle(stack[nearest, j])),
+                               rtol=0.0, atol=1e-14)
+    phasors = np.exp(1j * blocks["pd"].values)
+    for q, pos in enumerate(query):
+        d = np.hypot(train[:, 0] - pos[0], train[:, 1] - pos[1])
+        near = np.argsort(d)[:4]
+        if d[near[0]] <= 0.0:
+            want = blocks["pd"].values[near[0]]
+        else:
+            w = conf[near] / d[near]
+            if np.sum(w) <= 0.0:
+                w = 1.0 / d[near]
+            want = np.angle((w[:, None] * phasors[near]).sum(axis=0))
+        assert np.array_equal(out.blocks["pd"].values[q], want)
 
 
 # ---------------------------------------------------------------------------

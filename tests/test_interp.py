@@ -19,7 +19,6 @@ from fingerloc.interp import (
     windowed_sinc_lowpass,
 )
 from fingerloc.signals import FingerprintKind, FingerprintMeta, FingerprintVector, wrap_angle
-from fingerloc.stats import KrigingKernel
 
 C = 299792458.0
 
@@ -107,7 +106,8 @@ def test_freq_interp_recovers_per_bin_log_linear_law():
     fps = [_fp(FingerprintKind.CIR_XCORR, mags(f) * np.exp(1j * phases[f]), freq_hz=f)
            for f in freqs]
     target = 1.2e9
-    out = freq_interp_xcorr(freqs, fps, target)
+    out, flags = freq_interp_xcorr(freqs, fps, target)
+    assert not flags.any()
     assert np.allclose(np.abs(out.values), mags(target), rtol=1e-9)
     # phases come from the nearest training frequency (1.5 GHz here), wrapped
     assert np.allclose(np.angle(out.values), wrap_angle(phases[1.5e9]), atol=1e-12)
@@ -120,7 +120,7 @@ def test_freq_interp_two_point_hand_case():
         _fp(FingerprintKind.CIR_XCORR, np.array([100.0 + 0j]), freq_hz=1e8),
         _fp(FingerprintKind.CIR_XCORR, np.array([10.0 + 0j]), freq_hz=1e9),
     ]
-    out = freq_interp_xcorr([1e8, 1e9], fps, math.sqrt(1e8 * 1e9))
+    out, _ = freq_interp_xcorr([1e8, 1e9], fps, math.sqrt(1e8 * 1e9))
     # halfway in log10(f): 30 dB
     assert abs(out.values[0]) == pytest.approx(10.0 ** 1.5, rel=1e-12)
 
@@ -129,7 +129,7 @@ def test_freq_interp_flags_and_fills_dead_bins():
     freqs = [1e9, 2e9]
     a = _fp(FingerprintKind.CIR_XCORR, np.array([4.0, 0.0, 16.0], dtype=complex))
     b = _fp(FingerprintKind.CIR_XCORR, np.array([4.0, 5.0, 16.0], dtype=complex))
-    out, flags = freq_interp_xcorr(freqs, [a, b], 1.5e9, return_flags=True)
+    out, flags = freq_interp_xcorr(freqs, [a, b], 1.5e9)
     assert np.array_equal(flags, [False, True, False])
     # the dead bin takes the geometric mean of its live neighbors
     left, right = abs(out.values[0]), abs(out.values[2])
@@ -145,6 +145,13 @@ def test_freq_interp_validation():
         freq_interp_xcorr([1e9, 2e9], [fp, other], 1.5e9)  # dimension mismatch
     with pytest.raises(ValueError):
         freq_interp_xcorr([1e9, 2e9], [fp, fp], -1.0)
+    with pytest.raises(ValueError):
+        freq_interp_xcorr([1e9, 1e9], [fp, fp], 1.5e9)  # frequencies must be distinct
+    with pytest.raises(ValueError):
+        freq_interp_xcorr([1e9, -1e9], [fp, fp], 1.5e9)
+    block = _fp(FingerprintKind.CIR_XCORR, np.ones((2, 2), dtype=complex))
+    with pytest.raises(ValueError):
+        freq_interp_xcorr([1e9, 2e9], [fp, block], 1.5e9)  # shape mismatch
     angle = _fp(FingerprintKind.PHASE_DIFF, np.zeros(2))
     with pytest.raises(ValueError):
         freq_interp_xcorr([1e9, 2e9], [angle, angle], 1.5e9)
@@ -190,9 +197,9 @@ def test_estimate_aoa_recovers_grid_angles_exactly():
     for deg in (0.0, 30.0, 123.5, 359.5):
         values = _pair_diffs(geom, 2.4e9, math.radians(deg), pairs)
         fp = _fp(FingerprintKind.PHASE_DIFF, values, pairs=pairs)
-        fit = estimate_aoa(fp, geom, 2.4e9)
-        assert fit.aoa_rad == pytest.approx(math.radians(deg), abs=1e-12)
-        assert fit.confidence == pytest.approx(1.0, abs=1e-12)
+        aoa, confidence = estimate_aoa(fp, geom, 2.4e9)
+        assert aoa == pytest.approx(math.radians(deg), abs=1e-12)
+        assert confidence == pytest.approx(1.0, abs=1e-12)
 
 
 def test_estimate_aoa_snaps_off_grid_angle_to_nearest_step():
@@ -200,9 +207,9 @@ def test_estimate_aoa_snaps_off_grid_angle_to_nearest_step():
     pairs = ((0, 1), (1, 2), (0, 2))
     values = _pair_diffs(geom, 2.4e9, math.radians(33.3), pairs)
     fp = _fp(FingerprintKind.PHASE_DIFF, values, pairs=pairs)
-    fit = estimate_aoa(fp, geom, 2.4e9)
-    assert fit.aoa_rad == pytest.approx(math.radians(33.5), abs=1e-12)
-    assert 0.99 < fit.confidence <= 1.0
+    aoa, confidence = estimate_aoa(fp, geom, 2.4e9)
+    assert aoa == pytest.approx(math.radians(33.5), abs=1e-12)
+    assert 0.99 < confidence <= 1.0
 
 
 def test_estimate_aoa_validation():
@@ -221,10 +228,10 @@ def test_phasediff_freq_interp_identity_at_training_frequency():
     theta = math.radians(123.5)  # on the scan grid
     values = _pair_diffs(geom, 2.4e9, theta, pairs)
     fp = _fp(FingerprintKind.PHASE_DIFF, values, pairs=pairs, freq_hz=2.4e9)
-    proj = phasediff_freq_interp(fp, geom, 2.4e9, 2.4e9)
-    assert np.allclose(proj.vector.values, values, atol=1e-9)
-    assert proj.aoa_rad == pytest.approx(theta, abs=1e-12)
-    assert proj.confidence == pytest.approx(1.0, abs=1e-9)
+    out, aoa, confidence = phasediff_freq_interp(fp, geom, 2.4e9, 2.4e9)
+    assert np.allclose(out.values, values, atol=1e-9)
+    assert aoa == pytest.approx(theta, abs=1e-12)
+    assert confidence == pytest.approx(1.0, abs=1e-9)
 
 
 def test_phasediff_freq_interp_projects_steering_to_new_frequency():
@@ -233,10 +240,10 @@ def test_phasediff_freq_interp_projects_steering_to_new_frequency():
     theta = math.radians(57.0)
     train = _pair_diffs(geom, 1e9, theta, pairs)
     fp = _fp(FingerprintKind.PHASE_DIFF, train, pairs=pairs, freq_hz=1e9)
-    proj = phasediff_freq_interp(fp, geom, 1e9, 2e9)
+    out, _, _ = phasediff_freq_interp(fp, geom, 1e9, 2e9)
     want = _pair_diffs(geom, 2e9, theta, pairs)
-    assert np.allclose(proj.vector.values, want, atol=1e-9)
-    assert proj.vector.meta.freq_hz == 2e9
+    assert np.allclose(out.values, want, atol=1e-9)
+    assert out.meta.freq_hz == 2e9
     with pytest.raises(ValueError):
         phasediff_freq_interp(fp, geom, 0.0, 2e9)
 
@@ -262,13 +269,15 @@ def test_spatial_densify_phasediff_exact_at_training_points():
 def test_spatial_densify_correlation_reproduces_training_magnitudes():
     grid = build_uniform_grid(Position(0, 0), nx=3, ny=3, spacing=1.0)
     rng = np.random.default_rng(89)
-    mags = rng.uniform(0.5, 4.0, size=(9, 3))
+    # dB fields in the span of the default kernel (length scale 2 spacings):
+    # with its 1e-6 nugget the posterior mean returns them at the training points
+    xy = grid.as_array()
+    corr = np.exp(-np.sum((xy[:, None] - xy[None]) ** 2, axis=-1) / (2 * 2.0 ** 2))
+    mags = 10.0 ** (corr @ rng.uniform(-1.0, 1.0, size=(9, 3)) / 10.0)
     phases = rng.uniform(-3, 3, size=(9, 3))
     field = mags * np.exp(1j * phases)
     db = _train_db(FingerprintKind.CIR_XCORR, field, grid)
-    # short length scale + tiny nugget: near-exact interpolation at training points
-    kernel = KrigingKernel(length_scale=0.4, signal_var=25.0, noise_var=1e-10)
-    out = spatial_densify(db, grid, kernel=kernel)
+    out = spatial_densify(db, grid)
     got = out.blocks["k"].values
     assert np.allclose(np.abs(got), mags, rtol=1e-4)
     # phases copy from the nearest training point, which is the point itself

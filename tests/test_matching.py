@@ -15,7 +15,6 @@ from fingerloc.matching import (
     binary_likelihood,
     fingerprint_sqerr,
     hybrid_match,
-    mle_cir,
     mle_rssi_rspd,
     threshold_set,
 )
@@ -24,9 +23,7 @@ from fingerloc.stats import (
     DetectionMap,
     GammaParams,
     VonMisesParams,
-    fit_gaussian,
     gamma_logpdf,
-    gaussian_loglik,
     vonmises_logpdf,
 )
 
@@ -71,57 +68,6 @@ def test_likelihood_map_validation():
 # ---------------------------------------------------------------------------
 # maximum-likelihood matchers
 # ---------------------------------------------------------------------------
-
-def test_mle_cir_matches_per_point_loglik_sum():
-    rng = np.random.default_rng(17)
-    grid = _grid(3)
-    keys = ["pair_0_1", "pair_0_2"]
-    samples = {key: rng.standard_normal((9, 6, 4)) + 1j * rng.standard_normal((9, 6, 4))
-               for key in keys}
-    db = FingerprintDatabase(grid=grid, blocks={k: fit_gaussian(v) for k, v in samples.items()})
-    targets = [(key, FingerprintVector(
-        kind=FingerprintKind.CIR_XCORR,
-        values=rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-        for key in keys]
-    lmap, idx = mle_cir(targets, db)
-    want = np.zeros(9)
-    for key, fp in targets:
-        for i in range(9):
-            want[i] += gaussian_loglik(fp.values, fit_gaussian(samples[key][i]))
-    assert np.allclose(lmap.values, want, atol=1e-9)
-    assert idx == int(np.argmax(want))
-    assert lmap.mode == MODE_LOG_LIKELIHOOD
-
-
-def test_mle_cir_invariant_under_common_phase_rotation():
-    # rotating every stored mean and the target by one unit phasor leaves
-    # the scatter (and hence every log-likelihood) unchanged
-    rng = np.random.default_rng(23)
-    grid = _grid(2)
-    samples = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal((4, 5, 3))
-    target = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    rot = np.exp(1j * 0.7371)
-
-    def run(phase):
-        db = FingerprintDatabase(grid=grid, blocks={"k": fit_gaussian(samples * phase)})
-        fp = FingerprintVector(kind=FingerprintKind.CIR_XCORR, values=target * phase)
-        return mle_cir([("k", fp)], db)
-
-    plain, idx_a = run(1.0)
-    rotated, idx_b = run(rot)
-    assert idx_a == idx_b
-    assert np.allclose(plain.values, rotated.values, atol=1e-9)
-
-
-def test_mle_cir_validation():
-    grid = _grid(2)
-    db = FingerprintDatabase(grid=grid, blocks={"k": np.full(4, 0.5)})
-    fp = FingerprintVector(kind=FingerprintKind.CIR_XCORR, values=[1j])
-    with pytest.raises(ValueError):
-        mle_cir([("k", fp)], db)  # the block holds no Gaussian models
-    with pytest.raises(ValueError):
-        mle_cir([], db)
-
 
 def test_mle_rssi_rspd_mixes_gamma_and_vonmises():
     rng = np.random.default_rng(31)

@@ -15,11 +15,9 @@ from fingerloc.stats import (
     KAPPA_MAX,
     GammaParams,
     GaussianStats,
-    KrigingKernel,
     VonMisesParams,
     fit_gamma,
     fit_gaussian,
-    fit_loglinear,
     fit_vonmises,
     gamma_logpdf,
     gaussian_loglik,
@@ -384,63 +382,24 @@ def test_learn_detection_map_validation():
 
 
 # ---------------------------------------------------------------------------
-# log-linear trend
-# ---------------------------------------------------------------------------
-
-def test_fit_loglinear_two_point_hand_case():
-    model = fit_loglinear([1e9, 1e10], [-60.0, -80.0])
-    assert model.slope_db_per_decade == pytest.approx(-20.0, abs=1e-9)
-    assert model.intercept_db == pytest.approx(120.0, abs=1e-9)
-    assert model.predict_db(1e9) == pytest.approx(-60.0, abs=1e-9)
-
-
-def test_fit_loglinear_recovers_model_data_exactly():
-    rng = np.random.default_rng(53)
-    for _ in range(20):
-        slope = float(rng.uniform(-40, 10))
-        intercept = float(rng.uniform(-50, 150))
-        freqs = rng.uniform(1e8, 1e10, size=6)
-        vals = slope * np.log10(freqs) + intercept
-        model = fit_loglinear(freqs, vals)
-        assert model.slope_db_per_decade == pytest.approx(slope, abs=1e-9)
-        assert model.intercept_db == pytest.approx(intercept, abs=1e-9)
-
-
-def test_fit_loglinear_residuals_orthogonal_to_regressor():
-    rng = np.random.default_rng(59)
-    freqs = rng.uniform(1e8, 1e10, size=40)
-    vals = -25.0 * np.log10(freqs) + 80.0 + rng.normal(0, 3.0, size=40)
-    model = fit_loglinear(freqs, vals)
-    resid = vals - model.predict_db(freqs)
-    assert abs(float(resid @ np.log10(freqs))) < 1e-9 * len(freqs) * float(np.std(vals) + 1)
-    assert abs(float(resid.sum())) < 1e-9 * len(freqs)
-
-
-def test_fit_loglinear_validation():
-    with pytest.raises(ValueError):
-        fit_loglinear([1e9], [-60.0])
-    with pytest.raises(ValueError):
-        fit_loglinear([1e9, 1e9], [-60.0, -61.0])
-    with pytest.raises(ValueError):
-        fit_loglinear([1e9, -1e9], [-60.0, -61.0])
-
-
-# ---------------------------------------------------------------------------
 # kriging
 # ---------------------------------------------------------------------------
 
+def _correlation(a, b, length_scale):
+    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    return np.exp(-d2 / (2 * length_scale ** 2))
+
+
 def test_kriging_reproduces_training_values():
-    # with a vanishing nugget the posterior mean interpolates the data
+    # fields in the span of the kernel come back at the training points up
+    # to the 1e-6 nugget
     rng = np.random.default_rng(61)
     grid = build_uniform_grid(Position(0, 0), nx=4, ny=4, spacing=1.0)
     locs = grid.as_array()
-    vals = rng.standard_normal(16) * 5.0
-    kernel = KrigingKernel(length_scale=0.5, signal_var=25.0, noise_var=1e-10)
-    model = kriging_fit(locs, vals, kernel=kernel)
-    mean, var = kriging_predict(model, locs)
-    scale = float(np.max(np.abs(vals)))
-    assert np.allclose(mean, vals, atol=1e-6 * scale)
-    assert np.all(var >= 0.0)
+    vals = _correlation(locs, locs, 2.0) @ rng.standard_normal((16, 3)) * 5.0
+    mean = kriging_predict(kriging_fit(locs, vals), locs)
+    assert mean.shape == (16, 3)
+    assert np.allclose(mean, vals, atol=1e-6 * float(np.max(np.abs(vals))))
 
 
 def test_kriging_default_kernel_smooths_rather_than_interpolates():
@@ -450,7 +409,7 @@ def test_kriging_default_kernel_smooths_rather_than_interpolates():
     grid = build_uniform_grid(Position(0, 0), nx=4, ny=4, spacing=1.0)
     vals = rng.standard_normal(16) * 5.0
     model = kriging_fit(grid.as_array(), vals)
-    mean, _ = kriging_predict(model, grid.as_array())
+    mean = kriging_predict(model, grid.as_array())
     assert np.allclose(mean, vals, atol=0.05 * float(np.ptp(vals)))
 
 
@@ -458,60 +417,42 @@ def test_kriging_reverts_to_prior_far_away():
     grid = build_uniform_grid(Position(0, 0), nx=3, ny=3, spacing=1.0)
     vals = np.linspace(-2.0, 2.0, 9)
     model = kriging_fit(grid.as_array(), vals)
-    mean, var = kriging_predict(model, np.array([1e4, 1e4]))
-    assert mean == pytest.approx(0.0, abs=1e-12)  # zero prior mean
-    assert var == pytest.approx(model.kernel.signal_var, rel=1e-9)
+    mean = kriging_predict(model, np.array([[1e4, 1e4]]))
+    assert mean == pytest.approx([0.0], abs=1e-12)  # zero prior mean
 
 
 def test_kriging_default_length_scale_is_twice_spacing():
     grid = build_uniform_grid(Position(0, 0), nx=3, ny=3, spacing=0.7)
     model = kriging_fit(grid.as_array(), np.arange(9.0))
-    assert model.kernel.length_scale == pytest.approx(1.4, rel=1e-12)
-    assert model.kernel.signal_var == pytest.approx(float(np.var(np.arange(9.0), ddof=1)),
-                                                    rel=1e-12)
-    assert model.kernel.noise_var == pytest.approx(1e-6 * model.kernel.signal_var,
-                                                   rel=1e-12)
+    assert model.length_scale == pytest.approx(1.4, rel=1e-12)
+    # the signal variance cancels from the mean: scaling the data scales it
+    queries = np.array([[0.3, 0.2], [1.1, 0.9]])
+    scaled = kriging_fit(grid.as_array(), 1e3 * np.arange(9.0))
+    assert np.allclose(kriging_predict(scaled, queries),
+                       1e3 * kriging_predict(model, queries), rtol=1e-12)
 
 
 def test_kriging_predict_matches_dense_solve_oracle():
+    # the per-column formula with its own signal variance and nugget
     rng = np.random.default_rng(71)
     locs = rng.uniform(0, 5, size=(12, 2))
-    vals = rng.standard_normal(12) * 3.0
-    kernel = KrigingKernel(length_scale=1.3, signal_var=4.0, noise_var=1e-4)
-    model = kriging_fit(locs, vals, kernel=kernel)
+    vals = rng.standard_normal((12, 4)) * [3.0, 0.01, 40.0, 1.0]
+    model = kriging_fit(locs, vals)
     queries = rng.uniform(0, 5, size=(7, 2))
-
-    def k_of(a, b):
-        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-        return kernel.signal_var * np.exp(-d2 / (2 * kernel.length_scale ** 2))
-
-    gram = k_of(locs, locs) + kernel.noise_var * np.eye(12)
-    kstar = k_of(queries, locs)
-    want_mean = kstar @ np.linalg.solve(gram, vals)
-    want_var = kernel.signal_var - np.sum(kstar * np.linalg.solve(gram, kstar.T).T, axis=1)
-    mean, var = kriging_predict(model, queries)
-    assert np.allclose(mean, want_mean, atol=1e-9)
-    assert np.allclose(var, np.maximum(want_var, 0.0), atol=1e-9)
-
-
-def test_kriging_optimize_picks_from_candidate_grid():
-    rng = np.random.default_rng(67)
-    grid = build_uniform_grid(Position(0, 0), nx=4, ny=4, spacing=1.0)
-    vals = np.sin(grid.as_array()[:, 0]) + rng.normal(0, 0.05, 16)
-    base = kriging_fit(grid.as_array(), vals)
-    tuned = kriging_fit(grid.as_array(), vals, optimize_length_scale=True)
-    candidates = np.geomspace(base.kernel.length_scale / 3.0,
-                              base.kernel.length_scale * 3.0, 7)
-    assert any(tuned.kernel.length_scale == pytest.approx(c, rel=1e-12)
-               for c in candidates)
+    mean = kriging_predict(model, queries)
+    for j in range(4):
+        sigf = float(np.var(vals[:, j], ddof=1))
+        gram = sigf * _correlation(locs, locs, model.length_scale) + 1e-6 * sigf * np.eye(12)
+        kstar = sigf * _correlation(queries, locs, model.length_scale)
+        want = kstar @ np.linalg.solve(gram, vals[:, j])
+        assert np.allclose(mean[:, j], want, rtol=1e-9, atol=1e-9)
 
 
 def test_kriging_singular_matrix_raises():
-    locs = np.array([[0.0, 0.0], [0.0, 0.0]])  # duplicated point, no nugget
-    with pytest.raises(NumericError):
-        kriging_fit(locs, np.array([0.0, 1.0]),
-                    kernel=KrigingKernel(length_scale=1.0, signal_var=1.0,
-                                         noise_var=0.0))
+    # duplicated training points have a zero nearest-neighbor spacing, so the
+    # default length scale would be zero and the correlation matrix undefined
+    with pytest.raises(ValueError):
+        kriging_fit(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([0.0, 1.0]))
 
 
 def test_kriging_validation():
@@ -524,3 +465,5 @@ def test_kriging_validation():
     model = kriging_fit(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         kriging_predict(model, np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        kriging_predict(model, np.zeros(2))
