@@ -77,6 +77,7 @@ from .stats import (
     fit_vonmises,
     gamma_logpdf,
     gaussian_loglik,
+    kriging_cond,
     kriging_fit,
     kriging_predict,
     learn_detection_map,
@@ -96,6 +97,7 @@ from .matching import (
     threshold_set,
 )
 from .tracking import (
+    GridTransition,
     MobilityModel,
     ParticleSet,
     grid_bayes_step,

@@ -47,6 +47,7 @@ from ..simulate import (
     gen_cir,
     synthesize_rx,
 )
+from ..stats import kriging_cond
 from .common import (
     build_grid,
     cdf_table,
@@ -365,7 +366,9 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
     xc = arrays["xcorr"]
     db, filled_bins = build_database(cfg, xc, arrays["phase"])
     save_db(cfg, out_dir, db)
+    # the conditioning of the kriging that densified the coarse survey grid
     log = {"points": len(db), "derived": True, "filled_bins": filled_bins,
+           "kriging_cond": kriging_cond(build_grid(cfg).as_array()),
            "per_point_samples": [int(xc.shape[2])] * xc.shape[1],
            "target_freq_hz": cfg["scenario"]["target"]["freq_hz"],
            "target_bandwidth_hz": cfg["scenario"]["target"]["bandwidth_hz"]}

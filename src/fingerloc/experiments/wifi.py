@@ -28,7 +28,7 @@ from ..simulate import (
     synthesize_rx,
 )
 from ..stats import fit_gamma, fit_vonmises
-from ..tracking import ParticleSet, particle_predict, particle_update
+from ..tracking import RESAMPLE_ESS_FRACTION, ParticleSet, particle_predict, particle_update
 from .common import (
     build_grid,
     cdf_table,
@@ -175,7 +175,9 @@ def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
 
     Steps are indexed 1..T; a zero-step walk yields no rows.  The particle
     filter starts uniform over the room, advances by the noisy dead-reckoning
-    step, and is reweighted by the combined power+phase likelihood map.
+    step, and is reweighted by the combined power+phase likelihood map; each
+    row records the filter's effective sample size before resampling and
+    whether it resampled.
     """
     scn = cfg["scenario"]
     path = generate_walk(cfg)
@@ -211,10 +213,12 @@ def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
             ps = particle_predict(ps, pdr[t - 1], cfg["tracking"]["pdr_sigma_m"],
                                   derive_seed(cfg["seed"], _TAG_PF, 1, t))
             # the loop ends on "rssi_rspd", so lmap is the combined map
-            ps, est = particle_update(ps, lmap, seed=derive_seed(cfg["seed"], _TAG_PF, 2, t))
+            ps, est, ess = particle_update(ps, lmap,
+                                           seed=derive_seed(cfg["seed"], _TAG_PF, 2, t))
             err = float(math.hypot(est.x - true[0], est.y - true[1]))
             errors["pf"].append(err)
-            row.extend([float(est.x), float(est.y), err])
+            row.extend([float(est.x), float(est.y), err, ess,
+                        ess < RESAMPLE_ESS_FRACTION * len(ps)])
         rows.append(tuple(row))
 
     methods = ["rssi", "rspd", "rssi_rspd"] + (["pf"] if with_pf else [])
@@ -268,7 +272,7 @@ def cmd_track(cfg: dict, out_dir: str) -> dict:
     db = load_db(cfg, out_dir, cmd_learn)
     rows, summary = evaluate_walk(cfg, db, with_pf=True)
     header = ("step", "true_x", "true_y", "err_rssi", "err_rspd",
-              "err_rssi_rspd", "est_x", "est_y", "err_pf")
+              "err_rssi_rspd", "est_x", "est_y", "err_pf", "ess", "resampled")
     write_csv(os.path.join(out_dir, "track.csv"), header, rows)
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary

@@ -25,6 +25,7 @@ __all__ = [
     "KrigingModel",
     "kriging_fit",
     "kriging_predict",
+    "kriging_cond",
 ]
 
 DEFAULT_LOADING_EPS = 1e-3
@@ -408,6 +409,23 @@ def _correlation(a: np.ndarray, b: np.ndarray, length_scale: float) -> np.ndarra
     return np.exp(-np.sum(diff * diff, axis=-1) / (2 * length_scale ** 2))
 
 
+def _kriging_gram(locations) -> tuple:
+    """(locations, length scale, R + nugget I) of the default kernel."""
+    locs = np.array(locations, dtype=float)
+    if locs.ndim != 2 or locs.shape[1] != 2 or locs.shape[0] == 0:
+        raise ValueError("locations must form a non-empty (n, 2) array")
+    if locs.shape[0] < 2:
+        raise ValueError("kernel defaults need at least two training points")
+    d2 = np.sum((locs[:, None, :] - locs[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    length_scale = 2.0 * float(np.median(np.sqrt(np.min(d2, axis=1))))
+    if not (length_scale > 0):
+        raise ValueError("training locations coincide; the length scale would be zero")
+    gram = _correlation(locs, locs, length_scale)
+    gram[np.diag_indices_from(gram)] += KRIGING_NUGGET
+    return locs, length_scale, gram
+
+
 def kriging_fit(locations, values) -> KrigingModel:
     """Fit a Gaussian-process interpolator to scattered real values.
 
@@ -423,24 +441,22 @@ def kriging_fit(locations, values) -> KrigingModel:
         locations: (n, 2) training positions, n >= 2, not all coincident.
         values: (n,) values, or (n, m) for m independent fields.
     """
-    locs = np.array(locations, dtype=float)
+    locs, length_scale, gram = _kriging_gram(locations)
     vals = np.asarray(values, dtype=float)
-    if locs.ndim != 2 or locs.shape[1] != 2 or locs.shape[0] == 0:
-        raise ValueError("locations must form a non-empty (n, 2) array")
     if vals.ndim not in (1, 2) or vals.shape[0] != locs.shape[0]:
         raise ValueError("need exactly one value row per location")
-    if locs.shape[0] < 2:
-        raise ValueError("kernel defaults need at least two training points")
-    d2 = np.sum((locs[:, None, :] - locs[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    length_scale = 2.0 * float(np.median(np.sqrt(np.min(d2, axis=1))))
-    if not (length_scale > 0):
-        raise ValueError("training locations coincide; the length scale would be zero")
-    gram = _correlation(locs, locs, length_scale)
-    gram[np.diag_indices_from(gram)] += KRIGING_NUGGET
     alpha = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), vals)
     locs.flags.writeable = False
     return KrigingModel(locations=locs, length_scale=length_scale, alpha=alpha)
+
+
+def kriging_cond(locations) -> float:
+    """2-norm condition number of the ``R + nugget I`` that :func:`kriging_fit` factors.
+
+    It depends on the training positions only.  On uniform grids R is
+    nearly singular at the default length scale, so the nugget bounds it.
+    """
+    return float(np.linalg.cond(_kriging_gram(locations)[2]))
 
 
 def kriging_predict(model: KrigingModel, queries) -> np.ndarray:

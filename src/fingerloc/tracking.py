@@ -1,7 +1,6 @@
 """Trajectory tracking: recursive grid Bayes filtering and a particle filter."""
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -11,6 +10,7 @@ from .geometry import Grid, Position, uniform_grid_shape
 from .matching import MODE_LOG_LIKELIHOOD, LikelihoodMap
 
 __all__ = [
+    "GridTransition",
     "MobilityModel",
     "ParticleSet",
     "transition_matrix",
@@ -23,6 +23,8 @@ __all__ = [
 DEFAULT_P_STATIC = 0.3
 DEFAULT_ACCEL_SIGMA = 0.5
 DEFAULT_PARTICLES = 1000
+# resample once the effective sample size drops below this share of the particles
+RESAMPLE_ESS_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -57,53 +59,127 @@ class MobilityModel:
         return self.max_step if self.max_step is not None else 4.0 * self.step_sigma
 
 
-def transition_matrix(grid: Grid, model: MobilityModel) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class GridTransition:
+    """The two-mode mobility model on a row-major grid, as a stencil.
+
+    A Gaussian step from cell ``s`` lands in cell ``s + (dx, dy)`` with mass
+    ``stencil[ry + dy, rx + dx]`` before normalization; ``totals[s]`` is the
+    stencil mass that stays on the grid from ``s`` (the stencil correlated
+    with the in-grid indicator), so ``P(s -> u) = p_static [s == u] +
+    (1 - p_static) stencil[u - s] / totals[s]``.  The dense N x N matrix is
+    never formed: :meth:`predict` applies it as one matrix product of the
+    prior's row-shifted windows, ``(ny, (2ry+1) nx)``, with the stacked
+    per-row-offset Toeplitz factors of the stencil, ``((2ry+1) nx, nx)``.
+
+    Raises NumericError when some source cell keeps no stencil mass.
+    """
+
+    stencil: np.ndarray
+    p_static: float
+    shape: tuple  # (ny, nx)
+    totals: np.ndarray = field(init=False, repr=False)
+    factors: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        stencil = np.array(self.stencil, dtype=float)
+        ny, nx = (int(n) for n in self.shape)
+        if stencil.ndim != 2 or stencil.shape[0] % 2 != 1 or stencil.shape[1] % 2 != 1:
+            raise ValueError("the stencil must be a 2-D array of odd sides")
+        if ny < 1 or nx < 1 or np.any(stencil < 0):
+            raise ValueError("need a positive grid shape and a non-negative stencil")
+        totals = _spread(_toeplitz_factors(stencil[::-1, ::-1], nx), ny, np.ones((ny, nx)))
+        if np.any(totals <= 0):
+            raise NumericError("mobility kernel truncation removed all destination mass")
+        for name, value in (("stencil", stencil), ("totals", totals),
+                            ("factors", _toeplitz_factors(stencil, nx))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "shape", (ny, nx))
+
+    def predict(self, mass: np.ndarray) -> np.ndarray:
+        """Predictive mass ``sum_s P(s -> u) mass[s]`` for every cell u, (N,)."""
+        ny, nx = self.shape
+        spread = _spread(self.factors, ny, mass.reshape(ny, nx) / self.totals)
+        return self.p_static * mass + (1.0 - self.p_static) * spread.ravel()
+
+
+def _toeplitz_factors(stencil: np.ndarray, nx: int) -> np.ndarray:
+    """Stacked ``(nx, nx)`` Toeplitz factors, one per stencil row, bottom row first.
+
+    Factor j maps a grid row to its spread along x under stencil row
+    ``2ry - j``: entry ``[x', x]`` is ``stencil[2ry - j, rx + x - x']``
+    within the reach and 0 beyond it.
+    """
+    rx = stencil.shape[1] // 2
+    off = np.arange(nx)[None, :] - np.arange(nx)[:, None]  # x - x'
+    inside = np.abs(off) <= rx
+    taps = stencil[::-1][:, np.clip(off + rx, 0, 2 * rx)]
+    return np.where(inside, taps, 0.0).reshape(-1, nx)
+
+
+def _spread(factors: np.ndarray, ny: int, values: np.ndarray) -> np.ndarray:
+    """2-D convolution of ``values (ny, nx)`` with the stencil behind ``factors``.
+
+    Row y of the windows holds prior rows ``y - ry .. y + ry`` (zero off the
+    grid) side by side, so one matrix product sums every row offset.
+    """
+    nx = values.shape[1]
+    span = factors.shape[0] // nx
+    ry = span // 2
+    padded = np.zeros((ny + span - 1) * nx)
+    padded[ry * nx:(ry + ny) * nx] = values.ravel()
+    windows = np.lib.stride_tricks.sliding_window_view(padded, span * nx)[::nx]
+    return np.ascontiguousarray(windows) @ factors
+
+
+def transition_matrix(grid: Grid, model: MobilityModel) -> GridTransition:
     """Cell-to-cell transition probabilities for the two-mode mobility model.
 
-    Row r holds P(next cell | current cell r): ``p_static`` on the diagonal
-    plus ``1 - p_static`` spread over cells by the Gaussian probability mass
-    falling in each destination cell (product of 1-D interval masses),
-    truncated at ``max_step`` from the source and renormalized.
+    ``p_static`` keeps the user on its cell; otherwise ``1 - p_static`` is
+    spread over cells by the Gaussian probability mass falling in each
+    destination cell (product of 1-D interval masses), truncated at
+    ``max_step`` from the source and renormalized over the grid.  The
+    kernel depends only on the cell offset, so it is held as a stencil of
+    side ``2r + 1``, r the reach in cells (at most the grid's extent).
 
     Args:
         grid: row-major uniform grid (positive spacing).
         model: mobility parameters.
 
     Returns:
-        (N, N) array with rows summing to 1 within 1e-12.
+        GridTransition whose outgoing mass from every cell is 1 within 1e-12.
     """
-    uniform_grid_shape(grid)  # validates the lattice
-    xy = grid.as_array()
-    n = len(grid)
+    nx, ny, _ = uniform_grid_shape(grid)  # validates the lattice
     h = grid.spacing
     sigma = model.step_sigma
-
-    dx = xy[None, :, 0] - xy[:, None, 0]
-    dy = xy[None, :, 1] - xy[:, None, 1]
-    dist = np.hypot(dx, dy)
-
     if sigma == 0.0:
-        kernel = np.eye(n)
-    else:
-        half = h / 2.0
-        mass_x = ndtr((dx + half) / sigma) - ndtr((dx - half) / sigma)
-        mass_y = ndtr((dy + half) / sigma) - ndtr((dy - half) / sigma)
-        kernel = mass_x * mass_y
-        kernel[dist > model.step_limit] = 0.0
-        totals = kernel.sum(axis=1, keepdims=True)
-        if np.any(totals <= 0):
-            raise NumericError("mobility kernel truncation removed all destination mass")
-        kernel = kernel / totals
+        return GridTransition(stencil=np.ones((1, 1)), p_static=model.p_static,
+                              shape=(ny, nx))
+    limit = model.step_limit
+    # one cell past floor(limit / h) absorbs its rounding; the mask decides
+    rx = int(min(limit / h + 1.0, nx - 1))
+    ry = int(min(limit / h + 1.0, ny - 1))
+    dx = np.arange(-rx, rx + 1) * h
+    dy = np.arange(-ry, ry + 1) * h
+    half = h / 2.0
+    mass_x = ndtr((dx + half) / sigma) - ndtr((dx - half) / sigma)
+    mass_y = ndtr((dy + half) / sigma) - ndtr((dy - half) / sigma)
+    stencil = mass_x[None, :] * mass_y[:, None]
+    stencil[np.hypot(dx[None, :], dy[:, None]) > limit] = 0.0
+    # keep the smallest centred block that holds every nonzero mass
+    live_y, live_x = np.nonzero(stencil)
+    if live_y.size:
+        ty, tx = np.max(np.abs(live_y - ry)), np.max(np.abs(live_x - rx))
+        stencil = stencil[ry - ty:ry + ty + 1, rx - tx:rx + tx + 1]
+    return GridTransition(stencil=stencil, p_static=model.p_static, shape=(ny, nx))
 
-    trans = model.p_static * np.eye(n) + (1.0 - model.p_static) * kernel
-    trans /= trans.sum(axis=1, keepdims=True)
-    return trans
 
-
-def grid_bayes_step(prev: LikelihoodMap, trans: np.ndarray, obs: LikelihoodMap) -> LikelihoodMap:
+def grid_bayes_step(prev: LikelihoodMap, trans: GridTransition,
+                    obs: LikelihoodMap) -> LikelihoodMap:
     """One recursive Bayes update on the grid, in the log domain.
 
-    ``L_t(u) = obs(u) + ln sum_u' trans[u' -> u] exp(prev(u'))`` computed with
+    ``L_t(u) = obs(u) + ln sum_u' P(u' -> u) exp(prev(u'))`` computed with
     the usual max-shift for stability, then renormalized so the maximum is 0.
     """
     if prev.grid != obs.grid:
@@ -111,13 +187,12 @@ def grid_bayes_step(prev: LikelihoodMap, trans: np.ndarray, obs: LikelihoodMap) 
     if prev.mode != MODE_LOG_LIKELIHOOD or obs.mode != MODE_LOG_LIKELIHOOD:
         raise ValueError("grid Bayes filtering works on log-likelihood maps")
     n = len(prev.grid)
-    if trans.shape != (n, n):
-        raise ValueError(f"transition matrix shape {trans.shape} does not match grid size {n}")
+    if trans.shape[0] * trans.shape[1] != n:
+        raise ValueError(f"transition grid shape {trans.shape} does not match {n} grid cells")
     shift = float(np.max(prev.values))
-    mass = np.exp(prev.values - shift)
-    mixed = trans.T @ mass
+    mixed = trans.predict(np.exp(prev.values - shift))
     if np.any(mixed <= 0.0):
-        raise NumericError("predictive mass vanished; transition matrix starves some cells")
+        raise NumericError("predictive mass vanished; the transition starves some cells")
     values = obs.values + np.log(mixed) + shift
     values = values - np.max(values)
     return LikelihoodMap(grid=prev.grid, values=values, mode=MODE_LOG_LIKELIHOOD)
@@ -173,61 +248,54 @@ def particle_predict(ps: ParticleSet, pdr_step, pdr_sigma: float, seed) -> Parti
     return ParticleSet(positions=ps.positions + step + jitter, weights=ps.weights)
 
 
-def _corner_indices(grid: Grid, nx: int, ny: int, origin: Position, pos) -> np.ndarray:
-    h = grid.spacing
-    x = min(max(pos[0], origin.x), origin.x + (nx - 1) * h)
-    y = min(max(pos[1], origin.y), origin.y + (ny - 1) * h)
-    ix = int(min((x - origin.x) // h, max(nx - 2, 0)))
-    iy = int(min((y - origin.y) // h, max(ny - 2, 0)))
-    cols = [ix, ix + 1] if nx > 1 else [ix]
-    rows = [iy, iy + 1] if ny > 1 else [iy]
-    return np.array([r * nx + c for r in rows for c in cols], dtype=int)
-
-
-def particle_update(ps: ParticleSet, lmap: LikelihoodMap, grid: Grid | None = None,
-                    seed=0, estimator: str = "mean") -> tuple:
+def particle_update(ps: ParticleSet, lmap: LikelihoodMap, seed=0,
+                    estimator: str = "mean") -> tuple:
     """Weight particles by the observation likelihood and estimate the position.
 
-    Each particle's likelihood is regressed from the grid: the inverse-
-    distance-weighted average of the likelihoods at the 4 surrounding grid
-    points (all weight on a coincident grid point).  Weights are multiplied
-    and renormalized; systematic resampling runs when the effective sample
-    size drops below half the particle count.
+    Each particle's likelihood is regressed from the map's grid: the
+    inverse-distance-weighted average of the likelihoods at the 1, 2 or 4
+    grid points around its position clamped into the grid (all weight on
+    the first coincident grid point).  Weights are multiplied and
+    renormalized; systematic resampling runs when the effective sample size
+    drops below half the particle count.
 
     Args:
         ps: current particles.
-        lmap: the step's observation log-likelihood map, e.g. from
-            :func:`fingerloc.matching.mle_rssi_rspd`.
-        grid: estimation grid; defaults to the map's grid.
+        lmap: the step's observation log-likelihood map on a uniform grid,
+            e.g. from :func:`fingerloc.matching.mle_rssi_rspd`.
         seed: stream for the embedded resampling step.
         estimator: ``"mean"`` for the weighted mean position (default) or
             ``"mode"`` for the highest-weight particle.
 
     Returns:
-        (ParticleSet, Position): the updated (possibly resampled) particles
-        and the point estimate from the post-update weights.
+        (ParticleSet, Position, ess): the updated (possibly resampled)
+        particles, the point estimate from the post-update weights, and the
+        effective sample size of those weights before resampling.
     """
-    if grid is None:
-        grid = lmap.grid
-    if lmap.grid != grid:
-        raise ValueError("likelihood map grid does not match the estimation grid")
     if estimator not in ("mean", "mode"):
         raise ValueError(f"unknown estimator {estimator!r}")
+    grid = lmap.grid
     nx, ny, origin = uniform_grid_shape(grid)
     xy = grid.as_array()
+    h = grid.spacing
     shift = float(np.max(lmap.values))
     dens = np.exp(lmap.values - shift)  # common shift cancels in normalization
 
-    lik = np.empty(len(ps), dtype=float)
-    for i, pos in enumerate(ps.positions):
-        corners = _corner_indices(grid, nx, ny, origin, pos)
-        d = np.hypot(xy[corners, 0] - pos[0], xy[corners, 1] - pos[1])
-        exact = d <= 0.0
-        if np.any(exact):
-            lik[i] = dens[corners[np.argmax(exact)]]
-        else:
-            w = 1.0 / d
-            lik[i] = float(np.dot(w, dens[corners]) / np.sum(w))
+    pos = ps.positions
+    x = np.clip(pos[:, 0], origin.x, origin.x + (nx - 1) * h)
+    y = np.clip(pos[:, 1], origin.y, origin.y + (ny - 1) * h)
+    ix = np.minimum((x - origin.x) // h, max(nx - 2, 0)).astype(int)
+    iy = np.minimum((y - origin.y) // h, max(ny - 2, 0)).astype(int)
+    cols = ix[:, None] + np.arange(min(nx, 2))
+    rows = iy[:, None] + np.arange(min(ny, 2))
+    corners = (rows[:, :, None] * nx + cols[:, None, :]).reshape(len(ps), -1)  # (P, k)
+    d = np.hypot(xy[corners, 0] - pos[:, :1], xy[corners, 1] - pos[:, 1:])
+    exact = d <= 0.0
+    hit = exact.any(axis=1)
+    lik = np.empty(len(ps))
+    lik[hit] = dens[corners[hit, np.argmax(exact[hit], axis=1)]]
+    w = 1.0 / d[~hit]
+    lik[~hit] = np.vecdot(w, dens[corners[~hit]]) / np.sum(w, axis=1)
 
     raw = ps.weights * lik
     total = float(raw.sum())
@@ -244,9 +312,10 @@ def particle_update(ps: ParticleSet, lmap: LikelihoodMap, grid: Grid | None = No
         estimate = Position(float(ps.positions[best, 0]), float(ps.positions[best, 1]))
 
     updated = ParticleSet(positions=ps.positions, weights=weights)
-    if updated.effective_sample_size() < len(updated) / 2.0:
+    ess = updated.effective_sample_size()
+    if ess < RESAMPLE_ESS_FRACTION * len(updated):
         updated = resample_systematic(updated, seed)
-    return updated, estimate
+    return updated, estimate, ess
 
 
 def resample_systematic(ps: ParticleSet, seed, size: int | None = None) -> ParticleSet:

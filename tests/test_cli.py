@@ -1,5 +1,6 @@
 """End-to-end command-line harness behavior on miniature experiment configs."""
 
+import csv
 import hashlib
 import json
 import os
@@ -233,6 +234,35 @@ def test_illegal_learn_log_counts_filled_projection_bins(tmp_path):
     assert main(["learn", "--config", cfg_path, "--out", str(reader)]) == EXIT_OK
     assert json.loads((reader / "learn_log.json").read_text())["filled_bins"] == 1
     validate_run_dir(str(reader))
+
+
+def test_illegal_learn_log_reports_kriging_conditioning(tmp_path):
+    # a 3x3 survey grid at 2 m: R + 1e-6 I written out with the default
+    # length scale of twice the spacing
+    scenario = dict(TINY["illegal_hybrid"]["scenario"],
+                    grid={"nx": 3, "ny": 3, "origin": [0, 0], "spacing_m": 2.0})
+    cfg_path, out_dir = _write_config(tmp_path, "illegal_hybrid", scenario=scenario)
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    log = json.loads((pathlib.Path(out_dir) / "learn_log.json").read_text())
+    xy = np.array([(x, y) for y in (0.0, 2.0, 4.0) for x in (0.0, 2.0, 4.0)])
+    d2 = np.sum((xy[:, None, :] - xy[None, :, :]) ** 2, axis=-1)
+    gram = np.exp(-d2 / (2 * 4.0 ** 2)) + 1e-6 * np.eye(9)
+    assert log["kriging_cond"] == pytest.approx(np.linalg.cond(gram), rel=1e-9)
+    assert log["kriging_cond"] > 1e3
+
+
+def test_wifi_track_csv_records_filter_health(tmp_path):
+    cfg_path, out_dir = _write_config(tmp_path, "wifi_rssi_rspd")
+    for verb in ("simulate", "learn", "track"):
+        assert main([verb, "--config", cfg_path]) == EXIT_OK
+    particles = TINY["wifi_rssi_rspd"]["tracking"]["particles"]
+    with open(pathlib.Path(out_dir) / "track.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == TINY["wifi_rssi_rspd"]["scenario"]["walk"]["steps"]
+    for row in rows:
+        ess = float(row["ess"])
+        assert 1.0 <= ess <= particles
+        assert row["resampled"] == ("true" if ess < particles / 2 else "false")
 
 
 def test_database_from_another_grid_is_a_config_error(tmp_path):

@@ -12,7 +12,9 @@ leave-one-out to a per-trial, per-fold loop, the batched pair
 cross-correlation to ``xcorr`` per pair, the block-diagonal lighting LP to
 one ``linprog`` per occupied set, the unknown-emitter projection stages to
 per-point, per-bin and per-query loops, multi-column kriging to one dense
-solve per column, and the measurement codec to a bit-exact round trip.
+solve per column, the array particle likelihoods to the per-particle corner
+loop, the stencil grid Bayes predict to the dense N x N transition matrix,
+and the measurement codec to a bit-exact round trip.
 
 Regenerate only for an intended behaviour change, and say why in CHANGES.md::
 
@@ -33,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
-from scipy.special import i0e
+from scipy.special import i0e, ndtr
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,7 +49,8 @@ from fingerloc.experiments.common import read_measurements, save_measurements  #
 from fingerloc.experiments.configs import parse_config  # noqa: E402
 from fingerloc.experiments.illegal import error_maps  # noqa: E402
 from fingerloc.features import pair_xcorr, xcorr  # noqa: E402
-from fingerloc.geometry import Position, build_uniform_grid  # noqa: E402
+from fingerloc.errors import NumericError  # noqa: E402
+from fingerloc.geometry import Position, build_uniform_grid, uniform_grid_shape  # noqa: E402
 from fingerloc.interp import (  # noqa: E402
     UcaGeometry,
     bandwidth_interp,
@@ -57,7 +60,7 @@ from fingerloc.interp import (  # noqa: E402
     windowed_sinc_lowpass,
 )
 from fingerloc.lighting import Light, LightingScenario, illuminance, solve_lighting  # noqa: E402
-from fingerloc.matching import mle_rssi_rspd  # noqa: E402
+from fingerloc.matching import LikelihoodMap, mle_rssi_rspd  # noqa: E402
 from fingerloc.signals import (  # noqa: E402
     FingerprintKind,
     FingerprintMeta,
@@ -74,6 +77,15 @@ from fingerloc.stats import (  # noqa: E402
     gaussian_loglik,
     kriging_fit,
     kriging_predict,
+)
+from fingerloc.tracking import (  # noqa: E402
+    RESAMPLE_ESS_FRACTION,
+    MobilityModel,
+    ParticleSet,
+    grid_bayes_step,
+    particle_update,
+    resample_systematic,
+    transition_matrix,
 )
 
 PINNED = pathlib.Path(__file__).with_name("data") / "equivalence.json"
@@ -546,6 +558,131 @@ def test_spatial_densify_equals_per_key_and_per_query_loops(nx, ny, factor, n_co
                 w = 1.0 / d[near]
             want = np.angle((w[:, None] * phasors[near]).sum(axis=0))
         assert np.array_equal(out.blocks["pd"].values[q], want)
+
+
+# ---------------------------------------------------------------------------
+# array particle likelihoods and the stencil grid Bayes predict against the
+# per-particle loop and the dense N x N matrix they replaced
+# ---------------------------------------------------------------------------
+
+def _ref_particle_update(ps, lmap):
+    """The per-particle corner loop: (weights, mean estimate, ESS) before resampling."""
+    grid = lmap.grid
+    nx, ny, origin = uniform_grid_shape(grid)
+    xy = grid.as_array()
+    h = grid.spacing
+    dens = np.exp(lmap.values - np.max(lmap.values))
+    lik = np.empty(len(ps))
+    for i, pos in enumerate(ps.positions):
+        x = min(max(pos[0], origin.x), origin.x + (nx - 1) * h)
+        y = min(max(pos[1], origin.y), origin.y + (ny - 1) * h)
+        ix = int(min((x - origin.x) // h, max(nx - 2, 0)))
+        iy = int(min((y - origin.y) // h, max(ny - 2, 0)))
+        cols = [ix, ix + 1] if nx > 1 else [ix]
+        rows = [iy, iy + 1] if ny > 1 else [iy]
+        corners = np.array([r * nx + c for r in rows for c in cols])
+        d = np.hypot(xy[corners, 0] - pos[0], xy[corners, 1] - pos[1])
+        exact = d <= 0.0
+        if np.any(exact):
+            lik[i] = dens[corners[np.argmax(exact)]]
+        else:
+            w = 1.0 / d
+            lik[i] = float(np.dot(w, dens[corners]) / np.sum(w))
+    weights = ps.weights * lik / np.sum(ps.weights * lik)
+    return weights, weights @ ps.positions, 1.0 / np.sum(weights ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(1, 5), ny=st.integers(1, 5), n_particles=st.integers(1, 40),
+       spacing=st.sampled_from([0.3, 1.0, 7.0 / 39]), on_grid=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_particle_update_equals_per_particle_corner_loop(nx, ny, n_particles, spacing,
+                                                          on_grid, seed):
+    rng = np.random.default_rng(seed)
+    grid = build_uniform_grid(Position(*rng.uniform(-3.0, 3.0, 2)), nx, ny, spacing)
+    xy = grid.as_array()
+    lmap = LikelihoodMap(grid=grid, values=rng.uniform(-30.0, 0.0, len(grid)))
+    # particles anywhere in the room and 1.5 m beyond it, some exactly on grid points
+    pos = rng.uniform(xy.min(axis=0) - 1.5, xy.max(axis=0) + 1.5, (n_particles, 2))
+    pinned = rng.random(n_particles) < on_grid
+    pos[pinned] = xy[rng.integers(0, len(grid), np.count_nonzero(pinned))]
+    w = rng.uniform(0.1, 1.0, n_particles)
+    ps = ParticleSet(positions=pos, weights=w / w.sum())
+
+    weights, mean, ess = _ref_particle_update(ps, lmap)
+    updated, est, got_ess = particle_update(ps, lmap, seed=seed)
+    assert got_ess == pytest.approx(ess, rel=1e-12)
+    assert _rel_close([est.x, est.y], mean)
+    if ess < RESAMPLE_ESS_FRACTION * n_particles:
+        want = resample_systematic(ParticleSet(positions=pos, weights=weights), seed)
+        assert np.array_equal(updated.positions, want.positions)
+        assert np.array_equal(updated.weights, want.weights)
+    else:
+        assert np.array_equal(updated.positions, pos)
+        assert _rel_close(updated.weights, weights)
+    _, mode, _ = particle_update(ps, lmap, seed=seed, estimator="mode")
+    assert [mode.x, mode.y] == pos[np.argmax(weights)].tolist()
+
+
+def _ref_transition_matrix(grid, model):
+    """The dense N x N matrix by its old formula, from the points' coordinates."""
+    xy = grid.as_array()
+    n = len(grid)
+    h = grid.spacing
+    sigma = model.step_sigma
+    dx = xy[None, :, 0] - xy[:, None, 0]
+    dy = xy[None, :, 1] - xy[:, None, 1]
+    if sigma == 0.0:
+        kernel = np.eye(n)
+    else:
+        half = h / 2.0
+        kernel = ((ndtr((dx + half) / sigma) - ndtr((dx - half) / sigma))
+                  * (ndtr((dy + half) / sigma) - ndtr((dy - half) / sigma)))
+        kernel[np.hypot(dx, dy) > model.step_limit] = 0.0
+        kernel /= kernel.sum(axis=1, keepdims=True)
+    trans = model.p_static * np.eye(n) + (1.0 - model.p_static) * kernel
+    return trans / trans.sum(axis=1, keepdims=True)
+
+
+# Dyadic spacings and integer origins keep every lattice offset exact, so the
+# old formula's coordinate differences equal the stencil's offsets and a step
+# limit equal to a lattice distance is a tie that both keep.
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(1, 6), ny=st.integers(1, 6), spacing=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+       sigma_cells=st.sampled_from([0.0, 0.05, 0.4, 1.0, 3.0, 40.0]),
+       p_static=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       reach=st.one_of(st.none(), st.just(0.5), st.just(1e3),
+                       st.tuples(st.integers(0, 3), st.integers(0, 3))),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stencil_transition_equals_dense_matrix(nx, ny, spacing, sigma_cells, p_static,
+                                                reach, seed):
+    rng = np.random.default_rng(seed)
+    grid = build_uniform_grid(Position(*rng.integers(-3, 4, 2).astype(float)), nx, ny, spacing)
+    # no limit, one below the spacing, one wider than the grid, or a lattice distance
+    max_step = (reach if reach is None else float(np.hypot(*reach)) * spacing
+                if isinstance(reach, tuple) else reach * spacing)
+    model = MobilityModel(p_static=p_static, accel_sigma=sigma_cells * spacing,
+                          max_step=max_step)
+    trans = transition_matrix(grid, model)
+    dense = _ref_transition_matrix(grid, model)
+
+    n = len(grid)
+    prev = rng.uniform(-40.0, 0.0, n)
+    prev[rng.random(n) < 0.2] = -800.0  # mass that underflows to zero
+    prev[rng.integers(n)] = 0.0
+    mass = np.exp(prev)
+    want = dense.T @ mass
+    assert np.allclose(trans.predict(mass), want, rtol=1e-12, atol=0.0)
+
+    obs = rng.uniform(-10.0, 0.0, n)
+    args = (LikelihoodMap(grid=grid, values=prev), trans, LikelihoodMap(grid=grid, values=obs))
+    if np.any(want <= 0.0):
+        with pytest.raises(NumericError):
+            grid_bayes_step(*args)
+    else:
+        expect = obs + np.log(want)
+        assert np.allclose(grid_bayes_step(*args).values, expect - expect.max(),
+                           rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

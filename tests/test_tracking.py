@@ -1,6 +1,7 @@
 """Grid Bayes filtering and particle filtering against hand-built oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fingerloc.errors import DegenerateUpdateError, NumericError
 from fingerloc.geometry import Position, build_uniform_grid
 from fingerloc.matching import MODE_SQUARED_ERROR, LikelihoodMap
 from fingerloc.tracking import (
+    GridTransition,
     MobilityModel,
     ParticleSet,
     grid_bayes_step,
@@ -53,27 +55,36 @@ def test_mobility_model_validation(kwargs):
 
 
 # ---------------------------------------------------------------------------
-# transition matrix
+# transition stencil
 # ---------------------------------------------------------------------------
+
+def _rows(trans):
+    """The dense transition matrix, row s = P(s -> .), by predicting unit masses."""
+    n = trans.shape[0] * trans.shape[1]
+    return np.stack([trans.predict(e) for e in np.eye(n)])
+
 
 def test_transition_matrix_static_user_is_identity():
     grid = _grid(3)
     trans = transition_matrix(grid, MobilityModel(p_static=1.0, accel_sigma=0.9))
-    assert np.allclose(trans, np.eye(9), atol=1e-15)
+    assert np.allclose(_rows(trans), np.eye(9), atol=1e-15)
 
 
 def test_transition_matrix_zero_step_sigma_is_identity():
     grid = _grid(3)
     trans = transition_matrix(grid, MobilityModel(p_static=0.4, accel_sigma=0.0))
-    assert np.array_equal(trans, np.eye(9))
+    assert np.array_equal(trans.stencil, [[1.0]])
+    assert np.array_equal(_rows(trans), np.eye(9))
 
 
 def test_transition_matrix_rows_are_distributions():
-    grid = _grid(4, spacing=0.78)
+    # outgoing mass 1 from every source cell, corners and edges included
+    grid = build_uniform_grid(Position(0.0, 0.0), nx=5, ny=3, spacing=0.78)
     trans = transition_matrix(grid, MobilityModel(p_static=0.3, accel_sigma=0.5))
-    assert trans.shape == (16, 16)
-    assert np.all(trans >= 0)
-    assert np.allclose(trans.sum(axis=1), 1.0, atol=1e-12)
+    assert trans.shape == (3, 5)
+    rows = _rows(trans)
+    assert np.all(rows >= 0)
+    assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_transition_matrix_matches_quadrature_oracle():
@@ -90,6 +101,15 @@ def test_transition_matrix_matches_quadrature_oracle():
         val, _ = quad(pdf, d - h / 2, d + h / 2)
         return val
 
+    trans = transition_matrix(grid, model)
+    ry, rx = (side // 2 for side in trans.stencil.shape)
+    assert (ry, rx) == (2, 2)  # a 3x3 grid is reached at most 2 cells away
+    for j in range(-ry, ry + 1):
+        for i in range(-rx, rx + 1):
+            inside = math.hypot(i * h, j * h) <= model.step_limit
+            want = interval_mass(i * h) * interval_mass(j * h) if inside else 0.0
+            assert trans.stencil[ry + j, rx + i] == pytest.approx(want, abs=1e-12)
+
     xy = grid.as_array()
     n = len(grid)
     kernel = np.zeros((n, n))
@@ -103,9 +123,7 @@ def test_transition_matrix_matches_quadrature_oracle():
     kernel /= kernel.sum(axis=1, keepdims=True)
     want = model.p_static * np.eye(n) + (1 - model.p_static) * kernel
     want /= want.sum(axis=1, keepdims=True)
-
-    got = transition_matrix(grid, model)
-    assert np.allclose(got, want, atol=1e-9)
+    assert np.allclose(_rows(trans), want, atol=1e-9)
 
 
 def test_transition_matrix_tight_truncation_collapses_to_identity():
@@ -113,12 +131,15 @@ def test_transition_matrix_tight_truncation_collapses_to_identity():
     grid = _grid(3)
     model = MobilityModel(p_static=0.2, accel_sigma=0.5, max_step=0.4)
     trans = transition_matrix(grid, model)
-    assert np.allclose(trans, np.eye(9), atol=1e-15)
+    center = np.zeros(trans.stencil.shape, dtype=bool)
+    center[trans.stencil.shape[0] // 2, trans.stencil.shape[1] // 2] = True
+    assert np.all(trans.stencil[~center] == 0.0)
+    assert np.allclose(_rows(trans), np.eye(9), atol=1e-15)
 
 
 def test_transition_matrix_starved_kernel_raises():
     # an absurdly wide step distribution spreads so thin that every interval
-    # mass underflows to zero, starving each row
+    # mass underflows to zero, starving each source cell
     grid = _grid(2)
     with pytest.raises(NumericError):
         transition_matrix(grid, MobilityModel(p_static=0.0, accel_sigma=1e300))
@@ -131,54 +152,103 @@ def test_transition_matrix_rejects_irregular_grid():
         transition_matrix(skew, MobilityModel())
 
 
+def test_grid_transition_validation():
+    with pytest.raises(ValueError):
+        GridTransition(stencil=np.ones((2, 3)), p_static=0.5, shape=(2, 2))
+    with pytest.raises(ValueError):
+        GridTransition(stencil=-np.ones((1, 1)), p_static=0.5, shape=(2, 2))
+    with pytest.raises(NumericError):
+        GridTransition(stencil=np.zeros((3, 3)), p_static=0.5, shape=(2, 2))
+
+
+def test_grid_bayes_filter_on_a_100x100_grid_stays_small():
+    # N = 10,000 cells: a dense N x N float64 matrix alone would take 800 MB
+    grid = build_uniform_grid(Position(0.0, 0.0), nx=100, ny=100, spacing=7.0 / 99)
+    n = len(grid)
+    rng = np.random.default_rng(73)
+    obs = [_logmap(grid, rng.uniform(-20.0, 0.0, n)) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        trans = transition_matrix(grid, MobilityModel(p_static=0.4, accel_sigma=1.0))
+        post = obs[0]
+        for o in obs:
+            post = grid_bayes_step(post, trans, o)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert all(a.size < n * n for a in (trans.stencil, trans.totals, trans.factors))
+    assert np.max(post.values) == 0.0 and np.all(np.isfinite(post.values))
+
+
 # ---------------------------------------------------------------------------
 # grid Bayes recursion
 # ---------------------------------------------------------------------------
+
+def _dense_oracle(trans):
+    """P(s -> u) written out cell by cell from the stencil and p_static."""
+    ny, nx = trans.shape
+    ry, rx = (side // 2 for side in trans.stencil.shape)
+    n = nx * ny
+    kernel = np.zeros((n, n))
+    for s in range(n):
+        for u in range(n):
+            dx, dy = u % nx - s % nx, u // nx - s // nx
+            if abs(dx) <= rx and abs(dy) <= ry:
+                kernel[s, u] = trans.stencil[ry + dy, rx + dx]
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    return trans.p_static * np.eye(n) + (1.0 - trans.p_static) * kernel
+
 
 def test_grid_bayes_step_uniform_prior_identity_transition():
     # no motion and a flat prior: the posterior is just the renormalized observation
     grid = _grid(2)
     prev = _logmap(grid, np.zeros(4))
     obs = _logmap(grid, [-3.0, -1.0, -7.0, -2.0])
-    out = grid_bayes_step(prev, np.eye(4), obs)
+    out = grid_bayes_step(prev, transition_matrix(grid, MobilityModel(p_static=1.0)), obs)
     assert np.allclose(out.values, np.array(obs.values) - (-1.0), atol=1e-12)
     assert np.max(out.values) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_grid_bayes_step_matches_linear_domain_brute_force():
     rng = np.random.default_rng(59)
-    grid = _grid(2)
+    grid = build_uniform_grid(Position(0.0, 0.0), nx=3, ny=2, spacing=1.0)
     for _ in range(25):
-        prev_vals = rng.uniform(-8, 0, size=4)
-        obs_vals = rng.uniform(-8, 0, size=4)
-        trans = rng.uniform(0.05, 1.0, size=(4, 4))
-        trans /= trans.sum(axis=1, keepdims=True)
+        model = MobilityModel(p_static=rng.uniform(0.0, 1.0),
+                              accel_sigma=rng.uniform(0.2, 2.0))
+        trans = transition_matrix(grid, model)
+        prev_vals = rng.uniform(-8, 0, size=6)
+        obs_vals = rng.uniform(-8, 0, size=6)
         out = grid_bayes_step(_logmap(grid, prev_vals), trans, _logmap(grid, obs_vals))
-        want = obs_vals + np.log(trans.T @ np.exp(prev_vals))
+        want = obs_vals + np.log(_dense_oracle(trans).T @ np.exp(prev_vals))
         want -= want.max()
         assert np.allclose(out.values, want, atol=1e-9)
 
 
 def test_grid_bayes_step_starved_cell_raises():
-    grid = build_uniform_grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
-    prev = _logmap(grid, [0.0, -1.0])
-    obs = _logmap(grid, [0.0, 0.0])
-    trans = np.array([[1.0, 0.0], [1.0, 0.0]])  # nothing ever reaches cell 1
+    # a 1x3 corridor whose steps reach one cell: the prior's mass on cells 1
+    # and 2 underflows to zero, so nothing can reach cell 2
+    grid = build_uniform_grid(Position(0, 0), nx=3, ny=1, spacing=1.0)
+    trans = transition_matrix(grid, MobilityModel(p_static=0.5, accel_sigma=0.5, max_step=1.0))
+    prev = _logmap(grid, [0.0, -9000.0, -9000.0])
+    obs = _logmap(grid, [0.0, 0.0, 0.0])
     with pytest.raises(NumericError):
         grid_bayes_step(prev, trans, obs)
 
 
 def test_grid_bayes_step_validation():
     grid = _grid(2)
+    trans = transition_matrix(grid, MobilityModel())
     prev = _logmap(grid, np.zeros(4))
     obs_other = _logmap(_grid(3), np.zeros(9))
     with pytest.raises(ValueError):
-        grid_bayes_step(prev, np.eye(4), obs_other)
+        grid_bayes_step(prev, trans, obs_other)
     sqerr = LikelihoodMap(grid=grid, values=np.ones(4), mode=MODE_SQUARED_ERROR)
     with pytest.raises(ValueError):
-        grid_bayes_step(prev, np.eye(4), sqerr)
+        grid_bayes_step(prev, trans, sqerr)
     with pytest.raises(ValueError):
-        grid_bayes_step(prev, np.eye(3), _logmap(grid, np.zeros(4)))
+        grid_bayes_step(prev, transition_matrix(_grid(3), MobilityModel()),
+                        _logmap(grid, np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +291,10 @@ def test_particle_update_on_grid_points_reads_map_directly():
     lmap = _logmap(grid, np.log([1.0, 2.0, 3.0, 4.0]))
     # particles sit exactly on grid points 0 and 3
     ps = ParticleSet(positions=[[0.0, 0.0], [1.0, 1.0]], weights=[0.5, 0.5])
-    updated, est = particle_update(ps, lmap, seed=0)
+    updated, est, ess = particle_update(ps, lmap, seed=0)
     # posterior weights proportional to 0.5*1 and 0.5*4
     assert np.allclose(updated.weights, [0.2, 0.8], atol=1e-12)
+    assert ess == pytest.approx(1.0 / (0.2 ** 2 + 0.8 ** 2))
     want = 0.2 * np.array([0.0, 0.0]) + 0.8 * np.array([1.0, 1.0])
     assert est.x == pytest.approx(want[0]) and est.y == pytest.approx(want[1])
 
@@ -236,8 +307,9 @@ def test_particle_update_uniform_map_keeps_weights():
     w = rng.uniform(0.5, 1.5, size=6)
     w /= w.sum()
     ps = ParticleSet(positions=pos, weights=w)
-    updated, _ = particle_update(ps, lmap, seed=0)
+    updated, _, ess = particle_update(ps, lmap, seed=0)
     assert np.allclose(updated.weights, w, atol=1e-12)
+    assert ess == pytest.approx(1.0 / np.sum(w ** 2))
 
 
 def test_particle_update_interpolates_by_inverse_distance():
@@ -251,7 +323,7 @@ def test_particle_update_interpolates_by_inverse_distance():
     lik_p = float(iw @ dens[corners] / iw.sum())
     # pair the off-grid particle with one pinned at a grid point of density 1
     ps = ParticleSet(positions=[p, [0.0, 0.0]], weights=[0.5, 0.5])
-    updated, _ = particle_update(ps, lmap, seed=0)
+    updated, _, _ = particle_update(ps, lmap, seed=0)
     want = np.array([lik_p, 1.0])
     want /= want.sum()
     assert np.allclose(updated.weights, want, atol=1e-12)
@@ -262,7 +334,7 @@ def test_particle_update_mode_estimator():
     lmap = _logmap(grid, np.log([1.0, 1.0, 1.0, 9.0]))
     ps = ParticleSet(positions=[[0.0, 0.0], [1.0, 1.0], [0.3, 0.4]],
                      weights=[1 / 3] * 3)
-    _, est = particle_update(ps, lmap, seed=0, estimator="mode")
+    _, est, _ = particle_update(ps, lmap, seed=0, estimator="mode")
     assert (est.x, est.y) == (1.0, 1.0)
     with pytest.raises(ValueError):
         particle_update(ps, lmap, estimator="median")
@@ -283,17 +355,11 @@ def test_particle_update_resamples_when_ess_collapses():
     # three particles on dead cells, one on the live cell: ESS drops to 1 < 4/2
     ps = ParticleSet(positions=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]],
                      weights=[0.25] * 4)
-    updated, est = particle_update(ps, lmap, seed=3)
+    updated, est, ess = particle_update(ps, lmap, seed=3)
+    assert ess == pytest.approx(1.0)  # measured before resampling
     assert np.allclose(updated.weights, 0.25)
     assert np.array_equal(updated.positions, np.tile([0.0, 0.0], (4, 1)))
     assert (est.x, est.y) == (0.0, 0.0)
-
-
-def test_particle_update_grid_mismatch_raises():
-    lmap = _logmap(_grid(2), np.zeros(4))
-    ps = ParticleSet(positions=[[0.0, 0.0]], weights=[1.0])
-    with pytest.raises(ValueError):
-        particle_update(ps, lmap, grid=_grid(3))
 
 
 # ---------------------------------------------------------------------------
