@@ -14,7 +14,7 @@ from .errors import ConfigError, DegenerateUpdateError, InfeasibleError, Numeric
 # ----------------------------------------------------------------------------
 # Geometry and signal containers
 # ----------------------------------------------------------------------------
-from .geometry import Grid, Position, build_uniform_grid, uniform_grid_shape
+from .geometry import Grid, Position
 from .signals import (
     Cir,
     FingerprintKind,

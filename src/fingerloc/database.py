@@ -19,7 +19,7 @@ __all__ = [
     "database_from_json",
 ]
 
-FORMAT_VERSION = "fingerloc-db-2"
+FORMAT_VERSION = "fingerloc-db-3"
 
 # block type tag -> (class, {field: dtype}); every field has the grid as its
 # leading axis, the last one is (N,)
@@ -186,8 +186,10 @@ def database_to_json(db: FingerprintDatabase) -> str:
     doc = {
         "version": FORMAT_VERSION,
         "grid": {
-            "points": [[float(p.x), float(p.y)] for p in db.grid.points],
-            "spacing": float(db.grid.spacing),
+            "origin": [db.grid.origin.x, db.grid.origin.y],
+            "nx": db.grid.nx,
+            "ny": db.grid.ny,
+            "spacing": db.grid.spacing,
         },
         "meta": {
             "train_freqs_hz": [float(f) for f in db.meta.train_freqs_hz],
@@ -206,10 +208,9 @@ def database_from_json(text: str) -> FingerprintDatabase:
     version = doc.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported database format version {version!r}")
-    grid = Grid(
-        points=tuple(Position(x, y) for x, y in doc["grid"]["points"]),
-        spacing=float(doc["grid"]["spacing"]),
-    )
+    g = doc["grid"]
+    x, y = g["origin"]
+    grid = Grid(Position(x, y), g["nx"], g["ny"], g["spacing"])
     m = doc.get("meta", {})
     meta = DatabaseMeta(
         train_freqs_hz=tuple(m.get("train_freqs_hz", ())),

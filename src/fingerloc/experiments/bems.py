@@ -71,7 +71,7 @@ def simulate_measurements(cfg: dict) -> dict:
     sensors = build_sensors(cfg)
     scn = cfg["scenario"]
     cells, moving, bits = [], [], []
-    for cell in range(len(grid)):
+    for cell, user in enumerate(grid):
         for visit in range(scn["train_visits"]):
             rng = np.random.default_rng(
                 derive_seed(cfg["seed"], _TAG_TRAIN_VISIT, cell, visit))
@@ -80,7 +80,7 @@ def simulate_measurements(cfg: dict) -> dict:
             moving.append(moved)
             bits.append([
                 simulate_binary_sensor(
-                    grid.points[cell], moved, cov,
+                    user, moved, cov,
                     derive_seed(cfg["seed"], _TAG_TRAIN_BIT, cell, visit, si))
                 for si, cov in enumerate(sensors)
             ])
@@ -154,15 +154,16 @@ def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
     model = MobilityModel(p_static=tr["p_static"], accel_sigma=tr["accel_sigma"],
                           dt=tr["dt"])
     trans = transition_matrix(grid, model)
-    pts = grid.as_array()
+    pts = grid.xy
 
     prior = None
     rows = []
     candidate_sets = []
     errs_track, errs_snap = [], []
     for t, (cell, moved) in enumerate(zip(cells, moving), start=1):
+        user = grid[cell]
         bits = np.array([
-            simulate_binary_sensor(grid.points[cell], moved, cov,
+            simulate_binary_sensor(user, moved, cov,
                                    derive_seed(cfg["seed"], _TAG_WALK_BIT, t, si))
             for si, cov in enumerate(sensors)
         ])

@@ -80,7 +80,7 @@ def simulate_measurements(cfg: dict) -> dict:
     model = ChannelModel(seed=cfg["seed"], **scn["channel"])
     n_snap, taps = scn["snapshots"], scn["tap_count"]
     out = np.empty((len(grid), n_snap, len(antennas), taps), dtype=complex)
-    for s, seat in enumerate(grid.points):
+    for s, seat in enumerate(grid):
         for k in range(n_snap):
             for a, ant in enumerate(antennas):
                 cir = gen_cir(seat, ant, scn["freq_hz"], scn["bandwidth_hz"],
@@ -194,7 +194,7 @@ def evaluate_loo(cfg: dict, cirs: np.ndarray, db: FingerprintDatabase) -> tuple:
     est_mle, est_rssi = np.argmax(loglik, axis=1), np.argmin(sqerr, axis=1)
     n_trials, n_snap = loglik.shape[0], xc.shape[1]
 
-    pts = build_grid(cfg).as_array()
+    pts = build_grid(cfg).xy
     rows = []
     errors = {"cir_mle": [], "rssi_euclid": []}
     for method, est in (("cir_mle", est_mle), ("rssi_euclid", est_rssi)):

@@ -129,12 +129,6 @@ PIPELINES = {
             "pulse_taps": 63,
             "measurements": None,
         },
-        "matching": {
-            # Compare correlation fingerprints by magnitude only.
-            "magnitude_only": True,
-            # Keep the zero-delay bin in squared-error comparisons.
-            "include_zero_lag": True,
-        },
         "evaluation": {
             "trials": 200,
             "gamma_sweep": [0.0, 0.25, 1.0, 4.0, 16.0, 1e12],

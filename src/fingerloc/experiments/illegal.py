@@ -15,7 +15,7 @@ import numpy as np
 
 from ..database import DatabaseMeta, FingerprintDatabase
 from ..features import phasediff_fingerprint, rx_xcorr_fingerprint
-from ..geometry import Grid, Position, build_uniform_grid
+from ..geometry import Grid, Position
 from ..interp import (
     UcaGeometry,
     bandwidth_interp,
@@ -72,9 +72,8 @@ def fine_grid(cfg: dict) -> Grid:
     """Densified grid sharing the training hull."""
     g = cfg["scenario"]["grid"]
     f = cfg["scenario"]["densify_factor"]
-    return build_uniform_grid(Position(*g["origin"]),
-                              (g["nx"] - 1) * f + 1, (g["ny"] - 1) * f + 1,
-                              g["spacing_m"] / f)
+    return Grid(Position(*g["origin"]), (g["nx"] - 1) * f + 1, (g["ny"] - 1) * f + 1,
+                g["spacing_m"] / f)
 
 
 def uca_geom(cfg: dict) -> UcaGeometry:
@@ -186,7 +185,7 @@ def simulate_measurements(cfg: dict) -> dict:
     xc = np.empty((len(freqs), len(grid), n_snap, len(xkeys), dim), dtype=complex)
     ph = np.empty((len(freqs), len(grid), n_snap, n_sens, n_pairs))
     for fi, freq in enumerate(freqs):
-        for p, point in enumerate(grid.points):
+        for p, point in enumerate(grid):
             for k in range(n_snap):
                 bits_seed = derive_seed(cfg["seed"], _TAG_TRAIN_BITS, fi, p, k)
                 bufs = measure_buffers(cfg, point, freq, (1.0,), k, bits_seed,
@@ -285,15 +284,15 @@ def trial_fingerprints(cfg: dict, trial: int, tx: Position) -> tuple:
     return dict(zip(xkeys, normalized)), pd
 
 
-def error_maps(cfg: dict, db: FingerprintDatabase, xc: dict, pd: dict) -> tuple:
-    """Summed squared-error maps over the database grid for both kinds."""
-    mcfg = cfg["matching"]
+def error_maps(db: FingerprintDatabase, xc: dict, pd: dict) -> tuple:
+    """Summed squared-error maps over the database grid for both kinds.
+
+    Correlation fingerprints are compared by magnitude only.
+    """
     vx = np.zeros(len(db.grid))
     vp = np.zeros(len(db.grid))
     for key, fp in xc.items():
-        vx += fingerprint_sqerr(fp, db.block(key, FingerprintVector),
-                                magnitude_only=mcfg["magnitude_only"],
-                                include_zero_lag=mcfg["include_zero_lag"])
+        vx += fingerprint_sqerr(fp, db.block(key, FingerprintVector), magnitude_only=True)
     for key, fp in pd.items():
         vp += fingerprint_sqerr(fp, db.block(key, FingerprintVector))
     return (LikelihoodMap(grid=db.grid, values=vx, mode=MODE_SQUARED_ERROR),
@@ -304,7 +303,7 @@ def evaluate(cfg: dict, db: FingerprintDatabase) -> tuple:
     """All trials x {pure xcorr, pure phasediff, hybrid per gamma}."""
     trials = draw_trials(cfg)
     sweep = list(cfg["evaluation"]["gamma_sweep"])
-    pts = db.grid.as_array()
+    pts = db.grid.xy
     rows = []
     errors = {"xcorr": [], "phasediff": []}
     hybrid_errors = {g: [] for g in sweep}
@@ -313,7 +312,7 @@ def evaluate(cfg: dict, db: FingerprintDatabase) -> tuple:
     for t, (tx_x, tx_y) in enumerate(trials):
         tx = Position(float(tx_x), float(tx_y))
         xc, pd = trial_fingerprints(cfg, t, tx)
-        err_x, err_p = error_maps(cfg, db, xc, pd)
+        err_x, err_p = error_maps(db, xc, pd)
         idx_x = err_x.argbest()
         idx_p = err_p.argbest()
         for method, idx in (("xcorr", idx_x), ("phasediff", idx_p)):
@@ -368,7 +367,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
     save_db(cfg, out_dir, db)
     # the conditioning of the kriging that densified the coarse survey grid
     log = {"points": len(db), "derived": True, "filled_bins": filled_bins,
-           "kriging_cond": kriging_cond(build_grid(cfg).as_array()),
+           "kriging_cond": kriging_cond(build_grid(cfg).xy),
            "per_point_samples": [int(xc.shape[2])] * xc.shape[1],
            "target_freq_hz": cfg["scenario"]["target"]["freq_hz"],
            "target_bandwidth_hz": cfg["scenario"]["target"]["bandwidth_hz"]}

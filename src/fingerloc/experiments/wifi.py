@@ -108,7 +108,7 @@ def simulate_measurements(cfg: dict) -> dict:
     grid = build_grid(cfg)
     n_snap = scn["train_snapshots"]
     out = np.empty((len(grid), n_snap, len(scn["sensors"]), 2))
-    for p, point in enumerate(grid.points):
+    for p, point in enumerate(grid):
         for k in range(n_snap):
             bits_seed = derive_seed(cfg["seed"], _TAG_TRAIN_BITS, p, k)
             out[p, k] = measure_features(cfg, point, k, bits_seed,
@@ -182,7 +182,7 @@ def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
     scn = cfg["scenario"]
     path = generate_walk(cfg)
     n_steps = scn["walk"]["steps"]
-    pts = db.grid.as_array()
+    pts = db.grid.xy
 
     ps = None
     pdr = None

@@ -281,8 +281,8 @@ def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
     """
     if len(db.blocks) == 0:
         raise ValueError("database holds no fingerprints")
-    train_xy = db.grid.as_array()
-    query_xy = target_grid.as_array()
+    train_xy = db.grid.xy
+    query_xy = target_grid.xy
     outside = np.nonzero(np.any((query_xy < train_xy.min(axis=0))
                                 | (query_xy > train_xy.max(axis=0)), axis=1))[0]
     if outside.size:

@@ -94,7 +94,7 @@ class LightingScenario:
         gains = light_gain([(l.position.x, l.position.y) for l in self.lights],
                            [l.height_m for l in self.lights],
                            [l.peak_lux for l in self.lights],
-                           self.grid.as_array()[:, None, :])
+                           self.grid.xy[:, None, :])
         gains.flags.writeable = False
         object.__setattr__(self, "gains", gains)
 

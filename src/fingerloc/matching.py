@@ -160,15 +160,13 @@ def hybrid_match(err_xcorr: LikelihoodMap, err_phase: LikelihoodMap,
 
 
 def fingerprint_sqerr(target: FingerprintVector, reference: FingerprintVector,
-                      magnitude_only: bool = False,
-                      include_zero_lag: bool = True):
+                      magnitude_only: bool = False):
     """Squared error between fingerprints of the same kind and dimension.
 
     Angle-valued kinds use wrapped phase differences; correlation kinds use
-    complex residuals, or magnitude residuals with ``magnitude_only``; the
-    center (zero) lag of correlation kinds can be excluded to ignore the
-    self-noise spike.  A (N, d) ``reference`` block broadcasts against one
-    target vector and yields one error per grid point.
+    complex residuals, or magnitude residuals with ``magnitude_only``.  A
+    (N, d) ``reference`` block broadcasts against one target vector and
+    yields one error per grid point.
 
     Returns:
         A float, or an (N,) array against a block.
@@ -182,15 +180,8 @@ def fingerprint_sqerr(target: FingerprintVector, reference: FingerprintVector,
                          f"{reference.values.shape}")
     a = target.values
     b = reference.values
-    if target.kind in CORRELATION_KINDS:
-        if not include_zero_lag:
-            if target.dim % 2 == 0:
-                raise ValueError("zero-lag exclusion needs an odd-length lag window")
-            keep = np.arange(target.dim) != target.dim // 2
-            a = a[keep]
-            b = b[..., keep]
-        if magnitude_only:
-            a, b = np.abs(a), np.abs(b)
+    if magnitude_only and target.kind in CORRELATION_KINDS:
+        a, b = np.abs(a), np.abs(b)
     delta = wrap_angle(a - b) if target.kind in ANGLE_KINDS else a - b
     err = np.sum(np.abs(delta) ** 2, axis=-1)
     return float(err) if np.ndim(err) == 0 else err

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateUpdateError, NumericError
-from .geometry import Grid, Position, uniform_grid_shape
+from .geometry import Grid, Position
 from .matching import MODE_LOG_LIKELIHOOD, LikelihoodMap
 
 __all__ = [
@@ -144,14 +144,13 @@ def transition_matrix(grid: Grid, model: MobilityModel) -> GridTransition:
     side ``2r + 1``, r the reach in cells (at most the grid's extent).
 
     Args:
-        grid: row-major uniform grid (positive spacing).
+        grid: the survey lattice.
         model: mobility parameters.
 
     Returns:
         GridTransition whose outgoing mass from every cell is 1 within 1e-12.
     """
-    nx, ny, _ = uniform_grid_shape(grid)  # validates the lattice
-    h = grid.spacing
+    nx, ny, h = grid.nx, grid.ny, grid.spacing
     sigma = model.step_sigma
     if sigma == 0.0:
         return GridTransition(stencil=np.ones((1, 1)), p_static=model.p_static,
@@ -186,9 +185,9 @@ def grid_bayes_step(prev: LikelihoodMap, trans: GridTransition,
         raise ValueError("prior and observation maps must share one grid")
     if prev.mode != MODE_LOG_LIKELIHOOD or obs.mode != MODE_LOG_LIKELIHOOD:
         raise ValueError("grid Bayes filtering works on log-likelihood maps")
-    n = len(prev.grid)
-    if trans.shape[0] * trans.shape[1] != n:
-        raise ValueError(f"transition grid shape {trans.shape} does not match {n} grid cells")
+    shape = (prev.grid.ny, prev.grid.nx)
+    if trans.shape != shape:
+        raise ValueError(f"transition grid shape {trans.shape} does not match the maps' {shape}")
     shift = float(np.max(prev.values))
     mixed = trans.predict(np.exp(prev.values - shift))
     if np.any(mixed <= 0.0):
@@ -261,7 +260,7 @@ def particle_update(ps: ParticleSet, lmap: LikelihoodMap, seed=0,
 
     Args:
         ps: current particles.
-        lmap: the step's observation log-likelihood map on a uniform grid,
+        lmap: the step's observation log-likelihood map,
             e.g. from :func:`fingerloc.matching.mle_rssi_rspd`.
         seed: stream for the embedded resampling step.
         estimator: ``"mean"`` for the weighted mean position (default) or
@@ -275,9 +274,7 @@ def particle_update(ps: ParticleSet, lmap: LikelihoodMap, seed=0,
     if estimator not in ("mean", "mode"):
         raise ValueError(f"unknown estimator {estimator!r}")
     grid = lmap.grid
-    nx, ny, origin = uniform_grid_shape(grid)
-    xy = grid.as_array()
-    h = grid.spacing
+    nx, ny, origin, h, xy = grid.nx, grid.ny, grid.origin, grid.spacing, grid.xy
     shift = float(np.max(lmap.values))
     dens = np.exp(lmap.values - shift)  # common shift cancels in normalization
 

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from fingerloc.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from fingerloc.database import load_database
 from fingerloc.experiments import bems, classroom, illegal, wifi
 from fingerloc.experiments.artifacts import validate_run_dir
+from fingerloc.experiments.common import build_grid
+from fingerloc.experiments.configs import load_config
 
 PIPELINE_MODULES = {"classroom_cir": classroom, "wifi_rssi_rspd": wifi,
                     "bems_binary": bems, "illegal_hybrid": illegal}
@@ -276,6 +279,21 @@ def test_database_from_another_grid_is_a_config_error(tmp_path):
     assert not (pathlib.Path(out_dir) / "trials.csv").exists()
 
 
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_learned_database_stores_its_grid_as_a_lattice(name, tmp_path):
+    # four numbers whatever the cell count; the unknown-emitter map is on the densified grid
+    cfg_path, out_dir = _write_config(tmp_path, name)
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    cfg = load_config(cfg_path)
+    grid = illegal.fine_grid(cfg) if name == "illegal_hybrid" else build_grid(cfg)
+    path = pathlib.Path(out_dir) / "db.json"
+    assert json.loads(path.read_text())["grid"] == {
+        "origin": [grid.origin.x, grid.origin.y], "nx": grid.nx, "ny": grid.ny,
+        "spacing": grid.spacing}
+    db = load_database(str(path))  # checks every block against the grid's cell count
+    assert db.grid == grid and len(db.blocks) > 0
+
+
 def test_database_from_another_seed_and_scenario_on_the_same_grid_is_a_config_error(tmp_path):
     # learn at seed 5 with 4 snapshots, then localize at seed 9 with 9 on the same 4x4 grid
     cfg_path, out_dir = _write_config(tmp_path, "wifi_rssi_rspd")
@@ -310,11 +328,19 @@ def test_database_in_the_version_1_layout_is_a_config_error(tmp_path):
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
     db_path = pathlib.Path(out_dir) / "db.json"
     doc = json.loads(db_path.read_text())
-    doc["version"] = "fingerloc-db-1"
-    doc["entries"] = [{} for _ in doc["grid"]["points"]]
-    del doc["blocks"]
+    g = doc["grid"]
+    points = [[g["origin"][0] + (k % g["nx"]) * g["spacing"],
+               g["origin"][1] + (k // g["nx"]) * g["spacing"]] for k in range(g["nx"] * g["ny"])]
+    # version 2 stored the same blocks over a list of grid points
+    v2 = dict(doc, version="fingerloc-db-2", grid={"points": points, "spacing": g["spacing"]})
+    v1 = dict(v2, version="fingerloc-db-1", entries=[{} for _ in points])
+    del v1["blocks"]
+    for stale in (v1, v2):
+        db_path.write_text(json.dumps(stale))
+        for verb in ("localize", "track"):
+            assert main([verb, "--config", cfg_path]) == EXIT_CONFIG
     db_path.write_text(json.dumps(doc))
-    assert main(["track", "--config", cfg_path]) == EXIT_CONFIG
+    assert main(["localize", "--config", cfg_path]) == EXIT_OK
 
 
 def test_a_longer_walk_reuses_the_survey_and_the_map(tmp_path):

@@ -17,13 +17,13 @@ from fingerloc.database import (
     save_database,
 )
 from fingerloc.experiments.artifacts import validate_artifact
-from fingerloc.geometry import Position, build_uniform_grid
+from fingerloc.geometry import Grid, Position
 from fingerloc.signals import FingerprintKind, FingerprintMeta, FingerprintVector
 from fingerloc.stats import GammaParams, VonMisesParams, fit_gaussian, kriging_fit
 
 
 def _grid(n=2):
-    return build_uniform_grid(Position(0.0, 0.0), nx=n, ny=n, spacing=1.0)
+    return Grid(Position(0.0, 0.0), nx=n, ny=n, spacing=1.0)
 
 
 def _round_trip(block, n=2):
@@ -101,7 +101,7 @@ def test_database_rejects_unknown_block_types():
         FingerprintDatabase(grid=grid, blocks={"k": object()})
     with pytest.raises(ValueError):
         FingerprintDatabase(grid=grid, blocks={
-            "k": kriging_fit(grid.as_array(), np.arange(4.0))})
+            "k": kriging_fit(grid.xy, np.arange(4.0))})
     # one model, not a block over the grid
     with pytest.raises(ValueError):
         FingerprintDatabase(grid=grid, blocks={"k": GammaParams(shape=1.0, scale=1.0)})
@@ -152,24 +152,41 @@ def test_database_json_matches_shipped_schema(tmp_path):
     path = tmp_path / "db.json"
     save_database(FingerprintDatabase(grid=_grid(2), blocks=blocks), str(path))
     assert validate_artifact(str(path)) == "db.schema.json"
-    doc = json.loads(path.read_text())
-    assert doc["version"] == "fingerloc-db-2"
-    doc["blocks"]["p"]["shape"] = 1.0  # a bare scalar is not a block
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        validate_artifact(str(path))
+    text = path.read_text()
+    doc = json.loads(text)
+    assert doc["version"] == "fingerloc-db-3"
+    assert doc["grid"] == {"origin": [0.0, 0.0], "nx": 2, "ny": 2, "spacing": 1.0}
+    # a bare scalar is not a block; a lattice has cells and a positive spacing
+    for section, key, field, bad in (("blocks", "p", "shape", 1.0), ("grid", None, "nx", 0),
+                                     ("grid", None, "spacing", 0.0)):
+        doc = json.loads(text)
+        target = doc[section] if key is None else doc[section][key]
+        target[field] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            validate_artifact(str(path))
 
 
 def test_database_rejects_wrong_version():
     db = FingerprintDatabase(grid=_grid(1))
     doc = json.loads(database_to_json(db))
     assert doc["version"] == FORMAT_VERSION
-    doc["version"] = "fingerloc-db-1"
-    with pytest.raises(ValueError):
-        database_from_json(json.dumps(doc))
+    for stale in ("fingerloc-db-1", "fingerloc-db-2"):
+        doc["version"] = stale
+        with pytest.raises(ValueError):
+            database_from_json(json.dumps(doc))
     doc.pop("version")
     with pytest.raises(ValueError):
         database_from_json(json.dumps(doc))
+
+
+def test_database_rejects_a_malformed_grid():
+    doc = json.loads(database_to_json(FingerprintDatabase(grid=_grid(2))))
+    for key, bad in (("origin", [0.0, 0.0, 0.0]), ("origin", [0.0]), ("nx", 0), ("ny", 2.5),
+                     ("spacing", 0.0), ("spacing", math.inf)):
+        broken = dict(doc, grid=dict(doc["grid"], **{key: bad}))
+        with pytest.raises(ValueError):
+            database_from_json(json.dumps(broken, allow_nan=True))
 
 
 def test_database_json_has_no_nan_and_sorted_keys():

@@ -14,7 +14,8 @@ one ``linprog`` per occupied set, the unknown-emitter projection stages to
 per-point, per-bin and per-query loops, multi-column kriging to one dense
 solve per column, the array particle likelihoods to the per-particle corner
 loop, the stencil grid Bayes predict to the dense N x N transition matrix,
-and the measurement codec to a bit-exact round trip.
+the measurement codec to a bit-exact round trip, and the survey lattice to
+the per-point loop that built it and to its ``db.json`` round trip.
 
 Regenerate only for an intended behaviour change, and say why in CHANGES.md::
 
@@ -42,7 +43,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_cli import TINY, VERBS  # noqa: E402
 
 from fingerloc.cli import EXIT_OK, main  # noqa: E402
-from fingerloc.database import FingerprintDatabase  # noqa: E402
+from fingerloc.database import FingerprintDatabase, load_database, save_database  # noqa: E402
 from fingerloc.experiments import classroom  # noqa: E402
 from fingerloc.experiments.artifacts import validate_artifact  # noqa: E402
 from fingerloc.experiments.common import read_measurements, save_measurements  # noqa: E402
@@ -50,7 +51,7 @@ from fingerloc.experiments.configs import parse_config  # noqa: E402
 from fingerloc.experiments.illegal import error_maps  # noqa: E402
 from fingerloc.features import pair_xcorr, xcorr  # noqa: E402
 from fingerloc.errors import NumericError  # noqa: E402
-from fingerloc.geometry import Position, build_uniform_grid, uniform_grid_shape  # noqa: E402
+from fingerloc.geometry import Grid, Position  # noqa: E402
 from fingerloc.interp import (  # noqa: E402
     UcaGeometry,
     bandwidth_interp,
@@ -67,7 +68,7 @@ from fingerloc.signals import (  # noqa: E402
     FingerprintVector,
     wrap_angle,
 )
-from fingerloc.simulate import SPEED_OF_LIGHT  # noqa: E402
+from fingerloc.simulate import SPEED_OF_LIGHT, derive_seed  # noqa: E402
 from fingerloc.stats import (  # noqa: E402
     KAPPA_MAX,
     GammaParams,
@@ -187,7 +188,7 @@ def _wrap(theta):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_mle_rssi_rspd_equals_per_point_loop(nx, ny, n_sensors, seed):
     rng = np.random.default_rng(seed)
-    grid = build_uniform_grid(Position(0.0, 0.0), nx, ny, 1.0)
+    grid = Grid(Position(0.0, 0.0), nx, ny, 1.0)
     n = len(grid)
     blocks, feats = {}, []
     for s in range(n_sensors):
@@ -219,12 +220,10 @@ def test_mle_rssi_rspd_equals_per_point_loop(nx, ny, n_sensors, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(nx=st.integers(1, 4), ny=st.integers(1, 4), n_keys=st.integers(1, 3),
-       half=st.integers(0, 4), magnitude_only=st.booleans(),
-       include_zero_lag=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_error_maps_equal_per_point_loop(nx, ny, n_keys, half, magnitude_only,
-                                         include_zero_lag, seed):
+       half=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_error_maps_equal_per_point_loop(nx, ny, n_keys, half, seed):
     rng = np.random.default_rng(seed)
-    grid = build_uniform_grid(Position(0.0, 0.0), nx, ny, 1.0)
+    grid = Grid(Position(0.0, 0.0), nx, ny, 1.0)
     n, dim = len(grid), 2 * half + 1
     blocks, xc, pd = {}, {}, {}
     for k in range(n_keys):
@@ -237,21 +236,18 @@ def test_error_maps_equal_per_point_loop(nx, ny, n_keys, half, magnitude_only,
             kind=FingerprintKind.PHASE_DIFF, values=rng.uniform(-3.14, 3.14, (n, 3)))
         pd[f"pd:{k}"] = FingerprintVector(kind=FingerprintKind.PHASE_DIFF,
                                           values=rng.uniform(-3.14, 3.14, 3))
-    cfg = {"matching": {"magnitude_only": magnitude_only,
-                        "include_zero_lag": include_zero_lag}}
     db = FingerprintDatabase(grid=grid, blocks=blocks)
 
     want_x, want_p = np.zeros(n), np.zeros(n)
-    lags = [j for j in range(dim) if include_zero_lag or j != half]
     for i in range(n):
         for key, fp in xc.items():
-            for j in lags:
+            for j in range(dim):
                 a, b = fp.values[j], blocks[key].values[i, j]
-                want_x[i] += (abs(a) - abs(b)) ** 2 if magnitude_only else abs(a - b) ** 2
+                want_x[i] += (abs(a) - abs(b)) ** 2
         for key, fp in pd.items():
             for j in range(3):
                 want_p[i] += _wrap(fp.values[j] - blocks[key].values[i, j]) ** 2
-    err_x, err_p = error_maps(cfg, db, xc, pd)
+    err_x, err_p = error_maps(db, xc, pd)
     assert _rel_close(err_x.values, want_x)
     assert _rel_close(err_p.values, want_p)
 
@@ -347,7 +343,7 @@ def test_pair_xcorr_equals_xcorr_per_pair_bit_for_bit(taps, imag):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_batched_lighting_equals_per_set_linprog(n_lights, set_sizes, seed):
     rng = np.random.default_rng(seed)
-    grid = build_uniform_grid(Position(0.0, 0.0), 4, 4, 1.0)
+    grid = Grid(Position(0.0, 0.0), 4, 4, 1.0)
     lights = [Light(position=Position(*rng.uniform(0.0, 3.0, 2)),
                     power_w=float(rng.uniform(20, 60)), peak_lux=float(rng.uniform(300, 900)),
                     height_m=float(rng.uniform(2.0, 3.0)))
@@ -493,7 +489,7 @@ def _ref_kriging_mean(locs, column, queries, length_scale):
        spacing=st.sampled_from([0.3, 1.0, 3.0]), seed=st.integers(0, 2 ** 32 - 1))
 def test_multi_column_kriging_equals_per_column_dense_solve(nx, ny, n_cols, spacing, seed):
     rng = np.random.default_rng(seed)
-    locs = build_uniform_grid(Position(0.0, 0.0), nx, ny, spacing).as_array()
+    locs = Grid(Position(0.0, 0.0), nx, ny, spacing).xy
     # columns of very different scales, one of them constant (zero variance)
     vals = rng.normal(0.0, 1.0, (len(locs), n_cols)) * 10.0 ** rng.uniform(-3, 3, n_cols)
     vals[:, 0] = rng.uniform(-50.0, 50.0)
@@ -516,10 +512,9 @@ def test_multi_column_kriging_equals_per_column_dense_solve(nx, ny, n_cols, spac
 def test_spatial_densify_equals_per_key_and_per_query_loops(nx, ny, factor, n_corr, half,
                                                             zero_conf, seed):
     rng = np.random.default_rng(seed)
-    coarse = build_uniform_grid(Position(0.0, 0.0), nx, ny, 2.0)
-    fine = build_uniform_grid(Position(0.0, 0.0), (nx - 1) * factor + 1,
-                              (ny - 1) * factor + 1, 2.0 / factor)
-    train, query = coarse.as_array(), fine.as_array()
+    coarse = Grid(Position(0.0, 0.0), nx, ny, 2.0)
+    fine = Grid(Position(0.0, 0.0), (nx - 1) * factor + 1, (ny - 1) * factor + 1, 2.0 / factor)
+    train, query = coarse.xy, fine.xy
     n, dim = len(train), 2 * half + 1
     blocks = {}
     for k in range(n_corr):
@@ -568,9 +563,7 @@ def test_spatial_densify_equals_per_key_and_per_query_loops(nx, ny, factor, n_co
 def _ref_particle_update(ps, lmap):
     """The per-particle corner loop: (weights, mean estimate, ESS) before resampling."""
     grid = lmap.grid
-    nx, ny, origin = uniform_grid_shape(grid)
-    xy = grid.as_array()
-    h = grid.spacing
+    nx, ny, origin, h, xy = grid.nx, grid.ny, grid.origin, grid.spacing, grid.xy
     dens = np.exp(lmap.values - np.max(lmap.values))
     lik = np.empty(len(ps))
     for i, pos in enumerate(ps.positions):
@@ -599,8 +592,8 @@ def _ref_particle_update(ps, lmap):
 def test_particle_update_equals_per_particle_corner_loop(nx, ny, n_particles, spacing,
                                                           on_grid, seed):
     rng = np.random.default_rng(seed)
-    grid = build_uniform_grid(Position(*rng.uniform(-3.0, 3.0, 2)), nx, ny, spacing)
-    xy = grid.as_array()
+    grid = Grid(Position(*rng.uniform(-3.0, 3.0, 2)), nx, ny, spacing)
+    xy = grid.xy
     lmap = LikelihoodMap(grid=grid, values=rng.uniform(-30.0, 0.0, len(grid)))
     # particles anywhere in the room and 1.5 m beyond it, some exactly on grid points
     pos = rng.uniform(xy.min(axis=0) - 1.5, xy.max(axis=0) + 1.5, (n_particles, 2))
@@ -626,7 +619,7 @@ def test_particle_update_equals_per_particle_corner_loop(nx, ny, n_particles, sp
 
 def _ref_transition_matrix(grid, model):
     """The dense N x N matrix by its old formula, from the points' coordinates."""
-    xy = grid.as_array()
+    xy = grid.xy
     n = len(grid)
     h = grid.spacing
     sigma = model.step_sigma
@@ -657,7 +650,7 @@ def _ref_transition_matrix(grid, model):
 def test_stencil_transition_equals_dense_matrix(nx, ny, spacing, sigma_cells, p_static,
                                                 reach, seed):
     rng = np.random.default_rng(seed)
-    grid = build_uniform_grid(Position(*rng.integers(-3, 4, 2).astype(float)), nx, ny, spacing)
+    grid = Grid(Position(*rng.integers(-3, 4, 2).astype(float)), nx, ny, spacing)
     # no limit, one below the spacing, one wider than the grid, or a lattice distance
     max_step = (reach if reach is None else float(np.hypot(*reach)) * spacing
                 if isinstance(reach, tuple) else reach * spacing)
@@ -712,6 +705,53 @@ def test_measurement_codec_round_trips_bit_exactly(arrays):
     for name, arr in arrays.items():
         got = back[name]
         assert (got.dtype, got.shape, got.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
+
+
+
+# ---------------------------------------------------------------------------
+# the survey lattice against the per-point loop it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_lattice_points(origin, nx, ny, spacing):
+    """The per-point loop that built the grid's Position tuple."""
+    return [Position(origin.x + (k % nx) * spacing, origin.y + (k // nx) * spacing)
+            for k in range(nx * ny)]
+
+
+_LATTICE = {
+    "origin": st.builds(Position, st.floats(-1e3, 1e3, **_FINITE), st.floats(-1e3, 1e3, **_FINITE)),
+    "nx": st.integers(1, 40),
+    "ny": st.integers(1, 40),
+    "spacing": st.one_of(st.sampled_from([0.78, 0.1, 7.0 / 39]),
+                         st.floats(1e-3, 1e2, **_FINITE)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_LATTICE)
+def test_grid_lattice_equals_per_point_loop_bit_for_bit(origin, nx, ny, spacing):
+    grid = Grid(origin, nx, ny, spacing)
+    want = _ref_lattice_points(origin, nx, ny, spacing)
+    assert len(grid) == len(want)
+    ref = np.array([(p.x, p.y) for p in want], dtype=float)
+    assert grid.xy.tobytes() == ref.tobytes()
+    # the simulators seed their streams from these coordinates' bit patterns
+    for k in {0, len(grid) // 2, len(grid) - 1}:
+        assert (derive_seed(grid[k].x, grid[k].y).entropy
+                == derive_seed(want[k].x, want[k].y).entropy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_LATTICE)
+def test_grid_round_trips_through_the_database_file(origin, nx, ny, spacing):
+    grid = Grid(origin, nx, ny, spacing)
+    with tempfile.TemporaryDirectory() as out_dir:
+        path = os.path.join(out_dir, "db.json")
+        save_database(FingerprintDatabase(grid=grid, blocks={"p": np.zeros(len(grid))}), path)
+        validate_artifact(path)
+        back = load_database(path).grid
+    assert back == grid
+    assert back.xy.tobytes() == grid.xy.tobytes()
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
-"""Positions, grids, and uniform-lattice shape recovery."""
+"""Positions and the row-major survey lattice."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fingerloc.geometry import Grid, Position, build_uniform_grid, uniform_grid_shape
+from fingerloc.geometry import Grid, Position
 
 
 def test_position_distance_matches_hypot():
@@ -27,7 +27,7 @@ def test_position_rejects_non_finite(x, y):
 
 def test_uniform_grid_is_row_major():
     # x varies fastest: point k sits at origin + ((k mod nx) h, (k div nx) h)
-    grid = build_uniform_grid(Position(0.0, 0.0), nx=3, ny=2, spacing=2.0)
+    grid = Grid(Position(0.0, 0.0), nx=3, ny=2, spacing=2.0)
     assert len(grid) == 6
     assert (grid[0].x, grid[0].y) == (0.0, 0.0)
     assert (grid[2].x, grid[2].y) == (4.0, 0.0)
@@ -37,15 +37,19 @@ def test_uniform_grid_is_row_major():
 
 
 def test_uniform_grid_offset_origin():
-    grid = build_uniform_grid(Position(-1.5, 3.0), nx=4, ny=3, spacing=0.78)
-    for k, p in enumerate(grid.points):
+    grid = Grid(Position(-1.5, 3.0), nx=4, ny=3, spacing=0.78)
+    points = list(grid)
+    assert len(points) == 12
+    for k, p in enumerate(points):
         assert p.x == pytest.approx(-1.5 + (k % 4) * 0.78, abs=1e-12)
         assert p.y == pytest.approx(3.0 + (k // 4) * 0.78, abs=1e-12)
+    with pytest.raises(IndexError):
+        grid[12]
 
 
 def test_uniform_grid_pairwise_distances_at_least_spacing():
-    grid = build_uniform_grid(Position(0.0, 0.0), nx=5, ny=4, spacing=0.9)
-    xy = grid.as_array()
+    grid = Grid(Position(0.0, 0.0), nx=5, ny=4, spacing=0.9)
+    xy = grid.xy
     d = np.hypot(xy[:, None, 0] - xy[None, :, 0], xy[:, None, 1] - xy[None, :, 1])
     np.fill_diagonal(d, np.inf)
     assert np.min(d) >= 0.9 - 1e-12
@@ -53,62 +57,32 @@ def test_uniform_grid_pairwise_distances_at_least_spacing():
 
 def test_uniform_grid_rejects_bad_dimensions():
     with pytest.raises(ValueError):
-        build_uniform_grid(Position(0, 0), nx=0, ny=2, spacing=1.0)
+        Grid(Position(0, 0), nx=0, ny=2, spacing=1.0)
     with pytest.raises(ValueError):
-        build_uniform_grid(Position(0, 0), nx=2, ny=-1, spacing=1.0)
+        Grid(Position(0, 0), nx=2, ny=-1, spacing=1.0)
+    for spacing in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Grid(Position(0, 0), nx=2, ny=2, spacing=spacing)
+    for nx in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError):
+            Grid(Position(0, 0), nx=nx, ny=2, spacing=1.0)
+
+
+def test_xy_rows_are_the_grid_positions():
+    grid = Grid(Position(0.25, -0.5), nx=3, ny=3, spacing=1.25)
+    assert grid.xy.shape == (9, 2)
+    for k, p in enumerate(grid):
+        assert type(p.x) is float and type(p.y) is float
+        assert grid.xy[k, 0] == p.x and grid.xy[k, 1] == p.y
     with pytest.raises(ValueError):
-        build_uniform_grid(Position(0, 0), nx=2, ny=2, spacing=0.0)
+        grid.xy[0, 0] = 1.0  # computed once, shared by every caller
 
 
-def test_grid_rejects_duplicates_and_empty():
-    with pytest.raises(ValueError):
-        Grid(points=())
-    with pytest.raises(ValueError):
-        Grid(points=(Position(0, 0), Position(1, 1), Position(0, 0)))
-    with pytest.raises(ValueError):
-        Grid(points=(Position(0, 0),), spacing=-1.0)
-
-
-def test_nearest_index_prefers_lowest_on_ties():
-    grid = Grid(points=(Position(0, 0), Position(2, 0)))
-    assert grid.nearest_index(Position(1.0, 0.0)) == 0
-    assert grid.nearest_index(Position(1.9, 0.0)) == 1
-    assert grid.nearest_index(Position(-5.0, 0.0)) == 0
-
-
-def test_as_array_round_trips_coordinates():
-    grid = build_uniform_grid(Position(0.25, -0.5), nx=3, ny=3, spacing=1.25)
-    xy = grid.as_array()
-    assert xy.shape == (9, 2)
-    for k, p in enumerate(grid.points):
-        assert xy[k, 0] == p.x and xy[k, 1] == p.y
-
-
-def test_uniform_grid_shape_round_trip():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        nx = int(rng.integers(1, 7))
-        ny = int(rng.integers(1, 7))
-        spacing = float(rng.uniform(0.2, 3.0))
-        origin = Position(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
-        grid = build_uniform_grid(origin, nx, ny, spacing)
-        got_nx, got_ny, got_origin = uniform_grid_shape(grid)
-        assert (got_nx, got_ny) == (nx, ny)
-        assert got_origin == origin
-
-
-def test_uniform_grid_shape_rejects_irregular_layouts():
-    # positive spacing claimed but the points are not on the lattice
-    skewed = Grid(points=(Position(0, 0), Position(1, 0), Position(0.5, 1),
-                          Position(1.5, 1)), spacing=1.0)
-    with pytest.raises(ValueError):
-        uniform_grid_shape(skewed)
-    # column-major layout (y varies fastest) is not the convention
-    cols = Grid(points=(Position(0, 0), Position(0, 1), Position(1, 0),
-                        Position(1, 1)), spacing=1.0)
-    with pytest.raises(ValueError):
-        uniform_grid_shape(cols)
-    # irregular grids carry spacing 0, which is rejected outright
-    irregular = Grid(points=(Position(0, 0), Position(3, 1)))
-    with pytest.raises(ValueError):
-        uniform_grid_shape(irregular)
+def test_grid_equality_compares_the_defining_fields():
+    grid = Grid(Position(0, 1), nx=3, ny=2, spacing=1)
+    same = Grid(Position(0.0, 1.0), nx=3, ny=2, spacing=1.0)
+    assert grid == same and hash(grid) == hash(same)
+    assert grid.origin == Position(0.0, 1.0) and type(grid.origin.x) is float
+    assert grid != Grid(Position(0.0, 1.0), nx=2, ny=3, spacing=1.0)
+    assert grid != Grid(Position(0.0, 1.0), nx=3, ny=2, spacing=0.5)
+    assert grid != Grid(Position(1.0, 1.0), nx=3, ny=2, spacing=1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fingerloc.database import FingerprintDatabase
-from fingerloc.geometry import Position, build_uniform_grid
+from fingerloc.geometry import Grid, Position
 from fingerloc.interp import (
     UcaGeometry,
     bandwidth_interp,
@@ -257,7 +257,7 @@ def _train_db(kind, field, grid, **meta):
 
 
 def test_spatial_densify_phasediff_exact_at_training_points():
-    grid = build_uniform_grid(Position(0, 0), nx=3, ny=3, spacing=1.0)
+    grid = Grid(Position(0, 0), nx=3, ny=3, spacing=1.0)
     rng = np.random.default_rng(83)
     field = wrap_angle(rng.uniform(-3, 3, size=(9, 2)))
     db = _train_db(FingerprintKind.PHASE_DIFF, field, grid, pairs=((0, 1), (0, 2)))
@@ -267,11 +267,11 @@ def test_spatial_densify_phasediff_exact_at_training_points():
 
 
 def test_spatial_densify_correlation_reproduces_training_magnitudes():
-    grid = build_uniform_grid(Position(0, 0), nx=3, ny=3, spacing=1.0)
+    grid = Grid(Position(0, 0), nx=3, ny=3, spacing=1.0)
     rng = np.random.default_rng(89)
     # dB fields in the span of the default kernel (length scale 2 spacings):
     # with its 1e-6 nugget the posterior mean returns them at the training points
-    xy = grid.as_array()
+    xy = grid.xy
     corr = np.exp(-np.sum((xy[:, None] - xy[None]) ** 2, axis=-1) / (2 * 2.0 ** 2))
     mags = 10.0 ** (corr @ rng.uniform(-1.0, 1.0, size=(9, 3)) / 10.0)
     phases = rng.uniform(-3, 3, size=(9, 3))
@@ -285,10 +285,10 @@ def test_spatial_densify_correlation_reproduces_training_magnitudes():
 
 
 def test_spatial_densify_denser_grid_and_outside_fallback():
-    grid = build_uniform_grid(Position(0, 0), nx=2, ny=2, spacing=2.0)
+    grid = Grid(Position(0, 0), nx=2, ny=2, spacing=2.0)
     field = np.exp(1j * np.array([[0.1], [0.2], [0.3], [0.4]])) * [[1.0], [2.0], [3.0], [4.0]]
     db = _train_db(FingerprintKind.CIR_XCORR, field, grid)
-    target = build_uniform_grid(Position(-1.0, 0.5), nx=3, ny=2, spacing=1.0)
+    target = Grid(Position(-1.0, 0.5), nx=3, ny=2, spacing=1.0)
     with pytest.warns(UserWarning, match="outside the training hull"):
         out = spatial_densify(db, target)
     assert len(out) == 6 and out.blocks["k"].values.shape == (6, 1)
@@ -299,10 +299,10 @@ def test_spatial_densify_denser_grid_and_outside_fallback():
 
 
 def test_spatial_densify_confidence_weighting_and_validation():
-    grid = build_uniform_grid(Position(0, 0), nx=2, ny=2, spacing=1.0)
+    grid = Grid(Position(0, 0), nx=2, ny=2, spacing=1.0)
     field = wrap_angle(np.array([[0.5], [1.5], [-0.5], [2.5]]))
     db = _train_db(FingerprintKind.PHASE_DIFF, field, grid, pairs=((0, 1),))
-    target = build_uniform_grid(Position(0.5, 0.5), nx=1, ny=1, spacing=1.0)
+    target = Grid(Position(0.5, 0.5), nx=1, ny=1, spacing=1.0)
     # all confidence on training point 3: the center query copies its phase
     conf = np.array([0.0, 0.0, 0.0, 5.0])
     out = spatial_densify(db, target, confidences={"k": conf})
@@ -312,7 +312,7 @@ def test_spatial_densify_confidence_weighting_and_validation():
 
 
 def test_spatial_densify_rejects_bad_databases():
-    grid = build_uniform_grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
+    grid = Grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
     empty = FingerprintDatabase(grid=grid)
     with pytest.raises(ValueError):
         spatial_densify(empty, grid)

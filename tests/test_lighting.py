@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from fingerloc.errors import InfeasibleError, NumericError
-from fingerloc.geometry import Position, build_uniform_grid
+from fingerloc.geometry import Grid, Position
 from fingerloc.lighting import (
     Light,
     LightingScenario,
@@ -96,7 +96,7 @@ def test_light_gain_validation():
 
 
 def _room(lights, target, env=None, n=3, spacing=2.0):
-    grid = build_uniform_grid(Position(0, 0), nx=n, ny=n, spacing=spacing)
+    grid = Grid(Position(0, 0), nx=n, ny=n, spacing=spacing)
     return LightingScenario(grid=grid, lights=lights, target_lux=target, env_lux=env)
 
 
@@ -113,7 +113,7 @@ def test_gain_matrix_equals_the_law_per_cell_and_light():
                     height_m=float(rng.uniform(2.0, 3.0)))
               for _ in range(3)]
     scen = _room(lights, target=300.0, n=4)
-    want = np.array([[_formula(light, cell) for light in lights] for cell in scen.grid.points])
+    want = np.array([[_formula(light, cell) for light in lights] for cell in scen.grid])
     assert np.allclose(scen.gains, want, rtol=1e-14, atol=0.0)
     assert np.array_equal(scen.gain_matrix([5, 0, 5]), scen.gains[[5, 0, 5]])
     assert scen.gain_matrix([]).shape == (0, 3)
@@ -217,7 +217,7 @@ def test_solve_lighting_matches_dimmer_grid_search():
     steps = np.linspace(0.0, 1.0, 101)
     g1, g2 = np.meshgrid(steps, steps, indexing="ij")
     for trial in range(50):
-        grid = build_uniform_grid(Position(0, 0), nx=3, ny=3, spacing=2.0)
+        grid = Grid(Position(0, 0), nx=3, ny=3, spacing=2.0)
         lights = [
             Light(position=Position(float(rng.uniform(0, 4)), float(rng.uniform(0, 4))),
                   power_w=float(rng.uniform(20, 60)),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fingerloc.database import FingerprintDatabase
-from fingerloc.geometry import Position, build_uniform_grid
+from fingerloc.geometry import Grid, Position
 from fingerloc.matching import (
     MODE_LOG_LIKELIHOOD,
     MODE_SQUARED_ERROR,
@@ -29,7 +29,7 @@ from fingerloc.stats import (
 
 
 def _grid(n):
-    return build_uniform_grid(Position(0.0, 0.0), nx=n, ny=n, spacing=1.0)
+    return Grid(Position(0.0, 0.0), nx=n, ny=n, spacing=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_binary_likelihood_validation():
 
 def test_threshold_set_filters_and_never_empties():
     grid = Position(0, 0), Position(1, 0), Position(2, 0)
-    lmap = LikelihoodMap(grid=build_uniform_grid(Position(0, 0), 3, 1, 1.0),
+    lmap = LikelihoodMap(grid=Grid(Position(0, 0), 3, 1, 1.0),
                          values=[-1.0, -2.0, -0.5])
     assert np.array_equal(threshold_set(lmap, -1.5), [0, 2])
     # nothing clears a sky-high threshold: fall back to the single argmax
@@ -138,7 +138,7 @@ def test_threshold_set_filters_and_never_empties():
 
 
 def test_hybrid_match_weighted_sum_and_tie_break():
-    grid = build_uniform_grid(Position(0, 0), 2, 1, 1.0)
+    grid = Grid(Position(0, 0), 2, 1, 1.0)
     err_x = LikelihoodMap(grid=grid, values=[4.0, 1.0], mode=MODE_SQUARED_ERROR)
     err_p = LikelihoodMap(grid=grid, values=[1.0, 4.0], mode=MODE_SQUARED_ERROR)
     idx, combined = hybrid_match(err_x, err_p, HybridConfig(gamma=1.0))
@@ -196,16 +196,6 @@ def test_fingerprint_sqerr_complex_residuals():
     assert fingerprint_sqerr(a, c, magnitude_only=True) == 0.0
 
 
-def test_fingerprint_sqerr_zero_lag_exclusion():
-    a = FingerprintVector(kind=FingerprintKind.RX_XCORR, values=[1.0, 100.0, 2.0])
-    b = FingerprintVector(kind=FingerprintKind.RX_XCORR, values=[1.0, 0.0, 2.0])
-    assert fingerprint_sqerr(a, b, include_zero_lag=True) == pytest.approx(1e4)
-    assert fingerprint_sqerr(a, b, include_zero_lag=False) == 0.0
-    even = FingerprintVector(kind=FingerprintKind.RX_XCORR, values=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        fingerprint_sqerr(even, even, include_zero_lag=False)
-
-
 def test_fingerprint_sqerr_matches_brute_force():
     rng = np.random.default_rng(43)
     for _ in range(30):
@@ -230,7 +220,7 @@ def test_fingerprint_sqerr_broadcasts_over_a_block():
                                values=rng.standard_normal(5) + 1j * rng.standard_normal(5))
     rows = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
     block = FingerprintVector(kind=FingerprintKind.RX_XCORR, values=rows)
-    for flags in ({}, {"magnitude_only": True}, {"include_zero_lag": False}):
+    for flags in ({}, {"magnitude_only": True}):
         got = fingerprint_sqerr(target, block, **flags)
         assert got.shape == (7,)
         for i in range(7):

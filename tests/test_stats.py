@@ -9,7 +9,7 @@ from scipy.special import i0e
 
 import fingerloc.stats
 from fingerloc.errors import NumericError
-from fingerloc.geometry import Position, build_uniform_grid
+from fingerloc.geometry import Grid, Position
 from fingerloc.stats import (
     DEFAULT_LOADING_EPS,
     KAPPA_MAX,
@@ -358,7 +358,7 @@ def test_block_checks_every_model():
 # ---------------------------------------------------------------------------
 
 def test_learn_detection_map_laplace_rule():
-    grid = build_uniform_grid(Position(0, 0), nx=2, ny=2, spacing=1.0)
+    grid = Grid(Position(0, 0), nx=2, ny=2, spacing=1.0)
     obs = [(0, True, 1)] * 10 + [(1, True, 1), (1, False, 0)]
     dmap = learn_detection_map(obs, grid)
     assert dmap.probs[0] == pytest.approx(11.0 / 12.0, rel=1e-12)
@@ -367,14 +367,14 @@ def test_learn_detection_map_laplace_rule():
 
 
 def test_learn_detection_map_ignores_moving_flag():
-    grid = build_uniform_grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
+    grid = Grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
     a = learn_detection_map([(0, True, 1), (0, True, 0)], grid)
     b = learn_detection_map([(0, False, 1), (0, True, 0)], grid)
     assert np.array_equal(a.probs, b.probs)
 
 
 def test_learn_detection_map_validation():
-    grid = build_uniform_grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
+    grid = Grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
     with pytest.raises(ValueError):
         learn_detection_map([(5, True, 1)], grid)
     with pytest.raises(ValueError):
@@ -394,8 +394,8 @@ def test_kriging_reproduces_training_values():
     # fields in the span of the kernel come back at the training points up
     # to the 1e-6 nugget
     rng = np.random.default_rng(61)
-    grid = build_uniform_grid(Position(0, 0), nx=4, ny=4, spacing=1.0)
-    locs = grid.as_array()
+    grid = Grid(Position(0, 0), nx=4, ny=4, spacing=1.0)
+    locs = grid.xy
     vals = _correlation(locs, locs, 2.0) @ rng.standard_normal((16, 3)) * 5.0
     mean = kriging_predict(kriging_fit(locs, vals), locs)
     assert mean.shape == (16, 3)
@@ -406,28 +406,28 @@ def test_kriging_default_kernel_smooths_rather_than_interpolates():
     # the default long length scale regularizes rough data instead of
     # chasing it exactly; predictions stay within the data range
     rng = np.random.default_rng(61)
-    grid = build_uniform_grid(Position(0, 0), nx=4, ny=4, spacing=1.0)
+    grid = Grid(Position(0, 0), nx=4, ny=4, spacing=1.0)
     vals = rng.standard_normal(16) * 5.0
-    model = kriging_fit(grid.as_array(), vals)
-    mean = kriging_predict(model, grid.as_array())
+    model = kriging_fit(grid.xy, vals)
+    mean = kriging_predict(model, grid.xy)
     assert np.allclose(mean, vals, atol=0.05 * float(np.ptp(vals)))
 
 
 def test_kriging_reverts_to_prior_far_away():
-    grid = build_uniform_grid(Position(0, 0), nx=3, ny=3, spacing=1.0)
+    grid = Grid(Position(0, 0), nx=3, ny=3, spacing=1.0)
     vals = np.linspace(-2.0, 2.0, 9)
-    model = kriging_fit(grid.as_array(), vals)
+    model = kriging_fit(grid.xy, vals)
     mean = kriging_predict(model, np.array([[1e4, 1e4]]))
     assert mean == pytest.approx([0.0], abs=1e-12)  # zero prior mean
 
 
 def test_kriging_default_length_scale_is_twice_spacing():
-    grid = build_uniform_grid(Position(0, 0), nx=3, ny=3, spacing=0.7)
-    model = kriging_fit(grid.as_array(), np.arange(9.0))
+    grid = Grid(Position(0, 0), nx=3, ny=3, spacing=0.7)
+    model = kriging_fit(grid.xy, np.arange(9.0))
     assert model.length_scale == pytest.approx(1.4, rel=1e-12)
     # the signal variance cancels from the mean: scaling the data scales it
     queries = np.array([[0.3, 0.2], [1.1, 0.9]])
-    scaled = kriging_fit(grid.as_array(), 1e3 * np.arange(9.0))
+    scaled = kriging_fit(grid.xy, 1e3 * np.arange(9.0))
     assert np.allclose(kriging_predict(scaled, queries),
                        1e3 * kriging_predict(model, queries), rtol=1e-12)
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from fingerloc.errors import DegenerateUpdateError, NumericError
-from fingerloc.geometry import Position, build_uniform_grid
+from fingerloc.geometry import Grid, Position
 from fingerloc.matching import MODE_SQUARED_ERROR, LikelihoodMap
 from fingerloc.tracking import (
     GridTransition,
@@ -23,7 +23,7 @@ from fingerloc.tracking import (
 
 
 def _grid(n, spacing=1.0):
-    return build_uniform_grid(Position(0.0, 0.0), nx=n, ny=n, spacing=spacing)
+    return Grid(Position(0.0, 0.0), nx=n, ny=n, spacing=spacing)
 
 
 def _logmap(grid, values):
@@ -79,7 +79,7 @@ def test_transition_matrix_zero_step_sigma_is_identity():
 
 def test_transition_matrix_rows_are_distributions():
     # outgoing mass 1 from every source cell, corners and edges included
-    grid = build_uniform_grid(Position(0.0, 0.0), nx=5, ny=3, spacing=0.78)
+    grid = Grid(Position(0.0, 0.0), nx=5, ny=3, spacing=0.78)
     trans = transition_matrix(grid, MobilityModel(p_static=0.3, accel_sigma=0.5))
     assert trans.shape == (3, 5)
     rows = _rows(trans)
@@ -110,7 +110,7 @@ def test_transition_matrix_matches_quadrature_oracle():
             want = interval_mass(i * h) * interval_mass(j * h) if inside else 0.0
             assert trans.stencil[ry + j, rx + i] == pytest.approx(want, abs=1e-12)
 
-    xy = grid.as_array()
+    xy = grid.xy
     n = len(grid)
     kernel = np.zeros((n, n))
     for r in range(n):
@@ -145,13 +145,6 @@ def test_transition_matrix_starved_kernel_raises():
         transition_matrix(grid, MobilityModel(p_static=0.0, accel_sigma=1e300))
 
 
-def test_transition_matrix_rejects_irregular_grid():
-    from fingerloc.geometry import Grid
-    skew = Grid(points=(Position(0, 0), Position(1, 0.2), Position(2, 0)), spacing=1.0)
-    with pytest.raises(ValueError):
-        transition_matrix(skew, MobilityModel())
-
-
 def test_grid_transition_validation():
     with pytest.raises(ValueError):
         GridTransition(stencil=np.ones((2, 3)), p_static=0.5, shape=(2, 2))
@@ -163,7 +156,7 @@ def test_grid_transition_validation():
 
 def test_grid_bayes_filter_on_a_100x100_grid_stays_small():
     # N = 10,000 cells: a dense N x N float64 matrix alone would take 800 MB
-    grid = build_uniform_grid(Position(0.0, 0.0), nx=100, ny=100, spacing=7.0 / 99)
+    grid = Grid(Position(0.0, 0.0), nx=100, ny=100, spacing=7.0 / 99)
     n = len(grid)
     rng = np.random.default_rng(73)
     obs = [_logmap(grid, rng.uniform(-20.0, 0.0, n)) for _ in range(3)]
@@ -212,7 +205,7 @@ def test_grid_bayes_step_uniform_prior_identity_transition():
 
 def test_grid_bayes_step_matches_linear_domain_brute_force():
     rng = np.random.default_rng(59)
-    grid = build_uniform_grid(Position(0.0, 0.0), nx=3, ny=2, spacing=1.0)
+    grid = Grid(Position(0.0, 0.0), nx=3, ny=2, spacing=1.0)
     for _ in range(25):
         model = MobilityModel(p_static=rng.uniform(0.0, 1.0),
                               accel_sigma=rng.uniform(0.2, 2.0))
@@ -228,7 +221,7 @@ def test_grid_bayes_step_matches_linear_domain_brute_force():
 def test_grid_bayes_step_starved_cell_raises():
     # a 1x3 corridor whose steps reach one cell: the prior's mass on cells 1
     # and 2 underflows to zero, so nothing can reach cell 2
-    grid = build_uniform_grid(Position(0, 0), nx=3, ny=1, spacing=1.0)
+    grid = Grid(Position(0, 0), nx=3, ny=1, spacing=1.0)
     trans = transition_matrix(grid, MobilityModel(p_static=0.5, accel_sigma=0.5, max_step=1.0))
     prev = _logmap(grid, [0.0, -9000.0, -9000.0])
     obs = _logmap(grid, [0.0, 0.0, 0.0])
@@ -249,6 +242,16 @@ def test_grid_bayes_step_validation():
     with pytest.raises(ValueError):
         grid_bayes_step(prev, transition_matrix(_grid(3), MobilityModel()),
                         _logmap(grid, np.zeros(4)))
+
+
+def test_grid_bayes_step_rejects_a_transition_for_another_shape_of_as_many_cells():
+    # 4x4 and 8x2 both hold 16 cells; a 4x4 stencil would wrap rows on 8x2 maps
+    trans = transition_matrix(_grid(4), MobilityModel())
+    wide = Grid(Position(0.0, 0.0), nx=8, ny=2, spacing=1.0)
+    with pytest.raises(ValueError):
+        grid_bayes_step(_logmap(wide, np.zeros(16)), trans, _logmap(wide, np.zeros(16)))
+    same = grid_bayes_step(_logmap(_grid(4), np.zeros(16)), trans, _logmap(_grid(4), np.zeros(16)))
+    assert same.values.shape == (16,)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +321,7 @@ def test_particle_update_interpolates_by_inverse_distance():
     lmap = _logmap(grid, np.log(dens))
     p = np.array([0.25, 0.25])
     corners = np.array([0, 1, 2, 3])
-    d = np.hypot(grid.as_array()[corners, 0] - p[0], grid.as_array()[corners, 1] - p[1])
+    d = np.hypot(grid.xy[corners, 0] - p[0], grid.xy[corners, 1] - p[1])
     iw = 1.0 / d
     lik_p = float(iw @ dens[corners] / iw.sum())
     # pair the off-grid particle with one pinned at a grid point of density 1
