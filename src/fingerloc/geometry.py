@@ -38,7 +38,8 @@ class Grid:
         origin: position of point 0 (lower-left corner).
         nx: number of columns (>= 1).
         ny: number of rows (>= 1).
-        spacing: inter-point distance in meters (> 0).
+        spacing: inter-point distance in meters (> 0, and large enough that
+            no two points round to the same coordinates).
     """
 
     origin: Position
@@ -56,6 +57,10 @@ class Grid:
         if not (spacing > 0 and math.isfinite(spacing)):
             raise ValueError(f"grid spacing must be positive and finite, got {spacing}")
         origin = Position(float(self.origin.x), float(self.origin.y))
+        # far from the origin a small spacing rounds away and points coincide
+        for start, n in ((origin.x, nx), (origin.y, ny)):
+            if np.any(np.diff(start + np.arange(n) * spacing) <= 0):
+                raise ValueError(f"grid spacing {spacing} is below float resolution at {start}")
         k = np.arange(nx * ny)
         xy = np.stack([origin.x + (k % nx) * spacing, origin.y + (k // nx) * spacing], axis=1)
         xy.flags.writeable = False

@@ -68,6 +68,21 @@ def test_uniform_grid_rejects_bad_dimensions():
             Grid(Position(0, 0), nx=nx, ny=2, spacing=1.0)
 
 
+def test_grid_rejects_duplicates_and_empty():
+    for nx, ny in ((0, 0), (0, 3), (3, 0)):
+        with pytest.raises(ValueError):
+            Grid(Position(0, 0), nx=nx, ny=ny, spacing=1.0)
+    # a spacing below the float step at the origin would make points coincide
+    with pytest.raises(ValueError):
+        Grid(Position(1e17, 0.0), nx=2, ny=1, spacing=1.0)
+    with pytest.raises(ValueError):
+        Grid(Position(0.0, 1e17), nx=1, ny=2, spacing=1.0)
+    with pytest.raises(ValueError):
+        Grid(Position(0, 0), nx=1, ny=1, spacing=-1.0)
+    single = Grid(Position(1e17, 1e17), nx=1, ny=1, spacing=1.0)
+    assert len(single) == 1 and len(np.unique(single.xy, axis=0)) == 1
+
+
 def test_xy_rows_are_the_grid_positions():
     grid = Grid(Position(0.25, -0.5), nx=3, ny=3, spacing=1.25)
     assert grid.xy.shape == (9, 2)
