@@ -209,8 +209,10 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> tuple:
     per-point power normalization.
 
     Returns:
-        (database, filled_bins): the projected map and the number of delay
-        bins the frequency projection filled from their neighbors.
+        (database, health): the projected map and its counts for
+        ``learn_log.json``: ``filled_bins``, the delay bins the frequency
+        projection filled from their neighbors, and ``outside_hull``, the
+        fine-grid points densification copied from their nearest survey point.
     """
     scn = cfg["scenario"]
     geom = uca_geom(cfg)
@@ -249,10 +251,11 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> tuple:
                "target_bandwidth_hz": float(t_bw)},
     )
     coarse = FingerprintDatabase(grid=build_grid(cfg), blocks=blocks, meta=meta)
-    dense = spatial_densify(coarse, fine_grid(cfg), confidences=confidences)
+    dense, outside_hull = spatial_densify(coarse, fine_grid(cfg), confidences=confidences)
     blocks = dict(dense.blocks)
     blocks.update(zip(xkeys, normalize_power([blocks[key] for key in xkeys])))
-    return FingerprintDatabase(grid=dense.grid, blocks=blocks, meta=dense.meta), filled_bins
+    health = {"filled_bins": filled_bins, "outside_hull": outside_hull}
+    return FingerprintDatabase(grid=dense.grid, blocks=blocks, meta=dense.meta), health
 
 
 def draw_trials(cfg: dict) -> np.ndarray:
@@ -363,10 +366,10 @@ def cmd_simulate(cfg: dict, out_dir: str) -> dict:
 def cmd_learn(cfg: dict, out_dir: str) -> dict:
     arrays = load_measurements(cfg, out_dir, simulate_measurements, measurement_shapes(cfg))
     xc = arrays["xcorr"]
-    db, filled_bins = build_database(cfg, xc, arrays["phase"])
+    db, health = build_database(cfg, xc, arrays["phase"])
     save_db(cfg, out_dir, db)
     # the conditioning of the kriging that densified the coarse survey grid
-    log = {"points": len(db), "derived": True, "filled_bins": filled_bins,
+    log = {"points": len(db), "derived": True, **health,
            "kriging_cond": kriging_cond(build_grid(cfg).xy),
            "per_point_samples": [int(xc.shape[2])] * xc.shape[1],
            "target_freq_hz": cfg["scenario"]["target"]["freq_hz"],

@@ -17,8 +17,10 @@ class Position:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"position coordinates must be finite, got ({self.x}, {self.y})")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                   for v in (self.x, self.y)):
+            raise ValueError(
+                f"position coordinates must be finite reals, got ({self.x!r}, {self.y!r})")
 
     def distance_to(self, other: "Position") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -53,9 +55,11 @@ class Grid:
         if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (nx, ny)):
             raise ValueError(f"grid dimensions must be positive integers, got nx={nx!r} ny={ny!r}")
         nx, ny = int(nx), int(ny)
-        spacing = float(self.spacing)
-        if not (spacing > 0 and math.isfinite(spacing)):
-            raise ValueError(f"grid spacing must be positive and finite, got {spacing}")
+        spacing = self.spacing
+        if not (isinstance(spacing, numbers.Real) and not isinstance(spacing, bool)
+                and spacing > 0 and math.isfinite(spacing)):
+            raise ValueError(f"grid spacing must be positive and finite, got {spacing!r}")
+        spacing = float(spacing)
         origin = Position(float(self.origin.x), float(self.origin.y))
         # far from the origin a small spacing rounds away and points coincide
         for start, n in ((origin.x, nx), (origin.y, ny)):

@@ -5,11 +5,9 @@ coarse grid serve matching at other emitter parameters on a denser grid.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.signal
 
 from .database import FingerprintDatabase
 from .geometry import Grid
@@ -51,10 +49,15 @@ def windowed_sinc_lowpass(cutoff_ratio: float, n_taps: int = LOWPASS_TAPS) -> np
     """Hamming-windowed sinc low-pass with unit DC gain.
 
     ``cutoff_ratio`` is the cutoff as a fraction of the Nyquist frequency.
+    The ideal low-pass response ``c sinc(c m)``, m the tap offset from the
+    filter's centre, tapered by a Hamming window (Harris 1978) and scaled
+    so the taps sum to 1.
     """
     if not (0.0 < cutoff_ratio < 1.0):
         raise ValueError("cutoff ratio must lie in (0, 1)")
-    return scipy.signal.firwin(n_taps, cutoff_ratio)
+    m = np.arange(n_taps) - (n_taps - 1) / 2
+    h = cutoff_ratio * np.sinc(cutoff_ratio * m) * np.hamming(n_taps)
+    return h / h.sum()
 
 
 def bandwidth_interp(fp: FingerprintVector, train_bw_hz: float,
@@ -75,12 +78,19 @@ def bandwidth_interp(fp: FingerprintVector, train_bw_hz: float,
     if target_bw_hz == train_bw_hz:
         return fp
     taps = windowed_sinc_lowpass(target_bw_hz / train_bw_hz)
-    # Zero-phase center slice of the full convolution of each row; a "same"
-    # mode would return max(len, taps) and grow short fingerprints.
-    full = scipy.signal.convolve(fp.values, taps.reshape((1,) * (fp.values.ndim - 1) + (-1,)),
-                                 method="direct")
-    start = (len(taps) - 1) // 2
-    return FingerprintVector(kind=fp.kind, values=full[..., start:start + fp.dim],
+    # Zero-phase center slice of the direct convolution of each row, one
+    # shifted slice of the whole block per tap: output k sums
+    # taps[i] * x[k + center - i] over the taps that land inside the row, in
+    # ascending x order (a "same" mode would grow rows shorter than the taps).
+    x, d = fp.values, fp.dim
+    center = (len(taps) - 1) // 2
+    out = np.zeros(x.shape, dtype=np.result_type(x, taps))
+    for i in range(len(taps) - 1, -1, -1):
+        tap, shift = taps[i], center - i
+        lo, hi = max(0, -shift), min(d, d - shift)
+        if lo < hi:
+            out[..., lo:hi] += tap * x[..., lo + shift:hi + shift]
+    return FingerprintVector(kind=fp.kind, values=out,
                              meta=replace(fp.meta, bandwidth_hz=float(target_bw_hz)))
 
 
@@ -259,7 +269,7 @@ def _densify_phasediff(stack, train_xy, query_xy, confidences):
 
 
 def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
-                    confidences: dict | None = None) -> FingerprintDatabase:
+                    confidences: dict | None = None) -> tuple:
     """Interpolate a fingerprint database onto a denser grid.
 
     Correlation fingerprints are interpolated per delay bin by kriging on dB
@@ -272,12 +282,15 @@ def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
     Args:
         db: training database whose blocks are all raw fingerprint vectors.
         target_grid: grid to interpolate onto (inside the training hull;
-            outside points fall back to nearest-neighbor with a warning).
+            points outside its bounding box copy their nearest training
+            point's vectors).
         confidences: optional ``{key: (n_train,) array}`` of phasor-fit
             confidences for phase-difference keys.
 
     Returns:
-        A new database on ``target_grid`` marked ``derived``.
+        (database, outside): a new database on ``target_grid`` marked
+        ``derived``, and the number of target points that fell back to
+        their nearest training point.
     """
     if len(db.blocks) == 0:
         raise ValueError("database holds no fingerprints")
@@ -285,9 +298,6 @@ def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
     query_xy = target_grid.xy
     outside = np.nonzero(np.any((query_xy < train_xy.min(axis=0))
                                 | (query_xy > train_xy.max(axis=0)), axis=1))[0]
-    if outside.size:
-        warnings.warn(f"{outside.size} query point(s) outside the training hull; "
-                      "using nearest-neighbor values there", stacklevel=2)
 
     fps = {key: db.block(key, FingerprintVector) for key in sorted(db.blocks)}
     corr = [key for key, fp in fps.items() if fp.kind in CORRELATION_KINDS]
@@ -305,7 +315,7 @@ def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
         blocks[key] = FingerprintVector(kind=fp.kind, values=values[key], meta=fp.meta)
 
     meta = replace(db.meta, derived=True, extra=dict(db.meta.extra))
-    return FingerprintDatabase(grid=target_grid, blocks=blocks, meta=meta)
+    return FingerprintDatabase(grid=target_grid, blocks=blocks, meta=meta), int(outside.size)
 
 
 def normalize_power(fps) -> list:

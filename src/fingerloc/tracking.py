@@ -162,8 +162,11 @@ def transition_matrix(grid: Grid, model: MobilityModel) -> GridTransition:
     dx = np.arange(-rx, rx + 1) * h
     dy = np.arange(-ry, ry + 1) * h
     half = h / 2.0
-    mass_x = ndtr((dx + half) / sigma) - ndtr((dx - half) / sigma)
-    mass_y = ndtr((dy + half) / sigma) - ndtr((dy - half) / sigma)
+    # each interval mass from its lower tail, -|d|: on the upper side both
+    # ndtr terms would sit near 1 and their difference lose its digits, so
+    # mirrored offsets get exactly equal masses
+    mass_x = ndtr((half - np.abs(dx)) / sigma) - ndtr((-half - np.abs(dx)) / sigma)
+    mass_y = ndtr((half - np.abs(dy)) / sigma) - ndtr((-half - np.abs(dy)) / sigma)
     stencil = mass_x[None, :] * mass_y[:, None]
     stencil[np.hypot(dx[None, :], dy[:, None]) > limit] = 0.0
     # keep the smallest centred block that holds every nonzero mass

@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -138,6 +140,19 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     assert read(a) == read(c)  # config seed is 5, so no flag means seed 5
 
 
+def test_cli_import_leaves_out_scipy_signal_stats_and_interpolate():
+    # every verb is a fresh process that imports the CLI first, and these
+    # subpackages alone took about half of its start-up
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import json, sys, fingerloc.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'signal'], ['scipy', 'stats'], ['scipy', 'interpolate']))))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert json.loads(run.stdout) == []
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -224,6 +239,7 @@ def test_illegal_learn_log_counts_filled_projection_bins(tmp_path):
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
     log = json.loads((pathlib.Path(out_dir) / "learn_log.json").read_text())
     assert log["filled_bins"] == 0
+    assert log["outside_hull"] == 0  # the fine grid shares the survey's hull
     # zero one delay bin of one key at one point and frequency in every snapshot
     doc = json.loads((pathlib.Path(out_dir) / "measurements.json").read_text())
     xcorr = doc["arrays"]["xcorr"]
@@ -321,6 +337,22 @@ def test_database_learned_at_another_loading_is_a_config_error(tmp_path):
     pathlib.Path(cfg_path).write_text(json.dumps(cfg))
     assert main(["localize", "--config", cfg_path]) == EXIT_CONFIG
     assert not (pathlib.Path(out_dir) / "trials.csv").exists()
+
+
+@pytest.mark.parametrize("grid", [{"origin": ["a", 0.0]}, {"origin": [0.0, None]},
+                                  {"spacing": "1.0"}])
+def test_database_with_a_malformed_grid_is_a_config_error(tmp_path, capsys, grid):
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    db_path = pathlib.Path(out_dir) / "db.json"
+    doc = json.loads(db_path.read_text())
+    doc["grid"].update(grid)
+    db_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["track", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (pathlib.Path(out_dir) / "track.csv").exists()
 
 
 def test_database_in_the_version_1_layout_is_a_config_error(tmp_path):

@@ -11,7 +11,9 @@ loop written out here, on random databases, the batched classroom
 leave-one-out to a per-trial, per-fold loop, the batched pair
 cross-correlation to ``xcorr`` per pair, the block-diagonal lighting LP to
 one ``linprog`` per occupied set, the unknown-emitter projection stages to
-per-point, per-bin and per-query loops, multi-column kriging to one dense
+per-point, per-bin and per-query loops, the windowed-sinc low-pass and
+bandwidth narrowing to ``scipy.signal``'s ``firwin`` and direct
+convolution, multi-column kriging to one dense
 solve per column, the array particle likelihoods to the per-particle corner
 loop, the stencil grid Bayes predict to the dense N x N transition matrix,
 the measurement codec to a bit-exact round trip, and the survey lattice to
@@ -35,6 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+import scipy.signal
 from scipy.optimize import linprog
 from scipy.special import i0e, ndtr
 
@@ -53,6 +56,7 @@ from fingerloc.features import pair_xcorr, xcorr  # noqa: E402
 from fingerloc.errors import NumericError  # noqa: E402
 from fingerloc.geometry import Grid, Position  # noqa: E402
 from fingerloc.interp import (  # noqa: E402
+    LOWPASS_TAPS,
     UcaGeometry,
     bandwidth_interp,
     freq_interp_xcorr,
@@ -468,6 +472,34 @@ def test_block_projection_equals_per_point_loop(n_freqs, n_points, half, dead, b
         assert np.allclose(got.values[p], want, rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(cutoff=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       n_taps=st.integers(1, 130))
+def test_windowed_sinc_equals_firwin(cutoff, n_taps):
+    want = scipy.signal.firwin(n_taps, cutoff)
+    assert np.allclose(windowed_sinc_lowpass(cutoff, n_taps), want, rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cutoff=st.floats(0.01, 0.99), lead=hnp.array_shapes(min_dims=0, max_dims=1, max_side=6),
+       dim=st.integers(1, 80), seed=st.integers(0, 2 ** 32 - 1))
+def test_bandwidth_interp_equals_direct_convolution_center(cutoff, lead, dim, seed):
+    rng = np.random.default_rng(seed)
+    shape = lead + (dim,)
+    values = (np.exp(rng.normal(0.0, 2.0, shape)) * 10.0 ** rng.uniform(-6, 6)
+              * np.exp(1j * rng.uniform(-3, 3, shape)))
+    fp = FingerprintVector(kind=FingerprintKind.RX_XCORR, values=values)
+    out = bandwidth_interp(fp, 1e7, 1e7 * cutoff)
+    taps = scipy.signal.firwin(LOWPASS_TAPS, cutoff)
+    full = scipy.signal.convolve(values, taps.reshape((1,) * len(lead) + (-1,)),
+                                 method="direct")
+    start = (LOWPASS_TAPS - 1) // 2
+    want = full[..., start:start + dim]
+    assert out.values.shape == shape
+    assert np.allclose(out.values, want, rtol=0.0,
+                       atol=1e-12 * np.max(np.abs(want), initial=0.0))
+
+
 # relative to each column's largest value; the dense solves condition up to ~2e7
 KRIGING_TOL = 1e-8
 
@@ -525,8 +557,9 @@ def test_spatial_densify_equals_per_key_and_per_query_loops(nx, ny, factor, n_co
     blocks["pd"] = FingerprintVector(kind=FingerprintKind.PHASE_DIFF,
                                      values=rng.uniform(-3.1, 3.1, (n, 3)))
     conf = np.zeros(n) if zero_conf else rng.uniform(0.0, 1.0, n)
-    out = spatial_densify(FingerprintDatabase(grid=coarse, blocks=blocks), fine,
-                          confidences={"pd": conf})
+    out, outside = spatial_densify(FingerprintDatabase(grid=coarse, blocks=blocks), fine,
+                                   confidences={"pd": conf})
+    assert outside == 0
 
     nearest = [int(np.argmin(np.sum((train - q) ** 2, axis=1))) for q in query]
     length_scale = 4.0  # twice the training spacing
@@ -618,7 +651,10 @@ def test_particle_update_equals_per_particle_corner_loop(nx, ny, n_particles, sp
 
 
 def _ref_transition_matrix(grid, model):
-    """The dense N x N matrix by its old formula, from the points' coordinates."""
+    """The dense N x N matrix from the points' coordinates.
+
+    Each interval mass is taken from the lower tail, ``-|d|``, as the stencil does.
+    """
     xy = grid.xy
     n = len(grid)
     h = grid.spacing
@@ -629,8 +665,9 @@ def _ref_transition_matrix(grid, model):
         kernel = np.eye(n)
     else:
         half = h / 2.0
-        kernel = ((ndtr((dx + half) / sigma) - ndtr((dx - half) / sigma))
-                  * (ndtr((dy + half) / sigma) - ndtr((dy - half) / sigma)))
+        ax, ay = np.abs(dx), np.abs(dy)
+        kernel = ((ndtr((half - ax) / sigma) - ndtr((-half - ax) / sigma))
+                  * (ndtr((half - ay) / sigma) - ndtr((-half - ay) / sigma)))
         kernel[np.hypot(dx, dy) > model.step_limit] = 0.0
         kernel /= kernel.sum(axis=1, keepdims=True)
     trans = model.p_static * np.eye(n) + (1.0 - model.p_static) * kernel

@@ -25,6 +25,12 @@ def test_position_rejects_non_finite(x, y):
         Position(x, y)
 
 
+@pytest.mark.parametrize("x,y", [("a", 0.0), (0.0, None), ([1.0], 2.0), (True, 0.0), (1j, 0.0)])
+def test_position_rejects_non_real_coordinates(x, y):
+    with pytest.raises(ValueError, match="finite reals"):
+        Position(x, y)
+
+
 def test_uniform_grid_is_row_major():
     # x varies fastest: point k sits at origin + ((k mod nx) h, (k div nx) h)
     grid = Grid(Position(0.0, 0.0), nx=3, ny=2, spacing=2.0)
@@ -60,7 +66,7 @@ def test_uniform_grid_rejects_bad_dimensions():
         Grid(Position(0, 0), nx=0, ny=2, spacing=1.0)
     with pytest.raises(ValueError):
         Grid(Position(0, 0), nx=2, ny=-1, spacing=1.0)
-    for spacing in (0.0, -1.0, math.inf, math.nan):
+    for spacing in (0.0, -1.0, math.inf, math.nan, "1.0", None, [1.0], True):
         with pytest.raises(ValueError):
             Grid(Position(0, 0), nx=2, ny=2, spacing=spacing)
     for nx in (2.5, 2.0, "2"):

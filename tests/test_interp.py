@@ -261,8 +261,8 @@ def test_spatial_densify_phasediff_exact_at_training_points():
     rng = np.random.default_rng(83)
     field = wrap_angle(rng.uniform(-3, 3, size=(9, 2)))
     db = _train_db(FingerprintKind.PHASE_DIFF, field, grid, pairs=((0, 1), (0, 2)))
-    out = spatial_densify(db, grid)
-    assert out.meta.derived is True
+    out, outside = spatial_densify(db, grid)
+    assert out.meta.derived is True and outside == 0
     assert np.array_equal(out.blocks["k"].values, field)
 
 
@@ -277,7 +277,7 @@ def test_spatial_densify_correlation_reproduces_training_magnitudes():
     phases = rng.uniform(-3, 3, size=(9, 3))
     field = mags * np.exp(1j * phases)
     db = _train_db(FingerprintKind.CIR_XCORR, field, grid)
-    out = spatial_densify(db, grid)
+    out, _ = spatial_densify(db, grid)
     got = out.blocks["k"].values
     assert np.allclose(np.abs(got), mags, rtol=1e-4)
     # phases copy from the nearest training point, which is the point itself
@@ -288,9 +288,10 @@ def test_spatial_densify_denser_grid_and_outside_fallback():
     grid = Grid(Position(0, 0), nx=2, ny=2, spacing=2.0)
     field = np.exp(1j * np.array([[0.1], [0.2], [0.3], [0.4]])) * [[1.0], [2.0], [3.0], [4.0]]
     db = _train_db(FingerprintKind.CIR_XCORR, field, grid)
+    # the column at x = -1 pokes out of the training hull [0, 2] x [0, 2]
     target = Grid(Position(-1.0, 0.5), nx=3, ny=2, spacing=1.0)
-    with pytest.warns(UserWarning, match="outside the training hull"):
-        out = spatial_densify(db, target)
+    out, outside = spatial_densify(db, target)
+    assert outside == 2
     assert len(out) == 6 and out.blocks["k"].values.shape == (6, 1)
     # the off-hull column copies its nearest training vector verbatim:
     # (-1, 0.5) is closest to (0, 0) and (-1, 1.5) to (0, 2)
@@ -305,7 +306,7 @@ def test_spatial_densify_confidence_weighting_and_validation():
     target = Grid(Position(0.5, 0.5), nx=1, ny=1, spacing=1.0)
     # all confidence on training point 3: the center query copies its phase
     conf = np.array([0.0, 0.0, 0.0, 5.0])
-    out = spatial_densify(db, target, confidences={"k": conf})
+    out, _ = spatial_densify(db, target, confidences={"k": conf})
     assert out.blocks["k"].values[0, 0] == pytest.approx(2.5, abs=1e-12)
     with pytest.raises(ValueError):
         spatial_densify(db, target, confidences={"k": np.ones(3)})

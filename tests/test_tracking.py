@@ -126,6 +126,19 @@ def test_transition_matrix_matches_quadrature_oracle():
     assert np.allclose(_rows(trans), want, atol=1e-9)
 
 
+def test_transition_stencil_equals_its_mirror_exactly():
+    # far-tail masses on both sides: a move of +9 cells is as likely as -9
+    line = transition_matrix(Grid(Position(0.0, 0.0), nx=21, ny=1, spacing=1.0),
+                             MobilityModel(accel_sigma=1.0, max_step=10.0)).stencil
+    assert line.shape == (1, 21)
+    assert np.array_equal(line, line[:, ::-1])
+    assert np.all(line > 0.0)
+    plane = transition_matrix(Grid(Position(0.0, 0.0), nx=9, ny=7, spacing=0.78),
+                              MobilityModel(accel_sigma=0.5, dt=1.3)).stencil
+    for mirror in (plane[::-1], plane[:, ::-1], plane[::-1, ::-1]):
+        assert np.array_equal(plane, mirror)
+
+
 def test_transition_matrix_tight_truncation_collapses_to_identity():
     # a step limit below the lattice spacing leaves only the source cell
     grid = _grid(3)
