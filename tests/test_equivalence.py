@@ -5,6 +5,10 @@ estimate) columns of its CSV outputs and the ``summary.json`` written by every
 verb, from running the verb chain of ``tests/test_cli.py`` at its ``TINY``
 config.  Integers, strings and booleans must match exactly and floats to 1e-9
 relative, so a refactor that claims unchanged behaviour has to reproduce them.
+``tests/data/simulated_sha256.json`` holds, per pipeline, the dtype, shape and
+sha256 of the raw little-endian bytes of every array ``simulate_measurements``
+returns at ``TINY``, so the simulated training set must stay bit-identical
+whatever the file encoding of ``measurements.json``.
 
 The property tests hold the block-wise matchers to a per-grid-point reference
 loop written out here, on random databases, the batched classroom
@@ -19,12 +23,14 @@ loop, the stencil grid Bayes predict to the dense N x N transition matrix,
 the measurement codec to a bit-exact round trip, and the survey lattice to
 the per-point loop that built it and to its ``db.json`` round trip.
 
-Regenerate only for an intended behaviour change, and say why in CHANGES.md::
+Regenerate both files only for an intended behaviour change, and say why in
+CHANGES.md::
 
     PYTHONPATH=src python tests/test_equivalence.py
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -43,7 +49,7 @@ from scipy.special import i0e, ndtr
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from test_cli import TINY, VERBS  # noqa: E402
+from test_cli import PIPELINE_MODULES, TINY, VERBS  # noqa: E402
 
 from fingerloc.cli import EXIT_OK, main  # noqa: E402
 from fingerloc.database import FingerprintDatabase, load_database, save_database  # noqa: E402
@@ -94,6 +100,7 @@ from fingerloc.tracking import (  # noqa: E402
 )
 
 PINNED = pathlib.Path(__file__).with_name("data") / "equivalence.json"
+SIMULATED = PINNED.with_name("simulated_sha256.json")
 
 COLUMNS = {
     "classroom_cir": {"trials.csv": ("est_index",)},
@@ -164,6 +171,23 @@ def test_tiny_chain_reproduces_pinned_outputs(name, tmp_path):
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))[name]
     got = run_chain(name, str(tmp_path))
     assert first_difference(pinned, got, name) is None
+
+
+def simulated_digests(name: str) -> dict:
+    """dtype, shape and sha256 of every simulated training array at ``TINY``."""
+    arrays = PIPELINE_MODULES[name].simulate_measurements(parse_config(TINY[name]))
+    out = {}
+    for key, arr in sorted(arrays.items()):
+        raw = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()
+        out[key] = {"dtype": arr.dtype.name, "shape": list(arr.shape),
+                    "sha256": hashlib.sha256(raw).hexdigest()}
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_simulated_arrays_are_byte_identical(name):
+    pinned = json.loads(SIMULATED.read_text(encoding="utf-8"))[name]
+    assert simulated_digests(name) == pinned
 
 
 def test_first_difference_catches_drift():
@@ -796,4 +820,7 @@ if __name__ == "__main__":
         data = {name: run_chain(name, tmp) for name in sorted(TINY)}
     PINNED.parent.mkdir(exist_ok=True)
     PINNED.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    print(PINNED)
+    digests = {name: simulated_digests(name) for name in sorted(TINY)}
+    SIMULATED.write_text(json.dumps(digests, sort_keys=True, indent=1) + "\n",
+                         encoding="utf-8")
+    print(PINNED, SIMULATED)
