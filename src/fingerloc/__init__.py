@@ -47,10 +47,9 @@ from .simulate import (
     derive_seed,
     gen_cir,
     simulate_binary_sensor,
+    simulate_links,
     simulate_pdr,
     synthesize_rx,
-    tx_sequence,
-    zadoff_chu,
 )
 
 # ----------------------------------------------------------------------------

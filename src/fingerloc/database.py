@@ -205,13 +205,17 @@ def database_to_json(db: FingerprintDatabase) -> str:
 
 def database_from_json(text: str) -> FingerprintDatabase:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a database document must be a JSON object")
     version = doc.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported database format version {version!r}")
-    g = doc["grid"]
-    x, y = g["origin"]
-    grid = Grid(Position(x, y), g["nx"], g["ny"], g["spacing"])
-    m = doc.get("meta", {})
+    g = _json_object(doc, "grid")
+    origin = g["origin"]
+    if not (isinstance(origin, list) and len(origin) == 2):
+        raise ValueError(f"database grid origin must be a pair of coordinates, got {origin!r}")
+    grid = Grid(Position(*origin), g["nx"], g["ny"], g["spacing"])
+    m = _json_object(doc, "meta", {})
     meta = DatabaseMeta(
         train_freqs_hz=tuple(m.get("train_freqs_hz", ())),
         train_bandwidths_hz=tuple(m.get("train_bandwidths_hz", ())),
@@ -219,8 +223,15 @@ def database_from_json(text: str) -> FingerprintDatabase:
         extra=m.get("extra", {}),
         config_digest=m.get("config_digest"),
     )
-    blocks = {key: _block_from_json(data) for key, data in doc["blocks"].items()}
+    blocks = {key: _block_from_json(data) for key, data in _json_object(doc, "blocks").items()}
     return FingerprintDatabase(grid=grid, blocks=blocks, meta=meta)
+
+
+def _json_object(doc: dict, key: str, default=None) -> dict:
+    value = doc[key] if default is None else doc.get(key, default)
+    if not isinstance(value, dict):
+        raise ValueError(f"database {key} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def save_database(db: FingerprintDatabase, path):

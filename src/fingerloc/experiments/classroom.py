@@ -15,9 +15,8 @@ import numpy as np
 
 from ..database import DatabaseMeta, FingerprintDatabase
 from ..features import pair_xcorr
-from ..geometry import Position
 from ..signals import FingerprintKind, FingerprintMeta, FingerprintVector
-from ..simulate import ChannelModel, add_receiver_noise, derive_seed, gen_cir
+from ..simulate import ChannelModel, derive_seed, link_chunks, simulate_links
 from ..stats import GaussianStats, fit_gaussian, gaussian_loglik
 from .common import (
     build_grid,
@@ -34,27 +33,24 @@ from .common import (
 _TAG_CIR_NOISE = 101
 
 
-def antenna_layout(cfg: dict) -> tuple:
-    """Four corner antennas just outside the seat grid plus the center array."""
+def antenna_layout(cfg: dict) -> np.ndarray:
+    """Antenna positions (antennas, 2): four corner antennas just outside the
+    seat grid, then the center array."""
     scn = cfg["scenario"]
     g = scn["grid"]
     x0, y0 = g["origin"]
     x1 = x0 + (g["nx"] - 1) * g["spacing_m"]
     y1 = y0 + (g["ny"] - 1) * g["spacing_m"]
     off = scn["corner_offset_m"]
-    antennas = [
-        Position(x0 - off, y0 - off),
-        Position(x1 + off, y0 - off),
-        Position(x0 - off, y1 + off),
-        Position(x1 + off, y1 + off),
-    ]
+    antennas = [(x0 - off, y0 - off), (x1 + off, y0 - off),
+                (x0 - off, y1 + off), (x1 + off, y1 + off)]
     cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
     n = scn["uca"]["elements"]
     r = scn["uca"]["radius_m"]
     for k in range(n):
         ang = 2.0 * math.pi * k / n
-        antennas.append(Position(cx + r * math.cos(ang), cy + r * math.sin(ang)))
-    return tuple(antennas)
+        antennas.append((cx + r * math.cos(ang), cy + r * math.sin(ang)))
+    return np.array(antennas, dtype=float)
 
 
 def pair_keys(n_antennas: int) -> list:
@@ -77,17 +73,19 @@ def simulate_measurements(cfg: dict) -> dict:
     scn = cfg["scenario"]
     grid = build_grid(cfg)
     antennas = antenna_layout(cfg)
-    model = ChannelModel(seed=cfg["seed"], **scn["channel"])
     n_snap, taps = scn["snapshots"], scn["tap_count"]
-    out = np.empty((len(grid), n_snap, len(antennas), taps), dtype=complex)
-    for s, seat in enumerate(grid):
-        for k in range(n_snap):
-            for a, ant in enumerate(antennas):
-                cir = gen_cir(seat, ant, scn["freq_hz"], scn["bandwidth_hz"],
-                              model, taps, snapshot=k)
-                out[s, k, a] = add_receiver_noise(
-                    cir.taps, scn["snr_db"], derive_seed(cfg["seed"], _TAG_CIR_NOISE, s, k, a))
-    return {"cirs": out}
+    setup = {"model": ChannelModel(seed=cfg["seed"], **scn["channel"]),
+             "freq_hz": scn["freq_hz"], "bandwidth_hz": scn["bandwidth_hz"],
+             "tap_count": taps, "snr_db": scn["snr_db"]}
+    keys = [(s, k) for s in range(len(grid)) for k in range(n_snap)]
+    seats = np.repeat(grid.xy, n_snap, axis=0)
+    snapshots = np.tile(np.arange(n_snap), len(grid))
+    out = np.empty((len(keys), len(antennas), taps), dtype=complex)
+    for sl in link_chunks(len(keys), len(antennas) * taps):
+        noise_seeds = [derive_seed(cfg["seed"], _TAG_CIR_NOISE, s, k, a)
+                       for s, k in keys[sl] for a in range(len(antennas))]
+        out[sl] = simulate_links(seats[sl], antennas, snapshots[sl], noise_seeds, **setup)
+    return {"cirs": out.reshape(len(grid), n_snap, len(antennas), taps)}
 
 
 def training_cirs(cfg: dict, out_dir: str) -> np.ndarray:

@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from ..database import DatabaseMeta, FingerprintDatabase
-from ..features import phasediff_fingerprint, rx_xcorr_fingerprint
+from ..features import power_phase, xcorr_rows
 from ..geometry import Grid, Position
 from ..interp import (
     UcaGeometry,
@@ -32,21 +32,8 @@ from ..matching import (
     fingerprint_sqerr,
     hybrid_match,
 )
-from ..signals import (
-    Cir,
-    FingerprintKind,
-    FingerprintMeta,
-    FingerprintVector,
-    SignalBuffer,
-)
-from ..simulate import (
-    ChannelModel,
-    TxSignalSpec,
-    add_receiver_noise,
-    derive_seed,
-    gen_cir,
-    synthesize_rx,
-)
+from ..signals import FingerprintKind, FingerprintMeta, FingerprintVector
+from ..simulate import ChannelModel, TxSignalSpec, derive_seed, link_chunks, simulate_links
 from ..stats import kriging_cond
 from .common import (
     build_grid,
@@ -65,8 +52,6 @@ _TAG_TRIALS = 403
 _TAG_TRIAL_BITS = 404
 _TAG_TRIAL_NOISE = 405
 
-ELEMENT_PAIRS = ((0, 1), (0, 2), (1, 2))
-
 
 def fine_grid(cfg: dict) -> Grid:
     """Densified grid sharing the training hull."""
@@ -81,25 +66,24 @@ def uca_geom(cfg: dict) -> UcaGeometry:
     return UcaGeometry(n_elements=u["elements"], radius_m=u["radius_m"])
 
 
-def sensor_elements(cfg: dict) -> list:
-    """Per sensor, its circular-array element positions."""
+def sensor_elements(cfg: dict) -> np.ndarray:
+    """Circular-array element positions, (sensors, elements, 2)."""
     geom = uca_geom(cfg)
-    out = []
-    for sx, sy in cfg["scenario"]["sensors"]:
-        elems = []
-        for k in range(geom.n_elements):
-            ang = 2.0 * math.pi * k / geom.n_elements
-            elems.append(Position(sx + geom.radius_m * math.cos(ang),
-                                  sy + geom.radius_m * math.sin(ang)))
-        out.append(elems)
-    return out
+    angles = [2.0 * math.pi * k / geom.n_elements for k in range(geom.n_elements)]
+    return np.array([[(sx + geom.radius_m * math.cos(ang), sy + geom.radius_m * math.sin(ang))
+                      for ang in angles]
+                     for sx, sy in cfg["scenario"]["sensors"]], dtype=float)
+
+
+def _xcorr_pairs(cfg: dict) -> list:
+    """(sensor, element a, element b >= a) of every correlation fingerprint, in key order."""
+    n = cfg["scenario"]["uca"]["elements"]
+    return [(si, a, b) for si in range(len(cfg["scenario"]["sensors"]))
+            for a in range(n) for b in range(a, n)]
 
 
 def xcorr_keys(cfg: dict) -> list:
-    n = cfg["scenario"]["uca"]["elements"]
-    return [f"xc:{si}:{a}-{b}"
-            for si in range(len(cfg["scenario"]["sensors"]))
-            for a in range(n) for b in range(a, n)]
+    return [f"xc:{si}:{a}-{b}" for si, a, b in _xcorr_pairs(cfg)]
 
 
 def phase_keys(cfg: dict) -> list:
@@ -110,61 +94,68 @@ def _element_pairs(n: int) -> tuple:
     return tuple((a, b) for a in range(n) for b in range(a + 1, n))
 
 
-def measure_buffers(cfg: dict, tx: Position, freq_hz: float, pulse: tuple,
-                    snapshot: int, bits_seed, noise_parts, power_scale: float) -> list:
-    """Received buffers per sensor element, [[SignalBuffer x elements] x sensors].
+def measure_buffers(cfg: dict, tx_xy: np.ndarray, freq_hz: float, pulse: tuple,
+                    snapshots, bits_seeds: list, noise_prefixes: list,
+                    power_scale: float) -> np.ndarray:
+    """Received buffers of a block of measurements, (measurements, sensors, elements, samples).
 
-    One shared bit stream reaches every element; per-element noise is drawn
-    at the configured SNR relative to that element's own clean signal power,
-    so scaling the transmit power rescales the buffers without reshaping
-    them.
+    Measurement m transmits from ``tx_xy[m]`` in snapshot ``snapshots[m]``;
+    one bit stream, from ``bits_seeds[m]``, reaches every element.
+    Per-element noise is drawn from the stream of ``noise_prefixes[m]`` plus
+    (sensor, element), at the configured SNR relative to that element's own
+    clean signal power, so scaling the transmit power rescales the buffers
+    without reshaping them.
     """
     scn = cfg["scenario"]
-    model = ChannelModel(seed=cfg["seed"], **scn["channel"])
-    spec = TxSignalSpec(kind="random_bits", length=scn["bits"], pulse=pulse,
-                        sample_rate_hz=scn["sample_rate_hz"])
-    amp = math.sqrt(power_scale)
-    out = []
-    for si, elems in enumerate(sensor_elements(cfg)):
-        bufs = []
-        for ai, elem in enumerate(elems):
-            cir = gen_cir(tx, elem, freq_hz, scn["sample_rate_hz"], model,
-                          scn["tap_count"], snapshot=snapshot)
-            cir = Cir(taps=cir.taps * amp, bandwidth_hz=cir.bandwidth_hz)
-            clean = synthesize_rx(cir, spec, 0.0, bits_seed)
-            noisy = add_receiver_noise(clean.samples, scn["snr_db"],
-                                       derive_seed(cfg["seed"], *noise_parts, si, ai))
-            bufs.append(SignalBuffer(samples=noisy, sample_rate_hz=clean.sample_rate_hz))
-        out.append(bufs)
-    return out
+    elements = sensor_elements(cfg)
+    n_sensors, n_elements = elements.shape[:2]
+    noise_seeds = [derive_seed(cfg["seed"], *prefix, si, ai) for prefix in noise_prefixes
+                   for si in range(n_sensors) for ai in range(n_elements)]
+    y = simulate_links(tx_xy, elements.reshape(-1, 2), snapshots, noise_seeds,
+                       model=ChannelModel(seed=cfg["seed"], **scn["channel"]),
+                       freq_hz=freq_hz, bandwidth_hz=scn["sample_rate_hz"],
+                       tap_count=scn["tap_count"], snr_db=scn["snr_db"],
+                       tx_spec=TxSignalSpec(length=scn["bits"], pulse=pulse),
+                       bits_seeds=bits_seeds, amplitude=math.sqrt(power_scale))
+    return y.reshape(len(tx_xy), n_sensors, n_elements, -1)
 
 
-def extract_fingerprints(cfg: dict, buffers: list, freq_hz: float,
-                         bandwidth_hz: float) -> tuple:
-    """(xcorr vectors, phase vectors) keyed like the database blocks."""
+def measure_fingerprints(cfg: dict, tx_xy: np.ndarray, freq_hz: float, pulse: tuple,
+                         snapshots, bits_seeds: list, noise_prefixes: list,
+                         power_scale: float) -> tuple:
+    """Raw fingerprints of a block of measurements (see :func:`measure_buffers`).
+
+    Returns:
+        ``xcorr`` complex (measurements, xcorr keys, 2 * taps - 1): each
+        element pair's received-sample correlation divided by the buffer
+        length, and ``phase`` real (measurements, sensors, element pairs).
+    """
     scn = cfg["scenario"]
-    max_lag = scn["tap_count"] - 1
     n = scn["uca"]["elements"]
-    xc = {}
-    pd = {}
-    for si, bufs in enumerate(buffers):
-        for a in range(n):
-            for b in range(a, n):
-                meta = FingerprintMeta(pair=(a, b), sensor=si, freq_hz=freq_hz,
-                                       bandwidth_hz=bandwidth_hz)
-                xc[f"xc:{si}:{a}-{b}"] = rx_xcorr_fingerprint(
-                    bufs[a], bufs[b], max_lag, meta=meta)
-        meta = FingerprintMeta(sensor=si, pairs=_element_pairs(n),
-                               freq_hz=freq_hz, bandwidth_hz=bandwidth_hz)
-        pd[f"pd:{si}"] = phasediff_fingerprint(bufs, _element_pairs(n), meta=meta)
-    return xc, pd
+    max_lag = scn["tap_count"] - 1
+    n_samples = scn["bits"] + len(pulse) + scn["tap_count"] - 2
+    n_sensors = len(scn["sensors"])
+    # flat element indices of each correlation fingerprint's two buffers
+    first, second = (list(idx) for idx in zip(*[(si * n + a, si * n + b)
+                                                 for si, a, b in _xcorr_pairs(cfg)]))
+    xc = np.empty((len(tx_xy), len(first), 2 * max_lag + 1), dtype=complex)
+    ph = np.empty((len(tx_xy), n_sensors, len(_element_pairs(n))))
+    for sl in link_chunks(len(tx_xy), n_sensors * n * n_samples):
+        y = measure_buffers(cfg, tx_xy[sl], freq_hz, pulse, snapshots[sl], bits_seeds[sl],
+                            noise_prefixes[sl], power_scale)
+        flat = y.reshape(y.shape[0], n_sensors * n, n_samples)
+        xc[sl] = xcorr_rows(flat[:, first], flat[:, second], max_lag) / n_samples
+        for p, (a, b) in enumerate(_element_pairs(n)):
+            ph[sl, :, p] = power_phase(y[:, :, a], y[:, :, b])[1]
+    return xc, ph
 
 
 def measurement_shapes(cfg: dict) -> dict:
     scn = cfg["scenario"]
     lead = (len(scn["train_freqs_hz"]), len(build_grid(cfg)), scn["train_snapshots"])
     return {"xcorr": (lead + (len(xcorr_keys(cfg)), 2 * scn["tap_count"] - 1), complex),
-            "phase": (lead + (len(scn["sensors"]), len(ELEMENT_PAIRS)), float)}
+            "phase": (lead + (len(scn["sensors"]), len(_element_pairs(scn["uca"]["elements"]))),
+                      float)}
 
 
 def simulate_measurements(cfg: dict) -> dict:
@@ -176,27 +167,18 @@ def simulate_measurements(cfg: dict) -> dict:
     """
     scn = cfg["scenario"]
     grid = build_grid(cfg)
-    freqs = scn["train_freqs_hz"]
     n_snap = scn["train_snapshots"]
-    xkeys = xcorr_keys(cfg)
-    dim = 2 * scn["tap_count"] - 1
-    n_sens = len(scn["sensors"])
-    n_pairs = len(ELEMENT_PAIRS)
-    xc = np.empty((len(freqs), len(grid), n_snap, len(xkeys), dim), dtype=complex)
-    ph = np.empty((len(freqs), len(grid), n_snap, n_sens, n_pairs))
-    for fi, freq in enumerate(freqs):
-        for p, point in enumerate(grid):
-            for k in range(n_snap):
-                bits_seed = derive_seed(cfg["seed"], _TAG_TRAIN_BITS, fi, p, k)
-                bufs = measure_buffers(cfg, point, freq, (1.0,), k, bits_seed,
-                                       (_TAG_TRAIN_NOISE, fi, p, k), 1.0)
-                xfp, pfp = extract_fingerprints(cfg, bufs, freq,
-                                                scn["train_bandwidth_hz"])
-                for ki, key in enumerate(xkeys):
-                    xc[fi, p, k, ki] = xfp[key].values
-                for si in range(n_sens):
-                    ph[fi, p, k, si] = pfp[f"pd:{si}"].values
-    return {"xcorr": xc, "phase": ph}
+    keys = [(p, k) for p in range(len(grid)) for k in range(n_snap)]
+    points = np.repeat(grid.xy, n_snap, axis=0)
+    xc, ph = [], []
+    for fi, freq in enumerate(scn["train_freqs_hz"]):
+        x, p = measure_fingerprints(
+            cfg, points, freq, (1.0,), [k for _, k in keys],
+            [derive_seed(cfg["seed"], _TAG_TRAIN_BITS, fi, p, k) for p, k in keys],
+            [(_TAG_TRAIN_NOISE, fi, p, k) for p, k in keys], 1.0)
+        xc.append(x.reshape((len(grid), n_snap) + x.shape[1:]))
+        ph.append(p.reshape((len(grid), n_snap) + p.shape[1:]))
+    return {"xcorr": np.stack(xc), "phase": np.stack(ph)}
 
 
 def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> tuple:
@@ -268,8 +250,8 @@ def draw_trials(cfg: dict) -> np.ndarray:
     return rng.uniform((x0, y0), (x1, y1), size=(cfg["evaluation"]["trials"], 2))
 
 
-def trial_fingerprints(cfg: dict, trial: int, tx: Position) -> tuple:
-    """Normalized emitter fingerprints for one trial."""
+def trial_fingerprints(cfg: dict, trials: np.ndarray) -> list:
+    """Normalized emitter fingerprints, one (xcorr, phase) pair of dicts per trial."""
     scn = cfg["scenario"]
     t_freq = scn["target"]["freq_hz"]
     t_bw = scn["target"]["bandwidth_hz"]
@@ -277,14 +259,25 @@ def trial_fingerprints(cfg: dict, trial: int, tx: Position) -> tuple:
     # occupies |f| < B/2 of the fs/2 Nyquist band, so the cutoff is B / fs.
     ratio = t_bw / scn["sample_rate_hz"]
     pulse = tuple(windowed_sinc_lowpass(ratio, scn["pulse_taps"]))
-    bits_seed = derive_seed(cfg["seed"], _TAG_TRIAL_BITS, trial)
-    bufs = measure_buffers(cfg, tx, t_freq, pulse, trial, bits_seed,
-                           (_TAG_TRIAL_NOISE, trial),
-                           scn["target"]["tx_power_scale"])
-    xc, pd = extract_fingerprints(cfg, bufs, t_freq, t_bw)
-    xkeys = xcorr_keys(cfg)
-    normalized = normalize_power([xc[key] for key in xkeys])
-    return dict(zip(xkeys, normalized)), pd
+    steps = range(len(trials))
+    xc, ph = measure_fingerprints(
+        cfg, trials, t_freq, pulse, list(steps),
+        [derive_seed(cfg["seed"], _TAG_TRIAL_BITS, t) for t in steps],
+        [(_TAG_TRIAL_NOISE, t) for t in steps], scn["target"]["tx_power_scale"])
+    n = scn["uca"]["elements"]
+    out = []
+    for t in steps:
+        raw = [FingerprintVector(kind=FingerprintKind.RX_XCORR, values=xc[t, ki],
+                                 meta=FingerprintMeta(pair=(a, b), sensor=si, freq_hz=t_freq,
+                                                      bandwidth_hz=t_bw))
+               for ki, (si, a, b) in enumerate(_xcorr_pairs(cfg))]
+        pd = {key: FingerprintVector(
+                  kind=FingerprintKind.PHASE_DIFF, values=ph[t, si],
+                  meta=FingerprintMeta(sensor=si, pairs=_element_pairs(n), freq_hz=t_freq,
+                                       bandwidth_hz=t_bw))
+              for si, key in enumerate(phase_keys(cfg))}
+        out.append((dict(zip(xcorr_keys(cfg), normalize_power(raw))), pd))
+    return out
 
 
 def error_maps(db: FingerprintDatabase, xc: dict, pd: dict) -> tuple:
@@ -312,9 +305,8 @@ def evaluate(cfg: dict, db: FingerprintDatabase) -> tuple:
     hybrid_errors = {g: [] for g in sweep}
     endpoint_x = True
     endpoint_p = True
-    for t, (tx_x, tx_y) in enumerate(trials):
-        tx = Position(float(tx_x), float(tx_y))
-        xc, pd = trial_fingerprints(cfg, t, tx)
+    for t, (xc, pd) in enumerate(trial_fingerprints(cfg, trials)):
+        tx = Position(float(trials[t, 0]), float(trials[t, 1]))
         err_x, err_p = error_maps(db, xc, pd)
         idx_x = err_x.argbest()
         idx_p = err_p.argbest()

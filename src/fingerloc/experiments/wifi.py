@@ -14,18 +14,16 @@ import os
 import numpy as np
 
 from ..database import DatabaseMeta, FingerprintDatabase
-from ..features import rssi_rspd
+from ..features import power_phase
 from ..geometry import Position
 from ..matching import mle_rssi_rspd
-from ..signals import SignalBuffer
 from ..simulate import (
     ChannelModel,
     TxSignalSpec,
-    add_receiver_noise,
     derive_seed,
-    gen_cir,
+    link_chunks,
+    simulate_links,
     simulate_pdr,
-    synthesize_rx,
 )
 from ..stats import fit_gamma, fit_vonmises
 from ..tracking import RESAMPLE_ESS_FRACTION, ParticleSet, particle_predict, particle_update
@@ -56,43 +54,40 @@ def room_bounds(cfg: dict) -> tuple:
     return (x0, y0, x0 + (g["nx"] - 1) * g["spacing_m"], y0 + (g["ny"] - 1) * g["spacing_m"])
 
 
-def sensor_antennas(cfg: dict) -> list:
-    """Per sensor, its two antenna positions (split along x)."""
+def sensor_antennas(cfg: dict) -> np.ndarray:
+    """Antenna positions (sensors, 2, 2): per sensor its two antennas, split along x."""
     half = cfg["scenario"]["antenna_sep_m"] / 2.0
-    return [
-        (Position(sx - half, sy), Position(sx + half, sy))
-        for sx, sy in cfg["scenario"]["sensors"]
-    ]
+    return np.array([[(sx - half, sy), (sx + half, sy)]
+                     for sx, sy in cfg["scenario"]["sensors"]], dtype=float)
 
 
-def _tx_spec(cfg: dict) -> TxSignalSpec:
-    scn = cfg["scenario"]
-    return TxSignalSpec(kind="random_bits", length=scn["bits"],
-                        sample_rate_hz=scn["bandwidth_hz"])
+def measure_features(cfg: dict, tx_xy: np.ndarray, snapshots, bits_seeds: list,
+                     noise_prefixes: list) -> np.ndarray:
+    """Measurements in blocks: (rssi, rspd) per sensor, shape (measurements, sensors, 2).
 
-
-def measure_features(cfg: dict, tx: Position, snapshot: int, bits_seed,
-                     noise_tag_parts) -> np.ndarray:
-    """One measurement: (rssi, rspd) per sensor, shape (n_sensors, 2).
-
-    All antennas hear the same transmitted bits; receiver noise is drawn
-    independently per antenna at the configured SNR relative to that
-    antenna's clean signal power.
+    Measurement m transmits from ``tx_xy[m]`` in snapshot ``snapshots[m]``.
+    All its antennas hear the bits drawn from ``bits_seeds[m]``; receiver
+    noise is drawn per antenna, from the stream of ``noise_prefixes[m]``
+    plus (sensor, antenna), at the configured SNR relative to that antenna's
+    clean signal power.
     """
     scn = cfg["scenario"]
-    model = ChannelModel(seed=cfg["seed"], **scn["channel"])
-    spec = _tx_spec(cfg)
-    out = np.empty((len(scn["sensors"]), 2))
-    for si, (ant_a, ant_b) in enumerate(sensor_antennas(cfg)):
-        bufs = []
-        for ai, ant in enumerate((ant_a, ant_b)):
-            cir = gen_cir(tx, ant, scn["freq_hz"], scn["bandwidth_hz"],
-                          model, scn["tap_count"], snapshot=snapshot)
-            clean = synthesize_rx(cir, spec, 0.0, bits_seed)
-            noisy = add_receiver_noise(clean.samples, scn["snr_db"],
-                                       derive_seed(cfg["seed"], *noise_tag_parts, si, ai))
-            bufs.append(SignalBuffer(samples=noisy, sample_rate_hz=clean.sample_rate_hz))
-        out[si] = rssi_rspd(bufs[0], bufs[1])
+    antennas = sensor_antennas(cfg)
+    n_sensors = antennas.shape[0]
+    spec = TxSignalSpec(length=scn["bits"])
+    setup = {"model": ChannelModel(seed=cfg["seed"], **scn["channel"]),
+             "freq_hz": scn["freq_hz"], "bandwidth_hz": scn["bandwidth_hz"],
+             "tap_count": scn["tap_count"], "snr_db": scn["snr_db"], "tx_spec": spec}
+    n_samples = spec.length + len(spec.pulse) + scn["tap_count"] - 2
+    out = np.empty((len(tx_xy), n_sensors, 2))
+    for sl in link_chunks(len(tx_xy), 2 * n_sensors * n_samples):
+        noise_seeds = [derive_seed(cfg["seed"], *prefix, si, ai)
+                       for prefix in noise_prefixes[sl]
+                       for si in range(n_sensors) for ai in range(2)]
+        y = simulate_links(tx_xy[sl], antennas, snapshots[sl], noise_seeds,
+                           bits_seeds=bits_seeds[sl], **setup)
+        y = y.reshape(-1, n_sensors, 2, n_samples)
+        out[sl, :, 0], out[sl, :, 1] = power_phase(y[:, :, 0], y[:, :, 1])
     return out
 
 
@@ -107,13 +102,12 @@ def simulate_measurements(cfg: dict) -> dict:
     scn = cfg["scenario"]
     grid = build_grid(cfg)
     n_snap = scn["train_snapshots"]
-    out = np.empty((len(grid), n_snap, len(scn["sensors"]), 2))
-    for p, point in enumerate(grid):
-        for k in range(n_snap):
-            bits_seed = derive_seed(cfg["seed"], _TAG_TRAIN_BITS, p, k)
-            out[p, k] = measure_features(cfg, point, k, bits_seed,
-                                         (_TAG_TRAIN_NOISE, p, k))
-    return {"features": out}
+    keys = [(p, k) for p in range(len(grid)) for k in range(n_snap)]
+    feats = measure_features(
+        cfg, np.repeat(grid.xy, n_snap, axis=0), [k for _, k in keys],
+        [derive_seed(cfg["seed"], _TAG_TRAIN_BITS, p, k) for p, k in keys],
+        [(_TAG_TRAIN_NOISE, p, k) for p, k in keys])
+    return {"features": feats.reshape(len(grid), n_snap, len(scn["sensors"]), 2)}
 
 
 def build_database(cfg: dict, feats: np.ndarray) -> FingerprintDatabase:
@@ -154,16 +148,12 @@ def generate_walk(cfg: dict) -> np.ndarray:
     return np.array(path)
 
 
-def step_features(cfg: dict, path: np.ndarray, t: int) -> list:
-    """Feature pairs [(key, value), ...] measured at walk position t."""
-    tx = Position(path[t, 0], path[t, 1])
-    bits_seed = derive_seed(cfg["seed"], _TAG_WALK_BITS, t)
-    feats = measure_features(cfg, tx, t, bits_seed, (_TAG_WALK_NOISE, t))
-    out = []
-    for s in range(feats.shape[0]):
-        out.append((f"rssi:{s}", float(feats[s, 0])))
-        out.append((f"rspd:{s}", float(feats[s, 1])))
-    return out
+def walk_features(cfg: dict, path: np.ndarray) -> np.ndarray:
+    """(rssi, rspd) per sensor measured at walk positions 1..T, shape (T, sensors, 2)."""
+    steps = range(1, len(path))
+    return measure_features(cfg, path[1:], list(steps),
+                            [derive_seed(cfg["seed"], _TAG_WALK_BITS, t) for t in steps],
+                            [(_TAG_WALK_NOISE, t) for t in steps])
 
 
 def _split(features: list, prefix: str) -> list:
@@ -196,10 +186,13 @@ def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
         ps = ParticleSet(positions=positions,
                          weights=np.full(tr["particles"], 1.0 / tr["particles"]))
 
+    walk_feats = walk_features(cfg, path)
     rows = []
     errors = {"rssi": [], "rspd": [], "rssi_rspd": [], "pf": []}
     for t in range(1, n_steps + 1):
-        features = step_features(cfg, path, t)
+        features = []
+        for s, (rssi, rspd) in enumerate(walk_feats[t - 1].tolist()):
+            features += [(f"rssi:{s}", rssi), (f"rspd:{s}", rspd)]
         true = path[t]
         row = [t, float(true[0]), float(true[1])]
         for method, feats in (("rssi", _split(features, "rssi:")),

@@ -11,7 +11,9 @@ from .signals import (
 
 __all__ = [
     "xcorr",
+    "xcorr_rows",
     "pair_xcorr",
+    "power_phase",
     "rssi_rspd",
     "rx_xcorr_fingerprint",
     "phasediff_fingerprint",
@@ -55,6 +57,35 @@ def xcorr(a, b, max_lag: int) -> np.ndarray:
     return out
 
 
+def xcorr_rows(a, b, max_lag: int) -> np.ndarray:
+    """:func:`xcorr` of every row pair of two equal-shape (..., n) blocks.
+
+    Each lag is one ``np.vecdot`` over all rows.  It sums a row's products
+    in the order of the dot product behind ``np.correlate``, so a block
+    gives the same bits as one :func:`xcorr` call per row, but computes
+    only the ``2 * max_lag + 1`` lags asked for.
+
+    Returns:
+        Complex (..., 2 * max_lag + 1).
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape or a.ndim == 0 or a.shape[-1] == 0:
+        raise ValueError(f"row blocks must have equal non-empty shapes, got "
+                         f"{a.shape} and {b.shape}")
+    n = a.shape[-1]
+    if not (0 <= max_lag <= n - 1):
+        raise ValueError(f"max_lag must lie in [0, {n - 1}], got {max_lag}")
+    out = np.empty(a.shape[:-1] + (2 * max_lag + 1,), dtype=complex)
+    # lag tau sums a(t) conj(b(t - tau)); np.vecdot conjugates its first argument
+    for tau in range(-max_lag, max_lag + 1):
+        if tau >= 0:
+            out[..., tau + max_lag] = np.vecdot(b[..., :n - tau], a[..., tau:])
+        else:
+            out[..., tau + max_lag] = np.vecdot(b[..., -tau:], a[..., :n + tau])
+    return out
+
+
 def pair_xcorr(taps) -> np.ndarray:
     """Full cross-correlations of every antenna pair, for stacks of responses.
 
@@ -82,6 +113,31 @@ def pair_xcorr(taps) -> np.ndarray:
     return out
 
 
+def power_phase(y_i, y_j) -> tuple:
+    """Received power and relative phase of two sample blocks, row by row.
+
+    Args:
+        y_i, y_j: equal-shape (..., n) blocks of synchronized samples.
+
+    Returns:
+        (rssi, phase), each of shape (...): the mean squared magnitude of
+        each row of ``y_i``, and the argument of the averaged sample
+        cross-product ``mean(y_i * conj(y_j))`` in (-pi, pi].  Each row's
+        cross-product is taken on its own 1-D row: numpy rounds a product
+        over a whole block differently in the last bit.
+    """
+    yi = np.asarray(y_i, dtype=complex)
+    yj = np.asarray(y_j, dtype=complex)
+    if yi.shape != yj.shape or yi.ndim == 0 or yi.shape[-1] == 0:
+        raise ValueError(f"sample blocks must have equal non-empty shapes, got "
+                         f"{yi.shape} and {yj.shape}")
+    n = yi.shape[-1]
+    rssi = np.mean(np.abs(yi) ** 2, axis=-1)
+    cross = np.array([np.mean(a * np.conj(b))
+                      for a, b in zip(yi.reshape(-1, n), yj.reshape(-1, n))], dtype=complex)
+    return rssi, np.angle(cross.reshape(yi.shape[:-1]))
+
+
 def rssi_rspd(buf_i: SignalBuffer, buf_j: SignalBuffer) -> tuple:
     """Received power and relative phase of two synchronized sample buffers.
 
@@ -95,11 +151,8 @@ def rssi_rspd(buf_i: SignalBuffer, buf_j: SignalBuffer) -> tuple:
         raise ValueError("sample rates must match")
     if len(buf_i) != len(buf_j):
         raise ValueError("buffers must have equal lengths for sample-wise products")
-    yi = buf_i.samples
-    yj = buf_j.samples
-    rssi = float(np.mean(np.abs(yi) ** 2))
-    phase = float(np.angle(np.mean(yi * np.conj(yj))))
-    return rssi, phase
+    rssi, phase = power_phase(buf_i.samples, buf_j.samples)
+    return float(rssi), float(phase)
 
 
 def rx_xcorr_fingerprint(buf_m: SignalBuffer, buf_mp: SignalBuffer, max_lag: int,

@@ -52,10 +52,6 @@ class Cir:
     def __len__(self):
         return self.taps.size
 
-    @property
-    def tap_period_s(self) -> float:
-        return 1.0 / self.bandwidth_hz
-
     def total_power(self) -> float:
         return float(np.sum(np.abs(self.taps) ** 2))
 

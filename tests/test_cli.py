@@ -15,8 +15,8 @@ from fingerloc.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fingerloc.database import load_database
 from fingerloc.experiments import bems, classroom, illegal, wifi
 from fingerloc.experiments.artifacts import validate_run_dir
-from fingerloc.experiments.common import build_grid
-from fingerloc.experiments.configs import load_config
+from fingerloc.experiments.common import build_grid, read_measurements
+from fingerloc.experiments.configs import load_config, parse_config
 
 PIPELINE_MODULES = {"classroom_cir": classroom, "wifi_rssi_rspd": wifi,
                     "bems_binary": bems, "illegal_hybrid": illegal}
@@ -270,6 +270,28 @@ def test_illegal_learn_log_reports_kriging_conditioning(tmp_path):
     assert log["kriging_cond"] > 1e3
 
 
+def test_illegal_chain_runs_with_a_four_element_array(tmp_path):
+    # six element pairs per sensor in the phase-difference measurements
+    scenario = dict(TINY["illegal_hybrid"]["scenario"], uca={"elements": 4, "radius_m": 0.05})
+    cfg_path, out_dir = _write_config(tmp_path, "illegal_hybrid", scenario=scenario)
+    _run_all(cfg_path, "illegal_hybrid")
+    cfg = load_config(cfg_path)
+    arrays, _ = read_measurements(os.path.join(out_dir, "measurements.json"), cfg,
+                                  illegal.measurement_shapes(cfg))
+    assert arrays["phase"].shape[-1] == 6
+
+
+def test_integer_and_float_spellings_of_a_position_simulate_alike():
+    # JSON 1 and 1.0 are one number, so both spellings seed the same streams
+    def cirs(origin, spacing, offset):
+        scenario = dict(TINY["classroom_cir"]["scenario"], corner_offset_m=offset,
+                        grid={"nx": 2, "ny": 2, "origin": origin, "spacing_m": spacing})
+        cfg = parse_config(dict(TINY["classroom_cir"], scenario=scenario))
+        return classroom.simulate_measurements(cfg)["cirs"]
+
+    assert np.array_equal(cirs([0, 0], 1, 1), cirs([0.0, 0.0], 1.0, 1.0))
+
+
 def test_wifi_track_csv_records_filter_health(tmp_path):
     cfg_path, out_dir = _write_config(tmp_path, "wifi_rssi_rspd")
     for verb in ("simulate", "learn", "track"):
@@ -340,13 +362,20 @@ def test_database_learned_at_another_loading_is_a_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("grid", [{"origin": ["a", 0.0]}, {"origin": [0.0, None]},
-                                  {"spacing": "1.0"}])
+                                  {"spacing": "1.0"}, {"origin": 5}, {"origin": "xy"},
+                                  pytest.param([0.0, 0.0, 2, 2, 1.0], id="grid-not-an-object"),
+                                  pytest.param(None, id="document-not-an-object")])
 def test_database_with_a_malformed_grid_is_a_config_error(tmp_path, capsys, grid):
     cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
     db_path = pathlib.Path(out_dir) / "db.json"
     doc = json.loads(db_path.read_text())
-    doc["grid"].update(grid)
+    if grid is None:
+        doc = [doc]
+    elif isinstance(grid, dict):
+        doc["grid"].update(grid)
+    else:
+        doc["grid"] = grid
     db_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["track", "--config", cfg_path]) == EXIT_CONFIG

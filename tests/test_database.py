@@ -187,6 +187,10 @@ def test_database_rejects_a_malformed_grid():
         broken = dict(doc, grid=dict(doc["grid"], **{key: bad}))
         with pytest.raises(ValueError):
             database_from_json(json.dumps(broken, allow_nan=True))
+    for broken in ([doc], dict(doc, grid=[0.0, 0.0, 2, 2, 1.0]), dict(doc, blocks=[]),
+                   dict(doc, meta="none"), dict(doc, grid=dict(doc["grid"], origin=5))):
+        with pytest.raises(ValueError, match="object|origin"):
+            database_from_json(json.dumps(broken))
 
 
 def test_database_json_has_no_nan_and_sorted_keys():

@@ -20,8 +20,10 @@ bandwidth narrowing to ``scipy.signal``'s ``firwin`` and direct
 convolution, multi-column kriging to one dense
 solve per column, the array particle likelihoods to the per-particle corner
 loop, the stencil grid Bayes predict to the dense N x N transition matrix,
-the measurement codec to a bit-exact round trip, and the survey lattice to
-the per-point loop that built it and to its ``db.json`` round trip.
+the measurement codec to a bit-exact round trip, the survey lattice to
+the per-point loop that built it and to its ``db.json`` round trip, and the
+block link simulator bit for bit to the per-link channel, transmit and noise
+chain it replaced.
 
 Regenerate both files only for an intended behaviour change, and say why in
 CHANGES.md::
@@ -40,7 +42,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 import scipy.signal
@@ -58,7 +60,7 @@ from fingerloc.experiments.artifacts import validate_artifact  # noqa: E402
 from fingerloc.experiments.common import read_measurements, save_measurements  # noqa: E402
 from fingerloc.experiments.configs import parse_config  # noqa: E402
 from fingerloc.experiments.illegal import error_maps  # noqa: E402
-from fingerloc.features import pair_xcorr, xcorr  # noqa: E402
+from fingerloc.features import pair_xcorr, xcorr, xcorr_rows  # noqa: E402
 from fingerloc.errors import NumericError  # noqa: E402
 from fingerloc.geometry import Grid, Position  # noqa: E402
 from fingerloc.interp import (  # noqa: E402
@@ -78,7 +80,15 @@ from fingerloc.signals import (  # noqa: E402
     FingerprintVector,
     wrap_angle,
 )
-from fingerloc.simulate import SPEED_OF_LIGHT, derive_seed  # noqa: E402
+from fingerloc import simulate  # noqa: E402
+from fingerloc.experiments import wifi  # noqa: E402
+from fingerloc.simulate import (  # noqa: E402
+    SPEED_OF_LIGHT,
+    ChannelModel,
+    TxSignalSpec,
+    derive_seed,
+    simulate_links,
+)
 from fingerloc.stats import (  # noqa: E402
     KAPPA_MAX,
     GammaParams,
@@ -197,6 +207,122 @@ def test_first_difference_catches_drift():
     assert first_difference(ref, {"a": [2, 2.0], "b": {"c": True}})
     assert first_difference(ref, {"a": [1, 2.0], "b": {"c": 1}})
     assert first_difference(ref, {"a": [1], "b": {"c": True}})
+
+
+# ---------------------------------------------------------------------------
+# block link simulation against the per-link chain it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_gen_cir(tx, rx, freq_hz, bandwidth_hz, model, tap_count, snapshot):
+    """One link's taps, as the per-link simulator drew them."""
+    dist = tx.distance_to(rx)
+    first_tap = int(round(dist / SPEED_OF_LIGHT * bandwidth_hz))
+    total_power = 10.0 ** (-model.reference_loss_db / 10.0) * dist ** (-model.pathloss_exponent)
+    n_nlos = model.path_count - 1
+    if math.isinf(model.rician_k_db) or n_nlos == 0:
+        p_los, p_nlos = total_power, 0.0
+    else:
+        k_lin = 10.0 ** (model.rician_k_db / 10.0)
+        p_los = total_power * (k_lin / (k_lin + 1.0))
+        p_nlos = total_power / (k_lin + 1.0)
+    taps = np.zeros(tap_count, dtype=complex)
+    los_phase = -2.0 * math.pi * freq_hz * dist / SPEED_OF_LIGHT
+    taps[first_tap] = math.sqrt(p_los) * np.exp(1j * los_phase)
+    if p_nlos > 0.0:
+        tap_period = 1.0 / bandwidth_hz
+        if model.delay_spread_s > 0:
+            decay = np.exp(-np.arange(n_nlos) * tap_period / model.delay_spread_s)
+        else:
+            decay = np.zeros(n_nlos)
+            decay[0] = 1.0
+        rng = np.random.default_rng(derive_seed(
+            model.seed, snapshot, tx.x, tx.y, rx.x, rx.y, float(freq_hz)))
+        draws = (rng.standard_normal(n_nlos) + 1j * rng.standard_normal(n_nlos)) / math.sqrt(2.0)
+        gains = draws * np.sqrt(decay)
+        drawn_power = float(np.sum(np.abs(gains) ** 2))
+        if drawn_power > 0.0:
+            gains *= math.sqrt(p_nlos / drawn_power)
+        else:
+            gains = np.sqrt(p_nlos * decay / np.sum(decay)).astype(complex)
+        taps[first_tap + 1: first_tap + 1 + n_nlos] = gains
+    return taps
+
+
+def _ref_link(tx, rx, snapshot, noise_seed, bits_seed, model, freq_hz, bandwidth_hz,
+              tap_count, snr_db, spec, amplitude):
+    """One link's noisy samples: channel, then transmit chain, then receiver noise."""
+    clean = _ref_gen_cir(tx, rx, freq_hz, bandwidth_hz, model, tap_count, snapshot) * amplitude
+    if spec is not None:
+        bits = np.random.default_rng(bits_seed).integers(0, 2, size=spec.length)
+        x = (2.0 * bits - 1.0).astype(complex)
+        clean = np.convolve(np.convolve(x, np.asarray(spec.pulse, dtype=float)), clean)
+    noise_power = float(np.mean(np.abs(clean) ** 2)) / 10.0 ** (snr_db / 10.0)
+    rng = np.random.default_rng(noise_seed)
+    return clean + math.sqrt(noise_power / 2.0) * (
+        rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_tx=st.integers(1, 4), n_rx=st.integers(1, 4), path_count=st.integers(1, 7),
+       extra_taps=st.integers(0, 3), k_db=st.sampled_from([-3.0, 6.0, 12.0, math.inf]),
+       delay_spread=st.sampled_from([0.0, 5e-8, 2e-7]),
+       bandwidth=st.sampled_from([3.6e6, 1e7, 2e7, 1e8]),
+       pulse=st.one_of(st.none(), st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=9)),
+       bits=st.integers(1, 40), amplitude=st.sampled_from([1.0, 0.3, 2.5]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_links_equal_the_per_link_chain_bit_for_bit(
+        n_tx, n_rx, path_count, extra_taps, k_db, delay_spread, bandwidth, pulse, bits,
+        amplitude, seed):
+    rng = np.random.default_rng(seed)
+    tx, rx = rng.uniform(-30.0, 30.0, (n_tx, 2)), rng.uniform(-30.0, 30.0, (n_rx, 2))
+    freq, snr_db = float(rng.uniform(1e8, 6e9)), float(rng.uniform(-10.0, 40.0))
+    tx_pos = [Position(*p) for p in tx.tolist()]
+    rx_pos = [Position(*p) for p in rx.tolist()]
+    dists = [a.distance_to(b) for a in tx_pos for b in rx_pos]
+    assume(min(dists) > 0.0)
+    model = ChannelModel(path_count=path_count, delay_spread_s=delay_spread,
+                         rician_k_db=k_db, seed=seed % 1000)
+    tap_count = (max(int(round(d / SPEED_OF_LIGHT * bandwidth)) for d in dists)
+                 + path_count + extra_taps)
+    spec = None if pulse is None else TxSignalSpec(length=bits, pulse=tuple(pulse))
+    snapshots = [(seed + m) % 50 for m in range(len(tx))]
+    bits_seeds = [derive_seed(seed, 1, m) for m in range(len(tx))]
+    noise_seeds = [derive_seed(seed, 2, m, r) for m in range(len(tx)) for r in range(len(rx))]
+    got = simulate_links(tx, rx, snapshots, noise_seeds, model=model,
+                         freq_hz=freq, bandwidth_hz=bandwidth, tap_count=tap_count,
+                         snr_db=snr_db, tx_spec=spec, bits_seeds=bits_seeds,
+                         amplitude=amplitude)
+    for m, a in enumerate(tx_pos):
+        for r, b in enumerate(rx_pos):
+            want = _ref_link(a, b, snapshots[m], noise_seeds[m * len(rx) + r], bits_seeds[m],
+                             model, freq, bandwidth, tap_count, snr_db, spec, amplitude)
+            assert got[m, r].tobytes() == want.tobytes()
+
+
+def test_wifi_simulation_seeds_one_stream_per_draw(monkeypatch):
+    """Per measurement: one bits stream, then a channel and a noise stream per link."""
+    seeds, generators = [], []
+    real_seed, real_rng = simulate.derive_seed, np.random.default_rng
+
+    def counting_seed(*parts):
+        seeds.append(parts)
+        return real_seed(*parts)
+
+    def counting_rng(seed=None):
+        generators.append(seed)
+        return real_rng(seed)
+
+    for module in (simulate, wifi):
+        monkeypatch.setattr(module, "derive_seed", counting_seed)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    cfg = parse_config(TINY["wifi_rssi_rspd"])
+    wifi.simulate_measurements(cfg)
+    scn = cfg["scenario"]
+    measurements = scn["grid"]["nx"] * scn["grid"]["ny"] * scn["train_snapshots"]
+    links = 2 * len(scn["sensors"])
+    assert len(seeds) == measurements * (1 + 2 * links)
+    # every stream is drawn from once: the bits are not redrawn per antenna
+    assert len(generators) == len(seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +491,20 @@ def test_pair_xcorr_equals_xcorr_per_pair_bit_for_bit(taps, imag):
 # ---------------------------------------------------------------------------
 # block-diagonal lighting LP against one linprog per occupied set
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(lead=hnp.array_shapes(min_dims=0, max_dims=2, max_side=5), n=st.integers(1, 400),
+       lag_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_xcorr_rows_equal_xcorr_per_row_bit_for_bit(lead, n, lag_frac, seed):
+    rng = np.random.default_rng(seed)
+    shape = lead + (n,)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    max_lag = int(lag_frac * (n - 1))
+    got = xcorr_rows(a, b, max_lag)
+    for idx in np.ndindex(*lead):
+        assert got[idx].tobytes() == xcorr(a[idx], b[idx], max_lag).tobytes()
+
 
 @settings(max_examples=60, deadline=None)
 @given(n_lights=st.integers(1, 4), set_sizes=st.lists(st.integers(0, 5), max_size=6),

@@ -7,12 +7,18 @@ import pytest
 
 from fingerloc.features import (
     phasediff_fingerprint,
+    power_phase,
     rssi_rspd,
     rx_xcorr_fingerprint,
     xcorr,
+    xcorr_rows,
 )
 from fingerloc.signals import FingerprintKind, FingerprintMeta, SignalBuffer, wrap_angle
-from fingerloc.simulate import zadoff_chu
+
+
+def constant_modulus(length: int, seed: int) -> np.ndarray:
+    """Unit-magnitude samples with random phases."""
+    return np.exp(1j * np.random.default_rng(seed).uniform(-math.pi, math.pi, length))
 
 
 def xcorr_brute(a, b, max_lag):
@@ -142,7 +148,7 @@ def test_rssi_rspd_power_is_mean_square_of_first_buffer():
 def test_rx_xcorr_normalizes_by_shorter_length():
     # shared transmit signal through h1 = delta_0 and h2 = delta_1:
     # the correlation peaks at lag -1 with unit value for a unit-power probe
-    x = zadoff_chu(3, 64)
+    x = constant_modulus(64, 3)
     y1 = SignalBuffer(samples=x, sample_rate_hz=1e7)
     y2 = SignalBuffer(samples=np.concatenate([[0.0], x]), sample_rate_hz=1e7)
     fp = rx_xcorr_fingerprint(y1, y2, max_lag=4)
@@ -156,7 +162,7 @@ def test_rx_xcorr_normalizes_by_shorter_length():
 
 def test_phasediff_fingerprint_recovers_element_phase_offsets():
     rng = np.random.default_rng(55)
-    x = zadoff_chu(1, 32)
+    x = constant_modulus(32, 1)
     offsets = rng.uniform(-math.pi, math.pi, size=4)
     bufs = [SignalBuffer(samples=x * np.exp(1j * o), sample_rate_hz=1e7)
             for o in offsets]
@@ -168,3 +174,28 @@ def test_phasediff_fingerprint_recovers_element_phase_offsets():
         assert value == pytest.approx(wrap_angle(offsets[i] - offsets[j]), abs=1e-12)
     with pytest.raises(ValueError):
         phasediff_fingerprint(bufs, ())
+
+
+def test_power_phase_rows_equal_rssi_rspd_per_row_bit_for_bit():
+    rng = np.random.default_rng(41)
+    yi = rng.standard_normal((3, 4, 71)) + 1j * rng.standard_normal((3, 4, 71))
+    yj = rng.standard_normal((3, 4, 71)) + 1j * rng.standard_normal((3, 4, 71))
+    rssi, phase = power_phase(yi, yj)
+    assert rssi.shape == phase.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        want = rssi_rspd(SignalBuffer(samples=yi[idx], sample_rate_hz=1.0),
+                         SignalBuffer(samples=yj[idx], sample_rate_hz=1.0))
+        assert (rssi[idx], phase[idx]) == want
+    with pytest.raises(ValueError):
+        power_phase(yi, yj[..., :70])
+
+
+def test_xcorr_rows_shape_and_validation():
+    # equality with xcorr per row is a property in test_equivalence.py
+    a = np.ones((2, 3, 20))
+    assert xcorr_rows(a, a, 7).shape == (2, 3, 15)
+    assert np.array_equal(xcorr_rows(a, a, 0)[..., 0], np.full((2, 3), 20.0))
+    with pytest.raises(ValueError):
+        xcorr_rows(a, a, 20)
+    with pytest.raises(ValueError):
+        xcorr_rows(a, a[:, :2], 3)

@@ -39,9 +39,8 @@ def test_wrap_angle_scalar_returns_float():
     assert isinstance(arr, np.ndarray) and arr.shape == (2,)
 
 
-def test_cir_tap_period_and_power():
+def test_cir_total_power():
     cir = Cir(taps=np.array([1.0, 0.5j, -0.5]), bandwidth_hz=2.0e6)
-    assert cir.tap_period_s == 0.5e-6
     assert cir.total_power() == pytest.approx(1.0 + 0.25 + 0.25, abs=1e-15)
     assert len(cir) == 3
 

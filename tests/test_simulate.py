@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fingerloc.geometry import Position
-from fingerloc.signals import Cir
 from fingerloc.simulate import (
+    SIM_CHUNK,
     SPEED_OF_LIGHT,
     ChannelModel,
     SensorCoverage,
@@ -15,77 +17,93 @@ from fingerloc.simulate import (
     add_receiver_noise,
     derive_seed,
     gen_cir,
+    link_chunks,
     simulate_binary_sensor,
+    simulate_links,
     simulate_pdr,
     synthesize_rx,
-    tx_sequence,
-    zadoff_chu,
 )
 
-TX = Position(0.0, 0.0)
+TX = (0.0, 0.0)
 
 
 def _pathloss(model, dist):
     return 10.0 ** (-model.reference_loss_db / 10.0) * dist ** (-model.pathloss_exponent)
 
 
+def _power(taps):
+    return np.sum(np.abs(taps) ** 2, axis=-1)
+
+
 def test_total_power_equals_pathloss_exactly_per_draw():
     model = ChannelModel(path_count=6, pathloss_exponent=2.5, reference_loss_db=40.0,
                          rician_k_db=6.0, seed=4)
-    rng = np.random.default_rng(0)
-    for snapshot in range(30):
-        rx = Position(float(rng.uniform(1, 20)), float(rng.uniform(1, 20)))
-        cir = gen_cir(TX, rx, 2.4e9, 2e7, model, tap_count=16, snapshot=snapshot)
-        expect = _pathloss(model, TX.distance_to(rx))
-        assert cir.total_power() == pytest.approx(expect, rel=1e-9)
+    rx = np.random.default_rng(0).uniform(1, 20, size=(30, 2))
+    taps = gen_cir(TX, rx, 2.4e9, 2e7, model, tap_count=16, snapshot=np.arange(30))
+    expect = [_pathloss(model, math.hypot(x, y)) for x, y in rx]
+    assert _power(taps) == pytest.approx(expect, rel=1e-9)
 
 
 def test_gen_cir_is_deterministic():
     model = ChannelModel(seed=7)
-    rx = Position(3.0, 4.0)
-    a = gen_cir(TX, rx, 2.4e9, 2e7, model, tap_count=12, snapshot=5)
-    b = gen_cir(TX, rx, 2.4e9, 2e7, model, tap_count=12, snapshot=5)
-    assert np.array_equal(a.taps, b.taps)
-    c = gen_cir(TX, rx, 2.4e9, 2e7, model, tap_count=12, snapshot=6)
-    assert not np.array_equal(a.taps, c.taps)
+    rx = (3.0, 4.0)
+    a = gen_cir(TX, [rx], 2.4e9, 2e7, model, tap_count=12, snapshot=5)
+    b = gen_cir(TX, [rx], 2.4e9, 2e7, model, tap_count=12, snapshot=5)
+    assert np.array_equal(a, b)
+    c = gen_cir(TX, [rx], 2.4e9, 2e7, model, tap_count=12, snapshot=6)
+    assert not np.array_equal(a, c)
+    # a link draws from its own stream, whatever else is in the block
+    block = gen_cir(TX, [(1.0, 1.0), rx, (5.0, 2.0)], 2.4e9, 2e7, model, tap_count=12,
+                    snapshot=[0, 5, 9])
+    assert np.array_equal(block[1], a[0])
 
 
 def test_doubling_distance_drops_power_by_pathloss_law():
     model = ChannelModel(pathloss_exponent=2.0, reference_loss_db=30.0)
-    p1 = gen_cir(TX, Position(5.0, 0.0), 1e9, 1e7, model, tap_count=10).total_power()
-    p2 = gen_cir(TX, Position(10.0, 0.0), 1e9, 1e7, model, tap_count=10).total_power()
+    p1, p2 = _power(gen_cir(TX, [(5.0, 0.0), (10.0, 0.0)], 1e9, 1e7, model, tap_count=10))
     drop_db = 10.0 * math.log10(p1 / p2)
     assert drop_db == pytest.approx(20.0 * math.log10(2.0), abs=0.01)
 
 
 def test_pure_los_channel_single_unit_tap():
     model = ChannelModel(path_count=1, pathloss_exponent=2.0, reference_loss_db=0.0)
-    rx = Position(1.0, 0.0)
     freq = 1.0e9
-    cir = gen_cir(TX, rx, freq, 1e8, model, tap_count=4)
-    assert abs(cir.taps[0]) ** 2 == pytest.approx(1.0, rel=1e-12)
+    (taps,) = gen_cir(TX, [(1.0, 0.0)], freq, 1e8, model, tap_count=4)
+    assert abs(taps[0]) ** 2 == pytest.approx(1.0, rel=1e-12)
     expect_phase = -2.0 * math.pi * freq * 1.0 / SPEED_OF_LIGHT
-    assert np.angle(cir.taps[0]) == pytest.approx(
+    assert np.angle(taps[0]) == pytest.approx(
         math.atan2(math.sin(expect_phase), math.cos(expect_phase)), abs=1e-9)
-    assert np.all(cir.taps[1:] == 0)
+    assert np.all(taps[1:] == 0)
 
 
 def test_infinite_k_factor_means_pure_los():
     model = ChannelModel(path_count=6, rician_k_db=math.inf)
-    cir = gen_cir(TX, Position(2.0, 0.0), 1e9, 1e8, model, tap_count=8)
-    assert np.count_nonzero(cir.taps) == 1
+    taps = gen_cir(TX, [(2.0, 0.0), (0.0, 3.0)], 1e9, 1e8, model, tap_count=8)
+    assert np.count_nonzero(taps, axis=1).tolist() == [1, 1]
+
+
+def test_zero_delay_spread_puts_all_multipath_in_the_next_tap():
+    model = ChannelModel(path_count=4, delay_spread_s=0.0, rician_k_db=3.0,
+                         pathloss_exponent=2.0, reference_loss_db=20.0, seed=2)
+    rx = [(4.0, 3.0), (6.0, 8.0)]
+    taps = gen_cir(TX, rx, 2e9, 2e7, model, tap_count=10, snapshot=[1, 2])
+    k_lin = 10.0 ** 0.3
+    for row, dist in zip(taps, (5.0, 10.0)):
+        first = int(round(dist / SPEED_OF_LIGHT * 2e7))
+        assert np.flatnonzero(row).tolist() == [first, first + 1]
+        total = _pathloss(model, dist)
+        assert abs(row[first + 1]) ** 2 == pytest.approx(total / (k_lin + 1.0), rel=1e-12)
 
 
 def test_rician_split_matches_k_factor():
     k_db = 9.0
     model = ChannelModel(path_count=5, rician_k_db=k_db, pathloss_exponent=2.0,
                          reference_loss_db=20.0)
-    rx = Position(4.0, 3.0)
-    cir = gen_cir(TX, rx, 2e9, 2e7, model, tap_count=10, snapshot=2)
+    (taps,) = gen_cir(TX, [(4.0, 3.0)], 2e9, 2e7, model, tap_count=10, snapshot=2)
     total = _pathloss(model, 5.0)
     k_lin = 10.0 ** (k_db / 10.0)
-    p_los = abs(cir.taps[0]) ** 2
-    p_nlos = cir.total_power() - p_los
+    p_los = abs(taps[0]) ** 2
+    p_nlos = _power(taps) - p_los
     assert p_los == pytest.approx(total * k_lin / (k_lin + 1.0), rel=1e-9)
     assert p_nlos == pytest.approx(total / (k_lin + 1.0), rel=1e-9)
 
@@ -94,22 +112,26 @@ def test_first_tap_sits_at_time_of_flight():
     bw = 2.0e7
     # place the receiver so the delay quantizes to exactly 3 tap periods
     dist = 3.0 * SPEED_OF_LIGHT / bw
-    model = ChannelModel(path_count=1)
-    cir = gen_cir(TX, Position(dist, 0.0), 1e9, bw, model, tap_count=6)
-    assert np.count_nonzero(cir.taps) == 1
-    assert cir.taps[3] != 0
+    (taps,) = gen_cir(TX, [(dist, 0.0)], 1e9, bw, ChannelModel(path_count=1), tap_count=6)
+    assert np.count_nonzero(taps) == 1
+    assert taps[3] != 0
 
 
 def test_gen_cir_rejects_overflowing_delays():
     bw = 2.0e7
     dist = 5.0 * SPEED_OF_LIGHT / bw
-    with pytest.raises(ValueError):
-        gen_cir(TX, Position(dist, 0.0), 1e9, bw, ChannelModel(path_count=1), tap_count=5)
+    with pytest.raises(ValueError, match=r"^link 1: tap_count=5 cannot hold the propagation "
+                                         r"delay \(first tap index 5 at 20000000.0 Hz\)$"):
+        gen_cir(TX, [(1.0, 0.0), (dist, 0.0), (dist, 1.0)], 1e9, bw,
+                ChannelModel(path_count=1), tap_count=5)
     # multipath needs room past the first tap too
+    with pytest.raises(ValueError, match=r"^link 0: tap_count=5 cannot hold the delay spread: "
+                                         r"multipath needs taps up to index 5 at"):
+        gen_cir(TX, [(1.0, 0.0)], 1e9, bw, ChannelModel(path_count=6), tap_count=5)
+    with pytest.raises(ValueError, match=r"^link 2: tx and rx must be distinct positions"):
+        gen_cir(TX, [(1.0, 0.0), (2.0, 0.0), TX, TX], 1e9, bw, ChannelModel(), tap_count=8)
     with pytest.raises(ValueError):
-        gen_cir(TX, Position(1.0, 0.0), 1e9, bw, ChannelModel(path_count=6), tap_count=5)
-    with pytest.raises(ValueError):
-        gen_cir(TX, TX, 1e9, bw, ChannelModel(), tap_count=8)
+        gen_cir(TX, [(1.0, 0.0)], 1e9, bw, ChannelModel(), tap_count=0)
 
 
 def test_channel_model_validation():
@@ -121,91 +143,87 @@ def test_channel_model_validation():
         ChannelModel(pathloss_exponent=-0.1)
 
 
-def test_zadoff_chu_constant_amplitude_and_cyclic_autocorrelation():
-    for root, length in ((1, 7), (3, 7), (5, 12), (3, 16)):
-        z = zadoff_chu(root, length)
-        assert np.allclose(np.abs(z), 1.0, atol=1e-12)
-        for shift in range(1, length):
-            acc = np.vdot(np.roll(z, shift), z)
-            assert abs(acc) < 1e-9 * length
-
-
-def test_zadoff_chu_rejects_non_coprime_root():
-    with pytest.raises(ValueError):
-        zadoff_chu(2, 4)
-    with pytest.raises(ValueError):
-        zadoff_chu(1, 0)
-
-
 def test_tx_signal_spec_validation():
     with pytest.raises(ValueError):
-        TxSignalSpec(kind="chirp", length=8)
+        TxSignalSpec(length=0)
     with pytest.raises(ValueError):
-        TxSignalSpec(kind="random_bits", length=0)
-    with pytest.raises(ValueError):
-        TxSignalSpec(kind="zadoff_chu", length=4, root=2)
-    with pytest.raises(ValueError):
-        TxSignalSpec(kind="zadoff_chu", length=8, root=1, pulse=())
+        TxSignalSpec(length=8, pulse=())
 
 
 def test_random_bits_are_antipodal():
-    spec = TxSignalSpec(kind="random_bits", length=200)
-    x = tx_sequence(spec, np.random.default_rng(3))
-    assert set(np.unique(x.real)) == {-1.0, 1.0}
-    assert np.all(x.imag == 0)
+    # a unit channel and pulse pass the symbols straight through
+    spec = TxSignalSpec(length=200)
+    y = synthesize_rx(np.ones((2, 3, 1)), spec, [derive_seed(3), derive_seed(4)])
+    assert set(np.unique(y.real)) == {-1.0, 1.0}
+    assert np.all(y.imag == 0)
+    # every receiver of a measurement hears the same bits
+    assert np.array_equal(y[0, 0], y[0, 2]) and not np.array_equal(y[0, 0], y[1, 0])
 
 
 def test_synthesize_rx_hand_convolution():
-    # x = [1] (ZC of length 1), pulse [1, -1], channel [1, 0.5]
-    spec = TxSignalSpec(kind="zadoff_chu", length=1, root=1, pulse=(1.0, -1.0))
-    cir = Cir(taps=np.array([1.0, 0.5]), bandwidth_hz=1.0)
-    buf = synthesize_rx(cir, spec, noise_power=0.0, seed=0)
-    assert np.allclose(buf.samples, [1.0, -0.5, -0.5], atol=1e-15)
+    # one symbol s = +-1, pulse [1, -1], channel [1, 0.5]
+    spec = TxSignalSpec(length=1, pulse=(1.0, -1.0))
+    (y,) = synthesize_rx(np.array([[[1.0, 0.5]]]), spec, [0])[0]
+    assert abs(y[0]) == 1.0
+    assert np.allclose(y, y[0] * np.array([1.0, -0.5, -0.5]), atol=1e-15)
 
 
 def test_synthesize_rx_equals_triple_convolution():
-    spec = TxSignalSpec(kind="random_bits", length=32, pulse=(1.0, 0.25),
-                        sample_rate_hz=2e7)
-    cir = Cir(taps=np.array([1.0, 0.3j, -0.1]), bandwidth_hz=2e7)
-    buf = synthesize_rx(cir, spec, noise_power=0.0, seed=99)
-    x = tx_sequence(spec, np.random.default_rng(99))
-    expect = np.convolve(np.convolve(x, [1.0, 0.25]), cir.taps)
-    assert len(buf) == 32 + 2 + 3 - 2
-    assert np.array_equal(buf.samples, expect)
-    assert buf.sample_rate_hz == 2e7
-
-
-def test_synthesize_rx_noise_power_calibrated():
-    # zero channel isolates the additive noise
-    spec = TxSignalSpec(kind="random_bits", length=20000)
-    cir = Cir(taps=np.array([0.0]), bandwidth_hz=1.0)
-    buf = synthesize_rx(cir, spec, noise_power=0.25, seed=17)
-    measured = float(np.mean(np.abs(buf.samples) ** 2))
-    assert measured == pytest.approx(0.25, rel=0.05)
-
-
-def test_synthesize_rx_draws_bits_before_noise():
-    # the noiseless run shows which symbols the noisy run used
-    spec = TxSignalSpec(kind="random_bits", length=64)
-    cir = Cir(taps=np.array([1.0]), bandwidth_hz=1.0)
-    clean = synthesize_rx(cir, spec, noise_power=0.0, seed=123).samples
-    noisy = synthesize_rx(cir, spec, noise_power=0.01, seed=123).samples
-    resid = noisy - clean
-    assert float(np.mean(np.abs(resid) ** 2)) == pytest.approx(0.01, rel=0.5)
+    spec = TxSignalSpec(length=32, pulse=(1.0, 0.25))
+    taps = np.array([[[1.0, 0.3j, -0.1], [0.5, 0.0, 2.0j]]])
+    y = synthesize_rx(taps, spec, [99])
+    bits = np.random.default_rng(99).integers(0, 2, size=32)
+    x = (2.0 * bits - 1.0).astype(complex)
+    assert y.shape == (1, 2, 32 + 2 + 3 - 2)
+    for r in range(2):
+        assert np.array_equal(y[0, r], np.convolve(np.convolve(x, [1.0, 0.25]), taps[0, r]))
     with pytest.raises(ValueError):
-        synthesize_rx(cir, spec, noise_power=-1.0, seed=0)
+        synthesize_rx(taps, spec, [99, 100])
 
 
 def test_add_receiver_noise_meets_the_snr_of_the_clean_signal():
-    clean = np.exp(1j * np.linspace(0.0, 6.0, 20000)) * 3.0  # mean power 9
-    noisy = add_receiver_noise(clean, 10.0, derive_seed(4, 2))
+    clean = np.exp(1j * np.linspace(0.0, 6.0, 20000)) * np.array([[3.0], [0.5]])
+    seeds = [derive_seed(4, 2), derive_seed(4, 3)]
+    noisy = add_receiver_noise(clean, 10.0, seeds)
     noise = noisy - clean
-    assert float(np.mean(np.abs(noise) ** 2)) == pytest.approx(0.9, rel=0.05)
-    # one stream, every real part drawn before any imaginary part
-    rng = np.random.default_rng(derive_seed(4, 2))
-    real = rng.standard_normal(clean.size)
-    assert np.allclose(noise.real, math.sqrt(0.9 / 2.0) * real, rtol=1e-9, atol=1e-12)
-    assert np.array_equal(add_receiver_noise(clean, 10.0, derive_seed(4, 2)), noisy)
+    # each row's noise follows its own mean power: 9 and 0.25
+    assert np.mean(np.abs(noise) ** 2, axis=1) == pytest.approx([0.9, 0.025], rel=0.05)
+    # one stream per row, every real part drawn before any imaginary part
+    rng = np.random.default_rng(derive_seed(4, 3))
+    real = rng.standard_normal(clean.shape[1])
+    assert np.allclose(noise[1].real, math.sqrt(0.025 / 2.0) * real, rtol=1e-9, atol=1e-12)
+    assert np.array_equal(add_receiver_noise(clean, 10.0, seeds), noisy)
+    assert np.array_equal(add_receiver_noise(clean[1:], 10.0, seeds[1:]), noisy[1:])
+    with pytest.raises(ValueError):
+        add_receiver_noise(clean, 10.0, seeds[:1])
+
+
+def test_simulate_links_is_the_stage_chain():
+    model = ChannelModel(seed=3)
+    tx = np.array([[0.0, 0.0], [1.0, 2.0]])
+    rx = np.array([[5.0, 5.0], [6.0, 5.0], [-3.0, 1.0]])
+    noise_seeds = [derive_seed(9, m, r) for m in range(2) for r in range(3)]
+    spec = TxSignalSpec(length=16, pulse=(1.0, 0.5))
+    got = simulate_links(tx, rx, [4, 7], noise_seeds, model=model, freq_hz=2.4e9,
+                         bandwidth_hz=2e7, tap_count=8, snr_db=12.0, tx_spec=spec,
+                         bits_seeds=[derive_seed(1), derive_seed(2)], amplitude=2.0)
+    taps = gen_cir(np.repeat(tx, 3, axis=0), np.tile(rx, (2, 1)), 2.4e9, 2e7, model, 8,
+                   [4, 4, 4, 7, 7, 7]) * 2.0
+    clean = synthesize_rx(taps.reshape(2, 3, 8), spec, [derive_seed(1), derive_seed(2)])
+    assert np.array_equal(got, add_receiver_noise(clean, 12.0, noise_seeds))
+    # without a transmit signal the receivers measure the channel itself
+    cirs = simulate_links(tx, rx, [4, 7], noise_seeds, model=model, freq_hz=2.4e9,
+                          bandwidth_hz=2e7, tap_count=8, snr_db=12.0)
+    assert np.array_equal(cirs, add_receiver_noise(taps.reshape(2, 3, 8) / 2.0, 12.0,
+                                                   noise_seeds))
+
+
+def test_link_chunks_cover_every_measurement_within_the_bound():
+    for count, per in ((0, 10), (1, 10 * SIM_CHUNK), (1000, 71 * 6), (7, 1)):
+        chunks = link_chunks(count, per)
+        assert [i for sl in chunks for i in range(sl.start, sl.stop)] == list(range(count))
+        assert all(sl.stop - sl.start == 1 or (sl.stop - sl.start) * per <= SIM_CHUNK
+                   for sl in chunks)
 
 
 def test_sensor_coverage_bin_lookup():
@@ -220,13 +238,13 @@ def test_sensor_coverage_bin_lookup():
 
 def test_sensor_coverage_validation():
     with pytest.raises(ValueError):
-        SensorCoverage(pos=TX, range_edges_m=(2.0, 2.0), p_moving=(0.9, 0.3))
+        SensorCoverage(pos=Position(0.0, 0.0), range_edges_m=(2.0, 2.0), p_moving=(0.9, 0.3))
     with pytest.raises(ValueError):
-        SensorCoverage(pos=TX, range_edges_m=(2.0, 4.0), p_moving=(0.3, 0.9))
+        SensorCoverage(pos=Position(0.0, 0.0), range_edges_m=(2.0, 4.0), p_moving=(0.3, 0.9))
     with pytest.raises(ValueError):
-        SensorCoverage(pos=TX, range_edges_m=(2.0,), p_moving=(1.5,))
+        SensorCoverage(pos=Position(0.0, 0.0), range_edges_m=(2.0,), p_moving=(1.5,))
     with pytest.raises(ValueError):
-        SensorCoverage(pos=TX, range_edges_m=(2.0,), p_moving=(0.9,), p_static=-0.1)
+        SensorCoverage(pos=Position(0.0, 0.0), range_edges_m=(2.0,), p_moving=(0.9,), p_static=-0.1)
 
 
 def test_binary_sensor_monte_carlo_rate():
@@ -270,6 +288,17 @@ def test_derive_seed_distinguishes_float_bits():
     assert np.array_equal(a, d)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=-0.0)
+@example(x=0.0)
+@example(x=5e-324)
+@example(x=-2.2250738585072e-308)
+def test_derive_seed_takes_the_float_bits_numpy_views(x):
+    assert derive_seed(3, x, 1.5).entropy == [
+        3, int(np.float64(x).view(np.uint64)), int(np.float64(1.5).view(np.uint64))]
 
 
 def test_derive_seed_argument_order_matters():
