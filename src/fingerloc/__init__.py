@@ -12,17 +12,9 @@ emitter does not match the training conditions.
 from .errors import ConfigError, DegenerateUpdateError, InfeasibleError, NumericError
 
 # ----------------------------------------------------------------------------
-# Geometry and signal containers
+# Geometry
 # ----------------------------------------------------------------------------
 from .geometry import Grid, Position
-from .signals import (
-    Cir,
-    FingerprintKind,
-    FingerprintMeta,
-    FingerprintVector,
-    SignalBuffer,
-    wrap_angle,
-)
 
 # ----------------------------------------------------------------------------
 # Databases
@@ -55,12 +47,7 @@ from .simulate import (
 # ----------------------------------------------------------------------------
 # Fingerprint extraction
 # ----------------------------------------------------------------------------
-from .features import (
-    phasediff_fingerprint,
-    rssi_rspd,
-    rx_xcorr_fingerprint,
-    xcorr,
-)
+from .features import wrap_angle, xcorr
 
 # ----------------------------------------------------------------------------
 # Statistical models

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Grid, Position
-from .signals import CORRELATION_KINDS, FingerprintKind, FingerprintMeta, FingerprintVector
 from .stats import GammaParams, GaussianStats, VonMisesParams
 
 __all__ = [
@@ -19,7 +18,7 @@ __all__ = [
     "database_from_json",
 ]
 
-FORMAT_VERSION = "fingerloc-db-3"
+FORMAT_VERSION = "fingerloc-db-4"
 
 # block type tag -> (class, {field: dtype}); every field has the grid as its
 # leading axis, the last one is (N,)
@@ -28,6 +27,8 @@ _MODEL_BLOCKS = {
     "gamma": (GammaParams, {"shape": float, "scale": float}),
     "von_mises": (VonMisesParams, {"mu": float, "kappa": float}),
 }
+# plain array blocks of any rank, the grid as their leading axis
+_ARRAY_BLOCKS = {"real": float, "complex": complex}
 
 
 def complex_to_json(values) -> list:
@@ -84,24 +85,21 @@ def _model_tag(block) -> str | None:
 def _block_rows(block) -> int:
     """Grid points a block covers; ValueError unless it is a storable block."""
     tag = _model_tag(block)
-    if tag is not None:
-        lead = getattr(block, list(_MODEL_BLOCKS[tag][1])[-1])
-    elif isinstance(block, FingerprintVector):
-        lead = block.values[..., 0]
-    else:
-        lead = block
-    if not isinstance(lead, np.ndarray) or lead.ndim != 1:
+    lead = block if tag is None else getattr(block, list(_MODEL_BLOCKS[tag][1])[-1])
+    if not isinstance(lead, np.ndarray) or lead.ndim == 0:
         raise ValueError(f"a {type(block).__name__} is not a block with a leading grid axis")
-    return lead.size
+    return lead.shape[0]
 
 
 class FingerprintDatabase:
     """Learned radio map: one block per key, stacked over the grid.
 
-    A block is a :class:`GaussianStats`, :class:`GammaParams`,
-    :class:`VonMisesParams` or :class:`FingerprintVector` whose arrays carry
-    the grid index as their leading axis, or a plain (N,) float array (e.g.
-    detection probabilities).  Row i of every block belongs to grid point i.
+    A block is a :class:`GaussianStats`, :class:`GammaParams` or
+    :class:`VonMisesParams` whose arrays carry the grid index as their
+    leading axis, or a plain real or complex array of any rank whose leading
+    axis is the grid (detection probabilities, mean powers, correlation and
+    phase-difference fingerprints).  Row i of every block belongs to grid
+    point i.  Array blocks are held as read-only views.
     """
 
     def __init__(self, grid: Grid, blocks=None, meta: DatabaseMeta | None = None):
@@ -112,6 +110,9 @@ class FingerprintDatabase:
             if rows != len(grid):
                 raise ValueError(
                     f"block {key!r} covers {rows} points, the grid has {len(grid)}")
+            if isinstance(block, np.ndarray):
+                self.blocks[key] = view = block.view()
+                view.flags.writeable = False
         self.meta = meta if meta is not None else DatabaseMeta()
 
     def __len__(self):
@@ -129,57 +130,30 @@ class FingerprintDatabase:
 # persistence
 # ---------------------------------------------------------------------------
 
-def _meta_to_json(meta: FingerprintMeta) -> dict:
-    out = {}
-    if meta.sensor is not None:
-        out["sensor"] = int(meta.sensor)
-    if meta.pair is not None:
-        out["pair"] = [int(i) for i in meta.pair]
-    if meta.pairs is not None:
-        out["pairs"] = [[int(i) for i in p] for p in meta.pairs]
-    if meta.freq_hz is not None:
-        out["freq_hz"] = float(meta.freq_hz)
-    if meta.bandwidth_hz is not None:
-        out["bandwidth_hz"] = float(meta.bandwidth_hz)
-    return out
-
-
-def _meta_from_json(m: dict) -> FingerprintMeta:
-    return FingerprintMeta(
-        sensor=m.get("sensor"),
-        pair=tuple(m["pair"]) if "pair" in m else None,
-        pairs=tuple(tuple(p) for p in m["pairs"]) if "pairs" in m else None,
-        freq_hz=m.get("freq_hz"),
-        bandwidth_hz=m.get("bandwidth_hz"),
-    )
-
-
 def _block_to_json(block) -> dict:
     if isinstance(block, np.ndarray):
-        return {"type": "scalar", "values": real_to_json(block)}
-    if isinstance(block, FingerprintVector):
-        dtype = complex if block.kind in CORRELATION_KINDS else float
-        return {"type": "fingerprint", "kind": block.kind.value,
-                "values": _array_to_json(block.values, dtype),
-                "meta": _meta_to_json(block.meta)}
+        tag = "complex" if np.iscomplexobj(block) else "real"
+        return {"type": tag, "values": _array_to_json(block, _ARRAY_BLOCKS[tag])}
     tag = _model_tag(block)
     return {"type": tag, **{name: _array_to_json(getattr(block, name), dtype)
                             for name, dtype in _MODEL_BLOCKS[tag][1].items()}}
 
 
-def _block_from_json(data: dict):
+def _finite_array(key: str, data, dtype) -> np.ndarray:
+    arr = _array_from_json(data, dtype)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"database block {key!r} holds non-finite values")
+    return arr
+
+
+def _block_from_json(key: str, data: dict):
     tag = data.get("type")
-    if tag == "scalar":
-        return np.asarray(data["values"], dtype=float)
-    if tag == "fingerprint":
-        kind = FingerprintKind(data["kind"])
-        dtype = complex if kind in CORRELATION_KINDS else float
-        return FingerprintVector(kind=kind, values=_array_from_json(data["values"], dtype),
-                                 meta=_meta_from_json(data.get("meta", {})))
+    if tag in _ARRAY_BLOCKS:
+        return _finite_array(key, data["values"], _ARRAY_BLOCKS[tag])
     if tag not in _MODEL_BLOCKS:
         raise ValueError(f"unknown block type {tag!r}")
     cls, fields = _MODEL_BLOCKS[tag]
-    return cls(**{name: _array_from_json(data[name], dtype) for name, dtype in fields.items()})
+    return cls(**{name: _finite_array(key, data[name], dtype) for name, dtype in fields.items()})
 
 
 def database_to_json(db: FingerprintDatabase) -> str:
@@ -209,7 +183,8 @@ def database_from_json(text: str) -> FingerprintDatabase:
         raise ValueError("a database document must be a JSON object")
     version = doc.get("version")
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported database format version {version!r}")
+        raise ValueError(f"unsupported database format version {version!r} "
+                         f"(this version reads {FORMAT_VERSION!r}); rerun learn")
     g = _json_object(doc, "grid")
     origin = g["origin"]
     if not (isinstance(origin, list) and len(origin) == 2):
@@ -223,7 +198,8 @@ def database_from_json(text: str) -> FingerprintDatabase:
         extra=m.get("extra", {}),
         config_digest=m.get("config_digest"),
     )
-    blocks = {key: _block_from_json(data) for key, data in _json_object(doc, "blocks").items()}
+    blocks = {key: _block_from_json(key, data)
+              for key, data in _json_object(doc, "blocks").items()}
     return FingerprintDatabase(grid=grid, blocks=blocks, meta=meta)
 
 

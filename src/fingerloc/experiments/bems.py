@@ -18,7 +18,6 @@ from ..errors import ConfigError
 from ..geometry import Grid, Position
 from ..lighting import Light, LightingScenario, illuminance, solve_lighting
 from ..matching import LikelihoodMap, binary_likelihood, threshold_set
-from ..signals import FingerprintKind, FingerprintVector
 from ..simulate import SensorCoverage, derive_seed, simulate_binary_sensor
 from ..stats import DetectionMap, learn_detection_map
 from ..tracking import MobilityModel, grid_bayes_step, transition_matrix
@@ -167,8 +166,7 @@ def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
                                    derive_seed(cfg["seed"], _TAG_WALK_BIT, t, si))
             for si, cov in enumerate(sensors)
         ])
-        f = FingerprintVector(kind=FingerprintKind.BINARY, values=bits)
-        obs = binary_likelihood(f, maps)
+        obs = binary_likelihood(bits, maps)
         if prior is None:  # first step: normalize like the filter does
             post = LikelihoodMap(grid=obs.grid, values=obs.values - np.max(obs.values),
                                  mode=obs.mode)

@@ -15,7 +15,6 @@ import numpy as np
 
 from ..database import DatabaseMeta, FingerprintDatabase
 from ..features import pair_xcorr
-from ..signals import FingerprintKind, FingerprintMeta, FingerprintVector
 from ..simulate import ChannelModel, derive_seed, link_chunks, simulate_links
 from ..stats import GaussianStats, fit_gaussian, gaussian_loglik
 from .common import (
@@ -109,11 +108,7 @@ def build_database(cfg: dict, xc: np.ndarray, rssi: np.ndarray) -> FingerprintDa
     loading = cfg["matching"]["loading_eps"]
     blocks = {key: fit_gaussian(xc[:, :, p, :], loading)
               for p, key in enumerate(pair_keys(len(antenna_layout(cfg))))}
-    blocks["rssi"] = FingerprintVector(
-        kind=FingerprintKind.RSSI,
-        values=rssi.mean(axis=1),
-        meta=FingerprintMeta(freq_hz=scn["freq_hz"], bandwidth_hz=scn["bandwidth_hz"]),
-    )
+    blocks["rssi"] = rssi.mean(axis=1)
     meta = DatabaseMeta(train_freqs_hz=(scn["freq_hz"],),
                         train_bandwidths_hz=(scn["bandwidth_hz"],),
                         extra={"pipeline": "classroom_cir", "snapshots": xc.shape[1]})
@@ -173,7 +168,7 @@ def loo_scores(cfg: dict, xc: np.ndarray, rssi: np.ndarray, db: FingerprintDatab
         held_out += gaussian_loglik(x.reshape(n_trials, dim), fold_fits)
     loglik[trials, true_seat] = held_out
 
-    means = db.block("rssi", FingerprintVector).values  # (seats, antennas)
+    means = db.block("rssi", np.ndarray)  # (seats, antennas)
     flat_r = rssi.reshape(n_trials, -1)
     sqerr = ((flat_r[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
     fold_means = (n_snap * means[:, None, :] - rssi) / (n_snap - 1)

@@ -32,7 +32,6 @@ from ..matching import (
     fingerprint_sqerr,
     hybrid_match,
 )
-from ..signals import FingerprintKind, FingerprintMeta, FingerprintVector
 from ..simulate import ChannelModel, TxSignalSpec, derive_seed, link_chunks, simulate_links
 from ..stats import kriging_cond
 from .common import (
@@ -211,20 +210,14 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> tuple:
     blocks = {}
     filled_bins = 0
     for ki, key in enumerate(xkeys):
-        train = [FingerprintVector(kind=FingerprintKind.RX_XCORR, values=xc_avg[fi, :, ki],
-                                   meta=FingerprintMeta(freq_hz=f, bandwidth_hz=train_bw))
-                 for fi, f in enumerate(freqs)]
-        fp, flags = freq_interp_xcorr(freqs, train, t_freq)
+        fp, flags = freq_interp_xcorr(freqs, xc_avg[:, :, ki], t_freq)
         blocks[key] = bandwidth_interp(fp, train_bw, t_bw)
         filled_bins += int(np.count_nonzero(flags))
+    pairs = _element_pairs(geom.n_elements)
     confidences = {}
     for si, key in enumerate(phase_keys(cfg)):
-        fp = FingerprintVector(
-            kind=FingerprintKind.PHASE_DIFF, values=ph_avg[nearest_fi, :, si],
-            meta=FingerprintMeta(sensor=si, pairs=_element_pairs(geom.n_elements),
-                                 freq_hz=freqs[nearest_fi], bandwidth_hz=train_bw))
-        blocks[key], _, confidences[key] = phasediff_freq_interp(fp, geom, freqs[nearest_fi],
-                                                                 t_freq)
+        blocks[key], _, confidences[key] = phasediff_freq_interp(
+            ph_avg[nearest_fi, :, si], pairs, geom, freqs[nearest_fi], t_freq)
 
     meta = DatabaseMeta(
         train_freqs_hz=tuple(float(f) for f in freqs),
@@ -235,7 +228,8 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> tuple:
     coarse = FingerprintDatabase(grid=build_grid(cfg), blocks=blocks, meta=meta)
     dense, outside_hull = spatial_densify(coarse, fine_grid(cfg), confidences=confidences)
     blocks = dict(dense.blocks)
-    blocks.update(zip(xkeys, normalize_power([blocks[key] for key in xkeys])))
+    normed = normalize_power(np.stack([blocks[key] for key in xkeys], axis=1))
+    blocks.update((key, normed[:, ki]) for ki, key in enumerate(xkeys))
     health = {"filled_bins": filled_bins, "outside_hull": outside_hull}
     return FingerprintDatabase(grid=dense.grid, blocks=blocks, meta=dense.meta), health
 
@@ -250,8 +244,14 @@ def draw_trials(cfg: dict) -> np.ndarray:
     return rng.uniform((x0, y0), (x1, y1), size=(cfg["evaluation"]["trials"], 2))
 
 
-def trial_fingerprints(cfg: dict, trials: np.ndarray) -> list:
-    """Normalized emitter fingerprints, one (xcorr, phase) pair of dicts per trial."""
+def trial_fingerprints(cfg: dict, trials: np.ndarray) -> tuple:
+    """The emitter's fingerprints in every trial.
+
+    Returns:
+        (xcorr, phase): power-normalized correlations, complex (trials,
+        xcorr keys, 2 * taps - 1), and phase differences, real (trials,
+        sensors, element pairs).
+    """
     scn = cfg["scenario"]
     t_freq = scn["target"]["freq_hz"]
     t_bw = scn["target"]["bandwidth_hz"]
@@ -264,35 +264,25 @@ def trial_fingerprints(cfg: dict, trials: np.ndarray) -> list:
         cfg, trials, t_freq, pulse, list(steps),
         [derive_seed(cfg["seed"], _TAG_TRIAL_BITS, t) for t in steps],
         [(_TAG_TRIAL_NOISE, t) for t in steps], scn["target"]["tx_power_scale"])
-    n = scn["uca"]["elements"]
-    out = []
-    for t in steps:
-        raw = [FingerprintVector(kind=FingerprintKind.RX_XCORR, values=xc[t, ki],
-                                 meta=FingerprintMeta(pair=(a, b), sensor=si, freq_hz=t_freq,
-                                                      bandwidth_hz=t_bw))
-               for ki, (si, a, b) in enumerate(_xcorr_pairs(cfg))]
-        pd = {key: FingerprintVector(
-                  kind=FingerprintKind.PHASE_DIFF, values=ph[t, si],
-                  meta=FingerprintMeta(sensor=si, pairs=_element_pairs(n), freq_hz=t_freq,
-                                       bandwidth_hz=t_bw))
-              for si, key in enumerate(phase_keys(cfg))}
-        out.append((dict(zip(xcorr_keys(cfg), normalize_power(raw))), pd))
-    return out
+    return normalize_power(xc), ph
 
 
 def error_maps(db: FingerprintDatabase, xc: dict, pd: dict) -> tuple:
     """Summed squared-error maps over the database grid for both kinds.
 
-    Correlation fingerprints are compared by magnitude only.
+    ``xc`` and ``pd`` map each key to its (..., d) fingerprints, e.g. one
+    per trial; each key costs one scan of its block, and the keys add up in
+    the dicts' order.  Correlation fingerprints are compared by magnitude,
+    phase differences by wrapped differences.
+
+    Returns:
+        (xcorr, phase): (..., N) squared errors over the grid.
     """
-    vx = np.zeros(len(db.grid))
-    vp = np.zeros(len(db.grid))
-    for key, fp in xc.items():
-        vx += fingerprint_sqerr(fp, db.block(key, FingerprintVector), magnitude_only=True)
-    for key, fp in pd.items():
-        vp += fingerprint_sqerr(fp, db.block(key, FingerprintVector))
-    return (LikelihoodMap(grid=db.grid, values=vx, mode=MODE_SQUARED_ERROR),
-            LikelihoodMap(grid=db.grid, values=vp, mode=MODE_SQUARED_ERROR))
+    vx = sum(fingerprint_sqerr(np.abs(fp), np.abs(db.block(key, np.ndarray)))
+             for key, fp in xc.items())
+    vp = sum(fingerprint_sqerr(fp, db.block(key, np.ndarray), wrap=True)
+             for key, fp in pd.items())
+    return vx, vp
 
 
 def evaluate(cfg: dict, db: FingerprintDatabase) -> tuple:
@@ -305,9 +295,13 @@ def evaluate(cfg: dict, db: FingerprintDatabase) -> tuple:
     hybrid_errors = {g: [] for g in sweep}
     endpoint_x = True
     endpoint_p = True
-    for t, (xc, pd) in enumerate(trial_fingerprints(cfg, trials)):
+    xc, ph = trial_fingerprints(cfg, trials)
+    vx, vp = error_maps(db, dict(zip(xcorr_keys(cfg), np.moveaxis(xc, 1, 0))),
+                        dict(zip(phase_keys(cfg), np.moveaxis(ph, 1, 0))))
+    for t in range(len(trials)):
         tx = Position(float(trials[t, 0]), float(trials[t, 1]))
-        err_x, err_p = error_maps(db, xc, pd)
+        err_x = LikelihoodMap(grid=db.grid, values=vx[t], mode=MODE_SQUARED_ERROR)
+        err_p = LikelihoodMap(grid=db.grid, values=vp[t], mode=MODE_SQUARED_ERROR)
         idx_x = err_x.argbest()
         idx_p = err_p.argbest()
         for method, idx in (("xcorr", idx_x), ("phasediff", idx_p)):

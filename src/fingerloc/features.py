@@ -1,23 +1,22 @@
-"""Fingerprint extraction from impulse responses and raw sample buffers."""
+"""Fingerprint extraction from impulse responses and raw sample buffers.
+
+A fingerprint is a plain array: complex for a correlation, real for powers
+and phases, with the measurement or grid point on its leading axes.
+"""
+
+import math
 
 import numpy as np
-
-from .signals import (
-    FingerprintKind,
-    FingerprintMeta,
-    FingerprintVector,
-    SignalBuffer,
-)
 
 __all__ = [
     "xcorr",
     "xcorr_rows",
     "pair_xcorr",
     "power_phase",
-    "rssi_rspd",
-    "rx_xcorr_fingerprint",
-    "phasediff_fingerprint",
+    "wrap_angle",
 ]
+
+_TWO_PI = 2.0 * math.pi
 
 
 def xcorr(a, b, max_lag: int) -> np.ndarray:
@@ -138,59 +137,11 @@ def power_phase(y_i, y_j) -> tuple:
     return rssi, np.angle(cross.reshape(yi.shape[:-1]))
 
 
-def rssi_rspd(buf_i: SignalBuffer, buf_j: SignalBuffer) -> tuple:
-    """Received power and relative phase of two synchronized sample buffers.
-
-    Returns:
-        (rssi, phase): ``rssi`` is the mean squared magnitude of ``buf_i``
-        (linear power); ``phase`` is the argument of the averaged sample
-        cross-product ``mean(y_i * conj(y_j))`` in (-pi, pi].  Passing the
-        same buffer twice yields phase 0.
-    """
-    if buf_i.sample_rate_hz != buf_j.sample_rate_hz:
-        raise ValueError("sample rates must match")
-    if len(buf_i) != len(buf_j):
-        raise ValueError("buffers must have equal lengths for sample-wise products")
-    rssi, phase = power_phase(buf_i.samples, buf_j.samples)
-    return float(rssi), float(phase)
-
-
-def rx_xcorr_fingerprint(buf_m: SignalBuffer, buf_mp: SignalBuffer, max_lag: int,
-                         meta: FingerprintMeta | None = None) -> FingerprintVector:
-    """Fingerprint from the cross-correlation of raw received samples.
-
-    The correlation is divided by the shorter buffer length so captures of
-    different durations produce comparable magnitudes.  For a shared transmit
-    signal the result estimates the channel-pair correlation shaped by the
-    pulse autocorrelation, plus a zero-lag noise spike on self-pairs.
-    """
-    if buf_m.sample_rate_hz != buf_mp.sample_rate_hz:
-        raise ValueError("sample rates must match")
-    n = min(len(buf_m), len(buf_mp))
-    values = xcorr(buf_m.samples, buf_mp.samples, max_lag) / n
-    return FingerprintVector(kind=FingerprintKind.RX_XCORR, values=values,
-                             meta=meta or FingerprintMeta())
-
-
-def phasediff_fingerprint(bufs, pairs, meta: FingerprintMeta | None = None) -> FingerprintVector:
-    """Inter-element phase differences across an antenna array.
-
-    Args:
-        bufs: per-element sample buffers, index-aligned.
-        pairs: (i, j) element index pairs; one output phase per pair.
-
-    Returns:
-        Phase-difference fingerprint with ``meta.pairs`` recording the pairs.
-    """
-    pairs = tuple(tuple(p) for p in pairs)
-    if len(pairs) == 0:
-        raise ValueError("at least one element pair is required")
-    phases = []
-    for i, j in pairs:
-        _, phase = rssi_rspd(bufs[i], bufs[j])
-        phases.append(phase)
-    base = meta or FingerprintMeta()
-    out_meta = FingerprintMeta(sensor=base.sensor, pair=base.pair, pairs=pairs,
-                               freq_hz=base.freq_hz, bandwidth_hz=base.bandwidth_hz)
-    return FingerprintVector(kind=FingerprintKind.PHASE_DIFF,
-                             values=np.asarray(phases, dtype=float), meta=out_meta)
+def wrap_angle(theta):
+    """Wrap angles to (-pi, pi]."""
+    wrapped = np.mod(np.asarray(theta, dtype=float) + math.pi, _TWO_PI) - math.pi
+    # mod maps exact odd multiples of pi to -pi; the convention here is (-pi, pi]
+    wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
+    if np.ndim(theta) == 0:
+        return float(wrapped)
+    return wrapped

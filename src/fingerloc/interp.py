@@ -2,6 +2,8 @@
 
 These routines let a database trained at a few frequencies/bandwidths on a
 coarse grid serve matching at other emitter parameters on a denser grid.
+Fingerprints are plain arrays with the lag or element-pair axis last: a
+complex array is a correlation fingerprint, a real one a phase difference.
 """
 
 import math
@@ -10,8 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .database import FingerprintDatabase
+from .features import wrap_angle
 from .geometry import Grid
-from .signals import CORRELATION_KINDS, FingerprintKind, FingerprintVector, wrap_angle
 from .simulate import SPEED_OF_LIGHT
 from .stats import kriging_fit, kriging_predict
 
@@ -29,6 +31,9 @@ __all__ = [
 
 AOA_GRID_STEP_DEG = 0.5
 LOWPASS_TAPS = 63
+# a query counts as outside the survey box only beyond this many ulps of the
+# box's coordinates, so a fine lattice's rounded far edge is still inside
+HULL_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -60,8 +65,7 @@ def windowed_sinc_lowpass(cutoff_ratio: float, n_taps: int = LOWPASS_TAPS) -> np
     return h / h.sum()
 
 
-def bandwidth_interp(fp: FingerprintVector, train_bw_hz: float,
-                     target_bw_hz: float) -> FingerprintVector:
+def bandwidth_interp(values, train_bw_hz: float, target_bw_hz: float) -> np.ndarray:
     """Project correlation fingerprints to a narrower emitter bandwidth.
 
     Filters every lag-domain vector (the last axis of a block) with a 63-tap
@@ -69,20 +73,21 @@ def bandwidth_interp(fp: FingerprintVector, train_bw_hz: float,
     (fraction of Nyquist on the critically sampled lag axis).  The lag
     support is preserved; equal bandwidths return the input untouched.
     """
-    if fp.kind not in CORRELATION_KINDS:
-        raise ValueError("bandwidth projection applies to correlation fingerprints")
+    x = np.asarray(values)
+    if not np.iscomplexobj(x) or x.ndim == 0:
+        raise ValueError("bandwidth projection applies to complex correlation fingerprints")
     if not (train_bw_hz > 0 and target_bw_hz > 0):
         raise ValueError("bandwidths must be positive")
     if target_bw_hz > train_bw_hz:
         raise ValueError("cannot widen a fingerprint beyond its training bandwidth")
     if target_bw_hz == train_bw_hz:
-        return fp
+        return x
     taps = windowed_sinc_lowpass(target_bw_hz / train_bw_hz)
     # Zero-phase center slice of the direct convolution of each row, one
     # shifted slice of the whole block per tap: output k sums
     # taps[i] * x[k + center - i] over the taps that land inside the row, in
     # ascending x order (a "same" mode would grow rows shorter than the taps).
-    x, d = fp.values, fp.dim
+    d = x.shape[-1]
     center = (len(taps) - 1) // 2
     out = np.zeros(x.shape, dtype=np.result_type(x, taps))
     for i in range(len(taps) - 1, -1, -1):
@@ -90,8 +95,7 @@ def bandwidth_interp(fp: FingerprintVector, train_bw_hz: float,
         lo, hi = max(0, -shift), min(d, d - shift)
         if lo < hi:
             out[..., lo:hi] += tap * x[..., lo + shift:hi + shift]
-    return FingerprintVector(kind=fp.kind, values=out,
-                             meta=replace(fp.meta, bandwidth_hz=float(target_bw_hz)))
+    return out
 
 
 def freq_interp_xcorr(train_freqs_hz, train_fps, target_freq_hz: float) -> tuple:
@@ -107,8 +111,8 @@ def freq_interp_xcorr(train_freqs_hz, train_fps, target_freq_hz: float) -> tuple
 
     Args:
         train_freqs_hz: training frequencies, at least two distinct.
-        train_fps: one FingerprintVector (or block) per frequency, equal
-            kind and shape.
+        train_fps: one complex vector or block per frequency, all of one
+            shape (a list, or an array with the frequency as leading axis).
         target_freq_hz: frequency to predict at.
 
     Returns:
@@ -116,19 +120,18 @@ def freq_interp_xcorr(train_freqs_hz, train_fps, target_freq_hz: float) -> tuple
         shape, and the boolean array of filled bins of the same shape.
     """
     freqs = np.asarray(train_freqs_hz, dtype=float)
-    fps = list(train_fps)
+    fps = [np.asarray(fp) for fp in train_fps]
     if freqs.ndim != 1 or len(fps) != freqs.size or np.unique(freqs).size < 2:
         raise ValueError("need one fingerprint per training frequency, "
                          "at least two distinct")
     if np.any(freqs <= 0) or not (target_freq_hz > 0):
         raise ValueError("frequencies must be positive")
-    kind = fps[0].kind
-    if kind not in CORRELATION_KINDS:
-        raise ValueError("frequency projection applies to correlation fingerprints")
-    if any(fp.kind is not kind or fp.values.shape != fps[0].values.shape for fp in fps):
-        raise ValueError("training fingerprints must share kind and shape")
+    if any(fp.shape != fps[0].shape or fp.ndim == 0 for fp in fps):
+        raise ValueError("training fingerprints must share one shape")
+    if not all(np.iscomplexobj(fp) for fp in fps):
+        raise ValueError("frequency projection applies to complex correlation fingerprints")
 
-    mags = np.abs(np.array([fp.values for fp in fps]))  # (freqs, ..., dim)
+    mags = np.abs(np.array(fps))  # (freqs, ..., dim)
     nearest = int(np.argmin(np.abs(freqs - target_freq_hz)))
     live = np.all(mags > 0.0, axis=0)
     with np.errstate(divide="ignore"):
@@ -149,10 +152,7 @@ def freq_interp_xcorr(train_freqs_hz, train_fps, target_freq_hz: float) -> tuple
                     np.where(has_left, from_left, np.where(has_right, from_right, 0.0)))
     pred = np.where(live, pred, fill)
 
-    base = fps[nearest]
-    out = FingerprintVector(kind=kind, values=pred * np.exp(1j * np.angle(base.values)),
-                            meta=replace(base.meta, freq_hz=float(target_freq_hz)))
-    return out, ~live
+    return pred * np.exp(1j * np.angle(fps[nearest])), ~live
 
 
 def uca_steering(geom: UcaGeometry, freq_hz: float, aoa_rad: float) -> np.ndarray:
@@ -179,7 +179,7 @@ def _steering_pair_diffs(geom: UcaGeometry, freq_hz: float, aoa_grid: np.ndarray
     return phases[:, cols_i] - phases[:, cols_j]  # (n_angles, n_pairs)
 
 
-def estimate_aoa(fp: FingerprintVector, geom: UcaGeometry, freq_hz: float) -> tuple:
+def estimate_aoa(values, pairs, geom: UcaGeometry, freq_hz: float) -> tuple:
     """Dominant-path azimuth from inter-element phase differences.
 
     Scans a 0.5-degree azimuth grid and maximizes the circular correlation
@@ -188,23 +188,27 @@ def estimate_aoa(fp: FingerprintVector, geom: UcaGeometry, freq_hz: float) -> tu
     of the per-pair agreement phasors at the best angle: 1 for a perfect
     planar fit, near 0 for a flat fit.
 
+    Args:
+        values: real phase differences, (pairs,) or a (..., pairs) block.
+        pairs: the (i, j) element pair of each entry of the last axis.
+
     Returns:
         (aoa_rad, confidence), one value per vector: scalars for one
         vector, (N,) arrays for a block.
     """
-    if fp.kind is not FingerprintKind.PHASE_DIFF:
-        raise ValueError("azimuth estimation needs a phase-difference fingerprint")
-    if fp.meta.pairs is None or len(fp.meta.pairs) != fp.dim:
-        raise ValueError("fingerprint must carry one element pair per entry in meta.pairs")
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 0 or len(pairs) != values.shape[-1]:
+        raise ValueError(f"need one element pair per phase difference, got {len(pairs)} "
+                         f"pairs for shape {values.shape}")
     grid = np.deg2rad(np.arange(0.0, 360.0, AOA_GRID_STEP_DEG))
-    pred = _steering_pair_diffs(geom, freq_hz, grid, fp.meta.pairs)
-    agree = np.exp(1j * (fp.values[..., None, :] - pred))  # (..., angles, pairs)
+    pred = _steering_pair_diffs(geom, freq_hz, grid, pairs)
+    agree = np.exp(1j * (values[..., None, :] - pred))  # (..., angles, pairs)
     resultant = np.abs(agree.mean(axis=-1))
     best = np.argmax(np.real(agree.sum(axis=-1)), axis=-1)
     return grid[best], np.take_along_axis(resultant, best[..., None], axis=-1)[..., 0]
 
 
-def phasediff_freq_interp(fp: FingerprintVector, geom: UcaGeometry,
+def phasediff_freq_interp(values, pairs, geom: UcaGeometry,
                           train_freq_hz: float, target_freq_hz: float) -> tuple:
     """Re-project phase differences to another frequency via the dominant path.
 
@@ -213,18 +217,15 @@ def phasediff_freq_interp(fp: FingerprintVector, geom: UcaGeometry,
     frequency for that azimuth.
 
     Returns:
-        (fingerprint, aoa_rad, confidence); the confidence is the
-        phasor-fit resultant length used downstream to weight spatial
-        interpolation.
+        (phases, aoa_rad, confidence): the projected phase differences in
+        the shape of ``values``; the confidence is the phasor-fit resultant
+        length used downstream to weight spatial interpolation.
     """
     if not (train_freq_hz > 0 and target_freq_hz > 0):
         raise ValueError("frequencies must be positive")
-    aoa, confidence = estimate_aoa(fp, geom, train_freq_hz)
-    pred = _steering_pair_diffs(geom, target_freq_hz, np.ravel(aoa), fp.meta.pairs)
-    out = FingerprintVector(kind=FingerprintKind.PHASE_DIFF,
-                            values=wrap_angle(pred.reshape(fp.values.shape)),
-                            meta=replace(fp.meta, freq_hz=float(target_freq_hz)))
-    return out, aoa, confidence
+    aoa, confidence = estimate_aoa(values, pairs, geom, train_freq_hz)
+    pred = _steering_pair_diffs(geom, target_freq_hz, np.ravel(aoa), pairs)
+    return wrap_angle(pred.reshape(np.shape(values))), aoa, confidence
 
 
 def _nearest_training(train_xy: np.ndarray, query_xy: np.ndarray) -> np.ndarray:
@@ -272,18 +273,20 @@ def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
                     confidences: dict | None = None) -> tuple:
     """Interpolate a fingerprint database onto a denser grid.
 
-    Correlation fingerprints are interpolated per delay bin by kriging on dB
-    magnitudes, every bin of every key through one factorization (phases
-    copied from the nearest training point).  Phase-difference fingerprints
-    are interpolated as unit phasors averaged over the 4 nearest training
+    Every block is an array with the grid as its leading axis, and its dtype
+    says what it holds.  A complex block is a correlation fingerprint,
+    interpolated per delay bin by kriging on dB magnitudes, every bin of
+    every complex block through one factorization (phases copied from the
+    nearest training point).  A real block is a phase difference,
+    interpolated as unit phasors averaged over the 4 nearest training
     points, weighted by inverse distance times the per-training-point
     confidence when one is supplied.
 
     Args:
-        db: training database whose blocks are all raw fingerprint vectors.
+        db: training database whose blocks are all arrays.
         target_grid: grid to interpolate onto (inside the training hull;
-            points outside its bounding box copy their nearest training
-            point's vectors).
+            points outside its bounding box, by more than ``HULL_ULPS`` ulps,
+            copy their nearest training point's vectors).
         confidences: optional ``{key: (n_train,) array}`` of phasor-fit
             confidences for phase-difference keys.
 
@@ -296,50 +299,45 @@ def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
         raise ValueError("database holds no fingerprints")
     train_xy = db.grid.xy
     query_xy = target_grid.xy
-    outside = np.nonzero(np.any((query_xy < train_xy.min(axis=0))
-                                | (query_xy > train_xy.max(axis=0)), axis=1))[0]
+    lo, hi = train_xy.min(axis=0), train_xy.max(axis=0)
+    tol = HULL_ULPS * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    outside = np.nonzero(np.any((query_xy < lo - tol) | (query_xy > hi + tol), axis=1))[0]
 
-    fps = {key: db.block(key, FingerprintVector) for key in sorted(db.blocks)}
-    corr = [key for key, fp in fps.items() if fp.kind in CORRELATION_KINDS]
-    values = dict(zip(corr, _densify_correlation([fps[key].values for key in corr],
+    # every block as (points, values): one column per delay bin or element pair
+    fps = {key: db.block(key, np.ndarray) for key in sorted(db.blocks)}
+    flat = {key: fp.reshape(len(fp), -1) for key, fp in fps.items()}
+    corr = [key for key, fp in fps.items() if np.iscomplexobj(fp)]
+    values = dict(zip(corr, _densify_correlation([flat[key] for key in corr],
                                                  train_xy, query_xy)))
     blocks = {}
     for key, fp in fps.items():
-        if fp.kind is FingerprintKind.PHASE_DIFF:
+        if key not in values:
             conf = None if confidences is None else confidences.get(key)
-            values[key] = _densify_phasediff(fp.values, train_xy, query_xy, conf)
-        elif key not in values:
-            raise ValueError(
-                f"key {key!r}: only correlation and phase-difference fingerprints densify")
-        values[key][outside] = fp.values[_nearest_training(train_xy, query_xy[outside])]
-        blocks[key] = FingerprintVector(kind=fp.kind, values=values[key], meta=fp.meta)
+            values[key] = _densify_phasediff(flat[key], train_xy, query_xy, conf)
+        values[key][outside] = flat[key][_nearest_training(train_xy, query_xy[outside])]
+        blocks[key] = values[key].reshape((len(target_grid),) + fp.shape[1:])
 
     meta = replace(db.meta, derived=True, extra=dict(db.meta.extra))
     return FingerprintDatabase(grid=target_grid, blocks=blocks, meta=meta), int(outside.size)
 
 
-def normalize_power(fps) -> list:
+def normalize_power(stack) -> np.ndarray:
     """Scale correlation fingerprints by the largest per-sensor power.
 
-    The power of each vector is the magnitude of its center (zero-lag) entry;
-    every vector is divided by the maximum across the list, so an unknown
-    transmit power cancels out of the whole fingerprint set.  Blocks (N, d)
-    are normalized per grid point.
+    The power of each vector is the magnitude of its center (zero-lag) entry.
+    ``stack`` is complex (..., keys, d), one set of ``keys`` fingerprints per
+    leading index (a measurement or a grid point); every vector of a set is
+    divided by the set's largest power, so an unknown transmit power cancels
+    out of the whole fingerprint set.
     """
-    fps = list(fps)
-    if len(fps) == 0:
-        raise ValueError("at least one fingerprint is required")
-    centers = []
-    for fp in fps:
-        if fp.kind not in CORRELATION_KINDS:
-            raise ValueError("power normalization applies to correlation fingerprints")
-        if fp.dim % 2 == 0:
-            raise ValueError("correlation fingerprints must have an odd lag count")
-        centers.append(np.abs(fp.values[..., fp.dim // 2]))
-    scale = np.max(centers, axis=0)
+    stack = np.asarray(stack)
+    if not np.iscomplexobj(stack) or stack.ndim < 2 or 0 in stack.shape[-2:]:
+        raise ValueError(f"need a complex (..., keys, d) stack of correlation fingerprints, "
+                         f"got {stack.dtype} {stack.shape}")
+    d = stack.shape[-1]
+    if d % 2 == 0:
+        raise ValueError("correlation fingerprints must have an odd lag count")
+    scale = np.max(np.abs(stack[..., d // 2]), axis=-1)
     if np.any(scale <= 0.0):
         raise ValueError("all fingerprints have zero power at lag 0")
-    return [
-        FingerprintVector(kind=fp.kind, values=fp.values / scale[..., None], meta=fp.meta)
-        for fp in fps
-    ]
+    return stack / scale[..., None, None]

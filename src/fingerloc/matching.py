@@ -5,16 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import wrap_angle
 from .geometry import Grid
-from .signals import (
-    ANGLE_KINDS,
-    CORRELATION_KINDS,
-    FingerprintKind,
-    FingerprintVector,
-    wrap_angle,
-)
 from .stats import (
-    DetectionMap,
     GammaParams,
     VonMisesParams,
     gamma_logpdf,
@@ -103,24 +96,25 @@ def mle_rssi_rspd(target_features, db) -> tuple:
     return lmap, int(np.argmax(values))
 
 
-def binary_likelihood(f: FingerprintVector, maps) -> LikelihoodMap:
+def binary_likelihood(bits, maps) -> LikelihoodMap:
     """Log-likelihood of a detection bit vector under per-sensor detection maps.
 
     Args:
-        f: BINARY fingerprint, one bit per sensor.
+        bits: one 0/1 detection bit per sensor.
         maps: one DetectionMap per sensor, all on the same grid.
 
     Returns:
         LikelihoodMap with ``sum_m b ln p_m + (1-b) ln(1-p_m)`` per cell.
     """
     maps = list(maps)
-    if f.kind is not FingerprintKind.BINARY:
-        raise ValueError("binary matching needs a BINARY fingerprint")
-    if len(maps) != f.dim:
-        raise ValueError(f"got {f.dim} bits but {len(maps)} detection maps")
+    bits = np.asarray(bits)
+    if bits.ndim != 1 or not np.all((bits == 0) | (bits == 1)):
+        raise ValueError(f"need a vector of 0/1 detection bits, got {bits!r}")
+    if len(maps) != bits.size:
+        raise ValueError(f"got {bits.size} bits but {len(maps)} detection maps")
     grid = maps[0].grid
     values = np.zeros(len(grid), dtype=float)
-    for bit, dmap in zip(f.values, maps):
+    for bit, dmap in zip(bits, maps):
         if dmap.grid != grid:
             raise ValueError("all detection maps must share one grid")
         if bit:
@@ -159,29 +153,24 @@ def hybrid_match(err_xcorr: LikelihoodMap, err_phase: LikelihoodMap,
     return int(np.argmin(combined)), lmap
 
 
-def fingerprint_sqerr(target: FingerprintVector, reference: FingerprintVector,
-                      magnitude_only: bool = False):
-    """Squared error between fingerprints of the same kind and dimension.
+def fingerprint_sqerr(targets, reference, *, wrap: bool = False) -> np.ndarray:
+    """Squared error of real fingerprints against every row of a block.
 
-    Angle-valued kinds use wrapped phase differences; correlation kinds use
-    complex residuals, or magnitude residuals with ``magnitude_only``.  A
-    (N, d) ``reference`` block broadcasts against one target vector and
-    yields one error per grid point.
+    Args:
+        targets: real (..., d) fingerprints, e.g. one per trial.
+        reference: real (N, d) block, one vector per grid point.
+        wrap: the entries are angles, compared by wrapped differences.
 
     Returns:
-        A float, or an (N,) array against a block.
+        (..., N): the summed squared error of every target against every row.
     """
-    if target.kind is not reference.kind:
-        raise ValueError(
-            f"kind mismatch: {target.kind.value} vs {reference.kind.value}"
-        )
-    if target.dim != reference.dim or target.values.ndim != 1:
-        raise ValueError(f"dimension mismatch: {target.values.shape} vs "
-                         f"{reference.values.shape}")
-    a = target.values
-    b = reference.values
-    if magnitude_only and target.kind in CORRELATION_KINDS:
-        a, b = np.abs(a), np.abs(b)
-    delta = wrap_angle(a - b) if target.kind in ANGLE_KINDS else a - b
-    err = np.sum(np.abs(delta) ** 2, axis=-1)
-    return float(err) if np.ndim(err) == 0 else err
+    a = np.asarray(targets)
+    b = np.asarray(reference)
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        raise ValueError("squared errors compare real fingerprints; take magnitudes first")
+    if b.ndim != 2 or a.ndim == 0 or a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"dimension mismatch: targets {a.shape} vs reference {b.shape}")
+    delta = a[..., None, :] - b
+    if wrap:
+        delta = wrap_angle(delta)
+    return np.sum(np.abs(delta) ** 2, axis=-1)

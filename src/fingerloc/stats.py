@@ -351,7 +351,7 @@ class DetectionMap:
             raise ValueError(
                 f"need one probability per grid point, got {probs.shape} for {len(self.grid)}"
             )
-        if np.any(probs <= 0.0) or np.any(probs >= 1.0):
+        if np.any(~((probs > 0.0) & (probs < 1.0))):
             raise ValueError("detection probabilities must lie strictly inside (0, 1)")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -255,6 +256,20 @@ def test_illegal_learn_log_counts_filled_projection_bins(tmp_path):
     validate_run_dir(str(reader))
 
 
+def test_illegal_fine_lattice_edge_counts_inside_the_survey(tmp_path):
+    # the fine lattice's far edge, 21 * (0.3 / 7), rounds one ulp past the
+    # survey's, 3 * 0.3, yet lies on the survey box and is kriged
+    scenario = dict(TINY["illegal_hybrid"]["scenario"], densify_factor=7,
+                    grid={"nx": 4, "ny": 2, "origin": [0, 0], "spacing_m": 0.3})
+    cfg_path, out_dir = _write_config(tmp_path, "illegal_hybrid", scenario=scenario)
+    cfg = load_config(cfg_path)
+    far = build_grid(cfg).xy[:, 0].max()
+    assert illegal.fine_grid(cfg).xy[:, 0].max() == np.nextafter(far, 1.0)
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    log = json.loads((pathlib.Path(out_dir) / "learn_log.json").read_text())
+    assert (log["points"], log["outside_hull"]) == (176, 0)
+
+
 def test_illegal_learn_log_reports_kriging_conditioning(tmp_path):
     # a 3x3 survey grid at 2 m: R + 1e-6 I written out with the default
     # length scale of twice the spacing
@@ -384,7 +399,7 @@ def test_database_with_a_malformed_grid_is_a_config_error(tmp_path, capsys, grid
     assert not (pathlib.Path(out_dir) / "track.csv").exists()
 
 
-def test_database_in_the_version_1_layout_is_a_config_error(tmp_path):
+def test_database_in_the_version_1_layout_is_a_config_error(tmp_path, capsys):
     cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
     db_path = pathlib.Path(out_dir) / "db.json"
@@ -396,12 +411,37 @@ def test_database_in_the_version_1_layout_is_a_config_error(tmp_path):
     v2 = dict(doc, version="fingerloc-db-2", grid={"points": points, "spacing": g["spacing"]})
     v1 = dict(v2, version="fingerloc-db-1", entries=[{} for _ in points])
     del v1["blocks"]
-    for stale in (v1, v2):
+    # version 3 stored the probabilities as "scalar" blocks
+    v3 = dict(doc, version="fingerloc-db-3",
+              blocks={key: dict(block, type="scalar") for key, block in doc["blocks"].items()})
+    for stale in (v1, v2, v3):
         db_path.write_text(json.dumps(stale))
         for verb in ("localize", "track"):
+            capsys.readouterr()
             assert main([verb, "--config", cfg_path]) == EXIT_CONFIG
+            assert "rerun learn" in capsys.readouterr().err
     db_path.write_text(json.dumps(doc))
     assert main(["localize", "--config", cfg_path]) == EXIT_OK
+
+
+@pytest.mark.parametrize("name, key", [("bems_binary", "det:0"),
+                                       ("illegal_hybrid", "xc:0:0-1")])
+def test_database_with_non_finite_values_is_a_config_error(tmp_path, capsys, name, key):
+    cfg_path, out_dir = _write_config(tmp_path, name)
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    db_path = pathlib.Path(out_dir) / "db.json"
+    doc = json.loads(db_path.read_text())
+    values = doc["blocks"][key]["values"]
+    if doc["blocks"][key]["type"] == "complex":  # rows of [re, im] pairs
+        values = values[0][0]
+    values[0] = math.nan
+    db_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["localize", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "non-finite" in err
+    assert "Traceback" not in err
+    assert not (pathlib.Path(out_dir) / "trials.csv").exists()
 
 
 def test_a_longer_walk_reuses_the_survey_and_the_map(tmp_path):

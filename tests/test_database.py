@@ -18,7 +18,6 @@ from fingerloc.database import (
 )
 from fingerloc.experiments.artifacts import validate_artifact
 from fingerloc.geometry import Grid, Position
-from fingerloc.signals import FingerprintKind, FingerprintMeta, FingerprintVector
 from fingerloc.stats import GammaParams, VonMisesParams, fit_gaussian, kriging_fit
 
 
@@ -35,39 +34,23 @@ def _round_trip(block, n=2):
 def test_fingerprint_codec_round_trips_complex_bit_exact():
     rng = np.random.default_rng(5)
     values = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
-    fp = FingerprintVector(
-        kind=FingerprintKind.CIR_XCORR, values=values,
-        meta=FingerprintMeta(sensor=3, pair=(0, 2), freq_hz=1.9575e9,
-                             bandwidth_hz=3.6e6),
-    )
-    db = FingerprintDatabase(grid=_grid(2), blocks={"k": fp})
+    db = FingerprintDatabase(grid=_grid(2), blocks={"k": values})
     data = json.loads(database_to_json(db))["blocks"]["k"]
-    back = _round_trip(fp)
-    assert data["type"] == "fingerprint"
+    back = _round_trip(values)
+    assert data == {"type": "complex", "values": data["values"]}
     assert data["values"][0][0] == [values[0, 0].real, values[0, 0].imag]
-    assert back.kind is fp.kind
-    assert np.array_equal(back.values, fp.values)
-    assert back.meta.sensor == 3 and back.meta.pair == (0, 2)
-    assert back.meta.freq_hz == 1.9575e9 and back.meta.bandwidth_hz == 3.6e6
+    assert back.dtype == complex and back.tobytes() == values.tobytes()
 
 
 def test_fingerprint_codec_round_trips_every_kind():
-    cases = [
-        (FingerprintKind.CIR_XCORR, np.array([1 + 2j, -0.25j])),
-        (FingerprintKind.RX_XCORR, np.array([0.125, 3.0 - 1j])),
-        (FingerprintKind.RSSI, np.array([0.5, 2.0])),
-        (FingerprintKind.RSPD, np.array([0.1, -3.0])),
-        (FingerprintKind.PHASE_DIFF, np.array([math.pi, 0.0])),
-        (FingerprintKind.BINARY, np.array([1.0, 0.0])),
-    ]
-    for kind, values in cases:
-        meta = FingerprintMeta(pairs=((0, 1), (1, 2))) if kind is FingerprintKind.PHASE_DIFF else FingerprintMeta()
-        fp = FingerprintVector(kind=kind, values=np.tile(values, (4, 1)), meta=meta)
-        back = _round_trip(fp)
-        assert back.kind is kind
-        assert back.values.dtype == fp.values.dtype
-        assert np.array_equal(back.values, fp.values)
-        assert back.meta.pairs == fp.meta.pairs
+    # real and complex blocks of rank 1 to 3, the grid as the leading axis
+    rng = np.random.default_rng(6)
+    for shape in ((4,), (4, 3), (4, 2, 3)):
+        real = rng.standard_normal(shape)
+        for values in (real, real + 1j * rng.standard_normal(shape)):
+            back = _round_trip(values)
+            assert (back.dtype, back.shape) == (values.dtype, values.shape)
+            assert back.tobytes() == values.tobytes()
 
 
 def test_scalar_codec():
@@ -106,8 +89,7 @@ def test_database_rejects_unknown_block_types():
     with pytest.raises(ValueError):
         FingerprintDatabase(grid=grid, blocks={"k": GammaParams(shape=1.0, scale=1.0)})
     with pytest.raises(ValueError):
-        FingerprintDatabase(grid=grid, blocks={
-            "k": FingerprintVector(kind=FingerprintKind.RSSI, values=[1.0])})
+        FingerprintDatabase(grid=grid, blocks={"k": np.array(1.0)})
     doc = json.loads(database_to_json(FingerprintDatabase(grid=grid)))
     doc["blocks"] = {"k": {"type": "no_such_block"}}
     with pytest.raises(ValueError):
@@ -118,9 +100,7 @@ def test_database_round_trip_bit_exact():
     grid = _grid(2)
     rng = np.random.default_rng(21)
     blocks = {
-        "pair_0_1": FingerprintVector(
-            kind=FingerprintKind.CIR_XCORR,
-            values=rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))),
+        "pair_0_1": rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)),
         "rssi:0": rng.uniform(0.1, 2.0, size=4),
     }
     meta = DatabaseMeta(train_freqs_hz=(8.0e8, 1.5e9), train_bandwidths_hz=(1e7,),
@@ -132,7 +112,7 @@ def test_database_round_trip_bit_exact():
     assert back.meta.train_freqs_hz == (8.0e8, 1.5e9)
     assert back.meta.extra == {"note": "round-trip"}
     assert sorted(back.blocks) == sorted(blocks)
-    assert np.array_equal(back.blocks["pair_0_1"].values, blocks["pair_0_1"].values)
+    assert np.array_equal(back.blocks["pair_0_1"], blocks["pair_0_1"])
     assert np.array_equal(back.blocks["rssi:0"], blocks["rssi:0"])
     # serialization itself is deterministic
     assert database_to_json(back) == text
@@ -145,8 +125,8 @@ def test_database_json_matches_shipped_schema(tmp_path):
         "g": fit_gaussian(samples),
         "p": GammaParams(shape=[1.0, 2.0, 3.0, 4.0], scale=[1.0, 1.0, 0.5, 0.25]),
         "v": VonMisesParams(mu=[0.0, 1.0, -1.0, 2.0], kappa=[0.0, 1.0, 5.0, 1000.0]),
-        "x": FingerprintVector(kind=FingerprintKind.PHASE_DIFF, values=np.zeros((4, 3)),
-                               meta=FingerprintMeta(sensor=0, pairs=((0, 1), (0, 2), (1, 2)))),
+        "x": np.zeros((4, 3)),
+        "c": np.ones((4, 2, 3), dtype=complex),
         "d": np.full(4, 0.5),
     }
     path = tmp_path / "db.json"
@@ -154,11 +134,15 @@ def test_database_json_matches_shipped_schema(tmp_path):
     assert validate_artifact(str(path)) == "db.schema.json"
     text = path.read_text()
     doc = json.loads(text)
-    assert doc["version"] == "fingerloc-db-3"
+    assert doc["version"] == "fingerloc-db-4"
     assert doc["grid"] == {"origin": [0.0, 0.0], "nx": 2, "ny": 2, "spacing": 1.0}
-    # a bare scalar is not a block; a lattice has cells and a positive spacing
-    for section, key, field, bad in (("blocks", "p", "shape", 1.0), ("grid", None, "nx", 0),
-                                     ("grid", None, "spacing", 0.0)):
+    # a bare scalar is not a block, nor a complex array of plain numbers; a
+    # lattice has cells and a positive spacing; blocks carry no kind or meta
+    for section, key, field, bad in (("blocks", "p", "shape", 1.0), ("blocks", "d", "values", 0.5),
+                                     ("blocks", "c", "values", [1.0, 2.0, 3.0, 4.0]),
+                                     ("blocks", "x", "kind", "phase_diff"),
+                                     ("blocks", "x", "meta", {}),
+                                     ("grid", None, "nx", 0), ("grid", None, "spacing", 0.0)):
         doc = json.loads(text)
         target = doc[section] if key is None else doc[section][key]
         target[field] = bad
@@ -171,9 +155,9 @@ def test_database_rejects_wrong_version():
     db = FingerprintDatabase(grid=_grid(1))
     doc = json.loads(database_to_json(db))
     assert doc["version"] == FORMAT_VERSION
-    for stale in ("fingerloc-db-1", "fingerloc-db-2"):
+    for stale in ("fingerloc-db-1", "fingerloc-db-2", "fingerloc-db-3"):
         doc["version"] = stale
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rerun learn"):
             database_from_json(json.dumps(doc))
     doc.pop("version")
     with pytest.raises(ValueError):
@@ -222,11 +206,35 @@ def test_database_needs_one_entry_per_point():
 
 def test_database_block_lookup_checks_type():
     grid = _grid(1)
-    fp = FingerprintVector(kind=FingerprintKind.RSSI, values=[[1.0]])
-    db = FingerprintDatabase(grid=grid, blocks={"a": fp, "b": np.array([0.5])})
-    assert db.block("a", FingerprintVector) is fp
+    gamma = GammaParams(shape=[1.0], scale=[2.0])
+    db = FingerprintDatabase(grid=grid, blocks={"a": gamma, "b": np.array([0.5])})
+    assert db.block("a", GammaParams) is gamma
     assert db.block("b", (GammaParams, np.ndarray)) is db.blocks["b"]
     with pytest.raises(ValueError):
-        db.block("b", FingerprintVector)  # wrong block type
+        db.block("b", GammaParams)  # wrong block type
     with pytest.raises(ValueError):
-        db.block("missing", FingerprintVector)
+        db.block("missing", np.ndarray)
+
+
+def test_database_array_blocks_are_read_only():
+    values = np.zeros((4, 3))
+    db = FingerprintDatabase(grid=_grid(2), blocks={"k": values})
+    with pytest.raises(ValueError):
+        db.blocks["k"][0, 0] = 1.0
+    assert values.flags.writeable  # the caller's array is left as it was
+    back = database_from_json(database_to_json(db))
+    with pytest.raises(ValueError):
+        back.blocks["k"][0, 0] = 1.0
+
+
+@pytest.mark.parametrize("block", [
+    {"type": "real", "values": [0.5, "NaN", 0.5, 0.5]},
+    {"type": "complex", "values": [[[1.0, "Infinity"]]] * 4},
+    {"type": "gamma", "shape": [1.0, 1.0, "NaN", 1.0], "scale": [1.0] * 4},
+])
+def test_database_rejects_non_finite_values(block):
+    doc = json.loads(database_to_json(FingerprintDatabase(grid=_grid(2))))
+    doc["blocks"] = {"det:0": block}
+    text = json.dumps(doc).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity")
+    with pytest.raises(ValueError, match="'det:0'.*non-finite"):
+        database_from_json(text)

@@ -20,7 +20,7 @@ bandwidth narrowing to ``scipy.signal``'s ``firwin`` and direct
 convolution, multi-column kriging to one dense
 solve per column, the array particle likelihoods to the per-particle corner
 loop, the stencil grid Bayes predict to the dense N x N transition matrix,
-the measurement codec to a bit-exact round trip, the survey lattice to
+the measurement and database codecs to a bit-exact round trip, the survey lattice to
 the per-point loop that built it and to its ``db.json`` round trip, and the
 block link simulator bit for bit to the per-link channel, transmit and noise
 chain it replaced.
@@ -60,7 +60,7 @@ from fingerloc.experiments.artifacts import validate_artifact  # noqa: E402
 from fingerloc.experiments.common import read_measurements, save_measurements  # noqa: E402
 from fingerloc.experiments.configs import parse_config  # noqa: E402
 from fingerloc.experiments.illegal import error_maps  # noqa: E402
-from fingerloc.features import pair_xcorr, xcorr, xcorr_rows  # noqa: E402
+from fingerloc.features import pair_xcorr, wrap_angle, xcorr, xcorr_rows  # noqa: E402
 from fingerloc.errors import NumericError  # noqa: E402
 from fingerloc.geometry import Grid, Position  # noqa: E402
 from fingerloc.interp import (  # noqa: E402
@@ -74,12 +74,6 @@ from fingerloc.interp import (  # noqa: E402
 )
 from fingerloc.lighting import Light, LightingScenario, illuminance, solve_lighting  # noqa: E402
 from fingerloc.matching import LikelihoodMap, mle_rssi_rspd  # noqa: E402
-from fingerloc.signals import (  # noqa: E402
-    FingerprintKind,
-    FingerprintMeta,
-    FingerprintVector,
-    wrap_angle,
-)
 from fingerloc import simulate  # noqa: E402
 from fingerloc.experiments import wifi  # noqa: E402
 from fingerloc.simulate import (  # noqa: E402
@@ -379,31 +373,31 @@ def test_error_maps_equal_per_point_loop(nx, ny, n_keys, half, seed):
     rng = np.random.default_rng(seed)
     grid = Grid(Position(0.0, 0.0), nx, ny, 1.0)
     n, dim = len(grid), 2 * half + 1
+    trials = 3
     blocks, xc, pd = {}, {}, {}
     for k in range(n_keys):
         rows = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-        blocks[f"xc:{k}"] = FingerprintVector(kind=FingerprintKind.RX_XCORR, values=rows)
-        xc[f"xc:{k}"] = FingerprintVector(
-            kind=FingerprintKind.RX_XCORR,
-            values=rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        blocks[f"pd:{k}"] = FingerprintVector(
-            kind=FingerprintKind.PHASE_DIFF, values=rng.uniform(-3.14, 3.14, (n, 3)))
-        pd[f"pd:{k}"] = FingerprintVector(kind=FingerprintKind.PHASE_DIFF,
-                                          values=rng.uniform(-3.14, 3.14, 3))
+        blocks[f"xc:{k}"] = rows
+        xc[f"xc:{k}"] = (rng.standard_normal((trials, dim))
+                         + 1j * rng.standard_normal((trials, dim)))
+        blocks[f"pd:{k}"] = rng.uniform(-3.14, 3.14, (n, 3))
+        pd[f"pd:{k}"] = rng.uniform(-3.14, 3.14, (trials, 3))
     db = FingerprintDatabase(grid=grid, blocks=blocks)
 
-    want_x, want_p = np.zeros(n), np.zeros(n)
-    for i in range(n):
-        for key, fp in xc.items():
-            for j in range(dim):
-                a, b = fp.values[j], blocks[key].values[i, j]
-                want_x[i] += (abs(a) - abs(b)) ** 2
-        for key, fp in pd.items():
-            for j in range(3):
-                want_p[i] += _wrap(fp.values[j] - blocks[key].values[i, j]) ** 2
+    want_x, want_p = np.zeros((trials, n)), np.zeros((trials, n))
+    for t in range(trials):
+        for i in range(n):
+            for key, fp in xc.items():
+                for j in range(dim):
+                    a, b = fp[t, j], blocks[key][i, j]
+                    want_x[t, i] += (abs(a) - abs(b)) ** 2
+            for key, fp in pd.items():
+                for j in range(3):
+                    want_p[t, i] += _wrap(fp[t, j] - blocks[key][i, j]) ** 2
     err_x, err_p = error_maps(db, xc, pd)
-    assert _rel_close(err_x.values, want_x)
-    assert _rel_close(err_p.values, want_p)
+    assert err_x.shape == err_p.shape == (trials, n)
+    assert _rel_close(err_x, want_x)
+    assert _rel_close(err_p, want_p)
 
 
 # ---------------------------------------------------------------------------
@@ -605,35 +599,31 @@ def test_block_projection_equals_per_point_loop(n_freqs, n_points, half, dead, b
             bins = {"leading": [0], "trailing": [dim - 1], "interior": [half],
                     "row": list(range(dim))}[kind]
             stack[rng.integers(n_freqs), p, bins] = 0.0
-    train = [FingerprintVector(kind=FingerprintKind.RX_XCORR, values=stack[f])
-             for f in range(n_freqs)]
-    fp, flags = freq_interp_xcorr(freqs, train, target)
+    fp, flags = freq_interp_xcorr(freqs, stack, target)
     out = bandwidth_interp(fp, 1e7, 1e7 * bw_ratio)
 
     taps = windowed_sinc_lowpass(bw_ratio) if bw_ratio < 1.0 else np.array([1.0])
     start = (len(taps) - 1) // 2
-    assert out.values.shape == flags.shape == (n_points, dim)
+    assert out.shape == flags.shape == (n_points, dim)
     for p in range(n_points):
         want, want_flags = _ref_freq_interp(freqs, stack[:, p], target)
         assert np.array_equal(flags[p], want_flags)
-        assert np.allclose(fp.values[p], want, rtol=1e-12, atol=0.0)
+        assert np.allclose(fp[p], want, rtol=1e-12, atol=0.0)
         want = np.convolve(want, taps)[start:start + dim]
         scale = np.max(np.abs(want), initial=0.0)
-        assert np.allclose(out.values[p], want, rtol=1e-12, atol=1e-12 * scale)
+        assert np.allclose(out[p], want, rtol=1e-12, atol=1e-12 * scale)
 
     geom = UcaGeometry(n_elements=elements, radius_m=float(rng.uniform(0.02, 0.2)))
     pairs = tuple((a, b) for a in range(elements) for b in range(a + 1, elements))
     phases = wrap_angle(rng.uniform(-math.pi, math.pi, (n_points, len(pairs))))
-    block = FingerprintVector(kind=FingerprintKind.PHASE_DIFF, values=phases,
-                              meta=FingerprintMeta(pairs=pairs))
-    got, aoa, conf = phasediff_freq_interp(block, geom, freqs[0], target)
+    got, aoa, conf = phasediff_freq_interp(phases, pairs, geom, freqs[0], target)
     assert aoa.shape == conf.shape == (n_points,)
     for p in range(n_points):
         want, want_aoa, want_conf = _ref_phase_projection(phases[p], geom, pairs,
                                                           freqs[0], target)
         assert aoa[p] == want_aoa
         assert conf[p] == pytest.approx(want_conf, rel=1e-12)
-        assert np.allclose(got.values[p], want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(got[p], want, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -652,15 +642,14 @@ def test_bandwidth_interp_equals_direct_convolution_center(cutoff, lead, dim, se
     shape = lead + (dim,)
     values = (np.exp(rng.normal(0.0, 2.0, shape)) * 10.0 ** rng.uniform(-6, 6)
               * np.exp(1j * rng.uniform(-3, 3, shape)))
-    fp = FingerprintVector(kind=FingerprintKind.RX_XCORR, values=values)
-    out = bandwidth_interp(fp, 1e7, 1e7 * cutoff)
+    out = bandwidth_interp(values, 1e7, 1e7 * cutoff)
     taps = scipy.signal.firwin(LOWPASS_TAPS, cutoff)
     full = scipy.signal.convolve(values, taps.reshape((1,) * len(lead) + (-1,)),
                                  method="direct")
     start = (LOWPASS_TAPS - 1) // 2
     want = full[..., start:start + dim]
-    assert out.values.shape == shape
-    assert np.allclose(out.values, want, rtol=0.0,
+    assert out.shape == shape
+    assert np.allclose(out, want, rtol=0.0,
                        atol=1e-12 * np.max(np.abs(want), initial=0.0))
 
 
@@ -717,9 +706,8 @@ def test_spatial_densify_equals_per_key_and_per_query_loops(nx, ny, factor, n_co
         field = (np.exp(rng.normal(0.0, 2.0, (n, dim))) * 10.0 ** rng.uniform(-6, 6)
                  * np.exp(1j * rng.uniform(-3, 3, (n, dim))))
         field[rng.integers(n), rng.integers(dim)] = 0.0  # floored at 1e-12 of the key's peak
-        blocks[f"xc:{k}"] = FingerprintVector(kind=FingerprintKind.RX_XCORR, values=field)
-    blocks["pd"] = FingerprintVector(kind=FingerprintKind.PHASE_DIFF,
-                                     values=rng.uniform(-3.1, 3.1, (n, 3)))
+        blocks[f"xc:{k}"] = field
+    blocks["pd"] = rng.uniform(-3.1, 3.1, (n, 3))
     conf = np.zeros(n) if zero_conf else rng.uniform(0.0, 1.0, n)
     out, outside = spatial_densify(FingerprintDatabase(grid=coarse, blocks=blocks), fine,
                                    confidences={"pd": conf})
@@ -728,28 +716,28 @@ def test_spatial_densify_equals_per_key_and_per_query_loops(nx, ny, factor, n_co
     nearest = [int(np.argmin(np.sum((train - q) ** 2, axis=1))) for q in query]
     length_scale = 4.0  # twice the training spacing
     for k in range(n_corr):
-        stack = blocks[f"xc:{k}"].values
+        stack = blocks[f"xc:{k}"]
         mags = np.abs(stack)
         db = 10.0 * np.log10(np.maximum(mags, 1e-12 * mags.max()))
         for j in range(dim):
             want_db = _ref_kriging_mean(train, db[:, j], query, length_scale)
-            got = out.blocks[f"xc:{k}"].values[:, j]
+            got = out.blocks[f"xc:{k}"][:, j]
             assert np.allclose(10.0 * np.log10(np.abs(got)), want_db, rtol=0.0,
                                atol=KRIGING_TOL * np.max(np.abs(db[:, j])))
             assert np.allclose(got / np.abs(got), np.exp(1j * np.angle(stack[nearest, j])),
                                rtol=0.0, atol=1e-14)
-    phasors = np.exp(1j * blocks["pd"].values)
+    phasors = np.exp(1j * blocks["pd"])
     for q, pos in enumerate(query):
         d = np.hypot(train[:, 0] - pos[0], train[:, 1] - pos[1])
         near = np.argsort(d)[:4]
         if d[near[0]] <= 0.0:
-            want = blocks["pd"].values[near[0]]
+            want = blocks["pd"][near[0]]
         else:
             w = conf[near] / d[near]
             if np.sum(w) <= 0.0:
                 w = 1.0 / d[near]
             want = np.angle((w[:, None] * phasors[near]).sum(axis=0))
-        assert np.array_equal(out.blocks["pd"].values[q], want)
+        assert np.array_equal(out.blocks["pd"][q], want)
 
 
 # ---------------------------------------------------------------------------
@@ -905,6 +893,18 @@ def test_measurement_codec_round_trips_bit_exactly(arrays):
     assert isinstance(digest, str) and len(digest) == 64
     for name, arr in arrays.items():
         got = back[name]
+        assert (got.dtype, got.shape, got.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
+    # the real and complex arrays of rank 1-3 as db.json blocks, the leading axis the grid
+    for name in ("real", "complex"):
+        arr = arrays[name]
+        if not 1 <= arr.ndim <= 3:
+            continue
+        grid = Grid(Position(0.0, 0.0), len(arr), 1, 1.0)
+        with tempfile.TemporaryDirectory() as out_dir:
+            path = os.path.join(out_dir, "db.json")
+            save_database(FingerprintDatabase(grid=grid, blocks={name: arr}), path)
+            validate_artifact(path)
+            got = load_database(path).blocks[name]
         assert (got.dtype, got.shape, got.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
 
 

@@ -1,24 +1,11 @@
-"""Feature extraction against brute-force and analytic oracles."""
+"""Feature extraction and angle wrapping against brute-force and analytic oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fingerloc.features import (
-    phasediff_fingerprint,
-    power_phase,
-    rssi_rspd,
-    rx_xcorr_fingerprint,
-    xcorr,
-    xcorr_rows,
-)
-from fingerloc.signals import FingerprintKind, FingerprintMeta, SignalBuffer, wrap_angle
-
-
-def constant_modulus(length: int, seed: int) -> np.ndarray:
-    """Unit-magnitude samples with random phases."""
-    return np.exp(1j * np.random.default_rng(seed).uniform(-math.pi, math.pi, length))
+from fingerloc.features import power_phase, wrap_angle, xcorr, xcorr_rows
 
 
 def xcorr_brute(a, b, max_lag):
@@ -121,11 +108,10 @@ def test_xcorr_validates_inputs():
 
 
 def test_rssi_rspd_analytic_cases():
-    same = SignalBuffer(samples=np.array([1.0, 1.0]), sample_rate_hz=1.0)
-    rssi, phase = rssi_rspd(same, same)
+    same = np.array([1.0, 1.0])
+    rssi, phase = power_phase(same, same)
     assert rssi == 1.0 and phase == 0.0
-    quad = SignalBuffer(samples=np.array([1.0j, 1.0j]), sample_rate_hz=1.0)
-    rssi, phase = rssi_rspd(same, quad)
+    rssi, phase = power_phase(same, np.array([1.0j, 1.0j]))
     assert rssi == 1.0
     assert phase == pytest.approx(-math.pi / 2, abs=1e-12)
 
@@ -134,57 +120,23 @@ def test_rssi_rspd_power_is_mean_square_of_first_buffer():
     rng = np.random.default_rng(40)
     yi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     yj = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    bi = SignalBuffer(samples=yi, sample_rate_hz=2e7)
-    bj = SignalBuffer(samples=yj, sample_rate_hz=2e7)
-    rssi, phase = rssi_rspd(bi, bj)
+    rssi, phase = power_phase(yi, yj)
     assert rssi == pytest.approx(float(np.mean(np.abs(yi) ** 2)), rel=1e-12)
     assert phase == pytest.approx(float(np.angle(np.mean(yi * np.conj(yj)))), abs=1e-12)
     with pytest.raises(ValueError):
-        rssi_rspd(bi, SignalBuffer(samples=yj, sample_rate_hz=1e7))
-    with pytest.raises(ValueError):
-        rssi_rspd(bi, SignalBuffer(samples=yj[:10], sample_rate_hz=2e7))
-
-
-def test_rx_xcorr_normalizes_by_shorter_length():
-    # shared transmit signal through h1 = delta_0 and h2 = delta_1:
-    # the correlation peaks at lag -1 with unit value for a unit-power probe
-    x = constant_modulus(64, 3)
-    y1 = SignalBuffer(samples=x, sample_rate_hz=1e7)
-    y2 = SignalBuffer(samples=np.concatenate([[0.0], x]), sample_rate_hz=1e7)
-    fp = rx_xcorr_fingerprint(y1, y2, max_lag=4)
-    assert fp.kind is FingerprintKind.RX_XCORR
-    assert fp.dim == 9
-    assert int(np.argmax(np.abs(fp.values))) == 4 - 1
-    assert abs(fp.values[3]) == pytest.approx(1.0, rel=1e-12)
-    expect = xcorr_brute(y1.samples, y2.samples, 4) / 64
-    assert np.allclose(fp.values, expect, rtol=1e-12)
-
-
-def test_phasediff_fingerprint_recovers_element_phase_offsets():
-    rng = np.random.default_rng(55)
-    x = constant_modulus(32, 1)
-    offsets = rng.uniform(-math.pi, math.pi, size=4)
-    bufs = [SignalBuffer(samples=x * np.exp(1j * o), sample_rate_hz=1e7)
-            for o in offsets]
-    pairs = ((0, 1), (0, 2), (1, 3))
-    fp = phasediff_fingerprint(bufs, pairs, meta=FingerprintMeta(sensor=2))
-    assert fp.kind is FingerprintKind.PHASE_DIFF
-    assert fp.meta.pairs == pairs and fp.meta.sensor == 2
-    for value, (i, j) in zip(fp.values, pairs):
-        assert value == pytest.approx(wrap_angle(offsets[i] - offsets[j]), abs=1e-12)
-    with pytest.raises(ValueError):
-        phasediff_fingerprint(bufs, ())
+        power_phase(yi, yj[:10])
 
 
 def test_power_phase_rows_equal_rssi_rspd_per_row_bit_for_bit():
+    # the oracle is the one-buffer formula, on each 1-D row
     rng = np.random.default_rng(41)
     yi = rng.standard_normal((3, 4, 71)) + 1j * rng.standard_normal((3, 4, 71))
     yj = rng.standard_normal((3, 4, 71)) + 1j * rng.standard_normal((3, 4, 71))
     rssi, phase = power_phase(yi, yj)
     assert rssi.shape == phase.shape == (3, 4)
     for idx in np.ndindex(3, 4):
-        want = rssi_rspd(SignalBuffer(samples=yi[idx], sample_rate_hz=1.0),
-                         SignalBuffer(samples=yj[idx], sample_rate_hz=1.0))
+        a, b = yi[idx], yj[idx]
+        want = (np.mean(np.abs(a) ** 2), np.angle(np.mean(a * np.conj(b))))
         assert (rssi[idx], phase[idx]) == want
     with pytest.raises(ValueError):
         power_phase(yi, yj[..., :70])
@@ -199,3 +151,27 @@ def test_xcorr_rows_shape_and_validation():
         xcorr_rows(a, a, 20)
     with pytest.raises(ValueError):
         xcorr_rows(a, a[:, :2], 3)
+
+
+def test_wrap_angle_convention_is_half_open_upper():
+    # the interval is (-pi, pi]: pi stays, -pi flips to +pi
+    assert wrap_angle(math.pi) == math.pi
+    assert wrap_angle(-math.pi) == math.pi
+    assert wrap_angle(3 * math.pi) == pytest.approx(math.pi, abs=1e-12)
+    assert wrap_angle(0.0) == 0.0
+
+
+def test_wrap_angle_preserves_direction():
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(-30, 30, size=500)
+    wrapped = wrap_angle(theta)
+    assert np.all(wrapped > -math.pi) and np.all(wrapped <= math.pi)
+    # same point on the circle
+    assert np.allclose(np.exp(1j * wrapped), np.exp(1j * theta), atol=1e-9)
+
+
+def test_wrap_angle_scalar_returns_float():
+    out = wrap_angle(7.0)
+    assert isinstance(out, float)
+    arr = wrap_angle(np.array([7.0, -7.0]))
+    assert isinstance(arr, np.ndarray) and arr.shape == (2,)

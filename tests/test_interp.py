@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fingerloc.database import FingerprintDatabase
+from fingerloc.features import wrap_angle
 from fingerloc.geometry import Grid, Position
 from fingerloc.interp import (
     UcaGeometry,
@@ -18,13 +19,10 @@ from fingerloc.interp import (
     uca_steering,
     windowed_sinc_lowpass,
 )
-from fingerloc.signals import FingerprintKind, FingerprintMeta, FingerprintVector, wrap_angle
+from fingerloc.stats import GammaParams
 
 C = 299792458.0
-
-
-def _fp(kind, values, **meta):
-    return FingerprintVector(kind=kind, values=values, meta=FingerprintMeta(**meta))
+PAIRS = ((0, 1), (1, 2), (0, 2))
 
 
 def _pair_diffs(geom, freq_hz, aoa_rad, pairs):
@@ -55,7 +53,7 @@ def test_windowed_sinc_rejects_out_of_band_cutoff(cutoff):
 
 
 def test_bandwidth_interp_equal_bandwidth_is_identity():
-    fp = _fp(FingerprintKind.CIR_XCORR, np.arange(5) + 0j, bandwidth_hz=2e7)
+    fp = np.arange(5) + 0j
     assert bandwidth_interp(fp, 2e7, 2e7) is fp
 
 
@@ -65,28 +63,24 @@ def test_bandwidth_interp_impulse_reads_filter_slice():
     dim = 7
     values = np.zeros(dim, dtype=complex)
     values[3] = 1.0
-    fp = _fp(FingerprintKind.CIR_XCORR, values, sensor=2, bandwidth_hz=1e7)
-    out = bandwidth_interp(fp, train_bw_hz=1e7, target_bw_hz=5e6)
+    out = bandwidth_interp(values, train_bw_hz=1e7, target_bw_hz=5e6)
     taps = windowed_sinc_lowpass(0.5)
     start = (len(taps) - 1) // 2  # zero-phase center of the full convolution
     want = np.convolve(values, taps)[start:start + dim]
-    assert np.allclose(out.values, want, atol=1e-15)
-    assert out.dim == dim
+    assert np.allclose(out, want, atol=1e-15)
+    assert out.shape == (dim,)
     # the impulse peak stays centered
-    assert int(np.argmax(np.abs(out.values))) == 3
-    assert out.meta.bandwidth_hz == 5e6
-    assert out.meta.sensor == 2
+    assert int(np.argmax(np.abs(out))) == 3
 
 
 def test_bandwidth_interp_validation():
-    fp = _fp(FingerprintKind.CIR_XCORR, np.ones(3, dtype=complex))
+    fp = np.ones(3, dtype=complex)
     with pytest.raises(ValueError):
         bandwidth_interp(fp, 1e7, 2e7)  # widening
     with pytest.raises(ValueError):
         bandwidth_interp(fp, 0.0, 1e6)
-    rssi = _fp(FingerprintKind.RSSI, [1.0])
     with pytest.raises(ValueError):
-        bandwidth_interp(rssi, 2e7, 1e7)
+        bandwidth_interp(np.ones(3), 2e7, 1e7)  # real: not a correlation
 
 
 # ---------------------------------------------------------------------------
@@ -103,44 +97,39 @@ def test_freq_interp_recovers_per_bin_log_linear_law():
     def mags(f):
         return 10.0 ** ((intercepts + slopes * math.log10(f)) / 10.0)
 
-    fps = [_fp(FingerprintKind.CIR_XCORR, mags(f) * np.exp(1j * phases[f]), freq_hz=f)
-           for f in freqs]
+    fps = np.array([mags(f) * np.exp(1j * phases[f]) for f in freqs])
     target = 1.2e9
     out, flags = freq_interp_xcorr(freqs, fps, target)
     assert not flags.any()
-    assert np.allclose(np.abs(out.values), mags(target), rtol=1e-9)
+    assert np.allclose(np.abs(out), mags(target), rtol=1e-9)
     # phases come from the nearest training frequency (1.5 GHz here), wrapped
-    assert np.allclose(np.angle(out.values), wrap_angle(phases[1.5e9]), atol=1e-12)
-    assert out.meta.freq_hz == target
+    assert np.allclose(np.angle(out), wrap_angle(phases[1.5e9]), atol=1e-12)
 
 
 def test_freq_interp_two_point_hand_case():
     # one bin, two frequencies a decade apart: 40 dB and 20 dB magnitude
-    fps = [
-        _fp(FingerprintKind.CIR_XCORR, np.array([100.0 + 0j]), freq_hz=1e8),
-        _fp(FingerprintKind.CIR_XCORR, np.array([10.0 + 0j]), freq_hz=1e9),
-    ]
+    fps = [np.array([100.0 + 0j]), np.array([10.0 + 0j])]
     out, _ = freq_interp_xcorr([1e8, 1e9], fps, math.sqrt(1e8 * 1e9))
     # halfway in log10(f): 30 dB
-    assert abs(out.values[0]) == pytest.approx(10.0 ** 1.5, rel=1e-12)
+    assert abs(out[0]) == pytest.approx(10.0 ** 1.5, rel=1e-12)
 
 
 def test_freq_interp_flags_and_fills_dead_bins():
     freqs = [1e9, 2e9]
-    a = _fp(FingerprintKind.CIR_XCORR, np.array([4.0, 0.0, 16.0], dtype=complex))
-    b = _fp(FingerprintKind.CIR_XCORR, np.array([4.0, 5.0, 16.0], dtype=complex))
+    a = np.array([4.0, 0.0, 16.0], dtype=complex)
+    b = np.array([4.0, 5.0, 16.0], dtype=complex)
     out, flags = freq_interp_xcorr(freqs, [a, b], 1.5e9)
     assert np.array_equal(flags, [False, True, False])
     # the dead bin takes the geometric mean of its live neighbors
-    left, right = abs(out.values[0]), abs(out.values[2])
-    assert abs(out.values[1]) == pytest.approx(math.sqrt(left * right), rel=1e-12)
+    left, right = abs(out[0]), abs(out[2])
+    assert abs(out[1]) == pytest.approx(math.sqrt(left * right), rel=1e-12)
 
 
 def test_freq_interp_validation():
-    fp = _fp(FingerprintKind.CIR_XCORR, np.ones(2, dtype=complex))
+    fp = np.ones(2, dtype=complex)
     with pytest.raises(ValueError):
         freq_interp_xcorr([1e9], [fp], 2e9)  # needs at least two frequencies
-    other = _fp(FingerprintKind.CIR_XCORR, np.ones(3, dtype=complex))
+    other = np.ones(3, dtype=complex)
     with pytest.raises(ValueError):
         freq_interp_xcorr([1e9, 2e9], [fp, other], 1.5e9)  # dimension mismatch
     with pytest.raises(ValueError):
@@ -149,12 +138,12 @@ def test_freq_interp_validation():
         freq_interp_xcorr([1e9, 1e9], [fp, fp], 1.5e9)  # frequencies must be distinct
     with pytest.raises(ValueError):
         freq_interp_xcorr([1e9, -1e9], [fp, fp], 1.5e9)
-    block = _fp(FingerprintKind.CIR_XCORR, np.ones((2, 2), dtype=complex))
+    block = np.ones((2, 2), dtype=complex)
     with pytest.raises(ValueError):
         freq_interp_xcorr([1e9, 2e9], [fp, block], 1.5e9)  # shape mismatch
-    angle = _fp(FingerprintKind.PHASE_DIFF, np.zeros(2))
+    angle = np.zeros(2)
     with pytest.raises(ValueError):
-        freq_interp_xcorr([1e9, 2e9], [angle, angle], 1.5e9)
+        freq_interp_xcorr([1e9, 2e9], [angle, angle], 1.5e9)  # real: not a correlation
 
 
 # ---------------------------------------------------------------------------
@@ -193,77 +182,68 @@ def test_uca_geometry_validation():
 
 def test_estimate_aoa_recovers_grid_angles_exactly():
     geom = UcaGeometry(n_elements=3, radius_m=0.05)
-    pairs = ((0, 1), (1, 2), (0, 2))
     for deg in (0.0, 30.0, 123.5, 359.5):
-        values = _pair_diffs(geom, 2.4e9, math.radians(deg), pairs)
-        fp = _fp(FingerprintKind.PHASE_DIFF, values, pairs=pairs)
-        aoa, confidence = estimate_aoa(fp, geom, 2.4e9)
+        values = _pair_diffs(geom, 2.4e9, math.radians(deg), PAIRS)
+        aoa, confidence = estimate_aoa(values, PAIRS, geom, 2.4e9)
         assert aoa == pytest.approx(math.radians(deg), abs=1e-12)
         assert confidence == pytest.approx(1.0, abs=1e-12)
 
 
 def test_estimate_aoa_snaps_off_grid_angle_to_nearest_step():
     geom = UcaGeometry(n_elements=3, radius_m=0.05)
-    pairs = ((0, 1), (1, 2), (0, 2))
-    values = _pair_diffs(geom, 2.4e9, math.radians(33.3), pairs)
-    fp = _fp(FingerprintKind.PHASE_DIFF, values, pairs=pairs)
-    aoa, confidence = estimate_aoa(fp, geom, 2.4e9)
+    values = _pair_diffs(geom, 2.4e9, math.radians(33.3), PAIRS)
+    aoa, confidence = estimate_aoa(values, PAIRS, geom, 2.4e9)
     assert aoa == pytest.approx(math.radians(33.5), abs=1e-12)
     assert 0.99 < confidence <= 1.0
 
 
 def test_estimate_aoa_validation():
     geom = UcaGeometry(n_elements=3, radius_m=0.05)
-    wrong_kind = _fp(FingerprintKind.RSSI, [1.0])
     with pytest.raises(ValueError):
-        estimate_aoa(wrong_kind, geom, 1e9)
-    no_pairs = _fp(FingerprintKind.PHASE_DIFF, np.zeros(3))
+        estimate_aoa(np.zeros(3), PAIRS[:2], geom, 1e9)  # one pair per entry
     with pytest.raises(ValueError):
-        estimate_aoa(no_pairs, geom, 1e9)
+        estimate_aoa(np.zeros((4, 2)), PAIRS, geom, 1e9)
+    with pytest.raises(ValueError):
+        estimate_aoa(0.0, PAIRS[:1], geom, 1e9)
 
 
 def test_phasediff_freq_interp_identity_at_training_frequency():
     geom = UcaGeometry(n_elements=3, radius_m=0.05)
-    pairs = ((0, 1), (1, 2), (0, 2))
     theta = math.radians(123.5)  # on the scan grid
-    values = _pair_diffs(geom, 2.4e9, theta, pairs)
-    fp = _fp(FingerprintKind.PHASE_DIFF, values, pairs=pairs, freq_hz=2.4e9)
-    out, aoa, confidence = phasediff_freq_interp(fp, geom, 2.4e9, 2.4e9)
-    assert np.allclose(out.values, values, atol=1e-9)
+    values = _pair_diffs(geom, 2.4e9, theta, PAIRS)
+    out, aoa, confidence = phasediff_freq_interp(values, PAIRS, geom, 2.4e9, 2.4e9)
+    assert np.allclose(out, values, atol=1e-9)
     assert aoa == pytest.approx(theta, abs=1e-12)
     assert confidence == pytest.approx(1.0, abs=1e-9)
 
 
 def test_phasediff_freq_interp_projects_steering_to_new_frequency():
     geom = UcaGeometry(n_elements=3, radius_m=0.05)
-    pairs = ((0, 1), (1, 2), (0, 2))
     theta = math.radians(57.0)
-    train = _pair_diffs(geom, 1e9, theta, pairs)
-    fp = _fp(FingerprintKind.PHASE_DIFF, train, pairs=pairs, freq_hz=1e9)
-    out, _, _ = phasediff_freq_interp(fp, geom, 1e9, 2e9)
-    want = _pair_diffs(geom, 2e9, theta, pairs)
-    assert np.allclose(out.values, want, atol=1e-9)
-    assert out.meta.freq_hz == 2e9
+    train = _pair_diffs(geom, 1e9, theta, PAIRS)
+    out, _, _ = phasediff_freq_interp(train, PAIRS, geom, 1e9, 2e9)
+    want = _pair_diffs(geom, 2e9, theta, PAIRS)
+    assert np.allclose(out, want, atol=1e-9)
     with pytest.raises(ValueError):
-        phasediff_freq_interp(fp, geom, 0.0, 2e9)
+        phasediff_freq_interp(train, PAIRS, geom, 0.0, 2e9)
 
 
 # ---------------------------------------------------------------------------
 # spatial densification
 # ---------------------------------------------------------------------------
 
-def _train_db(kind, field, grid, **meta):
-    return FingerprintDatabase(grid=grid, blocks={"k": _fp(kind, field, **meta)})
+def _train_db(field, grid):
+    return FingerprintDatabase(grid=grid, blocks={"k": field})
 
 
 def test_spatial_densify_phasediff_exact_at_training_points():
     grid = Grid(Position(0, 0), nx=3, ny=3, spacing=1.0)
     rng = np.random.default_rng(83)
     field = wrap_angle(rng.uniform(-3, 3, size=(9, 2)))
-    db = _train_db(FingerprintKind.PHASE_DIFF, field, grid, pairs=((0, 1), (0, 2)))
+    db = _train_db(field, grid)
     out, outside = spatial_densify(db, grid)
     assert out.meta.derived is True and outside == 0
-    assert np.array_equal(out.blocks["k"].values, field)
+    assert np.array_equal(out.blocks["k"], field)
 
 
 def test_spatial_densify_correlation_reproduces_training_magnitudes():
@@ -276,9 +256,9 @@ def test_spatial_densify_correlation_reproduces_training_magnitudes():
     mags = 10.0 ** (corr @ rng.uniform(-1.0, 1.0, size=(9, 3)) / 10.0)
     phases = rng.uniform(-3, 3, size=(9, 3))
     field = mags * np.exp(1j * phases)
-    db = _train_db(FingerprintKind.CIR_XCORR, field, grid)
+    db = _train_db(field, grid)
     out, _ = spatial_densify(db, grid)
-    got = out.blocks["k"].values
+    got = out.blocks["k"]
     assert np.allclose(np.abs(got), mags, rtol=1e-4)
     # phases copy from the nearest training point, which is the point itself
     assert np.allclose(np.angle(got), np.angle(field), atol=1e-12)
@@ -287,27 +267,27 @@ def test_spatial_densify_correlation_reproduces_training_magnitudes():
 def test_spatial_densify_denser_grid_and_outside_fallback():
     grid = Grid(Position(0, 0), nx=2, ny=2, spacing=2.0)
     field = np.exp(1j * np.array([[0.1], [0.2], [0.3], [0.4]])) * [[1.0], [2.0], [3.0], [4.0]]
-    db = _train_db(FingerprintKind.CIR_XCORR, field, grid)
+    db = _train_db(field, grid)
     # the column at x = -1 pokes out of the training hull [0, 2] x [0, 2]
     target = Grid(Position(-1.0, 0.5), nx=3, ny=2, spacing=1.0)
     out, outside = spatial_densify(db, target)
     assert outside == 2
-    assert len(out) == 6 and out.blocks["k"].values.shape == (6, 1)
+    assert len(out) == 6 and out.blocks["k"].shape == (6, 1)
     # the off-hull column copies its nearest training vector verbatim:
     # (-1, 0.5) is closest to (0, 0) and (-1, 1.5) to (0, 2)
-    assert np.array_equal(out.blocks["k"].values[0], field[0])
-    assert np.array_equal(out.blocks["k"].values[3], field[2])
+    assert np.array_equal(out.blocks["k"][0], field[0])
+    assert np.array_equal(out.blocks["k"][3], field[2])
 
 
 def test_spatial_densify_confidence_weighting_and_validation():
     grid = Grid(Position(0, 0), nx=2, ny=2, spacing=1.0)
     field = wrap_angle(np.array([[0.5], [1.5], [-0.5], [2.5]]))
-    db = _train_db(FingerprintKind.PHASE_DIFF, field, grid, pairs=((0, 1),))
+    db = _train_db(field, grid)
     target = Grid(Position(0.5, 0.5), nx=1, ny=1, spacing=1.0)
     # all confidence on training point 3: the center query copies its phase
     conf = np.array([0.0, 0.0, 0.0, 5.0])
     out, _ = spatial_densify(db, target, confidences={"k": conf})
-    assert out.blocks["k"].values[0, 0] == pytest.approx(2.5, abs=1e-12)
+    assert out.blocks["k"][0, 0] == pytest.approx(2.5, abs=1e-12)
     with pytest.raises(ValueError):
         spatial_densify(db, target, confidences={"k": np.ones(3)})
 
@@ -317,13 +297,10 @@ def test_spatial_densify_rejects_bad_databases():
     empty = FingerprintDatabase(grid=grid)
     with pytest.raises(ValueError):
         spatial_densify(empty, grid)
-    scalars = FingerprintDatabase(grid=grid, blocks={"k": np.array([1.0, 2.0])})
+    models = FingerprintDatabase(grid=grid, blocks={
+        "k": GammaParams(shape=[1.0, 2.0], scale=[1.0, 1.0])})
     with pytest.raises(ValueError):
-        spatial_densify(scalars, grid)
-    rssi = FingerprintDatabase(grid=grid, blocks={
-        "k": _fp(FingerprintKind.RSSI, [[1.0], [2.0]])})
-    with pytest.raises(ValueError):
-        spatial_densify(rssi, grid)
+        spatial_densify(models, grid)  # only array blocks densify
 
 
 # ---------------------------------------------------------------------------
@@ -331,48 +308,37 @@ def test_spatial_densify_rejects_bad_databases():
 # ---------------------------------------------------------------------------
 
 def test_normalize_power_divides_by_largest_center_magnitude():
-    a = _fp(FingerprintKind.CIR_XCORR, np.array([1.0, 4.0, 2.0], dtype=complex))
-    b = _fp(FingerprintKind.CIR_XCORR, np.array([0.5, 1.0, 0.25], dtype=complex))
-    out = normalize_power([a, b])
-    assert np.array_equal(out[0].values, a.values / 4.0)
-    assert np.array_equal(out[1].values, b.values / 4.0)
-    assert abs(out[0].values[1]) == 1.0 and abs(out[1].values[1]) == 0.25
+    a = np.array([1.0, 4.0, 2.0], dtype=complex)
+    b = np.array([0.5, 1.0, 0.25], dtype=complex)
+    out = normalize_power(np.stack([a, b]))
+    assert np.array_equal(out[0], a / 4.0)
+    assert np.array_equal(out[1], b / 4.0)
+    assert abs(out[0, 1]) == 1.0 and abs(out[1, 1]) == 0.25
 
 
 def test_normalize_power_cancels_common_scale():
     rng = np.random.default_rng(97)
-    base = [
-        _fp(FingerprintKind.RX_XCORR,
-            rng.standard_normal(5) + 1j * rng.standard_normal(5))
-        for _ in range(3)
-    ]
+    base = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     # a power-of-two transmit scale cancels bit-exactly
-    scaled = [_fp(fp.kind, fp.values * 8.0) for fp in base]
-    out_base = normalize_power(base)
-    out_scaled = normalize_power(scaled)
-    for u, v in zip(out_base, out_scaled):
-        assert np.array_equal(u.values, v.values)
+    assert np.array_equal(normalize_power(base), normalize_power(base * 8.0))
 
 
 def test_normalize_power_scales_each_block_row_by_its_own_maximum():
     rng = np.random.default_rng(101)
-    rows = [rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)) for _ in range(3)]
-    blocks = normalize_power([_fp(FingerprintKind.RX_XCORR, r) for r in rows])
-    for i in range(4):
-        single = normalize_power([_fp(FingerprintKind.RX_XCORR, r[i]) for r in rows])
-        for block, one in zip(blocks, single):
-            assert np.array_equal(block.values[i], one.values)
+    stack = rng.standard_normal((2, 4, 3, 5)) + 1j * rng.standard_normal((2, 4, 3, 5))
+    blocks = normalize_power(stack)
+    assert blocks.shape == stack.shape
+    for idx in np.ndindex(2, 4):
+        assert np.array_equal(blocks[idx], normalize_power(stack[idx]))
 
 
 def test_normalize_power_validation():
+    for bad in (np.ones((0, 3), dtype=complex), np.ones(3, dtype=complex)):
+        with pytest.raises(ValueError):
+            normalize_power(bad)
     with pytest.raises(ValueError):
-        normalize_power([])
-    even = _fp(FingerprintKind.CIR_XCORR, np.ones(4, dtype=complex))
+        normalize_power(np.ones((1, 4), dtype=complex))  # even lag count
     with pytest.raises(ValueError):
-        normalize_power([even])
-    dead = _fp(FingerprintKind.CIR_XCORR, np.array([1.0, 0.0, 1.0], dtype=complex))
+        normalize_power(np.array([[1.0, 0.0, 1.0]], dtype=complex))  # no power at lag 0
     with pytest.raises(ValueError):
-        normalize_power([dead])
-    angle = _fp(FingerprintKind.PHASE_DIFF, np.zeros(3))
-    with pytest.raises(ValueError):
-        normalize_power([angle])
+        normalize_power(np.zeros((1, 3)))  # real: not a correlation

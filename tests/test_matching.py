@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fingerloc.database import FingerprintDatabase
+from fingerloc.features import wrap_angle
 from fingerloc.geometry import Grid, Position
 from fingerloc.matching import (
     MODE_LOG_LIKELIHOOD,
@@ -18,7 +19,6 @@ from fingerloc.matching import (
     mle_rssi_rspd,
     threshold_set,
 )
-from fingerloc.signals import FingerprintKind, FingerprintVector, wrap_angle
 from fingerloc.stats import (
     DetectionMap,
     GammaParams,
@@ -101,8 +101,7 @@ def test_binary_likelihood_hand_computed():
     grid = _grid(2)
     probs = [np.array([0.9, 0.2, 0.5, 0.7]), np.array([0.1, 0.6, 0.5, 0.3])]
     maps = [DetectionMap(grid=grid, probs=p) for p in probs]
-    fp = FingerprintVector(kind=FingerprintKind.BINARY, values=[1, 0])
-    lmap = binary_likelihood(fp, maps)
+    lmap = binary_likelihood([1, 0], maps)
     want = np.log(probs[0]) + np.log1p(-probs[1])
     assert np.allclose(lmap.values, want, atol=1e-12)
 
@@ -110,15 +109,14 @@ def test_binary_likelihood_hand_computed():
 def test_binary_likelihood_validation():
     grid = _grid(2)
     dmap = DetectionMap(grid=grid, probs=np.full(4, 0.5))
-    wrong_kind = FingerprintVector(kind=FingerprintKind.RSSI, values=[1.0])
+    for not_bits in ([2.0], [0.5], [np.nan], [[1]]):
+        with pytest.raises(ValueError, match="0/1"):
+            binary_likelihood(not_bits, [dmap])
     with pytest.raises(ValueError):
-        binary_likelihood(wrong_kind, [dmap])
-    fp = FingerprintVector(kind=FingerprintKind.BINARY, values=[1, 0])
-    with pytest.raises(ValueError):
-        binary_likelihood(fp, [dmap])  # one map for two bits
+        binary_likelihood([1, 0], [dmap])  # one map for two bits
     other = DetectionMap(grid=_grid(3), probs=np.full(9, 0.5))
     with pytest.raises(ValueError):
-        binary_likelihood(fp, [dmap, other])  # mismatched grids
+        binary_likelihood([1, 0], [dmap, other])  # mismatched grids
 
 
 # ---------------------------------------------------------------------------
@@ -181,60 +179,46 @@ def test_hybrid_match_validation():
 # ---------------------------------------------------------------------------
 
 def test_fingerprint_sqerr_wraps_angles():
-    a = FingerprintVector(kind=FingerprintKind.RSPD, values=[math.pi - 0.1])
-    b = FingerprintVector(kind=FingerprintKind.RSPD, values=[-math.pi + 0.1])
+    a = np.array([math.pi - 0.1])
+    b = np.array([[-math.pi + 0.1]])
     # the short way around the circle is 0.2 rad
-    assert fingerprint_sqerr(a, b) == pytest.approx(0.04, abs=1e-12)
-
-
-def test_fingerprint_sqerr_complex_residuals():
-    a = FingerprintVector(kind=FingerprintKind.CIR_XCORR, values=[1.0, 1.0j])
-    b = FingerprintVector(kind=FingerprintKind.CIR_XCORR, values=[0.0, 0.0])
-    assert fingerprint_sqerr(a, b) == pytest.approx(2.0, abs=1e-12)
-    # magnitude-only collapses phase information
-    c = FingerprintVector(kind=FingerprintKind.CIR_XCORR, values=[1.0j, 1.0])
-    assert fingerprint_sqerr(a, c, magnitude_only=True) == 0.0
+    assert fingerprint_sqerr(a, b, wrap=True) == pytest.approx([0.04], abs=1e-12)
+    assert fingerprint_sqerr(a, b) == pytest.approx([(2 * math.pi - 0.2) ** 2], abs=1e-12)
 
 
 def test_fingerprint_sqerr_matches_brute_force():
     rng = np.random.default_rng(43)
     for _ in range(30):
         d = int(rng.integers(1, 8))
-        av = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        bv = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        a = FingerprintVector(kind=FingerprintKind.CIR_XCORR, values=av)
-        b = FingerprintVector(kind=FingerprintKind.CIR_XCORR, values=bv)
-        assert fingerprint_sqerr(a, b) == pytest.approx(
-            float(np.sum(np.abs(av - bv) ** 2)), rel=1e-12)
+        av = np.abs(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        bv = np.abs(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        assert fingerprint_sqerr(av, bv[None])[0] == pytest.approx(
+            float(np.sum((av - bv) ** 2)), rel=1e-12)
         pa = wrap_angle(rng.uniform(-9, 9, size=d))
         pb = wrap_angle(rng.uniform(-9, 9, size=d))
-        fa = FingerprintVector(kind=FingerprintKind.PHASE_DIFF, values=pa)
-        fb = FingerprintVector(kind=FingerprintKind.PHASE_DIFF, values=pb)
         want = float(np.sum(wrap_angle(pa - pb) ** 2))
-        assert fingerprint_sqerr(fa, fb) == pytest.approx(want, rel=1e-12)
+        assert fingerprint_sqerr(pa, pb[None], wrap=True)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_fingerprint_sqerr_broadcasts_over_a_block():
     rng = np.random.default_rng(45)
-    target = FingerprintVector(kind=FingerprintKind.RX_XCORR,
-                               values=rng.standard_normal(5) + 1j * rng.standard_normal(5))
-    rows = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
-    block = FingerprintVector(kind=FingerprintKind.RX_XCORR, values=rows)
-    for flags in ({}, {"magnitude_only": True}):
-        got = fingerprint_sqerr(target, block, **flags)
-        assert got.shape == (7,)
-        for i in range(7):
-            one = FingerprintVector(kind=FingerprintKind.RX_XCORR, values=rows[i])
-            assert got[i] == fingerprint_sqerr(target, one, **flags)
+    targets = rng.standard_normal((2, 3, 5))
+    rows = rng.standard_normal((7, 5))
+    for flags in ({}, {"wrap": True}):
+        got = fingerprint_sqerr(targets, rows, **flags)
+        assert got.shape == (2, 3, 7)
+        for idx in np.ndindex(2, 3):
+            for i in range(7):
+                one = fingerprint_sqerr(targets[idx], rows[i:i + 1], **flags)
+                assert got[idx + (i,)] == one[0]
     with pytest.raises(ValueError):
-        fingerprint_sqerr(block, block)  # the target is one vector
+        fingerprint_sqerr(rows, rows[0])  # the reference is an (N, d) block
 
 
 def test_fingerprint_sqerr_kind_and_dim_checks():
-    a = FingerprintVector(kind=FingerprintKind.RSSI, values=[1.0])
-    b = FingerprintVector(kind=FingerprintKind.RSPD, values=[1.0])
+    with pytest.raises(ValueError, match="real"):
+        fingerprint_sqerr(np.ones(2, dtype=complex), np.ones((3, 2)))
+    with pytest.raises(ValueError, match="real"):
+        fingerprint_sqerr(np.ones(2), np.ones((3, 2), dtype=complex))
     with pytest.raises(ValueError):
-        fingerprint_sqerr(a, b)
-    c = FingerprintVector(kind=FingerprintKind.RSSI, values=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        fingerprint_sqerr(a, c)
+        fingerprint_sqerr(np.ones(1), np.ones((3, 2)))

@@ -13,6 +13,7 @@ from fingerloc.geometry import Grid, Position
 from fingerloc.stats import (
     DEFAULT_LOADING_EPS,
     KAPPA_MAX,
+    DetectionMap,
     GammaParams,
     GaussianStats,
     VonMisesParams,
@@ -379,6 +380,10 @@ def test_learn_detection_map_validation():
         learn_detection_map([(5, True, 1)], grid)
     with pytest.raises(ValueError):
         learn_detection_map([(0, True, 2)], grid)
+    # probabilities lie strictly inside (0, 1); NaN compares false both ways
+    for probs in ([np.nan, 0.5], [0.0, 0.5], [1.0, 0.5], [0.5]):
+        with pytest.raises(ValueError):
+            DetectionMap(grid=grid, probs=probs)
 
 
 # ---------------------------------------------------------------------------
