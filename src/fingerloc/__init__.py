@@ -38,7 +38,7 @@ from .simulate import (
     TxSignalSpec,
     derive_seed,
     gen_cir,
-    simulate_binary_sensor,
+    seeded_uniforms,
     simulate_links,
     simulate_pdr,
     synthesize_rx,

@@ -41,6 +41,8 @@ def complex_from_json(pairs) -> np.ndarray:
     arr = np.asarray(pairs, dtype=float)
     if arr.size == 0:
         return np.zeros(0, dtype=complex)
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise ValueError(f"complex values must be [re, im] pairs, got shape {arr.shape}")
     out = np.empty(arr.shape[:-1], dtype=complex)
     out.real = arr[..., 0]
     out.imag = arr[..., 1]
@@ -140,7 +142,12 @@ def _block_to_json(block) -> dict:
 
 
 def _finite_array(key: str, data, dtype) -> np.ndarray:
-    arr = _array_from_json(data, dtype)
+    try:
+        arr = _array_from_json(data, dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"database block {key!r} is not a numeric array: {exc}") from None
+    if arr.ndim == 0:
+        raise ValueError(f"database block {key!r} holds a scalar, not an array over the grid")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"database block {key!r} holds non-finite values")
     return arr

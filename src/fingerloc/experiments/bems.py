@@ -18,7 +18,7 @@ from ..errors import ConfigError
 from ..geometry import Grid, Position
 from ..lighting import Light, LightingScenario, illuminance, solve_lighting
 from ..matching import LikelihoodMap, binary_likelihood, threshold_set
-from ..simulate import SensorCoverage, derive_seed, simulate_binary_sensor
+from ..simulate import SensorCoverage, derive_seed, seeded_uniforms
 from ..stats import DetectionMap, learn_detection_map
 from ..tracking import MobilityModel, grid_bayes_step, transition_matrix
 from .artifacts import validate_artifact
@@ -64,37 +64,50 @@ def measurement_shapes(cfg: dict) -> dict:
             "bits": ((n, len(scn["sensors"])), int)}
 
 
+def sensor_ranges(sensors: list, xy) -> np.ndarray:
+    """(points, sensors) distance from every row of ``xy`` to every sensor."""
+    # math.hypot per pair, as Position.distance_to: numpy's hypot differs in the last bit
+    ranges = [[math.hypot(cov.pos.x - x, cov.pos.y - y) for cov in sensors]
+              for x, y in np.asarray(xy).tolist()]
+    return np.array(ranges, dtype=float).reshape(len(ranges), len(sensors))
+
+
+def detection_bits(sensors: list, ranges, moving, uniforms) -> np.ndarray:
+    """Bernoulli detection bits: ``uniforms[..., s] < p_s(ranges[..., s], moving)``.
+
+    ``ranges`` and ``uniforms`` end in one column per sensor; ``moving``
+    broadcasts against the columns of ``ranges``.
+    """
+    probs = np.stack([cov.detect_probability(ranges[..., si], moving)
+                      for si, cov in enumerate(sensors)], axis=-1)
+    return (uniforms < probs).astype(int)
+
+
 def simulate_measurements(cfg: dict) -> dict:
-    """Training visits, cell-major: ``cell`` (n,), ``moving`` (n,), ``bits`` (n, sensors)."""
+    """Training visits, cell-major: ``cell`` (n,), ``moving`` (n,), ``bits`` (n, sensors).
+
+    Visit v of cell c moves with the first uniform of stream (seed, tag,
+    c, v); sensor s sees it with that of stream (seed, tag, c, v, s).
+    """
     grid = build_grid(cfg)
     sensors = build_sensors(cfg)
     scn = cfg["scenario"]
-    cells, moving, bits = [], [], []
-    for cell, user in enumerate(grid):
-        for visit in range(scn["train_visits"]):
-            rng = np.random.default_rng(
-                derive_seed(cfg["seed"], _TAG_TRAIN_VISIT, cell, visit))
-            moved = bool(rng.random() < scn["train_move_prob"])
-            cells.append(cell)
-            moving.append(moved)
-            bits.append([
-                simulate_binary_sensor(
-                    user, moved, cov,
-                    derive_seed(cfg["seed"], _TAG_TRAIN_BIT, cell, visit, si))
-                for si, cov in enumerate(sensors)
-            ])
-    return {"cell": np.array(cells, dtype=int), "moving": np.array(moving, dtype=bool),
-            "bits": np.array(bits, dtype=int).reshape(len(cells), len(sensors))}
+    cells = np.arange(len(grid))[:, None]
+    visits = np.arange(scn["train_visits"])[None, :]
+    moving = seeded_uniforms(cfg["seed"], _TAG_TRAIN_VISIT, cells, visits) < scn["train_move_prob"]
+    u_bits = seeded_uniforms(cfg["seed"], _TAG_TRAIN_BIT, cells[..., None], visits[..., None],
+                             np.arange(len(sensors)))
+    bits = detection_bits(sensors, sensor_ranges(sensors, grid.xy)[:, None], moving, u_bits)
+    return {"cell": np.repeat(cells[:, 0], visits.size), "moving": moving.reshape(-1),
+            "bits": bits.reshape(-1, len(sensors))}
 
 
 def build_database(cfg: dict, visits: dict) -> FingerprintDatabase:
     """Detection probability per sensor per cell, one (N,) block per sensor."""
     grid = build_grid(cfg)
     n_sensors = len(cfg["scenario"]["sensors"])
-    blocks = {}
-    for si in range(n_sensors):
-        obs = zip(visits["cell"], visits["moving"], visits["bits"][:, si])
-        blocks[f"det:{si}"] = learn_detection_map(obs, grid).probs
+    blocks = {f"det:{si}": learn_detection_map(visits["cell"], visits["bits"][:, si], grid).probs
+              for si in range(n_sensors)}
     meta = DatabaseMeta(extra={"pipeline": "bems_binary", "sensors": n_sensors})
     return FingerprintDatabase(grid=grid, blocks=blocks, meta=meta)
 
@@ -137,6 +150,18 @@ def generate_walk(cfg: dict) -> tuple:
     return cells, moving
 
 
+def walk_bits(cfg: dict, grid: Grid, cells: list, moving: list) -> np.ndarray:
+    """(steps, sensors) detection bits along a walk.
+
+    Sensor s sees step t (counted from 1) with the first uniform of stream
+    (seed, tag, t, s).
+    """
+    sensors = build_sensors(cfg)
+    steps = np.arange(1, len(cells) + 1)[:, None]
+    uniforms = seeded_uniforms(cfg["seed"], _TAG_WALK_BIT, steps, np.arange(len(sensors)))
+    return detection_bits(sensors, sensor_ranges(sensors, grid.xy[cells]), moving, uniforms)
+
+
 def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
     """Tracked vs per-snapshot localization along the walk.
 
@@ -145,7 +170,6 @@ def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
     """
     grid = db.grid
     maps = detection_maps(db)
-    sensors = build_sensors(cfg)
     spacing = cfg["scenario"]["grid"]["spacing_m"]
     cells, moving = generate_walk(cfg)
     eta = math.log(cfg["matching"]["eta_rel"])
@@ -159,13 +183,7 @@ def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
     rows = []
     candidate_sets = []
     errs_track, errs_snap = [], []
-    for t, (cell, moved) in enumerate(zip(cells, moving), start=1):
-        user = grid[cell]
-        bits = np.array([
-            simulate_binary_sensor(user, moved, cov,
-                                   derive_seed(cfg["seed"], _TAG_WALK_BIT, t, si))
-            for si, cov in enumerate(sensors)
-        ])
+    for t, (cell, bits) in enumerate(zip(cells, walk_bits(cfg, grid, cells, moving)), start=1):
         obs = binary_likelihood(bits, maps)
         if prior is None:  # first step: normalize like the filter does
             post = LikelihoodMap(grid=obs.grid, values=obs.values - np.max(obs.values),

@@ -18,18 +18,30 @@ __all__ = [
     "add_receiver_noise",
     "simulate_links",
     "link_chunks",
-    "simulate_binary_sensor",
     "simulate_pdr",
     "derive_seed",
+    "seeded_uniforms",
 ]
 
 SPEED_OF_LIGHT = 299792458.0
 # complex samples of one simulated block held at a time (see link_chunks);
 # a block makes about six temporaries of its size, 256 KB each at this bound
 SIM_CHUNK = 1 << 14
+# rows of seeded_uniforms computed at a time; a chunk's temporaries are a
+# few dozen uint32/uint64 arrays of this length
+UNIFORM_CHUNK = 1 << 16
 
 _DOUBLE = struct.Struct("<d")
 _UINT64 = struct.Struct("<Q")
+_MASK32 = 0xFFFFFFFF
+
+# SeedSequence's pool hashing and PCG64's LCG, as numpy implements them
+# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
 
 
 def derive_seed(*parts) -> np.random.SeedSequence:
@@ -45,6 +57,135 @@ def derive_seed(*parts) -> np.random.SeedSequence:
         else:
             entropy.append(int(p))
     return np.random.SeedSequence(entropy)
+
+
+def _scalar_words(part) -> list:
+    """The uint32 words SeedSequence makes of one ``derive_seed`` part, low word first.
+
+    ``derive_seed`` raises ValueError for a negative part.
+    """
+    n = derive_seed(part).entropy[0]
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _uint32_part(part) -> np.ndarray:
+    arr = np.asarray(part)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"array seed parts must be integer arrays, got dtype {arr.dtype}")
+    if arr.size and not (arr.min() >= 0 and arr.max() <= _MASK32):
+        raise ValueError("array seed parts must lie in [0, 2**32)")
+    return arr.astype(np.uint32)
+
+
+class _Hasher:
+    """SeedSequence's ``hashmix``: its constant advances with every call."""
+
+    def __init__(self, init: int, mult: int):
+        self.const, self.mult = init, mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.const)
+        self.const = (self.const * self.mult) & _MASK32
+        value = value * np.uint32(self.const)
+        return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> np.uint32(16))
+
+
+def _pool(words: list, rows: int) -> list:
+    """SeedSequence's entropy pool of every row; ``words`` are its (rows,) uint32 columns."""
+    hashmix = _Hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(words[i] if i < len(words) else np.zeros(rows, dtype=np.uint32))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _mul64(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Full 128-bit products of uint64 arrays, as (high, low) halves."""
+    m32, s32 = np.uint64(_MASK32), np.uint64(32)
+    a0, a1, b0, b1 = a & m32, a >> s32, b & m32, b >> s32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> s32) + (p01 & m32) + (p10 & m32)
+    return a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32), (p00 & m32) | (mid << s32)
+
+
+def _add128(a: tuple, b: tuple) -> tuple:
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]).astype(np.uint64), lo
+
+
+def _pcg_step(state: tuple, inc: tuple) -> tuple:
+    """``state * multiplier + inc`` modulo 2**128."""
+    hi, lo = _mul64(state[1], _PCG_MULT[1])
+    hi = hi + state[1] * _PCG_MULT[0] + state[0] * _PCG_MULT[1]
+    return _add128((hi, lo), inc)
+
+
+def _first_uniforms(words: list, rows: int) -> np.ndarray:
+    """``default_rng(SeedSequence(entropy)).random()`` of every row."""
+    hashmix = _Hasher(_INIT_B, _MULT_B)
+    pool = _pool(words, rows)
+    # generate_state(4, uint64): eight words cycling over the pool, paired low word first
+    state = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    seed = [state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(4)]
+    # PCG64 srandom: initstate (seed[0], seed[1]), increment (seq << 1) | 1 of
+    # seq (seed[2], seed[3]), each (high, low)
+    one = np.uint64(1)
+    inc = ((seed[2] << one) | (seed[3] >> np.uint64(63)), (seed[3] << one) | one)
+    pcg = _pcg_step(_add128(inc, (seed[0], seed[1])), inc)
+    hi, lo = _pcg_step(pcg, inc)
+    # XSL-RR output of the stepped state, then the top 53 bits as a double
+    rot = hi >> np.uint64(58)
+    x = hi ^ lo
+    out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (out >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def seeded_uniforms(*parts) -> np.ndarray:
+    """The first uniform of the stream ``derive_seed`` makes of each row of parts.
+
+    Each element equals ``np.random.default_rng(derive_seed(*row)).random()``
+    of its row, bit for bit, computed without building any generator.
+    Scalar parts (ints and floats) are coerced as ``derive_seed`` does; array
+    parts are integer arrays in ``[0, 2**32)`` and broadcast against each
+    other to the shape of the result.  Rows are computed ``UNIFORM_CHUNK`` at
+    a time.
+
+    Raises:
+        ValueError: for a negative part, an array part at or above 2**32 or
+            an array part that is not of integer dtype.
+    """
+    # a scalar part is a fixed list of words, an array part one word per row
+    coerced = [_uint32_part(p) if isinstance(p, np.ndarray) or np.ndim(p) > 0
+               else _scalar_words(p) for p in parts]
+    shape = np.broadcast_shapes(*(c.shape for c in coerced if isinstance(c, np.ndarray)))
+    coerced = [np.broadcast_to(c, shape) if isinstance(c, np.ndarray) else c for c in coerced]
+    n_rows = math.prod(shape)
+    out = np.empty(n_rows)
+    for lo in range(0, n_rows, UNIFORM_CHUNK):
+        hi = min(lo + UNIFORM_CHUNK, n_rows)
+        words = []
+        for part in coerced:
+            if isinstance(part, np.ndarray):
+                words.append(part.flat[lo:hi])
+            else:
+                words.extend(np.full(hi - lo, w, dtype=np.uint32) for w in part)
+        out[lo:hi] = _first_uniforms(words, hi - lo)
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -324,19 +465,14 @@ class SensorCoverage:
         object.__setattr__(self, "range_edges_m", edges)
         object.__setattr__(self, "p_moving", probs)
 
-    def detect_probability(self, range_m: float, moving: bool) -> float:
-        if not moving:
-            return self.p_static
-        idx = int(np.searchsorted(self.range_edges_m, range_m, side="left"))
-        return self.p_moving[min(idx, len(self.p_moving) - 1)]
+    def detect_probability(self, range_m, moving) -> np.ndarray:
+        """Detection probability of users at ranges ``range_m``, moving or not.
 
-
-def simulate_binary_sensor(user: Position, moving: bool, cov: SensorCoverage,
-                           seed) -> int:
-    """One Bernoulli detection bit for a user at a position."""
-    p = cov.detect_probability(cov.pos.distance_to(user), moving)
-    rng = np.random.default_rng(seed)
-    return int(rng.random() < p)
+        ``range_m`` and ``moving`` broadcast against each other.
+        """
+        idx = np.searchsorted(self.range_edges_m, range_m, side="left")
+        p_moving = np.asarray(self.p_moving)[np.minimum(idx, len(self.p_moving) - 1)]
+        return np.where(moving, p_moving, self.p_static)
 
 
 def simulate_pdr(true_path, noise_sigma: float, seed) -> np.ndarray:

@@ -357,30 +357,33 @@ class DetectionMap:
         object.__setattr__(self, "probs", probs)
 
 
-def learn_detection_map(observations, grid: Grid) -> DetectionMap:
+def learn_detection_map(cells, bits, grid: Grid) -> DetectionMap:
     """Estimate a sensor's detection probability per grid cell.
 
     Args:
-        observations: iterable of ``(grid_index, moving, bit)`` records; the
-            moving flag is provenance and does not alter the estimate.
+        cells: (n,) grid index of every observation.
+        bits: (n,) detection bit (0 or 1) of every observation.
         grid: cell layout.
 
     Returns:
         DetectionMap with the Laplace-smoothed frequency ``(k+1)/(n+2)`` per
         cell; unvisited cells sit at the uninformative 0.5.
     """
-    hits = np.zeros(len(grid), dtype=float)
-    counts = np.zeros(len(grid), dtype=float)
-    for idx, _moving, bit in observations:
-        idx = int(idx)
-        if not (0 <= idx < len(grid)):
-            raise ValueError(f"grid index {idx} out of range")
-        if bit not in (0, 1):
-            raise ValueError(f"detection bit must be 0 or 1, got {bit}")
-        hits[idx] += bit
-        counts[idx] += 1
-    probs = (hits + 1.0) / (counts + 2.0)
-    return DetectionMap(grid=grid, probs=probs)
+    cells, bits = np.asarray(cells), np.asarray(bits)
+    if cells.shape != bits.shape or cells.ndim != 1:
+        raise ValueError(f"need one grid index per bit, got shapes {cells.shape} and {bits.shape}")
+    if cells.size and cells.dtype.kind not in "iu":
+        raise ValueError(f"grid indices must be integers, got dtype {cells.dtype}")
+    outside = (cells < 0) | (cells >= len(grid))
+    if np.any(outside):
+        raise ValueError(f"grid index {cells[outside][0]} out of range")
+    not_binary = (bits != 0) & (bits != 1)
+    if np.any(not_binary):
+        raise ValueError(f"detection bit must be 0 or 1, got {bits[not_binary][0]}")
+    cells = cells.astype(np.intp)
+    hits = np.bincount(cells, weights=bits.astype(float), minlength=len(grid))
+    counts = np.bincount(cells, minlength=len(grid)).astype(float)
+    return DetectionMap(grid=grid, probs=(hits + 1.0) / (counts + 2.0))
 
 
 # ---------------------------------------------------------------------------

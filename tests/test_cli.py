@@ -444,6 +444,46 @@ def test_database_with_non_finite_values_is_a_config_error(tmp_path, capsys, nam
     assert not (pathlib.Path(out_dir) / "trials.csv").exists()
 
 
+def _map_pairs(values, fn):
+    """``values`` with every innermost list (a complex ``[re, im]`` pair) replaced by ``fn(pair)``."""
+    if all(not isinstance(v, list) for v in values):
+        return fn(values)
+    return [_map_pairs(v, fn) for v in values]
+
+
+def _first_pair_as_number(values):
+    values = json.loads(json.dumps(values))
+    row = values
+    while isinstance(row[0][0], list):
+        row = row[0]
+    row[0] = row[0][0]
+    return values
+
+
+@pytest.mark.parametrize("name, key, corrupt", [
+    pytest.param("illegal_hybrid", "xc:0:0-1", lambda v: _map_pairs(v, lambda p: p + [0.0]),
+                 id="complex-triples"),
+    pytest.param("illegal_hybrid", "xc:0:0-1", lambda v: _map_pairs(v, lambda p: p[:1]),
+                 id="complex-singles"),
+    pytest.param("illegal_hybrid", "xc:0:0-1", lambda v: 1.0, id="complex-scalar"),
+    pytest.param("illegal_hybrid", "xc:0:0-1", _first_pair_as_number, id="complex-ragged"),
+    pytest.param("bems_binary", "det:0", lambda v: 0.5, id="real-scalar"),
+    pytest.param("bems_binary", "det:0", lambda v: [v[:1]] + v[1:], id="real-ragged"),
+])
+def test_database_with_a_malformed_array_is_a_config_error(tmp_path, capsys, name, key, corrupt):
+    cfg_path, out_dir = _write_config(tmp_path, name)
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    db_path = pathlib.Path(out_dir) / "db.json"
+    doc = json.loads(db_path.read_text())
+    doc["blocks"][key]["values"] = corrupt(doc["blocks"][key]["values"])
+    db_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["localize", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err and "Traceback" not in err
+    assert not (pathlib.Path(out_dir) / "trials.csv").exists()
+
+
 def test_a_longer_walk_reuses_the_survey_and_the_map(tmp_path):
     # track simulates the walk itself; neither measurements.json nor db.json depends on it
     cfg_path, out_dir = _write_config(tmp_path, "bems_binary")

@@ -23,7 +23,8 @@ loop, the stencil grid Bayes predict to the dense N x N transition matrix,
 the measurement and database codecs to a bit-exact round trip, the survey lattice to
 the per-point loop that built it and to its ``db.json`` round trip, and the
 block link simulator bit for bit to the per-link channel, transmit and noise
-chain it replaced.
+chain it replaced, and the occupancy visits and detection bits bit for bit
+to one generator per draw.
 
 Regenerate both files only for an intended behaviour change, and say why in
 CHANGES.md::
@@ -75,7 +76,8 @@ from fingerloc.interp import (  # noqa: E402
 from fingerloc.lighting import Light, LightingScenario, illuminance, solve_lighting  # noqa: E402
 from fingerloc.matching import LikelihoodMap, mle_rssi_rspd  # noqa: E402
 from fingerloc import simulate  # noqa: E402
-from fingerloc.experiments import wifi  # noqa: E402
+from fingerloc.experiments import bems, wifi  # noqa: E402
+from fingerloc.experiments.common import build_grid  # noqa: E402
 from fingerloc.simulate import (  # noqa: E402
     SPEED_OF_LIGHT,
     ChannelModel,
@@ -317,6 +319,74 @@ def test_wifi_simulation_seeds_one_stream_per_draw(monkeypatch):
     assert len(seeds) == measurements * (1 + 2 * links)
     # every stream is drawn from once: the bits are not redrawn per antenna
     assert len(generators) == len(seeds)
+
+
+def _ref_detection_bit(cov, user, moving, seed) -> int:
+    """One detection bit drawn from a generator of its own, the bin found by a scan."""
+    p = cov.p_static
+    if moving:
+        r = cov.pos.distance_to(user)
+        p = next((p for edge, p in zip(cov.range_edges_m, cov.p_moving) if r <= edge),
+                 cov.p_moving[-1])
+    return int(np.random.default_rng(seed).random() < p)
+
+
+def _ref_bems_measurements(cfg):
+    """The training visits with one generator per visit and one per sensor bit."""
+    grid, sensors, scn, seed = build_grid(cfg), bems.build_sensors(cfg), cfg["scenario"], cfg["seed"]
+    cells, moving, bits = [], [], []
+    for cell in range(len(grid)):
+        user = grid[cell]
+        for visit in range(scn["train_visits"]):
+            rng = np.random.default_rng(derive_seed(seed, bems._TAG_TRAIN_VISIT, cell, visit))
+            moved = bool(rng.random() < scn["train_move_prob"])
+            cells.append(cell)
+            moving.append(moved)
+            bits.append([_ref_detection_bit(cov, user, moved,
+                                            derive_seed(seed, bems._TAG_TRAIN_BIT, cell, visit, si))
+                         for si, cov in enumerate(sensors)])
+    return {"cell": np.array(cells, dtype=int), "moving": np.array(moving, dtype=bool),
+            "bits": np.array(bits, dtype=int).reshape(len(cells), len(sensors))}
+
+
+# the bems_fine benchmark room: 40x40 cells, two visits each
+_BEMS_FINE = {"version": 1, "pipeline": "bems_binary",
+              "scenario": {"grid": {"nx": 40, "ny": 40, "origin": [0, 0], "spacing_m": 7.0 / 39},
+                           "train_visits": 2, "walk": {"steps": 200, "start_cell": 820}}}
+
+
+@pytest.mark.parametrize("seed", [0, 2**40])
+@pytest.mark.parametrize("raw", [TINY["bems_binary"], _BEMS_FINE], ids=["tiny", "fine"])
+def test_bems_draws_equal_one_generator_per_bit(raw, seed):
+    cfg = parse_config(dict(raw, seed=seed))
+    got, want = bems.simulate_measurements(cfg), _ref_bems_measurements(cfg)
+    for name in want:
+        assert got[name].dtype == want[name].dtype
+        assert np.array_equal(got[name], want[name]), name
+    grid, sensors = build_grid(cfg), bems.build_sensors(cfg)
+    cells, moving = bems.generate_walk(cfg)
+    want_walk = [[_ref_detection_bit(cov, grid[cell], moved,
+                                     derive_seed(seed, bems._TAG_WALK_BIT, t, si))
+                  for si, cov in enumerate(sensors)]
+                 for t, (cell, moved) in enumerate(zip(cells, moving), start=1)]
+    assert bems.walk_bits(cfg, grid, cells, moving).tolist() == want_walk
+
+
+def test_bems_builds_one_generator_for_the_walk_alone(tmp_path, monkeypatch):
+    """simulate and track draw every detection bit without a generator of its own."""
+    generators = []
+    real_rng = np.random.default_rng
+
+    def counting_rng(seed=None):
+        generators.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    cfg_path = tmp_path / "bems.json"
+    cfg_path.write_text(json.dumps(dict(TINY["bems_binary"], out_dir=str(tmp_path / "out"))))
+    for verb in ("simulate", "track"):
+        assert main([verb, "--config", str(cfg_path)]) == EXIT_OK
+    assert len(generators) == 1
 
 
 # ---------------------------------------------------------------------------

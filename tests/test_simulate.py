@@ -1,16 +1,19 @@
 """Channel, waveform, and sensor simulators against closed-form oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fingerloc import simulate
 from fingerloc.geometry import Position
 from fingerloc.simulate import (
     SIM_CHUNK,
     SPEED_OF_LIGHT,
+    UNIFORM_CHUNK,
     ChannelModel,
     SensorCoverage,
     TxSignalSpec,
@@ -18,7 +21,7 @@ from fingerloc.simulate import (
     derive_seed,
     gen_cir,
     link_chunks,
-    simulate_binary_sensor,
+    seeded_uniforms,
     simulate_links,
     simulate_pdr,
     synthesize_rx,
@@ -229,11 +232,12 @@ def test_link_chunks_cover_every_measurement_within_the_bound():
 def test_sensor_coverage_bin_lookup():
     cov = SensorCoverage(pos=Position(0, 0), range_edges_m=(2.0, 4.0),
                          p_moving=(0.9, 0.3), p_static=0.05)
-    assert cov.detect_probability(0.5, moving=True) == 0.9
-    assert cov.detect_probability(2.0, moving=True) == 0.9   # edge belongs to its bin
-    assert cov.detect_probability(2.1, moving=True) == 0.3
-    assert cov.detect_probability(100.0, moving=True) == 0.3  # last bin extends out
-    assert cov.detect_probability(0.5, moving=False) == 0.05
+    ranges = np.array([0.5, 2.0, 2.1, 100.0, 0.5])
+    moving = np.array([True, True, True, True, False])
+    # an edge belongs to its bin; the last bin extends outward
+    assert cov.detect_probability(ranges, moving).tolist() == [0.9, 0.9, 0.3, 0.3, 0.05]
+    both = cov.detect_probability(ranges[:, None], [True, False])
+    assert both.shape == (5, 2) and np.all(both[:, 1] == 0.05)
 
 
 def test_sensor_coverage_validation():
@@ -250,14 +254,11 @@ def test_sensor_coverage_validation():
 def test_binary_sensor_monte_carlo_rate():
     cov = SensorCoverage(pos=Position(0, 0), range_edges_m=(2.0, 4.0),
                          p_moving=(0.9, 0.3), p_static=0.05)
-    user = Position(1.0, 0.0)
     n = 100_000
-    hits = sum(simulate_binary_sensor(user, True, cov, seed=derive_seed(42, i))
-               for i in range(n))
-    assert hits / n == pytest.approx(0.9, abs=0.01)
-    hits_static = sum(simulate_binary_sensor(user, False, cov, seed=derive_seed(43, i))
-                      for i in range(n // 10))
-    assert hits_static / (n // 10) == pytest.approx(0.05, abs=0.01)
+    hits = seeded_uniforms(42, np.arange(n)) < cov.detect_probability(1.0, True)
+    assert np.mean(hits) == pytest.approx(0.9, abs=0.01)
+    hits_static = seeded_uniforms(43, np.arange(n // 10)) < cov.detect_probability(1.0, False)
+    assert np.mean(hits_static) == pytest.approx(0.05, abs=0.01)
 
 
 def test_pdr_mean_and_std():
@@ -305,3 +306,72 @@ def test_derive_seed_argument_order_matters():
     a = np.random.default_rng(derive_seed(1, 2)).random(4)
     b = np.random.default_rng(derive_seed(2, 1)).random(4)
     assert not np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# seeded_uniforms: the first draw of many seeded streams at once
+# ---------------------------------------------------------------------------
+
+def _first_uniform(*row) -> float:
+    return np.random.default_rng(derive_seed(*row)).random()
+
+
+_WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def _seed_parts(draw):
+    """1-6 parts: scalars (ints of any width, floats) and 1-d lists of uint32 words."""
+    n_rows = draw(st.integers(1, 6))
+    scalar = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5]),
+                       st.integers(0, 2**80), st.floats(allow_nan=False))
+    array = st.one_of(st.lists(_WORD, min_size=1, max_size=1),
+                      st.lists(_WORD, min_size=n_rows, max_size=n_rows))
+    return draw(st.lists(st.one_of(scalar, array), min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=_seed_parts(), chunk=st.integers(1, 4),
+       dtype=st.sampled_from([np.int64, np.uint32, np.uint64]))
+def test_seeded_uniforms_equal_one_generator_per_row(parts, chunk, dtype):
+    args = [np.array(p, dtype=dtype) if isinstance(p, list) else p for p in parts]
+    # a small chunk makes most draws cross chunk boundaries
+    with mock.patch.object(simulate, "UNIFORM_CHUNK", chunk):
+        got = seeded_uniforms(*args)
+    lengths = [len(p) for p in parts if isinstance(p, list)]
+    n_rows = max(lengths, default=1)
+    assert got.shape == ((n_rows,) if lengths else ())
+    want = [_first_uniform(*[p[i % len(p)] if isinstance(p, list) else p for p in parts])
+            for i in range(n_rows)]
+    assert got.reshape(-1).tolist() == want
+
+
+def test_seeded_uniforms_cross_the_real_chunk_boundary():
+    n = UNIFORM_CHUNK + 3
+    got = seeded_uniforms(7, np.arange(n), 2**32)
+    for i in (0, 1, UNIFORM_CHUNK - 1, UNIFORM_CHUNK, n - 1):
+        assert got[i] == _first_uniform(7, i, 2**32)
+
+
+def test_seeded_uniforms_broadcast_array_parts_in_c_order():
+    rows, cols = np.arange(3)[:, None], np.array([5, 2**32 - 1], dtype=np.uint32)
+    got = seeded_uniforms(1.5, rows, 9, cols)
+    assert got.shape == (3, 2)
+    for i in range(3):
+        for j, c in enumerate(cols.tolist()):
+            assert got[i, j] == _first_uniform(1.5, i, 9, c)
+
+
+@pytest.mark.parametrize("part", [np.array([-1]), np.array([0, 2**32]),
+                                  np.array([2**64 - 1], dtype=np.uint64), np.array([0.0]),
+                                  np.array([1.5]), np.array([True])])
+def test_seeded_uniforms_reject_arrays_outside_uint32(part):
+    with pytest.raises(ValueError):
+        seeded_uniforms(0, part)
+
+
+def test_seeded_uniforms_reject_negative_scalars_as_seed_sequence_does():
+    with pytest.raises(ValueError):
+        derive_seed(-1)
+    with pytest.raises(ValueError):
+        seeded_uniforms(-1, np.arange(2))

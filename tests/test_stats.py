@@ -360,26 +360,47 @@ def test_block_checks_every_model():
 
 def test_learn_detection_map_laplace_rule():
     grid = Grid(Position(0, 0), nx=2, ny=2, spacing=1.0)
-    obs = [(0, True, 1)] * 10 + [(1, True, 1), (1, False, 0)]
-    dmap = learn_detection_map(obs, grid)
+    cells = [0] * 10 + [1, 1]
+    bits = [1] * 10 + [1, 0]
+    dmap = learn_detection_map(np.array(cells), np.array(bits), grid)
     assert dmap.probs[0] == pytest.approx(11.0 / 12.0, rel=1e-12)
     assert dmap.probs[1] == pytest.approx(2.0 / 4.0, rel=1e-12)
     assert dmap.probs[2] == 0.5 and dmap.probs[3] == 0.5  # unvisited
 
 
-def test_learn_detection_map_ignores_moving_flag():
+def test_learn_detection_map_equals_per_observation_count():
+    grid = Grid(Position(0, 0), nx=3, ny=2, spacing=1.0)
+    rng = np.random.default_rng(3)
+    cells, bits = rng.integers(0, len(grid), 500), rng.integers(0, 2, 500)
+    hits, counts = np.zeros(len(grid)), np.zeros(len(grid))
+    for cell, bit in zip(cells, bits):
+        hits[cell] += bit
+        counts[cell] += 1
+    want = (hits + 1.0) / (counts + 2.0)
+    assert learn_detection_map(cells, bits, grid).probs.tobytes() == want.tobytes()
+    empty = learn_detection_map(np.zeros(0, dtype=int), np.zeros(0, dtype=int), grid)
+    assert np.all(empty.probs == 0.5)
+
+
+def test_learn_detection_map_takes_bool_bits():
     grid = Grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
-    a = learn_detection_map([(0, True, 1), (0, True, 0)], grid)
-    b = learn_detection_map([(0, False, 1), (0, True, 0)], grid)
+    a = learn_detection_map([0, 0], [1, 0], grid)
+    b = learn_detection_map(np.array([0, 0]), np.array([True, False]), grid)
     assert np.array_equal(a.probs, b.probs)
 
 
 def test_learn_detection_map_validation():
     grid = Grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
+    with pytest.raises(ValueError, match="out of range"):
+        learn_detection_map([0, 5], [1, 1], grid)
+    with pytest.raises(ValueError, match="out of range"):
+        learn_detection_map([-1], [1], grid)
+    with pytest.raises(ValueError, match="0 or 1"):
+        learn_detection_map([0, 1], [1, 2], grid)
     with pytest.raises(ValueError):
-        learn_detection_map([(5, True, 1)], grid)
+        learn_detection_map([0, 1], [1], grid)
     with pytest.raises(ValueError):
-        learn_detection_map([(0, True, 2)], grid)
+        learn_detection_map([0.5], [1], grid)
     # probabilities lie strictly inside (0, 1); NaN compares false both ways
     for probs in ([np.nan, 0.5], [0.0, 0.5], [1.0, 0.5], [0.5]):
         with pytest.raises(ValueError):
