@@ -1,6 +1,13 @@
-"""Fingerprint database: one stacked block per key over a survey grid, plus JSON persistence."""
+"""Fingerprint database: one stacked block per key over a survey grid, plus JSON persistence.
 
+The array record codec here, :func:`encode_array`/:func:`decode_array`, is
+the one array encoding of both run artifacts, ``db.json`` and
+``measurements.json``.
+"""
+
+import base64
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -16,49 +23,66 @@ __all__ = [
     "load_database",
     "database_to_json",
     "database_from_json",
+    "encode_array",
+    "decode_array",
 ]
 
-FORMAT_VERSION = "fingerloc-db-4"
+FORMAT_VERSION = "fingerloc-db-5"
 
 # block type tag -> (class, {field: dtype}); every field has the grid as its
 # leading axis, the last one is (N,)
 _MODEL_BLOCKS = {
-    "gaussian": (GaussianStats, {"mean": complex, "cov": complex, "loading": float}),
-    "gamma": (GammaParams, {"shape": float, "scale": float}),
-    "von_mises": (VonMisesParams, {"mu": float, "kappa": float}),
+    "gaussian": (GaussianStats, {"mean": "complex128", "cov": "complex128", "loading": "float64"}),
+    "gamma": (GammaParams, {"shape": "float64", "scale": "float64"}),
+    "von_mises": (VonMisesParams, {"mu": "float64", "kappa": "float64"}),
 }
-# plain array blocks of any rank, the grid as their leading axis
-_ARRAY_BLOCKS = {"real": float, "complex": complex}
+# the dtypes of a plain "array" block of any rank, the grid as its leading axis
+_ARRAY_DTYPES = ("float64", "complex128")
 
 
-def complex_to_json(values) -> list:
-    """Complex array -> nested lists ending in [re, im] pairs (floats round-trip exactly)."""
-    arr = np.asarray(values, dtype=complex)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+def encode_array(values) -> dict:
+    """``values`` as one ``{dtype, shape, data}`` record, ``data`` the base64
+    of its C-order little-endian bytes; ValueError on a NaN or infinity."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "fc" and not np.isfinite(arr).all():
+        raise ValueError("refusing to write a non-finite value")
+    raw = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
+    return {"dtype": arr.dtype.name, "shape": list(arr.shape),
+            "data": base64.b64encode(raw).decode("ascii")}
 
 
-def complex_from_json(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.size == 0:
-        return np.zeros(0, dtype=complex)
-    if arr.ndim == 0 or arr.shape[-1] != 2:
-        raise ValueError(f"complex values must be [re, im] pairs, got shape {arr.shape}")
-    out = np.empty(arr.shape[:-1], dtype=complex)
-    out.real = arr[..., 0]
-    out.imag = arr[..., 1]
-    return out
+def decode_array(record, name: str, dtypes, min_rank: int = 0) -> np.ndarray:
+    """The writable array an :func:`encode_array` record holds.
 
-
-def real_to_json(values) -> list:
-    return np.asarray(values, dtype=float).tolist()
-
-
-def _array_to_json(values, dtype) -> list:
-    return complex_to_json(values) if dtype is complex else real_to_json(values)
-
-
-def _array_from_json(data, dtype) -> np.ndarray:
-    return complex_from_json(data) if dtype is complex else np.asarray(data, dtype=float)
+    Raises ValueError, naming ``name``, unless ``record`` is such a record
+    whose dtype is one of ``dtypes``, whose shape is a list of at least
+    ``min_rank`` non-negative ints, and whose ``data`` is strict base64 of
+    exactly that many values, every bool 0 or 1 and every float finite.
+    """
+    if not isinstance(record, dict) or sorted(record) != ["data", "dtype", "shape"]:
+        raise ValueError(f"{name} is not a {{dtype, shape, data}} array record")
+    dtype, shape = record["dtype"], record["shape"]
+    if dtype not in dtypes:
+        raise ValueError(f"{name} has dtype {dtype!r}, not one of {list(dtypes)}")
+    if not (isinstance(shape, list) and len(shape) >= min_rank
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{name} has shape {shape!r}, not a list of at least "
+                         f"{min_rank} non-negative ints")
+    try:
+        raw = base64.b64decode(record["data"], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} data is not a base64 string: {exc}") from None
+    stored = np.dtype(dtype).newbyteorder("<")
+    size = math.prod(shape) * stored.itemsize
+    if len(raw) != size:
+        raise ValueError(f"{name} holds {len(raw)} bytes, not the {size} of a "
+                         f"{dtype} array of shape {shape}")
+    if stored.kind == "b" and np.frombuffer(raw, np.uint8).max(initial=0) > 1:
+        raise ValueError(f"{name} holds a bool byte other than 0 or 1")
+    arr = np.frombuffer(raw, stored).astype(dtype).reshape(shape)
+    if stored.kind in "fc" and not np.isfinite(arr).all():
+        raise ValueError(f"{name} holds non-finite values")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -134,33 +158,23 @@ class FingerprintDatabase:
 
 def _block_to_json(block) -> dict:
     if isinstance(block, np.ndarray):
-        tag = "complex" if np.iscomplexobj(block) else "real"
-        return {"type": tag, "values": _array_to_json(block, _ARRAY_BLOCKS[tag])}
+        dtype = complex if np.iscomplexobj(block) else float
+        return {"type": "array", "values": encode_array(np.asarray(block, dtype))}
     tag = _model_tag(block)
-    return {"type": tag, **{name: _array_to_json(getattr(block, name), dtype)
-                            for name, dtype in _MODEL_BLOCKS[tag][1].items()}}
+    return {"type": tag, **{name: encode_array(getattr(block, name))
+                            for name in _MODEL_BLOCKS[tag][1]}}
 
 
-def _finite_array(key: str, data, dtype) -> np.ndarray:
-    try:
-        arr = _array_from_json(data, dtype)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"database block {key!r} is not a numeric array: {exc}") from None
-    if arr.ndim == 0:
-        raise ValueError(f"database block {key!r} holds a scalar, not an array over the grid")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"database block {key!r} holds non-finite values")
-    return arr
-
-
-def _block_from_json(key: str, data: dict):
-    tag = data.get("type")
-    if tag in _ARRAY_BLOCKS:
-        return _finite_array(key, data["values"], _ARRAY_BLOCKS[tag])
+def _block_from_json(key: str, data):
+    tag = data.get("type") if isinstance(data, dict) else None
+    if tag == "array":
+        return decode_array(data.get("values"), f"database block {key!r}", _ARRAY_DTYPES, 1)
     if tag not in _MODEL_BLOCKS:
-        raise ValueError(f"unknown block type {tag!r}")
+        raise ValueError(f"database block {key!r} has unknown type {tag!r}")
     cls, fields = _MODEL_BLOCKS[tag]
-    return cls(**{name: _finite_array(key, data[name], dtype) for name, dtype in fields.items()})
+    return cls(**{name: decode_array(data.get(name), f"database block {key!r} field {name!r}",
+                                     (dtype,), 1)
+                  for name, dtype in fields.items()})
 
 
 def database_to_json(db: FingerprintDatabase) -> str:
@@ -220,8 +234,9 @@ def _json_object(doc: dict, key: str, default=None) -> dict:
 def save_database(db: FingerprintDatabase, path):
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
+    text = database_to_json(db)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(database_to_json(db))
+        fh.write(text)
         fh.write("\n")
 
 

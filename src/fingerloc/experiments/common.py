@@ -2,8 +2,10 @@
 
 Every artifact the experiment harness writes goes through these functions so
 that a rerun with the same config and seed is byte-identical: keys sorted,
-floats rendered by ``repr`` (shortest round-trip), newline-terminated lines,
-and no timestamps or absolute paths anywhere.
+newline-terminated lines, and no timestamps or absolute paths anywhere.  CSV
+cells and summary files render floats by ``repr`` (shortest round-trip); the
+arrays of ``measurements.json`` and ``db.json`` are stored as the database
+module's exact ``{dtype, shape, data}`` records.
 
 A run's ``measurements.json`` and ``db.json`` carry a ``config_digest`` of
 the config sections that produced them.  A verb reading either back from its
@@ -21,8 +23,8 @@ import numpy as np
 
 from ..database import (
     FingerprintDatabase,
-    complex_from_json,
-    complex_to_json,
+    decode_array,
+    encode_array,
     load_database,
     save_database,
 )
@@ -36,7 +38,7 @@ __all__ = ["dump_json", "write_json", "write_csv", "fmt_cell",
 
 CDF_QUANTILES = tuple(round(0.05 * i, 2) for i in range(21))
 
-MEASUREMENTS_VERSION = "fingerloc-measurements-2"
+MEASUREMENTS_VERSION = "fingerloc-measurements-3"
 
 # run artifact -> (config sections its digest covers, the verb that writes it);
 # classroom learn fits with matching.loading_eps, so the database covers matching
@@ -126,38 +128,26 @@ def config_digest(cfg: dict, artifact: str) -> str:
     return hashlib.sha256(dump_json(subset).encode("utf-8")).hexdigest()
 
 
-def _array_to_json(arr: np.ndarray) -> dict:
-    flat = arr.reshape(-1)
-    data = complex_to_json(flat) if arr.dtype.kind == "c" else flat.tolist()
-    return {"dtype": arr.dtype.name, "shape": list(arr.shape), "data": data}
-
-
-def _array_from_json(obj: dict) -> np.ndarray:
-    dtype, data = np.dtype(obj["dtype"]), obj["data"]
-    flat = complex_from_json(data) if dtype.kind == "c" else np.asarray(data, dtype=dtype)
-    return flat.reshape(obj["shape"])
-
-
 def save_measurements(cfg: dict, out_dir: str, arrays: dict) -> None:
     """Write named arrays as the run's ``measurements.json``.
 
-    Format ``fingerloc-measurements-2``: ``{format, pipeline, config_digest,
-    arrays: {name: {dtype, shape, data}}}`` with ``data`` flattened in C
-    order and complex values as ``[re, im]`` pairs, so every value round-trips
-    bit-exactly.
+    Format ``fingerloc-measurements-3``: ``{format, pipeline, config_digest,
+    arrays: {name: {dtype, shape, data}}}``, each array one
+    :func:`~fingerloc.database.encode_array` record, so every value
+    round-trips bit-exactly.  Raises ValueError on a NaN or infinity.
     """
     write_json(os.path.join(out_dir, "measurements.json"), {
         "format": MEASUREMENTS_VERSION,
         "pipeline": cfg["pipeline"],
         "config_digest": config_digest(cfg, "measurements.json"),
-        "arrays": {name: _array_to_json(np.asarray(arr)) for name, arr in arrays.items()},
+        "arrays": {name: encode_array(arr) for name, arr in arrays.items()},
     })
 
 
 def read_measurements(path: str, cfg: dict, expected: dict) -> tuple:
     """(named arrays, config digest or None) of a measurements file.
 
-    Raises ConfigError unless the file holds this pipeline's arrays in the
+    Raises ValueError unless the file holds this pipeline's arrays in the
     ``{name: (shape, dtype)}`` that ``expected`` says the scenario calls for.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -165,18 +155,17 @@ def read_measurements(path: str, cfg: dict, expected: dict) -> tuple:
     if not isinstance(doc, dict) or (doc.get("format"), doc.get("pipeline")) != (
             MEASUREMENTS_VERSION, cfg["pipeline"]):
         raise ConfigError(f"{path} does not hold {cfg['pipeline']} measurements "
-                          f"in the {MEASUREMENTS_VERSION} format")
+                          f"in the {MEASUREMENTS_VERSION} format; rerun simulate")
     stored = doc.get("arrays")
     if not isinstance(stored, dict) or sorted(stored) != sorted(expected):
         raise ConfigError(f"{path} does not hold the arrays {sorted(expected)}")
     arrays = {}
     for name, (shape, dtype) in expected.items():
-        want = {"dtype": np.dtype(dtype).name, "shape": list(shape)}
-        entry = stored[name]
-        got = {key: entry.get(key) for key in want} if isinstance(entry, dict) else entry
-        if got != want:
-            raise ConfigError(f"{path}: array {name!r} is not the {want} the scenario needs")
-        arrays[name] = _array_from_json(entry)
+        arr = decode_array(stored[name], f"{path}: array {name!r}", (np.dtype(dtype).name,))
+        if arr.shape != tuple(shape):
+            raise ConfigError(f"{path}: array {name!r} has shape {list(arr.shape)}, "
+                              f"the scenario needs {list(shape)}")
+        arrays[name] = arr
     return arrays, doc.get("config_digest")
 
 

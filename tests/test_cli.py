@@ -1,5 +1,6 @@
 """End-to-end command-line harness behavior on miniature experiment configs."""
 
+import base64
 import csv
 import hashlib
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from fingerloc.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
-from fingerloc.database import load_database
+from fingerloc.database import decode_array, encode_array, load_database
 from fingerloc.experiments import bems, classroom, illegal, wifi
 from fingerloc.experiments.artifacts import validate_run_dir
 from fingerloc.experiments.common import build_grid, read_measurements
@@ -243,9 +244,9 @@ def test_illegal_learn_log_counts_filled_projection_bins(tmp_path):
     assert log["outside_hull"] == 0  # the fine grid shares the survey's hull
     # zero one delay bin of one key at one point and frequency in every snapshot
     doc = json.loads((pathlib.Path(out_dir) / "measurements.json").read_text())
-    xcorr = doc["arrays"]["xcorr"]
-    for snap in range(xcorr["shape"][2]):
-        xcorr["data"][int(np.ravel_multi_index((1, 2, snap, 3, 0), xcorr["shape"]))] = [0.0, 0.0]
+    xcorr = decode_array(doc["arrays"]["xcorr"], "xcorr", ("complex128",))
+    xcorr[1, 2, :, 3, 0] = 0.0
+    doc["arrays"]["xcorr"] = encode_array(xcorr)
     planted = tmp_path / "planted.json"
     planted.write_text(json.dumps(doc))
     scenario = dict(TINY["illegal_hybrid"]["scenario"], measurements=str(planted))
@@ -414,7 +415,11 @@ def test_database_in_the_version_1_layout_is_a_config_error(tmp_path, capsys):
     # version 3 stored the probabilities as "scalar" blocks
     v3 = dict(doc, version="fingerloc-db-3",
               blocks={key: dict(block, type="scalar") for key, block in doc["blocks"].items()})
-    for stale in (v1, v2, v3):
+    # version 4 stored them as "real" blocks of JSON lists
+    v4 = dict(doc, version="fingerloc-db-4", blocks={
+        key: {"type": "real", "values": decode_array(block["values"], key, ("float64",)).tolist()}
+        for key, block in doc["blocks"].items()})
+    for stale in (v1, v2, v3, v4):
         db_path.write_text(json.dumps(stale))
         for verb in ("localize", "track"):
             capsys.readouterr()
@@ -431,10 +436,8 @@ def test_database_with_non_finite_values_is_a_config_error(tmp_path, capsys, nam
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
     db_path = pathlib.Path(out_dir) / "db.json"
     doc = json.loads(db_path.read_text())
-    values = doc["blocks"][key]["values"]
-    if doc["blocks"][key]["type"] == "complex":  # rows of [re, im] pairs
-        values = values[0][0]
-    values[0] = math.nan
+    block = doc["blocks"][key]
+    block["values"] = _with_first_value(block["values"], math.nan)
     db_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["localize", "--config", cfg_path]) == EXIT_CONFIG
@@ -444,44 +447,85 @@ def test_database_with_non_finite_values_is_a_config_error(tmp_path, capsys, nam
     assert not (pathlib.Path(out_dir) / "trials.csv").exists()
 
 
-def _map_pairs(values, fn):
-    """``values`` with every innermost list (a complex ``[re, im]`` pair) replaced by ``fn(pair)``."""
-    if all(not isinstance(v, list) for v in values):
-        return fn(values)
-    return [_map_pairs(v, fn) for v in values]
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
 
 
-def _first_pair_as_number(values):
-    values = json.loads(json.dumps(values))
-    row = values
-    while isinstance(row[0][0], list):
-        row = row[0]
-    row[0] = row[0][0]
-    return values
+def _with_first_value(record, value, view=None):
+    """``record`` whose first stored value, seen as dtype ``view`` when given,
+    is ``value``, written past the writer's checks."""
+    flat = np.frombuffer(base64.b64decode(record["data"]),
+                         np.dtype(record["dtype"]).newbyteorder("<")).copy()
+    flat.view(view or flat.dtype)[0] = value
+    return dict(record, data=_b64(flat.tobytes()))
 
 
-@pytest.mark.parametrize("name, key, corrupt", [
-    pytest.param("illegal_hybrid", "xc:0:0-1", lambda v: _map_pairs(v, lambda p: p + [0.0]),
-                 id="complex-triples"),
-    pytest.param("illegal_hybrid", "xc:0:0-1", lambda v: _map_pairs(v, lambda p: p[:1]),
-                 id="complex-singles"),
-    pytest.param("illegal_hybrid", "xc:0:0-1", lambda v: 1.0, id="complex-scalar"),
-    pytest.param("illegal_hybrid", "xc:0:0-1", _first_pair_as_number, id="complex-ragged"),
-    pytest.param("bems_binary", "det:0", lambda v: 0.5, id="real-scalar"),
-    pytest.param("bems_binary", "det:0", lambda v: [v[:1]] + v[1:], id="real-ragged"),
+@pytest.mark.parametrize("name, where, corrupt", [
+    pytest.param("illegal_hybrid", ("blocks", "xc:0:0-1", "values"), lambda r: 1.0,
+                 id="complex-scalar"),
+    pytest.param("bems_binary", ("blocks", "det:0", "values"), lambda r: 0.5, id="real-scalar"),
+    pytest.param("bems_binary", ("blocks", "det:0", "values"),
+                 lambda r: dict(r, data="not base64!"), id="data-not-base64"),
+    pytest.param("bems_binary", ("blocks", "det:0", "values"),
+                 lambda r: dict(r, data=[0.5] * r["shape"][0]), id="data-not-a-string"),
+    pytest.param("illegal_hybrid", ("blocks", "xc:0:0-1", "values"),
+                 lambda r: dict(r, shape=[r["shape"][0] + 1] + r["shape"][1:]), id="byte-count"),
+    pytest.param("bems_binary", ("blocks", "det:0", "values"),
+                 lambda r: dict(r, shape=[-n for n in r["shape"]]), id="negative-shape"),
+    pytest.param("bems_binary", ("blocks", "det:0", "values"),
+                 lambda r: dict(r, shape=[float(n) for n in r["shape"]]), id="float-shape"),
+    pytest.param("bems_binary", ("blocks", "det:0", "values"),
+                 lambda r: dict(r, shape=[], data=_b64(base64.b64decode(r["data"])[:8])),
+                 id="rank-0"),
+    pytest.param("bems_binary", ("blocks", "det:0", "values"),
+                 lambda r: dict(r, dtype="float32"), id="float32"),
+    pytest.param("bems_binary", ("blocks", "det:0", "values"),
+                 lambda r: dict(r, dtype="object"), id="object"),
+    # the same bytes read as [re, im] float64 pairs
+    pytest.param("classroom_cir", ("blocks", "xc:0-1", "mean"),
+                 lambda r: dict(r, dtype="float64", shape=r["shape"][:-1] + [2 * r["shape"][-1]]),
+                 id="gaussian-mean-float64"),
+    pytest.param("bems_binary", ("arrays", "moving"),
+                 lambda r: _with_first_value(r, 2, np.uint8), id="bool-byte-2"),
 ])
-def test_database_with_a_malformed_array_is_a_config_error(tmp_path, capsys, name, key, corrupt):
+def test_database_with_a_malformed_array_is_a_config_error(tmp_path, capsys, name, where,
+                                                           corrupt):
     cfg_path, out_dir = _write_config(tmp_path, name)
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
-    db_path = pathlib.Path(out_dir) / "db.json"
-    doc = json.loads(db_path.read_text())
-    doc["blocks"][key]["values"] = corrupt(doc["blocks"][key]["values"])
-    db_path.write_text(json.dumps(doc))
+    in_db = where[0] == "blocks"
+    path = pathlib.Path(out_dir) / ("db.json" if in_db else "measurements.json")
+    doc = json.loads(path.read_text())
+    *parents, last = where
+    node = doc
+    for part in parents:
+        node = node[part]
+    node[last] = corrupt(node[last])
+    path.write_text(json.dumps(doc))
+    # a broken map stops localize, a broken survey stops learn before it writes the map
+    verb, product = ("localize", "trials.csv") if in_db else ("learn", "db.json")
+    (pathlib.Path(out_dir) / product).unlink(missing_ok=True)
     capsys.readouterr()
-    assert main(["localize", "--config", cfg_path]) == EXIT_CONFIG
+    assert main([verb, "--config", cfg_path]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and repr(key) in err and "Traceback" not in err
-    assert not (pathlib.Path(out_dir) / "trials.csv").exists()
+    assert err.startswith("config error:") and repr(where[1]) in err and "Traceback" not in err
+    assert not (pathlib.Path(out_dir) / product).exists()
+
+
+@pytest.mark.parametrize("name, key", [("illegal_hybrid", "phase"), ("classroom_cir", "cirs")])
+def test_measurements_with_non_finite_values_are_a_config_error(tmp_path, capsys, name, key):
+    cfg_path, out_dir = _write_config(tmp_path, name)
+    assert main(["simulate", "--config", cfg_path]) == EXIT_OK
+    doc = json.loads((pathlib.Path(out_dir) / "measurements.json").read_text())
+    doc["arrays"][key] = _with_first_value(doc["arrays"][key], math.nan)
+    planted = tmp_path / "planted.json"
+    planted.write_text(json.dumps(doc))
+    scenario = dict(TINY[name]["scenario"], measurements=str(planted))
+    cfg_path, out_dir = _write_config(tmp_path, name, scenario=scenario)
+    capsys.readouterr()
+    assert main(["learn", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err and "non-finite" in err
+    assert not (pathlib.Path(out_dir) / "db.json").exists()
 
 
 def test_a_longer_walk_reuses_the_survey_and_the_map(tmp_path):
@@ -543,20 +587,27 @@ def test_learn_reads_a_measurements_path_from_another_run(tmp_path):
 @pytest.mark.parametrize("doc", [
     [],
     {"format": "fingerloc-measurements-1", "pipeline": "bems_binary", "observations": [[0, 1, 1, 0]]},
-    {"format": "fingerloc-measurements-2", "pipeline": "wifi_rssi_rspd", "arrays": {}},
-    {"format": "fingerloc-measurements-2", "pipeline": "bems_binary", "arrays": []},
-    {"format": "fingerloc-measurements-2", "pipeline": "bems_binary",
+    {"format": "fingerloc-measurements-3", "pipeline": "wifi_rssi_rspd", "arrays": {}},
+    {"format": "fingerloc-measurements-3", "pipeline": "bems_binary", "arrays": []},
+    {"format": "fingerloc-measurements-3", "pipeline": "bems_binary",
      "arrays": {"cell": 0, "moving": 0, "bits": 0}},
-    {"format": "fingerloc-measurements-2", "pipeline": "bems_binary",
-     "arrays": {name: {"dtype": dtype, "shape": shape, "data": []} for name, dtype, shape
+    {"format": "fingerloc-measurements-3", "pipeline": "bems_binary",
+     "arrays": {name: {"dtype": dtype, "shape": shape, "data": ""} for name, dtype, shape
                 in (("cell", "int64", [54]), ("moving", "bool", [54]), ("bits", "int64", [54, 2]))}},
+    # version 2 stored the values as JSON lists
+    {"format": "fingerloc-measurements-2", "pipeline": "bems_binary",
+     "arrays": {name: {"dtype": dtype, "shape": [54], "data": [0] * 54}
+                for name, dtype in (("cell", "int64"), ("moving", "bool"))}},
 ])
-def test_malformed_measurements_file_is_a_config_error(tmp_path, doc):
+def test_malformed_measurements_file_is_a_config_error(tmp_path, capsys, doc):
     path = tmp_path / "measurements.json"
     path.write_text(json.dumps(doc))
     scenario = dict(TINY["bems_binary"]["scenario"], measurements=str(path))
     cfg_path, _ = _write_config(tmp_path, "bems_binary", scenario=scenario)
+    capsys.readouterr()
     assert main(["learn", "--config", cfg_path]) == EXIT_CONFIG
+    if doc and doc.get("format") == "fingerloc-measurements-2":
+        assert "rerun simulate" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

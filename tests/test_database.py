@@ -1,8 +1,10 @@
-"""Database container, block lookup, and JSON persistence round-trips."""
+"""Database container, block lookup, the array record, and JSON persistence round-trips."""
 
+import base64
 import json
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from fingerloc.database import (
     DatabaseMeta,
     database_from_json,
     database_to_json,
+    decode_array,
+    encode_array,
     load_database,
     save_database,
 )
@@ -31,14 +35,22 @@ def _round_trip(block, n=2):
     return database_from_json(json.dumps(json.loads(database_to_json(db)))).blocks["k"]
 
 
+def _record(values) -> dict:
+    """An array record of ``values``, built past the writer's finite check."""
+    arr = np.asarray(values)
+    raw = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+    return {"dtype": arr.dtype.name, "shape": list(arr.shape),
+            "data": base64.b64encode(raw).decode("ascii")}
+
+
 def test_fingerprint_codec_round_trips_complex_bit_exact():
     rng = np.random.default_rng(5)
     values = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
     db = FingerprintDatabase(grid=_grid(2), blocks={"k": values})
     data = json.loads(database_to_json(db))["blocks"]["k"]
     back = _round_trip(values)
-    assert data == {"type": "complex", "values": data["values"]}
-    assert data["values"][0][0] == [values[0, 0].real, values[0, 0].imag]
+    assert data == {"type": "array", "values": _record(values)}
+    assert data["values"]["dtype"] == "complex128" and data["values"]["shape"] == [4, 9]
     assert back.dtype == complex and back.tobytes() == values.tobytes()
 
 
@@ -91,9 +103,10 @@ def test_database_rejects_unknown_block_types():
     with pytest.raises(ValueError):
         FingerprintDatabase(grid=grid, blocks={"k": np.array(1.0)})
     doc = json.loads(database_to_json(FingerprintDatabase(grid=grid)))
-    doc["blocks"] = {"k": {"type": "no_such_block"}}
-    with pytest.raises(ValueError):
-        database_from_json(json.dumps(doc))
+    for block in ({"type": "no_such_block"}, {"type": "real", "values": [0.5]}, [0.5]):
+        doc["blocks"] = {"k": block}
+        with pytest.raises(ValueError, match="'k' has unknown type"):
+            database_from_json(json.dumps(doc))
 
 
 def test_database_round_trip_bit_exact():
@@ -134,12 +147,17 @@ def test_database_json_matches_shipped_schema(tmp_path):
     assert validate_artifact(str(path)) == "db.schema.json"
     text = path.read_text()
     doc = json.loads(text)
-    assert doc["version"] == "fingerloc-db-4"
+    assert doc["version"] == "fingerloc-db-5"
     assert doc["grid"] == {"origin": [0.0, 0.0], "nx": 2, "ny": 2, "spacing": 1.0}
-    # a bare scalar is not a block, nor a complex array of plain numbers; a
-    # lattice has cells and a positive spacing; blocks carry no kind or meta
+    # a bare scalar or a JSON list is not an array record, nor is a rank-0,
+    # non-base64 or bool one; a Gaussian mean is complex; a lattice has cells
+    # and a positive spacing; blocks carry no kind or meta
     for section, key, field, bad in (("blocks", "p", "shape", 1.0), ("blocks", "d", "values", 0.5),
                                      ("blocks", "c", "values", [1.0, 2.0, 3.0, 4.0]),
+                                     ("blocks", "d", "values", _record(0.5)),
+                                     ("blocks", "d", "values", dict(_record([0.5] * 4), data="?")),
+                                     ("blocks", "d", "values", _record([True] * 4)),
+                                     ("blocks", "g", "mean", _record(np.zeros((4, 2)))),
                                      ("blocks", "x", "kind", "phase_diff"),
                                      ("blocks", "x", "meta", {}),
                                      ("grid", None, "nx", 0), ("grid", None, "spacing", 0.0)):
@@ -151,11 +169,23 @@ def test_database_json_matches_shipped_schema(tmp_path):
             validate_artifact(str(path))
 
 
+def test_both_artifacts_share_one_array_record_schema():
+    # the schema files cannot share a $ref without a registry, so their
+    # array defs are held equal here, apart from each file's dtypes
+    defs = []
+    for name in ("db.schema.json", "measurements.schema.json"):
+        schema = json.loads((resources.files("fingerloc.schemas") / name).read_text())
+        array = schema["$defs"]["array"]
+        assert set(array["properties"].pop("dtype")) == {"enum"}
+        defs.append(array)
+    assert defs[0] == defs[1]
+
+
 def test_database_rejects_wrong_version():
     db = FingerprintDatabase(grid=_grid(1))
     doc = json.loads(database_to_json(db))
     assert doc["version"] == FORMAT_VERSION
-    for stale in ("fingerloc-db-1", "fingerloc-db-2", "fingerloc-db-3"):
+    for stale in ("fingerloc-db-1", "fingerloc-db-2", "fingerloc-db-3", "fingerloc-db-4"):
         doc["version"] = stale
         with pytest.raises(ValueError, match="rerun learn"):
             database_from_json(json.dumps(doc))
@@ -228,13 +258,67 @@ def test_database_array_blocks_are_read_only():
 
 
 @pytest.mark.parametrize("block", [
-    {"type": "real", "values": [0.5, "NaN", 0.5, 0.5]},
-    {"type": "complex", "values": [[[1.0, "Infinity"]]] * 4},
-    {"type": "gamma", "shape": [1.0, 1.0, "NaN", 1.0], "scale": [1.0] * 4},
+    {"type": "array", "values": _record([0.5, math.nan, 0.5, 0.5])},
+    {"type": "array", "values": _record(np.full((4, 1), complex(1.0, math.inf)))},
+    {"type": "gamma", "shape": _record([1.0, 1.0, math.nan, 1.0]), "scale": _record([1.0] * 4)},
 ])
 def test_database_rejects_non_finite_values(block):
     doc = json.loads(database_to_json(FingerprintDatabase(grid=_grid(2))))
     doc["blocks"] = {"det:0": block}
-    text = json.dumps(doc).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity")
     with pytest.raises(ValueError, match="'det:0'.*non-finite"):
-        database_from_json(text)
+        database_from_json(json.dumps(doc))
+
+
+_VALUES = _record([0.5, 0.25, 0.5, 0.25])
+
+
+@pytest.mark.parametrize("block, message", [
+    pytest.param({"type": "array", "values": [0.5, 0.25, 0.5, 0.25]}, "record", id="json-list"),
+    pytest.param({"type": "array", "values": dict(_VALUES, extra=1)}, "record", id="extra-key"),
+    pytest.param({"type": "array", "values": dict(_VALUES, data="AAAA*AAA")}, "base64",
+                 id="not-base64"),
+    pytest.param({"type": "array", "values": dict(_VALUES, data="AAAAAAAA4D8")}, "base64",
+                 id="unpadded"),
+    pytest.param({"type": "array", "values": dict(_VALUES, data=[0.5] * 4)}, "base64",
+                 id="not-a-string"),
+    pytest.param({"type": "array", "values": dict(_VALUES, shape=[5])}, "bytes", id="byte-count"),
+    pytest.param({"type": "array", "values": dict(_VALUES, shape=[-4])}, "shape",
+                 id="negative-shape"),
+    pytest.param({"type": "array", "values": dict(_VALUES, shape=[4.0])}, "shape",
+                 id="float-shape"),
+    pytest.param({"type": "array", "values": dict(_VALUES, shape=[True] * 4)}, "shape",
+                 id="bool-shape"),
+    pytest.param({"type": "array", "values": _record(0.5)}, "shape", id="rank-0"),
+    pytest.param({"type": "array", "values": _record(np.zeros(4, np.float32))}, "dtype",
+                 id="float32"),
+    pytest.param({"type": "array", "values": dict(_VALUES, dtype="object")}, "dtype", id="object"),
+    pytest.param({"type": "array", "values": _record(np.ones(4, bool))}, "dtype", id="bool"),
+    pytest.param({"type": "gaussian", "mean": _record(np.zeros((4, 1))),
+                  "cov": _record(np.ones((4, 1, 1), complex)), "loading": _record(np.zeros(4))},
+                 "'mean' has dtype 'float64'", id="gaussian-mean-float64"),
+    pytest.param({"type": "gamma", "shape": _VALUES}, "'scale'.*record", id="missing-field"),
+])
+def test_database_rejects_a_malformed_array_record(block, message):
+    doc = json.loads(database_to_json(FingerprintDatabase(grid=_grid(2))))
+    doc["blocks"] = {"det:0": block}
+    with pytest.raises(ValueError, match=f"'det:0'.*{message}"):
+        database_from_json(json.dumps(doc))
+
+
+def test_array_record_round_trips_and_decodes_writable():
+    for arr in (np.array([True, False, True]), np.arange(6).reshape(2, 3),
+                np.zeros((0, 3), complex), np.array(-0.0)):
+        record = encode_array(arr)
+        assert record == _record(arr)
+        back = decode_array(record, "a", (arr.dtype.name,))
+        assert (back.dtype, back.shape, back.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
+        assert back.flags.writeable
+    # a big-endian array is stored little-endian
+    assert encode_array(np.arange(3.0).astype(">f8")) == _record(np.arange(3.0))
+
+
+def test_array_record_bools_are_bytes_0_or_1():
+    record = dict(encode_array(np.array([True, False])),
+                  data=base64.b64encode(bytes([1, 2])).decode("ascii"))
+    with pytest.raises(ValueError, match="flags.*bool byte"):
+        decode_array(record, "flags", ("bool",))

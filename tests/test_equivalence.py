@@ -938,21 +938,47 @@ def test_stencil_transition_equals_dense_matrix(nx, ny, spacing, sigma_cells, p_
 
 
 # ---------------------------------------------------------------------------
-# measurement codec
+# the array record of measurements.json and db.json
 # ---------------------------------------------------------------------------
 
 _SHAPES = hnp.array_shapes(min_dims=0, max_dims=4, min_side=1, max_side=3)
 _FINITE = {"allow_nan": False, "allow_infinity": False}
+_MAX = float(np.finfo(float).max)
+# finite floats, drawing -0.0, subnormals and +-finfo.max often
+_EXACT = st.one_of(st.sampled_from([-0.0, 5e-324, -1e-310, _MAX, -_MAX]), st.floats(**_FINITE))
+_POSITIVE = st.one_of(st.sampled_from([5e-324, 1e-310, _MAX]),
+                      st.floats(min_value=0.0, exclude_min=True, **_FINITE))
+
+
+def _model_blocks(data, n: int) -> dict:
+    """A Gaussian (diagonal covariance), Gamma and von Mises block over n points."""
+    def draw(shape, elements, dtype=np.float64):
+        return data.draw(hnp.arrays(dtype, shape, elements=elements))
+
+    d = data.draw(st.integers(1, 3))
+    diag = draw((n, d), st.one_of(st.just(0.0), _POSITIVE))
+    return {
+        "gaussian": GaussianStats(mean=draw((n, d), st.builds(complex, _EXACT, _EXACT),
+                                            np.complex128),
+                                  cov=diag[:, :, None] * np.eye(d),
+                                  loading=draw((n,), st.one_of(st.just(0.0), _POSITIVE))),
+        "gamma": GammaParams(shape=draw((n,), _POSITIVE), scale=draw((n,), _POSITIVE)),
+        "von_mises": VonMisesParams(
+            mu=draw((n,), st.one_of(st.just(-0.0),
+                                    st.floats(-math.pi, math.pi, exclude_min=True))),
+            kappa=draw((n,), st.one_of(st.sampled_from([0.0, 5e-324]),
+                                       st.floats(0.0, KAPPA_MAX)))),
+    }
 
 
 @settings(max_examples=60, deadline=None)
 @given(arrays=st.fixed_dictionaries({
-    "real": hnp.arrays(np.float64, _SHAPES, elements=st.floats(**_FINITE)),
-    "complex": hnp.arrays(np.complex128, _SHAPES, elements=st.complex_numbers(**_FINITE)),
+    "real": hnp.arrays(np.float64, _SHAPES, elements=_EXACT),
+    "complex": hnp.arrays(np.complex128, _SHAPES, elements=st.builds(complex, _EXACT, _EXACT)),
     "count": hnp.arrays(np.int64, _SHAPES),
     "flag": hnp.arrays(np.bool_, _SHAPES),
-}))
-def test_measurement_codec_round_trips_bit_exactly(arrays):
+}), data=st.data())
+def test_measurement_codec_round_trips_bit_exactly(arrays, data):
     cfg = {"pipeline": "wifi_rssi_rspd", "seed": 0, "scenario": {}}
     expected = {name: (arr.shape, arr.dtype) for name, arr in arrays.items()}
     with tempfile.TemporaryDirectory() as out_dir:
@@ -964,19 +990,41 @@ def test_measurement_codec_round_trips_bit_exactly(arrays):
     for name, arr in arrays.items():
         got = back[name]
         assert (got.dtype, got.shape, got.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
-    # the real and complex arrays of rank 1-3 as db.json blocks, the leading axis the grid
-    for name in ("real", "complex"):
-        arr = arrays[name]
-        if not 1 <= arr.ndim <= 3:
-            continue
-        grid = Grid(Position(0.0, 0.0), len(arr), 1, 1.0)
+    # the real and complex arrays of rank 1-3 as db.json blocks, the leading
+    # axis the grid, and one block of each model over a grid of n points
+    cases = [({name: arrays[name]}, len(arrays[name]))
+             for name in ("real", "complex") if 1 <= arrays[name].ndim <= 3]
+    n = data.draw(st.integers(1, 3))
+    cases.append((_model_blocks(data, n), n))
+    for blocks, rows in cases:
+        grid = Grid(Position(0.0, 0.0), rows, 1, 1.0)
         with tempfile.TemporaryDirectory() as out_dir:
             path = os.path.join(out_dir, "db.json")
-            save_database(FingerprintDatabase(grid=grid, blocks={name: arr}), path)
+            save_database(FingerprintDatabase(grid=grid, blocks=blocks), path)
             validate_artifact(path)
-            got = load_database(path).blocks[name]
-        assert (got.dtype, got.shape, got.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
-
+            stored = load_database(path).blocks
+        for key, block in blocks.items():
+            pairs = ([(block, stored[key])] if isinstance(block, np.ndarray) else
+                     [(getattr(block, f), getattr(stored[key], f))
+                      for f in block.__dataclass_fields__])
+            for want, got in pairs:
+                assert ((got.dtype, got.shape, got.tobytes())
+                        == (want.dtype, want.shape, want.tobytes())), key
+    # neither writer stores a NaN or an infinity
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    for name in ("real", "complex"):
+        poisoned = arrays[name].copy()
+        poisoned.flat[data.draw(st.integers(0, poisoned.size - 1))] = (
+            complex(0.0, bad) if name == "complex" and data.draw(st.booleans()) else bad)
+        with tempfile.TemporaryDirectory() as out_dir:
+            with pytest.raises(ValueError, match="non-finite"):
+                save_measurements(cfg, out_dir, {**arrays, name: poisoned})
+            if poisoned.ndim:
+                db = FingerprintDatabase(grid=Grid(Position(0.0, 0.0), len(poisoned), 1, 1.0),
+                                         blocks={name: poisoned})
+                with pytest.raises(ValueError, match="non-finite"):
+                    save_database(db, os.path.join(out_dir, "db.json"))
+            assert os.listdir(out_dir) == []
 
 
 # ---------------------------------------------------------------------------
