@@ -61,7 +61,7 @@ def measurement_shapes(cfg: dict) -> dict:
     scn = cfg["scenario"]
     n = len(build_grid(cfg)) * scn["train_visits"]
     return {"cell": ((n,), int), "moving": ((n,), bool),
-            "bits": ((n, len(scn["sensors"])), int)}
+            "bits": ((n, len(scn["sensors"])), bool)}
 
 
 def sensor_ranges(sensors: list, xy) -> np.ndarray:
@@ -80,7 +80,7 @@ def detection_bits(sensors: list, ranges, moving, uniforms) -> np.ndarray:
     """
     probs = np.stack([cov.detect_probability(ranges[..., si], moving)
                       for si, cov in enumerate(sensors)], axis=-1)
-    return (uniforms < probs).astype(int)
+    return uniforms < probs
 
 
 def simulate_measurements(cfg: dict) -> dict:

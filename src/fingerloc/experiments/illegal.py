@@ -15,7 +15,7 @@ import numpy as np
 
 from ..database import DatabaseMeta, FingerprintDatabase
 from ..features import power_phase, xcorr_rows
-from ..geometry import Grid, Position
+from ..geometry import Position
 from ..interp import (
     UcaGeometry,
     bandwidth_interp,
@@ -50,14 +50,6 @@ _TAG_TRAIN_NOISE = 402
 _TAG_TRIALS = 403
 _TAG_TRIAL_BITS = 404
 _TAG_TRIAL_NOISE = 405
-
-
-def fine_grid(cfg: dict) -> Grid:
-    """Densified grid sharing the training hull."""
-    g = cfg["scenario"]["grid"]
-    f = cfg["scenario"]["densify_factor"]
-    return Grid(Position(*g["origin"]), (g["nx"] - 1) * f + 1, (g["ny"] - 1) * f + 1,
-                g["spacing_m"] / f)
 
 
 def uca_geom(cfg: dict) -> UcaGeometry:
@@ -190,10 +182,9 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> tuple:
     per-point power normalization.
 
     Returns:
-        (database, health): the projected map and its counts for
-        ``learn_log.json``: ``filled_bins``, the delay bins the frequency
-        projection filled from their neighbors, and ``outside_hull``, the
-        fine-grid points densification copied from their nearest survey point.
+        (database, filled_bins): the projected map, and for
+        ``learn_log.json`` the delay bins the frequency projection filled
+        from their neighbors.
     """
     scn = cfg["scenario"]
     geom = uca_geom(cfg)
@@ -226,12 +217,11 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> tuple:
                "target_bandwidth_hz": float(t_bw)},
     )
     coarse = FingerprintDatabase(grid=build_grid(cfg), blocks=blocks, meta=meta)
-    dense, outside_hull = spatial_densify(coarse, fine_grid(cfg), confidences=confidences)
+    dense = spatial_densify(coarse, scn["densify_factor"], confidences=confidences)
     blocks = dict(dense.blocks)
     normed = normalize_power(np.stack([blocks[key] for key in xkeys], axis=1))
     blocks.update((key, normed[:, ki]) for ki, key in enumerate(xkeys))
-    health = {"filled_bins": filled_bins, "outside_hull": outside_hull}
-    return FingerprintDatabase(grid=dense.grid, blocks=blocks, meta=dense.meta), health
+    return FingerprintDatabase(grid=dense.grid, blocks=blocks, meta=dense.meta), filled_bins
 
 
 def draw_trials(cfg: dict) -> np.ndarray:
@@ -352,11 +342,11 @@ def cmd_simulate(cfg: dict, out_dir: str) -> dict:
 def cmd_learn(cfg: dict, out_dir: str) -> dict:
     arrays = load_measurements(cfg, out_dir, simulate_measurements, measurement_shapes(cfg))
     xc = arrays["xcorr"]
-    db, health = build_database(cfg, xc, arrays["phase"])
+    db, filled_bins = build_database(cfg, xc, arrays["phase"])
     save_db(cfg, out_dir, db)
     # the conditioning of the kriging that densified the coarse survey grid
-    log = {"points": len(db), "derived": True, **health,
-           "kriging_cond": kriging_cond(build_grid(cfg).xy),
+    log = {"points": len(db), "derived": True, "filled_bins": filled_bins,
+           "kriging_cond": kriging_cond(build_grid(cfg)),
            "per_point_samples": [int(xc.shape[2])] * xc.shape[1],
            "target_freq_hz": cfg["scenario"]["target"]["freq_hz"],
            "target_bandwidth_hz": cfg["scenario"]["target"]["bandwidth_hz"]}

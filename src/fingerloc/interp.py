@@ -7,6 +7,7 @@ complex array is a correlation fingerprint, a real one a phase difference.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,9 +32,6 @@ __all__ = [
 
 AOA_GRID_STEP_DEG = 0.5
 LOWPASS_TAPS = 63
-# a query counts as outside the survey box only beyond this many ulps of the
-# box's coordinates, so a fine lattice's rounded far edge is still inside
-HULL_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -234,8 +232,8 @@ def _nearest_training(train_xy: np.ndarray, query_xy: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def _densify_correlation(stacks, train_xy, query_xy):
-    """Krige every key's dB magnitudes (floored per key) with one factorization."""
+def _densify_correlation(stacks, train: Grid, target: Grid):
+    """Krige every key's dB magnitudes (floored per key) in one lattice solve."""
     if not stacks:
         return []
     db = []
@@ -243,10 +241,10 @@ def _densify_correlation(stacks, train_xy, query_xy):
         mags = np.abs(stack)
         floor = 1e-12 * float(np.max(mags)) if np.max(mags) > 0 else 1e-300
         db.append(10.0 * np.log10(np.maximum(mags, floor)))
-    mean = kriging_predict(kriging_fit(train_xy, np.concatenate(db, axis=1)), query_xy)
+    mean = kriging_predict(kriging_fit(train, np.concatenate(db, axis=1)), target)
     out_mags = np.split(10.0 ** (mean / 10.0), np.cumsum([s.shape[1] for s in stacks])[:-1],
                         axis=1)
-    nearest = _nearest_training(train_xy, query_xy)
+    nearest = _nearest_training(train.xy, target.xy)
     return [m * np.exp(1j * np.angle(stack[nearest])) for m, stack in zip(out_mags, stacks)]
 
 
@@ -269,14 +267,17 @@ def _densify_phasediff(stack, train_xy, query_xy, confidences):
         return np.where(dn[:, :1] <= 0.0, stack[nearest[:, 0]], np.angle(mix))
 
 
-def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
-                    confidences: dict | None = None) -> tuple:
-    """Interpolate a fingerprint database onto a denser grid.
+def spatial_densify(db: FingerprintDatabase, factor: int,
+                    confidences: dict | None = None) -> FingerprintDatabase:
+    """Interpolate a fingerprint database onto an integer refinement of its grid.
 
+    The target lattice shares the survey's origin and far edges, with
+    ``factor`` times the points per unit length: ``(nx - 1) * factor + 1``
+    columns and ``(ny - 1) * factor + 1`` rows at ``spacing / factor``.
     Every block is an array with the grid as its leading axis, and its dtype
     says what it holds.  A complex block is a correlation fingerprint,
     interpolated per delay bin by kriging on dB magnitudes, every bin of
-    every complex block through one factorization (phases copied from the
+    every complex block in one lattice solve (phases copied from the
     nearest training point).  A real block is a phase difference,
     interpolated as unit phasors averaged over the 4 nearest training
     points, weighted by inverse distance times the per-training-point
@@ -284,41 +285,37 @@ def spatial_densify(db: FingerprintDatabase, target_grid: Grid,
 
     Args:
         db: training database whose blocks are all arrays.
-        target_grid: grid to interpolate onto (inside the training hull;
-            points outside its bounding box, by more than ``HULL_ULPS`` ulps,
-            copy their nearest training point's vectors).
+        factor: positive integer refinement of the survey spacing (1 keeps
+            the survey lattice).
         confidences: optional ``{key: (n_train,) array}`` of phasor-fit
             confidences for phase-difference keys.
 
     Returns:
-        (database, outside): a new database on ``target_grid`` marked
-        ``derived``, and the number of target points that fell back to
-        their nearest training point.
+        A new database on the refined lattice, marked ``derived``.
     """
     if len(db.blocks) == 0:
         raise ValueError("database holds no fingerprints")
-    train_xy = db.grid.xy
-    query_xy = target_grid.xy
-    lo, hi = train_xy.min(axis=0), train_xy.max(axis=0)
-    tol = HULL_ULPS * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
-    outside = np.nonzero(np.any((query_xy < lo - tol) | (query_xy > hi + tol), axis=1))[0]
+    if not (isinstance(factor, numbers.Integral) and not isinstance(factor, bool)
+            and factor >= 1):
+        raise ValueError(f"densify factor must be a positive integer, got {factor!r}")
+    train = db.grid
+    target = Grid(train.origin, (train.nx - 1) * factor + 1, (train.ny - 1) * factor + 1,
+                  train.spacing / factor)
 
     # every block as (points, values): one column per delay bin or element pair
     fps = {key: db.block(key, np.ndarray) for key in sorted(db.blocks)}
     flat = {key: fp.reshape(len(fp), -1) for key, fp in fps.items()}
     corr = [key for key, fp in fps.items() if np.iscomplexobj(fp)]
-    values = dict(zip(corr, _densify_correlation([flat[key] for key in corr],
-                                                 train_xy, query_xy)))
+    values = dict(zip(corr, _densify_correlation([flat[key] for key in corr], train, target)))
     blocks = {}
     for key, fp in fps.items():
         if key not in values:
             conf = None if confidences is None else confidences.get(key)
-            values[key] = _densify_phasediff(flat[key], train_xy, query_xy, conf)
-        values[key][outside] = flat[key][_nearest_training(train_xy, query_xy[outside])]
-        blocks[key] = values[key].reshape((len(target_grid),) + fp.shape[1:])
+            values[key] = _densify_phasediff(flat[key], train.xy, target.xy, conf)
+        blocks[key] = values[key].reshape((len(target),) + fp.shape[1:])
 
     meta = replace(db.meta, derived=True, extra=dict(db.meta.extra))
-    return FingerprintDatabase(grid=target_grid, blocks=blocks, meta=meta), int(outside.size)
+    return FingerprintDatabase(grid=target, blocks=blocks, meta=meta)
 
 
 def normalize_power(stack) -> np.ndarray:

@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import gammaln, i0e, i1e
 
 from .errors import NumericError
@@ -396,75 +395,86 @@ KRIGING_NUGGET = 1e-6
 
 @dataclass(frozen=True)
 class KrigingModel:
-    """Fitted Gaussian-process interpolator (zero prior mean).
+    """Fitted Gaussian-process interpolator on a survey lattice (zero prior mean).
 
-    ``alpha`` holds ``(R + nugget I)^{-1} v`` for every value column, where
-    R is the unit-variance squared-exponential correlation matrix.
+    ``alpha`` holds ``(R + nugget I)^{-1} v`` for every value column, in the
+    grid's point order, where R is the unit-variance squared-exponential
+    correlation matrix of the grid's points.
     """
 
-    locations: np.ndarray
+    grid: Grid
     length_scale: float
     alpha: np.ndarray
 
 
-def _correlation(a: np.ndarray, b: np.ndarray, length_scale: float) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.exp(-np.sum(diff * diff, axis=-1) / (2 * length_scale ** 2))
+def _axis_correlation(a: np.ndarray, b: np.ndarray, length_scale: float) -> np.ndarray:
+    return np.exp(-np.subtract.outer(a, b) ** 2 / (2 * length_scale ** 2))
 
 
-def _kriging_gram(locations) -> tuple:
-    """(locations, length scale, R + nugget I) of the default kernel."""
-    locs = np.array(locations, dtype=float)
-    if locs.ndim != 2 or locs.shape[1] != 2 or locs.shape[0] == 0:
-        raise ValueError("locations must form a non-empty (n, 2) array")
-    if locs.shape[0] < 2:
+def _axes(grid: Grid) -> tuple:
+    """(y, x) coordinates of the grid's rows and columns."""
+    return (grid.origin.y + np.arange(grid.ny) * grid.spacing,
+            grid.origin.x + np.arange(grid.nx) * grid.spacing)
+
+
+def _axis_eigh(grid: Grid) -> tuple:
+    """Length scale and the (eigenvalues, eigenvectors) of R_y and R_x."""
+    if len(grid) < 2:
         raise ValueError("kernel defaults need at least two training points")
-    d2 = np.sum((locs[:, None, :] - locs[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    length_scale = 2.0 * float(np.median(np.sqrt(np.min(d2, axis=1))))
-    if not (length_scale > 0):
-        raise ValueError("training locations coincide; the length scale would be zero")
-    gram = _correlation(locs, locs, length_scale)
-    gram[np.diag_indices_from(gram)] += KRIGING_NUGGET
-    return locs, length_scale, gram
+    length_scale = 2.0 * grid.spacing
+    return length_scale, [np.linalg.eigh(_axis_correlation(a, a, length_scale))
+                          for a in _axes(grid)]
 
 
-def kriging_fit(locations, values) -> KrigingModel:
-    """Fit a Gaussian-process interpolator to scattered real values.
+def kriging_fit(grid: Grid, values) -> KrigingModel:
+    """Fit a Gaussian-process interpolator to values on a survey lattice.
 
-    The squared-exponential kernel has a length scale of twice the median
-    nearest-neighbor spacing, a signal variance equal to the sample variance
-    of each value column and a nugget of ``KRIGING_NUGGET`` times that
-    variance.  The variance scales the Gram matrix and the query
-    covariances alike, so it cancels from the posterior mean: one Cholesky
-    factor of ``R + nugget I`` serves every column as a multi-RHS solve
-    (Rasmussen & Williams, GPML Alg. 2.1).
+    The squared-exponential kernel has a length scale of twice the grid
+    spacing (its nearest-neighbor distance), a signal variance equal to the
+    sample variance of each value column and a nugget of
+    ``KRIGING_NUGGET`` times that variance.  The variance scales the Gram
+    matrix and the query covariances alike, so it cancels from the
+    posterior mean.  On a lattice the kernel factorizes over the axes,
+    ``R = R_y kron R_x``, so one eigendecomposition of each axis matrix
+    solves ``(R + nugget I) alpha = v`` for every column at once:
+    ``alpha = V_y [(V_y^T v V_x) / (l_y l_x^T + nugget)] V_x^T`` with v as
+    an (ny, nx) array (Saatci 2011; Gilboa, Saatci & Cunningham 2015).
 
     Args:
-        locations: (n, 2) training positions, n >= 2, not all coincident.
-        values: (n,) values, or (n, m) for m independent fields.
+        grid: the survey lattice, at least two points.
+        values: (N,) values in the grid's point order, or (N, m) for m
+            independent fields.
     """
-    locs, length_scale, gram = _kriging_gram(locations)
+    length_scale, ((ly, vy), (lx, vx)) = _axis_eigh(grid)
     vals = np.asarray(values, dtype=float)
-    if vals.ndim not in (1, 2) or vals.shape[0] != locs.shape[0]:
-        raise ValueError("need exactly one value row per location")
-    alpha = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), vals)
-    locs.flags.writeable = False
-    return KrigingModel(locations=locs, length_scale=length_scale, alpha=alpha)
+    if vals.ndim not in (1, 2) or vals.shape[0] != len(grid):
+        raise ValueError("need exactly one value row per grid point")
+    cols = vals.T.reshape(-1, grid.ny, grid.nx)  # one (ny, nx) array per column
+    rotated = vy.T @ cols @ vx / (np.multiply.outer(ly, lx) + KRIGING_NUGGET)
+    alpha = (vy @ rotated @ vx.T).reshape(-1, len(grid)).T.reshape(vals.shape)
+    return KrigingModel(grid=grid, length_scale=length_scale, alpha=alpha)
 
 
-def kriging_cond(locations) -> float:
-    """2-norm condition number of the ``R + nugget I`` that :func:`kriging_fit` factors.
+def kriging_cond(grid: Grid) -> float:
+    """2-norm condition number of the ``R + nugget I`` that :func:`kriging_fit` solves.
 
-    It depends on the training positions only.  On uniform grids R is
-    nearly singular at the default length scale, so the nugget bounds it.
+    It depends on the survey lattice only: the eigenvalues of R are the
+    products of the axis eigenvalues.  On uniform grids R is nearly singular
+    at the default length scale, so the nugget bounds it.
     """
-    return float(np.linalg.cond(_kriging_gram(locations)[2]))
+    _, ((ly, _), (lx, _)) = _axis_eigh(grid)
+    eig = np.multiply.outer(ly, lx) + KRIGING_NUGGET
+    return float(np.max(eig) / np.min(eig))
 
 
-def kriging_predict(model: KrigingModel, queries) -> np.ndarray:
-    """Posterior mean at (m, 2) query positions: (m,) or (m, columns)."""
-    q = np.asarray(queries, dtype=float)
-    if q.ndim != 2 or q.shape[1] != 2:
-        raise ValueError("queries must form an (m, 2) array")
-    return _correlation(q, model.locations, model.length_scale) @ model.alpha
+def kriging_predict(model: KrigingModel, grid: Grid) -> np.ndarray:
+    """Posterior mean at every point of a query lattice: (Q,) or (Q, columns).
+
+    ``K_y* alpha K_x*^T`` per column, with the cross-correlations of the
+    query and survey axes.
+    """
+    (qy, qx), (ty, tx) = _axes(grid), _axes(model.grid)
+    ls = model.length_scale
+    cols = model.alpha.T.reshape(-1, model.grid.ny, model.grid.nx)
+    mean = _axis_correlation(qy, ty, ls) @ cols @ _axis_correlation(qx, tx, ls).T
+    return mean.reshape(-1, len(grid)).T.reshape((len(grid),) + model.alpha.shape[1:])

@@ -19,6 +19,9 @@ from fingerloc.experiments import bems, classroom, illegal, wifi
 from fingerloc.experiments.artifacts import validate_run_dir
 from fingerloc.experiments.common import build_grid, read_measurements
 from fingerloc.experiments.configs import load_config, parse_config
+from fingerloc.geometry import Grid, Position
+from fingerloc.interp import spatial_densify
+from fingerloc.stats import kriging_fit, kriging_predict
 
 PIPELINE_MODULES = {"classroom_cir": classroom, "wifi_rssi_rspd": wifi,
                     "bems_binary": bems, "illegal_hybrid": illegal}
@@ -241,7 +244,6 @@ def test_illegal_learn_log_counts_filled_projection_bins(tmp_path):
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
     log = json.loads((pathlib.Path(out_dir) / "learn_log.json").read_text())
     assert log["filled_bins"] == 0
-    assert log["outside_hull"] == 0  # the fine grid shares the survey's hull
     # zero one delay bin of one key at one point and frequency in every snapshot
     doc = json.loads((pathlib.Path(out_dir) / "measurements.json").read_text())
     xcorr = decode_array(doc["arrays"]["xcorr"], "xcorr", ("complex128",))
@@ -257,18 +259,36 @@ def test_illegal_learn_log_counts_filled_projection_bins(tmp_path):
     validate_run_dir(str(reader))
 
 
-def test_illegal_fine_lattice_edge_counts_inside_the_survey(tmp_path):
+def test_illegal_fine_lattice_edge_counts_inside_the_survey(tmp_path, monkeypatch):
     # the fine lattice's far edge, 21 * (0.3 / 7), rounds one ulp past the
     # survey's, 3 * 0.3, yet lies on the survey box and is kriged
     scenario = dict(TINY["illegal_hybrid"]["scenario"], densify_factor=7,
                     grid={"nx": 4, "ny": 2, "origin": [0, 0], "spacing_m": 0.3})
     cfg_path, out_dir = _write_config(tmp_path, "illegal_hybrid", scenario=scenario)
-    cfg = load_config(cfg_path)
-    far = build_grid(cfg).xy[:, 0].max()
-    assert illegal.fine_grid(cfg).xy[:, 0].max() == np.nextafter(far, 1.0)
+    calls = []
+
+    def spy(coarse, factor, confidences=None):
+        dense = spatial_densify(coarse, factor, confidences=confidences)
+        calls.append((coarse, dense))
+        return dense
+
+    monkeypatch.setattr(illegal, "spatial_densify", spy)
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
     log = json.loads((pathlib.Path(out_dir) / "learn_log.json").read_text())
-    assert (log["points"], log["outside_hull"]) == (176, 0)
+    assert log["points"] == 176 and "outside_hull" not in log
+    (coarse, dense), = calls
+    far = coarse.grid.xy[:, 0].max()
+    assert dense.grid.xy[:, 0].max() == np.nextafter(far, 1.0)
+    edge = dense.grid.xy[:, 0] == dense.grid.xy[:, 0].max()
+    column = Grid(Position(far, 0.0), nx=1, ny=8, spacing=0.3 / 7)
+    for key, block in coarse.blocks.items():
+        if np.iscomplexobj(block):
+            db = 10.0 * np.log10(np.abs(block))
+            want = kriging_predict(kriging_fit(coarse.grid, db), column)
+            got = 10.0 * np.log10(np.abs(dense.blocks[key][edge]))
+            assert np.allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(db)))
+            # a copy of the nearest survey point would keep its rough value
+            assert not np.allclose(got[::7], db[[3, 7]], rtol=0.0, atol=1e-6)
 
 
 def test_illegal_learn_log_reports_kriging_conditioning(tmp_path):
@@ -339,7 +359,10 @@ def test_learned_database_stores_its_grid_as_a_lattice(name, tmp_path):
     cfg_path, out_dir = _write_config(tmp_path, name)
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
     cfg = load_config(cfg_path)
-    grid = illegal.fine_grid(cfg) if name == "illegal_hybrid" else build_grid(cfg)
+    grid = build_grid(cfg)
+    if name == "illegal_hybrid":
+        f = cfg["scenario"]["densify_factor"]
+        grid = Grid(grid.origin, (grid.nx - 1) * f + 1, (grid.ny - 1) * f + 1, grid.spacing / f)
     path = pathlib.Path(out_dir) / "db.json"
     assert json.loads(path.read_text())["grid"] == {
         "origin": [grid.origin.x, grid.origin.y], "nx": grid.nx, "ny": grid.ny,
@@ -528,6 +551,24 @@ def test_measurements_with_non_finite_values_are_a_config_error(tmp_path, capsys
     assert not (pathlib.Path(out_dir) / "db.json").exists()
 
 
+def test_measurements_with_integer_detection_bits_are_a_config_error(tmp_path, capsys):
+    # detection bits are stored as bool; the same 0/1 values as int64 name the array
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
+    assert main(["simulate", "--config", cfg_path]) == EXIT_OK
+    doc = json.loads((pathlib.Path(out_dir) / "measurements.json").read_text())
+    bits = decode_array(doc["arrays"]["bits"], "bits", ("bool",))
+    doc["arrays"]["bits"] = encode_array(bits.astype(np.int64))
+    planted = tmp_path / "planted.json"
+    planted.write_text(json.dumps(doc))
+    scenario = dict(TINY["bems_binary"]["scenario"], measurements=str(planted))
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary", scenario=scenario)
+    capsys.readouterr()
+    assert main(["learn", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'bits'" in err and "Traceback" not in err
+    assert not (pathlib.Path(out_dir) / "db.json").exists()
+
+
 def test_a_longer_walk_reuses_the_survey_and_the_map(tmp_path):
     # track simulates the walk itself; neither measurements.json nor db.json depends on it
     cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
@@ -593,7 +634,7 @@ def test_learn_reads_a_measurements_path_from_another_run(tmp_path):
      "arrays": {"cell": 0, "moving": 0, "bits": 0}},
     {"format": "fingerloc-measurements-3", "pipeline": "bems_binary",
      "arrays": {name: {"dtype": dtype, "shape": shape, "data": ""} for name, dtype, shape
-                in (("cell", "int64", [54]), ("moving", "bool", [54]), ("bits", "int64", [54, 2]))}},
+                in (("cell", "int64", [54]), ("moving", "bool", [54]), ("bits", "bool", [54, 2]))}},
     # version 2 stored the values as JSON lists
     {"format": "fingerloc-measurements-2", "pipeline": "bems_binary",
      "arrays": {name: {"dtype": dtype, "shape": [54], "data": [0] * 54}

@@ -96,7 +96,7 @@ def test_database_rejects_unknown_block_types():
         FingerprintDatabase(grid=grid, blocks={"k": object()})
     with pytest.raises(ValueError):
         FingerprintDatabase(grid=grid, blocks={
-            "k": kriging_fit(grid.xy, np.arange(4.0))})
+            "k": kriging_fit(_grid(), np.arange(4.0))})
     # one model, not a block over the grid
     with pytest.raises(ValueError):
         FingerprintDatabase(grid=grid, blocks={"k": GammaParams(shape=1.0, scale=1.0)})

@@ -346,7 +346,7 @@ def _ref_bems_measurements(cfg):
                                             derive_seed(seed, bems._TAG_TRAIN_BIT, cell, visit, si))
                          for si, cov in enumerate(sensors)])
     return {"cell": np.array(cells, dtype=int), "moving": np.array(moving, dtype=bool),
-            "bits": np.array(bits, dtype=int).reshape(len(cells), len(sensors))}
+            "bits": np.array(bits, dtype=bool).reshape(len(cells), len(sensors))}
 
 
 # the bems_fine benchmark room: 40x40 cells, two visits each
@@ -740,24 +740,32 @@ def _ref_kriging_mean(locs, column, queries, length_scale):
 
 
 @settings(max_examples=60, deadline=None)
-@given(nx=st.integers(2, 6), ny=st.integers(2, 6), n_cols=st.integers(1, 6),
-       spacing=st.sampled_from([0.3, 1.0, 3.0]), seed=st.integers(0, 2 ** 32 - 1))
-def test_multi_column_kriging_equals_per_column_dense_solve(nx, ny, n_cols, spacing, seed):
+@given(nx=st.integers(1, 6), ny=st.integers(1, 6), n_cols=st.integers(1, 6),
+       spacing=st.sampled_from([0.3, 1.0, 3.0]), origin=st.tuples(*[st.floats(-100, 100)] * 2),
+       factor=st.integers(1, 3), shift=st.tuples(*[st.floats(-1.0, 1.0)] * 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_multi_column_kriging_equals_per_column_dense_solve(nx, ny, n_cols, spacing, origin,
+                                                            factor, shift, seed):
+    assume(nx * ny >= 2)
     rng = np.random.default_rng(seed)
-    locs = Grid(Position(0.0, 0.0), nx, ny, spacing).xy
+    train = Grid(Position(*origin), nx, ny, spacing)
     # columns of very different scales, one of them constant (zero variance)
-    vals = rng.normal(0.0, 1.0, (len(locs), n_cols)) * 10.0 ** rng.uniform(-3, 3, n_cols)
+    vals = rng.normal(0.0, 1.0, (len(train), n_cols)) * 10.0 ** rng.uniform(-3, 3, n_cols)
     vals[:, 0] = rng.uniform(-50.0, 50.0)
-    queries = np.vstack([locs, rng.uniform(0.0, [(nx - 1) * spacing, (ny - 1) * spacing],
-                                           (7, 2))])
-    model = kriging_fit(locs, vals)
-    assert model.length_scale == pytest.approx(2.0 * spacing, rel=1e-12)
-    got = kriging_predict(model, queries)
-    assert got.shape == (len(queries), n_cols)
-    for j in range(n_cols):
-        want = _ref_kriging_mean(locs, vals[:, j], queries, model.length_scale)
-        scale = np.max(np.abs(vals[:, j]))
-        assert np.allclose(got[:, j], want, rtol=0.0, atol=KRIGING_TOL * scale)
+    # the survey's refinement, and a lattice shifted off it at another spacing
+    queries = [Grid(train.origin, (nx - 1) * factor + 1, (ny - 1) * factor + 1,
+                    spacing / factor),
+               Grid(Position(origin[0] + shift[0] * spacing, origin[1] + shift[1] * spacing),
+                    3, 2, spacing * 0.7)]
+    model = kriging_fit(train, vals)
+    assert model.length_scale == 2.0 * spacing
+    for query in queries:
+        got = kriging_predict(model, query)
+        assert got.shape == (len(query), n_cols)
+        for j in range(n_cols):
+            want = _ref_kriging_mean(train.xy, vals[:, j], query.xy, model.length_scale)
+            scale = np.max(np.abs(vals[:, j]))
+            assert np.allclose(got[:, j], want, rtol=0.0, atol=KRIGING_TOL * scale)
 
 
 @settings(max_examples=40, deadline=None)
@@ -779,9 +787,9 @@ def test_spatial_densify_equals_per_key_and_per_query_loops(nx, ny, factor, n_co
         blocks[f"xc:{k}"] = field
     blocks["pd"] = rng.uniform(-3.1, 3.1, (n, 3))
     conf = np.zeros(n) if zero_conf else rng.uniform(0.0, 1.0, n)
-    out, outside = spatial_densify(FingerprintDatabase(grid=coarse, blocks=blocks), fine,
-                                   confidences={"pd": conf})
-    assert outside == 0
+    out = spatial_densify(FingerprintDatabase(grid=coarse, blocks=blocks), factor,
+                          confidences={"pd": conf})
+    assert out.grid == fine
 
     nearest = [int(np.argmin(np.sum((train - q) ** 2, axis=1))) for q in query]
     length_scale = 4.0  # twice the training spacing

@@ -19,7 +19,7 @@ from fingerloc.interp import (
     uca_steering,
     windowed_sinc_lowpass,
 )
-from fingerloc.stats import GammaParams
+from fingerloc.stats import GammaParams, kriging_fit, kriging_predict
 
 C = 299792458.0
 PAIRS = ((0, 1), (1, 2), (0, 2))
@@ -241,8 +241,8 @@ def test_spatial_densify_phasediff_exact_at_training_points():
     rng = np.random.default_rng(83)
     field = wrap_angle(rng.uniform(-3, 3, size=(9, 2)))
     db = _train_db(field, grid)
-    out, outside = spatial_densify(db, grid)
-    assert out.meta.derived is True and outside == 0
+    out = spatial_densify(db, 1)
+    assert out.meta.derived is True and out.grid == grid
     assert np.array_equal(out.blocks["k"], field)
 
 
@@ -257,50 +257,58 @@ def test_spatial_densify_correlation_reproduces_training_magnitudes():
     phases = rng.uniform(-3, 3, size=(9, 3))
     field = mags * np.exp(1j * phases)
     db = _train_db(field, grid)
-    out, _ = spatial_densify(db, grid)
-    got = out.blocks["k"]
+    got = spatial_densify(db, 1).blocks["k"]
     assert np.allclose(np.abs(got), mags, rtol=1e-4)
     # phases copy from the nearest training point, which is the point itself
     assert np.allclose(np.angle(got), np.angle(field), atol=1e-12)
 
 
-def test_spatial_densify_denser_grid_and_outside_fallback():
-    grid = Grid(Position(0, 0), nx=2, ny=2, spacing=2.0)
-    field = np.exp(1j * np.array([[0.1], [0.2], [0.3], [0.4]])) * [[1.0], [2.0], [3.0], [4.0]]
-    db = _train_db(field, grid)
-    # the column at x = -1 pokes out of the training hull [0, 2] x [0, 2]
-    target = Grid(Position(-1.0, 0.5), nx=3, ny=2, spacing=1.0)
-    out, outside = spatial_densify(db, target)
-    assert outside == 2
-    assert len(out) == 6 and out.blocks["k"].shape == (6, 1)
-    # the off-hull column copies its nearest training vector verbatim:
-    # (-1, 0.5) is closest to (0, 0) and (-1, 1.5) to (0, 2)
-    assert np.array_equal(out.blocks["k"][0], field[0])
-    assert np.array_equal(out.blocks["k"][3], field[2])
+def test_spatial_densify_targets_the_integer_refinement_of_the_survey():
+    # a 4x2 survey at 0.3 m refined 7 times: the fine far edge, 21 * (0.3 / 7),
+    # rounds one ulp past the survey's, 3 * 0.3, and is kriged like any point
+    grid = Grid(Position(0.0, 2.0), nx=4, ny=2, spacing=0.3)
+    rng = np.random.default_rng(79)
+    field = np.exp(rng.normal(0.0, 1.0, (8, 3)) + 1j * rng.uniform(-3, 3, (8, 3)))
+    out = spatial_densify(_train_db(field, grid), 7)
+    assert out.grid == Grid(Position(0.0, 2.0), nx=22, ny=8, spacing=0.3 / 7)
+    far = grid.xy[:, 0].max()
+    assert out.grid.xy[:, 0].max() == np.nextafter(far, 1.0)
+    got = out.blocks["k"]
+    assert got.shape == (176, 3) and np.all(np.isfinite(got))
+    # the far column is the kriged mean, not a copy of its nearest survey point
+    edge = out.grid.xy[:, 0] == out.grid.xy[:, 0].max()
+    want = kriging_predict(kriging_fit(grid, 10.0 * np.log10(np.abs(field))),
+                           Grid(Position(far, 2.0), nx=1, ny=8, spacing=0.3 / 7))
+    assert np.allclose(10.0 * np.log10(np.abs(got[edge])), want, rtol=0.0, atol=1e-9)
+    assert not np.allclose(np.abs(got[edge][::7]), np.abs(field[[3, 7]]), rtol=1e-6)
+    for factor in (0, -1, 2.0, True, "2"):
+        with pytest.raises(ValueError):
+            spatial_densify(_train_db(field, grid), factor)
 
 
 def test_spatial_densify_confidence_weighting_and_validation():
     grid = Grid(Position(0, 0), nx=2, ny=2, spacing=1.0)
     field = wrap_angle(np.array([[0.5], [1.5], [-0.5], [2.5]]))
     db = _train_db(field, grid)
-    target = Grid(Position(0.5, 0.5), nx=1, ny=1, spacing=1.0)
-    # all confidence on training point 3: the center query copies its phase
+    # all confidence on training point 3: the cell center, point 4 of the
+    # factor-2 refinement, copies its phase
     conf = np.array([0.0, 0.0, 0.0, 5.0])
-    out, _ = spatial_densify(db, target, confidences={"k": conf})
-    assert out.blocks["k"][0, 0] == pytest.approx(2.5, abs=1e-12)
+    out = spatial_densify(db, 2, confidences={"k": conf})
+    assert out.grid.xy[4].tolist() == [0.5, 0.5]
+    assert out.blocks["k"][4, 0] == pytest.approx(2.5, abs=1e-12)
     with pytest.raises(ValueError):
-        spatial_densify(db, target, confidences={"k": np.ones(3)})
+        spatial_densify(db, 2, confidences={"k": np.ones(3)})
 
 
 def test_spatial_densify_rejects_bad_databases():
     grid = Grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
     empty = FingerprintDatabase(grid=grid)
     with pytest.raises(ValueError):
-        spatial_densify(empty, grid)
+        spatial_densify(empty, 1)
     models = FingerprintDatabase(grid=grid, blocks={
         "k": GammaParams(shape=[1.0, 2.0], scale=[1.0, 1.0])})
     with pytest.raises(ValueError):
-        spatial_densify(models, grid)  # only array blocks densify
+        spatial_densify(models, 1)  # only array blocks densify
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Distribution fits, densities, and spatial interpolation against oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from fingerloc.stats import (
     fit_vonmises,
     gamma_logpdf,
     gaussian_loglik,
+    kriging_cond,
     kriging_fit,
     kriging_predict,
     learn_detection_map,
@@ -416,14 +418,29 @@ def _correlation(a, b, length_scale):
     return np.exp(-d2 / (2 * length_scale ** 2))
 
 
+def _dense_kriging_mean(train, column, query, length_scale):
+    """The oracle: the posterior mean with the column's own signal variance and nugget."""
+    sigf = max(float(np.var(column, ddof=1)), 1e-12)
+    gram = sigf * _correlation(train.xy, train.xy, length_scale) + 1e-6 * sigf * np.eye(len(train))
+    return sigf * _correlation(query.xy, train.xy, length_scale) @ np.linalg.solve(gram, column)
+
+
+def _assert_matches_dense_oracle(train, vals, query):
+    model = kriging_fit(train, vals)
+    mean = kriging_predict(model, query)
+    assert mean.shape == (len(query),) + vals.shape[1:]
+    for j in range(vals.shape[1]):
+        want = _dense_kriging_mean(train, vals[:, j], query, model.length_scale)
+        assert np.allclose(mean[:, j], want, rtol=0.0, atol=1e-8 * np.max(np.abs(vals[:, j])))
+
+
 def test_kriging_reproduces_training_values():
     # fields in the span of the kernel come back at the training points up
     # to the 1e-6 nugget
     rng = np.random.default_rng(61)
     grid = Grid(Position(0, 0), nx=4, ny=4, spacing=1.0)
-    locs = grid.xy
-    vals = _correlation(locs, locs, 2.0) @ rng.standard_normal((16, 3)) * 5.0
-    mean = kriging_predict(kriging_fit(locs, vals), locs)
+    vals = _correlation(grid.xy, grid.xy, 2.0) @ rng.standard_normal((16, 3)) * 5.0
+    mean = kriging_predict(kriging_fit(grid, vals), grid)
     assert mean.shape == (16, 3)
     assert np.allclose(mean, vals, atol=1e-6 * float(np.max(np.abs(vals))))
 
@@ -434,62 +451,97 @@ def test_kriging_default_kernel_smooths_rather_than_interpolates():
     rng = np.random.default_rng(61)
     grid = Grid(Position(0, 0), nx=4, ny=4, spacing=1.0)
     vals = rng.standard_normal(16) * 5.0
-    model = kriging_fit(grid.xy, vals)
-    mean = kriging_predict(model, grid.xy)
+    mean = kriging_predict(kriging_fit(grid, vals), grid)
+    assert mean.shape == (16,)
     assert np.allclose(mean, vals, atol=0.05 * float(np.ptp(vals)))
 
 
 def test_kriging_reverts_to_prior_far_away():
+    # a 1x1 query lattice far from the survey gets the zero prior mean
     grid = Grid(Position(0, 0), nx=3, ny=3, spacing=1.0)
-    vals = np.linspace(-2.0, 2.0, 9)
-    model = kriging_fit(grid.xy, vals)
-    mean = kriging_predict(model, np.array([[1e4, 1e4]]))
-    assert mean == pytest.approx([0.0], abs=1e-12)  # zero prior mean
+    model = kriging_fit(grid, np.linspace(-2.0, 2.0, 9))
+    far = Grid(Position(1e4, 1e4), nx=1, ny=1, spacing=1.0)
+    assert kriging_predict(model, far) == pytest.approx([0.0], abs=1e-12)
 
 
 def test_kriging_default_length_scale_is_twice_spacing():
     grid = Grid(Position(0, 0), nx=3, ny=3, spacing=0.7)
-    model = kriging_fit(grid.xy, np.arange(9.0))
+    model = kriging_fit(grid, np.arange(9.0))
     assert model.length_scale == pytest.approx(1.4, rel=1e-12)
     # the signal variance cancels from the mean: scaling the data scales it
-    queries = np.array([[0.3, 0.2], [1.1, 0.9]])
-    scaled = kriging_fit(grid.xy, 1e3 * np.arange(9.0))
+    queries = Grid(Position(0.3, 0.2), nx=2, ny=2, spacing=0.8)
+    scaled = kriging_fit(grid, 1e3 * np.arange(9.0))
     assert np.allclose(kriging_predict(scaled, queries),
                        1e3 * kriging_predict(model, queries), rtol=1e-12)
 
 
 def test_kriging_predict_matches_dense_solve_oracle():
-    # the per-column formula with its own signal variance and nugget
+    # a survey and a query lattice at random origins and spacings, columns
+    # of very different scales
     rng = np.random.default_rng(71)
-    locs = rng.uniform(0, 5, size=(12, 2))
+    train = Grid(Position(*rng.uniform(-50, 50, 2)), nx=4, ny=3, spacing=rng.uniform(0.1, 3.0))
+    # offset over the survey, so the mean is not all prior
+    query = Grid(Position(train.origin.x + 0.3 * train.spacing, train.origin.y - 0.2),
+                 nx=5, ny=6, spacing=rng.uniform(0.1, 3.0))
     vals = rng.standard_normal((12, 4)) * [3.0, 0.01, 40.0, 1.0]
-    model = kriging_fit(locs, vals)
-    queries = rng.uniform(0, 5, size=(7, 2))
-    mean = kriging_predict(model, queries)
-    for j in range(4):
-        sigf = float(np.var(vals[:, j], ddof=1))
-        gram = sigf * _correlation(locs, locs, model.length_scale) + 1e-6 * sigf * np.eye(12)
-        kstar = sigf * _correlation(queries, locs, model.length_scale)
-        want = kstar @ np.linalg.solve(gram, vals[:, j])
-        assert np.allclose(mean[:, j], want, rtol=1e-9, atol=1e-9)
+    _assert_matches_dense_oracle(train, vals, query)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 5), (6, 1), (1, 2), (2, 1)])
+def test_kriging_on_a_single_row_or_column_survey_matches_dense_solve(nx, ny):
+    rng = np.random.default_rng(nx * 10 + ny)
+    train = Grid(Position(1.5, -2.0), nx=nx, ny=ny, spacing=0.4)
+    query = Grid(Position(1.5, -2.0), nx=(nx - 1) * 3 + 1, ny=(ny - 1) * 3 + 1,
+                 spacing=0.4 / 3)
+    vals = rng.standard_normal((nx * ny, 3)) * [1.0, 100.0, 1e-3]
+    _assert_matches_dense_oracle(train, vals, query)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_kriging_cond_equals_the_dense_matrix_condition_number(n):
+    grid = Grid(Position(-1.0, 4.0), nx=n, ny=n, spacing=2.0)
+    gram = _correlation(grid.xy, grid.xy, 4.0) + 1e-6 * np.eye(len(grid))
+    assert kriging_cond(grid) == pytest.approx(np.linalg.cond(gram), rel=1e-9)
+
+
+def test_kriging_scales_to_a_40x40_survey_in_bounded_memory():
+    # 270 columns (18 keys x 15 lags) onto the factor-2 refinement; the dense
+    # N x N form peaks near 400 MB here
+    rng = np.random.default_rng(97)
+    train = Grid(Position(0.0, 0.0), nx=40, ny=40, spacing=3.0)
+    query = Grid(Position(0.0, 0.0), nx=79, ny=79, spacing=1.5)
+    vals = rng.standard_normal((len(train), 270))
+    tracemalloc.start()
+    try:
+        mean = kriging_predict(kriging_fit(train, vals), query)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert mean.shape == (len(query), 270) and np.all(np.isfinite(mean))
+    # the refinement's even points are the survey points
+    on_survey = mean.reshape(79, 79, 270)[::2, ::2].reshape(len(train), 270)
+    assert np.allclose(on_survey, kriging_predict(kriging_fit(train, vals), train), rtol=0.0,
+                       atol=1e-12 * np.max(np.abs(vals)))
 
 
 def test_kriging_singular_matrix_raises():
-    # duplicated training points have a zero nearest-neighbor spacing, so the
-    # default length scale would be zero and the correlation matrix undefined
+    # a lattice cannot hold coincident points, and one point has no spacing
+    # to set the default length scale from
     with pytest.raises(ValueError):
-        kriging_fit(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([0.0, 1.0]))
+        Grid(Position(1e17, 0.0), nx=2, ny=1, spacing=1.0)
+    one = Grid(Position(0.0, 0.0), nx=1, ny=1, spacing=1.0)
+    with pytest.raises(ValueError):
+        kriging_fit(one, np.array([1.0]))
+    with pytest.raises(ValueError):
+        kriging_cond(one)
 
 
 def test_kriging_validation():
+    grid = Grid(Position(0.0, 0.0), nx=2, ny=1, spacing=1.0)
     with pytest.raises(ValueError):
-        kriging_fit(np.zeros((0, 2)), np.array([]))
+        kriging_fit(grid, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
-        kriging_fit(np.array([[0.0, 0.0]]), np.array([1.0, 2.0]))
+        kriging_fit(grid, np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
-        kriging_fit(np.array([[0.0, 0.0]]), np.array([1.0]))  # defaults need >= 2
-    model = kriging_fit(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        kriging_predict(model, np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        kriging_predict(model, np.zeros(2))
+        kriging_fit(grid, np.zeros((0, 2)))
