@@ -17,23 +17,15 @@ import os
 import sys
 
 from .errors import ConfigError, DegenerateUpdateError, InfeasibleError, NumericError
-from .experiments import bems, classroom, illegal, wifi
 from .experiments.common import write_csv
 from .experiments.configs import load_config, validate_config
+from .experiments.defaults import pipeline_module
 from .experiments.report import cmd_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-_PIPELINE_MODULES = {
-    "classroom_cir": classroom,
-    "wifi_rssi_rspd": wifi,
-    "bems_binary": bems,
-    "illegal_hybrid": illegal,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -99,8 +91,7 @@ def _flatten(obj, prefix="") -> dict:
 
 def run_verb(verb: str, cfg: dict, out_dir: str) -> dict:
     pipeline = cfg["pipeline"]
-    module = _PIPELINE_MODULES[pipeline]
-    handler = getattr(module, f"cmd_{verb}", None)
+    handler = getattr(pipeline_module(pipeline), f"cmd_{verb}", None)
     if handler is None:
         raise ConfigError(f"the {pipeline} pipeline does not support {verb!r}")
     return handler(cfg, out_dir)

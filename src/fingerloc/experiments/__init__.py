@@ -1,23 +1,1 @@
 """Experiment harness: config handling and the four study pipelines."""
-
-from . import bems, classroom, illegal, wifi
-from .artifacts import validate_artifact, validate_run_dir
-from .configs import load_config, parse_config, validate_config
-from .defaults import PIPELINES, config_defaults
-from .report import cmd_report, collect_report
-
-__all__ = [
-    "bems",
-    "classroom",
-    "illegal",
-    "wifi",
-    "load_config",
-    "parse_config",
-    "validate_config",
-    "validate_artifact",
-    "validate_run_dir",
-    "PIPELINES",
-    "config_defaults",
-    "cmd_report",
-    "collect_report",
-]

@@ -39,6 +39,45 @@ _TAG_TRAIN_BIT = 302
 _TAG_WALK = 303
 _TAG_WALK_BIT = 304
 
+DEFAULTS = {
+    "out_dir": "results/bems_binary",
+    "scenario": {
+        "grid": {"nx": 8, "ny": 8, "spacing_m": 1.0, "origin": [0.0, 0.0]},
+        # Ceiling-mounted interior sensors: 3x3 lattice minus the center.
+        "sensors": [
+            {"pos": [1.0, 1.0]}, {"pos": [3.5, 1.0]}, {"pos": [6.0, 1.0]},
+            {"pos": [1.0, 3.5]}, {"pos": [6.0, 3.5]},
+            {"pos": [1.0, 6.0]}, {"pos": [3.5, 6.0]}, {"pos": [6.0, 6.0]},
+        ],
+        # Shared coverage profile; per-sensor overrides allowed above.
+        "coverage": {
+            "range_edges_m": [1.5, 3.0, 4.5, 6.0],
+            "p_moving": [0.98, 0.85, 0.5, 0.08],
+            "p_static": 0.05,
+        },
+        "train_visits": 80,
+        "train_move_prob": 0.9,
+        "walk": {"steps": 200, "move_prob": 0.92, "start_cell": 27},
+        "measurements": None,
+    },
+    "matching": {
+        # Candidate cells within this likelihood ratio of the best survive
+        # into the threshold set U_t.
+        "eta_rel": 0.2,
+    },
+    "tracking": {"p_static": 0.4, "accel_sigma": 1.0, "dt": 1.0},
+    "lighting": {
+        "lights": [
+            {"pos": [x, y], "power_w": 40.0, "peak_lux": 420.0, "height_m": 2.5}
+            for x in (1.0, 3.5, 6.0) for y in (1.0, 3.5, 6.0)
+        ],
+        "target_lux": 300.0,
+        "env_lux": 60.0,
+        "track_output": None,
+    },
+    "evaluation": {},
+}
+
 
 def build_sensors(cfg: dict) -> list:
     """SensorCoverage per configured sensor (shared profile, per-sensor overrides)."""

@@ -28,8 +28,31 @@ from .common import (
     write_csv,
     write_json,
 )
+from .defaults import CHANNEL
 
 _TAG_CIR_NOISE = 101
+
+DEFAULTS = {
+    "out_dir": "results/classroom_cir",
+    "scenario": {
+        "grid": {"nx": 12, "ny": 12, "spacing_m": 0.78, "origin": [0.0, 0.0]},
+        "freq_hz": 1.9575e9,
+        "bandwidth_hz": 3.6e6,
+        "tap_count": 8,
+        "snapshots": 20,
+        "snr_db": 25.0,
+        # Corner sensors sit this far outside the seat grid's corners.
+        "corner_offset_m": 0.5,
+        "uca": {"elements": 3, "radius_m": 0.05},
+        "channel": dict(CHANNEL),
+        "measurements": None,
+    },
+    "matching": {
+        # Diagonal loading for fingerprint covariance fits (times trace/dim).
+        "loading_eps": 1e-3,
+    },
+    "evaluation": {},
+}
 
 
 def antenna_layout(cfg: dict) -> np.ndarray:

@@ -44,12 +44,39 @@ from .common import (
     write_csv,
     write_json,
 )
+from .defaults import CHANNEL
 
 _TAG_TRAIN_BITS = 401
 _TAG_TRAIN_NOISE = 402
 _TAG_TRIALS = 403
 _TAG_TRIAL_BITS = 404
 _TAG_TRIAL_NOISE = 405
+
+DEFAULTS = {
+    "out_dir": "results/illegal_hybrid",
+    "scenario": {
+        "grid": {"nx": 7, "ny": 7, "spacing_m": 2.0, "origin": [0.0, 0.0]},
+        "sensors": [[-1.0, -1.0], [13.0, -1.0], [6.0, 13.0]],
+        "uca": {"elements": 3, "radius_m": 0.05},
+        "train_freqs_hz": [8.0e8, 1.5e9, 2.5e9],
+        "train_bandwidth_hz": 1.0e7,
+        "sample_rate_hz": 1.0e7,
+        "tap_count": 8,
+        "bits": 256,
+        "train_snapshots": 6,
+        "snr_db": 23.0,
+        "target": {"freq_hz": 1.2e9, "bandwidth_hz": 5.0e6, "tx_power_scale": 1.0},
+        "channel": dict(CHANNEL),
+        # Interpolated database lives on a grid this many times denser.
+        "densify_factor": 2,
+        "pulse_taps": 63,
+        "measurements": None,
+    },
+    "evaluation": {
+        "trials": 200,
+        "gamma_sweep": [0.0, 0.25, 1.0, 4.0, 16.0, 1e12],
+    },
+}
 
 
 def uca_geom(cfg: dict) -> UcaGeometry:

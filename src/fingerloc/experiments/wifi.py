@@ -38,6 +38,7 @@ from .common import (
     write_csv,
     write_json,
 )
+from .defaults import CHANNEL
 
 _TAG_TRAIN_BITS = 201
 _TAG_TRAIN_NOISE = 202
@@ -46,6 +47,29 @@ _TAG_WALK_NOISE = 204
 _TAG_WALK = 205
 _TAG_PDR = 206
 _TAG_PF = 207
+
+DEFAULTS = {
+    "out_dir": "results/wifi_rssi_rspd",
+    "scenario": {
+        "grid": {"nx": 10, "ny": 10, "spacing_m": 1.0, "origin": [0.0, 0.0]},
+        "sensors": [[-0.5, 4.5], [9.5, -0.5], [9.5, 9.5]],
+        "antenna_sep_m": 0.06,
+        "freq_hz": 2.412e9,
+        "bandwidth_hz": 2.0e7,
+        "tap_count": 8,
+        "bits": 64,
+        "train_snapshots": 40,
+        "snr_db": 6.0,
+        # Cluttered-office propagation: shallow power gradient, strong
+        # line of sight.  Power alone separates cells poorly here, which
+        # is exactly the regime where phase differences pay off.
+        "channel": dict(CHANNEL, pathloss_exponent=1.0, rician_k_db=12.0),
+        "walk": {"steps": 500, "step_sigma_m": 0.4, "start": [4.5, 4.5]},
+        "measurements": None,
+    },
+    "tracking": {"particles": 1000, "pdr_sigma_m": 0.2},
+    "evaluation": {},
+}
 
 
 def room_bounds(cfg: dict) -> tuple:

@@ -1,10 +1,14 @@
-"""Distribution fitting and evaluation for fingerprint likelihood models."""
+"""Distribution fitting and evaluation for fingerprint likelihood models.
+
+``scipy.special`` is imported inside the three functions that call it: it
+takes about a third of a second to load, and only the Wi-Fi pipeline calls
+them.
+"""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, i0e, i1e
 
 from .errors import NumericError
 from .geometry import Grid
@@ -258,6 +262,8 @@ def gamma_logpdf(x, p: GammaParams):
 
     Broadcasts ``x`` against the parameters, so one value scores a whole block.
     """
+    from scipy.special import gammaln
+
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("gamma density is defined for positive values only")
@@ -298,6 +304,8 @@ def fit_vonmises(angles) -> VonMisesParams:
     ``I1(k)/I0(k) = R``; nearly aligned samples cap at ``KAPPA_MAX``.  A
     (N, n) array fits one model per row, as a block.
     """
+    from scipy.special import i0e, i1e
+
     arr = np.ascontiguousarray(angles, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
         raise ValueError("von Mises fitting needs at least one angle")
@@ -327,6 +335,8 @@ def vonmises_logpdf(x, p: VonMisesParams):
     ``ln I0`` comes from the exponentially scaled Bessel function, so large
     concentrations cannot overflow.  Broadcasts like :func:`gamma_logpdf`.
     """
+    from scipy.special import i0e
+
     arr = np.asarray(x, dtype=float)
     log_i0 = np.log(i0e(p.kappa)) + p.kappa
     out = p.kappa * np.cos(arr - p.mu) - _LOG_2PI - log_i0

@@ -19,6 +19,7 @@ from fingerloc.experiments import bems, classroom, illegal, wifi
 from fingerloc.experiments.artifacts import validate_run_dir
 from fingerloc.experiments.common import build_grid, read_measurements
 from fingerloc.experiments.configs import load_config, parse_config
+from fingerloc.experiments.defaults import PIPELINES, config_defaults
 from fingerloc.geometry import Grid, Position
 from fingerloc.interp import spatial_densify
 from fingerloc.stats import kriging_fit, kriging_predict
@@ -145,17 +146,82 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     assert read(a) == read(c)  # config seed is 5, so no flag means seed 5
 
 
-def test_cli_import_leaves_out_scipy_signal_stats_and_interpolate():
-    # every verb is a fresh process that imports the CLI first, and these
-    # subpackages alone took about half of its start-up
+def _modules_loaded_by(code: str) -> set:
+    """Every module in ``sys.modules`` after running ``code`` in a fresh process."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    code = ("import json, sys, fingerloc.cli\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'signal'], ['scipy', 'stats'], ['scipy', 'interpolate']))))")
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert json.loads(run.stdout) == []
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+# Every verb is a fresh process that imports the CLI and resolves its config
+# first, so start-up is paid on every verb: scipy.signal, scipy.stats and
+# scipy.interpolate once took about half of it.  A pipeline that calls no
+# scipy loads no scipy module at all.
+NEVER_LOADED = {"signal", "stats", "interpolate"}
+SCIPY_CALLED = {
+    "classroom_cir": set(),
+    "illegal_hybrid": set(),
+    "wifi_rssi_rspd": {"special"},
+    "bems_binary": {"special", "optimize", "sparse"},
+}
+PIPELINE_MODULE_NAMES = {f"fingerloc.experiments.{module}" for module in PIPELINES.values()}
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_a_config_loads_only_its_pipeline_and_the_scipy_it_calls(name, tmp_path):
+    cfg_path, _ = _write_config(tmp_path, name)
+    loaded = _modules_loaded_by(
+        "import fingerloc.cli\n"
+        "from fingerloc.experiments.configs import load_config\n"
+        f"load_config({cfg_path!r})")
+    assert loaded & PIPELINE_MODULE_NAMES == {f"fingerloc.experiments.{PIPELINES[name]}"}
+    subpackages = {m.split(".")[1] for m in loaded if m.startswith("scipy.")}
+    assert SCIPY_CALLED[name] <= subpackages
+    assert not subpackages & NEVER_LOADED
+    if not SCIPY_CALLED[name]:
+        assert "scipy" not in loaded
+    if name == "wifi_rssi_rspd":  # the lighting LP's subpackages are bems's alone
+        assert not subpackages & {"optimize", "sparse"}
+
+
+def test_cli_import_and_report_load_no_pipeline_and_no_scipy(tmp_path):
+    run = tmp_path / "results" / "runA"
+    run.mkdir(parents=True)
+    (run / "trials.csv").write_text("step,error_m\n0,1.0\n")
+    (run / "summary.json").write_text('{"trials": 1}\n')
+    for code in ("import fingerloc.cli",
+                 "import fingerloc.cli\n"
+                 f"assert fingerloc.cli.main(['report', '--out', {str(tmp_path / 'results')!r}]) == 0"):
+        loaded = _modules_loaded_by(code)
+        assert not loaded & PIPELINE_MODULE_NAMES
+        assert "scipy" not in loaded
+    assert (tmp_path / "results" / "report.json").is_file()
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_config_defaults_are_a_fresh_copy_on_every_call(name):
+    expected = json.dumps(config_defaults(name), sort_keys=True)
+
+    def scribble(node):
+        if isinstance(node, dict):
+            for value in node.values():
+                scribble(value)
+            node["scribbled"] = True
+        elif isinstance(node, list):
+            for value in node:
+                scribble(value)
+            node.append("scribbled")
+
+    scribble(config_defaults(name))
+    assert json.dumps(config_defaults(name), sort_keys=True) == expected
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_the_bare_config_of_every_pipeline_validates(name):
+    assert parse_config({"version": 1, "pipeline": name}) == config_defaults(name)
 
 
 # ---------------------------------------------------------------------------
