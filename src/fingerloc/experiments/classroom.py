@@ -16,7 +16,7 @@ import numpy as np
 from ..database import DatabaseMeta, FingerprintDatabase
 from ..features import pair_xcorr
 from ..simulate import ChannelModel, derive_seed, link_chunks, simulate_links
-from ..stats import GaussianStats, fit_gaussian, gaussian_loglik
+from ..stats import GaussianStats, fit_gaussian, gaussian_loglik, gaussian_loo_loglik
 from .common import (
     build_grid,
     cdf_table,
@@ -138,6 +138,21 @@ def build_database(cfg: dict, xc: np.ndarray, rssi: np.ndarray) -> FingerprintDa
     return FingerprintDatabase(grid=build_grid(cfg), blocks=blocks, meta=meta)
 
 
+def model_health(db: FingerprintDatabase, keys: list) -> dict:
+    """Numerical health of the stored pair models, for ``learn_log.json``.
+
+    ``loading`` is the [min, max] diagonal loading over every key and seat.
+    ``gaussian_cond`` is the largest 2-norm condition number of any stored
+    covariance, from one batched ``eigvalsh``; it is None when some
+    covariance's smallest eigenvalue is not positive.
+    """
+    blocks = [db.block(key, GaussianStats) for key in keys]
+    loading = np.concatenate([b.loading for b in blocks])
+    eig = np.linalg.eigvalsh(np.stack([b.cov for b in blocks]))
+    cond = float(np.max(eig[..., -1] / eig[..., 0])) if np.all(eig[..., 0] > 0) else None
+    return {"loading": [float(loading.min()), float(loading.max())], "gaussian_cond": cond}
+
+
 def cmd_simulate(cfg: dict, out_dir: str) -> dict:
     arrays = simulate_measurements(cfg)
     save_measurements(cfg, out_dir, arrays)
@@ -152,10 +167,12 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
     xc, rssi = extract_features(cirs)
     db = build_database(cfg, xc, rssi)
     save_db(cfg, out_dir, db)
+    keys = pair_keys(cirs.shape[2])
     log = {
         "points": len(db),
-        "pairs": len(pair_keys(cirs.shape[2])),
+        "pairs": len(keys),
         "per_point_samples": [int(cirs.shape[1])] * len(db),
+        **model_health(db, keys),
     }
     write_json(os.path.join(out_dir, "learn_log.json"), log)
     return log
@@ -164,32 +181,32 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
 def loo_scores(cfg: dict, xc: np.ndarray, rssi: np.ndarray, db: FingerprintDatabase) -> tuple:
     """Leave-one-out scores of every (seat, snapshot) trial against every seat.
 
-    Trials score against the learned per-seat models in ``db``; for the true
-    seat the Gaussian statistics (and the baseline's mean power) are refit
-    on the remaining snapshots, so a trial never matches against a model
-    trained on itself.  Each antenna pair costs one cross-scoring call on its
-    stored block and one fit and paired scoring of all trials' folds.
+    Trials score against the learned per-seat models in ``db``, one
+    cross-scoring call per antenna pair on its stored block.  A trial's true
+    seat instead scores it under the model fitted to that seat's other
+    snapshots (and the baseline under their mean power), so a trial never
+    matches against a model trained on itself.  Those held-out scores come
+    from one :func:`~fingerloc.stats.gaussian_loo_loglik` call over every
+    pair and seat, which downdates each seat's fit in closed form.
 
     Returns:
         (loglik, sqerr): (trials, seats) summed pair log-likelihoods and
         received-power squared distances, trial ``seat * snapshots + snapshot``.
+
+    Raises:
+        NumericError: a stored or held-out covariance is not positive definite.
     """
-    loading = cfg["matching"]["loading_eps"]
     n_seats, n_snap, _, dim = xc.shape
     n_trials = n_seats * n_snap
     trials = np.arange(n_trials)
     true_seat = trials // n_snap
-    # row k holds every snapshot index but k
-    folds = np.array([np.delete(np.arange(n_snap), k) for k in range(n_snap)], dtype=int)
 
     loglik = np.zeros((n_trials, n_seats))
-    held_out = np.zeros(n_trials)
     for p, key in enumerate(pair_keys(len(antenna_layout(cfg)))):
-        x = xc[:, :, p, :]
-        loglik += gaussian_loglik(x.reshape(n_trials, 1, dim), db.block(key, GaussianStats))
-        fold_fits = fit_gaussian(x[:, folds].reshape(n_trials, n_snap - 1, dim), loading)
-        held_out += gaussian_loglik(x.reshape(n_trials, dim), fold_fits)
-    loglik[trials, true_seat] = held_out
+        loglik += gaussian_loglik(xc[:, :, p, :].reshape(n_trials, 1, dim),
+                                  db.block(key, GaussianStats))
+    held_out = gaussian_loo_loglik(np.moveaxis(xc, 2, 0), cfg["matching"]["loading_eps"])
+    loglik[trials, true_seat] = held_out.sum(axis=0).reshape(n_trials)
 
     means = db.block("rssi", np.ndarray)  # (seats, antennas)
     flat_r = rssi.reshape(n_trials, -1)

@@ -22,7 +22,7 @@ from fingerloc.experiments.configs import load_config, parse_config
 from fingerloc.experiments.defaults import PIPELINES, config_defaults
 from fingerloc.geometry import Grid, Position
 from fingerloc.interp import spatial_densify
-from fingerloc.stats import kriging_fit, kriging_predict
+from fingerloc.stats import GaussianStats, kriging_fit, kriging_predict
 
 PIPELINE_MODULES = {"classroom_cir": classroom, "wifi_rssi_rspd": wifi,
                     "bems_binary": bems, "illegal_hybrid": illegal}
@@ -277,6 +277,22 @@ def test_infeasible_lighting_is_a_numeric_error(tmp_path):
     assert main(["lighting", "--config", cfg_path]) == EXIT_NUMERIC
 
 
+def test_classroom_localize_without_loading_needs_full_rank_folds(tmp_path):
+    # 3 snapshots of d = 7 lags: without loading no covariance is positive definite
+    cfg_path, out_dir = _write_config(tmp_path, "classroom_cir", matching={"loading_eps": 0.0})
+    assert main(["simulate", "--config", cfg_path]) == EXIT_OK
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    assert main(["localize", "--config", cfg_path]) == EXIT_NUMERIC
+    assert not (pathlib.Path(out_dir) / "trials.csv").exists()
+    # 12 snapshots: every fold's scatter has rank 10 >= 7
+    scenario = dict(TINY["classroom_cir"]["scenario"], snapshots=12)
+    cfg_path, out_dir = _write_config(tmp_path, "classroom_cir", scenario=scenario,
+                                      matching={"loading_eps": 0.0},
+                                      out_dir=str(tmp_path / "full_rank"))
+    _run_all(cfg_path, "classroom_cir")
+    validate_run_dir(out_dir)
+
+
 def _lighting_from_file(tmp_path, doc):
     path = tmp_path / "sets.json"
     path.write_text(json.dumps(doc))
@@ -370,6 +386,29 @@ def test_illegal_learn_log_reports_kriging_conditioning(tmp_path):
     gram = np.exp(-d2 / (2 * 4.0 ** 2)) + 1e-6 * np.eye(9)
     assert log["kriging_cond"] == pytest.approx(np.linalg.cond(gram), rel=1e-9)
     assert log["kriging_cond"] > 1e3
+
+
+def test_classroom_learn_log_reports_model_health(tmp_path):
+    def learn(loading_eps):
+        cfg_path, out_dir = _write_config(tmp_path, "classroom_cir",
+                                          matching={"loading_eps": loading_eps},
+                                          out_dir=str(tmp_path / str(loading_eps)))
+        assert main(["learn", "--config", cfg_path]) == EXIT_OK
+        validate_run_dir(out_dir)
+        db = load_database(os.path.join(out_dir, "db.json"))
+        blocks = [db.block(key, GaussianStats) for key in classroom.pair_keys(7)]
+        log = json.loads((pathlib.Path(out_dir) / "learn_log.json").read_text())
+        return log, blocks
+
+    log, blocks = learn(1e-3)
+    loading = np.concatenate([b.loading for b in blocks])
+    assert log["loading"] == [loading.min(), loading.max()]
+    cond = max(np.linalg.cond(cov) for b in blocks for cov in b.cov)
+    assert log["gaussian_cond"] == pytest.approx(cond, rel=1e-9)
+    assert log["gaussian_cond"] <= 1.0 + 7 / 1e-3  # loading bounds it by 1 + d / eps
+    # a tiny loading on 3 snapshots of 7 lags: scatters of rank 2, barely loaded
+    log, _ = learn(1e-12)
+    assert log["gaussian_cond"] > 1e10
 
 
 def test_illegal_chain_runs_with_a_four_element_array(tmp_path):

@@ -11,8 +11,9 @@ returns at ``TINY``, so the simulated training set must stay bit-identical
 whatever the file encoding of ``measurements.json``.
 
 The property tests hold the block-wise matchers to a per-grid-point reference
-loop written out here, on random databases, the batched classroom
-leave-one-out to a per-trial, per-fold loop, the batched pair
+loop written out here, on random databases, the closed-form classroom
+leave-one-out (one ``eigh`` per seat and pair, no fold fitted) to a per-trial
+loop that fits every fold, with and without loading, the batched pair
 cross-correlation to ``xcorr`` per pair, the block-diagonal lighting LP to
 one ``linprog`` per occupied set, the unknown-emitter projection stages to
 per-point, per-bin and per-query loops, the windowed-sinc low-pass and
@@ -475,12 +476,18 @@ def test_error_maps_equal_per_point_loop(nx, ny, n_keys, half, seed):
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
-@given(nx=st.integers(1, 3), ny=st.integers(1, 3), snapshots=st.integers(2, 4),
+@given(nx=st.integers(1, 3), ny=st.integers(1, 3), snapshots=st.integers(2, 8),
        taps=st.integers(2, 4), elements=st.integers(2, 3),
-       loading_eps=st.sampled_from([1e-3, 0.1, 1.0]), frozen_seat=st.booleans(),
+       loading_eps=st.sampled_from([0.0, 1e-3, 0.1, 1.0]), frozen_seat=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_loo_scores_equal_per_trial_fold_loop(nx, ny, snapshots, taps, elements, loading_eps,
                                                frozen_seat, seed):
+    if loading_eps == 0.0:
+        # without loading only full-rank folds have a model: fold scatters of
+        # rank snapshots - 2 >= d = 2 * taps - 1, and no frozen seat
+        snapshots = max(snapshots, 5)
+        taps = min(taps, (snapshots - 1) // 2)
+        frozen_seat = False
     cfg = parse_config({
         "version": 1, "pipeline": "classroom_cir",
         "scenario": {"grid": {"nx": nx, "ny": ny, "origin": [0, 0], "spacing_m": 1.0},

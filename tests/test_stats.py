@@ -23,6 +23,7 @@ from fingerloc.stats import (
     fit_vonmises,
     gamma_logpdf,
     gaussian_loglik,
+    gaussian_loo_loglik,
     kriging_cond,
     kriging_fit,
     kriging_predict,
@@ -143,6 +144,86 @@ def test_gaussian_stats_validation():
         GaussianStats(mean=np.array([0j, 0j]), cov=np.eye(1, dtype=complex), loading=0.0)
     with pytest.raises(ValueError):
         GaussianStats(mean=np.array([0j]), cov=np.array([[-1.0 + 0j]]), loading=0.0)
+
+
+def _one_fit_per_fold(x, loading_eps):
+    """Held-out scores from ``fit_gaussian`` + ``gaussian_loglik``, one fold at a time."""
+    n = x.shape[-2]
+    out = np.empty(x.shape[:-1])
+    for idx in np.ndindex(*x.shape[:-2]):
+        for k in range(n):
+            fold = np.delete(x[idx], k, axis=0)
+            out[idx + (k,)] = gaussian_loglik(x[idx][k], fit_gaussian(fold, loading_eps))
+    return out
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("loading_eps", [1e-3, 0.1, 1.0, 0.0])
+def test_gaussian_loo_loglik_equals_one_fit_per_fold(loading_eps):
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        d = int(rng.integers(1, 6))
+        # without loading only full-rank folds (n - 2 >= d) have a model
+        n = int(rng.integers(d + 2 if loading_eps == 0.0 else 2, 10))
+        x = _complex_normal(rng, (2, 3, n, d)) + 3.0 * _complex_normal(rng, d)
+        got = gaussian_loo_loglik(x, loading_eps)
+        assert got.shape == (2, 3, n)
+        assert np.allclose(got, _one_fit_per_fold(x, loading_eps), rtol=1e-9, atol=1e-9)
+
+
+def test_gaussian_loo_loglik_zero_scatter_folds_follow_the_fold_fit():
+    # the downdated trace of these folds is rounding of the seat's scatter,
+    # which can land on either side of the zero threshold
+    rng = np.random.default_rng(73)
+    for _ in range(20):
+        x, z = _complex_normal(rng, 4), 100.0 * _complex_normal(rng, 4)
+        last_bit = np.nextafter(x.real, np.inf) + 1j * x.imag
+        seats = np.stack([
+            np.stack([x, x, x, x]),  # every fold of equal samples
+            np.stack([x, last_bit, x, z]),  # only the fold without z: equal to rounding
+        ])
+        got = gaussian_loo_loglik(seats, 1e-3)
+        assert np.allclose(got, _one_fit_per_fold(seats, 1e-3), rtol=1e-12, atol=0.0)
+        # the fold without z is 1e-3 * I about the mean of the other three
+        rest = np.stack([x, last_bit, x]).mean(axis=0)
+        want = -4 * math.log(math.pi * 1e-3) - np.sum(np.abs(z - rest) ** 2) / 1e-3
+        assert got[1, 3] == pytest.approx(want, rel=1e-12)
+        # n = 2: every fold holds one sample
+        pairs = _complex_normal(rng, (5, 2, 3)) + 2.0
+        got = gaussian_loo_loglik(pairs, 0.1)
+        gap = np.sum(np.abs(pairs[:, 0] - pairs[:, 1]) ** 2, axis=-1)
+        assert np.allclose(got, -3 * math.log(math.pi * 0.1) - gap[:, None] / 0.1, rtol=1e-12)
+        assert np.allclose(got, _one_fit_per_fold(pairs, 0.1), rtol=1e-12, atol=0.0)
+    # without loading a zero-scatter fold has no model
+    with pytest.raises(NumericError):
+        gaussian_loo_loglik(seats, 0.0)
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (5, 7), (8, 7)])
+def test_gaussian_loo_loglik_singular_fold_raises(n, d):
+    # without loading, a fold of n - 1 <= d samples has a scatter of rank n - 2 < d
+    # (n = d + 1: the seat's scatter is full rank and only the downdate is
+    # singular, so 1 - a q is rounding of either sign)
+    rng = np.random.default_rng(10 * n + d)
+    for _ in range(10):
+        for scale in (1e-6, 1.0, 1e6):
+            x = scale * _complex_normal(rng, (n, d))
+            with pytest.raises(NumericError):
+                gaussian_loo_loglik(x, 0.0)
+            with pytest.raises(NumericError):
+                gaussian_loo_loglik(x + 5.0 * scale, 0.0)
+
+
+def test_gaussian_loo_loglik_validation():
+    for bad in (np.ones(3, dtype=complex), np.ones((1, 3), dtype=complex),
+                np.ones((3, 0), dtype=complex)):
+        with pytest.raises(ValueError):
+            gaussian_loo_loglik(bad)
+    with pytest.raises(ValueError):
+        gaussian_loo_loglik(np.ones((3, 2), dtype=complex), loading_eps=-1.0)
 
 
 # ---------------------------------------------------------------------------
