@@ -99,13 +99,17 @@ def run_verb(verb: str, cfg: dict, out_dir: str) -> dict:
 
 def run_sweep(verb: str, cfg: dict, out_dir: str, sweep_spec: str) -> None:
     key, values = parse_sweep(sweep_spec)
-    rows = []
-    flat_keys = set()
-    summaries = []
+    # every setting is checked before the first one runs
+    sub_cfgs = []
     for value in values:
         sub_cfg = copy.deepcopy(cfg)
         apply_override(sub_cfg, key, value)
         validate_config(sub_cfg)
+        sub_cfgs.append(sub_cfg)
+    rows = []
+    flat_keys = set()
+    summaries = []
+    for value, sub_cfg in zip(values, sub_cfgs):
         sub_out = os.path.join(out_dir, f"sweep_{key}={value}")
         summary = run_verb(verb, sub_cfg, sub_out)
         flat = _flatten(summary)

@@ -217,28 +217,27 @@ def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
                           dt=tr["dt"])
     trans = transition_matrix(grid, model)
     pts = grid.xy
+    obs_values = binary_likelihood(walk_bits(cfg, grid, cells, moving), maps)
+    snap = np.argmax(obs_values, axis=1).tolist()
+    errs_snap = np.hypot(*(pts[snap] - pts[cells]).T).tolist()
 
     prior = None
     rows = []
     candidate_sets = []
-    errs_track, errs_snap = [], []
-    for t, (cell, bits) in enumerate(zip(cells, walk_bits(cfg, grid, cells, moving)), start=1):
-        obs = binary_likelihood(bits, maps)
+    errs_track = []
+    for t, (cell, values) in enumerate(zip(cells, obs_values), start=1):
+        obs = LikelihoodMap(grid=grid, values=values)
         if prior is None:  # first step: normalize like the filter does
-            post = LikelihoodMap(grid=obs.grid, values=obs.values - np.max(obs.values),
-                                 mode=obs.mode)
+            post = LikelihoodMap(grid=grid, values=obs.values - np.max(obs.values))
         else:
             post = grid_bayes_step(prior, trans, obs)
         prior = post
-        snap_idx = int(np.argmax(obs.values))
         track_idx = int(np.argmax(post.values))
         cand = threshold_set(post, eta)
         candidate_sets.append([int(c) for c in cand])
-        err_s = float(np.hypot(*(pts[snap_idx] - pts[cell])))
         err_t = float(np.hypot(*(pts[track_idx] - pts[cell])))
-        errs_snap.append(err_s)
         errs_track.append(err_t)
-        rows.append((t, cell, pts[cell, 0], pts[cell, 1], snap_idx, err_s,
+        rows.append((t, cell, pts[cell, 0], pts[cell, 1], snap[t - 1], errs_snap[t - 1],
                      track_idx, pts[track_idx, 0], pts[track_idx, 1], err_t,
                      len(cand), cell in cand))
 

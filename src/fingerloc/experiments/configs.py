@@ -1,6 +1,7 @@
 """Experiment configuration loading and validation."""
 
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -16,14 +17,39 @@ def _schema_for(pipeline: str) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+def _non_finite(node, path: tuple = ()) -> tuple | None:
+    """Key path of the first NaN or infinity in a config, else None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite(value, path + (str(key),))
+        if found is not None:
+            return found
+    return None
+
+
 def validate_config(cfg: dict) -> None:
-    """Check a fully merged config against its pipeline's shipped schema."""
+    """Check a fully merged config against its pipeline's shipped schema.
+
+    JSON readers accept ``NaN`` and ``Infinity``, and NaN passes every
+    schema bound, so any non-finite number is rejected first.
+    """
     pipeline = cfg.get("pipeline")
     if pipeline not in PIPELINES:
         raise ConfigError(
             f"pipeline must be one of {sorted(PIPELINES)}, got {pipeline!r}",
             path="pipeline",
         )
+    keys = _non_finite(cfg)
+    if keys is not None:
+        path = ".".join(keys)
+        raise ConfigError(f"{path}: not a finite number", path=path)
     validator = jsonschema.Draft202012Validator(_schema_for(pipeline))
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:

@@ -15,7 +15,6 @@ import numpy as np
 
 from ..database import DatabaseMeta, FingerprintDatabase
 from ..features import power_phase, xcorr_rows
-from ..geometry import Position
 from ..interp import (
     UcaGeometry,
     bandwidth_interp,
@@ -25,13 +24,7 @@ from ..interp import (
     spatial_densify,
     windowed_sinc_lowpass,
 )
-from ..matching import (
-    MODE_SQUARED_ERROR,
-    HybridConfig,
-    LikelihoodMap,
-    fingerprint_sqerr,
-    hybrid_match,
-)
+from ..matching import fingerprint_sqerr
 from ..simulate import ChannelModel, TxSignalSpec, derive_seed, link_chunks, simulate_links
 from ..stats import kriging_cond
 from .common import (
@@ -302,39 +295,42 @@ def error_maps(db: FingerprintDatabase, xc: dict, pd: dict) -> tuple:
     return vx, vp
 
 
+def _best_points(errors: np.ndarray) -> list:
+    """Per row of a (trials, N) squared-error block, its argmin (lowest index on ties)."""
+    if not np.all(np.isfinite(errors)):
+        raise ValueError("squared-error maps must be finite")
+    return np.argmin(errors, axis=1).tolist()
+
+
 def evaluate(cfg: dict, db: FingerprintDatabase) -> tuple:
-    """All trials x {pure xcorr, pure phasediff, hybrid per gamma}."""
+    """All trials x {pure xcorr, pure phasediff, hybrid per gamma}.
+
+    Each method matches every trial with one argmin over its error block;
+    the hybrid block of weight gamma is ``xcorr + gamma * phasediff``.
+    """
     trials = draw_trials(cfg)
     sweep = list(cfg["evaluation"]["gamma_sweep"])
     pts = db.grid.xy
-    rows = []
-    errors = {"xcorr": [], "phasediff": []}
-    hybrid_errors = {g: [] for g in sweep}
-    endpoint_x = True
-    endpoint_p = True
     xc, ph = trial_fingerprints(cfg, trials)
     vx, vp = error_maps(db, dict(zip(xcorr_keys(cfg), np.moveaxis(xc, 1, 0))),
                         dict(zip(phase_keys(cfg), np.moveaxis(ph, 1, 0))))
-    for t in range(len(trials)):
-        tx = Position(float(trials[t, 0]), float(trials[t, 1]))
-        err_x = LikelihoodMap(grid=db.grid, values=vx[t], mode=MODE_SQUARED_ERROR)
-        err_p = LikelihoodMap(grid=db.grid, values=vp[t], mode=MODE_SQUARED_ERROR)
-        idx_x = err_x.argbest()
-        idx_p = err_p.argbest()
-        for method, idx in (("xcorr", idx_x), ("phasediff", idx_p)):
-            e = float(np.hypot(pts[idx, 0] - tx.x, pts[idx, 1] - tx.y))
+    best = {"xcorr": _best_points(vx), "phasediff": _best_points(vp)}
+    hybrid = [_best_points(vx + float(g) * vp) for g in sweep]
+    rows = []
+    errors = {"xcorr": [], "phasediff": []}
+    hybrid_errors = {g: [] for g in sweep}
+    for t, (x, y) in enumerate(trials.tolist()):
+        for method, idx in best.items():
+            e = float(np.hypot(pts[idx[t], 0] - x, pts[idx[t], 1] - y))
             errors[method].append(e)
-            rows.append((t, method, "", tx.x, tx.y, idx, pts[idx, 0], pts[idx, 1], e))
-        for g in sweep:
-            idx, _ = hybrid_match(err_x, err_p, HybridConfig(gamma=float(g)))
-            e = float(np.hypot(pts[idx, 0] - tx.x, pts[idx, 1] - tx.y))
+            rows.append((t, method, "", x, y, idx[t], pts[idx[t], 0], pts[idx[t], 1], e))
+        for g, idx in zip(sweep, hybrid):
+            e = float(np.hypot(pts[idx[t], 0] - x, pts[idx[t], 1] - y))
             hybrid_errors[g].append(e)
-            rows.append((t, "hybrid", float(g), tx.x, tx.y, idx,
-                         pts[idx, 0], pts[idx, 1], e))
-            if g == sweep[0]:
-                endpoint_x = endpoint_x and idx == idx_x
-            if g == sweep[-1]:
-                endpoint_p = endpoint_p and idx == idx_p
+            rows.append((t, "hybrid", float(g), x, y, idx[t],
+                         pts[idx[t], 0], pts[idx[t], 1], e))
+    endpoint_x = all(idx == best["xcorr"] for g, idx in zip(sweep, hybrid) if g == sweep[0])
+    endpoint_p = all(idx == best["phasediff"] for g, idx in zip(sweep, hybrid) if g == sweep[-1])
 
     med = {m: float(np.median(v)) for m, v in errors.items()}
     hybrid_med = {repr(float(g)): float(np.median(v)) for g, v in hybrid_errors.items()}

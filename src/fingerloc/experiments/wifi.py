@@ -16,7 +16,7 @@ import numpy as np
 from ..database import DatabaseMeta, FingerprintDatabase
 from ..features import power_phase
 from ..geometry import Position
-from ..matching import mle_rssi_rspd
+from ..matching import LikelihoodMap, mle_rssi_rspd
 from ..simulate import (
     ChannelModel,
     TxSignalSpec,
@@ -180,26 +180,34 @@ def walk_features(cfg: dict, path: np.ndarray) -> np.ndarray:
                             [(_TAG_WALK_NOISE, t) for t in steps])
 
 
-def _split(features: list, prefix: str) -> list:
-    return [(k, v) for k, v in features if k.startswith(prefix)]
-
-
 def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
     """Per-step errors of the static matchers (and the particle filter).
 
-    Steps are indexed 1..T; a zero-step walk yields no rows.  The particle
-    filter starts uniform over the room, advances by the noisy dead-reckoning
-    step, and is reweighted by the combined power+phase likelihood map; each
+    Steps are indexed 1..T; a zero-step walk yields no rows.  Each static
+    matcher scores every step in one call.  The particle filter starts
+    uniform over the room, advances by the noisy dead-reckoning step, and
+    is reweighted by the step's row of the combined power+phase map; each
     row records the filter's effective sample size before resampling and
     whether it resampled.
     """
     scn = cfg["scenario"]
     path = generate_walk(cfg)
     n_steps = scn["walk"]["steps"]
-    pts = db.grid.xy
 
-    ps = None
-    pdr = None
+    walk_feats = walk_features(cfg, path)
+    # per sensor its power then its phase: the order the combined map sums in
+    features = {f"{kind}:{s}": walk_feats[:, s, k]
+                for s in range(walk_feats.shape[1])
+                for k, kind in enumerate(("rssi", "rspd"))}
+    maps = {method: mle_rssi_rspd({key: value for key, value in features.items()
+                                   if key.startswith(prefix)}, db)
+            for method, prefix in (("rssi", "rssi:"), ("rspd", "rspd:"), ("rssi_rspd", ""))}
+    errors = {method: np.hypot(*(db.grid.xy[idx] - path[1:]).T).tolist()
+              for method, (_, idx) in maps.items()}
+    rows = [[t, float(x), float(y), *(errors[m][t - 1] for m in maps)]
+            for t, (x, y) in enumerate(path[1:], start=1)]
+
+    errors["pf"] = []
     if with_pf and n_steps > 0:
         tr = cfg["tracking"]
         pdr = simulate_pdr([Position(x, y) for x, y in path],
@@ -209,34 +217,17 @@ def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
         positions = rng.uniform((x0, y0), (x1, y1), size=(tr["particles"], 2))
         ps = ParticleSet(positions=positions,
                          weights=np.full(tr["particles"], 1.0 / tr["particles"]))
-
-    walk_feats = walk_features(cfg, path)
-    rows = []
-    errors = {"rssi": [], "rspd": [], "rssi_rspd": [], "pf": []}
-    for t in range(1, n_steps + 1):
-        features = []
-        for s, (rssi, rspd) in enumerate(walk_feats[t - 1].tolist()):
-            features += [(f"rssi:{s}", rssi), (f"rspd:{s}", rspd)]
-        true = path[t]
-        row = [t, float(true[0]), float(true[1])]
-        for method, feats in (("rssi", _split(features, "rssi:")),
-                              ("rspd", _split(features, "rspd:")),
-                              ("rssi_rspd", features)):
-            lmap, idx = mle_rssi_rspd(feats, db)
-            err = float(np.hypot(*(pts[idx] - true)))
-            errors[method].append(err)
-            row.append(err)
-        if ps is not None:
-            ps = particle_predict(ps, pdr[t - 1], cfg["tracking"]["pdr_sigma_m"],
+        combined = maps["rssi_rspd"][0]
+        for t, row in enumerate(rows, start=1):
+            ps = particle_predict(ps, pdr[t - 1], tr["pdr_sigma_m"],
                                   derive_seed(cfg["seed"], _TAG_PF, 1, t))
-            # the loop ends on "rssi_rspd", so lmap is the combined map
-            ps, est, ess = particle_update(ps, lmap,
-                                           seed=derive_seed(cfg["seed"], _TAG_PF, 2, t))
-            err = float(math.hypot(est.x - true[0], est.y - true[1]))
+            obs = LikelihoodMap(grid=db.grid, values=combined[t - 1])
+            ps, est, ess = particle_update(ps, obs, seed=derive_seed(cfg["seed"], _TAG_PF, 2, t))
+            err = float(math.hypot(est.x - path[t, 0], est.y - path[t, 1]))
             errors["pf"].append(err)
             row.extend([float(est.x), float(est.y), err, ess,
                         ess < RESAMPLE_ESS_FRACTION * len(ps)])
-        rows.append(tuple(row))
+    rows = [tuple(row) for row in rows]
 
     methods = ["rssi", "rspd", "rssi_rspd"] + (["pf"] if with_pf else [])
     summary = {"methods": {m: summarize_errors(errors[m]) for m in methods},

@@ -60,7 +60,10 @@ def windowed_sinc_lowpass(cutoff_ratio: float, n_taps: int = LOWPASS_TAPS) -> np
         raise ValueError("cutoff ratio must lie in (0, 1)")
     m = np.arange(n_taps) - (n_taps - 1) / 2
     h = cutoff_ratio * np.sinc(cutoff_ratio * m) * np.hamming(n_taps)
-    return h / h.sum()
+    total = h.sum()
+    if not total > 0.0:  # a subnormal cutoff: every tap underflows to 0
+        raise ValueError(f"cutoff ratio {cutoff_ratio!r} is too small for {n_taps} taps")
+    return h / total
 
 
 def bandwidth_interp(values, train_bw_hz: float, target_bw_hz: float) -> np.ndarray:

@@ -1,6 +1,5 @@
-"""Snapshot position estimation: likelihood maps, matchers, and hybrid combining."""
+"""Snapshot position estimation: likelihood maps and block matchers."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,25 +15,19 @@ from .stats import (
 
 __all__ = [
     "LikelihoodMap",
-    "HybridConfig",
     "mle_rssi_rspd",
     "binary_likelihood",
     "threshold_set",
-    "hybrid_match",
     "fingerprint_sqerr",
 ]
-
-MODE_LOG_LIKELIHOOD = "log_likelihood"
-MODE_SQUARED_ERROR = "squared_error"
 
 
 @dataclass(frozen=True)
 class LikelihoodMap:
-    """One value per grid point, either a log-likelihood or a squared error."""
+    """One finite log-likelihood per grid point: a filter's per-step observation."""
 
     grid: Grid
     values: np.ndarray
-    mode: str = MODE_LOG_LIKELIHOOD
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -44,84 +37,74 @@ class LikelihoodMap:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("likelihood map values must be finite")
-        if self.mode not in (MODE_LOG_LIKELIHOOD, MODE_SQUARED_ERROR):
-            raise ValueError(f"unknown map mode {self.mode!r}")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def argbest(self) -> int:
-        """Index of the best grid point: argmax for log-likelihoods, argmin for errors."""
-        if self.mode == MODE_LOG_LIKELIHOOD:
-            return int(np.argmax(self.values))
-        return int(np.argmin(self.values))
 
-
-@dataclass(frozen=True)
-class HybridConfig:
-    """Weight for combining correlation and phase error maps."""
-
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
-
-
-def mle_rssi_rspd(target_features, db) -> tuple:
-    """Maximum-likelihood matching of power/phase features.
+def mle_rssi_rspd(features: dict, db) -> tuple:
+    """Maximum-likelihood matching of power/phase features, every snapshot at once.
 
     Args:
-        target_features: iterable of ``(key, value)`` with RSSI features as
-            positive linear powers and phase features in radians; the block
-            type stored at each key (Gamma vs von Mises) selects the density.
+        features: ``{key: value}`` with RSSI features as positive linear
+            powers and phase features in radians; every value is a scalar or
+            an array of one common shape, e.g. (T,) for T snapshots.  The
+            block type stored at each key (Gamma vs von Mises) selects the
+            density.
         db: FingerprintDatabase with one fitted model block per key.
 
     Returns:
-        (map, index): the summed log-likelihood map over the grid and its
-        argmax (lowest index on ties).
+        (values, index): the (..., N) log-likelihoods over the grid, summed
+        over the keys in the dict's order, and their (...) argmax (lowest
+        index on ties).
     """
-    feats = list(target_features)
-    if len(feats) == 0:
+    if not features:
         raise ValueError("at least one target feature is required")
-    values = np.zeros(len(db.grid), dtype=float)
-    for key, value in feats:
+    shapes = {np.shape(value) for value in features.values()}
+    if len(shapes) != 1:
+        raise ValueError(f"features must share one shape, got {sorted(shapes)}")
+    values = np.zeros(shapes.pop() + (len(db.grid),))
+    for key, value in features.items():
         model = db.block(key, (GammaParams, VonMisesParams))
+        x = np.asarray(value, dtype=float)[..., None]
         if isinstance(model, GammaParams):
-            if value <= 0:
+            if np.any(x <= 0):
                 raise ValueError(f"feature {key!r} must be positive for a power model")
-            values += gamma_logpdf(float(value), model)
+            values += gamma_logpdf(x, model)
         else:
-            values += vonmises_logpdf(float(value), model)
-    lmap = LikelihoodMap(grid=db.grid, values=values, mode=MODE_LOG_LIKELIHOOD)
-    return lmap, int(np.argmax(values))
+            values += vonmises_logpdf(x, model)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("likelihood map values must be finite")
+    return values, np.argmax(values, axis=-1)
 
 
-def binary_likelihood(bits, maps) -> LikelihoodMap:
-    """Log-likelihood of a detection bit vector under per-sensor detection maps.
+def binary_likelihood(bits, maps) -> np.ndarray:
+    """Log-likelihood of detection bits under per-sensor detection maps.
 
     Args:
-        bits: one 0/1 detection bit per sensor.
-        maps: one DetectionMap per sensor, all on the same grid.
+        bits: (..., S) 0/1 detection bits, one column per sensor, e.g. one
+            row per step.
+        maps: S DetectionMaps, all on the same grid.
 
     Returns:
-        LikelihoodMap with ``sum_m b ln p_m + (1-b) ln(1-p_m)`` per cell.
+        (..., N): ``sum_m b_m ln p_m + (1 - b_m) ln(1 - p_m)`` per cell,
+        summed over the sensors in order.
     """
     maps = list(maps)
     bits = np.asarray(bits)
-    if bits.ndim != 1 or not np.all((bits == 0) | (bits == 1)):
-        raise ValueError(f"need a vector of 0/1 detection bits, got {bits!r}")
-    if len(maps) != bits.size:
-        raise ValueError(f"got {bits.size} bits but {len(maps)} detection maps")
+    if bits.ndim == 0 or not np.all((bits == 0) | (bits == 1)):
+        raise ValueError(f"need 0/1 detection bits, one column per sensor, got {bits!r}")
+    if len(maps) != bits.shape[-1]:
+        raise ValueError(f"got {bits.shape[-1]} bits per row but {len(maps)} detection maps")
     grid = maps[0].grid
-    values = np.zeros(len(grid), dtype=float)
-    for bit, dmap in zip(bits, maps):
+    values = np.zeros(bits.shape[:-1] + (len(grid),))
+    for s, dmap in enumerate(maps):
         if dmap.grid != grid:
             raise ValueError("all detection maps must share one grid")
-        if bit:
-            values += np.log(dmap.probs)
-        else:
-            values += np.log1p(-dmap.probs)
-    return LikelihoodMap(grid=grid, values=values, mode=MODE_LOG_LIKELIHOOD)
+        fired = bits[..., s, None] == 1
+        # in place, each cell once: no (..., N) temporary per sensor
+        np.add(values, np.log(dmap.probs), out=values, where=fired)
+        np.add(values, np.log1p(-dmap.probs), out=values, where=~fired)
+    return values
 
 
 def threshold_set(lmap: LikelihoodMap, eta: float) -> np.ndarray:
@@ -134,23 +117,6 @@ def threshold_set(lmap: LikelihoodMap, eta: float) -> np.ndarray:
     if idx.size == 0:
         return np.array([int(np.argmax(lmap.values))], dtype=int)
     return idx.astype(int)
-
-
-def hybrid_match(err_xcorr: LikelihoodMap, err_phase: LikelihoodMap,
-                 cfg: HybridConfig) -> tuple:
-    """Combine correlation and phase squared-error maps.
-
-    Returns:
-        (index, map): argmin of ``err_xcorr + gamma * err_phase`` (lowest
-        index on ties) and the combined squared-error map.
-    """
-    if err_xcorr.grid != err_phase.grid:
-        raise ValueError("error maps must share one grid")
-    if err_xcorr.mode != MODE_SQUARED_ERROR or err_phase.mode != MODE_SQUARED_ERROR:
-        raise ValueError("hybrid matching combines squared-error maps")
-    combined = err_xcorr.values + cfg.gamma * err_phase.values
-    lmap = LikelihoodMap(grid=err_xcorr.grid, values=combined, mode=MODE_SQUARED_ERROR)
-    return int(np.argmin(combined)), lmap
 
 
 def fingerprint_sqerr(targets, reference, *, wrap: bool = False) -> np.ndarray:

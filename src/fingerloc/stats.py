@@ -86,13 +86,15 @@ class GaussianStats:
         if loading.shape != mean.shape[:-1]:
             raise ValueError(f"loading shape {loading.shape} does not match mean {mean.shape}")
         herm_gap = np.max(np.abs(cov - np.conj(np.swapaxes(cov, -1, -2))), axis=(-2, -1))
-        scale = np.maximum(np.abs(np.trace(cov, axis1=-2, axis2=-1)), 1.0)
-        if np.any(herm_gap > 1e-12 * scale):
+        # 1e-12 max(|tr C|, 1), scaled before the sum so that it cannot overflow
+        diag = np.diagonal(cov, axis1=-2, axis2=-1)
+        tol = np.maximum(np.abs(np.sum(1e-12 * diag, axis=-1)), 1e-12)
+        if np.any(herm_gap > tol):
             raise ValueError(f"covariance is not Hermitian (max asymmetry {np.max(herm_gap):.3e})")
         if np.any(loading < 0):
             raise ValueError("loading must be non-negative")
         eigmin = np.min(np.linalg.eigvalsh(cov), axis=-1)
-        if np.any(eigmin < -1e-9 * scale):
+        if np.any(eigmin < -1e3 * tol):
             raise ValueError(f"covariance has negative eigenvalue {np.min(eigmin):.3e}")
         _freeze(self, mean=mean, cov=cov, loading=loading)
 

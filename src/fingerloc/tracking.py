@@ -7,7 +7,7 @@ from scipy.special import ndtr
 
 from .errors import DegenerateUpdateError, NumericError
 from .geometry import Grid, Position
-from .matching import MODE_LOG_LIKELIHOOD, LikelihoodMap
+from .matching import LikelihoodMap
 
 __all__ = [
     "GridTransition",
@@ -186,8 +186,6 @@ def grid_bayes_step(prev: LikelihoodMap, trans: GridTransition,
     """
     if prev.grid != obs.grid:
         raise ValueError("prior and observation maps must share one grid")
-    if prev.mode != MODE_LOG_LIKELIHOOD or obs.mode != MODE_LOG_LIKELIHOOD:
-        raise ValueError("grid Bayes filtering works on log-likelihood maps")
     shape = (prev.grid.ny, prev.grid.nx)
     if trans.shape != shape:
         raise ValueError(f"transition grid shape {trans.shape} does not match the maps' {shape}")
@@ -197,7 +195,7 @@ def grid_bayes_step(prev: LikelihoodMap, trans: GridTransition,
         raise NumericError("predictive mass vanished; the transition starves some cells")
     values = obs.values + np.log(mixed) + shift
     values = values - np.max(values)
-    return LikelihoodMap(grid=prev.grid, values=values, mode=MODE_LOG_LIKELIHOOD)
+    return LikelihoodMap(grid=prev.grid, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +261,9 @@ def particle_update(ps: ParticleSet, lmap: LikelihoodMap, seed=0,
 
     Args:
         ps: current particles.
-        lmap: the step's observation log-likelihood map,
-            e.g. from :func:`fingerloc.matching.mle_rssi_rspd`.
+        lmap: the step's observation log-likelihoods over the grid, e.g.
+            one row of the (T, N) block that
+            :func:`fingerloc.matching.mle_rssi_rspd` returns for a walk.
         seed: stream for the embedded resampling step.
         estimator: ``"mean"`` for the weighted mean position (default) or
             ``"mode"`` for the highest-weight particle.

@@ -258,6 +258,26 @@ def test_invalid_config_contents_are_config_errors(tmp_path, patch):
     assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name, verb, section, key, path", [
+    ("wifi_rssi_rspd", "track", "tracking", "pdr_sigma_m", "tracking.pdr_sigma_m"),
+    ("illegal_hybrid", "localize", "evaluation", "gamma_sweep", "evaluation.gamma_sweep.1"),
+])
+def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, value, name, verb,
+                                                     section, key, path):
+    # json reads NaN and Infinity, and NaN passes every schema minimum
+    patched = dict(TINY[name][section])
+    patched[key] = [0.0, value] if key == "gamma_sweep" else value
+    cfg_path, out_dir = _write_config(tmp_path, name, **{section: patched})
+    assert ("NaN" if math.isnan(value) else "Infinity") in pathlib.Path(cfg_path).read_text()
+    capsys.readouterr()
+    assert main([verb, "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and path in err and "finite" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out_dir)
+
+
 @pytest.mark.parametrize("name,verb", [
     ("classroom_cir", "track"),
     ("wifi_rssi_rspd", "lighting"),
@@ -575,6 +595,25 @@ def test_database_with_non_finite_values_is_a_config_error(tmp_path, capsys, nam
     assert not (pathlib.Path(out_dir) / "trials.csv").exists()
 
 
+@pytest.mark.parametrize("prob", [1.0, 0.0])
+def test_database_with_a_certain_detection_probability_is_a_config_error(tmp_path, capsys,
+                                                                        prob):
+    # finite, so it loads; a 0 or 1 would put -inf into the log-likelihoods
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    db_path = pathlib.Path(out_dir) / "db.json"
+    doc = json.loads(db_path.read_text())
+    block = doc["blocks"]["det:0"]
+    block["values"] = _with_first_value(block["values"], prob)
+    db_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["track", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "strictly inside (0, 1)" in err
+    assert "Traceback" not in err
+    assert not (pathlib.Path(out_dir) / "track.csv").exists()
+
+
 def _b64(raw: bytes) -> str:
     return base64.b64encode(raw).decode("ascii")
 
@@ -785,6 +824,18 @@ def test_sweep_rejects_malformed_specs(tmp_path):
     assert main(["track", "--config", cfg_path, "--sweep", "nonsense"]) == EXIT_CONFIG
     assert main(["track", "--config", cfg_path,
                  "--sweep", "scenario.no_such_knob=1,2"]) == EXIT_CONFIG
+
+
+def test_sweep_checks_every_setting_before_running_one(tmp_path, capsys):
+    cfg_path, _ = _write_config(tmp_path, "wifi_rssi_rspd")
+    out = tmp_path / "sweep_out"
+    capsys.readouterr()
+    assert main(["track", "--config", cfg_path, "--out", str(out),
+                 "--sweep", "tracking.pdr_sigma_m=0.2,NaN"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "tracking.pdr_sigma_m" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

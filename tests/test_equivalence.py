@@ -10,8 +10,10 @@ sha256 of the raw little-endian bytes of every array ``simulate_measurements``
 returns at ``TINY``, so the simulated training set must stay bit-identical
 whatever the file encoding of ``measurements.json``.
 
-The property tests hold the block-wise matchers to a per-grid-point reference
-loop written out here, on random databases, the closed-form classroom
+The property tests hold the block-wise matchers, which score every snapshot
+in one call, to a per-grid-point reference loop written out here, on random
+databases, and each snapshot's row bit for bit to a one-snapshot call with
+scalar features, the closed-form classroom
 leave-one-out (one ``eigh`` per seat and pair, no fold fitted) to a per-trial
 loop that fits every fold, with and without loading, the batched pair
 cross-correlation to ``xcorr`` per pair, the block-diagonal lighting LP to
@@ -44,7 +46,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 import scipy.signal
@@ -404,8 +406,8 @@ def _wrap(theta):
 
 @settings(max_examples=60, deadline=None)
 @given(nx=st.integers(1, 4), ny=st.integers(1, 4), n_sensors=st.integers(1, 3),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_mle_rssi_rspd_equals_per_point_loop(nx, ny, n_sensors, seed):
+       steps=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_mle_rssi_rspd_equals_per_point_loop(nx, ny, n_sensors, steps, seed):
     rng = np.random.default_rng(seed)
     grid = Grid(Position(0.0, 0.0), nx, ny, 1.0)
     n = len(grid)
@@ -415,26 +417,33 @@ def test_mle_rssi_rspd_equals_per_point_loop(nx, ny, n_sensors, seed):
         blocks[f"rssi:{s}"] = GammaParams(shape=np.exp(rng.uniform(-3, 4, n)),
                                           scale=np.exp(rng.uniform(-7, 7, n)))
         blocks[f"rspd:{s}"] = VonMisesParams(mu=rng.uniform(-math.pi, math.pi, n), kappa=kappa)
-        feats += [(f"rssi:{s}", float(np.exp(rng.uniform(-5, 5)))),
-                  (f"rspd:{s}", float(rng.uniform(-math.pi, math.pi)))]
+        feats += [(f"rssi:{s}", np.exp(rng.uniform(-5, 5, steps))),
+                  (f"rspd:{s}", rng.uniform(-math.pi, math.pi, steps))]
     order = rng.permutation(len(feats))
-    feats = [feats[i] for i in order]
+    feats = {feats[i][0]: feats[i][1] for i in order}
     db = FingerprintDatabase(grid=grid, blocks=blocks)
 
-    want = np.zeros(n)
-    for i in range(n):
-        for key, x in feats:
-            b = blocks[key]
-            if key.startswith("rssi:"):
-                k, th = float(b.shape[i]), float(b.scale[i])
-                want[i] += (k - 1) * math.log(x) - x / th - math.lgamma(k) - k * math.log(th)
-            else:
-                mu, kap = float(b.mu[i]), float(b.kappa[i])
-                log_i0 = math.log(float(i0e(kap))) + kap
-                want[i] += kap * math.cos(x - mu) - math.log(2 * math.pi) - log_i0
-    lmap, idx = mle_rssi_rspd(feats, db)
-    assert _rel_close(lmap.values, want)
-    assert want[idx] == pytest.approx(np.max(want), rel=1e-12, abs=1e-12)
+    want = np.zeros((steps, n))
+    for t in range(steps):
+        for i in range(n):
+            for key, xs in feats.items():
+                b, x = blocks[key], float(xs[t])
+                if key.startswith("rssi:"):
+                    k, th = float(b.shape[i]), float(b.scale[i])
+                    want[t, i] += ((k - 1) * math.log(x) - x / th - math.lgamma(k)
+                                   - k * math.log(th))
+                else:
+                    mu, kap = float(b.mu[i]), float(b.kappa[i])
+                    log_i0 = math.log(float(i0e(kap))) + kap
+                    want[t, i] += kap * math.cos(x - mu) - math.log(2 * math.pi) - log_i0
+    values, idx = mle_rssi_rspd(feats, db)
+    assert values.shape == (steps, n) and idx.shape == (steps,)
+    assert _rel_close(values, want)
+    for t in range(steps):
+        assert want[t, idx[t]] == pytest.approx(np.max(want[t]), rel=1e-12, abs=1e-12)
+        # each row bit for bit the one-snapshot call with scalar features
+        row, row_idx = mle_rssi_rspd({key: float(xs[t]) for key, xs in feats.items()}, db)
+        assert np.array_equal(values[t], row) and idx[t] == row_idx
 
 
 @settings(max_examples=60, deadline=None)
@@ -706,8 +715,16 @@ def test_block_projection_equals_per_point_loop(n_freqs, n_points, half, dead, b
 @settings(max_examples=80, deadline=None)
 @given(cutoff=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        n_taps=st.integers(1, 130))
+@example(cutoff=1e-323, n_taps=2)
 def test_windowed_sinc_equals_firwin(cutoff, n_taps):
-    want = scipy.signal.firwin(n_taps, cutoff)
+    with np.errstate(invalid="ignore"):
+        want = scipy.signal.firwin(n_taps, cutoff)
+    if not np.all(np.isfinite(want)):
+        # every tap underflowed, so no filter has unit DC gain: firwin
+        # divides 0 by 0, the low-pass must refuse
+        with pytest.raises(ValueError, match="too small"):
+            windowed_sinc_lowpass(cutoff, n_taps)
+        return
     assert np.allclose(windowed_sinc_lowpass(cutoff, n_taps), want, rtol=0.0, atol=1e-15)
 
 

@@ -1,4 +1,4 @@
-"""Likelihood maps, matchers, and hybrid combining against brute-force oracles."""
+"""Likelihood maps and block matchers against brute-force oracles."""
 
 import math
 
@@ -6,16 +6,13 @@ import numpy as np
 import pytest
 
 from fingerloc.database import FingerprintDatabase
+from fingerloc.experiments.illegal import _best_points
 from fingerloc.features import wrap_angle
 from fingerloc.geometry import Grid, Position
 from fingerloc.matching import (
-    MODE_LOG_LIKELIHOOD,
-    MODE_SQUARED_ERROR,
-    HybridConfig,
     LikelihoodMap,
     binary_likelihood,
     fingerprint_sqerr,
-    hybrid_match,
     mle_rssi_rspd,
     threshold_set,
 )
@@ -36,33 +33,12 @@ def _grid(n):
 # LikelihoodMap container
 # ---------------------------------------------------------------------------
 
-def test_likelihood_map_argbest_by_mode():
-    grid = _grid(2)
-    ll = LikelihoodMap(grid=grid, values=[-4.0, -1.0, -9.0, -2.0])
-    assert ll.mode == MODE_LOG_LIKELIHOOD
-    assert ll.argbest() == 1
-    err = LikelihoodMap(grid=grid, values=[4.0, 1.0, 9.0, 2.0], mode=MODE_SQUARED_ERROR)
-    assert err.argbest() == 1
-
-
-def test_likelihood_map_argbest_invariances():
-    rng = np.random.default_rng(5)
-    grid = _grid(3)
-    values = rng.standard_normal(9)
-    base = LikelihoodMap(grid=grid, values=values).argbest()
-    shifted = LikelihoodMap(grid=grid, values=values + 123.0).argbest()
-    scaled = LikelihoodMap(grid=grid, values=values * 7.5).argbest()
-    assert base == shifted == scaled
-
-
 def test_likelihood_map_validation():
     grid = _grid(2)
     with pytest.raises(ValueError):
         LikelihoodMap(grid=grid, values=[1.0, 2.0])
     with pytest.raises(ValueError):
         LikelihoodMap(grid=grid, values=[1.0, 2.0, np.inf, 0.0])
-    with pytest.raises(ValueError):
-        LikelihoodMap(grid=grid, values=np.zeros(4), mode="posterior")
 
 
 # ---------------------------------------------------------------------------
@@ -75,45 +51,65 @@ def test_mle_rssi_rspd_mixes_gamma_and_vonmises():
     gam = GammaParams(shape=rng.uniform(1, 5, 4), scale=rng.uniform(0.5, 2, 4))
     vm = VonMisesParams(mu=rng.uniform(-3, 3, 4), kappa=rng.uniform(0.5, 10, 4))
     db = FingerprintDatabase(grid=grid, blocks={"rssi:0": gam, "rspd:0": vm})
-    feats = [("rssi:0", 1.7), ("rspd:0", -0.4)]
-    lmap, idx = mle_rssi_rspd(feats, db)
+    values, idx = mle_rssi_rspd({"rssi:0": 1.7, "rspd:0": -0.4}, db)
     want = np.array([
         gamma_logpdf(1.7, GammaParams(gam.shape[i], gam.scale[i]))
         + vonmises_logpdf(-0.4, VonMisesParams(vm.mu[i], vm.kappa[i]))
         for i in range(4)])
-    assert np.allclose(lmap.values, want, atol=1e-12)
+    assert np.allclose(values, want, atol=1e-12)
     assert idx == int(np.argmax(want))
+    # a (T,) array per key scores T snapshots, one row each
+    block, rows = mle_rssi_rspd({"rssi:0": np.array([1.7, 0.3]),
+                                 "rspd:0": np.array([-0.4, 2.0])}, db)
+    assert block.shape == (2, 4) and rows.shape == (2,)
+    assert np.array_equal(block[0], values) and rows[0] == idx
 
 
 def test_mle_rssi_rspd_validation():
     grid = _grid(2)
     db = FingerprintDatabase(grid=grid, blocks={
-        "rssi:0": GammaParams(shape=np.full(4, 2.0), scale=np.ones(4))})
+        "rssi:0": GammaParams(shape=np.full(4, 2.0), scale=np.ones(4)),
+        "rspd:0": VonMisesParams(mu=np.zeros(4), kappa=np.ones(4))})
     with pytest.raises(ValueError):
-        mle_rssi_rspd([("rssi:0", -1.0)], db)  # power must be positive
+        mle_rssi_rspd({"rssi:0": -1.0}, db)  # power must be positive
     with pytest.raises(ValueError):
-        mle_rssi_rspd([("missing", 1.0)], db)
+        mle_rssi_rspd({"rssi:0": np.array([1.0, 0.0])}, db)  # in every snapshot
     with pytest.raises(ValueError):
-        mle_rssi_rspd([], db)
+        mle_rssi_rspd({"missing": 1.0}, db)
+    with pytest.raises(ValueError):
+        mle_rssi_rspd({}, db)
+    with pytest.raises(ValueError, match="one shape"):
+        mle_rssi_rspd({"rssi:0": np.ones(3), "rspd:0": np.zeros(2)}, db)
+    with pytest.raises(ValueError, match="finite"):
+        mle_rssi_rspd({"rspd:0": np.array([0.0, np.nan])}, db)
 
 
 def test_binary_likelihood_hand_computed():
     grid = _grid(2)
     probs = [np.array([0.9, 0.2, 0.5, 0.7]), np.array([0.1, 0.6, 0.5, 0.3])]
     maps = [DetectionMap(grid=grid, probs=p) for p in probs]
-    lmap = binary_likelihood([1, 0], maps)
+    values = binary_likelihood([1, 0], maps)
     want = np.log(probs[0]) + np.log1p(-probs[1])
-    assert np.allclose(lmap.values, want, atol=1e-12)
+    assert np.allclose(values, want, atol=1e-12)
+    # one row per step, each bit for bit the one-step call
+    steps = np.array([[1, 0], [0, 0], [1, 1]], dtype=bool)
+    block = binary_likelihood(steps, maps)
+    assert block.shape == (3, 4)
+    assert np.array_equal(block[0], values)
+    for row, bits in zip(block, steps):
+        assert np.array_equal(row, binary_likelihood(bits, maps))
 
 
 def test_binary_likelihood_validation():
     grid = _grid(2)
     dmap = DetectionMap(grid=grid, probs=np.full(4, 0.5))
-    for not_bits in ([2.0], [0.5], [np.nan], [[1]]):
+    for not_bits in ([2.0], [0.5], [np.nan], 1):
         with pytest.raises(ValueError, match="0/1"):
             binary_likelihood(not_bits, [dmap])
     with pytest.raises(ValueError):
         binary_likelihood([1, 0], [dmap])  # one map for two bits
+    with pytest.raises(ValueError):
+        binary_likelihood([[1, 0], [0, 1]], [dmap])  # nor for two bits a row
     other = DetectionMap(grid=_grid(3), probs=np.full(9, 0.5))
     with pytest.raises(ValueError):
         binary_likelihood([1, 0], [dmap, other])  # mismatched grids
@@ -132,46 +128,26 @@ def test_threshold_set_filters_and_never_empties():
     assert np.array_equal(threshold_set(lmap, 10.0), [2])
     for eta in (-10.0, -1.5, 0.0, 10.0):
         cands = threshold_set(lmap, eta)
-        assert lmap.argbest() in cands
+        assert int(np.argmax(lmap.values)) in cands
 
 
 def test_hybrid_match_weighted_sum_and_tie_break():
-    grid = Grid(Position(0, 0), 2, 1, 1.0)
-    err_x = LikelihoodMap(grid=grid, values=[4.0, 1.0], mode=MODE_SQUARED_ERROR)
-    err_p = LikelihoodMap(grid=grid, values=[1.0, 4.0], mode=MODE_SQUARED_ERROR)
-    idx, combined = hybrid_match(err_x, err_p, HybridConfig(gamma=1.0))
-    assert np.array_equal(combined.values, [5.0, 5.0])
-    assert idx == 0  # exact tie resolves to the lowest index
-    idx_x, _ = hybrid_match(err_x, err_p, HybridConfig(gamma=0.0))
-    assert idx_x == 1  # gamma 0 reduces to the correlation map alone
-    idx_p, _ = hybrid_match(err_x, err_p, HybridConfig(gamma=1e12))
-    assert idx_p == 0  # huge gamma is dominated by the phase map
+    # the unknown-emitter pipeline's hybrid match: argmin of xcorr + gamma * phase
+    err_x = np.array([[4.0, 1.0]])
+    err_p = np.array([[1.0, 4.0]])
+    assert _best_points(err_x + 1.0 * err_p) == [0]  # exact tie: the lowest index
+    assert _best_points(err_x + 0.0 * err_p) == _best_points(err_x) == [1]
+    assert _best_points(err_x + 1e12 * err_p) == _best_points(err_p) == [0]
+    with pytest.raises(ValueError, match="finite"):
+        _best_points(np.array([[1.0, np.inf]]))
 
 
 def test_hybrid_match_equals_direct_recombination():
     rng = np.random.default_rng(41)
-    grid = _grid(4)
-    for _ in range(20):
-        ex = rng.uniform(0, 10, size=16)
-        ep = rng.uniform(0, 10, size=16)
-        gamma = float(rng.uniform(0, 8))
-        err_x = LikelihoodMap(grid=grid, values=ex, mode=MODE_SQUARED_ERROR)
-        err_p = LikelihoodMap(grid=grid, values=ep, mode=MODE_SQUARED_ERROR)
-        idx, combined = hybrid_match(err_x, err_p, HybridConfig(gamma=gamma))
-        assert np.array_equal(combined.values, ex + gamma * ep)
-        assert idx == int(np.argmin(ex + gamma * ep))
-
-
-def test_hybrid_match_validation():
-    grid = _grid(2)
-    err = LikelihoodMap(grid=grid, values=np.ones(4), mode=MODE_SQUARED_ERROR)
-    ll = LikelihoodMap(grid=grid, values=np.ones(4))
-    with pytest.raises(ValueError):
-        hybrid_match(err, ll, HybridConfig())
-    with pytest.raises(ValueError):
-        HybridConfig(gamma=-1.0)
-    with pytest.raises(ValueError):
-        HybridConfig(gamma=math.inf)
+    ex, ep = rng.uniform(0, 10, size=(2, 20, 16))
+    gamma = float(rng.uniform(0, 8))
+    assert _best_points(ex + gamma * ep) == [int(np.argmin(ex[t] + gamma * ep[t]))
+                                             for t in range(20)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,19 @@ def test_gaussian_stats_validation():
         GaussianStats(mean=np.array([0j, 0j]), cov=np.eye(1, dtype=complex), loading=0.0)
     with pytest.raises(ValueError):
         GaussianStats(mean=np.array([0j]), cov=np.array([[-1.0 + 0j]]), loading=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e308])
+def test_gaussian_stats_checks_hold_where_the_trace_overflows(scale):
+    # at 1e308 the trace, 2e308, is past the float maximum; the tolerances
+    # scaled from it must not turn into inf and let any matrix through
+    skew = scale * np.array([[1.0, 0.5], [-0.5, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not Hermitian"):
+            GaussianStats(mean=np.zeros(2), cov=skew, loading=0.0)
+        stats = GaussianStats(mean=np.zeros(2), cov=np.abs(skew), loading=0.0)
+    assert np.array_equal(stats.cov, np.abs(skew))
 
 
 def _one_fit_per_fold(x, loading_eps):

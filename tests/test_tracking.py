@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from fingerloc.errors import DegenerateUpdateError, NumericError
 from fingerloc.geometry import Grid, Position
-from fingerloc.matching import MODE_SQUARED_ERROR, LikelihoodMap
+from fingerloc.matching import LikelihoodMap
 from fingerloc.tracking import (
     GridTransition,
     MobilityModel,
@@ -249,9 +249,6 @@ def test_grid_bayes_step_validation():
     obs_other = _logmap(_grid(3), np.zeros(9))
     with pytest.raises(ValueError):
         grid_bayes_step(prev, trans, obs_other)
-    sqerr = LikelihoodMap(grid=grid, values=np.ones(4), mode=MODE_SQUARED_ERROR)
-    with pytest.raises(ValueError):
-        grid_bayes_step(prev, trans, sqerr)
     with pytest.raises(ValueError):
         grid_bayes_step(prev, transition_matrix(_grid(3), MobilityModel()),
                         _logmap(grid, np.zeros(4)))
