@@ -9,7 +9,6 @@ import base64
 import json
 import math
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .geometry import Grid, Position
 from .stats import GammaParams, GaussianStats, VonMisesParams
 
 __all__ = [
-    "DatabaseMeta",
     "FingerprintDatabase",
     "save_database",
     "load_database",
@@ -27,7 +25,7 @@ __all__ = [
     "decode_array",
 ]
 
-FORMAT_VERSION = "fingerloc-db-5"
+FORMAT_VERSION = "fingerloc-db-6"
 
 # block type tag -> (class, {field: dtype}); every field has the grid as its
 # leading axis, the last one is (N,)
@@ -89,21 +87,6 @@ def decode_array(record, name: str, dtypes, min_rank: int = 0) -> np.ndarray:
 # database container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DatabaseMeta:
-    """Training provenance: frequencies/bandwidths used, derived-data marker.
-
-    ``config_digest`` identifies the experiment config a stored database was
-    learned under (None outside the experiment harness).
-    """
-
-    train_freqs_hz: tuple = ()
-    train_bandwidths_hz: tuple = ()
-    derived: bool = False
-    extra: dict = field(default_factory=dict)
-    config_digest: str | None = None
-
-
 def _model_tag(block) -> str | None:
     return next((tag for tag, (cls, _) in _MODEL_BLOCKS.items() if isinstance(block, cls)), None)
 
@@ -126,9 +109,12 @@ class FingerprintDatabase:
     axis is the grid (detection probabilities, mean powers, correlation and
     phase-difference fingerprints).  Row i of every block belongs to grid
     point i.  Array blocks are held as read-only views.
+
+    ``config_digest`` identifies the experiment config a stored database was
+    learned under (None outside the experiment harness).
     """
 
-    def __init__(self, grid: Grid, blocks=None, meta: DatabaseMeta | None = None):
+    def __init__(self, grid: Grid, blocks=None, config_digest: str | None = None):
         self.grid = grid
         self.blocks = dict(blocks or {})
         for key, block in self.blocks.items():
@@ -139,7 +125,7 @@ class FingerprintDatabase:
             if isinstance(block, np.ndarray):
                 self.blocks[key] = view = block.view()
                 view.flags.writeable = False
-        self.meta = meta if meta is not None else DatabaseMeta()
+        self.config_digest = config_digest
 
     def __len__(self):
         return len(self.grid)
@@ -186,13 +172,7 @@ def database_to_json(db: FingerprintDatabase) -> str:
             "ny": db.grid.ny,
             "spacing": db.grid.spacing,
         },
-        "meta": {
-            "train_freqs_hz": [float(f) for f in db.meta.train_freqs_hz],
-            "train_bandwidths_hz": [float(b) for b in db.meta.train_bandwidths_hz],
-            "derived": bool(db.meta.derived),
-            "extra": db.meta.extra,
-            "config_digest": db.meta.config_digest,
-        },
+        "config_digest": db.config_digest,
         "blocks": {key: _block_to_json(block) for key, block in db.blocks.items()},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -211,21 +191,16 @@ def database_from_json(text: str) -> FingerprintDatabase:
     if not (isinstance(origin, list) and len(origin) == 2):
         raise ValueError(f"database grid origin must be a pair of coordinates, got {origin!r}")
     grid = Grid(Position(*origin), g["nx"], g["ny"], g["spacing"])
-    m = _json_object(doc, "meta", {})
-    meta = DatabaseMeta(
-        train_freqs_hz=tuple(m.get("train_freqs_hz", ())),
-        train_bandwidths_hz=tuple(m.get("train_bandwidths_hz", ())),
-        derived=bool(m.get("derived", False)),
-        extra=m.get("extra", {}),
-        config_digest=m.get("config_digest"),
-    )
+    digest = doc.get("config_digest")
+    if digest is not None and not isinstance(digest, str):
+        raise ValueError(f"database config_digest must be a string or null, got {digest!r}")
     blocks = {key: _block_from_json(key, data)
               for key, data in _json_object(doc, "blocks").items()}
-    return FingerprintDatabase(grid=grid, blocks=blocks, meta=meta)
+    return FingerprintDatabase(grid=grid, blocks=blocks, config_digest=digest)
 
 
-def _json_object(doc: dict, key: str, default=None) -> dict:
-    value = doc[key] if default is None else doc.get(key, default)
+def _json_object(doc: dict, key: str) -> dict:
+    value = doc[key]
     if not isinstance(value, dict):
         raise ValueError(f"database {key} must be a JSON object, got {type(value).__name__}")
     return value

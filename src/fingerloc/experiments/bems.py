@@ -13,18 +13,20 @@ import os
 
 import numpy as np
 
-from ..database import DatabaseMeta, FingerprintDatabase
+from ..database import FingerprintDatabase
 from ..errors import ConfigError
 from ..geometry import Grid, Position
 from ..lighting import Light, LightingScenario, illuminance, solve_lighting
-from ..matching import LikelihoodMap, binary_likelihood, threshold_set
+from ..matching import binary_likelihood, threshold_set
 from ..simulate import SensorCoverage, derive_seed, seeded_uniforms
-from ..stats import DetectionMap, learn_detection_map
+from ..stats import learn_detection_map
 from ..tracking import MobilityModel, grid_bayes_step, transition_matrix
 from .artifacts import validate_artifact
 from .common import (
     build_grid,
     cdf_table,
+    check_digest,
+    config_digest,
     load_db,
     load_measurements,
     save_db,
@@ -145,17 +147,9 @@ def build_database(cfg: dict, visits: dict) -> FingerprintDatabase:
     """Detection probability per sensor per cell, one (N,) block per sensor."""
     grid = build_grid(cfg)
     n_sensors = len(cfg["scenario"]["sensors"])
-    blocks = {f"det:{si}": learn_detection_map(visits["cell"], visits["bits"][:, si], grid).probs
+    blocks = {f"det:{si}": learn_detection_map(visits["cell"], visits["bits"][:, si], grid)
               for si in range(n_sensors)}
-    meta = DatabaseMeta(extra={"pipeline": "bems_binary", "sensors": n_sensors})
-    return FingerprintDatabase(grid=grid, blocks=blocks, meta=meta)
-
-
-def detection_maps(db: FingerprintDatabase) -> list:
-    """Per-sensor DetectionMaps over the database's probability blocks."""
-    n_sensors = sum(key.startswith("det:") for key in db.blocks)
-    return [DetectionMap(grid=db.grid, probs=db.block(f"det:{si}", np.ndarray))
-            for si in range(n_sensors)]
+    return FingerprintDatabase(grid=grid, blocks=blocks)
 
 
 def generate_walk(cfg: dict) -> tuple:
@@ -208,7 +202,8 @@ def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
     thresholded cell set U_t per step for downstream lighting control.
     """
     grid = db.grid
-    maps = detection_maps(db)
+    n_sensors = sum(key.startswith("det:") for key in db.blocks)
+    probs = np.stack([db.block(f"det:{si}", np.ndarray) for si in range(n_sensors)])
     spacing = cfg["scenario"]["grid"]["spacing_m"]
     cells, moving = generate_walk(cfg)
     eta = math.log(cfg["matching"]["eta_rel"])
@@ -217,7 +212,7 @@ def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
                           dt=tr["dt"])
     trans = transition_matrix(grid, model)
     pts = grid.xy
-    obs_values = binary_likelihood(walk_bits(cfg, grid, cells, moving), maps)
+    obs_values = binary_likelihood(walk_bits(cfg, grid, cells, moving), probs)
     snap = np.argmax(obs_values, axis=1).tolist()
     errs_snap = np.hypot(*(pts[snap] - pts[cells]).T).tolist()
 
@@ -225,14 +220,13 @@ def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
     rows = []
     candidate_sets = []
     errs_track = []
-    for t, (cell, values) in enumerate(zip(cells, obs_values), start=1):
-        obs = LikelihoodMap(grid=grid, values=values)
+    for t, (cell, obs) in enumerate(zip(cells, obs_values), start=1):
         if prior is None:  # first step: normalize like the filter does
-            post = LikelihoodMap(grid=grid, values=obs.values - np.max(obs.values))
+            post = obs - np.max(obs)
         else:
             post = grid_bayes_step(prior, trans, obs)
         prior = post
-        track_idx = int(np.argmax(post.values))
+        track_idx = int(np.argmax(post))
         cand = threshold_set(post, eta)
         candidate_sets.append([int(c) for c in cand])
         err_t = float(np.hypot(*(pts[track_idx] - pts[cell])))
@@ -347,13 +341,14 @@ def cmd_track(cfg: dict, out_dir: str) -> dict:
     rows, sets, summary = evaluate_track(cfg, db)
     write_csv(os.path.join(out_dir, "track.csv"), _TRACK_HEADER, rows)
     write_json(os.path.join(out_dir, "track_sets.json"),
-               {"candidate_sets": sets, "true_cells": [r[1] for r in rows]})
+               {"candidate_sets": sets, "true_cells": [r[1] for r in rows],
+                "config_digest": config_digest(cfg, "track_sets.json")})
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 
 def read_track_sets(path: str, n_cells: int) -> tuple:
-    """(candidate sets, true cells) of a ``track_sets.json`` file.
+    """(candidate sets, true cells, config digest or None) of a ``track_sets.json`` file.
 
     Raises ConfigError unless the file passes the shipped schema, pairs every
     candidate set with one true cell and every true cell lies on the grid.
@@ -372,14 +367,19 @@ def read_track_sets(path: str, n_cells: int) -> tuple:
                           f"but {len(cells)} true cells")
     if any(cell >= n_cells for cell in cells):
         raise ConfigError(f"{path} names a true cell outside the {n_cells}-cell grid")
-    return sets, cells
+    return sets, cells, data.get("config_digest")
 
 
 def cmd_lighting(cfg: dict, out_dir: str) -> dict:
     db = load_db(cfg, out_dir, cmd_learn)
-    sets_path = cfg["lighting"]["track_output"] or os.path.join(out_dir, "track_sets.json")
+    # a track_output file is outside input, checked by its schema only; the
+    # run's own track_sets.json must come from this config's track
+    outside = cfg["lighting"]["track_output"]
+    sets_path = outside or os.path.join(out_dir, "track_sets.json")
     if os.path.exists(sets_path):
-        sets, cells = read_track_sets(sets_path, len(db.grid))
+        sets, cells, digest = read_track_sets(sets_path, len(db.grid))
+        if not outside:
+            check_digest(cfg, sets_path, digest)
         rows = [(t + 1, cell) for t, cell in enumerate(cells)]
     else:
         track_rows, sets, _ = evaluate_track(cfg, db)

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from ..database import DatabaseMeta, FingerprintDatabase
+from ..database import FingerprintDatabase
 from ..features import pair_xcorr
 from ..simulate import ChannelModel, derive_seed, link_chunks, simulate_links
 from ..stats import GaussianStats, fit_gaussian, gaussian_loglik, gaussian_loo_loglik
@@ -127,15 +127,11 @@ def extract_features(cirs: np.ndarray) -> tuple:
 
 def build_database(cfg: dict, xc: np.ndarray, rssi: np.ndarray) -> FingerprintDatabase:
     """Fit the per-seat Gaussian pair models and mean-power baseline vectors."""
-    scn = cfg["scenario"]
     loading = cfg["matching"]["loading_eps"]
     blocks = {key: fit_gaussian(xc[:, :, p, :], loading)
               for p, key in enumerate(pair_keys(len(antenna_layout(cfg))))}
     blocks["rssi"] = rssi.mean(axis=1)
-    meta = DatabaseMeta(train_freqs_hz=(scn["freq_hz"],),
-                        train_bandwidths_hz=(scn["bandwidth_hz"],),
-                        extra={"pipeline": "classroom_cir", "snapshots": xc.shape[1]})
-    return FingerprintDatabase(grid=build_grid(cfg), blocks=blocks, meta=meta)
+    return FingerprintDatabase(grid=build_grid(cfg), blocks=blocks)
 
 
 def model_health(db: FingerprintDatabase, keys: list) -> dict:

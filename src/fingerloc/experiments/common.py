@@ -7,17 +7,16 @@ cells and summary files render floats by ``repr`` (shortest round-trip); the
 arrays of ``measurements.json`` and ``db.json`` are stored as the database
 module's exact ``{dtype, shape, data}`` records.
 
-A run's ``measurements.json`` and ``db.json`` carry a ``config_digest`` of
-the config sections that produced them.  A verb reading either back from its
-out dir stops with a config error when that digest is not its own config's,
-rather than reuse an artifact of another seed or scenario.
+A run's ``measurements.json``, ``db.json`` and ``track_sets.json`` carry a
+``config_digest`` of the config sections that produced them.  A verb reading
+one back from its out dir stops with a config error when that digest is not
+its own config's, rather than reuse an artifact of another seed or scenario.
 """
 
 import hashlib
 import json
 import math
 import os
-from dataclasses import replace
 
 import numpy as np
 
@@ -33,21 +32,23 @@ from ..geometry import Grid, Position
 
 __all__ = ["dump_json", "write_json", "write_csv", "fmt_cell",
            "summarize_errors", "cdf_table", "CDF_QUANTILES", "build_grid",
-           "config_digest", "save_measurements", "read_measurements",
+           "config_digest", "check_digest", "save_measurements", "read_measurements",
            "load_measurements", "save_db", "load_db"]
 
 CDF_QUANTILES = tuple(round(0.05 * i, 2) for i in range(21))
 
 MEASUREMENTS_VERSION = "fingerloc-measurements-3"
 
-# run artifact -> (config sections its digest covers, the verb that writes it);
-# classroom learn fits with matching.loading_eps, so the database covers matching
-_RUN_ARTIFACTS = {
-    "measurements.json": (("pipeline", "seed", "scenario"), "simulate"),
-    "db.json": (("pipeline", "seed", "scenario", "matching"), "learn"),
-}
-# scenario keys that only the evaluation verbs read, so neither digest covers them
+# scenario keys that only the evaluation verbs read
 _EVALUATION_ONLY = ("walk",)
+# run artifact -> (config sections its digest covers, the scenario keys it
+# leaves out, the verb that writes it); classroom learn fits with
+# matching.loading_eps, so the database covers matching
+_RUN_ARTIFACTS = {
+    "measurements.json": (("pipeline", "seed", "scenario"), _EVALUATION_ONLY, "simulate"),
+    "db.json": (("pipeline", "seed", "scenario", "matching"), _EVALUATION_ONLY, "learn"),
+    "track_sets.json": (("pipeline", "seed", "scenario", "matching", "tracking"), (), "track"),
+}
 
 
 def dump_json(obj) -> str:
@@ -121,11 +122,21 @@ def build_grid(cfg: dict) -> Grid:
 
 def config_digest(cfg: dict, artifact: str) -> str:
     """sha256 of the config sections that determine a run artifact."""
-    sections = _RUN_ARTIFACTS[artifact][0]
+    sections, left_out, _ = _RUN_ARTIFACTS[artifact]
     subset = {key: cfg.get(key) for key in sections}
     subset["scenario"] = {key: value for key, value in subset["scenario"].items()
-                          if key not in _EVALUATION_ONLY}
+                          if key not in left_out}
     return hashlib.sha256(dump_json(subset).encode("utf-8")).hexdigest()
+
+
+def check_digest(cfg: dict, path: str, digest) -> None:
+    """ConfigError unless ``digest`` is this config's digest of the run
+    artifact at ``path`` (named by its basename)."""
+    name = os.path.basename(path)
+    sections, _, verb = _RUN_ARTIFACTS[name]
+    if digest != config_digest(cfg, name):
+        raise ConfigError(f"{path} was written under another {'/'.join(sections)} "
+                          f"than this config's; rerun {verb}")
 
 
 def save_measurements(cfg: dict, out_dir: str, arrays: dict) -> None:
@@ -175,10 +186,7 @@ def _run_artifact(cfg: dict, out_dir: str, name: str, write, read):
     if not os.path.exists(path):
         write()
     artifact, digest = read(path)
-    sections, verb = _RUN_ARTIFACTS[name]
-    if digest != config_digest(cfg, name):
-        raise ConfigError(f"{path} was written under another {'/'.join(sections)} "
-                          f"than this config's; rerun {verb}")
+    check_digest(cfg, path, digest)
     return artifact
 
 
@@ -199,14 +207,14 @@ def load_measurements(cfg: dict, out_dir: str, simulate, expected: dict) -> dict
 
 def save_db(cfg: dict, out_dir: str, db: FingerprintDatabase) -> None:
     """Write ``db`` as the run's ``db.json``, stamped with the config digest."""
-    meta = replace(db.meta, config_digest=config_digest(cfg, "db.json"))
-    save_database(FingerprintDatabase(grid=db.grid, blocks=db.blocks, meta=meta),
+    save_database(FingerprintDatabase(grid=db.grid, blocks=db.blocks,
+                                      config_digest=config_digest(cfg, "db.json")),
                   os.path.join(out_dir, "db.json"))
 
 
 def _read_db(path: str) -> tuple:
     db = load_database(path)
-    return db, db.meta.config_digest
+    return db, db.config_digest
 
 
 def load_db(cfg: dict, out_dir: str, learn) -> FingerprintDatabase:

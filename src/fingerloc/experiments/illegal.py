@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from ..database import DatabaseMeta, FingerprintDatabase
+from ..database import FingerprintDatabase
 from ..features import power_phase, xcorr_rows
 from ..interp import (
     UcaGeometry,
@@ -230,18 +230,12 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> tuple:
         blocks[key], _, confidences[key] = phasediff_freq_interp(
             ph_avg[nearest_fi, :, si], pairs, geom, freqs[nearest_fi], t_freq)
 
-    meta = DatabaseMeta(
-        train_freqs_hz=tuple(float(f) for f in freqs),
-        train_bandwidths_hz=(float(train_bw),),
-        extra={"pipeline": "illegal_hybrid", "target_freq_hz": float(t_freq),
-               "target_bandwidth_hz": float(t_bw)},
-    )
-    coarse = FingerprintDatabase(grid=build_grid(cfg), blocks=blocks, meta=meta)
+    coarse = FingerprintDatabase(grid=build_grid(cfg), blocks=blocks)
     dense = spatial_densify(coarse, scn["densify_factor"], confidences=confidences)
     blocks = dict(dense.blocks)
     normed = normalize_power(np.stack([blocks[key] for key in xkeys], axis=1))
     blocks.update((key, normed[:, ki]) for ki, key in enumerate(xkeys))
-    return FingerprintDatabase(grid=dense.grid, blocks=blocks, meta=dense.meta), filled_bins
+    return FingerprintDatabase(grid=dense.grid, blocks=blocks), filled_bins
 
 
 def draw_trials(cfg: dict) -> np.ndarray:

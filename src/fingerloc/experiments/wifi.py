@@ -13,10 +13,9 @@ import os
 
 import numpy as np
 
-from ..database import DatabaseMeta, FingerprintDatabase
+from ..database import FingerprintDatabase
 from ..features import power_phase
-from ..geometry import Position
-from ..matching import LikelihoodMap, mle_rssi_rspd
+from ..matching import mle_rssi_rspd
 from ..simulate import (
     ChannelModel,
     TxSignalSpec,
@@ -136,16 +135,11 @@ def simulate_measurements(cfg: dict) -> dict:
 
 def build_database(cfg: dict, feats: np.ndarray) -> FingerprintDatabase:
     """Gamma power model and von Mises phase model per sensor per grid point."""
-    scn = cfg["scenario"]
     blocks = {}
     for s in range(feats.shape[2]):
         blocks[f"rssi:{s}"] = fit_gamma(feats[:, :, s, 0])
         blocks[f"rspd:{s}"] = fit_vonmises(feats[:, :, s, 1])
-    meta = DatabaseMeta(train_freqs_hz=(scn["freq_hz"],),
-                        train_bandwidths_hz=(scn["bandwidth_hz"],),
-                        extra={"pipeline": "wifi_rssi_rspd",
-                               "snapshots": feats.shape[1]})
-    return FingerprintDatabase(grid=build_grid(cfg), blocks=blocks, meta=meta)
+    return FingerprintDatabase(grid=build_grid(cfg), blocks=blocks)
 
 
 def generate_walk(cfg: dict) -> np.ndarray:
@@ -210,8 +204,7 @@ def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
     errors["pf"] = []
     if with_pf and n_steps > 0:
         tr = cfg["tracking"]
-        pdr = simulate_pdr([Position(x, y) for x, y in path],
-                           tr["pdr_sigma_m"], derive_seed(cfg["seed"], _TAG_PDR))
+        pdr = simulate_pdr(path, tr["pdr_sigma_m"], derive_seed(cfg["seed"], _TAG_PDR))
         rng = np.random.default_rng(derive_seed(cfg["seed"], _TAG_PF, 0))
         x0, y0, x1, y1 = room_bounds(cfg)
         positions = rng.uniform((x0, y0), (x1, y1), size=(tr["particles"], 2))
@@ -221,8 +214,8 @@ def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
         for t, row in enumerate(rows, start=1):
             ps = particle_predict(ps, pdr[t - 1], tr["pdr_sigma_m"],
                                   derive_seed(cfg["seed"], _TAG_PF, 1, t))
-            obs = LikelihoodMap(grid=db.grid, values=combined[t - 1])
-            ps, est, ess = particle_update(ps, obs, seed=derive_seed(cfg["seed"], _TAG_PF, 2, t))
+            ps, est, ess = particle_update(ps, db.grid, combined[t - 1],
+                                           seed=derive_seed(cfg["seed"], _TAG_PF, 2, t))
             err = float(math.hypot(est.x - path[t, 0], est.y - path[t, 1]))
             errors["pf"].append(err)
             row.extend([float(est.x), float(est.y), err, ess,

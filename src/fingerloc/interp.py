@@ -8,7 +8,7 @@ complex array is a correlation fingerprint, a real one a phase difference.
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -294,7 +294,7 @@ def spatial_densify(db: FingerprintDatabase, factor: int,
             confidences for phase-difference keys.
 
     Returns:
-        A new database on the refined lattice, marked ``derived``.
+        A new database on the refined lattice.
     """
     if len(db.blocks) == 0:
         raise ValueError("database holds no fingerprints")
@@ -317,8 +317,7 @@ def spatial_densify(db: FingerprintDatabase, factor: int,
             values[key] = _densify_phasediff(flat[key], train.xy, target.xy, conf)
         blocks[key] = values[key].reshape((len(target),) + fp.shape[1:])
 
-    meta = replace(db.meta, derived=True, extra=dict(db.meta.extra))
-    return FingerprintDatabase(grid=target, blocks=blocks, meta=meta)
+    return FingerprintDatabase(grid=target, blocks=blocks)
 
 
 def normalize_power(stack) -> np.ndarray:

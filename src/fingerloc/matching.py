@@ -1,11 +1,8 @@
 """Snapshot position estimation: likelihood maps and block matchers."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .features import wrap_angle
-from .geometry import Grid
 from .stats import (
     GammaParams,
     VonMisesParams,
@@ -14,31 +11,11 @@ from .stats import (
 )
 
 __all__ = [
-    "LikelihoodMap",
     "mle_rssi_rspd",
     "binary_likelihood",
     "threshold_set",
     "fingerprint_sqerr",
 ]
-
-
-@dataclass(frozen=True)
-class LikelihoodMap:
-    """One finite log-likelihood per grid point: a filter's per-step observation."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.shape != (len(self.grid),):
-            raise ValueError(
-                f"need one value per grid point, got {values.shape} for {len(self.grid)}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("likelihood map values must be finite")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
 
 def mle_rssi_rspd(features: dict, db) -> tuple:
@@ -77,45 +54,47 @@ def mle_rssi_rspd(features: dict, db) -> tuple:
     return values, np.argmax(values, axis=-1)
 
 
-def binary_likelihood(bits, maps) -> np.ndarray:
+def binary_likelihood(bits, probs) -> np.ndarray:
     """Log-likelihood of detection bits under per-sensor detection maps.
 
     Args:
         bits: (..., S) 0/1 detection bits, one column per sensor, e.g. one
             row per step.
-        maps: S DetectionMaps, all on the same grid.
+        probs: (S, N) detection probability of every sensor at every grid
+            point, each strictly inside (0, 1).
 
     Returns:
         (..., N): ``sum_m b_m ln p_m + (1 - b_m) ln(1 - p_m)`` per cell,
         summed over the sensors in order.
     """
-    maps = list(maps)
+    probs = np.asarray(probs, dtype=float)
     bits = np.asarray(bits)
     if bits.ndim == 0 or not np.all((bits == 0) | (bits == 1)):
         raise ValueError(f"need 0/1 detection bits, one column per sensor, got {bits!r}")
-    if len(maps) != bits.shape[-1]:
-        raise ValueError(f"got {bits.shape[-1]} bits per row but {len(maps)} detection maps")
-    grid = maps[0].grid
-    values = np.zeros(bits.shape[:-1] + (len(grid),))
-    for s, dmap in enumerate(maps):
-        if dmap.grid != grid:
-            raise ValueError("all detection maps must share one grid")
+    if probs.ndim != 2 or probs.shape[0] != bits.shape[-1]:
+        raise ValueError(f"got {bits.shape[-1]} bits per row but detection maps "
+                         f"of shape {probs.shape}, not (sensors, grid points)")
+    if not np.all((probs > 0.0) & (probs < 1.0)):
+        raise ValueError("detection probabilities must lie strictly inside (0, 1)")
+    values = np.zeros(bits.shape[:-1] + probs.shape[1:])
+    for s, p in enumerate(probs):
         fired = bits[..., s, None] == 1
         # in place, each cell once: no (..., N) temporary per sensor
-        np.add(values, np.log(dmap.probs), out=values, where=fired)
-        np.add(values, np.log1p(-dmap.probs), out=values, where=~fired)
+        np.add(values, np.log(p), out=values, where=fired)
+        np.add(values, np.log1p(-p), out=values, where=~fired)
     return values
 
 
-def threshold_set(lmap: LikelihoodMap, eta: float) -> np.ndarray:
-    """Grid indices whose value exceeds ``eta``; never empty.
+def threshold_set(values, eta: float) -> np.ndarray:
+    """Grid indices whose value in the (N,) row exceeds ``eta``; never empty.
 
     Falls back to the single best index when nothing clears the threshold,
     so the result always contains the argmax.
     """
-    idx = np.nonzero(lmap.values > eta)[0]
+    values = np.asarray(values)
+    idx = np.nonzero(values > eta)[0]
     if idx.size == 0:
-        return np.array([int(np.argmax(lmap.values))], dtype=int)
+        return np.array([int(np.argmax(values))], dtype=int)
     return idx.astype(int)
 
 

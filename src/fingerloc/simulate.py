@@ -475,26 +475,24 @@ class SensorCoverage:
         return np.where(moving, p_moving, self.p_static)
 
 
-def simulate_pdr(true_path, noise_sigma: float, seed) -> np.ndarray:
+def simulate_pdr(path, noise_sigma: float, seed) -> np.ndarray:
     """Step displacements from dead reckoning: true steps plus Gaussian noise.
 
     Args:
-        true_path: sequence of Position, length >= 2.
+        path: (T+1, 2) true positions, T >= 1.
         noise_sigma: per-axis standard deviation of the displacement error, m.
         seed: RNG seed for the error draws.
 
     Returns:
-        (len(true_path) - 1, 2) array of measured (dx, dy) steps.
+        (T, 2) array of measured (dx, dy) steps.
     """
-    path = list(true_path)
-    if len(path) < 2:
-        raise ValueError("a path needs at least two positions")
+    path = np.asarray(path, dtype=float)
+    if path.ndim != 2 or path.shape[1] != 2 or len(path) < 2:
+        raise ValueError(f"a path needs at least two (x, y) positions, got shape {path.shape}")
     if noise_sigma < 0:
         raise ValueError("noise sigma must be non-negative")
     rng = np.random.default_rng(seed)
-    steps = np.array(
-        [[b.x - a.x, b.y - a.y] for a, b in zip(path[:-1], path[1:])], dtype=float
-    )
+    steps = np.diff(path, axis=0)
     if noise_sigma > 0:
         steps = steps + rng.normal(0.0, noise_sigma, size=steps.shape)
     return steps

@@ -24,7 +24,6 @@ __all__ = [
     "VonMisesParams",
     "fit_vonmises",
     "vonmises_logpdf",
-    "DetectionMap",
     "learn_detection_map",
     "KrigingModel",
     "kriging_fit",
@@ -446,26 +445,7 @@ def vonmises_logpdf(x, p: VonMisesParams):
 # occupancy detection maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DetectionMap:
-    """Per-grid-point detection probability for one binary sensor."""
-
-    grid: Grid
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)
-        if probs.shape != (len(self.grid),):
-            raise ValueError(
-                f"need one probability per grid point, got {probs.shape} for {len(self.grid)}"
-            )
-        if np.any(~((probs > 0.0) & (probs < 1.0))):
-            raise ValueError("detection probabilities must lie strictly inside (0, 1)")
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-
-
-def learn_detection_map(cells, bits, grid: Grid) -> DetectionMap:
+def learn_detection_map(cells, bits, grid: Grid) -> np.ndarray:
     """Estimate a sensor's detection probability per grid cell.
 
     Args:
@@ -474,8 +454,9 @@ def learn_detection_map(cells, bits, grid: Grid) -> DetectionMap:
         grid: cell layout.
 
     Returns:
-        DetectionMap with the Laplace-smoothed frequency ``(k+1)/(n+2)`` per
-        cell; unvisited cells sit at the uninformative 0.5.
+        (N,) detection probabilities, the Laplace-smoothed frequency
+        ``(k+1)/(n+2)`` per cell; unvisited cells sit at the uninformative
+        0.5, so every value lies strictly inside (0, 1).
     """
     cells, bits = np.asarray(cells), np.asarray(bits)
     if cells.shape != bits.shape or cells.ndim != 1:
@@ -491,7 +472,7 @@ def learn_detection_map(cells, bits, grid: Grid) -> DetectionMap:
     cells = cells.astype(np.intp)
     hits = np.bincount(cells, weights=bits.astype(float), minlength=len(grid))
     counts = np.bincount(cells, minlength=len(grid)).astype(float)
-    return DetectionMap(grid=grid, probs=(hits + 1.0) / (counts + 2.0))
+    return (hits + 1.0) / (counts + 2.0)
 
 
 # ---------------------------------------------------------------------------

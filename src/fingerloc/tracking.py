@@ -7,7 +7,6 @@ from scipy.special import ndtr
 
 from .errors import DegenerateUpdateError, NumericError
 from .geometry import Grid, Position
-from .matching import LikelihoodMap
 
 __all__ = [
     "GridTransition",
@@ -22,7 +21,6 @@ __all__ = [
 
 DEFAULT_P_STATIC = 0.3
 DEFAULT_ACCEL_SIGMA = 0.5
-DEFAULT_PARTICLES = 1000
 # resample once the effective sample size drops below this share of the particles
 RESAMPLE_ESS_FRACTION = 0.5
 
@@ -177,25 +175,33 @@ def transition_matrix(grid: Grid, model: MobilityModel) -> GridTransition:
     return GridTransition(stencil=stencil, p_static=model.p_static, shape=(ny, nx))
 
 
-def grid_bayes_step(prev: LikelihoodMap, trans: GridTransition,
-                    obs: LikelihoodMap) -> LikelihoodMap:
+def _log_row(values, n: int, name: str) -> np.ndarray:
+    """``values`` as a float (n,) row; ValueError unless it is one, all finite."""
+    row = np.asarray(values, dtype=float)
+    if row.shape != (n,):
+        raise ValueError(f"{name} needs one value per grid point, got {row.shape} for {n}")
+    if not np.all(np.isfinite(row)):
+        raise ValueError(f"{name} values must be finite")
+    return row
+
+
+def grid_bayes_step(prev, trans: GridTransition, obs) -> np.ndarray:
     """One recursive Bayes update on the grid, in the log domain.
 
     ``L_t(u) = obs(u) + ln sum_u' P(u' -> u) exp(prev(u'))`` computed with
     the usual max-shift for stability, then renormalized so the maximum is 0.
+    ``prev`` and ``obs`` are finite (N,) log-likelihood rows over the
+    transition's grid; so is the result.
     """
-    if prev.grid != obs.grid:
-        raise ValueError("prior and observation maps must share one grid")
-    shape = (prev.grid.ny, prev.grid.nx)
-    if trans.shape != shape:
-        raise ValueError(f"transition grid shape {trans.shape} does not match the maps' {shape}")
-    shift = float(np.max(prev.values))
-    mixed = trans.predict(np.exp(prev.values - shift))
+    n = trans.shape[0] * trans.shape[1]
+    prev = _log_row(prev, n, "prior")
+    obs = _log_row(obs, n, "observation")
+    shift = float(np.max(prev))
+    mixed = trans.predict(np.exp(prev - shift))
     if np.any(mixed <= 0.0):
         raise NumericError("predictive mass vanished; the transition starves some cells")
-    values = obs.values + np.log(mixed) + shift
-    values = values - np.max(values)
-    return LikelihoodMap(grid=prev.grid, values=values)
+    values = obs + np.log(mixed) + shift
+    return values - np.max(values)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +254,10 @@ def particle_predict(ps: ParticleSet, pdr_step, pdr_sigma: float, seed) -> Parti
     return ParticleSet(positions=ps.positions + step + jitter, weights=ps.weights)
 
 
-def particle_update(ps: ParticleSet, lmap: LikelihoodMap, seed=0,
-                    estimator: str = "mean") -> tuple:
+def particle_update(ps: ParticleSet, grid: Grid, values, seed=0) -> tuple:
     """Weight particles by the observation likelihood and estimate the position.
 
-    Each particle's likelihood is regressed from the map's grid: the
+    Each particle's likelihood is regressed from the grid: the
     inverse-distance-weighted average of the likelihoods at the 1, 2 or 4
     grid points around its position clamped into the grid (all weight on
     the first coincident grid point).  Weights are multiplied and
@@ -261,24 +266,21 @@ def particle_update(ps: ParticleSet, lmap: LikelihoodMap, seed=0,
 
     Args:
         ps: current particles.
-        lmap: the step's observation log-likelihoods over the grid, e.g.
-            one row of the (T, N) block that
+        grid: the lattice the likelihoods sit on.
+        values: the step's finite (N,) observation log-likelihoods over the
+            grid, e.g. one row of the (T, N) block that
             :func:`fingerloc.matching.mle_rssi_rspd` returns for a walk.
         seed: stream for the embedded resampling step.
-        estimator: ``"mean"`` for the weighted mean position (default) or
-            ``"mode"`` for the highest-weight particle.
 
     Returns:
         (ParticleSet, Position, ess): the updated (possibly resampled)
-        particles, the point estimate from the post-update weights, and the
-        effective sample size of those weights before resampling.
+        particles, the weighted mean position under the post-update weights,
+        and the effective sample size of those weights before resampling.
     """
-    if estimator not in ("mean", "mode"):
-        raise ValueError(f"unknown estimator {estimator!r}")
-    grid = lmap.grid
+    values = _log_row(values, len(grid), "observation")
     nx, ny, origin, h, xy = grid.nx, grid.ny, grid.origin, grid.spacing, grid.xy
-    shift = float(np.max(lmap.values))
-    dens = np.exp(lmap.values - shift)  # common shift cancels in normalization
+    shift = float(np.max(values))
+    dens = np.exp(values - shift)  # common shift cancels in normalization
 
     pos = ps.positions
     x = np.clip(pos[:, 0], origin.x, origin.x + (nx - 1) * h)
@@ -303,12 +305,8 @@ def particle_update(ps: ParticleSet, lmap: LikelihoodMap, seed=0,
             "all particles received zero likelihood", likelihoods=lik)
     weights = raw / total
 
-    if estimator == "mean":
-        est = weights @ ps.positions
-        estimate = Position(float(est[0]), float(est[1]))
-    else:
-        best = int(np.argmax(weights))
-        estimate = Position(float(ps.positions[best, 0]), float(ps.positions[best, 1]))
+    est = weights @ ps.positions
+    estimate = Position(float(est[0]), float(est[1]))
 
     updated = ParticleSet(positions=ps.positions, weights=weights)
     ess = updated.effective_sample_size()

@@ -328,6 +328,33 @@ def test_lighting_reads_a_track_sets_file(tmp_path):
     assert len((out_dir / "lighting.csv").read_text().splitlines()) == 1 + 2
 
 
+def test_lighting_refuses_the_candidate_sets_of_another_walk(tmp_path, capsys):
+    # track a 6-step walk, then ask lighting for a 9-step one in the same out dir
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
+    for verb in ("simulate", "learn", "track"):
+        assert main([verb, "--config", cfg_path]) == EXIT_OK
+    sets_path = pathlib.Path(out_dir) / "track_sets.json"
+    assert "config_digest" in json.loads(sets_path.read_text())
+    scenario = json.loads(json.dumps(TINY["bems_binary"]["scenario"]))
+    scenario["walk"]["steps"] = 9
+    longer, _ = _write_config(tmp_path, "bems_binary", scenario=scenario)
+    capsys.readouterr()
+    assert main(["lighting", "--config", longer]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "rerun track" in err
+    assert not (pathlib.Path(out_dir) / "lighting.csv").exists()
+    # a run-dir file without a digest is not this config's either
+    doc = json.loads(sets_path.read_text())
+    del doc["config_digest"]
+    sets_path.write_text(json.dumps(doc))
+    assert main(["lighting", "--config", cfg_path]) == EXIT_CONFIG
+    assert "rerun track" in capsys.readouterr().err
+    # rerunning track under the longer walk gives lighting its 9 steps
+    assert main(["track", "--config", longer]) == EXIT_OK
+    assert main(["lighting", "--config", longer]) == EXIT_OK
+    assert len((pathlib.Path(out_dir) / "lighting.csv").read_text().splitlines()) == 1 + 9
+
+
 @pytest.mark.parametrize("doc", [
     {"candidate_sets": [[0], [1, 2], [4]], "true_cells": [0, 1]},  # one true cell short
     {"candidate_sets": [[0], [1]], "true_cells": [0, 9]},  # true cell off the 3x3 grid
@@ -567,7 +594,12 @@ def test_database_in_the_version_1_layout_is_a_config_error(tmp_path, capsys):
     v4 = dict(doc, version="fingerloc-db-4", blocks={
         key: {"type": "real", "values": decode_array(block["values"], key, ("float64",)).tolist()}
         for key, block in doc["blocks"].items()})
-    for stale in (v1, v2, v3, v4):
+    # version 5 kept the digest in a "meta" record with training provenance
+    v5 = {key: value for key, value in doc.items() if key != "config_digest"}
+    v5.update(version="fingerloc-db-5", meta={
+        "config_digest": doc["config_digest"], "derived": False, "extra": {},
+        "train_bandwidths_hz": [], "train_freqs_hz": []})
+    for stale in (v1, v2, v3, v4, v5):
         db_path.write_text(json.dumps(stale))
         for verb in ("localize", "track"):
             capsys.readouterr()

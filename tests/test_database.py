@@ -12,7 +12,6 @@ import pytest
 from fingerloc.database import (
     FORMAT_VERSION,
     FingerprintDatabase,
-    DatabaseMeta,
     database_from_json,
     database_to_json,
     decode_array,
@@ -116,14 +115,11 @@ def test_database_round_trip_bit_exact():
         "pair_0_1": rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)),
         "rssi:0": rng.uniform(0.1, 2.0, size=4),
     }
-    meta = DatabaseMeta(train_freqs_hz=(8.0e8, 1.5e9), train_bandwidths_hz=(1e7,),
-                        derived=False, extra={"note": "round-trip"})
-    db = FingerprintDatabase(grid=grid, blocks=blocks, meta=meta)
+    db = FingerprintDatabase(grid=grid, blocks=blocks, config_digest="ab" * 32)
     text = database_to_json(db)
     back = database_from_json(text)
     assert back.grid == db.grid
-    assert back.meta.train_freqs_hz == (8.0e8, 1.5e9)
-    assert back.meta.extra == {"note": "round-trip"}
+    assert back.config_digest == "ab" * 32
     assert sorted(back.blocks) == sorted(blocks)
     assert np.array_equal(back.blocks["pair_0_1"], blocks["pair_0_1"])
     assert np.array_equal(back.blocks["rssi:0"], blocks["rssi:0"])
@@ -147,7 +143,8 @@ def test_database_json_matches_shipped_schema(tmp_path):
     assert validate_artifact(str(path)) == "db.schema.json"
     text = path.read_text()
     doc = json.loads(text)
-    assert doc["version"] == "fingerloc-db-5"
+    assert doc["version"] == "fingerloc-db-6"
+    assert doc["config_digest"] is None
     assert doc["grid"] == {"origin": [0.0, 0.0], "nx": 2, "ny": 2, "spacing": 1.0}
     # a bare scalar or a JSON list is not an array record, nor is a rank-0,
     # non-base64 or bool one; a Gaussian mean is complex; a lattice has cells
@@ -167,6 +164,26 @@ def test_database_json_matches_shipped_schema(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             validate_artifact(str(path))
+    # the digest is a string or null at the top level; format 5's meta is gone
+    for broken in (dict(json.loads(text), config_digest=5),
+                   dict(json.loads(text), meta={"config_digest": None})):
+        path.write_text(json.dumps(broken))
+        with pytest.raises(ValueError):
+            validate_artifact(str(path))
+
+
+def test_config_digest_round_trips_through_save_and_load(tmp_path):
+    path = str(tmp_path / "db.json")
+    for digest in ("0f" * 32, None):
+        save_database(FingerprintDatabase(grid=_grid(2), blocks={"d": np.full(4, 0.5)},
+                                          config_digest=digest), path)
+        assert json.loads((tmp_path / "db.json").read_text())["config_digest"] == digest
+        assert load_database(path).config_digest == digest
+
+
+def test_db_schema_version_is_the_format_version():
+    schema = json.loads((resources.files("fingerloc.schemas") / "db.schema.json").read_text())
+    assert schema["properties"]["version"] == {"const": FORMAT_VERSION}
 
 
 def test_both_artifacts_share_one_array_record_schema():
@@ -185,7 +202,8 @@ def test_database_rejects_wrong_version():
     db = FingerprintDatabase(grid=_grid(1))
     doc = json.loads(database_to_json(db))
     assert doc["version"] == FORMAT_VERSION
-    for stale in ("fingerloc-db-1", "fingerloc-db-2", "fingerloc-db-3", "fingerloc-db-4"):
+    for stale in ("fingerloc-db-1", "fingerloc-db-2", "fingerloc-db-3", "fingerloc-db-4",
+                  "fingerloc-db-5"):
         doc["version"] = stale
         with pytest.raises(ValueError, match="rerun learn"):
             database_from_json(json.dumps(doc))
@@ -202,9 +220,12 @@ def test_database_rejects_a_malformed_grid():
         with pytest.raises(ValueError):
             database_from_json(json.dumps(broken, allow_nan=True))
     for broken in ([doc], dict(doc, grid=[0.0, 0.0, 2, 2, 1.0]), dict(doc, blocks=[]),
-                   dict(doc, meta="none"), dict(doc, grid=dict(doc["grid"], origin=5))):
+                   dict(doc, grid=dict(doc["grid"], origin=5))):
         with pytest.raises(ValueError, match="object|origin"):
             database_from_json(json.dumps(broken))
+    for digest in (5, ["ab"], {}):
+        with pytest.raises(ValueError, match="config_digest must be a string or null"):
+            database_from_json(json.dumps(dict(doc, config_digest=digest)))
 
 
 def test_database_json_has_no_nan_and_sorted_keys():

@@ -77,7 +77,7 @@ from fingerloc.interp import (  # noqa: E402
     windowed_sinc_lowpass,
 )
 from fingerloc.lighting import Light, LightingScenario, illuminance, solve_lighting  # noqa: E402
-from fingerloc.matching import LikelihoodMap, mle_rssi_rspd  # noqa: E402
+from fingerloc.matching import mle_rssi_rspd  # noqa: E402
 from fingerloc import simulate  # noqa: E402
 from fingerloc.experiments import bems, wifi  # noqa: E402
 from fingerloc.experiments.common import build_grid  # noqa: E402
@@ -847,11 +847,10 @@ def test_spatial_densify_equals_per_key_and_per_query_loops(nx, ny, factor, n_co
 # per-particle loop and the dense N x N matrix they replaced
 # ---------------------------------------------------------------------------
 
-def _ref_particle_update(ps, lmap):
+def _ref_particle_update(ps, grid, values):
     """The per-particle corner loop: (weights, mean estimate, ESS) before resampling."""
-    grid = lmap.grid
     nx, ny, origin, h, xy = grid.nx, grid.ny, grid.origin, grid.spacing, grid.xy
-    dens = np.exp(lmap.values - np.max(lmap.values))
+    dens = np.exp(values - np.max(values))
     lik = np.empty(len(ps))
     for i, pos in enumerate(ps.positions):
         x = min(max(pos[0], origin.x), origin.x + (nx - 1) * h)
@@ -881,7 +880,7 @@ def test_particle_update_equals_per_particle_corner_loop(nx, ny, n_particles, sp
     rng = np.random.default_rng(seed)
     grid = Grid(Position(*rng.uniform(-3.0, 3.0, 2)), nx, ny, spacing)
     xy = grid.xy
-    lmap = LikelihoodMap(grid=grid, values=rng.uniform(-30.0, 0.0, len(grid)))
+    values = rng.uniform(-30.0, 0.0, len(grid))
     # particles anywhere in the room and 1.5 m beyond it, some exactly on grid points
     pos = rng.uniform(xy.min(axis=0) - 1.5, xy.max(axis=0) + 1.5, (n_particles, 2))
     pinned = rng.random(n_particles) < on_grid
@@ -889,8 +888,8 @@ def test_particle_update_equals_per_particle_corner_loop(nx, ny, n_particles, sp
     w = rng.uniform(0.1, 1.0, n_particles)
     ps = ParticleSet(positions=pos, weights=w / w.sum())
 
-    weights, mean, ess = _ref_particle_update(ps, lmap)
-    updated, est, got_ess = particle_update(ps, lmap, seed=seed)
+    weights, mean, ess = _ref_particle_update(ps, grid, values)
+    updated, est, got_ess = particle_update(ps, grid, values, seed=seed)
     assert got_ess == pytest.approx(ess, rel=1e-12)
     assert _rel_close([est.x, est.y], mean)
     if ess < RESAMPLE_ESS_FRACTION * n_particles:
@@ -900,8 +899,6 @@ def test_particle_update_equals_per_particle_corner_loop(nx, ny, n_particles, sp
     else:
         assert np.array_equal(updated.positions, pos)
         assert _rel_close(updated.weights, weights)
-    _, mode, _ = particle_update(ps, lmap, seed=seed, estimator="mode")
-    assert [mode.x, mode.y] == pos[np.argmax(weights)].tolist()
 
 
 def _ref_transition_matrix(grid, model):
@@ -959,13 +956,13 @@ def test_stencil_transition_equals_dense_matrix(nx, ny, spacing, sigma_cells, p_
     assert np.allclose(trans.predict(mass), want, rtol=1e-12, atol=0.0)
 
     obs = rng.uniform(-10.0, 0.0, n)
-    args = (LikelihoodMap(grid=grid, values=prev), trans, LikelihoodMap(grid=grid, values=obs))
+    args = (prev, trans, obs)
     if np.any(want <= 0.0):
         with pytest.raises(NumericError):
             grid_bayes_step(*args)
     else:
         expect = obs + np.log(want)
-        assert np.allclose(grid_bayes_step(*args).values, expect - expect.max(),
+        assert np.allclose(grid_bayes_step(*args), expect - expect.max(),
                            rtol=1e-12, atol=1e-12)
 
 

@@ -10,14 +10,12 @@ from fingerloc.experiments.illegal import _best_points
 from fingerloc.features import wrap_angle
 from fingerloc.geometry import Grid, Position
 from fingerloc.matching import (
-    LikelihoodMap,
     binary_likelihood,
     fingerprint_sqerr,
     mle_rssi_rspd,
     threshold_set,
 )
 from fingerloc.stats import (
-    DetectionMap,
     GammaParams,
     VonMisesParams,
     gamma_logpdf,
@@ -27,18 +25,6 @@ from fingerloc.stats import (
 
 def _grid(n):
     return Grid(Position(0.0, 0.0), nx=n, ny=n, spacing=1.0)
-
-
-# ---------------------------------------------------------------------------
-# LikelihoodMap container
-# ---------------------------------------------------------------------------
-
-def test_likelihood_map_validation():
-    grid = _grid(2)
-    with pytest.raises(ValueError):
-        LikelihoodMap(grid=grid, values=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        LikelihoodMap(grid=grid, values=[1.0, 2.0, np.inf, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -85,34 +71,40 @@ def test_mle_rssi_rspd_validation():
 
 
 def test_binary_likelihood_hand_computed():
-    grid = _grid(2)
-    probs = [np.array([0.9, 0.2, 0.5, 0.7]), np.array([0.1, 0.6, 0.5, 0.3])]
-    maps = [DetectionMap(grid=grid, probs=p) for p in probs]
-    values = binary_likelihood([1, 0], maps)
+    probs = np.array([[0.9, 0.2, 0.5, 0.7], [0.1, 0.6, 0.5, 0.3]])
+    values = binary_likelihood([1, 0], probs)
     want = np.log(probs[0]) + np.log1p(-probs[1])
     assert np.allclose(values, want, atol=1e-12)
     # one row per step, each bit for bit the one-step call
     steps = np.array([[1, 0], [0, 0], [1, 1]], dtype=bool)
-    block = binary_likelihood(steps, maps)
+    block = binary_likelihood(steps, probs)
     assert block.shape == (3, 4)
     assert np.array_equal(block[0], values)
     for row, bits in zip(block, steps):
-        assert np.array_equal(row, binary_likelihood(bits, maps))
+        assert np.array_equal(row, binary_likelihood(bits, probs))
 
 
 def test_binary_likelihood_validation():
-    grid = _grid(2)
-    dmap = DetectionMap(grid=grid, probs=np.full(4, 0.5))
+    probs = np.full((1, 4), 0.5)
     for not_bits in ([2.0], [0.5], [np.nan], 1):
         with pytest.raises(ValueError, match="0/1"):
-            binary_likelihood(not_bits, [dmap])
-    with pytest.raises(ValueError):
-        binary_likelihood([1, 0], [dmap])  # one map for two bits
-    with pytest.raises(ValueError):
-        binary_likelihood([[1, 0], [0, 1]], [dmap])  # nor for two bits a row
-    other = DetectionMap(grid=_grid(3), probs=np.full(9, 0.5))
-    with pytest.raises(ValueError):
-        binary_likelihood([1, 0], [dmap, other])  # mismatched grids
+            binary_likelihood(not_bits, probs)
+    with pytest.raises(ValueError, match="2 bits per row"):
+        binary_likelihood([1, 0], probs)  # one sensor's map for two bits
+    with pytest.raises(ValueError, match="2 bits per row"):
+        binary_likelihood([[1, 0], [0, 1]], probs)  # nor for two bits a row
+    with pytest.raises(ValueError, match="sensors, grid points"):
+        binary_likelihood([1], np.full(4, 0.5))  # one map, not a (sensors, N) stack
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, np.nan])
+def test_binary_likelihood_refuses_probabilities_outside_the_open_interval(bad):
+    # a certain or impossible detection would put -inf into the map; NaN
+    # compares false both ways
+    probs = np.full((2, 4), 0.5)
+    probs[1, 2] = bad
+    with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+        binary_likelihood([[1, 0]], probs)
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +112,13 @@ def test_binary_likelihood_validation():
 # ---------------------------------------------------------------------------
 
 def test_threshold_set_filters_and_never_empties():
-    grid = Position(0, 0), Position(1, 0), Position(2, 0)
-    lmap = LikelihoodMap(grid=Grid(Position(0, 0), 3, 1, 1.0),
-                         values=[-1.0, -2.0, -0.5])
-    assert np.array_equal(threshold_set(lmap, -1.5), [0, 2])
+    values = np.array([-1.0, -2.0, -0.5])
+    assert np.array_equal(threshold_set(values, -1.5), [0, 2])
     # nothing clears a sky-high threshold: fall back to the single argmax
-    assert np.array_equal(threshold_set(lmap, 10.0), [2])
+    assert np.array_equal(threshold_set(values, 10.0), [2])
     for eta in (-10.0, -1.5, 0.0, 10.0):
-        cands = threshold_set(lmap, eta)
-        assert int(np.argmax(lmap.values)) in cands
+        cands = threshold_set(values, eta)
+        assert int(np.argmax(values)) in cands
 
 
 def test_hybrid_match_weighted_sum_and_tie_break():

@@ -262,8 +262,8 @@ def test_binary_sensor_monte_carlo_rate():
 
 
 def test_pdr_mean_and_std():
-    path = [Position(float(t), 0.5 * t) for t in range(10_001)]
-    steps = simulate_pdr(path, noise_sigma=0.2, seed=6)
+    t = np.arange(10_001, dtype=float)
+    steps = simulate_pdr(np.stack([t, 0.5 * t], axis=1), noise_sigma=0.2, seed=6)
     assert steps.shape == (10_000, 2)
     assert float(np.mean(steps[:, 0])) == pytest.approx(1.0, abs=0.01)
     assert float(np.mean(steps[:, 1])) == pytest.approx(0.5, abs=0.01)
@@ -272,11 +272,13 @@ def test_pdr_mean_and_std():
 
 
 def test_pdr_noiseless_is_exact():
-    path = [Position(0, 0), Position(1, 2), Position(-1, 3)]
+    path = np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, 3.0]])
     steps = simulate_pdr(path, noise_sigma=0.0, seed=0)
     assert np.array_equal(steps, [[1.0, 2.0], [-2.0, 1.0]])
-    with pytest.raises(ValueError):
-        simulate_pdr([Position(0, 0)], noise_sigma=0.1, seed=0)
+    # one position, a flat list of coordinates, or 3-D points are no path
+    for bad in ([[0.0, 0.0]], [0.0, 1.0, 2.0], np.zeros((3, 3))):
+        with pytest.raises(ValueError, match="two \\(x, y\\) positions"):
+            simulate_pdr(bad, noise_sigma=0.1, seed=0)
     with pytest.raises(ValueError):
         simulate_pdr(path, noise_sigma=-0.1, seed=0)
 

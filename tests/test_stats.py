@@ -15,7 +15,6 @@ from fingerloc.geometry import Grid, Position
 from fingerloc.stats import (
     DEFAULT_LOADING_EPS,
     KAPPA_MAX,
-    DetectionMap,
     GammaParams,
     GaussianStats,
     VonMisesParams,
@@ -459,10 +458,11 @@ def test_learn_detection_map_laplace_rule():
     grid = Grid(Position(0, 0), nx=2, ny=2, spacing=1.0)
     cells = [0] * 10 + [1, 1]
     bits = [1] * 10 + [1, 0]
-    dmap = learn_detection_map(np.array(cells), np.array(bits), grid)
-    assert dmap.probs[0] == pytest.approx(11.0 / 12.0, rel=1e-12)
-    assert dmap.probs[1] == pytest.approx(2.0 / 4.0, rel=1e-12)
-    assert dmap.probs[2] == 0.5 and dmap.probs[3] == 0.5  # unvisited
+    probs = learn_detection_map(np.array(cells), np.array(bits), grid)
+    assert probs.shape == (4,)
+    assert probs[0] == pytest.approx(11.0 / 12.0, rel=1e-12)
+    assert probs[1] == pytest.approx(2.0 / 4.0, rel=1e-12)
+    assert probs[2] == 0.5 and probs[3] == 0.5  # unvisited
 
 
 def test_learn_detection_map_equals_per_observation_count():
@@ -474,16 +474,16 @@ def test_learn_detection_map_equals_per_observation_count():
         hits[cell] += bit
         counts[cell] += 1
     want = (hits + 1.0) / (counts + 2.0)
-    assert learn_detection_map(cells, bits, grid).probs.tobytes() == want.tobytes()
+    assert learn_detection_map(cells, bits, grid).tobytes() == want.tobytes()
     empty = learn_detection_map(np.zeros(0, dtype=int), np.zeros(0, dtype=int), grid)
-    assert np.all(empty.probs == 0.5)
+    assert np.all(empty == 0.5)
 
 
 def test_learn_detection_map_takes_bool_bits():
     grid = Grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
     a = learn_detection_map([0, 0], [1, 0], grid)
     b = learn_detection_map(np.array([0, 0]), np.array([True, False]), grid)
-    assert np.array_equal(a.probs, b.probs)
+    assert np.array_equal(a, b)
 
 
 def test_learn_detection_map_validation():
@@ -498,10 +498,6 @@ def test_learn_detection_map_validation():
         learn_detection_map([0, 1], [1], grid)
     with pytest.raises(ValueError):
         learn_detection_map([0.5], [1], grid)
-    # probabilities lie strictly inside (0, 1); NaN compares false both ways
-    for probs in ([np.nan, 0.5], [0.0, 0.5], [1.0, 0.5], [0.5]):
-        with pytest.raises(ValueError):
-            DetectionMap(grid=grid, probs=probs)
 
 
 # ---------------------------------------------------------------------------

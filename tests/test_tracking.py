@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from fingerloc.errors import DegenerateUpdateError, NumericError
 from fingerloc.geometry import Grid, Position
-from fingerloc.matching import LikelihoodMap
 from fingerloc.tracking import (
     GridTransition,
     MobilityModel,
@@ -24,10 +23,6 @@ from fingerloc.tracking import (
 
 def _grid(n, spacing=1.0):
     return Grid(Position(0.0, 0.0), nx=n, ny=n, spacing=spacing)
-
-
-def _logmap(grid, values):
-    return LikelihoodMap(grid=grid, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +167,7 @@ def test_grid_bayes_filter_on_a_100x100_grid_stays_small():
     grid = Grid(Position(0.0, 0.0), nx=100, ny=100, spacing=7.0 / 99)
     n = len(grid)
     rng = np.random.default_rng(73)
-    obs = [_logmap(grid, rng.uniform(-20.0, 0.0, n)) for _ in range(3)]
+    obs = [rng.uniform(-20.0, 0.0, n) for _ in range(3)]
     tracemalloc.start()
     try:
         trans = transition_matrix(grid, MobilityModel(p_static=0.4, accel_sigma=1.0))
@@ -184,7 +179,7 @@ def test_grid_bayes_filter_on_a_100x100_grid_stays_small():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert all(a.size < n * n for a in (trans.stencil, trans.totals, trans.factors))
-    assert np.max(post.values) == 0.0 and np.all(np.isfinite(post.values))
+    assert post.shape == (n,) and np.max(post) == 0.0 and np.all(np.isfinite(post))
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +204,10 @@ def _dense_oracle(trans):
 def test_grid_bayes_step_uniform_prior_identity_transition():
     # no motion and a flat prior: the posterior is just the renormalized observation
     grid = _grid(2)
-    prev = _logmap(grid, np.zeros(4))
-    obs = _logmap(grid, [-3.0, -1.0, -7.0, -2.0])
-    out = grid_bayes_step(prev, transition_matrix(grid, MobilityModel(p_static=1.0)), obs)
-    assert np.allclose(out.values, np.array(obs.values) - (-1.0), atol=1e-12)
-    assert np.max(out.values) == pytest.approx(0.0, abs=1e-12)
+    obs = np.array([-3.0, -1.0, -7.0, -2.0])
+    out = grid_bayes_step(np.zeros(4), transition_matrix(grid, MobilityModel(p_static=1.0)), obs)
+    assert np.allclose(out, obs - (-1.0), atol=1e-12)
+    assert np.max(out) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_grid_bayes_step_matches_linear_domain_brute_force():
@@ -225,10 +219,10 @@ def test_grid_bayes_step_matches_linear_domain_brute_force():
         trans = transition_matrix(grid, model)
         prev_vals = rng.uniform(-8, 0, size=6)
         obs_vals = rng.uniform(-8, 0, size=6)
-        out = grid_bayes_step(_logmap(grid, prev_vals), trans, _logmap(grid, obs_vals))
+        out = grid_bayes_step(prev_vals, trans, obs_vals)
         want = obs_vals + np.log(_dense_oracle(trans).T @ np.exp(prev_vals))
         want -= want.max()
-        assert np.allclose(out.values, want, atol=1e-9)
+        assert np.allclose(out, want, atol=1e-9)
 
 
 def test_grid_bayes_step_starved_cell_raises():
@@ -236,32 +230,33 @@ def test_grid_bayes_step_starved_cell_raises():
     # and 2 underflows to zero, so nothing can reach cell 2
     grid = Grid(Position(0, 0), nx=3, ny=1, spacing=1.0)
     trans = transition_matrix(grid, MobilityModel(p_static=0.5, accel_sigma=0.5, max_step=1.0))
-    prev = _logmap(grid, [0.0, -9000.0, -9000.0])
-    obs = _logmap(grid, [0.0, 0.0, 0.0])
     with pytest.raises(NumericError):
-        grid_bayes_step(prev, trans, obs)
+        grid_bayes_step([0.0, -9000.0, -9000.0], trans, [0.0, 0.0, 0.0])
 
 
 def test_grid_bayes_step_validation():
-    grid = _grid(2)
-    trans = transition_matrix(grid, MobilityModel())
-    prev = _logmap(grid, np.zeros(4))
-    obs_other = _logmap(_grid(3), np.zeros(9))
-    with pytest.raises(ValueError):
-        grid_bayes_step(prev, trans, obs_other)
-    with pytest.raises(ValueError):
-        grid_bayes_step(prev, transition_matrix(_grid(3), MobilityModel()),
-                        _logmap(grid, np.zeros(4)))
+    # a row carries no grid: its length must be the transition's cell count
+    trans = transition_matrix(_grid(2), MobilityModel())
+    with pytest.raises(ValueError, match="observation needs one value per grid point"):
+        grid_bayes_step(np.zeros(4), trans, np.zeros(9))
+    with pytest.raises(ValueError, match="prior needs one value per grid point"):
+        grid_bayes_step(np.zeros(9), trans, np.zeros(4))
+    with pytest.raises(ValueError, match="one value per grid point"):
+        grid_bayes_step(np.zeros(4), transition_matrix(_grid(3), MobilityModel()),
+                        np.zeros(4))
+    with pytest.raises(ValueError, match="one value per grid point"):
+        grid_bayes_step(np.zeros((2, 2)), trans, np.zeros(4))
+    assert grid_bayes_step(np.zeros(4), trans, np.zeros(4)).shape == (4,)
 
 
-def test_grid_bayes_step_rejects_a_transition_for_another_shape_of_as_many_cells():
-    # 4x4 and 8x2 both hold 16 cells; a 4x4 stencil would wrap rows on 8x2 maps
-    trans = transition_matrix(_grid(4), MobilityModel())
-    wide = Grid(Position(0.0, 0.0), nx=8, ny=2, spacing=1.0)
-    with pytest.raises(ValueError):
-        grid_bayes_step(_logmap(wide, np.zeros(16)), trans, _logmap(wide, np.zeros(16)))
-    same = grid_bayes_step(_logmap(_grid(4), np.zeros(16)), trans, _logmap(_grid(4), np.zeros(16)))
-    assert same.values.shape == (16,)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_grid_bayes_step_refuses_a_non_finite_row(bad):
+    trans = transition_matrix(_grid(2), MobilityModel())
+    row = np.array([0.0, -1.0, bad, -2.0])
+    with pytest.raises(ValueError, match="observation values must be finite"):
+        grid_bayes_step(np.zeros(4), trans, row)
+    with pytest.raises(ValueError, match="prior values must be finite"):
+        grid_bayes_step(row, trans, np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +296,10 @@ def test_particle_predict_shifts_without_reweighting():
 
 def test_particle_update_on_grid_points_reads_map_directly():
     grid = _grid(2)
-    lmap = _logmap(grid, np.log([1.0, 2.0, 3.0, 4.0]))
+    values = np.log([1.0, 2.0, 3.0, 4.0])
     # particles sit exactly on grid points 0 and 3
     ps = ParticleSet(positions=[[0.0, 0.0], [1.0, 1.0]], weights=[0.5, 0.5])
-    updated, est, ess = particle_update(ps, lmap, seed=0)
+    updated, est, ess = particle_update(ps, grid, values, seed=0)
     # posterior weights proportional to 0.5*1 and 0.5*4
     assert np.allclose(updated.weights, [0.2, 0.8], atol=1e-12)
     assert ess == pytest.approx(1.0 / (0.2 ** 2 + 0.8 ** 2))
@@ -314,13 +309,13 @@ def test_particle_update_on_grid_points_reads_map_directly():
 
 def test_particle_update_uniform_map_keeps_weights():
     grid = _grid(3)
-    lmap = _logmap(grid, np.full(9, -2.5))
+    values = np.full(9, -2.5)
     rng = np.random.default_rng(61)
     pos = rng.uniform(0, 2, size=(6, 2))
     w = rng.uniform(0.5, 1.5, size=6)
     w /= w.sum()
     ps = ParticleSet(positions=pos, weights=w)
-    updated, _, ess = particle_update(ps, lmap, seed=0)
+    updated, _, ess = particle_update(ps, grid, values, seed=0)
     assert np.allclose(updated.weights, w, atol=1e-12)
     assert ess == pytest.approx(1.0 / np.sum(w ** 2))
 
@@ -328,7 +323,7 @@ def test_particle_update_uniform_map_keeps_weights():
 def test_particle_update_interpolates_by_inverse_distance():
     grid = _grid(2)
     dens = np.array([1.0, 2.0, 3.0, 4.0])
-    lmap = _logmap(grid, np.log(dens))
+    values = np.log(dens)
     p = np.array([0.25, 0.25])
     corners = np.array([0, 1, 2, 3])
     d = np.hypot(grid.xy[corners, 0] - p[0], grid.xy[corners, 1] - p[1])
@@ -336,39 +331,38 @@ def test_particle_update_interpolates_by_inverse_distance():
     lik_p = float(iw @ dens[corners] / iw.sum())
     # pair the off-grid particle with one pinned at a grid point of density 1
     ps = ParticleSet(positions=[p, [0.0, 0.0]], weights=[0.5, 0.5])
-    updated, _, _ = particle_update(ps, lmap, seed=0)
+    updated, _, _ = particle_update(ps, grid, values, seed=0)
     want = np.array([lik_p, 1.0])
     want /= want.sum()
     assert np.allclose(updated.weights, want, atol=1e-12)
 
 
-def test_particle_update_mode_estimator():
-    grid = _grid(2)
-    lmap = _logmap(grid, np.log([1.0, 1.0, 1.0, 9.0]))
-    ps = ParticleSet(positions=[[0.0, 0.0], [1.0, 1.0], [0.3, 0.4]],
-                     weights=[1 / 3] * 3)
-    _, est, _ = particle_update(ps, lmap, seed=0, estimator="mode")
-    assert (est.x, est.y) == (1.0, 1.0)
-    with pytest.raises(ValueError):
-        particle_update(ps, lmap, estimator="median")
+@pytest.mark.parametrize("values", [
+    [0.0, np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0],
+    np.zeros(3), np.zeros(9), np.zeros((2, 2)),
+])
+def test_particle_update_refuses_a_non_finite_or_wrong_length_row(values):
+    ps = ParticleSet(positions=[[0.0, 0.0], [1.0, 1.0]], weights=[0.5, 0.5])
+    with pytest.raises(ValueError, match="observation"):
+        particle_update(ps, _grid(2), values, seed=0)
 
 
 def test_particle_update_degenerate_likelihood_raises():
     grid = _grid(2)
     # the only particle sits on a cell whose density underflows to exactly zero
-    lmap = _logmap(grid, [0.0, -9000.0, -9000.0, -9000.0])
+    values = [0.0, -9000.0, -9000.0, -9000.0]
     ps = ParticleSet(positions=[[1.0, 0.0]], weights=[1.0])
     with pytest.raises(DegenerateUpdateError):
-        particle_update(ps, lmap, seed=0)
+        particle_update(ps, grid, values, seed=0)
 
 
 def test_particle_update_resamples_when_ess_collapses():
     grid = _grid(2)
-    lmap = _logmap(grid, [0.0, -9000.0, -9000.0, -9000.0])
+    values = [0.0, -9000.0, -9000.0, -9000.0]
     # three particles on dead cells, one on the live cell: ESS drops to 1 < 4/2
     ps = ParticleSet(positions=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]],
                      weights=[0.25] * 4)
-    updated, est, ess = particle_update(ps, lmap, seed=3)
+    updated, est, ess = particle_update(ps, grid, values, seed=3)
     assert ess == pytest.approx(1.0)  # measured before resampling
     assert np.allclose(updated.weights, 0.25)
     assert np.array_equal(updated.positions, np.tile([0.0, 0.0], (4, 1)))
