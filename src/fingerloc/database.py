@@ -28,7 +28,7 @@ __all__ = [
 FORMAT_VERSION = "fingerloc-db-6"
 
 # block type tag -> (class, {field: dtype}); every field has the grid as its
-# leading axis, the last one is (N,)
+# leading axis
 _MODEL_BLOCKS = {
     "gaussian": (GaussianStats, {"mean": "complex128", "cov": "complex128", "loading": "float64"}),
     "gamma": (GammaParams, {"shape": "float64", "scale": "float64"}),
@@ -94,10 +94,11 @@ def _model_tag(block) -> str | None:
 def _block_rows(block) -> int:
     """Grid points a block covers; ValueError unless it is a storable block."""
     tag = _model_tag(block)
-    lead = block if tag is None else getattr(block, list(_MODEL_BLOCKS[tag][1])[-1])
-    if not isinstance(lead, np.ndarray) or lead.ndim == 0:
+    if tag is not None:  # the model classes hold (N, ...) arrays only
+        return len(getattr(block, next(iter(_MODEL_BLOCKS[tag][1]))))
+    if not isinstance(block, np.ndarray) or block.ndim == 0:
         raise ValueError(f"a {type(block).__name__} is not a block with a leading grid axis")
-    return lead.shape[0]
+    return block.shape[0]
 
 
 class FingerprintDatabase:
@@ -154,10 +155,12 @@ def _block_to_json(block) -> dict:
 def _block_from_json(key: str, data):
     tag = data.get("type") if isinstance(data, dict) else None
     if tag == "array":
+        _refuse_unknown_keys(data, f"database block {key!r}", ("type", "values"))
         return decode_array(data.get("values"), f"database block {key!r}", _ARRAY_DTYPES, 1)
     if tag not in _MODEL_BLOCKS:
         raise ValueError(f"database block {key!r} has unknown type {tag!r}")
     cls, fields = _MODEL_BLOCKS[tag]
+    _refuse_unknown_keys(data, f"database block {key!r}", ("type", *fields))
     return cls(**{name: decode_array(data.get(name), f"database block {key!r} field {name!r}",
                                      (dtype,), 1)
                   for name, dtype in fields.items()})
@@ -186,7 +189,9 @@ def database_from_json(text: str) -> FingerprintDatabase:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported database format version {version!r} "
                          f"(this version reads {FORMAT_VERSION!r}); rerun learn")
+    _refuse_unknown_keys(doc, "database", ("version", "grid", "config_digest", "blocks"))
     g = _json_object(doc, "grid")
+    _refuse_unknown_keys(g, "database grid", ("origin", "nx", "ny", "spacing"))
     origin = g["origin"]
     if not (isinstance(origin, list) and len(origin) == 2):
         raise ValueError(f"database grid origin must be a pair of coordinates, got {origin!r}")
@@ -197,6 +202,13 @@ def database_from_json(text: str) -> FingerprintDatabase:
     blocks = {key: _block_from_json(key, data)
               for key, data in _json_object(doc, "blocks").items()}
     return FingerprintDatabase(grid=grid, blocks=blocks, config_digest=digest)
+
+
+def _refuse_unknown_keys(obj: dict, name: str, keys) -> None:
+    """ValueError naming the first key of ``obj`` that is not one of ``keys``."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"{name} has unknown key {unknown[0]!r}; rerun learn")
 
 
 def _json_object(doc: dict, key: str) -> dict:

@@ -107,7 +107,8 @@ def measurement_shapes(cfg: dict) -> dict:
 
 def sensor_ranges(sensors: list, xy) -> np.ndarray:
     """(points, sensors) distance from every row of ``xy`` to every sensor."""
-    # math.hypot per pair, as Position.distance_to: numpy's hypot differs in the last bit
+    # math.hypot per pair: numpy's hypot differs in the last bit, which can
+    # move a range across a detection bin's edge
     ranges = [[math.hypot(cov.pos.x - x, cov.pos.y - y) for cov in sensors]
               for x, y in np.asarray(xy).tolist()]
     return np.array(ranges, dtype=float).reshape(len(ranges), len(sensors))

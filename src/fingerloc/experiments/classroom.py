@@ -15,6 +15,7 @@ import numpy as np
 
 from ..database import FingerprintDatabase
 from ..features import pair_xcorr
+from ..matching import fingerprint_sqerr
 from ..simulate import ChannelModel, derive_seed, link_chunks, simulate_links
 from ..stats import GaussianStats, fit_gaussian, gaussian_loglik, gaussian_loo_loglik
 from .common import (
@@ -199,14 +200,13 @@ def loo_scores(cfg: dict, xc: np.ndarray, rssi: np.ndarray, db: FingerprintDatab
 
     loglik = np.zeros((n_trials, n_seats))
     for p, key in enumerate(pair_keys(len(antenna_layout(cfg)))):
-        loglik += gaussian_loglik(xc[:, :, p, :].reshape(n_trials, 1, dim),
+        loglik += gaussian_loglik(xc[:, :, p, :].reshape(n_trials, dim),
                                   db.block(key, GaussianStats))
     held_out = gaussian_loo_loglik(np.moveaxis(xc, 2, 0), cfg["matching"]["loading_eps"])
     loglik[trials, true_seat] = held_out.sum(axis=0).reshape(n_trials)
 
     means = db.block("rssi", np.ndarray)  # (seats, antennas)
-    flat_r = rssi.reshape(n_trials, -1)
-    sqerr = ((flat_r[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    sqerr = fingerprint_sqerr(rssi.reshape(n_trials, -1), means)
     fold_means = (n_snap * means[:, None, :] - rssi) / (n_snap - 1)
     sqerr[trials, true_seat] = ((rssi - fold_means) ** 2).sum(axis=-1).reshape(n_trials)
     return loglik, sqerr

@@ -137,11 +137,8 @@ def power_phase(y_i, y_j) -> tuple:
     return rssi, np.angle(cross.reshape(yi.shape[:-1]))
 
 
-def wrap_angle(theta):
-    """Wrap angles to (-pi, pi]."""
+def wrap_angle(theta) -> np.ndarray:
+    """Wrap angles to (-pi, pi], as an array of the input's shape."""
     wrapped = np.mod(np.asarray(theta, dtype=float) + math.pi, _TWO_PI) - math.pi
     # mod maps exact odd multiples of pi to -pi; the convention here is (-pi, pi]
-    wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
-    if np.ndim(theta) == 0:
-        return float(wrapped)
-    return wrapped
+    return np.where(wrapped == -math.pi, math.pi, wrapped)

@@ -22,9 +22,6 @@ class Position:
             raise ValueError(
                 f"position coordinates must be finite reals, got ({self.x!r}, {self.y!r})")
 
-    def distance_to(self, other: "Position") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -74,6 +71,3 @@ class Grid:
 
     def __len__(self):
         return self.nx * self.ny
-
-    def __getitem__(self, index: int) -> Position:
-        return Position(*self.xy[index].tolist())

@@ -190,43 +190,42 @@ def estimate_aoa(values, pairs, geom: UcaGeometry, freq_hz: float) -> tuple:
     planar fit, near 0 for a flat fit.
 
     Args:
-        values: real phase differences, (pairs,) or a (..., pairs) block.
-        pairs: the (i, j) element pair of each entry of the last axis.
+        values: real (N, pairs) phase differences, one vector per grid point.
+        pairs: the (i, j) element pair of each column.
 
     Returns:
-        (aoa_rad, confidence), one value per vector: scalars for one
-        vector, (N,) arrays for a block.
+        (aoa_rad, confidence): (N,) arrays, one value per vector.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim == 0 or len(pairs) != values.shape[-1]:
+    if values.ndim != 2 or len(pairs) != values.shape[-1]:
         raise ValueError(f"need one element pair per phase difference, got {len(pairs)} "
                          f"pairs for shape {values.shape}")
     grid = np.deg2rad(np.arange(0.0, 360.0, AOA_GRID_STEP_DEG))
     pred = _steering_pair_diffs(geom, freq_hz, grid, pairs)
-    agree = np.exp(1j * (values[..., None, :] - pred))  # (..., angles, pairs)
+    agree = np.exp(1j * (values[:, None, :] - pred))  # (N, angles, pairs)
     resultant = np.abs(agree.mean(axis=-1))
     best = np.argmax(np.real(agree.sum(axis=-1)), axis=-1)
-    return grid[best], np.take_along_axis(resultant, best[..., None], axis=-1)[..., 0]
+    return grid[best], np.take_along_axis(resultant, best[:, None], axis=-1)[:, 0]
 
 
 def phasediff_freq_interp(values, pairs, geom: UcaGeometry,
                           train_freq_hz: float, target_freq_hz: float) -> tuple:
     """Re-project phase differences to another frequency via the dominant path.
 
-    Fits the dominant arrival azimuth of every vector at the training
-    frequency, then emits the ideal steering pair phases at the target
-    frequency for that azimuth.
+    Fits the dominant arrival azimuth of every vector of the (N, pairs)
+    block ``values`` at the training frequency (see :func:`estimate_aoa`),
+    then emits the ideal steering pair phases at the target frequency for
+    that azimuth.
 
     Returns:
-        (phases, aoa_rad, confidence): the projected phase differences in
-        the shape of ``values``; the confidence is the phasor-fit resultant
-        length used downstream to weight spatial interpolation.
+        (phases, aoa_rad, confidence): the (N, pairs) projected phase
+        differences and (N,) arrays; the confidence is the phasor-fit
+        resultant length used downstream to weight spatial interpolation.
     """
     if not (train_freq_hz > 0 and target_freq_hz > 0):
         raise ValueError("frequencies must be positive")
     aoa, confidence = estimate_aoa(values, pairs, geom, train_freq_hz)
-    pred = _steering_pair_diffs(geom, target_freq_hz, np.ravel(aoa), pairs)
-    return wrap_angle(pred.reshape(np.shape(values))), aoa, confidence
+    return wrap_angle(_steering_pair_diffs(geom, target_freq_hz, aoa, pairs)), aoa, confidence
 
 
 def _nearest_training(train_xy: np.ndarray, query_xy: np.ndarray) -> np.ndarray:
@@ -254,7 +253,7 @@ def _densify_correlation(stacks, train: Grid, target: Grid):
 def _densify_phasediff(stack, train_xy, query_xy, confidences):
     n_train = stack.shape[0]
     phasors = np.exp(1j * stack)
-    conf = np.ones(n_train) if confidences is None else np.asarray(confidences, dtype=float)
+    conf = np.asarray(confidences, dtype=float)
     if conf.shape != (n_train,):
         raise ValueError("need one confidence per training point")
     d = np.hypot(train_xy[None, :, 0] - query_xy[:, None, 0],
@@ -271,7 +270,7 @@ def _densify_phasediff(stack, train_xy, query_xy, confidences):
 
 
 def spatial_densify(db: FingerprintDatabase, factor: int,
-                    confidences: dict | None = None) -> FingerprintDatabase:
+                    confidences: dict) -> FingerprintDatabase:
     """Interpolate a fingerprint database onto an integer refinement of its grid.
 
     The target lattice shares the survey's origin and far edges, with
@@ -284,14 +283,14 @@ def spatial_densify(db: FingerprintDatabase, factor: int,
     nearest training point).  A real block is a phase difference,
     interpolated as unit phasors averaged over the 4 nearest training
     points, weighted by inverse distance times the per-training-point
-    confidence when one is supplied.
+    confidence.
 
     Args:
         db: training database whose blocks are all arrays.
         factor: positive integer refinement of the survey spacing (1 keeps
             the survey lattice).
-        confidences: optional ``{key: (n_train,) array}`` of phasor-fit
-            confidences for phase-difference keys.
+        confidences: ``{key: (n_train,) array}`` of phasor-fit confidences,
+            one entry for every phase-difference key.
 
     Returns:
         A new database on the refined lattice.
@@ -313,8 +312,8 @@ def spatial_densify(db: FingerprintDatabase, factor: int,
     blocks = {}
     for key, fp in fps.items():
         if key not in values:
-            conf = None if confidences is None else confidences.get(key)
-            values[key] = _densify_phasediff(flat[key], train.xy, target.xy, conf)
+            values[key] = _densify_phasediff(flat[key], train.xy, target.xy,
+                                             confidences.get(key))
         blocks[key] = values[key].reshape((len(target),) + fp.shape[1:])
 
     return FingerprintDatabase(grid=target, blocks=blocks)

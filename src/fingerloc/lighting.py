@@ -74,7 +74,7 @@ class LightingScenario:
     grid: Grid
     lights: tuple
     target_lux: float
-    env_lux: np.ndarray = field(default=None)
+    env_lux: np.ndarray
     gains: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -83,8 +83,7 @@ class LightingScenario:
             raise ValueError("at least one light is required")
         if not (self.target_lux > 0):
             raise ValueError("the illuminance target must be positive")
-        env = self.env_lux
-        env = np.zeros(len(self.grid)) if env is None else np.array(env, dtype=float)
+        env = np.array(self.env_lux, dtype=float)
         if env.shape != (len(self.grid),):
             raise ValueError("ambient illuminance needs one value per grid cell")
         if not np.all(np.isfinite(env)) or np.any(env < 0):

@@ -118,4 +118,4 @@ def fingerprint_sqerr(targets, reference, *, wrap: bool = False) -> np.ndarray:
     delta = a[..., None, :] - b
     if wrap:
         delta = wrap_angle(delta)
-    return np.sum(np.abs(delta) ** 2, axis=-1)
+    return np.sum(np.square(delta, out=delta), axis=-1)

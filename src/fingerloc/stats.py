@@ -31,7 +31,6 @@ __all__ = [
     "kriging_cond",
 ]
 
-DEFAULT_LOADING_EPS = 1e-3
 KAPPA_MAX = 1000.0
 _RESULTANT_CAP = 1.0 - 1e-6
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -39,21 +38,18 @@ _EPS = np.finfo(float).eps
 
 
 def _freeze(obj, **arrays):
-    """Store validated arrays on a frozen dataclass: 0-d as float, else read-only."""
+    """Store validated arrays on a frozen dataclass, read-only."""
     for name, arr in arrays.items():
-        if arr.ndim == 0:
-            object.__setattr__(obj, name, float(arr))
-        else:
-            arr.flags.writeable = False
-            object.__setattr__(obj, name, arr)
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
 
 
 def _param_arrays(**params) -> list:
-    """Float arrays of equal shape, either scalars or (N,) blocks."""
+    """Float (N,) blocks of equal length."""
     arrays = [np.array(v, dtype=float) for v in params.values()]
     shape = arrays[0].shape
-    if len(shape) > 1 or any(a.shape != shape for a in arrays):
-        raise ValueError(f"parameters {sorted(params)} must be scalars or equal-length vectors")
+    if len(shape) != 1 or any(a.shape != shape for a in arrays):
+        raise ValueError(f"parameters {sorted(params)} must be equal-length (N,) vectors")
     return arrays
 
 
@@ -63,23 +59,22 @@ def _param_arrays(**params) -> list:
 
 @dataclass(frozen=True)
 class GaussianStats:
-    """Circularly symmetric complex Gaussian: mean vector and loaded covariance.
+    """Circularly symmetric complex Gaussians, one per grid point of a block.
 
-    ``cov`` already includes the diagonal loading recorded in ``loading``.  A
-    database block stacks one model per grid point: mean (N, d), cov
-    (N, d, d), loading (N,).
+    Mean (N, d), covariance (N, d, d) and loading (N,); each ``cov`` already
+    includes the diagonal loading recorded in ``loading``.
     """
 
     mean: np.ndarray
     cov: np.ndarray
-    loading: float
+    loading: np.ndarray
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=complex)
         cov = np.array(self.cov, dtype=complex)
         loading = np.array(self.loading, dtype=float)
-        if mean.ndim not in (1, 2) or mean.size == 0:
-            raise ValueError("mean must be a non-empty vector or (N, d) block")
+        if mean.ndim != 2 or mean.size == 0:
+            raise ValueError(f"mean must be a non-empty (N, d) block, got shape {mean.shape}")
         if cov.shape != mean.shape + mean.shape[-1:]:
             raise ValueError(f"covariance shape {cov.shape} does not match mean {mean.shape}")
         if loading.shape != mean.shape[:-1]:
@@ -107,8 +102,8 @@ def _zero_scatter_bound(samples: np.ndarray) -> np.ndarray:
     return samples.shape[-1] * _EPS * np.mean(np.abs(samples) ** 2, axis=(-2, -1))
 
 
-def fit_gaussian(samples, loading_eps: float = DEFAULT_LOADING_EPS) -> GaussianStats:
-    """Fit mean and covariance of complex fingerprint samples.
+def fit_gaussian(samples, loading_eps: float) -> GaussianStats:
+    """Fit mean and covariance of complex fingerprint samples, one model per grid point.
 
     The covariance is the biased (divide by n) scatter of complex outer
     products plus diagonal loading ``loading_eps * trace / dim``, which keeps
@@ -118,18 +113,16 @@ def fit_gaussian(samples, loading_eps: float = DEFAULT_LOADING_EPS) -> GaussianS
     ``loading_eps``.
 
     Args:
-        samples: (n, d) array-like of complex sample vectors, n >= 1, or
-            (N, n, d) to fit one model per grid point as a block.
+        samples: (N, n, d) array-like: n >= 1 complex sample vectors of
+            dimension d for each of N grid points.
         loading_eps: relative diagonal loading factor.
 
     Returns:
-        GaussianStats with the loading already applied to ``cov``.
+        GaussianStats block with the loading already applied to ``cov``.
     """
     arr = np.asarray(samples, dtype=complex)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim not in (2, 3) or arr.shape[-2] == 0 or arr.shape[-1] == 0:
-        raise ValueError("samples must form a non-empty (n, d) or (N, n, d) array")
+    if arr.ndim != 3 or 0 in arr.shape:
+        raise ValueError(f"samples must form a non-empty (N, n, d) array, got shape {arr.shape}")
     if loading_eps < 0:
         raise ValueError("loading_eps must be non-negative")
     n, d = arr.shape[-2:]
@@ -147,36 +140,29 @@ def fit_gaussian(samples, loading_eps: float = DEFAULT_LOADING_EPS) -> GaussianS
     return GaussianStats(mean=mean, cov=cov, loading=loading)
 
 
-def gaussian_loglik(f, stats: GaussianStats):
-    """Log-density of fingerprint(s) under a complex Gaussian model.
+def gaussian_loglik(f, stats: GaussianStats) -> np.ndarray:
+    """Log-density of every fingerprint under every model of a block.
 
     Computes ``-d ln(pi) - ln det(R) - (f - m)^H R^{-1} (f - m)`` as
     ``-d ln(pi) - ln det(R) - |W (f - m)|^2`` with the whitening factor
     ``W = L^{-1}`` of the Cholesky factor ``R = L L^H`` (no inverse of R).
-
-    Fingerprints broadcast against the model's leading axes: ``(..., d)``
-    against one model gives ``(...)``; against a block of N models,
-    ``(..., N, d)`` scores each fingerprint against its own model and
-    ``(..., 1, d)`` (or one vector ``(d,)``) scores it against every model,
-    giving ``(..., N)``.  Scoring against every model is one matrix product
-    per chunk of fingerprints, with no ``(..., N, d)`` difference array.
+    Scoring against every model is one matrix product per chunk of
+    fingerprints, with no ``(T, N, d)`` difference array.
 
     Args:
-        f: fingerprint vector(s), last axis d.
-        stats: fitted model, or a block of them.
+        f: (T, d) fingerprints.
+        stats: block of N fitted models.
 
     Returns:
-        Float for one vector and one model, else the broadcast array.
+        (T, N): entry ``[t, n]`` scores fingerprint t under model n.
 
     Raises:
         NumericError: a covariance of the block is not positive definite.
     """
     arr = np.asarray(f, dtype=complex)
-    n_models = stats.mean.shape[:-1]
-    if arr.ndim == 0 or arr.shape[-1] != stats.dim or (
-            n_models and arr.ndim > 1 and arr.shape[-2] not in (1, *n_models)):
-        raise ValueError(f"fingerprint shape {arr.shape} does not broadcast against "
-                         f"model shape {stats.mean.shape}")
+    if arr.ndim != 2 or arr.shape[-1] != stats.dim:
+        raise ValueError(f"fingerprints must form a (T, {stats.dim}) array, "
+                         f"got shape {arr.shape}")
     try:
         chol = np.linalg.cholesky(stats.cov)
     except np.linalg.LinAlgError as exc:
@@ -184,20 +170,8 @@ def gaussian_loglik(f, stats: GaussianStats):
             f"covariance is not positive definite even after loading {stats.loading}: {exc}"
         ) from exc
     logdet = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
-    if not n_models:  # one model: a block of one along a new model axis
-        chol, mean, arr = chol[None], stats.mean[None], arr[..., None, :]
-    else:
-        mean = stats.mean
-        arr = arr if arr.ndim > 1 else arr[None]
-    if arr.shape[-2] == 1:
-        quad = _whitened_cross_norms(arr[..., 0, :], np.linalg.inv(chol), mean)
-    else:
-        z = np.linalg.solve(chol, (arr - mean)[..., None])[..., 0]
-        quad = np.sum(z.real ** 2 + z.imag ** 2, axis=-1)
-    out = -stats.dim * math.log(math.pi) - logdet - quad
-    if not n_models:
-        out = out[..., 0]
-    return float(out) if out.ndim == 0 else out
+    quad = _whitened_cross_norms(arr, np.linalg.inv(chol), stats.mean)
+    return -stats.dim * math.log(math.pi) - logdet - quad
 
 
 # complex elements of the (rows, N, d) whitened block scored at a time
@@ -205,34 +179,33 @@ _CROSS_CHUNK = 1 << 18
 
 
 def _whitened_cross_norms(f: np.ndarray, white: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``|W_n (f_t - m_n)|^2`` of every fingerprint t against every model n.
+    """``|W_n (f_t - m_n)|^2`` of every fingerprint t of ``f (T, d)`` against every model n.
 
     ``W_n f_t`` for all n is one product with the stacked ``(N*d, d)``
     factors, taken over row chunks so no temporary grows with T*N*d.
     """
     n, d = mean.shape
-    rows = f.reshape(-1, d)
     stacked = white.reshape(n * d, d).T
     white_mean = np.matmul(white, mean[..., None])[..., 0]
-    out = np.empty((rows.shape[0], n))
+    out = np.empty((f.shape[0], n))
     step = max(1, _CROSS_CHUNK // (n * d))
-    for lo in range(0, rows.shape[0], step):
-        z = (rows[lo:lo + step] @ stacked).reshape(-1, n, d)
+    for lo in range(0, f.shape[0], step):
+        z = (f[lo:lo + step] @ stacked).reshape(-1, n, d)
         z -= white_mean
         parts = z.view(float)  # (rows, n, 2d): real and imaginary parts
         out[lo:lo + step] = np.einsum("tnk,tnk->tn", parts, parts)
-    return out.reshape(f.shape[:-1] + (n,))
+    return out
 
 
-def gaussian_loo_loglik(samples, loading_eps: float = DEFAULT_LOADING_EPS) -> np.ndarray:
+def gaussian_loo_loglik(samples, loading_eps: float) -> np.ndarray:
     """Leave-one-out log-density of every sample under the fit to the others.
 
-    Entry k of a block ``(..., n, d)`` is
-    ``gaussian_loglik(x_k, fit_gaussian(<the other n-1 samples>, loading_eps))``,
-    with that fit's loading and zero-scatter rule.  Every fold model is a
-    rank-one downdate of the fit to all n samples, so one ``eigh`` of that
-    fit's scatter serves all n folds (Sherman-Morrison and the matrix
-    determinant lemma; Hager 1989, SIAM Review 31(2)).  With mean m, biased
+    Entry ``[..., k]`` of ``(..., n, d)`` samples is the density of sample k
+    under the :func:`fit_gaussian` model of the other n-1 samples of its
+    ``(n, d)`` set, with that fit's loading and zero-scatter rule.  Every
+    fold model is a rank-one downdate of the fit to all n samples, so one
+    ``eigh`` of that fit's scatter serves all n folds (Sherman-Morrison and
+    the matrix determinant lemma; Hager 1989, SIAM Review 31(2)).  With mean m, biased
     scatter ``S = V diag(l) V^H``, ``u = x_k - m``, ``r = n/(n-1)`` and
     ``a = n/(n-1)^2``:
 
@@ -320,13 +293,10 @@ def gaussian_loo_loglik(samples, loading_eps: float = DEFAULT_LOADING_EPS) -> np
 
 @dataclass(frozen=True)
 class GammaParams:
-    """Gamma distribution, shape/scale parameterization.
+    """Gamma distributions, shape/scale parameterization, one per grid point: (N,) arrays."""
 
-    Floats for one model; (N,) arrays for a database block.
-    """
-
-    shape: float
-    scale: float
+    shape: np.ndarray
+    scale: np.ndarray
 
     def __post_init__(self):
         shape, scale = _param_arrays(shape=self.shape, scale=self.scale)
@@ -338,13 +308,13 @@ class GammaParams:
 def fit_gamma(samples) -> GammaParams:
     """Method-of-moments Gamma fit: scale = var/mean, shape = mean/scale.
 
-    Uses the unbiased sample variance, so at least two samples are required
-    and all samples must be positive with non-zero spread.  A (N, n) array
-    fits one model per row, as a block.
+    Fits one model per row of (N, n) samples.  Uses the unbiased sample
+    variance, so at least two samples per row are required and all samples
+    must be positive with non-zero spread.
     """
     arr = np.ascontiguousarray(samples, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
-        raise ValueError("gamma fitting needs at least 2 samples")
+    if arr.ndim != 2 or arr.shape[-1] < 2:
+        raise ValueError(f"gamma fitting needs (N, n) samples with n >= 2, got shape {arr.shape}")
     if np.any(arr <= 0):
         raise ValueError("gamma samples must be positive")
     mean = arr.mean(axis=-1)
@@ -355,19 +325,18 @@ def fit_gamma(samples) -> GammaParams:
     return GammaParams(shape=mean / scale, scale=scale)
 
 
-def gamma_logpdf(x, p: GammaParams):
+def gamma_logpdf(x, p: GammaParams) -> np.ndarray:
     """Gamma log-density ``(shape-1) ln x - x/scale - ln Gamma(shape) - shape ln scale``.
 
-    Broadcasts ``x`` against the parameters, so one value scores a whole block.
+    Broadcasts ``x`` against the (N,) parameters, so one value scores a whole block.
     """
     from scipy.special import gammaln
 
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("gamma density is defined for positive values only")
-    out = ((p.shape - 1.0) * np.log(arr) - arr / p.scale
-           - gammaln(p.shape) - p.shape * np.log(p.scale))
-    return float(out) if np.ndim(out) == 0 else out
+    return ((p.shape - 1.0) * np.log(arr) - arr / p.scale
+            - gammaln(p.shape) - p.shape * np.log(p.scale))
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +345,10 @@ def gamma_logpdf(x, p: GammaParams):
 
 @dataclass(frozen=True)
 class VonMisesParams:
-    """Von Mises distribution on the circle.
+    """Von Mises distributions on the circle, one per grid point: (N,) arrays."""
 
-    Floats for one model; (N,) arrays for a database block.
-    """
-
-    mu: float
-    kappa: float
+    mu: np.ndarray
+    kappa: np.ndarray
 
     def __post_init__(self):
         mu, kappa = _param_arrays(mu=self.mu, kappa=self.kappa)
@@ -394,19 +360,19 @@ class VonMisesParams:
 
 
 def fit_vonmises(angles) -> VonMisesParams:
-    """Fit a von Mises distribution from angles in radians.
+    """Fit a von Mises distribution to every row of (N, n) angles in radians.
 
     The mean direction is the argument of the summed phasors.  Concentration
     starts from the rational closed form ``R(2 - R^2)/(1 - R^2)`` and is
     tightened with two Newton steps on the Bessel ratio equation
-    ``I1(k)/I0(k) = R``; nearly aligned samples cap at ``KAPPA_MAX``.  A
-    (N, n) array fits one model per row, as a block.
+    ``I1(k)/I0(k) = R``; nearly aligned samples cap at ``KAPPA_MAX``.
     """
     from scipy.special import i0e, i1e
 
     arr = np.ascontiguousarray(angles, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
-        raise ValueError("von Mises fitting needs at least one angle")
+    if arr.ndim != 2 or arr.shape[-1] == 0:
+        raise ValueError(f"von Mises fitting needs (N, n) angles with n >= 1, "
+                         f"got shape {arr.shape}")
     z = np.exp(1j * arr).mean(axis=-1)
     rbar = np.abs(z)
     mu = np.where(rbar == 0.0, 0.0, np.angle(z))
@@ -427,7 +393,7 @@ def fit_vonmises(angles) -> VonMisesParams:
     return VonMisesParams(mu=mu, kappa=kappa)
 
 
-def vonmises_logpdf(x, p: VonMisesParams):
+def vonmises_logpdf(x, p: VonMisesParams) -> np.ndarray:
     """Von Mises log-density ``kappa cos(x - mu) - ln(2 pi) - ln I0(kappa)``.
 
     ``ln I0`` comes from the exponentially scaled Bessel function, so large
@@ -437,8 +403,7 @@ def vonmises_logpdf(x, p: VonMisesParams):
 
     arr = np.asarray(x, dtype=float)
     log_i0 = np.log(i0e(p.kappa)) + p.kappa
-    out = p.kappa * np.cos(arr - p.mu) - _LOG_2PI - log_i0
-    return float(out) if np.ndim(out) == 0 else out
+    return p.kappa * np.cos(arr - p.mu) - _LOG_2PI - log_i0
 
 
 # ---------------------------------------------------------------------------
@@ -532,16 +497,17 @@ def kriging_fit(grid: Grid, values) -> KrigingModel:
 
     Args:
         grid: the survey lattice, at least two points.
-        values: (N,) values in the grid's point order, or (N, m) for m
-            independent fields.
+        values: (N, m) values of m independent fields, rows in the grid's
+            point order.
     """
     length_scale, ((ly, vy), (lx, vx)) = _axis_eigh(grid)
     vals = np.asarray(values, dtype=float)
-    if vals.ndim not in (1, 2) or vals.shape[0] != len(grid):
-        raise ValueError("need exactly one value row per grid point")
+    if vals.ndim != 2 or vals.shape[0] != len(grid):
+        raise ValueError(f"need an (N, m) block, one value row per grid point, "
+                         f"got shape {vals.shape} for {len(grid)} points")
     cols = vals.T.reshape(-1, grid.ny, grid.nx)  # one (ny, nx) array per column
     rotated = vy.T @ cols @ vx / (np.multiply.outer(ly, lx) + KRIGING_NUGGET)
-    alpha = (vy @ rotated @ vx.T).reshape(-1, len(grid)).T.reshape(vals.shape)
+    alpha = (vy @ rotated @ vx.T).reshape(-1, len(grid)).T
     return KrigingModel(grid=grid, length_scale=length_scale, alpha=alpha)
 
 
@@ -558,7 +524,7 @@ def kriging_cond(grid: Grid) -> float:
 
 
 def kriging_predict(model: KrigingModel, grid: Grid) -> np.ndarray:
-    """Posterior mean at every point of a query lattice: (Q,) or (Q, columns).
+    """Posterior mean at every point of a query lattice: (Q, columns).
 
     ``K_y* alpha K_x*^T`` per column, with the cross-correlations of the
     query and survey axes.
@@ -567,4 +533,4 @@ def kriging_predict(model: KrigingModel, grid: Grid) -> np.ndarray:
     ls = model.length_scale
     cols = model.alpha.T.reshape(-1, model.grid.ny, model.grid.nx)
     mean = _axis_correlation(qy, ty, ls) @ cols @ _axis_correlation(qx, tx, ls).T
-    return mean.reshape(-1, len(grid)).T.reshape((len(grid),) + model.alpha.shape[1:])
+    return mean.reshape(-1, len(grid)).T

@@ -19,8 +19,6 @@ __all__ = [
     "resample_systematic",
 ]
 
-DEFAULT_P_STATIC = 0.3
-DEFAULT_ACCEL_SIGMA = 0.5
 # resample once the effective sample size drops below this share of the particles
 RESAMPLE_ESS_FRACTION = 0.5
 
@@ -31,30 +29,22 @@ class MobilityModel:
 
     With probability ``p_static`` the user stays on its cell; otherwise it
     displaces by a zero-mean Gaussian step with standard deviation
-    ``accel_sigma * dt**2`` per axis, truncated at ``max_step`` (defaults to
-    four standard deviations).
+    ``accel_sigma * dt**2`` per axis, truncated at four standard deviations.
     """
 
-    p_static: float = DEFAULT_P_STATIC
-    accel_sigma: float = DEFAULT_ACCEL_SIGMA
+    p_static: float
+    accel_sigma: float
     dt: float = 1.0
-    max_step: float | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.p_static <= 1.0):
             raise ValueError("p_static must lie in [0, 1]")
         if self.accel_sigma < 0 or self.dt <= 0:
             raise ValueError("accel_sigma must be >= 0 and dt > 0")
-        if self.max_step is not None and self.max_step < 0:
-            raise ValueError("max_step must be non-negative")
 
     @property
     def step_sigma(self) -> float:
         return self.accel_sigma * self.dt ** 2
-
-    @property
-    def step_limit(self) -> float:
-        return self.max_step if self.max_step is not None else 4.0 * self.step_sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +126,8 @@ def transition_matrix(grid: Grid, model: MobilityModel) -> GridTransition:
 
     ``p_static`` keeps the user on its cell; otherwise ``1 - p_static`` is
     spread over cells by the Gaussian probability mass falling in each
-    destination cell (product of 1-D interval masses), truncated at
-    ``max_step`` from the source and renormalized over the grid.  The
+    destination cell (product of 1-D interval masses), truncated at four
+    step standard deviations from the source and renormalized over the grid.  The
     kernel depends only on the cell offset, so it is held as a stencil of
     side ``2r + 1``, r the reach in cells (at most the grid's extent).
 
@@ -153,7 +143,7 @@ def transition_matrix(grid: Grid, model: MobilityModel) -> GridTransition:
     if sigma == 0.0:
         return GridTransition(stencil=np.ones((1, 1)), p_static=model.p_static,
                               shape=(ny, nx))
-    limit = model.step_limit
+    limit = 4.0 * sigma
     # one cell past floor(limit / h) absorbs its rounding; the mask decides
     rx = int(min(limit / h + 1.0, nx - 1))
     ry = int(min(limit / h + 1.0, ny - 1))
@@ -254,7 +244,7 @@ def particle_predict(ps: ParticleSet, pdr_step, pdr_sigma: float, seed) -> Parti
     return ParticleSet(positions=ps.positions + step + jitter, weights=ps.weights)
 
 
-def particle_update(ps: ParticleSet, grid: Grid, values, seed=0) -> tuple:
+def particle_update(ps: ParticleSet, grid: Grid, values, seed) -> tuple:
     """Weight particles by the observation likelihood and estimate the position.
 
     Each particle's likelihood is regressed from the grid: the
@@ -315,15 +305,14 @@ def particle_update(ps: ParticleSet, grid: Grid, values, seed=0) -> tuple:
     return updated, estimate, ess
 
 
-def resample_systematic(ps: ParticleSet, seed, size: int | None = None) -> ParticleSet:
+def resample_systematic(ps: ParticleSet, seed) -> ParticleSet:
     """Systematic resampling: one uniform offset, evenly spaced selection points.
 
-    Copy counts stay within one of ``size * weight`` for every particle, and
-    equal weights reproduce the input set unchanged.
+    The set keeps its size.  Copy counts stay within one of ``len(ps) *
+    weight`` for every particle, and equal weights reproduce the input set
+    unchanged.
     """
-    size = len(ps) if size is None else int(size)
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    size = len(ps)
     rng = np.random.default_rng(seed)
     u0 = rng.random() / size
     points = u0 + np.arange(size) / size

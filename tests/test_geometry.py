@@ -8,17 +8,6 @@ import pytest
 from fingerloc.geometry import Grid, Position
 
 
-def test_position_distance_matches_hypot():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        ax, ay, bx, by = rng.uniform(-50, 50, size=4)
-        a = Position(float(ax), float(ay))
-        b = Position(float(bx), float(by))
-        assert a.distance_to(b) == math.hypot(ax - bx, ay - by)
-        assert a.distance_to(b) == b.distance_to(a)
-    assert Position(1.0, 2.0).distance_to(Position(1.0, 2.0)) == 0.0
-
-
 @pytest.mark.parametrize("x,y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
 def test_position_rejects_non_finite(x, y):
     with pytest.raises(ValueError):
@@ -35,22 +24,18 @@ def test_uniform_grid_is_row_major():
     # x varies fastest: point k sits at origin + ((k mod nx) h, (k div nx) h)
     grid = Grid(Position(0.0, 0.0), nx=3, ny=2, spacing=2.0)
     assert len(grid) == 6
-    assert (grid[0].x, grid[0].y) == (0.0, 0.0)
-    assert (grid[2].x, grid[2].y) == (4.0, 0.0)
-    assert (grid[3].x, grid[3].y) == (0.0, 2.0)
-    assert (grid[4].x, grid[4].y) == (2.0, 2.0)
-    assert (grid[5].x, grid[5].y) == (4.0, 2.0)
+    assert grid.xy.tolist() == [[0.0, 0.0], [2.0, 0.0], [4.0, 0.0],
+                                [0.0, 2.0], [2.0, 2.0], [4.0, 2.0]]
 
 
 def test_uniform_grid_offset_origin():
     grid = Grid(Position(-1.5, 3.0), nx=4, ny=3, spacing=0.78)
-    points = list(grid)
-    assert len(points) == 12
-    for k, p in enumerate(points):
-        assert p.x == pytest.approx(-1.5 + (k % 4) * 0.78, abs=1e-12)
-        assert p.y == pytest.approx(3.0 + (k // 4) * 0.78, abs=1e-12)
-    with pytest.raises(IndexError):
-        grid[12]
+    assert len(grid) == 12 and grid.xy.shape == (12, 2)
+    for k, (x, y) in enumerate(grid.xy):
+        assert x == pytest.approx(-1.5 + (k % 4) * 0.78, abs=1e-12)
+        assert y == pytest.approx(3.0 + (k // 4) * 0.78, abs=1e-12)
+    with pytest.raises(TypeError):
+        grid[0]  # positions are rows of grid.xy
 
 
 def test_uniform_grid_pairwise_distances_at_least_spacing():
@@ -91,10 +76,9 @@ def test_grid_rejects_duplicates_and_empty():
 
 def test_xy_rows_are_the_grid_positions():
     grid = Grid(Position(0.25, -0.5), nx=3, ny=3, spacing=1.25)
-    assert grid.xy.shape == (9, 2)
-    for k, p in enumerate(grid):
-        assert type(p.x) is float and type(p.y) is float
-        assert grid.xy[k, 0] == p.x and grid.xy[k, 1] == p.y
+    assert grid.xy.shape == (9, 2) and grid.xy.dtype == np.float64
+    for k in range(len(grid)):
+        assert grid.xy[k].tolist() == [0.25 + (k % 3) * 1.25, -0.5 + (k // 3) * 1.25]
     with pytest.raises(ValueError):
         grid.xy[0, 0] = 1.0  # computed once, shared by every caller
 

@@ -182,48 +182,53 @@ def test_uca_geometry_validation():
 
 def test_estimate_aoa_recovers_grid_angles_exactly():
     geom = UcaGeometry(n_elements=3, radius_m=0.05)
-    for deg in (0.0, 30.0, 123.5, 359.5):
-        values = _pair_diffs(geom, 2.4e9, math.radians(deg), PAIRS)
-        aoa, confidence = estimate_aoa(values, PAIRS, geom, 2.4e9)
-        assert aoa == pytest.approx(math.radians(deg), abs=1e-12)
-        assert confidence == pytest.approx(1.0, abs=1e-12)
+    angles = np.radians([0.0, 30.0, 123.5, 359.5])
+    values = np.stack([_pair_diffs(geom, 2.4e9, theta, PAIRS) for theta in angles])
+    aoa, confidence = estimate_aoa(values, PAIRS, geom, 2.4e9)
+    assert aoa.shape == confidence.shape == (4,)
+    assert np.allclose(aoa, angles, rtol=0.0, atol=1e-12)
+    assert np.allclose(confidence, 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_estimate_aoa_snaps_off_grid_angle_to_nearest_step():
     geom = UcaGeometry(n_elements=3, radius_m=0.05)
     values = _pair_diffs(geom, 2.4e9, math.radians(33.3), PAIRS)
-    aoa, confidence = estimate_aoa(values, PAIRS, geom, 2.4e9)
-    assert aoa == pytest.approx(math.radians(33.5), abs=1e-12)
-    assert 0.99 < confidence <= 1.0
+    aoa, confidence = estimate_aoa(values[None], PAIRS, geom, 2.4e9)
+    assert aoa[0] == pytest.approx(math.radians(33.5), abs=1e-12)
+    assert 0.99 < confidence[0] <= 1.0
 
 
 def test_estimate_aoa_validation():
     geom = UcaGeometry(n_elements=3, radius_m=0.05)
     with pytest.raises(ValueError):
-        estimate_aoa(np.zeros(3), PAIRS[:2], geom, 1e9)  # one pair per entry
+        estimate_aoa(np.zeros((1, 3)), PAIRS[:2], geom, 1e9)  # one pair per entry
     with pytest.raises(ValueError):
         estimate_aoa(np.zeros((4, 2)), PAIRS, geom, 1e9)
     with pytest.raises(ValueError):
         estimate_aoa(0.0, PAIRS[:1], geom, 1e9)
+    for not_a_block in (np.zeros(3), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError):
+            estimate_aoa(not_a_block, PAIRS, geom, 1e9)
 
 
 def test_phasediff_freq_interp_identity_at_training_frequency():
     geom = UcaGeometry(n_elements=3, radius_m=0.05)
     theta = math.radians(123.5)  # on the scan grid
-    values = _pair_diffs(geom, 2.4e9, theta, PAIRS)
+    values = _pair_diffs(geom, 2.4e9, theta, PAIRS)[None]
     out, aoa, confidence = phasediff_freq_interp(values, PAIRS, geom, 2.4e9, 2.4e9)
+    assert out.shape == values.shape and aoa.shape == confidence.shape == (1,)
     assert np.allclose(out, values, atol=1e-9)
-    assert aoa == pytest.approx(theta, abs=1e-12)
-    assert confidence == pytest.approx(1.0, abs=1e-9)
+    assert aoa[0] == pytest.approx(theta, abs=1e-12)
+    assert confidence[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_phasediff_freq_interp_projects_steering_to_new_frequency():
     geom = UcaGeometry(n_elements=3, radius_m=0.05)
     theta = math.radians(57.0)
-    train = _pair_diffs(geom, 1e9, theta, PAIRS)
+    train = _pair_diffs(geom, 1e9, theta, PAIRS)[None]
     out, _, _ = phasediff_freq_interp(train, PAIRS, geom, 1e9, 2e9)
     want = _pair_diffs(geom, 2e9, theta, PAIRS)
-    assert np.allclose(out, want, atol=1e-9)
+    assert np.allclose(out[0], want, atol=1e-9)
     with pytest.raises(ValueError):
         phasediff_freq_interp(train, PAIRS, geom, 0.0, 2e9)
 
@@ -241,7 +246,7 @@ def test_spatial_densify_phasediff_exact_at_training_points():
     rng = np.random.default_rng(83)
     field = wrap_angle(rng.uniform(-3, 3, size=(9, 2)))
     db = _train_db(field, grid)
-    out = spatial_densify(db, 1)
+    out = spatial_densify(db, 1, confidences={"k": np.ones(9)})
     assert out.grid == grid
     assert np.array_equal(out.blocks["k"], field)
 
@@ -257,7 +262,7 @@ def test_spatial_densify_correlation_reproduces_training_magnitudes():
     phases = rng.uniform(-3, 3, size=(9, 3))
     field = mags * np.exp(1j * phases)
     db = _train_db(field, grid)
-    got = spatial_densify(db, 1).blocks["k"]
+    got = spatial_densify(db, 1, confidences={}).blocks["k"]
     assert np.allclose(np.abs(got), mags, rtol=1e-4)
     # phases copy from the nearest training point, which is the point itself
     assert np.allclose(np.angle(got), np.angle(field), atol=1e-12)
@@ -269,7 +274,7 @@ def test_spatial_densify_targets_the_integer_refinement_of_the_survey():
     grid = Grid(Position(0.0, 2.0), nx=4, ny=2, spacing=0.3)
     rng = np.random.default_rng(79)
     field = np.exp(rng.normal(0.0, 1.0, (8, 3)) + 1j * rng.uniform(-3, 3, (8, 3)))
-    out = spatial_densify(_train_db(field, grid), 7)
+    out = spatial_densify(_train_db(field, grid), 7, confidences={})
     assert out.grid == Grid(Position(0.0, 2.0), nx=22, ny=8, spacing=0.3 / 7)
     far = grid.xy[:, 0].max()
     assert out.grid.xy[:, 0].max() == np.nextafter(far, 1.0)
@@ -283,7 +288,7 @@ def test_spatial_densify_targets_the_integer_refinement_of_the_survey():
     assert not np.allclose(np.abs(got[edge][::7]), np.abs(field[[3, 7]]), rtol=1e-6)
     for factor in (0, -1, 2.0, True, "2"):
         with pytest.raises(ValueError):
-            spatial_densify(_train_db(field, grid), factor)
+            spatial_densify(_train_db(field, grid), factor, confidences={})
 
 
 def test_spatial_densify_confidence_weighting_and_validation():
@@ -296,19 +301,20 @@ def test_spatial_densify_confidence_weighting_and_validation():
     out = spatial_densify(db, 2, confidences={"k": conf})
     assert out.grid.xy[4].tolist() == [0.5, 0.5]
     assert out.blocks["k"][4, 0] == pytest.approx(2.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        spatial_densify(db, 2, confidences={"k": np.ones(3)})
+    for bad in ({"k": np.ones(3)}, {}, {"other": conf}):
+        with pytest.raises(ValueError):
+            spatial_densify(db, 2, confidences=bad)
 
 
 def test_spatial_densify_rejects_bad_databases():
     grid = Grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
     empty = FingerprintDatabase(grid=grid)
     with pytest.raises(ValueError):
-        spatial_densify(empty, 1)
+        spatial_densify(empty, 1, confidences={})
     models = FingerprintDatabase(grid=grid, blocks={
         "k": GammaParams(shape=[1.0, 2.0], scale=[1.0, 1.0])})
     with pytest.raises(ValueError):
-        spatial_densify(models, 1)  # only array blocks densify
+        spatial_densify(models, 1, confidences={})  # only array blocks densify
 
 
 # ---------------------------------------------------------------------------

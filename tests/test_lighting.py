@@ -95,14 +95,16 @@ def test_light_gain_validation():
         Light(position=Position(0, 0), power_w=10.0, peak_lux=100.0, height_m=-2.0)
 
 
-def _room(lights, target, env=None, n=3, spacing=2.0):
+def _room(lights, target, env=0.0, n=3, spacing=2.0):
+    """A square room; a scalar ``env`` is the same ambient illuminance in every cell."""
     grid = Grid(Position(0, 0), nx=n, ny=n, spacing=spacing)
+    env = np.full(len(grid), env) if np.ndim(env) == 0 else env
     return LightingScenario(grid=grid, lights=lights, target_lux=target, env_lux=env)
 
 
 def _formula(light, cell):
-    h = light.height_m
-    d2 = (cell.x - light.position.x) ** 2 + (cell.y - light.position.y) ** 2
+    h, (x, y) = light.height_m, cell
+    d2 = (x - light.position.x) ** 2 + (y - light.position.y) ** 2
     return light.peak_lux * h ** 3 / (h ** 2 + d2) ** 1.5
 
 
@@ -113,7 +115,7 @@ def test_gain_matrix_equals_the_law_per_cell_and_light():
                     height_m=float(rng.uniform(2.0, 3.0)))
               for _ in range(3)]
     scen = _room(lights, target=300.0, n=4)
-    want = np.array([[_formula(light, cell) for light in lights] for cell in scen.grid])
+    want = np.array([[_formula(light, cell) for light in lights] for cell in scen.grid.xy])
     assert np.allclose(scen.gains, want, rtol=1e-14, atol=0.0)
     assert np.array_equal(scen.gain_matrix([5, 0, 5]), scen.gains[[5, 0, 5]])
     assert scen.gain_matrix([]).shape == (0, 3)
@@ -226,12 +228,12 @@ def test_solve_lighting_matches_dimmer_grid_search():
             for _ in range(2)
         ]
         occupied = sorted(rng.choice(9, size=int(rng.integers(1, 4)), replace=False).tolist())
-        probe = LightingScenario(grid=grid, lights=lights, target_lux=1.0)
+        probe = LightingScenario(grid=grid, lights=lights, target_lux=1.0, env_lux=np.zeros(9))
         gains = probe.gain_matrix(occupied)
         # demand most of the weakest cell's all-on capacity so the optimum is
         # well inside the dimmer range and the grid quantization gap is small
         target = float(rng.uniform(0.65, 0.9) * gains.sum(axis=1).min())
-        scen = LightingScenario(grid=grid, lights=lights, target_lux=target)
+        scen = LightingScenario(grid=grid, lights=lights, target_lux=target, env_lux=np.zeros(9))
         [plan] = solve_lighting(scen, [occupied])
 
         powers = np.array([l.power_w for l in lights])

@@ -39,8 +39,8 @@ def test_mle_rssi_rspd_mixes_gamma_and_vonmises():
     db = FingerprintDatabase(grid=grid, blocks={"rssi:0": gam, "rspd:0": vm})
     values, idx = mle_rssi_rspd({"rssi:0": 1.7, "rspd:0": -0.4}, db)
     want = np.array([
-        gamma_logpdf(1.7, GammaParams(gam.shape[i], gam.scale[i]))
-        + vonmises_logpdf(-0.4, VonMisesParams(vm.mu[i], vm.kappa[i]))
+        gamma_logpdf(1.7, GammaParams(gam.shape[i:i + 1], gam.scale[i:i + 1]))[0]
+        + vonmises_logpdf(-0.4, VonMisesParams(vm.mu[i:i + 1], vm.kappa[i:i + 1]))[0]
         for i in range(4)])
     assert np.allclose(values, want, atol=1e-12)
     assert idx == int(np.argmax(want))

@@ -4,16 +4,18 @@ import math
 import tracemalloc
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import i0e
 
 import fingerloc.stats
 from fingerloc.errors import NumericError
 from fingerloc.geometry import Grid, Position
 from fingerloc.stats import (
-    DEFAULT_LOADING_EPS,
     KAPPA_MAX,
     GammaParams,
     GaussianStats,
@@ -32,22 +34,26 @@ from fingerloc.stats import (
 )
 
 
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 # ---------------------------------------------------------------------------
 # complex Gaussian
 # ---------------------------------------------------------------------------
 
 def test_fit_gaussian_two_point_hand_case():
-    stats = fit_gaussian([[1.0 + 0j], [-1.0 + 0j]])
-    assert stats.mean[0] == 0.0
+    stats = fit_gaussian([[[1.0 + 0j], [-1.0 + 0j]]], 1e-3)
+    assert stats.mean[0, 0] == 0.0
     # biased scatter of {1, -1} about 0 is 1; loading adds eps * trace / dim
-    assert stats.cov[0, 0] == pytest.approx(1.0 + DEFAULT_LOADING_EPS, rel=1e-12)
-    assert stats.loading == pytest.approx(DEFAULT_LOADING_EPS, rel=1e-12)
+    assert stats.cov[0, 0, 0] == pytest.approx(1.0 + 1e-3, rel=1e-12)
+    assert stats.loading[0] == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_fit_gaussian_zero_scatter_still_loads():
-    stats = fit_gaussian([[2.0 + 1j], [2.0 + 1j]])
-    assert stats.loading == DEFAULT_LOADING_EPS
-    assert stats.cov[0, 0] == pytest.approx(DEFAULT_LOADING_EPS)
+    stats = fit_gaussian([[[2.0 + 1j], [2.0 + 1j]]], 1e-3)
+    assert stats.loading[0] == 1e-3
+    assert stats.cov[0, 0, 0] == pytest.approx(1e-3)
 
 
 def test_fit_gaussian_rounding_level_scatter_counts_as_zero():
@@ -58,14 +64,14 @@ def test_fit_gaussian_rounding_level_scatter_counts_as_zero():
     last_bit = np.nextafter(x.real, np.inf) + 1j * x.imag
     assert np.any(np.stack([x, x, x]).mean(axis=0) != x)
     for samples in (np.stack([x, x, x]), np.stack([x, last_bit, x])):
-        stats = fit_gaussian(samples, loading_eps=1e-3)
-        assert stats.loading == 1e-3
-        assert np.array_equal(stats.cov, 1e-3 * np.eye(4))
+        stats = fit_gaussian(samples[None], loading_eps=1e-3)
+        assert stats.loading[0] == 1e-3
+        assert np.array_equal(stats.cov[0], 1e-3 * np.eye(4))
     # inside a block, only that model is zeroed
     noisy = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     block = fit_gaussian(np.stack([np.stack([x, last_bit, x]), noisy]), loading_eps=1e-3)
     assert block.loading[0] == 1e-3
-    assert block.loading[1] == fit_gaussian(noisy, loading_eps=1e-3).loading
+    assert block.loading[1] == fit_gaussian(noisy[None], loading_eps=1e-3).loading[0]
 
 
 def test_fit_gaussian_matches_direct_formula():
@@ -73,105 +79,124 @@ def test_fit_gaussian_matches_direct_formula():
     for _ in range(10):
         n, d = int(rng.integers(2, 12)), int(rng.integers(1, 5))
         samples = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        stats = fit_gaussian(samples, loading_eps=1e-4)
+        stats = fit_gaussian(samples[None], loading_eps=1e-4)
         mean = samples.mean(axis=0)
         centered = samples - mean
         scatter = centered.T @ centered.conj() / n
         scatter = (scatter + scatter.conj().T) / 2
         loading = 1e-4 * float(np.trace(scatter).real) / d
-        assert np.allclose(stats.mean, mean, atol=1e-15)
-        assert np.allclose(stats.cov, scatter + loading * np.eye(d), atol=1e-15)
+        assert np.allclose(stats.mean[0], mean, atol=1e-15)
+        assert np.allclose(stats.cov[0], scatter + loading * np.eye(d), atol=1e-15)
 
 
 def test_gaussian_loglik_scalar_hand_case():
     # d = 1, R = 2, |f - m|^2 = 1: -ln(pi) - ln(2) - 1/2
-    stats = GaussianStats(mean=np.array([0.0 + 0j]), cov=np.array([[2.0 + 0j]]),
-                          loading=0.0)
-    got = gaussian_loglik(np.array([1.0 + 0j]), stats)
-    assert got == pytest.approx(-math.log(math.pi) - math.log(2.0) - 0.5, abs=1e-12)
+    stats = GaussianStats(mean=np.array([[0.0 + 0j]]), cov=np.array([[[2.0 + 0j]]]),
+                          loading=np.array([0.0]))
+    got = gaussian_loglik(np.array([[1.0 + 0j]]), stats)
+    assert got.shape == (1, 1)
+    assert got[0, 0] == pytest.approx(-math.log(math.pi) - math.log(2.0) - 0.5, abs=1e-12)
 
 
-def test_gaussian_loglik_matches_dense_solve_oracle():
-    rng = np.random.default_rng(19)
-    for _ in range(25):
-        d = int(rng.integers(1, 6))
-        samples = rng.standard_normal((d + 3, d)) + 1j * rng.standard_normal((d + 3, d))
-        stats = fit_gaussian(samples)
-        f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        sign, logdet = np.linalg.slogdet(stats.cov)
-        delta = f - stats.mean
-        quad = float(np.real(delta.conj() @ np.linalg.solve(stats.cov, delta)))
-        want = -d * math.log(math.pi) - float(logdet) - quad
-        assert sign == pytest.approx(1.0)
-        assert gaussian_loglik(f, stats) == pytest.approx(want, abs=1e-9)
+def _dense_loglik(f, mean, cov):
+    """The density of one fingerprint under one model, by ``slogdet`` and ``solve``."""
+    sign, logdet = np.linalg.slogdet(cov)
+    delta = f - mean
+    assert sign == pytest.approx(1.0)
+    return -len(f) * math.log(math.pi) - logdet - float(
+        np.real(delta.conj() @ np.linalg.solve(cov, delta)))
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), t=st.integers(1, 6), d=st.integers(1, 4),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_gaussian_loglik_matches_dense_solve_oracle(data, n, t, d, scale):
+    """Every fingerprint against every model of a random block, model by model."""
+    def draw(shape):
+        parts = data.draw(hnp.arrays(np.float64, (2,) + shape, elements=_UNIT))
+        return scale * (parts[0] + 1j * parts[1])
+
+    factor = draw((n, d, d))
+    # a well-conditioned Hermitian positive definite covariance per model
+    cov = factor @ np.conj(np.swapaxes(factor, -1, -2)) + scale ** 2 * np.eye(d)
+    stats = GaussianStats(mean=draw((n, d)), cov=cov, loading=np.zeros(n))
+    f = draw((t, d))
+    got = gaussian_loglik(f, stats)
+    assert got.shape == (t, n)
+    for i in range(n):
+        for k in range(t):
+            want = _dense_loglik(f[k], stats.mean[i], stats.cov[i])
+            assert got[k, i] == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_gaussian_loglik_peaks_at_mean():
     rng = np.random.default_rng(29)
     samples = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-    stats = fit_gaussian(samples)
-    at_mean = gaussian_loglik(stats.mean, stats)
-    for _ in range(50):
-        off = stats.mean + 1e-3 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        assert gaussian_loglik(off, stats) <= at_mean
+    stats = fit_gaussian(samples[None], 1e-3)
+    at_mean = gaussian_loglik(stats.mean, stats)[0, 0]
+    off = stats.mean + 1e-3 * _complex_normal(rng, (50, 3))
+    assert np.all(gaussian_loglik(off, stats) <= at_mean)
 
 
 def test_gaussian_loglik_batch_equals_loop():
     rng = np.random.default_rng(37)
     samples = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    stats = fit_gaussian(samples)
+    stats = fit_gaussian(samples[None], 1e-3)
     batch = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
     got = gaussian_loglik(batch, stats)
-    assert got.shape == (10,)
+    assert got.shape == (10, 1)
     for i in range(10):
-        assert got[i] == pytest.approx(gaussian_loglik(batch[i], stats), abs=1e-12)
+        assert got[i, 0] == pytest.approx(gaussian_loglik(batch[i:i + 1], stats)[0, 0],
+                                          abs=1e-12)
 
 
 def test_gaussian_loglik_rejects_indefinite_covariance():
-    stats = GaussianStats(mean=np.zeros(2, dtype=complex),
-                          cov=np.zeros((2, 2), dtype=complex), loading=0.0)
+    stats = GaussianStats(mean=np.zeros((1, 2), dtype=complex),
+                          cov=np.zeros((1, 2, 2), dtype=complex), loading=np.zeros(1))
     with pytest.raises(NumericError):
-        gaussian_loglik(np.zeros(2, dtype=complex), stats)
+        gaussian_loglik(np.zeros((1, 2), dtype=complex), stats)
     with pytest.raises(ValueError):
-        gaussian_loglik(np.zeros(3, dtype=complex),
-                        fit_gaussian(np.ones((2, 2), dtype=complex)))
+        gaussian_loglik(np.zeros((1, 3), dtype=complex),
+                        fit_gaussian(np.ones((1, 2, 2), dtype=complex), 1e-3))
 
 
 def test_gaussian_stats_validation():
+    zero = np.zeros(1)
     with pytest.raises(ValueError):
-        GaussianStats(mean=np.array([0j]), cov=np.array([[1j]]), loading=0.0)
+        GaussianStats(mean=np.array([[0j]]), cov=np.array([[[1j]]]), loading=zero)
     with pytest.raises(ValueError):
-        GaussianStats(mean=np.array([0j, 0j]), cov=np.eye(1, dtype=complex), loading=0.0)
+        GaussianStats(mean=np.array([[0j, 0j]]), cov=np.eye(1, dtype=complex)[None],
+                      loading=zero)
     with pytest.raises(ValueError):
-        GaussianStats(mean=np.array([0j]), cov=np.array([[-1.0 + 0j]]), loading=0.0)
+        GaussianStats(mean=np.array([[0j]]), cov=np.array([[[-1.0 + 0j]]]), loading=zero)
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e308])
 def test_gaussian_stats_checks_hold_where_the_trace_overflows(scale):
     # at 1e308 the trace, 2e308, is past the float maximum; the tolerances
     # scaled from it must not turn into inf and let any matrix through
-    skew = scale * np.array([[1.0, 0.5], [-0.5, 1.0]])
+    skew = scale * np.array([[[1.0, 0.5], [-0.5, 1.0]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not Hermitian"):
-            GaussianStats(mean=np.zeros(2), cov=skew, loading=0.0)
-        stats = GaussianStats(mean=np.zeros(2), cov=np.abs(skew), loading=0.0)
+            GaussianStats(mean=np.zeros((1, 2)), cov=skew, loading=np.zeros(1))
+        stats = GaussianStats(mean=np.zeros((1, 2)), cov=np.abs(skew), loading=np.zeros(1))
     assert np.array_equal(stats.cov, np.abs(skew))
 
 
 def _one_fit_per_fold(x, loading_eps):
-    """Held-out scores from ``fit_gaussian`` + ``gaussian_loglik``, one fold at a time."""
+    """Held-out scores fold by fold: ``fit_gaussian`` + ``gaussian_loglik`` on blocks of one."""
     n = x.shape[-2]
     out = np.empty(x.shape[:-1])
     for idx in np.ndindex(*x.shape[:-2]):
         for k in range(n):
             fold = np.delete(x[idx], k, axis=0)
-            out[idx + (k,)] = gaussian_loglik(x[idx][k], fit_gaussian(fold, loading_eps))
+            out[idx + (k,)] = gaussian_loglik(x[idx][k:k + 1],
+                                              fit_gaussian(fold[None], loading_eps))[0, 0]
     return out
-
-
-def _complex_normal(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @pytest.mark.parametrize("loading_eps", [1e-3, 0.1, 1.0, 0.0])
@@ -234,7 +259,7 @@ def test_gaussian_loo_loglik_validation():
     for bad in (np.ones(3, dtype=complex), np.ones((1, 3), dtype=complex),
                 np.ones((3, 0), dtype=complex)):
         with pytest.raises(ValueError):
-            gaussian_loo_loglik(bad)
+            gaussian_loo_loglik(bad, 1e-3)
     with pytest.raises(ValueError):
         gaussian_loo_loglik(np.ones((3, 2), dtype=complex), loading_eps=-1.0)
 
@@ -244,70 +269,79 @@ def test_gaussian_loo_loglik_validation():
 # ---------------------------------------------------------------------------
 
 def test_fit_gamma_hand_case():
-    p = fit_gamma([1.0, 2.0, 3.0, 4.0])
+    p = fit_gamma([[1.0, 2.0, 3.0, 4.0]])
     # mean 2.5, unbiased variance 5/3: scale 2/3, shape 3.75
-    assert p.scale == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert p.shape == pytest.approx(3.75, rel=1e-12)
+    assert p.scale[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert p.shape[0] == pytest.approx(3.75, rel=1e-12)
 
 
 def test_fit_gamma_validation():
     with pytest.raises(ValueError):
-        fit_gamma([1.0])
+        fit_gamma([[1.0]])
     with pytest.raises(ValueError):
-        fit_gamma([1.0, -1.0])
+        fit_gamma([[1.0, -1.0]])
     with pytest.raises(ValueError):
-        fit_gamma([2.0, 2.0, 2.0])
+        fit_gamma([[2.0, 2.0, 2.0]])
+
+
+def _gamma(shape, scale):
+    return GammaParams(shape=[shape], scale=[scale])
 
 
 def test_gamma_logpdf_known_values():
-    assert gamma_logpdf(1.0, GammaParams(shape=1.0, scale=1.0)) == pytest.approx(-1.0, abs=1e-12)
-    assert gamma_logpdf(2.0, GammaParams(shape=2.0, scale=1.0)) == pytest.approx(
-        math.log(2.0) - 2.0, abs=1e-12)
+    got = gamma_logpdf(1.0, _gamma(1.0, 1.0))
+    assert isinstance(got, np.ndarray) and got.shape == (1,)
+    assert got[0] == pytest.approx(-1.0, abs=1e-12)
+    assert gamma_logpdf(2.0, _gamma(2.0, 1.0))[0] == pytest.approx(math.log(2.0) - 2.0,
+                                                                   abs=1e-12)
     with pytest.raises(ValueError):
-        gamma_logpdf(0.0, GammaParams(shape=1.0, scale=1.0))
+        gamma_logpdf(0.0, _gamma(1.0, 1.0))
 
 
 @pytest.mark.parametrize("shape,scale", [(0.5, 1.0), (2.0, 0.3), (9.0, 2.0)])
 def test_gamma_density_integrates_to_one(shape, scale):
-    p = GammaParams(shape=shape, scale=scale)
-    total, err = scipy.integrate.quad(lambda x: math.exp(gamma_logpdf(x, p)),
+    p = _gamma(shape, scale)
+    total, err = scipy.integrate.quad(lambda x: math.exp(gamma_logpdf(x, p)[0]),
                                       1e-12, 50.0 * scale * max(shape, 1.0), limit=200)
     assert total == pytest.approx(1.0, abs=1e-5)
 
 
 def test_fit_gamma_recovers_parameters_at_scale():
     rng = np.random.default_rng(41)
-    draws = rng.gamma(shape=3.0, scale=1.5, size=200_000)
+    draws = rng.gamma(shape=3.0, scale=1.5, size=(1, 200_000))
     p = fit_gamma(draws)
-    assert p.shape == pytest.approx(3.0, rel=0.05)
-    assert p.scale == pytest.approx(1.5, rel=0.05)
+    assert p.shape[0] == pytest.approx(3.0, rel=0.05)
+    assert p.scale[0] == pytest.approx(1.5, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
 # von Mises
 # ---------------------------------------------------------------------------
 
+def _vonmises(mu, kappa):
+    return VonMisesParams(mu=[mu], kappa=[kappa])
+
+
 def test_vonmises_logpdf_uniform_at_zero_kappa():
-    p = VonMisesParams(mu=0.0, kappa=0.0)
-    for x in (-3.0, 0.0, 1.5, math.pi):
-        assert vonmises_logpdf(x, p) == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
+    got = vonmises_logpdf(np.array([[-3.0], [0.0], [1.5], [math.pi]]), _vonmises(0.0, 0.0))
+    assert np.allclose(got, -math.log(2 * math.pi), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 5.0, 50.0])
 def test_vonmises_density_integrates_to_one(kappa):
-    p = VonMisesParams(mu=0.7, kappa=kappa)
-    total, err = scipy.integrate.quad(lambda x: math.exp(vonmises_logpdf(x, p)),
+    p = _vonmises(0.7, kappa)
+    total, err = scipy.integrate.quad(lambda x: math.exp(vonmises_logpdf(x, p)[0]),
                                       -math.pi, math.pi, limit=200)
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_vonmises_logpdf_normalized_at_capped_kappa():
     # at KAPPA_MAX a naive ln I0 overflows; the density must still integrate to one
-    p = VonMisesParams(mu=0.7, kappa=KAPPA_MAX)
-    total, err = scipy.integrate.quad(lambda x: math.exp(vonmises_logpdf(x, p)),
+    p = _vonmises(0.7, KAPPA_MAX)
+    total, err = scipy.integrate.quad(lambda x: math.exp(vonmises_logpdf(x, p)[0]),
                                       -math.pi, math.pi, points=[0.7], limit=200)
     assert total == pytest.approx(1.0, abs=1e-6)
-    assert vonmises_logpdf(0.7, p) == pytest.approx(
+    assert vonmises_logpdf(0.7, p)[0] == pytest.approx(
         KAPPA_MAX - math.log(2 * math.pi) - math.log(float(i0e(KAPPA_MAX))) - KAPPA_MAX,
         rel=1e-12)
 
@@ -315,31 +349,31 @@ def test_vonmises_logpdf_normalized_at_capped_kappa():
 def test_fit_vonmises_recovers_concentration():
     rng = np.random.default_rng(47)
     for kappa in (0.5, 2.0, 4.0, 20.0):
-        draws = rng.vonmises(mu=1.0, kappa=kappa, size=100_000)
+        draws = rng.vonmises(mu=1.0, kappa=kappa, size=(1, 100_000))
         p = fit_vonmises(draws)
-        assert p.mu == pytest.approx(1.0, abs=0.05)
+        assert p.mu[0] == pytest.approx(1.0, abs=0.05)
         tol = 0.05 if kappa == 4.0 else 0.10
-        assert p.kappa == pytest.approx(kappa, rel=tol)
+        assert p.kappa[0] == pytest.approx(kappa, rel=tol)
 
 
 def test_fit_vonmises_degenerate_inputs():
-    aligned = fit_vonmises(np.full(50, 0.3))
-    assert aligned.kappa == KAPPA_MAX
-    assert aligned.mu == pytest.approx(0.3, abs=1e-12)
+    aligned = fit_vonmises(np.full((1, 50), 0.3))
+    assert aligned.kappa[0] == KAPPA_MAX
+    assert aligned.mu[0] == pytest.approx(0.3, abs=1e-12)
     # balanced phasors cancel to float noise: kappa collapses with them
-    balanced = fit_vonmises(np.array([0.0, math.pi]))
-    assert balanced.kappa == pytest.approx(0.0, abs=1e-12)
+    balanced = fit_vonmises(np.array([[0.0, math.pi]]))
+    assert balanced.kappa[0] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        fit_vonmises(np.array([]))
+        fit_vonmises(np.zeros((1, 0)))
 
 
 def test_vonmises_params_validation():
     with pytest.raises(ValueError):
-        VonMisesParams(mu=4.0, kappa=1.0)
+        _vonmises(4.0, 1.0)
     with pytest.raises(ValueError):
-        VonMisesParams(mu=0.0, kappa=-1.0)
+        _vonmises(0.0, -1.0)
     with pytest.raises(ValueError):
-        VonMisesParams(mu=0.0, kappa=KAPPA_MAX + 1)
+        _vonmises(0.0, KAPPA_MAX + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +385,19 @@ def test_block_fits_equal_per_row_fits():
     cplx = rng.standard_normal((5, 6, 3)) + 1j * rng.standard_normal((5, 6, 3))
     power = rng.gamma(3.0, 1.0, size=(5, 9))
     angles = rng.vonmises(0.5, 4.0, size=(5, 9))
-    gauss, gam, vm = fit_gaussian(cplx), fit_gamma(power), fit_vonmises(angles)
+    gauss, gam, vm = fit_gaussian(cplx, 1e-3), fit_gamma(power), fit_vonmises(angles)
     assert gauss.mean.shape == (5, 3) and gauss.cov.shape == (5, 3, 3)
     assert gauss.loading.shape == gam.shape.shape == vm.kappa.shape == (5,)
     for i in range(5):
-        one = fit_gaussian(cplx[i])
-        assert np.allclose(gauss.mean[i], one.mean, atol=1e-15)
-        assert np.allclose(gauss.cov[i], one.cov, atol=1e-14)
-        assert gauss.loading[i] == pytest.approx(one.loading, rel=1e-14)
-        assert (gam.shape[i], gam.scale[i]) == (fit_gamma(power[i]).shape,
-                                                fit_gamma(power[i]).scale)
-        assert vm.mu[i] == fit_vonmises(angles[i]).mu
-        assert vm.kappa[i] == pytest.approx(fit_vonmises(angles[i]).kappa, rel=1e-12)
+        row = slice(i, i + 1)
+        one = fit_gaussian(cplx[row], 1e-3)
+        assert np.allclose(gauss.mean[row], one.mean, atol=1e-15)
+        assert np.allclose(gauss.cov[row], one.cov, atol=1e-14)
+        assert gauss.loading[i] == pytest.approx(one.loading[0], rel=1e-14)
+        assert (gam.shape[i], gam.scale[i]) == (fit_gamma(power[row]).shape[0],
+                                                fit_gamma(power[row]).scale[0])
+        assert vm.mu[i] == fit_vonmises(angles[row]).mu[0]
+        assert vm.kappa[i] == pytest.approx(fit_vonmises(angles[row]).kappa[0], rel=1e-12)
 
 
 def test_block_densities_broadcast_one_value_over_models():
@@ -370,50 +405,32 @@ def test_block_densities_broadcast_one_value_over_models():
     gam = GammaParams(shape=rng.uniform(1, 5, 6), scale=rng.uniform(0.5, 2, 6))
     kappa = np.r_[0.0, KAPPA_MAX, rng.uniform(0, 50, 4)]
     vm = VonMisesParams(mu=rng.uniform(-3, 3, 6), kappa=kappa)
-    stats = fit_gaussian(rng.standard_normal((6, 5, 2)) + 1j * rng.standard_normal((6, 5, 2)))
-    f = np.array([0.3 - 0.2j, 1.1j])
+    stats = fit_gaussian(_complex_normal(rng, (6, 5, 2)), 1e-3)
+    f = np.array([[0.3 - 0.2j, 1.1j]])
     got_g = gamma_logpdf(1.3, gam)
     got_v = vonmises_logpdf(-0.4, vm)
     got_n = gaussian_loglik(f, stats)
     for i in range(6):
-        assert got_g[i] == gamma_logpdf(1.3, GammaParams(gam.shape[i], gam.scale[i]))
-        assert got_v[i] == vonmises_logpdf(-0.4, VonMisesParams(vm.mu[i], vm.kappa[i]))
-        one = GaussianStats(mean=stats.mean[i], cov=stats.cov[i], loading=stats.loading[i])
-        assert got_n[i] == pytest.approx(gaussian_loglik(f, one), rel=1e-12)
-    with pytest.raises(ValueError):
-        # two fingerprints fit neither one per model (6) nor one for all models
-        gaussian_loglik(np.zeros((2, 2), dtype=complex), stats)
-
-
-def _dense_loglik(f, mean, cov):
-    sign, logdet = np.linalg.slogdet(cov)
-    delta = f - mean
-    assert sign == pytest.approx(1.0)
-    return -len(f) * math.log(math.pi) - logdet - float(
-        np.real(delta.conj() @ np.linalg.solve(cov, delta)))
+        row = slice(i, i + 1)
+        assert got_g[i] == gamma_logpdf(1.3, GammaParams(gam.shape[row], gam.scale[row]))[0]
+        assert got_v[i] == vonmises_logpdf(-0.4, VonMisesParams(vm.mu[row], vm.kappa[row]))[0]
+        one = GaussianStats(mean=stats.mean[row], cov=stats.cov[row], loading=stats.loading[row])
+        assert got_n[0, i] == pytest.approx(gaussian_loglik(f, one)[0, 0], rel=1e-12)
 
 
 def test_gaussian_loglik_broadcasts_fingerprints_against_a_block(monkeypatch):
     rng = np.random.default_rng(53)
-    stats = fit_gaussian(rng.standard_normal((5, 7, 3)) + 1j * rng.standard_normal((5, 7, 3)))
-    trials = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    own = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    cross = gaussian_loglik(trials[:, None, :], stats)  # every trial against every model
-    paired = gaussian_loglik(own, stats)  # fingerprint i against model i
-    assert cross.shape == (4, 5) and paired.shape == (5,)
+    stats = fit_gaussian(_complex_normal(rng, (5, 7, 3)), 1e-3)
+    trials = _complex_normal(rng, (4, 3))
+    cross = gaussian_loglik(trials, stats)
+    assert cross.shape == (4, 5)
     for i in range(5):
         for t in range(4):
             want = _dense_loglik(trials[t], stats.mean[i], stats.cov[i])
             assert cross[t, i] == pytest.approx(want, rel=1e-12)
-        assert paired[i] == pytest.approx(_dense_loglik(own[i], stats.mean[i], stats.cov[i]),
-                                          rel=1e-12)
-    deep = gaussian_loglik(np.stack([trials, 2 * trials])[:, :, None, :], stats)
-    assert deep.shape == (2, 4, 5)
-    assert np.allclose(deep[0], cross, rtol=1e-12, atol=0.0)
     # 15 elements (5 models x 3) per trial: chunks of two trials, the last one short
     monkeypatch.setattr(fingerloc.stats, "_CROSS_CHUNK", 30)
-    assert np.allclose(gaussian_loglik(trials[:3, None, :], stats), cross[:3],
-                       rtol=1e-12, atol=0.0)
+    assert np.allclose(gaussian_loglik(trials[:3], stats), cross[:3], rtol=1e-12, atol=0.0)
     for bad in (np.zeros((4, 2, 3)), np.zeros((5, 4)), np.zeros(())):
         with pytest.raises(ValueError):
             gaussian_loglik(bad, stats)
@@ -426,14 +443,14 @@ def test_gaussian_loglik_rejects_a_singular_model_inside_a_block():
     stats = fit_gaussian(samples, loading_eps=0.0)  # PSD-singular, still a valid model
     assert stats.loading[1] == 0.0 and np.all(stats.cov[1] == 0.0)
     with pytest.raises(NumericError):
-        gaussian_loglik(np.zeros(2, dtype=complex), stats)
+        gaussian_loglik(np.zeros((1, 2), dtype=complex), stats)
     with pytest.raises(NumericError):
         gaussian_loglik(np.zeros((3, 2), dtype=complex), stats)
 
 
 def test_block_checks_every_model():
     rng = np.random.default_rng(11)
-    stats = fit_gaussian(rng.standard_normal((3, 4, 2)) + 0j)
+    stats = fit_gaussian(rng.standard_normal((3, 4, 2)) + 0j, 1e-3)
     cov = np.array(stats.cov)
     cov[1, 0, 0] = -5.0  # one indefinite model spoils the block
     with pytest.raises(ValueError):
@@ -448,6 +465,27 @@ def test_block_checks_every_model():
         VonMisesParams(mu=[0.0, 1.0], kappa=[1.0])
     with pytest.raises(ValueError):
         fit_gamma([[1.0, 2.0], [3.0, 3.0]])  # zero spread in one row
+
+
+def test_single_model_forms_are_refused():
+    """Models, fits and scores take grid blocks only; one model alone is a block of one."""
+    rng = np.random.default_rng(13)
+    samples = _complex_normal(rng, (4, 2))
+    stats = fit_gaussian(samples[None], 1e-3)
+    bad_calls = [
+        lambda: fit_gaussian(samples, 1e-3),
+        lambda: GaussianStats(mean=stats.mean[0], cov=stats.cov[0], loading=stats.loading[0]),
+        lambda: gaussian_loglik(samples[0], stats),  # one vector
+        lambda: gaussian_loglik(samples[:, None, :], stats),  # a (T, 1, d) stack
+        lambda: fit_gamma([1.0, 2.0, 3.0]),
+        lambda: fit_vonmises([0.1, 0.2]),
+        lambda: GammaParams(shape=1.0, scale=1.0),
+        lambda: VonMisesParams(mu=0.0, kappa=1.0),
+        lambda: GammaParams(shape=[[1.0]], scale=[[1.0]]),
+    ]
+    for call in bad_calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -541,27 +579,27 @@ def test_kriging_default_kernel_smooths_rather_than_interpolates():
     # chasing it exactly; predictions stay within the data range
     rng = np.random.default_rng(61)
     grid = Grid(Position(0, 0), nx=4, ny=4, spacing=1.0)
-    vals = rng.standard_normal(16) * 5.0
+    vals = rng.standard_normal((16, 1)) * 5.0
     mean = kriging_predict(kriging_fit(grid, vals), grid)
-    assert mean.shape == (16,)
+    assert mean.shape == (16, 1)
     assert np.allclose(mean, vals, atol=0.05 * float(np.ptp(vals)))
 
 
 def test_kriging_reverts_to_prior_far_away():
     # a 1x1 query lattice far from the survey gets the zero prior mean
     grid = Grid(Position(0, 0), nx=3, ny=3, spacing=1.0)
-    model = kriging_fit(grid, np.linspace(-2.0, 2.0, 9))
+    model = kriging_fit(grid, np.linspace(-2.0, 2.0, 9)[:, None])
     far = Grid(Position(1e4, 1e4), nx=1, ny=1, spacing=1.0)
-    assert kriging_predict(model, far) == pytest.approx([0.0], abs=1e-12)
+    assert kriging_predict(model, far) == pytest.approx(np.zeros((1, 1)), abs=1e-12)
 
 
 def test_kriging_default_length_scale_is_twice_spacing():
     grid = Grid(Position(0, 0), nx=3, ny=3, spacing=0.7)
-    model = kriging_fit(grid, np.arange(9.0))
+    model = kriging_fit(grid, np.arange(9.0)[:, None])
     assert model.length_scale == pytest.approx(1.4, rel=1e-12)
     # the signal variance cancels from the mean: scaling the data scales it
     queries = Grid(Position(0.3, 0.2), nx=2, ny=2, spacing=0.8)
-    scaled = kriging_fit(grid, 1e3 * np.arange(9.0))
+    scaled = kriging_fit(grid, 1e3 * np.arange(9.0)[:, None])
     assert np.allclose(kriging_predict(scaled, queries),
                        1e3 * kriging_predict(model, queries), rtol=1e-12)
 
@@ -623,7 +661,7 @@ def test_kriging_singular_matrix_raises():
         Grid(Position(1e17, 0.0), nx=2, ny=1, spacing=1.0)
     one = Grid(Position(0.0, 0.0), nx=1, ny=1, spacing=1.0)
     with pytest.raises(ValueError):
-        kriging_fit(one, np.array([1.0]))
+        kriging_fit(one, np.array([[1.0]]))
     with pytest.raises(ValueError):
         kriging_cond(one)
 
@@ -631,7 +669,9 @@ def test_kriging_singular_matrix_raises():
 def test_kriging_validation():
     grid = Grid(Position(0.0, 0.0), nx=2, ny=1, spacing=1.0)
     with pytest.raises(ValueError):
-        kriging_fit(grid, np.array([1.0, 2.0, 3.0]))
+        kriging_fit(grid, np.array([[1.0], [2.0], [3.0]]))
+    with pytest.raises(ValueError):
+        kriging_fit(grid, np.array([1.0, 2.0]))  # an (N,) vector is not a block
     with pytest.raises(ValueError):
         kriging_fit(grid, np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):

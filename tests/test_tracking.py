@@ -21,6 +21,10 @@ from fingerloc.tracking import (
 )
 
 
+# the mobility of the tests that need one but do not depend on its values
+_MOBILITY = MobilityModel(p_static=0.3, accel_sigma=0.5)
+
+
 def _grid(n, spacing=1.0):
     return Grid(Position(0.0, 0.0), nx=n, ny=n, spacing=spacing)
 
@@ -32,9 +36,7 @@ def _grid(n, spacing=1.0):
 def test_mobility_model_derived_quantities():
     m = MobilityModel(p_static=0.2, accel_sigma=0.5, dt=2.0)
     assert m.step_sigma == pytest.approx(0.5 * 4.0)
-    assert m.step_limit == pytest.approx(4.0 * 2.0)
-    capped = MobilityModel(accel_sigma=0.5, dt=1.0, max_step=0.7)
-    assert capped.step_limit == 0.7
+    assert MobilityModel(p_static=0.2, accel_sigma=0.5).dt == 1.0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -42,11 +44,10 @@ def test_mobility_model_derived_quantities():
     {"p_static": 1.5},
     {"accel_sigma": -1.0},
     {"dt": 0.0},
-    {"max_step": -0.5},
 ])
 def test_mobility_model_validation(kwargs):
     with pytest.raises(ValueError):
-        MobilityModel(**kwargs)
+        MobilityModel(**{"p_static": 0.3, "accel_sigma": 0.5, **kwargs})
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +90,7 @@ def test_transition_matrix_matches_quadrature_oracle():
     grid = _grid(3)
     model = MobilityModel(p_static=0.3, accel_sigma=0.8, dt=1.0)
     sigma = model.step_sigma
+    limit = 4.0 * sigma  # steps are truncated at four standard deviations
     h = grid.spacing
 
     def interval_mass(d):
@@ -101,7 +103,7 @@ def test_transition_matrix_matches_quadrature_oracle():
     assert (ry, rx) == (2, 2)  # a 3x3 grid is reached at most 2 cells away
     for j in range(-ry, ry + 1):
         for i in range(-rx, rx + 1):
-            inside = math.hypot(i * h, j * h) <= model.step_limit
+            inside = math.hypot(i * h, j * h) <= limit
             want = interval_mass(i * h) * interval_mass(j * h) if inside else 0.0
             assert trans.stencil[ry + j, rx + i] == pytest.approx(want, abs=1e-12)
 
@@ -112,7 +114,7 @@ def test_transition_matrix_matches_quadrature_oracle():
         for c in range(n):
             dx = xy[c, 0] - xy[r, 0]
             dy = xy[c, 1] - xy[r, 1]
-            if math.hypot(dx, dy) > model.step_limit:
+            if math.hypot(dx, dy) > limit:
                 continue
             kernel[r, c] = interval_mass(dx) * interval_mass(dy)
     kernel /= kernel.sum(axis=1, keepdims=True)
@@ -122,22 +124,22 @@ def test_transition_matrix_matches_quadrature_oracle():
 
 
 def test_transition_stencil_equals_its_mirror_exactly():
-    # far-tail masses on both sides: a move of +9 cells is as likely as -9
+    # tail masses on both sides: a move of +9 cells is as likely as -9
     line = transition_matrix(Grid(Position(0.0, 0.0), nx=21, ny=1, spacing=1.0),
-                             MobilityModel(accel_sigma=1.0, max_step=10.0)).stencil
+                             MobilityModel(p_static=0.3, accel_sigma=2.5)).stencil
     assert line.shape == (1, 21)
     assert np.array_equal(line, line[:, ::-1])
     assert np.all(line > 0.0)
     plane = transition_matrix(Grid(Position(0.0, 0.0), nx=9, ny=7, spacing=0.78),
-                              MobilityModel(accel_sigma=0.5, dt=1.3)).stencil
+                              MobilityModel(p_static=0.3, accel_sigma=0.5, dt=1.3)).stencil
     for mirror in (plane[::-1], plane[:, ::-1], plane[::-1, ::-1]):
         assert np.array_equal(plane, mirror)
 
 
 def test_transition_matrix_tight_truncation_collapses_to_identity():
-    # a step limit below the lattice spacing leaves only the source cell
+    # a step limit (4 sigma = 0.4) below the lattice spacing leaves only the source cell
     grid = _grid(3)
-    model = MobilityModel(p_static=0.2, accel_sigma=0.5, max_step=0.4)
+    model = MobilityModel(p_static=0.2, accel_sigma=0.1)
     trans = transition_matrix(grid, model)
     center = np.zeros(trans.stencil.shape, dtype=bool)
     center[trans.stencil.shape[0] // 2, trans.stencil.shape[1] // 2] = True
@@ -205,7 +207,8 @@ def test_grid_bayes_step_uniform_prior_identity_transition():
     # no motion and a flat prior: the posterior is just the renormalized observation
     grid = _grid(2)
     obs = np.array([-3.0, -1.0, -7.0, -2.0])
-    out = grid_bayes_step(np.zeros(4), transition_matrix(grid, MobilityModel(p_static=1.0)), obs)
+    trans = transition_matrix(grid, MobilityModel(p_static=1.0, accel_sigma=0.5))
+    out = grid_bayes_step(np.zeros(4), trans, obs)
     assert np.allclose(out, obs - (-1.0), atol=1e-12)
     assert np.max(out) == pytest.approx(0.0, abs=1e-12)
 
@@ -226,23 +229,23 @@ def test_grid_bayes_step_matches_linear_domain_brute_force():
 
 
 def test_grid_bayes_step_starved_cell_raises():
-    # a 1x3 corridor whose steps reach one cell: the prior's mass on cells 1
-    # and 2 underflows to zero, so nothing can reach cell 2
+    # a 1x3 corridor whose steps reach one cell (4 sigma = 1): the prior's
+    # mass on cells 1 and 2 underflows to zero, so nothing can reach cell 2
     grid = Grid(Position(0, 0), nx=3, ny=1, spacing=1.0)
-    trans = transition_matrix(grid, MobilityModel(p_static=0.5, accel_sigma=0.5, max_step=1.0))
+    trans = transition_matrix(grid, MobilityModel(p_static=0.5, accel_sigma=0.25))
     with pytest.raises(NumericError):
         grid_bayes_step([0.0, -9000.0, -9000.0], trans, [0.0, 0.0, 0.0])
 
 
 def test_grid_bayes_step_validation():
     # a row carries no grid: its length must be the transition's cell count
-    trans = transition_matrix(_grid(2), MobilityModel())
+    trans = transition_matrix(_grid(2), _MOBILITY)
     with pytest.raises(ValueError, match="observation needs one value per grid point"):
         grid_bayes_step(np.zeros(4), trans, np.zeros(9))
     with pytest.raises(ValueError, match="prior needs one value per grid point"):
         grid_bayes_step(np.zeros(9), trans, np.zeros(4))
     with pytest.raises(ValueError, match="one value per grid point"):
-        grid_bayes_step(np.zeros(4), transition_matrix(_grid(3), MobilityModel()),
+        grid_bayes_step(np.zeros(4), transition_matrix(_grid(3), _MOBILITY),
                         np.zeros(4))
     with pytest.raises(ValueError, match="one value per grid point"):
         grid_bayes_step(np.zeros((2, 2)), trans, np.zeros(4))
@@ -251,7 +254,7 @@ def test_grid_bayes_step_validation():
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_grid_bayes_step_refuses_a_non_finite_row(bad):
-    trans = transition_matrix(_grid(2), MobilityModel())
+    trans = transition_matrix(_grid(2), _MOBILITY)
     row = np.array([0.0, -1.0, bad, -2.0])
     with pytest.raises(ValueError, match="observation values must be finite"):
         grid_bayes_step(np.zeros(4), trans, row)
@@ -374,10 +377,14 @@ def test_particle_update_resamples_when_ess_collapses():
 # ---------------------------------------------------------------------------
 
 def test_resample_systematic_even_split_is_exact():
-    ps = ParticleSet(positions=[[0.0, 0.0], [1.0, 0.0]], weights=[0.5, 0.5])
-    out = resample_systematic(ps, seed=7, size=10_000)
-    counts = np.bincount((out.positions[:, 0] > 0.5).astype(int), minlength=2)
-    assert counts[0] == 5000 and counts[1] == 5000
+    # all weight on the first two of 10,000 particles, split evenly
+    weights = np.zeros(10_000)
+    weights[:2] = 0.5
+    ps = ParticleSet(positions=np.column_stack([np.arange(10_000.0), np.zeros(10_000)]),
+                     weights=weights)
+    out = resample_systematic(ps, seed=7)
+    counts = np.bincount(out.positions[:, 0].astype(int), minlength=2)
+    assert len(out) == 10_000 and counts[0] == 5000 and counts[1] == 5000
     assert np.allclose(out.weights, 1e-4)
 
 
@@ -392,14 +399,12 @@ def test_resample_systematic_equal_weights_reproduce_input():
 def test_resample_systematic_counts_track_weights_within_one():
     rng = np.random.default_rng(71)
     for trial in range(20):
-        n = int(rng.integers(3, 40))
-        w = rng.uniform(0.01, 1.0, size=n)
+        n = int(rng.integers(3, 400))
+        w = rng.uniform(0.01, 1.0, size=n) ** 4  # uneven: some particles copied often
         w /= w.sum()
         pos = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
         ps = ParticleSet(positions=pos, weights=w)
-        size = int(rng.integers(50, 400))
-        out = resample_systematic(ps, seed=trial, size=size)
+        out = resample_systematic(ps, seed=trial)
         counts = np.bincount(out.positions[:, 0].astype(int), minlength=n)
-        assert np.all(np.abs(counts - size * w) <= 1.0 + 1e-9)
-    with pytest.raises(ValueError):
-        resample_systematic(ps, seed=0, size=0)
+        assert len(out) == n
+        assert np.all(np.abs(counts - n * w) <= 1.0 + 1e-9)
