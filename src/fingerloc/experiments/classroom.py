@@ -16,7 +16,7 @@ import numpy as np
 from ..database import FingerprintDatabase
 from ..features import pair_xcorr
 from ..matching import fingerprint_sqerr
-from ..simulate import ChannelModel, derive_seed, link_chunks, simulate_links
+from ..simulate import ChannelModel, link_chunks, simulate_links
 from ..stats import GaussianStats, fit_gaussian, gaussian_loglik, gaussian_loo_loglik
 from .common import (
     build_grid,
@@ -100,14 +100,13 @@ def simulate_measurements(cfg: dict) -> dict:
     setup = {"model": ChannelModel(seed=cfg["seed"], **scn["channel"]),
              "freq_hz": scn["freq_hz"], "bandwidth_hz": scn["bandwidth_hz"],
              "tap_count": taps, "snr_db": scn["snr_db"]}
-    keys = [(s, k) for s in range(len(grid)) for k in range(n_snap)]
+    seat_ids, snapshots = np.indices((len(grid), n_snap)).reshape(2, -1)
     seats = np.repeat(grid.xy, n_snap, axis=0)
-    snapshots = np.tile(np.arange(n_snap), len(grid))
-    out = np.empty((len(keys), len(antennas), taps), dtype=complex)
-    for sl in link_chunks(len(keys), len(antennas) * taps):
-        noise_seeds = [derive_seed(cfg["seed"], _TAG_CIR_NOISE, s, k, a)
-                       for s, k in keys[sl] for a in range(len(antennas))]
-        out[sl] = simulate_links(seats[sl], antennas, snapshots[sl], noise_seeds, **setup)
+    out = np.empty((len(seats), len(antennas), taps), dtype=complex)
+    for sl in link_chunks(len(seats), len(antennas) * taps):
+        noise = (cfg["seed"], _TAG_CIR_NOISE, seat_ids[sl, None], snapshots[sl, None],
+                 np.arange(len(antennas)))
+        out[sl] = simulate_links(seats[sl], antennas, snapshots[sl], noise, **setup)
     return {"cirs": out.reshape(len(grid), n_snap, len(antennas), taps)}
 
 

@@ -105,36 +105,16 @@ def _element_pairs(n: int) -> tuple:
     return tuple((a, b) for a in range(n) for b in range(a + 1, n))
 
 
-def measure_buffers(cfg: dict, tx_xy: np.ndarray, freq_hz: float, pulse: tuple,
-                    snapshots, bits_seeds: list, noise_prefixes: list,
-                    power_scale: float) -> np.ndarray:
-    """Received buffers of a block of measurements, (measurements, sensors, elements, samples).
+def measure_fingerprints(cfg: dict, tx_xy: np.ndarray, freq_hz: float, pulse: tuple,
+                         snapshots, tags: tuple, ids: np.ndarray, power_scale: float) -> tuple:
+    """Raw fingerprints of a block of measurements.
 
     Measurement m transmits from ``tx_xy[m]`` in snapshot ``snapshots[m]``;
-    one bit stream, from ``bits_seeds[m]``, reaches every element.
-    Per-element noise is drawn from the stream of ``noise_prefixes[m]`` plus
-    (sensor, element), at the configured SNR relative to that element's own
-    clean signal power, so scaling the transmit power rescales the buffers
-    without reshaping them.
-    """
-    scn = cfg["scenario"]
-    elements = sensor_elements(cfg)
-    n_sensors, n_elements = elements.shape[:2]
-    noise_seeds = [derive_seed(cfg["seed"], *prefix, si, ai) for prefix in noise_prefixes
-                   for si in range(n_sensors) for ai in range(n_elements)]
-    y = simulate_links(tx_xy, elements.reshape(-1, 2), snapshots, noise_seeds,
-                       model=ChannelModel(seed=cfg["seed"], **scn["channel"]),
-                       freq_hz=freq_hz, bandwidth_hz=scn["sample_rate_hz"],
-                       tap_count=scn["tap_count"], snr_db=scn["snr_db"],
-                       tx_spec=TxSignalSpec(length=scn["bits"], pulse=pulse),
-                       bits_seeds=bits_seeds, amplitude=math.sqrt(power_scale))
-    return y.reshape(len(tx_xy), n_sensors, n_elements, -1)
-
-
-def measure_fingerprints(cfg: dict, tx_xy: np.ndarray, freq_hz: float, pulse: tuple,
-                         snapshots, bits_seeds: list, noise_prefixes: list,
-                         power_scale: float) -> tuple:
-    """Raw fingerprints of a block of measurements (see :func:`measure_buffers`).
+    one bit stream, (seed, ``tags[0]``, ``*ids[m]``), reaches every element.
+    Per-element noise is drawn from the stream (seed, ``tags[1]``,
+    ``*ids[m]``, sensor, element), at the configured SNR relative to that
+    element's own clean signal power, so scaling the transmit power
+    rescales the buffers without reshaping them.
 
     Returns:
         ``xcorr`` complex (measurements, xcorr keys, 2 * taps - 1): each
@@ -146,14 +126,21 @@ def measure_fingerprints(cfg: dict, tx_xy: np.ndarray, freq_hz: float, pulse: tu
     max_lag = scn["tap_count"] - 1
     n_samples = scn["bits"] + len(pulse) + scn["tap_count"] - 2
     n_sensors = len(scn["sensors"])
+    setup = {"model": ChannelModel(seed=cfg["seed"], **scn["channel"]), "freq_hz": freq_hz,
+             "bandwidth_hz": scn["sample_rate_hz"], "tap_count": scn["tap_count"],
+             "snr_db": scn["snr_db"], "tx_spec": TxSignalSpec(length=scn["bits"], pulse=pulse),
+             "amplitude": math.sqrt(power_scale)}
     # flat element indices of each correlation fingerprint's two buffers
     first, second = (list(idx) for idx in zip(*[(si * n + a, si * n + b)
                                                  for si, a, b in _xcorr_pairs(cfg)]))
     xc = np.empty((len(tx_xy), len(first), 2 * max_lag + 1), dtype=complex)
     ph = np.empty((len(tx_xy), n_sensors, len(_element_pairs(n))))
     for sl in link_chunks(len(tx_xy), n_sensors * n * n_samples):
-        y = measure_buffers(cfg, tx_xy[sl], freq_hz, pulse, snapshots[sl], bits_seeds[sl],
-                            noise_prefixes[sl], power_scale)
+        cols = ids[sl].T
+        noise = (cfg["seed"], tags[1], *cols[..., None, None], np.arange(n_sensors)[:, None],
+                 np.arange(n))
+        y = simulate_links(tx_xy[sl], sensor_elements(cfg), snapshots[sl], noise,
+                           bits_parts=(cfg["seed"], tags[0], *cols), **setup)
         flat = y.reshape(y.shape[0], n_sensors * n, n_samples)
         xc[sl] = xcorr_rows(flat[:, first], flat[:, second], max_lag) / n_samples
         for p, (a, b) in enumerate(_element_pairs(n)):
@@ -179,14 +166,13 @@ def simulate_measurements(cfg: dict) -> dict:
     scn = cfg["scenario"]
     grid = build_grid(cfg)
     n_snap = scn["train_snapshots"]
-    keys = [(p, k) for p in range(len(grid)) for k in range(n_snap)]
+    point_ids, snapshots = np.indices((len(grid), n_snap)).reshape(2, -1)
     points = np.repeat(grid.xy, n_snap, axis=0)
     xc, ph = [], []
     for fi, freq in enumerate(scn["train_freqs_hz"]):
-        x, p = measure_fingerprints(
-            cfg, points, freq, (1.0,), [k for _, k in keys],
-            [derive_seed(cfg["seed"], _TAG_TRAIN_BITS, fi, p, k) for p, k in keys],
-            [(_TAG_TRAIN_NOISE, fi, p, k) for p, k in keys], 1.0)
+        ids = np.stack([np.full(len(points), fi), point_ids, snapshots], axis=1)
+        x, p = measure_fingerprints(cfg, points, freq, (1.0,), snapshots,
+                                    (_TAG_TRAIN_BITS, _TAG_TRAIN_NOISE), ids, 1.0)
         xc.append(x.reshape((len(grid), n_snap) + x.shape[1:]))
         ph.append(p.reshape((len(grid), n_snap) + p.shape[1:]))
     return {"xcorr": np.stack(xc), "phase": np.stack(ph)}
@@ -263,11 +249,10 @@ def trial_fingerprints(cfg: dict, trials: np.ndarray) -> tuple:
     # occupies |f| < B/2 of the fs/2 Nyquist band, so the cutoff is B / fs.
     ratio = t_bw / scn["sample_rate_hz"]
     pulse = tuple(windowed_sinc_lowpass(ratio, scn["pulse_taps"]))
-    steps = range(len(trials))
-    xc, ph = measure_fingerprints(
-        cfg, trials, t_freq, pulse, list(steps),
-        [derive_seed(cfg["seed"], _TAG_TRIAL_BITS, t) for t in steps],
-        [(_TAG_TRIAL_NOISE, t) for t in steps], scn["target"]["tx_power_scale"])
+    steps = np.arange(len(trials))
+    xc, ph = measure_fingerprints(cfg, trials, t_freq, pulse, steps,
+                                  (_TAG_TRIAL_BITS, _TAG_TRIAL_NOISE), steps[:, None],
+                                  scn["target"]["tx_power_scale"])
     return normalize_power(xc), ph
 
 

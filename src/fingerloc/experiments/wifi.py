@@ -84,15 +84,15 @@ def sensor_antennas(cfg: dict) -> np.ndarray:
                      for sx, sy in cfg["scenario"]["sensors"]], dtype=float)
 
 
-def measure_features(cfg: dict, tx_xy: np.ndarray, snapshots, bits_seeds: list,
-                     noise_prefixes: list) -> np.ndarray:
+def measure_features(cfg: dict, tx_xy: np.ndarray, snapshots, tags: tuple,
+                     ids: np.ndarray) -> np.ndarray:
     """Measurements in blocks: (rssi, rspd) per sensor, shape (measurements, sensors, 2).
 
     Measurement m transmits from ``tx_xy[m]`` in snapshot ``snapshots[m]``.
-    All its antennas hear the bits drawn from ``bits_seeds[m]``; receiver
-    noise is drawn per antenna, from the stream of ``noise_prefixes[m]``
-    plus (sensor, antenna), at the configured SNR relative to that antenna's
-    clean signal power.
+    All its antennas hear the bits of the stream (seed, ``tags[0]``,
+    ``*ids[m]``); receiver noise is drawn per antenna, from the stream (seed,
+    ``tags[1]``, ``*ids[m]``, sensor, antenna), at the configured SNR
+    relative to that antenna's clean signal power.
     """
     scn = cfg["scenario"]
     antennas = sensor_antennas(cfg)
@@ -104,12 +104,11 @@ def measure_features(cfg: dict, tx_xy: np.ndarray, snapshots, bits_seeds: list,
     n_samples = spec.length + len(spec.pulse) + scn["tap_count"] - 2
     out = np.empty((len(tx_xy), n_sensors, 2))
     for sl in link_chunks(len(tx_xy), 2 * n_sensors * n_samples):
-        noise_seeds = [derive_seed(cfg["seed"], *prefix, si, ai)
-                       for prefix in noise_prefixes[sl]
-                       for si in range(n_sensors) for ai in range(2)]
-        y = simulate_links(tx_xy[sl], antennas, snapshots[sl], noise_seeds,
-                           bits_seeds=bits_seeds[sl], **setup)
-        y = y.reshape(-1, n_sensors, 2, n_samples)
+        cols = ids[sl].T
+        noise = (cfg["seed"], tags[1], *cols[..., None, None], np.arange(n_sensors)[:, None],
+                 np.arange(2))
+        y = simulate_links(tx_xy[sl], antennas, snapshots[sl], noise,
+                           bits_parts=(cfg["seed"], tags[0], *cols), **setup)
         out[sl, :, 0], out[sl, :, 1] = power_phase(y[:, :, 0], y[:, :, 1])
     return out
 
@@ -125,11 +124,9 @@ def simulate_measurements(cfg: dict) -> dict:
     scn = cfg["scenario"]
     grid = build_grid(cfg)
     n_snap = scn["train_snapshots"]
-    keys = [(p, k) for p in range(len(grid)) for k in range(n_snap)]
-    feats = measure_features(
-        cfg, np.repeat(grid.xy, n_snap, axis=0), [k for _, k in keys],
-        [derive_seed(cfg["seed"], _TAG_TRAIN_BITS, p, k) for p, k in keys],
-        [(_TAG_TRAIN_NOISE, p, k) for p, k in keys])
+    ids = np.indices((len(grid), n_snap)).reshape(2, -1).T  # (point, snapshot) per measurement
+    feats = measure_features(cfg, np.repeat(grid.xy, n_snap, axis=0), ids[:, 1],
+                             (_TAG_TRAIN_BITS, _TAG_TRAIN_NOISE), ids)
     return {"features": feats.reshape(len(grid), n_snap, len(scn["sensors"]), 2)}
 
 
@@ -168,10 +165,9 @@ def generate_walk(cfg: dict) -> np.ndarray:
 
 def walk_features(cfg: dict, path: np.ndarray) -> np.ndarray:
     """(rssi, rspd) per sensor measured at walk positions 1..T, shape (T, sensors, 2)."""
-    steps = range(1, len(path))
-    return measure_features(cfg, path[1:], list(steps),
-                            [derive_seed(cfg["seed"], _TAG_WALK_BITS, t) for t in steps],
-                            [(_TAG_WALK_NOISE, t) for t in steps])
+    steps = np.arange(1, len(path))
+    return measure_features(cfg, path[1:], steps, (_TAG_WALK_BITS, _TAG_WALK_NOISE),
+                            steps[:, None])
 
 
 def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:

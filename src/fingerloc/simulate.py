@@ -1,7 +1,7 @@
 """Scenario simulation: multipath links in blocks, occupancy sensors, step logs."""
 
+import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,25 +21,24 @@ __all__ = [
     "simulate_pdr",
     "derive_seed",
     "seeded_uniforms",
+    "seeded_streams",
 ]
 
 SPEED_OF_LIGHT = 299792458.0
 # complex samples of one simulated block held at a time (see link_chunks);
 # a block makes about six temporaries of its size, 256 KB each at this bound
 SIM_CHUNK = 1 << 14
-# rows of seeded_uniforms computed at a time; a chunk's temporaries are a
-# few dozen uint32/uint64 arrays of this length
+# rows seeded at a time by seeded_uniforms and seeded_streams; a chunk's
+# temporaries are a few dozen uint32/uint64 arrays of this length
 UNIFORM_CHUNK = 1 << 16
 
-_DOUBLE = struct.Struct("<d")
-_UINT64 = struct.Struct("<Q")
 _MASK32 = 0xFFFFFFFF
 
 # SeedSequence's pool hashing and PCG64's LCG, as numpy implements them
 # (numpy/random/bit_generator.pyx, numpy/random/src/pcg64)
 _POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# hashmix's two hashers, (initial constant, multiplier): the constant advances every call
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
 
@@ -48,70 +47,63 @@ def derive_seed(*parts) -> np.random.SeedSequence:
     """Mix integers/floats into a reproducible seed sequence.
 
     Floats contribute their exact bit patterns, so distinct positions or
-    frequencies yield independent, repeatable streams.
+    frequencies yield independent, repeatable streams.  This is the
+    single-stream form of :func:`seeded_streams`.
     """
-    entropy = []
-    for p in parts:
-        if isinstance(p, float):
-            entropy.append(_UINT64.unpack(_DOUBLE.pack(p))[0])
+    return np.random.SeedSequence([_entropy_int(p) for p in parts])
+
+
+def _entropy_int(part) -> int:
+    """The int SeedSequence takes for one part: a float's bit pattern, else the part."""
+    n = int(np.float64(part).view(np.uint64)) if isinstance(part, float) else int(part)
+    if n < 0:
+        raise ValueError(f"seed parts must be non-negative, got {part}")
+    return n
+
+
+def _entropy_words(parts) -> tuple:
+    """Each word the parts may give a row, as (word, whether the row has it); and the rows' shape.
+
+    Each part's int splits into uint32 words, low word first, as in SeedSequence.
+    """
+    words = []
+    for part in parts:
+        arr = np.asarray(part)
+        if not isinstance(part, np.ndarray) and arr.ndim == 0:
+            n = _entropy_int(part)
+            words += [(n >> at & _MASK32, True) for at in range(0, max(n.bit_length(), 1), 32)]
+        elif arr.dtype.kind == "f":
+            bits = arr.astype(np.float64).view(np.uint64)
+            high = bits >> np.uint64(32)  # a float's high word is missing where it is zero
+            words += [(bits & np.uint64(_MASK32), True), (high, high != 0)]
+        elif arr.dtype.kind in "iu" and not (arr.size and (arr.min() < 0 or arr.max() > _MASK32)):
+            words.append((arr, True))
         else:
-            entropy.append(int(p))
-    return np.random.SeedSequence(entropy)
+            raise ValueError("array seed parts must be floats or integers in [0, 2**32), "
+                             f"got {arr.dtype}")
+    shape = np.broadcast_shapes(*(np.shape(word) for word, _ in words))
+    return [tuple(np.broadcast_to(a, shape) if np.ndim(a) else a for a in w) for w in words], shape
 
 
-def _scalar_words(part) -> list:
-    """The uint32 words SeedSequence makes of one ``derive_seed`` part, low word first.
-
-    ``derive_seed`` raises ValueError for a negative part.
-    """
-    n = derive_seed(part).entropy[0]
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+@functools.cache
+def _hash_constants(init: int, mult: int, count: int) -> tuple:
+    """The (xor, multiply) uint32 columns of a hasher's first ``count`` hashmix calls."""
+    consts = np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(count + 1)],
+                      dtype=np.uint32)[:, None]
+    consts.setflags(write=False)  # every caller shares the cached arrays
+    return consts[:-1], consts[1:]
 
 
-def _uint32_part(part) -> np.ndarray:
-    arr = np.asarray(part)
-    if arr.dtype.kind not in "iu":
-        raise ValueError(f"array seed parts must be integer arrays, got dtype {arr.dtype}")
-    if arr.size and not (arr.min() >= 0 and arr.max() <= _MASK32):
-        raise ValueError("array seed parts must lie in [0, 2**32)")
-    return arr.astype(np.uint32)
-
-
-class _Hasher:
-    """SeedSequence's ``hashmix``: its constant advances with every call."""
-
-    def __init__(self, init: int, mult: int):
-        self.const, self.mult = init, mult
-
-    def __call__(self, value: np.ndarray) -> np.ndarray:
-        value = value ^ np.uint32(self.const)
-        self.const = (self.const * self.mult) & _MASK32
-        value = value * np.uint32(self.const)
-        return value ^ (value >> np.uint32(16))
+def _hashmix(value: np.ndarray, hasher: tuple, first: int, n: int) -> np.ndarray:
+    """SeedSequence's hashmix calls ``first`` to ``first + n``, one per row of the result."""
+    xor, mul = _hash_constants(*hasher, first + n)
+    value = (value ^ xor[first:]) * mul[first:]
+    return value ^ (value >> np.uint32(16))
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
     return result ^ (result >> np.uint32(16))
-
-
-def _pool(words: list, rows: int) -> list:
-    """SeedSequence's entropy pool of every row; ``words`` are its (rows,) uint32 columns."""
-    hashmix = _Hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(words[i] if i < len(words) else np.zeros(rows, dtype=np.uint32))
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return pool
 
 
 def _mul64(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -135,24 +127,39 @@ def _pcg_step(state: tuple, inc: tuple) -> tuple:
     return _add128((hi, lo), inc)
 
 
-def _first_uniforms(words: list, rows: int) -> np.ndarray:
-    """``default_rng(SeedSequence(entropy)).random()`` of every row."""
-    hashmix = _Hasher(_INIT_B, _MULT_B)
-    pool = _pool(words, rows)
+def _pcg_seeds(words: np.ndarray, count) -> tuple:
+    """PCG64's (state, inc) seeded from each row's entropy ``words[:count]``, as (high, low)."""
+    # SeedSequence's mix_entropy: hash the first four words, mix each pool
+    # word into the other three, then each word past the pool into all four
+    pool = _hashmix(words[:_POOL_SIZE], _HASH_A, 0, _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, _POOL_SIZE + 3 * src, 3))
+    for j in range(words.shape[0] - _POOL_SIZE):
+        mixed = _mix(pool, _hashmix(words[_POOL_SIZE + j], _HASH_A, 16 + 4 * j, _POOL_SIZE))
+        pool = np.where(_POOL_SIZE + j < count, mixed, pool)
     # generate_state(4, uint64): eight words cycling over the pool, paired low word first
-    state = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    seed = [state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(4)]
+    seed = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B, 0, 8).astype(np.uint64)
+    seed = seed[0::2] | (seed[1::2] << np.uint64(32))
     # PCG64 srandom: initstate (seed[0], seed[1]), increment (seq << 1) | 1 of
     # seq (seed[2], seed[3]), each (high, low)
     one = np.uint64(1)
     inc = ((seed[2] << one) | (seed[3] >> np.uint64(63)), (seed[3] << one) | one)
-    pcg = _pcg_step(_add128(inc, (seed[0], seed[1])), inc)
-    hi, lo = _pcg_step(pcg, inc)
-    # XSL-RR output of the stepped state, then the top 53 bits as a double
-    rot = hi >> np.uint64(58)
-    x = hi ^ lo
-    out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (out >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return _pcg_step(_add128(inc, (seed[0], seed[1])), inc), inc
+
+
+def _chunk_seeds(words: list, shape: tuple):
+    """``(rows, state, inc)`` of every ``UNIFORM_CHUNK`` rows, in C order of ``shape``."""
+    n_rows = math.prod(shape)
+    for lo in range(0, n_rows, UNIFORM_CHUNK):
+        rows = slice(lo, min(lo + UNIFORM_CHUNK, n_rows))
+        block = np.zeros((max(len(words), _POOL_SIZE), rows.stop - lo), dtype=np.uint32)
+        cols, count = np.arange(block.shape[1]), 0
+        for word, present in words:
+            # a missing word lands where the row's next word goes, which overwrites it
+            block[count, cols] = word.flat[rows] if np.ndim(word) else word
+            count = count + (present.flat[rows] if np.ndim(present) else present)
+        yield (rows, *_pcg_seeds(block, count))
 
 
 def seeded_uniforms(*parts) -> np.ndarray:
@@ -160,32 +167,51 @@ def seeded_uniforms(*parts) -> np.ndarray:
 
     Each element equals ``np.random.default_rng(derive_seed(*row)).random()``
     of its row, bit for bit, computed without building any generator.
-    Scalar parts (ints and floats) are coerced as ``derive_seed`` does; array
-    parts are integer arrays in ``[0, 2**32)`` and broadcast against each
-    other to the shape of the result.  Rows are computed ``UNIFORM_CHUNK`` at
-    a time.
+    Scalar parts (ints and floats) and the elements of array parts (floats,
+    or integers in ``[0, 2**32)``) are coerced as ``derive_seed`` does; array
+    parts broadcast to the shape of the result.  Rows are computed
+    ``UNIFORM_CHUNK`` at a time.
 
     Raises:
-        ValueError: for a negative part, an array part at or above 2**32 or
-            an array part that is not of integer dtype.
+        ValueError: for a negative part or an array part that is neither
+            floats nor integers in ``[0, 2**32)``.
     """
-    # a scalar part is a fixed list of words, an array part one word per row
-    coerced = [_uint32_part(p) if isinstance(p, np.ndarray) or np.ndim(p) > 0
-               else _scalar_words(p) for p in parts]
-    shape = np.broadcast_shapes(*(c.shape for c in coerced if isinstance(c, np.ndarray)))
-    coerced = [np.broadcast_to(c, shape) if isinstance(c, np.ndarray) else c for c in coerced]
-    n_rows = math.prod(shape)
-    out = np.empty(n_rows)
-    for lo in range(0, n_rows, UNIFORM_CHUNK):
-        hi = min(lo + UNIFORM_CHUNK, n_rows)
-        words = []
-        for part in coerced:
-            if isinstance(part, np.ndarray):
-                words.append(part.flat[lo:hi])
-            else:
-                words.extend(np.full(hi - lo, w, dtype=np.uint32) for w in part)
-        out[lo:hi] = _first_uniforms(words, hi - lo)
+    words, shape = _entropy_words(parts)
+    out = np.empty(math.prod(shape))
+    for rows, state, inc in _chunk_seeds(words, shape):
+        hi, lo = _pcg_step(state, inc)
+        # XSL-RR output of the stepped state, then the top 53 bits as a double
+        rot = hi >> np.uint64(58)
+        x = hi ^ lo
+        bits = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        out[rows] = (bits >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
     return out.reshape(shape)
+
+
+def seeded_streams(*parts):
+    """One generator, reseeded for each row of parts as ``derive_seed`` seeds it.
+
+    Yields the same ``Generator`` once per row, in C order of the parts'
+    broadcast shape (parts as :func:`seeded_uniforms` takes them).  What is
+    drawn from it before the next row equals the draws of
+    ``np.random.default_rng(derive_seed(*row))`` bit for bit.
+    """
+    words, shape = _entropy_words(parts)
+    # every row overwrites the state, so a constant seed: PCG64() would read OS entropy
+    rng = np.random.Generator(np.random.PCG64(0))
+    for _, state, inc in _chunk_seeds(words, shape):
+        for s1, s0, i1, i0 in zip(*(half.tolist() for half in state + inc)):
+            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                       "state": {"state": s1 << 64 | s0, "inc": i1 << 64 | i0}}
+            yield rng
+
+
+def _row_streams(parts: tuple, shape: tuple, what: str):
+    """:func:`seeded_streams` of a block whose rows have ``shape``."""
+    got = np.broadcast_shapes(*(np.shape(p) for p in parts))
+    if got != tuple(shape):
+        raise ValueError(f"{what} stream parts broadcast to {got}, not to the block's rows {shape}")
+    return seeded_streams(*parts)
 
 
 @dataclass(frozen=True)
@@ -265,15 +291,15 @@ def gen_cir(tx_xy, rx_xy, freq_hz: float, bandwidth_hz: float, model: ChannelMod
     if tx_xy.ndim != 2 or tx_xy.shape[1] != 2:
         raise ValueError(f"positions must be (links, 2) arrays, got shape {tx_xy.shape}")
     n_links = tx_xy.shape[0]
-    snaps = np.broadcast_to(np.asarray(snapshot, dtype=int), (n_links,)).tolist()
-    tx_list, rx_list = tx_xy.tolist(), rx_xy.tolist()
+    snaps = np.broadcast_to(np.asarray(snapshot, dtype=int), (n_links,))
 
     n_nlos = model.path_count - 1
     pure_los = math.isinf(model.rician_k_db) or n_nlos == 0
     # math.hypot and float ** per link: numpy's hypot and array ** differ
     # from them in the last bit
     ref_gain = 10.0 ** (-model.reference_loss_db / 10.0)
-    dist = [math.hypot(tx[0] - rx[0], tx[1] - rx[1]) for tx, rx in zip(tx_list, rx_list)]
+    dist = [math.hypot(tx[0] - rx[0], tx[1] - rx[1])
+            for tx, rx in zip(tx_xy.tolist(), rx_xy.tolist())]
     first_tap = [int(round(d / SPEED_OF_LIGHT * bandwidth_hz)) for d in dist]
     total_power = np.array([ref_gain * d ** (-model.pathloss_exponent) if d > 0 else 0.0
                             for d in dist])
@@ -304,14 +330,11 @@ def gen_cir(tx_xy, rx_xy, freq_hz: float, bandwidth_hz: float, model: ChannelMod
         else:
             decay = np.zeros(n_nlos)
             decay[0] = 1.0
-        freq = float(freq_hz)
         # real parts, then imaginary parts, from each link's own stream
         draws = np.empty((nlos.size, 2, n_nlos))
-        for row, i in enumerate(nlos.tolist()):
-            tx, rx = tx_list[i], rx_list[i]
-            rng = np.random.default_rng(derive_seed(
-                model.seed, snaps[i], tx[0], tx[1], rx[0], rx[1], freq))
-            rng.standard_normal(out=draws[row])
+        for row, rng in zip(draws, seeded_streams(model.seed, snaps[nlos], *tx_xy[nlos].T,
+                                                  *rx_xy[nlos].T, float(freq_hz))):
+            rng.standard_normal(out=row)
         gains = (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
         gains = gains * np.sqrt(decay)
         drawn_power = np.sum(np.abs(gains) ** 2, axis=-1)
@@ -338,14 +361,14 @@ class TxSignalSpec:
             raise ValueError("pulse must have at least one tap")
 
 
-def synthesize_rx(taps, tx_spec: TxSignalSpec, bits_seeds) -> np.ndarray:
+def synthesize_rx(taps, tx_spec: TxSignalSpec, bits_parts: tuple) -> np.ndarray:
     """Noiseless received samples: bits * pulse * channel, per link.
 
     Args:
         taps: complex (measurements, receivers, L) channel responses.
         tx_spec: the transmitted waveform.
-        bits_seeds: one seed per measurement; every receiver of a
-            measurement hears the bits drawn from its stream.
+        bits_parts: stream parts (see :func:`seeded_streams`) broadcasting to
+            (measurements,); all receivers of a measurement hear its bits.
 
     Returns:
         Complex (measurements, receivers, length + pulse + L - 2): the full
@@ -354,14 +377,11 @@ def synthesize_rx(taps, tx_spec: TxSignalSpec, bits_seeds) -> np.ndarray:
     taps = np.asarray(taps, dtype=complex)
     if taps.ndim != 3 or taps.shape[-1] == 0:
         raise ValueError(f"taps must be a (measurements, receivers, L) block, got {taps.shape}")
-    if len(bits_seeds) != taps.shape[0]:
-        raise ValueError(f"need one bits seed per measurement, got {len(bits_seeds)} "
-                         f"for {taps.shape[0]}")
     g = np.asarray(tx_spec.pulse, dtype=float)
     n_out = tx_spec.length + g.size + taps.shape[-1] - 2
     out = np.empty(taps.shape[:2] + (n_out,), dtype=complex)
-    for m, seed in enumerate(bits_seeds):
-        bits = np.random.default_rng(seed).integers(0, 2, size=tx_spec.length)
+    for m, rng in enumerate(_row_streams(bits_parts, taps.shape[:1], "bits")):
+        bits = rng.integers(0, 2, size=tx_spec.length)
         # the same for every receiver of the measurement
         shaped = np.convolve((2.0 * bits - 1.0).astype(complex), g)
         for r, h in enumerate(taps[m]):
@@ -369,35 +389,33 @@ def synthesize_rx(taps, tx_spec: TxSignalSpec, bits_seeds) -> np.ndarray:
     return out
 
 
-def add_receiver_noise(clean, snr_db: float, seeds) -> np.ndarray:
+def add_receiver_noise(clean, snr_db: float, parts: tuple) -> np.ndarray:
     """``clean`` plus circularly symmetric Gaussian noise at ``snr_db``, per row.
 
     The noise power of each row (last axis) is referenced to that row's own
-    mean power, so every buffer meets the stated SNR exactly.  Row i draws
-    its real parts, then its imaginary parts, from a stream seeded by
-    ``seeds[i]`` (rows in C order).
+    mean power, so every buffer meets the stated SNR exactly.  Each row draws its
+    real parts, then its imaginary parts, from its stream of ``parts`` (see
+    :func:`seeded_streams`), which broadcast to ``clean.shape[:-1]``.
     """
     clean = np.asarray(clean)
     n = clean.shape[-1]
     rows = clean.reshape(-1, n)
-    if len(seeds) != rows.shape[0]:
-        raise ValueError(f"need one noise seed per row, got {len(seeds)} for {rows.shape[0]}")
     noise_power = np.mean(np.abs(rows) ** 2, axis=-1) / 10.0 ** (snr_db / 10.0)
     draws = np.empty((rows.shape[0], 2, n))
-    for i, seed in enumerate(seeds):
-        np.random.default_rng(seed).standard_normal(out=draws[i])
+    for row, rng in zip(draws, _row_streams(parts, clean.shape[:-1], "noise")):
+        rng.standard_normal(out=row)
     noise = np.sqrt(noise_power / 2.0)[:, None] * (draws[:, 0] + 1j * draws[:, 1])
     return (rows + noise).reshape(clean.shape)
 
 
-def simulate_links(tx_xy, rx_xy, snapshots, noise_seeds, *, model: ChannelModel,
+def simulate_links(tx_xy, rx_xy, snapshots, noise_parts: tuple, *, model: ChannelModel,
                    freq_hz: float, bandwidth_hz: float, tap_count: int, snr_db: float,
-                   tx_spec: TxSignalSpec | None = None, bits_seeds=None,
+                   tx_spec: TxSignalSpec | None = None, bits_parts: tuple = (),
                    amplitude: float = 1.0) -> np.ndarray:
     """Noisy measurements of every (measurement, receiver) link of a block.
 
     Measurement m transmits from ``tx_xy[m]`` in snapshot ``snapshots[m]``
-    and every receiver ``rx_xy[r]`` hears it.  The chain per link is
+    and every receiver in ``rx_xy`` hears it.  The chain per link is
     :func:`gen_cir`, scaled by the transmit ``amplitude``; then, given a
     ``tx_spec``, :func:`synthesize_rx` with the measurement's bits; then
     :func:`add_receiver_noise`.  Without a ``tx_spec`` the receiver measures
@@ -405,22 +423,24 @@ def simulate_links(tx_xy, rx_xy, snapshots, noise_seeds, *, model: ChannelModel,
 
     Args:
         tx_xy: (measurements, 2) transmitter positions.
-        rx_xy: (receivers, 2) receiver positions.
+        rx_xy: (receivers..., 2) receiver positions, any leading shape.
         snapshots: (measurements,) snapshot indices.
-        noise_seeds: one seed per link, measurement-major.
-        bits_seeds: one seed per measurement, needed with ``tx_spec``.
+        noise_parts: stream parts that broadcast to (measurements, receivers...).
+        bits_parts: stream parts that broadcast to (measurements,), needed
+            with ``tx_spec``.
 
     Returns:
-        Complex (measurements, receivers, samples).
+        Complex (measurements, receivers..., samples).
     """
     tx_xy = np.asarray(tx_xy, dtype=float).reshape(-1, 2)
+    rx_shape = np.shape(rx_xy)[:-1]
     rx_xy = np.asarray(rx_xy, dtype=float).reshape(-1, 2)
     n_meas, n_rx = tx_xy.shape[0], rx_xy.shape[0]
     taps = gen_cir(np.repeat(tx_xy, n_rx, axis=0), np.tile(rx_xy, (n_meas, 1)), freq_hz,
                    bandwidth_hz, model, tap_count, np.repeat(snapshots, n_rx))
     taps = (taps * amplitude).reshape(n_meas, n_rx, tap_count)
-    clean = taps if tx_spec is None else synthesize_rx(taps, tx_spec, bits_seeds)
-    return add_receiver_noise(clean, snr_db, noise_seeds)
+    clean = taps if tx_spec is None else synthesize_rx(taps, tx_spec, bits_parts)
+    return add_receiver_noise(clean.reshape(n_meas, *rx_shape, -1), snr_db, noise_parts)
 
 
 def link_chunks(n_measurements: int, samples_per_measurement: int) -> list:

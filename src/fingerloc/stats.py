@@ -157,21 +157,43 @@ def gaussian_loglik(f, stats: GaussianStats) -> np.ndarray:
         (T, N): entry ``[t, n]`` scores fingerprint t under model n.
 
     Raises:
-        NumericError: a covariance of the block is not positive definite.
+        NumericError: naming the first model whose covariance is not
+            positive definite.
     """
     arr = np.asarray(f, dtype=complex)
     if arr.ndim != 2 or arr.shape[-1] != stats.dim:
         raise ValueError(f"fingerprints must form a (T, {stats.dim}) array, "
                          f"got shape {arr.shape}")
+    logdet, white = _whitening(stats)
+    quad = _whitened_cross_norms(arr, white, stats.mean)
+    return -stats.dim * math.log(math.pi) - logdet - quad
+
+
+def _whitening(stats: GaussianStats) -> tuple:
+    """``ln det R`` and the whitening factor ``W = L^{-1}`` of every model's ``R = L L^H``.
+
+    Raises:
+        NumericError: naming the first model whose covariance is not
+            positive definite.
+    """
     try:
         chol = np.linalg.cholesky(stats.cov)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"covariance is not positive definite even after loading {stats.loading}: {exc}"
-        ) from exc
+        # on the error path only, factor the models one at a time to name the first failing one
+        bad = next(n for n, cov in enumerate(stats.cov) if not _factors(cov))
+        raise NumericError(f"covariance of model {bad} is not positive definite even after "
+                           f"loading {stats.loading[bad]:.6g}") from exc
     logdet = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
-    quad = _whitened_cross_norms(arr, np.linalg.inv(chol), stats.mean)
-    return -stats.dim * math.log(math.pi) - logdet - quad
+    return logdet, np.linalg.inv(chol)
+
+
+def _factors(cov: np.ndarray) -> bool:
+    """Whether one covariance has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # complex elements of the (rows, N, d) whitened block scored at a time
@@ -197,6 +219,18 @@ def _whitened_cross_norms(f: np.ndarray, white: np.ndarray, mean: np.ndarray) ->
     return out
 
 
+# a leave-one-out downdate ``1 - a q`` below this is refitted from its fold
+_REFIT_BELOW = 1e-4
+
+
+def _folds(arr: np.ndarray, mask: np.ndarray) -> tuple:
+    """Held-out samples ``(M, d)`` and folds ``(M, n - 1, d)`` where ``mask (..., n)`` is set."""
+    n, d = arr.shape[-2:]
+    rows, k = np.nonzero(mask.reshape(-1, n))
+    seats = arr.reshape(-1, n, d)[rows]
+    return seats[np.arange(len(k)), k], seats[np.arange(n) != k[:, None]].reshape(len(k), n - 1, d)
+
+
 def gaussian_loo_loglik(samples, loading_eps: float) -> np.ndarray:
     """Leave-one-out log-density of every sample under the fit to the others.
 
@@ -220,6 +254,9 @@ def gaussian_loo_loglik(samples, loading_eps: float) -> np.ndarray:
     Folds whose downdated trace cancels to within ``sqrt(eps)`` of that
     scale (a fold of one sample, or of equal samples) have their trace
     summed directly, so the zero-scatter rule decides as on the fold itself.
+    The downdate ``1 - a q`` keeps about ``eps / (1 - a q)`` relative
+    precision, so folds where it falls below 1e-4 (a nearly singular fold of
+    a well-conditioned seat) are scored under their own fit instead.
     Otherwise accuracy falls as the held-out sample's share of its seat's
     scatter grows: one sample 100 times larger than the rest scores to
     about 1e-7 relative of the fold fit, where ordinary folds agree to about
@@ -235,7 +272,8 @@ def gaussian_loo_loglik(samples, loading_eps: float) -> np.ndarray:
     Raises:
         NumericError: a fold covariance is singular to working precision:
             an eigenvalue factor ``D`` at or below ``d * eps`` of the largest,
-            or ``1 - a q`` at or below its own rounding bound.
+            or ``1 - a q`` at or below its own rounding bound, or a refitted
+            fold's covariance is not positive definite.
     """
     arr = np.asarray(samples, dtype=complex)
     if arr.ndim < 2 or arr.shape[-2] < 2 or arr.shape[-1] == 0:
@@ -255,9 +293,7 @@ def gaussian_loo_loglik(samples, loading_eps: float) -> np.ndarray:
     threshold = _EPS * (np.sum(power, axis=-1, keepdims=True) - power) / (n - 1)
     near = fold_trace <= threshold + math.sqrt(_EPS) * (seat_trace + a * unorm)
     if np.any(near):
-        rows, k = np.nonzero(near.reshape(-1, n))
-        seats = arr.reshape(-1, n, d)[rows]
-        fold = seats[np.arange(n) != k[:, None]].reshape(len(k), n - 1, d)
+        _, fold = _folds(arr, near)
         fold_c = fold - fold.mean(axis=-2, keepdims=True)
         fold_trace[near] = np.sum(fold_c.real ** 2 + fold_c.imag ** 2, axis=(-2, -1)) / (n - 1)
         threshold[near] = _zero_scatter_bound(fold)
@@ -279,6 +315,18 @@ def gaussian_loo_loglik(samples, loading_eps: float) -> np.ndarray:
                            f"downdate cancels to rounding with loading_eps {loading_eps}")
     out = (-d * math.log(math.pi) - np.sum(np.log(D), axis=-1) - np.log(one_minus)
            - r * r * q / one_minus)
+    refit = ~zero & (one_minus < _REFIT_BELOW)
+    if np.any(refit):
+        held, fold = _folds(arr, refit)
+        fits = fit_gaussian(fold, loading_eps)
+        try:
+            logdet, white = _whitening(fits)
+        except NumericError as exc:
+            raise NumericError("a leave-one-out fold covariance is not positive definite "
+                               f"with loading_eps {loading_eps}") from exc
+        z = np.matmul(white, (held - fits.mean)[..., None])[..., 0]
+        out[refit] = (-d * math.log(math.pi) - logdet
+                      - np.sum(z.real ** 2 + z.imag ** 2, axis=-1))
     if np.any(zero):
         if loading_eps == 0:
             raise NumericError("a leave-one-out fold has zero scatter and no loading")

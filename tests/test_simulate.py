@@ -21,6 +21,7 @@ from fingerloc.simulate import (
     derive_seed,
     gen_cir,
     link_chunks,
+    seeded_streams,
     seeded_uniforms,
     simulate_links,
     simulate_pdr,
@@ -156,7 +157,7 @@ def test_tx_signal_spec_validation():
 def test_random_bits_are_antipodal():
     # a unit channel and pulse pass the symbols straight through
     spec = TxSignalSpec(length=200)
-    y = synthesize_rx(np.ones((2, 3, 1)), spec, [derive_seed(3), derive_seed(4)])
+    y = synthesize_rx(np.ones((2, 3, 1)), spec, (np.array([3, 4]),))
     assert set(np.unique(y.real)) == {-1.0, 1.0}
     assert np.all(y.imag == 0)
     # every receiver of a measurement hears the same bits
@@ -166,7 +167,7 @@ def test_random_bits_are_antipodal():
 def test_synthesize_rx_hand_convolution():
     # one symbol s = +-1, pulse [1, -1], channel [1, 0.5]
     spec = TxSignalSpec(length=1, pulse=(1.0, -1.0))
-    (y,) = synthesize_rx(np.array([[[1.0, 0.5]]]), spec, [0])[0]
+    (y,) = synthesize_rx(np.array([[[1.0, 0.5]]]), spec, (np.array([0]),))[0]
     assert abs(y[0]) == 1.0
     assert np.allclose(y, y[0] * np.array([1.0, -0.5, -0.5]), atol=1e-15)
 
@@ -174,20 +175,22 @@ def test_synthesize_rx_hand_convolution():
 def test_synthesize_rx_equals_triple_convolution():
     spec = TxSignalSpec(length=32, pulse=(1.0, 0.25))
     taps = np.array([[[1.0, 0.3j, -0.1], [0.5, 0.0, 2.0j]]])
-    y = synthesize_rx(taps, spec, [99])
+    y = synthesize_rx(taps, spec, (np.array([99]),))
     bits = np.random.default_rng(99).integers(0, 2, size=32)
     x = (2.0 * bits - 1.0).astype(complex)
     assert y.shape == (1, 2, 32 + 2 + 3 - 2)
     for r in range(2):
         assert np.array_equal(y[0, r], np.convolve(np.convolve(x, [1.0, 0.25]), taps[0, r]))
-    with pytest.raises(ValueError):
-        synthesize_rx(taps, spec, [99, 100])
+    # one stream per measurement: parts of another shape, scalars too, are refused
+    for parts in ((np.array([99, 100]),), (99,)):
+        with pytest.raises(ValueError, match="bits stream parts"):
+            synthesize_rx(taps, spec, parts)
 
 
 def test_add_receiver_noise_meets_the_snr_of_the_clean_signal():
     clean = np.exp(1j * np.linspace(0.0, 6.0, 20000)) * np.array([[3.0], [0.5]])
-    seeds = [derive_seed(4, 2), derive_seed(4, 3)]
-    noisy = add_receiver_noise(clean, 10.0, seeds)
+    parts = (4, np.array([2, 3]))
+    noisy = add_receiver_noise(clean, 10.0, parts)
     noise = noisy - clean
     # each row's noise follows its own mean power: 9 and 0.25
     assert np.mean(np.abs(noise) ** 2, axis=1) == pytest.approx([0.9, 0.025], rel=0.05)
@@ -195,30 +198,34 @@ def test_add_receiver_noise_meets_the_snr_of_the_clean_signal():
     rng = np.random.default_rng(derive_seed(4, 3))
     real = rng.standard_normal(clean.shape[1])
     assert np.allclose(noise[1].real, math.sqrt(0.025 / 2.0) * real, rtol=1e-9, atol=1e-12)
-    assert np.array_equal(add_receiver_noise(clean, 10.0, seeds), noisy)
-    assert np.array_equal(add_receiver_noise(clean[1:], 10.0, seeds[1:]), noisy[1:])
-    with pytest.raises(ValueError):
-        add_receiver_noise(clean, 10.0, seeds[:1])
+    assert np.array_equal(add_receiver_noise(clean, 10.0, parts), noisy)
+    assert np.array_equal(add_receiver_noise(clean[1:], 10.0, (4, np.array([3]))), noisy[1:])
+    with pytest.raises(ValueError, match="noise stream parts"):
+        add_receiver_noise(clean, 10.0, (4, np.array([2])))
 
 
 def test_simulate_links_is_the_stage_chain():
     model = ChannelModel(seed=3)
     tx = np.array([[0.0, 0.0], [1.0, 2.0]])
     rx = np.array([[5.0, 5.0], [6.0, 5.0], [-3.0, 1.0]])
-    noise_seeds = [derive_seed(9, m, r) for m in range(2) for r in range(3)]
+    noise = (9, np.arange(2)[:, None], np.arange(3))
     spec = TxSignalSpec(length=16, pulse=(1.0, 0.5))
-    got = simulate_links(tx, rx, [4, 7], noise_seeds, model=model, freq_hz=2.4e9,
-                         bandwidth_hz=2e7, tap_count=8, snr_db=12.0, tx_spec=spec,
-                         bits_seeds=[derive_seed(1), derive_seed(2)], amplitude=2.0)
+    setup = {"model": model, "freq_hz": 2.4e9, "bandwidth_hz": 2e7, "tap_count": 8,
+             "snr_db": 12.0}
+    got = simulate_links(tx, rx, [4, 7], noise, tx_spec=spec, bits_parts=(np.array([1, 2]),),
+                         amplitude=2.0, **setup)
     taps = gen_cir(np.repeat(tx, 3, axis=0), np.tile(rx, (2, 1)), 2.4e9, 2e7, model, 8,
                    [4, 4, 4, 7, 7, 7]) * 2.0
-    clean = synthesize_rx(taps.reshape(2, 3, 8), spec, [derive_seed(1), derive_seed(2)])
-    assert np.array_equal(got, add_receiver_noise(clean, 12.0, noise_seeds))
+    clean = synthesize_rx(taps.reshape(2, 3, 8), spec, (np.array([1, 2]),))
+    assert np.array_equal(got, add_receiver_noise(clean, 12.0, noise))
+    # receivers keep their leading axes; the noise parts broadcast over them
+    rx_grid = simulate_links(tx, rx[:, None], [4, 7], (9, np.arange(2)[:, None, None],
+                             np.arange(3)[:, None]), tx_spec=spec,
+                             bits_parts=(np.array([1, 2]),), amplitude=2.0, **setup)
+    assert np.array_equal(rx_grid, got[:, :, None])
     # without a transmit signal the receivers measure the channel itself
-    cirs = simulate_links(tx, rx, [4, 7], noise_seeds, model=model, freq_hz=2.4e9,
-                          bandwidth_hz=2e7, tap_count=8, snr_db=12.0)
-    assert np.array_equal(cirs, add_receiver_noise(taps.reshape(2, 3, 8) / 2.0, 12.0,
-                                                   noise_seeds))
+    cirs = simulate_links(tx, rx, [4, 7], noise, **setup)
+    assert np.array_equal(cirs, add_receiver_noise(taps.reshape(2, 3, 8) / 2.0, 12.0, noise))
 
 
 def test_link_chunks_cover_every_measurement_within_the_bound():
@@ -319,33 +326,68 @@ def _first_uniform(*row) -> float:
 
 
 _WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+# zeros of both signs (one word and two), the smallest subnormal (one word),
+# a negative subnormal and negative coordinates
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072e-308, -1.5, -30.0]
+_FLOAT = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_nan=False))
 
 
 @st.composite
 def _seed_parts(draw):
-    """1-6 parts: scalars (ints of any width, floats) and 1-d lists of uint32 words."""
+    """1-6 parts: scalars (ints of any width, floats), 1-d lists of uint32 words
+    and 1-d tuples of floats, each array part of length 1 or of the row count."""
     n_rows = draw(st.integers(1, 6))
-    scalar = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5]),
+    scalar = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5] + _SPECIAL_FLOATS),
                        st.integers(0, 2**80), st.floats(allow_nan=False))
-    array = st.one_of(st.lists(_WORD, min_size=1, max_size=1),
-                      st.lists(_WORD, min_size=n_rows, max_size=n_rows))
-    return draw(st.lists(st.one_of(scalar, array), min_size=1, max_size=6))
+    length = st.sampled_from([1, n_rows])
+    words = length.flatmap(lambda n: st.lists(_WORD, min_size=n, max_size=n))
+    floats = length.flatmap(lambda n: st.lists(_FLOAT, min_size=n, max_size=n).map(tuple))
+    return draw(st.lists(st.one_of(scalar, words, floats), min_size=1, max_size=6))
+
+
+def _args_and_rows(parts, dtype) -> tuple:
+    """The parts as arrays (word lists of ``dtype``, float tuples of float64) and
+    every row as ``derive_seed`` takes it."""
+    args = [np.array(p, dtype=dtype if isinstance(p, list) else np.float64)
+            if isinstance(p, (list, tuple)) else p for p in parts]
+    n_rows = max((len(p) for p in parts if isinstance(p, (list, tuple))), default=1)
+    rows = [[p[i % len(p)] if isinstance(p, (list, tuple)) else p for p in parts]
+            for i in range(n_rows)]
+    return args, rows
+
+
+_DTYPES = st.sampled_from([np.int64, np.uint32, np.uint64])
 
 
 @settings(max_examples=200, deadline=None)
-@given(parts=_seed_parts(), chunk=st.integers(1, 4),
-       dtype=st.sampled_from([np.int64, np.uint32, np.uint64]))
+@given(parts=_seed_parts(), chunk=st.integers(1, 4), dtype=_DTYPES)
+@example(parts=[7, tuple(_SPECIAL_FLOATS), 2**40, [1, 2, 3, 4, 5, 6]], chunk=4,
+         dtype=np.int64)
 def test_seeded_uniforms_equal_one_generator_per_row(parts, chunk, dtype):
-    args = [np.array(p, dtype=dtype) if isinstance(p, list) else p for p in parts]
+    args, rows = _args_and_rows(parts, dtype)
     # a small chunk makes most draws cross chunk boundaries
     with mock.patch.object(simulate, "UNIFORM_CHUNK", chunk):
         got = seeded_uniforms(*args)
-    lengths = [len(p) for p in parts if isinstance(p, list)]
-    n_rows = max(lengths, default=1)
-    assert got.shape == ((n_rows,) if lengths else ())
-    want = [_first_uniform(*[p[i % len(p)] if isinstance(p, list) else p for p in parts])
-            for i in range(n_rows)]
-    assert got.reshape(-1).tolist() == want
+    has_arrays = any(isinstance(p, (list, tuple)) for p in parts)
+    assert got.shape == ((len(rows),) if has_arrays else ())
+    assert got.reshape(-1).tolist() == [_first_uniform(*row) for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=_seed_parts(), chunk=st.integers(1, 4), dtype=_DTYPES)
+@example(parts=[7, tuple(_SPECIAL_FLOATS), 2**40, [1, 2, 3, 4, 5, 6]], chunk=4,
+         dtype=np.int64)
+@example(parts=[(0.0, -0.0), -0.0, 5e-324, (-2.2250738585072e-308, -3.25)], chunk=1,
+         dtype=np.uint32)
+def test_seeded_streams_draw_what_one_generator_per_row_draws(parts, chunk, dtype):
+    args, rows = _args_and_rows(parts, dtype)
+    with mock.patch.object(simulate, "UNIFORM_CHUNK", chunk):
+        normals = [rng.standard_normal(5).tolist() for rng in seeded_streams(*args)]
+        bits = [rng.integers(0, 2, size=9).tolist() for rng in seeded_streams(*args)]
+    assert normals == [np.random.default_rng(derive_seed(*row)).standard_normal(5).tolist()
+                       for row in rows]
+    assert bits == [np.random.default_rng(derive_seed(*row)).integers(0, 2, size=9).tolist()
+                    for row in rows]
 
 
 def test_seeded_uniforms_cross_the_real_chunk_boundary():
@@ -365,11 +407,14 @@ def test_seeded_uniforms_broadcast_array_parts_in_c_order():
 
 
 @pytest.mark.parametrize("part", [np.array([-1]), np.array([0, 2**32]),
-                                  np.array([2**64 - 1], dtype=np.uint64), np.array([0.0]),
-                                  np.array([1.5]), np.array([True])])
+                                  np.array([2**64 - 1], dtype=np.uint64), np.array([True]),
+                                  np.array([1j]), np.array([2**64], dtype=object)])
 def test_seeded_uniforms_reject_arrays_outside_uint32(part):
+    # integers outside [0, 2**32), bools, complex numbers and Python ints
     with pytest.raises(ValueError):
         seeded_uniforms(0, part)
+    with pytest.raises(ValueError):
+        list(seeded_streams(0, part))
 
 
 def test_seeded_uniforms_reject_negative_scalars_as_seed_sequence_does():

@@ -156,7 +156,7 @@ def test_gaussian_loglik_batch_equals_loop():
 def test_gaussian_loglik_rejects_indefinite_covariance():
     stats = GaussianStats(mean=np.zeros((1, 2), dtype=complex),
                           cov=np.zeros((1, 2, 2), dtype=complex), loading=np.zeros(1))
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="model 0 "):
         gaussian_loglik(np.zeros((1, 2), dtype=complex), stats)
     with pytest.raises(ValueError):
         gaussian_loglik(np.zeros((1, 3), dtype=complex),
@@ -212,6 +212,21 @@ def test_gaussian_loo_loglik_equals_one_fit_per_fold(loading_eps):
         assert np.allclose(got, _one_fit_per_fold(x, loading_eps), rtol=1e-9, atol=1e-9)
 
 
+@pytest.mark.parametrize("flatness", [1e-4, 1e-5])
+def test_gaussian_loo_loglik_nearly_singular_folds_follow_the_fold_fit(flatness):
+    # four samples within `flatness` of a complex plane and a fifth off it: the
+    # seat is well conditioned, but the fold without the fifth sample is nearly
+    # singular and its downdate 1 - a q cancels to about flatness^2
+    rng = np.random.default_rng(79)
+    for _ in range(20):
+        x = _complex_normal(rng, (5, 3))
+        x[:4, 2] *= flatness
+        basis = np.linalg.qr(_complex_normal(rng, (3, 3)))[0]
+        x = x @ basis + 2.0 * _complex_normal(rng, 3)
+        got = gaussian_loo_loglik(x, 0.0)
+        assert np.allclose(got, _one_fit_per_fold(x, 0.0), rtol=1e-9, atol=1e-9)
+
+
 def test_gaussian_loo_loglik_zero_scatter_folds_follow_the_fold_fit():
     # the downdated trace of these folds is rounding of the seat's scatter,
     # which can land on either side of the zero threshold
@@ -238,6 +253,18 @@ def test_gaussian_loo_loglik_zero_scatter_folds_follow_the_fold_fit():
     # without loading a zero-scatter fold has no model
     with pytest.raises(NumericError):
         gaussian_loo_loglik(seats, 0.0)
+
+
+def test_gaussian_loglik_error_names_the_failing_model():
+    # 400 unloaded seat models, full rank but for seat 123, whose samples are all equal
+    rng = np.random.default_rng(123)
+    samples = _complex_normal(rng, (400, 6, 3))
+    samples[123] = 1.0 + 2.0j
+    with pytest.raises(NumericError) as info:
+        gaussian_loglik(samples[:2, 0], fit_gaussian(samples, 0.0))
+    message = str(info.value)
+    assert "model 123 " in message and "loading 0" in message
+    assert len(message) < 200
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (5, 7), (8, 7)])
