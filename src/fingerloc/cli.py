@@ -106,20 +106,12 @@ def run_sweep(verb: str, cfg: dict, out_dir: str, sweep_spec: str) -> None:
         apply_override(sub_cfg, key, value)
         validate_config(sub_cfg)
         sub_cfgs.append(sub_cfg)
-    rows = []
-    flat_keys = set()
-    summaries = []
-    for value, sub_cfg in zip(values, sub_cfgs):
-        sub_out = os.path.join(out_dir, f"sweep_{key}={value}")
-        summary = run_verb(verb, sub_cfg, sub_out)
-        flat = _flatten(summary)
-        flat_keys.update(flat)
-        summaries.append((value, flat))
-    columns = sorted(flat_keys)
-    for value, flat in summaries:
-        rows.append([f"{key}={value}"] + [
-            "" if flat.get(col) is None else flat.get(col, "") for col in columns])
-    write_csv(os.path.join(out_dir, "sweep.csv"), ["setting"] + columns, rows)
+    flats = [_flatten(run_verb(verb, sub_cfg, os.path.join(out_dir, f"sweep_{key}={value}")))
+             for value, sub_cfg in zip(values, sub_cfgs)]
+    columns = {"setting": [f"{key}={value}" for value in values]}
+    for col in sorted(set().union(*flats)):
+        columns[col] = ["" if flat.get(col) is None else flat[col] for flat in flats]
+    write_csv(os.path.join(out_dir, "sweep.csv"), columns)
 
 
 def main(argv=None) -> int:

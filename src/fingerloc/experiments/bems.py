@@ -199,8 +199,8 @@ def walk_bits(cfg: dict, grid: Grid, cells: list, moving: list) -> np.ndarray:
 def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
     """Tracked vs per-snapshot localization along the walk.
 
-    Returns (rows, candidate_sets, summary); candidate_sets holds the
-    thresholded cell set U_t per step for downstream lighting control.
+    Returns (columns, candidate_sets, summary): the ``track.csv`` columns,
+    and the thresholded cell set U_t per step for downstream lighting control.
     """
     grid = db.grid
     n_sensors = sum(key.startswith("det:") for key in db.blocks)
@@ -214,45 +214,40 @@ def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
     trans = transition_matrix(grid, model)
     pts = grid.xy
     obs_values = binary_likelihood(walk_bits(cfg, grid, cells, moving), probs)
-    snap = np.argmax(obs_values, axis=1).tolist()
-    errs_snap = np.hypot(*(pts[snap] - pts[cells]).T).tolist()
+    snap = np.argmax(obs_values, axis=1)
 
-    prior = None
-    rows = []
-    candidate_sets = []
-    errs_track = []
-    for t, (cell, obs) in enumerate(zip(cells, obs_values), start=1):
-        if prior is None:  # first step: normalize like the filter does
-            post = obs - np.max(obs)
-        else:
-            post = grid_bayes_step(prior, trans, obs)
-        prior = post
-        track_idx = int(np.argmax(post))
-        cand = threshold_set(post, eta)
-        candidate_sets.append([int(c) for c in cand])
-        err_t = float(np.hypot(*(pts[track_idx] - pts[cell])))
-        errs_track.append(err_t)
-        rows.append((t, cell, pts[cell, 0], pts[cell, 1], snap[t - 1], errs_snap[t - 1],
-                     track_idx, pts[track_idx, 0], pts[track_idx, 1], err_t,
-                     len(cand), cell in cand))
+    post = None
+    tracked, candidate_sets = [], []
+    for obs in obs_values:
+        # the first step is normalized like the filter does
+        post = obs - np.max(obs) if post is None else grid_bayes_step(post, trans, obs)
+        tracked.append(int(np.argmax(post)))
+        candidate_sets.append(threshold_set(post, eta).tolist())
 
+    tracked = np.array(tracked, dtype=int)
+    errs_snap = np.hypot(*(pts[snap] - pts[cells]).T)
+    errs_track = np.hypot(*(pts[tracked] - pts[cells]).T)
+    in_set = [cell in cand for cell, cand in zip(cells, candidate_sets)]
+    columns = {"step": np.arange(1, len(cells) + 1), "true_cell": cells,
+               "true_x": pts[cells, 0], "true_y": pts[cells, 1],
+               "snap_index": snap, "snap_error_m": errs_snap,
+               "tracked_index": tracked, "est_x": pts[tracked, 0], "est_y": pts[tracked, 1],
+               "tracked_error_m": errs_track,
+               "candidates": [len(c) for c in candidate_sets], "true_in_candidates": in_set}
     summary = {
         "steps": len(cells),
         "tracked": summarize_errors(errs_track),
         "snapshot": summarize_errors(errs_snap),
         "grid_spacing_m": spacing,
-        "mean_candidates": float(np.mean([len(c) for c in candidate_sets]))
-        if candidate_sets else None,
-        "true_in_candidates_rate": float(np.mean([
-            row[1] in cand for row, cand in zip(rows, candidate_sets)]))
-        if candidate_sets else None,
+        "mean_candidates": float(np.mean(columns["candidates"])) if cells else None,
+        "true_in_candidates_rate": float(np.mean(in_set)) if cells else None,
     }
-    if candidate_sets:
+    if cells:
         summary["tracked_cells"] = summary["tracked"]["mean"] / spacing
         summary["snapshot_cells"] = summary["snapshot"]["mean"] / spacing
         summary["cdf"] = {"tracked": cdf_table(errs_track),
                           "snapshot": cdf_table(errs_snap)}
-    return rows, candidate_sets, summary
+    return columns, candidate_sets, summary
 
 
 def build_lighting_scenario(cfg: dict, grid: Grid) -> LightingScenario:
@@ -267,35 +262,33 @@ def build_lighting_scenario(cfg: dict, grid: Grid) -> LightingScenario:
                             target_lux=lcfg["target_lux"], env_lux=env)
 
 
-def evaluate_lighting(cfg: dict, grid: Grid, rows: list, candidate_sets: list) -> tuple:
-    """Per-step LP control on the candidate sets vs the all-on baseline."""
+def evaluate_lighting(cfg: dict, grid: Grid, true_cells: list, candidate_sets: list) -> tuple:
+    """Per-step LP control on the candidate sets vs the all-on baseline.
+
+    Returns (columns, summary): the ``lighting.csv`` columns, one row per step.
+    """
     scenario = build_lighting_scenario(cfg, grid)
     all_on = float(sum(light.power_w for light in scenario.lights))
-    target = scenario.target_lux
-    out_rows = []
-    powers = []
-    satisfied = []
-    plans = solve_lighting(scenario, candidate_sets[:len(rows)])
-    for row, cand, plan in zip(rows, candidate_sets, plans):
-        t, true_cell = row[0], row[1]
-        powers.append(plan.power_w)
-        in_set = true_cell in cand
-        ok = None
-        if in_set:
-            ok = illuminance(scenario, plan.switches, true_cell) >= target - 1e-6
-            satisfied.append(bool(ok))
-        out_rows.append((t, len(cand), plan.power_w,
-                         1.0 - plan.power_w / all_on, in_set,
-                         "" if ok is None else ok))
+    plans = solve_lighting(scenario, candidate_sets)
+    power = np.array([plan.power_w for plan in plans], dtype=float)
+    in_set = [cell in cand for cell, cand in zip(true_cells, candidate_sets)]
+    # the lux at the true cell counts only where its candidate set holds it
+    satisfied = [bool(illuminance(scenario, plan.switches, cell) >= scenario.target_lux - 1e-6)
+                 if inside else "" for cell, plan, inside in zip(true_cells, plans, in_set)]
+    covered = [ok for ok in satisfied if ok != ""]
+    columns = {"step": np.arange(1, len(plans) + 1),
+               "occupied_cells": [len(c) for c in candidate_sets], "power_w": power,
+               "saving_vs_all_on": 1.0 - power / all_on, "true_in_candidates": in_set,
+               "satisfied_at_true": satisfied}
     summary = {
-        "steps": len(out_rows),
+        "steps": len(plans),
         "all_on_power_w": all_on,
-        "mean_power_w": float(np.mean(powers)) if powers else None,
-        "energy_saving": 1.0 - float(np.mean(powers)) / all_on if powers else None,
-        "satisfaction_rate": float(np.mean(satisfied)) if satisfied else None,
-        "covered_steps": len(satisfied),
+        "mean_power_w": float(np.mean(power)) if plans else None,
+        "energy_saving": 1.0 - float(np.mean(power)) / all_on if plans else None,
+        "satisfaction_rate": float(np.mean(covered)) if covered else None,
+        "covered_steps": len(covered),
     }
-    return out_rows, summary
+    return columns, summary
 
 
 def cmd_simulate(cfg: dict, out_dir: str) -> dict:
@@ -318,17 +311,12 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
     return log
 
 
-_TRACK_HEADER = ("step", "true_cell", "true_x", "true_y", "snap_index",
-                 "snap_error_m", "tracked_index", "est_x", "est_y",
-                 "tracked_error_m", "candidates", "true_in_candidates")
-
-
 def cmd_localize(cfg: dict, out_dir: str) -> dict:
     db = load_db(cfg, out_dir, cmd_learn)
-    rows, _sets, summary = evaluate_track(cfg, db)
-    trial_rows = [(r[0], r[1], r[2], r[3], r[4], r[5]) for r in rows]
-    header = ("step", "true_cell", "true_x", "true_y", "est_index", "error_m")
-    write_csv(os.path.join(out_dir, "trials.csv"), header, trial_rows)
+    track, _sets, summary = evaluate_track(cfg, db)
+    trials = {key: track[key] for key in ("step", "true_cell", "true_x", "true_y")}
+    trials.update(est_index=track["snap_index"], error_m=track["snap_error_m"])
+    write_csv(os.path.join(out_dir, "trials.csv"), trials)
     reduced = {"steps": summary["steps"], "snapshot": summary["snapshot"],
                "grid_spacing_m": summary["grid_spacing_m"]}
     if "cdf" in summary:
@@ -339,10 +327,10 @@ def cmd_localize(cfg: dict, out_dir: str) -> dict:
 
 def cmd_track(cfg: dict, out_dir: str) -> dict:
     db = load_db(cfg, out_dir, cmd_learn)
-    rows, sets, summary = evaluate_track(cfg, db)
-    write_csv(os.path.join(out_dir, "track.csv"), _TRACK_HEADER, rows)
+    columns, sets, summary = evaluate_track(cfg, db)
+    write_csv(os.path.join(out_dir, "track.csv"), columns)
     write_json(os.path.join(out_dir, "track_sets.json"),
-               {"candidate_sets": sets, "true_cells": [r[1] for r in rows],
+               {"candidate_sets": sets, "true_cells": columns["true_cell"],
                 "config_digest": config_digest(cfg, "track_sets.json")})
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
@@ -381,14 +369,11 @@ def cmd_lighting(cfg: dict, out_dir: str) -> dict:
         sets, cells, digest = read_track_sets(sets_path, len(db.grid))
         if not outside:
             check_digest(cfg, sets_path, digest)
-        rows = [(t + 1, cell) for t, cell in enumerate(cells)]
     else:
-        track_rows, sets, _ = evaluate_track(cfg, db)
-        rows = [(r[0], r[1]) for r in track_rows]
-    out_rows, summary = evaluate_lighting(cfg, db.grid, rows, sets)
-    header = ("step", "occupied_cells", "power_w", "saving_vs_all_on",
-              "true_in_candidates", "satisfied_at_true")
-    write_csv(os.path.join(out_dir, "lighting.csv"), header, out_rows)
+        track, sets, _ = evaluate_track(cfg, db)
+        cells = track["true_cell"]
+    columns, summary = evaluate_lighting(cfg, db.grid, cells, sets)
+    write_csv(os.path.join(out_dir, "lighting.csv"), columns)
     # Merge under a namespaced key so a prior tracking summary survives.
     summary_path = os.path.join(out_dir, "summary.json")
     merged = {}

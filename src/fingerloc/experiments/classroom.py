@@ -62,8 +62,7 @@ def antenna_layout(cfg: dict) -> np.ndarray:
     scn = cfg["scenario"]
     g = scn["grid"]
     x0, y0 = g["origin"]
-    x1 = x0 + (g["nx"] - 1) * g["spacing_m"]
-    y1 = y0 + (g["ny"] - 1) * g["spacing_m"]
+    x1, y1 = build_grid(cfg).xy[-1].tolist()
     off = scn["corner_offset_m"]
     antennas = [(x0 - off, y0 - off), (x1 + off, y0 - off),
                 (x0 - off, y1 + off), (x1 + off, y1 + off)]
@@ -215,37 +214,34 @@ def evaluate_loo(cfg: dict, cirs: np.ndarray, db: FingerprintDatabase) -> tuple:
     """Leave-one-out evaluation over every (seat, snapshot) trial (see :func:`loo_scores`).
 
     Returns:
-        (rows, summary): CSV rows for both methods and the summary dict.
+        (columns, summary): the ``trials.csv`` columns, every trial of one
+        method before the next's, and the summary dict.
     """
     xc, rssi = extract_features(cirs)
     loglik, sqerr = loo_scores(cfg, xc, rssi, db)
-    est_mle, est_rssi = np.argmax(loglik, axis=1), np.argmin(sqerr, axis=1)
-    n_trials, n_snap = loglik.shape[0], xc.shape[1]
-
+    est = {"cir_mle": np.argmax(loglik, axis=1), "rssi_euclid": np.argmin(sqerr, axis=1)}
+    seat, snapshot = np.indices(xc.shape[:2]).reshape(2, -1)
+    true_seat = np.tile(seat, len(est))
+    chosen = np.concatenate(list(est.values()))
     pts = build_grid(cfg).xy
-    rows = []
-    errors = {"cir_mle": [], "rssi_euclid": []}
-    for method, est in (("cir_mle", est_mle), ("rssi_euclid", est_rssi)):
-        for t in range(n_trials):
-            s, k = divmod(t, n_snap)
-            e = int(est[t])
-            err = float(np.hypot(*(pts[e] - pts[s])))
-            errors[method].append(err)
-            rows.append((method, s, k, pts[s, 0], pts[s, 1], e, pts[e, 0], pts[e, 1], err))
+    err = np.hypot(*(pts[chosen] - pts[true_seat]).T)
+    columns = {"method": np.repeat(list(est), len(seat)), "seat": true_seat,
+               "snapshot": np.tile(snapshot, len(est)), "true_x": pts[true_seat, 0],
+               "true_y": pts[true_seat, 1], "est_index": chosen, "est_x": pts[chosen, 0],
+               "est_y": pts[chosen, 1], "error_m": err}
+    errors = dict(zip(est, err.reshape(len(est), -1)))
     summary = {
         "methods": {m: summarize_errors(v) for m, v in errors.items()},
         "cdf": {m: cdf_table(v) for m, v in errors.items()},
         "grid_spacing_m": cfg["scenario"]["grid"]["spacing_m"],
-        "trials_per_method": n_trials,
+        "trials_per_method": len(seat),
     }
-    return rows, summary
+    return columns, summary
 
 
 def cmd_localize(cfg: dict, out_dir: str) -> dict:
     db = load_db(cfg, out_dir, cmd_learn)
-    rows, summary = evaluate_loo(cfg, training_cirs(cfg, out_dir), db)
-    header = ("method", "seat", "snapshot", "true_x", "true_y",
-              "est_index", "est_x", "est_y", "error_m")
-    write_csv(os.path.join(out_dir, "trials.csv"), header, rows)
+    columns, summary = evaluate_loo(cfg, training_cirs(cfg, out_dir), db)
+    write_csv(os.path.join(out_dir, "trials.csv"), columns)
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary

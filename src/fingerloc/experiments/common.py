@@ -30,8 +30,8 @@ from ..database import (
 from ..errors import ConfigError
 from ..geometry import Grid, Position
 
-__all__ = ["dump_json", "write_json", "write_csv", "fmt_cell",
-           "summarize_errors", "cdf_table", "CDF_QUANTILES", "build_grid",
+__all__ = ["dump_json", "write_json", "write_csv", "summarize_errors",
+           "cdf_table", "CDF_QUANTILES", "build_grid",
            "config_digest", "check_digest", "save_measurements", "read_measurements",
            "load_measurements", "save_db", "load_db"]
 
@@ -61,31 +61,46 @@ def write_json(path, obj) -> None:
         fh.write(dump_json(obj))
 
 
-def fmt_cell(value) -> str:
-    """Render one CSV cell reproducibly (floats via shortest round-trip repr)."""
-    if isinstance(value, (bool, np.bool_)):
+def _cell(value) -> str:
+    """One CSV cell: bools as true/false, floats by shortest round-trip repr."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
+    if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError("refusing to write a non-finite value")
+            raise ValueError(f"refusing to write the non-finite value {value!r}")
         return repr(value)
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, columns: dict) -> None:
+    """Write ``{name: column}`` as a CSV file, one row per column entry.
+
+    The keys, in order, are the header.  A column is an array, rendered
+    from its ``tolist()``, or a list, whose numpy scalars render as their
+    Python values.  Raises ValueError naming the file when the columns
+    differ in length or a cell is NaN or infinite; nothing is written then.
+    """
+    lengths = {name: len(col) for name, col in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"{path}: columns of unequal length {lengths}")
+    cells = []
+    for name, col in columns.items():
+        try:
+            values = col.tolist() if isinstance(col, np.ndarray) else col
+            cells.append([_cell(v) for v in values])
+        except ValueError as exc:
+            raise ValueError(f"{path}: column {name!r}: {exc}") from None
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt_cell(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def summarize_errors(errors) -> dict:
     """Mean/median/quantile digest of a distance-error sample."""
-    errs = np.asarray(list(errors), dtype=float)
+    errs = np.array(errors, dtype=float)
     if errs.size == 0:
         return {"count": 0, "mean": None, "median": None, "p90": None, "max": None}
     return {
@@ -103,7 +118,7 @@ def cdf_table(errors) -> dict:
     Quantile q maps to ``sorted(errors)[ceil(q * n) - 1]`` (clamped), so the
     reported values are errors that actually occurred.
     """
-    errs = np.sort(np.asarray(list(errors), dtype=float))
+    errs = np.sort(np.asarray(errors, dtype=float))
     n = errs.size
     if n == 0:
         raise ValueError("cannot build a CDF from zero trials")

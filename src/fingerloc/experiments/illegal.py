@@ -226,12 +226,9 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> tuple:
 
 def draw_trials(cfg: dict) -> np.ndarray:
     """Uniform emitter positions inside the training hull, shape (trials, 2)."""
-    g = cfg["scenario"]["grid"]
-    x0, y0 = g["origin"]
-    x1 = x0 + (g["nx"] - 1) * g["spacing_m"]
-    y1 = y0 + (g["ny"] - 1) * g["spacing_m"]
     rng = np.random.default_rng(derive_seed(cfg["seed"], _TAG_TRIALS))
-    return rng.uniform((x0, y0), (x1, y1), size=(cfg["evaluation"]["trials"], 2))
+    return rng.uniform(cfg["scenario"]["grid"]["origin"], build_grid(cfg).xy[-1],
+                       size=(cfg["evaluation"]["trials"], 2))
 
 
 def trial_fingerprints(cfg: dict, trials: np.ndarray) -> tuple:
@@ -274,11 +271,11 @@ def error_maps(db: FingerprintDatabase, xc: dict, pd: dict) -> tuple:
     return vx, vp
 
 
-def _best_points(errors: np.ndarray) -> list:
+def _best_points(errors: np.ndarray) -> np.ndarray:
     """Per row of a (trials, N) squared-error block, its argmin (lowest index on ties)."""
     if not np.all(np.isfinite(errors)):
         raise ValueError("squared-error maps must be finite")
-    return np.argmin(errors, axis=1).tolist()
+    return np.argmin(errors, axis=1)
 
 
 def evaluate(cfg: dict, db: FingerprintDatabase) -> tuple:
@@ -286,50 +283,51 @@ def evaluate(cfg: dict, db: FingerprintDatabase) -> tuple:
 
     Each method matches every trial with one argmin over its error block;
     the hybrid block of weight gamma is ``xcorr + gamma * phasediff``.
+
+    Returns:
+        (columns, summary): the ``trials.csv`` columns, each trial's methods
+        in that order before the next trial's, and the summary dict.
     """
     trials = draw_trials(cfg)
-    sweep = list(cfg["evaluation"]["gamma_sweep"])
+    sweep = [float(g) for g in cfg["evaluation"]["gamma_sweep"]]
     pts = db.grid.xy
     xc, ph = trial_fingerprints(cfg, trials)
     vx, vp = error_maps(db, dict(zip(xcorr_keys(cfg), np.moveaxis(xc, 1, 0))),
                         dict(zip(phase_keys(cfg), np.moveaxis(ph, 1, 0))))
-    best = {"xcorr": _best_points(vx), "phasediff": _best_points(vp)}
-    hybrid = [_best_points(vx + float(g) * vp) for g in sweep]
-    rows = []
-    errors = {"xcorr": [], "phasediff": []}
-    hybrid_errors = {g: [] for g in sweep}
-    for t, (x, y) in enumerate(trials.tolist()):
-        for method, idx in best.items():
-            e = float(np.hypot(pts[idx[t], 0] - x, pts[idx[t], 1] - y))
-            errors[method].append(e)
-            rows.append((t, method, "", x, y, idx[t], pts[idx[t], 0], pts[idx[t], 1], e))
-        for g, idx in zip(sweep, hybrid):
-            e = float(np.hypot(pts[idx[t], 0] - x, pts[idx[t], 1] - y))
-            hybrid_errors[g].append(e)
-            rows.append((t, "hybrid", float(g), x, y, idx[t],
-                         pts[idx[t], 0], pts[idx[t], 1], e))
-    endpoint_x = all(idx == best["xcorr"] for g, idx in zip(sweep, hybrid) if g == sweep[0])
-    endpoint_p = all(idx == best["phasediff"] for g, idx in zip(sweep, hybrid) if g == sweep[-1])
+    # (trials, methods): xcorr, phasediff, then the hybrid of each gamma
+    best = np.stack([_best_points(vx), _best_points(vp),
+                     *(_best_points(vx + g * vp) for g in sweep)], axis=1)
+    err = np.hypot(*np.moveaxis(pts[best.T] - trials, -1, 0))  # (methods, trials)
+    est, n_methods = best.ravel(), best.shape[1]
+    columns = {"trial": np.repeat(np.arange(len(trials)), n_methods),
+               "method": np.tile(["xcorr", "phasediff"] + ["hybrid"] * len(sweep), len(trials)),
+               "gamma": ["", "", *sweep] * len(trials),
+               "true_x": np.repeat(trials[:, 0], n_methods),
+               "true_y": np.repeat(trials[:, 1], n_methods),
+               "est_index": est, "est_x": pts[est, 0], "est_y": pts[est, 1],
+               "error_m": err.T.ravel()}
 
+    errors = {"xcorr": err[0], "phasediff": err[1]}
+    hybrid_errors = dict(zip(sweep, err[2:]))
     med = {m: float(np.median(v)) for m, v in errors.items()}
-    hybrid_med = {repr(float(g)): float(np.median(v)) for g, v in hybrid_errors.items()}
     best_gamma = min(hybrid_errors, key=lambda g: (float(np.median(hybrid_errors[g])), g))
     summary = {
         "trials": len(trials),
         "mean": {**{m: float(np.mean(v)) for m, v in errors.items()},
-                 "hybrid": {repr(float(g)): float(np.mean(v))
-                            for g, v in hybrid_errors.items()}},
-        "median": {**med, "hybrid": hybrid_med},
+                 "hybrid": {repr(g): float(np.mean(v)) for g, v in hybrid_errors.items()}},
+        "median": {**med, "hybrid": {repr(g): float(np.median(v))
+                                     for g, v in hybrid_errors.items()}},
         "cdf": {"xcorr": cdf_table(errors["xcorr"]),
                 "phasediff": cdf_table(errors["phasediff"]),
                 "hybrid_best": cdf_table(hybrid_errors[best_gamma])},
-        "best_gamma": float(best_gamma),
+        "best_gamma": best_gamma,
         "best_hybrid_median": float(np.median(hybrid_errors[best_gamma])),
-        "endpoints_exact": {"xcorr": endpoint_x, "phasediff": endpoint_p},
+        "endpoints_exact": {"xcorr": bool(np.array_equal(best[:, 2], best[:, 0])),
+                            "phasediff": bool(np.array_equal(best[:, -1], best[:, 1]))},
         "hybrid_beats_both": float(np.median(hybrid_errors[best_gamma]))
         <= min(med.values()),
     }
-    return rows, summary
+    return columns, summary
 
 
 def cmd_simulate(cfg: dict, out_dir: str) -> dict:
@@ -358,9 +356,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
 
 def cmd_localize(cfg: dict, out_dir: str) -> dict:
     db = load_db(cfg, out_dir, cmd_learn)
-    rows, summary = evaluate(cfg, db)
-    header = ("trial", "method", "gamma", "true_x", "true_y",
-              "est_index", "est_x", "est_y", "error_m")
-    write_csv(os.path.join(out_dir, "trials.csv"), header, rows)
+    columns, summary = evaluate(cfg, db)
+    write_csv(os.path.join(out_dir, "trials.csv"), columns)
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary

@@ -72,9 +72,8 @@ DEFAULTS = {
 
 
 def room_bounds(cfg: dict) -> tuple:
-    g = cfg["scenario"]["grid"]
-    x0, y0 = g["origin"]
-    return (x0, y0, x0 + (g["nx"] - 1) * g["spacing_m"], y0 + (g["ny"] - 1) * g["spacing_m"])
+    """(x0, y0, x1, y1): the survey grid's first and last point."""
+    return (*cfg["scenario"]["grid"]["origin"], *build_grid(cfg).xy[-1].tolist())
 
 
 def sensor_antennas(cfg: dict) -> np.ndarray:
@@ -173,16 +172,18 @@ def walk_features(cfg: dict, path: np.ndarray) -> np.ndarray:
 def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
     """Per-step errors of the static matchers (and the particle filter).
 
-    Steps are indexed 1..T; a zero-step walk yields no rows.  Each static
-    matcher scores every step in one call.  The particle filter starts
+    Steps are indexed 1..T; a zero-step walk yields empty columns.  Each
+    static matcher scores every step in one call.  The particle filter starts
     uniform over the room, advances by the noisy dead-reckoning step, and
     is reweighted by the step's row of the combined power+phase map; each
-    row records the filter's effective sample size before resampling and
+    step records the filter's effective sample size before resampling and
     whether it resampled.
+
+    Returns (columns, summary): the ``trials.csv`` (with the filter
+    ``track.csv``) columns.
     """
-    scn = cfg["scenario"]
     path = generate_walk(cfg)
-    n_steps = scn["walk"]["steps"]
+    n_steps = cfg["scenario"]["walk"]["steps"]
 
     walk_feats = walk_features(cfg, path)
     # per sensor its power then its phase: the order the combined map sums in
@@ -192,39 +193,35 @@ def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
     maps = {method: mle_rssi_rspd({key: value for key, value in features.items()
                                    if key.startswith(prefix)}, db)
             for method, prefix in (("rssi", "rssi:"), ("rspd", "rspd:"), ("rssi_rspd", ""))}
-    errors = {method: np.hypot(*(db.grid.xy[idx] - path[1:]).T).tolist()
+    errors = {method: np.hypot(*(db.grid.xy[idx] - path[1:]).T)
               for method, (_, idx) in maps.items()}
-    rows = [[t, float(x), float(y), *(errors[m][t - 1] for m in maps)]
-            for t, (x, y) in enumerate(path[1:], start=1)]
-
-    errors["pf"] = []
-    if with_pf and n_steps > 0:
+    columns = {"step": np.arange(1, n_steps + 1), "true_x": path[1:, 0], "true_y": path[1:, 1],
+               **{f"err_{m}": v for m, v in errors.items()}}
+    if with_pf:
         tr = cfg["tracking"]
-        pdr = simulate_pdr(path, tr["pdr_sigma_m"], derive_seed(cfg["seed"], _TAG_PDR))
-        rng = np.random.default_rng(derive_seed(cfg["seed"], _TAG_PF, 0))
-        x0, y0, x1, y1 = room_bounds(cfg)
-        positions = rng.uniform((x0, y0), (x1, y1), size=(tr["particles"], 2))
-        ps = ParticleSet(positions=positions,
-                         weights=np.full(tr["particles"], 1.0 / tr["particles"]))
-        combined = maps["rssi_rspd"][0]
-        for t, row in enumerate(rows, start=1):
+        est, errors["pf"], ess = np.empty((n_steps, 2)), np.empty(n_steps), np.empty(n_steps)
+        if n_steps > 0:
+            pdr = simulate_pdr(path, tr["pdr_sigma_m"], derive_seed(cfg["seed"], _TAG_PDR))
+            rng = np.random.default_rng(derive_seed(cfg["seed"], _TAG_PF, 0))
+            x0, y0, x1, y1 = room_bounds(cfg)
+            ps = ParticleSet(positions=rng.uniform((x0, y0), (x1, y1), size=(tr["particles"], 2)),
+                             weights=np.full(tr["particles"], 1.0 / tr["particles"]))
+        for t in range(1, n_steps + 1):
             ps = particle_predict(ps, pdr[t - 1], tr["pdr_sigma_m"],
                                   derive_seed(cfg["seed"], _TAG_PF, 1, t))
-            ps, est, ess = particle_update(ps, db.grid, combined[t - 1],
-                                           seed=derive_seed(cfg["seed"], _TAG_PF, 2, t))
-            err = float(math.hypot(est.x - path[t, 0], est.y - path[t, 1]))
-            errors["pf"].append(err)
-            row.extend([float(est.x), float(est.y), err, ess,
-                        ess < RESAMPLE_ESS_FRACTION * len(ps)])
-    rows = [tuple(row) for row in rows]
+            ps, pos, ess[t - 1] = particle_update(ps, db.grid, maps["rssi_rspd"][0][t - 1],
+                                                  seed=derive_seed(cfg["seed"], _TAG_PF, 2, t))
+            est[t - 1] = pos.x, pos.y
+            errors["pf"][t - 1] = math.hypot(pos.x - path[t, 0], pos.y - path[t, 1])
+        columns.update(est_x=est[:, 0], est_y=est[:, 1], err_pf=errors["pf"], ess=ess,
+                       resampled=ess < RESAMPLE_ESS_FRACTION * tr["particles"])
 
-    methods = ["rssi", "rspd", "rssi_rspd"] + (["pf"] if with_pf else [])
-    summary = {"methods": {m: summarize_errors(errors[m]) for m in methods},
+    summary = {"methods": {m: summarize_errors(v) for m, v in errors.items()},
                "steps": n_steps}
     if n_steps > 0:
-        summary["cdf"] = {m: cdf_table(errors[m]) for m in methods}
+        summary["cdf"] = {m: cdf_table(v) for m, v in errors.items()}
     if with_pf and n_steps > 0:
-        means = {m: summary["methods"][m]["mean"] for m in methods}
+        means = {m: summary["methods"][m]["mean"] for m in errors}
         summary["ordering"] = {
             "rssi_ge_rspd": means["rssi"] >= means["rspd"],
             "rspd_ge_combined": means["rspd"] >= means["rssi_rspd"],
@@ -232,7 +229,7 @@ def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
             "pf_gain_rel": (means["rssi_rspd"] - means["pf"]) / means["rssi_rspd"]
             if means["rssi_rspd"] > 0 else 0.0,
         }
-    return rows, summary
+    return columns, summary
 
 
 def cmd_simulate(cfg: dict, out_dir: str) -> dict:
@@ -258,18 +255,15 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
 
 def cmd_localize(cfg: dict, out_dir: str) -> dict:
     db = load_db(cfg, out_dir, cmd_learn)
-    rows, summary = evaluate_walk(cfg, db, with_pf=False)
-    header = ("step", "true_x", "true_y", "err_rssi", "err_rspd", "err_rssi_rspd")
-    write_csv(os.path.join(out_dir, "trials.csv"), header, rows)
+    columns, summary = evaluate_walk(cfg, db, with_pf=False)
+    write_csv(os.path.join(out_dir, "trials.csv"), columns)
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 
 def cmd_track(cfg: dict, out_dir: str) -> dict:
     db = load_db(cfg, out_dir, cmd_learn)
-    rows, summary = evaluate_walk(cfg, db, with_pf=True)
-    header = ("step", "true_x", "true_y", "err_rssi", "err_rspd",
-              "err_rssi_rspd", "est_x", "est_y", "err_pf", "ess", "resampled")
-    write_csv(os.path.join(out_dir, "track.csv"), header, rows)
+    columns, summary = evaluate_walk(cfg, db, with_pf=True)
+    write_csv(os.path.join(out_dir, "track.csv"), columns)
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary

@@ -93,7 +93,9 @@ def pair_xcorr(taps) -> np.ndarray:
 
     Returns:
         Complex (..., A(A-1)/2, 2L - 1): pair ``(i, j)``, ``i < j`` in
-        row-major order, holds ``xcorr(taps[..., i, :], taps[..., j, :], L - 1)``.
+        row-major order, equals ``xcorr(taps[..., i, :], taps[..., j, :], L - 1)``
+        up to rounding (bit for bit where every sum is exact, e.g. on
+        integer-valued taps).
     """
     arr = np.asarray(taps, dtype=complex)
     if arr.ndim < 2 or arr.shape[-2] < 2 or arr.shape[-1] == 0:

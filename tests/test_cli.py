@@ -17,7 +17,7 @@ from fingerloc.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fingerloc.database import decode_array, encode_array, load_database
 from fingerloc.experiments import bems, classroom, illegal, wifi
 from fingerloc.experiments.artifacts import validate_artifact, validate_run_dir
-from fingerloc.experiments.common import build_grid, read_measurements
+from fingerloc.experiments.common import build_grid, read_measurements, write_csv
 from fingerloc.experiments.configs import load_config, parse_config
 from fingerloc.experiments.defaults import PIPELINES, config_defaults
 from fingerloc.geometry import Grid, Position
@@ -848,6 +848,57 @@ def test_malformed_measurements_file_is_a_config_error(tmp_path, capsys, doc):
     assert main(["learn", "--config", cfg_path]) == EXIT_CONFIG
     if doc and doc.get("format") == "fingerloc-measurements-2":
         assert "rerun simulate" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# CSV writer
+# ---------------------------------------------------------------------------
+
+def test_csv_header_is_the_column_names_in_order(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(str(path), {"b": np.array([1, 2]), "a": ["x", "y"], "c": np.array([0.5, 2.0])})
+    assert path.read_text() == "b,a,c\n1,x,0.5\n2,y,2.0\n"
+    write_csv(str(path), {"b": np.array([], dtype=int), "a": []})
+    assert path.read_text() == "b,a\n"
+
+
+def test_csv_columns_of_unequal_length_are_refused(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="out.csv.*unequal length"):
+        write_csv(str(path), {"a": np.arange(3), "b": [1, 2]})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("as_array", [True, False])
+def test_csv_non_finite_cells_are_refused(tmp_path, bad, as_array):
+    path = tmp_path / "out.csv"
+    column = [1.0, bad, 3.0]
+    with pytest.raises(ValueError, match="out.csv.*'b'.*non-finite"):
+        write_csv(str(path), {"a": [1, 2, 3], "b": np.array(column) if as_array else column})
+    assert not path.exists()
+
+
+def test_csv_bools_render_as_true_and_false(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(str(path), {"array": np.array([True, False]), "list": [False, np.bool_(True)],
+                          "mixed": ["", True]})
+    assert path.read_text() == "array,list,mixed\ntrue,false,\nfalse,true,true\n"
+
+
+def test_csv_numpy_scalars_render_like_python_scalars(tmp_path):
+    # np.float64 is a float whose repr is "np.float64(0.1)"; a cell must read "0.1"
+    values = [0.1, -0.0, 1 / 3, 5e-324, 1e300, 7, -3, True, "x"]
+    numpy_values = [np.float64(0.1), np.float64(-0.0), np.float64(1 / 3), np.float64(5e-324),
+                    np.float64(1e300), np.int64(7), np.int32(-3), np.bool_(True), np.str_("x")]
+    want, got = tmp_path / "python.csv", tmp_path / "numpy.csv"
+    write_csv(str(want), {"v": values})
+    write_csv(str(got), {"v": numpy_values})
+    assert got.read_text() == want.read_text()
+    assert want.read_text().split("\n")[1:4] == ["0.1", "-0.0", repr(1 / 3)]
+    floats = tmp_path / "floats.csv"
+    write_csv(str(floats), {"v": np.array(values[:5])})
+    assert floats.read_text().split("\n")[1:6] == want.read_text().split("\n")[1:6]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,15 @@ sha256 of the raw little-endian bytes of every array ``simulate_measurements``
 returns at ``TINY``, so the simulated training set must stay bit-identical
 whatever the file encoding of ``measurements.json``.
 
+Those bits, like every byte-identity claim of the package, hold for one
+numpy build at one CPU dispatch level.  ``np.arctan2``/``np.angle``,
+``np.exp``, ``np.log10``, ``np.log``, ``np.log1p`` and float ``**`` round
+the last bit differently in numpy's AVX-512 and AVX2 loops (``cos``,
+``sin``, ``hypot`` and complex ``exp`` do not), so with
+``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` on an AVX-512
+machine the ``wifi_rssi_rspd`` and ``illegal_hybrid`` pins fail.  The pins
+are not loosened for that: they guard refactors on one machine.
+
 The property tests hold the block-wise matchers, which score every snapshot
 in one call, to a per-grid-point reference loop written out here, on random
 databases, and each snapshot's row bit for bit to a one-snapshot call with
@@ -17,7 +26,8 @@ scalar features, the closed-form classroom
 leave-one-out (one ``eigh`` per seat and pair; only nearly singular folds
 are fitted) to a per-trial
 loop that fits every fold, with and without loading, the batched pair
-cross-correlation to ``xcorr`` per pair, the block-diagonal lighting LP to
+cross-correlation to ``xcorr`` per pair (bit for bit on integer taps, to
+1e-12 relative on float taps), the block-diagonal lighting LP to
 one ``linprog`` per occupied set, the unknown-emitter projection stages to
 per-point, per-bin and per-query loops, the windowed-sinc low-pass and
 bandwidth narrowing to ``scipy.signal``'s ``firwin`` and direct
@@ -573,10 +583,11 @@ def test_loo_scores_equal_per_trial_fold_loop(nx, ny, snapshots, taps, elements,
     loglik, sqerr = classroom.loo_scores(cfg, got_xc, got_power, db)
     assert np.allclose(loglik, want_ll, rtol=1e-9, atol=1e-9)
     assert np.allclose(sqerr, want_sq, rtol=1e-9, atol=1e-12)
-    rows, summary = classroom.evaluate_loo(cfg, cirs, db)
+    columns, summary = classroom.evaluate_loo(cfg, cirs, db)
     assert summary["trials_per_method"] == n_seats * n_snap
     for method, want, best in (("cir_mle", want_ll, np.max), ("rssi_euclid", want_sq, np.min)):
-        est = [row[5] for row in rows if row[0] == method]
+        est = columns["est_index"][columns["method"] == method]
+        assert len(est) == n_seats * n_snap
         for t, e in enumerate(est):
             assert want[t, e] == pytest.approx(best(want[t]), rel=1e-9, abs=1e-9)
 
@@ -586,7 +597,9 @@ def test_loo_scores_equal_per_trial_fold_loop(nx, ny, snapshots, taps, elements,
                                                   max_side=5).filter(lambda s: s[2] >= 2),
                        elements=st.integers(-1000, 1000)),
        imag=st.integers(-1000, 1000))
-def test_pair_xcorr_equals_xcorr_per_pair_bit_for_bit(taps, imag):
+def test_pair_xcorr_equals_xcorr_per_pair_bit_for_bit_on_integer_taps(taps, imag):
+    # integer-valued taps make every product and sum exact, so any summation
+    # order gives the same bits
     cirs = taps + 1j * np.roll(taps, 1) * imag
     got = pair_xcorr(cirs)
     n_ant, n_taps = cirs.shape[-2:]
@@ -596,6 +609,20 @@ def test_pair_xcorr_equals_xcorr_per_pair_bit_for_bit(taps, imag):
         for p, (i, j) in enumerate(pairs):
             want = xcorr(cirs[idx + (i,)], cirs[idx + (j,)], n_taps - 1)
             assert got[idx + (p,)].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pair_xcorr_equals_xcorr_per_pair_up_to_rounding_on_float_taps(seed):
+    # on float taps the two summation orders round differently: most entries
+    # differ from xcorr in the last bits (5,732 of 7,500 at seed 0)
+    rng = np.random.default_rng(seed)
+    cirs = rng.standard_normal((50, 5, 8)) + 1j * rng.standard_normal((50, 5, 8))
+    got = pair_xcorr(cirs)
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    want = np.stack([np.stack([xcorr(cirs[m, i], cirs[m, j], 7) for i, j in pairs])
+                     for m in range(50)])
+    assert got.shape == want.shape == (50, 10, 15)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

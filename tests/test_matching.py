@@ -125,9 +125,9 @@ def test_hybrid_match_weighted_sum_and_tie_break():
     # the unknown-emitter pipeline's hybrid match: argmin of xcorr + gamma * phase
     err_x = np.array([[4.0, 1.0]])
     err_p = np.array([[1.0, 4.0]])
-    assert _best_points(err_x + 1.0 * err_p) == [0]  # exact tie: the lowest index
-    assert _best_points(err_x + 0.0 * err_p) == _best_points(err_x) == [1]
-    assert _best_points(err_x + 1e12 * err_p) == _best_points(err_p) == [0]
+    assert _best_points(err_x + 1.0 * err_p).tolist() == [0]  # exact tie: the lowest index
+    assert _best_points(err_x + 0.0 * err_p).tolist() == _best_points(err_x).tolist() == [1]
+    assert _best_points(err_x + 1e12 * err_p).tolist() == _best_points(err_p).tolist() == [0]
     with pytest.raises(ValueError, match="finite"):
         _best_points(np.array([[1.0, np.inf]]))
 
@@ -136,8 +136,8 @@ def test_hybrid_match_equals_direct_recombination():
     rng = np.random.default_rng(41)
     ex, ep = rng.uniform(0, 10, size=(2, 20, 16))
     gamma = float(rng.uniform(0, 8))
-    assert _best_points(ex + gamma * ep) == [int(np.argmin(ex[t] + gamma * ep[t]))
-                                             for t in range(20)]
+    assert _best_points(ex + gamma * ep).tolist() == [int(np.argmin(ex[t] + gamma * ep[t]))
+                                                      for t in range(20)]
 
 
 # ---------------------------------------------------------------------------
