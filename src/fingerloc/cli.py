@@ -82,9 +82,7 @@ def _flatten(obj, prefix="") -> dict:
     if isinstance(obj, dict):
         for key in sorted(obj):
             out.update(_flatten(obj[key], f"{prefix}{key}."))
-    elif isinstance(obj, bool) or obj is None:
-        out[prefix[:-1]] = obj
-    elif isinstance(obj, (int, float)):
+    elif obj is None or isinstance(obj, (int, float)):  # bool is an int
         out[prefix[:-1]] = obj
     return out
 
@@ -148,10 +146,7 @@ def main(argv=None) -> int:
     except (NumericError, InfeasibleError, DegenerateUpdateError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except json.JSONDecodeError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (json.JSONDecodeError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, KeyError) as exc:

@@ -199,8 +199,9 @@ def walk_bits(cfg: dict, grid: Grid, cells: list, moving: list) -> np.ndarray:
 def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
     """Tracked vs per-snapshot localization along the walk.
 
-    Returns (columns, candidate_sets, summary): the ``track.csv`` columns,
-    and the thresholded cell set U_t per step for downstream lighting control.
+    Returns (columns, occupied, summary): the ``track.csv`` columns, and the
+    (steps, N) mask of the thresholded cell set U_t per step for downstream
+    lighting control.
     """
     grid = db.grid
     n_sensors = sum(key.startswith("det:") for key in db.blocks)
@@ -216,24 +217,24 @@ def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
     obs_values = binary_likelihood(walk_bits(cfg, grid, cells, moving), probs)
     snap = np.argmax(obs_values, axis=1)
 
+    tracked = np.empty(len(cells), dtype=int)
+    occupied = np.empty(obs_values.shape, dtype=bool)
     post = None
-    tracked, candidate_sets = [], []
-    for obs in obs_values:
+    for t, obs in enumerate(obs_values):
         # the first step is normalized like the filter does
         post = obs - np.max(obs) if post is None else grid_bayes_step(post, trans, obs)
-        tracked.append(int(np.argmax(post)))
-        candidate_sets.append(threshold_set(post, eta).tolist())
+        tracked[t] = np.argmax(post)
+        occupied[t] = threshold_set(post, eta)
 
-    tracked = np.array(tracked, dtype=int)
     errs_snap = np.hypot(*(pts[snap] - pts[cells]).T)
     errs_track = np.hypot(*(pts[tracked] - pts[cells]).T)
-    in_set = [cell in cand for cell, cand in zip(cells, candidate_sets)]
+    in_set = occupied[np.arange(len(cells)), cells]
     columns = {"step": np.arange(1, len(cells) + 1), "true_cell": cells,
                "true_x": pts[cells, 0], "true_y": pts[cells, 1],
                "snap_index": snap, "snap_error_m": errs_snap,
                "tracked_index": tracked, "est_x": pts[tracked, 0], "est_y": pts[tracked, 1],
                "tracked_error_m": errs_track,
-               "candidates": [len(c) for c in candidate_sets], "true_in_candidates": in_set}
+               "candidates": occupied.sum(axis=1), "true_in_candidates": in_set}
     summary = {
         "steps": len(cells),
         "tracked": summarize_errors(errs_track),
@@ -247,7 +248,7 @@ def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
         summary["snapshot_cells"] = summary["snapshot"]["mean"] / spacing
         summary["cdf"] = {"tracked": cdf_table(errs_track),
                           "snapshot": cdf_table(errs_snap)}
-    return columns, candidate_sets, summary
+    return columns, occupied, summary
 
 
 def build_lighting_scenario(cfg: dict, grid: Grid) -> LightingScenario:
@@ -262,31 +263,30 @@ def build_lighting_scenario(cfg: dict, grid: Grid) -> LightingScenario:
                             target_lux=lcfg["target_lux"], env_lux=env)
 
 
-def evaluate_lighting(cfg: dict, grid: Grid, true_cells: list, candidate_sets: list) -> tuple:
-    """Per-step LP control on the candidate sets vs the all-on baseline.
+def evaluate_lighting(cfg: dict, grid: Grid, true_cells, occupied) -> tuple:
+    """Per-step LP control on the (steps, N) candidate mask vs the all-on baseline.
 
     Returns (columns, summary): the ``lighting.csv`` columns, one row per step.
     """
     scenario = build_lighting_scenario(cfg, grid)
     all_on = float(sum(light.power_w for light in scenario.lights))
-    plans = solve_lighting(scenario, candidate_sets)
-    power = np.array([plan.power_w for plan in plans], dtype=float)
-    in_set = [cell in cand for cell, cand in zip(true_cells, candidate_sets)]
+    switches, power = solve_lighting(scenario, occupied)
+    steps = len(power)
+    in_set = occupied[np.arange(steps), true_cells]
+    ok = illuminance(scenario, switches, true_cells) >= scenario.target_lux - 1e-6
     # the lux at the true cell counts only where its candidate set holds it
-    satisfied = [bool(illuminance(scenario, plan.switches, cell) >= scenario.target_lux - 1e-6)
-                 if inside else "" for cell, plan, inside in zip(true_cells, plans, in_set)]
-    covered = [ok for ok in satisfied if ok != ""]
-    columns = {"step": np.arange(1, len(plans) + 1),
-               "occupied_cells": [len(c) for c in candidate_sets], "power_w": power,
+    covered = ok[in_set]
+    columns = {"step": np.arange(1, steps + 1),
+               "occupied_cells": occupied.sum(axis=1), "power_w": power,
                "saving_vs_all_on": 1.0 - power / all_on, "true_in_candidates": in_set,
-               "satisfied_at_true": satisfied}
+               "satisfied_at_true": np.where(in_set, ok.astype(object), "")}
     summary = {
-        "steps": len(plans),
+        "steps": steps,
         "all_on_power_w": all_on,
-        "mean_power_w": float(np.mean(power)) if plans else None,
-        "energy_saving": 1.0 - float(np.mean(power)) / all_on if plans else None,
-        "satisfaction_rate": float(np.mean(covered)) if covered else None,
-        "covered_steps": len(covered),
+        "mean_power_w": float(np.mean(power)) if steps else None,
+        "energy_saving": 1.0 - float(np.mean(power)) / all_on if steps else None,
+        "satisfaction_rate": float(np.mean(covered)) if covered.size else None,
+        "covered_steps": covered.size,
     }
     return columns, summary
 
@@ -313,7 +313,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
 
 def cmd_localize(cfg: dict, out_dir: str) -> dict:
     db = load_db(cfg, out_dir, cmd_learn)
-    track, _sets, summary = evaluate_track(cfg, db)
+    track, _occupied, summary = evaluate_track(cfg, db)
     trials = {key: track[key] for key in ("step", "true_cell", "true_x", "true_y")}
     trials.update(est_index=track["snap_index"], error_m=track["snap_error_m"])
     write_csv(os.path.join(out_dir, "trials.csv"), trials)
@@ -327,20 +327,22 @@ def cmd_localize(cfg: dict, out_dir: str) -> dict:
 
 def cmd_track(cfg: dict, out_dir: str) -> dict:
     db = load_db(cfg, out_dir, cmd_learn)
-    columns, sets, summary = evaluate_track(cfg, db)
+    columns, occupied, summary = evaluate_track(cfg, db)
     write_csv(os.path.join(out_dir, "track.csv"), columns)
     write_json(os.path.join(out_dir, "track_sets.json"),
-               {"candidate_sets": sets, "true_cells": columns["true_cell"],
+               {"candidate_sets": [np.flatnonzero(row).tolist() for row in occupied],
+                "true_cells": columns["true_cell"],
                 "config_digest": config_digest(cfg, "track_sets.json")})
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 
 def read_track_sets(path: str, n_cells: int) -> tuple:
-    """(candidate sets, true cells, config digest or None) of a ``track_sets.json`` file.
+    """(occupied, true cells, config digest or None) of a ``track_sets.json`` file.
 
-    Raises ConfigError unless the file passes the shipped schema, pairs every
-    candidate set with one true cell and every true cell lies on the grid.
+    ``occupied`` is the (sets, n_cells) mask of the candidate sets.  Raises
+    ConfigError unless the file passes the shipped schema, pairs every
+    candidate set with one true cell and every cell it names lies on the grid.
     """
     try:
         validate_artifact(path, "track_sets.json")
@@ -356,7 +358,12 @@ def read_track_sets(path: str, n_cells: int) -> tuple:
                           f"but {len(cells)} true cells")
     if any(cell >= n_cells for cell in cells):
         raise ConfigError(f"{path} names a true cell outside the {n_cells}-cell grid")
-    return sets, cells, data.get("config_digest")
+    if any(cell >= n_cells for cand in sets for cell in cand):
+        raise ConfigError(f"{path} names a candidate cell outside the {n_cells}-cell grid")
+    occupied = np.zeros((len(sets), n_cells), dtype=bool)
+    for t, cand in enumerate(sets):
+        occupied[t, cand] = True
+    return occupied, cells, data.get("config_digest")
 
 
 def cmd_lighting(cfg: dict, out_dir: str) -> dict:
@@ -366,13 +373,13 @@ def cmd_lighting(cfg: dict, out_dir: str) -> dict:
     outside = cfg["lighting"]["track_output"]
     sets_path = outside or os.path.join(out_dir, "track_sets.json")
     if os.path.exists(sets_path):
-        sets, cells, digest = read_track_sets(sets_path, len(db.grid))
+        occupied, cells, digest = read_track_sets(sets_path, len(db.grid))
         if not outside:
             check_digest(cfg, sets_path, digest)
     else:
-        track, sets, _ = evaluate_track(cfg, db)
+        track, occupied, _ = evaluate_track(cfg, db)
         cells = track["true_cell"]
-    columns, summary = evaluate_lighting(cfg, db.grid, cells, sets)
+    columns, summary = evaluate_lighting(cfg, db.grid, cells, occupied)
     write_csv(os.path.join(out_dir, "lighting.csv"), columns)
     # Merge under a namespaced key so a prior tracking summary survives.
     summary_path = os.path.join(out_dir, "summary.json")

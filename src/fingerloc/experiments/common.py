@@ -115,18 +115,15 @@ def summarize_errors(errors) -> dict:
 def cdf_table(errors) -> dict:
     """Empirical CDF as order statistics at the standard quantile grid.
 
-    Quantile q maps to ``sorted(errors)[ceil(q * n) - 1]`` (clamped), so the
-    reported values are errors that actually occurred.
+    Quantile q maps to ``sorted(errors)[ceil(q * n) - 1]`` (clamped), numpy's
+    ``inverted_cdf`` rule, so the reported values are errors that actually
+    occurred.
     """
-    errs = np.sort(np.asarray(errors, dtype=float))
-    n = errs.size
-    if n == 0:
+    errs = np.asarray(errors, dtype=float)
+    if errs.size == 0:
         raise ValueError("cannot build a CDF from zero trials")
-    values = []
-    for q in CDF_QUANTILES:
-        idx = min(n - 1, max(0, math.ceil(q * n) - 1))
-        values.append(float(errs[idx]))
-    return {"quantile": list(CDF_QUANTILES), "error": values}
+    values = np.quantile(errs, CDF_QUANTILES, method="inverted_cdf")
+    return {"quantile": list(CDF_QUANTILES), "error": values.tolist()}
 
 
 def build_grid(cfg: dict) -> Grid:

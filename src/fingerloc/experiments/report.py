@@ -1,55 +1,33 @@
 """Aggregate experiment outputs into one plot-ready report."""
 
-import csv
 import json
 import os
 
-from .common import cdf_table, summarize_errors, write_json
+from .common import write_json
 
 __all__ = ["collect_report", "cmd_report"]
 
 
-def _error_columns(path: str) -> dict:
-    """Numeric error columns of a trials/track CSV, keyed by header name."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        columns = [name for name in reader.fieldnames or []
-                   if name.startswith("err") or name.endswith("error_m")]
-        values = {name: [] for name in columns}
-        for row in reader:
-            for name in columns:
-                cell = row[name]
-                if cell:
-                    values[name].append(float(cell))
-    return {name: vals for name, vals in values.items() if vals}
-
-
 def collect_report(results_dir: str) -> dict:
-    """Walk a results tree; digest every summary.json and error CSV found."""
+    """Walk a results tree; collect every summary.json, keyed by its relative path.
+
+    Each summary already holds its methods' error digests and CDFs, one per
+    method, so the report takes them as they are.
+    """
     if not os.path.isdir(results_dir):
         raise FileNotFoundError(f"results directory {results_dir!r} does not exist")
     runs = {}
-    cdfs = {}
-    digests = {}
     for root, dirs, files in os.walk(results_dir):
         dirs.sort()
-        rel = os.path.relpath(root, results_dir)
-        for name in sorted(files):
-            path = os.path.join(root, name)
-            key = name if rel == "." else f"{rel}/{name}"
-            if name == "summary.json":
-                with open(path, "r", encoding="utf-8") as fh:
-                    runs[key] = json.load(fh)
-            elif name.endswith(".csv") and name != "sweep.csv":
-                columns = _error_columns(path)
-                if columns:
-                    cdfs[key] = {col: cdf_table(vals) for col, vals in columns.items()}
-                    digests[key] = {col: summarize_errors(vals)
-                                    for col, vals in columns.items()}
-    if not runs and not cdfs:
+        if "summary.json" in files:
+            rel = os.path.relpath(root, results_dir)
+            key = "summary.json" if rel == "." else f"{rel}/summary.json"
+            with open(os.path.join(root, "summary.json"), "r", encoding="utf-8") as fh:
+                runs[key] = json.load(fh)
+    if not runs:
         raise FileNotFoundError(
             f"no experiment outputs under {results_dir!r}; run an experiment first")
-    return {"runs": runs, "cdf": cdfs, "errors": digests}
+    return {"runs": runs}
 
 
 def cmd_report(results_dir: str, out_dir: str) -> dict:

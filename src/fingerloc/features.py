@@ -94,24 +94,13 @@ def pair_xcorr(taps) -> np.ndarray:
     Returns:
         Complex (..., A(A-1)/2, 2L - 1): pair ``(i, j)``, ``i < j`` in
         row-major order, equals ``xcorr(taps[..., i, :], taps[..., j, :], L - 1)``
-        up to rounding (bit for bit where every sum is exact, e.g. on
-        integer-valued taps).
+        bit for bit: it is one :func:`xcorr_rows` call over the pairs.
     """
     arr = np.asarray(taps, dtype=complex)
     if arr.ndim < 2 or arr.shape[-2] < 2 or arr.shape[-1] == 0:
         raise ValueError("need (..., antennas, taps) responses with at least two antennas")
     first, second = np.triu_indices(arr.shape[-2], k=1)
-    a, b = arr[..., first, :], np.conj(arr[..., second, :])
-    n = arr.shape[-1]
-    out = np.empty(a.shape[:-1] + (2 * n - 1,), dtype=complex)
-    # lag tau sits at index tau + n - 1 and sums a(t) conj(b(t - tau))
-    for tau in range(-(n - 1), n):
-        if tau >= 0:
-            prod = a[..., tau:] * b[..., :n - tau]
-        else:
-            prod = a[..., :n + tau] * b[..., -tau:]
-        out[..., tau + n - 1] = prod.sum(axis=-1)
-    return out
+    return xcorr_rows(arr[..., first, :], arr[..., second, :], arr.shape[-1] - 1)
 
 
 def power_phase(y_i, y_j) -> tuple:

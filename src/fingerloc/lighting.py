@@ -14,8 +14,7 @@ from .errors import InfeasibleError
 from .geometry import Grid, Position
 from .simplex import solve_bounded_lp
 
-__all__ = ["Light", "LightingScenario", "LightingPlan", "light_gain",
-           "illuminance", "solve_lighting"]
+__all__ = ["Light", "LightingScenario", "light_gain", "illuminance", "solve_lighting"]
 
 FEASIBILITY_MARGIN = 1e-9
 
@@ -102,23 +101,20 @@ class LightingScenario:
         return self.gains[np.asarray(cell_indices, dtype=int)]
 
 
-@dataclass(frozen=True)
-class LightingPlan:
-    """Dimmer settings in [0, 1] per light and the resulting power draw."""
+def illuminance(scenario: LightingScenario, switches, cells) -> np.ndarray:
+    """Total illuminance at grid cells under dimmer settings, row by row.
 
-    switches: np.ndarray
-    power_w: float
-
-
-def illuminance(scenario: LightingScenario, switches, cell_index: int) -> float:
-    """Total illuminance at one grid cell under the given dimmer settings."""
+    ``switches`` is (..., lights) and ``cells`` (...) grid indices; they
+    broadcast, so one call scores every step's settings at its own cell.
+    """
     sw = np.asarray(switches, dtype=float)
-    if sw.shape != (len(scenario.lights),):
+    if sw.shape[-1:] != (len(scenario.lights),):
         raise ValueError("need one dimmer setting per light")
-    return float(scenario.gains[cell_index] @ sw + scenario.env_lux[cell_index])
+    cells = np.asarray(cells, dtype=int)
+    return np.vecdot(scenario.gains[cells], sw) + scenario.env_lux[cells]
 
 
-def solve_lighting(scenario: LightingScenario, occupied_sets) -> list:
+def solve_lighting(scenario: LightingScenario, occupied) -> tuple:
     """Pick dimmer settings meeting the lux target at occupied cells at min power.
 
     The sets are independent programs, so they are solved as one
@@ -128,31 +124,31 @@ def solve_lighting(scenario: LightingScenario, occupied_sets) -> list:
 
     Args:
         scenario: room, lights, and illuminance requirement.
-        occupied_sets: sequence of collections of grid indices; every index
-            of a set must reach ``target_lux`` under that set's plan.
+        occupied: boolean (sets, cells) mask; every set cell of a row must
+            reach ``target_lux`` under that row's settings.
 
     Returns:
-        One power-optimal LightingPlan per set, in order; all lights off
-        (``power_w == 0.0``) for an empty set.
+        (switches, power_w): the power-optimal (sets, lights) dimmer settings
+        in [0, 1] and their (sets,) power draw; all lights off
+        (``power_w == 0.0``) for an empty row.
 
     Raises:
         InfeasibleError: some occupied cell misses the target even with every
-            light fully on; the violated grid indices of the first such set
+            light fully on; the violated grid indices of the first such row
             ride on the exception.
     """
-    sets = [np.unique(np.asarray(list(cells), dtype=int)) for cells in occupied_sets]
-    sizes = [s.size for s in sets]
-    cells = np.concatenate([np.zeros(0, dtype=int)] + sets)
-    if np.any((cells < 0) | (cells >= len(scenario.grid))):
-        raise ValueError("occupied cell index out of range")
-
+    occupied = np.asarray(occupied)
+    if occupied.dtype != bool or occupied.ndim != 2 or occupied.shape[1] != len(scenario.grid):
+        raise ValueError(f"need a boolean (sets, {len(scenario.grid)}) occupancy mask, "
+                         f"got {occupied.dtype} {occupied.shape}")
+    # row-major: each row's cells in ascending order, row after row
+    rows, cells = np.nonzero(occupied)
     gains = scenario.gain_matrix(cells)
     need = scenario.target_lux - scenario.env_lux[cells]
     short = gains.sum(axis=1) < need - FEASIBILITY_MARGIN
     if np.any(short):
-        owner = np.repeat(np.arange(len(sets)), sizes)
-        first = owner[np.argmax(short)]
-        violated = tuple(int(c) for c in cells[short & (owner == first)])
+        first = rows[np.argmax(short)]
+        violated = tuple(cells[short & (rows == first)].tolist())
         raise InfeasibleError(
             f"occupied set {first}: {len(violated)} cell(s) cannot reach "
             f"{scenario.target_lux} lux even with all lights on",
@@ -160,11 +156,13 @@ def solve_lighting(scenario: LightingScenario, occupied_sets) -> list:
         )
 
     powers = np.array([light.power_w for light in scenario.lights])
-    switches = np.zeros((len(sets), len(powers)))
+    sizes = occupied.sum(axis=1)
+    switches = np.zeros((len(occupied), len(powers)))
     lit = np.flatnonzero(sizes)
     if lit.size:
-        blocks = [g for g in np.split(gains, np.cumsum(sizes)[:-1]) if g.size]
+        blocks = np.split(gains, np.cumsum(sizes[lit])[:-1])
         x = solve_bounded_lp(np.tile(powers, lit.size), sparse.block_diag(blocks, format="csr"),
                              need, np.ones(lit.size * len(powers)))
         switches[lit] = x.reshape(lit.size, len(powers))
-    return [LightingPlan(switches=sw, power_w=float(powers @ sw)) for sw in switches]
+    # np.vecdot sums each row like a 1-D dot product; a matrix product rounds differently
+    return switches, np.vecdot(switches, powers)

@@ -86,16 +86,15 @@ def binary_likelihood(bits, probs) -> np.ndarray:
 
 
 def threshold_set(values, eta: float) -> np.ndarray:
-    """Grid indices whose value in the (N,) row exceeds ``eta``; never empty.
+    """(N,) mask of the grid points whose value in the (N,) row exceeds ``eta``.
 
-    Falls back to the single best index when nothing clears the threshold,
-    so the result always contains the argmax.
+    The row's argmax is always set, so the mask is never empty: it is the
+    single best point when nothing clears the threshold.
     """
     values = np.asarray(values)
-    idx = np.nonzero(values > eta)[0]
-    if idx.size == 0:
-        return np.array([int(np.argmax(values))], dtype=int)
-    return idx.astype(int)
+    mask = values > eta
+    mask[np.argmax(values)] = True
+    return mask
 
 
 def fingerprint_sqerr(targets, reference, *, wrap: bool = False) -> np.ndarray:

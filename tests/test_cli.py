@@ -278,6 +278,17 @@ def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, value, na
     assert not os.path.exists(out_dir)
 
 
+def test_repeated_gamma_sweep_values_are_a_config_error(tmp_path, capsys):
+    # 2 and 2.0 are one gamma: the sweep would score the same map twice
+    evaluation = dict(TINY["illegal_hybrid"]["evaluation"], gamma_sweep=[0, 2, 2.0, 7])
+    cfg_path, out_dir = _write_config(tmp_path, "illegal_hybrid", evaluation=evaluation)
+    capsys.readouterr()
+    assert main(["localize", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "gamma_sweep" in err and "non-unique" in err
+    assert not os.path.exists(out_dir)
+
+
 @pytest.mark.parametrize("name,verb", [
     ("classroom_cir", "track"),
     ("wifi_rssi_rspd", "lighting"),
@@ -325,7 +336,27 @@ def test_lighting_reads_a_track_sets_file(tmp_path):
     rc, _, out_dir = _lighting_from_file(
         tmp_path, {"candidate_sets": [[0], [4, 5]], "true_cells": [0, 4]})
     assert rc == EXIT_OK
-    assert len((out_dir / "lighting.csv").read_text().splitlines()) == 1 + 2
+    with open(out_dir / "lighting.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["occupied_cells"] for row in rows] == ["1", "2"]
+    assert [row["true_in_candidates"] for row in rows] == ["true", "true"]
+
+
+def test_track_sets_file_and_track_csv_agree_with_the_candidate_mask(tmp_path):
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
+    for verb in ("simulate", "learn", "track"):
+        assert main([verb, "--config", cfg_path]) == EXIT_OK
+    path = pathlib.Path(out_dir) / "track_sets.json"
+    doc = json.loads(path.read_text())
+    occupied, cells, _ = bems.read_track_sets(str(path), 9)
+    assert occupied.dtype == bool and occupied.shape == (6, 9) and cells == doc["true_cells"]
+    # the file holds each step's sorted cell indices; reading it back gives the mask
+    assert [np.flatnonzero(row).tolist() for row in occupied] == doc["candidate_sets"]
+    with open(pathlib.Path(out_dir) / "track.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["candidates"]) for row in rows] == occupied.sum(axis=1).tolist()
+    assert [row["true_in_candidates"] == "true" for row in rows] == \
+        occupied[np.arange(6), cells].tolist()
 
 
 def test_lighting_refuses_the_candidate_sets_of_another_walk(tmp_path, capsys):
@@ -360,6 +391,8 @@ def test_lighting_refuses_the_candidate_sets_of_another_walk(tmp_path, capsys):
     {"candidate_sets": [[0], [1]], "true_cells": [0, 9]},  # true cell off the 3x3 grid
     {"candidate_sets": [[0], [1.5]], "true_cells": [0, 1]},  # schema: a non-integer cell
     {"candidate_sets": [[0]]},  # schema: no true cells
+    {"candidate_sets": [[0, 4, 4]], "true_cells": [0]},  # schema: a repeated cell
+    {"candidate_sets": [[0], [1, 9]], "true_cells": [0, 1]},  # candidate cell off the grid
 ])
 def test_malformed_track_sets_file_is_a_config_error(tmp_path, capsys, doc):
     rc, path, out_dir = _lighting_from_file(tmp_path, doc)
@@ -948,23 +981,21 @@ def test_sweep_checks_every_setting_before_running_one(tmp_path, capsys):
 # reporting
 # ---------------------------------------------------------------------------
 
-def test_report_aggregates_error_columns(tmp_path, capsys):
-    run = tmp_path / "results" / "runA"
-    run.mkdir(parents=True)
-    (run / "trials.csv").write_text("step,error_m\n0,1.0\n1,2.0\n2,3.0\n")
-    (run / "summary.json").write_text('{"trials": 3}\n')
-    assert main(["report", "--out", str(tmp_path / "results")]) == EXIT_OK
+def test_report_collects_every_summary_as_written(tmp_path, capsys):
+    results = tmp_path / "results"
+    runs = {"summary.json": {"steps": 2},
+            "runA/summary.json": {"methods": {"cir_mle": {"median": 1.0}},
+                                  "cdf": {"cir_mle": {"quantile": [0.0], "error": [0.5]}}},
+            "runA/sweep_seed=1/summary.json": {"trials": 3}}
+    for rel, summary in runs.items():
+        (results / rel).parent.mkdir(parents=True, exist_ok=True)
+        (results / rel).write_text(json.dumps(summary))
+    # CSV columns are not re-read: each method's digest is in its summary
+    (results / "runA" / "trials.csv").write_text("method,error_m\na,1.0\nb,9.0\n")
+    assert main(["report", "--out", str(results)]) == EXIT_OK
     assert capsys.readouterr().out.strip().endswith("report.json")
-
-    report = json.loads((tmp_path / "results" / "report.json").read_text())
-    digest = report["errors"]["runA/trials.csv"]["error_m"]
-    assert digest["count"] == 3
-    assert digest["median"] == 2.0
-    assert digest["mean"] == 2.0
-    cdf = report["cdf"]["runA/trials.csv"]["error_m"]
-    assert cdf["error"] == sorted(cdf["error"])  # a CDF never decreases
-    assert cdf["quantile"][0] == 0.0 and cdf["quantile"][-1] == 1.0
-    assert "runA/summary.json" in report["runs"]
+    assert json.loads((results / "report.json").read_text()) == {"runs": runs}
+    validate_artifact(str(results / "report.json"))
 
 
 def test_report_uses_config_out_dir(tmp_path):

@@ -102,6 +102,14 @@ def _room(lights, target, env=0.0, n=3, spacing=2.0):
     return LightingScenario(grid=grid, lights=lights, target_lux=target, env_lux=env)
 
 
+def _mask(n_cells, *sets):
+    """(sets, n_cells) occupancy mask holding the given lists of cells."""
+    mask = np.zeros((len(sets), n_cells), dtype=bool)
+    for row, cells in zip(mask, sets):
+        row[list(cells)] = True
+    return mask
+
+
 def _formula(light, cell):
     h, (x, y) = light.height_m, cell
     d2 = (x - light.position.x) ** 2 + (y - light.position.y) ** 2
@@ -133,6 +141,12 @@ def test_illuminance_sums_dimmed_lights_and_ambient():
     env[0] = 50.0
     scen = _room(lights, target=300.0, env=env)
     assert illuminance(scen, [0.5, 0.25], 0) == pytest.approx(0.5 * 400 + 0.25 * 800 + 50)
+    # one row of settings per cell, scored in one call
+    switches = np.array([[0.5, 0.25], [1.0, 0.0], [0.0, 1.0]])
+    got = illuminance(scen, switches, [0, 0, 4])
+    assert got.shape == (3,)
+    assert got.tolist() == [illuminance(scen, sw, c) for sw, c in zip(switches, [0, 0, 4])]
+    assert got[:2] == pytest.approx([0.5 * 400 + 0.25 * 800 + 50, 400 + 50])
     with pytest.raises(ValueError):
         illuminance(scen, [0.5], 0)
 
@@ -156,22 +170,25 @@ def test_lighting_scenario_validation():
 def test_solve_lighting_empty_occupancy_turns_everything_off():
     light = Light(position=Position(0, 0), power_w=40.0, peak_lux=400.0, height_m=2.5)
     scen = _room([light], target=300.0)
-    assert solve_lighting(scen, []) == []
-    plans = solve_lighting(scen, [[], [0], []])
-    for plan in (plans[0], plans[2]):
-        assert np.array_equal(plan.switches, [0.0])
-        assert plan.power_w == 0.0
-    assert plans[1].power_w > 0.0
+    switches, power = solve_lighting(scen, np.zeros((0, 9), dtype=bool))
+    assert switches.shape == (0, 1) and power.shape == (0,)
+    switches, power = solve_lighting(scen, _mask(9, [], [0], []))
+    assert switches.shape == (3, 1) and power.shape == (3,)
+    # an all-False row: every light off, at exactly zero power
+    for row in (0, 2):
+        assert switches[row].tolist() == [0.0]
+        assert power[row] == 0.0 and not np.signbit(power[row])
+    assert power[1] > 0.0
 
 
 def test_solve_lighting_single_light_hand_case():
     # occupant right below the light: need (500 - 100) lux out of a peak 800
     light = Light(position=Position(0, 0), power_w=40.0, peak_lux=800.0, height_m=2.5)
     scen = _room([light], target=500.0, env=np.full(9, 100.0))
-    [plan] = solve_lighting(scen, [[0]])
-    assert plan.switches[0] == pytest.approx(0.5, abs=1e-9)
-    assert plan.power_w == pytest.approx(20.0, abs=1e-9)
-    assert illuminance(scen, plan.switches, 0) == pytest.approx(500.0, abs=1e-6)
+    switches, power = solve_lighting(scen, _mask(9, [0]))
+    assert switches[0, 0] == pytest.approx(0.5, abs=1e-9)
+    assert power[0] == pytest.approx(20.0, abs=1e-9)
+    assert illuminance(scen, switches[0], 0) == pytest.approx(500.0, abs=1e-6)
 
 
 def test_solve_lighting_reports_unreachable_cells():
@@ -179,20 +196,27 @@ def test_solve_lighting_reports_unreachable_cells():
     light = Light(position=Position(0, 0), power_w=40.0, peak_lux=500.0, height_m=2.5)
     scen = _room([light], target=400.0)
     with pytest.raises(InfeasibleError) as err:
-        solve_lighting(scen, [[0, 8]])
+        solve_lighting(scen, _mask(9, [0, 8]))
     assert err.value.violated == (8,)
-    with pytest.raises(ValueError):
-        solve_lighting(scen, [[0, 9]])
-    with pytest.raises(ValueError):
-        solve_lighting(scen, [[0], [-1]])
+
+
+@pytest.mark.parametrize("occupied", [
+    [[0, 8]],  # cell indices, not a mask
+    np.zeros((1, 10), dtype=bool),  # one column too many
+    np.zeros(9, dtype=bool),  # one set, not a block of sets
+])
+def test_solve_lighting_takes_a_boolean_mask_over_the_grid(occupied):
+    light = Light(position=Position(0, 0), power_w=40.0, peak_lux=500.0, height_m=2.5)
+    with pytest.raises(ValueError, match="occupancy mask"):
+        solve_lighting(_room([light], target=400.0), occupied)
 
 
 def test_solve_lighting_reports_the_first_infeasible_set():
     # only cell 0, right below the light, can reach 400 lux
     light = Light(position=Position(0, 0), power_w=40.0, peak_lux=500.0, height_m=2.5)
     scen = _room([light], target=400.0)
-    with pytest.raises(InfeasibleError) as err:
-        solve_lighting(scen, [[0], [], [8, 0, 5], [0], [2]])
+    with pytest.raises(InfeasibleError, match="occupied set 2: 2 cell") as err:
+        solve_lighting(scen, _mask(9, [0], [], [8, 0, 5], [0], [2]))
     assert err.value.violated == (5, 8)
 
 
@@ -204,13 +228,12 @@ def test_solve_lighting_monotone_in_occupancy_and_below_all_on():
         for _ in range(3)
     ]
     scen = _room(lights, target=200.0)
-    small, large = solve_lighting(scen, [[0, 4], [0, 4, 8, 2]])
+    switches, (small, large) = solve_lighting(scen, _mask(9, [0, 4], [0, 4, 8, 2]))
     # more constraints can only cost more power, and never more than all-on
-    assert small.power_w <= large.power_w + 1e-9
-    assert large.power_w < sum(l.power_w for l in lights)
-    for idx in (0, 4, 8, 2):
-        assert illuminance(scen, large.switches, idx) >= 200.0 - 1e-6
-    assert np.all(large.switches >= -1e-12) and np.all(large.switches <= 1.0 + 1e-12)
+    assert small <= large + 1e-9
+    assert large < sum(l.power_w for l in lights)
+    assert np.all(illuminance(scen, switches[1], [0, 4, 8, 2]) >= 200.0 - 1e-6)
+    assert np.all(switches >= -1e-12) and np.all(switches <= 1.0 + 1e-12)
 
 
 def test_solve_lighting_matches_dimmer_grid_search():
@@ -234,7 +257,7 @@ def test_solve_lighting_matches_dimmer_grid_search():
         # well inside the dimmer range and the grid quantization gap is small
         target = float(rng.uniform(0.65, 0.9) * gains.sum(axis=1).min())
         scen = LightingScenario(grid=grid, lights=lights, target_lux=target, env_lux=np.zeros(9))
-        [plan] = solve_lighting(scen, [occupied])
+        _, [power] = solve_lighting(scen, _mask(9, occupied))
 
         powers = np.array([l.power_w for l in lights])
         lux = (gains[:, 0][:, None, None] * g1[None]
@@ -244,5 +267,5 @@ def test_solve_lighting_matches_dimmer_grid_search():
         cost[~feasible] = np.inf
         best = float(cost.min())
 
-        assert plan.power_w <= best + 1e-9  # the LP sees a superset of settings
-        assert abs(plan.power_w - best) <= 0.02 * best
+        assert power <= best + 1e-9  # the LP sees a superset of settings
+        assert abs(power - best) <= 0.02 * best

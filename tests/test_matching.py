@@ -113,12 +113,24 @@ def test_binary_likelihood_refuses_probabilities_outside_the_open_interval(bad):
 
 def test_threshold_set_filters_and_never_empties():
     values = np.array([-1.0, -2.0, -0.5])
-    assert np.array_equal(threshold_set(values, -1.5), [0, 2])
+    assert threshold_set(values, -1.5).tolist() == [True, False, True]
     # nothing clears a sky-high threshold: fall back to the single argmax
-    assert np.array_equal(threshold_set(values, 10.0), [2])
+    assert threshold_set(values, 10.0).tolist() == [False, False, True]
     for eta in (-10.0, -1.5, 0.0, 10.0):
-        cands = threshold_set(values, eta)
-        assert int(np.argmax(values)) in cands
+        mask = threshold_set(values, eta)
+        assert mask.dtype == bool and mask.shape == values.shape
+        assert mask[np.argmax(values)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_threshold_set_is_the_row_above_eta_plus_its_argmax(seed):
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.normal(size=200), 1)  # ties at and around eta
+    best = int(np.flatnonzero(values == values.max())[0])  # the lowest tied index
+    for eta in np.quantile(values, [0.0, 0.5, 0.9, 1.0]).tolist() + [values.max() + 1.0]:
+        mask = threshold_set(values, eta)
+        assert mask[best]
+        assert np.array_equal(np.delete(mask, best), np.delete(values > eta, best))
 
 
 def test_hybrid_match_weighted_sum_and_tie_break():
