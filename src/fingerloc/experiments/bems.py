@@ -16,11 +16,11 @@ import numpy as np
 from ..database import FingerprintDatabase
 from ..errors import ConfigError
 from ..geometry import Grid, Position
-from ..lighting import Light, LightingScenario, illuminance, solve_lighting
+from ..lighting import LightingScenario, illuminance, solve_lighting
 from ..matching import binary_likelihood, threshold_set
 from ..simulate import SensorCoverage, derive_seed, seeded_uniforms
 from ..stats import learn_detection_map
-from ..tracking import MobilityModel, grid_bayes_step, transition_matrix
+from ..tracking import grid_bayes_step, transition_matrix
 from .artifacts import validate_artifact
 from .common import (
     build_grid,
@@ -210,9 +210,7 @@ def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
     cells, moving = generate_walk(cfg)
     eta = math.log(cfg["matching"]["eta_rel"])
     tr = cfg["tracking"]
-    model = MobilityModel(p_static=tr["p_static"], accel_sigma=tr["accel_sigma"],
-                          dt=tr["dt"])
-    trans = transition_matrix(grid, model)
+    trans = transition_matrix(grid, tr["p_static"], tr["accel_sigma"] * tr["dt"] ** 2)
     pts = grid.xy
     obs_values = binary_likelihood(walk_bits(cfg, grid, cells, moving), probs)
     snap = np.argmax(obs_values, axis=1)
@@ -253,14 +251,13 @@ def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
 
 def build_lighting_scenario(cfg: dict, grid: Grid) -> LightingScenario:
     lcfg = cfg["lighting"]
-    lights = tuple(
-        Light(position=Position(*l["pos"]), power_w=l["power_w"],
-              peak_lux=l["peak_lux"], height_m=l["height_m"])
-        for l in lcfg["lights"]
-    )
-    env = np.full(len(grid), float(lcfg["env_lux"]))
-    return LightingScenario(grid=grid, lights=lights,
-                            target_lux=lcfg["target_lux"], env_lux=env)
+    lights = lcfg["lights"]
+    return LightingScenario(grid=grid, light_xy=[l["pos"] for l in lights],
+                            power_w=[l["power_w"] for l in lights],
+                            peak_lux=[l["peak_lux"] for l in lights],
+                            height_m=[l["height_m"] for l in lights],
+                            target_lux=lcfg["target_lux"],
+                            env_lux=np.full(len(grid), float(lcfg["env_lux"])))
 
 
 def evaluate_lighting(cfg: dict, grid: Grid, true_cells, occupied) -> tuple:
@@ -269,7 +266,8 @@ def evaluate_lighting(cfg: dict, grid: Grid, true_cells, occupied) -> tuple:
     Returns (columns, summary): the ``lighting.csv`` columns, one row per step.
     """
     scenario = build_lighting_scenario(cfg, grid)
-    all_on = float(sum(light.power_w for light in scenario.lights))
+    # a Python sum, light by light: np.sum adds pairwise and could round differently
+    all_on = float(sum(scenario.power_w.tolist()))
     switches, power = solve_lighting(scenario, occupied)
     steps = len(power)
     in_set = occupied[np.arange(steps), true_cells]

@@ -21,11 +21,17 @@ from ..simulate import (
     TxSignalSpec,
     derive_seed,
     link_chunks,
+    seeded_streams,
     simulate_links,
     simulate_pdr,
 )
 from ..stats import fit_gamma, fit_vonmises
-from ..tracking import RESAMPLE_ESS_FRACTION, ParticleSet, particle_predict, particle_update
+from ..tracking import (
+    RESAMPLE_ESS_FRACTION,
+    particle_predict,
+    particle_update,
+    resample_systematic,
+)
 from .common import (
     build_grid,
     cdf_table,
@@ -199,22 +205,29 @@ def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:
                **{f"err_{m}": v for m, v in errors.items()}}
     if with_pf:
         tr = cfg["tracking"]
+        n_part = tr["particles"]
         est, errors["pf"], ess = np.empty((n_steps, 2)), np.empty(n_steps), np.empty(n_steps)
+        resampled = np.zeros(n_steps, dtype=bool)
         if n_steps > 0:
-            pdr = simulate_pdr(path, tr["pdr_sigma_m"], derive_seed(cfg["seed"], _TAG_PDR))
+            pdr = simulate_pdr(path, tr["pdr_sigma_m"],
+                               np.random.default_rng(derive_seed(cfg["seed"], _TAG_PDR)))
             rng = np.random.default_rng(derive_seed(cfg["seed"], _TAG_PF, 0))
             x0, y0, x1, y1 = room_bounds(cfg)
-            ps = ParticleSet(positions=rng.uniform((x0, y0), (x1, y1), size=(tr["particles"], 2)),
-                             weights=np.full(tr["particles"], 1.0 / tr["particles"]))
-        for t in range(1, n_steps + 1):
-            ps = particle_predict(ps, pdr[t - 1], tr["pdr_sigma_m"],
-                                  derive_seed(cfg["seed"], _TAG_PF, 1, t))
-            ps, pos, ess[t - 1] = particle_update(ps, db.grid, maps["rssi_rspd"][0][t - 1],
-                                                  seed=derive_seed(cfg["seed"], _TAG_PF, 2, t))
-            est[t - 1] = pos.x, pos.y
-            errors["pf"][t - 1] = math.hypot(pos.x - path[t, 0], pos.y - path[t, 1])
+            positions = rng.uniform((x0, y0), (x1, y1), size=(n_part, 2))
+            weights = np.full(n_part, 1.0 / n_part)
+        # step t (from 1) jitters from stream (seed, tag, 1, t), resamples from (seed, tag, 2, t)
+        streams = zip(seeded_streams(cfg["seed"], _TAG_PF, 1, columns["step"]),
+                      seeded_streams(cfg["seed"], _TAG_PF, 2, columns["step"]))
+        for t, (jitter_rng, resample_rng) in enumerate(streams):
+            positions = particle_predict(positions, pdr[t], tr["pdr_sigma_m"], jitter_rng)
+            weights, est[t], ess[t] = particle_update(positions, weights, db.grid,
+                                                      maps["rssi_rspd"][0][t])
+            if ess[t] < RESAMPLE_ESS_FRACTION * n_part:
+                positions, weights = resample_systematic(positions, weights, resample_rng)
+                resampled[t] = True
+            errors["pf"][t] = math.hypot(est[t, 0] - path[t + 1, 0], est[t, 1] - path[t + 1, 1])
         columns.update(est_x=est[:, 0], est_y=est[:, 1], err_pf=errors["pf"], ess=ess,
-                       resampled=ess < RESAMPLE_ESS_FRACTION * tr["particles"])
+                       resampled=resampled)
 
     summary = {"methods": {m: summarize_errors(v) for m, v in errors.items()},
                "steps": n_steps}

@@ -156,6 +156,13 @@ def freq_interp_xcorr(train_freqs_hz, train_fps, target_freq_hz: float) -> tuple
     return pred * np.exp(1j * np.angle(fps[nearest])), ~live
 
 
+def _element_phases(geom: UcaGeometry, freq_hz: float, aoa_rad) -> np.ndarray:
+    """Phase ``(2 pi f r / c) * cos(aoa - 2 pi k / n)`` of element k, on a last axis."""
+    k = np.arange(geom.n_elements)
+    gain = 2.0 * math.pi * freq_hz * geom.radius_m / SPEED_OF_LIGHT
+    return gain * np.cos(np.asarray(aoa_rad)[..., None] - 2.0 * math.pi * k / geom.n_elements)
+
+
 def uca_steering(geom: UcaGeometry, freq_hz: float, aoa_rad: float) -> np.ndarray:
     """Unit-magnitude array response of a circular array to a planar wavefront.
 
@@ -164,17 +171,12 @@ def uca_steering(geom: UcaGeometry, freq_hz: float, aoa_rad: float) -> np.ndarra
     """
     if not (freq_hz > 0):
         raise ValueError("frequency must be positive")
-    k = np.arange(geom.n_elements)
-    gain = 2.0 * math.pi * freq_hz * geom.radius_m / SPEED_OF_LIGHT
-    phases = gain * np.cos(aoa_rad - 2.0 * math.pi * k / geom.n_elements)
-    return np.exp(1j * phases)
+    return np.exp(1j * _element_phases(geom, freq_hz, aoa_rad))
 
 
 def _steering_pair_diffs(geom: UcaGeometry, freq_hz: float, aoa_grid: np.ndarray,
                          pairs) -> np.ndarray:
-    k = np.arange(geom.n_elements)
-    gain = 2.0 * math.pi * freq_hz * geom.radius_m / SPEED_OF_LIGHT
-    phases = gain * np.cos(aoa_grid[:, None] - 2.0 * math.pi * k / geom.n_elements)
+    phases = _element_phases(geom, freq_hz, aoa_grid)
     cols_i = [p[0] for p in pairs]
     cols_j = [p[1] for p in pairs]
     return phases[:, cols_i] - phases[:, cols_j]  # (n_angles, n_pairs)

@@ -11,10 +11,10 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InfeasibleError
-from .geometry import Grid, Position
+from .geometry import Grid
 from .simplex import solve_bounded_lp
 
-__all__ = ["Light", "LightingScenario", "light_gain", "illuminance", "solve_lighting"]
+__all__ = ["LightingScenario", "light_gain", "illuminance", "solve_lighting"]
 
 FEASIBILITY_MARGIN = 1e-9
 
@@ -40,30 +40,15 @@ def light_gain(light_pos, height_m, peak_lux, target):
 
 
 @dataclass(frozen=True)
-class Light:
-    """One dimmable luminaire: its floor position, electrical cost, and output."""
-
-    position: Position
-    power_w: float
-    peak_lux: float
-    height_m: float
-
-    def __post_init__(self):
-        if not (self.power_w > 0):
-            raise ValueError("power draw must be positive")
-        if not (self.peak_lux > 0):
-            raise ValueError("peak illuminance must be positive")
-        if not (self.height_m > 0):
-            raise ValueError("mounting height must be positive")
-
-
-@dataclass(frozen=True)
 class LightingScenario:
-    """Room geometry plus the photometric requirement.
+    """Room geometry, the dimmable luminaires, and the photometric requirement.
 
     Attributes:
         grid: candidate occupant locations.
-        lights: the controllable luminaires.
+        light_xy: (L, 2) floor positions of the luminaires, L >= 1.
+        power_w: (L,) electrical power of each luminaire at full output, > 0.
+        peak_lux: (L,) illuminance each delivers straight below it, > 0.
+        height_m: (L,) mounting height of each above the floor, > 0.
         target_lux: minimum illuminance at every occupied cell.
         env_lux: ambient (daylight) illuminance per grid cell.
         gains: (cells, lights) illuminance of each light at full power,
@@ -71,30 +56,37 @@ class LightingScenario:
     """
 
     grid: Grid
-    lights: tuple
+    light_xy: np.ndarray
+    power_w: np.ndarray
+    peak_lux: np.ndarray
+    height_m: np.ndarray
     target_lux: float
     env_lux: np.ndarray
     gains: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lights", tuple(self.lights))
-        if len(self.lights) == 0:
-            raise ValueError("at least one light is required")
+        xy = np.array(self.light_xy, dtype=float)
+        if xy.ndim != 2 or xy.shape[1] != 2 or len(xy) == 0:
+            raise ValueError(f"need a non-empty (lights, 2) array of light positions, "
+                             f"got shape {xy.shape}")
+        env = np.array(self.env_lux, dtype=float)
+        arrays = {"light_xy": xy, "env_lux": env}
+        for name in ("power_w", "peak_lux", "height_m"):
+            value = np.array(getattr(self, name), dtype=float)
+            if value.shape != (len(xy),) or not np.all(value > 0):
+                raise ValueError(f"{name} needs one positive value per light, got {value}")
+            arrays[name] = value
         if not (self.target_lux > 0):
             raise ValueError("the illuminance target must be positive")
-        env = np.array(self.env_lux, dtype=float)
         if env.shape != (len(self.grid),):
             raise ValueError("ambient illuminance needs one value per grid cell")
         if not np.all(np.isfinite(env)) or np.any(env < 0):
             raise ValueError("ambient illuminance must be finite and nonnegative")
-        env.flags.writeable = False
-        object.__setattr__(self, "env_lux", env)
-        gains = light_gain([(l.position.x, l.position.y) for l in self.lights],
-                           [l.height_m for l in self.lights],
-                           [l.peak_lux for l in self.lights],
-                           self.grid.xy[:, None, :])
-        gains.flags.writeable = False
-        object.__setattr__(self, "gains", gains)
+        arrays["gains"] = light_gain(xy, arrays["height_m"], arrays["peak_lux"],
+                                     self.grid.xy[:, None, :])
+        for name, value in arrays.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def gain_matrix(self, cell_indices) -> np.ndarray:
         """Per-cell-per-light illuminance at full power, shape (cells, lights)."""
@@ -108,7 +100,7 @@ def illuminance(scenario: LightingScenario, switches, cells) -> np.ndarray:
     broadcast, so one call scores every step's settings at its own cell.
     """
     sw = np.asarray(switches, dtype=float)
-    if sw.shape[-1:] != (len(scenario.lights),):
+    if sw.shape[-1:] != scenario.power_w.shape:
         raise ValueError("need one dimmer setting per light")
     cells = np.asarray(cells, dtype=int)
     return np.vecdot(scenario.gains[cells], sw) + scenario.env_lux[cells]
@@ -155,7 +147,7 @@ def solve_lighting(scenario: LightingScenario, occupied) -> tuple:
             violated=violated,
         )
 
-    powers = np.array([light.power_w for light in scenario.lights])
+    powers = scenario.power_w
     sizes = occupied.sum(axis=1)
     switches = np.zeros((len(occupied), len(powers)))
     lit = np.flatnonzero(sizes)

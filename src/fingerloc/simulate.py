@@ -495,13 +495,13 @@ class SensorCoverage:
         return np.where(moving, p_moving, self.p_static)
 
 
-def simulate_pdr(path, noise_sigma: float, seed) -> np.ndarray:
+def simulate_pdr(path, noise_sigma: float, rng) -> np.ndarray:
     """Step displacements from dead reckoning: true steps plus Gaussian noise.
 
     Args:
         path: (T+1, 2) true positions, T >= 1.
         noise_sigma: per-axis standard deviation of the displacement error, m.
-        seed: RNG seed for the error draws.
+        rng: the generator the errors are drawn from (none at ``noise_sigma == 0``).
 
     Returns:
         (T, 2) array of measured (dx, dy) steps.
@@ -511,7 +511,6 @@ def simulate_pdr(path, noise_sigma: float, seed) -> np.ndarray:
         raise ValueError(f"a path needs at least two (x, y) positions, got shape {path.shape}")
     if noise_sigma < 0:
         raise ValueError("noise sigma must be non-negative")
-    rng = np.random.default_rng(seed)
     steps = np.diff(path, axis=0)
     if noise_sigma > 0:
         steps = steps + rng.normal(0.0, noise_sigma, size=steps.shape)

@@ -6,12 +6,10 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateUpdateError, NumericError
-from .geometry import Grid, Position
+from .geometry import Grid
 
 __all__ = [
     "GridTransition",
-    "MobilityModel",
-    "ParticleSet",
     "transition_matrix",
     "grid_bayes_step",
     "particle_predict",
@@ -19,32 +17,8 @@ __all__ = [
     "resample_systematic",
 ]
 
-# resample once the effective sample size drops below this share of the particles
+# callers resample once the effective sample size drops below this share of the particles
 RESAMPLE_ESS_FRACTION = 0.5
-
-
-@dataclass(frozen=True)
-class MobilityModel:
-    """Two-mode user mobility: dwell in place, or take a Gaussian random step.
-
-    With probability ``p_static`` the user stays on its cell; otherwise it
-    displaces by a zero-mean Gaussian step with standard deviation
-    ``accel_sigma * dt**2`` per axis, truncated at four standard deviations.
-    """
-
-    p_static: float
-    accel_sigma: float
-    dt: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.p_static <= 1.0):
-            raise ValueError("p_static must lie in [0, 1]")
-        if self.accel_sigma < 0 or self.dt <= 0:
-            raise ValueError("accel_sigma must be >= 0 and dt > 0")
-
-    @property
-    def step_sigma(self) -> float:
-        return self.accel_sigma * self.dt ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,29 +95,33 @@ def _spread(factors: np.ndarray, ny: int, values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(windows) @ factors
 
 
-def transition_matrix(grid: Grid, model: MobilityModel) -> GridTransition:
-    """Cell-to-cell transition probabilities for the two-mode mobility model.
+def transition_matrix(grid: Grid, p_static: float, step_sigma: float) -> GridTransition:
+    """Cell-to-cell transition probabilities for two-mode user mobility.
 
-    ``p_static`` keeps the user on its cell; otherwise ``1 - p_static`` is
-    spread over cells by the Gaussian probability mass falling in each
-    destination cell (product of 1-D interval masses), truncated at four
-    step standard deviations from the source and renormalized over the grid.  The
-    kernel depends only on the cell offset, so it is held as a stencil of
-    side ``2r + 1``, r the reach in cells (at most the grid's extent).
+    With probability ``p_static`` the user stays on its cell; otherwise it
+    takes a zero-mean Gaussian step of ``step_sigma`` per axis, spread over
+    cells by the probability mass falling in each destination cell (product
+    of 1-D interval masses), truncated at four step standard deviations from
+    the source and renormalized over the grid.  The kernel depends only on
+    the cell offset, so it is held as a stencil of side ``2r + 1``, r the
+    reach in cells (at most the grid's extent).
 
     Args:
         grid: the survey lattice.
-        model: mobility parameters.
+        p_static: probability of dwelling in place, in [0, 1].
+        step_sigma: per-axis standard deviation of a step, m, >= 0.
 
     Returns:
         GridTransition whose outgoing mass from every cell is 1 within 1e-12.
     """
+    if not (0.0 <= p_static <= 1.0):
+        raise ValueError("p_static must lie in [0, 1]")
+    if not (step_sigma >= 0.0):
+        raise ValueError("step_sigma must be >= 0")
     nx, ny, h = grid.nx, grid.ny, grid.spacing
-    sigma = model.step_sigma
-    if sigma == 0.0:
-        return GridTransition(stencil=np.ones((1, 1)), p_static=model.p_static,
-                              shape=(ny, nx))
-    limit = 4.0 * sigma
+    if step_sigma == 0.0:
+        return GridTransition(stencil=np.ones((1, 1)), p_static=p_static, shape=(ny, nx))
+    limit = 4.0 * step_sigma
     # one cell past floor(limit / h) absorbs its rounding; the mask decides
     rx = int(min(limit / h + 1.0, nx - 1))
     ry = int(min(limit / h + 1.0, ny - 1))
@@ -153,8 +131,8 @@ def transition_matrix(grid: Grid, model: MobilityModel) -> GridTransition:
     # each interval mass from its lower tail, -|d|: on the upper side both
     # ndtr terms would sit near 1 and their difference lose its digits, so
     # mirrored offsets get exactly equal masses
-    mass_x = ndtr((half - np.abs(dx)) / sigma) - ndtr((-half - np.abs(dx)) / sigma)
-    mass_y = ndtr((half - np.abs(dy)) / sigma) - ndtr((-half - np.abs(dy)) / sigma)
+    mass_x = ndtr((half - np.abs(dx)) / step_sigma) - ndtr((-half - np.abs(dx)) / step_sigma)
+    mass_y = ndtr((half - np.abs(dy)) / step_sigma) - ndtr((-half - np.abs(dy)) / step_sigma)
     stencil = mass_x[None, :] * mass_y[:, None]
     stencil[np.hypot(dx[None, :], dy[:, None]) > limit] = 0.0
     # keep the smallest centred block that holds every nonzero mass
@@ -162,7 +140,7 @@ def transition_matrix(grid: Grid, model: MobilityModel) -> GridTransition:
     if live_y.size:
         ty, tx = np.max(np.abs(live_y - ry)), np.max(np.abs(live_x - rx))
         stencil = stencil[ry - ty:ry + ty + 1, rx - tx:rx + tx + 1]
-    return GridTransition(stencil=stencil, p_static=model.p_static, shape=(ny, nx))
+    return GridTransition(stencil=stencil, p_static=p_static, shape=(ny, nx))
 
 
 def _log_row(values, n: int, name: str) -> np.ndarray:
@@ -198,128 +176,100 @@ def grid_bayes_step(prev, trans: GridTransition, obs) -> np.ndarray:
 # particle filter
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParticleSet:
-    """Weighted particles over continuous positions."""
-
-    positions: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pos = np.array(self.positions, dtype=float)
-        w = np.array(self.weights, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] == 0:
-            raise ValueError("positions must form a non-empty (P, 2) array")
-        if w.shape != (pos.shape[0],):
-            raise ValueError("need exactly one weight per particle")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
-        total = float(w.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1 within 1e-9, got {total}")
-        pos.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "weights", w)
-
-    def __len__(self):
-        return self.positions.shape[0]
-
-    def effective_sample_size(self) -> float:
-        return float(1.0 / np.sum(self.weights ** 2))
+def _particles(positions, weights) -> tuple:
+    """``positions`` as a float (P, 2) block and ``weights`` as its (P,) row, P >= 1."""
+    pos = np.asarray(positions, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] == 0:
+        raise ValueError("positions must form a non-empty (P, 2) array")
+    if w.shape != (pos.shape[0],):
+        raise ValueError("need exactly one weight per particle")
+    return pos, w
 
 
-def particle_predict(ps: ParticleSet, pdr_step, pdr_sigma: float, seed) -> ParticleSet:
-    """Propagate particles by a dead-reckoned step plus Gaussian jitter.
+def particle_predict(positions, pdr_step, pdr_sigma: float, rng) -> np.ndarray:
+    """Particle positions moved by a dead-reckoned step plus Gaussian jitter.
 
-    Weights are unchanged; only positions move.
+    The jitter, ``pdr_sigma`` per axis, is drawn from the generator ``rng``
+    (none is drawn at ``pdr_sigma == 0``).
     """
     step = np.asarray(pdr_step, dtype=float)
     if step.shape != (2,):
         raise ValueError("pdr_step must be a (dx, dy) pair")
     if pdr_sigma < 0:
         raise ValueError("pdr_sigma must be non-negative")
-    rng = np.random.default_rng(seed)
-    jitter = rng.normal(0.0, pdr_sigma, size=ps.positions.shape) if pdr_sigma > 0 else 0.0
-    return ParticleSet(positions=ps.positions + step + jitter, weights=ps.weights)
+    positions = np.asarray(positions, dtype=float)
+    jitter = rng.normal(0.0, pdr_sigma, size=positions.shape) if pdr_sigma > 0 else 0.0
+    return positions + step + jitter
 
 
-def particle_update(ps: ParticleSet, grid: Grid, values, seed) -> tuple:
-    """Weight particles by the observation likelihood and estimate the position.
+def particle_update(positions, weights, grid: Grid, values) -> tuple:
+    """Reweight particles by the observation likelihood and estimate the position.
 
     Each particle's likelihood is regressed from the grid: the
     inverse-distance-weighted average of the likelihoods at the 1, 2 or 4
     grid points around its position clamped into the grid (all weight on
     the first coincident grid point).  Weights are multiplied and
-    renormalized; systematic resampling runs when the effective sample size
-    drops below half the particle count.
+    renormalized, so they come out non-negative and summing to 1.
 
     Args:
-        ps: current particles.
+        positions: (P, 2) particle positions, P >= 1.
+        weights: (P,) non-negative particle weights.
         grid: the lattice the likelihoods sit on.
         values: the step's finite (N,) observation log-likelihoods over the
             grid, e.g. one row of the (T, N) block that
             :func:`fingerloc.matching.mle_rssi_rspd` returns for a walk.
-        seed: stream for the embedded resampling step.
 
     Returns:
-        (ParticleSet, Position, ess): the updated (possibly resampled)
-        particles, the weighted mean position under the post-update weights,
-        and the effective sample size of those weights before resampling.
+        (weights, estimate, ess): the (P,) updated weights, the (2,) weighted
+        mean position under them, and their effective sample size.
     """
+    pos, prior = _particles(positions, weights)
     values = _log_row(values, len(grid), "observation")
     nx, ny, origin, h, xy = grid.nx, grid.ny, grid.origin, grid.spacing, grid.xy
     shift = float(np.max(values))
     dens = np.exp(values - shift)  # common shift cancels in normalization
 
-    pos = ps.positions
     x = np.clip(pos[:, 0], origin.x, origin.x + (nx - 1) * h)
     y = np.clip(pos[:, 1], origin.y, origin.y + (ny - 1) * h)
     ix = np.minimum((x - origin.x) // h, max(nx - 2, 0)).astype(int)
     iy = np.minimum((y - origin.y) // h, max(ny - 2, 0)).astype(int)
     cols = ix[:, None] + np.arange(min(nx, 2))
     rows = iy[:, None] + np.arange(min(ny, 2))
-    corners = (rows[:, :, None] * nx + cols[:, None, :]).reshape(len(ps), -1)  # (P, k)
+    corners = (rows[:, :, None] * nx + cols[:, None, :]).reshape(len(pos), -1)  # (P, k)
     d = np.hypot(xy[corners, 0] - pos[:, :1], xy[corners, 1] - pos[:, 1:])
     exact = d <= 0.0
     hit = exact.any(axis=1)
-    lik = np.empty(len(ps))
+    lik = np.empty(len(pos))
     lik[hit] = dens[corners[hit, np.argmax(exact[hit], axis=1)]]
     w = 1.0 / d[~hit]
     lik[~hit] = np.vecdot(w, dens[corners[~hit]]) / np.sum(w, axis=1)
 
-    raw = ps.weights * lik
+    raw = prior * lik
     total = float(raw.sum())
     if total <= 0.0:
         raise DegenerateUpdateError(
             "all particles received zero likelihood", likelihoods=lik)
     weights = raw / total
-
-    est = weights @ ps.positions
-    estimate = Position(float(est[0]), float(est[1]))
-
-    updated = ParticleSet(positions=ps.positions, weights=weights)
-    ess = updated.effective_sample_size()
-    if ess < RESAMPLE_ESS_FRACTION * len(updated):
-        updated = resample_systematic(updated, seed)
-    return updated, estimate, ess
+    return weights, weights @ pos, float(1.0 / np.sum(weights ** 2))
 
 
-def resample_systematic(ps: ParticleSet, seed) -> ParticleSet:
+def resample_systematic(positions, weights, rng) -> tuple:
     """Systematic resampling: one uniform offset, evenly spaced selection points.
 
-    The set keeps its size.  Copy counts stay within one of ``len(ps) *
-    weight`` for every particle, and equal weights reproduce the input set
-    unchanged.
+    The offset is the one uniform drawn from the generator ``rng``.  The set
+    keeps its size P and comes back with equal weights ``1 / P``.  Copy
+    counts stay within one of ``P * weight`` for every particle, and equal
+    weights reproduce the input positions unchanged.
+
+    Returns:
+        (positions, weights): the (P, 2) resampled positions and (P,) weights.
     """
-    size = len(ps)
-    rng = np.random.default_rng(seed)
+    pos, w = _particles(positions, weights)
+    size = len(pos)
     u0 = rng.random() / size
     points = u0 + np.arange(size) / size
-    cum = np.cumsum(ps.weights)
+    cum = np.cumsum(w)
     cum[-1] = max(cum[-1], 1.0)  # guard against roundoff shrinking the last bin
-    idx = np.searchsorted(cum, points, side="right")
-    idx = np.minimum(idx, len(ps) - 1)
-    positions = ps.positions[idx]
-    weights = np.full(size, 1.0 / size)
-    return ParticleSet(positions=positions, weights=weights)
+    idx = np.minimum(np.searchsorted(cum, points, side="right"), size - 1)
+    return pos[idx], np.full(size, 1.0 / size)

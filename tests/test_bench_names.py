@@ -14,6 +14,7 @@ import importlib.util
 import inspect
 import json
 import pathlib
+import pkgutil
 import re
 
 import pytest
@@ -92,3 +93,21 @@ def test_the_guard_sees_the_names_it_must_cover():
     assert ("interp", "freq_interp_xcorr") in functions
     assert ("experiments", "write_json") in functions
     assert ("tracking", "resample_systematic") in run_py_lookups()
+
+
+def _fingerloc_modules() -> list:
+    package = importlib.import_module("fingerloc")
+    return sorted(info.name for info in pkgutil.walk_packages(package.__path__, "fingerloc."))
+
+
+@pytest.mark.parametrize("modname", _fingerloc_modules())
+def test_every_public_name_resolves(modname):
+    # the tracer getattr()s every __all__ entry of a layer module with no
+    # default, so a stale entry would crash the traced benchmark
+    module = importlib.import_module(modname)
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == [], f"{modname}.__all__ names {missing}, which the module lacks"
+
+
+def test_the_public_name_check_sees_every_layer_module():
+    assert set(TRACER.LAYERS.values()) <= set(_fingerloc_modules())

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from fingerloc import simulate, tracking
 from fingerloc.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fingerloc.database import decode_array, encode_array, load_database
 from fingerloc.experiments import bems, classroom, illegal, wifi
@@ -525,6 +526,84 @@ def test_wifi_track_csv_records_filter_health(tmp_path):
         ess = float(row["ess"])
         assert 1.0 <= ess <= particles
         assert row["resampled"] == ("true" if ess < particles / 2 else "false")
+
+
+def _wifi_db(tmp_path, steps):
+    """A learned tiny wifi run whose walk takes ``steps`` steps: (cfg, database)."""
+    scenario = dict(TINY["wifi_rssi_rspd"]["scenario"],
+                    walk=dict(TINY["wifi_rssi_rspd"]["scenario"]["walk"], steps=steps))
+    cfg_path, out_dir = _write_config(tmp_path, "wifi_rssi_rspd", scenario=scenario)
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    return load_config(cfg_path), load_database(os.path.join(out_dir, "db.json"))
+
+
+@pytest.mark.parametrize("steps", [1, 6, 11])
+def test_wifi_track_derives_three_seeds_whatever_the_step_count(tmp_path, monkeypatch, steps):
+    # the walk, the dead reckoning and the filter's start; the filter's
+    # per-step streams are rows of seeded_streams
+    cfg, db = _wifi_db(tmp_path, steps)
+    calls = []
+    real = wifi.derive_seed
+
+    def counting(*parts):
+        calls.append(parts)
+        return real(*parts)
+
+    for module in (wifi, simulate):
+        monkeypatch.setattr(module, "derive_seed", counting)
+    wifi.evaluate_walk(cfg, db, with_pf=True)
+    seed = cfg["seed"]
+    assert sorted(calls) == sorted([(seed, wifi._TAG_WALK), (seed, wifi._TAG_PDR),
+                                    (seed, wifi._TAG_PF, 0)])
+
+
+def test_wifi_resampled_marks_the_steps_that_resampled(tmp_path, monkeypatch):
+    cfg, db = _wifi_db(tmp_path, 11)
+    updates, resampled_at = [], []
+
+    def update(*args):
+        updates.append(args)
+        return tracking.particle_update(*args)
+
+    def resample(*args):
+        resampled_at.append(len(updates) - 1)
+        return tracking.resample_systematic(*args)
+
+    monkeypatch.setattr(wifi, "particle_update", update)
+    monkeypatch.setattr(wifi, "resample_systematic", resample)
+    columns, _ = wifi.evaluate_walk(cfg, db, with_pf=True)
+    assert len(updates) == 11
+    # the tiny walk resamples on some steps and not on others
+    assert 0 < len(resampled_at) < 11
+    assert np.flatnonzero(columns["resampled"]).tolist() == resampled_at
+
+
+def test_bems_track_steps_with_accel_sigma_times_dt_squared(tmp_path, monkeypatch):
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary",
+                                      tracking={"p_static": 0.2, "accel_sigma": 0.5, "dt": 2.0})
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    seen = []
+
+    def spy(grid, p_static, step_sigma):
+        seen.append((p_static, step_sigma))
+        return tracking.transition_matrix(grid, p_static, step_sigma)
+
+    monkeypatch.setattr(bems, "transition_matrix", spy)
+    assert main(["track", "--config", cfg_path]) == EXIT_OK
+    assert seen == [(0.2, 0.5 * 2.0 ** 2)]
+
+
+@pytest.mark.parametrize("key", ["power_w", "peak_lux", "height_m"])
+def test_a_light_without_a_photometric_key_fails_every_verb_at_load(tmp_path, capsys, key):
+    light = {k: v for k, v in TINY["bems_binary"]["lighting"]["lights"][0].items() if k != key}
+    lighting = dict(TINY["bems_binary"]["lighting"], lights=[light])
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary", lighting=lighting)
+    for verb in VERBS["bems_binary"]:
+        capsys.readouterr()
+        assert main([verb, "--config", cfg_path]) == EXIT_CONFIG, verb
+        err = capsys.readouterr().err
+        assert err.startswith("config error: lighting.lights.0") and key in err, err
+    assert not os.path.exists(out_dir)
 
 
 def test_database_from_another_grid_is_a_config_error(tmp_path):

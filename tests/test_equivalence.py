@@ -87,7 +87,7 @@ from fingerloc.interp import (  # noqa: E402
     spatial_densify,
     windowed_sinc_lowpass,
 )
-from fingerloc.lighting import Light, LightingScenario, illuminance, solve_lighting  # noqa: E402
+from fingerloc.lighting import LightingScenario, illuminance, solve_lighting  # noqa: E402
 from fingerloc.matching import mle_rssi_rspd  # noqa: E402
 from fingerloc import simulate  # noqa: E402
 from fingerloc.experiments import bems, wifi  # noqa: E402
@@ -110,12 +110,8 @@ from fingerloc.stats import (  # noqa: E402
     kriging_predict,
 )
 from fingerloc.tracking import (  # noqa: E402
-    RESAMPLE_ESS_FRACTION,
-    MobilityModel,
-    ParticleSet,
     grid_bayes_step,
     particle_update,
-    resample_systematic,
     transition_matrix,
 )
 
@@ -649,18 +645,19 @@ def test_xcorr_rows_equal_xcorr_per_row_bit_for_bit(lead, n, lag_frac, seed):
 def test_batched_lighting_equals_per_set_linprog(n_lights, n_sets, density, seed):
     rng = np.random.default_rng(seed)
     grid = Grid(Position(0.0, 0.0), 4, 4, 1.0)
-    lights = [Light(position=Position(*rng.uniform(0.0, 3.0, 2)),
-                    power_w=float(rng.uniform(20, 60)), peak_lux=float(rng.uniform(300, 900)),
-                    height_m=float(rng.uniform(2.0, 3.0)))
-              for _ in range(n_lights)]
+    rows = np.array([[*rng.uniform(0.0, 3.0, 2), rng.uniform(20, 60), rng.uniform(300, 900),
+                      rng.uniform(2.0, 3.0)]
+                     for _ in range(n_lights)]).reshape(n_lights, 5)
+    lights = {"light_xy": rows[:, :2], "power_w": rows[:, 2], "peak_lux": rows[:, 3],
+              "height_m": rows[:, 4]}
     env = rng.uniform(0.0, 5.0, len(grid))
-    all_on = LightingScenario(grid=grid, lights=lights, target_lux=1.0,
+    all_on = LightingScenario(grid=grid, **lights, target_lux=1.0,
                               env_lux=np.zeros(len(grid))).gains.sum(axis=1)
     # every cell reachable, and every occupied cell needs some light
     target = float(env.min() + rng.uniform(0.3, 0.95) * all_on.min())
-    scen = LightingScenario(grid=grid, lights=lights, target_lux=target, env_lux=env)
+    scen = LightingScenario(grid=grid, **lights, target_lux=target, env_lux=env)
     occupied = rng.random((n_sets, len(grid))) < density
-    powers = np.array([light.power_w for light in lights])
+    powers = scen.power_w
 
     switches, power = solve_lighting(scen, occupied)
     assert switches.shape == (n_sets, n_lights) and power.shape == (n_sets,)
@@ -905,12 +902,12 @@ def test_spatial_densify_equals_per_key_and_per_query_loops(nx, ny, factor, n_co
 # per-particle loop and the dense N x N matrix they replaced
 # ---------------------------------------------------------------------------
 
-def _ref_particle_update(ps, grid, values):
-    """The per-particle corner loop: (weights, mean estimate, ESS) before resampling."""
+def _ref_particle_update(positions, prior, grid, values):
+    """The per-particle corner loop: (weights, mean estimate, ESS)."""
     nx, ny, origin, h, xy = grid.nx, grid.ny, grid.origin, grid.spacing, grid.xy
     dens = np.exp(values - np.max(values))
-    lik = np.empty(len(ps))
-    for i, pos in enumerate(ps.positions):
+    lik = np.empty(len(positions))
+    for i, pos in enumerate(positions):
         x = min(max(pos[0], origin.x), origin.x + (nx - 1) * h)
         y = min(max(pos[1], origin.y), origin.y + (ny - 1) * h)
         ix = int(min((x - origin.x) // h, max(nx - 2, 0)))
@@ -925,8 +922,8 @@ def _ref_particle_update(ps, grid, values):
         else:
             w = 1.0 / d
             lik[i] = float(np.dot(w, dens[corners]) / np.sum(w))
-    weights = ps.weights * lik / np.sum(ps.weights * lik)
-    return weights, weights @ ps.positions, 1.0 / np.sum(weights ** 2)
+    weights = prior * lik / np.sum(prior * lik)
+    return weights, weights @ positions, 1.0 / np.sum(weights ** 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -944,22 +941,16 @@ def test_particle_update_equals_per_particle_corner_loop(nx, ny, n_particles, sp
     pinned = rng.random(n_particles) < on_grid
     pos[pinned] = xy[rng.integers(0, len(grid), np.count_nonzero(pinned))]
     w = rng.uniform(0.1, 1.0, n_particles)
-    ps = ParticleSet(positions=pos, weights=w / w.sum())
+    prior = w / w.sum()
 
-    weights, mean, ess = _ref_particle_update(ps, grid, values)
-    updated, est, got_ess = particle_update(ps, grid, values, seed=seed)
+    weights, mean, ess = _ref_particle_update(pos, prior, grid, values)
+    got, est, got_ess = particle_update(pos, prior, grid, values)
     assert got_ess == pytest.approx(ess, rel=1e-12)
-    assert _rel_close([est.x, est.y], mean)
-    if ess < RESAMPLE_ESS_FRACTION * n_particles:
-        want = resample_systematic(ParticleSet(positions=pos, weights=weights), seed)
-        assert np.array_equal(updated.positions, want.positions)
-        assert np.array_equal(updated.weights, want.weights)
-    else:
-        assert np.array_equal(updated.positions, pos)
-        assert _rel_close(updated.weights, weights)
+    assert _rel_close(est, mean)
+    assert _rel_close(got, weights)
 
 
-def _ref_transition_matrix(grid, model):
+def _ref_transition_matrix(grid, p_static, sigma):
     """The dense N x N matrix from the points' coordinates.
 
     Each interval mass is taken from the lower tail, ``-|d|``, as the stencil does.
@@ -967,7 +958,6 @@ def _ref_transition_matrix(grid, model):
     xy = grid.xy
     n = len(grid)
     h = grid.spacing
-    sigma = model.step_sigma
     dx = xy[None, :, 0] - xy[:, None, 0]
     dy = xy[None, :, 1] - xy[:, None, 1]
     if sigma == 0.0:
@@ -979,7 +969,7 @@ def _ref_transition_matrix(grid, model):
                   * (ndtr((half - ay) / sigma) - ndtr((-half - ay) / sigma)))
         kernel[np.hypot(dx, dy) > 4.0 * sigma] = 0.0
         kernel /= kernel.sum(axis=1, keepdims=True)
-    trans = model.p_static * np.eye(n) + (1.0 - model.p_static) * kernel
+    trans = p_static * np.eye(n) + (1.0 - p_static) * kernel
     return trans / trans.sum(axis=1, keepdims=True)
 
 
@@ -995,9 +985,9 @@ def _ref_transition_matrix(grid, model):
 def test_stencil_transition_equals_dense_matrix(nx, ny, spacing, sigma_cells, p_static, seed):
     rng = np.random.default_rng(seed)
     grid = Grid(Position(*rng.integers(-3, 4, 2).astype(float)), nx, ny, spacing)
-    model = MobilityModel(p_static=p_static, accel_sigma=sigma_cells * spacing)
-    trans = transition_matrix(grid, model)
-    dense = _ref_transition_matrix(grid, model)
+    sigma = sigma_cells * spacing
+    trans = transition_matrix(grid, p_static, sigma)
+    dense = _ref_transition_matrix(grid, p_static, sigma)
 
     n = len(grid)
     prev = rng.uniform(-40.0, 0.0, n)

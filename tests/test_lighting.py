@@ -1,5 +1,7 @@
 """Lighting control and its bounded LP against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -7,7 +9,6 @@ from scipy import sparse
 from fingerloc.errors import InfeasibleError, NumericError
 from fingerloc.geometry import Grid, Position
 from fingerloc.lighting import (
-    Light,
     LightingScenario,
     illuminance,
     light_gain,
@@ -89,17 +90,25 @@ def test_light_gain_validation():
         light_gain((0, 0), 2.0, -1.0, (1, 1))
     with pytest.raises(ValueError):
         light_gain([(0, 0), (1, 1)], [2.0, 0.0], 100.0, (1, 1))
-    with pytest.raises(ValueError):
-        Light(position=Position(0, 0), power_w=0.0, peak_lux=100.0, height_m=2.0)
-    with pytest.raises(ValueError):
-        Light(position=Position(0, 0), power_w=10.0, peak_lux=100.0, height_m=-2.0)
+    # a luminaire's power draw, peak and mounting height must be positive
+    for bad in ([0, 0, 0.0, 100.0, 2.0], [0, 0, 10.0, 100.0, -2.0],
+                [0, 0, 10.0, 0.0, 2.0], [0, 0, math.nan, 100.0, 2.0]):
+        with pytest.raises(ValueError, match="positive value per light"):
+            _room([[1, 1, 40.0, 400.0, 2.5], bad], target=300.0)
+
+
+def _columns(lights):
+    """LightingScenario's light arrays from rows (x, y, power_w, peak_lux, height_m)."""
+    rows = np.array(lights, dtype=float).reshape(-1, 5)
+    return {"light_xy": rows[:, :2], "power_w": rows[:, 2], "peak_lux": rows[:, 3],
+            "height_m": rows[:, 4]}
 
 
 def _room(lights, target, env=0.0, n=3, spacing=2.0):
     """A square room; a scalar ``env`` is the same ambient illuminance in every cell."""
     grid = Grid(Position(0, 0), nx=n, ny=n, spacing=spacing)
     env = np.full(len(grid), env) if np.ndim(env) == 0 else env
-    return LightingScenario(grid=grid, lights=lights, target_lux=target, env_lux=env)
+    return LightingScenario(grid=grid, **_columns(lights), target_lux=target, env_lux=env)
 
 
 def _mask(n_cells, *sets):
@@ -111,16 +120,15 @@ def _mask(n_cells, *sets):
 
 
 def _formula(light, cell):
-    h, (x, y) = light.height_m, cell
-    d2 = (x - light.position.x) ** 2 + (y - light.position.y) ** 2
-    return light.peak_lux * h ** 3 / (h ** 2 + d2) ** 1.5
+    (lx, ly, _power, peak, h), (x, y) = light, cell
+    d2 = (x - lx) ** 2 + (y - ly) ** 2
+    return peak * h ** 3 / (h ** 2 + d2) ** 1.5
 
 
 def test_gain_matrix_equals_the_law_per_cell_and_light():
     rng = np.random.default_rng(113)
-    lights = [Light(position=Position(float(rng.uniform(0, 4)), float(rng.uniform(0, 4))),
-                    power_w=40.0, peak_lux=float(rng.uniform(300, 900)),
-                    height_m=float(rng.uniform(2.0, 3.0)))
+    lights = [[rng.uniform(0, 4), rng.uniform(0, 4), 40.0, rng.uniform(300, 900),
+               rng.uniform(2.0, 3.0)]
               for _ in range(3)]
     scen = _room(lights, target=300.0, n=4)
     want = np.array([[_formula(light, cell) for light in lights] for cell in scen.grid.xy])
@@ -133,10 +141,7 @@ def test_gain_matrix_equals_the_law_per_cell_and_light():
 
 def test_illuminance_sums_dimmed_lights_and_ambient():
     # both luminaires directly above cell 0, so their gains equal their peaks
-    lights = [
-        Light(position=Position(0, 0), power_w=40.0, peak_lux=400.0, height_m=2.5),
-        Light(position=Position(0, 0), power_w=40.0, peak_lux=800.0, height_m=2.5),
-    ]
+    lights = [[0, 0, 40.0, 400.0, 2.5], [0, 0, 40.0, 800.0, 2.5]]
     env = np.zeros(9)
     env[0] = 50.0
     scen = _room(lights, target=300.0, env=env)
@@ -152,7 +157,7 @@ def test_illuminance_sums_dimmed_lights_and_ambient():
 
 
 def test_lighting_scenario_validation():
-    light = Light(position=Position(0, 0), power_w=40.0, peak_lux=400.0, height_m=2.5)
+    light = [0, 0, 40.0, 400.0, 2.5]
     with pytest.raises(ValueError):
         _room([], target=300.0)
     with pytest.raises(ValueError):
@@ -161,6 +166,17 @@ def test_lighting_scenario_validation():
         _room([light], target=300.0, env=np.ones(4))
     with pytest.raises(ValueError):
         _room([light], target=300.0, env=-np.ones(9))
+    # one value of each luminaire array per light, positions as (lights, 2)
+    grid = Grid(Position(0, 0), nx=3, ny=3, spacing=2.0)
+    good = _columns([light, light])
+    for name, bad in (("power_w", [40.0]), ("peak_lux", [[400.0, 400.0]]),
+                      ("height_m", 2.5), ("light_xy", [0.0, 0.0, 1.0, 1.0])):
+        with pytest.raises(ValueError):
+            LightingScenario(grid=grid, **dict(good, **{name: bad}), target_lux=300.0,
+                             env_lux=np.zeros(9))
+    scen = LightingScenario(grid=grid, **good, target_lux=300.0, env_lux=np.zeros(9))
+    with pytest.raises(ValueError):
+        scen.power_w[0] = 1.0  # frozen arrays
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +184,7 @@ def test_lighting_scenario_validation():
 # ---------------------------------------------------------------------------
 
 def test_solve_lighting_empty_occupancy_turns_everything_off():
-    light = Light(position=Position(0, 0), power_w=40.0, peak_lux=400.0, height_m=2.5)
+    light = [0, 0, 40.0, 400.0, 2.5]
     scen = _room([light], target=300.0)
     switches, power = solve_lighting(scen, np.zeros((0, 9), dtype=bool))
     assert switches.shape == (0, 1) and power.shape == (0,)
@@ -183,7 +199,7 @@ def test_solve_lighting_empty_occupancy_turns_everything_off():
 
 def test_solve_lighting_single_light_hand_case():
     # occupant right below the light: need (500 - 100) lux out of a peak 800
-    light = Light(position=Position(0, 0), power_w=40.0, peak_lux=800.0, height_m=2.5)
+    light = [0, 0, 40.0, 800.0, 2.5]
     scen = _room([light], target=500.0, env=np.full(9, 100.0))
     switches, power = solve_lighting(scen, _mask(9, [0]))
     assert switches[0, 0] == pytest.approx(0.5, abs=1e-9)
@@ -193,7 +209,7 @@ def test_solve_lighting_single_light_hand_case():
 
 def test_solve_lighting_reports_unreachable_cells():
     # a dim, distant luminaire cannot push the far corner to target
-    light = Light(position=Position(0, 0), power_w=40.0, peak_lux=500.0, height_m=2.5)
+    light = [0, 0, 40.0, 500.0, 2.5]
     scen = _room([light], target=400.0)
     with pytest.raises(InfeasibleError) as err:
         solve_lighting(scen, _mask(9, [0, 8]))
@@ -206,14 +222,14 @@ def test_solve_lighting_reports_unreachable_cells():
     np.zeros(9, dtype=bool),  # one set, not a block of sets
 ])
 def test_solve_lighting_takes_a_boolean_mask_over_the_grid(occupied):
-    light = Light(position=Position(0, 0), power_w=40.0, peak_lux=500.0, height_m=2.5)
+    light = [0, 0, 40.0, 500.0, 2.5]
     with pytest.raises(ValueError, match="occupancy mask"):
         solve_lighting(_room([light], target=400.0), occupied)
 
 
 def test_solve_lighting_reports_the_first_infeasible_set():
     # only cell 0, right below the light, can reach 400 lux
-    light = Light(position=Position(0, 0), power_w=40.0, peak_lux=500.0, height_m=2.5)
+    light = [0, 0, 40.0, 500.0, 2.5]
     scen = _room([light], target=400.0)
     with pytest.raises(InfeasibleError, match="occupied set 2: 2 cell") as err:
         solve_lighting(scen, _mask(9, [0], [], [8, 0, 5], [0], [2]))
@@ -222,16 +238,12 @@ def test_solve_lighting_reports_the_first_infeasible_set():
 
 def test_solve_lighting_monotone_in_occupancy_and_below_all_on():
     rng = np.random.default_rng(107)
-    lights = [
-        Light(position=Position(float(rng.uniform(0, 4)), float(rng.uniform(0, 4))),
-              power_w=40.0, peak_lux=700.0, height_m=2.5)
-        for _ in range(3)
-    ]
+    lights = [[rng.uniform(0, 4), rng.uniform(0, 4), 40.0, 700.0, 2.5] for _ in range(3)]
     scen = _room(lights, target=200.0)
     switches, (small, large) = solve_lighting(scen, _mask(9, [0, 4], [0, 4, 8, 2]))
     # more constraints can only cost more power, and never more than all-on
     assert small <= large + 1e-9
-    assert large < sum(l.power_w for l in lights)
+    assert large < scen.power_w.sum()
     assert np.all(illuminance(scen, switches[1], [0, 4, 8, 2]) >= 200.0 - 1e-6)
     assert np.all(switches >= -1e-12) and np.all(switches <= 1.0 + 1e-12)
 
@@ -243,23 +255,19 @@ def test_solve_lighting_matches_dimmer_grid_search():
     g1, g2 = np.meshgrid(steps, steps, indexing="ij")
     for trial in range(50):
         grid = Grid(Position(0, 0), nx=3, ny=3, spacing=2.0)
-        lights = [
-            Light(position=Position(float(rng.uniform(0, 4)), float(rng.uniform(0, 4))),
-                  power_w=float(rng.uniform(20, 60)),
-                  peak_lux=float(rng.uniform(300, 900)),
-                  height_m=float(rng.uniform(2.0, 3.0)))
-            for _ in range(2)
-        ]
+        lights = _columns([[rng.uniform(0, 4), rng.uniform(0, 4), rng.uniform(20, 60),
+                            rng.uniform(300, 900), rng.uniform(2.0, 3.0)]
+                           for _ in range(2)])
         occupied = sorted(rng.choice(9, size=int(rng.integers(1, 4)), replace=False).tolist())
-        probe = LightingScenario(grid=grid, lights=lights, target_lux=1.0, env_lux=np.zeros(9))
+        probe = LightingScenario(grid=grid, **lights, target_lux=1.0, env_lux=np.zeros(9))
         gains = probe.gain_matrix(occupied)
         # demand most of the weakest cell's all-on capacity so the optimum is
         # well inside the dimmer range and the grid quantization gap is small
         target = float(rng.uniform(0.65, 0.9) * gains.sum(axis=1).min())
-        scen = LightingScenario(grid=grid, lights=lights, target_lux=target, env_lux=np.zeros(9))
+        scen = LightingScenario(grid=grid, **lights, target_lux=target, env_lux=np.zeros(9))
         _, [power] = solve_lighting(scen, _mask(9, occupied))
 
-        powers = np.array([l.power_w for l in lights])
+        powers = lights["power_w"]
         lux = (gains[:, 0][:, None, None] * g1[None]
                + gains[:, 1][:, None, None] * g2[None])
         feasible = np.all(lux >= target - 1e-12, axis=0)

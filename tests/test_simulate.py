@@ -270,7 +270,8 @@ def test_binary_sensor_monte_carlo_rate():
 
 def test_pdr_mean_and_std():
     t = np.arange(10_001, dtype=float)
-    steps = simulate_pdr(np.stack([t, 0.5 * t], axis=1), noise_sigma=0.2, seed=6)
+    steps = simulate_pdr(np.stack([t, 0.5 * t], axis=1), noise_sigma=0.2,
+                         rng=np.random.default_rng(6))
     assert steps.shape == (10_000, 2)
     assert float(np.mean(steps[:, 0])) == pytest.approx(1.0, abs=0.01)
     assert float(np.mean(steps[:, 1])) == pytest.approx(0.5, abs=0.01)
@@ -280,14 +281,17 @@ def test_pdr_mean_and_std():
 
 def test_pdr_noiseless_is_exact():
     path = np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, 3.0]])
-    steps = simulate_pdr(path, noise_sigma=0.0, seed=0)
+    rng = np.random.default_rng(0)
+    steps = simulate_pdr(path, noise_sigma=0.0, rng=rng)
     assert np.array_equal(steps, [[1.0, 2.0], [-2.0, 1.0]])
+    # no noise draws nothing from the generator
+    assert rng.random() == np.random.default_rng(0).random()
     # one position, a flat list of coordinates, or 3-D points are no path
     for bad in ([[0.0, 0.0]], [0.0, 1.0, 2.0], np.zeros((3, 3))):
         with pytest.raises(ValueError, match="two \\(x, y\\) positions"):
-            simulate_pdr(bad, noise_sigma=0.1, seed=0)
+            simulate_pdr(bad, noise_sigma=0.1, rng=rng)
     with pytest.raises(ValueError):
-        simulate_pdr(path, noise_sigma=-0.1, seed=0)
+        simulate_pdr(path, noise_sigma=-0.1, rng=rng)
 
 
 def test_derive_seed_distinguishes_float_bits():
