@@ -23,76 +23,83 @@ RESAMPLE_ESS_FRACTION = 0.5
 
 @dataclass(frozen=True, eq=False)
 class GridTransition:
-    """The two-mode mobility model on a row-major grid, as a stencil.
+    """The two-mode mobility model on a row-major grid, as two axis kernels.
 
     A Gaussian step from cell ``s`` lands in cell ``s + (dx, dy)`` with mass
-    ``stencil[ry + dy, rx + dx]`` before normalization; ``totals[s]`` is the
-    stencil mass that stays on the grid from ``s`` (the stencil correlated
-    with the in-grid indicator), so ``P(s -> u) = p_static [s == u] +
-    (1 - p_static) stencil[u - s] / totals[s]``.  The dense N x N matrix is
-    never formed: :meth:`predict` applies it as one matrix product of the
-    prior's row-shifted windows, ``(ny, (2ry+1) nx)``, with the stacked
-    per-row-offset Toeplitz factors of the stencil, ``((2ry+1) nx, nx)``.
+    ``mass_y[ry + dy] * mass_x[rx + dx]`` before normalization, so the 2-D
+    stencil is the outer product ``mass_y (x) mass_x``.  ``tx`` and ``ty``
+    are the ``(nx, nx)`` and ``(ny, ny)`` Toeplitz matrices of the two
+    masses over the grid's axes, ``tx[x', x] = mass_x[rx + x - x']`` within
+    the reach and 0 beyond it.  ``totals[s]`` is the stencil mass that stays
+    on the grid from ``s``, the outer product of the two matrices' row sums,
+    so ``P(s -> u) = p_static [s == u] + (1 - p_static) stencil[u - s] /
+    totals[s]``.  The dense N x N matrix is never formed: :meth:`predict`
+    applies it as two small products, ``ty^T (mass / totals) tx``, in
+    O(N (nx + ny)) time and O(nx^2 + ny^2 + N) memory.
 
     Raises NumericError when some source cell keeps no stencil mass.
     """
 
-    stencil: np.ndarray
+    mass_x: np.ndarray
+    mass_y: np.ndarray
     p_static: float
     shape: tuple  # (ny, nx)
+    tx: np.ndarray = field(init=False, repr=False)
+    ty: np.ndarray = field(init=False, repr=False)
     totals: np.ndarray = field(init=False, repr=False)
-    factors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        stencil = np.array(self.stencil, dtype=float)
         ny, nx = (int(n) for n in self.shape)
-        if stencil.ndim != 2 or stencil.shape[0] % 2 != 1 or stencil.shape[1] % 2 != 1:
-            raise ValueError("the stencil must be a 2-D array of odd sides")
-        if ny < 1 or nx < 1 or np.any(stencil < 0):
-            raise ValueError("need a positive grid shape and a non-negative stencil")
-        totals = _spread(_toeplitz_factors(stencil[::-1, ::-1], nx), ny, np.ones((ny, nx)))
+        masses = [np.array(m, dtype=float) for m in (self.mass_x, self.mass_y)]
+        if any(m.ndim != 1 or m.size % 2 != 1 for m in masses):
+            raise ValueError("each axis mass must be a 1-D array of odd length")
+        if ny < 1 or nx < 1 or any(np.any(m < 0) for m in masses):
+            raise ValueError("need a positive grid shape and non-negative axis masses")
+        tx, ty = _toeplitz(masses[0], nx), _toeplitz(masses[1], ny)
+        totals = np.multiply.outer(ty.sum(axis=1), tx.sum(axis=1))
         if np.any(totals <= 0):
             raise NumericError("mobility kernel truncation removed all destination mass")
-        for name, value in (("stencil", stencil), ("totals", totals),
-                            ("factors", _toeplitz_factors(stencil, nx))):
+        for name, value in zip(("mass_x", "mass_y", "tx", "ty", "totals"),
+                               (*masses, tx, ty, totals)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "shape", (ny, nx))
 
+    @property
+    def stencil(self) -> np.ndarray:
+        """The 2-D step kernel ``mass_y (x) mass_x``, (2ry + 1, 2rx + 1)."""
+        return np.multiply.outer(self.mass_y, self.mass_x)
+
     def predict(self, mass: np.ndarray) -> np.ndarray:
         """Predictive mass ``sum_s P(s -> u) mass[s]`` for every cell u, (N,)."""
-        ny, nx = self.shape
-        spread = _spread(self.factors, ny, mass.reshape(ny, nx) / self.totals)
+        spread = self.ty.T @ (mass.reshape(self.shape) / self.totals) @ self.tx
         return self.p_static * mass + (1.0 - self.p_static) * spread.ravel()
 
 
-def _toeplitz_factors(stencil: np.ndarray, nx: int) -> np.ndarray:
-    """Stacked ``(nx, nx)`` Toeplitz factors, one per stencil row, bottom row first.
+def _toeplitz(mass: np.ndarray, n: int) -> np.ndarray:
+    """``(n, n)`` matrix of ``mass[r + j - i]`` at ``[i, j]`` within the reach r, else 0."""
+    r = mass.size // 2
+    off = np.arange(n)[None, :] - np.arange(n)[:, None]  # j - i
+    return np.where(np.abs(off) <= r, mass[np.clip(off + r, 0, 2 * r)], 0.0)
 
-    Factor j maps a grid row to its spread along x under stencil row
-    ``2ry - j``: entry ``[x', x]`` is ``stencil[2ry - j, rx + x - x']``
-    within the reach and 0 beyond it.
+
+def _axis_mass(n: int, h: float, sigma: float) -> np.ndarray:
+    """1-D interval masses of a Gaussian step along an axis of n cells, (2r + 1,).
+
+    Offsets beyond four sigmas are left out, so r is the reach in cells.
     """
-    rx = stencil.shape[1] // 2
-    off = np.arange(nx)[None, :] - np.arange(nx)[:, None]  # x - x'
-    inside = np.abs(off) <= rx
-    taps = stencil[::-1][:, np.clip(off + rx, 0, 2 * rx)]
-    return np.where(inside, taps, 0.0).reshape(-1, nx)
-
-
-def _spread(factors: np.ndarray, ny: int, values: np.ndarray) -> np.ndarray:
-    """2-D convolution of ``values (ny, nx)`` with the stencil behind ``factors``.
-
-    Row y of the windows holds prior rows ``y - ry .. y + ry`` (zero off the
-    grid) side by side, so one matrix product sums every row offset.
-    """
-    nx = values.shape[1]
-    span = factors.shape[0] // nx
-    ry = span // 2
-    padded = np.zeros((ny + span - 1) * nx)
-    padded[ry * nx:(ry + ny) * nx] = values.ravel()
-    windows = np.lib.stride_tricks.sliding_window_view(padded, span * nx)[::nx]
-    return np.ascontiguousarray(windows) @ factors
+    if sigma == 0.0:
+        return np.ones(1)
+    limit = 4.0 * sigma
+    # one cell past floor(limit / h) absorbs its rounding; the mask decides
+    r = int(min(limit / h + 1.0, n - 1))
+    d = np.abs(np.arange(-r, r + 1) * h)
+    d = d[d <= limit]
+    half = h / 2.0
+    # each interval mass from its lower tail, -|d|: on the upper side both
+    # ndtr terms would sit near 1 and their difference lose its digits, so
+    # mirrored offsets get exactly equal masses
+    return ndtr((half - d) / sigma) - ndtr((-half - d) / sigma)
 
 
 def transition_matrix(grid: Grid, p_static: float, step_sigma: float) -> GridTransition:
@@ -101,10 +108,12 @@ def transition_matrix(grid: Grid, p_static: float, step_sigma: float) -> GridTra
     With probability ``p_static`` the user stays on its cell; otherwise it
     takes a zero-mean Gaussian step of ``step_sigma`` per axis, spread over
     cells by the probability mass falling in each destination cell (product
-    of 1-D interval masses), truncated at four step standard deviations from
-    the source and renormalized over the grid.  The kernel depends only on
-    the cell offset, so it is held as a stencil of side ``2r + 1``, r the
-    reach in cells (at most the grid's extent).
+    of 1-D interval masses), truncated at four step standard deviations per
+    axis (a square around the source, not a disk) and renormalized over the
+    grid.  The kernel depends only on the cell offset and factorizes over
+    the axes, so it is held as two 1-D masses of side ``2r + 1``, r the
+    reach in cells along that axis (at most the grid's extent), and their
+    Toeplitz matrices over the grid's axes: O(nx^2 + ny^2) memory, not N^2.
 
     Args:
         grid: the survey lattice.
@@ -118,29 +127,10 @@ def transition_matrix(grid: Grid, p_static: float, step_sigma: float) -> GridTra
         raise ValueError("p_static must lie in [0, 1]")
     if not (step_sigma >= 0.0):
         raise ValueError("step_sigma must be >= 0")
-    nx, ny, h = grid.nx, grid.ny, grid.spacing
-    if step_sigma == 0.0:
-        return GridTransition(stencil=np.ones((1, 1)), p_static=p_static, shape=(ny, nx))
-    limit = 4.0 * step_sigma
-    # one cell past floor(limit / h) absorbs its rounding; the mask decides
-    rx = int(min(limit / h + 1.0, nx - 1))
-    ry = int(min(limit / h + 1.0, ny - 1))
-    dx = np.arange(-rx, rx + 1) * h
-    dy = np.arange(-ry, ry + 1) * h
-    half = h / 2.0
-    # each interval mass from its lower tail, -|d|: on the upper side both
-    # ndtr terms would sit near 1 and their difference lose its digits, so
-    # mirrored offsets get exactly equal masses
-    mass_x = ndtr((half - np.abs(dx)) / step_sigma) - ndtr((-half - np.abs(dx)) / step_sigma)
-    mass_y = ndtr((half - np.abs(dy)) / step_sigma) - ndtr((-half - np.abs(dy)) / step_sigma)
-    stencil = mass_x[None, :] * mass_y[:, None]
-    stencil[np.hypot(dx[None, :], dy[:, None]) > limit] = 0.0
-    # keep the smallest centred block that holds every nonzero mass
-    live_y, live_x = np.nonzero(stencil)
-    if live_y.size:
-        ty, tx = np.max(np.abs(live_y - ry)), np.max(np.abs(live_x - rx))
-        stencil = stencil[ry - ty:ry + ty + 1, rx - tx:rx + tx + 1]
-    return GridTransition(stencil=stencil, p_static=p_static, shape=(ny, nx))
+    h = grid.spacing
+    return GridTransition(mass_x=_axis_mass(grid.nx, h, step_sigma),
+                          mass_y=_axis_mass(grid.ny, h, step_sigma),
+                          p_static=p_static, shape=(grid.ny, grid.nx))
 
 
 def _log_row(values, n: int, name: str) -> np.ndarray:

@@ -967,7 +967,7 @@ def _ref_transition_matrix(grid, p_static, sigma):
         ax, ay = np.abs(dx), np.abs(dy)
         kernel = ((ndtr((half - ax) / sigma) - ndtr((-half - ax) / sigma))
                   * (ndtr((half - ay) / sigma) - ndtr((-half - ay) / sigma)))
-        kernel[np.hypot(dx, dy) > 4.0 * sigma] = 0.0
+        kernel[np.maximum(ax, ay) > 4.0 * sigma] = 0.0  # truncated per axis
         kernel /= kernel.sum(axis=1, keepdims=True)
     trans = p_static * np.eye(n) + (1.0 - p_static) * kernel
     return trans / trans.sum(axis=1, keepdims=True)
@@ -975,8 +975,8 @@ def _ref_transition_matrix(grid, p_static, sigma):
 
 # Dyadic spacings and integer origins keep every lattice offset exact, so the
 # old formula's coordinate differences equal the stencil's offsets and a step
-# limit (four step sigmas) equal to a lattice distance, 4 or 5 = |(3, 4)|
-# cells, is a tie that both keep.
+# limit (four step sigmas) of a whole number of cells, 4 or 5, is a tie that
+# both keep.
 @settings(max_examples=60, deadline=None)
 @given(nx=st.integers(1, 6), ny=st.integers(1, 6), spacing=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
        sigma_cells=st.sampled_from([0.0, 0.05, 0.4, 1.0, 1.25, 3.0, 40.0]),
@@ -1006,6 +1006,22 @@ def test_stencil_transition_equals_dense_matrix(nx, ny, spacing, sigma_cells, p_
         expect = obs + np.log(want)
         assert np.allclose(grid_bayes_step(*args), expect - expect.max(),
                            rtol=1e-12, atol=1e-12)
+
+
+# bems_fine's room (7 m at 40 x 40 cells; the default mobility reaches 22
+# cells along each axis) and corridors along both axes
+@pytest.mark.parametrize("nx, ny, spacing", [(40, 40, 7.0 / 39), (1, 40, 7.0 / 39),
+                                             (40, 1, 7.0 / 39), (1, 9, 0.78), (9, 1, 0.78)])
+def test_separable_transition_equals_dense_matrix_at_scale(nx, ny, spacing):
+    grid = Grid(Position(0.0, 0.0), nx, ny, spacing)
+    trans = transition_matrix(grid, 0.4, 1.0)
+    rng = np.random.default_rng(nx * 100 + ny)
+    mass = np.exp(rng.uniform(-40.0, 0.0, len(grid)))
+    want = _ref_transition_matrix(grid, 0.4, 1.0).T @ mass
+    assert np.allclose(trans.predict(mass), want, rtol=1e-12, atol=0.0)
+    side = max(nx, ny)
+    for held in (trans.mass_x, trans.mass_y, trans.tx, trans.ty, trans.totals):
+        assert held.size <= side * side
 
 
 # ---------------------------------------------------------------------------

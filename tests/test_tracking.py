@@ -95,7 +95,7 @@ def test_transition_matrix_matches_quadrature_oracle():
     assert (ry, rx) == (2, 2)  # a 3x3 grid is reached at most 2 cells away
     for j in range(-ry, ry + 1):
         for i in range(-rx, rx + 1):
-            inside = math.hypot(i * h, j * h) <= limit
+            inside = max(abs(i * h), abs(j * h)) <= limit  # per axis: a square
             want = interval_mass(i * h) * interval_mass(j * h) if inside else 0.0
             assert trans.stencil[ry + j, rx + i] == pytest.approx(want, abs=1e-12)
 
@@ -106,7 +106,7 @@ def test_transition_matrix_matches_quadrature_oracle():
         for c in range(n):
             dx = xy[c, 0] - xy[r, 0]
             dy = xy[c, 1] - xy[r, 1]
-            if math.hypot(dx, dy) > limit:
+            if max(abs(dx), abs(dy)) > limit:
                 continue
             kernel[r, c] = interval_mass(dx) * interval_mass(dy)
     kernel /= kernel.sum(axis=1, keepdims=True)
@@ -147,12 +147,14 @@ def test_transition_matrix_starved_kernel_raises():
 
 
 def test_grid_transition_validation():
+    ones = np.ones(3)
+    for mass_x, mass_y in [(np.ones(2), ones), (ones, np.ones((1, 3))), (-np.ones(1), ones)]:
+        with pytest.raises(ValueError):
+            GridTransition(mass_x=mass_x, mass_y=mass_y, p_static=0.5, shape=(2, 2))
     with pytest.raises(ValueError):
-        GridTransition(stencil=np.ones((2, 3)), p_static=0.5, shape=(2, 2))
-    with pytest.raises(ValueError):
-        GridTransition(stencil=-np.ones((1, 1)), p_static=0.5, shape=(2, 2))
+        GridTransition(mass_x=ones, mass_y=ones, p_static=0.5, shape=(0, 2))
     with pytest.raises(NumericError):
-        GridTransition(stencil=np.zeros((3, 3)), p_static=0.5, shape=(2, 2))
+        GridTransition(mass_x=ones, mass_y=np.zeros(3), p_static=0.5, shape=(2, 2))
 
 
 def test_grid_bayes_filter_on_a_100x100_grid_stays_small():
@@ -170,8 +172,9 @@ def test_grid_bayes_filter_on_a_100x100_grid_stays_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
-    assert all(a.size < n * n for a in (trans.stencil, trans.totals, trans.factors))
+    assert peak < 4 * 2 ** 20
+    assert trans.tx.shape == trans.ty.shape == (100, 100)
+    assert trans.totals.shape == (100, 100)
     assert post.shape == (n,) and np.max(post) == 0.0 and np.all(np.isfinite(post))
 
 
