@@ -133,6 +133,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
+            validate_config(cfg)
         out_dir = args.out or cfg["out_dir"]
         if args.sweep:
             run_sweep(args.verb, cfg, out_dir, args.sweep)

@@ -1,8 +1,23 @@
 """Schema validation for every file the experiment harness writes.
 
 Each artifact name maps to a schema shipped in ``fingerloc/schemas``.  JSON
-artifacts carry full JSON Schema (draft 2020-12) documents.  CSV artifacts
-use a small descriptor format instead, since JSON Schema does not speak CSV:
+artifacts and experiment configs carry JSON Schema (draft 2020-12) documents,
+checked here by a small validator for the part of the draft they use.  It
+asserts ``type`` (one name or a list), ``properties``, ``required``,
+``additionalProperties`` (``false`` or a schema), ``items``, ``minItems``,
+``maxItems``, ``uniqueItems``, ``minLength``, ``minimum``, ``maximum``,
+``exclusiveMinimum``, ``const``, ``enum``, ``pattern``, ``oneOf``,
+``minProperties`` and ``$ref`` to ``#/$defs/<name>``, and ignores the
+annotations ``$schema``, ``title``, ``description`` and ``contentEncoding``.
+The schema loader refuses any other keyword, so no schema is checked less
+than it says.  As the draft says, a bool is neither a number nor an integer,
+``1.0`` is an integer, and ``const``, ``enum`` and ``uniqueItems`` take
+``2`` and ``2.0`` as equal but ``true`` and ``1`` as distinct.  Error
+messages keep the wording of the reference Python validator, against which
+the tests check this one on every shipped schema.
+
+CSV artifacts use a small descriptor format instead, since JSON Schema does
+not speak CSV:
 
     {"artifact": "<name>.csv",
      "variants": [{"columns": [{"name": ..., "type": ..., "nullable": ...},
@@ -19,14 +34,14 @@ first three); ``nullable`` admits the empty cell.
 import csv
 import json
 import math
+import operator
 import os
 import re
 from functools import lru_cache
 from importlib import resources
 
-import jsonschema
-
-__all__ = ["artifact_schema_name", "validate_artifact", "validate_run_dir"]
+__all__ = ["artifact_schema_name", "load_schema", "schema_error", "validate_artifact",
+           "validate_run_dir"]
 
 _JSON_ARTIFACTS = {
     "db.json": "db.schema.json",
@@ -56,10 +71,190 @@ def artifact_schema_name(filename: str) -> str:
     return name
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _canonical(value):
+    """A hashable form of a JSON value: 2 and 2.0 share one, true and 1 do not."""
+    if isinstance(value, bool):
+        return (bool, value)
+    if isinstance(value, list):
+        return (list, tuple(map(_canonical, value)))
+    if isinstance(value, dict):
+        return (dict, frozenset((k, _canonical(v)) for k, v in value.items()))
+    return value
+
+
+def _type(value, types, schema, root, path):
+    names = [types] if isinstance(types, str) else types
+    if not any(_TYPES[name](value) for name in names):
+        yield path, f"{value!r} is not of type {', '.join(map(repr, names))}"
+
+
+def _properties(value, properties, schema, root, path):
+    if isinstance(value, dict):
+        for key, sub in properties.items():
+            if key in value:
+                yield from _errors(value[key], sub, root, path + (key,))
+
+
+def _additional_properties(value, extra, schema, root, path):
+    if not isinstance(value, dict):
+        return
+    known = schema.get("properties", {})
+    extras = [key for key in value if key not in known]
+    if extra is not False:
+        for key in extras:
+            yield from _errors(value[key], extra, root, path + (key,))
+    elif extras:
+        verb = "was" if len(extras) == 1 else "were"
+        yield path, (f"Additional properties are not allowed "
+                     f"({', '.join(map(repr, sorted(extras)))} {verb} unexpected)")
+
+
+def _items(value, sub, schema, root, path):
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _errors(item, sub, root, path + (i,))
+
+
+def _required(value, names, schema, root, path):
+    if isinstance(value, dict):
+        for name in names:
+            if name not in value:
+                yield path, f"{name!r} is a required property"
+
+
+def _unique_items(value, unique, schema, root, path):
+    if unique and isinstance(value, list) and len(set(map(_canonical, value))) < len(value):
+        yield path, f"{value!r} has non-unique elements"
+
+
+def _size(kind, fails, edge: int, edge_words: str, words: str):
+    """A ``minItems``-like check of ``len`` against the keyword's value."""
+    def check(value, size, schema, root, path):
+        if isinstance(value, kind) and fails(len(value), size):
+            yield path, f"{value!r} {edge_words if size == edge else words}"
+    return check
+
+
+def _bound(fails, words: str):
+    """A ``minimum``-like check of a number against the keyword's value."""
+    def check(value, bound, schema, root, path):
+        if _is_number(value) and fails(value, bound):
+            yield path, f"{value!r} is {words} {bound!r}"
+    return check
+
+
+def _const(value, const, schema, root, path):
+    if _canonical(value) != _canonical(const):
+        yield path, f"{const!r} was expected"
+
+
+def _enum(value, options, schema, root, path):
+    if _canonical(value) not in map(_canonical, options):
+        yield path, f"{value!r} is not one of {options!r}"
+
+
+def _pattern(value, pattern, schema, root, path):
+    if isinstance(value, str) and not re.search(pattern, value):
+        yield path, f"{value!r} does not match {pattern!r}"
+
+
+def _one_of(value, arms, schema, root, path):
+    valid = [arm for arm in arms if next(_errors(value, arm, root, path), None) is None]
+    if not valid:
+        yield path, f"{value!r} is not valid under any of the given schemas"
+    elif len(valid) > 1:
+        listed = ", ".join(map(repr, valid[1:] + valid[:1]))
+        yield path, f"{value!r} is valid under each of {listed}"
+
+
+_REF_PREFIX = "#/$defs/"
+
+
+def _ref(value, ref, schema, root, path):
+    yield from _errors(value, root["$defs"][ref[len(_REF_PREFIX):]], root, path)
+
+
+_KEYWORDS = {
+    "type": _type, "properties": _properties, "additionalProperties": _additional_properties,
+    "items": _items, "required": _required, "uniqueItems": _unique_items,
+    "minItems": _size(list, operator.lt, 1, "should be non-empty", "is too short"),
+    "maxItems": _size(list, operator.gt, 0, "is expected to be empty", "is too long"),
+    "minLength": _size(str, operator.lt, 1, "should be non-empty", "is too short"),
+    "minProperties": _size(dict, operator.lt, 1, "should be non-empty",
+                           "does not have enough properties"),
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    "const": _const, "enum": _enum, "pattern": _pattern, "oneOf": _one_of, "$ref": _ref,
+}
+_ANNOTATIONS = frozenset({"$schema", "title", "description", "contentEncoding"})
+
+
+def _errors(value, schema: dict, root: dict, path: tuple = ()):
+    """Every ``(path, message)`` violation of ``schema``, keywords in schema order."""
+    for keyword, arg in schema.items():
+        check = _KEYWORDS.get(keyword)
+        if check is not None:
+            yield from check(value, arg, schema, root, path)
+
+
+def schema_error(doc, schema: dict) -> tuple | None:
+    """The first ``(path, message)`` by which ``doc`` breaks ``schema``, else None.
+
+    ``path`` is the tuple of keys and indices down to the offending value.
+    Errors are ordered by path, so the shallowest and leftmost comes first;
+    at one path, the schema's keyword order decides.
+    """
+    return min(_errors(doc, schema, schema), key=lambda error: error[0], default=None)
+
+
+def _check_keywords(schema: dict, root: dict, where: str = "#") -> None:
+    """Refuse a schema keyword that ``schema_error`` would not assert."""
+    for keyword, arg in schema.items():
+        at = f"{where}/{keyword}"
+        if keyword in ("properties", "$defs"):
+            for name, sub in arg.items():
+                _check_keywords(sub, root, f"{at}/{name}")
+        elif keyword == "items" or (keyword == "additionalProperties" and arg is not False):
+            _check_keywords(arg, root, at)
+        elif keyword == "oneOf":
+            for i, sub in enumerate(arg):
+                _check_keywords(sub, root, f"{at}/{i}")
+        elif keyword == "$ref":
+            name = arg[len(_REF_PREFIX):]
+            if not arg.startswith(_REF_PREFIX) or name not in root.get("$defs", {}):
+                raise ValueError(f"{at}: only references to {_REF_PREFIX}<name> are supported")
+        elif keyword not in _KEYWORDS and keyword not in _ANNOTATIONS:
+            raise ValueError(f"{at}: schema keyword {keyword!r} is not supported")
+
+
 @lru_cache(maxsize=None)
-def _load_schema(name: str) -> dict:
+def load_schema(name: str) -> dict:
+    """A shipped schema by file name, read once per process.
+
+    JSON Schema documents (all but the CSV descriptors) are checked to use
+    only the keywords that ``schema_error`` asserts or ignores as annotations.
+    """
     ref = resources.files("fingerloc.schemas") / name
-    return json.loads(ref.read_text(encoding="utf-8"))
+    schema = json.loads(ref.read_text(encoding="utf-8"))
+    if name not in _CSV_ARTIFACTS.values():
+        _check_keywords(schema, schema)
+    return schema
 
 
 def _check_cell(cell: str, ctype: str, nullable: bool) -> bool:
@@ -120,12 +315,11 @@ def _validate_csv(path: str, schema: dict) -> None:
 def _validate_json(path: str, schema: dict) -> None:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ValueError(f"{path}: {where}: {err.message}")
+    found = schema_error(doc, schema)
+    if found is not None:
+        keys, message = found
+        where = "/".join(map(str, keys)) or "<root>"
+        raise ValueError(f"{path}: {where}: {message}")
 
 
 def validate_artifact(path: str, artifact: str | None = None) -> str:
@@ -144,7 +338,7 @@ def validate_artifact(path: str, artifact: str | None = None) -> str:
     """
     artifact = artifact or path
     name = artifact_schema_name(artifact)
-    schema = _load_schema(name)
+    schema = load_schema(name)
     if os.path.basename(artifact) in _CSV_ARTIFACTS:
         _validate_csv(path, schema)
     else:

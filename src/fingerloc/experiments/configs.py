@@ -2,19 +2,12 @@
 
 import json
 import math
-from importlib import resources
-
-import jsonschema
 
 from ..errors import ConfigError
+from .artifacts import load_schema, schema_error
 from .defaults import PIPELINES, _deep_merge, config_defaults
 
 __all__ = ["load_config", "validate_config", "parse_config"]
-
-
-def _schema_for(pipeline: str) -> dict:
-    ref = resources.files("fingerloc.schemas") / f"{pipeline}.schema.json"
-    return json.loads(ref.read_text(encoding="utf-8"))
 
 
 def _non_finite(node, path: tuple = ()) -> tuple | None:
@@ -50,12 +43,11 @@ def validate_config(cfg: dict) -> None:
     if keys is not None:
         path = ".".join(keys)
         raise ConfigError(f"{path}: not a finite number", path=path)
-    validator = jsonschema.Draft202012Validator(_schema_for(pipeline))
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: {err.message}", path=path)
+    found = schema_error(cfg, load_schema(f"{pipeline}.schema.json"))
+    if found is not None:
+        keys, message = found
+        path = ".".join(map(str, keys)) or "<root>"
+        raise ConfigError(f"{path}: {message}", path=path)
 
 
 def parse_config(raw: dict) -> dict:

@@ -147,6 +147,15 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     assert read(a) == read(c)  # config seed is 5, so no flag means seed 5
 
 
+def test_seed_flag_is_checked_against_the_schema(tmp_path, capsys):
+    cfg_path, out_dir = _write_config(tmp_path, "classroom_cir")
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg_path, "--seed", "-1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed") and "minimum" in err, err
+    assert not os.path.exists(out_dir)
+
+
 def _modules_loaded_by(code: str) -> set:
     """Every module in ``sys.modules`` after running ``code`` in a fresh process."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -159,9 +168,11 @@ def _modules_loaded_by(code: str) -> set:
 
 # Every verb is a fresh process that imports the CLI and resolves its config
 # first, so start-up is paid on every verb: scipy.signal, scipy.stats and
-# scipy.interpolate once took about half of it.  A pipeline that calls no
-# scipy loads no scipy module at all.
+# scipy.interpolate once took about half of it, and jsonschema with the
+# modules it pulls in about a third of what was left.  A pipeline that calls
+# no scipy loads no scipy module at all, and no pipeline loads jsonschema.
 NEVER_LOADED = {"signal", "stats", "interpolate"}
+SCHEMA_PACKAGES = {"jsonschema", "referencing", "attrs"}
 SCIPY_CALLED = {
     "classroom_cir": set(),
     "illegal_hybrid": set(),
@@ -186,6 +197,7 @@ def test_a_config_loads_only_its_pipeline_and_the_scipy_it_calls(name, tmp_path)
         assert "scipy" not in loaded
     if name == "wifi_rssi_rspd":  # the lighting LP's subpackages are bems's alone
         assert not subpackages & {"optimize", "sparse"}
+    assert not loaded & SCHEMA_PACKAGES
 
 
 def test_cli_import_and_report_load_no_pipeline_and_no_scipy(tmp_path):
@@ -199,6 +211,7 @@ def test_cli_import_and_report_load_no_pipeline_and_no_scipy(tmp_path):
         loaded = _modules_loaded_by(code)
         assert not loaded & PIPELINE_MODULE_NAMES
         assert "scipy" not in loaded
+        assert not loaded & SCHEMA_PACKAGES
     assert (tmp_path / "results" / "report.json").is_file()
 
 
