@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .geometry import Grid, Position
+from .geometry import Grid
 from .stats import GammaParams, GaussianStats, VonMisesParams
 
 __all__ = [
@@ -170,7 +170,7 @@ def database_to_json(db: FingerprintDatabase) -> str:
     doc = {
         "version": FORMAT_VERSION,
         "grid": {
-            "origin": [db.grid.origin.x, db.grid.origin.y],
+            "origin": list(db.grid.origin),
             "nx": db.grid.nx,
             "ny": db.grid.ny,
             "spacing": db.grid.spacing,
@@ -192,10 +192,7 @@ def database_from_json(text: str) -> FingerprintDatabase:
     _refuse_unknown_keys(doc, "database", ("version", "grid", "config_digest", "blocks"))
     g = _json_object(doc, "grid")
     _refuse_unknown_keys(g, "database grid", ("origin", "nx", "ny", "spacing"))
-    origin = g["origin"]
-    if not (isinstance(origin, list) and len(origin) == 2):
-        raise ValueError(f"database grid origin must be a pair of coordinates, got {origin!r}")
-    grid = Grid(Position(*origin), g["nx"], g["ny"], g["spacing"])
+    grid = Grid(g["origin"], g["nx"], g["ny"], g["spacing"])
     digest = doc.get("config_digest")
     if digest is not None and not isinstance(digest, str):
         raise ValueError(f"database config_digest must be a string or null, got {digest!r}")

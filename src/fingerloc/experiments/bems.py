@@ -15,10 +15,10 @@ import numpy as np
 
 from ..database import FingerprintDatabase
 from ..errors import ConfigError
-from ..geometry import Grid, Position
+from ..geometry import Grid
 from ..lighting import LightingScenario, illuminance, solve_lighting
 from ..matching import binary_likelihood, threshold_set
-from ..simulate import SensorCoverage, derive_seed, seeded_uniforms
+from ..simulate import derive_seed, seeded_uniforms
 from ..stats import learn_detection_map
 from ..tracking import grid_bayes_step, transition_matrix
 from .artifacts import validate_artifact
@@ -81,21 +81,44 @@ DEFAULTS = {
 }
 
 
-def build_sensors(cfg: dict) -> list:
-    """SensorCoverage per configured sensor (shared profile, per-sensor overrides)."""
+def build_sensors(cfg: dict) -> dict:
+    """The configured sensors as arrays: the shared ``coverage``, overridden per sensor.
+
+    ``edges[s, i]`` is the upper range of sensor s's bin i; a moving user at
+    range r is detected with ``p_moving`` of the first bin whose edge covers
+    r, the last bin extending outward.  A static user is detected with the
+    range-independent ``p_static``.  A sensor with fewer than B bins is
+    padded with ``+inf`` edges and its last probability.
+
+    Returns:
+        dict of ``pos`` (S, 2), ``edges`` and ``p_moving`` (S, B), and
+        ``p_static`` (S,).
+
+    Raises:
+        ConfigError: at ``scenario.sensors.<i>`` when a sensor's edges and
+            probabilities differ in length, its edges do not strictly ascend,
+            or its detection probability rises with range.
+    """
     scn = cfg["scenario"]
-    base = scn["coverage"]
-    sensors = []
-    for s in scn["sensors"]:
-        merged = dict(base)
-        merged.update({k: v for k, v in s.items() if k != "pos"})
-        sensors.append(SensorCoverage(
-            pos=Position(*s["pos"]),
-            range_edges_m=tuple(merged["range_edges_m"]),
-            p_moving=tuple(merged["p_moving"]),
-            p_static=merged["p_static"],
-        ))
-    return sensors
+    merged = [{**scn["coverage"], **s} for s in scn["sensors"]]
+    for i, m in enumerate(merged):
+        edges, probs, path = m["range_edges_m"], m["p_moving"], f"scenario.sensors.{i}"
+        if len(edges) != len(probs):
+            raise ConfigError(f"{len(edges)} range edges for {len(probs)} detection "
+                              "probabilities", path=path)
+        if any(e2 <= e1 for e1, e2 in zip(edges, edges[1:])):
+            raise ConfigError("range edges must be strictly ascending", path=path)
+        if any(p2 > p1 for p1, p2 in zip(probs, probs[1:])):
+            raise ConfigError("detection probability must be non-increasing with range",
+                              path=path)
+    bins = max(len(m["p_moving"]) for m in merged)
+    pads = [bins - len(m["p_moving"]) for m in merged]
+    return {"pos": np.array([m["pos"] for m in merged], dtype=float),
+            "edges": np.array([[*m["range_edges_m"], *[math.inf] * k]
+                               for m, k in zip(merged, pads)], dtype=float),
+            "p_moving": np.array([[*m["p_moving"], *m["p_moving"][-1:] * k]
+                                  for m, k in zip(merged, pads)], dtype=float),
+            "p_static": np.array([m["p_static"] for m in merged], dtype=float)}
 
 
 def measurement_shapes(cfg: dict) -> dict:
@@ -105,24 +128,28 @@ def measurement_shapes(cfg: dict) -> dict:
             "bits": ((n, len(scn["sensors"])), bool)}
 
 
-def sensor_ranges(sensors: list, xy) -> np.ndarray:
+def sensor_ranges(sensors: dict, xy) -> np.ndarray:
     """(points, sensors) distance from every row of ``xy`` to every sensor."""
     # math.hypot per pair: numpy's hypot differs in the last bit, which can
     # move a range across a detection bin's edge
-    ranges = [[math.hypot(cov.pos.x - x, cov.pos.y - y) for cov in sensors]
+    pos = sensors["pos"].tolist()
+    ranges = [[math.hypot(sx - x, sy - y) for sx, sy in pos]
               for x, y in np.asarray(xy).tolist()]
-    return np.array(ranges, dtype=float).reshape(len(ranges), len(sensors))
+    return np.array(ranges, dtype=float).reshape(len(ranges), len(pos))
 
 
-def detection_bits(sensors: list, ranges, moving, uniforms) -> np.ndarray:
+def detection_bits(sensors: dict, ranges, moving, uniforms) -> np.ndarray:
     """Bernoulli detection bits: ``uniforms[..., s] < p_s(ranges[..., s], moving)``.
 
     ``ranges`` and ``uniforms`` end in one column per sensor; ``moving``
-    broadcasts against the columns of ``ranges``.
+    broadcasts against the columns of ``ranges``.  Sensor s's bin at range r
+    is ``min(count(edges[s] < r), B - 1)``: ``searchsorted(side="left")`` on
+    its unpadded edges, clamped to the last bin.
     """
-    probs = np.stack([cov.detect_probability(ranges[..., si], moving)
-                      for si, cov in enumerate(sensors)], axis=-1)
-    return uniforms < probs
+    edges = sensors["edges"]
+    bins = np.minimum(np.count_nonzero(edges < ranges[..., None], axis=-1), edges.shape[1] - 1)
+    p_moving = sensors["p_moving"][np.arange(len(edges)), bins]
+    return uniforms < np.where(np.asarray(moving)[..., None], p_moving, sensors["p_static"])
 
 
 def simulate_measurements(cfg: dict) -> dict:
@@ -133,15 +160,16 @@ def simulate_measurements(cfg: dict) -> dict:
     """
     grid = build_grid(cfg)
     sensors = build_sensors(cfg)
+    n_sensors = len(sensors["pos"])
     scn = cfg["scenario"]
     cells = np.arange(len(grid))[:, None]
     visits = np.arange(scn["train_visits"])[None, :]
     moving = seeded_uniforms(cfg["seed"], _TAG_TRAIN_VISIT, cells, visits) < scn["train_move_prob"]
     u_bits = seeded_uniforms(cfg["seed"], _TAG_TRAIN_BIT, cells[..., None], visits[..., None],
-                             np.arange(len(sensors)))
+                             np.arange(n_sensors))
     bits = detection_bits(sensors, sensor_ranges(sensors, grid.xy)[:, None], moving, u_bits)
     return {"cell": np.repeat(cells[:, 0], visits.size), "moving": moving.reshape(-1),
-            "bits": bits.reshape(-1, len(sensors))}
+            "bits": bits.reshape(-1, n_sensors)}
 
 
 def build_database(cfg: dict, visits: dict) -> FingerprintDatabase:
@@ -192,7 +220,7 @@ def walk_bits(cfg: dict, grid: Grid, cells: list, moving: list) -> np.ndarray:
     """
     sensors = build_sensors(cfg)
     steps = np.arange(1, len(cells) + 1)[:, None]
-    uniforms = seeded_uniforms(cfg["seed"], _TAG_WALK_BIT, steps, np.arange(len(sensors)))
+    uniforms = seeded_uniforms(cfg["seed"], _TAG_WALK_BIT, steps, np.arange(len(sensors["pos"])))
     return detection_bits(sensors, sensor_ranges(sensors, grid.xy[cells]), moving, uniforms)
 
 

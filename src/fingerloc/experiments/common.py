@@ -28,7 +28,7 @@ from ..database import (
     save_database,
 )
 from ..errors import ConfigError
-from ..geometry import Grid, Position
+from ..geometry import Grid
 
 __all__ = ["dump_json", "write_json", "write_csv", "summarize_errors",
            "cdf_table", "CDF_QUANTILES", "build_grid",
@@ -129,7 +129,7 @@ def cdf_table(errors) -> dict:
 def build_grid(cfg: dict) -> Grid:
     """The configured survey grid, ``scenario.grid``, in row-major order."""
     g = cfg["scenario"]["grid"]
-    return Grid(Position(*g["origin"]), g["nx"], g["ny"], g["spacing_m"])
+    return Grid(g["origin"], g["nx"], g["ny"], g["spacing_m"])
 
 
 def config_digest(cfg: dict, artifact: str) -> str:

@@ -1,4 +1,4 @@
-"""Positions and measurement grids for fingerprint localization."""
+"""Measurement grids for fingerprint localization."""
 
 import math
 import numbers
@@ -6,21 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Position", "Grid"]
-
-
-@dataclass(frozen=True)
-class Position:
-    """A point in the horizontal plane, meters."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-                   for v in (self.x, self.y)):
-            raise ValueError(
-                f"position coordinates must be finite reals, got ({self.x!r}, {self.y!r})")
+__all__ = ["Grid"]
 
 
 @dataclass(frozen=True)
@@ -34,14 +20,14 @@ class Grid:
     equality compares the four defining fields only.
 
     Args:
-        origin: position of point 0 (lower-left corner).
+        origin: the ``(x, y)`` pair of point 0 (lower-left corner), finite reals.
         nx: number of columns (>= 1).
         ny: number of rows (>= 1).
         spacing: inter-point distance in meters (> 0, and large enough that
             no two points round to the same coordinates).
     """
 
-    origin: Position
+    origin: tuple
     nx: int
     ny: int
     spacing: float
@@ -57,13 +43,20 @@ class Grid:
                 and spacing > 0 and math.isfinite(spacing)):
             raise ValueError(f"grid spacing must be positive and finite, got {spacing!r}")
         spacing = float(spacing)
-        origin = Position(float(self.origin.x), float(self.origin.y))
+        try:
+            x0, y0 = self.origin
+        except (TypeError, ValueError):
+            raise ValueError(f"grid origin must be an (x, y) pair, got {self.origin!r}") from None
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                   for v in (x0, y0)):
+            raise ValueError(f"grid origin coordinates must be finite reals, got {self.origin!r}")
+        origin = (float(x0), float(y0))
         # far from the origin a small spacing rounds away and points coincide
-        for start, n in ((origin.x, nx), (origin.y, ny)):
+        for start, n in zip(origin, (nx, ny)):
             if np.any(np.diff(start + np.arange(n) * spacing) <= 0):
                 raise ValueError(f"grid spacing {spacing} is below float resolution at {start}")
         k = np.arange(nx * ny)
-        xy = np.stack([origin.x + (k % nx) * spacing, origin.y + (k // nx) * spacing], axis=1)
+        xy = np.stack([origin[0] + (k % nx) * spacing, origin[1] + (k // nx) * spacing], axis=1)
         xy.flags.writeable = False
         for name, value in (("origin", origin), ("nx", nx), ("ny", ny),
                             ("spacing", spacing), ("xy", xy)):

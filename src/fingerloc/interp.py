@@ -23,7 +23,6 @@ __all__ = [
     "windowed_sinc_lowpass",
     "bandwidth_interp",
     "freq_interp_xcorr",
-    "uca_steering",
     "estimate_aoa",
     "phasediff_freq_interp",
     "spatial_densify",
@@ -163,17 +162,6 @@ def _element_phases(geom: UcaGeometry, freq_hz: float, aoa_rad) -> np.ndarray:
     return gain * np.cos(np.asarray(aoa_rad)[..., None] - 2.0 * math.pi * k / geom.n_elements)
 
 
-def uca_steering(geom: UcaGeometry, freq_hz: float, aoa_rad: float) -> np.ndarray:
-    """Unit-magnitude array response of a circular array to a planar wavefront.
-
-    Element k (at azimuth 2 pi k / n) sees phase
-    ``(2 pi f r / c) * cos(aoa - 2 pi k / n)``.
-    """
-    if not (freq_hz > 0):
-        raise ValueError("frequency must be positive")
-    return np.exp(1j * _element_phases(geom, freq_hz, aoa_rad))
-
-
 def _steering_pair_diffs(geom: UcaGeometry, freq_hz: float, aoa_grid: np.ndarray,
                          pairs) -> np.ndarray:
     phases = _element_phases(geom, freq_hz, aoa_grid)
@@ -202,6 +190,8 @@ def estimate_aoa(values, pairs, geom: UcaGeometry, freq_hz: float) -> tuple:
     if values.ndim != 2 or len(pairs) != values.shape[-1]:
         raise ValueError(f"need one element pair per phase difference, got {len(pairs)} "
                          f"pairs for shape {values.shape}")
+    if not (freq_hz > 0):
+        raise ValueError("frequency must be positive")
     grid = np.deg2rad(np.arange(0.0, 360.0, AOA_GRID_STEP_DEG))
     pred = _steering_pair_diffs(geom, freq_hz, grid, pairs)
     agree = np.exp(1j * (values[:, None, :] - pred))  # (N, angles, pairs)

@@ -26,7 +26,8 @@ def light_gain(light_pos, height_m, peak_lux, target):
     ``peak * h**3 / (h**2 + d**2)**1.5`` for horizontal offset ``d``,
     so a target directly below the light receives ``peak_lux``.
 
-    Positions are ``(..., 2)`` floor coordinates; all arguments broadcast.
+    ``light_pos`` and ``target`` are ``(..., 2)`` floor coordinates; all
+    arguments broadcast.
     """
     height_m = np.asarray(height_m, dtype=float)
     peak_lux = np.asarray(peak_lux, dtype=float)

@@ -1,4 +1,4 @@
-"""Scenario simulation: multipath links in blocks, occupancy sensors, step logs."""
+"""Scenario simulation: multipath links in blocks, step logs and seeded streams."""
 
 import functools
 import math
@@ -6,13 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Position
-
 __all__ = [
     "SPEED_OF_LIGHT",
     "ChannelModel",
     "TxSignalSpec",
-    "SensorCoverage",
     "gen_cir",
     "synthesize_rx",
     "add_receiver_noise",
@@ -452,47 +449,6 @@ def link_chunks(n_measurements: int, samples_per_measurement: int) -> list:
     step = max(1, SIM_CHUNK // max(1, samples_per_measurement))
     return [slice(lo, min(lo + step, n_measurements))
             for lo in range(0, n_measurements, step)]
-
-
-@dataclass(frozen=True)
-class SensorCoverage:
-    """Detection behavior of one occupancy sensor.
-
-    ``range_edges_m[i]`` is the upper range of bin i; a moving user at range r
-    is detected with the probability of the first bin whose edge covers r
-    (the last bin extends outward).  Static users are detected with the
-    range-independent ``p_static``.
-    """
-
-    pos: Position
-    range_edges_m: tuple
-    p_moving: tuple
-    p_static: float = 0.05
-
-    def __post_init__(self):
-        edges = tuple(float(e) for e in self.range_edges_m)
-        probs = tuple(float(p) for p in self.p_moving)
-        if len(edges) == 0 or len(edges) != len(probs):
-            raise ValueError("range edges and probabilities must be non-empty, equal-length")
-        if any(e2 <= e1 for e1, e2 in zip(edges, edges[1:])):
-            raise ValueError("range edges must be strictly ascending")
-        if any(not (0.0 <= p <= 1.0) for p in probs):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if any(p2 > p1 for p1, p2 in zip(probs, probs[1:])):
-            raise ValueError("detection probability must be non-increasing with range")
-        if not (0.0 <= self.p_static <= 1.0):
-            raise ValueError("p_static must lie in [0, 1]")
-        object.__setattr__(self, "range_edges_m", edges)
-        object.__setattr__(self, "p_moving", probs)
-
-    def detect_probability(self, range_m, moving) -> np.ndarray:
-        """Detection probability of users at ranges ``range_m``, moving or not.
-
-        ``range_m`` and ``moving`` broadcast against each other.
-        """
-        idx = np.searchsorted(self.range_edges_m, range_m, side="left")
-        p_moving = np.asarray(self.p_moving)[np.minimum(idx, len(self.p_moving) - 1)]
-        return np.where(moving, p_moving, self.p_static)
 
 
 def simulate_pdr(path, noise_sigma: float, rng) -> np.ndarray:

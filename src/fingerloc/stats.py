@@ -516,8 +516,8 @@ def _axis_correlation(a: np.ndarray, b: np.ndarray, length_scale: float) -> np.n
 
 def _axes(grid: Grid) -> tuple:
     """(y, x) coordinates of the grid's rows and columns."""
-    return (grid.origin.y + np.arange(grid.ny) * grid.spacing,
-            grid.origin.x + np.arange(grid.nx) * grid.spacing)
+    return (grid.origin[1] + np.arange(grid.ny) * grid.spacing,
+            grid.origin[0] + np.arange(grid.nx) * grid.spacing)
 
 
 def _axis_eigh(grid: Grid) -> tuple:

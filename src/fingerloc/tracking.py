@@ -216,14 +216,14 @@ def particle_update(positions, weights, grid: Grid, values) -> tuple:
     """
     pos, prior = _particles(positions, weights)
     values = _log_row(values, len(grid), "observation")
-    nx, ny, origin, h, xy = grid.nx, grid.ny, grid.origin, grid.spacing, grid.xy
+    nx, ny, (x0, y0), h, xy = grid.nx, grid.ny, grid.origin, grid.spacing, grid.xy
     shift = float(np.max(values))
     dens = np.exp(values - shift)  # common shift cancels in normalization
 
-    x = np.clip(pos[:, 0], origin.x, origin.x + (nx - 1) * h)
-    y = np.clip(pos[:, 1], origin.y, origin.y + (ny - 1) * h)
-    ix = np.minimum((x - origin.x) // h, max(nx - 2, 0)).astype(int)
-    iy = np.minimum((y - origin.y) // h, max(ny - 2, 0)).astype(int)
+    x = np.clip(pos[:, 0], x0, x0 + (nx - 1) * h)
+    y = np.clip(pos[:, 1], y0, y0 + (ny - 1) * h)
+    ix = np.minimum((x - x0) // h, max(nx - 2, 0)).astype(int)
+    iy = np.minimum((y - y0) // h, max(ny - 2, 0)).astype(int)
     cols = ix[:, None] + np.arange(min(nx, 2))
     rows = iy[:, None] + np.arange(min(ny, 2))
     corners = (rows[:, :, None] * nx + cols[:, None, :]).reshape(len(pos), -1)  # (P, k)

@@ -21,7 +21,7 @@ from fingerloc.experiments.artifacts import validate_artifact, validate_run_dir
 from fingerloc.experiments.common import build_grid, read_measurements, write_csv
 from fingerloc.experiments.configs import load_config, parse_config
 from fingerloc.experiments.defaults import PIPELINES, config_defaults
-from fingerloc.geometry import Grid, Position
+from fingerloc.geometry import Grid
 from fingerloc.interp import spatial_densify
 from fingerloc.stats import GaussianStats, kriging_fit, kriging_predict
 
@@ -292,6 +292,25 @@ def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, value, na
     assert not os.path.exists(out_dir)
 
 
+@pytest.mark.parametrize("sensor, message", [
+    ({"range_edges_m": [1.0, 2.0, 3.0]}, "3 range edges for 4 detection probabilities"),
+    ({"range_edges_m": [1.0, 3.0, 2.0, 4.0]}, "range edges must be strictly ascending"),
+    ({"p_moving": [0.9, 0.95, 0.5, 0.1]}, "detection probability must be non-increasing"),
+], ids=["unequal-lengths", "edges-not-ascending", "probability-rises"])
+def test_a_bad_sensor_override_is_a_config_error_naming_the_sensor(tmp_path, capsys, sensor,
+                                                                   message):
+    # the schema bounds each value; the shape of one sensor's merged bins is checked in bems
+    scenario = dict(TINY["bems_binary"]["scenario"])
+    scenario["sensors"] = scenario["sensors"] + [dict(sensor, pos=[2, 2])]
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary", scenario=scenario)
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err, err
+    assert err.rstrip().endswith("(at scenario.sensors.2)") and "Traceback" not in err
+    assert not os.path.exists(out_dir)
+
+
 def test_repeated_gamma_sweep_values_are_a_config_error(tmp_path, capsys):
     # 2 and 2.0 are one gamma: the sweep would score the same map twice
     evaluation = dict(TINY["illegal_hybrid"]["evaluation"], gamma_sweep=[0, 2, 2.0, 7])
@@ -456,7 +475,7 @@ def test_illegal_fine_lattice_edge_counts_inside_the_survey(tmp_path, monkeypatc
     far = coarse.grid.xy[:, 0].max()
     assert dense.grid.xy[:, 0].max() == np.nextafter(far, 1.0)
     edge = dense.grid.xy[:, 0] == dense.grid.xy[:, 0].max()
-    column = Grid(Position(far, 0.0), nx=1, ny=8, spacing=0.3 / 7)
+    column = Grid((far, 0.0), nx=1, ny=8, spacing=0.3 / 7)
     for key, block in coarse.blocks.items():
         if np.iscomplexobj(block):
             db = 10.0 * np.log10(np.abs(block))
@@ -642,7 +661,7 @@ def test_learned_database_stores_its_grid_as_a_lattice(name, tmp_path):
         grid = Grid(grid.origin, (grid.nx - 1) * f + 1, (grid.ny - 1) * f + 1, grid.spacing / f)
     path = pathlib.Path(out_dir) / "db.json"
     assert json.loads(path.read_text())["grid"] == {
-        "origin": [grid.origin.x, grid.origin.y], "nx": grid.nx, "ny": grid.ny,
+        "origin": list(grid.origin), "nx": grid.nx, "ny": grid.ny,
         "spacing": grid.spacing}
     db = load_database(str(path))  # checks every block against the grid's cell count
     assert db.grid == grid and len(db.blocks) > 0

@@ -20,12 +20,12 @@ from fingerloc.database import (
     save_database,
 )
 from fingerloc.experiments.artifacts import validate_artifact
-from fingerloc.geometry import Grid, Position
+from fingerloc.geometry import Grid
 from fingerloc.stats import GammaParams, VonMisesParams, fit_gaussian, kriging_fit
 
 
 def _grid(n=2):
-    return Grid(Position(0.0, 0.0), nx=n, ny=n, spacing=1.0)
+    return Grid((0.0, 0.0), nx=n, ny=n, spacing=1.0)
 
 
 def _round_trip(block, n=2):

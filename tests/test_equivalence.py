@@ -77,7 +77,7 @@ from fingerloc.experiments.configs import parse_config  # noqa: E402
 from fingerloc.experiments.illegal import error_maps  # noqa: E402
 from fingerloc.features import pair_xcorr, wrap_angle, xcorr, xcorr_rows  # noqa: E402
 from fingerloc.errors import NumericError  # noqa: E402
-from fingerloc.geometry import Grid, Position  # noqa: E402
+from fingerloc.geometry import Grid  # noqa: E402
 from fingerloc.interp import (  # noqa: E402
     LOWPASS_TAPS,
     UcaGeometry,
@@ -221,7 +221,7 @@ def test_first_difference_catches_drift():
 
 def _ref_gen_cir(tx, rx, freq_hz, bandwidth_hz, model, tap_count, snapshot):
     """One link's taps, as the per-link simulator drew them."""
-    dist = math.hypot(tx.x - rx.x, tx.y - rx.y)
+    dist = math.hypot(tx[0] - rx[0], tx[1] - rx[1])
     first_tap = int(round(dist / SPEED_OF_LIGHT * bandwidth_hz))
     total_power = 10.0 ** (-model.reference_loss_db / 10.0) * dist ** (-model.pathloss_exponent)
     n_nlos = model.path_count - 1
@@ -242,7 +242,7 @@ def _ref_gen_cir(tx, rx, freq_hz, bandwidth_hz, model, tap_count, snapshot):
             decay = np.zeros(n_nlos)
             decay[0] = 1.0
         rng = np.random.default_rng(derive_seed(
-            model.seed, snapshot, tx.x, tx.y, rx.x, rx.y, float(freq_hz)))
+            model.seed, snapshot, *tx, *rx, float(freq_hz)))
         draws = (rng.standard_normal(n_nlos) + 1j * rng.standard_normal(n_nlos)) / math.sqrt(2.0)
         gains = draws * np.sqrt(decay)
         drawn_power = float(np.sum(np.abs(gains) ** 2))
@@ -289,9 +289,8 @@ def test_block_links_equal_the_per_link_chain_bit_for_bit(
     tx[0] = zeros[:2]
     rx[-1, 0] = zeros[2]
     freq, snr_db = float(rng.uniform(1e8, 6e9)), float(rng.uniform(-10.0, 40.0))
-    tx_pos = [Position(*p) for p in tx.tolist()]
-    rx_pos = [Position(*p) for p in rx.tolist()]
-    dists = [math.hypot(a.x - b.x, a.y - b.y) for a in tx_pos for b in rx_pos]
+    tx_pos, rx_pos = tx.tolist(), rx.tolist()
+    dists = [math.hypot(a[0] - b[0], a[1] - b[1]) for a in tx_pos for b in rx_pos]
     assume(min(dists) > 0.0)
     model = ChannelModel(path_count=path_count, delay_spread_s=delay_spread,
                          rician_k_db=k_db, seed=seed % 1000)
@@ -354,19 +353,25 @@ def test_wifi_simulation_seeds_one_stream_per_draw(monkeypatch):
     assert draws == list(range(1, len(rows) + 1))
 
 
-def _ref_detection_bit(cov, user, moving, seed) -> int:
+def _ref_sensors(cfg) -> list:
+    """Each sensor's config: the shared coverage with the sensor's own keys over it."""
+    scn = cfg["scenario"]
+    return [dict(scn["coverage"], **sensor) for sensor in scn["sensors"]]
+
+
+def _ref_detection_bit(sensor, user, moving, seed) -> int:
     """One detection bit drawn from a generator of its own, the bin found by a scan."""
-    p = cov.p_static
+    p = sensor["p_static"]
     if moving:
-        r = math.hypot(cov.pos.x - user[0], cov.pos.y - user[1])
-        p = next((p for edge, p in zip(cov.range_edges_m, cov.p_moving) if r <= edge),
-                 cov.p_moving[-1])
+        r = math.hypot(sensor["pos"][0] - user[0], sensor["pos"][1] - user[1])
+        p = next((p for edge, p in zip(sensor["range_edges_m"], sensor["p_moving"])
+                  if r <= edge), sensor["p_moving"][-1])
     return int(np.random.default_rng(seed).random() < p)
 
 
 def _ref_bems_measurements(cfg):
     """The training visits with one generator per visit and one per sensor bit."""
-    grid, sensors, scn, seed = build_grid(cfg), bems.build_sensors(cfg), cfg["scenario"], cfg["seed"]
+    grid, sensors, scn, seed = build_grid(cfg), _ref_sensors(cfg), cfg["scenario"], cfg["seed"]
     cells, moving, bits = [], [], []
     for cell in range(len(grid)):
         user = grid.xy[cell]
@@ -386,17 +391,23 @@ def _ref_bems_measurements(cfg):
 _BEMS_FINE = {"version": 1, "pipeline": "bems_binary",
               "scenario": {"grid": {"nx": 40, "ny": 40, "origin": [0, 0], "spacing_m": 7.0 / 39},
                            "train_visits": 2, "walk": {"steps": 200, "start_cell": 820}}}
+# sensors of 1, 2 and 4 bins in one config, ranges on the 2-bin sensor's edges
+_BEMS_BINS = dict(TINY["bems_binary"], scenario=dict(TINY["bems_binary"]["scenario"], sensors=[
+    {"pos": [1, 1], "range_edges_m": [0.9], "p_moving": [0.7]},
+    {"pos": [0, 2], "range_edges_m": [1.0, 2.0], "p_moving": [0.95, 0.3], "p_static": 0.2},
+    {"pos": [2, 0]}]))
 
 
 @pytest.mark.parametrize("seed", [0, 2**40])
-@pytest.mark.parametrize("raw", [TINY["bems_binary"], _BEMS_FINE], ids=["tiny", "fine"])
+@pytest.mark.parametrize("raw", [TINY["bems_binary"], _BEMS_FINE, _BEMS_BINS],
+                         ids=["tiny", "fine", "override"])
 def test_bems_draws_equal_one_generator_per_bit(raw, seed):
     cfg = parse_config(dict(raw, seed=seed))
     got, want = bems.simulate_measurements(cfg), _ref_bems_measurements(cfg)
     for name in want:
         assert got[name].dtype == want[name].dtype
         assert np.array_equal(got[name], want[name]), name
-    grid, sensors = build_grid(cfg), bems.build_sensors(cfg)
+    grid, sensors = build_grid(cfg), _ref_sensors(cfg)
     cells, moving = bems.generate_walk(cfg)
     want_walk = [[_ref_detection_bit(cov, grid.xy[cell], moved,
                                      derive_seed(seed, bems._TAG_WALK_BIT, t, si))
@@ -439,7 +450,7 @@ def _wrap(theta):
        steps=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
 def test_mle_rssi_rspd_equals_per_point_loop(nx, ny, n_sensors, steps, seed):
     rng = np.random.default_rng(seed)
-    grid = Grid(Position(0.0, 0.0), nx, ny, 1.0)
+    grid = Grid((0.0, 0.0), nx, ny, 1.0)
     n = len(grid)
     blocks, feats = {}, []
     for s in range(n_sensors):
@@ -481,7 +492,7 @@ def test_mle_rssi_rspd_equals_per_point_loop(nx, ny, n_sensors, steps, seed):
        half=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
 def test_error_maps_equal_per_point_loop(nx, ny, n_keys, half, seed):
     rng = np.random.default_rng(seed)
-    grid = Grid(Position(0.0, 0.0), nx, ny, 1.0)
+    grid = Grid((0.0, 0.0), nx, ny, 1.0)
     n, dim = len(grid), 2 * half + 1
     trials = 3
     blocks, xc, pd = {}, {}, {}
@@ -644,7 +655,7 @@ def test_xcorr_rows_equal_xcorr_per_row_bit_for_bit(lead, n, lag_frac, seed):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_batched_lighting_equals_per_set_linprog(n_lights, n_sets, density, seed):
     rng = np.random.default_rng(seed)
-    grid = Grid(Position(0.0, 0.0), 4, 4, 1.0)
+    grid = Grid((0.0, 0.0), 4, 4, 1.0)
     rows = np.array([[*rng.uniform(0.0, 3.0, 2), rng.uniform(20, 60), rng.uniform(300, 900),
                       rng.uniform(2.0, 3.0)]
                      for _ in range(n_lights)]).reshape(n_lights, 5)
@@ -827,14 +838,14 @@ def test_multi_column_kriging_equals_per_column_dense_solve(nx, ny, n_cols, spac
                                                             factor, shift, seed):
     assume(nx * ny >= 2)
     rng = np.random.default_rng(seed)
-    train = Grid(Position(*origin), nx, ny, spacing)
+    train = Grid(origin, nx, ny, spacing)
     # columns of very different scales, one of them constant (zero variance)
     vals = rng.normal(0.0, 1.0, (len(train), n_cols)) * 10.0 ** rng.uniform(-3, 3, n_cols)
     vals[:, 0] = rng.uniform(-50.0, 50.0)
     # the survey's refinement, and a lattice shifted off it at another spacing
     queries = [Grid(train.origin, (nx - 1) * factor + 1, (ny - 1) * factor + 1,
                     spacing / factor),
-               Grid(Position(origin[0] + shift[0] * spacing, origin[1] + shift[1] * spacing),
+               Grid((origin[0] + shift[0] * spacing, origin[1] + shift[1] * spacing),
                     3, 2, spacing * 0.7)]
     model = kriging_fit(train, vals)
     assert model.length_scale == 2.0 * spacing
@@ -854,8 +865,8 @@ def test_multi_column_kriging_equals_per_column_dense_solve(nx, ny, n_cols, spac
 def test_spatial_densify_equals_per_key_and_per_query_loops(nx, ny, factor, n_corr, half,
                                                             zero_conf, seed):
     rng = np.random.default_rng(seed)
-    coarse = Grid(Position(0.0, 0.0), nx, ny, 2.0)
-    fine = Grid(Position(0.0, 0.0), (nx - 1) * factor + 1, (ny - 1) * factor + 1, 2.0 / factor)
+    coarse = Grid((0.0, 0.0), nx, ny, 2.0)
+    fine = Grid((0.0, 0.0), (nx - 1) * factor + 1, (ny - 1) * factor + 1, 2.0 / factor)
     train, query = coarse.xy, fine.xy
     n, dim = len(train), 2 * half + 1
     blocks = {}
@@ -904,14 +915,14 @@ def test_spatial_densify_equals_per_key_and_per_query_loops(nx, ny, factor, n_co
 
 def _ref_particle_update(positions, prior, grid, values):
     """The per-particle corner loop: (weights, mean estimate, ESS)."""
-    nx, ny, origin, h, xy = grid.nx, grid.ny, grid.origin, grid.spacing, grid.xy
+    nx, ny, (x0, y0), h, xy = grid.nx, grid.ny, grid.origin, grid.spacing, grid.xy
     dens = np.exp(values - np.max(values))
     lik = np.empty(len(positions))
     for i, pos in enumerate(positions):
-        x = min(max(pos[0], origin.x), origin.x + (nx - 1) * h)
-        y = min(max(pos[1], origin.y), origin.y + (ny - 1) * h)
-        ix = int(min((x - origin.x) // h, max(nx - 2, 0)))
-        iy = int(min((y - origin.y) // h, max(ny - 2, 0)))
+        x = min(max(pos[0], x0), x0 + (nx - 1) * h)
+        y = min(max(pos[1], y0), y0 + (ny - 1) * h)
+        ix = int(min((x - x0) // h, max(nx - 2, 0)))
+        iy = int(min((y - y0) // h, max(ny - 2, 0)))
         cols = [ix, ix + 1] if nx > 1 else [ix]
         rows = [iy, iy + 1] if ny > 1 else [iy]
         corners = np.array([r * nx + c for r in rows for c in cols])
@@ -933,7 +944,7 @@ def _ref_particle_update(positions, prior, grid, values):
 def test_particle_update_equals_per_particle_corner_loop(nx, ny, n_particles, spacing,
                                                           on_grid, seed):
     rng = np.random.default_rng(seed)
-    grid = Grid(Position(*rng.uniform(-3.0, 3.0, 2)), nx, ny, spacing)
+    grid = Grid(tuple(rng.uniform(-3.0, 3.0, 2)), nx, ny, spacing)
     xy = grid.xy
     values = rng.uniform(-30.0, 0.0, len(grid))
     # particles anywhere in the room and 1.5 m beyond it, some exactly on grid points
@@ -984,7 +995,7 @@ def _ref_transition_matrix(grid, p_static, sigma):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_stencil_transition_equals_dense_matrix(nx, ny, spacing, sigma_cells, p_static, seed):
     rng = np.random.default_rng(seed)
-    grid = Grid(Position(*rng.integers(-3, 4, 2).astype(float)), nx, ny, spacing)
+    grid = Grid(tuple(rng.integers(-3, 4, 2).astype(float)), nx, ny, spacing)
     sigma = sigma_cells * spacing
     trans = transition_matrix(grid, p_static, sigma)
     dense = _ref_transition_matrix(grid, p_static, sigma)
@@ -1013,7 +1024,7 @@ def test_stencil_transition_equals_dense_matrix(nx, ny, spacing, sigma_cells, p_
 @pytest.mark.parametrize("nx, ny, spacing", [(40, 40, 7.0 / 39), (1, 40, 7.0 / 39),
                                              (40, 1, 7.0 / 39), (1, 9, 0.78), (9, 1, 0.78)])
 def test_separable_transition_equals_dense_matrix_at_scale(nx, ny, spacing):
-    grid = Grid(Position(0.0, 0.0), nx, ny, spacing)
+    grid = Grid((0.0, 0.0), nx, ny, spacing)
     trans = transition_matrix(grid, 0.4, 1.0)
     rng = np.random.default_rng(nx * 100 + ny)
     mass = np.exp(rng.uniform(-40.0, 0.0, len(grid)))
@@ -1084,7 +1095,7 @@ def test_measurement_codec_round_trips_bit_exactly(arrays, data):
     n = data.draw(st.integers(1, 3))
     cases.append((_model_blocks(data, n), n))
     for blocks, rows in cases:
-        grid = Grid(Position(0.0, 0.0), rows, 1, 1.0)
+        grid = Grid((0.0, 0.0), rows, 1, 1.0)
         with tempfile.TemporaryDirectory() as out_dir:
             path = os.path.join(out_dir, "db.json")
             save_database(FingerprintDatabase(grid=grid, blocks=blocks), path)
@@ -1107,7 +1118,7 @@ def test_measurement_codec_round_trips_bit_exactly(arrays, data):
             with pytest.raises(ValueError, match="non-finite"):
                 save_measurements(cfg, out_dir, {**arrays, name: poisoned})
             if poisoned.ndim:
-                db = FingerprintDatabase(grid=Grid(Position(0.0, 0.0), len(poisoned), 1, 1.0),
+                db = FingerprintDatabase(grid=Grid((0.0, 0.0), len(poisoned), 1, 1.0),
                                          blocks={name: poisoned})
                 with pytest.raises(ValueError, match="non-finite"):
                     save_database(db, os.path.join(out_dir, "db.json"))
@@ -1119,13 +1130,13 @@ def test_measurement_codec_round_trips_bit_exactly(arrays, data):
 # ---------------------------------------------------------------------------
 
 def _ref_lattice_points(origin, nx, ny, spacing):
-    """The per-point loop that built the grid's Position tuple."""
-    return [Position(origin.x + (k % nx) * spacing, origin.y + (k // nx) * spacing)
+    """The per-point loop that built the grid's list of (x, y) points."""
+    return [(origin[0] + (k % nx) * spacing, origin[1] + (k // nx) * spacing)
             for k in range(nx * ny)]
 
 
 _LATTICE = {
-    "origin": st.builds(Position, st.floats(-1e3, 1e3, **_FINITE), st.floats(-1e3, 1e3, **_FINITE)),
+    "origin": st.tuples(st.floats(-1e3, 1e3, **_FINITE), st.floats(-1e3, 1e3, **_FINITE)),
     "nx": st.integers(1, 40),
     "ny": st.integers(1, 40),
     "spacing": st.one_of(st.sampled_from([0.78, 0.1, 7.0 / 39]),
@@ -1139,12 +1150,12 @@ def test_grid_lattice_equals_per_point_loop_bit_for_bit(origin, nx, ny, spacing)
     grid = Grid(origin, nx, ny, spacing)
     want = _ref_lattice_points(origin, nx, ny, spacing)
     assert len(grid) == len(want)
-    ref = np.array([(p.x, p.y) for p in want], dtype=float)
+    ref = np.array(want, dtype=float)
     assert grid.xy.tobytes() == ref.tobytes()
     # the simulators seed their streams from these coordinates' bit patterns
     for k in {0, len(grid) // 2, len(grid) - 1}:
         assert (derive_seed(*grid.xy[k].tolist()).entropy
-                == derive_seed(want[k].x, want[k].y).entropy)
+                == derive_seed(*want[k]).entropy)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,16 +7,16 @@ import pytest
 
 from fingerloc.database import FingerprintDatabase
 from fingerloc.features import wrap_angle
-from fingerloc.geometry import Grid, Position
+from fingerloc.geometry import Grid
 from fingerloc.interp import (
     UcaGeometry,
+    _element_phases,
     bandwidth_interp,
     estimate_aoa,
     freq_interp_xcorr,
     normalize_power,
     phasediff_freq_interp,
     spatial_densify,
-    uca_steering,
     windowed_sinc_lowpass,
 )
 from fingerloc.stats import GammaParams, kriging_fit, kriging_predict
@@ -26,7 +26,7 @@ PAIRS = ((0, 1), (1, 2), (0, 2))
 
 
 def _pair_diffs(geom, freq_hz, aoa_rad, pairs):
-    phases = np.angle(uca_steering(geom, freq_hz, aoa_rad))
+    phases = _element_phases(geom, freq_hz, aoa_rad)
     return wrap_angle(np.array([phases[i] - phases[j] for i, j in pairs]))
 
 
@@ -151,23 +151,24 @@ def test_freq_interp_validation():
 # ---------------------------------------------------------------------------
 
 def test_uca_steering_matches_formula():
+    # element k (at azimuth 2 pi k / n) sees phase (2 pi f r / c) cos(aoa - 2 pi k / n)
     geom = UcaGeometry(n_elements=4, radius_m=0.05)
     f, aoa = 2.4e9, 0.7
     k = np.arange(4)
-    want = np.exp(1j * (2 * math.pi * f * 0.05 / C) * np.cos(aoa - 2 * math.pi * k / 4))
-    got = uca_steering(geom, f, aoa)
-    assert np.allclose(got, want, atol=1e-12)
-    assert np.allclose(np.abs(got), 1.0, atol=1e-15)
+    want = (2 * math.pi * f * 0.05 / C) * np.cos(aoa - 2 * math.pi * k / 4)
+    assert np.allclose(_element_phases(geom, f, aoa), want, rtol=0, atol=1e-12)
+    # one row of phases per angle, elements on the last axis
+    both = _element_phases(geom, f, [aoa, aoa + math.pi])
+    assert both.shape == (2, 4) and np.allclose(both, [want, -want], rtol=0, atol=1e-12)
 
 
 def test_uca_steering_two_element_symmetry_and_frequency_scaling():
     geom = UcaGeometry(n_elements=2, radius_m=0.1)
-    v = uca_steering(geom, 1e9, 1.1)
+    v = _element_phases(geom, 1e9, 1.1)
     # antipodal elements see opposite phases
-    assert v[1] == pytest.approx(np.conj(v[0]), abs=1e-15)
+    assert v[1] == pytest.approx(-v[0], abs=1e-15)
     # doubling the frequency doubles every phase
-    v2 = uca_steering(geom, 2e9, 1.1)
-    assert np.allclose(v2, v ** 2, atol=1e-12)
+    assert np.allclose(_element_phases(geom, 2e9, 1.1), 2 * v, rtol=0, atol=1e-12)
 
 
 def test_uca_geometry_validation():
@@ -176,8 +177,9 @@ def test_uca_geometry_validation():
     with pytest.raises(ValueError):
         UcaGeometry(n_elements=3, radius_m=0.0)
     geom = UcaGeometry(n_elements=3, radius_m=0.05)
-    with pytest.raises(ValueError):
-        uca_steering(geom, 0.0, 1.0)
+    for freq_hz in (0.0, -1e9, math.nan):
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            estimate_aoa(_pair_diffs(geom, 1e9, 1.0, PAIRS)[None], PAIRS, geom, freq_hz)
 
 
 def test_estimate_aoa_recovers_grid_angles_exactly():
@@ -242,7 +244,7 @@ def _train_db(field, grid):
 
 
 def test_spatial_densify_phasediff_exact_at_training_points():
-    grid = Grid(Position(0, 0), nx=3, ny=3, spacing=1.0)
+    grid = Grid((0, 0), nx=3, ny=3, spacing=1.0)
     rng = np.random.default_rng(83)
     field = wrap_angle(rng.uniform(-3, 3, size=(9, 2)))
     db = _train_db(field, grid)
@@ -252,7 +254,7 @@ def test_spatial_densify_phasediff_exact_at_training_points():
 
 
 def test_spatial_densify_correlation_reproduces_training_magnitudes():
-    grid = Grid(Position(0, 0), nx=3, ny=3, spacing=1.0)
+    grid = Grid((0, 0), nx=3, ny=3, spacing=1.0)
     rng = np.random.default_rng(89)
     # dB fields in the span of the default kernel (length scale 2 spacings):
     # with its 1e-6 nugget the posterior mean returns them at the training points
@@ -271,11 +273,11 @@ def test_spatial_densify_correlation_reproduces_training_magnitudes():
 def test_spatial_densify_targets_the_integer_refinement_of_the_survey():
     # a 4x2 survey at 0.3 m refined 7 times: the fine far edge, 21 * (0.3 / 7),
     # rounds one ulp past the survey's, 3 * 0.3, and is kriged like any point
-    grid = Grid(Position(0.0, 2.0), nx=4, ny=2, spacing=0.3)
+    grid = Grid((0.0, 2.0), nx=4, ny=2, spacing=0.3)
     rng = np.random.default_rng(79)
     field = np.exp(rng.normal(0.0, 1.0, (8, 3)) + 1j * rng.uniform(-3, 3, (8, 3)))
     out = spatial_densify(_train_db(field, grid), 7, confidences={})
-    assert out.grid == Grid(Position(0.0, 2.0), nx=22, ny=8, spacing=0.3 / 7)
+    assert out.grid == Grid((0.0, 2.0), nx=22, ny=8, spacing=0.3 / 7)
     far = grid.xy[:, 0].max()
     assert out.grid.xy[:, 0].max() == np.nextafter(far, 1.0)
     got = out.blocks["k"]
@@ -283,7 +285,7 @@ def test_spatial_densify_targets_the_integer_refinement_of_the_survey():
     # the far column is the kriged mean, not a copy of its nearest survey point
     edge = out.grid.xy[:, 0] == out.grid.xy[:, 0].max()
     want = kriging_predict(kriging_fit(grid, 10.0 * np.log10(np.abs(field))),
-                           Grid(Position(far, 2.0), nx=1, ny=8, spacing=0.3 / 7))
+                           Grid((far, 2.0), nx=1, ny=8, spacing=0.3 / 7))
     assert np.allclose(10.0 * np.log10(np.abs(got[edge])), want, rtol=0.0, atol=1e-9)
     assert not np.allclose(np.abs(got[edge][::7]), np.abs(field[[3, 7]]), rtol=1e-6)
     for factor in (0, -1, 2.0, True, "2"):
@@ -292,7 +294,7 @@ def test_spatial_densify_targets_the_integer_refinement_of_the_survey():
 
 
 def test_spatial_densify_confidence_weighting_and_validation():
-    grid = Grid(Position(0, 0), nx=2, ny=2, spacing=1.0)
+    grid = Grid((0, 0), nx=2, ny=2, spacing=1.0)
     field = wrap_angle(np.array([[0.5], [1.5], [-0.5], [2.5]]))
     db = _train_db(field, grid)
     # all confidence on training point 3: the cell center, point 4 of the
@@ -307,7 +309,7 @@ def test_spatial_densify_confidence_weighting_and_validation():
 
 
 def test_spatial_densify_rejects_bad_databases():
-    grid = Grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
+    grid = Grid((0, 0), nx=2, ny=1, spacing=1.0)
     empty = FingerprintDatabase(grid=grid)
     with pytest.raises(ValueError):
         spatial_densify(empty, 1, confidences={})

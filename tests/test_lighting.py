@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 
 from fingerloc.errors import InfeasibleError, NumericError
-from fingerloc.geometry import Grid, Position
+from fingerloc.geometry import Grid
 from fingerloc.lighting import (
     LightingScenario,
     illuminance,
@@ -106,7 +106,7 @@ def _columns(lights):
 
 def _room(lights, target, env=0.0, n=3, spacing=2.0):
     """A square room; a scalar ``env`` is the same ambient illuminance in every cell."""
-    grid = Grid(Position(0, 0), nx=n, ny=n, spacing=spacing)
+    grid = Grid((0, 0), nx=n, ny=n, spacing=spacing)
     env = np.full(len(grid), env) if np.ndim(env) == 0 else env
     return LightingScenario(grid=grid, **_columns(lights), target_lux=target, env_lux=env)
 
@@ -167,7 +167,7 @@ def test_lighting_scenario_validation():
     with pytest.raises(ValueError):
         _room([light], target=300.0, env=-np.ones(9))
     # one value of each luminaire array per light, positions as (lights, 2)
-    grid = Grid(Position(0, 0), nx=3, ny=3, spacing=2.0)
+    grid = Grid((0, 0), nx=3, ny=3, spacing=2.0)
     good = _columns([light, light])
     for name, bad in (("power_w", [40.0]), ("peak_lux", [[400.0, 400.0]]),
                       ("height_m", 2.5), ("light_xy", [0.0, 0.0, 1.0, 1.0])):
@@ -254,7 +254,7 @@ def test_solve_lighting_matches_dimmer_grid_search():
     steps = np.linspace(0.0, 1.0, 101)
     g1, g2 = np.meshgrid(steps, steps, indexing="ij")
     for trial in range(50):
-        grid = Grid(Position(0, 0), nx=3, ny=3, spacing=2.0)
+        grid = Grid((0, 0), nx=3, ny=3, spacing=2.0)
         lights = _columns([[rng.uniform(0, 4), rng.uniform(0, 4), rng.uniform(20, 60),
                             rng.uniform(300, 900), rng.uniform(2.0, 3.0)]
                            for _ in range(2)])

@@ -8,7 +8,7 @@ import pytest
 from fingerloc.database import FingerprintDatabase
 from fingerloc.experiments.illegal import _best_points
 from fingerloc.features import wrap_angle
-from fingerloc.geometry import Grid, Position
+from fingerloc.geometry import Grid
 from fingerloc.matching import (
     binary_likelihood,
     fingerprint_sqerr,
@@ -24,7 +24,7 @@ from fingerloc.stats import (
 
 
 def _grid(n):
-    return Grid(Position(0.0, 0.0), nx=n, ny=n, spacing=1.0)
+    return Grid((0.0, 0.0), nx=n, ny=n, spacing=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fingerloc import simulate
-from fingerloc.geometry import Position
+from fingerloc.errors import ConfigError
+from fingerloc.experiments import bems
+from fingerloc.experiments.configs import parse_config
 from fingerloc.simulate import (
     SIM_CHUNK,
     SPEED_OF_LIGHT,
     UNIFORM_CHUNK,
     ChannelModel,
-    SensorCoverage,
     TxSignalSpec,
     add_receiver_noise,
     derive_seed,
@@ -236,35 +237,69 @@ def test_link_chunks_cover_every_measurement_within_the_bound():
                    for sl in chunks)
 
 
+def _sensors(*overrides, p_static=0.05):
+    """``bems.build_sensors`` on a two-bin shared coverage with per-sensor overrides."""
+    cfg = {"scenario": {"coverage": {"range_edges_m": [2.0, 4.0], "p_moving": [0.9, 0.3],
+                                     "p_static": p_static},
+                        "sensors": [dict(o, pos=[0.0, 0.0]) for o in overrides]}}
+    return bems.build_sensors(cfg)
+
+
+def _assert_probabilities(sensors, ranges, moving, want):
+    # u < p is false at u = p and true one float below it: detection_bits used p exactly
+    want = np.asarray(want, dtype=float)
+    assert not np.any(bems.detection_bits(sensors, ranges, moving, want))
+    assert np.all(bems.detection_bits(sensors, ranges, moving, np.nextafter(want, 0.0)))
+
+
 def test_sensor_coverage_bin_lookup():
-    cov = SensorCoverage(pos=Position(0, 0), range_edges_m=(2.0, 4.0),
-                         p_moving=(0.9, 0.3), p_static=0.05)
-    ranges = np.array([0.5, 2.0, 2.1, 100.0, 0.5])
+    sensors = _sensors({})
+    ranges = np.array([0.5, 2.0, 2.1, 100.0, 0.5])[:, None]
     moving = np.array([True, True, True, True, False])
     # an edge belongs to its bin; the last bin extends outward
-    assert cov.detect_probability(ranges, moving).tolist() == [0.9, 0.9, 0.3, 0.3, 0.05]
-    both = cov.detect_probability(ranges[:, None], [True, False])
-    assert both.shape == (5, 2) and np.all(both[:, 1] == 0.05)
+    _assert_probabilities(sensors, ranges, moving, [[0.9], [0.9], [0.3], [0.3], [0.05]])
+    both = bems.detection_bits(sensors, ranges[:, None], [True, False], np.full((5, 2, 1), 0.1))
+    assert both.shape == (5, 2, 1) and np.all(both[:, 0]) and not np.any(both[:, 1])
+
+
+def test_sensor_coverage_padded_rows_equal_a_search_of_each_sensor():
+    # a 1-bin sensor beside a 4-bin one: +inf edges and its last probability pad it
+    one = {"range_edges_m": [3.0], "p_moving": [0.6]}
+    four = {"range_edges_m": [1.0, 2.0, 3.0, 4.0], "p_moving": [0.95, 0.7, 0.4, 0.1]}
+    sensors = _sensors(one, four)
+    assert sensors["edges"].tolist() == [[3.0, math.inf, math.inf, math.inf], [1.0, 2.0, 3.0, 4.0]]
+    assert sensors["p_moving"].tolist() == [[0.6] * 4, [0.95, 0.7, 0.4, 0.1]]
+    assert sensors["pos"].shape == (2, 2) and sensors["p_static"].tolist() == [0.05, 0.05]
+    ranges = np.repeat(np.array([0.0, 1.0, 2.5, 3.0, 3.5, 4.0, 1e9])[:, None], 2, axis=1)
+    want = [np.asarray(o["p_moving"])[np.minimum(np.searchsorted(o["range_edges_m"], ranges[:, s]),
+                                                  len(o["p_moving"]) - 1)]
+            for s, o in enumerate((one, four))]
+    _assert_probabilities(sensors, ranges, True, np.stack(want, axis=1))
 
 
 def test_sensor_coverage_validation():
-    with pytest.raises(ValueError):
-        SensorCoverage(pos=Position(0.0, 0.0), range_edges_m=(2.0, 2.0), p_moving=(0.9, 0.3))
-    with pytest.raises(ValueError):
-        SensorCoverage(pos=Position(0.0, 0.0), range_edges_m=(2.0, 4.0), p_moving=(0.3, 0.9))
-    with pytest.raises(ValueError):
-        SensorCoverage(pos=Position(0.0, 0.0), range_edges_m=(2.0,), p_moving=(1.5,))
-    with pytest.raises(ValueError):
-        SensorCoverage(pos=Position(0.0, 0.0), range_edges_m=(2.0,), p_moving=(0.9,), p_static=-0.1)
+    for override, message in (
+            ({"range_edges_m": [1.0, 2.0, 3.0]}, "3 range edges for 2 detection probabilities"),
+            ({"range_edges_m": [2.0, 2.0]}, "strictly ascending"),
+            ({"p_moving": [0.3, 0.9]}, "non-increasing")):
+        with pytest.raises(ConfigError, match=message) as info:
+            _sensors({}, override)
+        assert info.value.path == "scenario.sensors.1"
+    # probabilities outside [0, 1] are the config schema's to refuse
+    for key, coverage in (("p_moving", {"p_moving": [1.5]}), ("p_static", {"p_static": -0.1})):
+        with pytest.raises(ConfigError, match=f"scenario.sensors.0.{key}"):
+            parse_config({"version": 1, "pipeline": "bems_binary", "scenario": {
+                "sensors": [dict(coverage, pos=[0.0, 0.0], range_edges_m=[2.0])]}})
 
 
 def test_binary_sensor_monte_carlo_rate():
-    cov = SensorCoverage(pos=Position(0, 0), range_edges_m=(2.0, 4.0),
-                         p_moving=(0.9, 0.3), p_static=0.05)
+    sensors = _sensors({})
     n = 100_000
-    hits = seeded_uniforms(42, np.arange(n)) < cov.detect_probability(1.0, True)
+    hits = bems.detection_bits(sensors, np.ones((n, 1)), True,
+                               seeded_uniforms(42, np.arange(n))[:, None])
     assert np.mean(hits) == pytest.approx(0.9, abs=0.01)
-    hits_static = seeded_uniforms(43, np.arange(n // 10)) < cov.detect_probability(1.0, False)
+    hits_static = bems.detection_bits(sensors, np.ones((n // 10, 1)), False,
+                                      seeded_uniforms(43, np.arange(n // 10))[:, None])
     assert np.mean(hits_static) == pytest.approx(0.05, abs=0.01)
 
 

@@ -14,7 +14,7 @@ from scipy.special import i0e
 
 import fingerloc.stats
 from fingerloc.errors import NumericError
-from fingerloc.geometry import Grid, Position
+from fingerloc.geometry import Grid
 from fingerloc.stats import (
     KAPPA_MAX,
     GammaParams,
@@ -520,7 +520,7 @@ def test_single_model_forms_are_refused():
 # ---------------------------------------------------------------------------
 
 def test_learn_detection_map_laplace_rule():
-    grid = Grid(Position(0, 0), nx=2, ny=2, spacing=1.0)
+    grid = Grid((0, 0), nx=2, ny=2, spacing=1.0)
     cells = [0] * 10 + [1, 1]
     bits = [1] * 10 + [1, 0]
     probs = learn_detection_map(np.array(cells), np.array(bits), grid)
@@ -531,7 +531,7 @@ def test_learn_detection_map_laplace_rule():
 
 
 def test_learn_detection_map_equals_per_observation_count():
-    grid = Grid(Position(0, 0), nx=3, ny=2, spacing=1.0)
+    grid = Grid((0, 0), nx=3, ny=2, spacing=1.0)
     rng = np.random.default_rng(3)
     cells, bits = rng.integers(0, len(grid), 500), rng.integers(0, 2, 500)
     hits, counts = np.zeros(len(grid)), np.zeros(len(grid))
@@ -545,14 +545,14 @@ def test_learn_detection_map_equals_per_observation_count():
 
 
 def test_learn_detection_map_takes_bool_bits():
-    grid = Grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
+    grid = Grid((0, 0), nx=2, ny=1, spacing=1.0)
     a = learn_detection_map([0, 0], [1, 0], grid)
     b = learn_detection_map(np.array([0, 0]), np.array([True, False]), grid)
     assert np.array_equal(a, b)
 
 
 def test_learn_detection_map_validation():
-    grid = Grid(Position(0, 0), nx=2, ny=1, spacing=1.0)
+    grid = Grid((0, 0), nx=2, ny=1, spacing=1.0)
     with pytest.raises(ValueError, match="out of range"):
         learn_detection_map([0, 5], [1, 1], grid)
     with pytest.raises(ValueError, match="out of range"):
@@ -594,7 +594,7 @@ def test_kriging_reproduces_training_values():
     # fields in the span of the kernel come back at the training points up
     # to the 1e-6 nugget
     rng = np.random.default_rng(61)
-    grid = Grid(Position(0, 0), nx=4, ny=4, spacing=1.0)
+    grid = Grid((0, 0), nx=4, ny=4, spacing=1.0)
     vals = _correlation(grid.xy, grid.xy, 2.0) @ rng.standard_normal((16, 3)) * 5.0
     mean = kriging_predict(kriging_fit(grid, vals), grid)
     assert mean.shape == (16, 3)
@@ -605,7 +605,7 @@ def test_kriging_default_kernel_smooths_rather_than_interpolates():
     # the default long length scale regularizes rough data instead of
     # chasing it exactly; predictions stay within the data range
     rng = np.random.default_rng(61)
-    grid = Grid(Position(0, 0), nx=4, ny=4, spacing=1.0)
+    grid = Grid((0, 0), nx=4, ny=4, spacing=1.0)
     vals = rng.standard_normal((16, 1)) * 5.0
     mean = kriging_predict(kriging_fit(grid, vals), grid)
     assert mean.shape == (16, 1)
@@ -614,18 +614,18 @@ def test_kriging_default_kernel_smooths_rather_than_interpolates():
 
 def test_kriging_reverts_to_prior_far_away():
     # a 1x1 query lattice far from the survey gets the zero prior mean
-    grid = Grid(Position(0, 0), nx=3, ny=3, spacing=1.0)
+    grid = Grid((0, 0), nx=3, ny=3, spacing=1.0)
     model = kriging_fit(grid, np.linspace(-2.0, 2.0, 9)[:, None])
-    far = Grid(Position(1e4, 1e4), nx=1, ny=1, spacing=1.0)
+    far = Grid((1e4, 1e4), nx=1, ny=1, spacing=1.0)
     assert kriging_predict(model, far) == pytest.approx(np.zeros((1, 1)), abs=1e-12)
 
 
 def test_kriging_default_length_scale_is_twice_spacing():
-    grid = Grid(Position(0, 0), nx=3, ny=3, spacing=0.7)
+    grid = Grid((0, 0), nx=3, ny=3, spacing=0.7)
     model = kriging_fit(grid, np.arange(9.0)[:, None])
     assert model.length_scale == pytest.approx(1.4, rel=1e-12)
     # the signal variance cancels from the mean: scaling the data scales it
-    queries = Grid(Position(0.3, 0.2), nx=2, ny=2, spacing=0.8)
+    queries = Grid((0.3, 0.2), nx=2, ny=2, spacing=0.8)
     scaled = kriging_fit(grid, 1e3 * np.arange(9.0)[:, None])
     assert np.allclose(kriging_predict(scaled, queries),
                        1e3 * kriging_predict(model, queries), rtol=1e-12)
@@ -635,9 +635,9 @@ def test_kriging_predict_matches_dense_solve_oracle():
     # a survey and a query lattice at random origins and spacings, columns
     # of very different scales
     rng = np.random.default_rng(71)
-    train = Grid(Position(*rng.uniform(-50, 50, 2)), nx=4, ny=3, spacing=rng.uniform(0.1, 3.0))
+    train = Grid(tuple(rng.uniform(-50, 50, 2)), nx=4, ny=3, spacing=rng.uniform(0.1, 3.0))
     # offset over the survey, so the mean is not all prior
-    query = Grid(Position(train.origin.x + 0.3 * train.spacing, train.origin.y - 0.2),
+    query = Grid((train.origin[0] + 0.3 * train.spacing, train.origin[1] - 0.2),
                  nx=5, ny=6, spacing=rng.uniform(0.1, 3.0))
     vals = rng.standard_normal((12, 4)) * [3.0, 0.01, 40.0, 1.0]
     _assert_matches_dense_oracle(train, vals, query)
@@ -646,8 +646,8 @@ def test_kriging_predict_matches_dense_solve_oracle():
 @pytest.mark.parametrize("nx, ny", [(1, 5), (6, 1), (1, 2), (2, 1)])
 def test_kriging_on_a_single_row_or_column_survey_matches_dense_solve(nx, ny):
     rng = np.random.default_rng(nx * 10 + ny)
-    train = Grid(Position(1.5, -2.0), nx=nx, ny=ny, spacing=0.4)
-    query = Grid(Position(1.5, -2.0), nx=(nx - 1) * 3 + 1, ny=(ny - 1) * 3 + 1,
+    train = Grid((1.5, -2.0), nx=nx, ny=ny, spacing=0.4)
+    query = Grid((1.5, -2.0), nx=(nx - 1) * 3 + 1, ny=(ny - 1) * 3 + 1,
                  spacing=0.4 / 3)
     vals = rng.standard_normal((nx * ny, 3)) * [1.0, 100.0, 1e-3]
     _assert_matches_dense_oracle(train, vals, query)
@@ -655,7 +655,7 @@ def test_kriging_on_a_single_row_or_column_survey_matches_dense_solve(nx, ny):
 
 @pytest.mark.parametrize("n", [3, 7])
 def test_kriging_cond_equals_the_dense_matrix_condition_number(n):
-    grid = Grid(Position(-1.0, 4.0), nx=n, ny=n, spacing=2.0)
+    grid = Grid((-1.0, 4.0), nx=n, ny=n, spacing=2.0)
     gram = _correlation(grid.xy, grid.xy, 4.0) + 1e-6 * np.eye(len(grid))
     assert kriging_cond(grid) == pytest.approx(np.linalg.cond(gram), rel=1e-9)
 
@@ -664,8 +664,8 @@ def test_kriging_scales_to_a_40x40_survey_in_bounded_memory():
     # 270 columns (18 keys x 15 lags) onto the factor-2 refinement; the dense
     # N x N form peaks near 400 MB here
     rng = np.random.default_rng(97)
-    train = Grid(Position(0.0, 0.0), nx=40, ny=40, spacing=3.0)
-    query = Grid(Position(0.0, 0.0), nx=79, ny=79, spacing=1.5)
+    train = Grid((0.0, 0.0), nx=40, ny=40, spacing=3.0)
+    query = Grid((0.0, 0.0), nx=79, ny=79, spacing=1.5)
     vals = rng.standard_normal((len(train), 270))
     tracemalloc.start()
     try:
@@ -685,8 +685,8 @@ def test_kriging_singular_matrix_raises():
     # a lattice cannot hold coincident points, and one point has no spacing
     # to set the default length scale from
     with pytest.raises(ValueError):
-        Grid(Position(1e17, 0.0), nx=2, ny=1, spacing=1.0)
-    one = Grid(Position(0.0, 0.0), nx=1, ny=1, spacing=1.0)
+        Grid((1e17, 0.0), nx=2, ny=1, spacing=1.0)
+    one = Grid((0.0, 0.0), nx=1, ny=1, spacing=1.0)
     with pytest.raises(ValueError):
         kriging_fit(one, np.array([[1.0]]))
     with pytest.raises(ValueError):
@@ -694,7 +694,7 @@ def test_kriging_singular_matrix_raises():
 
 
 def test_kriging_validation():
-    grid = Grid(Position(0.0, 0.0), nx=2, ny=1, spacing=1.0)
+    grid = Grid((0.0, 0.0), nx=2, ny=1, spacing=1.0)
     with pytest.raises(ValueError):
         kriging_fit(grid, np.array([[1.0], [2.0], [3.0]]))
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from fingerloc.errors import DegenerateUpdateError, NumericError
-from fingerloc.geometry import Grid, Position
+from fingerloc.geometry import Grid
 from fingerloc.tracking import (
     GridTransition,
     grid_bayes_step,
@@ -24,7 +24,7 @@ _MOBILITY = (0.3, 0.5)
 
 
 def _grid(n, spacing=1.0):
-    return Grid(Position(0.0, 0.0), nx=n, ny=n, spacing=spacing)
+    return Grid((0.0, 0.0), nx=n, ny=n, spacing=spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,7 @@ def test_transition_matrix_zero_step_sigma_is_identity():
 
 def test_transition_matrix_rows_are_distributions():
     # outgoing mass 1 from every source cell, corners and edges included
-    grid = Grid(Position(0.0, 0.0), nx=5, ny=3, spacing=0.78)
+    grid = Grid((0.0, 0.0), nx=5, ny=3, spacing=0.78)
     trans = transition_matrix(grid, 0.3, 0.5)
     assert trans.shape == (3, 5)
     rows = _rows(trans)
@@ -117,12 +117,12 @@ def test_transition_matrix_matches_quadrature_oracle():
 
 def test_transition_stencil_equals_its_mirror_exactly():
     # tail masses on both sides: a move of +9 cells is as likely as -9
-    line = transition_matrix(Grid(Position(0.0, 0.0), nx=21, ny=1, spacing=1.0),
+    line = transition_matrix(Grid((0.0, 0.0), nx=21, ny=1, spacing=1.0),
                              0.3, 2.5).stencil
     assert line.shape == (1, 21)
     assert np.array_equal(line, line[:, ::-1])
     assert np.all(line > 0.0)
-    plane = transition_matrix(Grid(Position(0.0, 0.0), nx=9, ny=7, spacing=0.78),
+    plane = transition_matrix(Grid((0.0, 0.0), nx=9, ny=7, spacing=0.78),
                               0.3, 0.5 * 1.3 ** 2).stencil
     for mirror in (plane[::-1], plane[:, ::-1], plane[::-1, ::-1]):
         assert np.array_equal(plane, mirror)
@@ -159,7 +159,7 @@ def test_grid_transition_validation():
 
 def test_grid_bayes_filter_on_a_100x100_grid_stays_small():
     # N = 10,000 cells: a dense N x N float64 matrix alone would take 800 MB
-    grid = Grid(Position(0.0, 0.0), nx=100, ny=100, spacing=7.0 / 99)
+    grid = Grid((0.0, 0.0), nx=100, ny=100, spacing=7.0 / 99)
     n = len(grid)
     rng = np.random.default_rng(73)
     obs = [rng.uniform(-20.0, 0.0, n) for _ in range(3)]
@@ -209,7 +209,7 @@ def test_grid_bayes_step_uniform_prior_identity_transition():
 
 def test_grid_bayes_step_matches_linear_domain_brute_force():
     rng = np.random.default_rng(59)
-    grid = Grid(Position(0.0, 0.0), nx=3, ny=2, spacing=1.0)
+    grid = Grid((0.0, 0.0), nx=3, ny=2, spacing=1.0)
     for _ in range(25):
         trans = transition_matrix(grid, rng.uniform(0.0, 1.0), rng.uniform(0.2, 2.0))
         prev_vals = rng.uniform(-8, 0, size=6)
@@ -223,7 +223,7 @@ def test_grid_bayes_step_matches_linear_domain_brute_force():
 def test_grid_bayes_step_starved_cell_raises():
     # a 1x3 corridor whose steps reach one cell (4 sigma = 1): the prior's
     # mass on cells 1 and 2 underflows to zero, so nothing can reach cell 2
-    grid = Grid(Position(0, 0), nx=3, ny=1, spacing=1.0)
+    grid = Grid((0, 0), nx=3, ny=1, spacing=1.0)
     trans = transition_matrix(grid, 0.5, 0.25)
     with pytest.raises(NumericError):
         grid_bayes_step([0.0, -9000.0, -9000.0], trans, [0.0, 0.0, 0.0])
