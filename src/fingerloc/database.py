@@ -2,7 +2,9 @@
 
 The array record codec here, :func:`encode_array`/:func:`decode_array`, is
 the one array encoding of both run artifacts, ``db.json`` and
-``measurements.json``.
+``measurements.json``.  Each artifact's shipped schema declares its whole
+format, records included; a reader checks a document against it before it
+decodes a record, so :func:`decode_array` checks only what a schema cannot.
 """
 
 import base64
@@ -12,6 +14,7 @@ import os
 
 import numpy as np
 
+from .experiments.artifacts import load_schema, schema_error
 from .geometry import Grid
 from .stats import GammaParams, GaussianStats, VonMisesParams
 
@@ -27,15 +30,13 @@ __all__ = [
 
 FORMAT_VERSION = "fingerloc-db-6"
 
-# block type tag -> (class, {field: dtype}); every field has the grid as its
+# block type tag -> (class, its array fields); every field has the grid as its
 # leading axis
 _MODEL_BLOCKS = {
-    "gaussian": (GaussianStats, {"mean": "complex128", "cov": "complex128", "loading": "float64"}),
-    "gamma": (GammaParams, {"shape": "float64", "scale": "float64"}),
-    "von_mises": (VonMisesParams, {"mu": "float64", "kappa": "float64"}),
+    "gaussian": (GaussianStats, ("mean", "cov", "loading")),
+    "gamma": (GammaParams, ("shape", "scale")),
+    "von_mises": (VonMisesParams, ("mu", "kappa")),
 }
-# the dtypes of a plain "array" block of any rank, the grid as its leading axis
-_ARRAY_DTYPES = ("float64", "complex128")
 
 
 def encode_array(values) -> dict:
@@ -49,26 +50,22 @@ def encode_array(values) -> dict:
             "data": base64.b64encode(raw).decode("ascii")}
 
 
-def decode_array(record, name: str, dtypes, min_rank: int = 0) -> np.ndarray:
+def decode_array(record: dict, name: str) -> np.ndarray:
     """The writable array an :func:`encode_array` record holds.
 
-    Raises ValueError, naming ``name``, unless ``record`` is such a record
-    whose dtype is one of ``dtypes``, whose shape is a list of at least
-    ``min_rank`` non-negative ints, and whose ``data`` is strict base64 of
-    exactly that many values, every bool 0 or 1 and every float finite.
+    ``record`` has passed its artifact's schema: a known dtype, a list of
+    non-negative integers as its shape, and base64 characters as its data.
+    Raises ValueError, naming ``name``, unless every shape entry is an int
+    (the schema also counts ``4.0`` as an integer) and ``data`` is strict
+    base64 of exactly that many values, every bool 0 or 1 and every float
+    finite.
     """
-    if not isinstance(record, dict) or sorted(record) != ["data", "dtype", "shape"]:
-        raise ValueError(f"{name} is not a {{dtype, shape, data}} array record")
     dtype, shape = record["dtype"], record["shape"]
-    if dtype not in dtypes:
-        raise ValueError(f"{name} has dtype {dtype!r}, not one of {list(dtypes)}")
-    if not (isinstance(shape, list) and len(shape) >= min_rank
-            and all(type(n) is int and n >= 0 for n in shape)):
-        raise ValueError(f"{name} has shape {shape!r}, not a list of at least "
-                         f"{min_rank} non-negative ints")
+    if not all(type(n) is int for n in shape):
+        raise ValueError(f"{name} has shape {shape!r}, not a list of ints")
     try:
         raw = base64.b64decode(record["data"], validate=True)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{name} data is not a base64 string: {exc}") from None
     stored = np.dtype(dtype).newbyteorder("<")
     size = math.prod(shape) * stored.itemsize
@@ -95,7 +92,7 @@ def _block_rows(block) -> int:
     """Grid points a block covers; ValueError unless it is a storable block."""
     tag = _model_tag(block)
     if tag is not None:  # the model classes hold (N, ...) arrays only
-        return len(getattr(block, next(iter(_MODEL_BLOCKS[tag][1]))))
+        return len(getattr(block, _MODEL_BLOCKS[tag][1][0]))
     if not isinstance(block, np.ndarray) or block.ndim == 0:
         raise ValueError(f"a {type(block).__name__} is not a block with a leading grid axis")
     return block.shape[0]
@@ -152,18 +149,12 @@ def _block_to_json(block) -> dict:
                             for name in _MODEL_BLOCKS[tag][1]}}
 
 
-def _block_from_json(key: str, data):
-    tag = data.get("type") if isinstance(data, dict) else None
-    if tag == "array":
-        _refuse_unknown_keys(data, f"database block {key!r}", ("type", "values"))
-        return decode_array(data.get("values"), f"database block {key!r}", _ARRAY_DTYPES, 1)
-    if tag not in _MODEL_BLOCKS:
-        raise ValueError(f"database block {key!r} has unknown type {tag!r}")
-    cls, fields = _MODEL_BLOCKS[tag]
-    _refuse_unknown_keys(data, f"database block {key!r}", ("type", *fields))
-    return cls(**{name: decode_array(data.get(name), f"database block {key!r} field {name!r}",
-                                     (dtype,), 1)
-                  for name, dtype in fields.items()})
+def _block_from_json(key: str, data: dict):
+    where = f"database blocks/{key}"
+    if data["type"] == "array":
+        return decode_array(data["values"], f"{where}/values")
+    cls, fields = _MODEL_BLOCKS[data["type"]]
+    return cls(**{name: decode_array(data[name], f"{where}/{name}") for name in fields})
 
 
 def database_to_json(db: FingerprintDatabase) -> str:
@@ -182,37 +173,18 @@ def database_to_json(db: FingerprintDatabase) -> str:
 
 
 def database_from_json(text: str) -> FingerprintDatabase:
+    """The database a :func:`database_to_json` text holds; ValueError ending
+    "; rerun learn" when it breaks ``db.schema.json`` (a stale version too)."""
     doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("a database document must be a JSON object")
-    version = doc.get("version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported database format version {version!r} "
-                         f"(this version reads {FORMAT_VERSION!r}); rerun learn")
-    _refuse_unknown_keys(doc, "database", ("version", "grid", "config_digest", "blocks"))
-    g = _json_object(doc, "grid")
-    _refuse_unknown_keys(g, "database grid", ("origin", "nx", "ny", "spacing"))
+    found = schema_error(doc, load_schema("db.schema.json"))
+    if found is not None:
+        keys, message = found
+        where = "/".join(map(str, keys)) or "<root>"
+        raise ValueError(f"database {where}: {message}; rerun learn")
+    g = doc["grid"]
     grid = Grid(g["origin"], g["nx"], g["ny"], g["spacing"])
-    digest = doc.get("config_digest")
-    if digest is not None and not isinstance(digest, str):
-        raise ValueError(f"database config_digest must be a string or null, got {digest!r}")
-    blocks = {key: _block_from_json(key, data)
-              for key, data in _json_object(doc, "blocks").items()}
-    return FingerprintDatabase(grid=grid, blocks=blocks, config_digest=digest)
-
-
-def _refuse_unknown_keys(obj: dict, name: str, keys) -> None:
-    """ValueError naming the first key of ``obj`` that is not one of ``keys``."""
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise ValueError(f"{name} has unknown key {unknown[0]!r}; rerun learn")
-
-
-def _json_object(doc: dict, key: str) -> dict:
-    value = doc[key]
-    if not isinstance(value, dict):
-        raise ValueError(f"database {key} must be a JSON object, got {type(value).__name__}")
-    return value
+    blocks = {key: _block_from_json(key, data) for key, data in doc["blocks"].items()}
+    return FingerprintDatabase(grid=grid, blocks=blocks, config_digest=doc["config_digest"])
 
 
 def save_database(db: FingerprintDatabase, path):

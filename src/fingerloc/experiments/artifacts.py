@@ -1,5 +1,9 @@
 """Schema validation for every file the experiment harness writes.
 
+Every JSON file a verb reads back is parsed once and checked by its shipped
+schema here, through :func:`read_json`; readers add only the checks a schema
+cannot make.
+
 Each artifact name maps to a schema shipped in ``fingerloc/schemas``.  JSON
 artifacts and experiment configs carry JSON Schema (draft 2020-12) documents,
 checked here by a small validator for the part of the draft they use.  It
@@ -40,8 +44,8 @@ import re
 from functools import lru_cache
 from importlib import resources
 
-__all__ = ["artifact_schema_name", "load_schema", "schema_error", "validate_artifact",
-           "validate_run_dir"]
+__all__ = ["artifact_schema_name", "load_schema", "read_json", "schema_error",
+           "validate_artifact", "validate_run_dir"]
 
 _JSON_ARTIFACTS = {
     "db.json": "db.schema.json",
@@ -312,14 +316,28 @@ def _validate_csv(path: str, schema: dict) -> None:
                         f"is not a valid {spec['type']}")
 
 
-def _validate_json(path: str, schema: dict) -> None:
+def read_json(path: str, artifact: str | None = None):
+    """The document of a JSON file, checked against its artifact's shipped schema.
+
+    ``artifact`` names the artifact whose schema applies when it is not the
+    file's basename.  A file that is not JSON raises the parser's
+    ``json.JSONDecodeError``.  ``NaN`` and ``Infinity``, which no writer
+    emits and which pass every schema bound, raise ValueError naming the
+    file; a document the schema refuses raises
+    ValueError("<path>: <where>: <message>"), ``where`` the ``/``-joined key
+    path down to the offending value (``<root>`` for the document itself).
+    """
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not a finite number")
+
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    found = schema_error(doc, schema)
+        doc = json.load(fh, parse_constant=refuse)
+    found = schema_error(doc, load_schema(artifact_schema_name(artifact or path)))
     if found is not None:
         keys, message = found
         where = "/".join(map(str, keys)) or "<root>"
         raise ValueError(f"{path}: {where}: {message}")
+    return doc
 
 
 def validate_artifact(path: str, artifact: str | None = None) -> str:
@@ -338,11 +356,10 @@ def validate_artifact(path: str, artifact: str | None = None) -> str:
     """
     artifact = artifact or path
     name = artifact_schema_name(artifact)
-    schema = load_schema(name)
     if os.path.basename(artifact) in _CSV_ARTIFACTS:
-        _validate_csv(path, schema)
+        _validate_csv(path, load_schema(name))
     else:
-        _validate_json(path, schema)
+        read_json(path, artifact)
     return name
 
 

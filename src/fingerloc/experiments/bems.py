@@ -7,7 +7,6 @@ and the thresholded candidate cell set drives a minimum-power lighting LP
 that is compared against switching every luminaire on.
 """
 
-import json
 import math
 import os
 
@@ -21,7 +20,7 @@ from ..matching import binary_likelihood, threshold_set
 from ..simulate import derive_seed, seeded_uniforms
 from ..stats import learn_detection_map
 from ..tracking import grid_bayes_step, transition_matrix
-from .artifacts import validate_artifact
+from .artifacts import read_json
 from .common import (
     build_grid,
     cdf_table,
@@ -367,25 +366,21 @@ def read_track_sets(path: str, n_cells: int) -> tuple:
     """(occupied, true cells, config digest or None) of a ``track_sets.json`` file.
 
     ``occupied`` is the (sets, n_cells) mask of the candidate sets.  Raises
-    ConfigError unless the file passes the shipped schema, pairs every
-    candidate set with one true cell and every cell it names lies on the grid.
+    ValueError unless the file passes the shipped schema, pairs every
+    candidate set with one true cell and every cell it names is an int on
+    the grid.
     """
-    try:
-        validate_artifact(path, "track_sets.json")
-    except json.JSONDecodeError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path, "track_sets.json")
     sets, cells = data["candidate_sets"], data["true_cells"]
     if len(sets) != len(cells):
         raise ConfigError(f"{path} holds {len(sets)} candidate sets "
                           f"but {len(cells)} true cells")
-    if any(cell >= n_cells for cell in cells):
-        raise ConfigError(f"{path} names a true cell outside the {n_cells}-cell grid")
-    if any(cell >= n_cells for cand in sets for cell in cand):
-        raise ConfigError(f"{path} names a candidate cell outside the {n_cells}-cell grid")
+    # the schema counts 1.0 as an integer, but a cell indexes the mask
+    for kind, named in (("true", cells), ("candidate", [c for cand in sets for c in cand])):
+        if not all(type(cell) is int for cell in named):
+            raise ConfigError(f"{path} names a {kind} cell that is not an int")
+        if any(cell >= n_cells for cell in named):
+            raise ConfigError(f"{path} names a {kind} cell outside the {n_cells}-cell grid")
     occupied = np.zeros((len(sets), n_cells), dtype=bool)
     for t, cand in enumerate(sets):
         occupied[t, cand] = True
@@ -393,6 +388,10 @@ def read_track_sets(path: str, n_cells: int) -> tuple:
 
 
 def cmd_lighting(cfg: dict, out_dir: str) -> dict:
+    # Merge under a namespaced key so a prior tracking summary survives.
+    summary_path = os.path.join(out_dir, "summary.json")
+    merged = read_json(summary_path) if os.path.exists(summary_path) else {}
+    merged.pop("lighting", None)
     db = load_db(cfg, out_dir, cmd_learn)
     # a track_output file is outside input, checked by its schema only; the
     # run's own track_sets.json must come from this config's track
@@ -407,13 +406,6 @@ def cmd_lighting(cfg: dict, out_dir: str) -> dict:
         cells = track["true_cell"]
     columns, summary = evaluate_lighting(cfg, db.grid, cells, occupied)
     write_csv(os.path.join(out_dir, "lighting.csv"), columns)
-    # Merge under a namespaced key so a prior tracking summary survives.
-    summary_path = os.path.join(out_dir, "summary.json")
-    merged = {}
-    if os.path.exists(summary_path):
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            merged = json.load(fh)
-        merged.pop("lighting", None)
     merged["lighting"] = summary
     write_json(summary_path, merged)
     return merged

@@ -11,6 +11,9 @@ A run's ``measurements.json``, ``db.json`` and ``track_sets.json`` carry a
 ``config_digest`` of the config sections that produced them.  A verb reading
 one back from its out dir stops with a config error when that digest is not
 its own config's, rather than reuse an artifact of another seed or scenario.
+Each is read once and checked against its shipped schema first
+(:func:`~.artifacts.read_json`, or ``db.schema.json`` in the database
+module); the readers here check only what a schema cannot.
 """
 
 import hashlib
@@ -29,6 +32,7 @@ from ..database import (
 )
 from ..errors import ConfigError
 from ..geometry import Grid
+from .artifacts import read_json
 
 __all__ = ["dump_json", "write_json", "write_csv", "summarize_errors",
            "cdf_table", "CDF_QUANTILES", "build_grid",
@@ -168,28 +172,32 @@ def save_measurements(cfg: dict, out_dir: str, arrays: dict) -> None:
 
 
 def read_measurements(path: str, cfg: dict, expected: dict) -> tuple:
-    """(named arrays, config digest or None) of a measurements file.
+    """(named arrays, config digest) of a measurements file.
 
-    Raises ValueError unless the file holds this pipeline's arrays in the
-    ``{name: (shape, dtype)}`` that ``expected`` says the scenario calls for.
+    Raises ConfigError ending "; rerun simulate" unless the file passes
+    ``measurements.schema.json`` and holds this pipeline's arrays in the
+    ``{name: (shape, dtype)}`` that ``expected`` says the scenario calls for,
+    every record decodable.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or (doc.get("format"), doc.get("pipeline")) != (
-            MEASUREMENTS_VERSION, cfg["pipeline"]):
-        raise ConfigError(f"{path} does not hold {cfg['pipeline']} measurements "
-                          f"in the {MEASUREMENTS_VERSION} format; rerun simulate")
-    stored = doc.get("arrays")
-    if not isinstance(stored, dict) or sorted(stored) != sorted(expected):
-        raise ConfigError(f"{path} does not hold the arrays {sorted(expected)}")
-    arrays = {}
-    for name, (shape, dtype) in expected.items():
-        arr = decode_array(stored[name], f"{path}: array {name!r}", (np.dtype(dtype).name,))
-        if arr.shape != tuple(shape):
-            raise ConfigError(f"{path}: array {name!r} has shape {list(arr.shape)}, "
-                              f"the scenario needs {list(shape)}")
-        arrays[name] = arr
-    return arrays, doc.get("config_digest")
+    needed = {name: (list(shape), np.dtype(dtype).name)
+              for name, (shape, dtype) in expected.items()}
+    try:
+        doc = read_json(path, "measurements.json")
+        if doc["pipeline"] != cfg["pipeline"]:
+            raise ValueError(f"{path} holds {doc['pipeline']} measurements, "
+                             f"not {cfg['pipeline']} ones")
+        stored = doc["arrays"]
+        layout = {name: (record["shape"], record["dtype"]) for name, record in stored.items()}
+        if layout != needed:
+            raise ValueError(f"{path} holds the arrays (shape, dtype) {layout}, "
+                             f"the scenario needs {needed}")
+        arrays = {name: decode_array(record, f"{path}: arrays/{name}")
+                  for name, record in stored.items()}
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; rerun simulate") from None
+    return arrays, doc["config_digest"]
 
 
 def _run_artifact(cfg: dict, out_dir: str, name: str, write, read):

@@ -426,12 +426,42 @@ def test_lighting_refuses_the_candidate_sets_of_another_walk(tmp_path, capsys):
     {"candidate_sets": [[0]]},  # schema: no true cells
     {"candidate_sets": [[0, 4, 4]], "true_cells": [0]},  # schema: a repeated cell
     {"candidate_sets": [[0], [1, 9]], "true_cells": [0, 1]},  # candidate cell off the grid
+    {"candidate_sets": [[0], [1.0]], "true_cells": [0, 1]},  # schema-valid, not an int
+    {"candidate_sets": [[0], [1]], "true_cells": [0, 1.0]},  # schema-valid, not an int
 ])
 def test_malformed_track_sets_file_is_a_config_error(tmp_path, capsys, doc):
     rc, path, out_dir = _lighting_from_file(tmp_path, doc)
     assert rc == EXIT_CONFIG
     assert str(path) in capsys.readouterr().err
     assert not (out_dir / "lighting.csv").exists()
+
+
+@pytest.mark.parametrize("summary", [[1, 2], "x", {"lighting": 5, "steps": "many"},
+                                     {"grid_spacing_m": math.nan}])
+def test_lighting_refuses_a_malformed_prior_summary(tmp_path, capsys, summary):
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
+    summary_path = pathlib.Path(out_dir) / "summary.json"
+    summary_path.parent.mkdir(parents=True)
+    summary_path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["lighting", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(summary_path) in err
+    assert "Traceback" not in err
+    assert summary_path.read_text() == json.dumps(summary)
+    assert sorted(os.listdir(out_dir)) == ["summary.json"]
+
+
+@pytest.mark.parametrize("verbs", [("simulate", "learn", "lighting"),
+                                   ("simulate", "learn", "localize", "lighting"),
+                                   ("simulate", "lighting", "lighting")])
+def test_lighting_merges_into_the_summary_of_a_prior_verb(tmp_path, verbs):
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
+    for verb in verbs:
+        assert main([verb, "--config", cfg_path]) == EXIT_OK
+    summary = json.loads((pathlib.Path(out_dir) / "summary.json").read_text())
+    assert "lighting" in summary and ("snapshot" in summary) == ("localize" in verbs)
+    validate_run_dir(out_dir)
 
 
 def test_illegal_learn_log_counts_filled_projection_bins(tmp_path):
@@ -441,7 +471,7 @@ def test_illegal_learn_log_counts_filled_projection_bins(tmp_path):
     assert log["filled_bins"] == 0
     # zero one delay bin of one key at one point and frequency in every snapshot
     doc = json.loads((pathlib.Path(out_dir) / "measurements.json").read_text())
-    xcorr = decode_array(doc["arrays"]["xcorr"], "xcorr", ("complex128",))
+    xcorr = decode_array(doc["arrays"]["xcorr"], "xcorr")
     xcorr[1, 2, :, 3, 0] = 0.0
     doc["arrays"]["xcorr"] = encode_array(xcorr)
     planted = tmp_path / "planted.json"
@@ -736,7 +766,7 @@ def test_database_in_the_version_1_layout_is_a_config_error(tmp_path, capsys):
               blocks={key: dict(block, type="scalar") for key, block in doc["blocks"].items()})
     # version 4 stored them as "real" blocks of JSON lists
     v4 = dict(doc, version="fingerloc-db-4", blocks={
-        key: {"type": "real", "values": decode_array(block["values"], key, ("float64",)).tolist()}
+        key: {"type": "real", "values": decode_array(block["values"], key).tolist()}
         for key, block in doc["blocks"].items()})
     # version 5 kept the digest in a "meta" record with training provenance
     v5 = {key: value for key, value in doc.items() if key != "config_digest"}
@@ -753,10 +783,13 @@ def test_database_in_the_version_1_layout_is_a_config_error(tmp_path, capsys):
     assert main(["localize", "--config", cfg_path]) == EXIT_OK
 
 
-@pytest.mark.parametrize("where", [(), ("grid",), ("blocks", "rssi:0")],
-                         ids=["top-level", "grid", "block"])
-def test_database_with_an_unknown_key_is_a_config_error(tmp_path, capsys, where):
-    # db.schema.json allows no other keys; the reader must refuse what it refuses
+@pytest.mark.parametrize("where, message", [
+    ((), "database <root>: Additional properties are not allowed ('meta' was unexpected)"),
+    (("grid",), "database grid: Additional properties are not allowed ('meta' was unexpected)"),
+    (("blocks", "rssi:0"), "'meta': {}} is not valid under any of the given schemas"),
+], ids=["top-level", "grid", "block"])
+def test_database_with_an_unknown_key_is_a_config_error(tmp_path, capsys, where, message):
+    # db.schema.json allows no other keys, and the reader checks it
     cfg_path, out_dir = _write_config(tmp_path, "wifi_rssi_rspd")
     for verb in ("simulate", "learn"):
         assert main([verb, "--config", cfg_path]) == EXIT_OK
@@ -772,7 +805,8 @@ def test_database_with_an_unknown_key_is_a_config_error(tmp_path, capsys, where)
     capsys.readouterr()
     assert main(["track", "--config", cfg_path]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "unknown key 'meta'" in err and "rerun learn" in err
+    assert f"database {'/'.join(where) or '<root>'}: " in err
+    assert f"{message}; rerun learn" in err
     assert not (pathlib.Path(out_dir) / "track.csv").exists()
 
 
@@ -873,7 +907,8 @@ def test_database_with_a_malformed_array_is_a_config_error(tmp_path, capsys, nam
     capsys.readouterr()
     assert main([verb, "--config", cfg_path]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and repr(where[1]) in err and "Traceback" not in err
+    assert err.startswith("config error:") and "/".join(where[:2]) in err
+    assert "Traceback" not in err
     assert not (pathlib.Path(out_dir) / product).exists()
 
 
@@ -890,7 +925,7 @@ def test_measurements_with_non_finite_values_are_a_config_error(tmp_path, capsys
     capsys.readouterr()
     assert main(["learn", "--config", cfg_path]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and repr(key) in err and "non-finite" in err
+    assert err.startswith("config error:") and f"arrays/{key}" in err and "non-finite" in err
     assert not (pathlib.Path(out_dir) / "db.json").exists()
 
 
@@ -899,7 +934,7 @@ def test_measurements_with_integer_detection_bits_are_a_config_error(tmp_path, c
     cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
     assert main(["simulate", "--config", cfg_path]) == EXIT_OK
     doc = json.loads((pathlib.Path(out_dir) / "measurements.json").read_text())
-    bits = decode_array(doc["arrays"]["bits"], "bits", ("bool",))
+    bits = decode_array(doc["arrays"]["bits"], "bits")
     doc["arrays"]["bits"] = encode_array(bits.astype(np.int64))
     planted = tmp_path / "planted.json"
     planted.write_text(json.dumps(doc))
@@ -1094,9 +1129,12 @@ def test_sweep_checks_every_setting_before_running_one(tmp_path, capsys):
 
 def test_report_collects_every_summary_as_written(tmp_path, capsys):
     results = tmp_path / "results"
+    quantiles = [round(0.05 * i, 2) for i in range(21)]
     runs = {"summary.json": {"steps": 2},
-            "runA/summary.json": {"methods": {"cir_mle": {"median": 1.0}},
-                                  "cdf": {"cir_mle": {"quantile": [0.0], "error": [0.5]}}},
+            "runA/summary.json": {
+                "methods": {"cir_mle": {"count": 2, "mean": 5.0, "median": 1.0,
+                                        "p90": 9.0, "max": 9.0}},
+                "cdf": {"cir_mle": {"quantile": quantiles, "error": [0.5] * 21}}},
             "runA/sweep_seed=1/summary.json": {"trials": 3}}
     for rel, summary in runs.items():
         (results / rel).parent.mkdir(parents=True, exist_ok=True)
@@ -1107,6 +1145,22 @@ def test_report_collects_every_summary_as_written(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith("report.json")
     assert json.loads((results / "report.json").read_text()) == {"runs": runs}
     validate_artifact(str(results / "report.json"))
+
+
+@pytest.mark.parametrize("summary", [[1, 2], "x", {"steps": "many"},
+                                     {"grid_spacing_m": math.inf}])
+def test_report_refuses_a_malformed_summary(tmp_path, capsys, summary):
+    results = tmp_path / "results"
+    (results / "runs" / "a").mkdir(parents=True)
+    (results / "runs" / "b").mkdir()
+    (results / "runs" / "a" / "summary.json").write_text(json.dumps(summary))
+    (results / "runs" / "b" / "summary.json").write_text('{"trials": 1}')
+    capsys.readouterr()
+    assert main(["report", "--out", str(results)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert str(results / "runs" / "a" / "summary.json") in err
+    assert not (results / "report.json").exists()
 
 
 def test_report_uses_config_out_dir(tmp_path):

@@ -24,6 +24,10 @@ from fingerloc.geometry import Grid
 from fingerloc.stats import GammaParams, VonMisesParams, fit_gaussian, kriging_fit
 
 
+# how the schema check reports a database block that matches no block type
+_NO_BLOCK = ": .* is not valid under any of the given schemas; rerun learn$"
+
+
 def _grid(n=2):
     return Grid((0.0, 0.0), nx=n, ny=n, spacing=1.0)
 
@@ -101,7 +105,7 @@ def test_database_rejects_unknown_block_types():
     doc = json.loads(database_to_json(FingerprintDatabase(grid=grid)))
     for block in ({"type": "no_such_block"}, {"type": "real", "values": [0.5]}, [0.5]):
         doc["blocks"] = {"k": block}
-        with pytest.raises(ValueError, match="'k' has unknown type"):
+        with pytest.raises(ValueError, match=f"^database blocks/k{_NO_BLOCK}"):
             database_from_json(json.dumps(doc))
 
 
@@ -221,7 +225,8 @@ def test_database_rejects_a_malformed_grid():
         with pytest.raises(ValueError, match="object|origin"):
             database_from_json(json.dumps(broken))
     for digest in (5, ["ab"], {}):
-        with pytest.raises(ValueError, match="config_digest must be a string or null"):
+        with pytest.raises(ValueError, match="^database config_digest: .* is not of type "
+                                             "'string', 'null'; rerun learn$"):
             database_from_json(json.dumps(dict(doc, config_digest=digest)))
 
 
@@ -283,7 +288,7 @@ def test_database_array_blocks_are_read_only():
 def test_database_rejects_non_finite_values(block):
     doc = json.loads(database_to_json(FingerprintDatabase(grid=_grid(2))))
     doc["blocks"] = {"det:0": block}
-    with pytest.raises(ValueError, match="'det:0'.*non-finite"):
+    with pytest.raises(ValueError, match="^database blocks/det:0/.* holds non-finite values$"):
         database_from_json(json.dumps(doc))
 
 
@@ -291,35 +296,37 @@ _VALUES = _record([0.5, 0.25, 0.5, 0.25])
 
 
 @pytest.mark.parametrize("block, message", [
-    pytest.param({"type": "array", "values": [0.5, 0.25, 0.5, 0.25]}, "record", id="json-list"),
-    pytest.param({"type": "array", "values": dict(_VALUES, extra=1)}, "record", id="extra-key"),
-    pytest.param({"type": "array", "values": dict(_VALUES, data="AAAA*AAA")}, "base64",
+    pytest.param({"type": "array", "values": [0.5, 0.25, 0.5, 0.25]}, _NO_BLOCK, id="json-list"),
+    pytest.param({"type": "array", "values": dict(_VALUES, extra=1)}, _NO_BLOCK, id="extra-key"),
+    pytest.param({"type": "array", "values": dict(_VALUES, data="AAAA*AAA")}, _NO_BLOCK,
                  id="not-base64"),
-    pytest.param({"type": "array", "values": dict(_VALUES, data="AAAAAAAA4D8")}, "base64",
-                 id="unpadded"),
-    pytest.param({"type": "array", "values": dict(_VALUES, data=[0.5] * 4)}, "base64",
+    pytest.param({"type": "array", "values": dict(_VALUES, data="AAAAAAAA4D8")},
+                 "/values data is not a base64 string", id="unpadded"),
+    pytest.param({"type": "array", "values": dict(_VALUES, data=[0.5] * 4)}, _NO_BLOCK,
                  id="not-a-string"),
-    pytest.param({"type": "array", "values": dict(_VALUES, shape=[5])}, "bytes", id="byte-count"),
-    pytest.param({"type": "array", "values": dict(_VALUES, shape=[-4])}, "shape",
+    pytest.param({"type": "array", "values": dict(_VALUES, shape=[5])}, "/values holds 32 bytes",
+                 id="byte-count"),
+    pytest.param({"type": "array", "values": dict(_VALUES, shape=[-4])}, _NO_BLOCK,
                  id="negative-shape"),
-    pytest.param({"type": "array", "values": dict(_VALUES, shape=[4.0])}, "shape",
-                 id="float-shape"),
-    pytest.param({"type": "array", "values": dict(_VALUES, shape=[True] * 4)}, "shape",
+    pytest.param({"type": "array", "values": dict(_VALUES, shape=[4.0])},
+                 r"/values has shape \[4.0\], not a list of ints", id="float-shape"),
+    pytest.param({"type": "array", "values": dict(_VALUES, shape=[True] * 4)}, _NO_BLOCK,
                  id="bool-shape"),
-    pytest.param({"type": "array", "values": _record(0.5)}, "shape", id="rank-0"),
-    pytest.param({"type": "array", "values": _record(np.zeros(4, np.float32))}, "dtype",
+    pytest.param({"type": "array", "values": _record(0.5)}, _NO_BLOCK, id="rank-0"),
+    pytest.param({"type": "array", "values": _record(np.zeros(4, np.float32))}, _NO_BLOCK,
                  id="float32"),
-    pytest.param({"type": "array", "values": dict(_VALUES, dtype="object")}, "dtype", id="object"),
-    pytest.param({"type": "array", "values": _record(np.ones(4, bool))}, "dtype", id="bool"),
+    pytest.param({"type": "array", "values": dict(_VALUES, dtype="object")}, _NO_BLOCK,
+                 id="object"),
+    pytest.param({"type": "array", "values": _record(np.ones(4, bool))}, _NO_BLOCK, id="bool"),
     pytest.param({"type": "gaussian", "mean": _record(np.zeros((4, 1))),
                   "cov": _record(np.ones((4, 1, 1), complex)), "loading": _record(np.zeros(4))},
-                 "'mean' has dtype 'float64'", id="gaussian-mean-float64"),
-    pytest.param({"type": "gamma", "shape": _VALUES}, "'scale'.*record", id="missing-field"),
+                 _NO_BLOCK, id="gaussian-mean-float64"),
+    pytest.param({"type": "gamma", "shape": _VALUES}, _NO_BLOCK, id="missing-field"),
 ])
 def test_database_rejects_a_malformed_array_record(block, message):
     doc = json.loads(database_to_json(FingerprintDatabase(grid=_grid(2))))
     doc["blocks"] = {"det:0": block}
-    with pytest.raises(ValueError, match=f"'det:0'.*{message}"):
+    with pytest.raises(ValueError, match=f"^database blocks/det:0{message}"):
         database_from_json(json.dumps(doc))
 
 
@@ -328,7 +335,7 @@ def test_array_record_round_trips_and_decodes_writable():
                 np.zeros((0, 3), complex), np.array(-0.0)):
         record = encode_array(arr)
         assert record == _record(arr)
-        back = decode_array(record, "a", (arr.dtype.name,))
+        back = decode_array(record, "a")
         assert (back.dtype, back.shape, back.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
         assert back.flags.writeable
     # a big-endian array is stored little-endian
@@ -339,4 +346,4 @@ def test_array_record_bools_are_bytes_0_or_1():
     record = dict(encode_array(np.array([True, False])),
                   data=base64.b64encode(bytes([1, 2])).decode("ascii"))
     with pytest.raises(ValueError, match="flags.*bool byte"):
-        decode_array(record, "flags", ("bool",))
+        decode_array(record, "flags")

@@ -1,23 +1,29 @@
 """The in-package JSON Schema validator: draft 2020-12 semantics, the keyword
 guard, and agreement with the ``jsonschema`` package on every shipped schema."""
 
+import ast
+import base64
 import copy
 import json
 import math
 import os
+import pathlib
 import re
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from test_cli import TINY, VERBS  # noqa: E402
+from test_cli import PIPELINE_MODULES, TINY, VERBS  # noqa: E402
 
 from fingerloc.cli import EXIT_OK, main  # noqa: E402
-from fingerloc.experiments import artifacts  # noqa: E402
+from fingerloc.database import database_from_json  # noqa: E402
+from fingerloc.experiments import artifacts, bems  # noqa: E402
 from fingerloc.experiments.artifacts import load_schema, schema_error  # noqa: E402
+from fingerloc.experiments.common import read_measurements  # noqa: E402
 from fingerloc.experiments.configs import parse_config  # noqa: E402
 
 JSON_SCHEMAS = sorted(
@@ -124,22 +130,31 @@ def test_every_shipped_schema_keyword_is_asserted_or_an_annotation(name):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def shipped_documents(tmp_path_factory):
-    """``{schema name: [valid documents]}`` from a tiny run of every pipeline."""
+def tiny_runs(tmp_path_factory):
+    """The root of one tiny run of every pipeline, in its out dir ``<root>/<pipeline>``,
+    and of a report over them."""
     root = tmp_path_factory.mktemp("runs")
-    docs = {name: [] for name in JSON_SCHEMAS}
     for pipeline, raw in sorted(TINY.items()):
-        cfg = dict(raw, out_dir=str(root / pipeline))
         cfg_path = root / f"{pipeline}.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_text(json.dumps(dict(raw, out_dir=str(root / pipeline))))
         for verb in VERBS[pipeline]:
             assert main([verb, "--config", str(cfg_path)]) == EXIT_OK
-        docs[f"{pipeline}.schema.json"].append(parse_config(cfg))
+    assert main(["report", "--out", str(root)]) == EXIT_OK
+    return root
+
+
+@pytest.fixture(scope="module")
+def shipped_documents(tiny_runs):
+    """``{schema name: [valid documents]}`` from the tiny runs."""
+    root = tiny_runs
+    docs = {name: [] for name in JSON_SCHEMAS}
+    for pipeline, raw in sorted(TINY.items()):
+        docs[f"{pipeline}.schema.json"].append(
+            parse_config(dict(raw, out_dir=str(root / pipeline))))
         for fname in sorted(os.listdir(root / pipeline)):
             if fname.endswith(".json"):
                 doc = json.loads((root / pipeline / fname).read_text())
                 docs[artifacts.artifact_schema_name(fname)].append(_trimmed(doc))
-    assert main(["report", "--out", str(root)]) == EXIT_OK
     docs["report.schema.json"].append(_trimmed(json.loads((root / "report.json").read_text())))
     return docs
 
@@ -245,3 +260,172 @@ def test_the_validator_agrees_with_jsonschema(name, shipped_documents):
             assert schema_error(mutant, schema) == expected, json.dumps(mutant)[:300]
             verdicts.append(expected is None)
     assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
+
+
+# ---------------------------------------------------------------------------
+# the harness readers refuse what the schemas refuse
+# ---------------------------------------------------------------------------
+
+# what a reader refuses in a schema-valid document: the checks no schema makes
+_VALUE_CHECKS = re.compile("|".join([
+    r"has shape .*, not a list of ints", r"data is not a base64 string",
+    r"holds \d+ bytes, not the", r"holds a bool byte other than 0 or 1",
+    r"holds non-finite values",  # the array record
+    r"grid dimensions must be", r"grid spacing", r"grid origin",  # Grid
+    r"block '.*' covers \d+ points",  # FingerprintDatabase
+    r"mean must be|covariance|loading", r"shape and scale must be positive",
+    r"mu must lie in|kappa must lie in",  # the model classes
+    r"measurements, not .* ones", r"holds the arrays \(shape, dtype\)",  # read_measurements
+    r"candidate sets but|cell that is not an int|cell outside the",  # read_track_sets
+]))
+
+
+def _reader(name: str, doc: dict, path):
+    """``read(document)`` through the harness reader of artifact schema ``name``."""
+    def through_file(read):
+        def run(mutant):
+            path.write_text(json.dumps(mutant))
+            return read(str(path))
+        return run
+
+    if name == "db.schema.json":
+        return lambda mutant: database_from_json(json.dumps(mutant))
+    if name == "measurements.schema.json":
+        cfg = parse_config(TINY[doc["pipeline"]])
+        shapes = PIPELINE_MODULES[doc["pipeline"]].measurement_shapes(cfg)
+        expected = {key: shapes[key] for key in doc["arrays"]}
+        return through_file(lambda p: read_measurements(p, cfg, expected))
+    return through_file(lambda p: bems.read_track_sets(p, 9))
+
+
+@pytest.mark.parametrize("name", ["db.schema.json", "measurements.schema.json",
+                                  "track_sets.schema.json"])
+def test_the_reader_refuses_what_the_schema_refuses(name, shipped_documents, tmp_path):
+    schema = load_schema(name)
+    probes = _probes(schema)
+    accepted = 0
+    for doc in shipped_documents[name]:
+        read = _reader(name, doc, tmp_path / "artifact.json")
+        read(doc)
+        for mutant in _mutants(doc, probes):
+            found = schema_error(mutant, schema)
+            try:
+                read(mutant)
+            except ValueError as exc:
+                if found is None:  # refused by a check that no schema can make
+                    assert _VALUE_CHECKS.search(str(exc)), str(exc)[:300]
+                else:
+                    where = "/".join(map(str, found[0])) or "<root>"
+                    assert f"{where}: {found[1]}" in str(exc)
+                continue
+            assert found is None, json.dumps(mutant)[:300]
+            accepted += 1
+    assert accepted
+
+
+def _stored(record: dict, values) -> dict:
+    """``record`` holding ``values``, written past the encoder's checks."""
+    stored = np.dtype(record["dtype"]).newbyteorder("<")
+    return _bytes(record, np.asarray(values).astype(stored).tobytes())
+
+
+def _bytes(record: dict, raw: bytes) -> dict:
+    return dict(record, data=base64.b64encode(raw).decode("ascii"))
+
+
+# a schema-valid record that a reader must refuse, made from a valid one, and
+# the refusal
+_INVISIBLE = {
+    "float-shape": (lambda r: dict(r, shape=[float(n) for n in r["shape"]]),
+                    r"has shape \[.*\], not a list of ints"),
+    "unpadded": (lambda r: dict(r, data=r["data"].rstrip("=")),
+                 "data is not a base64 string: Incorrect padding"),
+    "byte-count": (lambda r: _bytes(r, base64.b64decode(r["data"])[:-1]),
+                   r"holds \d+ bytes, not the \d+ of a"),
+    "bool-byte-2": (lambda r: _bytes(r, b"\x02" + base64.b64decode(r["data"])[1:]),
+                    "holds a bool byte other than 0 or 1"),
+    "nan": (lambda r: _stored(r, np.full(r["shape"], math.nan)), "holds non-finite values"),
+    "inf": (lambda r: _stored(r, np.full(r["shape"], -math.inf)), "holds non-finite values"),
+}
+
+
+@pytest.mark.parametrize("name, pipeline, dtype, case", [
+    ("db.schema.json", "bems_binary", "float64", "float-shape"),
+    ("db.schema.json", "wifi_rssi_rspd", "float64", "unpadded"),
+    ("db.schema.json", "illegal_hybrid", "complex128", "byte-count"),
+    ("db.schema.json", "bems_binary", "float64", "nan"),
+    ("db.schema.json", "illegal_hybrid", "complex128", "inf"),
+    ("measurements.schema.json", "bems_binary", "int64", "float-shape"),
+    ("measurements.schema.json", "wifi_rssi_rspd", "float64", "unpadded"),
+    ("measurements.schema.json", "classroom_cir", "complex128", "byte-count"),
+    ("measurements.schema.json", "bems_binary", "bool", "bool-byte-2"),
+    ("measurements.schema.json", "wifi_rssi_rspd", "float64", "nan"),
+    ("measurements.schema.json", "classroom_cir", "complex128", "inf"),
+])
+def test_the_reader_refuses_what_the_schema_cannot_see(name, pipeline, dtype, case,
+                                                      tiny_runs, tmp_path):
+    doc = json.loads((tiny_runs / pipeline / name.replace(".schema", "")).read_text())
+    records = (doc["arrays"].values() if "arrays" in doc else
+               [value for block in doc["blocks"].values() for value in block.values()
+                if isinstance(value, dict)])
+    record = next(record for record in records if record["dtype"] == dtype)
+    read = _reader(name, doc, tmp_path / "artifact.json")
+    read(doc)
+    corrupt, refusal = _INVISIBLE[case]
+    broken = corrupt(record)
+    assert json.dumps(broken) != json.dumps(record)  # 9.0 == 9, but not as JSON
+    record.update(broken)
+    assert schema_error(doc, load_schema(name)) is None
+    with pytest.raises(ValueError, match=refusal):
+        read(doc)
+
+
+# ---------------------------------------------------------------------------
+# one reader: no other code parses JSON
+# ---------------------------------------------------------------------------
+
+# (module, function) of every place allowed to parse JSON: the schema-checked
+# reader, the schema loader, the database reader (it checks db.schema.json),
+# the config loader (it checks the pipeline schemas) and the sweep values
+_JSON_PARSERS = [
+    ("cli.py", "parse_sweep"),
+    ("database.py", "database_from_json"),
+    ("experiments/artifacts.py", "load_schema"),
+    ("experiments/artifacts.py", "read_json"),
+    ("experiments/configs.py", "load_config"),
+]
+
+
+class _JsonParsers(ast.NodeVisitor):
+    """The innermost function around each use of ``json.load``/``json.loads``
+    (None at module level), and ``"import"`` for each import from ``json``."""
+
+    def __init__(self):
+        self.scope, self.found = [None], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Attribute(self, node):
+        if (isinstance(node.value, ast.Name) and node.value.id == "json"
+                and node.attr in ("load", "loads")):
+            self.found.append(self.scope[-1])
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module == "json":
+            self.found.append("import")
+
+
+def test_json_is_parsed_only_where_a_schema_checks_it():
+    root = pathlib.Path(artifacts.__file__).resolve().parent.parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        visitor = _JsonParsers()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += [(path.relative_to(root).as_posix(), scope) for scope in visitor.found]
+    assert sorted(found) == _JSON_PARSERS
