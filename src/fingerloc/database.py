@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .experiments.artifacts import load_schema, schema_error
+from .experiments.artifacts import load_schema, schema_error, schema_refusal
 from .geometry import Grid
 from .stats import GammaParams, GaussianStats, VonMisesParams
 
@@ -180,7 +180,7 @@ def database_from_json(text: str) -> FingerprintDatabase:
     if found is not None:
         keys, message = found
         where = "/".join(map(str, keys)) or "<root>"
-        raise ValueError(f"database {where}: {message}; rerun learn")
+        raise ValueError(f"database {schema_refusal(where, message)}; rerun learn")
     g = doc["grid"]
     grid = Grid(g["origin"], g["nx"], g["ny"], g["spacing"])
     blocks = {key: _block_from_json(key, data) for key, data in doc["blocks"].items()}

@@ -45,7 +45,7 @@ from functools import lru_cache
 from importlib import resources
 
 __all__ = ["artifact_schema_name", "load_schema", "read_json", "schema_error",
-           "validate_artifact", "validate_run_dir"]
+           "schema_refusal", "validate_artifact", "validate_run_dir"]
 
 _JSON_ARTIFACTS = {
     "db.json": "db.schema.json",
@@ -64,6 +64,8 @@ _CSV_ARTIFACTS = {
 }
 
 _INT_RE = re.compile(r"^-?\d+$")
+# characters of a schema message shown whole (see schema_refusal)
+_MESSAGE_LIMIT = 500
 
 
 def artifact_schema_name(filename: str) -> str:
@@ -227,6 +229,20 @@ def schema_error(doc, schema: dict) -> tuple | None:
     return min(_errors(doc, schema, schema), key=lambda error: error[0], default=None)
 
 
+def schema_refusal(where: str, message: str) -> str:
+    """``"<where>: <message>"`` of a :func:`schema_error`, for a person to read.
+
+    A message longer than ``_MESSAGE_LIMIT`` characters, which quotes a
+    large refused value (a ``db.json`` block and its base64), keeps its head
+    and its tail ("... is not valid under any of the given schemas") around
+    an ellipsis.
+    """
+    if len(message) > _MESSAGE_LIMIT:
+        keep = (_MESSAGE_LIMIT - 5) // 2
+        message = f"{message[:keep]} ... {message[-keep:]}"
+    return f"{where}: {message}"
+
+
 def _check_keywords(schema: dict, root: dict, where: str = "#") -> None:
     """Refuse a schema keyword that ``schema_error`` would not assert."""
     for keyword, arg in schema.items():
@@ -325,7 +341,8 @@ def read_json(path: str, artifact: str | None = None):
     emits and which pass every schema bound, raise ValueError naming the
     file; a document the schema refuses raises
     ValueError("<path>: <where>: <message>"), ``where`` the ``/``-joined key
-    path down to the offending value (``<root>`` for the document itself).
+    path down to the offending value (``<root>`` for the document itself) and
+    a long message shortened by :func:`schema_refusal`.
     """
     def refuse(token):
         raise ValueError(f"{path}: {token} is not a finite number")
@@ -336,7 +353,7 @@ def read_json(path: str, artifact: str | None = None):
     if found is not None:
         keys, message = found
         where = "/".join(map(str, keys)) or "<root>"
-        raise ValueError(f"{path}: {where}: {message}")
+        raise ValueError(f"{path}: {schema_refusal(where, message)}")
     return doc
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from ..database import FingerprintDatabase
 from ..features import pair_xcorr
 from ..matching import fingerprint_sqerr
-from ..simulate import ChannelModel, link_chunks, simulate_links
+from ..simulate import ChannelModel, simulate_links
 from ..stats import GaussianStats, fit_gaussian, gaussian_loglik, gaussian_loo_loglik
 from .common import (
     build_grid,
@@ -101,11 +101,11 @@ def simulate_measurements(cfg: dict) -> dict:
              "tap_count": taps, "snr_db": scn["snr_db"]}
     seat_ids, snapshots = np.indices((len(grid), n_snap)).reshape(2, -1)
     seats = np.repeat(grid.xy, n_snap, axis=0)
+    noise = (cfg["seed"], _TAG_CIR_NOISE, seat_ids[:, None], snapshots[:, None],
+             np.arange(len(antennas)))
     out = np.empty((len(seats), len(antennas), taps), dtype=complex)
-    for sl in link_chunks(len(seats), len(antennas) * taps):
-        noise = (cfg["seed"], _TAG_CIR_NOISE, seat_ids[sl, None], snapshots[sl, None],
-                 np.arange(len(antennas)))
-        out[sl] = simulate_links(seats[sl], antennas, snapshots[sl], noise, **setup)
+    for sl, y in simulate_links(seats, antennas, snapshots, noise, **setup):
+        out[sl] = y
     return {"cirs": out.reshape(len(grid), n_snap, len(antennas), taps)}
 
 

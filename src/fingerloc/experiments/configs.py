@@ -4,7 +4,7 @@ import json
 import math
 
 from ..errors import ConfigError
-from .artifacts import load_schema, schema_error
+from .artifacts import load_schema, schema_error, schema_refusal
 from .defaults import PIPELINES, _deep_merge, config_defaults
 
 __all__ = ["load_config", "validate_config", "parse_config"]
@@ -47,7 +47,7 @@ def validate_config(cfg: dict) -> None:
     if found is not None:
         keys, message = found
         path = ".".join(map(str, keys)) or "<root>"
-        raise ConfigError(f"{path}: {message}", path=path)
+        raise ConfigError(schema_refusal(path, message), path=path)
 
 
 def parse_config(raw: dict) -> dict:

@@ -25,7 +25,7 @@ from ..interp import (
     windowed_sinc_lowpass,
 )
 from ..matching import fingerprint_sqerr
-from ..simulate import ChannelModel, TxSignalSpec, derive_seed, link_chunks, simulate_links
+from ..simulate import ChannelModel, TxSignalSpec, derive_seed, simulate_links
 from ..stats import kriging_cond
 from .common import (
     build_grid,
@@ -124,7 +124,6 @@ def measure_fingerprints(cfg: dict, tx_xy: np.ndarray, freq_hz: float, pulse: tu
     scn = cfg["scenario"]
     n = scn["uca"]["elements"]
     max_lag = scn["tap_count"] - 1
-    n_samples = scn["bits"] + len(pulse) + scn["tap_count"] - 2
     n_sensors = len(scn["sensors"])
     setup = {"model": ChannelModel(seed=cfg["seed"], **scn["channel"]), "freq_hz": freq_hz,
              "bandwidth_hz": scn["sample_rate_hz"], "tap_count": scn["tap_count"],
@@ -135,14 +134,13 @@ def measure_fingerprints(cfg: dict, tx_xy: np.ndarray, freq_hz: float, pulse: tu
                                                  for si, a, b in _xcorr_pairs(cfg)]))
     xc = np.empty((len(tx_xy), len(first), 2 * max_lag + 1), dtype=complex)
     ph = np.empty((len(tx_xy), n_sensors, len(_element_pairs(n))))
-    for sl in link_chunks(len(tx_xy), n_sensors * n * n_samples):
-        cols = ids[sl].T
-        noise = (cfg["seed"], tags[1], *cols[..., None, None], np.arange(n_sensors)[:, None],
-                 np.arange(n))
-        y = simulate_links(tx_xy[sl], sensor_elements(cfg), snapshots[sl], noise,
-                           bits_parts=(cfg["seed"], tags[0], *cols), **setup)
-        flat = y.reshape(y.shape[0], n_sensors * n, n_samples)
-        xc[sl] = xcorr_rows(flat[:, first], flat[:, second], max_lag) / n_samples
+    cols = ids.T
+    noise = (cfg["seed"], tags[1], *cols[..., None, None], np.arange(n_sensors)[:, None],
+             np.arange(n))
+    for sl, y in simulate_links(tx_xy, sensor_elements(cfg), snapshots, noise,
+                                bits_parts=(cfg["seed"], tags[0], *cols), **setup):
+        flat = y.reshape(len(y), n_sensors * n, -1)
+        xc[sl] = xcorr_rows(flat[:, first], flat[:, second], max_lag) / y.shape[-1]
         for p, (a, b) in enumerate(_element_pairs(n)):
             ph[sl, :, p] = power_phase(y[:, :, a], y[:, :, b])[1]
     return xc, ph

@@ -20,7 +20,6 @@ from ..simulate import (
     ChannelModel,
     TxSignalSpec,
     derive_seed,
-    link_chunks,
     seeded_streams,
     simulate_links,
     simulate_pdr,
@@ -102,18 +101,16 @@ def measure_features(cfg: dict, tx_xy: np.ndarray, snapshots, tags: tuple,
     scn = cfg["scenario"]
     antennas = sensor_antennas(cfg)
     n_sensors = antennas.shape[0]
-    spec = TxSignalSpec(length=scn["bits"])
     setup = {"model": ChannelModel(seed=cfg["seed"], **scn["channel"]),
              "freq_hz": scn["freq_hz"], "bandwidth_hz": scn["bandwidth_hz"],
-             "tap_count": scn["tap_count"], "snr_db": scn["snr_db"], "tx_spec": spec}
-    n_samples = spec.length + len(spec.pulse) + scn["tap_count"] - 2
+             "tap_count": scn["tap_count"], "snr_db": scn["snr_db"],
+             "tx_spec": TxSignalSpec(length=scn["bits"])}
+    cols = ids.T
+    noise = (cfg["seed"], tags[1], *cols[..., None, None], np.arange(n_sensors)[:, None],
+             np.arange(2))
     out = np.empty((len(tx_xy), n_sensors, 2))
-    for sl in link_chunks(len(tx_xy), 2 * n_sensors * n_samples):
-        cols = ids[sl].T
-        noise = (cfg["seed"], tags[1], *cols[..., None, None], np.arange(n_sensors)[:, None],
-                 np.arange(2))
-        y = simulate_links(tx_xy[sl], antennas, snapshots[sl], noise,
-                           bits_parts=(cfg["seed"], tags[0], *cols), **setup)
+    for sl, y in simulate_links(tx_xy, antennas, snapshots, noise,
+                                bits_parts=(cfg["seed"], tags[0], *cols), **setup):
         out[sl, :, 0], out[sl, :, 1] = power_phase(y[:, :, 0], y[:, :, 1])
     return out
 

@@ -14,18 +14,18 @@ __all__ = [
     "synthesize_rx",
     "add_receiver_noise",
     "simulate_links",
-    "link_chunks",
     "simulate_pdr",
     "derive_seed",
     "seeded_uniforms",
     "seeded_streams",
+    "stream_states",
 ]
 
 SPEED_OF_LIGHT = 299792458.0
-# complex samples of one simulated block held at a time (see link_chunks);
-# a block makes about six temporaries of its size, 256 KB each at this bound
+# complex samples of one simulated chunk held at a time (see simulate_links);
+# a chunk makes about six temporaries of its size, 256 KB each at this bound
 SIM_CHUNK = 1 << 14
-# rows seeded at a time by seeded_uniforms and seeded_streams; a chunk's
+# rows seeded at a time by seeded_uniforms and stream_states; a chunk's
 # temporaries are a few dozen uint32/uint64 arrays of this length
 UNIFORM_CHUNK = 1 << 16
 
@@ -185,6 +185,33 @@ def seeded_uniforms(*parts) -> np.ndarray:
     return out.reshape(shape)
 
 
+def stream_states(*parts) -> np.ndarray:
+    """The generator state ``derive_seed`` seeds from each row of parts, as one array.
+
+    Returns a (rows, 4) uint64 array, rows in C order of the parts' broadcast
+    shape (parts as :func:`seeded_uniforms` takes them): each row's PCG64
+    state and increment, high half first, as
+    ``np.random.default_rng(derive_seed(*row))`` starts.  Rows are seeded
+    ``UNIFORM_CHUNK`` at a time.  The stage functions draw from streams
+    given this way.
+    """
+    words, shape = _entropy_words(parts)
+    states = np.empty((math.prod(shape), 4), dtype=np.uint64)
+    for rows, state, inc in _chunk_seeds(words, shape):
+        states[rows] = np.stack(state + inc, axis=1)
+    return states
+
+
+def _streams(states: np.ndarray):
+    """One generator, reseeded from each row of :func:`stream_states` in turn."""
+    # every row overwrites the state, so a constant seed: PCG64() would read OS entropy
+    rng = np.random.Generator(np.random.PCG64(0))
+    for s1, s0, i1, i0 in states.tolist():
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": s1 << 64 | s0, "inc": i1 << 64 | i0}}
+        yield rng
+
+
 def seeded_streams(*parts):
     """One generator, reseeded for each row of parts as ``derive_seed`` seeds it.
 
@@ -193,22 +220,24 @@ def seeded_streams(*parts):
     drawn from it before the next row equals the draws of
     ``np.random.default_rng(derive_seed(*row))`` bit for bit.
     """
-    words, shape = _entropy_words(parts)
-    # every row overwrites the state, so a constant seed: PCG64() would read OS entropy
-    rng = np.random.Generator(np.random.PCG64(0))
-    for _, state, inc in _chunk_seeds(words, shape):
-        for s1, s0, i1, i0 in zip(*(half.tolist() for half in state + inc)):
-            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                       "state": {"state": s1 << 64 | s0, "inc": i1 << 64 | i0}}
-            yield rng
+    return _streams(stream_states(*parts))
 
 
-def _row_streams(parts: tuple, shape: tuple, what: str):
-    """:func:`seeded_streams` of a block whose rows have ``shape``."""
+def _block_states(parts: tuple, shape: tuple, what: str) -> np.ndarray:
+    """:func:`stream_states` of a block whose rows have ``shape``."""
     got = np.broadcast_shapes(*(np.shape(p) for p in parts))
     if got != tuple(shape):
         raise ValueError(f"{what} stream parts broadcast to {got}, not to the block's rows {shape}")
-    return seeded_streams(*parts)
+    return stream_states(*parts)
+
+
+def _checked_states(states, n_rows: int, what: str) -> np.ndarray:
+    """``states`` if it holds one :func:`stream_states` row for each of ``n_rows``."""
+    if not (isinstance(states, np.ndarray) and states.dtype == np.uint64
+            and states.shape == (n_rows, 4)):
+        got = getattr(states, "shape", type(states).__name__)
+        raise ValueError(f"{what} stream states must be a ({n_rows}, 4) uint64 array, got {got}")
+    return states
 
 
 @dataclass(frozen=True)
@@ -236,6 +265,11 @@ class ChannelModel:
         if self.pathloss_exponent < 0:
             raise ValueError("pathloss exponent must be non-negative")
 
+    @property
+    def multipath(self) -> bool:
+        """Whether links draw multipath gains: a finite K factor and paths past line of sight."""
+        return self.path_count > 1 and not math.isinf(self.rician_k_db)
+
 
 def _link_error(dist: float, first_tap: int, n_nlos: int, tap_count: int,
                 bandwidth_hz: float) -> str | None:
@@ -250,8 +284,48 @@ def _link_error(dist: float, first_tap: int, n_nlos: int, tap_count: int,
     return None
 
 
+def _link_geometry(tx_xy: np.ndarray, rx_xy: np.ndarray, freq_hz: float, bandwidth_hz: float,
+                   model: ChannelModel, tap_count: int, name=lambda i: f"link {i}") -> tuple:
+    """Each link's distance, first tap index, and line-of-sight and multipath powers.
+
+    Raises ValueError, the first failing link named by ``name(i)``, unless
+    every link's positions differ and its delays fit in ``tap_count`` taps.
+    """
+    if tap_count < 1:
+        raise ValueError("tap_count must be >= 1")
+    if not (freq_hz > 0 and bandwidth_hz > 0):
+        raise ValueError("frequency and bandwidth must be positive")
+    if not (np.isfinite(tx_xy).all() and np.isfinite(rx_xy).all()):
+        raise ValueError("tx and rx positions must be finite")
+    n_nlos = model.path_count - 1
+    # math.hypot and float ** per link: numpy's hypot and array ** differ
+    # from them in the last bit
+    ref_gain = 10.0 ** (-model.reference_loss_db / 10.0)
+    n_links = len(tx_xy)
+    dist = np.fromiter(map(math.hypot, (tx_xy[:, 0] - rx_xy[:, 0]).tolist(),
+                           (tx_xy[:, 1] - rx_xy[:, 1]).tolist()), float, n_links)
+    total_power = np.fromiter((ref_gain * d ** (-model.pathloss_exponent) if d > 0 else 0.0
+                               for d in dist.tolist()), float, n_links)
+    if model.multipath:
+        k_lin = 10.0 ** (model.rician_k_db / 10.0)
+        p_los = total_power * (k_lin / (k_lin + 1.0))
+        p_nlos = total_power / (k_lin + 1.0)
+    else:
+        p_los, p_nlos = total_power, np.zeros(n_links)
+    # rounds half to even, as round() does; compared as floats, so no delay overflows
+    first_tap = np.rint(dist / SPEED_OF_LIGHT * bandwidth_hz)
+    taps_used = np.where(p_nlos > 0.0, n_nlos, 0)
+    bad = np.flatnonzero((dist == 0.0) | (first_tap + taps_used >= tap_count))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{name(i)}: " + _link_error(float(dist[i]), int(first_tap[i]),
+                                                      int(taps_used[i]), tap_count,
+                                                      bandwidth_hz))
+    return dist, first_tap.astype(int), p_los, p_nlos
+
+
 def gen_cir(tx_xy, rx_xy, freq_hz: float, bandwidth_hz: float, model: ChannelModel,
-            tap_count: int, snapshot=0) -> np.ndarray:
+            tap_count: int, states=None) -> np.ndarray:
     """Draw the channel impulse responses of a block of links.
 
     Link i runs from ``tx_xy[i]`` to ``rx_xy[i]``.  Its first tap sits at the
@@ -259,9 +333,9 @@ def gen_cir(tx_xy, rx_xy, freq_hz: float, bandwidth_hz: float, model: ChannelMod
     bandwidth.  Total tap power equals the closed-form pathloss exactly; the
     Rician K factor splits it between the line-of-sight tap and exponentially
     decaying multipath taps on the following delay bins.  Multipath gains are
-    redrawn per snapshot from the link's own stream, seeded by (model seed,
-    snapshot, tx x, tx y, rx x, rx y, frequency), so a link gives the same
-    taps in any block.
+    drawn from the link's own stream, ``states[i]``: callers seed it from
+    (model seed, snapshot, tx x, tx y, rx x, rx y, frequency), so each
+    snapshot redraws them and a link gives the same taps in any block.
 
     Args:
         tx_xy: transmitter positions, (links, 2) or one (2,) for every link.
@@ -270,7 +344,8 @@ def gen_cir(tx_xy, rx_xy, freq_hz: float, bandwidth_hz: float, model: ChannelMod
         bandwidth_hz: two-sided bandwidth; the tap period is its inverse.
         model: channel parameters.
         tap_count: number of taps L per response.
-        snapshot: small-scale realization to draw, one int or one per link.
+        states: (links, 4) :func:`stream_states` of the links' streams; a
+            model without multipath draws nothing and takes None.
 
     Returns:
         Complex (links, tap_count) taps at ``1 / bandwidth_hz`` spacing.
@@ -279,48 +354,21 @@ def gen_cir(tx_xy, rx_xy, freq_hz: float, bandwidth_hz: float, model: ChannelMod
         ValueError: naming the first link whose positions coincide or whose
             delays do not fit in ``tap_count`` taps.
     """
-    if tap_count < 1:
-        raise ValueError("tap_count must be >= 1")
-    if not (freq_hz > 0 and bandwidth_hz > 0):
-        raise ValueError("frequency and bandwidth must be positive")
     tx_xy, rx_xy = np.broadcast_arrays(np.asarray(tx_xy, dtype=float),
                                        np.asarray(rx_xy, dtype=float))
     if tx_xy.ndim != 2 or tx_xy.shape[1] != 2:
         raise ValueError(f"positions must be (links, 2) arrays, got shape {tx_xy.shape}")
     n_links = tx_xy.shape[0]
-    snaps = np.broadcast_to(np.asarray(snapshot, dtype=int), (n_links,))
-
-    n_nlos = model.path_count - 1
-    pure_los = math.isinf(model.rician_k_db) or n_nlos == 0
-    # math.hypot and float ** per link: numpy's hypot and array ** differ
-    # from them in the last bit
-    ref_gain = 10.0 ** (-model.reference_loss_db / 10.0)
-    dist = [math.hypot(tx[0] - rx[0], tx[1] - rx[1])
-            for tx, rx in zip(tx_xy.tolist(), rx_xy.tolist())]
-    first_tap = [int(round(d / SPEED_OF_LIGHT * bandwidth_hz)) for d in dist]
-    total_power = np.array([ref_gain * d ** (-model.pathloss_exponent) if d > 0 else 0.0
-                            for d in dist])
-    if pure_los:
-        p_los, p_nlos = total_power, np.zeros(n_links)
-    else:
-        k_lin = 10.0 ** (model.rician_k_db / 10.0)
-        p_los = total_power * (k_lin / (k_lin + 1.0))
-        p_nlos = total_power / (k_lin + 1.0)
-    has_nlos = (p_nlos > 0.0).tolist()
-    for i in range(n_links):
-        msg = _link_error(dist[i], first_tap[i], n_nlos if has_nlos[i] else 0,
-                          tap_count, bandwidth_hz)
-        if msg is not None:
-            raise ValueError(f"link {i}: {msg}")
+    dist, first, p_los, p_nlos = _link_geometry(tx_xy, rx_xy, freq_hz, bandwidth_hz, model,
+                                                tap_count)
 
     taps = np.zeros((n_links, tap_count), dtype=complex)
-    rows = np.arange(n_links)
-    first = np.array(first_tap, dtype=int)
-    los_phase = -2.0 * math.pi * freq_hz * np.array(dist) / SPEED_OF_LIGHT
-    taps[rows, first] = np.sqrt(p_los) * np.exp(1j * los_phase)
+    los_phase = -2.0 * math.pi * freq_hz * dist / SPEED_OF_LIGHT
+    taps[np.arange(n_links), first] = np.sqrt(p_los) * np.exp(1j * los_phase)
 
-    nlos = np.flatnonzero(has_nlos)
+    nlos = np.flatnonzero(p_nlos > 0.0)
     if nlos.size:
+        n_nlos = model.path_count - 1
         tap_period = 1.0 / bandwidth_hz
         if model.delay_spread_s > 0:
             decay = np.exp(-np.arange(n_nlos) * tap_period / model.delay_spread_s)
@@ -329,8 +377,7 @@ def gen_cir(tx_xy, rx_xy, freq_hz: float, bandwidth_hz: float, model: ChannelMod
             decay[0] = 1.0
         # real parts, then imaginary parts, from each link's own stream
         draws = np.empty((nlos.size, 2, n_nlos))
-        for row, rng in zip(draws, seeded_streams(model.seed, snaps[nlos], *tx_xy[nlos].T,
-                                                  *rx_xy[nlos].T, float(freq_hz))):
+        for row, rng in zip(draws, _streams(_checked_states(states, n_links, "channel")[nlos])):
             rng.standard_normal(out=row)
         gains = (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
         gains = gains * np.sqrt(decay)
@@ -358,14 +405,14 @@ class TxSignalSpec:
             raise ValueError("pulse must have at least one tap")
 
 
-def synthesize_rx(taps, tx_spec: TxSignalSpec, bits_parts: tuple) -> np.ndarray:
+def synthesize_rx(taps, tx_spec: TxSignalSpec, states) -> np.ndarray:
     """Noiseless received samples: bits * pulse * channel, per link.
 
     Args:
         taps: complex (measurements, receivers, L) channel responses.
         tx_spec: the transmitted waveform.
-        bits_parts: stream parts (see :func:`seeded_streams`) broadcasting to
-            (measurements,); all receivers of a measurement hear its bits.
+        states: (measurements, 4) :func:`stream_states` of each
+            measurement's bits stream; all its receivers hear its bits.
 
     Returns:
         Complex (measurements, receivers, length + pulse + L - 2): the full
@@ -377,7 +424,7 @@ def synthesize_rx(taps, tx_spec: TxSignalSpec, bits_parts: tuple) -> np.ndarray:
     g = np.asarray(tx_spec.pulse, dtype=float)
     n_out = tx_spec.length + g.size + taps.shape[-1] - 2
     out = np.empty(taps.shape[:2] + (n_out,), dtype=complex)
-    for m, rng in enumerate(_row_streams(bits_parts, taps.shape[:1], "bits")):
+    for m, rng in enumerate(_streams(_checked_states(states, taps.shape[0], "bits"))):
         bits = rng.integers(0, 2, size=tx_spec.length)
         # the same for every receiver of the measurement
         shaped = np.convolve((2.0 * bits - 1.0).astype(complex), g)
@@ -386,20 +433,21 @@ def synthesize_rx(taps, tx_spec: TxSignalSpec, bits_parts: tuple) -> np.ndarray:
     return out
 
 
-def add_receiver_noise(clean, snr_db: float, parts: tuple) -> np.ndarray:
+def add_receiver_noise(clean, snr_db: float, states) -> np.ndarray:
     """``clean`` plus circularly symmetric Gaussian noise at ``snr_db``, per row.
 
     The noise power of each row (last axis) is referenced to that row's own
-    mean power, so every buffer meets the stated SNR exactly.  Each row draws its
-    real parts, then its imaginary parts, from its stream of ``parts`` (see
-    :func:`seeded_streams`), which broadcast to ``clean.shape[:-1]``.
+    mean power, so every buffer meets the stated SNR exactly.  Each row draws
+    its real parts, then its imaginary parts, from its own stream: ``states``
+    holds one :func:`stream_states` row per row of ``clean``, in C order of
+    ``clean.shape[:-1]``.
     """
     clean = np.asarray(clean)
     n = clean.shape[-1]
     rows = clean.reshape(-1, n)
     noise_power = np.mean(np.abs(rows) ** 2, axis=-1) / 10.0 ** (snr_db / 10.0)
     draws = np.empty((rows.shape[0], 2, n))
-    for row, rng in zip(draws, _row_streams(parts, clean.shape[:-1], "noise")):
+    for row, rng in zip(draws, _streams(_checked_states(states, rows.shape[0], "noise"))):
         rng.standard_normal(out=row)
     noise = np.sqrt(noise_power / 2.0)[:, None] * (draws[:, 0] + 1j * draws[:, 1])
     return (rows + noise).reshape(clean.shape)
@@ -408,8 +456,8 @@ def add_receiver_noise(clean, snr_db: float, parts: tuple) -> np.ndarray:
 def simulate_links(tx_xy, rx_xy, snapshots, noise_parts: tuple, *, model: ChannelModel,
                    freq_hz: float, bandwidth_hz: float, tap_count: int, snr_db: float,
                    tx_spec: TxSignalSpec | None = None, bits_parts: tuple = (),
-                   amplitude: float = 1.0) -> np.ndarray:
-    """Noisy measurements of every (measurement, receiver) link of a block.
+                   amplitude: float = 1.0):
+    """Noisy measurements of every (measurement, receiver) link of a block, in chunks.
 
     Measurement m transmits from ``tx_xy[m]`` in snapshot ``snapshots[m]``
     and every receiver in ``rx_xy`` hears it.  The chain per link is
@@ -418,37 +466,66 @@ def simulate_links(tx_xy, rx_xy, snapshots, noise_parts: tuple, *, model: Channe
     :func:`add_receiver_noise`.  Without a ``tx_spec`` the receiver measures
     the channel response itself.
 
+    Before this returns, every link of the block is checked and each kind of
+    stream (channel, bits, noise) is seeded for the whole block in one
+    :func:`stream_states` pass.  The stages then run on one chunk of
+    measurements at a time, of at most ``SIM_CHUNK`` complex samples or one
+    measurement, so memory does not grow with the block.  A link's samples
+    do not depend on the chunk it falls in.
+
     Args:
         tx_xy: (measurements, 2) transmitter positions.
         rx_xy: (receivers..., 2) receiver positions, any leading shape.
         snapshots: (measurements,) snapshot indices.
-        noise_parts: stream parts that broadcast to (measurements, receivers...).
+        noise_parts: stream parts (see :func:`seeded_streams`) that broadcast
+            to (measurements, receivers...).
         bits_parts: stream parts that broadcast to (measurements,), needed
             with ``tx_spec``.
 
     Returns:
-        Complex (measurements, receivers..., samples).
+        An iterator of ``(slice, samples)`` over the measurements in order:
+        a chunk's slice of measurements and its complex (chunk measurements,
+        receivers..., samples).
+
+    Raises:
+        ValueError: for stream parts of another shape, or naming the
+            measurement and receiver index of the block's first link whose
+            positions coincide or whose delays do not fit in ``tap_count``
+            taps.
     """
     tx_xy = np.asarray(tx_xy, dtype=float).reshape(-1, 2)
     rx_shape = np.shape(rx_xy)[:-1]
     rx_xy = np.asarray(rx_xy, dtype=float).reshape(-1, 2)
     n_meas, n_rx = tx_xy.shape[0], rx_xy.shape[0]
-    taps = gen_cir(np.repeat(tx_xy, n_rx, axis=0), np.tile(rx_xy, (n_meas, 1)), freq_hz,
-                   bandwidth_hz, model, tap_count, np.repeat(snapshots, n_rx))
-    taps = (taps * amplitude).reshape(n_meas, n_rx, tap_count)
-    clean = taps if tx_spec is None else synthesize_rx(taps, tx_spec, bits_parts)
-    return add_receiver_noise(clean.reshape(n_meas, *rx_shape, -1), snr_db, noise_parts)
+    link_tx, link_rx = np.repeat(tx_xy, n_rx, axis=0), np.tile(rx_xy, (n_meas, 1))
 
+    def name(link: int) -> str:
+        m, r = divmod(link, n_rx)
+        receiver = tuple(int(k) for k in np.unravel_index(r, rx_shape))
+        return f"measurement {m}, receiver {receiver[0] if len(receiver) == 1 else receiver}"
 
-def link_chunks(n_measurements: int, samples_per_measurement: int) -> list:
-    """Slices over measurements that keep a simulated block to ``SIM_CHUNK`` samples.
+    _link_geometry(link_tx, link_rx, freq_hz, bandwidth_hz, model, tap_count, name)
+    channel = None
+    if model.multipath:
+        channel = stream_states(model.seed, np.repeat(np.asarray(snapshots, dtype=int), n_rx),
+                                *link_tx.T, *link_rx.T, float(freq_hz))
+    bits = None if tx_spec is None else _block_states(bits_parts, (n_meas,), "bits")
+    noise = _block_states(noise_parts, (n_meas, *rx_shape), "noise")
+    n_out = tap_count if tx_spec is None else tx_spec.length + len(tx_spec.pulse) + tap_count - 2
 
-    A block's temporaries (draws, clean and noisy samples) scale with it, so
-    the callers simulate and reduce one slice at a time.
-    """
-    step = max(1, SIM_CHUNK // max(1, samples_per_measurement))
-    return [slice(lo, min(lo + step, n_measurements))
-            for lo in range(0, n_measurements, step)]
+    def samples(sl: slice) -> np.ndarray:
+        # a function, so no chunk's temporaries outlive it while the caller works
+        n, links = sl.stop - sl.start, slice(sl.start * n_rx, sl.stop * n_rx)
+        taps = gen_cir(np.repeat(tx_xy[sl], n_rx, axis=0), np.tile(rx_xy, (n, 1)), freq_hz,
+                       bandwidth_hz, model, tap_count,
+                       None if channel is None else channel[links])
+        taps = (taps * amplitude).reshape(n, n_rx, tap_count)
+        clean = taps if tx_spec is None else synthesize_rx(taps, tx_spec, bits[sl])
+        return add_receiver_noise(clean.reshape(n, *rx_shape, -1), snr_db, noise[links])
+
+    step = max(1, SIM_CHUNK // max(1, n_rx * n_out))
+    chunks = (slice(lo, min(lo + step, n_meas)) for lo in range(0, n_meas, step))
+    return ((sl, samples(sl)) for sl in chunks)
 
 
 def simulate_pdr(path, noise_sigma: float, rng) -> np.ndarray:

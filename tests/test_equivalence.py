@@ -298,11 +298,12 @@ def test_block_links_equal_the_per_link_chain_bit_for_bit(
                  + path_count + extra_taps)
     spec = None if pulse is None else TxSignalSpec(length=bits, pulse=tuple(pulse))
     snapshots = [(seed + m) % 50 for m in range(len(tx))]
-    got = simulate_links(tx, rx, snapshots, (seed, 2, np.arange(len(tx))[:, None],
-                                             np.arange(len(rx))),
-                         model=model, freq_hz=freq, bandwidth_hz=bandwidth,
-                         tap_count=tap_count, snr_db=snr_db, tx_spec=spec,
-                         bits_parts=(seed, 1, np.arange(len(tx))), amplitude=amplitude)
+    chunks = simulate_links(tx, rx, snapshots, (seed, 2, np.arange(len(tx))[:, None],
+                                                np.arange(len(rx))),
+                            model=model, freq_hz=freq, bandwidth_hz=bandwidth,
+                            tap_count=tap_count, snr_db=snr_db, tx_spec=spec,
+                            bits_parts=(seed, 1, np.arange(len(tx))), amplitude=amplitude)
+    got = np.concatenate([y for _, y in chunks])
     for m, a in enumerate(tx_pos):
         for r, b in enumerate(rx_pos):
             want = _ref_link(a, b, snapshots[m], derive_seed(seed, 2, m, r),
@@ -314,11 +315,11 @@ def test_block_links_equal_the_per_link_chain_bit_for_bit(
 def test_wifi_simulation_seeds_one_stream_per_draw(monkeypatch):
     """Per measurement: one bits stream, then a channel and a noise stream per link.
 
-    Every stream comes from a row of ``seeded_streams`` and is drawn from
+    Every stream comes from a row of ``stream_states`` and is drawn from
     once; no link builds a seed sequence or a generator of its own.
     """
     rows, draws, per_link = [], [], []
-    real_streams = simulate.seeded_streams
+    real_streams = simulate._streams
 
     class CountingGenerator:
         def __init__(self, rng):
@@ -328,16 +329,16 @@ def test_wifi_simulation_seeds_one_stream_per_draw(monkeypatch):
             draws.append(len(rows))
             return getattr(self.rng, name)
 
-    def counting_streams(*parts):
-        for rng in real_streams(*parts):
-            rows.append(parts)
+    def counting_streams(states):
+        for row, rng in zip(states, real_streams(states)):
+            rows.append(row)
             yield CountingGenerator(rng)
 
     def refuse(*args, **kwargs):
         per_link.append(args)
         raise AssertionError("a generator of its own per link")
 
-    monkeypatch.setattr(simulate, "seeded_streams", counting_streams)
+    monkeypatch.setattr(simulate, "_streams", counting_streams)
     for module in (simulate, wifi):
         monkeypatch.setattr(module, "derive_seed", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
@@ -351,6 +352,37 @@ def test_wifi_simulation_seeds_one_stream_per_draw(monkeypatch):
     # every row's stream is drawn from once, before the next row: the bits
     # are not redrawn per antenna
     assert draws == list(range(1, len(rows) + 1))
+
+
+@pytest.mark.parametrize("name", ["illegal_hybrid", "wifi_rssi_rspd"])
+def test_simulate_seeds_each_stream_kind_once_per_block(monkeypatch, tmp_path, name):
+    """However many chunks a block takes, its channel, bits and noise streams
+    are seeded in one ``stream_states`` pass each."""
+    passes, chunks = [], []
+    real_states, real_cir = simulate.stream_states, simulate.gen_cir
+
+    def counting_states(*parts):
+        passes.append(np.broadcast_shapes(*(np.shape(p) for p in parts)))
+        return real_states(*parts)
+
+    def counting_cir(tx_xy, *args):
+        chunks.append(len(tx_xy))
+        return real_cir(tx_xy, *args)
+
+    monkeypatch.setattr(simulate, "stream_states", counting_states)
+    monkeypatch.setattr(simulate, "gen_cir", counting_cir)
+    monkeypatch.setattr(simulate, "SIM_CHUNK", 1)  # one measurement per chunk
+    cfg = parse_config(TINY[name])
+    PIPELINE_MODULES[name].cmd_simulate(cfg, str(tmp_path))
+    scn = cfg["scenario"]
+    blocks = len(scn.get("train_freqs_hz", [scn.get("freq_hz")]))
+    measurements = scn["grid"]["nx"] * scn["grid"]["ny"] * scn["train_snapshots"]
+    receivers = chunks[0]  # the links of a chunk's one measurement
+    assert chunks == [receivers] * (blocks * measurements)
+    # per block: every link's channel, each measurement's bits, every link's noise
+    sensors = len(scn["sensors"])
+    assert passes == [(measurements * receivers,), (measurements,),
+                      (measurements, sensors, receivers // sensors)] * blocks
 
 
 def _ref_sensors(cfg) -> list:

@@ -22,9 +22,14 @@ from test_cli import PIPELINE_MODULES, TINY, VERBS  # noqa: E402
 from fingerloc.cli import EXIT_OK, main  # noqa: E402
 from fingerloc.database import database_from_json  # noqa: E402
 from fingerloc.experiments import artifacts, bems  # noqa: E402
-from fingerloc.experiments.artifacts import load_schema, schema_error  # noqa: E402
+from fingerloc.experiments.artifacts import (  # noqa: E402
+    load_schema,
+    schema_error,
+    schema_refusal,
+)
 from fingerloc.experiments.common import read_measurements  # noqa: E402
 from fingerloc.experiments.configs import parse_config  # noqa: E402
+from fingerloc.errors import ConfigError  # noqa: E402
 
 JSON_SCHEMAS = sorted(
     entry.name for entry in resources.files("fingerloc.schemas").iterdir()
@@ -316,7 +321,7 @@ def test_the_reader_refuses_what_the_schema_refuses(name, shipped_documents, tmp
                     assert _VALUE_CHECKS.search(str(exc)), str(exc)[:300]
                 else:
                     where = "/".join(map(str, found[0])) or "<root>"
-                    assert f"{where}: {found[1]}" in str(exc)
+                    assert schema_refusal(where, found[1]) in str(exc)
                 continue
             assert found is None, json.dumps(mutant)[:300]
             accepted += 1
@@ -378,6 +383,39 @@ def test_the_reader_refuses_what_the_schema_cannot_see(name, pipeline, dtype, ca
     assert schema_error(doc, load_schema(name)) is None
     with pytest.raises(ValueError, match=refusal):
         read(doc)
+
+
+def test_a_refused_large_value_leaves_a_readable_message(tiny_runs, tmp_path):
+    # one wrong dtype in a full-size block: the validator quotes the block whole
+    doc = json.loads((tiny_runs / "classroom_cir" / "db.json").read_text())
+    key, block = next((k, b) for k, b in sorted(doc["blocks"].items()) if "mean" in b)
+    block["mean"] = dict(block["mean"], dtype="float64",
+                         data=base64.b64encode(bytes(60_000)).decode("ascii"))
+    where, message = schema_error(doc, load_schema("db.schema.json"))
+    assert where == ("blocks", key) and len(message) > 80_000
+    tail = "} is not valid under any of the given schemas"
+    with pytest.raises(ValueError) as refused:
+        database_from_json(json.dumps(doc))
+    text = str(refused.value)
+    assert text.startswith(f"database blocks/{key}: {message[:100]}")
+    assert text.endswith(f"{tail}; rerun learn") and " ... " in text and len(text) < 550
+    path = tmp_path / "db.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as refused:
+        artifacts.read_json(str(path))
+    assert str(refused.value) == f"{path}: {schema_refusal(f'blocks/{key}', message)}"
+    assert str(refused.value).endswith(tail) and len(str(refused.value)) < 550 + len(str(path))
+    # a config value too
+    raw = copy.deepcopy(TINY["wifi_rssi_rspd"])
+    raw["scenario"]["sensors"] = "x" * 5000
+    with pytest.raises(ConfigError) as refused:
+        parse_config(raw)
+    assert refused.value.path == "scenario.sensors"
+    assert str(refused.value).startswith("scenario.sensors: 'xxx")
+    assert str(refused.value).endswith("xxx' is not of type 'array' (at scenario.sensors)")
+    assert len(str(refused.value)) < 600
+    # a message of up to 500 characters is shown whole
+    assert schema_refusal("a/b", "m" * 500) == "a/b: " + "m" * 500
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Channel, waveform, and sensor simulators against closed-form oracles."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from fingerloc import simulate
 from fingerloc.errors import ConfigError
-from fingerloc.experiments import bems
+from fingerloc.experiments import bems, illegal
+from fingerloc.experiments.common import build_grid
 from fingerloc.experiments.configs import parse_config
 from fingerloc.simulate import (
     SIM_CHUNK,
@@ -21,15 +23,32 @@ from fingerloc.simulate import (
     add_receiver_noise,
     derive_seed,
     gen_cir,
-    link_chunks,
     seeded_streams,
     seeded_uniforms,
     simulate_links,
     simulate_pdr,
+    stream_states,
     synthesize_rx,
 )
 
 TX = (0.0, 0.0)
+
+
+def _cir(tx_xy, rx_xy, freq_hz, bandwidth_hz, model, tap_count, snapshot=0):
+    """gen_cir with each link's channel stream seeded as simulate_links seeds it."""
+    tx_xy, rx_xy = np.broadcast_arrays(np.asarray(tx_xy, dtype=float),
+                                       np.asarray(rx_xy, dtype=float))
+    snaps = np.broadcast_to(np.asarray(snapshot, dtype=int), (len(tx_xy),))
+    states = stream_states(model.seed, snaps, *tx_xy.T, *rx_xy.T, float(freq_hz))
+    return gen_cir(tx_xy, rx_xy, freq_hz, bandwidth_hz, model, tap_count, states)
+
+
+def _joined(chunks) -> np.ndarray:
+    """The samples of simulate_links' chunks, checked to cover its block in order."""
+    chunks = list(chunks)
+    assert [sl.start for sl, _ in chunks] == [0] + [sl.stop for sl, _ in chunks[:-1]]
+    assert all(len(y) == sl.stop - sl.start for sl, y in chunks)
+    return np.concatenate([y for _, y in chunks])
 
 
 def _pathloss(model, dist):
@@ -44,7 +63,7 @@ def test_total_power_equals_pathloss_exactly_per_draw():
     model = ChannelModel(path_count=6, pathloss_exponent=2.5, reference_loss_db=40.0,
                          rician_k_db=6.0, seed=4)
     rx = np.random.default_rng(0).uniform(1, 20, size=(30, 2))
-    taps = gen_cir(TX, rx, 2.4e9, 2e7, model, tap_count=16, snapshot=np.arange(30))
+    taps = _cir(TX, rx, 2.4e9, 2e7, model, tap_count=16, snapshot=np.arange(30))
     expect = [_pathloss(model, math.hypot(x, y)) for x, y in rx]
     assert _power(taps) == pytest.approx(expect, rel=1e-9)
 
@@ -52,20 +71,20 @@ def test_total_power_equals_pathloss_exactly_per_draw():
 def test_gen_cir_is_deterministic():
     model = ChannelModel(seed=7)
     rx = (3.0, 4.0)
-    a = gen_cir(TX, [rx], 2.4e9, 2e7, model, tap_count=12, snapshot=5)
-    b = gen_cir(TX, [rx], 2.4e9, 2e7, model, tap_count=12, snapshot=5)
+    a = _cir(TX, [rx], 2.4e9, 2e7, model, tap_count=12, snapshot=5)
+    b = _cir(TX, [rx], 2.4e9, 2e7, model, tap_count=12, snapshot=5)
     assert np.array_equal(a, b)
-    c = gen_cir(TX, [rx], 2.4e9, 2e7, model, tap_count=12, snapshot=6)
+    c = _cir(TX, [rx], 2.4e9, 2e7, model, tap_count=12, snapshot=6)
     assert not np.array_equal(a, c)
     # a link draws from its own stream, whatever else is in the block
-    block = gen_cir(TX, [(1.0, 1.0), rx, (5.0, 2.0)], 2.4e9, 2e7, model, tap_count=12,
-                    snapshot=[0, 5, 9])
+    block = _cir(TX, [(1.0, 1.0), rx, (5.0, 2.0)], 2.4e9, 2e7, model, tap_count=12,
+                 snapshot=[0, 5, 9])
     assert np.array_equal(block[1], a[0])
 
 
 def test_doubling_distance_drops_power_by_pathloss_law():
     model = ChannelModel(pathloss_exponent=2.0, reference_loss_db=30.0)
-    p1, p2 = _power(gen_cir(TX, [(5.0, 0.0), (10.0, 0.0)], 1e9, 1e7, model, tap_count=10))
+    p1, p2 = _power(_cir(TX, [(5.0, 0.0), (10.0, 0.0)], 1e9, 1e7, model, tap_count=10))
     drop_db = 10.0 * math.log10(p1 / p2)
     assert drop_db == pytest.approx(20.0 * math.log10(2.0), abs=0.01)
 
@@ -91,7 +110,7 @@ def test_zero_delay_spread_puts_all_multipath_in_the_next_tap():
     model = ChannelModel(path_count=4, delay_spread_s=0.0, rician_k_db=3.0,
                          pathloss_exponent=2.0, reference_loss_db=20.0, seed=2)
     rx = [(4.0, 3.0), (6.0, 8.0)]
-    taps = gen_cir(TX, rx, 2e9, 2e7, model, tap_count=10, snapshot=[1, 2])
+    taps = _cir(TX, rx, 2e9, 2e7, model, tap_count=10, snapshot=[1, 2])
     k_lin = 10.0 ** 0.3
     for row, dist in zip(taps, (5.0, 10.0)):
         first = int(round(dist / SPEED_OF_LIGHT * 2e7))
@@ -104,7 +123,7 @@ def test_rician_split_matches_k_factor():
     k_db = 9.0
     model = ChannelModel(path_count=5, rician_k_db=k_db, pathloss_exponent=2.0,
                          reference_loss_db=20.0)
-    (taps,) = gen_cir(TX, [(4.0, 3.0)], 2e9, 2e7, model, tap_count=10, snapshot=2)
+    (taps,) = _cir(TX, [(4.0, 3.0)], 2e9, 2e7, model, tap_count=10, snapshot=2)
     total = _pathloss(model, 5.0)
     k_lin = 10.0 ** (k_db / 10.0)
     p_los = abs(taps[0]) ** 2
@@ -137,6 +156,12 @@ def test_gen_cir_rejects_overflowing_delays():
         gen_cir(TX, [(1.0, 0.0), (2.0, 0.0), TX, TX], 1e9, bw, ChannelModel(), tap_count=8)
     with pytest.raises(ValueError):
         gen_cir(TX, [(1.0, 0.0)], 1e9, bw, ChannelModel(), tap_count=0)
+    with pytest.raises(ValueError, match="positions must be finite"):
+        gen_cir(TX, [(1.0, 0.0), (math.nan, 0.0)], 1e9, bw, ChannelModel(), tap_count=8)
+    # multipath draws from one stream per link
+    for states in (None, stream_states(0, np.arange(2))):
+        with pytest.raises(ValueError, match=r"channel stream states must be a \(1, 4\)"):
+            gen_cir(TX, [(1.0, 0.0)], 1e9, bw, ChannelModel(), tap_count=8, states=states)
 
 
 def test_channel_model_validation():
@@ -158,7 +183,7 @@ def test_tx_signal_spec_validation():
 def test_random_bits_are_antipodal():
     # a unit channel and pulse pass the symbols straight through
     spec = TxSignalSpec(length=200)
-    y = synthesize_rx(np.ones((2, 3, 1)), spec, (np.array([3, 4]),))
+    y = synthesize_rx(np.ones((2, 3, 1)), spec, stream_states(np.array([3, 4])))
     assert set(np.unique(y.real)) == {-1.0, 1.0}
     assert np.all(y.imag == 0)
     # every receiver of a measurement hears the same bits
@@ -168,7 +193,7 @@ def test_random_bits_are_antipodal():
 def test_synthesize_rx_hand_convolution():
     # one symbol s = +-1, pulse [1, -1], channel [1, 0.5]
     spec = TxSignalSpec(length=1, pulse=(1.0, -1.0))
-    (y,) = synthesize_rx(np.array([[[1.0, 0.5]]]), spec, (np.array([0]),))[0]
+    (y,) = synthesize_rx(np.array([[[1.0, 0.5]]]), spec, stream_states(np.array([0])))[0]
     assert abs(y[0]) == 1.0
     assert np.allclose(y, y[0] * np.array([1.0, -0.5, -0.5]), atol=1e-15)
 
@@ -176,22 +201,22 @@ def test_synthesize_rx_hand_convolution():
 def test_synthesize_rx_equals_triple_convolution():
     spec = TxSignalSpec(length=32, pulse=(1.0, 0.25))
     taps = np.array([[[1.0, 0.3j, -0.1], [0.5, 0.0, 2.0j]]])
-    y = synthesize_rx(taps, spec, (np.array([99]),))
+    y = synthesize_rx(taps, spec, stream_states(np.array([99])))
     bits = np.random.default_rng(99).integers(0, 2, size=32)
     x = (2.0 * bits - 1.0).astype(complex)
     assert y.shape == (1, 2, 32 + 2 + 3 - 2)
     for r in range(2):
         assert np.array_equal(y[0, r], np.convolve(np.convolve(x, [1.0, 0.25]), taps[0, r]))
-    # one stream per measurement: parts of another shape, scalars too, are refused
-    for parts in ((np.array([99, 100]),), (99,)):
-        with pytest.raises(ValueError, match="bits stream parts"):
-            synthesize_rx(taps, spec, parts)
+    # one stream per measurement
+    for states in (stream_states(np.array([99, 100])), stream_states(99)[0], [[0, 0, 0, 1]]):
+        with pytest.raises(ValueError, match="bits stream states"):
+            synthesize_rx(taps, spec, states)
 
 
 def test_add_receiver_noise_meets_the_snr_of_the_clean_signal():
     clean = np.exp(1j * np.linspace(0.0, 6.0, 20000)) * np.array([[3.0], [0.5]])
     parts = (4, np.array([2, 3]))
-    noisy = add_receiver_noise(clean, 10.0, parts)
+    noisy = add_receiver_noise(clean, 10.0, stream_states(*parts))
     noise = noisy - clean
     # each row's noise follows its own mean power: 9 and 0.25
     assert np.mean(np.abs(noise) ** 2, axis=1) == pytest.approx([0.9, 0.025], rel=0.05)
@@ -199,10 +224,11 @@ def test_add_receiver_noise_meets_the_snr_of_the_clean_signal():
     rng = np.random.default_rng(derive_seed(4, 3))
     real = rng.standard_normal(clean.shape[1])
     assert np.allclose(noise[1].real, math.sqrt(0.025 / 2.0) * real, rtol=1e-9, atol=1e-12)
-    assert np.array_equal(add_receiver_noise(clean, 10.0, parts), noisy)
-    assert np.array_equal(add_receiver_noise(clean[1:], 10.0, (4, np.array([3]))), noisy[1:])
-    with pytest.raises(ValueError, match="noise stream parts"):
-        add_receiver_noise(clean, 10.0, (4, np.array([2])))
+    assert np.array_equal(add_receiver_noise(clean, 10.0, stream_states(*parts)), noisy)
+    assert np.array_equal(add_receiver_noise(clean[1:], 10.0, stream_states(4, np.array([3]))),
+                          noisy[1:])
+    with pytest.raises(ValueError, match="noise stream states"):
+        add_receiver_noise(clean, 10.0, stream_states(4, np.array([2])))
 
 
 def test_simulate_links_is_the_stage_chain():
@@ -213,28 +239,116 @@ def test_simulate_links_is_the_stage_chain():
     spec = TxSignalSpec(length=16, pulse=(1.0, 0.5))
     setup = {"model": model, "freq_hz": 2.4e9, "bandwidth_hz": 2e7, "tap_count": 8,
              "snr_db": 12.0}
-    got = simulate_links(tx, rx, [4, 7], noise, tx_spec=spec, bits_parts=(np.array([1, 2]),),
-                         amplitude=2.0, **setup)
-    taps = gen_cir(np.repeat(tx, 3, axis=0), np.tile(rx, (2, 1)), 2.4e9, 2e7, model, 8,
-                   [4, 4, 4, 7, 7, 7]) * 2.0
-    clean = synthesize_rx(taps.reshape(2, 3, 8), spec, (np.array([1, 2]),))
-    assert np.array_equal(got, add_receiver_noise(clean, 12.0, noise))
+    got = _joined(simulate_links(tx, rx, [4, 7], noise, tx_spec=spec,
+                                 bits_parts=(np.array([1, 2]),), amplitude=2.0, **setup))
+    taps = _cir(np.repeat(tx, 3, axis=0), np.tile(rx, (2, 1)), 2.4e9, 2e7, model, 8,
+                [4, 4, 4, 7, 7, 7]) * 2.0
+    clean = synthesize_rx(taps.reshape(2, 3, 8), spec, stream_states(np.array([1, 2])))
+    assert np.array_equal(got, add_receiver_noise(clean, 12.0, stream_states(*noise)))
     # receivers keep their leading axes; the noise parts broadcast over them
-    rx_grid = simulate_links(tx, rx[:, None], [4, 7], (9, np.arange(2)[:, None, None],
-                             np.arange(3)[:, None]), tx_spec=spec,
-                             bits_parts=(np.array([1, 2]),), amplitude=2.0, **setup)
+    rx_grid = _joined(simulate_links(tx, rx[:, None], [4, 7], (9, np.arange(2)[:, None, None],
+                                     np.arange(3)[:, None]), tx_spec=spec,
+                                     bits_parts=(np.array([1, 2]),), amplitude=2.0, **setup))
     assert np.array_equal(rx_grid, got[:, :, None])
     # without a transmit signal the receivers measure the channel itself
-    cirs = simulate_links(tx, rx, [4, 7], noise, **setup)
-    assert np.array_equal(cirs, add_receiver_noise(taps.reshape(2, 3, 8) / 2.0, 12.0, noise))
+    cirs = _joined(simulate_links(tx, rx, [4, 7], noise, **setup))
+    assert np.array_equal(cirs, add_receiver_noise(taps.reshape(2, 3, 8) / 2.0, 12.0,
+                                                   stream_states(*noise)))
+    # one stream per row: parts of another shape, scalars too, are refused at the call
+    for bits in ((np.array([1, 2, 3]),), (1,)):
+        with pytest.raises(ValueError, match=r"bits stream parts broadcast to \("):
+            simulate_links(tx, rx, [4, 7], noise, tx_spec=spec, bits_parts=bits, **setup)
+    with pytest.raises(ValueError, match=r"noise stream parts broadcast to \(2, 1\), not to "
+                                         r"the block's rows \(2, 3\)"):
+        simulate_links(tx, rx, [4, 7], (9, np.arange(2)[:, None]), **setup)
 
 
-def test_link_chunks_cover_every_measurement_within_the_bound():
-    for count, per in ((0, 10), (1, 10 * SIM_CHUNK), (1000, 71 * 6), (7, 1)):
-        chunks = link_chunks(count, per)
-        assert [i for sl in chunks for i in range(sl.start, sl.stop)] == list(range(count))
-        assert all(sl.stop - sl.start == 1 or (sl.stop - sl.start) * per <= SIM_CHUNK
-                   for sl in chunks)
+# blocks shaped like the studies' own: receivers (sensors, elements), a pulse
+# or none, several chunks at the real SIM_CHUNK
+_BLOCKS = {
+    "illegal": {"rx": [[(-1.0, -1.0), (-1.05, -1.0), (-0.95, -1.0)],
+                       [(5.0, -1.0), (5.05, -1.0), (4.95, -1.0)],
+                       [(2.0, 6.0), (2.05, 6.0), (1.95, 6.0)]],
+                "setup": {"tx_spec": TxSignalSpec(length=256, pulse=(0.2, 0.6, 1.0, 0.6, 0.2)),
+                          "freq_hz": 8e8, "bandwidth_hz": 2e7, "amplitude": 0.5}},
+    "wifi": {"rx": [[(-0.5, 1.5), (-0.44, 1.5)], [(3.5, -0.5), (3.56, -0.5)]],
+             "setup": {"tx_spec": TxSignalSpec(length=1024), "freq_hz": 2.4e9,
+                       "bandwidth_hz": 2e7}},
+    "no_signal": {"rx": [[(-0.5, 1.5), (-0.44, 1.5)], [(3.5, -0.5), (3.56, -0.5)]],
+                  "setup": {"freq_hz": 2.4e9, "bandwidth_hz": 2e7, "tap_count": 2048}},
+}
+
+
+def _block_chunks(name: str, n_meas: int = 14) -> list:
+    block = _BLOCKS[name]
+    rx = np.array(block["rx"])
+    tx = np.random.default_rng(1).uniform(0.0, 4.0, (n_meas, 2))
+    setup = {"model": ChannelModel(seed=2), "tap_count": 12, "snr_db": 15.0,
+             **block["setup"]}
+    noise = (5, 1, np.arange(n_meas)[:, None, None], np.arange(rx.shape[0])[:, None],
+             np.arange(rx.shape[1]))
+    bits = (5, 0, np.arange(n_meas)) if "tx_spec" in setup else ()
+    return list(simulate_links(tx, rx, np.arange(n_meas) % 3, noise, bits_parts=bits,
+                               **setup))
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCKS))
+def test_chunking_does_not_change_the_bits(name):
+    chunks = _block_chunks(name)
+    per_measurement = chunks[0][1][0].size
+    assert len(chunks) > 2
+    assert all(sl.stop - sl.start == 1 or (sl.stop - sl.start) * per_measurement <= SIM_CHUNK
+               for sl, _ in chunks)
+    with mock.patch.object(simulate, "SIM_CHUNK", 1):
+        one_each = _block_chunks(name)
+    assert [sl.stop - sl.start for sl, _ in one_each] == [1] * 14
+    with mock.patch.object(simulate, "SIM_CHUNK", 14 * per_measurement):
+        (whole,) = _block_chunks(name)
+    assert _joined(chunks).tobytes() == _joined(one_each).tobytes() == whole[1].tobytes()
+
+
+def test_a_benchmark_size_block_is_simulated_in_bounded_memory():
+    """One illegal_hybrid training block of the benchmark's full size: 50
+    measurements x 9 elements x 263 samples.  Its chunks of at most SIM_CHUNK
+    samples and its block-wide uint64 stream states peaked at 1.6 MB traced;
+    the block simulated whole peaked at 10 MB."""
+    cfg = parse_config({"version": 1, "pipeline": "illegal_hybrid", "seed": 0,
+                        "scenario": {"grid": {"nx": 5, "ny": 5, "origin": [0, 0],
+                                              "spacing_m": 3.0}, "train_snapshots": 2}})
+    point_ids, snapshots = np.indices((25, 2)).reshape(2, -1)
+    points = np.repeat(build_grid(cfg).xy, 2, axis=0)
+    ids = np.stack([np.zeros(50, dtype=int), point_ids, snapshots], axis=1)
+    args = (cfg, points, cfg["scenario"]["train_freqs_hz"][0], (1.0,), snapshots, (1, 2), ids,
+            1.0)
+    illegal.measure_fingerprints(*args)  # caches and lazy imports first
+    tracemalloc.start()
+    try:
+        xc, _ = illegal.measure_fingerprints(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert xc.shape[0] == 50 and len(illegal.sensor_elements(cfg).reshape(-1, 2)) == 9
+    assert peak < 3e6
+
+
+def test_every_link_is_checked_before_the_first_chunk():
+    rx = np.array([[(0.0, 0.0), (0.1, 0.0)], [(4.0, 0.0), (4.1, 0.0)]])
+    # the first of the far transmitters lies in the block's third chunk
+    tx = np.array([(1.0, 1.0)] * 8 + [(60.0, 60.0)] * 2)
+    setup = {"model": ChannelModel(seed=2), "freq_hz": 2.4e9, "bandwidth_hz": 2e7,
+             "tap_count": 7, "snr_db": 15.0, "tx_spec": TxSignalSpec(length=256)}
+    noise = (5, 1, np.arange(10)[:, None, None], np.arange(2)[:, None], np.arange(2))
+    with mock.patch.object(simulate, "SIM_CHUNK", 3 * 4 * (256 + 7 - 1)):
+        with mock.patch.object(simulate, "gen_cir", side_effect=AssertionError("simulated")):
+            with pytest.raises(ValueError, match=r"^measurement 8, receiver \(0, 0\): "
+                                                 r"tap_count=7 cannot hold the delay spread"):
+                simulate_links(tx, rx, np.zeros(10, dtype=int), noise,
+                               bits_parts=(5, 0, np.arange(10)), **setup)
+    # one leading receiver axis names the receiver by one index
+    with pytest.raises(ValueError, match=r"^measurement 9, receiver 3: tx and rx must be"):
+        simulate_links(np.array([(1.0, 1.0)] * 9 + [(4.1, 0.0)]), rx.reshape(4, 2),
+                       np.zeros(10, dtype=int), (5, 1, np.arange(10)[:, None], np.arange(4)),
+                       **dict(setup, tap_count=40, tx_spec=None))
 
 
 def _sensors(*overrides, p_static=0.05):
