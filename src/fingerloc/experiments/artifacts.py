@@ -12,7 +12,7 @@ asserts ``type`` (one name or a list), ``properties``, ``required``,
 ``maxItems``, ``uniqueItems``, ``minLength``, ``minimum``, ``maximum``,
 ``exclusiveMinimum``, ``const``, ``enum``, ``pattern``, ``oneOf``,
 ``minProperties`` and ``$ref`` to ``#/$defs/<name>``, and ignores the
-annotations ``$schema``, ``title``, ``description`` and ``contentEncoding``.
+annotations ``$schema``, ``title`` and ``description``.
 The schema loader refuses any other keyword, so no schema is checked less
 than it says.  As the draft says, a bool is neither a number nor an integer,
 ``1.0`` is an integer, and ``const``, ``enum`` and ``uniqueItems`` take
@@ -208,7 +208,7 @@ _KEYWORDS = {
     "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
     "const": _const, "enum": _enum, "pattern": _pattern, "oneOf": _one_of, "$ref": _ref,
 }
-_ANNOTATIONS = frozenset({"$schema", "title", "description", "contentEncoding"})
+_ANNOTATIONS = frozenset({"$schema", "title", "description"})
 
 
 def _errors(value, schema: dict, root: dict, path: tuple = ()):
@@ -233,7 +233,7 @@ def schema_refusal(where: str, message: str) -> str:
     """``"<where>: <message>"`` of a :func:`schema_error`, for a person to read.
 
     A message longer than ``_MESSAGE_LIMIT`` characters, which quotes a
-    large refused value (a ``db.json`` block and its base64), keeps its head
+    large refused value (a whole ``db.json`` block or config section), keeps its head
     and its tail ("... is not valid under any of the given schemas") around
     an ellipsis.
     """

@@ -4,8 +4,9 @@ Every artifact the experiment harness writes goes through these functions so
 that a rerun with the same config and seed is byte-identical: keys sorted,
 newline-terminated lines, and no timestamps or absolute paths anywhere.  CSV
 cells and summary files render floats by ``repr`` (shortest round-trip); the
-arrays of ``measurements.json`` and ``db.json`` are stored as the database
-module's exact ``{dtype, shape, data}`` records.
+arrays of ``measurements.json`` and ``db.json`` go, bit-exactly, into the
+raw buffer file beside each (``measurements.bin``, ``db.bin``), which the
+database module writes and reads.
 
 A run's ``measurements.json``, ``db.json`` and ``track_sets.json`` carry a
 ``config_digest`` of the config sections that produced them.  A verb reading
@@ -25,10 +26,11 @@ import numpy as np
 
 from ..database import (
     FingerprintDatabase,
-    decode_array,
-    encode_array,
+    decode_arrays,
     load_database,
+    read_buffer,
     save_database,
+    write_arrays,
 )
 from ..errors import ConfigError
 from ..geometry import Grid
@@ -41,7 +43,7 @@ __all__ = ["dump_json", "write_json", "write_csv", "summarize_errors",
 
 CDF_QUANTILES = tuple(round(0.05 * i, 2) for i in range(21))
 
-MEASUREMENTS_VERSION = "fingerloc-measurements-3"
+MEASUREMENTS_VERSION = "fingerloc-measurements-4"
 
 # scenario keys that only the evaluation verbs read
 _EVALUATION_ONLY = ("walk",)
@@ -78,6 +80,26 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _cells(col) -> list:
+    """The cells of one column, each as :func:`_cell` renders it.
+
+    A 1-D array of bools, ints or floats is rendered from its ``tolist()``
+    by one rule for the whole column, its floats checked finite in one pass.
+    """
+    values = col.tolist() if isinstance(col, np.ndarray) else col
+    kind = col.dtype.kind if isinstance(col, np.ndarray) and col.ndim == 1 else ""
+    if kind == "f":
+        bad = col[~np.isfinite(col)]
+        if bad.size:
+            _cell(bad[0])  # raises, naming the first non-finite value
+        return list(map(repr, values))
+    if kind == "b":
+        return ["true" if v else "false" for v in values]
+    if kind in ("i", "u"):
+        return list(map(str, values))
+    return [_cell(v) for v in values]
+
+
 def write_csv(path, columns: dict) -> None:
     """Write ``{name: column}`` as a CSV file, one row per column entry.
 
@@ -92,8 +114,7 @@ def write_csv(path, columns: dict) -> None:
     cells = []
     for name, col in columns.items():
         try:
-            values = col.tolist() if isinstance(col, np.ndarray) else col
-            cells.append([_cell(v) for v in values])
+            cells.append(_cells(col))
         except ValueError as exc:
             raise ValueError(f"{path}: column {name!r}: {exc}") from None
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -156,28 +177,29 @@ def check_digest(cfg: dict, path: str, digest) -> None:
 
 
 def save_measurements(cfg: dict, out_dir: str, arrays: dict) -> None:
-    """Write named arrays as the run's ``measurements.json``.
+    """Write named arrays as the run's ``measurements.json`` and ``measurements.bin``.
 
-    Format ``fingerloc-measurements-3``: ``{format, pipeline, config_digest,
-    arrays: {name: {dtype, shape, data}}}``, each array one
-    :func:`~fingerloc.database.encode_array` record, so every value
-    round-trips bit-exactly.  Raises ValueError on a NaN or infinity.
+    Format ``fingerloc-measurements-4``: the header ``{format, pipeline,
+    config_digest, arrays: {name: {dtype, shape, offset}}, buffer}`` over
+    one raw buffer (see :func:`~fingerloc.database.write_arrays`), so every
+    value round-trips bit-exactly.  Raises ValueError on a NaN or infinity.
     """
-    write_json(os.path.join(out_dir, "measurements.json"), {
+    write_arrays(os.path.join(out_dir, "measurements.json"), {
         "format": MEASUREMENTS_VERSION,
         "pipeline": cfg["pipeline"],
         "config_digest": config_digest(cfg, "measurements.json"),
-        "arrays": {name: encode_array(arr) for name, arr in arrays.items()},
+        "arrays": {name: np.asarray(arr) for name, arr in arrays.items()},
     })
 
 
 def read_measurements(path: str, cfg: dict, expected: dict) -> tuple:
-    """(named arrays, config digest) of a measurements file.
+    """(named arrays, config digest) of a measurements file and its buffer.
 
-    Raises ConfigError ending "; rerun simulate" unless the file passes
+    Raises ConfigError ending "; rerun simulate" unless the header passes
     ``measurements.schema.json`` and holds this pipeline's arrays in the
     ``{name: (shape, dtype)}`` that ``expected`` says the scenario calls for,
-    every record decodable.
+    and the buffer beside it holds them (see
+    :func:`~fingerloc.database.decode_arrays`).
     """
     needed = {name: (list(shape), np.dtype(dtype).name)
               for name, (shape, dtype) in expected.items()}
@@ -191,13 +213,13 @@ def read_measurements(path: str, cfg: dict, expected: dict) -> tuple:
         if layout != needed:
             raise ValueError(f"{path} holds the arrays (shape, dtype) {layout}, "
                              f"the scenario needs {needed}")
-        arrays = {name: decode_array(record, f"{path}: arrays/{name}")
-                  for name, record in stored.items()}
+        records = {("arrays", name): record for name, record in stored.items()}
+        arrays = decode_arrays(read_buffer(path), doc["buffer"], records, f"{path}:")
     except json.JSONDecodeError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{exc}; rerun simulate") from None
-    return arrays, doc["config_digest"]
+    return {name: arrays["arrays", name] for name in stored}, doc["config_digest"]
 
 
 def _run_artifact(cfg: dict, out_dir: str, name: str, write, read):
@@ -226,7 +248,7 @@ def load_measurements(cfg: dict, out_dir: str, simulate, expected: dict) -> dict
 
 
 def save_db(cfg: dict, out_dir: str, db: FingerprintDatabase) -> None:
-    """Write ``db`` as the run's ``db.json``, stamped with the config digest."""
+    """Write ``db`` as the run's ``db.json`` and ``db.bin``, stamped with the config digest."""
     save_database(FingerprintDatabase(grid=db.grid, blocks=db.blocks,
                                       config_digest=config_digest(cfg, "db.json")),
                   os.path.join(out_dir, "db.json"))

@@ -87,9 +87,15 @@ class GaussianStats:
             raise ValueError(f"covariance is not Hermitian (max asymmetry {np.max(herm_gap):.3e})")
         if np.any(loading < 0):
             raise ValueError("loading must be non-negative")
-        eigmin = np.min(np.linalg.eigvalsh(cov), axis=-1)
-        if np.any(eigmin < -1e3 * tol):
-            raise ValueError(f"covariance has negative eigenvalue {np.min(eigmin):.3e}")
+        try:
+            # a stack that factorizes is positive definite, so it passes the
+            # eigenvalue bound below; only one that does not needs eigvalsh
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            eigmin = np.min(np.linalg.eigvalsh(cov), axis=-1)
+            if np.any(eigmin < -1e3 * tol):
+                raise ValueError(
+                    f"covariance has negative eigenvalue {np.min(eigmin):.3e}") from None
         _freeze(self, mean=mean, cov=cov, loading=loading)
 
     @property

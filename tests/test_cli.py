@@ -1,6 +1,5 @@
 """End-to-end command-line harness behavior on miniature experiment configs."""
 
-import base64
 import csv
 import hashlib
 import json
@@ -15,7 +14,7 @@ import pytest
 
 from fingerloc import simulate, tracking
 from fingerloc.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
-from fingerloc.database import decode_array, encode_array, load_database
+from fingerloc.database import decode_arrays, load_database, read_buffer, write_arrays
 from fingerloc.experiments import bems, classroom, illegal, wifi
 from fingerloc.experiments.artifacts import validate_artifact, validate_run_dir
 from fingerloc.experiments.common import build_grid, read_measurements, write_csv
@@ -71,15 +70,16 @@ VERBS = {
     "illegal_hybrid": ("simulate", "learn", "localize"),
 }
 
+# every file a chain writes: each .bin is the raw buffer of the header of its name
+_ARTIFACTS_WITH_BUFFERS = {"measurements.json", "measurements.bin", "db.json", "db.bin"}
 EXPECTED_FILES = {
-    "classroom_cir": {"measurements.json", "db.json", "learn_log.json",
-                      "trials.csv", "summary.json"},
-    "wifi_rssi_rspd": {"measurements.json", "db.json", "learn_log.json",
-                       "trials.csv", "track.csv", "summary.json"},
-    "bems_binary": {"measurements.json", "db.json", "learn_log.json", "trials.csv",
-                    "track.csv", "track_sets.json", "lighting.csv", "summary.json"},
-    "illegal_hybrid": {"measurements.json", "db.json", "learn_log.json",
-                       "trials.csv", "summary.json"},
+    "classroom_cir": _ARTIFACTS_WITH_BUFFERS | {"learn_log.json", "trials.csv", "summary.json"},
+    "wifi_rssi_rspd": _ARTIFACTS_WITH_BUFFERS | {"learn_log.json", "trials.csv", "track.csv",
+                                                 "summary.json"},
+    "bems_binary": _ARTIFACTS_WITH_BUFFERS | {"learn_log.json", "trials.csv", "track.csv",
+                                              "track_sets.json", "lighting.csv", "summary.json"},
+    "illegal_hybrid": _ARTIFACTS_WITH_BUFFERS | {"learn_log.json", "trials.csv",
+                                                 "summary.json"},
 }
 
 
@@ -104,6 +104,44 @@ def _hash_tree(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _restamp(path, raw: bytes) -> None:
+    """Write ``raw`` as the buffer of the header at ``path`` and stamp the
+    header with its length and sha256, as if the writer had written it."""
+    path = pathlib.Path(path)
+    path.with_suffix(".bin").write_bytes(raw)
+    doc = json.loads(path.read_text())
+    doc["buffer"] = {"bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}
+    path.write_text(json.dumps(doc))
+
+
+def _poke(path, where, value, view=None) -> None:
+    """Set the first value of the array whose record sits at key path
+    ``where`` in the header at ``path``, seen as dtype ``view`` when given,
+    to ``value`` in the buffer, past the writer's checks."""
+    path = pathlib.Path(path)
+    record = json.loads(path.read_text())
+    for key in where:
+        record = record[key]
+    raw = bytearray(path.with_suffix(".bin").read_bytes())
+    stored = np.dtype(record["dtype"]).newbyteorder("<")
+    values = np.frombuffer(raw, stored, math.prod(record["shape"]), record["offset"])
+    values.view(view or stored)[0] = value
+    _restamp(path, bytes(raw))
+
+
+def _plant_measurements(tmp_path, out_dir, change=dict) -> str:
+    """A copy of a run's measurements at ``tmp_path/planted.json``, its arrays
+    passed through ``change`` (``{name: array}`` to the same)."""
+    path = pathlib.Path(out_dir) / "measurements.json"
+    doc = json.loads(path.read_text())
+    records = {("arrays", name): record for name, record in doc.pop("arrays").items()}
+    arrays = decode_arrays(read_buffer(path), doc.pop("buffer"), records, str(path))
+    doc["arrays"] = change({keys[1]: arr.copy() for keys, arr in arrays.items()})
+    planted = tmp_path / "planted.json"
+    write_arrays(planted, doc)
+    return str(planted)
+
+
 # ---------------------------------------------------------------------------
 # full pipelines
 # ---------------------------------------------------------------------------
@@ -114,9 +152,9 @@ def test_pipeline_verbs_emit_schema_valid_artifacts(name, tmp_path):
     _run_all(cfg_path, name)
     produced = set(os.listdir(out_dir))
     assert EXPECTED_FILES[name] <= produced
-    # every artifact matches its shipped schema
+    # every artifact matches its shipped schema; the buffers have none
     checked = validate_run_dir(out_dir)
-    assert len(checked) == len(EXPECTED_FILES[name])
+    assert len(checked) == len(EXPECTED_FILES[name] - {"measurements.bin", "db.bin"})
 
 
 @pytest.mark.parametrize("name", sorted(TINY))
@@ -142,7 +180,7 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     assert main(["simulate", "--config", cfg_path, "--seed", "5", "--out", a]) == EXIT_OK
     assert main(["simulate", "--config", cfg_path, "--seed", "6", "--out", b]) == EXIT_OK
     assert main(["simulate", "--config", cfg_path, "--out", c]) == EXIT_OK
-    read = lambda d: (pathlib.Path(d) / "measurements.json").read_bytes()
+    read = lambda d: (pathlib.Path(d) / "measurements.bin").read_bytes()
     assert read(a) != read(b)  # a different seed draws different measurements
     assert read(a) == read(c)  # config seed is 5, so no flag means seed 5
 
@@ -470,13 +508,12 @@ def test_illegal_learn_log_counts_filled_projection_bins(tmp_path):
     log = json.loads((pathlib.Path(out_dir) / "learn_log.json").read_text())
     assert log["filled_bins"] == 0
     # zero one delay bin of one key at one point and frequency in every snapshot
-    doc = json.loads((pathlib.Path(out_dir) / "measurements.json").read_text())
-    xcorr = decode_array(doc["arrays"]["xcorr"], "xcorr")
-    xcorr[1, 2, :, 3, 0] = 0.0
-    doc["arrays"]["xcorr"] = encode_array(xcorr)
-    planted = tmp_path / "planted.json"
-    planted.write_text(json.dumps(doc))
-    scenario = dict(TINY["illegal_hybrid"]["scenario"], measurements=str(planted))
+    def zero_bin(arrays):
+        arrays["xcorr"][1, 2, :, 3, 0] = 0.0
+        return arrays
+
+    planted = _plant_measurements(tmp_path, out_dir, zero_bin)
+    scenario = dict(TINY["illegal_hybrid"]["scenario"], measurements=planted)
     cfg_path, _ = _write_config(tmp_path, "illegal_hybrid", scenario=scenario)
     reader = tmp_path / "reader"
     assert main(["learn", "--config", cfg_path, "--out", str(reader)]) == EXIT_OK
@@ -754,6 +791,7 @@ def test_database_in_the_version_1_layout_is_a_config_error(tmp_path, capsys):
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
     db_path = pathlib.Path(out_dir) / "db.json"
     doc = json.loads(db_path.read_text())
+    stored = load_database(str(db_path)).blocks
     g = doc["grid"]
     points = [[g["origin"][0] + (k % g["nx"]) * g["spacing"],
                g["origin"][1] + (k // g["nx"]) * g["spacing"]] for k in range(g["nx"] * g["ny"])]
@@ -766,14 +804,19 @@ def test_database_in_the_version_1_layout_is_a_config_error(tmp_path, capsys):
               blocks={key: dict(block, type="scalar") for key, block in doc["blocks"].items()})
     # version 4 stored them as "real" blocks of JSON lists
     v4 = dict(doc, version="fingerloc-db-4", blocks={
-        key: {"type": "real", "values": decode_array(block["values"], key).tolist()}
-        for key, block in doc["blocks"].items()})
+        key: {"type": "real", "values": stored[key].tolist()} for key in doc["blocks"]})
     # version 5 kept the digest in a "meta" record with training provenance
     v5 = {key: value for key, value in doc.items() if key != "config_digest"}
     v5.update(version="fingerloc-db-5", meta={
         "config_digest": doc["config_digest"], "derived": False, "extra": {},
         "train_bandwidths_hz": [], "train_freqs_hz": []})
-    for stale in (v1, v2, v3, v4, v5):
+    # version 6 held each array's bytes as base64 in its record, with no buffer file
+    v6 = {key: value for key, value in doc.items() if key != "buffer"}
+    v6.update(version="fingerloc-db-6", blocks={
+        key: {"type": "array", "values": {"dtype": "float64", "shape": [len(stored[key])],
+                                          "data": "AAAAAAAA4D8="}}
+        for key in doc["blocks"]})
+    for stale in (v1, v2, v3, v4, v5, v6):
         db_path.write_text(json.dumps(stale))
         for verb in ("localize", "track"):
             capsys.readouterr()
@@ -815,15 +858,12 @@ def test_database_with_an_unknown_key_is_a_config_error(tmp_path, capsys, where,
 def test_database_with_non_finite_values_is_a_config_error(tmp_path, capsys, name, key):
     cfg_path, out_dir = _write_config(tmp_path, name)
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
-    db_path = pathlib.Path(out_dir) / "db.json"
-    doc = json.loads(db_path.read_text())
-    block = doc["blocks"][key]
-    block["values"] = _with_first_value(block["values"], math.nan)
-    db_path.write_text(json.dumps(doc))
+    _poke(pathlib.Path(out_dir) / "db.json", ("blocks", key, "values"), math.nan)
     capsys.readouterr()
     assert main(["localize", "--config", cfg_path]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "non-finite" in err
+    assert err.rstrip().endswith("; rerun learn")
     assert "Traceback" not in err
     assert not (pathlib.Path(out_dir) / "trials.csv").exists()
 
@@ -834,11 +874,7 @@ def test_database_with_a_certain_detection_probability_is_a_config_error(tmp_pat
     # finite, so it loads; a 0 or 1 would put -inf into the log-likelihoods
     cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
-    db_path = pathlib.Path(out_dir) / "db.json"
-    doc = json.loads(db_path.read_text())
-    block = doc["blocks"]["det:0"]
-    block["values"] = _with_first_value(block["values"], prob)
-    db_path.write_text(json.dumps(doc))
+    _poke(pathlib.Path(out_dir) / "db.json", ("blocks", "det:0", "values"), prob)
     capsys.readouterr()
     assert main(["track", "--config", cfg_path]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -847,60 +883,60 @@ def test_database_with_a_certain_detection_probability_is_a_config_error(tmp_pat
     assert not (pathlib.Path(out_dir) / "track.csv").exists()
 
 
-def _b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
-
-
-def _with_first_value(record, value, view=None):
-    """``record`` whose first stored value, seen as dtype ``view`` when given,
-    is ``value``, written past the writer's checks."""
-    flat = np.frombuffer(base64.b64decode(record["data"]),
-                         np.dtype(record["dtype"]).newbyteorder("<")).copy()
-    flat.view(view or flat.dtype)[0] = value
-    return dict(record, data=_b64(flat.tobytes()))
+def _record_change(change):
+    """A corruption that replaces the array record at key path ``where`` in
+    the header at ``path`` by ``change(record)``."""
+    def corrupt(path, where):
+        doc = json.loads(path.read_text())
+        *parents, last = where
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[last] = change(node[last])
+        path.write_text(json.dumps(doc))
+    return corrupt
 
 
 @pytest.mark.parametrize("name, where, corrupt", [
-    pytest.param("illegal_hybrid", ("blocks", "xc:0:0-1", "values"), lambda r: 1.0,
+    pytest.param("illegal_hybrid", ("blocks", "xc:0:0-1", "values"), _record_change(lambda r: 1.0),
                  id="complex-scalar"),
-    pytest.param("bems_binary", ("blocks", "det:0", "values"), lambda r: 0.5, id="real-scalar"),
+    pytest.param("bems_binary", ("blocks", "det:0", "values"), _record_change(lambda r: 0.5),
+                 id="real-scalar"),
+    # a record of the base64 format, whatever its data holds
     pytest.param("bems_binary", ("blocks", "det:0", "values"),
-                 lambda r: dict(r, data="not base64!"), id="data-not-base64"),
+                 _record_change(lambda r: dict(r, data="not base64!")), id="data-not-base64"),
     pytest.param("bems_binary", ("blocks", "det:0", "values"),
-                 lambda r: dict(r, data=[0.5] * r["shape"][0]), id="data-not-a-string"),
+                 _record_change(lambda r: dict(r, data=[0.5] * r["shape"][0])),
+                 id="data-not-a-string"),
     pytest.param("illegal_hybrid", ("blocks", "xc:0:0-1", "values"),
-                 lambda r: dict(r, shape=[r["shape"][0] + 1] + r["shape"][1:]), id="byte-count"),
+                 _record_change(lambda r: dict(r, shape=[r["shape"][0] + 1] + r["shape"][1:])),
+                 id="byte-count"),
     pytest.param("bems_binary", ("blocks", "det:0", "values"),
-                 lambda r: dict(r, shape=[-n for n in r["shape"]]), id="negative-shape"),
+                 _record_change(lambda r: dict(r, shape=[-n for n in r["shape"]])),
+                 id="negative-shape"),
     pytest.param("bems_binary", ("blocks", "det:0", "values"),
-                 lambda r: dict(r, shape=[float(n) for n in r["shape"]]), id="float-shape"),
+                 _record_change(lambda r: dict(r, shape=[float(n) for n in r["shape"]])),
+                 id="float-shape"),
     pytest.param("bems_binary", ("blocks", "det:0", "values"),
-                 lambda r: dict(r, shape=[], data=_b64(base64.b64decode(r["data"])[:8])),
-                 id="rank-0"),
+                 _record_change(lambda r: dict(r, shape=[])), id="rank-0"),
     pytest.param("bems_binary", ("blocks", "det:0", "values"),
-                 lambda r: dict(r, dtype="float32"), id="float32"),
+                 _record_change(lambda r: dict(r, dtype="float32")), id="float32"),
     pytest.param("bems_binary", ("blocks", "det:0", "values"),
-                 lambda r: dict(r, dtype="object"), id="object"),
+                 _record_change(lambda r: dict(r, dtype="object")), id="object"),
     # the same bytes read as [re, im] float64 pairs
     pytest.param("classroom_cir", ("blocks", "xc:0-1", "mean"),
-                 lambda r: dict(r, dtype="float64", shape=r["shape"][:-1] + [2 * r["shape"][-1]]),
+                 _record_change(lambda r: dict(r, dtype="float64",
+                                               shape=r["shape"][:-1] + [2 * r["shape"][-1]])),
                  id="gaussian-mean-float64"),
     pytest.param("bems_binary", ("arrays", "moving"),
-                 lambda r: _with_first_value(r, 2, np.uint8), id="bool-byte-2"),
+                 lambda path, where: _poke(path, where, 2, np.uint8), id="bool-byte-2"),
 ])
 def test_database_with_a_malformed_array_is_a_config_error(tmp_path, capsys, name, where,
                                                            corrupt):
     cfg_path, out_dir = _write_config(tmp_path, name)
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
     in_db = where[0] == "blocks"
-    path = pathlib.Path(out_dir) / ("db.json" if in_db else "measurements.json")
-    doc = json.loads(path.read_text())
-    *parents, last = where
-    node = doc
-    for part in parents:
-        node = node[part]
-    node[last] = corrupt(node[last])
-    path.write_text(json.dumps(doc))
+    corrupt(pathlib.Path(out_dir) / ("db.json" if in_db else "measurements.json"), where)
     # a broken map stops localize, a broken survey stops learn before it writes the map
     verb, product = ("localize", "trials.csv") if in_db else ("learn", "db.json")
     (pathlib.Path(out_dir) / product).unlink(missing_ok=True)
@@ -908,19 +944,106 @@ def test_database_with_a_malformed_array_is_a_config_error(tmp_path, capsys, nam
     assert main([verb, "--config", cfg_path]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "/".join(where[:2]) in err
+    assert err.rstrip().endswith("; rerun learn" if in_db else "; rerun simulate")
     assert "Traceback" not in err
     assert not (pathlib.Path(out_dir) / product).exists()
+
+
+# (artifact, how its buffer breaks, pipeline); the database holds no bool
+# arrays, so a bool byte of 2 can only break the measurements
+_BROKEN_BUFFERS = [(artifact, case, "wifi_rssi_rspd") for artifact in ("measurements", "db")
+                   for case in ("truncated", "extended", "flipped-byte", "another-seed",
+                                "deleted", "nan")]
+_BROKEN_BUFFERS.append(("measurements", "bool-byte-2", "bems_binary"))
+
+
+@pytest.mark.parametrize("artifact, case, name", _BROKEN_BUFFERS,
+                         ids=[f"{a}-{c}" for a, c, _ in _BROKEN_BUFFERS])
+def test_a_buffer_its_header_does_not_describe_is_a_config_error(tmp_path, capsys, artifact,
+                                                                 case, name):
+    # the verb that wrote the artifact, and the verb that reads it and its product
+    writer, reader, product = {"measurements": ("simulate", "learn", "db.json"),
+                               "db": ("learn", "localize", "trials.csv")}[artifact]
+    cfg_path, out_dir = _write_config(tmp_path, name)
+    assert main([writer, "--config", cfg_path]) == EXIT_OK
+    header = pathlib.Path(out_dir) / f"{artifact}.json"
+    buffer = header.with_suffix(".bin")
+    raw = buffer.read_bytes()
+    if case == "truncated":
+        buffer.write_bytes(raw[:-1])
+    elif case == "extended":
+        buffer.write_bytes(raw + b"\0")
+    elif case == "flipped-byte":
+        buffer.write_bytes(raw[:7] + bytes([raw[7] ^ 0x10]) + raw[8:])
+    elif case == "another-seed":
+        other = tmp_path / "other"
+        assert main([writer, "--config", cfg_path, "--seed", "6", "--out", str(other)]) == EXIT_OK
+        swapped = (other / buffer.name).read_bytes()
+        assert len(swapped) == len(raw) and swapped != raw
+        buffer.write_bytes(swapped)
+    elif case == "deleted":
+        buffer.unlink()
+    elif case == "nan":  # restamped, so only the decoder sees it
+        doc = json.loads(header.read_text())
+        if artifact == "measurements":
+            where = ("arrays", min(doc["arrays"]))
+        else:
+            key = min(doc["blocks"])
+            where = ("blocks", key, min(set(doc["blocks"][key]) - {"type"}))
+        _poke(header, where, math.nan)
+    else:
+        _poke(header, ("arrays", "moving"), 2, np.uint8)
+    (pathlib.Path(out_dir) / product).unlink(missing_ok=True)
+    capsys.readouterr()
+    assert main([reader, "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert err.rstrip().endswith(f"; rerun {writer}")
+    assert {"truncated": "bytes, not the", "extended": "bytes, not the",
+            "flipped-byte": "does not match the sha256",
+            "another-seed": "does not match the sha256",
+            "deleted": "buffer file is missing", "nan": "holds non-finite values",
+            "bool-byte-2": "arrays/moving holds a bool byte other than 0 or 1"}[case] in err
+    assert not (pathlib.Path(out_dir) / product).exists()
+
+
+def _json_values(doc):
+    """``doc`` and every value nested in it."""
+    yield doc
+    children = doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ()
+    for child in children:
+        yield from _json_values(child)
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_no_artifact_holds_base64_and_every_buffer_matches_its_header(name, tmp_path):
+    # the rerun test above checks that the buffers, too, rerun byte-identically
+    cfg_path, out_dir = _write_config(tmp_path, name)
+    _run_all(cfg_path, name)
+    out = pathlib.Path(out_dir)
+    stamps = {}
+    for path in sorted(out.rglob("*.json")):
+        values = list(_json_values(json.loads(path.read_text())))
+        records = [v for v in values if isinstance(v, dict) and "dtype" in v]
+        assert all(set(record) == {"dtype", "shape", "offset"} for record in records), path
+        # no string longer than a sha256 in hex
+        assert max((len(v) for v in values if isinstance(v, str)), default=0) <= 64, path
+        if records:
+            stamps[path.with_suffix(".bin")] = values[0]["buffer"]
+    assert sorted(out.rglob("*.bin")) == sorted(stamps)
+    assert {path.name for path in stamps} == {"measurements.bin", "db.bin"}
+    for path, stamp in stamps.items():
+        raw = path.read_bytes()
+        assert stamp == {"bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}
 
 
 @pytest.mark.parametrize("name, key", [("illegal_hybrid", "phase"), ("classroom_cir", "cirs")])
 def test_measurements_with_non_finite_values_are_a_config_error(tmp_path, capsys, name, key):
     cfg_path, out_dir = _write_config(tmp_path, name)
     assert main(["simulate", "--config", cfg_path]) == EXIT_OK
-    doc = json.loads((pathlib.Path(out_dir) / "measurements.json").read_text())
-    doc["arrays"][key] = _with_first_value(doc["arrays"][key], math.nan)
-    planted = tmp_path / "planted.json"
-    planted.write_text(json.dumps(doc))
-    scenario = dict(TINY[name]["scenario"], measurements=str(planted))
+    planted = _plant_measurements(tmp_path, out_dir)
+    _poke(planted, ("arrays", key), math.nan)
+    scenario = dict(TINY[name]["scenario"], measurements=planted)
     cfg_path, out_dir = _write_config(tmp_path, name, scenario=scenario)
     capsys.readouterr()
     assert main(["learn", "--config", cfg_path]) == EXIT_CONFIG
@@ -933,12 +1056,9 @@ def test_measurements_with_integer_detection_bits_are_a_config_error(tmp_path, c
     # detection bits are stored as bool; the same 0/1 values as int64 name the array
     cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
     assert main(["simulate", "--config", cfg_path]) == EXIT_OK
-    doc = json.loads((pathlib.Path(out_dir) / "measurements.json").read_text())
-    bits = decode_array(doc["arrays"]["bits"], "bits")
-    doc["arrays"]["bits"] = encode_array(bits.astype(np.int64))
-    planted = tmp_path / "planted.json"
-    planted.write_text(json.dumps(doc))
-    scenario = dict(TINY["bems_binary"]["scenario"], measurements=str(planted))
+    planted = _plant_measurements(tmp_path, out_dir,
+                                  lambda arrays: dict(arrays, bits=arrays["bits"].astype(np.int64)))
+    scenario = dict(TINY["bems_binary"]["scenario"], measurements=planted)
     cfg_path, out_dir = _write_config(tmp_path, "bems_binary", scenario=scenario)
     capsys.readouterr()
     assert main(["learn", "--config", cfg_path]) == EXIT_CONFIG
@@ -997,6 +1117,8 @@ def test_learn_reads_a_measurements_path_from_another_run(tmp_path):
     blocks = [json.loads((pathlib.Path(d) / "db.json").read_text())["blocks"]
               for d in (out_dir, reader)]
     assert blocks[0] == blocks[1]
+    buffers = [(pathlib.Path(d) / "db.bin").read_bytes() for d in (out_dir, reader)]
+    assert buffers[0] == buffers[1]
 
     scenario["train_visits"] = 7  # the file holds 6 visits per cell
     cfg_path, _ = _write_config(tmp_path, "bems_binary", scenario=scenario)
@@ -1017,6 +1139,12 @@ def test_learn_reads_a_measurements_path_from_another_run(tmp_path):
     {"format": "fingerloc-measurements-2", "pipeline": "bems_binary",
      "arrays": {name: {"dtype": dtype, "shape": [54], "data": [0] * 54}
                 for name, dtype in (("cell", "int64"), ("moving", "bool"))}},
+    # the current format, with no buffer file beside it
+    {"format": "fingerloc-measurements-4", "pipeline": "bems_binary", "config_digest": "0" * 64,
+     "arrays": {"bits": {"dtype": "bool", "shape": [54, 2], "offset": 0},
+                "cell": {"dtype": "int64", "shape": [54], "offset": 108},
+                "moving": {"dtype": "bool", "shape": [54], "offset": 540}},
+     "buffer": {"bytes": 594, "sha256": "0" * 64}},
 ])
 def test_malformed_measurements_file_is_a_config_error(tmp_path, capsys, doc):
     path = tmp_path / "measurements.json"
@@ -1025,8 +1153,7 @@ def test_malformed_measurements_file_is_a_config_error(tmp_path, capsys, doc):
     cfg_path, _ = _write_config(tmp_path, "bems_binary", scenario=scenario)
     capsys.readouterr()
     assert main(["learn", "--config", cfg_path]) == EXIT_CONFIG
-    if doc and doc.get("format") == "fingerloc-measurements-2":
-        assert "rerun simulate" in capsys.readouterr().err
+    assert capsys.readouterr().err.rstrip().endswith("; rerun simulate")
 
 
 # ---------------------------------------------------------------------------
@@ -1078,6 +1205,48 @@ def test_csv_numpy_scalars_render_like_python_scalars(tmp_path):
     floats = tmp_path / "floats.csv"
     write_csv(str(floats), {"v": np.array(values[:5])})
     assert floats.read_text().split("\n")[1:6] == want.read_text().split("\n")[1:6]
+
+
+def test_csv_columns_render_as_the_per_cell_rule(tmp_path):
+    # array columns render a whole column at a time; every cell must read as
+    # _cell, the per-cell rule, renders it
+    from fingerloc.experiments.common import _cell
+
+    rng = np.random.default_rng(3)
+    floats = np.concatenate([[0.1, -0.0, 1 / 3, 5e-324, 1e300, -1e-310, 2.0 ** 60, 7.0],
+                             rng.standard_normal(8) * 10.0 ** rng.integers(-300, 300, 8)])
+    n = len(floats)
+    columns = {
+        "float": floats,
+        "float32": rng.standard_normal(n).astype(np.float32),
+        "int": rng.integers(-2 ** 62, 2 ** 62, n),
+        "uint8": rng.integers(0, 255, n).astype(np.uint8),
+        "bool": rng.random(n) < 0.5,
+        "str": np.array([f"s{i}" for i in range(n)]),
+        "complex": floats + 1j,
+        "numpy-list": list(floats),
+        "mixed-list": ([np.float64(0.1), np.int64(7), np.bool_(True), "", 2, -0.0, True, "x"]
+                       * 2),
+    }
+    path = tmp_path / "out.csv"
+    write_csv(str(path), columns)
+    cells = [[_cell(v) for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
+             for col in columns.values()]
+    want = ",".join(columns) + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
+    assert path.read_text() == want
+    assert len(path.read_text().splitlines()) == 1 + n
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_csv_array_column_names_its_first_non_finite_value(tmp_path, bad):
+    # checked in one pass over the column, yet named as the per-cell rule names
+    # it; nothing is written
+    path = tmp_path / "out.csv"
+    floats = np.array([1.0, 2.0, bad, math.nan, 3.0])
+    with pytest.raises(ValueError, match=f"out.csv: column 'c': refusing to write the "
+                                         f"non-finite value {bad!r}$"):
+        write_csv(str(path), {"a": np.arange(5), "b": np.ones(5), "c": floats})
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Database container, block lookup, the array record, and JSON persistence round-trips."""
+"""Database container, block lookup, the array records and their buffer, and
+persistence round-trips."""
 
-import base64
+import hashlib
 import json
 import math
 import os
@@ -12,10 +13,11 @@ import pytest
 from fingerloc.database import (
     FORMAT_VERSION,
     FingerprintDatabase,
+    buffer_path,
     database_from_json,
     database_to_json,
-    decode_array,
-    encode_array,
+    decode_arrays,
+    encode_arrays,
     load_database,
     save_database,
 )
@@ -33,27 +35,46 @@ def _grid(n=2):
 
 
 def _round_trip(block, n=2):
-    """One block stored at key "k" on an n x n grid, through JSON and back."""
+    """One block stored at key "k" on an n x n grid, through its files' contents and back."""
     db = FingerprintDatabase(grid=_grid(n), blocks={"k": block})
-    return database_from_json(json.dumps(json.loads(database_to_json(db)))).blocks["k"]
+    return database_from_json(*database_to_json(db)).blocks["k"]
 
 
-def _record(values) -> dict:
-    """An array record of ``values``, built past the writer's finite check."""
-    arr = np.asarray(values)
-    raw = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
-    return {"dtype": arr.dtype.name, "shape": list(arr.shape),
-            "data": base64.b64encode(raw).decode("ascii")}
+def _record(dtype, shape, offset=0) -> dict:
+    return {"dtype": dtype, "shape": list(shape), "offset": offset}
+
+
+def _stamped(header: dict, raw) -> tuple:
+    """``(header, raw)`` with the header's buffer record restamped for ``raw``,
+    as if the writer had written those bytes."""
+    raw = bytes(raw)
+    stamp = {"bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}
+    return dict(header, buffer=stamp), raw
+
+
+def _poked(header: dict, raw, record: dict, value) -> tuple:
+    """``(header, raw)`` whose first value of ``record`` is ``value``,
+    written past the writer's checks."""
+    raw = bytearray(raw)
+    stored = np.dtype(record["dtype"]).newbyteorder("<")
+    np.frombuffer(raw, stored, math.prod(record["shape"]), record["offset"])[0] = value
+    return _stamped(header, raw)
+
+
+def _decode_one(header: dict, raw) -> np.ndarray:
+    """The array at key "a" of an :func:`encode_arrays` header."""
+    return decode_arrays(raw, header["buffer"], {("a",): header["a"]}, "x")[("a",)]
 
 
 def test_fingerprint_codec_round_trips_complex_bit_exact():
     rng = np.random.default_rng(5)
     values = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
     db = FingerprintDatabase(grid=_grid(2), blocks={"k": values})
-    data = json.loads(database_to_json(db))["blocks"]["k"]
+    text, raw = database_to_json(db)
     back = _round_trip(values)
-    assert data == {"type": "array", "values": _record(values)}
-    assert data["values"]["dtype"] == "complex128" and data["values"]["shape"] == [4, 9]
+    assert json.loads(text)["blocks"]["k"] == {"type": "array",
+                                               "values": _record("complex128", (4, 9))}
+    assert raw == values.astype("<c16").tobytes()
     assert back.dtype == complex and back.tobytes() == values.tobytes()
 
 
@@ -102,11 +123,12 @@ def test_database_rejects_unknown_block_types():
             "k": kriging_fit(_grid(), np.arange(4.0)[:, None])})
     with pytest.raises(ValueError):
         FingerprintDatabase(grid=grid, blocks={"k": np.array(1.0)})
-    doc = json.loads(database_to_json(FingerprintDatabase(grid=grid)))
+    text, raw = database_to_json(FingerprintDatabase(grid=grid))
+    doc = json.loads(text)
     for block in ({"type": "no_such_block"}, {"type": "real", "values": [0.5]}, [0.5]):
         doc["blocks"] = {"k": block}
         with pytest.raises(ValueError, match=f"^database blocks/k{_NO_BLOCK}"):
-            database_from_json(json.dumps(doc))
+            database_from_json(json.dumps(doc), raw)
 
 
 def test_database_round_trip_bit_exact():
@@ -117,15 +139,15 @@ def test_database_round_trip_bit_exact():
         "rssi:0": rng.uniform(0.1, 2.0, size=4),
     }
     db = FingerprintDatabase(grid=grid, blocks=blocks, config_digest="ab" * 32)
-    text = database_to_json(db)
-    back = database_from_json(text)
+    text, raw = database_to_json(db)
+    back = database_from_json(text, raw)
     assert back.grid == db.grid
     assert back.config_digest == "ab" * 32
     assert sorted(back.blocks) == sorted(blocks)
     assert np.array_equal(back.blocks["pair_0_1"], blocks["pair_0_1"])
     assert np.array_equal(back.blocks["rssi:0"], blocks["rssi:0"])
     # serialization itself is deterministic
-    assert database_to_json(back) == text
+    assert database_to_json(back) == (text, raw)
 
 
 def test_database_json_matches_shipped_schema(tmp_path):
@@ -144,21 +166,33 @@ def test_database_json_matches_shipped_schema(tmp_path):
     assert validate_artifact(str(path)) == "db.schema.json"
     text = path.read_text()
     doc = json.loads(text)
-    assert doc["version"] == "fingerloc-db-6"
+    assert doc["version"] == "fingerloc-db-7"
     assert doc["config_digest"] is None
     assert doc["grid"] == {"origin": [0.0, 0.0], "nx": 2, "ny": 2, "spacing": 1.0}
-    # a bare scalar or a JSON list is not an array record, nor is a rank-0,
-    # non-base64 or bool one; a Gaussian mean is complex; a lattice has cells
-    # and a positive spacing; blocks carry no kind or meta
+    raw = (tmp_path / "db.bin").read_bytes()
+    assert doc["buffer"] == {"bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}
+    # a bare scalar or a JSON list is not an array record, nor is a rank-0
+    # or bool one, or one with a negative or missing offset or with base64
+    # data; a Gaussian mean is complex; a lattice has cells and a positive
+    # spacing; blocks carry no kind or meta; the buffer record is a byte count
+    # and a sha256 in lower-case hex
+    values = doc["blocks"]["d"]["values"]
     for section, key, field, bad in (("blocks", "p", "shape", 1.0), ("blocks", "d", "values", 0.5),
                                      ("blocks", "c", "values", [1.0, 2.0, 3.0, 4.0]),
-                                     ("blocks", "d", "values", _record(0.5)),
-                                     ("blocks", "d", "values", dict(_record([0.5] * 4), data="?")),
-                                     ("blocks", "d", "values", _record([True] * 4)),
-                                     ("blocks", "g", "mean", _record(np.zeros((4, 2)))),
+                                     ("blocks", "d", "values", dict(values, shape=[])),
+                                     ("blocks", "d", "values", dict(values, offset=-8)),
+                                     ("blocks", "d", "values", _record("float64", (4,))
+                                      | {"offset": None}),
+                                     ("blocks", "d", "values", dict(values, data="AAAA")),
+                                     ("blocks", "d", "values", dict(values, dtype="bool")),
+                                     ("blocks", "g", "mean", dict(doc["blocks"]["g"]["mean"],
+                                                                  dtype="float64")),
                                      ("blocks", "x", "kind", "phase_diff"),
                                      ("blocks", "x", "meta", {}),
-                                     ("grid", None, "nx", 0), ("grid", None, "spacing", 0.0)):
+                                     ("grid", None, "nx", 0), ("grid", None, "spacing", 0.0),
+                                     ("buffer", None, "bytes", -1),
+                                     ("buffer", None, "sha256", "AB" * 32),
+                                     ("buffer", None, "sha256", "ab" * 31)):
         doc = json.loads(text)
         target = doc[section] if key is None else doc[section][key]
         target[field] = bad
@@ -166,8 +200,9 @@ def test_database_json_matches_shipped_schema(tmp_path):
         with pytest.raises(ValueError):
             validate_artifact(str(path))
     # the digest is a string or null at the top level; format 5's meta is gone
+    no_buffer = {key: value for key, value in json.loads(text).items() if key != "buffer"}
     for broken in (dict(json.loads(text), config_digest=5),
-                   dict(json.loads(text), meta={"config_digest": None})):
+                   dict(json.loads(text), meta={"config_digest": None}), no_buffer):
         path.write_text(json.dumps(broken))
         with pytest.raises(ValueError):
             validate_artifact(str(path))
@@ -189,54 +224,60 @@ def test_db_schema_version_is_the_format_version():
 
 def test_both_artifacts_share_one_array_record_schema():
     # the schema files cannot share a $ref without a registry, so their
-    # array defs are held equal here, apart from each file's dtypes
+    # array and buffer defs are held equal here, apart from each file's dtypes
     defs = []
     for name in ("db.schema.json", "measurements.schema.json"):
         schema = json.loads((resources.files("fingerloc.schemas") / name).read_text())
         array = schema["$defs"]["array"]
         assert set(array["properties"].pop("dtype")) == {"enum"}
-        defs.append(array)
+        assert schema["properties"]["buffer"] == {"$ref": "#/$defs/buffer"}
+        defs.append((array, schema["$defs"]["buffer"]))
     assert defs[0] == defs[1]
 
 
 def test_database_rejects_wrong_version():
     db = FingerprintDatabase(grid=_grid(1))
-    doc = json.loads(database_to_json(db))
+    text, raw = database_to_json(db)
+    doc = json.loads(text)
     assert doc["version"] == FORMAT_VERSION
     for stale in ("fingerloc-db-1", "fingerloc-db-2", "fingerloc-db-3", "fingerloc-db-4",
-                  "fingerloc-db-5"):
+                  "fingerloc-db-5", "fingerloc-db-6"):
         doc["version"] = stale
         with pytest.raises(ValueError, match="rerun learn"):
-            database_from_json(json.dumps(doc))
+            database_from_json(json.dumps(doc), raw)
     doc.pop("version")
     with pytest.raises(ValueError):
-        database_from_json(json.dumps(doc))
+        database_from_json(json.dumps(doc), raw)
 
 
 def test_database_rejects_a_malformed_grid():
-    doc = json.loads(database_to_json(FingerprintDatabase(grid=_grid(2))))
+    text, raw = database_to_json(FingerprintDatabase(grid=_grid(2)))
+    doc = json.loads(text)
     for key, bad in (("origin", [0.0, 0.0, 0.0]), ("origin", [0.0]), ("nx", 0), ("ny", 2.5),
                      ("spacing", 0.0), ("spacing", math.inf)):
         broken = dict(doc, grid=dict(doc["grid"], **{key: bad}))
         with pytest.raises(ValueError):
-            database_from_json(json.dumps(broken, allow_nan=True))
+            database_from_json(json.dumps(broken, allow_nan=True), raw)
     for broken in ([doc], dict(doc, grid=[0.0, 0.0, 2, 2, 1.0]), dict(doc, blocks=[]),
                    dict(doc, grid=dict(doc["grid"], origin=5))):
         with pytest.raises(ValueError, match="object|origin"):
-            database_from_json(json.dumps(broken))
+            database_from_json(json.dumps(broken), raw)
     for digest in (5, ["ab"], {}):
         with pytest.raises(ValueError, match="^database config_digest: .* is not of type "
                                              "'string', 'null'; rerun learn$"):
-            database_from_json(json.dumps(dict(doc, config_digest=digest)))
+            database_from_json(json.dumps(dict(doc, config_digest=digest)), raw)
 
 
 def test_database_json_has_no_nan_and_sorted_keys():
     db = FingerprintDatabase(grid=_grid(2), blocks={"b": np.full(4, 0.5), "a": np.ones(4)})
-    text = database_to_json(db)
+    text, raw = database_to_json(db)
     doc = json.loads(text)
     assert list(doc) == sorted(doc)
     assert list(doc["blocks"]) == ["a", "b"]
     assert "NaN" not in text and " " not in text
+    # the buffer holds the arrays in header order
+    assert [doc["blocks"][key]["values"]["offset"] for key in "ab"] == [0, 32]
+    assert raw == np.ones(4).tobytes() + np.full(4, 0.5).tobytes()
 
 
 def test_save_load_database_creates_directories(tmp_path):
@@ -244,6 +285,8 @@ def test_save_load_database_creates_directories(tmp_path):
     path = tmp_path / "nested" / "deeper" / "db.json"
     save_database(db, str(path))
     assert os.path.exists(path)
+    assert buffer_path(str(path)) == str(tmp_path / "nested" / "deeper" / "db.bin")
+    assert (tmp_path / "nested" / "deeper" / "db.bin").read_bytes() == b""
     with open(path, "r", encoding="utf-8") as fh:
         assert fh.read().endswith("\n")
     back = load_database(str(path))
@@ -275,75 +318,175 @@ def test_database_array_blocks_are_read_only():
     with pytest.raises(ValueError):
         db.blocks["k"][0, 0] = 1.0
     assert values.flags.writeable  # the caller's array is left as it was
-    back = database_from_json(database_to_json(db))
+    back = database_from_json(*database_to_json(db))
     with pytest.raises(ValueError):
         back.blocks["k"][0, 0] = 1.0
 
 
 @pytest.mark.parametrize("block", [
-    {"type": "array", "values": _record([0.5, math.nan, 0.5, 0.5])},
-    {"type": "array", "values": _record(np.full((4, 1), complex(1.0, math.inf)))},
-    {"type": "gamma", "shape": _record([1.0, 1.0, math.nan, 1.0]), "scale": _record([1.0] * 4)},
+    (np.full(4, 0.5), "values", math.nan),
+    (np.ones((4, 1), complex), "values", complex(1.0, math.inf)),
+    (GammaParams(shape=[1.0] * 4, scale=[1.0] * 4), "shape", math.nan),
 ])
 def test_database_rejects_non_finite_values(block):
-    doc = json.loads(database_to_json(FingerprintDatabase(grid=_grid(2))))
-    doc["blocks"] = {"det:0": block}
-    with pytest.raises(ValueError, match="^database blocks/det:0/.* holds non-finite values$"):
-        database_from_json(json.dumps(doc))
+    # (block, the field whose first value is poked, the value)
+    block, field, value = block
+    text, raw = database_to_json(FingerprintDatabase(grid=_grid(2), blocks={"det:0": block}))
+    doc = json.loads(text)
+    doc, raw = _poked(doc, raw, doc["blocks"]["det:0"][field], value)
+    with pytest.raises(ValueError, match="^database blocks/det:0/.* holds non-finite values; "
+                                         "rerun learn$"):
+        database_from_json(json.dumps(doc), raw)
 
 
-_VALUES = _record([0.5, 0.25, 0.5, 0.25])
+def _one_block(values=(0.5, 0.25, 0.5, 0.25)) -> tuple:
+    """``(header doc, raw)`` of a database over the 2x2 grid whose one block,
+    "det:0", holds ``values``."""
+    db = FingerprintDatabase(grid=_grid(2), blocks={"det:0": np.array(values)})
+    text, raw = database_to_json(db)
+    return json.loads(text), raw
+
+
+_VALUES = _one_block()[0]["blocks"]["det:0"]["values"]
 
 
 @pytest.mark.parametrize("block, message", [
     pytest.param({"type": "array", "values": [0.5, 0.25, 0.5, 0.25]}, _NO_BLOCK, id="json-list"),
     pytest.param({"type": "array", "values": dict(_VALUES, extra=1)}, _NO_BLOCK, id="extra-key"),
+    # a record of the base64 format, whatever its data holds
     pytest.param({"type": "array", "values": dict(_VALUES, data="AAAA*AAA")}, _NO_BLOCK,
                  id="not-base64"),
-    pytest.param({"type": "array", "values": dict(_VALUES, data="AAAAAAAA4D8")},
-                 "/values data is not a base64 string", id="unpadded"),
+    pytest.param({"type": "array", "values": dict(_VALUES, data="AAAAAAAA4D8")}, _NO_BLOCK,
+                 id="unpadded"),
     pytest.param({"type": "array", "values": dict(_VALUES, data=[0.5] * 4)}, _NO_BLOCK,
                  id="not-a-string"),
-    pytest.param({"type": "array", "values": dict(_VALUES, shape=[5])}, "/values holds 32 bytes",
-                 id="byte-count"),
+    pytest.param({"type": "array", "values": {"dtype": "float64", "shape": [4]}}, _NO_BLOCK,
+                 id="missing-offset"),
+    pytest.param({"type": "array", "values": dict(_VALUES, offset=-8)}, _NO_BLOCK,
+                 id="negative-offset"),
+    pytest.param({"type": "array", "values": dict(_VALUES, offset="0")}, _NO_BLOCK,
+                 id="string-offset"),
+    pytest.param({"type": "array", "values": dict(_VALUES, offset=0.0)},
+                 "/values starts at byte 0.0, not at byte 0, where the buffer starts",
+                 id="float-offset"),
+    pytest.param({"type": "array", "values": dict(_VALUES, offset=8)},
+                 "/values starts at byte 8, not at byte 0", id="offset-gap"),
+    pytest.param({"type": "array", "values": dict(_VALUES, shape=[5])},
+                 "/values ends at byte 40, past the 32 of the buffer", id="byte-count"),
     pytest.param({"type": "array", "values": dict(_VALUES, shape=[-4])}, _NO_BLOCK,
                  id="negative-shape"),
     pytest.param({"type": "array", "values": dict(_VALUES, shape=[4.0])},
                  r"/values has shape \[4.0\], not a list of ints", id="float-shape"),
     pytest.param({"type": "array", "values": dict(_VALUES, shape=[True] * 4)}, _NO_BLOCK,
                  id="bool-shape"),
-    pytest.param({"type": "array", "values": _record(0.5)}, _NO_BLOCK, id="rank-0"),
-    pytest.param({"type": "array", "values": _record(np.zeros(4, np.float32))}, _NO_BLOCK,
+    pytest.param({"type": "array", "values": dict(_VALUES, shape=[])}, _NO_BLOCK, id="rank-0"),
+    pytest.param({"type": "array", "values": dict(_VALUES, dtype="float32")}, _NO_BLOCK,
                  id="float32"),
     pytest.param({"type": "array", "values": dict(_VALUES, dtype="object")}, _NO_BLOCK,
                  id="object"),
-    pytest.param({"type": "array", "values": _record(np.ones(4, bool))}, _NO_BLOCK, id="bool"),
-    pytest.param({"type": "gaussian", "mean": _record(np.zeros((4, 1))),
-                  "cov": _record(np.ones((4, 1, 1), complex)), "loading": _record(np.zeros(4))},
+    pytest.param({"type": "array", "values": dict(_VALUES, dtype="bool")}, _NO_BLOCK, id="bool"),
+    pytest.param({"type": "gaussian", "mean": _record("float64", (4, 1)),
+                  "cov": _record("complex128", (4, 1, 1), 32),
+                  "loading": _record("float64", (4,), 96)},
                  _NO_BLOCK, id="gaussian-mean-float64"),
     pytest.param({"type": "gamma", "shape": _VALUES}, _NO_BLOCK, id="missing-field"),
 ])
 def test_database_rejects_a_malformed_array_record(block, message):
-    doc = json.loads(database_to_json(FingerprintDatabase(grid=_grid(2))))
+    doc, raw = _one_block()
     doc["blocks"] = {"det:0": block}
     with pytest.raises(ValueError, match=f"^database blocks/det:0{message}"):
-        database_from_json(json.dumps(doc))
+        database_from_json(json.dumps(doc), raw)
+
+
+def _with_blocks(doc: dict, raw, **values) -> tuple:
+    """``doc`` and ``raw`` whose block "det:0" has the record ``values``, restamped."""
+    blocks = {"det:0": {"type": "array", "values": dict(_VALUES, **values)}}
+    return _stamped(dict(doc, blocks=blocks), raw)
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param(lambda doc, raw: (doc, None), "buffer file is missing", id="missing"),
+    pytest.param(lambda doc, raw: (doc, raw[:-1]),
+                 "buffer holds 31 bytes, not the 32 its header says", id="truncated"),
+    pytest.param(lambda doc, raw: (doc, raw + b"\0"),
+                 "buffer holds 33 bytes, not the 32 its header says", id="extended"),
+    pytest.param(lambda doc, raw: (doc, bytes([raw[0] ^ 1]) + raw[1:]),
+                 "buffer does not match the sha256 its header holds", id="flipped-byte"),
+    pytest.param(lambda doc, raw: (doc, _one_block([0.5] * 4)[1]),
+                 "buffer does not match the sha256 its header holds", id="swapped"),
+    pytest.param(lambda doc, raw: _stamped(doc, raw + bytes(8)),
+                 "buffer holds 8 bytes past its last array", id="restamped-extension"),
+    pytest.param(lambda doc, raw: _with_blocks(doc, raw, shape=[3]),
+                 "buffer holds 8 bytes past its last array", id="short-record"),
+    pytest.param(lambda doc, raw: _stamped(doc, b""),
+                 "blocks/det:0/values ends at byte 32, past the 0 of the buffer",
+                 id="restamped-empty"),
+])
+def test_database_rejects_a_buffer_its_header_does_not_describe(change, message):
+    doc, raw = change(*_one_block())
+    with pytest.raises(ValueError, match=f"^database {message}; rerun learn$"):
+        database_from_json(json.dumps(doc), raw)
+
+
+def test_load_database_reads_the_buffer_beside_the_header(tmp_path):
+    path = tmp_path / "map.json"
+    save_database(FingerprintDatabase(grid=_grid(2), blocks={"d": np.full(4, 0.5)}), str(path))
+    assert (tmp_path / "map.bin").read_bytes() == np.full(4, 0.5).tobytes()
+    assert load_database(str(path)).blocks["d"].tolist() == [0.5] * 4
+    (tmp_path / "map.bin").unlink()
+    with pytest.raises(ValueError, match="^database buffer file is missing; rerun learn$"):
+        load_database(str(path))
+    # a stale header is reported as such, not as a missing buffer
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(doc, version="fingerloc-db-6")))
+    with pytest.raises(ValueError, match="^database version: .*; rerun learn$"):
+        load_database(str(path))
 
 
 def test_array_record_round_trips_and_decodes_writable():
     for arr in (np.array([True, False, True]), np.arange(6).reshape(2, 3),
                 np.zeros((0, 3), complex), np.array(-0.0)):
-        record = encode_array(arr)
-        assert record == _record(arr)
-        back = decode_array(record, "a")
-        assert (back.dtype, back.shape, back.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
-        assert back.flags.writeable
+        header, chunks = encode_arrays({"a": arr})
+        raw = b"".join(chunks)
+        assert header == {"a": _record(arr.dtype.name, arr.shape),
+                          "buffer": {"bytes": arr.nbytes,
+                                     "sha256": hashlib.sha256(arr.tobytes()).hexdigest()}}
+        for buffer in (raw, bytearray(raw)):
+            back = _decode_one(header, buffer)
+            assert ((back.dtype, back.shape, back.tobytes())
+                    == (arr.dtype, arr.shape, arr.tobytes()))
+            assert back.flags.writeable
     # a big-endian array is stored little-endian
-    assert encode_array(np.arange(3.0).astype(">f8")) == _record(np.arange(3.0))
+    header, chunks = encode_arrays({"a": np.arange(3.0).astype(">f8")})
+    assert header["a"] == _record("float64", (3,))
+    assert b"".join(chunks) == np.arange(3.0).astype("<f8").tobytes()
+
+
+def test_array_records_tile_the_buffer_in_sorted_key_order():
+    doc = {"z": np.arange(2), "m": {"b": np.array([True, False, True]), "a": np.ones(2)},
+           "tag": "x"}
+    header, chunks = encode_arrays(doc)
+    assert header["tag"] == "x"
+    assert [header["m"]["a"]["offset"], header["m"]["b"]["offset"], header["z"]["offset"]] == [
+        0, 16, 19]
+    raw = bytearray(b"".join(chunks))
+    records = {("m", "a"): header["m"]["a"], ("m", "b"): header["m"]["b"], ("z",): header["z"]}
+    back = decode_arrays(raw, header["buffer"], records, "x")
+    assert [back[keys].tolist() for keys in records] == [[1.0, 1.0], [True, False, True], [0, 1]]
+    # the int64 array at byte 19 is copied to aligned memory
+    assert all(arr.flags.aligned for arr in back.values())
+    # the records must be listed in buffer order
+    with pytest.raises(ValueError, match="^x z starts at byte 19, not at byte 0, "
+                                         "where the buffer starts$"):
+        decode_arrays(raw, header["buffer"], dict(reversed(records.items())), "x")
+    with pytest.raises(ValueError, match="^x m/a starts at byte 0, not at byte 16, "
+                                         "where x z ends$"):
+        decode_arrays(raw, header["buffer"], {("z",): dict(header["z"], offset=0),
+                                              ("m", "a"): header["m"]["a"]}, "x")
 
 
 def test_array_record_bools_are_bytes_0_or_1():
-    record = dict(encode_array(np.array([True, False])),
-                  data=base64.b64encode(bytes([1, 2])).decode("ascii"))
-    with pytest.raises(ValueError, match="flags.*bool byte"):
-        decode_array(record, "flags")
+    header, _ = encode_arrays({"a": np.array([True, False])})
+    header, raw = _stamped(header, bytes([1, 2]))
+    with pytest.raises(ValueError, match="^x a holds a bool byte other than 0 or 1$"):
+        _decode_one(header, raw)

@@ -2,8 +2,8 @@
 guard, and agreement with the ``jsonschema`` package on every shipped schema."""
 
 import ast
-import base64
 import copy
+import hashlib
 import json
 import math
 import os
@@ -20,7 +20,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_cli import PIPELINE_MODULES, TINY, VERBS  # noqa: E402
 
 from fingerloc.cli import EXIT_OK, main  # noqa: E402
-from fingerloc.database import database_from_json  # noqa: E402
+from fingerloc.database import database_from_json, encode_arrays, read_buffer  # noqa: E402
 from fingerloc.experiments import artifacts, bems  # noqa: E402
 from fingerloc.experiments.artifacts import (  # noqa: E402
     load_schema,
@@ -149,7 +149,13 @@ def tiny_runs(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def shipped_documents(tiny_runs):
+def shipped_buffers():
+    """``{sha256: bytes}``: the buffer of each ``shipped_documents`` header that has one."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def shipped_documents(tiny_runs, shipped_buffers):
     """``{schema name: [valid documents]}`` from the tiny runs."""
     root = tiny_runs
     docs = {name: [] for name in JSON_SCHEMAS}
@@ -158,10 +164,29 @@ def shipped_documents(tiny_runs):
             parse_config(dict(raw, out_dir=str(root / pipeline))))
         for fname in sorted(os.listdir(root / pipeline)):
             if fname.endswith(".json"):
-                doc = json.loads((root / pipeline / fname).read_text())
-                docs[artifacts.artifact_schema_name(fname)].append(_trimmed(doc))
+                doc = _trimmed(json.loads((root / pipeline / fname).read_text()))
+                if "buffer" in doc:
+                    doc = _repacked(doc, read_buffer(root / pipeline / fname), shipped_buffers)
+                docs[artifacts.artifact_schema_name(fname)].append(doc)
     docs["report.schema.json"].append(_trimmed(json.loads((root / "report.json").read_text())))
     return docs
+
+
+def _repacked(header: dict, raw, buffers: dict) -> dict:
+    """A trimmed ``header`` of the buffer ``raw`` as the header of a buffer
+    holding only the arrays it lists, which is added to ``buffers``."""
+    def arrays(node):
+        if not isinstance(node, dict):
+            return node
+        if set(node) == {"dtype", "shape", "offset"}:  # an array record
+            stored = np.dtype(node["dtype"]).newbyteorder("<")
+            return np.frombuffer(raw, stored, math.prod(node["shape"]),
+                                 node["offset"]).reshape(node["shape"])
+        return {key: arrays(value) for key, value in node.items() if key != "buffer"}
+
+    header, chunks = encode_arrays(arrays(header))
+    buffers[header["buffer"]["sha256"]] = b"".join(chunks)
+    return header
 
 
 def _trimmed(doc):
@@ -273,9 +298,10 @@ def test_the_validator_agrees_with_jsonschema(name, shipped_documents):
 
 # what a reader refuses in a schema-valid document: the checks no schema makes
 _VALUE_CHECKS = re.compile("|".join([
-    r"has shape .*, not a list of ints", r"data is not a base64 string",
-    r"holds \d+ bytes, not the", r"holds a bool byte other than 0 or 1",
-    r"holds non-finite values",  # the array record
+    r"buffer holds \d+ bytes", r"buffer does not match the sha256",  # the buffer
+    r"has shape .*, not a list of ints", r"starts at byte .*, not at byte \d+",
+    r"ends at byte \d+, past the \d+ of the buffer", r"holds a bool byte other than 0 or 1",
+    r"holds non-finite values",  # the array records
     r"grid dimensions must be", r"grid spacing", r"grid origin",  # Grid
     r"block '.*' covers \d+ points",  # FingerprintDatabase
     r"mean must be|covariance|loading", r"shape and scale must be positive",
@@ -285,8 +311,9 @@ _VALUE_CHECKS = re.compile("|".join([
 ]))
 
 
-def _reader(name: str, doc: dict, path):
-    """``read(document)`` through the harness reader of artifact schema ``name``."""
+def _reader(name: str, doc: dict, path, raw: bytes | None = None):
+    """``read(document)`` through the harness reader of artifact schema ``name``;
+    ``raw`` is the buffer a database or measurements header describes."""
     def through_file(read):
         def run(mutant):
             path.write_text(json.dumps(mutant))
@@ -294,8 +321,9 @@ def _reader(name: str, doc: dict, path):
         return run
 
     if name == "db.schema.json":
-        return lambda mutant: database_from_json(json.dumps(mutant))
+        return lambda mutant: database_from_json(json.dumps(mutant), raw)
     if name == "measurements.schema.json":
+        path.with_suffix(".bin").write_bytes(raw)
         cfg = parse_config(TINY[doc["pipeline"]])
         shapes = PIPELINE_MODULES[doc["pipeline"]].measurement_shapes(cfg)
         expected = {key: shapes[key] for key in doc["arrays"]}
@@ -305,12 +333,14 @@ def _reader(name: str, doc: dict, path):
 
 @pytest.mark.parametrize("name", ["db.schema.json", "measurements.schema.json",
                                   "track_sets.schema.json"])
-def test_the_reader_refuses_what_the_schema_refuses(name, shipped_documents, tmp_path):
+def test_the_reader_refuses_what_the_schema_refuses(name, shipped_documents, shipped_buffers,
+                                                    tmp_path):
     schema = load_schema(name)
     probes = _probes(schema)
     accepted = 0
     for doc in shipped_documents[name]:
-        read = _reader(name, doc, tmp_path / "artifact.json")
+        raw = shipped_buffers.get(doc.get("buffer", {}).get("sha256"))
+        read = _reader(name, doc, tmp_path / "artifact.json", raw)
         read(doc)
         for mutant in _mutants(doc, probes):
             found = schema_error(mutant, schema)
@@ -328,74 +358,75 @@ def test_the_reader_refuses_what_the_schema_refuses(name, shipped_documents, tmp
     assert accepted
 
 
-def _stored(record: dict, values) -> dict:
-    """``record`` holding ``values``, written past the encoder's checks."""
+def _stored(record: dict, raw: bytes, values) -> bytes:
+    """``raw`` with the bytes of ``record`` replaced by ``values``, past the writer's checks."""
     stored = np.dtype(record["dtype"]).newbyteorder("<")
-    return _bytes(record, np.asarray(values).astype(stored).tobytes())
+    data = np.asarray(values).astype(stored).tobytes()
+    return raw[:record["offset"]] + data + raw[record["offset"] + len(data):]
 
 
-def _bytes(record: dict, raw: bytes) -> dict:
-    return dict(record, data=base64.b64encode(raw).decode("ascii"))
-
-
-# a schema-valid record that a reader must refuse, made from a valid one, and
-# the refusal
+# a change to a record and its buffer, restamped, that a reader must refuse
+# although the header passes its schema, and the refusal
 _INVISIBLE = {
-    "float-shape": (lambda r: dict(r, shape=[float(n) for n in r["shape"]]),
+    "float-shape": (lambda r, raw: (dict(r, shape=[float(n) for n in r["shape"]]), raw),
                     r"has shape \[.*\], not a list of ints"),
-    "unpadded": (lambda r: dict(r, data=r["data"].rstrip("=")),
-                 "data is not a base64 string: Incorrect padding"),
-    "byte-count": (lambda r: _bytes(r, base64.b64decode(r["data"])[:-1]),
-                   r"holds \d+ bytes, not the \d+ of a"),
-    "bool-byte-2": (lambda r: _bytes(r, b"\x02" + base64.b64decode(r["data"])[1:]),
+    "float-offset": (lambda r, raw: (dict(r, offset=float(r["offset"])), raw),
+                     r"starts at byte \d+\.0, not at byte \d+"),
+    "byte-count": (lambda r, raw: (r, raw[:-1]), r"ends at byte \d+, past the \d+ of the buffer"),
+    "extension": (lambda r, raw: (r, raw + bytes(8)), r"buffer holds 8 bytes past its last array"),
+    "bool-byte-2": (lambda r, raw: (r, _stored(r, raw, np.full(r["shape"], 2, np.uint8)
+                                                .view(bool))),
                     "holds a bool byte other than 0 or 1"),
-    "nan": (lambda r: _stored(r, np.full(r["shape"], math.nan)), "holds non-finite values"),
-    "inf": (lambda r: _stored(r, np.full(r["shape"], -math.inf)), "holds non-finite values"),
+    "nan": (lambda r, raw: (r, _stored(r, raw, np.full(r["shape"], math.nan))),
+            "holds non-finite values"),
+    "inf": (lambda r, raw: (r, _stored(r, raw, np.full(r["shape"], -math.inf))),
+            "holds non-finite values"),
 }
 
 
 @pytest.mark.parametrize("name, pipeline, dtype, case", [
     ("db.schema.json", "bems_binary", "float64", "float-shape"),
-    ("db.schema.json", "wifi_rssi_rspd", "float64", "unpadded"),
+    ("db.schema.json", "wifi_rssi_rspd", "float64", "float-offset"),
     ("db.schema.json", "illegal_hybrid", "complex128", "byte-count"),
+    ("db.schema.json", "classroom_cir", "float64", "extension"),
     ("db.schema.json", "bems_binary", "float64", "nan"),
     ("db.schema.json", "illegal_hybrid", "complex128", "inf"),
     ("measurements.schema.json", "bems_binary", "int64", "float-shape"),
-    ("measurements.schema.json", "wifi_rssi_rspd", "float64", "unpadded"),
+    ("measurements.schema.json", "wifi_rssi_rspd", "float64", "float-offset"),
     ("measurements.schema.json", "classroom_cir", "complex128", "byte-count"),
+    ("measurements.schema.json", "illegal_hybrid", "complex128", "extension"),
     ("measurements.schema.json", "bems_binary", "bool", "bool-byte-2"),
     ("measurements.schema.json", "wifi_rssi_rspd", "float64", "nan"),
     ("measurements.schema.json", "classroom_cir", "complex128", "inf"),
 ])
 def test_the_reader_refuses_what_the_schema_cannot_see(name, pipeline, dtype, case,
                                                       tiny_runs, tmp_path):
-    doc = json.loads((tiny_runs / pipeline / name.replace(".schema", "")).read_text())
+    path = tiny_runs / pipeline / name.replace(".schema", "")
+    doc, raw = json.loads(path.read_text()), bytes(read_buffer(path))
     records = (doc["arrays"].values() if "arrays" in doc else
                [value for block in doc["blocks"].values() for value in block.values()
                 if isinstance(value, dict)])
     record = next(record for record in records if record["dtype"] == dtype)
-    read = _reader(name, doc, tmp_path / "artifact.json")
-    read(doc)
+    _reader(name, doc, tmp_path / "artifact.json", raw)(doc)
     corrupt, refusal = _INVISIBLE[case]
-    broken = corrupt(record)
-    assert json.dumps(broken) != json.dumps(record)  # 9.0 == 9, but not as JSON
+    broken, raw = corrupt(record, raw)
     record.update(broken)
+    doc["buffer"] = {"bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}
     assert schema_error(doc, load_schema(name)) is None
     with pytest.raises(ValueError, match=refusal):
-        read(doc)
+        _reader(name, doc, tmp_path / "artifact.json", raw)(doc)
 
 
 def test_a_refused_large_value_leaves_a_readable_message(tiny_runs, tmp_path):
     # one wrong dtype in a full-size block: the validator quotes the block whole
     doc = json.loads((tiny_runs / "classroom_cir" / "db.json").read_text())
     key, block = next((k, b) for k, b in sorted(doc["blocks"].items()) if "mean" in b)
-    block["mean"] = dict(block["mean"], dtype="float64",
-                         data=base64.b64encode(bytes(60_000)).decode("ascii"))
+    block["mean"] = dict(block["mean"], dtype="float64", shape=[1] * 30_000)
     where, message = schema_error(doc, load_schema("db.schema.json"))
     assert where == ("blocks", key) and len(message) > 80_000
     tail = "} is not valid under any of the given schemas"
     with pytest.raises(ValueError) as refused:
-        database_from_json(json.dumps(doc))
+        database_from_json(json.dumps(doc), None)
     text = str(refused.value)
     assert text.startswith(f"database blocks/{key}: {message[:100]}")
     assert text.endswith(f"{tail}; rerun learn") and " ... " in text and len(text) < 550

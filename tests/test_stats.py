@@ -174,6 +174,61 @@ def test_gaussian_stats_validation():
         GaussianStats(mean=np.array([[0j]]), cov=np.array([[[-1.0 + 0j]]]), loading=zero)
 
 
+def _eigenvalue_rule(cov) -> str | None:
+    """The refusal of the eigenvalue check ``GaussianStats`` made on every
+    stack before it tried Cholesky first, or None."""
+    diag = np.diagonal(cov, axis1=-2, axis2=-1)
+    tol = np.maximum(np.abs(np.sum(1e-12 * diag, axis=-1)), 1e-12)
+    eigmin = np.min(np.linalg.eigvalsh(cov), axis=-1)
+    if np.any(eigmin < -1e3 * tol):
+        return f"covariance has negative eigenvalue {np.min(eigmin):.3e}"
+    return None
+
+
+def _hermitian(rng, eigenvalues) -> np.ndarray:
+    """U diag(eigenvalues) U^H for a random unitary U, made exactly Hermitian."""
+    d = len(eigenvalues)
+    u, _ = np.linalg.qr(_complex_normal(rng, (d, d)))
+    cov = (u * np.asarray(eigenvalues)) @ u.conj().T
+    return (cov + cov.conj().T) / 2
+
+
+def _psd_blocks(kind: str, rng) -> np.ndarray:
+    """A (3, d, d) covariance stack of one kind."""
+    d = int(rng.integers(1, 7))
+    if kind == "definite":  # a loaded scatter, as fit_gaussian makes
+        return fit_gaussian(_complex_normal(rng, (3, d + 2, d)), 10.0 ** rng.uniform(-12, 0)).cov
+    if kind == "singular":  # fewer snapshots than lags and no loading, or no scatter at all
+        if rng.random() < 0.2:
+            return np.zeros((3, d, d), complex)
+        return fit_gaussian(_complex_normal(rng, (3, int(rng.integers(1, d + 1)), d)), 0.0).cov
+    # one eigenvalue of one matrix near the refusal bound, -1e3 tol, on either side
+    stack = np.stack([_hermitian(rng, rng.uniform(0.1, 10.0, d)) for _ in range(3)])
+    eigenvalues = rng.uniform(0.1, 10.0, d)
+    eigenvalues[0] = -1e3 * 1e-12 * eigenvalues[1:].sum() * rng.uniform(0.2, 5.0)
+    stack[int(rng.integers(3))] = _hermitian(rng, eigenvalues)
+    return stack
+
+
+@pytest.mark.parametrize("kind", ["definite", "singular", "past-tolerance"])
+def test_gaussian_stats_refuses_what_the_eigenvalue_rule_refuses(kind):
+    # Cholesky first, eigvalsh only when it fails: the same verdicts and messages
+    rng = np.random.default_rng(["definite", "singular", "past-tolerance"].index(kind))
+    refused = 0
+    for _ in range(200):
+        cov = _psd_blocks(kind, rng)
+        want = _eigenvalue_rule(cov)
+        try:
+            GaussianStats(mean=np.zeros(cov.shape[:-1], complex), cov=cov,
+                          loading=np.zeros(len(cov)))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        refused += got is not None
+    assert refused == 0 if kind != "past-tolerance" else 0 < refused < 200
+
+
 @pytest.mark.parametrize("scale", [1e300, 1e308])
 def test_gaussian_stats_checks_hold_where_the_trace_overflows(scale):
     # at 1e308 the trace, 2e308, is past the float maximum; the tolerances
