@@ -8,13 +8,14 @@ received-power Euclidean matcher as the baseline.  Evaluation is
 leave-one-out over the per-seat snapshots.
 """
 
+import itertools
 import math
 import os
 
 import numpy as np
 
 from ..database import FingerprintDatabase
-from ..features import pair_xcorr
+from ..features import xcorr_rows
 from ..matching import fingerprint_sqerr
 from ..simulate import ChannelModel, simulate_links
 from ..stats import GaussianStats, fit_gaussian, gaussian_loglik, gaussian_loo_loglik
@@ -114,22 +115,32 @@ def training_cirs(cfg: dict, out_dir: str) -> np.ndarray:
                              measurement_shapes(cfg))["cirs"]
 
 
-def extract_features(cirs: np.ndarray) -> tuple:
-    """Per-snapshot pair fingerprints and per-antenna received powers.
+def received_power(cirs: np.ndarray) -> np.ndarray:
+    """Per-antenna received power, real (seats, snapshots, antennas)."""
+    return np.sum(np.abs(cirs) ** 2, axis=-1)
 
-    Returns:
-        (xc, rssi): complex (seats, snapshots, pairs, 2*taps-1) and real
-        (seats, snapshots, antennas).
+
+def pair_features(cirs: np.ndarray):
+    """Each antenna pair's key and fingerprints, one pair at a time.
+
+    Yields ``(key, xc)`` for every pair ``(i, j)``, ``i < j``, in
+    :func:`pair_keys` order: ``xc`` is complex (..., 2*taps-1), the
+    :func:`~fingerloc.features.xcorr` of antennas i and j of every response
+    in ``cirs (..., antennas, taps)``, from one
+    :func:`~fingerloc.features.xcorr_rows` call.  A caller that finishes
+    with a pair before taking the next never holds all pairs' features.
     """
-    return pair_xcorr(cirs), np.sum(np.abs(cirs) ** 2, axis=-1)
+    taps = cirs.shape[-1]
+    for i, j in itertools.combinations(range(cirs.shape[-2]), 2):
+        yield f"xc:{i}-{j}", xcorr_rows(cirs[..., i, :], cirs[..., j, :], taps - 1)
 
 
-def build_database(cfg: dict, xc: np.ndarray, rssi: np.ndarray) -> FingerprintDatabase:
-    """Fit the per-seat Gaussian pair models and mean-power baseline vectors."""
+def build_database(cfg: dict, cirs: np.ndarray) -> FingerprintDatabase:
+    """Fit the per-seat Gaussian pair models and mean-power baseline vectors,
+    each pair's model from its own features (see :func:`pair_features`)."""
     loading = cfg["matching"]["loading_eps"]
-    blocks = {key: fit_gaussian(xc[:, :, p, :], loading)
-              for p, key in enumerate(pair_keys(len(antenna_layout(cfg))))}
-    blocks["rssi"] = rssi.mean(axis=1)
+    blocks = {key: fit_gaussian(xc, loading) for key, xc in pair_features(cirs)}
+    blocks["rssi"] = received_power(cirs).mean(axis=1)
     return FingerprintDatabase(grid=build_grid(cfg), blocks=blocks)
 
 
@@ -138,13 +149,15 @@ def model_health(db: FingerprintDatabase, keys: list) -> dict:
 
     ``loading`` is the [min, max] diagonal loading over every key and seat.
     ``gaussian_cond`` is the largest 2-norm condition number of any stored
-    covariance, from one batched ``eigvalsh``; it is None when some
+    covariance, from one batched ``eigvalsh`` per key; it is None when some
     covariance's smallest eigenvalue is not positive.
     """
     blocks = [db.block(key, GaussianStats) for key in keys]
     loading = np.concatenate([b.loading for b in blocks])
-    eig = np.linalg.eigvalsh(np.stack([b.cov for b in blocks]))
-    cond = float(np.max(eig[..., -1] / eig[..., 0])) if np.all(eig[..., 0] > 0) else None
+    # (keys, seats, 2): every covariance's smallest and largest eigenvalue
+    extremes = np.array([np.linalg.eigvalsh(b.cov)[..., [0, -1]] for b in blocks])
+    cond = (float(np.max(extremes[..., 1] / extremes[..., 0]))
+            if np.all(extremes[..., 0] > 0) else None)
     return {"loading": [float(loading.min()), float(loading.max())], "gaussian_cond": cond}
 
 
@@ -159,8 +172,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> dict:
 
 def cmd_learn(cfg: dict, out_dir: str) -> dict:
     cirs = training_cirs(cfg, out_dir)
-    xc, rssi = extract_features(cirs)
-    db = build_database(cfg, xc, rssi)
+    db = build_database(cfg, cirs)
     save_db(cfg, out_dir, db)
     keys = pair_keys(cirs.shape[2])
     log = {
@@ -173,7 +185,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
     return log
 
 
-def loo_scores(cfg: dict, xc: np.ndarray, rssi: np.ndarray, db: FingerprintDatabase) -> tuple:
+def loo_scores(cfg: dict, cirs: np.ndarray, db: FingerprintDatabase) -> tuple:
     """Leave-one-out scores of every (seat, snapshot) trial against every seat.
 
     Trials score against the learned per-seat models in ``db``, one
@@ -181,8 +193,10 @@ def loo_scores(cfg: dict, xc: np.ndarray, rssi: np.ndarray, db: FingerprintDatab
     seat instead scores it under the model fitted to that seat's other
     snapshots (and the baseline under their mean power), so a trial never
     matches against a model trained on itself.  Those held-out scores come
-    from one :func:`~fingerloc.stats.gaussian_loo_loglik` call over every
-    pair and seat, which downdates each seat's fit in closed form.
+    from one :func:`~fingerloc.stats.gaussian_loo_loglik` call per pair over
+    every seat, which downdates each seat's fit in closed form.  Each pair's
+    features are scored both ways and summed before the next pair's are
+    built (see :func:`pair_features`).
 
     Returns:
         (loglik, sqerr): (trials, seats) summed pair log-likelihoods and
@@ -191,18 +205,20 @@ def loo_scores(cfg: dict, xc: np.ndarray, rssi: np.ndarray, db: FingerprintDatab
     Raises:
         NumericError: a stored or held-out covariance is not positive definite.
     """
-    n_seats, n_snap, _, dim = xc.shape
+    n_seats, n_snap = cirs.shape[:2]
     n_trials = n_seats * n_snap
     trials = np.arange(n_trials)
     true_seat = trials // n_snap
+    loading = cfg["matching"]["loading_eps"]
 
     loglik = np.zeros((n_trials, n_seats))
-    for p, key in enumerate(pair_keys(len(antenna_layout(cfg)))):
-        loglik += gaussian_loglik(xc[:, :, p, :].reshape(n_trials, dim),
-                                  db.block(key, GaussianStats))
-    held_out = gaussian_loo_loglik(np.moveaxis(xc, 2, 0), cfg["matching"]["loading_eps"])
-    loglik[trials, true_seat] = held_out.sum(axis=0).reshape(n_trials)
+    held_out = np.zeros(n_trials)
+    for key, xc in pair_features(cirs):
+        loglik += gaussian_loglik(xc.reshape(n_trials, -1), db.block(key, GaussianStats))
+        held_out += gaussian_loo_loglik(xc, loading).reshape(n_trials)
+    loglik[trials, true_seat] = held_out
 
+    rssi = received_power(cirs)
     means = db.block("rssi", np.ndarray)  # (seats, antennas)
     sqerr = fingerprint_sqerr(rssi.reshape(n_trials, -1), means)
     fold_means = (n_snap * means[:, None, :] - rssi) / (n_snap - 1)
@@ -217,10 +233,9 @@ def evaluate_loo(cfg: dict, cirs: np.ndarray, db: FingerprintDatabase) -> tuple:
         (columns, summary): the ``trials.csv`` columns, every trial of one
         method before the next's, and the summary dict.
     """
-    xc, rssi = extract_features(cirs)
-    loglik, sqerr = loo_scores(cfg, xc, rssi, db)
+    loglik, sqerr = loo_scores(cfg, cirs, db)
     est = {"cir_mle": np.argmax(loglik, axis=1), "rssi_euclid": np.argmin(sqerr, axis=1)}
-    seat, snapshot = np.indices(xc.shape[:2]).reshape(2, -1)
+    seat, snapshot = np.indices(cirs.shape[:2]).reshape(2, -1)
     true_seat = np.tile(seat, len(est))
     chosen = np.concatenate(list(est.values()))
     pts = build_grid(cfg).xy

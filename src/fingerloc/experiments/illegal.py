@@ -32,6 +32,7 @@ from .common import (
     cdf_table,
     load_db,
     load_measurements,
+    median,
     save_db,
     save_measurements,
     write_csv,
@@ -307,23 +308,22 @@ def evaluate(cfg: dict, db: FingerprintDatabase) -> tuple:
 
     errors = {"xcorr": err[0], "phasediff": err[1]}
     hybrid_errors = dict(zip(sweep, err[2:]))
-    med = {m: float(np.median(v)) for m, v in errors.items()}
-    best_gamma = min(hybrid_errors, key=lambda g: (float(np.median(hybrid_errors[g])), g))
+    med = {m: median(v) for m, v in errors.items()}
+    hybrid_med = {g: median(v) for g, v in hybrid_errors.items()}
+    best_gamma = min(hybrid_med, key=lambda g: (hybrid_med[g], g))
     summary = {
         "trials": len(trials),
         "mean": {**{m: float(np.mean(v)) for m, v in errors.items()},
                  "hybrid": {repr(g): float(np.mean(v)) for g, v in hybrid_errors.items()}},
-        "median": {**med, "hybrid": {repr(g): float(np.median(v))
-                                     for g, v in hybrid_errors.items()}},
+        "median": {**med, "hybrid": {repr(g): v for g, v in hybrid_med.items()}},
         "cdf": {"xcorr": cdf_table(errors["xcorr"]),
                 "phasediff": cdf_table(errors["phasediff"]),
                 "hybrid_best": cdf_table(hybrid_errors[best_gamma])},
         "best_gamma": best_gamma,
-        "best_hybrid_median": float(np.median(hybrid_errors[best_gamma])),
+        "best_hybrid_median": hybrid_med[best_gamma],
         "endpoints_exact": {"xcorr": bool(np.array_equal(best[:, 2], best[:, 0])),
                             "phasediff": bool(np.array_equal(best[:, -1], best[:, 1]))},
-        "hybrid_beats_both": float(np.median(hybrid_errors[best_gamma]))
-        <= min(med.values()),
+        "hybrid_beats_both": hybrid_med[best_gamma] <= min(med.values()),
     }
     return columns, summary
 

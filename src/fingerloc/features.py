@@ -11,7 +11,6 @@ import numpy as np
 __all__ = [
     "xcorr",
     "xcorr_rows",
-    "pair_xcorr",
     "power_phase",
     "wrap_angle",
 ]
@@ -83,24 +82,6 @@ def xcorr_rows(a, b, max_lag: int) -> np.ndarray:
         else:
             out[..., tau + max_lag] = np.vecdot(b[..., -tau:], a[..., :n + tau])
     return out
-
-
-def pair_xcorr(taps) -> np.ndarray:
-    """Full cross-correlations of every antenna pair, for stacks of responses.
-
-    Args:
-        taps: (..., A, L) impulse responses of A antennas, L taps each.
-
-    Returns:
-        Complex (..., A(A-1)/2, 2L - 1): pair ``(i, j)``, ``i < j`` in
-        row-major order, equals ``xcorr(taps[..., i, :], taps[..., j, :], L - 1)``
-        bit for bit: it is one :func:`xcorr_rows` call over the pairs.
-    """
-    arr = np.asarray(taps, dtype=complex)
-    if arr.ndim < 2 or arr.shape[-2] < 2 or arr.shape[-1] == 0:
-        raise ValueError("need (..., antennas, taps) responses with at least two antennas")
-    first, second = np.triu_indices(arr.shape[-2], k=1)
-    return xcorr_rows(arr[..., first, :], arr[..., second, :], arr.shape[-1] - 1)
 
 
 def power_phase(y_i, y_j) -> tuple:

@@ -121,7 +121,8 @@ def freq_interp_xcorr(train_freqs_hz, train_fps, target_freq_hz: float) -> tuple
     """
     freqs = np.asarray(train_freqs_hz, dtype=float)
     fps = [np.asarray(fp) for fp in train_fps]
-    if freqs.ndim != 1 or len(fps) != freqs.size or np.unique(freqs).size < 2:
+    if (freqs.ndim != 1 or len(fps) != freqs.size or freqs.size < 2
+            or not freqs.min() < freqs.max()):
         raise ValueError("need one fingerprint per training frequency, "
                          "at least two distinct")
     if np.any(freqs <= 0) or not (target_freq_hz > 0):

@@ -26,8 +26,9 @@ SPEED_OF_LIGHT = 299792458.0
 # a chunk makes about six temporaries of its size, 256 KB each at this bound
 SIM_CHUNK = 1 << 14
 # rows seeded at a time by seeded_uniforms and stream_states; a chunk's
-# temporaries are a few dozen uint32/uint64 arrays of this length
-UNIFORM_CHUNK = 1 << 16
+# temporaries are a few dozen uint32/uint64 arrays of this length, about
+# 370 bytes a row, 1.5 MB a chunk
+UNIFORM_CHUNK = 1 << 12
 
 _MASK32 = 0xFFFFFFFF
 

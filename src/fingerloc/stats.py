@@ -62,7 +62,9 @@ class GaussianStats:
     """Circularly symmetric complex Gaussians, one per grid point of a block.
 
     Mean (N, d), covariance (N, d, d) and loading (N,); each ``cov`` already
-    includes the diagonal loading recorded in ``loading``.
+    includes the diagonal loading recorded in ``loading``.  Arrays handed in
+    with the stored dtype (complex ``mean`` and ``cov``, float ``loading``)
+    are kept, not copied: the model owns them and makes them read-only.
     """
 
     mean: np.ndarray
@@ -70,9 +72,9 @@ class GaussianStats:
     loading: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=complex)
-        cov = np.array(self.cov, dtype=complex)
-        loading = np.array(self.loading, dtype=float)
+        mean = np.asarray(self.mean, dtype=complex)
+        cov = np.asarray(self.cov, dtype=complex)
+        loading = np.asarray(self.loading, dtype=float)
         if mean.ndim != 2 or mean.size == 0:
             raise ValueError(f"mean must be a non-empty (N, d) block, got shape {mean.shape}")
         if cov.shape != mean.shape + mean.shape[-1:]:

@@ -75,7 +75,7 @@ from fingerloc.experiments.artifacts import validate_artifact  # noqa: E402
 from fingerloc.experiments.common import read_measurements, save_measurements  # noqa: E402
 from fingerloc.experiments.configs import parse_config  # noqa: E402
 from fingerloc.experiments.illegal import error_maps  # noqa: E402
-from fingerloc.features import pair_xcorr, wrap_angle, xcorr, xcorr_rows  # noqa: E402
+from fingerloc.features import wrap_angle, xcorr, xcorr_rows  # noqa: E402
 from fingerloc.errors import NumericError  # noqa: E402
 from fingerloc.geometry import Grid  # noqa: E402
 from fingerloc.interp import (  # noqa: E402
@@ -613,13 +613,12 @@ def test_loo_scores_equal_per_trial_fold_loop(nx, ny, snapshots, taps, elements,
                                 for p in range(len(pairs)))
             want_sq[t, s] = np.sum((power[s, k] - power[s, fold].mean(axis=0)) ** 2)
 
-    got_xc, got_power = classroom.extract_features(cirs)
-    db = classroom.build_database(cfg, got_xc, got_power)
+    db = classroom.build_database(cfg, cirs)
     for p, key in enumerate(classroom.pair_keys(n_ant)):
         block = db.block(key, GaussianStats)
         for n in range(n_seats):
             assert np.allclose(block.cov[n], seat_fits[n][p].cov[0], rtol=1e-9, atol=1e-12)
-    loglik, sqerr = classroom.loo_scores(cfg, got_xc, got_power, db)
+    loglik, sqerr = classroom.loo_scores(cfg, cirs, db)
     assert np.allclose(loglik, want_ll, rtol=1e-9, atol=1e-9)
     assert np.allclose(sqerr, want_sq, rtol=1e-9, atol=1e-12)
     columns, summary = classroom.evaluate_loo(cfg, cirs, db)
@@ -636,27 +635,28 @@ def test_loo_scores_equal_per_trial_fold_loop(nx, ny, snapshots, taps, elements,
                                                   max_side=5).filter(lambda s: s[2] >= 2),
                        elements=st.integers(-1000, 1000)),
        imag=st.integers(-1000, 1000))
-def test_pair_xcorr_equals_xcorr_per_pair_bit_for_bit_on_integer_taps(taps, imag):
+def test_pair_features_equal_xcorr_per_pair_bit_for_bit_on_integer_taps(taps, imag):
     # integer-valued taps make every product and sum exact, so any summation
     # order gives the same bits
     cirs = taps + 1j * np.roll(taps, 1) * imag
-    got = pair_xcorr(cirs)
+    got = list(classroom.pair_features(cirs))
     n_ant, n_taps = cirs.shape[-2:]
     pairs = [(i, j) for i in range(n_ant) for j in range(i + 1, n_ant)]
-    assert got.shape == cirs.shape[:-2] + (len(pairs), 2 * n_taps - 1)
-    for idx in np.ndindex(*cirs.shape[:-2]):
-        for p, (i, j) in enumerate(pairs):
+    assert [key for key, _ in got] == classroom.pair_keys(n_ant)
+    for (_, xc), (i, j) in zip(got, pairs):
+        assert xc.shape == cirs.shape[:-2] + (2 * n_taps - 1,)
+        for idx in np.ndindex(*cirs.shape[:-2]):
             want = xcorr(cirs[idx + (i,)], cirs[idx + (j,)], n_taps - 1)
-            assert got[idx + (p,)].tobytes() == want.tobytes()
+            assert xc[idx].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_pair_xcorr_equals_xcorr_per_pair_bit_for_bit_on_float_taps(seed):
+def test_pair_features_equal_xcorr_per_pair_bit_for_bit_on_float_taps(seed):
     # xcorr_rows sums each lag in np.correlate's order, so float taps, whose
     # sums round, give the same bits too
     rng = np.random.default_rng(seed)
     cirs = rng.standard_normal((50, 5, 8)) + 1j * rng.standard_normal((50, 5, 8))
-    got = pair_xcorr(cirs)
+    got = np.stack([xc for _, xc in classroom.pair_features(cirs)], axis=1)
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     want = np.stack([np.stack([xcorr(cirs[m, i], cirs[m, j], 7) for i, j in pairs])
                      for m in range(50)])

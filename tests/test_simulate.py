@@ -331,6 +331,24 @@ def test_a_benchmark_size_block_is_simulated_in_bounded_memory():
     assert peak < 3e6
 
 
+def test_a_large_block_is_seeded_in_bounded_memory():
+    """65,536 rows with two float parts.  The rows' words are built for the
+    whole block, and the hashing temporaries UNIFORM_CHUNK rows at a time:
+    the block peaked at 18.2 MB traced at 2**16 rows a chunk and 5.4 MB at
+    2**12."""
+    rows = np.arange(1 << 16)
+    xs = np.linspace(0.1, 40.0, len(rows))
+    simulate.stream_states(7, 101, rows[:10], xs[:10])  # cached constants first
+    tracemalloc.start()
+    try:
+        states = simulate.stream_states(7, 101, rows, xs, xs[::-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (len(rows), 4)
+    assert peak < 8e6
+
+
 def test_every_link_is_checked_before_the_first_chunk():
     rx = np.array([[(0.0, 0.0), (0.1, 0.0)], [(4.0, 0.0), (4.1, 0.0)]])
     # the first of the far transmitters lies in the block's third chunk

@@ -174,6 +174,19 @@ def test_gaussian_stats_validation():
         GaussianStats(mean=np.array([[0j]]), cov=np.array([[[-1.0 + 0j]]]), loading=zero)
 
 
+def test_gaussian_stats_owns_the_arrays_it_is_handed():
+    mean, cov, loading = np.zeros((2, 1), complex), np.ones((2, 1, 1), complex), np.zeros(2)
+    stats = GaussianStats(mean=mean, cov=cov, loading=loading)
+    assert stats.mean is mean and stats.cov is cov and stats.loading is loading
+    for arr in (mean, cov, loading):
+        assert not arr.flags.writeable
+    # other dtypes are converted, so the model holds its own copy
+    real = np.ones((2, 1, 1))
+    converted = GaussianStats(mean=mean, cov=real, loading=loading)
+    assert converted.cov.dtype == complex and not converted.cov.flags.writeable
+    assert real.flags.writeable
+
+
 def _eigenvalue_rule(cov) -> str | None:
     """The refusal of the eigenvalue check ``GaussianStats`` made on every
     stack before it tried Cholesky first, or None."""
