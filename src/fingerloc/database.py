@@ -7,20 +7,19 @@ the header's path with its extension replaced by ``.bin``
 bytes back to back, in the order the sorted-key header lists them.  In the
 header each array is a ``{dtype, shape, offset}`` record, and a top-level
 ``buffer`` record ``{bytes, sha256}`` describes the buffer file.
-:func:`write_arrays` writes both, :func:`read_buffer` and
-:func:`decode_arrays` read the arrays back.  Each artifact's shipped schema
-declares its whole header; a reader checks a header against it before it
-decodes a record, so :func:`decode_arrays` checks only what a schema cannot.
+:func:`write_arrays` writes both and :func:`read_arrays` reads them back.
+The header is read through :func:`~.experiments.artifacts.read_json`,
+checked by its artifact's shipped schema, so :func:`read_arrays` checks
+only what a schema cannot.
 """
 
 import hashlib
-import json
 import math
 import os
 
 import numpy as np
 
-from .experiments.artifacts import load_schema, schema_error, schema_refusal
+from .experiments.artifacts import dump_json, read_json
 from .geometry import Grid
 from .stats import GammaParams, GaussianStats, VonMisesParams
 
@@ -28,13 +27,10 @@ __all__ = [
     "FingerprintDatabase",
     "save_database",
     "load_database",
-    "database_to_json",
-    "database_from_json",
     "buffer_path",
     "encode_arrays",
     "write_arrays",
-    "read_buffer",
-    "decode_arrays",
+    "read_arrays",
 ]
 
 FORMAT_VERSION = "fingerloc-db-7"
@@ -51,10 +47,6 @@ _MODEL_BLOCKS = {
 def buffer_path(path) -> str:
     """The buffer file of the header at ``path``: its extension replaced by ``.bin``."""
     return os.path.splitext(path)[0] + ".bin"
-
-
-def _header_text(header: dict) -> str:
-    return json.dumps(header, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def encode_arrays(doc: dict) -> tuple:
@@ -106,66 +98,74 @@ def write_arrays(path, doc: dict) -> None:
         for chunk in chunks:
             fh.write(chunk)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_header_text(header))
+        fh.write(dump_json(header))
 
 
-def read_buffer(path) -> bytearray | None:
-    """The bytes of the buffer file of the header at ``path``, None when there is none."""
+def read_arrays(path, artifact: str) -> dict:
+    """The doc that :func:`write_arrays` wrote at ``path``, its arrays read back.
+
+    The header is read by :func:`~.experiments.artifacts.read_json` and
+    checked by the schema of ``artifact`` (``"db.json"`` or
+    ``"measurements.json"``), which declares known dtypes and non-negative
+    integers as shapes, offsets and the byte count.  The doc is the header
+    without its ``buffer`` record, and every array record in it (a dict
+    whose ``dtype`` is a string) replaced by its writable array, a view of
+    the buffer, copied only when unaligned or not native.
+
+    Raises ValueError "<path>: ..." unless the buffer file has the header's
+    length and sha256 and the records tile it in sorted key order: each
+    starts where the one before ends (the first at 0), as an int, every
+    shape entry is an int (the schema also counts ``4.0`` as an integer),
+    and the last ends where the buffer does.  Every bool byte must be 0 or
+    1 and every float and complex value finite.  A record is named by its
+    ``/``-joined key path.
+    """
+    doc = read_json(path, artifact)
+    stamp = doc.pop("buffer")
     try:
         with open(buffer_path(path), "rb") as fh:
             raw = bytearray(os.fstat(fh.fileno()).st_size)
             fh.readinto(raw)
     except FileNotFoundError:
-        return None
-    return raw
-
-
-def decode_arrays(raw, stamp: dict, records: dict, source: str) -> dict:
-    """``{key path: writable array}`` of the ``records`` of one buffer.
-
-    ``raw`` is the buffer (None when its file is missing), ``stamp`` the
-    header's ``buffer`` record, and ``records`` maps each array record's key
-    path in the header, a tuple, to the record, in header order.  Both have
-    passed their artifact's schema: known dtypes, and non-negative integers
-    as shapes, offsets and the byte count.  Raises ValueError unless
-    ``raw`` has the stamp's length and sha256 and the records tile it in
-    order: each starts where the one before ends (the first at 0), as an int,
-    every shape entry is an int (the schema also counts ``4.0`` as an
-    integer), and the last ends where the buffer does.  Every bool byte must
-    be 0 or 1 and every float and complex value finite.  Messages name the
-    buffer as ``"<source> buffer"`` and a record as ``"<source> <key path>"``.
-    """
-    if raw is None:
-        raise ValueError(f"{source} buffer file is missing")
+        raise ValueError(f"{path}: buffer file is missing") from None
     if len(raw) != stamp["bytes"]:
-        raise ValueError(f"{source} buffer holds {len(raw)} bytes, "
+        raise ValueError(f"{path}: buffer holds {len(raw)} bytes, "
                          f"not the {stamp['bytes']} its header says")
     if hashlib.sha256(raw).hexdigest() != stamp["sha256"]:
-        raise ValueError(f"{source} buffer does not match the sha256 its header holds")
-    arrays, end, before = {}, 0, "the buffer starts"
-    for keys, record in records.items():
-        name = f"{source} {'/'.join(map(str, keys))}"
-        dtype, shape, offset = np.dtype(record["dtype"]), record["shape"], record["offset"]
+        raise ValueError(f"{path}: buffer does not match the sha256 its header holds")
+    end, before = 0, "the buffer starts"
+
+    def decode(node, keys):
+        nonlocal end, before
+        if not isinstance(node, dict):
+            return node
+        if not isinstance(node.get("dtype"), str):
+            return {key: decode(node[key], keys + (key,)) for key in sorted(node)}
+        name = "/".join(keys)
+        dtype, shape, offset = np.dtype(node["dtype"]), node["shape"], node["offset"]
         if not all(type(n) is int for n in shape):
-            raise ValueError(f"{name} has shape {shape!r}, not a list of ints")
+            raise ValueError(f"{path}: {name} has shape {shape!r}, not a list of ints")
         if type(offset) is not int or offset != end:
-            raise ValueError(f"{name} starts at byte {offset!r}, not at byte {end}, "
+            raise ValueError(f"{path}: {name} starts at byte {offset!r}, not at byte {end}, "
                              f"where {before}")
         stored = dtype.newbyteorder("<")
         count = math.prod(shape)
         end = offset + count * stored.itemsize
         if end > len(raw):
-            raise ValueError(f"{name} ends at byte {end}, past the {len(raw)} of the buffer")
+            raise ValueError(f"{path}: {name} ends at byte {end}, "
+                             f"past the {len(raw)} of the buffer")
         if stored.kind == "b" and np.frombuffer(raw, np.uint8, count, offset).max(initial=0) > 1:
-            raise ValueError(f"{name} holds a bool byte other than 0 or 1")
-        # a view of the buffer, copied only when unaligned or not native
+            raise ValueError(f"{path}: {name} holds a bool byte other than 0 or 1")
         arr = np.require(np.frombuffer(raw, stored, count, offset), dtype, "AW").reshape(shape)
         if stored.kind in "fc" and not np.isfinite(arr).all():
-            raise ValueError(f"{name} holds non-finite values")
-        arrays[keys], before = arr, f"{name} ends"
+            raise ValueError(f"{path}: {name} holds non-finite values")
+        before = f"{name} ends"
+        return arr
+
+    doc = decode(doc, ())
     if end != len(raw):
-        raise ValueError(f"{source} buffer holds {len(raw) - end} bytes past its last array")
-    return arrays
+        raise ValueError(f"{path}: buffer holds {len(raw) - end} bytes past its last array")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -250,50 +250,24 @@ def _database_doc(db: FingerprintDatabase) -> dict:
     }
 
 
-def database_to_json(db: FingerprintDatabase) -> tuple:
-    """``(header text, buffer bytes)`` of ``db``, as :func:`save_database` writes them."""
-    header, chunks = encode_arrays(_database_doc(db))
-    return _header_text(header), b"".join(chunks)
-
-
-def database_from_json(text: str, raw) -> FingerprintDatabase:
-    """The database a :func:`database_to_json` header text and buffer hold.
-
-    ``raw`` is None when the buffer file is missing.  Raises ValueError
-    ending "; rerun learn" when the header breaks ``db.schema.json`` (a stale
-    version too) or :func:`decode_arrays` refuses the buffer.
-    """
-    doc = json.loads(text)
-    found = schema_error(doc, load_schema("db.schema.json"))
-    if found is not None:
-        keys, message = found
-        where = "/".join(map(str, keys)) or "<root>"
-        raise ValueError(f"database {schema_refusal(where, message)}; rerun learn")
-    records = {("blocks", key, field): record for key, data in doc["blocks"].items()
-               for field, record in data.items() if field != "type"}
-    try:
-        arrays = decode_arrays(raw, doc["buffer"], records, "database")
-    except ValueError as exc:
-        raise ValueError(f"{exc}; rerun learn") from None
-    blocks = {}
-    for key, data in doc["blocks"].items():
-        if data["type"] == "array":
-            blocks[key] = arrays["blocks", key, "values"]
-        else:
-            cls, fields = _MODEL_BLOCKS[data["type"]]
-            blocks[key] = cls(**{name: arrays["blocks", key, name] for name in fields})
-    g = doc["grid"]
-    grid = Grid(g["origin"], g["nx"], g["ny"], g["spacing"])
-    return FingerprintDatabase(grid=grid, blocks=blocks, config_digest=doc["config_digest"])
-
-
 def save_database(db: FingerprintDatabase, path):
     """Write ``db`` as the header at ``path`` and its buffer (see :func:`write_arrays`)."""
     write_arrays(path, _database_doc(db))
 
 
 def load_database(path) -> FingerprintDatabase:
-    """The database :func:`save_database` wrote at ``path``; see :func:`database_from_json`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return database_from_json(text, read_buffer(path))
+    """The database :func:`save_database` wrote at ``path``.
+
+    Raises ValueError when :func:`read_arrays` refuses the header (an older
+    format version too) or its buffer, or when the grid, a model class or
+    the database refuses the values.
+    """
+    doc = read_arrays(path, "db.json")
+    blocks = {}
+    for key, data in doc["blocks"].items():
+        fields = {name: arr for name, arr in data.items() if name != "type"}
+        blocks[key] = (fields["values"] if data["type"] == "array"
+                       else _MODEL_BLOCKS[data["type"]][0](**fields))
+    g = doc["grid"]
+    grid = Grid(g["origin"], g["nx"], g["ny"], g["spacing"])
+    return FingerprintDatabase(grid=grid, blocks=blocks, config_digest=doc["config_digest"])

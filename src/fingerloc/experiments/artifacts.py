@@ -1,4 +1,4 @@
-"""Schema validation for every file the experiment harness writes.
+"""Schema validation, and the JSON text, of every file the experiment harness writes.
 
 Every JSON file a verb reads back is parsed once and checked by its shipped
 schema here, through :func:`read_json`; readers add only the checks a schema
@@ -44,7 +44,7 @@ import re
 from functools import lru_cache
 from importlib import resources
 
-__all__ = ["artifact_schema_name", "load_schema", "read_json", "schema_error",
+__all__ = ["artifact_schema_name", "dump_json", "load_schema", "read_json", "schema_error",
            "schema_refusal", "validate_artifact", "validate_run_dir"]
 
 _JSON_ARTIFACTS = {
@@ -330,6 +330,12 @@ def _validate_csv(path: str, schema: dict) -> None:
                     raise ValueError(
                         f"{path}:{lineno}: column {name!r} cell {cell!r} "
                         f"is not a valid {spec['type']}")
+
+
+def dump_json(obj) -> str:
+    """The text of every JSON file the harness writes: sorted keys, no spaces,
+    no NaN or infinity, one trailing newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def read_json(path: str, artifact: str | None = None):

@@ -393,11 +393,12 @@ def cmd_lighting(cfg: dict, out_dir: str) -> dict:
     merged = read_json(summary_path) if os.path.exists(summary_path) else {}
     merged.pop("lighting", None)
     db = load_db(cfg, out_dir, cmd_learn)
-    # a track_output file is outside input, checked by its schema only; the
-    # run's own track_sets.json must come from this config's track
+    # a track_output file is outside input, checked by its schema only, and
+    # must exist; the run's own track_sets.json must come from this config's
+    # track, and without one the sets are tracked here
     outside = cfg["lighting"]["track_output"]
     sets_path = outside or os.path.join(out_dir, "track_sets.json")
-    if os.path.exists(sets_path):
+    if outside or os.path.exists(sets_path):
         occupied, cells, digest = read_track_sets(sets_path, len(db.grid))
         if not outside:
             check_digest(cfg, sets_path, digest)

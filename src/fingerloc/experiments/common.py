@@ -12,11 +12,14 @@ A run's ``measurements.json``, ``db.json`` and ``track_sets.json`` carry a
 ``config_digest`` of the config sections that produced them.  A verb reading
 one back from its out dir stops with a config error when that digest is not
 its own config's, rather than reuse an artifact of another seed or scenario.
-Each is read once and checked against its shipped schema first
-(:func:`~.artifacts.read_json`, or ``db.schema.json`` in the database
-module); the readers here check only what a schema cannot.
+Each is read once and checked against its shipped schema first, through
+:func:`~.artifacts.read_json` (by way of
+:func:`~fingerloc.database.read_arrays` for the two with a buffer); the
+readers here check only what a schema cannot.  A refused artifact stops the
+verb with a config error ending "; rerun <the verb that writes it>".
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -26,17 +29,16 @@ import numpy as np
 
 from ..database import (
     FingerprintDatabase,
-    decode_arrays,
     load_database,
-    read_buffer,
+    read_arrays,
     save_database,
     write_arrays,
 )
 from ..errors import ConfigError
 from ..geometry import Grid
-from .artifacts import read_json
+from .artifacts import dump_json
 
-__all__ = ["dump_json", "write_json", "write_csv", "median", "summarize_errors",
+__all__ = ["write_json", "write_csv", "median", "summarize_errors",
            "cdf_table", "CDF_QUANTILES", "build_grid",
            "config_digest", "check_digest", "save_measurements", "read_measurements",
            "load_measurements", "save_db", "load_db"]
@@ -55,10 +57,6 @@ _RUN_ARTIFACTS = {
     "db.json": (("pipeline", "seed", "scenario", "matching"), _EVALUATION_ONLY, "learn"),
     "track_sets.json": (("pipeline", "seed", "scenario", "matching", "tracking"), (), "track"),
 }
-
-
-def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> None:
@@ -224,34 +222,39 @@ def save_measurements(cfg: dict, out_dir: str, arrays: dict) -> None:
     })
 
 
-def read_measurements(path: str, cfg: dict, expected: dict) -> tuple:
-    """(named arrays, config digest) of a measurements file and its buffer.
-
-    Raises ConfigError ending "; rerun simulate" unless the header passes
-    ``measurements.schema.json`` and holds this pipeline's arrays in the
-    ``{name: (shape, dtype)}`` that ``expected`` says the scenario calls for,
-    and the buffer beside it holds them (see
-    :func:`~fingerloc.database.decode_arrays`).
-    """
-    needed = {name: (list(shape), np.dtype(dtype).name)
-              for name, (shape, dtype) in expected.items()}
+@contextlib.contextmanager
+def _refused_as_config_error(name: str):
+    """Turn a reader's refusal (a ValueError that is not a JSON parse error)
+    of the run artifact ``name`` into a ConfigError ending "; rerun <verb>",
+    the verb that writes it."""
     try:
-        doc = read_json(path, "measurements.json")
-        if doc["pipeline"] != cfg["pipeline"]:
-            raise ValueError(f"{path} holds {doc['pipeline']} measurements, "
-                             f"not {cfg['pipeline']} ones")
-        stored = doc["arrays"]
-        layout = {name: (record["shape"], record["dtype"]) for name, record in stored.items()}
-        if layout != needed:
-            raise ValueError(f"{path} holds the arrays (shape, dtype) {layout}, "
-                             f"the scenario needs {needed}")
-        records = {("arrays", name): record for name, record in stored.items()}
-        arrays = decode_arrays(read_buffer(path), doc["buffer"], records, f"{path}:")
+        yield
     except json.JSONDecodeError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"{exc}; rerun simulate") from None
-    return {name: arrays["arrays", name] for name in stored}, doc["config_digest"]
+        raise ConfigError(f"{exc}; rerun {_RUN_ARTIFACTS[name][2]}") from None
+
+
+def read_measurements(path: str, cfg: dict, expected: dict) -> tuple:
+    """(named arrays, config digest) of a measurements file and its buffer.
+
+    Raises ConfigError ending "; rerun simulate" unless
+    :func:`~fingerloc.database.read_arrays` reads the file as
+    ``measurements.json`` and it holds this pipeline's arrays in the
+    ``{name: (shape, dtype)}`` that ``expected`` says the scenario calls for.
+    """
+    needed = {name: (list(shape), np.dtype(dtype).name)
+              for name, (shape, dtype) in expected.items()}
+    with _refused_as_config_error("measurements.json"):
+        doc = read_arrays(path, "measurements.json")
+        if doc["pipeline"] != cfg["pipeline"]:
+            raise ValueError(f"{path} holds {doc['pipeline']} measurements, "
+                             f"not {cfg['pipeline']} ones")
+        layout = {name: (list(arr.shape), arr.dtype.name) for name, arr in doc["arrays"].items()}
+        if layout != needed:
+            raise ValueError(f"{path} holds the arrays (shape, dtype) {layout}, "
+                             f"the scenario needs {needed}")
+    return doc["arrays"], doc["config_digest"]
 
 
 def _run_artifact(cfg: dict, out_dir: str, name: str, write, read):
@@ -287,7 +290,8 @@ def save_db(cfg: dict, out_dir: str, db: FingerprintDatabase) -> None:
 
 
 def _read_db(path: str) -> tuple:
-    db = load_database(path)
+    with _refused_as_config_error("db.json"):
+        db = load_database(path)
     return db, db.config_digest
 
 

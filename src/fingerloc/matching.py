@@ -97,6 +97,10 @@ def threshold_set(values, eta: float) -> np.ndarray:
     return mask
 
 
+# elements of the (targets, N, d) difference block taken at a time
+_SQERR_CHUNK = 1 << 18
+
+
 def fingerprint_sqerr(targets, reference, *, wrap: bool = False) -> np.ndarray:
     """Squared error of real fingerprints against every row of a block.
 
@@ -106,7 +110,8 @@ def fingerprint_sqerr(targets, reference, *, wrap: bool = False) -> np.ndarray:
         wrap: the entries are angles, compared by wrapped differences.
 
     Returns:
-        (..., N): the summed squared error of every target against every row.
+        (..., N): the summed squared error of every target against every row,
+        taken over chunks of targets so no temporary grows with targets*N*d.
     """
     a = np.asarray(targets)
     b = np.asarray(reference)
@@ -114,7 +119,12 @@ def fingerprint_sqerr(targets, reference, *, wrap: bool = False) -> np.ndarray:
         raise ValueError("squared errors compare real fingerprints; take magnitudes first")
     if b.ndim != 2 or a.ndim == 0 or a.shape[-1] != b.shape[-1]:
         raise ValueError(f"dimension mismatch: targets {a.shape} vs reference {b.shape}")
-    delta = a[..., None, :] - b
-    if wrap:
-        delta = wrap_angle(delta)
-    return np.sum(np.square(delta, out=delta), axis=-1)
+    rows = a.reshape(-1, a.shape[-1])
+    out = np.empty((len(rows), len(b)), float if wrap else np.result_type(a, b))
+    step = max(1, _SQERR_CHUNK // max(1, b.size))
+    for lo in range(0, len(rows), step):
+        delta = rows[lo:lo + step, None, :] - b
+        if wrap:
+            delta = wrap_angle(delta)
+        np.sum(np.square(delta, out=delta), axis=-1, out=out[lo:lo + step])
+    return out.reshape(a.shape[:-1] + (len(b),))

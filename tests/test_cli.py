@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from fingerloc import simulate, tracking
 from fingerloc.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
-from fingerloc.database import decode_arrays, load_database, read_buffer, write_arrays
+from fingerloc.database import load_database, read_arrays, write_arrays
 from fingerloc.experiments import bems, classroom, illegal, wifi
 from fingerloc.experiments.artifacts import validate_artifact, validate_run_dir
 from fingerloc.experiments.common import (
@@ -141,11 +141,8 @@ def _poke(path, where, value, view=None) -> None:
 def _plant_measurements(tmp_path, out_dir, change=dict) -> str:
     """A copy of a run's measurements at ``tmp_path/planted.json``, its arrays
     passed through ``change`` (``{name: array}`` to the same)."""
-    path = pathlib.Path(out_dir) / "measurements.json"
-    doc = json.loads(path.read_text())
-    records = {("arrays", name): record for name, record in doc.pop("arrays").items()}
-    arrays = decode_arrays(read_buffer(path), doc.pop("buffer"), records, str(path))
-    doc["arrays"] = change({keys[1]: arr.copy() for keys, arr in arrays.items()})
+    doc = read_arrays(os.path.join(out_dir, "measurements.json"), "measurements.json")
+    doc["arrays"] = change(doc["arrays"])
     planted = tmp_path / "planted.json"
     write_arrays(planted, doc)
     return str(planted)
@@ -433,6 +430,23 @@ def test_lighting_reads_a_track_sets_file(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [row["occupied_cells"] for row in rows] == ["1", "2"]
     assert [row["true_in_candidates"] for row in rows] == ["true", "true"]
+
+
+def test_lighting_refuses_a_missing_track_sets_file(tmp_path, capsys):
+    # a named track_output is outside input: lighting does not track in its place
+    missing = tmp_path / "no_such_sets.json"
+    lighting = dict(TINY["bems_binary"]["lighting"], track_output=str(missing))
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary", lighting=lighting)
+    capsys.readouterr()
+    assert main(["lighting", "--config", cfg_path]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and str(missing) in err and "Traceback" not in err
+    assert not (pathlib.Path(out_dir) / "lighting.csv").exists()
+    # the run's own track_sets.json, when missing, is tracked in memory
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
+    assert main(["lighting", "--config", cfg_path]) == EXIT_OK
+    assert not (pathlib.Path(out_dir) / "track_sets.json").exists()
+    assert (pathlib.Path(out_dir) / "lighting.csv").exists()
 
 
 def test_track_sets_file_and_track_csv_agree_with_the_candidate_mask(tmp_path):
@@ -875,8 +889,8 @@ def test_database_in_the_version_1_layout_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("where, message", [
-    ((), "database <root>: Additional properties are not allowed ('meta' was unexpected)"),
-    (("grid",), "database grid: Additional properties are not allowed ('meta' was unexpected)"),
+    ((), "<root>: Additional properties are not allowed ('meta' was unexpected)"),
+    (("grid",), "grid: Additional properties are not allowed ('meta' was unexpected)"),
     (("blocks", "rssi:0"), "'meta': {}} is not valid under any of the given schemas"),
 ], ids=["top-level", "grid", "block"])
 def test_database_with_an_unknown_key_is_a_config_error(tmp_path, capsys, where, message):
@@ -896,9 +910,36 @@ def test_database_with_an_unknown_key_is_a_config_error(tmp_path, capsys, where,
     capsys.readouterr()
     assert main(["track", "--config", cfg_path]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"database {'/'.join(where) or '<root>'}: " in err
+    assert f"{db_path}: {'/'.join(where) or '<root>'}: " in err
     assert f"{message}; rerun learn" in err
     assert not (pathlib.Path(out_dir) / "track.csv").exists()
+
+
+@pytest.mark.parametrize("artifact, token", [("db", "NaN"), ("db", "Infinity"),
+                                              ("measurements", "NaN")])
+def test_a_non_finite_header_value_names_the_file_and_the_verb_to_rerun(tmp_path, capsys,
+                                                                        artifact, token):
+    # the parser refuses NaN and Infinity, which would pass every schema bound
+    cfg_path, out_dir = _write_config(tmp_path, "wifi_rssi_rspd")
+    for verb in ("simulate", "learn"):
+        assert main([verb, "--config", cfg_path]) == EXIT_OK
+    path = pathlib.Path(out_dir) / f"{artifact}.json"
+    text = path.read_text()
+    if artifact == "db":
+        doc = json.loads(text)
+        text = text.replace(f'"spacing":{doc["grid"]["spacing"]!r}', f'"spacing":{token}')
+    else:
+        text = text.replace('"buffer":{"bytes":', f'"buffer":{{"bytes":{token},"x":')
+    path.write_text(text)
+    # a broken map stops localize, a broken survey stops learn before it writes the map
+    verb, writer, product = (("localize", "learn", "trials.csv") if artifact == "db"
+                             else ("learn", "simulate", "db.json"))
+    (pathlib.Path(out_dir) / product).unlink(missing_ok=True)
+    capsys.readouterr()
+    assert main([verb, "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.strip() == f"config error: {path}: {token} is not a finite number; rerun {writer}"
+    assert not (pathlib.Path(out_dir) / product).exists()
 
 
 @pytest.mark.parametrize("name, key", [("bems_binary", "det:0"),

@@ -1,10 +1,12 @@
 """Likelihood maps and block matchers against brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fingerloc import matching
 from fingerloc.database import FingerprintDatabase
 from fingerloc.experiments.illegal import _best_points
 from fingerloc.features import wrap_angle
@@ -191,6 +193,43 @@ def test_fingerprint_sqerr_broadcasts_over_a_block():
                 assert got[idx + (i,)] == one[0]
     with pytest.raises(ValueError):
         fingerprint_sqerr(rows, rows[0])  # the reference is an (N, d) block
+
+
+def _sqerr_whole(targets, reference, wrap=False):
+    """``fingerprint_sqerr`` as one (..., N, d) difference block."""
+    delta = targets[..., None, :] - reference
+    if wrap:
+        delta = wrap_angle(delta)
+    return np.sum(np.square(delta, out=delta), axis=-1)
+
+
+@pytest.mark.parametrize("d, wrap", [(7, False), (15, False), (7, True)])
+def test_fingerprint_sqerr_in_row_chunks_equals_the_whole_block(monkeypatch, d, wrap):
+    rng = np.random.default_rng(47)
+    targets = 3.0 * rng.standard_normal((2, 100, d))
+    rows = 3.0 * rng.standard_normal((30, d))
+    want = _sqerr_whole(targets, rows, wrap)
+    # chunks of 37 target rows: 200 rows in 5 full chunks and a short one
+    monkeypatch.setattr(matching, "_SQERR_CHUNK", 37 * rows.size)
+    got = fingerprint_sqerr(targets, rows, wrap=wrap)
+    assert got.shape == (2, 100, 30) and got.tobytes() == want.tobytes()
+    assert fingerprint_sqerr(targets[0, 0], rows, wrap=wrap).tobytes() == want[0, 0].tobytes()
+    assert fingerprint_sqerr(targets[:, :0], rows).shape == (2, 0, 30)
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_fingerprint_sqerr_memory_does_not_grow_with_targets_times_block(wrap):
+    # the default classroom shapes: 2880 trials against 144 points, d = 7
+    rng = np.random.default_rng(48)
+    targets, rows = rng.standard_normal((2880, 7)), rng.standard_normal((144, 7))
+    tracemalloc.start()
+    try:
+        out = fingerprint_sqerr(targets, rows, wrap=wrap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole (2880, 144, 7) difference block alone is 23 MB
+    assert peak < out.nbytes + 4 * 8 * matching._SQERR_CHUNK
 
 
 def test_fingerprint_sqerr_kind_and_dim_checks():

@@ -20,7 +20,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_cli import PIPELINE_MODULES, TINY, VERBS  # noqa: E402
 
 from fingerloc.cli import EXIT_OK, main  # noqa: E402
-from fingerloc.database import database_from_json, encode_arrays, read_buffer  # noqa: E402
+from fingerloc.database import encode_arrays, load_database  # noqa: E402
 from fingerloc.experiments import artifacts, bems  # noqa: E402
 from fingerloc.experiments.artifacts import (  # noqa: E402
     load_schema,
@@ -166,7 +166,8 @@ def shipped_documents(tiny_runs, shipped_buffers):
             if fname.endswith(".json"):
                 doc = _trimmed(json.loads((root / pipeline / fname).read_text()))
                 if "buffer" in doc:
-                    doc = _repacked(doc, read_buffer(root / pipeline / fname), shipped_buffers)
+                    raw = (root / pipeline / fname).with_suffix(".bin").read_bytes()
+                    doc = _repacked(doc, raw, shipped_buffers)
                 docs[artifacts.artifact_schema_name(fname)].append(doc)
     docs["report.schema.json"].append(_trimmed(json.loads((root / "report.json").read_text())))
     return docs
@@ -320,10 +321,11 @@ def _reader(name: str, doc: dict, path, raw: bytes | None = None):
             return read(str(path))
         return run
 
-    if name == "db.schema.json":
-        return lambda mutant: database_from_json(json.dumps(mutant), raw)
-    if name == "measurements.schema.json":
+    if raw is not None:
         path.with_suffix(".bin").write_bytes(raw)
+    if name == "db.schema.json":
+        return through_file(load_database)
+    if name == "measurements.schema.json":
         cfg = parse_config(TINY[doc["pipeline"]])
         shapes = PIPELINE_MODULES[doc["pipeline"]].measurement_shapes(cfg)
         expected = {key: shapes[key] for key in doc["arrays"]}
@@ -402,7 +404,7 @@ _INVISIBLE = {
 def test_the_reader_refuses_what_the_schema_cannot_see(name, pipeline, dtype, case,
                                                       tiny_runs, tmp_path):
     path = tiny_runs / pipeline / name.replace(".schema", "")
-    doc, raw = json.loads(path.read_text()), bytes(read_buffer(path))
+    doc, raw = json.loads(path.read_text()), path.with_suffix(".bin").read_bytes()
     records = (doc["arrays"].values() if "arrays" in doc else
                [value for block in doc["blocks"].values() for value in block.values()
                 if isinstance(value, dict)])
@@ -425,17 +427,15 @@ def test_a_refused_large_value_leaves_a_readable_message(tiny_runs, tmp_path):
     where, message = schema_error(doc, load_schema("db.schema.json"))
     assert where == ("blocks", key) and len(message) > 80_000
     tail = "} is not valid under any of the given schemas"
-    with pytest.raises(ValueError) as refused:
-        database_from_json(json.dumps(doc), None)
-    text = str(refused.value)
-    assert text.startswith(f"database blocks/{key}: {message[:100]}")
-    assert text.endswith(f"{tail}; rerun learn") and " ... " in text and len(text) < 550
     path = tmp_path / "db.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError) as refused:
-        artifacts.read_json(str(path))
-    assert str(refused.value) == f"{path}: {schema_refusal(f'blocks/{key}', message)}"
-    assert str(refused.value).endswith(tail) and len(str(refused.value)) < 550 + len(str(path))
+    for read in (artifacts.read_json, load_database):
+        with pytest.raises(ValueError) as refused:
+            read(str(path))
+        text = str(refused.value)
+        assert text == f"{path}: {schema_refusal(f'blocks/{key}', message)}"
+        assert text.startswith(f"{path}: blocks/{key}: {message[:100]}")
+        assert text.endswith(tail) and " ... " in text and len(text) < 550 + len(str(path))
     # a config value too
     raw = copy.deepcopy(TINY["wifi_rssi_rspd"])
     raw["scenario"]["sensors"] = "x" * 5000
@@ -454,11 +454,10 @@ def test_a_refused_large_value_leaves_a_readable_message(tiny_runs, tmp_path):
 # ---------------------------------------------------------------------------
 
 # (module, function) of every place allowed to parse JSON: the schema-checked
-# reader, the schema loader, the database reader (it checks db.schema.json),
-# the config loader (it checks the pipeline schemas) and the sweep values
+# reader, the schema loader, the config loader (it checks the pipeline
+# schemas) and the sweep values
 _JSON_PARSERS = [
     ("cli.py", "parse_sweep"),
-    ("database.py", "database_from_json"),
     ("experiments/artifacts.py", "load_schema"),
     ("experiments/artifacts.py", "read_json"),
     ("experiments/configs.py", "load_config"),
