@@ -113,8 +113,9 @@ def read_arrays(path, artifact: str) -> dict:
     the buffer, copied only when unaligned or not native.
 
     Raises ValueError "<path>: ..." unless the buffer file has the header's
-    length and sha256 and the records tile it in sorted key order: each
-    starts where the one before ends (the first at 0), as an int, every
+    length and sha256 and the records tile it in the order the header lists
+    them (:func:`write_arrays` sorts the keys): each starts where the one
+    before ends (the first at 0), as an int, every
     shape entry is an int (the schema also counts ``4.0`` as an integer),
     and the last ends where the buffer does.  Every bool byte must be 0 or
     1 and every float and complex value finite.  A record is named by its
@@ -140,7 +141,7 @@ def read_arrays(path, artifact: str) -> dict:
         if not isinstance(node, dict):
             return node
         if not isinstance(node.get("dtype"), str):
-            return {key: decode(node[key], keys + (key,)) for key in sorted(node)}
+            return {key: decode(value, keys + (key,)) for key, value in node.items()}
         name = "/".join(keys)
         dtype, shape, offset = np.dtype(node["dtype"]), node["shape"], node["offset"]
         if not all(type(n) is int for n in shape):

@@ -4,6 +4,7 @@ import numpy as np
 
 from .features import wrap_angle
 from .stats import (
+    _CROSS_CHUNK,
     GammaParams,
     VonMisesParams,
     gamma_logpdf,
@@ -97,10 +98,6 @@ def threshold_set(values, eta: float) -> np.ndarray:
     return mask
 
 
-# elements of the (targets, N, d) difference block taken at a time
-_SQERR_CHUNK = 1 << 18
-
-
 def fingerprint_sqerr(targets, reference, *, wrap: bool = False) -> np.ndarray:
     """Squared error of real fingerprints against every row of a block.
 
@@ -121,7 +118,7 @@ def fingerprint_sqerr(targets, reference, *, wrap: bool = False) -> np.ndarray:
         raise ValueError(f"dimension mismatch: targets {a.shape} vs reference {b.shape}")
     rows = a.reshape(-1, a.shape[-1])
     out = np.empty((len(rows), len(b)), float if wrap else np.result_type(a, b))
-    step = max(1, _SQERR_CHUNK // max(1, b.size))
+    step = max(1, _CROSS_CHUNK // max(1, b.size))
     for lo in range(0, len(rows), step):
         delta = rows[lo:lo + step, None, :] - b
         if wrap:

@@ -204,7 +204,8 @@ def _factors(cov: np.ndarray) -> bool:
     return True
 
 
-# complex elements of the (rows, N, d) whitened block scored at a time
+# elements of a (rows, N, d) temporary built at a time: the whitened block
+# here, the difference block in matching.fingerprint_sqerr
 _CROSS_CHUNK = 1 << 18
 
 

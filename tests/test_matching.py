@@ -210,7 +210,7 @@ def test_fingerprint_sqerr_in_row_chunks_equals_the_whole_block(monkeypatch, d, 
     rows = 3.0 * rng.standard_normal((30, d))
     want = _sqerr_whole(targets, rows, wrap)
     # chunks of 37 target rows: 200 rows in 5 full chunks and a short one
-    monkeypatch.setattr(matching, "_SQERR_CHUNK", 37 * rows.size)
+    monkeypatch.setattr(matching, "_CROSS_CHUNK", 37 * rows.size)
     got = fingerprint_sqerr(targets, rows, wrap=wrap)
     assert got.shape == (2, 100, 30) and got.tobytes() == want.tobytes()
     assert fingerprint_sqerr(targets[0, 0], rows, wrap=wrap).tobytes() == want[0, 0].tobytes()
@@ -229,7 +229,7 @@ def test_fingerprint_sqerr_memory_does_not_grow_with_targets_times_block(wrap):
     finally:
         tracemalloc.stop()
     # the whole (2880, 144, 7) difference block alone is 23 MB
-    assert peak < out.nbytes + 4 * 8 * matching._SQERR_CHUNK
+    assert peak < out.nbytes + 4 * 8 * matching._CROSS_CHUNK
 
 
 def test_fingerprint_sqerr_kind_and_dim_checks():
