@@ -259,16 +259,19 @@ def save_database(db: FingerprintDatabase, path):
 def load_database(path) -> FingerprintDatabase:
     """The database :func:`save_database` wrote at ``path``.
 
-    Raises ValueError when :func:`read_arrays` refuses the header (an older
-    format version too) or its buffer, or when the grid, a model class or
-    the database refuses the values.
+    Raises ValueError naming ``path`` when :func:`read_arrays` refuses the
+    header (an older format version too) or its buffer, or when the grid, a
+    model class or the database refuses the values.
     """
     doc = read_arrays(path, "db.json")
-    blocks = {}
-    for key, data in doc["blocks"].items():
-        fields = {name: arr for name, arr in data.items() if name != "type"}
-        blocks[key] = (fields["values"] if data["type"] == "array"
-                       else _MODEL_BLOCKS[data["type"]][0](**fields))
-    g = doc["grid"]
-    grid = Grid(g["origin"], g["nx"], g["ny"], g["spacing"])
-    return FingerprintDatabase(grid=grid, blocks=blocks, config_digest=doc["config_digest"])
+    try:
+        blocks = {}
+        for key, data in doc["blocks"].items():
+            fields = {name: arr for name, arr in data.items() if name != "type"}
+            blocks[key] = (fields["values"] if data["type"] == "array"
+                           else _MODEL_BLOCKS[data["type"]][0](**fields))
+        g = doc["grid"]
+        grid = Grid(g["origin"], g["nx"], g["ny"], g["spacing"])
+        return FingerprintDatabase(grid=grid, blocks=blocks, config_digest=doc["config_digest"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

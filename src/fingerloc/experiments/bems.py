@@ -22,6 +22,7 @@ from ..stats import learn_detection_map
 from ..tracking import grid_bayes_step, transition_matrix
 from .artifacts import read_json
 from .common import (
+    _refused_as_config_error,
     build_grid,
     cdf_table,
     check_digest,
@@ -373,14 +374,14 @@ def read_track_sets(path: str, n_cells: int) -> tuple:
     data = read_json(path, "track_sets.json")
     sets, cells = data["candidate_sets"], data["true_cells"]
     if len(sets) != len(cells):
-        raise ConfigError(f"{path} holds {len(sets)} candidate sets "
-                          f"but {len(cells)} true cells")
+        raise ValueError(f"{path} holds {len(sets)} candidate sets "
+                         f"but {len(cells)} true cells")
     # the schema counts 1.0 as an integer, but a cell indexes the mask
     for kind, named in (("true", cells), ("candidate", [c for cand in sets for c in cand])):
         if not all(type(cell) is int for cell in named):
-            raise ConfigError(f"{path} names a {kind} cell that is not an int")
+            raise ValueError(f"{path} names a {kind} cell that is not an int")
         if any(cell >= n_cells for cell in named):
-            raise ConfigError(f"{path} names a {kind} cell outside the {n_cells}-cell grid")
+            raise ValueError(f"{path} names a {kind} cell outside the {n_cells}-cell grid")
     occupied = np.zeros((len(sets), n_cells), dtype=bool)
     for t, cand in enumerate(sets):
         occupied[t, cand] = True
@@ -399,7 +400,8 @@ def cmd_lighting(cfg: dict, out_dir: str) -> dict:
     outside = cfg["lighting"]["track_output"]
     sets_path = outside or os.path.join(out_dir, "track_sets.json")
     if outside or os.path.exists(sets_path):
-        occupied, cells, digest = read_track_sets(sets_path, len(db.grid))
+        with _refused_as_config_error("track_sets.json"):
+            occupied, cells, digest = read_track_sets(sets_path, len(db.grid))
         if not outside:
             check_digest(cfg, sets_path, digest)
     else:

@@ -100,12 +100,10 @@ def simulate_measurements(cfg: dict) -> dict:
     setup = {"model": ChannelModel(seed=cfg["seed"], **scn["channel"]),
              "freq_hz": scn["freq_hz"], "bandwidth_hz": scn["bandwidth_hz"],
              "tap_count": taps, "snr_db": scn["snr_db"]}
-    seat_ids, snapshots = np.indices((len(grid), n_snap)).reshape(2, -1)
+    ids = np.indices((len(grid), n_snap)).reshape(2, -1).T  # (seat, snapshot) per measurement
     seats = np.repeat(grid.xy, n_snap, axis=0)
-    noise = (cfg["seed"], _TAG_CIR_NOISE, seat_ids[:, None], snapshots[:, None],
-             np.arange(len(antennas)))
     out = np.empty((len(seats), len(antennas), taps), dtype=complex)
-    for sl, y in simulate_links(seats, antennas, snapshots, noise, **setup):
+    for sl, y in simulate_links(seats, antennas, ids, _TAG_CIR_NOISE, **setup):
         out[sl] = y
     return {"cirs": out.reshape(len(grid), n_snap, len(antennas), taps)}
 

@@ -107,15 +107,14 @@ def _element_pairs(n: int) -> tuple:
 
 
 def measure_fingerprints(cfg: dict, tx_xy: np.ndarray, freq_hz: float, pulse: tuple,
-                         snapshots, tags: tuple, ids: np.ndarray, power_scale: float) -> tuple:
+                         tags: tuple, ids: np.ndarray, power_scale: float) -> tuple:
     """Raw fingerprints of a block of measurements.
 
-    Measurement m transmits from ``tx_xy[m]`` in snapshot ``snapshots[m]``;
-    one bit stream, (seed, ``tags[0]``, ``*ids[m]``), reaches every element.
-    Per-element noise is drawn from the stream (seed, ``tags[1]``,
-    ``*ids[m]``, sensor, element), at the configured SNR relative to that
-    element's own clean signal power, so scaling the transmit power
-    rescales the buffers without reshaping them.
+    Measurement m transmits from ``tx_xy[m]``; ``ids`` and the (bits, noise)
+    ``tags`` key its streams as :func:`simulate_links` takes them.  Noise is
+    at the configured SNR relative to each element's own clean signal
+    power, so scaling the transmit power rescales the buffers without
+    reshaping them.
 
     Returns:
         ``xcorr`` complex (measurements, xcorr keys, 2 * taps - 1): each
@@ -135,11 +134,8 @@ def measure_fingerprints(cfg: dict, tx_xy: np.ndarray, freq_hz: float, pulse: tu
                                                  for si, a, b in _xcorr_pairs(cfg)]))
     xc = np.empty((len(tx_xy), len(first), 2 * max_lag + 1), dtype=complex)
     ph = np.empty((len(tx_xy), n_sensors, len(_element_pairs(n))))
-    cols = ids.T
-    noise = (cfg["seed"], tags[1], *cols[..., None, None], np.arange(n_sensors)[:, None],
-             np.arange(n))
-    for sl, y in simulate_links(tx_xy, sensor_elements(cfg), snapshots, noise,
-                                bits_parts=(cfg["seed"], tags[0], *cols), **setup):
+    for sl, y in simulate_links(tx_xy, sensor_elements(cfg), ids, tags[1], bits_tag=tags[0],
+                                **setup):
         flat = y.reshape(len(y), n_sensors * n, -1)
         xc[sl] = xcorr_rows(flat[:, first], flat[:, second], max_lag) / y.shape[-1]
         for p, (a, b) in enumerate(_element_pairs(n)):
@@ -165,12 +161,12 @@ def simulate_measurements(cfg: dict) -> dict:
     scn = cfg["scenario"]
     grid = build_grid(cfg)
     n_snap = scn["train_snapshots"]
-    point_ids, snapshots = np.indices((len(grid), n_snap)).reshape(2, -1)
+    point_snap = np.indices((len(grid), n_snap)).reshape(2, -1)
     points = np.repeat(grid.xy, n_snap, axis=0)
     xc, ph = [], []
     for fi, freq in enumerate(scn["train_freqs_hz"]):
-        ids = np.stack([np.full(len(points), fi), point_ids, snapshots], axis=1)
-        x, p = measure_fingerprints(cfg, points, freq, (1.0,), snapshots,
+        ids = np.stack([np.full(len(points), fi), *point_snap], axis=1)
+        x, p = measure_fingerprints(cfg, points, freq, (1.0,),
                                     (_TAG_TRAIN_BITS, _TAG_TRAIN_NOISE), ids, 1.0)
         xc.append(x.reshape((len(grid), n_snap) + x.shape[1:]))
         ph.append(p.reshape((len(grid), n_snap) + p.shape[1:]))
@@ -245,10 +241,8 @@ def trial_fingerprints(cfg: dict, trials: np.ndarray) -> tuple:
     # occupies |f| < B/2 of the fs/2 Nyquist band, so the cutoff is B / fs.
     ratio = t_bw / scn["sample_rate_hz"]
     pulse = tuple(windowed_sinc_lowpass(ratio, scn["pulse_taps"]))
-    steps = np.arange(len(trials))
-    xc, ph = measure_fingerprints(cfg, trials, t_freq, pulse, steps,
-                                  (_TAG_TRIAL_BITS, _TAG_TRIAL_NOISE), steps[:, None],
-                                  scn["target"]["tx_power_scale"])
+    xc, ph = measure_fingerprints(cfg, trials, t_freq, pulse, (_TAG_TRIAL_BITS, _TAG_TRIAL_NOISE),
+                                  np.arange(len(trials))[:, None], scn["target"]["tx_power_scale"])
     return normalize_power(xc), ph
 
 

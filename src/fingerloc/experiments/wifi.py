@@ -88,29 +88,21 @@ def sensor_antennas(cfg: dict) -> np.ndarray:
                      for sx, sy in cfg["scenario"]["sensors"]], dtype=float)
 
 
-def measure_features(cfg: dict, tx_xy: np.ndarray, snapshots, tags: tuple,
-                     ids: np.ndarray) -> np.ndarray:
+def measure_features(cfg: dict, tx_xy: np.ndarray, tags: tuple, ids: np.ndarray) -> np.ndarray:
     """Measurements in blocks: (rssi, rspd) per sensor, shape (measurements, sensors, 2).
 
-    Measurement m transmits from ``tx_xy[m]`` in snapshot ``snapshots[m]``.
-    All its antennas hear the bits of the stream (seed, ``tags[0]``,
-    ``*ids[m]``); receiver noise is drawn per antenna, from the stream (seed,
-    ``tags[1]``, ``*ids[m]``, sensor, antenna), at the configured SNR
-    relative to that antenna's clean signal power.
+    Measurement m transmits from ``tx_xy[m]``; ``ids`` and the (bits, noise)
+    ``tags`` key its streams as :func:`simulate_links` takes them.  Noise is
+    at the configured SNR relative to each antenna's clean signal power.
     """
     scn = cfg["scenario"]
     antennas = sensor_antennas(cfg)
-    n_sensors = antennas.shape[0]
     setup = {"model": ChannelModel(seed=cfg["seed"], **scn["channel"]),
              "freq_hz": scn["freq_hz"], "bandwidth_hz": scn["bandwidth_hz"],
              "tap_count": scn["tap_count"], "snr_db": scn["snr_db"],
              "tx_spec": TxSignalSpec(length=scn["bits"])}
-    cols = ids.T
-    noise = (cfg["seed"], tags[1], *cols[..., None, None], np.arange(n_sensors)[:, None],
-             np.arange(2))
-    out = np.empty((len(tx_xy), n_sensors, 2))
-    for sl, y in simulate_links(tx_xy, antennas, snapshots, noise,
-                                bits_parts=(cfg["seed"], tags[0], *cols), **setup):
+    out = np.empty((len(tx_xy), len(antennas), 2))
+    for sl, y in simulate_links(tx_xy, antennas, ids, tags[1], bits_tag=tags[0], **setup):
         out[sl, :, 0], out[sl, :, 1] = power_phase(y[:, :, 0], y[:, :, 1])
     return out
 
@@ -127,7 +119,7 @@ def simulate_measurements(cfg: dict) -> dict:
     grid = build_grid(cfg)
     n_snap = scn["train_snapshots"]
     ids = np.indices((len(grid), n_snap)).reshape(2, -1).T  # (point, snapshot) per measurement
-    feats = measure_features(cfg, np.repeat(grid.xy, n_snap, axis=0), ids[:, 1],
+    feats = measure_features(cfg, np.repeat(grid.xy, n_snap, axis=0),
                              (_TAG_TRAIN_BITS, _TAG_TRAIN_NOISE), ids)
     return {"features": feats.reshape(len(grid), n_snap, len(scn["sensors"]), 2)}
 
@@ -167,9 +159,8 @@ def generate_walk(cfg: dict) -> np.ndarray:
 
 def walk_features(cfg: dict, path: np.ndarray) -> np.ndarray:
     """(rssi, rspd) per sensor measured at walk positions 1..T, shape (T, sensors, 2)."""
-    steps = np.arange(1, len(path))
-    return measure_features(cfg, path[1:], steps, (_TAG_WALK_BITS, _TAG_WALK_NOISE),
-                            steps[:, None])
+    return measure_features(cfg, path[1:], (_TAG_WALK_BITS, _TAG_WALK_NOISE),
+                            np.arange(1, len(path))[:, None])
 
 
 def evaluate_walk(cfg: dict, db: FingerprintDatabase, with_pf: bool) -> tuple:

@@ -224,14 +224,6 @@ def seeded_streams(*parts):
     return _streams(stream_states(*parts))
 
 
-def _block_states(parts: tuple, shape: tuple, what: str) -> np.ndarray:
-    """:func:`stream_states` of a block whose rows have ``shape``."""
-    got = np.broadcast_shapes(*(np.shape(p) for p in parts))
-    if got != tuple(shape):
-        raise ValueError(f"{what} stream parts broadcast to {got}, not to the block's rows {shape}")
-    return stream_states(*parts)
-
-
 def _checked_states(states, n_rows: int, what: str) -> np.ndarray:
     """``states`` if it holds one :func:`stream_states` row for each of ``n_rows``."""
     if not (isinstance(states, np.ndarray) and states.dtype == np.uint64
@@ -248,7 +240,8 @@ class ChannelModel:
     ``path_count`` counts all propagation paths including line of sight.
     ``rician_k_db`` may be ``+inf`` for a pure line-of-sight channel.
     ``reference_loss_db`` is the loss at 1 m; received power falls off as
-    ``distance ** -pathloss_exponent`` from there.
+    ``distance ** -pathloss_exponent`` from there.  ``seed`` seeds every
+    stream of a link, as :func:`simulate_links` says.
     """
 
     path_count: int = 6
@@ -334,9 +327,9 @@ def gen_cir(tx_xy, rx_xy, freq_hz: float, bandwidth_hz: float, model: ChannelMod
     bandwidth.  Total tap power equals the closed-form pathloss exactly; the
     Rician K factor splits it between the line-of-sight tap and exponentially
     decaying multipath taps on the following delay bins.  Multipath gains are
-    drawn from the link's own stream, ``states[i]``: callers seed it from
-    (model seed, snapshot, tx x, tx y, rx x, rx y, frequency), so each
-    snapshot redraws them and a link gives the same taps in any block.
+    drawn from the link's own stream, ``states[i]``, seeded as
+    :func:`simulate_links` says: each snapshot redraws them and a link gives
+    the same taps in any block.
 
     Args:
         tx_xy: transmitter positions, (links, 2) or one (2,) for every link.
@@ -454,18 +447,26 @@ def add_receiver_noise(clean, snr_db: float, states) -> np.ndarray:
     return (rows + noise).reshape(clean.shape)
 
 
-def simulate_links(tx_xy, rx_xy, snapshots, noise_parts: tuple, *, model: ChannelModel,
+def simulate_links(tx_xy, rx_xy, ids, noise_tag: int, *, model: ChannelModel,
                    freq_hz: float, bandwidth_hz: float, tap_count: int, snr_db: float,
-                   tx_spec: TxSignalSpec | None = None, bits_parts: tuple = (),
+                   tx_spec: TxSignalSpec | None = None, bits_tag: int | None = None,
                    amplitude: float = 1.0):
     """Noisy measurements of every (measurement, receiver) link of a block, in chunks.
 
-    Measurement m transmits from ``tx_xy[m]`` in snapshot ``snapshots[m]``
-    and every receiver in ``rx_xy`` hears it.  The chain per link is
-    :func:`gen_cir`, scaled by the transmit ``amplitude``; then, given a
-    ``tx_spec``, :func:`synthesize_rx` with the measurement's bits; then
+    Measurement m transmits from ``tx_xy[m]`` and every receiver in
+    ``rx_xy`` hears it.  The chain per link is :func:`gen_cir`, scaled by
+    the transmit ``amplitude``; then, given a ``tx_spec``,
+    :func:`synthesize_rx` with the measurement's bits; then
     :func:`add_receiver_noise`.  Without a ``tx_spec`` the receiver measures
     the channel response itself.
+
+    Row ``ids[m]`` keys measurement m's streams; its last entry is the
+    snapshot.  With ``s = model.seed``, receiver r (its index tuple over the
+    receivers' leading axes) draws noise from ``(s, noise_tag, *ids[m],
+    *r)``, all receivers hear the bits of ``(s, bits_tag, *ids[m])``, and
+    each link draws multipath gains from ``(s, ids[m, -1], tx x, tx y, rx
+    x, rx y, freq_hz)``.  The stream of a row is
+    ``np.random.default_rng(derive_seed(*row))``.
 
     Before this returns, every link of the block is checked and each kind of
     stream (channel, bits, noise) is seeded for the whole block in one
@@ -477,11 +478,9 @@ def simulate_links(tx_xy, rx_xy, snapshots, noise_parts: tuple, *, model: Channe
     Args:
         tx_xy: (measurements, 2) transmitter positions.
         rx_xy: (receivers..., 2) receiver positions, any leading shape.
-        snapshots: (measurements,) snapshot indices.
-        noise_parts: stream parts (see :func:`seeded_streams`) that broadcast
-            to (measurements, receivers...).
-        bits_parts: stream parts that broadcast to (measurements,), needed
-            with ``tx_spec``.
+        ids: (measurements, k >= 1) integers in ``[0, 2**32)``.
+        noise_tag, bits_tag: the noise and bits streams' tags; ``bits_tag``
+            is given exactly when ``tx_spec`` is.
 
     Returns:
         An iterator of ``(slice, samples)`` over the measurements in order:
@@ -489,15 +488,25 @@ def simulate_links(tx_xy, rx_xy, snapshots, noise_parts: tuple, *, model: Channe
         receivers..., samples).
 
     Raises:
-        ValueError: for stream parts of another shape, or naming the
-            measurement and receiver index of the block's first link whose
-            positions coincide or whose delays do not fit in ``tap_count``
-            taps.
+        ValueError: for other ``ids`` or a ``bits_tag`` without ``tx_spec``
+            or the reverse; or naming the measurement and receiver index of
+            the block's first link whose positions coincide or whose delays
+            do not fit in ``tap_count`` taps.
     """
     tx_xy = np.asarray(tx_xy, dtype=float).reshape(-1, 2)
     rx_shape = np.shape(rx_xy)[:-1]
     rx_xy = np.asarray(rx_xy, dtype=float).reshape(-1, 2)
     n_meas, n_rx = tx_xy.shape[0], rx_xy.shape[0]
+    ids = np.asarray(ids)
+    if ids.ndim != 2 or ids.shape[0] != n_meas or ids.shape[1] == 0:
+        raise ValueError(f"ids must be a ({n_meas}, k >= 1) array, one row per transmitter, "
+                         f"got shape {ids.shape}")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"ids must be integers, got {ids.dtype}")
+    if ids.size and (ids.min() < 0 or ids.max() > _MASK32):
+        raise ValueError(f"ids must lie in [0, 2**32), got {ids.min()} to {ids.max()}")
+    if (tx_spec is None) != (bits_tag is None):
+        raise ValueError("bits_tag names the bits stream: give it exactly when tx_spec is given")
     link_tx, link_rx = np.repeat(tx_xy, n_rx, axis=0), np.tile(rx_xy, (n_meas, 1))
 
     def name(link: int) -> str:
@@ -508,10 +517,12 @@ def simulate_links(tx_xy, rx_xy, snapshots, noise_parts: tuple, *, model: Channe
     _link_geometry(link_tx, link_rx, freq_hz, bandwidth_hz, model, tap_count, name)
     channel = None
     if model.multipath:
-        channel = stream_states(model.seed, np.repeat(np.asarray(snapshots, dtype=int), n_rx),
+        channel = stream_states(model.seed, np.repeat(ids[:, -1], n_rx),
                                 *link_tx.T, *link_rx.T, float(freq_hz))
-    bits = None if tx_spec is None else _block_states(bits_parts, (n_meas,), "bits")
-    noise = _block_states(noise_parts, (n_meas, *rx_shape), "noise")
+    bits = None if tx_spec is None else stream_states(model.seed, bits_tag, *ids.T)
+    # ids columns over the measurement axis, receiver indices over the receivers' axes
+    id_cols = ids.T.reshape(ids.shape[1], n_meas, *[1] * len(rx_shape))
+    noise = stream_states(model.seed, noise_tag, *id_cols, *np.ix_(*map(np.arange, rx_shape)))
     n_out = tap_count if tx_spec is None else tx_spec.length + len(tx_spec.pulse) + tap_count - 2
 
     def samples(sl: slice) -> np.ndarray:

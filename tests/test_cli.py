@@ -493,6 +493,22 @@ def test_lighting_refuses_the_candidate_sets_of_another_walk(tmp_path, capsys):
     assert len((pathlib.Path(out_dir) / "lighting.csv").read_text().splitlines()) == 1 + 9
 
 
+def test_lighting_refuses_a_malformed_track_sets_file_of_its_run(tmp_path, capsys):
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
+    for verb in ("simulate", "learn", "track"):
+        assert main([verb, "--config", cfg_path]) == EXIT_OK
+    path = pathlib.Path(out_dir) / "track_sets.json"
+    doc = json.loads(path.read_text())
+    assert len(doc["candidate_sets"]) == len(doc["true_cells"]) == 6
+    doc["candidate_sets"] = doc["candidate_sets"][:5]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["lighting", "--config", cfg_path]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == (
+        f"config error: {path} holds 5 candidate sets but 6 true cells; rerun track")
+    assert not (pathlib.Path(out_dir) / "lighting.csv").exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"candidate_sets": [[0], [1, 2], [4]], "true_cells": [0, 1]},  # one true cell short
     {"candidate_sets": [[0], [1]], "true_cells": [0, 9]},  # true cell off the 3x3 grid
@@ -970,6 +986,21 @@ def test_database_with_a_certain_detection_probability_is_a_config_error(tmp_pat
     assert err.startswith("config error:") and "strictly inside (0, 1)" in err
     assert "Traceback" not in err
     assert not (pathlib.Path(out_dir) / "track.csv").exists()
+
+
+def test_database_refusing_its_grid_names_the_file(tmp_path, capsys):
+    # a schema-valid grid the blocks do not cover: the database refuses it, not the reader
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    path = pathlib.Path(out_dir) / "db.json"
+    doc = json.loads(path.read_text())
+    doc["grid"]["nx"] = 4
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["localize", "--config", cfg_path]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == (
+        f"config error: {path}: block 'det:0' covers 9 points, the grid has 12; rerun learn")
+    assert not (pathlib.Path(out_dir) / "trials.csv").exists()
 
 
 def _record_change(change):

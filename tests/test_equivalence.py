@@ -269,7 +269,8 @@ def _ref_link(tx, rx, snapshot, noise_seed, bits_seed, model, freq_hz, bandwidth
 
 
 @settings(max_examples=80, deadline=None)
-@given(n_tx=st.integers(1, 4), n_rx=st.integers(1, 4), path_count=st.integers(1, 7),
+@given(n_tx=st.integers(1, 4), n_rx=st.integers(1, 4), n_el=st.integers(1, 3),
+       path_count=st.integers(1, 7),
        extra_taps=st.integers(0, 3), k_db=st.sampled_from([-3.0, 6.0, 12.0, math.inf]),
        delay_spread=st.sampled_from([0.0, 5e-8, 2e-7]),
        bandwidth=st.sampled_from([3.6e6, 1e7, 2e7, 1e8]),
@@ -277,39 +278,46 @@ def _ref_link(tx, rx, snapshot, noise_seed, bits_seed, model, freq_hz, bandwidth
        bits=st.integers(1, 40), amplitude=st.sampled_from([1.0, 0.3, 2.5]),
        seed=st.integers(0, 2 ** 32 - 1),
        zeros=st.tuples(*[st.sampled_from([0.0, -0.0])] * 3))
-@example(n_tx=2, n_rx=2, path_count=4, extra_taps=1, k_db=6.0, delay_spread=5e-8,
+@example(n_tx=2, n_rx=2, n_el=2, path_count=4, extra_taps=1, k_db=6.0, delay_spread=5e-8,
          bandwidth=2e7, pulse=[1.0, 0.5], bits=8, amplitude=1.0, seed=3,
          zeros=(-0.0, 0.0, -0.0))
 def test_block_links_equal_the_per_link_chain_bit_for_bit(
-        n_tx, n_rx, path_count, extra_taps, k_db, delay_spread, bandwidth, pulse, bits,
+        n_tx, n_rx, n_el, path_count, extra_taps, k_db, delay_spread, bandwidth, pulse, bits,
         amplitude, seed, zeros):
+    """Receivers in one leading axis, then the same receivers in two, as
+    (sensors, elements): receiver r of measurement m draws noise from the
+    stream (model seed, 2, *ids[m], *r) and the measurement's bits from
+    (model seed, 1, *ids[m])."""
     rng = np.random.default_rng(seed)
-    tx, rx = rng.uniform(-30.0, 30.0, (n_tx, 2)), rng.uniform(-30.0, 30.0, (n_rx, 2))
+    tx, rx = rng.uniform(-30.0, 30.0, (n_tx, 2)), rng.uniform(-30.0, 30.0, (n_rx, n_el, 2))
     # signed zero coordinates, as at a grid origin: +0.0 is one entropy word, -0.0 two
     tx[0] = zeros[:2]
-    rx[-1, 0] = zeros[2]
+    rx[-1, -1, 0] = zeros[2]
     freq, snr_db = float(rng.uniform(1e8, 6e9)), float(rng.uniform(-10.0, 40.0))
     tx_pos, rx_pos = tx.tolist(), rx.tolist()
-    dists = [math.hypot(a[0] - b[0], a[1] - b[1]) for a in tx_pos for b in rx_pos]
+    dists = [math.hypot(a[0] - b[0], a[1] - b[1]) for a in tx_pos for row in rx_pos
+             for b in row]
     assume(min(dists) > 0.0)
     model = ChannelModel(path_count=path_count, delay_spread_s=delay_spread,
                          rician_k_db=k_db, seed=seed % 1000)
     tap_count = (max(int(round(d / SPEED_OF_LIGHT * bandwidth)) for d in dists)
                  + path_count + extra_taps)
     spec = None if pulse is None else TxSignalSpec(length=bits, pulse=tuple(pulse))
-    snapshots = [(seed + m) % 50 for m in range(len(tx))]
-    chunks = simulate_links(tx, rx, snapshots, (seed, 2, np.arange(len(tx))[:, None],
-                                                np.arange(len(rx))),
-                            model=model, freq_hz=freq, bandwidth_hz=bandwidth,
-                            tap_count=tap_count, snr_db=snr_db, tx_spec=spec,
-                            bits_parts=(seed, 1, np.arange(len(tx))), amplitude=amplitude)
-    got = np.concatenate([y for _, y in chunks])
-    for m, a in enumerate(tx_pos):
-        for r, b in enumerate(rx_pos):
-            want = _ref_link(a, b, snapshots[m], derive_seed(seed, 2, m, r),
-                             derive_seed(seed, 1, m), model, freq, bandwidth, tap_count,
-                             snr_db, spec, amplitude)
-            assert got[m, r].tobytes() == want.tobytes()
+    # a key and the snapshot per measurement
+    ids = [[m, (seed + m) % 50] for m in range(n_tx)]
+    setup = {"model": model, "freq_hz": freq, "bandwidth_hz": bandwidth,
+             "tap_count": tap_count, "snr_db": snr_db, "tx_spec": spec,
+             "bits_tag": None if spec is None else 1, "amplitude": amplitude}
+    flat = rx.reshape(-1, 2)
+    for block in (flat, rx):
+        got = np.concatenate([y for _, y in simulate_links(tx, block, ids, 2, **setup)])
+        for m, a in enumerate(tx_pos):
+            for r in np.ndindex(*block.shape[:-1]):
+                want = _ref_link(a, block[r].tolist(), ids[m][-1],
+                                 derive_seed(model.seed, 2, *ids[m], *r),
+                                 derive_seed(model.seed, 1, *ids[m]), model, freq, bandwidth,
+                                 tap_count, snr_db, spec, amplitude)
+                assert got[(m, *r)].tobytes() == want.tobytes()
 
 
 def test_wifi_simulation_seeds_one_stream_per_draw(monkeypatch):

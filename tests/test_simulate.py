@@ -231,36 +231,66 @@ def test_add_receiver_noise_meets_the_snr_of_the_clean_signal():
         add_receiver_noise(clean, 10.0, stream_states(4, np.array([2])))
 
 
+def _keyed_states(seed, tag, ids, rx_shape=()) -> np.ndarray:
+    """The states of the streams ``derive_seed(seed, tag, *ids[m], *r)``, in C
+    order of (measurement, receiver index r over ``rx_shape``)."""
+    rows = []
+    for key in ids:
+        for r in np.ndindex(*rx_shape):
+            state = np.random.PCG64(derive_seed(seed, tag, *key, *r)).state["state"]
+            rows += [divmod(state["state"], 1 << 64) + divmod(state["inc"], 1 << 64)]
+    return np.array(rows, dtype=np.uint64)
+
+
 def test_simulate_links_is_the_stage_chain():
     model = ChannelModel(seed=3)
     tx = np.array([[0.0, 0.0], [1.0, 2.0]])
     rx = np.array([[5.0, 5.0], [6.0, 5.0], [-3.0, 1.0]])
-    noise = (9, np.arange(2)[:, None], np.arange(3))
+    ids = [[1, 4], [2, 7]]  # a key and the snapshot per measurement
     spec = TxSignalSpec(length=16, pulse=(1.0, 0.5))
     setup = {"model": model, "freq_hz": 2.4e9, "bandwidth_hz": 2e7, "tap_count": 8,
              "snr_db": 12.0}
-    got = _joined(simulate_links(tx, rx, [4, 7], noise, tx_spec=spec,
-                                 bits_parts=(np.array([1, 2]),), amplitude=2.0, **setup))
+    got = _joined(simulate_links(tx, rx, ids, 9, tx_spec=spec, bits_tag=8, amplitude=2.0,
+                                 **setup))
     taps = _cir(np.repeat(tx, 3, axis=0), np.tile(rx, (2, 1)), 2.4e9, 2e7, model, 8,
                 [4, 4, 4, 7, 7, 7]) * 2.0
-    clean = synthesize_rx(taps.reshape(2, 3, 8), spec, stream_states(np.array([1, 2])))
-    assert np.array_equal(got, add_receiver_noise(clean, 12.0, stream_states(*noise)))
-    # receivers keep their leading axes; the noise parts broadcast over them
-    rx_grid = _joined(simulate_links(tx, rx[:, None], [4, 7], (9, np.arange(2)[:, None, None],
-                                     np.arange(3)[:, None]), tx_spec=spec,
-                                     bits_parts=(np.array([1, 2]),), amplitude=2.0, **setup))
-    assert np.array_equal(rx_grid, got[:, :, None])
+    clean = synthesize_rx(taps.reshape(2, 3, 8), spec, _keyed_states(3, 8, ids))
+    assert np.array_equal(got, add_receiver_noise(clean, 12.0, _keyed_states(3, 9, ids, (3,))))
+    # receivers keep their leading axes, and a receiver's noise stream takes its every index
+    rx_grid = _joined(simulate_links(tx, rx[:, None], ids, 9, tx_spec=spec, bits_tag=8,
+                                     amplitude=2.0, **setup))
+    assert np.array_equal(rx_grid, add_receiver_noise(clean[:, :, None], 12.0,
+                                                      _keyed_states(3, 9, ids, (3, 1))))
     # without a transmit signal the receivers measure the channel itself
-    cirs = _joined(simulate_links(tx, rx, [4, 7], noise, **setup))
+    cirs = _joined(simulate_links(tx, rx, ids, 9, **setup))
     assert np.array_equal(cirs, add_receiver_noise(taps.reshape(2, 3, 8) / 2.0, 12.0,
-                                                   stream_states(*noise)))
-    # one stream per row: parts of another shape, scalars too, are refused at the call
-    for bits in ((np.array([1, 2, 3]),), (1,)):
-        with pytest.raises(ValueError, match=r"bits stream parts broadcast to \("):
-            simulate_links(tx, rx, [4, 7], noise, tx_spec=spec, bits_parts=bits, **setup)
-    with pytest.raises(ValueError, match=r"noise stream parts broadcast to \(2, 1\), not to "
-                                         r"the block's rows \(2, 3\)"):
-        simulate_links(tx, rx, [4, 7], (9, np.arange(2)[:, None]), **setup)
+                                                   _keyed_states(3, 9, ids, (3,))))
+
+
+@pytest.mark.parametrize("ids, match", [
+    ([[4.2], [7.9]], r"^ids must be integers, got float64$"),
+    ([[4], [-7]], r"^ids must lie in \[0, 2\*\*32\), got -7 to 4$"),
+    ([[4], [1 << 32]], r"^ids must lie in \[0, 2\*\*32\), got 4 to 4294967296$"),
+    ([[4], [7], [9]], r"^ids must be a \(2, k >= 1\) array, one row per transmitter, "
+                      r"got shape \(3, 1\)$"),
+    ([4, 7], r"^ids must be a \(2, k >= 1\) array.*got shape \(2,\)$"),
+    (np.empty((2, 0), dtype=int), r"^ids must be a \(2, k >= 1\) array.*got shape \(2, 0\)$"),
+])
+def test_simulate_links_refuses_ids_that_key_no_stream(ids, match):
+    """Float ids were truncated to the same streams as their integer parts,
+    and a row count other than the transmitters' met numpy's broadcast error."""
+    setup = {"model": ChannelModel(seed=3), "freq_hz": 2.4e9, "bandwidth_hz": 2e7,
+             "tap_count": 8, "snr_db": 12.0}
+    with pytest.raises(ValueError, match=match):
+        simulate_links(np.array([[0.0, 0.0], [1.0, 2.0]]), [[5.0, 5.0]], ids, 9, **setup)
+
+
+def test_simulate_links_takes_a_bits_tag_exactly_with_a_signal():
+    setup = {"model": ChannelModel(seed=3), "freq_hz": 2.4e9, "bandwidth_hz": 2e7,
+             "tap_count": 8, "snr_db": 12.0}
+    for extra in ({"tx_spec": TxSignalSpec(length=4)}, {"bits_tag": 8}):
+        with pytest.raises(ValueError, match="give it exactly when tx_spec is given"):
+            simulate_links([[0.0, 0.0]], [[5.0, 5.0]], [[0]], 9, **setup, **extra)
 
 
 # blocks shaped like the studies' own: receivers (sensors, elements), a pulse
@@ -285,11 +315,9 @@ def _block_chunks(name: str, n_meas: int = 14) -> list:
     tx = np.random.default_rng(1).uniform(0.0, 4.0, (n_meas, 2))
     setup = {"model": ChannelModel(seed=2), "tap_count": 12, "snr_db": 15.0,
              **block["setup"]}
-    noise = (5, 1, np.arange(n_meas)[:, None, None], np.arange(rx.shape[0])[:, None],
-             np.arange(rx.shape[1]))
-    bits = (5, 0, np.arange(n_meas)) if "tx_spec" in setup else ()
-    return list(simulate_links(tx, rx, np.arange(n_meas) % 3, noise, bits_parts=bits,
-                               **setup))
+    ids = np.stack([np.arange(n_meas), np.arange(n_meas) % 3], axis=1)
+    bits_tag = 0 if "tx_spec" in setup else None
+    return list(simulate_links(tx, rx, ids, 1, bits_tag=bits_tag, **setup))
 
 
 @pytest.mark.parametrize("name", sorted(_BLOCKS))
@@ -315,11 +343,9 @@ def test_a_benchmark_size_block_is_simulated_in_bounded_memory():
     cfg = parse_config({"version": 1, "pipeline": "illegal_hybrid", "seed": 0,
                         "scenario": {"grid": {"nx": 5, "ny": 5, "origin": [0, 0],
                                               "spacing_m": 3.0}, "train_snapshots": 2}})
-    point_ids, snapshots = np.indices((25, 2)).reshape(2, -1)
+    ids = np.stack([np.zeros(50, dtype=int), *np.indices((25, 2)).reshape(2, -1)], axis=1)
     points = np.repeat(build_grid(cfg).xy, 2, axis=0)
-    ids = np.stack([np.zeros(50, dtype=int), point_ids, snapshots], axis=1)
-    args = (cfg, points, cfg["scenario"]["train_freqs_hz"][0], (1.0,), snapshots, (1, 2), ids,
-            1.0)
+    args = (cfg, points, cfg["scenario"]["train_freqs_hz"][0], (1.0,), (1, 2), ids, 1.0)
     illegal.measure_fingerprints(*args)  # caches and lazy imports first
     tracemalloc.start()
     try:
@@ -355,17 +381,15 @@ def test_every_link_is_checked_before_the_first_chunk():
     tx = np.array([(1.0, 1.0)] * 8 + [(60.0, 60.0)] * 2)
     setup = {"model": ChannelModel(seed=2), "freq_hz": 2.4e9, "bandwidth_hz": 2e7,
              "tap_count": 7, "snr_db": 15.0, "tx_spec": TxSignalSpec(length=256)}
-    noise = (5, 1, np.arange(10)[:, None, None], np.arange(2)[:, None], np.arange(2))
+    ids = np.arange(10)[:, None]
     with mock.patch.object(simulate, "SIM_CHUNK", 3 * 4 * (256 + 7 - 1)):
         with mock.patch.object(simulate, "gen_cir", side_effect=AssertionError("simulated")):
             with pytest.raises(ValueError, match=r"^measurement 8, receiver \(0, 0\): "
                                                  r"tap_count=7 cannot hold the delay spread"):
-                simulate_links(tx, rx, np.zeros(10, dtype=int), noise,
-                               bits_parts=(5, 0, np.arange(10)), **setup)
+                simulate_links(tx, rx, ids, 1, bits_tag=0, **setup)
     # one leading receiver axis names the receiver by one index
     with pytest.raises(ValueError, match=r"^measurement 9, receiver 3: tx and rx must be"):
-        simulate_links(np.array([(1.0, 1.0)] * 9 + [(4.1, 0.0)]), rx.reshape(4, 2),
-                       np.zeros(10, dtype=int), (5, 1, np.arange(10)[:, None], np.arange(4)),
+        simulate_links(np.array([(1.0, 1.0)] * 9 + [(4.1, 0.0)]), rx.reshape(4, 2), ids, 1,
                        **dict(setup, tap_count=40, tx_spec=None))
 
 
