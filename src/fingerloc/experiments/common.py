@@ -81,8 +81,9 @@ def _cell(value) -> str:
 def _cells(col) -> list:
     """The cells of one column, each as :func:`_cell` renders it.
 
-    A 1-D array of bools, ints or floats is rendered from its ``tolist()``
-    by one rule for the whole column, its floats checked finite in one pass.
+    A 1-D array of bools, ints, floats or strings is rendered from its
+    ``tolist()`` by one rule for the whole column, its floats checked finite
+    in one pass.
     """
     values = col.tolist() if isinstance(col, np.ndarray) else col
     kind = col.dtype.kind if isinstance(col, np.ndarray) and col.ndim == 1 else ""
@@ -93,7 +94,7 @@ def _cells(col) -> list:
         return list(map(repr, values))
     if kind == "b":
         return ["true" if v else "false" for v in values]
-    if kind in ("i", "u"):
+    if kind in ("i", "u", "U"):
         return list(map(str, values))
     return [_cell(v) for v in values]
 

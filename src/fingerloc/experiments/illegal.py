@@ -132,14 +132,15 @@ def measure_fingerprints(cfg: dict, tx_xy: np.ndarray, freq_hz: float, pulse: tu
     # flat element indices of each correlation fingerprint's two buffers
     first, second = (list(idx) for idx in zip(*[(si * n + a, si * n + b)
                                                  for si, a, b in _xcorr_pairs(cfg)]))
+    # each sensor's element pairs, as the phase fingerprint orders them
+    pair_a, pair_b = (list(idx) for idx in zip(*_element_pairs(n)))
     xc = np.empty((len(tx_xy), len(first), 2 * max_lag + 1), dtype=complex)
-    ph = np.empty((len(tx_xy), n_sensors, len(_element_pairs(n))))
+    ph = np.empty((len(tx_xy), n_sensors, len(pair_a)))
     for sl, y in simulate_links(tx_xy, sensor_elements(cfg), ids, tags[1], bits_tag=tags[0],
                                 **setup):
         flat = y.reshape(len(y), n_sensors * n, -1)
         xc[sl] = xcorr_rows(flat[:, first], flat[:, second], max_lag) / y.shape[-1]
-        for p, (a, b) in enumerate(_element_pairs(n)):
-            ph[sl, :, p] = power_phase(y[:, :, a], y[:, :, b])[1]
+        ph[sl] = power_phase(y[:, :, pair_a], y[:, :, pair_b])[1]
     return xc, ph
 
 

@@ -93,20 +93,20 @@ def power_phase(y_i, y_j) -> tuple:
     Returns:
         (rssi, phase), each of shape (...): the mean squared magnitude of
         each row of ``y_i``, and the argument of the averaged sample
-        cross-product ``mean(y_i * conj(y_j))`` in (-pi, pi].  Each row's
-        cross-product is taken on its own 1-D row: numpy rounds a product
-        over a whole block differently in the last bit.
+        cross-product ``mean(y_i * conj(y_j))`` in (-pi, pi], equal bit for
+        bit to that formula on each 1-D row.  The block product is
+        ``np.multiply(y_i, np.conj(y_j))``: written ``y_i * np.conj(y_j)``
+        on a block of 256 KB or more, numpy reuses the conjugate as the
+        output and multiplies with the operands swapped, and the complex
+        product's imaginary part rounds differently in the last bit then.
     """
     yi = np.asarray(y_i, dtype=complex)
     yj = np.asarray(y_j, dtype=complex)
     if yi.shape != yj.shape or yi.ndim == 0 or yi.shape[-1] == 0:
         raise ValueError(f"sample blocks must have equal non-empty shapes, got "
                          f"{yi.shape} and {yj.shape}")
-    n = yi.shape[-1]
     rssi = np.mean(np.abs(yi) ** 2, axis=-1)
-    cross = np.array([np.mean(a * np.conj(b))
-                      for a, b in zip(yi.reshape(-1, n), yj.reshape(-1, n))], dtype=complex)
-    return rssi, np.angle(cross.reshape(yi.shape[:-1]))
+    return rssi, np.angle(np.mean(np.multiply(yi, np.conj(yj)), axis=-1))
 
 
 def wrap_angle(theta) -> np.ndarray:

@@ -399,8 +399,43 @@ class TxSignalSpec:
             raise ValueError("pulse must have at least one tap")
 
 
+def _convolve_rows(a, v) -> np.ndarray:
+    """``np.convolve(a[i], v[i])`` of every complex row pair, leading axes broadcast, bit for bit.
+
+    ``np.convolve`` puts the longer sequence first and takes each output
+    sample as one BLAS dot product of its overlap with the reversed shorter
+    one.  Here each output offset is one ``np.vecdot`` over all rows: the
+    full overlaps in one call over sliding windows, each shorter edge
+    overlap in one call of its own length (zero padding would regroup the
+    dot product's terms).  ``np.vecdot`` conjugates its first argument, so
+    it gets the reversed shorter rows conjugated.
+
+    Returns:
+        Complex (broadcast leading shape..., n_a + n_v - 1).
+    """
+    a, v = np.asarray(a, dtype=complex), np.asarray(v, dtype=complex)
+    if v.shape[-1] > a.shape[-1]:
+        a, v = v, a
+    n_a, n_v = a.shape[-1], v.shape[-1]
+    # unit-stride rows on both sides (np.conj returns a fresh array), so every
+    # dot product goes to BLAS as np.convolve's do
+    a, k = np.ascontiguousarray(a), np.conj(v[..., ::-1])
+    out = np.empty(np.broadcast_shapes(a.shape[:-1], k.shape[:-1]) + (n_a + n_v - 1,),
+                   dtype=complex)
+    out[..., n_v - 1:n_a] = np.vecdot(k[..., None, :],
+                                      np.lib.stride_tricks.sliding_window_view(a, n_v, axis=-1))
+    for n in range(1, n_v):
+        out[..., n - 1] = np.vecdot(k[..., n_v - n:], a[..., :n])
+        out[..., n_a + n_v - 1 - n] = np.vecdot(k[..., :n], a[..., n_a - n:])
+    return out
+
+
 def synthesize_rx(taps, tx_spec: TxSignalSpec, states) -> np.ndarray:
     """Noiseless received samples: bits * pulse * channel, per link.
+
+    Each measurement draws its bits from its own stream; then the pulse
+    shaping and the channel are each one block convolution over all links,
+    equal bit for bit to ``np.convolve`` per link.
 
     Args:
         taps: complex (measurements, receivers, L) channel responses.
@@ -415,16 +450,12 @@ def synthesize_rx(taps, tx_spec: TxSignalSpec, states) -> np.ndarray:
     taps = np.asarray(taps, dtype=complex)
     if taps.ndim != 3 or taps.shape[-1] == 0:
         raise ValueError(f"taps must be a (measurements, receivers, L) block, got {taps.shape}")
-    g = np.asarray(tx_spec.pulse, dtype=float)
-    n_out = tx_spec.length + g.size + taps.shape[-1] - 2
-    out = np.empty(taps.shape[:2] + (n_out,), dtype=complex)
-    for m, rng in enumerate(_streams(_checked_states(states, taps.shape[0], "bits"))):
-        bits = rng.integers(0, 2, size=tx_spec.length)
-        # the same for every receiver of the measurement
-        shaped = np.convolve((2.0 * bits - 1.0).astype(complex), g)
-        for r, h in enumerate(taps[m]):
-            out[m, r] = np.convolve(shaped, h)
-    return out
+    bits = np.empty((taps.shape[0], tx_spec.length), dtype=np.int64)
+    for row, rng in zip(bits, _streams(_checked_states(states, taps.shape[0], "bits"))):
+        row[:] = rng.integers(0, 2, size=tx_spec.length)
+    shaped = _convolve_rows(2.0 * bits - 1.0, tx_spec.pulse)
+    # every receiver of a measurement hears its shaped bits
+    return _convolve_rows(shaped[:, None, :], taps)
 
 
 def add_receiver_noise(clean, snr_db: float, states) -> np.ndarray:

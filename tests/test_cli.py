@@ -1358,6 +1358,7 @@ def test_csv_columns_render_as_the_per_cell_rule(tmp_path):
         "uint8": rng.integers(0, 255, n).astype(np.uint8),
         "bool": rng.random(n) < 0.5,
         "str": np.array([f"s{i}" for i in range(n)]),
+        "str-edge": np.array(["", "\u00fc", "1.0", "true", "a b", "nan", "-0.0", "\u2211"] * 2),
         "complex": floats + 1j,
         "numpy-list": list(floats),
         "mixed-list": ([np.float64(0.1), np.int64(7), np.bool_(True), "", 2, -0.0, True, "x"]
@@ -1368,8 +1369,8 @@ def test_csv_columns_render_as_the_per_cell_rule(tmp_path):
     cells = [[_cell(v) for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
              for col in columns.values()]
     want = ",".join(columns) + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
-    assert path.read_text() == want
-    assert len(path.read_text().splitlines()) == 1 + n
+    assert path.read_bytes() == want.encode("utf-8")
+    assert len(path.read_bytes().splitlines()) == 1 + n
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

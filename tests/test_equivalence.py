@@ -35,10 +35,13 @@ convolution, multi-column kriging to one dense
 solve per column, the array particle likelihoods to the per-particle corner
 loop, the stencil grid Bayes predict to the dense N x N transition matrix,
 the measurement and database codecs to a bit-exact round trip, the survey lattice to
-the per-point loop that built it and to its ``db.json`` round trip, and the
+the per-point loop that built it and to its ``db.json`` round trip, the
 block link simulator bit for bit to the per-link channel, transmit and noise
-chain it replaced, and the occupancy visits and detection bits bit for bit
-to one generator per draw.
+chain it replaced, its row-wise block convolution bit for bit to
+``np.convolve`` per row pair, the unknown-emitter phase fingerprint's one
+``power_phase`` call over all element pairs bit for bit to one call per
+pair, and the occupancy visits and detection bits bit for bit to one
+generator per draw.
 
 Regenerate both files only for an intended behaviour change, and say why in
 CHANGES.md::
@@ -75,7 +78,7 @@ from fingerloc.experiments.artifacts import validate_artifact  # noqa: E402
 from fingerloc.experiments.common import read_measurements, save_measurements  # noqa: E402
 from fingerloc.experiments.configs import parse_config  # noqa: E402
 from fingerloc.experiments.illegal import error_maps  # noqa: E402
-from fingerloc.features import wrap_angle, xcorr, xcorr_rows  # noqa: E402
+from fingerloc.features import power_phase, wrap_angle, xcorr, xcorr_rows  # noqa: E402
 from fingerloc.errors import NumericError  # noqa: E402
 from fingerloc.geometry import Grid  # noqa: E402
 from fingerloc.interp import (  # noqa: E402
@@ -90,7 +93,7 @@ from fingerloc.interp import (  # noqa: E402
 from fingerloc.lighting import LightingScenario, illuminance, solve_lighting  # noqa: E402
 from fingerloc.matching import mle_rssi_rspd  # noqa: E402
 from fingerloc import simulate  # noqa: E402
-from fingerloc.experiments import bems, wifi  # noqa: E402
+from fingerloc.experiments import bems, illegal, wifi  # noqa: E402
 from fingerloc.experiments.common import build_grid  # noqa: E402
 from fingerloc.simulate import (  # noqa: E402
     SPEED_OF_LIGHT,
@@ -318,6 +321,98 @@ def test_block_links_equal_the_per_link_chain_bit_for_bit(
                                  derive_seed(model.seed, 1, *ids[m]), model, freq, bandwidth,
                                  tap_count, snr_db, spec, amplitude)
                 assert got[(m, *r)].tobytes() == want.tobytes()
+
+
+# pulse and tap values: signed zeros and subnormals, whose products must
+# keep np.convolve's signs and roundings, among ordinary ones
+_CONV_VALUES = st.one_of(st.floats(-4.0, 4.0),
+                         st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-308]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_a=st.integers(1, 40), n_v=st.integers(1, 40),
+       m=st.integers(1, 3), r=st.integers(1, 3),
+       lead_a=st.sampled_from(["mr", "m1", "none"]), lead_v=st.sampled_from(["mr", "m1", "none"]),
+       complex_v=st.booleans(), strided=st.booleans())
+def test_convolve_rows_equals_np_convolve_per_row_bit_for_bit(data, n_a, n_v, m, r, lead_a,
+                                                              lead_v, complex_v, strided):
+    """Either sequence the longer one, each of length 1 and up, leading axes
+    that broadcast as (measurements, receivers), real or complex second
+    rows, and a first operand that is a strided view."""
+    def block(lead, n, is_complex):
+        shape = {"mr": (m, r), "m1": (m, 1), "none": ()}[lead] + (n,)
+        part = hnp.arrays(float, shape, elements=_CONV_VALUES)
+        x = data.draw(part)
+        return x + 1j * data.draw(part) if is_complex else x
+
+    a = block(lead_a, 2 * n_a if strided else n_a, True)
+    if strided:
+        a = a[..., ::2]
+    v = block(lead_v, n_v, complex_v)
+    got = simulate._convolve_rows(a, v)
+    lead = np.broadcast_shapes(a.shape[:-1], v.shape[:-1])
+    assert got.shape == lead + (n_a + n_v - 1,) and got.dtype == complex
+    a_rows, v_rows = np.broadcast_to(a, lead + a.shape[-1:]), np.broadcast_to(v, lead + (n_v,))
+    for idx in np.ndindex(*lead):
+        want = np.convolve(a_rows[idx], v_rows[idx])
+        assert got[idx].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["illegal_hybrid", "wifi_rssi_rspd"])
+def test_simulate_convolves_and_extracts_phases_in_block_calls(monkeypatch, tmp_path, name):
+    """No link is convolved on its own, and each chunk's phases are one
+    ``power_phase`` call over all its sensors (and element pairs)."""
+    chunks, calls = [], []
+    module = PIPELINE_MODULES[name]
+    real_cir, real_power_phase = simulate.gen_cir, module.power_phase
+
+    def counting_cir(tx_xy, *args):
+        chunks.append(len(tx_xy))
+        return real_cir(tx_xy, *args)
+
+    def counting_power_phase(y_i, y_j):
+        calls.append((len(chunks), y_i.shape[:-1]))
+        return real_power_phase(y_i, y_j)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-link np.convolve call")
+
+    monkeypatch.setattr(np, "convolve", refuse)
+    monkeypatch.setattr(simulate, "gen_cir", counting_cir)
+    monkeypatch.setattr(module, "power_phase", counting_power_phase)
+    monkeypatch.setattr(simulate, "SIM_CHUNK", 1)  # one measurement per chunk
+    cfg = parse_config(TINY[name])
+    module.cmd_simulate(cfg, str(tmp_path))
+    # one measurement's rows: (1, sensors), and for illegal its element pairs too
+    rows = (1, len(cfg["scenario"]["sensors"]))
+    if name == "illegal_hybrid":
+        rows += (len(illegal._element_pairs(cfg["scenario"]["uca"]["elements"])),)
+    assert len(chunks) > 1
+    assert calls == [(i, rows) for i in range(1, len(chunks) + 1)]
+
+
+def test_illegal_phases_equal_power_phase_per_element_pair_bit_for_bit(monkeypatch):
+    """The all-pairs call gives each element pair's phase as a call on that
+    pair alone does."""
+    buffers = []
+    real_links = illegal.simulate_links
+
+    def recording_links(*args, **kwargs):
+        for sl, y in real_links(*args, **kwargs):
+            buffers.append(y)
+            yield sl, y
+
+    monkeypatch.setattr(illegal, "simulate_links", recording_links)
+    cfg = parse_config(TINY["illegal_hybrid"])
+    phase = illegal.simulate_measurements(cfg)["phase"]
+    pairs = illegal._element_pairs(cfg["scenario"]["uca"]["elements"])
+    assert len(pairs) > 1
+    # one chunk per frequency at TINY
+    assert len(buffers) == len(cfg["scenario"]["train_freqs_hz"])
+    for got, y in zip(phase, buffers):
+        got = got.reshape(len(y), *got.shape[-2:])
+        for p, (a, b) in enumerate(pairs):
+            assert got[:, :, p].tobytes() == power_phase(y[:, :, a], y[:, :, b])[1].tobytes()
 
 
 def test_wifi_simulation_seeds_one_stream_per_draw(monkeypatch):

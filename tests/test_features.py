@@ -128,18 +128,25 @@ def test_rssi_rspd_power_is_mean_square_of_first_buffer():
 
 
 def test_power_phase_rows_equal_rssi_rspd_per_row_bit_for_bit():
-    # the oracle is the one-buffer formula, on each 1-D row
+    # the oracle is the one-buffer formula, on each 1-D row; (60, 3, 263) is
+    # 47,340 samples (740 KB), past the size at which numpy reuses a
+    # temporary in ``y_i * np.conj(y_j)``.  Strided: the antenna views of a
+    # (..., antennas, n) block, as wifi passes them
     rng = np.random.default_rng(41)
-    yi = rng.standard_normal((3, 4, 71)) + 1j * rng.standard_normal((3, 4, 71))
-    yj = rng.standard_normal((3, 4, 71)) + 1j * rng.standard_normal((3, 4, 71))
-    rssi, phase = power_phase(yi, yj)
-    assert rssi.shape == phase.shape == (3, 4)
-    for idx in np.ndindex(3, 4):
-        a, b = yi[idx], yj[idx]
-        want = (np.mean(np.abs(a) ** 2), np.angle(np.mean(a * np.conj(b))))
-        assert (rssi[idx], phase[idx]) == want
-    with pytest.raises(ValueError):
-        power_phase(yi, yj[..., :70])
+    for shape in [(3, 4, 71), (60, 3, 263)]:
+        for strided in (False, True):
+            full = shape[:-1] + (2, shape[-1]) if strided else (2,) + shape
+            y = rng.standard_normal(full) + 1j * rng.standard_normal(full)
+            yi, yj = (y[..., 0, :], y[..., 1, :]) if strided else y
+            rssi, phase = power_phase(yi, yj)
+            assert rssi.shape == phase.shape == shape[:-1]
+            for idx in np.ndindex(*shape[:-1]):
+                a, b = yi[idx], yj[idx]
+                want = (np.mean(np.abs(a) ** 2), np.angle(np.mean(a * np.conj(b))))
+                assert (rssi[idx].tobytes(), phase[idx].tobytes()) == tuple(
+                    w.tobytes() for w in want)
+            with pytest.raises(ValueError):
+                power_phase(yi, yj[..., :-1])
 
 
 def test_xcorr_rows_shape_and_validation():
