@@ -33,12 +33,12 @@ __all__ = [
     "read_arrays",
 ]
 
-FORMAT_VERSION = "fingerloc-db-7"
+FORMAT_VERSION = "fingerloc-db-8"
 
 # block type tag -> (class, its array fields); every field has the grid as its
 # leading axis
 _MODEL_BLOCKS = {
-    "gaussian": (GaussianStats, ("mean", "cov", "loading")),
+    "gaussian": (GaussianStats, ("mean", "eigvals", "eigvecs", "loading")),
     "gamma": (GammaParams, ("shape", "scale")),
     "von_mises": (VonMisesParams, ("mu", "kappa")),
 }

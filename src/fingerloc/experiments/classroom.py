@@ -145,18 +145,29 @@ def build_database(cfg: dict, cirs: np.ndarray) -> FingerprintDatabase:
 def model_health(db: FingerprintDatabase, keys: list) -> dict:
     """Numerical health of the stored pair models, for ``learn_log.json``.
 
-    ``loading`` is the [min, max] diagonal loading over every key and seat.
-    ``gaussian_cond`` is the largest 2-norm condition number of any stored
-    covariance, from one batched ``eigvalsh`` per key; it is None when some
-    covariance's smallest eigenvalue is not positive.
+    ``loading`` is the [min, max] diagonal loading and ``gaussian_cond`` the
+    largest 2-norm condition number ``max D / min D`` of any covariance
+    ``V diag(D) V^H``, ``D = eigvals + loading``, read from the stored
+    eigenvalues; it is None when some smallest ``D`` is not positive.
+    ``per_key`` holds the same two fields for each key's block; the
+    top-level ones span every key and seat.
     """
-    blocks = [db.block(key, GaussianStats) for key in keys]
-    loading = np.concatenate([b.loading for b in blocks])
-    # (keys, seats, 2): every covariance's smallest and largest eigenvalue
-    extremes = np.array([np.linalg.eigvalsh(b.cov)[..., [0, -1]] for b in blocks])
-    cond = (float(np.max(extremes[..., 1] / extremes[..., 0]))
-            if np.all(extremes[..., 0] > 0) else None)
-    return {"loading": [float(loading.min()), float(loading.max())], "gaussian_cond": cond}
+    per_key = {}
+    for key in keys:
+        block = db.block(key, GaussianStats)
+        D = block.eigvals + block.loading[:, None]
+        lo, hi = np.min(D, axis=-1), np.max(D, axis=-1)
+        per_key[key] = {
+            "loading": [float(block.loading.min()), float(block.loading.max())],
+            "gaussian_cond": float(np.max(hi / lo)) if np.all(lo > 0) else None,
+        }
+    conds = [health["gaussian_cond"] for health in per_key.values()]
+    return {
+        "loading": [min(h["loading"][0] for h in per_key.values()),
+                    max(h["loading"][1] for h in per_key.values())],
+        "gaussian_cond": None if None in conds else max(conds),
+        "per_key": per_key,
+    }
 
 
 def cmd_simulate(cfg: dict, out_dir: str) -> dict:
@@ -192,16 +203,18 @@ def loo_scores(cfg: dict, cirs: np.ndarray, db: FingerprintDatabase) -> tuple:
     snapshots (and the baseline under their mean power), so a trial never
     matches against a model trained on itself.  Those held-out scores come
     from one :func:`~fingerloc.stats.gaussian_loo_loglik` call per pair over
-    every seat, which downdates each seat's fit in closed form.  Each pair's
-    features are scored both ways and summed before the next pair's are
-    built (see :func:`pair_features`).
+    every seat, which downdates each seat's stored fit in closed form.
+    Neither call factorizes anything: both read the stored eigenpairs.  Each
+    pair's features are scored both ways and summed before the next pair's
+    are built (see :func:`pair_features`).
 
     Returns:
         (loglik, sqerr): (trials, seats) summed pair log-likelihoods and
         received-power squared distances, trial ``seat * snapshots + snapshot``.
 
     Raises:
-        NumericError: a stored or held-out covariance is not positive definite.
+        NumericError: a stored or held-out covariance is singular to
+            working precision.
     """
     n_seats, n_snap = cirs.shape[:2]
     n_trials = n_seats * n_snap
@@ -212,8 +225,9 @@ def loo_scores(cfg: dict, cirs: np.ndarray, db: FingerprintDatabase) -> tuple:
     loglik = np.zeros((n_trials, n_seats))
     held_out = np.zeros(n_trials)
     for key, xc in pair_features(cirs):
-        loglik += gaussian_loglik(xc.reshape(n_trials, -1), db.block(key, GaussianStats))
-        held_out += gaussian_loo_loglik(xc, loading).reshape(n_trials)
+        block = db.block(key, GaussianStats)
+        loglik += gaussian_loglik(xc.reshape(n_trials, -1), block)
+        held_out += gaussian_loo_loglik(xc, block, loading).reshape(n_trials)
     loglik[trials, true_seat] = held_out
 
     rssi = received_power(cirs)

@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from ..database import FingerprintDatabase
-from ..features import power_phase, xcorr_rows
+from ..features import relative_phase, xcorr_rows
 from ..interp import (
     UcaGeometry,
     bandwidth_interp,
@@ -140,7 +140,7 @@ def measure_fingerprints(cfg: dict, tx_xy: np.ndarray, freq_hz: float, pulse: tu
                                 **setup):
         flat = y.reshape(len(y), n_sensors * n, -1)
         xc[sl] = xcorr_rows(flat[:, first], flat[:, second], max_lag) / y.shape[-1]
-        ph[sl] = power_phase(y[:, :, pair_a], y[:, :, pair_b])[1]
+        ph[sl] = relative_phase(y[:, :, pair_a], y[:, :, pair_b])
     return xc, ph
 
 

@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from ..database import FingerprintDatabase
-from ..features import power_phase
+from ..features import mean_power, relative_phase
 from ..matching import mle_rssi_rspd
 from ..simulate import (
     ChannelModel,
@@ -103,7 +103,8 @@ def measure_features(cfg: dict, tx_xy: np.ndarray, tags: tuple, ids: np.ndarray)
              "tx_spec": TxSignalSpec(length=scn["bits"])}
     out = np.empty((len(tx_xy), len(antennas), 2))
     for sl, y in simulate_links(tx_xy, antennas, ids, tags[1], bits_tag=tags[0], **setup):
-        out[sl, :, 0], out[sl, :, 1] = power_phase(y[:, :, 0], y[:, :, 1])
+        out[sl, :, 0] = mean_power(y[:, :, 0])
+        out[sl, :, 1] = relative_phase(y[:, :, 0], y[:, :, 1])
     return out
 
 

@@ -11,7 +11,8 @@ import numpy as np
 __all__ = [
     "xcorr",
     "xcorr_rows",
-    "power_phase",
+    "mean_power",
+    "relative_phase",
     "wrap_angle",
 ]
 
@@ -84,17 +85,25 @@ def xcorr_rows(a, b, max_lag: int) -> np.ndarray:
     return out
 
 
-def power_phase(y_i, y_j) -> tuple:
-    """Received power and relative phase of two sample blocks, row by row.
+def mean_power(y) -> np.ndarray:
+    """Received power of a sample block, row by row: the mean squared
+    magnitude of each (n,) row of ``y (..., n)``, of shape (...)."""
+    arr = np.asarray(y, dtype=complex)
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise ValueError(f"sample block must have non-empty rows, got shape {arr.shape}")
+    return np.mean(np.abs(arr) ** 2, axis=-1)
+
+
+def relative_phase(y_i, y_j) -> np.ndarray:
+    """Relative phase of two sample blocks, row by row.
 
     Args:
         y_i, y_j: equal-shape (..., n) blocks of synchronized samples.
 
     Returns:
-        (rssi, phase), each of shape (...): the mean squared magnitude of
-        each row of ``y_i``, and the argument of the averaged sample
-        cross-product ``mean(y_i * conj(y_j))`` in (-pi, pi], equal bit for
-        bit to that formula on each 1-D row.  The block product is
+        (...): the argument of the averaged sample cross-product
+        ``mean(y_i * conj(y_j))`` in (-pi, pi], equal bit for bit to that
+        formula on each 1-D row.  The block product is
         ``np.multiply(y_i, np.conj(y_j))``: written ``y_i * np.conj(y_j)``
         on a block of 256 KB or more, numpy reuses the conjugate as the
         output and multiplies with the operands swapped, and the complex
@@ -105,8 +114,7 @@ def power_phase(y_i, y_j) -> tuple:
     if yi.shape != yj.shape or yi.ndim == 0 or yi.shape[-1] == 0:
         raise ValueError(f"sample blocks must have equal non-empty shapes, got "
                          f"{yi.shape} and {yj.shape}")
-    rssi = np.mean(np.abs(yi) ** 2, axis=-1)
-    return rssi, np.angle(np.mean(np.multiply(yi, np.conj(yj)), axis=-1))
+    return np.angle(np.mean(np.multiply(yi, np.conj(yj)), axis=-1))
 
 
 def wrap_angle(theta) -> np.ndarray:

@@ -57,48 +57,63 @@ def _param_arrays(**params) -> list:
 # complex Gaussian fingerprint model
 # ---------------------------------------------------------------------------
 
+# eigh leaves its eigenvectors orthonormal, and a PSD scatter's eigenvalues
+# non-negative, to a few d * eps; GaussianStats refuses departures past
+# this many times d * eps
+_SPECTRAL_SLACK = 1e3
+
+
 @dataclass(frozen=True)
 class GaussianStats:
-    """Circularly symmetric complex Gaussians, one per grid point of a block.
+    """Circularly symmetric complex Gaussians, one per grid point of a block, in spectral form.
 
-    Mean (N, d), covariance (N, d, d) and loading (N,); each ``cov`` already
-    includes the diagonal loading recorded in ``loading``.  Arrays handed in
-    with the stored dtype (complex ``mean`` and ``cov``, float ``loading``)
+    Mean (N, d) complex, ``eigvals`` (N, d) real, ``eigvecs`` (N, d, d)
+    complex and ``loading`` (N,) real.  Model n's covariance is *defined*
+    as ``V diag(eigvals[n] + loading[n]) V^H`` with ``V = eigvecs[n]``: the
+    eigenpairs of its scatter and the diagonal loading added to it, so no
+    consumer factorizes it again.  Arrays handed in with the stored dtype
     are kept, not copied: the model owns them and makes them read-only.
+
+    Raises ValueError unless the shapes agree, every value is finite,
+    ``loading >= 0``, every model's eigenvalues are at least
+    ``-1e3 d eps max|eigvals|`` (a scatter is positive semidefinite up to
+    the rounding of ``eigh``) and ``max |V^H V - I| <= 1e3 d eps``.
     """
 
     mean: np.ndarray
-    cov: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
     loading: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.eigvals) or np.iscomplexobj(self.loading):
+            raise ValueError("eigvals and loading must be real")
         mean = np.asarray(self.mean, dtype=complex)
-        cov = np.asarray(self.cov, dtype=complex)
+        eigvals = np.asarray(self.eigvals, dtype=float)
+        eigvecs = np.asarray(self.eigvecs, dtype=complex)
         loading = np.asarray(self.loading, dtype=float)
         if mean.ndim != 2 or mean.size == 0:
             raise ValueError(f"mean must be a non-empty (N, d) block, got shape {mean.shape}")
-        if cov.shape != mean.shape + mean.shape[-1:]:
-            raise ValueError(f"covariance shape {cov.shape} does not match mean {mean.shape}")
+        if eigvals.shape != mean.shape:
+            raise ValueError(f"eigvals shape {eigvals.shape} does not match mean {mean.shape}")
+        if eigvecs.shape != mean.shape + mean.shape[-1:]:
+            raise ValueError(f"eigvecs shape {eigvecs.shape} does not match mean {mean.shape}")
         if loading.shape != mean.shape[:-1]:
             raise ValueError(f"loading shape {loading.shape} does not match mean {mean.shape}")
-        herm_gap = np.max(np.abs(cov - np.conj(np.swapaxes(cov, -1, -2))), axis=(-2, -1))
-        # 1e-12 max(|tr C|, 1), scaled before the sum so that it cannot overflow
-        diag = np.diagonal(cov, axis1=-2, axis2=-1)
-        tol = np.maximum(np.abs(np.sum(1e-12 * diag, axis=-1)), 1e-12)
-        if np.any(herm_gap > tol):
-            raise ValueError(f"covariance is not Hermitian (max asymmetry {np.max(herm_gap):.3e})")
+        if not all(np.isfinite(a).all() for a in (mean, eigvals, eigvecs, loading)):
+            raise ValueError("a Gaussian block holds a non-finite value")
         if np.any(loading < 0):
             raise ValueError("loading must be non-negative")
-        try:
-            # a stack that factorizes is positive definite, so it passes the
-            # eigenvalue bound below; only one that does not needs eigvalsh
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            eigmin = np.min(np.linalg.eigvalsh(cov), axis=-1)
-            if np.any(eigmin < -1e3 * tol):
-                raise ValueError(
-                    f"covariance has negative eigenvalue {np.min(eigmin):.3e}") from None
-        _freeze(self, mean=mean, cov=cov, loading=loading)
+        tol = _SPECTRAL_SLACK * mean.shape[-1] * _EPS
+        floor = -tol * np.max(np.abs(eigvals), axis=-1)
+        if np.any(np.min(eigvals, axis=-1) < floor):
+            raise ValueError(f"eigvals has negative entry {np.min(eigvals):.3e} "
+                             f"past the rounding bound")
+        gap = np.max(np.abs(np.conj(np.swapaxes(eigvecs, -1, -2)) @ eigvecs
+                            - np.eye(mean.shape[-1])))
+        if gap > tol:
+            raise ValueError(f"eigvecs are not unitary (max |V^H V - I| {gap:.3e})")
+        _freeze(self, mean=mean, eigvals=eigvals, eigvecs=eigvecs, loading=loading)
 
     @property
     def dim(self) -> int:
@@ -118,7 +133,9 @@ def fit_gaussian(samples, loading_eps: float) -> GaussianStats:
     the model invertible with few snapshots.  A scatter whose trace is at or
     below float rounding of the samples (``trace <= dim * eps * mean |x|^2``)
     counts as zero: such a model is ``loading_eps * I`` with loading
-    ``loading_eps``.
+    ``loading_eps``.  The scatter, made exactly Hermitian, is stored as its
+    eigenpairs from one batched ``eigh`` (a zero scatter's are zeros and
+    ``I``), so scoring needs no factorization.
 
     Args:
         samples: (N, n, d) array-like: n >= 1 complex sample vectors of
@@ -126,7 +143,7 @@ def fit_gaussian(samples, loading_eps: float) -> GaussianStats:
         loading_eps: relative diagonal loading factor.
 
     Returns:
-        GaussianStats block with the loading already applied to ``cov``.
+        GaussianStats block: the scatter's eigenpairs and the loading.
     """
     arr = np.asarray(samples, dtype=complex)
     if arr.ndim != 3 or 0 in arr.shape:
@@ -144,18 +161,20 @@ def fit_gaussian(samples, loading_eps: float) -> GaussianStats:
     zero = trace <= _zero_scatter_bound(arr)
     scatter[zero] = 0.0
     loading = np.where(zero, loading_eps, loading_eps * trace / d)
-    cov = scatter + loading[..., None, None] * np.eye(d)
-    return GaussianStats(mean=mean, cov=cov, loading=loading)
+    eigvals, eigvecs = np.linalg.eigh(scatter)
+    return GaussianStats(mean=mean, eigvals=eigvals, eigvecs=eigvecs, loading=loading)
 
 
 def gaussian_loglik(f, stats: GaussianStats) -> np.ndarray:
     """Log-density of every fingerprint under every model of a block.
 
-    Computes ``-d ln(pi) - ln det(R) - (f - m)^H R^{-1} (f - m)`` as
-    ``-d ln(pi) - ln det(R) - |W (f - m)|^2`` with the whitening factor
-    ``W = L^{-1}`` of the Cholesky factor ``R = L L^H`` (no inverse of R).
-    Scoring against every model is one matrix product per chunk of
-    fingerprints, with no ``(T, N, d)`` difference array.
+    Computes ``-d ln(pi) - ln det(R) - (f - m)^H R^{-1} (f - m)`` from each
+    model's stored spectral factor ``R = V diag(D) V^H``, ``D = eigvals +
+    loading``: ``ln det R = sum ln D`` and the quadratic form is
+    ``|W (f - m)|^2`` with the whitening factor ``W = diag(D^-1/2) V^H``.
+    Nothing is factorized or inverted.  Scoring against every model is one
+    matrix product per chunk of fingerprints, with no ``(T, N, d)``
+    difference array.
 
     Args:
         f: (T, d) fingerprints.
@@ -165,8 +184,8 @@ def gaussian_loglik(f, stats: GaussianStats) -> np.ndarray:
         (T, N): entry ``[t, n]`` scores fingerprint t under model n.
 
     Raises:
-        NumericError: naming the first model whose covariance is not
-            positive definite.
+        NumericError: naming the first model whose covariance is singular to
+            working precision, ``min D <= d eps max D``.
     """
     arr = np.asarray(f, dtype=complex)
     if arr.ndim != 2 or arr.shape[-1] != stats.dim:
@@ -178,30 +197,20 @@ def gaussian_loglik(f, stats: GaussianStats) -> np.ndarray:
 
 
 def _whitening(stats: GaussianStats) -> tuple:
-    """``ln det R`` and the whitening factor ``W = L^{-1}`` of every model's ``R = L L^H``.
+    """``ln det R`` and the whitening factor ``W = diag(D^-1/2) V^H`` of every model.
 
     Raises:
-        NumericError: naming the first model whose covariance is not
-            positive definite.
+        NumericError: naming the first model whose covariance is singular to
+            working precision, ``min D <= d eps max D``.
     """
-    try:
-        chol = np.linalg.cholesky(stats.cov)
-    except np.linalg.LinAlgError as exc:
-        # on the error path only, factor the models one at a time to name the first failing one
-        bad = next(n for n, cov in enumerate(stats.cov) if not _factors(cov))
-        raise NumericError(f"covariance of model {bad} is not positive definite even after "
-                           f"loading {stats.loading[bad]:.6g}") from exc
-    logdet = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
-    return logdet, np.linalg.inv(chol)
-
-
-def _factors(cov: np.ndarray) -> bool:
-    """Whether one covariance has a Cholesky factor."""
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    D = stats.eigvals + stats.loading[:, None]
+    singular = np.min(D, axis=-1) <= stats.dim * _EPS * np.max(D, axis=-1)
+    if np.any(singular):
+        bad = int(np.argmax(singular))
+        raise NumericError(f"covariance of model {bad} is singular to working precision even "
+                           f"after loading {stats.loading[bad]:.6g}")
+    white = np.conj(np.swapaxes(stats.eigvecs, -1, -2)) / np.sqrt(D)[..., None]
+    return np.sum(np.log(D), axis=-1), white
 
 
 # elements of a (rows, N, d) temporary built at a time: the whitened block
@@ -233,24 +242,25 @@ _REFIT_BELOW = 1e-4
 
 
 def _folds(arr: np.ndarray, mask: np.ndarray) -> tuple:
-    """Held-out samples ``(M, d)`` and folds ``(M, n - 1, d)`` where ``mask (..., n)`` is set."""
+    """Held-out samples ``(M, d)`` and folds ``(M, n - 1, d)`` where ``mask (N, n)`` is set."""
     n, d = arr.shape[-2:]
-    rows, k = np.nonzero(mask.reshape(-1, n))
-    seats = arr.reshape(-1, n, d)[rows]
+    rows, k = np.nonzero(mask)
+    seats = arr[rows]
     return seats[np.arange(len(k)), k], seats[np.arange(n) != k[:, None]].reshape(len(k), n - 1, d)
 
 
-def gaussian_loo_loglik(samples, loading_eps: float) -> np.ndarray:
+def gaussian_loo_loglik(samples, stats: GaussianStats, loading_eps: float) -> np.ndarray:
     """Leave-one-out log-density of every sample under the fit to the others.
 
-    Entry ``[..., k]`` of ``(..., n, d)`` samples is the density of sample k
-    under the :func:`fit_gaussian` model of the other n-1 samples of its
-    ``(n, d)`` set, with that fit's loading and zero-scatter rule.  Every
-    fold model is a rank-one downdate of the fit to all n samples, so one
-    ``eigh`` of that fit's scatter serves all n folds (Sherman-Morrison and
-    the matrix determinant lemma; Hager 1989, SIAM Review 31(2)).  With mean m, biased
-    scatter ``S = V diag(l) V^H``, ``u = x_k - m``, ``r = n/(n-1)`` and
-    ``a = n/(n-1)^2``:
+    Entry ``[i, k]`` of ``(N, n, d)`` samples is the density of sample k
+    under the :func:`fit_gaussian` model of the other n-1 samples of set i,
+    with that fit's loading and zero-scatter rule.  ``stats`` is
+    :func:`fit_gaussian`'s block of the same samples.  Every fold model is a
+    rank-one downdate of it, so its stored eigenpairs serve all n folds and
+    nothing is factorized (Sherman-Morrison and the matrix determinant
+    lemma; Hager 1989, SIAM Review 31(2)).  With mean m, biased scatter
+    ``S = V diag(l) V^H`` (the stored ``eigvals`` and ``eigvecs``),
+    ``u = x_k - m``, ``r = n/(n-1)`` and ``a = n/(n-1)^2``:
 
     - the fold scatter is ``S_k = r S - a u u^H``, its trace
       ``r tr S - a |u|^2`` and its loading ``loading_eps tr S_k / d``;
@@ -265,38 +275,44 @@ def gaussian_loo_loglik(samples, loading_eps: float) -> np.ndarray:
     summed directly, so the zero-scatter rule decides as on the fold itself.
     The downdate ``1 - a q`` keeps about ``eps / (1 - a q)`` relative
     precision, so folds where it falls below 1e-4 (a nearly singular fold of
-    a well-conditioned seat) are scored under their own fit instead.
+    a well-conditioned seat) are scored under their own fit instead, and so
+    are the non-zero folds of a set whose scatter the fit counted as zero
+    (its stored eigenpairs are zeros and ``I``, not that scatter's).
     Otherwise accuracy falls as the held-out sample's share of its seat's
     scatter grows: one sample 100 times larger than the rest scores to
     about 1e-7 relative of the fold fit, where ordinary folds agree to about
     1e-13.
 
     Args:
-        samples: (..., n, d) complex samples, n >= 2.
+        samples: (N, n, d) complex samples, n >= 2.
+        stats: the :func:`fit_gaussian` block of ``samples``: its mean must
+            be theirs bit for bit.
         loading_eps: relative diagonal loading factor.
 
     Returns:
-        (..., n) held-out log-densities.
+        (N, n) held-out log-densities.
 
     Raises:
         NumericError: a fold covariance is singular to working precision:
             an eigenvalue factor ``D`` at or below ``d * eps`` of the largest,
             or ``1 - a q`` at or below its own rounding bound, or a refitted
-            fold's covariance is not positive definite.
+            fold's covariance is singular.
     """
     arr = np.asarray(samples, dtype=complex)
-    if arr.ndim < 2 or arr.shape[-2] < 2 or arr.shape[-1] == 0:
-        raise ValueError("leave-one-out needs a (..., n, d) array with n >= 2 and d >= 1")
+    if arr.ndim != 3 or arr.shape[-2] < 2 or arr.shape[-1] == 0:
+        raise ValueError("leave-one-out needs an (N, n, d) array with n >= 2 and d >= 1")
     if loading_eps < 0:
         raise ValueError("loading_eps must be non-negative")
+    mean = arr.mean(axis=-2)
+    if stats.mean.shape != mean.shape or not np.array_equal(stats.mean, mean):
+        raise ValueError("the Gaussian block is not the fit of these samples")
     n, d = arr.shape[-2:]
     r, a = n / (n - 1), n / (n - 1) ** 2
-    centered = arr - arr.mean(axis=-2, keepdims=True)
-    scatter = np.swapaxes(centered, -1, -2) @ centered.conj() / n
-    lam, vec = np.linalg.eigh(scatter)
-    w2 = np.abs(centered @ vec.conj()) ** 2  # |V^H u|^2 of every sample
+    centered = arr - mean[..., None, :]
+    lam = stats.eigvals
+    w2 = np.abs(centered @ stats.eigvecs.conj()) ** 2  # |V^H u|^2 of every sample
     unorm = np.sum(centered.real ** 2 + centered.imag ** 2, axis=-1)
-    seat_trace = r * np.real(np.trace(scatter, axis1=-2, axis2=-1))[..., None]
+    seat_trace = r * np.sum(unorm, axis=-1, keepdims=True) / n
     fold_trace = seat_trace - a * unorm
     power = np.sum(np.abs(arr) ** 2, axis=-1)
     threshold = _EPS * (np.sum(power, axis=-1, keepdims=True) - power) / (n - 1)
@@ -307,31 +323,34 @@ def gaussian_loo_loglik(samples, loading_eps: float) -> np.ndarray:
         fold_trace[near] = np.sum(fold_c.real ** 2 + fold_c.imag ** 2, axis=(-2, -1)) / (n - 1)
         threshold[near] = _zero_scatter_bound(fold)
     zero = fold_trace <= threshold
+    # a set whose scatter the fit zeroed stores no eigenpairs of it
+    own_fit = ~zero & np.all(lam == 0.0, axis=-1, keepdims=True)
 
-    # zero folds are loading_eps * I, scored below; D = 1 keeps them finite here
-    D = np.where(zero[..., None], 1.0,
+    # zero and own-fit folds are scored below; D = 1 keeps them finite here
+    later = zero | own_fit
+    D = np.where(later[..., None], 1.0,
                  r * lam[..., None, :] + (loading_eps * fold_trace / d)[..., None])
     d_max = np.max(D, axis=-1)
     if np.any(np.min(D, axis=-1) <= d * _EPS * d_max):
         raise NumericError("a leave-one-out fold covariance is singular: an eigenvalue "
                            f"is at rounding level with loading_eps {loading_eps}")
     q = np.sum(w2 / D, axis=-1)
-    one_minus = np.where(zero, 1.0, 1.0 - a * q)
+    one_minus = np.where(later, 1.0, 1.0 - a * q)
     # a q's rounding bound: eigh is exact for a scatter off by d * eps * max D
     bound = d * _EPS * a * d_max * np.sum(w2 / D ** 2, axis=-1)
-    if np.any(~zero & (one_minus <= bound)):
+    if np.any(~later & (one_minus <= bound)):
         raise NumericError("a leave-one-out fold covariance is singular: its rank-one "
                            f"downdate cancels to rounding with loading_eps {loading_eps}")
     out = (-d * math.log(math.pi) - np.sum(np.log(D), axis=-1) - np.log(one_minus)
            - r * r * q / one_minus)
-    refit = ~zero & (one_minus < _REFIT_BELOW)
+    refit = own_fit | (~zero & (one_minus < _REFIT_BELOW))
     if np.any(refit):
         held, fold = _folds(arr, refit)
         fits = fit_gaussian(fold, loading_eps)
         try:
             logdet, white = _whitening(fits)
         except NumericError as exc:
-            raise NumericError("a leave-one-out fold covariance is not positive definite "
+            raise NumericError("a leave-one-out fold covariance is singular "
                                f"with loading_eps {loading_eps}") from exc
         z = np.matmul(white, (held - fits.mean)[..., None])[..., 0]
         out[refit] = (-d * math.log(math.pi) - logdet

@@ -1,5 +1,6 @@
 """End-to-end command-line harness behavior on miniature experiment configs."""
 
+import collections
 import csv
 import hashlib
 import json
@@ -32,6 +33,7 @@ from fingerloc.experiments.defaults import PIPELINES, config_defaults
 from fingerloc.geometry import Grid
 from fingerloc.interp import spatial_densify
 from fingerloc.stats import GaussianStats, kriging_fit, kriging_predict
+from test_stats import _dense_cov
 
 PIPELINE_MODULES = {"classroom_cir": classroom, "wifi_rssi_rspd": wifi,
                     "bems_binary": bems, "illegal_hybrid": illegal}
@@ -363,7 +365,7 @@ def test_a_bad_sensor_override_is_a_config_error_naming_the_sensor(tmp_path, cap
     capsys.readouterr()
     assert main(["simulate", "--config", cfg_path]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and message in err, err
+    assert err.startswith("config error:") and message in err
     assert err.rstrip().endswith("(at scenario.sensors.2)") and "Traceback" not in err
     assert not os.path.exists(out_dir)
 
@@ -661,12 +663,49 @@ def test_classroom_learn_log_reports_model_health(tmp_path):
     log, blocks = learn(1e-3)
     loading = np.concatenate([b.loading for b in blocks])
     assert log["loading"] == [loading.min(), loading.max()]
-    cond = max(np.linalg.cond(cov) for b in blocks for cov in b.cov)
-    assert log["gaussian_cond"] == pytest.approx(cond, rel=1e-9)
+    # every key's largest condition number, from its dense covariances
+    conds = [max(np.linalg.cond(cov) for cov in _dense_cov(b)) for b in blocks]
+    assert log["gaussian_cond"] == pytest.approx(max(conds), rel=1e-9)
     assert log["gaussian_cond"] <= 1.0 + 7 / 1e-3  # loading bounds it by 1 + d / eps
+    assert sorted(log["per_key"]) == sorted(classroom.pair_keys(7))
+    for key, block, cond in zip(classroom.pair_keys(7), blocks, conds):
+        health = log["per_key"][key]
+        assert health["loading"] == [block.loading.min(), block.loading.max()]
+        assert health["gaussian_cond"] == pytest.approx(cond, rel=1e-9)
     # a tiny loading on 3 snapshots of 7 lags: scatters of rank 2, barely loaded
     log, _ = learn(1e-12)
     assert log["gaussian_cond"] > 1e10
+    assert log["gaussian_cond"] == max(h["gaussian_cond"] for h in log["per_key"].values())
+    # no loading: singular covariances, in every key, show as null
+    log, _ = learn(0.0)
+    assert log["gaussian_cond"] is None and log["loading"] == [0.0, 0.0]
+    assert all(h["gaussian_cond"] is None for h in log["per_key"].values())
+
+
+@pytest.mark.parametrize("snapshots, refits", [(3, 1), (10, 0)])
+def test_classroom_localize_factorizes_nothing(tmp_path, monkeypatch, snapshots, refits):
+    # learn takes one batched eigh per antenna pair; localize scores and
+    # downdates the stored eigenpairs, with no eigh, Cholesky or inverse.  At
+    # TINY's 3 snapshots of 7 lags every fold holds 2 samples, its scatter is
+    # singular and its downdate 1 - a q falls below the refit bound, so each
+    # pair refits its folds in one batched fit_gaussian; 10 snapshots leave
+    # full-rank folds and take the default path
+    scenario = dict(TINY["classroom_cir"]["scenario"], snapshots=snapshots)
+    cfg = parse_config(dict(TINY["classroom_cir"], scenario=scenario))
+    out_dir = str(tmp_path)
+    classroom.cmd_simulate(cfg, out_dir)
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh", "cholesky", "inv"):
+        def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    pairs = len(classroom.pair_keys(7))
+    classroom.cmd_learn(cfg, out_dir)
+    assert calls == {"eigh": pairs}
+    calls.clear()
+    classroom.cmd_localize(cfg, out_dir)
+    assert calls == ({"eigh": pairs} if refits else {})
 
 
 def test_illegal_chain_runs_with_a_four_element_array(tmp_path):
@@ -1067,6 +1106,45 @@ def test_database_with_a_malformed_array_is_a_config_error(tmp_path, capsys, nam
     assert err.rstrip().endswith("; rerun learn" if in_db else "; rerun simulate")
     assert "Traceback" not in err
     assert not (pathlib.Path(out_dir) / product).exists()
+
+
+def _as_db_7(path) -> None:
+    """Rewrite the header at ``path`` in the ``fingerloc-db-7`` layout, whose
+    Gaussian blocks held a dense ``cov`` record instead of eigenpairs."""
+    doc = json.loads(path.read_text())
+    for block in doc["blocks"].values():
+        if block["type"] == "gaussian":
+            block["cov"] = block.pop("eigvecs")
+            del block["eigvals"]
+    path.write_text(json.dumps(dict(doc, version="fingerloc-db-7")))
+
+
+_EIGVALS, _EIGVECS = (("blocks", "xc:0-1", name) for name in ("eigvals", "eigvecs"))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(_as_db_7, "'cov': {'dtype': 'complex128'", id="db-7"),
+    pytest.param(lambda path: _poke(path, _EIGVECS, 2.0), "eigvecs are not unitary",
+                 id="non-unitary-eigvecs"),
+    pytest.param(lambda path: _poke(path, _EIGVALS, -1.0),
+                 "eigvals has negative entry -1.000e+00 past the rounding bound",
+                 id="negative-eigvals"),
+    pytest.param(lambda path: _record_change(
+        lambda r: dict(r, shape=[r["shape"][0] * r["shape"][1], r["shape"][2]]))(path, _EIGVECS),
+        "eigvecs shape (63, 7) does not match mean (9, 7)", id="mismatched-shapes"),
+])
+def test_classroom_gaussian_block_learn_did_not_write_is_a_config_error(tmp_path, capsys,
+                                                                        corrupt, message):
+    cfg_path, out_dir = _write_config(tmp_path, "classroom_cir")
+    for verb in ("simulate", "learn"):
+        assert main([verb, "--config", cfg_path]) == EXIT_OK
+    corrupt(pathlib.Path(out_dir) / "db.json")
+    capsys.readouterr()
+    assert main(["localize", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert err.rstrip().endswith("; rerun learn") and "Traceback" not in err
+    assert not (pathlib.Path(out_dir) / "trials.csv").exists()
 
 
 # (artifact, how its buffer breaks, pipeline); the database holds no bool

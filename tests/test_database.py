@@ -128,9 +128,9 @@ def test_gaussian_codec_round_trip(tmp_path):
     samples = rng.standard_normal((4, 6, 3)) + 1j * rng.standard_normal((4, 6, 3))
     stats = fit_gaussian(samples, 1e-3)
     back = _round_trip(tmp_path, stats)
-    assert np.array_equal(back.mean, stats.mean)
-    assert np.array_equal(back.cov, stats.cov)
-    assert np.array_equal(back.loading, stats.loading)
+    for name in ("mean", "eigvals", "eigvecs", "loading"):
+        want, got = getattr(stats, name), getattr(back, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_gamma_vonmises_codecs(tmp_path):
@@ -194,7 +194,7 @@ def test_database_json_matches_shipped_schema(tmp_path):
     assert validate_artifact(str(path)) == "db.schema.json"
     text = path.read_text()
     doc = json.loads(text)
-    assert doc["version"] == "fingerloc-db-7"
+    assert doc["version"] == "fingerloc-db-8"
     assert doc["config_digest"] is None
     assert doc["grid"] == {"origin": [0.0, 0.0], "nx": 2, "ny": 2, "spacing": 1.0}
     raw = (tmp_path / "db.bin").read_bytes()
@@ -420,8 +420,9 @@ _VALUES = _record("float64", (4,))
                  id="object"),
     pytest.param({"type": "array", "values": dict(_VALUES, dtype="bool")}, _NO_BLOCK, id="bool"),
     pytest.param({"type": "gaussian", "mean": _record("float64", (4, 1)),
-                  "cov": _record("complex128", (4, 1, 1), 32),
-                  "loading": _record("float64", (4,), 96)},
+                  "eigvals": _record("float64", (4, 1), 32),
+                  "eigvecs": _record("complex128", (4, 1, 1), 64),
+                  "loading": _record("float64", (4,), 128)},
                  _NO_BLOCK, id="gaussian-mean-float64"),
     pytest.param({"type": "gamma", "shape": _VALUES}, _NO_BLOCK, id="missing-field"),
 ])

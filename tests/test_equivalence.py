@@ -39,7 +39,7 @@ the per-point loop that built it and to its ``db.json`` round trip, the
 block link simulator bit for bit to the per-link channel, transmit and noise
 chain it replaced, its row-wise block convolution bit for bit to
 ``np.convolve`` per row pair, the unknown-emitter phase fingerprint's one
-``power_phase`` call over all element pairs bit for bit to one call per
+``relative_phase`` call over all element pairs bit for bit to one call per
 pair, and the occupancy visits and detection bits bit for bit to one
 generator per draw.
 
@@ -70,6 +70,7 @@ from scipy.special import i0e, ndtr
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from test_cli import PIPELINE_MODULES, TINY, VERBS  # noqa: E402
+from test_stats import _dense_cov  # noqa: E402
 
 from fingerloc.cli import EXIT_OK, main  # noqa: E402
 from fingerloc.database import FingerprintDatabase, load_database, save_database  # noqa: E402
@@ -78,7 +79,7 @@ from fingerloc.experiments.artifacts import validate_artifact  # noqa: E402
 from fingerloc.experiments.common import read_measurements, save_measurements  # noqa: E402
 from fingerloc.experiments.configs import parse_config  # noqa: E402
 from fingerloc.experiments.illegal import error_maps  # noqa: E402
-from fingerloc.features import power_phase, wrap_angle, xcorr, xcorr_rows  # noqa: E402
+from fingerloc.features import relative_phase, wrap_angle, xcorr, xcorr_rows  # noqa: E402
 from fingerloc.errors import NumericError  # noqa: E402
 from fingerloc.geometry import Grid  # noqa: E402
 from fingerloc.interp import (  # noqa: E402
@@ -361,25 +362,25 @@ def test_convolve_rows_equals_np_convolve_per_row_bit_for_bit(data, n_a, n_v, m,
 @pytest.mark.parametrize("name", ["illegal_hybrid", "wifi_rssi_rspd"])
 def test_simulate_convolves_and_extracts_phases_in_block_calls(monkeypatch, tmp_path, name):
     """No link is convolved on its own, and each chunk's phases are one
-    ``power_phase`` call over all its sensors (and element pairs)."""
+    ``relative_phase`` call over all its sensors (and element pairs)."""
     chunks, calls = [], []
     module = PIPELINE_MODULES[name]
-    real_cir, real_power_phase = simulate.gen_cir, module.power_phase
+    real_cir, real_relative_phase = simulate.gen_cir, module.relative_phase
 
     def counting_cir(tx_xy, *args):
         chunks.append(len(tx_xy))
         return real_cir(tx_xy, *args)
 
-    def counting_power_phase(y_i, y_j):
+    def counting_relative_phase(y_i, y_j):
         calls.append((len(chunks), y_i.shape[:-1]))
-        return real_power_phase(y_i, y_j)
+        return real_relative_phase(y_i, y_j)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a per-link np.convolve call")
 
     monkeypatch.setattr(np, "convolve", refuse)
     monkeypatch.setattr(simulate, "gen_cir", counting_cir)
-    monkeypatch.setattr(module, "power_phase", counting_power_phase)
+    monkeypatch.setattr(module, "relative_phase", counting_relative_phase)
     monkeypatch.setattr(simulate, "SIM_CHUNK", 1)  # one measurement per chunk
     cfg = parse_config(TINY[name])
     module.cmd_simulate(cfg, str(tmp_path))
@@ -389,6 +390,8 @@ def test_simulate_convolves_and_extracts_phases_in_block_calls(monkeypatch, tmp_
         rows += (len(illegal._element_pairs(cfg["scenario"]["uca"]["elements"])),)
     assert len(chunks) > 1
     assert calls == [(i, rows) for i in range(1, len(chunks) + 1)]
+    # the emitter fingerprint holds no power, so none is computed and thrown away
+    assert hasattr(module, "mean_power") == (name == "wifi_rssi_rspd")
 
 
 def test_illegal_phases_equal_power_phase_per_element_pair_bit_for_bit(monkeypatch):
@@ -412,7 +415,7 @@ def test_illegal_phases_equal_power_phase_per_element_pair_bit_for_bit(monkeypat
     for got, y in zip(phase, buffers):
         got = got.reshape(len(y), *got.shape[-2:])
         for p, (a, b) in enumerate(pairs):
-            assert got[:, :, p].tobytes() == power_phase(y[:, :, a], y[:, :, b])[1].tobytes()
+            assert got[:, :, p].tobytes() == relative_phase(y[:, :, a], y[:, :, b]).tobytes()
 
 
 def test_wifi_simulation_seeds_one_stream_per_draw(monkeypatch):
@@ -720,7 +723,8 @@ def test_loo_scores_equal_per_trial_fold_loop(nx, ny, snapshots, taps, elements,
     for p, key in enumerate(classroom.pair_keys(n_ant)):
         block = db.block(key, GaussianStats)
         for n in range(n_seats):
-            assert np.allclose(block.cov[n], seat_fits[n][p].cov[0], rtol=1e-9, atol=1e-12)
+            assert np.allclose(_dense_cov(block)[n], _dense_cov(seat_fits[n][p])[0],
+                               rtol=1e-9, atol=1e-12)
     loglik, sqerr = classroom.loo_scores(cfg, cirs, db)
     assert np.allclose(loglik, want_ll, rtol=1e-9, atol=1e-9)
     assert np.allclose(sqerr, want_sq, rtol=1e-9, atol=1e-12)
@@ -1184,16 +1188,20 @@ _POSITIVE = st.one_of(st.sampled_from([5e-324, 1e-310, _MAX]),
 
 
 def _model_blocks(data, n: int) -> dict:
-    """A Gaussian (diagonal covariance), Gamma and von Mises block over n points."""
+    """A Gaussian (diagonal covariance), Gamma and von Mises block over n points.
+
+    The Gaussian's eigenvectors are a diagonal of unit phases, exactly unitary.
+    """
     def draw(shape, elements, dtype=np.float64):
         return data.draw(hnp.arrays(dtype, shape, elements=elements))
 
     d = data.draw(st.integers(1, 3))
-    diag = draw((n, d), st.one_of(st.just(0.0), _POSITIVE))
+    phases = draw((n, d), st.sampled_from([1.0, -1.0, 1j, -1j]), np.complex128)
     return {
         "gaussian": GaussianStats(mean=draw((n, d), st.builds(complex, _EXACT, _EXACT),
                                             np.complex128),
-                                  cov=diag[:, :, None] * np.eye(d),
+                                  eigvals=draw((n, d), st.one_of(st.just(0.0), _POSITIVE)),
+                                  eigvecs=phases[:, :, None] * np.eye(d),
                                   loading=draw((n,), st.one_of(st.just(0.0), _POSITIVE))),
         "gamma": GammaParams(shape=draw((n,), _POSITIVE), scale=draw((n,), _POSITIVE)),
         "von_mises": VonMisesParams(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fingerloc.features import power_phase, wrap_angle, xcorr, xcorr_rows
+from fingerloc.features import mean_power, relative_phase, wrap_angle, xcorr, xcorr_rows
 
 
 def xcorr_brute(a, b, max_lag):
@@ -109,22 +109,22 @@ def test_xcorr_validates_inputs():
 
 def test_rssi_rspd_analytic_cases():
     same = np.array([1.0, 1.0])
-    rssi, phase = power_phase(same, same)
-    assert rssi == 1.0 and phase == 0.0
-    rssi, phase = power_phase(same, np.array([1.0j, 1.0j]))
-    assert rssi == 1.0
-    assert phase == pytest.approx(-math.pi / 2, abs=1e-12)
+    assert mean_power(same) == 1.0 and relative_phase(same, same) == 0.0
+    assert relative_phase(same, np.array([1.0j, 1.0j])) == pytest.approx(-math.pi / 2, abs=1e-12)
 
 
 def test_rssi_rspd_power_is_mean_square_of_first_buffer():
     rng = np.random.default_rng(40)
     yi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     yj = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    rssi, phase = power_phase(yi, yj)
+    rssi, phase = mean_power(yi), relative_phase(yi, yj)
     assert rssi == pytest.approx(float(np.mean(np.abs(yi) ** 2)), rel=1e-12)
     assert phase == pytest.approx(float(np.angle(np.mean(yi * np.conj(yj)))), abs=1e-12)
     with pytest.raises(ValueError):
-        power_phase(yi, yj[:10])
+        relative_phase(yi, yj[:10])
+    for empty in (np.zeros(0), np.array(1.0)):
+        with pytest.raises(ValueError):
+            mean_power(empty)
 
 
 def test_power_phase_rows_equal_rssi_rspd_per_row_bit_for_bit():
@@ -138,7 +138,7 @@ def test_power_phase_rows_equal_rssi_rspd_per_row_bit_for_bit():
             full = shape[:-1] + (2, shape[-1]) if strided else (2,) + shape
             y = rng.standard_normal(full) + 1j * rng.standard_normal(full)
             yi, yj = (y[..., 0, :], y[..., 1, :]) if strided else y
-            rssi, phase = power_phase(yi, yj)
+            rssi, phase = mean_power(yi), relative_phase(yi, yj)
             assert rssi.shape == phase.shape == shape[:-1]
             for idx in np.ndindex(*shape[:-1]):
                 a, b = yi[idx], yj[idx]
@@ -146,7 +146,7 @@ def test_power_phase_rows_equal_rssi_rspd_per_row_bit_for_bit():
                 assert (rssi[idx].tobytes(), phase[idx].tobytes()) == tuple(
                     w.tobytes() for w in want)
             with pytest.raises(ValueError):
-                power_phase(yi, yj[..., :-1])
+                relative_phase(yi, yj[..., :-1])
 
 
 def test_xcorr_rows_shape_and_validation():

@@ -42,18 +42,40 @@ def _complex_normal(rng, shape):
 # complex Gaussian
 # ---------------------------------------------------------------------------
 
+def _dense_cov(stats: GaussianStats) -> np.ndarray:
+    """Every model's covariance as a dense matrix, ``V diag(eigvals + loading) V^H``,
+    made exactly Hermitian."""
+    D = stats.eigvals + stats.loading[:, None]
+    cov = (stats.eigvecs * D[:, None, :]) @ np.conj(np.swapaxes(stats.eigvecs, -1, -2))
+    return (cov + np.conj(np.swapaxes(cov, -1, -2))) / 2
+
+
+def _from_dense(mean, cov) -> GaussianStats:
+    """The unloaded block whose covariances are the Hermitian (N, d, d) ``cov``."""
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    return GaussianStats(mean=mean, eigvals=eigvals, eigvecs=eigvecs, loading=np.zeros(len(cov)))
+
+
+def _loo(x, loading_eps):
+    """``gaussian_loo_loglik`` of (N, n, d) samples, from their own fit."""
+    return gaussian_loo_loglik(x, fit_gaussian(x, loading_eps), loading_eps)
+
+
 def test_fit_gaussian_two_point_hand_case():
     stats = fit_gaussian([[[1.0 + 0j], [-1.0 + 0j]]], 1e-3)
     assert stats.mean[0, 0] == 0.0
     # biased scatter of {1, -1} about 0 is 1; loading adds eps * trace / dim
-    assert stats.cov[0, 0, 0] == pytest.approx(1.0 + 1e-3, rel=1e-12)
+    assert stats.eigvals[0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert abs(stats.eigvecs[0, 0, 0]) == pytest.approx(1.0, rel=1e-12)
+    assert _dense_cov(stats)[0, 0, 0] == pytest.approx(1.0 + 1e-3, rel=1e-12)
     assert stats.loading[0] == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_fit_gaussian_zero_scatter_still_loads():
     stats = fit_gaussian([[[2.0 + 1j], [2.0 + 1j]]], 1e-3)
     assert stats.loading[0] == 1e-3
-    assert stats.cov[0, 0, 0] == pytest.approx(1e-3)
+    assert stats.eigvals[0, 0] == 0.0
+    assert _dense_cov(stats)[0, 0, 0] == pytest.approx(1e-3)
 
 
 def test_fit_gaussian_rounding_level_scatter_counts_as_zero():
@@ -66,7 +88,8 @@ def test_fit_gaussian_rounding_level_scatter_counts_as_zero():
     for samples in (np.stack([x, x, x]), np.stack([x, last_bit, x])):
         stats = fit_gaussian(samples[None], loading_eps=1e-3)
         assert stats.loading[0] == 1e-3
-        assert np.array_equal(stats.cov[0], 1e-3 * np.eye(4))
+        assert np.array_equal(stats.eigvals[0], np.zeros(4))
+        assert np.array_equal(_dense_cov(stats)[0], 1e-3 * np.eye(4))
     # inside a block, only that model is zeroed
     noisy = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     block = fit_gaussian(np.stack([np.stack([x, last_bit, x]), noisy]), loading_eps=1e-3)
@@ -86,23 +109,28 @@ def test_fit_gaussian_matches_direct_formula():
         scatter = (scatter + scatter.conj().T) / 2
         loading = 1e-4 * float(np.trace(scatter).real) / d
         assert np.allclose(stats.mean[0], mean, atol=1e-15)
-        assert np.allclose(stats.cov[0], scatter + loading * np.eye(d), atol=1e-15)
+        assert stats.loading[0] == pytest.approx(loading, rel=1e-14)
+        assert np.allclose(stats.eigvals[0], np.linalg.eigvalsh(scatter), atol=1e-14)
+        assert np.allclose(_dense_cov(stats)[0], scatter + loading * np.eye(d), atol=1e-15)
 
 
 def test_gaussian_loglik_scalar_hand_case():
     # d = 1, R = 2, |f - m|^2 = 1: -ln(pi) - ln(2) - 1/2
-    stats = GaussianStats(mean=np.array([[0.0 + 0j]]), cov=np.array([[[2.0 + 0j]]]),
-                          loading=np.array([0.0]))
+    stats = GaussianStats(mean=np.array([[0.0 + 0j]]), eigvals=np.array([[2.0]]),
+                          eigvecs=np.array([[[1.0 + 0j]]]), loading=np.array([0.0]))
     got = gaussian_loglik(np.array([[1.0 + 0j]]), stats)
     assert got.shape == (1, 1)
     assert got[0, 0] == pytest.approx(-math.log(math.pi) - math.log(2.0) - 0.5, abs=1e-12)
 
 
-def _dense_loglik(f, mean, cov):
-    """The density of one fingerprint under one model, by ``slogdet`` and ``solve``."""
+def _dense_loglik(f, mean, cov, sign_tol=1e-6):
+    """The density of one fingerprint under one model, by ``slogdet`` and ``solve``.
+
+    ``slogdet``'s complex sign is 1 to about ``cond * eps``; ``sign_tol`` bounds its gap.
+    """
     sign, logdet = np.linalg.slogdet(cov)
     delta = f - mean
-    assert sign == pytest.approx(1.0)
+    assert sign == pytest.approx(1.0, abs=sign_tol)
     return -len(f) * math.log(math.pi) - logdet - float(
         np.real(delta.conj() @ np.linalg.solve(cov, delta)))
 
@@ -122,14 +150,41 @@ def test_gaussian_loglik_matches_dense_solve_oracle(data, n, t, d, scale):
     factor = draw((n, d, d))
     # a well-conditioned Hermitian positive definite covariance per model
     cov = factor @ np.conj(np.swapaxes(factor, -1, -2)) + scale ** 2 * np.eye(d)
-    stats = GaussianStats(mean=draw((n, d)), cov=cov, loading=np.zeros(n))
+    stats = _from_dense(draw((n, d)), cov)
     f = draw((t, d))
     got = gaussian_loglik(f, stats)
     assert got.shape == (t, n)
     for i in range(n):
         for k in range(t):
-            want = _dense_loglik(f[k], stats.mean[i], stats.cov[i])
+            want = _dense_loglik(f[k], stats.mean[i], cov[i])
             assert got[k, i] == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("cond", [1e4, 1e8, 1e12])
+def test_gaussian_loglik_matches_dense_solve_oracle_when_ill_conditioned(cond):
+    """Spectral scoring against ``slogdet`` + ``solve`` on the dense covariance.
+
+    Eigenvalues span [1, c] on random unitary bases.  Solving against a
+    matrix of condition number c loses about c * eps relative in the
+    quadratic form (the dense matrix itself is rounded to eps of its largest
+    entry), so the two agree to ``d * eps * c`` relative; 20 seeds per c
+    came within 0.05 c eps.
+    """
+    rng = np.random.default_rng(int(math.log10(cond)))
+    d, n, t = 6, 5, 8
+    eigvals = np.sort(np.exp(rng.uniform(0.0, math.log(cond), (n, d))), axis=-1)
+    eigvals[:, 0], eigvals[:, -1] = 1.0, cond
+    eigvecs = np.linalg.qr(_complex_normal(rng, (n, d, d)))[0]
+    stats = GaussianStats(mean=_complex_normal(rng, (n, d)), eigvals=eigvals,
+                          eigvecs=eigvecs, loading=np.zeros(n))
+    cov = _dense_cov(stats)
+    f = stats.mean[0] + _complex_normal(rng, (t, d))
+    tol = d * np.finfo(float).eps * cond
+    got = gaussian_loglik(f, stats)
+    for i in range(n):
+        for k in range(t):
+            want = _dense_loglik(f[k], stats.mean[i], cov[i], sign_tol=tol)
+            assert got[k, i] == pytest.approx(want, rel=tol)
 
 
 def test_gaussian_loglik_peaks_at_mean():
@@ -154,8 +209,8 @@ def test_gaussian_loglik_batch_equals_loop():
 
 
 def test_gaussian_loglik_rejects_indefinite_covariance():
-    stats = GaussianStats(mean=np.zeros((1, 2), dtype=complex),
-                          cov=np.zeros((1, 2, 2), dtype=complex), loading=np.zeros(1))
+    stats = GaussianStats(mean=np.zeros((1, 2), dtype=complex), eigvals=np.zeros((1, 2)),
+                          eigvecs=np.eye(2, dtype=complex)[None], loading=np.zeros(1))
     with pytest.raises(NumericError, match="model 0 "):
         gaussian_loglik(np.zeros((1, 2), dtype=complex), stats)
     with pytest.raises(ValueError):
@@ -163,77 +218,87 @@ def test_gaussian_loglik_rejects_indefinite_covariance():
                         fit_gaussian(np.ones((1, 2, 2), dtype=complex), 1e-3))
 
 
+def _spectral_block(mean, eigvals, eigvecs, loading):
+    """GaussianStats from nested lists, complex mean and eigvecs, real eigvals and loading."""
+    return GaussianStats(mean=np.array(mean, complex), eigvals=np.array(eigvals, float),
+                         eigvecs=np.array(eigvecs, complex), loading=np.array(loading, float))
+
+
 def test_gaussian_stats_validation():
-    zero = np.zeros(1)
-    with pytest.raises(ValueError):
-        GaussianStats(mean=np.array([[0j]]), cov=np.array([[[1j]]]), loading=zero)
-    with pytest.raises(ValueError):
-        GaussianStats(mean=np.array([[0j, 0j]]), cov=np.eye(1, dtype=complex)[None],
-                      loading=zero)
-    with pytest.raises(ValueError):
-        GaussianStats(mean=np.array([[0j]]), cov=np.array([[[-1.0 + 0j]]]), loading=zero)
+    ok = ([[0j]], [[1.0]], [[[1.0]]], [0.0])
+    _spectral_block(*ok)
+    for i, bad, match in [
+            (1, [[1.0, 1.0]], "eigvals shape"),
+            (2, [[[1.0, 0.0]]], "eigvecs shape"),
+            (3, [0.0, 0.0], "loading shape"),
+            (3, [-1.0], "non-negative"),
+            (1, [[-1.0]], "negative entry"),
+            (2, [[[1.1]]], "not unitary"),
+            (1, [[math.inf]], "non-finite"),
+            (2, [[[math.nan]]], "non-finite")]:
+        with pytest.raises(ValueError, match=match):
+            _spectral_block(*(bad if k == i else v for k, v in enumerate(ok)))
+    with pytest.raises(ValueError, match="real"):
+        GaussianStats(mean=np.array([[0j]]), eigvals=np.array([[1j]]),
+                      eigvecs=np.array([[[1.0 + 0j]]]), loading=np.zeros(1))
 
 
 def test_gaussian_stats_owns_the_arrays_it_is_handed():
-    mean, cov, loading = np.zeros((2, 1), complex), np.ones((2, 1, 1), complex), np.zeros(2)
-    stats = GaussianStats(mean=mean, cov=cov, loading=loading)
-    assert stats.mean is mean and stats.cov is cov and stats.loading is loading
-    for arr in (mean, cov, loading):
+    mean, eigvals, eigvecs, loading = (np.zeros((2, 1), complex), np.ones((2, 1)),
+                                       np.ones((2, 1, 1), complex), np.zeros(2))
+    stats = GaussianStats(mean=mean, eigvals=eigvals, eigvecs=eigvecs, loading=loading)
+    assert (stats.mean is mean and stats.eigvals is eigvals and stats.eigvecs is eigvecs
+            and stats.loading is loading)
+    for arr in (mean, eigvals, eigvecs, loading):
         assert not arr.flags.writeable
     # other dtypes are converted, so the model holds its own copy
     real = np.ones((2, 1, 1))
-    converted = GaussianStats(mean=mean, cov=real, loading=loading)
-    assert converted.cov.dtype == complex and not converted.cov.flags.writeable
+    converted = GaussianStats(mean=mean, eigvals=eigvals, eigvecs=real, loading=loading)
+    assert converted.eigvecs.dtype == complex and not converted.eigvecs.flags.writeable
     assert real.flags.writeable
 
 
-def _eigenvalue_rule(cov) -> str | None:
-    """The refusal of the eigenvalue check ``GaussianStats`` made on every
-    stack before it tried Cholesky first, or None."""
-    diag = np.diagonal(cov, axis1=-2, axis2=-1)
-    tol = np.maximum(np.abs(np.sum(1e-12 * diag, axis=-1)), 1e-12)
-    eigmin = np.min(np.linalg.eigvalsh(cov), axis=-1)
-    if np.any(eigmin < -1e3 * tol):
-        return f"covariance has negative eigenvalue {np.min(eigmin):.3e}"
+_SLACK = 1e3 * np.finfo(float).eps  # GaussianStats's bound, per dimension
+
+
+def _eigenvalue_rule(eigvals) -> str | None:
+    """The stated refusal of negative eigenvalues: below ``-1e3 d eps max|eigvals|``
+    in some model, or None."""
+    floor = -_SLACK * eigvals.shape[-1] * np.max(np.abs(eigvals), axis=-1)
+    if np.any(np.min(eigvals, axis=-1) < floor):
+        return f"eigvals has negative entry {np.min(eigvals):.3e} past the rounding bound"
     return None
 
 
-def _hermitian(rng, eigenvalues) -> np.ndarray:
-    """U diag(eigenvalues) U^H for a random unitary U, made exactly Hermitian."""
-    d = len(eigenvalues)
-    u, _ = np.linalg.qr(_complex_normal(rng, (d, d)))
-    cov = (u * np.asarray(eigenvalues)) @ u.conj().T
-    return (cov + cov.conj().T) / 2
-
-
-def _psd_blocks(kind: str, rng) -> np.ndarray:
-    """A (3, d, d) covariance stack of one kind."""
+def _spectra(kind: str, rng) -> tuple:
+    """(eigvals, eigvecs) of a 3-model block of one kind."""
     d = int(rng.integers(1, 7))
-    if kind == "definite":  # a loaded scatter, as fit_gaussian makes
-        return fit_gaussian(_complex_normal(rng, (3, d + 2, d)), 10.0 ** rng.uniform(-12, 0)).cov
+    if kind == "definite":  # a scatter, as fit_gaussian fits it
+        fit = fit_gaussian(_complex_normal(rng, (3, d + 2, d)), 10.0 ** rng.uniform(-12, 0))
+        return fit.eigvals, fit.eigvecs
     if kind == "singular":  # fewer snapshots than lags and no loading, or no scatter at all
-        if rng.random() < 0.2:
-            return np.zeros((3, d, d), complex)
-        return fit_gaussian(_complex_normal(rng, (3, int(rng.integers(1, d + 1)), d)), 0.0).cov
-    # one eigenvalue of one matrix near the refusal bound, -1e3 tol, on either side
-    stack = np.stack([_hermitian(rng, rng.uniform(0.1, 10.0, d)) for _ in range(3)])
-    eigenvalues = rng.uniform(0.1, 10.0, d)
-    eigenvalues[0] = -1e3 * 1e-12 * eigenvalues[1:].sum() * rng.uniform(0.2, 5.0)
-    stack[int(rng.integers(3))] = _hermitian(rng, eigenvalues)
-    return stack
+        n = 1 if rng.random() < 0.2 else int(rng.integers(1, d + 1))
+        fit = fit_gaussian(_complex_normal(rng, (3, n, d)), 0.0)
+        return fit.eigvals, fit.eigvecs
+    # one eigenvalue of one model near the refusal bound, on either side
+    eigvals = rng.uniform(0.1, 10.0, (3, d))
+    row = int(rng.integers(3))
+    eigvals[row, 0] = -_SLACK * d * eigvals[row].max() * rng.uniform(0.2, 5.0)
+    return eigvals, np.linalg.qr(_complex_normal(rng, (3, d, d)))[0]
 
 
 @pytest.mark.parametrize("kind", ["definite", "singular", "past-tolerance"])
 def test_gaussian_stats_refuses_what_the_eigenvalue_rule_refuses(kind):
-    # Cholesky first, eigvalsh only when it fails: the same verdicts and messages
+    # eigh leaves a PSD scatter's eigenvalues non-negative to rounding: fitted
+    # blocks, singular ones too, always pass, and the bound decides the rest
     rng = np.random.default_rng(["definite", "singular", "past-tolerance"].index(kind))
     refused = 0
     for _ in range(200):
-        cov = _psd_blocks(kind, rng)
-        want = _eigenvalue_rule(cov)
+        eigvals, eigvecs = _spectra(kind, rng)
+        want = _eigenvalue_rule(eigvals)
         try:
-            GaussianStats(mean=np.zeros(cov.shape[:-1], complex), cov=cov,
-                          loading=np.zeros(len(cov)))
+            GaussianStats(mean=np.zeros(eigvals.shape, complex), eigvals=eigvals,
+                          eigvecs=eigvecs, loading=np.zeros(len(eigvals)))
             got = None
         except ValueError as exc:
             got = str(exc)
@@ -244,15 +309,20 @@ def test_gaussian_stats_refuses_what_the_eigenvalue_rule_refuses(kind):
 
 @pytest.mark.parametrize("scale", [1e300, 1e308])
 def test_gaussian_stats_checks_hold_where_the_trace_overflows(scale):
-    # at 1e308 the trace, 2e308, is past the float maximum; the tolerances
-    # scaled from it must not turn into inf and let any matrix through
-    skew = scale * np.array([[[1.0, 0.5], [-0.5, 1.0]]])
+    # at 1e308 the trace, 2e308, is past the float maximum; the bound scaled
+    # from the eigenvalues must not turn into inf and let any block through
+    eye = np.eye(2, dtype=complex)[None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="not Hermitian"):
-            GaussianStats(mean=np.zeros((1, 2)), cov=skew, loading=np.zeros(1))
-        stats = GaussianStats(mean=np.zeros((1, 2)), cov=np.abs(skew), loading=np.zeros(1))
-    assert np.array_equal(stats.cov, np.abs(skew))
+        with pytest.raises(ValueError, match="negative entry"):
+            GaussianStats(mean=np.zeros((1, 2)), eigvals=np.array([[-scale, scale]]),
+                          eigvecs=eye, loading=np.zeros(1))
+        with pytest.raises(ValueError, match="not unitary"):
+            GaussianStats(mean=np.zeros((1, 2)), eigvals=np.array([[scale, scale]]),
+                          eigvecs=1.5 * eye, loading=np.zeros(1))
+        stats = GaussianStats(mean=np.zeros((1, 2)), eigvals=np.array([[scale, scale]]),
+                              eigvecs=eye, loading=np.array([scale]))
+    assert np.array_equal(stats.eigvals, [[scale, scale]])
 
 
 def _one_fit_per_fold(x, loading_eps):
@@ -274,9 +344,9 @@ def test_gaussian_loo_loglik_equals_one_fit_per_fold(loading_eps):
         d = int(rng.integers(1, 6))
         # without loading only full-rank folds (n - 2 >= d) have a model
         n = int(rng.integers(d + 2 if loading_eps == 0.0 else 2, 10))
-        x = _complex_normal(rng, (2, 3, n, d)) + 3.0 * _complex_normal(rng, d)
-        got = gaussian_loo_loglik(x, loading_eps)
-        assert got.shape == (2, 3, n)
+        x = (_complex_normal(rng, (2, 3, n, d)) + 3.0 * _complex_normal(rng, d)).reshape(6, n, d)
+        got = _loo(x, loading_eps)
+        assert got.shape == (6, n)
         assert np.allclose(got, _one_fit_per_fold(x, loading_eps), rtol=1e-9, atol=1e-9)
 
 
@@ -291,8 +361,8 @@ def test_gaussian_loo_loglik_nearly_singular_folds_follow_the_fold_fit(flatness)
         x[:4, 2] *= flatness
         basis = np.linalg.qr(_complex_normal(rng, (3, 3)))[0]
         x = x @ basis + 2.0 * _complex_normal(rng, 3)
-        got = gaussian_loo_loglik(x, 0.0)
-        assert np.allclose(got, _one_fit_per_fold(x, 0.0), rtol=1e-9, atol=1e-9)
+        got = _loo(x[None], 0.0)
+        assert np.allclose(got, _one_fit_per_fold(x[None], 0.0), rtol=1e-9, atol=1e-9)
 
 
 def test_gaussian_loo_loglik_zero_scatter_folds_follow_the_fold_fit():
@@ -306,7 +376,7 @@ def test_gaussian_loo_loglik_zero_scatter_folds_follow_the_fold_fit():
             np.stack([x, x, x, x]),  # every fold of equal samples
             np.stack([x, last_bit, x, z]),  # only the fold without z: equal to rounding
         ])
-        got = gaussian_loo_loglik(seats, 1e-3)
+        got = _loo(seats, 1e-3)
         assert np.allclose(got, _one_fit_per_fold(seats, 1e-3), rtol=1e-12, atol=0.0)
         # the fold without z is 1e-3 * I about the mean of the other three
         rest = np.stack([x, last_bit, x]).mean(axis=0)
@@ -314,13 +384,13 @@ def test_gaussian_loo_loglik_zero_scatter_folds_follow_the_fold_fit():
         assert got[1, 3] == pytest.approx(want, rel=1e-12)
         # n = 2: every fold holds one sample
         pairs = _complex_normal(rng, (5, 2, 3)) + 2.0
-        got = gaussian_loo_loglik(pairs, 0.1)
+        got = _loo(pairs, 0.1)
         gap = np.sum(np.abs(pairs[:, 0] - pairs[:, 1]) ** 2, axis=-1)
         assert np.allclose(got, -3 * math.log(math.pi * 0.1) - gap[:, None] / 0.1, rtol=1e-12)
         assert np.allclose(got, _one_fit_per_fold(pairs, 0.1), rtol=1e-12, atol=0.0)
     # without loading a zero-scatter fold has no model
     with pytest.raises(NumericError):
-        gaussian_loo_loglik(seats, 0.0)
+        _loo(seats, 0.0)
 
 
 def test_gaussian_loglik_error_names_the_failing_model():
@@ -345,18 +415,39 @@ def test_gaussian_loo_loglik_singular_fold_raises(n, d):
         for scale in (1e-6, 1.0, 1e6):
             x = scale * _complex_normal(rng, (n, d))
             with pytest.raises(NumericError):
-                gaussian_loo_loglik(x, 0.0)
+                _loo(x[None], 0.0)
             with pytest.raises(NumericError):
-                gaussian_loo_loglik(x + 5.0 * scale, 0.0)
+                _loo(x[None] + 5.0 * scale, 0.0)
 
 
 def test_gaussian_loo_loglik_validation():
-    for bad in (np.ones(3, dtype=complex), np.ones((1, 3), dtype=complex),
-                np.ones((3, 0), dtype=complex)):
+    fit = fit_gaussian(np.ones((1, 3, 2), dtype=complex), 1e-3)
+    for bad in (np.ones((3, 2), dtype=complex), np.ones((1, 1, 2), dtype=complex),
+                np.ones((1, 3, 0), dtype=complex)):
         with pytest.raises(ValueError):
-            gaussian_loo_loglik(bad, 1e-3)
+            gaussian_loo_loglik(bad, fit, 1e-3)
     with pytest.raises(ValueError):
-        gaussian_loo_loglik(np.ones((3, 2), dtype=complex), loading_eps=-1.0)
+        gaussian_loo_loglik(np.ones((1, 3, 2), dtype=complex), fit, loading_eps=-1.0)
+    # the block must be the fit of these very samples
+    rng = np.random.default_rng(83)
+    x = _complex_normal(rng, (2, 4, 3))
+    for other in (fit, fit_gaussian(x[:1], 1e-3), fit_gaussian(x + 1e-9, 1e-3)):
+        with pytest.raises(ValueError):
+            gaussian_loo_loglik(x, other, 1e-3)
+
+
+def test_gaussian_loo_loglik_refits_every_fold_of_a_set_stored_without_eigenpairs():
+    # a block whose scatter the fit zeroed stores eigenvalues 0 and V = I, not
+    # that scatter's eigenpairs; a fold that is not zero is then refitted
+    rng = np.random.default_rng(89)
+    x = _complex_normal(rng, (2, 5, 3))
+    fit = fit_gaussian(x, 1e-3)
+    bare = GaussianStats(mean=fit.mean, eigvals=np.zeros_like(fit.eigvals),
+                         eigvecs=np.broadcast_to(np.eye(3, dtype=complex), fit.eigvecs.shape),
+                         loading=fit.loading)
+    want = _one_fit_per_fold(x, 1e-3)
+    for block in (fit, bare):
+        assert np.allclose(gaussian_loo_loglik(x, block, 1e-3), want, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +572,13 @@ def test_block_fits_equal_per_row_fits():
     power = rng.gamma(3.0, 1.0, size=(5, 9))
     angles = rng.vonmises(0.5, 4.0, size=(5, 9))
     gauss, gam, vm = fit_gaussian(cplx, 1e-3), fit_gamma(power), fit_vonmises(angles)
-    assert gauss.mean.shape == (5, 3) and gauss.cov.shape == (5, 3, 3)
+    assert gauss.mean.shape == gauss.eigvals.shape == (5, 3) and gauss.eigvecs.shape == (5, 3, 3)
     assert gauss.loading.shape == gam.shape.shape == vm.kappa.shape == (5,)
     for i in range(5):
         row = slice(i, i + 1)
         one = fit_gaussian(cplx[row], 1e-3)
         assert np.allclose(gauss.mean[row], one.mean, atol=1e-15)
-        assert np.allclose(gauss.cov[row], one.cov, atol=1e-14)
+        assert np.allclose(_dense_cov(gauss)[row], _dense_cov(one), atol=1e-14)
         assert gauss.loading[i] == pytest.approx(one.loading[0], rel=1e-14)
         assert (gam.shape[i], gam.scale[i]) == (fit_gamma(power[row]).shape[0],
                                                 fit_gamma(power[row]).scale[0])
@@ -509,7 +600,8 @@ def test_block_densities_broadcast_one_value_over_models():
         row = slice(i, i + 1)
         assert got_g[i] == gamma_logpdf(1.3, GammaParams(gam.shape[row], gam.scale[row]))[0]
         assert got_v[i] == vonmises_logpdf(-0.4, VonMisesParams(vm.mu[row], vm.kappa[row]))[0]
-        one = GaussianStats(mean=stats.mean[row], cov=stats.cov[row], loading=stats.loading[row])
+        one = GaussianStats(mean=stats.mean[row], eigvals=stats.eigvals[row],
+                            eigvecs=stats.eigvecs[row], loading=stats.loading[row])
         assert got_n[0, i] == pytest.approx(gaussian_loglik(f, one)[0, 0], rel=1e-12)
 
 
@@ -519,9 +611,10 @@ def test_gaussian_loglik_broadcasts_fingerprints_against_a_block(monkeypatch):
     trials = _complex_normal(rng, (4, 3))
     cross = gaussian_loglik(trials, stats)
     assert cross.shape == (4, 5)
+    cov = _dense_cov(stats)
     for i in range(5):
         for t in range(4):
-            want = _dense_loglik(trials[t], stats.mean[i], stats.cov[i])
+            want = _dense_loglik(trials[t], stats.mean[i], cov[i])
             assert cross[t, i] == pytest.approx(want, rel=1e-12)
     # 15 elements (5 models x 3) per trial: chunks of two trials, the last one short
     monkeypatch.setattr(fingerloc.stats, "_CROSS_CHUNK", 30)
@@ -536,22 +629,34 @@ def test_gaussian_loglik_rejects_a_singular_model_inside_a_block():
     samples = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
     samples[1] = 1.0 + 2.0j  # identical snapshots whose mean is exact: zero scatter
     stats = fit_gaussian(samples, loading_eps=0.0)  # PSD-singular, still a valid model
-    assert stats.loading[1] == 0.0 and np.all(stats.cov[1] == 0.0)
+    assert stats.loading[1] == 0.0 and np.all(stats.eigvals[1] == 0.0)
     with pytest.raises(NumericError):
         gaussian_loglik(np.zeros((1, 2), dtype=complex), stats)
     with pytest.raises(NumericError):
         gaussian_loglik(np.zeros((3, 2), dtype=complex), stats)
+    # fewer samples than dimensions and no loading: a rank-deficient scatter,
+    # its zero eigenvalues rounding of either sign, refused when scored
+    rank_deficient = fit_gaussian(_complex_normal(rng, (3, 2, 4)), loading_eps=0.0)
+    with pytest.raises(NumericError, match="model 0 "):
+        gaussian_loglik(np.zeros((1, 4), dtype=complex), rank_deficient)
 
 
 def test_block_checks_every_model():
     rng = np.random.default_rng(11)
     stats = fit_gaussian(rng.standard_normal((3, 4, 2)) + 0j, 1e-3)
-    cov = np.array(stats.cov)
-    cov[1, 0, 0] = -5.0  # one indefinite model spoils the block
+    eigvals = np.array(stats.eigvals)
+    eigvals[1, 0] = -5.0  # one indefinite model spoils the block
     with pytest.raises(ValueError):
-        GaussianStats(mean=stats.mean, cov=cov, loading=stats.loading)
+        GaussianStats(mean=stats.mean, eigvals=eigvals, eigvecs=stats.eigvecs,
+                      loading=stats.loading)
+    eigvecs = np.array(stats.eigvecs)
+    eigvecs[2] *= 1.0 + 1e-6  # so do one model's non-unitary eigenvectors
     with pytest.raises(ValueError):
-        GaussianStats(mean=stats.mean, cov=stats.cov, loading=stats.loading[:2])
+        GaussianStats(mean=stats.mean, eigvals=stats.eigvals, eigvecs=eigvecs,
+                      loading=stats.loading)
+    with pytest.raises(ValueError):
+        GaussianStats(mean=stats.mean, eigvals=stats.eigvals, eigvecs=stats.eigvecs,
+                      loading=stats.loading[:2])
     with pytest.raises(ValueError):
         GammaParams(shape=[1.0, -1.0], scale=[1.0, 1.0])
     with pytest.raises(ValueError):
@@ -569,7 +674,8 @@ def test_single_model_forms_are_refused():
     stats = fit_gaussian(samples[None], 1e-3)
     bad_calls = [
         lambda: fit_gaussian(samples, 1e-3),
-        lambda: GaussianStats(mean=stats.mean[0], cov=stats.cov[0], loading=stats.loading[0]),
+        lambda: GaussianStats(mean=stats.mean[0], eigvals=stats.eigvals[0],
+                              eigvecs=stats.eigvecs[0], loading=stats.loading[0]),
         lambda: gaussian_loglik(samples[0], stats),  # one vector
         lambda: gaussian_loglik(samples[:, None, :], stats),  # a (T, 1, d) stack
         lambda: fit_gamma([1.0, 2.0, 3.0]),
