@@ -195,10 +195,13 @@ def estimate_aoa(values, pairs, geom: UcaGeometry, freq_hz: float) -> tuple:
         raise ValueError("frequency must be positive")
     grid = np.deg2rad(np.arange(0.0, 360.0, AOA_GRID_STEP_DEG))
     pred = _steering_pair_diffs(geom, freq_hz, grid, pairs)
-    agree = np.exp(1j * (values[:, None, :] - pred))  # (N, angles, pairs)
-    resultant = np.abs(agree.mean(axis=-1))
-    best = np.argmax(np.real(agree.sum(axis=-1)), axis=-1)
-    return grid[best], np.take_along_axis(resultant, best[:, None], axis=-1)[:, 0]
+    # each angle's score is the real part of its agreement phasors' sum, and
+    # cos(x) is Re exp(ix) bit for bit; only the best angle's phasors are formed
+    best = np.argmax(np.cos(values[:, None, :] - pred).sum(axis=-1), axis=-1)
+    # the scan sums each angle's pairs in pair order (pred's pair axis is its
+    # outer one); cumsum adds the best angle's phasors in that order too
+    total = np.cumsum(np.exp(1j * (values - pred[best])), axis=-1)[:, -1]
+    return grid[best], np.abs(total / values.shape[-1])
 
 
 def phasediff_freq_interp(values, pairs, geom: UcaGeometry,

@@ -23,7 +23,8 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299792458.0
 # complex samples of one simulated chunk held at a time (see simulate_links);
-# a chunk makes about six temporaries of its size, 256 KB each at this bound
+# 256 KB at this bound, and a chunk's traced peak is about four times that,
+# its output included
 SIM_CHUNK = 1 << 14
 # rows seeded at a time by seeded_uniforms and stream_states; a chunk's
 # temporaries are a few dozen uint32/uint64 arrays of this length, about
@@ -352,10 +353,14 @@ def gen_cir(tx_xy, rx_xy, freq_hz: float, bandwidth_hz: float, model: ChannelMod
                                        np.asarray(rx_xy, dtype=float))
     if tx_xy.ndim != 2 or tx_xy.shape[1] != 2:
         raise ValueError(f"positions must be (links, 2) arrays, got shape {tx_xy.shape}")
-    n_links = tx_xy.shape[0]
-    dist, first, p_los, p_nlos = _link_geometry(tx_xy, rx_xy, freq_hz, bandwidth_hz, model,
-                                                tap_count)
+    return _draw_taps(*_link_geometry(tx_xy, rx_xy, freq_hz, bandwidth_hz, model, tap_count),
+                      freq_hz, bandwidth_hz, model, tap_count, states)
 
+
+def _draw_taps(dist, first, p_los, p_nlos, freq_hz: float, bandwidth_hz: float,
+               model: ChannelModel, tap_count: int, states) -> np.ndarray:
+    """:func:`gen_cir`'s taps of links given their :func:`_link_geometry`."""
+    n_links = len(dist)
     taps = np.zeros((n_links, tap_count), dtype=complex)
     los_phase = -2.0 * math.pi * freq_hz * dist / SPEED_OF_LIGHT
     taps[np.arange(n_links), first] = np.sqrt(p_los) * np.exp(1j * los_phase)
@@ -400,15 +405,17 @@ class TxSignalSpec:
 
 
 def _convolve_rows(a, v) -> np.ndarray:
-    """``np.convolve(a[i], v[i])`` of every complex row pair, leading axes broadcast, bit for bit.
+    """The full linear convolution of every complex row pair, leading axes broadcast.
 
-    ``np.convolve`` puts the longer sequence first and takes each output
-    sample as one BLAS dot product of its overlap with the reversed shorter
-    one.  Here each output offset is one ``np.vecdot`` over all rows: the
-    full overlaps in one call over sliding windows, each shorter edge
-    overlap in one call of its own length (zero padding would regroup the
-    dot product's terms).  ``np.vecdot`` conjugates its first argument, so
-    it gets the reversed shorter rows conjugated.
+    Let ``a`` be the longer rows (the first on equal lengths), padded with
+    ``n_v - 1`` zeros on each side, and ``k`` the shorter rows reversed.
+    Output sample t is ``sum(pad[t + j] * k[j] for j in range(n_v))``, added
+    from +0 in that order, each product the textbook complex product; it
+    equals ``np.convolve`` to within rounding.  The block is one
+    ``np.matmul`` of the padded rows' sliding windows by ``k``.  Windows one
+    sample apart cannot go to BLAS, so numpy sums each output in its own
+    loop, and the bits depend on neither the BLAS kernel nor numpy's CPU
+    dispatch level.
 
     Returns:
         Complex (broadcast leading shape..., n_a + n_v - 1).
@@ -417,25 +424,19 @@ def _convolve_rows(a, v) -> np.ndarray:
     if v.shape[-1] > a.shape[-1]:
         a, v = v, a
     n_a, n_v = a.shape[-1], v.shape[-1]
-    # unit-stride rows on both sides (np.conj returns a fresh array), so every
-    # dot product goes to BLAS as np.convolve's do
-    a, k = np.ascontiguousarray(a), np.conj(v[..., ::-1])
-    out = np.empty(np.broadcast_shapes(a.shape[:-1], k.shape[:-1]) + (n_a + n_v - 1,),
-                   dtype=complex)
-    out[..., n_v - 1:n_a] = np.vecdot(k[..., None, :],
-                                      np.lib.stride_tricks.sliding_window_view(a, n_v, axis=-1))
-    for n in range(1, n_v):
-        out[..., n - 1] = np.vecdot(k[..., n_v - n:], a[..., :n])
-        out[..., n_a + n_v - 1 - n] = np.vecdot(k[..., :n], a[..., n_a - n:])
-    return out
+    pad = np.zeros(a.shape[:-1] + (n_a + 2 * (n_v - 1),), dtype=complex)
+    pad[..., n_v - 1:n_a + n_v - 1] = a
+    windows = np.lib.stride_tricks.sliding_window_view(pad, n_v, axis=-1)
+    return (windows @ v[..., ::-1, None])[..., 0]
 
 
 def synthesize_rx(taps, tx_spec: TxSignalSpec, states) -> np.ndarray:
     """Noiseless received samples: bits * pulse * channel, per link.
 
     Each measurement draws its bits from its own stream; then the pulse
-    shaping and the channel are each one block convolution over all links,
-    equal bit for bit to ``np.convolve`` per link.
+    shaping and the channel are each one block convolution over all links
+    (:func:`_convolve_rows`: each sample a sum in a fixed order, equal to
+    ``np.convolve`` per link to within rounding).
 
     Args:
         taps: complex (measurements, receivers, L) channel responses.
@@ -474,8 +475,11 @@ def add_receiver_noise(clean, snr_db: float, states) -> np.ndarray:
     draws = np.empty((rows.shape[0], 2, n))
     for row, rng in zip(draws, _streams(_checked_states(states, rows.shape[0], "noise"))):
         rng.standard_normal(out=row)
-    noise = np.sqrt(noise_power / 2.0)[:, None] * (draws[:, 0] + 1j * draws[:, 1])
-    return (rows + noise).reshape(clean.shape)
+    scale = np.sqrt(noise_power / 2.0)[:, None]
+    noisy = np.empty(rows.shape, dtype=complex)
+    noisy.real = rows.real + scale * draws[:, 0]
+    noisy.imag = rows.imag + scale * draws[:, 1]
+    return noisy.reshape(clean.shape)
 
 
 def simulate_links(tx_xy, rx_xy, ids, noise_tag: int, *, model: ChannelModel,
@@ -545,7 +549,7 @@ def simulate_links(tx_xy, rx_xy, ids, noise_tag: int, *, model: ChannelModel,
         receiver = tuple(int(k) for k in np.unravel_index(r, rx_shape))
         return f"measurement {m}, receiver {receiver[0] if len(receiver) == 1 else receiver}"
 
-    _link_geometry(link_tx, link_rx, freq_hz, bandwidth_hz, model, tap_count, name)
+    geometry = _link_geometry(link_tx, link_rx, freq_hz, bandwidth_hz, model, tap_count, name)
     channel = None
     if model.multipath:
         channel = stream_states(model.seed, np.repeat(ids[:, -1], n_rx),
@@ -559,9 +563,8 @@ def simulate_links(tx_xy, rx_xy, ids, noise_tag: int, *, model: ChannelModel,
     def samples(sl: slice) -> np.ndarray:
         # a function, so no chunk's temporaries outlive it while the caller works
         n, links = sl.stop - sl.start, slice(sl.start * n_rx, sl.stop * n_rx)
-        taps = gen_cir(np.repeat(tx_xy[sl], n_rx, axis=0), np.tile(rx_xy, (n, 1)), freq_hz,
-                       bandwidth_hz, model, tap_count,
-                       None if channel is None else channel[links])
+        taps = _draw_taps(*(g[links] for g in geometry), freq_hz, bandwidth_hz, model,
+                          tap_count, None if channel is None else channel[links])
         taps = (taps * amplitude).reshape(n, n_rx, tap_count)
         clean = taps if tx_spec is None else synthesize_rx(taps, tx_spec, bits[sl])
         return add_receiver_noise(clean.reshape(n, *rx_shape, -1), snr_db, noise[links])

@@ -11,13 +11,18 @@ returns at ``TINY``, so the simulated training set must stay bit-identical
 whatever the file encoding of ``measurements.json``.
 
 Those bits, like every byte-identity claim of the package, hold for one
-numpy build at one CPU dispatch level.  ``np.arctan2``/``np.angle``,
-``np.exp``, ``np.log10``, ``np.log``, ``np.log1p`` and float ``**`` round
-the last bit differently in numpy's AVX-512 and AVX2 loops (``cos``,
-``sin``, ``hypot`` and complex ``exp`` do not), so with
-``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` on an AVX-512
-machine the ``wifi_rssi_rspd`` and ``illegal_hybrid`` pins fail.  The pins
-are not loosened for that: they guard refactors on one machine.
+numpy build at one CPU dispatch level, with one OpenBLAS kernel.
+``np.arctan2``/``np.angle``, ``np.exp``, ``np.log10``, ``np.log``,
+``np.log1p`` and float ``**`` round the last bit differently in numpy's
+AVX-512 and AVX2 loops (``cos``, ``sin``, ``hypot`` and complex ``exp`` do
+not), so with ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` on
+an AVX-512 machine the ``wifi_rssi_rspd`` and ``illegal_hybrid`` pins fail.
+The simulated buffers take no BLAS call, so the OpenBLAS kernel the CPU
+selects does not move the wifi ``features`` or the illegal ``phase``; a
+test runs them under other kernels (``OPENBLAS_CORETYPE``).  The illegal
+``xcorr`` does move, through the BLAS dot products of
+``features.xcorr_rows``.  The pins are not loosened for that: they guard
+refactors on one machine.
 
 The property tests hold the block-wise matchers, which score every snapshot
 in one call, to a per-grid-point reference loop written out here, on random
@@ -37,8 +42,9 @@ loop, the stencil grid Bayes predict to the dense N x N transition matrix,
 the measurement and database codecs to a bit-exact round trip, the survey lattice to
 the per-point loop that built it and to its ``db.json`` round trip, the
 block link simulator bit for bit to the per-link channel, transmit and noise
-chain it replaced, its row-wise block convolution bit for bit to
-``np.convolve`` per row pair, the unknown-emitter phase fingerprint's one
+chain it replaced, its row-wise block convolution bit for bit to a sum
+written out in its stated order and to ``np.convolve`` per row pair within a
+rounding bound, the unknown-emitter phase fingerprint's one
 ``relative_phase`` call over all element pairs bit for bit to one call per
 pair, and the occupancy visits and detection bits bit for bit to one
 generator per draw.
@@ -55,8 +61,10 @@ import json
 import math
 import os
 import pathlib
+import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,6 +78,7 @@ from scipy.special import i0e, ndtr
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from test_cli import PIPELINE_MODULES, TINY, VERBS  # noqa: E402
+from test_simulate import _ref_convolve  # noqa: E402
 from test_stats import _dense_cov  # noqa: E402
 
 from fingerloc.cli import EXIT_OK, main  # noqa: E402
@@ -210,6 +219,29 @@ def test_simulated_arrays_are_byte_identical(name):
     assert simulated_digests(name) == pinned
 
 
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_simulated_buffers_do_not_depend_on_the_openblas_kernel(coretype):
+    """The TINY wifi and illegal simulations, run in a process that makes
+    OpenBLAS use another CPU's kernels, give the default run's wifi
+    ``features`` and illegal ``phase``: the links are convolved outside BLAS.
+    The illegal ``xcorr`` still goes through BLAS dot products in
+    ``features.xcorr_rows``, so it is not compared.  Builds of OpenBLAS
+    without DYNAMIC_ARCH ignore ``OPENBLAS_CORETYPE``, and there the test
+    passes trivially."""
+    tests = pathlib.Path(__file__).resolve().parent
+    code = ("import json, sys\n"
+            f"sys.path.insert(0, {str(tests)!r})\n"
+            "from test_equivalence import simulated_digests\n"
+            "print(json.dumps({name: simulated_digests(name)\n"
+            "                  for name in ('illegal_hybrid', 'wifi_rssi_rspd')}))")
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"), OPENBLAS_CORETYPE=coretype)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    got = json.loads(run.stdout.splitlines()[-1])
+    assert got["wifi_rssi_rspd"]["features"] == simulated_digests("wifi_rssi_rspd")["features"]
+    assert got["illegal_hybrid"]["phase"] == simulated_digests("illegal_hybrid")["phase"]
+
+
 def test_first_difference_catches_drift():
     ref = {"a": [1, 2.0], "b": {"c": True}}
     assert first_difference(ref, {"a": [1, 2.0 * (1 + 1e-12)], "b": {"c": True}}) is None
@@ -265,7 +297,7 @@ def _ref_link(tx, rx, snapshot, noise_seed, bits_seed, model, freq_hz, bandwidth
     if spec is not None:
         bits = np.random.default_rng(bits_seed).integers(0, 2, size=spec.length)
         x = (2.0 * bits - 1.0).astype(complex)
-        clean = np.convolve(np.convolve(x, np.asarray(spec.pulse, dtype=float)), clean)
+        clean = _ref_convolve(_ref_convolve(x, spec.pulse), clean)
     noise_power = float(np.mean(np.abs(clean) ** 2)) / 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(noise_seed)
     return clean + math.sqrt(noise_power / 2.0) * (
@@ -325,7 +357,7 @@ def test_block_links_equal_the_per_link_chain_bit_for_bit(
 
 
 # pulse and tap values: signed zeros and subnormals, whose products must
-# keep np.convolve's signs and roundings, among ordinary ones
+# keep the ordered sum's signs and roundings, among ordinary ones
 _CONV_VALUES = st.one_of(st.floats(-4.0, 4.0),
                          st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-308]))
 
@@ -335,11 +367,17 @@ _CONV_VALUES = st.one_of(st.floats(-4.0, 4.0),
        m=st.integers(1, 3), r=st.integers(1, 3),
        lead_a=st.sampled_from(["mr", "m1", "none"]), lead_v=st.sampled_from(["mr", "m1", "none"]),
        complex_v=st.booleans(), strided=st.booleans())
-def test_convolve_rows_equals_np_convolve_per_row_bit_for_bit(data, n_a, n_v, m, r, lead_a,
-                                                              lead_v, complex_v, strided):
+def test_convolve_rows_equals_the_ordered_sum_bit_for_bit(data, n_a, n_v, m, r, lead_a,
+                                                          lead_v, complex_v, strided):
     """Either sequence the longer one, each of length 1 and up, leading axes
     that broadcast as (measurements, receivers), real or complex second
-    rows, and a first operand that is a strided view."""
+    rows, and a first operand that is a strided view.  Each row pair equals
+    the written-out sum bit for bit, with no per-output ``np.vecdot`` or
+    ``np.convolve`` call, and ``np.convolve`` to within the rounding of two
+    sums of n complex products, n the shorter length: per output,
+    ``|diff| <= 2 (n + 2) (eps sum|a||v| + eta)``, eta the smallest
+    subnormal, for the products that underflow (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, ch. 3)."""
     def block(lead, n, is_complex):
         shape = {"mr": (m, r), "m1": (m, 1), "none": ()}[lead] + (n,)
         part = hnp.arrays(float, shape, elements=_CONV_VALUES)
@@ -350,13 +388,18 @@ def test_convolve_rows_equals_np_convolve_per_row_bit_for_bit(data, n_a, n_v, m,
     if strided:
         a = a[..., ::2]
     v = block(lead_v, n_v, complex_v)
-    got = simulate._convolve_rows(a, v)
+    with mock.patch.object(np, "vecdot", side_effect=AssertionError("a dot per output")), \
+            mock.patch.object(np, "convolve", side_effect=AssertionError("np.convolve")):
+        got = simulate._convolve_rows(a, v)
     lead = np.broadcast_shapes(a.shape[:-1], v.shape[:-1])
     assert got.shape == lead + (n_a + n_v - 1,) and got.dtype == complex
     a_rows, v_rows = np.broadcast_to(a, lead + a.shape[-1:]), np.broadcast_to(v, lead + (n_v,))
+    bound = 2 * (min(n_a, n_v) + 2)
     for idx in np.ndindex(*lead):
-        want = np.convolve(a_rows[idx], v_rows[idx])
-        assert got[idx].tobytes() == want.tobytes()
+        assert got[idx].tobytes() == _ref_convolve(a_rows[idx], v_rows[idx]).tobytes()
+        diff = np.abs(got[idx] - np.convolve(a_rows[idx], v_rows[idx]))
+        scale = np.convolve(np.abs(a_rows[idx]), np.abs(v_rows[idx]))
+        assert np.all(diff <= bound * (np.finfo(float).eps * scale + 5e-324))
 
 
 @pytest.mark.parametrize("name", ["illegal_hybrid", "wifi_rssi_rspd"])
@@ -365,11 +408,11 @@ def test_simulate_convolves_and_extracts_phases_in_block_calls(monkeypatch, tmp_
     ``relative_phase`` call over all its sensors (and element pairs)."""
     chunks, calls = [], []
     module = PIPELINE_MODULES[name]
-    real_cir, real_relative_phase = simulate.gen_cir, module.relative_phase
+    real_taps, real_relative_phase = simulate._draw_taps, module.relative_phase
 
-    def counting_cir(tx_xy, *args):
-        chunks.append(len(tx_xy))
-        return real_cir(tx_xy, *args)
+    def counting_taps(dist, *args):
+        chunks.append(len(dist))
+        return real_taps(dist, *args)
 
     def counting_relative_phase(y_i, y_j):
         calls.append((len(chunks), y_i.shape[:-1]))
@@ -379,7 +422,7 @@ def test_simulate_convolves_and_extracts_phases_in_block_calls(monkeypatch, tmp_
         raise AssertionError("a per-link np.convolve call")
 
     monkeypatch.setattr(np, "convolve", refuse)
-    monkeypatch.setattr(simulate, "gen_cir", counting_cir)
+    monkeypatch.setattr(simulate, "_draw_taps", counting_taps)
     monkeypatch.setattr(module, "relative_phase", counting_relative_phase)
     monkeypatch.setattr(simulate, "SIM_CHUNK", 1)  # one measurement per chunk
     cfg = parse_config(TINY[name])
@@ -463,20 +506,27 @@ def test_wifi_simulation_seeds_one_stream_per_draw(monkeypatch):
 @pytest.mark.parametrize("name", ["illegal_hybrid", "wifi_rssi_rspd"])
 def test_simulate_seeds_each_stream_kind_once_per_block(monkeypatch, tmp_path, name):
     """However many chunks a block takes, its channel, bits and noise streams
-    are seeded in one ``stream_states`` pass each."""
-    passes, chunks = [], []
-    real_states, real_cir = simulate.stream_states, simulate.gen_cir
+    are seeded in one ``stream_states`` pass each, and its link geometry is
+    found in one ``_link_geometry`` call."""
+    passes, chunks, geometries = [], [], []
+    real_states, real_taps = simulate.stream_states, simulate._draw_taps
+    real_geometry = simulate._link_geometry
 
     def counting_states(*parts):
         passes.append(np.broadcast_shapes(*(np.shape(p) for p in parts)))
         return real_states(*parts)
 
-    def counting_cir(tx_xy, *args):
-        chunks.append(len(tx_xy))
-        return real_cir(tx_xy, *args)
+    def counting_geometry(tx_xy, *args):
+        geometries.append(len(tx_xy))
+        return real_geometry(tx_xy, *args)
+
+    def counting_taps(dist, *args):
+        chunks.append(len(dist))
+        return real_taps(dist, *args)
 
     monkeypatch.setattr(simulate, "stream_states", counting_states)
-    monkeypatch.setattr(simulate, "gen_cir", counting_cir)
+    monkeypatch.setattr(simulate, "_draw_taps", counting_taps)
+    monkeypatch.setattr(simulate, "_link_geometry", counting_geometry)
     monkeypatch.setattr(simulate, "SIM_CHUNK", 1)  # one measurement per chunk
     cfg = parse_config(TINY[name])
     PIPELINE_MODULES[name].cmd_simulate(cfg, str(tmp_path))
@@ -485,6 +535,7 @@ def test_simulate_seeds_each_stream_kind_once_per_block(monkeypatch, tmp_path, n
     measurements = scn["grid"]["nx"] * scn["grid"]["ny"] * scn["train_snapshots"]
     receivers = chunks[0]  # the links of a chunk's one measurement
     assert chunks == [receivers] * (blocks * measurements)
+    assert geometries == [measurements * receivers] * blocks
     # per block: every link's channel, each measurement's bits, every link's noise
     sensors = len(scn["sensors"])
     assert passes == [(measurements * receivers,), (measurements,),

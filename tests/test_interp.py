@@ -200,6 +200,36 @@ def test_estimate_aoa_snaps_off_grid_angle_to_nearest_step():
     assert 0.99 < confidence[0] <= 1.0
 
 
+def _ref_estimate_aoa(values, pairs, geom, freq_hz):
+    """The scan on complex phasors, over every angle and pair of the block."""
+    grid = np.deg2rad(np.arange(0.0, 360.0, 0.5))
+    phases = _element_phases(geom, freq_hz, grid)
+    pred = phases[:, [p[0] for p in pairs]] - phases[:, [p[1] for p in pairs]]
+    agree = np.exp(1j * (values[:, None, :] - pred))
+    resultant = np.abs(agree.mean(axis=-1))
+    best = np.argmax(np.real(agree.sum(axis=-1)), axis=-1)
+    return grid[best], np.take_along_axis(resultant, best[:, None], axis=-1)[:, 0]
+
+
+@pytest.mark.parametrize("elements", [2, 3, 4, 5, 7])
+def test_estimate_aoa_equals_the_complex_phasor_scan_bit_for_bit(elements):
+    """Random blocks, plus zero and ideal steering phases, whose scores at
+    the array's rotations are equal or differ by rounding alone, so the
+    lowest-angle tie break must see the same bits; in blocks of 1 to 44 rows."""
+    rng = np.random.default_rng(elements)
+    geom = UcaGeometry(n_elements=elements, radius_m=float(rng.uniform(0.02, 0.2)))
+    pairs = tuple((a, b) for a in range(elements) for b in range(a + 1, elements))
+    freq = float(rng.uniform(0.4e9, 6e9))
+    ideal = [_pair_diffs(geom, freq, theta, pairs) for theta in rng.uniform(0, 2 * math.pi, 3)]
+    values = np.concatenate([rng.uniform(-math.pi, math.pi, (40, len(pairs))),
+                             np.zeros((1, len(pairs))), ideal])
+    for block in (values, values[:1], values[-2:]):
+        aoa, confidence = estimate_aoa(block, pairs, geom, freq)
+        want_aoa, want_confidence = _ref_estimate_aoa(block, pairs, geom, freq)
+        assert aoa.tobytes() == want_aoa.tobytes()
+        assert confidence.tobytes() == want_confidence.tobytes()
+
+
 def test_estimate_aoa_validation():
     geom = UcaGeometry(n_elements=3, radius_m=0.05)
     with pytest.raises(ValueError):

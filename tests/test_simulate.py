@@ -43,6 +43,30 @@ def _cir(tx_xy, rx_xy, freq_hz, bandwidth_hz, model, tap_count, snapshot=0):
     return gen_cir(tx_xy, rx_xy, freq_hz, bandwidth_hz, model, tap_count, states)
 
 
+def _ref_convolve(a, v) -> np.ndarray:
+    """The full convolution of two rows, each output sample summed in one stated order.
+
+    The longer row (``a`` on equal lengths), zero-padded by ``n - 1`` on each
+    side for the shorter length n, slides under the shorter row reversed, k:
+    output t sums ``pad[t + j] * k[j]`` from +0, j = 0 to n - 1 in turn.  Each
+    product is ``(ar br - ai bi) + (ar bi + ai br) i``.  Every step is one
+    float64 operation of numpy's real ufuncs, so the bits are IEEE's on any CPU.
+    """
+    a, v = np.asarray(a, dtype=complex), np.asarray(v, dtype=complex)
+    if len(v) > len(a):
+        a, v = v, a
+    n_out, zeros = len(a) + len(v) - 1, np.zeros(len(v) - 1)
+    pad = np.concatenate([zeros, a, zeros])
+    re, im = np.zeros(n_out), np.zeros(n_out)
+    for j, k in enumerate(v[::-1]):
+        x = pad[j:j + n_out]
+        re = re + (x.real * k.real - x.imag * k.imag)
+        im = im + (x.real * k.imag + x.imag * k.real)
+    out = np.empty(n_out, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def _joined(chunks) -> np.ndarray:
     """The samples of simulate_links' chunks, checked to cover its block in order."""
     chunks = list(chunks)
@@ -206,7 +230,10 @@ def test_synthesize_rx_equals_triple_convolution():
     x = (2.0 * bits - 1.0).astype(complex)
     assert y.shape == (1, 2, 32 + 2 + 3 - 2)
     for r in range(2):
-        assert np.array_equal(y[0, r], np.convolve(np.convolve(x, [1.0, 0.25]), taps[0, r]))
+        want = _ref_convolve(_ref_convolve(x, [1.0, 0.25]), taps[0, r])
+        assert y[0, r].tobytes() == want.tobytes()
+        assert np.allclose(want, np.convolve(np.convolve(x, [1.0, 0.25]), taps[0, r]),
+                           rtol=0.0, atol=1e-14)
     # one stream per measurement
     for states in (stream_states(np.array([99, 100])), stream_states(99)[0], [[0, 0, 0, 1]]):
         with pytest.raises(ValueError, match="bits stream states"):
@@ -383,7 +410,7 @@ def test_every_link_is_checked_before_the_first_chunk():
              "tap_count": 7, "snr_db": 15.0, "tx_spec": TxSignalSpec(length=256)}
     ids = np.arange(10)[:, None]
     with mock.patch.object(simulate, "SIM_CHUNK", 3 * 4 * (256 + 7 - 1)):
-        with mock.patch.object(simulate, "gen_cir", side_effect=AssertionError("simulated")):
+        with mock.patch.object(simulate, "_draw_taps", side_effect=AssertionError("simulated")):
             with pytest.raises(ValueError, match=r"^measurement 8, receiver \(0, 0\): "
                                                  r"tap_count=7 cannot hold the delay spread"):
                 simulate_links(tx, rx, ids, 1, bits_tag=0, **setup)
