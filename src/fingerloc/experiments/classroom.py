@@ -9,13 +9,13 @@ leave-one-out over the per-seat snapshots.
 """
 
 import itertools
-import math
 import os
 
 import numpy as np
 
 from ..database import FingerprintDatabase
 from ..features import xcorr_rows
+from ..geometry import circular_array
 from ..matching import fingerprint_sqerr
 from ..simulate import ChannelModel, simulate_links
 from ..stats import GaussianStats, fit_gaussian, gaussian_loglik, gaussian_loo_loglik
@@ -67,13 +67,9 @@ def antenna_layout(cfg: dict) -> np.ndarray:
     off = scn["corner_offset_m"]
     antennas = [(x0 - off, y0 - off), (x1 + off, y0 - off),
                 (x0 - off, y1 + off), (x1 + off, y1 + off)]
-    cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-    n = scn["uca"]["elements"]
-    r = scn["uca"]["radius_m"]
-    for k in range(n):
-        ang = 2.0 * math.pi * k / n
-        antennas.append((cx + r * math.cos(ang), cy + r * math.sin(ang)))
-    return np.array(antennas, dtype=float)
+    center = circular_array(((x0 + x1) / 2.0, (y0 + y1) / 2.0), scn["uca"]["radius_m"],
+                            scn["uca"]["elements"])
+    return np.concatenate([np.array(antennas, dtype=float), center])
 
 
 def pair_keys(n_antennas: int) -> list:

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..database import FingerprintDatabase
 from ..features import relative_phase, xcorr_rows
+from ..geometry import circular_array
 from ..interp import (
     UcaGeometry,
     bandwidth_interp,
@@ -81,10 +82,7 @@ def uca_geom(cfg: dict) -> UcaGeometry:
 def sensor_elements(cfg: dict) -> np.ndarray:
     """Circular-array element positions, (sensors, elements, 2)."""
     geom = uca_geom(cfg)
-    angles = [2.0 * math.pi * k / geom.n_elements for k in range(geom.n_elements)]
-    return np.array([[(sx + geom.radius_m * math.cos(ang), sy + geom.radius_m * math.sin(ang))
-                      for ang in angles]
-                     for sx, sy in cfg["scenario"]["sensors"]], dtype=float)
+    return circular_array(cfg["scenario"]["sensors"], geom.radius_m, geom.n_elements)
 
 
 def _xcorr_pairs(cfg: dict) -> list:
@@ -177,11 +175,12 @@ def simulate_measurements(cfg: dict) -> dict:
 def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> tuple:
     """Snapshot-averaged training fingerprints projected to the emitter.
 
-    Per key, one block call per stage: frequency projection of the
-    correlation fingerprints to the target frequency, bandwidth narrowing to
-    the target bandwidth, and phase-difference re-projection via the fitted
-    arrival azimuth; then spatial densification onto the fine grid and
-    per-point power normalization.
+    One block call per stage on the stacked fingerprints: frequency
+    projection of every correlation fingerprint to the target frequency,
+    bandwidth narrowing to the target bandwidth, phase-difference
+    re-projection via the fitted arrival azimuth (one call per sensor), then
+    spatial densification onto the fine grid and per-point power
+    normalization.  The database keys are assigned at the end.
 
     Returns:
         (database, filled_bins): the projected map, and for
@@ -192,32 +191,23 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> tuple:
     geom = uca_geom(cfg)
     freqs = list(scn["train_freqs_hz"])
     t_freq = scn["target"]["freq_hz"]
-    t_bw = scn["target"]["bandwidth_hz"]
-    train_bw = scn["train_bandwidth_hz"]
-    xkeys = xcorr_keys(cfg)
     nearest_fi = int(np.argmin(np.abs(np.asarray(freqs) - t_freq)))
 
     xc_avg = xc.mean(axis=2)  # (freqs, points, keys, dim)
     ph_avg = np.angle(np.exp(1j * ph).sum(axis=2))  # circular mean
 
-    blocks = {}
-    filled_bins = 0
-    for ki, key in enumerate(xkeys):
-        fp, flags = freq_interp_xcorr(freqs, xc_avg[:, :, ki], t_freq)
-        blocks[key] = bandwidth_interp(fp, train_bw, t_bw)
-        filled_bins += int(np.count_nonzero(flags))
+    fp, flags = freq_interp_xcorr(freqs, xc_avg, t_freq)
+    corr = bandwidth_interp(fp, scn["train_bandwidth_hz"], scn["target"]["bandwidth_hz"])
     pairs = _element_pairs(geom.n_elements)
-    confidences = {}
-    for si, key in enumerate(phase_keys(cfg)):
-        blocks[key], _, confidences[key] = phasediff_freq_interp(
-            ph_avg[nearest_fi, :, si], pairs, geom, freqs[nearest_fi], t_freq)
-
-    coarse = FingerprintDatabase(grid=build_grid(cfg), blocks=blocks)
-    dense = spatial_densify(coarse, scn["densify_factor"], confidences=confidences)
-    blocks = dict(dense.blocks)
-    normed = normalize_power(np.stack([blocks[key] for key in xkeys], axis=1))
-    blocks.update((key, normed[:, ki]) for ki, key in enumerate(xkeys))
-    return FingerprintDatabase(grid=dense.grid, blocks=blocks), filled_bins
+    phases, confidences = zip(*(phasediff_freq_interp(ph_avg[nearest_fi, :, si], pairs, geom,
+                                                      freqs[nearest_fi], t_freq)
+                                for si in range(ph.shape[-2])))
+    grid, corr, phases = spatial_densify(build_grid(cfg), scn["densify_factor"], corr,
+                                         np.stack(phases, axis=1), np.stack(confidences, axis=1))
+    corr = normalize_power(corr)
+    blocks = {**dict(zip(xcorr_keys(cfg), np.moveaxis(corr, 1, 0))),
+              **dict(zip(phase_keys(cfg), np.moveaxis(phases, 1, 0)))}
+    return FingerprintDatabase(grid=grid, blocks=blocks), int(np.count_nonzero(flags))
 
 
 def draw_trials(cfg: dict) -> np.ndarray:

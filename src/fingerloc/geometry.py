@@ -1,4 +1,4 @@
-"""Measurement grids for fingerprint localization."""
+"""Measurement grids and antenna-array layouts for fingerprint localization."""
 
 import math
 import numbers
@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Grid"]
+__all__ = ["Grid", "circular_array"]
 
 
 @dataclass(frozen=True)
@@ -64,3 +64,13 @@ class Grid:
 
     def __len__(self):
         return self.nx * self.ny
+
+
+def circular_array(centers, radius_m: float, n_elements: int) -> np.ndarray:
+    """Element k of a uniform circular array at ``center + r (cos 2 pi k / n, sin 2 pi k / n)``.
+
+    ``centers`` is (..., 2); the result is (..., n_elements, 2).
+    """
+    angles = [2.0 * math.pi * k / n_elements for k in range(n_elements)]
+    unit = np.array([(math.cos(a), math.sin(a)) for a in angles])
+    return np.asarray(centers, dtype=float)[..., None, :] + radius_m * unit

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .database import FingerprintDatabase
 from .features import wrap_angle
 from .geometry import Grid
 from .simulate import SPEED_OF_LIGHT
@@ -214,14 +213,14 @@ def phasediff_freq_interp(values, pairs, geom: UcaGeometry,
     that azimuth.
 
     Returns:
-        (phases, aoa_rad, confidence): the (N, pairs) projected phase
-        differences and (N,) arrays; the confidence is the phasor-fit
-        resultant length used downstream to weight spatial interpolation.
+        (phases, confidence): the (N, pairs) projected phase differences and
+        the (N,) phasor-fit resultant length, used downstream to weight
+        spatial interpolation.
     """
     if not (train_freq_hz > 0 and target_freq_hz > 0):
         raise ValueError("frequencies must be positive")
     aoa, confidence = estimate_aoa(values, pairs, geom, train_freq_hz)
-    return wrap_angle(_steering_pair_diffs(geom, target_freq_hz, aoa, pairs)), aoa, confidence
+    return wrap_angle(_steering_pair_diffs(geom, target_freq_hz, aoa, pairs)), confidence
 
 
 def _nearest_training(train_xy: np.ndarray, query_xy: np.ndarray) -> np.ndarray:
@@ -230,89 +229,76 @@ def _nearest_training(train_xy: np.ndarray, query_xy: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def _densify_correlation(stacks, train: Grid, target: Grid):
+def _densify_correlation(stack, train: Grid, target: Grid):
     """Krige every key's dB magnitudes (floored per key) in one lattice solve."""
-    if not stacks:
-        return []
-    db = []
-    for stack in stacks:
-        mags = np.abs(stack)
-        floor = 1e-12 * float(np.max(mags)) if np.max(mags) > 0 else 1e-300
-        db.append(10.0 * np.log10(np.maximum(mags, floor)))
-    mean = kriging_predict(kriging_fit(train, np.concatenate(db, axis=1)), target)
-    out_mags = np.split(10.0 ** (mean / 10.0), np.cumsum([s.shape[1] for s in stacks])[:-1],
-                        axis=1)
+    mags = np.abs(stack)  # (points, keys, lags)
+    peak = np.max(mags, axis=(0, 2))
+    floor = np.where(peak > 0, 1e-12 * peak, 1e-300)
+    db = 10.0 * np.log10(np.maximum(mags, floor[:, None]))
+    mean = kriging_predict(kriging_fit(train, db.reshape(len(db), -1)), target)
     nearest = _nearest_training(train.xy, target.xy)
-    return [m * np.exp(1j * np.angle(stack[nearest])) for m, stack in zip(out_mags, stacks)]
+    out_mags = (10.0 ** (mean / 10.0)).reshape((len(target),) + stack.shape[1:])
+    return out_mags * np.exp(1j * np.angle(stack[nearest]))
 
 
-def _densify_phasediff(stack, train_xy, query_xy, confidences):
-    n_train = stack.shape[0]
+def _densify_phasediff(stack, train_xy, query_xy, conf):
     phasors = np.exp(1j * stack)
-    conf = np.asarray(confidences, dtype=float)
-    if conf.shape != (n_train,):
-        raise ValueError("need one confidence per training point")
     d = np.hypot(train_xy[None, :, 0] - query_xy[:, None, 0],
                  train_xy[None, :, 1] - query_xy[:, None, 1])  # (queries, train)
-    nearest = np.argsort(d, axis=1)[:, :min(4, n_train)]
-    dn = np.take_along_axis(d, nearest, axis=1)
+    nearest = np.argsort(d, axis=1)[:, :min(4, len(stack))]
+    dn = np.take_along_axis(d, nearest, axis=1)[..., None]  # (queries, 4, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = conf[nearest] / dn
-        # all-zero confidences: fall back to distance alone
+        w = conf[nearest] / dn  # (queries, 4, sensors)
+        # a sensor with all-zero confidences: fall back to distance alone
         w = np.where(np.sum(w, axis=1, keepdims=True) <= 0.0, 1.0 / dn, w)
-        mix = (w[:, :, None] * phasors[nearest]).sum(axis=1)
-        # a query on a training point copies its vector
+        mix = (w[..., None] * phasors[nearest]).sum(axis=1)
+        # a query on a training point copies its vectors
         return np.where(dn[:, :1] <= 0.0, stack[nearest[:, 0]], np.angle(mix))
 
 
-def spatial_densify(db: FingerprintDatabase, factor: int,
-                    confidences: dict) -> FingerprintDatabase:
-    """Interpolate a fingerprint database onto an integer refinement of its grid.
+def spatial_densify(grid: Grid, factor: int, correlations, phases, confidences) -> tuple:
+    """Interpolate fingerprint stacks onto an integer refinement of their grid.
 
     The target lattice shares the survey's origin and far edges, with
     ``factor`` times the points per unit length: ``(nx - 1) * factor + 1``
     columns and ``(ny - 1) * factor + 1`` rows at ``spacing / factor``.
-    Every block is an array with the grid as its leading axis, and its dtype
-    says what it holds.  A complex block is a correlation fingerprint,
-    interpolated per delay bin by kriging on dB magnitudes, every bin of
-    every complex block in one lattice solve (phases copied from the
-    nearest training point).  A real block is a phase difference,
-    interpolated as unit phasors averaged over the 4 nearest training
-    points, weighted by inverse distance times the per-training-point
-    confidence.
+    Correlation fingerprints are interpolated per delay bin by kriging on
+    dB magnitudes, every bin of every key in one lattice solve, each key
+    floored at 1e-12 of its own largest magnitude (phases copied from the
+    nearest training point).  Phase differences are interpolated as unit
+    phasors averaged over the 4 nearest training points, weighted by
+    inverse distance times the per-training-point confidence.
 
     Args:
-        db: training database whose blocks are all arrays.
+        grid: the survey lattice of the N training points.
         factor: positive integer refinement of the survey spacing (1 keeps
             the survey lattice).
-        confidences: ``{key: (n_train,) array}`` of phasor-fit confidences,
-            one entry for every phase-difference key.
+        correlations: complex (N, K, D): K correlation fingerprints per point.
+        phases: real (N, S, P): S phase-difference vectors per point.
+        confidences: (N, S) phasor-fit confidence of every phase vector.
 
     Returns:
-        A new database on the refined lattice.
+        (target, correlations, phases): the refined lattice and both stacks
+        on it, (M, K, D) and (M, S, P).
     """
-    if len(db.blocks) == 0:
-        raise ValueError("database holds no fingerprints")
     if not (isinstance(factor, numbers.Integral) and not isinstance(factor, bool)
             and factor >= 1):
         raise ValueError(f"densify factor must be a positive integer, got {factor!r}")
-    train = db.grid
-    target = Grid(train.origin, (train.nx - 1) * factor + 1, (train.ny - 1) * factor + 1,
-                  train.spacing / factor)
-
-    # every block as (points, values): one column per delay bin or element pair
-    fps = {key: db.block(key, np.ndarray) for key in sorted(db.blocks)}
-    flat = {key: fp.reshape(len(fp), -1) for key, fp in fps.items()}
-    corr = [key for key, fp in fps.items() if np.iscomplexobj(fp)]
-    values = dict(zip(corr, _densify_correlation([flat[key] for key in corr], train, target)))
-    blocks = {}
-    for key, fp in fps.items():
-        if key not in values:
-            values[key] = _densify_phasediff(flat[key], train.xy, target.xy,
-                                             confidences.get(key))
-        blocks[key] = values[key].reshape((len(target),) + fp.shape[1:])
-
-    return FingerprintDatabase(grid=target, blocks=blocks)
+    n = len(grid)
+    corr, ph = np.asarray(correlations), np.asarray(phases)
+    conf = np.asarray(confidences, dtype=float)
+    if not np.iscomplexobj(corr) or corr.ndim != 3 or corr.shape[0] != n or corr.size == 0:
+        raise ValueError(f"correlations must be a complex ({n}, K, D) stack, "
+                         f"got {corr.dtype} {corr.shape}")
+    if np.iscomplexobj(ph) or ph.ndim != 3 or ph.shape[0] != n or ph.size == 0:
+        raise ValueError(f"phases must be a real ({n}, S, P) stack, got {ph.dtype} {ph.shape}")
+    if conf.shape != ph.shape[:2]:
+        raise ValueError(f"need one confidence per phase vector {ph.shape[:2]}, "
+                         f"got {conf.shape}")
+    target = Grid(grid.origin, (grid.nx - 1) * factor + 1, (grid.ny - 1) * factor + 1,
+                  grid.spacing / factor)
+    return (target, _densify_correlation(corr, grid, target),
+            _densify_phasediff(ph, grid.xy, target.xy, conf))
 
 
 def normalize_power(stack) -> np.ndarray:

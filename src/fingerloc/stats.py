@@ -269,15 +269,13 @@ def gaussian_loo_loglik(samples, stats: GaussianStats, loading_eps: float) -> np
     - the held-out residual is ``x_k - m_k = r u``, so the quadratic form
       is ``r^2 q / (1 - a q)``.
 
-    The downdate resolves a fold's scatter only to rounding of the seat's.
-    Folds whose downdated trace cancels to within ``sqrt(eps)`` of that
-    scale (a fold of one sample, or of equal samples) have their trace
-    summed directly, so the zero-scatter rule decides as on the fold itself.
-    The downdate ``1 - a q`` keeps about ``eps / (1 - a q)`` relative
-    precision, so folds where it falls below 1e-4 (a nearly singular fold of
-    a well-conditioned seat) are scored under their own fit instead, and so
-    are the non-zero folds of a set whose scatter the fit counted as zero
-    (its stored eigenpairs are zeros and ``I``, not that scatter's).
+    A fold is scored under its own fit instead where the downdate cannot
+    resolve it: its downdated trace cancels to within ``sqrt(eps)`` of the
+    seat's scale (a fold of one sample, or of equal samples, which the
+    zero-scatter rule must judge on the fold itself), its set's scatter was
+    stored as zero (eigenpairs zeros and ``I``, not that scatter's), or
+    ``1 - a q``, which keeps about ``eps / (1 - a q)`` relative precision,
+    falls below 1e-4 (a nearly singular fold of a well-conditioned seat).
     Otherwise accuracy falls as the held-out sample's share of its seat's
     scatter grows: one sample 100 times larger than the rest scores to
     about 1e-7 relative of the fold fit, where ordinary folds agree to about
@@ -296,7 +294,7 @@ def gaussian_loo_loglik(samples, stats: GaussianStats, loading_eps: float) -> np
         NumericError: a fold covariance is singular to working precision:
             an eigenvalue factor ``D`` at or below ``d * eps`` of the largest,
             or ``1 - a q`` at or below its own rounding bound, or a refitted
-            fold's covariance is singular.
+            fold's covariance is singular (a zero-scatter fold without loading).
     """
     arr = np.asarray(samples, dtype=complex)
     if arr.ndim != 3 or arr.shape[-2] < 2 or arr.shape[-1] == 0:
@@ -316,34 +314,28 @@ def gaussian_loo_loglik(samples, stats: GaussianStats, loading_eps: float) -> np
     fold_trace = seat_trace - a * unorm
     power = np.sum(np.abs(arr) ** 2, axis=-1)
     threshold = _EPS * (np.sum(power, axis=-1, keepdims=True) - power) / (n - 1)
-    near = fold_trace <= threshold + math.sqrt(_EPS) * (seat_trace + a * unorm)
-    if np.any(near):
-        _, fold = _folds(arr, near)
-        fold_c = fold - fold.mean(axis=-2, keepdims=True)
-        fold_trace[near] = np.sum(fold_c.real ** 2 + fold_c.imag ** 2, axis=(-2, -1)) / (n - 1)
-        threshold[near] = _zero_scatter_bound(fold)
-    zero = fold_trace <= threshold
-    # a set whose scatter the fit zeroed stores no eigenpairs of it
-    own_fit = ~zero & np.all(lam == 0.0, axis=-1, keepdims=True)
+    # folds whose downdated trace cancels to rounding of the seat's, and every
+    # fold of a set whose scatter the fit zeroed (it stores no eigenpairs of it)
+    refit = ((fold_trace <= threshold + math.sqrt(_EPS) * (seat_trace + a * unorm))
+             | np.all(lam == 0.0, axis=-1, keepdims=True))
 
-    # zero and own-fit folds are scored below; D = 1 keeps them finite here
-    later = zero | own_fit
-    D = np.where(later[..., None], 1.0,
+    # D = 1 keeps the refitted folds finite here
+    D = np.where(refit[..., None], 1.0,
                  r * lam[..., None, :] + (loading_eps * fold_trace / d)[..., None])
     d_max = np.max(D, axis=-1)
     if np.any(np.min(D, axis=-1) <= d * _EPS * d_max):
         raise NumericError("a leave-one-out fold covariance is singular: an eigenvalue "
                            f"is at rounding level with loading_eps {loading_eps}")
     q = np.sum(w2 / D, axis=-1)
-    one_minus = np.where(later, 1.0, 1.0 - a * q)
+    one_minus = np.where(refit, 1.0, 1.0 - a * q)
     # a q's rounding bound: eigh is exact for a scatter off by d * eps * max D
     bound = d * _EPS * a * d_max * np.sum(w2 / D ** 2, axis=-1)
-    if np.any(~later & (one_minus <= bound)):
+    if np.any(~refit & (one_minus <= bound)):
         raise NumericError("a leave-one-out fold covariance is singular: its rank-one "
                            f"downdate cancels to rounding with loading_eps {loading_eps}")
     out = (-d * math.log(math.pi) - np.sum(np.log(D), axis=-1) - np.log(one_minus)
            - r * r * q / one_minus)
-    refit = own_fit | (~zero & (one_minus < _REFIT_BELOW))
+    refit |= one_minus < _REFIT_BELOW
     if np.any(refit):
         held, fold = _folds(arr, refit)
         fits = fit_gaussian(fold, loading_eps)
@@ -355,11 +347,6 @@ def gaussian_loo_loglik(samples, stats: GaussianStats, loading_eps: float) -> np
         z = np.matmul(white, (held - fits.mean)[..., None])[..., 0]
         out[refit] = (-d * math.log(math.pi) - logdet
                       - np.sum(z.real ** 2 + z.imag ** 2, axis=-1))
-    if np.any(zero):
-        if loading_eps == 0:
-            raise NumericError("a leave-one-out fold has zero scatter and no loading")
-        out[zero] = (-d * math.log(math.pi * loading_eps)
-                     - r * r * unorm[zero] / loading_eps)
     return out
 
 

@@ -583,28 +583,28 @@ def test_illegal_fine_lattice_edge_counts_inside_the_survey(tmp_path, monkeypatc
     cfg_path, out_dir = _write_config(tmp_path, "illegal_hybrid", scenario=scenario)
     calls = []
 
-    def spy(coarse, factor, confidences):
-        dense = spatial_densify(coarse, factor, confidences=confidences)
-        calls.append((coarse, dense))
+    def spy(grid, factor, correlations, phases, confidences):
+        dense = spatial_densify(grid, factor, correlations, phases, confidences)
+        calls.append((grid, correlations, dense))
         return dense
 
     monkeypatch.setattr(illegal, "spatial_densify", spy)
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
     log = json.loads((pathlib.Path(out_dir) / "learn_log.json").read_text())
     assert log["points"] == 176 and "outside_hull" not in log
-    (coarse, dense), = calls
-    far = coarse.grid.xy[:, 0].max()
-    assert dense.grid.xy[:, 0].max() == np.nextafter(far, 1.0)
-    edge = dense.grid.xy[:, 0] == dense.grid.xy[:, 0].max()
+    (coarse, corr, (fine, dense, _)), = calls
+    far = coarse.xy[:, 0].max()
+    assert fine.xy[:, 0].max() == np.nextafter(far, 1.0)
+    edge = fine.xy[:, 0] == fine.xy[:, 0].max()
     column = Grid((far, 0.0), nx=1, ny=8, spacing=0.3 / 7)
-    for key, block in coarse.blocks.items():
-        if np.iscomplexobj(block):
-            db = 10.0 * np.log10(np.abs(block))
-            want = kriging_predict(kriging_fit(coarse.grid, db), column)
-            got = 10.0 * np.log10(np.abs(dense.blocks[key][edge]))
-            assert np.allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(db)))
-            # a copy of the nearest survey point would keep its rough value
-            assert not np.allclose(got[::7], db[[3, 7]], rtol=0.0, atol=1e-6)
+    assert corr.shape[1] == len(illegal.xcorr_keys(load_config(cfg_path)))
+    for k in range(corr.shape[1]):
+        db = 10.0 * np.log10(np.abs(corr[:, k]))
+        want = kriging_predict(kriging_fit(coarse, db), column)
+        got = 10.0 * np.log10(np.abs(dense[edge, k]))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(db)))
+        # a copy of the nearest survey point would keep its rough value
+        assert not np.allclose(got[::7], db[[3, 7]], rtol=0.0, atol=1e-6)
 
 
 def test_illegal_learn_log_reports_kriging_conditioning(tmp_path):

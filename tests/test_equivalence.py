@@ -34,7 +34,8 @@ loop that fits every fold, with and without loading, the batched pair
 cross-correlation to ``xcorr`` per pair (bit for bit, on integer and on
 float taps), the block-diagonal lighting LP on a candidate mask to
 one ``linprog`` per occupied row, the unknown-emitter projection stages to
-per-point, per-bin and per-query loops, the windowed-sinc low-pass and
+per-point, per-bin and per-query loops, the unknown-emitter map bit for
+bit to the per-key chain it replaced, the windowed-sinc low-pass and
 bandwidth narrowing to ``scipy.signal``'s ``firwin`` and direct
 convolution, multi-column kriging to one dense
 solve per column, the array particle likelihoods to the per-particle corner
@@ -55,6 +56,7 @@ CHANGES.md::
     PYTHONPATH=src python tests/test_equivalence.py
 """
 
+import collections
 import csv
 import hashlib
 import json
@@ -95,7 +97,9 @@ from fingerloc.interp import (  # noqa: E402
     LOWPASS_TAPS,
     UcaGeometry,
     bandwidth_interp,
+    estimate_aoa,
     freq_interp_xcorr,
+    normalize_power,
     phasediff_freq_interp,
     spatial_densify,
     windowed_sinc_lowpass,
@@ -958,7 +962,8 @@ def test_block_projection_equals_per_point_loop(n_freqs, n_points, half, dead, b
     geom = UcaGeometry(n_elements=elements, radius_m=float(rng.uniform(0.02, 0.2)))
     pairs = tuple((a, b) for a in range(elements) for b in range(a + 1, elements))
     phases = wrap_angle(rng.uniform(-math.pi, math.pi, (n_points, len(pairs))))
-    got, aoa, conf = phasediff_freq_interp(phases, pairs, geom, freqs[0], target)
+    got, conf = phasediff_freq_interp(phases, pairs, geom, freqs[0], target)
+    aoa, _ = estimate_aoa(phases, pairs, geom, freqs[0])
     assert aoa.shape == conf.shape == (n_points,)
     for p in range(n_points):
         want, want_aoa, want_conf = _ref_phase_projection(phases[p], geom, pairs,
@@ -1050,52 +1055,158 @@ def test_multi_column_kriging_equals_per_column_dense_solve(nx, ny, n_cols, spac
 
 @settings(max_examples=40, deadline=None)
 @given(nx=st.integers(2, 4), ny=st.integers(2, 4), factor=st.integers(1, 3),
-       n_corr=st.integers(1, 3), half=st.integers(0, 3), zero_conf=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
+       n_corr=st.integers(1, 3), half=st.integers(0, 3), n_sensors=st.integers(1, 3),
+       zero_conf=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_spatial_densify_equals_per_key_and_per_query_loops(nx, ny, factor, n_corr, half,
-                                                            zero_conf, seed):
+                                                            n_sensors, zero_conf, seed):
     rng = np.random.default_rng(seed)
     coarse = Grid((0.0, 0.0), nx, ny, 2.0)
     fine = Grid((0.0, 0.0), (nx - 1) * factor + 1, (ny - 1) * factor + 1, 2.0 / factor)
     train, query = coarse.xy, fine.xy
     n, dim = len(train), 2 * half + 1
-    blocks = {}
+    corr = np.empty((n, n_corr, dim), dtype=complex)
     for k in range(n_corr):
         field = (np.exp(rng.normal(0.0, 2.0, (n, dim))) * 10.0 ** rng.uniform(-6, 6)
                  * np.exp(1j * rng.uniform(-3, 3, (n, dim))))
         field[rng.integers(n), rng.integers(dim)] = 0.0  # floored at 1e-12 of the key's peak
-        blocks[f"xc:{k}"] = field
-    blocks["pd"] = rng.uniform(-3.1, 3.1, (n, 3))
-    conf = np.zeros(n) if zero_conf else rng.uniform(0.0, 1.0, n)
-    out = spatial_densify(FingerprintDatabase(grid=coarse, blocks=blocks), factor,
-                          confidences={"pd": conf})
-    assert out.grid == fine
+        corr[:, k] = field
+    phases = rng.uniform(-3.1, 3.1, (n, n_sensors, 3))
+    # the last sensor's confidences are all zero when zero_conf is set
+    conf = rng.uniform(0.0, 1.0, (n, n_sensors))
+    if zero_conf:
+        conf[:, -1] = 0.0
+    target, got_corr, got_phases = spatial_densify(coarse, factor, corr, phases, conf)
+    assert target == fine
+    assert got_corr.shape == (len(fine), n_corr, dim)
+    assert got_phases.shape == (len(fine), n_sensors, 3)
 
     nearest = [int(np.argmin(np.sum((train - q) ** 2, axis=1))) for q in query]
     length_scale = 4.0  # twice the training spacing
     for k in range(n_corr):
-        stack = blocks[f"xc:{k}"]
+        stack = corr[:, k]
         mags = np.abs(stack)
         db = 10.0 * np.log10(np.maximum(mags, 1e-12 * mags.max()))
         for j in range(dim):
             want_db = _ref_kriging_mean(train, db[:, j], query, length_scale)
-            got = out.blocks[f"xc:{k}"][:, j]
+            got = got_corr[:, k, j]
             assert np.allclose(10.0 * np.log10(np.abs(got)), want_db, rtol=0.0,
                                atol=KRIGING_TOL * np.max(np.abs(db[:, j])))
             assert np.allclose(got / np.abs(got), np.exp(1j * np.angle(stack[nearest, j])),
                                rtol=0.0, atol=1e-14)
-    phasors = np.exp(1j * blocks["pd"])
-    for q, pos in enumerate(query):
-        d = np.hypot(train[:, 0] - pos[0], train[:, 1] - pos[1])
-        near = np.argsort(d)[:4]
-        if d[near[0]] <= 0.0:
-            want = blocks["pd"][near[0]]
-        else:
-            w = conf[near] / d[near]
-            if np.sum(w) <= 0.0:
-                w = 1.0 / d[near]
-            want = np.angle((w[:, None] * phasors[near]).sum(axis=0))
-        assert np.array_equal(out.blocks["pd"][q], want)
+    for s in range(n_sensors):
+        phasors = np.exp(1j * phases[:, s])
+        for q, pos in enumerate(query):
+            d = np.hypot(train[:, 0] - pos[0], train[:, 1] - pos[1])
+            near = np.argsort(d)[:4]
+            if d[near[0]] <= 0.0:
+                want = phases[near[0], s]
+            else:
+                w = conf[near, s] / d[near]
+                if np.sum(w) <= 0.0:
+                    w = 1.0 / d[near]
+                want = np.angle((w[:, None] * phasors[near]).sum(axis=0))
+            assert np.array_equal(got_phases[q, s], want)
+
+
+def _ref_per_key_database(cfg, xc, ph):
+    """The per-key chain ``illegal.build_database`` replaced: each projection
+    stage called once per key, the coarse map densified key by key (every
+    correlation key's floored dB magnitudes in one kriging solve, in sorted
+    key order), then power-normalized."""
+    scn = cfg["scenario"]
+    geom = illegal.uca_geom(cfg)
+    freqs = list(scn["train_freqs_hz"])
+    t_freq = scn["target"]["freq_hz"]
+    nearest_fi = int(np.argmin(np.abs(np.asarray(freqs) - t_freq)))
+    xc_avg = xc.mean(axis=2)
+    ph_avg = np.angle(np.exp(1j * ph).sum(axis=2))
+    corr, filled = {}, 0
+    for ki, key in enumerate(illegal.xcorr_keys(cfg)):
+        fp, flags = freq_interp_xcorr(freqs, xc_avg[:, :, ki], t_freq)
+        corr[key] = bandwidth_interp(fp, scn["train_bandwidth_hz"],
+                                     scn["target"]["bandwidth_hz"])
+        filled += int(np.count_nonzero(flags))
+    n = geom.n_elements
+    pairs = tuple((a, b) for a in range(n) for b in range(a + 1, n))
+    phase, conf = {}, {}
+    for si, key in enumerate(illegal.phase_keys(cfg)):
+        phase[key], conf[key] = phasediff_freq_interp(ph_avg[nearest_fi, :, si], pairs, geom,
+                                                      freqs[nearest_fi], t_freq)
+
+    coarse, f = build_grid(cfg), scn["densify_factor"]
+    fine = Grid(coarse.origin, (coarse.nx - 1) * f + 1, (coarse.ny - 1) * f + 1,
+                coarse.spacing / f)
+    keys = sorted(corr)
+    db = []
+    for key in keys:
+        mags = np.abs(corr[key])
+        floor = 1e-12 * float(np.max(mags)) if np.max(mags) > 0 else 1e-300
+        db.append(10.0 * np.log10(np.maximum(mags, floor)))
+    mean = kriging_predict(kriging_fit(coarse, np.concatenate(db, axis=1)), fine)
+    nearest = np.argmin(np.sum((coarse.xy[None, :, :] - fine.xy[:, None, :]) ** 2, axis=-1),
+                        axis=1)
+    blocks = {key: m * np.exp(1j * np.angle(corr[key][nearest]))
+              for key, m in zip(keys, np.split(10.0 ** (mean / 10.0), len(keys), axis=1))}
+    xkeys = illegal.xcorr_keys(cfg)
+    normed = normalize_power(np.stack([blocks[key] for key in xkeys], axis=1))
+    blocks.update((key, normed[:, ki]) for ki, key in enumerate(xkeys))
+    d = np.hypot(coarse.xy[None, :, 0] - fine.xy[:, None, 0],
+                 coarse.xy[None, :, 1] - fine.xy[:, None, 1])
+    near = np.argsort(d, axis=1)[:, :min(4, len(coarse))]
+    dn = np.take_along_axis(d, near, axis=1)
+    for key, values in phase.items():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = conf[key][near] / dn
+            w = np.where(np.sum(w, axis=1, keepdims=True) <= 0.0, 1.0 / dn, w)
+            mix = (w[:, :, None] * np.exp(1j * values)[near]).sum(axis=1)
+            blocks[key] = np.where(dn[:, :1] <= 0.0, values[near[:, 0]], np.angle(mix))
+    return FingerprintDatabase(grid=fine, blocks=blocks), filled
+
+
+@pytest.mark.parametrize("scenario", [
+    {},
+    {"grid": {"nx": 3, "ny": 4, "origin": [0, 0], "spacing_m": 1.5}, "densify_factor": 3,
+     "train_freqs_hz": [8e8, 1.5e9, 2.5e9], "sensors": [[-1, -1], [5, -1], [2, 7]]},
+])
+def test_illegal_map_equals_the_per_key_chain_bit_for_bit(monkeypatch, tmp_path, scenario):
+    raw = json.loads(json.dumps(TINY["illegal_hybrid"]))
+    raw["scenario"].update(scenario)
+    raw["out_dir"] = str(tmp_path / "out")
+    cfg_path = tmp_path / "illegal.json"
+    cfg_path.write_text(json.dumps(raw))
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("freq_interp_xcorr", "bandwidth_interp", "phasediff_freq_interp",
+                 "spatial_densify"):
+        monkeypatch.setattr(illegal, name, counted(getattr(illegal, name)))
+    assert main(["learn", "--config", str(cfg_path)]) == EXIT_OK
+    cfg = parse_config(raw)
+    assert calls == {"freq_interp_xcorr": 1, "bandwidth_interp": 1, "spatial_densify": 1,
+                     "phasediff_freq_interp": len(cfg["scenario"]["sensors"])}
+    monkeypatch.undo()
+
+    arrays = illegal.simulate_measurements(cfg)
+    xc, ph = arrays["xcorr"], arrays["phase"]
+    learned = load_database(os.path.join(raw["out_dir"], "db.json"))
+    dead = xc.copy()
+    # a dead delay bin at one point and frequency, which the projection fills
+    dead[0, 1, :, 2, 0] = 0.0
+    projected, filled = illegal.build_database(cfg, dead, ph)
+    for db, xcorr, n_filled in ((learned, xc, 0), (projected, dead, filled)):
+        want, want_filled = _ref_per_key_database(cfg, xcorr, ph)
+        assert n_filled == want_filled
+        assert db.grid == want.grid and sorted(db.blocks) == sorted(want.blocks)
+        for key, block in want.blocks.items():
+            got = db.block(key, np.ndarray)
+            assert got.dtype == block.dtype and got.shape == block.shape
+            assert got.tobytes() == block.tobytes(), key
+    assert filled == 1
 
 
 # ---------------------------------------------------------------------------

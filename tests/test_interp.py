@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from fingerloc.database import FingerprintDatabase
 from fingerloc.features import wrap_angle
 from fingerloc.geometry import Grid
 from fingerloc.interp import (
@@ -19,7 +18,7 @@ from fingerloc.interp import (
     spatial_densify,
     windowed_sinc_lowpass,
 )
-from fingerloc.stats import GammaParams, kriging_fit, kriging_predict
+from fingerloc.stats import kriging_fit, kriging_predict
 
 C = 299792458.0
 PAIRS = ((0, 1), (1, 2), (0, 2))
@@ -247,18 +246,20 @@ def test_phasediff_freq_interp_identity_at_training_frequency():
     geom = UcaGeometry(n_elements=3, radius_m=0.05)
     theta = math.radians(123.5)  # on the scan grid
     values = _pair_diffs(geom, 2.4e9, theta, PAIRS)[None]
-    out, aoa, confidence = phasediff_freq_interp(values, PAIRS, geom, 2.4e9, 2.4e9)
-    assert out.shape == values.shape and aoa.shape == confidence.shape == (1,)
+    out, confidence = phasediff_freq_interp(values, PAIRS, geom, 2.4e9, 2.4e9)
+    assert out.shape == values.shape and confidence.shape == (1,)
     assert np.allclose(out, values, atol=1e-9)
-    assert aoa[0] == pytest.approx(theta, abs=1e-12)
     assert confidence[0] == pytest.approx(1.0, abs=1e-9)
+    # the azimuth behind that re-projection is the true one
+    aoa, _ = estimate_aoa(values, PAIRS, geom, 2.4e9)
+    assert aoa[0] == pytest.approx(theta, abs=1e-12)
 
 
 def test_phasediff_freq_interp_projects_steering_to_new_frequency():
     geom = UcaGeometry(n_elements=3, radius_m=0.05)
     theta = math.radians(57.0)
     train = _pair_diffs(geom, 1e9, theta, PAIRS)[None]
-    out, _, _ = phasediff_freq_interp(train, PAIRS, geom, 1e9, 2e9)
+    out, _ = phasediff_freq_interp(train, PAIRS, geom, 1e9, 2e9)
     want = _pair_diffs(geom, 2e9, theta, PAIRS)
     assert np.allclose(out[0], want, atol=1e-9)
     with pytest.raises(ValueError):
@@ -269,18 +270,22 @@ def test_phasediff_freq_interp_projects_steering_to_new_frequency():
 # spatial densification
 # ---------------------------------------------------------------------------
 
-def _train_db(field, grid):
-    return FingerprintDatabase(grid=grid, blocks={"k": field})
+def _stacks(grid, corr=None, phases=None, conf=None):
+    """``spatial_densify``'s three stacks on ``grid``: a stack not given is one flat key."""
+    n = len(grid)
+    corr = np.ones((n, 1, 1), dtype=complex) if corr is None else corr
+    phases = np.zeros((n, 1, 1)) if phases is None else phases
+    conf = np.ones(phases.shape[:2]) if conf is None else conf
+    return corr, phases, conf
 
 
 def test_spatial_densify_phasediff_exact_at_training_points():
     grid = Grid((0, 0), nx=3, ny=3, spacing=1.0)
     rng = np.random.default_rng(83)
-    field = wrap_angle(rng.uniform(-3, 3, size=(9, 2)))
-    db = _train_db(field, grid)
-    out = spatial_densify(db, 1, confidences={"k": np.ones(9)})
-    assert out.grid == grid
-    assert np.array_equal(out.blocks["k"], field)
+    field = wrap_angle(rng.uniform(-3, 3, size=(9, 2, 2)))
+    target, _, out = spatial_densify(grid, 1, *_stacks(grid, phases=field))
+    assert target == grid
+    assert np.array_equal(out, field)
 
 
 def test_spatial_densify_correlation_reproduces_training_magnitudes():
@@ -290,11 +295,11 @@ def test_spatial_densify_correlation_reproduces_training_magnitudes():
     # with its 1e-6 nugget the posterior mean returns them at the training points
     xy = grid.xy
     corr = np.exp(-np.sum((xy[:, None] - xy[None]) ** 2, axis=-1) / (2 * 2.0 ** 2))
-    mags = 10.0 ** (corr @ rng.uniform(-1.0, 1.0, size=(9, 3)) / 10.0)
-    phases = rng.uniform(-3, 3, size=(9, 3))
+    mags = 10.0 ** (corr @ rng.uniform(-1.0, 1.0, size=(9, 6)) / 10.0).reshape(9, 2, 3)
+    phases = rng.uniform(-3, 3, size=(9, 2, 3))
     field = mags * np.exp(1j * phases)
-    db = _train_db(field, grid)
-    got = spatial_densify(db, 1, confidences={}).blocks["k"]
+    _, got, _ = spatial_densify(grid, 1, *_stacks(grid, corr=field))
+    assert got.shape == field.shape
     assert np.allclose(np.abs(got), mags, rtol=1e-4)
     # phases copy from the nearest training point, which is the point itself
     assert np.allclose(np.angle(got), np.angle(field), atol=1e-12)
@@ -305,48 +310,57 @@ def test_spatial_densify_targets_the_integer_refinement_of_the_survey():
     # rounds one ulp past the survey's, 3 * 0.3, and is kriged like any point
     grid = Grid((0.0, 2.0), nx=4, ny=2, spacing=0.3)
     rng = np.random.default_rng(79)
-    field = np.exp(rng.normal(0.0, 1.0, (8, 3)) + 1j * rng.uniform(-3, 3, (8, 3)))
-    out = spatial_densify(_train_db(field, grid), 7, confidences={})
-    assert out.grid == Grid((0.0, 2.0), nx=22, ny=8, spacing=0.3 / 7)
+    field = np.exp(rng.normal(0.0, 1.0, (8, 1, 3)) + 1j * rng.uniform(-3, 3, (8, 1, 3)))
+    target, got, phases = spatial_densify(grid, 7, *_stacks(grid, corr=field))
+    assert target == Grid((0.0, 2.0), nx=22, ny=8, spacing=0.3 / 7)
     far = grid.xy[:, 0].max()
-    assert out.grid.xy[:, 0].max() == np.nextafter(far, 1.0)
-    got = out.blocks["k"]
-    assert got.shape == (176, 3) and np.all(np.isfinite(got))
+    assert target.xy[:, 0].max() == np.nextafter(far, 1.0)
+    assert got.shape == (176, 1, 3) and np.all(np.isfinite(got))
+    assert phases.shape == (176, 1, 1)
     # the far column is the kriged mean, not a copy of its nearest survey point
-    edge = out.grid.xy[:, 0] == out.grid.xy[:, 0].max()
-    want = kriging_predict(kriging_fit(grid, 10.0 * np.log10(np.abs(field))),
+    edge = target.xy[:, 0] == target.xy[:, 0].max()
+    want = kriging_predict(kriging_fit(grid, 10.0 * np.log10(np.abs(field[:, 0]))),
                            Grid((far, 2.0), nx=1, ny=8, spacing=0.3 / 7))
-    assert np.allclose(10.0 * np.log10(np.abs(got[edge])), want, rtol=0.0, atol=1e-9)
-    assert not np.allclose(np.abs(got[edge][::7]), np.abs(field[[3, 7]]), rtol=1e-6)
+    assert np.allclose(10.0 * np.log10(np.abs(got[edge, 0])), want, rtol=0.0, atol=1e-9)
+    assert not np.allclose(np.abs(got[edge, 0][::7]), np.abs(field[[3, 7], 0]), rtol=1e-6)
     for factor in (0, -1, 2.0, True, "2"):
         with pytest.raises(ValueError):
-            spatial_densify(_train_db(field, grid), factor, confidences={})
+            spatial_densify(grid, factor, *_stacks(grid, corr=field))
 
 
 def test_spatial_densify_confidence_weighting_and_validation():
     grid = Grid((0, 0), nx=2, ny=2, spacing=1.0)
     field = wrap_angle(np.array([[0.5], [1.5], [-0.5], [2.5]]))
-    db = _train_db(field, grid)
-    # all confidence on training point 3: the cell center, point 4 of the
-    # factor-2 refinement, copies its phase
-    conf = np.array([0.0, 0.0, 0.0, 5.0])
-    out = spatial_densify(db, 2, confidences={"k": conf})
-    assert out.grid.xy[4].tolist() == [0.5, 0.5]
-    assert out.blocks["k"][4, 0] == pytest.approx(2.5, abs=1e-12)
-    for bad in ({"k": np.ones(3)}, {}, {"other": conf}):
+    # sensor 0 puts all confidence on training point 3: the cell center,
+    # point 4 of the factor-2 refinement, copies its phase; sensor 1 has none
+    # anywhere and falls back to inverse distance, the same at all 4 points
+    phases = np.stack([field, field], axis=1)
+    conf = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 0.0]])
+    target, _, out = spatial_densify(grid, 2, *_stacks(grid, phases=phases, conf=conf))
+    assert target.xy[4].tolist() == [0.5, 0.5]
+    assert out[4, 0, 0] == pytest.approx(2.5, abs=1e-12)
+    assert out[4, 1, 0] == pytest.approx(np.angle(np.exp(1j * field[:, 0]).sum()), abs=1e-12)
+    for bad in (np.ones((3, 2)), np.ones(4), np.ones((4, 1)), np.ones((4, 2, 1))):
         with pytest.raises(ValueError):
-            spatial_densify(db, 2, confidences=bad)
+            spatial_densify(grid, 2, *_stacks(grid, phases=phases, conf=bad))
 
 
-def test_spatial_densify_rejects_bad_databases():
+def test_spatial_densify_rejects_stacks_of_the_wrong_kind_or_shape():
     grid = Grid((0, 0), nx=2, ny=1, spacing=1.0)
-    empty = FingerprintDatabase(grid=grid)
-    with pytest.raises(ValueError):
-        spatial_densify(empty, 1, confidences={})
-    models = FingerprintDatabase(grid=grid, blocks={
-        "k": GammaParams(shape=[1.0, 2.0], scale=[1.0, 1.0])})
-    with pytest.raises(ValueError):
-        spatial_densify(models, 1, confidences={})  # only array blocks densify
+    corr, phases, conf = _stacks(grid)
+    for bad in (np.abs(corr), corr[:, 0], corr[None], corr[:1], corr[:, :0],
+                np.ones((3, 1, 1), dtype=complex)):
+        with pytest.raises(ValueError, match="correlations"):
+            spatial_densify(grid, 1, bad, phases, conf)
+    for bad in (phases + 0j, phases[:, 0], phases[None], phases[:1], phases[:, :, :0]):
+        with pytest.raises(ValueError, match="phases"):
+            spatial_densify(grid, 1, corr, bad, conf)
+    for bad in (conf[:, 0], conf[:1], conf[..., None], np.ones((2, 2))):
+        with pytest.raises(ValueError, match="confidence"):
+            spatial_densify(grid, 1, corr, phases, bad)
+    for factor in (0, 1.0, False):
+        with pytest.raises(ValueError, match="factor"):
+            spatial_densify(grid, factor, corr, phases, conf)
 
 
 # ---------------------------------------------------------------------------
