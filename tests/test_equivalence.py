@@ -1,9 +1,9 @@
 """Cross-version behaviour guards.
 
-``tests/data/equivalence.json`` holds, per pipeline, the estimated-index (and
-estimate) columns of its CSV outputs and the ``summary.json`` written by every
-verb, from running the verb chain of ``tests/test_cli.py`` at its ``TINY``
-config.  Integers, strings and booleans must match exactly and floats to 1e-9
+``tests/data/equivalence.json`` holds, per pinned chain, the estimated-index
+(and estimate) columns of its CSV outputs and the ``summary.json`` written by
+every verb, from running the verb chain of ``tests/test_cli.py`` at each
+``TINY`` config and, for the unknown emitter, also at ``densify_factor`` 2.  Integers, strings and booleans must match exactly and floats to 1e-9
 relative, so a refactor that claims unchanged behaviour has to reproduce them.
 ``tests/data/simulated_sha256.json`` holds, per pipeline, the dtype, shape and
 sha256 of the raw little-endian bytes of every array ``simulate_measurements``
@@ -153,20 +153,29 @@ def _number(cell: str):
         return float(cell)
 
 
+# the pinned chains: every TINY config, and the TINY illegal chain on a grid
+# densified twofold, whose fine points off the survey reach the kriging and the
+# confidence-weighted phasor average of ``spatial_densify``
+CHAINS = {**TINY, "illegal_hybrid_densified": {
+    **TINY["illegal_hybrid"],
+    "scenario": {**TINY["illegal_hybrid"]["scenario"], "densify_factor": 2}}}
+
+
 def run_chain(name: str, root: str) -> dict:
-    """Run one pipeline's verb chain; return its pinned outputs."""
-    cfg = json.loads(json.dumps(TINY[name]))
+    """Run one pinned chain's verbs; return its pinned outputs."""
+    cfg = json.loads(json.dumps(CHAINS[name]))
+    pipeline = cfg["pipeline"]
     cfg["out_dir"] = os.path.join(root, name)
     cfg_path = os.path.join(root, f"{name}.json")
     with open(cfg_path, "w", encoding="utf-8") as fh:
         json.dump(cfg, fh)
     summaries = {}
-    for verb in VERBS[name]:
+    for verb in VERBS[pipeline]:
         assert main([verb, "--config", cfg_path]) == EXIT_OK, f"{name} {verb} failed"
         with open(os.path.join(cfg["out_dir"], "summary.json"), "r", encoding="utf-8") as fh:
             summaries[verb] = json.load(fh)
     columns = {}
-    for fname, names in COLUMNS[name].items():
+    for fname, names in COLUMNS[pipeline].items():
         with open(os.path.join(cfg["out_dir"], fname), "r", encoding="utf-8",
                   newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -199,7 +208,7 @@ def first_difference(ref, got, where: str = "") -> str | None:
     return None if ok else f"{where}: {got!r} != {ref!r}"
 
 
-@pytest.mark.parametrize("name", sorted(TINY))
+@pytest.mark.parametrize("name", sorted(CHAINS))
 def test_tiny_chain_reproduces_pinned_outputs(name, tmp_path):
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))[name]
     got = run_chain(name, str(tmp_path))
@@ -1478,7 +1487,7 @@ def test_grid_round_trips_through_the_database_file(origin, nx, ny, spacing):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        data = {name: run_chain(name, tmp) for name in sorted(TINY)}
+        data = {name: run_chain(name, tmp) for name in sorted(CHAINS)}
     PINNED.parent.mkdir(exist_ok=True)
     PINNED.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     digests = {name: simulated_digests(name) for name in sorted(TINY)}
