@@ -36,13 +36,11 @@ def build_parser() -> argparse.ArgumentParser:
     for verb in ("simulate", "learn", "localize", "track", "lighting", "report"):
         p = sub.add_parser(verb)
         p.add_argument("--config", help="experiment config JSON file")
-        p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the config output directory")
-        p.add_argument(
-            "--sweep",
-            metavar="KEY=A,B,C",
-            help="rerun over comma-separated values of one dotted config key",
-        )
+        if verb != "report":  # report reruns nothing
+            p.add_argument("--seed", type=int, help="override the config seed")
+            p.add_argument("--sweep", metavar="KEY=A,B,C",
+                           help="rerun over comma-separated values of one dotted config key")
     return parser
 
 
@@ -124,7 +122,7 @@ def main(argv=None) -> int:
                 results = args.out
             else:
                 raise ConfigError("report needs --config or --out to find results")
-            cmd_report(results, results)
+            cmd_report(results)
             print(os.path.join(results, "report.json"))
             return EXIT_OK
 

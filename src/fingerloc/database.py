@@ -33,7 +33,7 @@ __all__ = [
     "read_arrays",
 ]
 
-FORMAT_VERSION = "fingerloc-db-8"
+FORMAT_VERSION = "fingerloc-db-9"
 
 # block type tag -> (class, its array fields); every field has the grid as its
 # leading axis

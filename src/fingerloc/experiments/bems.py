@@ -123,9 +123,8 @@ def build_sensors(cfg: dict) -> dict:
 
 def measurement_shapes(cfg: dict) -> dict:
     scn = cfg["scenario"]
-    n = len(build_grid(cfg)) * scn["train_visits"]
-    return {"cell": ((n,), int), "moving": ((n,), bool),
-            "bits": ((n, len(scn["sensors"])), bool)}
+    lead = (len(build_grid(cfg)), scn["train_visits"])
+    return {"moving": (lead, bool), "bits": (lead + (len(scn["sensors"]),), bool)}
 
 
 def sensor_ranges(sensors: dict, xy) -> np.ndarray:
@@ -153,7 +152,7 @@ def detection_bits(sensors: dict, ranges, moving, uniforms) -> np.ndarray:
 
 
 def simulate_measurements(cfg: dict) -> dict:
-    """Training visits, cell-major: ``cell`` (n,), ``moving`` (n,), ``bits`` (n, sensors).
+    """Training visits: ``moving`` (cells, visits), ``bits`` (cells, visits, sensors).
 
     Visit v of cell c moves with the first uniform of stream (seed, tag,
     c, v); sensor s sees it with that of stream (seed, tag, c, v, s).
@@ -168,17 +167,13 @@ def simulate_measurements(cfg: dict) -> dict:
     u_bits = seeded_uniforms(cfg["seed"], _TAG_TRAIN_BIT, cells[..., None], visits[..., None],
                              np.arange(n_sensors))
     bits = detection_bits(sensors, sensor_ranges(sensors, grid.xy)[:, None], moving, u_bits)
-    return {"cell": np.repeat(cells[:, 0], visits.size), "moving": moving.reshape(-1),
-            "bits": bits.reshape(-1, n_sensors)}
+    return {"moving": moving, "bits": bits}
 
 
 def build_database(cfg: dict, visits: dict) -> FingerprintDatabase:
-    """Detection probability per sensor per cell, one (N,) block per sensor."""
-    grid = build_grid(cfg)
-    n_sensors = len(cfg["scenario"]["sensors"])
-    blocks = {f"det:{si}": learn_detection_map(visits["cell"], visits["bits"][:, si], grid)
-              for si in range(n_sensors)}
-    return FingerprintDatabase(grid=grid, blocks=blocks)
+    """Detection probability per cell per sensor, one (N, sensors) ``det`` block."""
+    return FingerprintDatabase(grid=build_grid(cfg),
+                               blocks={"det": learn_detection_map(visits["bits"])})
 
 
 def generate_walk(cfg: dict) -> tuple:
@@ -232,8 +227,7 @@ def evaluate_track(cfg: dict, db: FingerprintDatabase) -> tuple:
     lighting control.
     """
     grid = db.grid
-    n_sensors = sum(key.startswith("det:") for key in db.blocks)
-    probs = np.stack([db.block(f"det:{si}", np.ndarray) for si in range(n_sensors)])
+    probs = db.block("det", np.ndarray).T
     spacing = cfg["scenario"]["grid"]["spacing_m"]
     cells, moving = generate_walk(cfg)
     eta = math.log(cfg["matching"]["eta_rel"])
@@ -320,7 +314,7 @@ def evaluate_lighting(cfg: dict, grid: Grid, true_cells, occupied) -> tuple:
 def cmd_simulate(cfg: dict, out_dir: str) -> dict:
     visits = simulate_measurements(cfg)
     save_measurements(cfg, out_dir, visits)
-    summary = {"observations": len(visits["cell"]),
+    summary = {"observations": visits["moving"].size,
                "sensors": len(cfg["scenario"]["sensors"])}
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
@@ -330,9 +324,8 @@ def cmd_learn(cfg: dict, out_dir: str) -> dict:
     visits = load_measurements(cfg, out_dir, simulate_measurements, measurement_shapes(cfg))
     db = build_database(cfg, visits)
     save_db(cfg, out_dir, db)
-    counts = np.bincount(visits["cell"], minlength=len(db))
     log = {"points": len(db), "sensors": len(cfg["scenario"]["sensors"]),
-           "per_point_samples": counts.tolist()}
+           "per_point_samples": [cfg["scenario"]["train_visits"]] * len(db)}
     write_json(os.path.join(out_dir, "learn_log.json"), log)
     return log
 

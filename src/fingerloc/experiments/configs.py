@@ -27,6 +27,14 @@ def _non_finite(node, path: tuple = ()) -> tuple | None:
     return None
 
 
+def _refusal(path: str, message: str) -> ConfigError:
+    """The ConfigError "<path>: <message>", a long message shortened by
+    :func:`schema_refusal`, naming its path once."""
+    error = ConfigError(schema_refusal(path, message))
+    error.path = path
+    return error
+
+
 def validate_config(cfg: dict) -> None:
     """Check a fully merged config against its pipeline's shipped schema.
 
@@ -41,13 +49,11 @@ def validate_config(cfg: dict) -> None:
         )
     keys = _non_finite(cfg)
     if keys is not None:
-        path = ".".join(keys)
-        raise ConfigError(f"{path}: not a finite number", path=path)
+        raise _refusal(".".join(keys), "not a finite number")
     found = schema_error(cfg, load_schema(f"{pipeline}.schema.json"))
     if found is not None:
         keys, message = found
-        path = ".".join(map(str, keys)) or "<root>"
-        raise ConfigError(schema_refusal(path, message), path=path)
+        raise _refusal(".".join(map(str, keys)) or "<root>", message)
 
 
 def parse_config(raw: dict) -> dict:

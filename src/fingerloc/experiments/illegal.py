@@ -54,7 +54,6 @@ DEFAULTS = {
         "sensors": [[-1.0, -1.0], [13.0, -1.0], [6.0, 13.0]],
         "uca": {"elements": 3, "radius_m": 0.05},
         "train_freqs_hz": [8.0e8, 1.5e9, 2.5e9],
-        "train_bandwidth_hz": 1.0e7,
         "sample_rate_hz": 1.0e7,
         "tap_count": 8,
         "bits": 256,
@@ -90,14 +89,6 @@ def _xcorr_pairs(cfg: dict) -> list:
     n = cfg["scenario"]["uca"]["elements"]
     return [(si, a, b) for si in range(len(cfg["scenario"]["sensors"]))
             for a in range(n) for b in range(a, n)]
-
-
-def xcorr_keys(cfg: dict) -> list:
-    return [f"xc:{si}:{a}-{b}" for si, a, b in _xcorr_pairs(cfg)]
-
-
-def phase_keys(cfg: dict) -> list:
-    return [f"pd:{si}" for si in range(len(cfg["scenario"]["sensors"]))]
 
 
 def _element_pairs(n: int) -> tuple:
@@ -145,7 +136,7 @@ def measure_fingerprints(cfg: dict, tx_xy: np.ndarray, freq_hz: float, pulse: tu
 def measurement_shapes(cfg: dict) -> dict:
     scn = cfg["scenario"]
     lead = (len(scn["train_freqs_hz"]), len(build_grid(cfg)), scn["train_snapshots"])
-    return {"xcorr": (lead + (len(xcorr_keys(cfg)), 2 * scn["tap_count"] - 1), complex),
+    return {"xcorr": (lead + (len(_xcorr_pairs(cfg)), 2 * scn["tap_count"] - 1), complex),
             "phase": (lead + (len(scn["sensors"]), len(_element_pairs(scn["uca"]["elements"]))),
                       float)}
 
@@ -180,12 +171,14 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> tuple:
     bandwidth narrowing to the target bandwidth, phase-difference
     re-projection via the fitted arrival azimuth (one call per sensor), then
     spatial densification onto the fine grid and per-point power
-    normalization.  The database keys are assigned at the end.
+    normalization.  Training bits are unshaped at the sample rate, so they
+    fill the sampled band that the narrowing starts from.
 
     Returns:
-        (database, filled_bins): the projected map, and for
-        ``learn_log.json`` the delay bins the frequency projection filled
-        from their neighbors.
+        (database, filled_bins): the projected map, a complex ``xc`` block
+        (points, xcorr keys, lags) and a real ``pd`` block (points, sensors,
+        element pairs), and for ``learn_log.json`` the delay bins the
+        frequency projection filled from their neighbors.
     """
     scn = cfg["scenario"]
     geom = uca_geom(cfg)
@@ -197,17 +190,15 @@ def build_database(cfg: dict, xc: np.ndarray, ph: np.ndarray) -> tuple:
     ph_avg = np.angle(np.exp(1j * ph).sum(axis=2))  # circular mean
 
     fp, flags = freq_interp_xcorr(freqs, xc_avg, t_freq)
-    corr = bandwidth_interp(fp, scn["train_bandwidth_hz"], scn["target"]["bandwidth_hz"])
+    corr = bandwidth_interp(fp, scn["sample_rate_hz"], scn["target"]["bandwidth_hz"])
     pairs = _element_pairs(geom.n_elements)
     phases, confidences = zip(*(phasediff_freq_interp(ph_avg[nearest_fi, :, si], pairs, geom,
                                                       freqs[nearest_fi], t_freq)
                                 for si in range(ph.shape[-2])))
     grid, corr, phases = spatial_densify(build_grid(cfg), scn["densify_factor"], corr,
                                          np.stack(phases, axis=1), np.stack(confidences, axis=1))
-    corr = normalize_power(corr)
-    blocks = {**dict(zip(xcorr_keys(cfg), np.moveaxis(corr, 1, 0))),
-              **dict(zip(phase_keys(cfg), np.moveaxis(phases, 1, 0)))}
-    return FingerprintDatabase(grid=grid, blocks=blocks), int(np.count_nonzero(flags))
+    db = FingerprintDatabase(grid=grid, blocks={"xc": normalize_power(corr), "pd": phases})
+    return db, int(np.count_nonzero(flags))
 
 
 def draw_trials(cfg: dict) -> np.ndarray:
@@ -237,21 +228,28 @@ def trial_fingerprints(cfg: dict, trials: np.ndarray) -> tuple:
     return normalize_power(xc), ph
 
 
-def error_maps(db: FingerprintDatabase, xc: dict, pd: dict) -> tuple:
+def error_maps(db: FingerprintDatabase, xc: np.ndarray, ph: np.ndarray) -> tuple:
     """Summed squared-error maps over the database grid for both kinds.
 
-    ``xc`` and ``pd`` map each key to its (..., d) fingerprints, e.g. one
-    per trial; each key costs one scan of its block, and the keys add up in
-    the dicts' order.  Correlation fingerprints are compared by magnitude,
-    phase differences by wrapped differences.
+    ``xc`` (T, xcorr keys, lags) and ``ph`` (T, sensors, element pairs) are
+    the fingerprints of T measurements, e.g. one per trial.  Each key or
+    sensor costs one scan of its slice of the ``xc`` or ``pd`` block, and
+    the slices add up in order.  Correlation fingerprints are compared by
+    magnitude, phase differences by wrapped differences.
 
     Returns:
-        (xcorr, phase): (..., N) squared errors over the grid.
+        (xcorr, phase): (T, N) squared errors over the grid.
+
+    Raises:
+        ValueError: when a block's axes after the grid differ from the
+            fingerprints' after T.
     """
-    vx = sum(fingerprint_sqerr(np.abs(fp), np.abs(db.block(key, np.ndarray)))
-             for key, fp in xc.items())
-    vp = sum(fingerprint_sqerr(fp, db.block(key, np.ndarray), wrap=True)
-             for key, fp in pd.items())
+    db_xc, db_pd = np.abs(db.block("xc", np.ndarray)), db.block("pd", np.ndarray)
+    if db_xc.shape[1:] != xc.shape[1:] or db_pd.shape[1:] != ph.shape[1:]:
+        raise ValueError(f"map blocks xc {db_xc.shape} and pd {db_pd.shape} do not fit "
+                         f"fingerprints {xc.shape} and {ph.shape}")
+    vx = sum(fingerprint_sqerr(np.abs(xc[:, k]), db_xc[:, k]) for k in range(xc.shape[1]))
+    vp = sum(fingerprint_sqerr(ph[:, s], db_pd[:, s], wrap=True) for s in range(ph.shape[1]))
     return vx, vp
 
 
@@ -276,8 +274,7 @@ def evaluate(cfg: dict, db: FingerprintDatabase) -> tuple:
     sweep = [float(g) for g in cfg["evaluation"]["gamma_sweep"]]
     pts = db.grid.xy
     xc, ph = trial_fingerprints(cfg, trials)
-    vx, vp = error_maps(db, dict(zip(xcorr_keys(cfg), np.moveaxis(xc, 1, 0))),
-                        dict(zip(phase_keys(cfg), np.moveaxis(ph, 1, 0))))
+    vx, vp = error_maps(db, xc, ph)
     # (trials, methods): xcorr, phasediff, then the hybrid of each gamma
     best = np.stack([_best_points(vx), _best_points(vp),
                      *(_best_points(vx + g * vp) for g in sweep)], axis=1)

@@ -30,7 +30,8 @@ def collect_report(results_dir: str) -> dict:
     return {"runs": runs}
 
 
-def cmd_report(results_dir: str, out_dir: str) -> dict:
+def cmd_report(results_dir: str) -> dict:
+    """Collect ``results_dir``'s summaries into its ``report.json``."""
     report = collect_report(results_dir)
-    write_json(os.path.join(out_dir, "report.json"), report)
+    write_json(os.path.join(results_dir, "report.json"), report)
     return report

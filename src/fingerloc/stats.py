@@ -473,34 +473,26 @@ def vonmises_logpdf(x, p: VonMisesParams) -> np.ndarray:
 # occupancy detection maps
 # ---------------------------------------------------------------------------
 
-def learn_detection_map(cells, bits, grid: Grid) -> np.ndarray:
-    """Estimate a sensor's detection probability per grid cell.
+def learn_detection_map(bits) -> np.ndarray:
+    """Estimate every sensor's detection probability per grid cell.
 
     Args:
-        cells: (n,) grid index of every observation.
-        bits: (n,) detection bit (0 or 1) of every observation.
-        grid: cell layout.
+        bits: (cells, visits, sensors) detection bits (0 or 1) of every
+            training visit of every cell.
 
     Returns:
-        (N,) detection probabilities, the Laplace-smoothed frequency
-        ``(k+1)/(n+2)`` per cell; unvisited cells sit at the uninformative
-        0.5, so every value lies strictly inside (0, 1).
+        (cells, sensors) detection probabilities, the Laplace-smoothed
+        frequency ``(k+1)/(n+2)`` of each cell's ``n`` visits, so every value
+        lies strictly inside (0, 1).
     """
-    cells, bits = np.asarray(cells), np.asarray(bits)
-    if cells.shape != bits.shape or cells.ndim != 1:
-        raise ValueError(f"need one grid index per bit, got shapes {cells.shape} and {bits.shape}")
-    if cells.size and cells.dtype.kind not in "iu":
-        raise ValueError(f"grid indices must be integers, got dtype {cells.dtype}")
-    outside = (cells < 0) | (cells >= len(grid))
-    if np.any(outside):
-        raise ValueError(f"grid index {cells[outside][0]} out of range")
+    bits = np.asarray(bits)
+    if bits.ndim != 3:
+        raise ValueError(f"need (cells, visits, sensors) bits, got shape {bits.shape}")
     not_binary = (bits != 0) & (bits != 1)
     if np.any(not_binary):
         raise ValueError(f"detection bit must be 0 or 1, got {bits[not_binary][0]}")
-    cells = cells.astype(np.intp)
-    hits = np.bincount(cells, weights=bits.astype(float), minlength=len(grid))
-    counts = np.bincount(cells, minlength=len(grid)).astype(float)
-    return (hits + 1.0) / (counts + 2.0)
+    hits = bits.sum(axis=1, dtype=float)
+    return (hits + 1.0) / (bits.shape[1] + 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -597,7 +597,7 @@ def test_illegal_fine_lattice_edge_counts_inside_the_survey(tmp_path, monkeypatc
     assert fine.xy[:, 0].max() == np.nextafter(far, 1.0)
     edge = fine.xy[:, 0] == fine.xy[:, 0].max()
     column = Grid((far, 0.0), nx=1, ny=8, spacing=0.3 / 7)
-    assert corr.shape[1] == len(illegal.xcorr_keys(load_config(cfg_path)))
+    assert corr.shape[1] == illegal.measurement_shapes(load_config(cfg_path))["xcorr"][0][-2]
     for k in range(corr.shape[1]):
         db = 10.0 * np.log10(np.abs(corr[:, k]))
         want = kriging_predict(kriging_fit(coarse, db), column)
@@ -943,6 +943,74 @@ def test_database_in_the_version_1_layout_is_a_config_error(tmp_path, capsys):
     assert main(["localize", "--config", cfg_path]) == EXIT_OK
 
 
+def _split_keys(name: str, blocks: dict) -> dict:
+    """``fingerloc-db-8``'s blocks of a map: one ``det:<s>`` block per sensor, or
+    one ``xc:<s>:<a>-<b>`` block per element pair and one ``pd:<s>`` per sensor."""
+    if name == "bems_binary":
+        det = blocks["det"]["values"]
+        return {f"det:{s}": {"type": "array", "values": det[:, s]} for s in range(det.shape[1])}
+    xc, pd = blocks["xc"]["values"], blocks["pd"]["values"]
+    keys = [(s, a, b) for s in range(pd.shape[1]) for a in range(3) for b in range(a, 3)]
+    assert len(keys) == xc.shape[1]
+    return {**{f"xc:{s}:{a}-{b}": {"type": "array", "values": xc[:, k]}
+               for k, (s, a, b) in enumerate(keys)},
+            **{f"pd:{s}": {"type": "array", "values": pd[:, s]} for s in range(pd.shape[1])}}
+
+
+@pytest.mark.parametrize("name", ["bems_binary", "illegal_hybrid"])
+def test_a_map_in_the_fingerloc_db_8_layout_is_a_config_error(tmp_path, capsys, name):
+    # version 8 split the detection maps and the unknown-emitter fingerprints
+    # into one block per sensor or element pair
+    cfg_path, out_dir = _write_config(tmp_path, name)
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    db_path = pathlib.Path(out_dir) / "db.json"
+    doc = read_arrays(db_path, "db.json")
+    write_arrays(db_path, dict(doc, version="fingerloc-db-8",
+                               blocks=_split_keys(name, doc["blocks"])))
+    capsys.readouterr()
+    assert main(["localize", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {db_path}: version: 'fingerloc-db-9' was expected")
+    assert err.rstrip().endswith("; rerun learn") and "Traceback" not in err
+    assert not (pathlib.Path(out_dir) / "trials.csv").exists()
+
+
+def test_an_unknown_emitter_map_of_other_axes_is_a_config_error(tmp_path, capsys):
+    # the same bytes as (points, keys * lags): the reader cannot tell, the matcher can
+    cfg_path, out_dir = _write_config(tmp_path, "illegal_hybrid")
+    assert main(["learn", "--config", cfg_path]) == EXIT_OK
+    _record_change(lambda r: dict(r, shape=[r["shape"][0], r["shape"][1] * r["shape"][2]]))(
+        pathlib.Path(out_dir) / "db.json", ("blocks", "xc", "values"))
+    capsys.readouterr()
+    assert main(["localize", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: map blocks xc (4, 180) and pd (4, 2, 3) do not fit "
+                          "fingerprints (3, 12, 15) and (3, 2, 3)")
+    assert "Traceback" not in err
+    assert not (pathlib.Path(out_dir) / "trials.csv").exists()
+
+
+def test_an_occupancy_survey_with_a_cell_column_is_a_config_error(tmp_path, capsys):
+    # the survey used to hold one row per visit and each row's cell index
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
+    assert main(["simulate", "--config", cfg_path]) == EXIT_OK
+
+    def one_row_per_visit(arrays):
+        cells, visits = arrays["moving"].shape
+        return {"cell": np.repeat(np.arange(cells), visits), "moving": arrays["moving"].ravel(),
+                "bits": arrays["bits"].reshape(cells * visits, -1)}
+
+    planted = _plant_measurements(tmp_path, out_dir, one_row_per_visit)
+    scenario = dict(TINY["bems_binary"]["scenario"], measurements=planted)
+    cfg_path, out_dir = _write_config(tmp_path, "bems_binary", scenario=scenario)
+    capsys.readouterr()
+    assert main(["learn", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {planted}: arrays/cell/dtype: 'int64' is not one of")
+    assert err.rstrip().endswith("; rerun simulate") and "Traceback" not in err
+    assert not (pathlib.Path(out_dir) / "db.json").exists()
+
+
 @pytest.mark.parametrize("where, message", [
     ((), "<root>: Additional properties are not allowed ('meta' was unexpected)"),
     (("grid",), "grid: Additional properties are not allowed ('meta' was unexpected)"),
@@ -997,8 +1065,7 @@ def test_a_non_finite_header_value_names_the_file_and_the_verb_to_rerun(tmp_path
     assert not (pathlib.Path(out_dir) / product).exists()
 
 
-@pytest.mark.parametrize("name, key", [("bems_binary", "det:0"),
-                                       ("illegal_hybrid", "xc:0:0-1")])
+@pytest.mark.parametrize("name, key", [("bems_binary", "det"), ("illegal_hybrid", "xc")])
 def test_database_with_non_finite_values_is_a_config_error(tmp_path, capsys, name, key):
     cfg_path, out_dir = _write_config(tmp_path, name)
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
@@ -1018,7 +1085,7 @@ def test_database_with_a_certain_detection_probability_is_a_config_error(tmp_pat
     # finite, so it loads; a 0 or 1 would put -inf into the log-likelihoods
     cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
     assert main(["learn", "--config", cfg_path]) == EXIT_OK
-    _poke(pathlib.Path(out_dir) / "db.json", ("blocks", "det:0", "values"), prob)
+    _poke(pathlib.Path(out_dir) / "db.json", ("blocks", "det", "values"), prob)
     capsys.readouterr()
     assert main(["track", "--config", cfg_path]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -1038,7 +1105,7 @@ def test_database_refusing_its_grid_names_the_file(tmp_path, capsys):
     capsys.readouterr()
     assert main(["localize", "--config", cfg_path]) == EXIT_CONFIG
     assert capsys.readouterr().err.strip() == (
-        f"config error: {path}: block 'det:0' covers 9 points, the grid has 12; rerun learn")
+        f"config error: {path}: block 'det' covers 9 points, the grid has 12; rerun learn")
     assert not (pathlib.Path(out_dir) / "trials.csv").exists()
 
 
@@ -1057,30 +1124,30 @@ def _record_change(change):
 
 
 @pytest.mark.parametrize("name, where, corrupt", [
-    pytest.param("illegal_hybrid", ("blocks", "xc:0:0-1", "values"), _record_change(lambda r: 1.0),
+    pytest.param("illegal_hybrid", ("blocks", "xc", "values"), _record_change(lambda r: 1.0),
                  id="complex-scalar"),
-    pytest.param("bems_binary", ("blocks", "det:0", "values"), _record_change(lambda r: 0.5),
+    pytest.param("bems_binary", ("blocks", "det", "values"), _record_change(lambda r: 0.5),
                  id="real-scalar"),
     # a record of the base64 format, whatever its data holds
-    pytest.param("bems_binary", ("blocks", "det:0", "values"),
+    pytest.param("bems_binary", ("blocks", "det", "values"),
                  _record_change(lambda r: dict(r, data="not base64!")), id="data-not-base64"),
-    pytest.param("bems_binary", ("blocks", "det:0", "values"),
+    pytest.param("bems_binary", ("blocks", "det", "values"),
                  _record_change(lambda r: dict(r, data=[0.5] * r["shape"][0])),
                  id="data-not-a-string"),
-    pytest.param("illegal_hybrid", ("blocks", "xc:0:0-1", "values"),
+    pytest.param("illegal_hybrid", ("blocks", "xc", "values"),
                  _record_change(lambda r: dict(r, shape=[r["shape"][0] + 1] + r["shape"][1:])),
                  id="byte-count"),
-    pytest.param("bems_binary", ("blocks", "det:0", "values"),
+    pytest.param("bems_binary", ("blocks", "det", "values"),
                  _record_change(lambda r: dict(r, shape=[-n for n in r["shape"]])),
                  id="negative-shape"),
-    pytest.param("bems_binary", ("blocks", "det:0", "values"),
+    pytest.param("bems_binary", ("blocks", "det", "values"),
                  _record_change(lambda r: dict(r, shape=[float(n) for n in r["shape"]])),
                  id="float-shape"),
-    pytest.param("bems_binary", ("blocks", "det:0", "values"),
+    pytest.param("bems_binary", ("blocks", "det", "values"),
                  _record_change(lambda r: dict(r, shape=[])), id="rank-0"),
-    pytest.param("bems_binary", ("blocks", "det:0", "values"),
+    pytest.param("bems_binary", ("blocks", "det", "values"),
                  _record_change(lambda r: dict(r, dtype="float32")), id="float32"),
-    pytest.param("bems_binary", ("blocks", "det:0", "values"),
+    pytest.param("bems_binary", ("blocks", "det", "values"),
                  _record_change(lambda r: dict(r, dtype="object")), id="object"),
     # the same bytes read as [re, im] float64 pairs
     pytest.param("classroom_cir", ("blocks", "xc:0-1", "mean"),
@@ -1251,7 +1318,7 @@ def test_measurements_with_non_finite_values_are_a_config_error(tmp_path, capsys
 
 
 def test_measurements_with_integer_detection_bits_are_a_config_error(tmp_path, capsys):
-    # detection bits are stored as bool; the same 0/1 values as int64 name the array
+    # detection bits are stored as bool; the schema refuses the same 0/1 values as int64
     cfg_path, out_dir = _write_config(tmp_path, "bems_binary")
     assert main(["simulate", "--config", cfg_path]) == EXIT_OK
     planted = _plant_measurements(tmp_path, out_dir,
@@ -1261,7 +1328,8 @@ def test_measurements_with_integer_detection_bits_are_a_config_error(tmp_path, c
     capsys.readouterr()
     assert main(["learn", "--config", cfg_path]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "'bits'" in err and "Traceback" not in err
+    assert err.startswith("config error:") and "arrays/bits/dtype" in err
+    assert err.rstrip().endswith("; rerun simulate") and "Traceback" not in err
     assert not (pathlib.Path(out_dir) / "db.json").exists()
 
 
@@ -1339,10 +1407,9 @@ def test_learn_reads_a_measurements_path_from_another_run(tmp_path):
                 for name, dtype in (("cell", "int64"), ("moving", "bool"))}},
     # the current format, with no buffer file beside it
     {"format": "fingerloc-measurements-4", "pipeline": "bems_binary", "config_digest": "0" * 64,
-     "arrays": {"bits": {"dtype": "bool", "shape": [54, 2], "offset": 0},
-                "cell": {"dtype": "int64", "shape": [54], "offset": 108},
-                "moving": {"dtype": "bool", "shape": [54], "offset": 540}},
-     "buffer": {"bytes": 594, "sha256": "0" * 64}},
+     "arrays": {"bits": {"dtype": "bool", "shape": [9, 6, 2], "offset": 0},
+                "moving": {"dtype": "bool", "shape": [9, 6], "offset": 108}},
+     "buffer": {"bytes": 162, "sha256": "0" * 64}},
 ])
 def test_malformed_measurements_file_is_a_config_error(tmp_path, capsys, doc):
     path = tmp_path / "measurements.json"
@@ -1555,3 +1622,17 @@ def test_report_uses_config_out_dir(tmp_path):
 
 def test_report_on_missing_directory_is_an_io_error(tmp_path):
     assert main(["report", "--out", str(tmp_path / "void")]) == EXIT_IO
+
+
+@pytest.mark.parametrize("option", [["--seed", "3"], ["--sweep", "a=1"]])
+def test_report_refuses_the_options_it_cannot_use(tmp_path, capsys, option):
+    # report reruns nothing, so a seed or a sweep would be silently ignored
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "summary.json").write_text('{"trials": 1}')
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as refused:
+        main(["report", "--out", str(results), *option])
+    assert refused.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not (results / "report.json").exists()

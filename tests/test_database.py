@@ -194,7 +194,7 @@ def test_database_json_matches_shipped_schema(tmp_path):
     assert validate_artifact(str(path)) == "db.schema.json"
     text = path.read_text()
     doc = json.loads(text)
-    assert doc["version"] == "fingerloc-db-8"
+    assert doc["version"] == "fingerloc-db-9"
     assert doc["config_digest"] is None
     assert doc["grid"] == {"origin": [0.0, 0.0], "nx": 2, "ny": 2, "spacing": 1.0}
     raw = (tmp_path / "db.bin").read_bytes()
@@ -268,7 +268,7 @@ def test_database_rejects_wrong_version(tmp_path):
     doc = json.loads(text)
     assert doc["version"] == FORMAT_VERSION
     for stale in ("fingerloc-db-1", "fingerloc-db-2", "fingerloc-db-3", "fingerloc-db-4",
-                  "fingerloc-db-5", "fingerloc-db-6"):
+                  "fingerloc-db-5", "fingerloc-db-6", "fingerloc-db-7", "fingerloc-db-8"):
         doc["version"] = stale
         with pytest.raises(ValueError, match=_refusal(path, "version: .* was expected$")):
             load_database(_written(path, doc, raw))
@@ -486,7 +486,7 @@ def test_load_database_reads_the_buffer_beside_the_header(tmp_path):
 
 
 def test_array_record_round_trips_and_decodes_writable(tmp_path):
-    for arr in (np.array([True, False, True]), np.arange(6).reshape(2, 3),
+    for arr in (np.array([True, False, True]), np.arange(6.0).reshape(2, 3),
                 np.zeros((0, 3), complex), np.array(-0.0)):
         path = _measurements(tmp_path, a=arr)
         header = json.loads(path.read_text())
@@ -511,15 +511,15 @@ def test_array_record_round_trips_and_decodes_writable(tmp_path):
 
 
 def test_array_records_tile_the_buffer_in_sorted_key_order(tmp_path):
-    path = _measurements(tmp_path, z=np.arange(2), mb=np.array([True, False, True]),
+    path = _measurements(tmp_path, z=np.arange(2.0), mb=np.array([True, False, True]),
                          ma=np.ones(2))
     header = json.loads(path.read_text())
     records = header["arrays"]
     assert [records[name]["offset"] for name in ("ma", "mb", "z")] == [0, 16, 19]
     back = read_arrays(path, "measurements.json")["arrays"]
     assert list(back) == ["ma", "mb", "z"]
-    assert [back[name].tolist() for name in back] == [[1.0, 1.0], [True, False, True], [0, 1]]
-    # the int64 array at byte 19 is copied to aligned memory
+    assert [back[name].tolist() for name in back] == [[1.0, 1.0], [True, False, True], [0.0, 1.0]]
+    # the float64 array at byte 19 is copied to aligned memory
     assert all(arr.flags.aligned for arr in back.values())
     raw = path.with_suffix(".bin").read_bytes()
     # the records must be listed in buffer order

@@ -34,10 +34,11 @@ loop that fits every fold, with and without loading, the batched pair
 cross-correlation to ``xcorr`` per pair (bit for bit, on integer and on
 float taps), the block-diagonal lighting LP on a candidate mask to
 one ``linprog`` per occupied row, the unknown-emitter projection stages to
-per-point, per-bin and per-query loops, the unknown-emitter map bit for
-bit to the per-key chain it replaced, the windowed-sinc low-pass and
-bandwidth narrowing to ``scipy.signal``'s ``firwin`` and direct
-convolution, multi-column kriging to one dense
+per-point, per-bin and per-query loops, the unknown-emitter map's stacked
+``xc`` and ``pd`` blocks bit for bit to the per-key chain they replaced,
+its error maps bit for bit to one scan of a contiguous block per key, the
+windowed-sinc low-pass and bandwidth narrowing to ``scipy.signal``'s
+``firwin`` and direct convolution, multi-column kriging to one dense
 solve per column, the array particle likelihoods to the per-particle corner
 loop, the stencil grid Bayes predict to the dense N x N transition matrix,
 the measurement and database codecs to a bit-exact round trip, the survey lattice to
@@ -47,8 +48,8 @@ chain it replaced, its row-wise block convolution bit for bit to a sum
 written out in its stated order and to ``np.convolve`` per row pair within a
 rounding bound, the unknown-emitter phase fingerprint's one
 ``relative_phase`` call over all element pairs bit for bit to one call per
-pair, and the occupancy visits and detection bits bit for bit to one
-generator per draw.
+pair, and the occupancy visits and detection bits, in their (cells,
+visits) lattice, bit for bit to one generator per draw.
 
 Regenerate both files only for an intended behaviour change, and say why in
 CHANGES.md::
@@ -105,7 +106,7 @@ from fingerloc.interp import (  # noqa: E402
     windowed_sinc_lowpass,
 )
 from fingerloc.lighting import LightingScenario, illuminance, solve_lighting  # noqa: E402
-from fingerloc.matching import mle_rssi_rspd  # noqa: E402
+from fingerloc.matching import fingerprint_sqerr, mle_rssi_rspd  # noqa: E402
 from fingerloc import simulate  # noqa: E402
 from fingerloc.experiments import bems, illegal, wifi  # noqa: E402
 from fingerloc.experiments.common import build_grid  # noqa: E402
@@ -572,21 +573,21 @@ def _ref_detection_bit(sensor, user, moving, seed) -> int:
 
 
 def _ref_bems_measurements(cfg):
-    """The training visits with one generator per visit and one per sensor bit."""
+    """The training visits with one generator per visit and one per sensor bit,
+    ``moving`` (cells, visits) and ``bits`` (cells, visits, sensors)."""
     grid, sensors, scn, seed = build_grid(cfg), _ref_sensors(cfg), cfg["scenario"], cfg["seed"]
-    cells, moving, bits = [], [], []
+    shape = (len(grid), scn["train_visits"])
+    moving = np.zeros(shape, dtype=bool)
+    bits = np.zeros(shape + (len(sensors),), dtype=bool)
     for cell in range(len(grid)):
         user = grid.xy[cell]
         for visit in range(scn["train_visits"]):
             rng = np.random.default_rng(derive_seed(seed, bems._TAG_TRAIN_VISIT, cell, visit))
-            moved = bool(rng.random() < scn["train_move_prob"])
-            cells.append(cell)
-            moving.append(moved)
-            bits.append([_ref_detection_bit(cov, user, moved,
-                                            derive_seed(seed, bems._TAG_TRAIN_BIT, cell, visit, si))
-                         for si, cov in enumerate(sensors)])
-    return {"cell": np.array(cells, dtype=int), "moving": np.array(moving, dtype=bool),
-            "bits": np.array(bits, dtype=bool).reshape(len(cells), len(sensors))}
+            moving[cell, visit] = moved = bool(rng.random() < scn["train_move_prob"])
+            for si, cov in enumerate(sensors):
+                bits[cell, visit, si] = _ref_detection_bit(
+                    cov, user, moved, derive_seed(seed, bems._TAG_TRAIN_BIT, cell, visit, si))
+    return {"moving": moving, "bits": bits}
 
 
 # the bems_fine benchmark room: 40x40 cells, two visits each
@@ -606,6 +607,7 @@ _BEMS_BINS = dict(TINY["bems_binary"], scenario=dict(TINY["bems_binary"]["scenar
 def test_bems_draws_equal_one_generator_per_bit(raw, seed):
     cfg = parse_config(dict(raw, seed=seed))
     got, want = bems.simulate_measurements(cfg), _ref_bems_measurements(cfg)
+    assert sorted(got) == sorted(want)
     for name in want:
         assert got[name].dtype == want[name].dtype
         assert np.array_equal(got[name], want[name]), name
@@ -691,36 +693,39 @@ def test_mle_rssi_rspd_equals_per_point_loop(nx, ny, n_sensors, steps, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(nx=st.integers(1, 4), ny=st.integers(1, 4), n_keys=st.integers(1, 3),
-       half=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
-def test_error_maps_equal_per_point_loop(nx, ny, n_keys, half, seed):
+       n_sensors=st.integers(1, 3), half=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_error_maps_equal_per_point_loop(nx, ny, n_keys, n_sensors, half, seed):
+    """Per-point sums to rounding; bit for bit the per-key scan of one
+    contiguous block per key and sensor, the map layout before the stacked
+    ``xc`` and ``pd`` blocks."""
     rng = np.random.default_rng(seed)
     grid = Grid((0.0, 0.0), nx, ny, 1.0)
     n, dim = len(grid), 2 * half + 1
     trials = 3
-    blocks, xc, pd = {}, {}, {}
-    for k in range(n_keys):
-        rows = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-        blocks[f"xc:{k}"] = rows
-        xc[f"xc:{k}"] = (rng.standard_normal((trials, dim))
-                         + 1j * rng.standard_normal((trials, dim)))
-        blocks[f"pd:{k}"] = rng.uniform(-3.14, 3.14, (n, 3))
-        pd[f"pd:{k}"] = rng.uniform(-3.14, 3.14, (trials, 3))
-    db = FingerprintDatabase(grid=grid, blocks=blocks)
+    db_xc = rng.standard_normal((n, n_keys, dim)) + 1j * rng.standard_normal((n, n_keys, dim))
+    xc = rng.standard_normal((trials, n_keys, dim)) + 1j * rng.standard_normal((trials, n_keys, dim))
+    db_pd = rng.uniform(-3.14, 3.14, (n, n_sensors, 3))
+    pd = rng.uniform(-3.14, 3.14, (trials, n_sensors, 3))
+    db = FingerprintDatabase(grid=grid, blocks={"xc": db_xc, "pd": db_pd})
 
     want_x, want_p = np.zeros((trials, n)), np.zeros((trials, n))
     for t in range(trials):
         for i in range(n):
-            for key, fp in xc.items():
+            for k in range(n_keys):
                 for j in range(dim):
-                    a, b = fp[t, j], blocks[key][i, j]
-                    want_x[t, i] += (abs(a) - abs(b)) ** 2
-            for key, fp in pd.items():
+                    want_x[t, i] += (abs(xc[t, k, j]) - abs(db_xc[i, k, j])) ** 2
+            for s in range(n_sensors):
                 for j in range(3):
-                    want_p[t, i] += _wrap(fp[t, j] - blocks[key][i, j]) ** 2
+                    want_p[t, i] += _wrap(pd[t, s, j] - db_pd[i, s, j]) ** 2
     err_x, err_p = error_maps(db, xc, pd)
     assert err_x.shape == err_p.shape == (trials, n)
     assert _rel_close(err_x, want_x)
     assert _rel_close(err_p, want_p)
+    per_key_x = sum(fingerprint_sqerr(np.abs(xc[:, k].copy()), np.abs(db_xc[:, k].copy()))
+                    for k in range(n_keys))
+    per_key_p = sum(fingerprint_sqerr(pd[:, s].copy(), db_pd[:, s].copy(), wrap=True)
+                    for s in range(n_sensors))
+    assert err_x.tobytes() == per_key_x.tobytes() and err_p.tobytes() == per_key_p.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1119,9 +1124,13 @@ def test_spatial_densify_equals_per_key_and_per_query_loops(nx, ny, factor, n_co
 
 def _ref_per_key_database(cfg, xc, ph):
     """The per-key chain ``illegal.build_database`` replaced: each projection
-    stage called once per key, the coarse map densified key by key (every
-    correlation key's floored dB magnitudes in one kriging solve, in sorted
-    key order), then power-normalized."""
+    stage called once per correlation key or sensor, the coarse map densified
+    key by key (every correlation key's floored dB magnitudes in one kriging
+    solve, in key order), then power-normalized.
+
+    Returns (fine grid, correlations (points, keys, lags), phases (points,
+    sensors, pairs), filled bins).
+    """
     scn = cfg["scenario"]
     geom = illegal.uca_geom(cfg)
     freqs = list(scn["train_freqs_hz"])
@@ -1129,47 +1138,43 @@ def _ref_per_key_database(cfg, xc, ph):
     nearest_fi = int(np.argmin(np.abs(np.asarray(freqs) - t_freq)))
     xc_avg = xc.mean(axis=2)
     ph_avg = np.angle(np.exp(1j * ph).sum(axis=2))
-    corr, filled = {}, 0
-    for ki, key in enumerate(illegal.xcorr_keys(cfg)):
+    corr, filled = [], 0
+    for ki in range(xc.shape[-2]):
         fp, flags = freq_interp_xcorr(freqs, xc_avg[:, :, ki], t_freq)
-        corr[key] = bandwidth_interp(fp, scn["train_bandwidth_hz"],
-                                     scn["target"]["bandwidth_hz"])
+        # training bits are unshaped, so they fill the sampled band
+        corr.append(bandwidth_interp(fp, scn["sample_rate_hz"], scn["target"]["bandwidth_hz"]))
         filled += int(np.count_nonzero(flags))
     n = geom.n_elements
     pairs = tuple((a, b) for a in range(n) for b in range(a + 1, n))
-    phase, conf = {}, {}
-    for si, key in enumerate(illegal.phase_keys(cfg)):
-        phase[key], conf[key] = phasediff_freq_interp(ph_avg[nearest_fi, :, si], pairs, geom,
-                                                      freqs[nearest_fi], t_freq)
+    phase, conf = zip(*(phasediff_freq_interp(ph_avg[nearest_fi, :, si], pairs, geom,
+                                              freqs[nearest_fi], t_freq)
+                        for si in range(ph.shape[-2])))
 
     coarse, f = build_grid(cfg), scn["densify_factor"]
     fine = Grid(coarse.origin, (coarse.nx - 1) * f + 1, (coarse.ny - 1) * f + 1,
                 coarse.spacing / f)
-    keys = sorted(corr)
     db = []
-    for key in keys:
-        mags = np.abs(corr[key])
+    for block in corr:
+        mags = np.abs(block)
         floor = 1e-12 * float(np.max(mags)) if np.max(mags) > 0 else 1e-300
         db.append(10.0 * np.log10(np.maximum(mags, floor)))
     mean = kriging_predict(kriging_fit(coarse, np.concatenate(db, axis=1)), fine)
     nearest = np.argmin(np.sum((coarse.xy[None, :, :] - fine.xy[:, None, :]) ** 2, axis=-1),
                         axis=1)
-    blocks = {key: m * np.exp(1j * np.angle(corr[key][nearest]))
-              for key, m in zip(keys, np.split(10.0 ** (mean / 10.0), len(keys), axis=1))}
-    xkeys = illegal.xcorr_keys(cfg)
-    normed = normalize_power(np.stack([blocks[key] for key in xkeys], axis=1))
-    blocks.update((key, normed[:, ki]) for ki, key in enumerate(xkeys))
+    dense = [m * np.exp(1j * np.angle(block[nearest]))
+             for block, m in zip(corr, np.split(10.0 ** (mean / 10.0), len(corr), axis=1))]
     d = np.hypot(coarse.xy[None, :, 0] - fine.xy[:, None, 0],
                  coarse.xy[None, :, 1] - fine.xy[:, None, 1])
     near = np.argsort(d, axis=1)[:, :min(4, len(coarse))]
     dn = np.take_along_axis(d, near, axis=1)
-    for key, values in phase.items():
+    phases = []
+    for values, weights in zip(phase, conf):
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = conf[key][near] / dn
+            w = weights[near] / dn
             w = np.where(np.sum(w, axis=1, keepdims=True) <= 0.0, 1.0 / dn, w)
             mix = (w[:, :, None] * np.exp(1j * values)[near]).sum(axis=1)
-            blocks[key] = np.where(dn[:, :1] <= 0.0, values[near[:, 0]], np.angle(mix))
-    return FingerprintDatabase(grid=fine, blocks=blocks), filled
+            phases.append(np.where(dn[:, :1] <= 0.0, values[near[:, 0]], np.angle(mix)))
+    return fine, normalize_power(np.stack(dense, axis=1)), np.stack(phases, axis=1), filled
 
 
 @pytest.mark.parametrize("scenario", [
@@ -1208,13 +1213,13 @@ def test_illegal_map_equals_the_per_key_chain_bit_for_bit(monkeypatch, tmp_path,
     dead[0, 1, :, 2, 0] = 0.0
     projected, filled = illegal.build_database(cfg, dead, ph)
     for db, xcorr, n_filled in ((learned, xc, 0), (projected, dead, filled)):
-        want, want_filled = _ref_per_key_database(cfg, xcorr, ph)
+        grid, want_xc, want_pd, want_filled = _ref_per_key_database(cfg, xcorr, ph)
         assert n_filled == want_filled
-        assert db.grid == want.grid and sorted(db.blocks) == sorted(want.blocks)
-        for key, block in want.blocks.items():
+        assert db.grid == grid and sorted(db.blocks) == ["pd", "xc"]
+        for key, want in (("xc", want_xc), ("pd", want_pd)):
             got = db.block(key, np.ndarray)
-            assert got.dtype == block.dtype and got.shape == block.shape
-            assert got.tobytes() == block.tobytes(), key
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), key
     assert filled == 1
 
 
@@ -1387,7 +1392,6 @@ def _model_blocks(data, n: int) -> dict:
 @given(arrays=st.fixed_dictionaries({
     "real": hnp.arrays(np.float64, _SHAPES, elements=_EXACT),
     "complex": hnp.arrays(np.complex128, _SHAPES, elements=st.builds(complex, _EXACT, _EXACT)),
-    "count": hnp.arrays(np.int64, _SHAPES),
     "flag": hnp.arrays(np.bool_, _SHAPES),
 }), data=st.data())
 def test_measurement_codec_round_trips_bit_exactly(arrays, data):

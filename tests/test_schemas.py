@@ -393,7 +393,7 @@ _INVISIBLE = {
     ("db.schema.json", "classroom_cir", "float64", "extension"),
     ("db.schema.json", "bems_binary", "float64", "nan"),
     ("db.schema.json", "illegal_hybrid", "complex128", "inf"),
-    ("measurements.schema.json", "bems_binary", "int64", "float-shape"),
+    ("measurements.schema.json", "bems_binary", "bool", "float-shape"),
     ("measurements.schema.json", "wifi_rssi_rspd", "float64", "float-offset"),
     ("measurements.schema.json", "classroom_cir", "complex128", "byte-count"),
     ("measurements.schema.json", "illegal_hybrid", "complex128", "extension"),
@@ -443,7 +443,7 @@ def test_a_refused_large_value_leaves_a_readable_message(tiny_runs, tmp_path):
         parse_config(raw)
     assert refused.value.path == "scenario.sensors"
     assert str(refused.value).startswith("scenario.sensors: 'xxx")
-    assert str(refused.value).endswith("xxx' is not of type 'array' (at scenario.sensors)")
+    assert str(refused.value).endswith("xxx' is not of type 'array'")
     assert len(str(refused.value)) < 600
     # a message of up to 500 characters is shown whole
     assert schema_refusal("a/b", "m" * 500) == "a/b: " + "m" * 500

@@ -694,49 +694,44 @@ def test_single_model_forms_are_refused():
 # ---------------------------------------------------------------------------
 
 def test_learn_detection_map_laplace_rule():
-    grid = Grid((0, 0), nx=2, ny=2, spacing=1.0)
-    cells = [0] * 10 + [1, 1]
-    bits = [1] * 10 + [1, 0]
-    probs = learn_detection_map(np.array(cells), np.array(bits), grid)
-    assert probs.shape == (4,)
-    assert probs[0] == pytest.approx(11.0 / 12.0, rel=1e-12)
-    assert probs[1] == pytest.approx(2.0 / 4.0, rel=1e-12)
-    assert probs[2] == 0.5 and probs[3] == 0.5  # unvisited
+    # (cells, visits, sensors): 2 cells of 4 visits, 2 sensors
+    bits = np.array([[[1, 0], [1, 0], [1, 1], [1, 0]],
+                     [[0, 0], [1, 0], [0, 0], [0, 0]]])
+    probs = learn_detection_map(bits)
+    assert probs.shape == (2, 2)
+    assert probs.tolist() == [[5.0 / 6.0, 2.0 / 6.0], [2.0 / 6.0, 1.0 / 6.0]]
+    # every value lies strictly inside (0, 1), also with no visit at all
+    assert np.all(learn_detection_map(np.zeros((3, 0, 2), dtype=bool)) == 0.5)
 
 
 def test_learn_detection_map_equals_per_observation_count():
-    grid = Grid((0, 0), nx=3, ny=2, spacing=1.0)
     rng = np.random.default_rng(3)
-    cells, bits = rng.integers(0, len(grid), 500), rng.integers(0, 2, 500)
-    hits, counts = np.zeros(len(grid)), np.zeros(len(grid))
-    for cell, bit in zip(cells, bits):
-        hits[cell] += bit
-        counts[cell] += 1
+    bits = rng.integers(0, 2, (6, 80, 3))
+    hits, counts = np.zeros((6, 3)), np.zeros((6, 3))
+    for cell in range(6):
+        for visit in range(80):
+            for sensor in range(3):
+                hits[cell, sensor] += bits[cell, visit, sensor]
+                counts[cell, sensor] += 1
     want = (hits + 1.0) / (counts + 2.0)
-    assert learn_detection_map(cells, bits, grid).tobytes() == want.tobytes()
-    empty = learn_detection_map(np.zeros(0, dtype=int), np.zeros(0, dtype=int), grid)
-    assert np.all(empty == 0.5)
+    assert learn_detection_map(bits).tobytes() == want.tobytes()
 
 
 def test_learn_detection_map_takes_bool_bits():
-    grid = Grid((0, 0), nx=2, ny=1, spacing=1.0)
-    a = learn_detection_map([0, 0], [1, 0], grid)
-    b = learn_detection_map(np.array([0, 0]), np.array([True, False]), grid)
-    assert np.array_equal(a, b)
+    bits = [[[1, 0], [0, 0], [1, 1]]]
+    a = learn_detection_map(bits)
+    b = learn_detection_map(np.array(bits, dtype=bool))
+    assert a.dtype == b.dtype == float and a.tobytes() == b.tobytes()
 
 
 def test_learn_detection_map_validation():
-    grid = Grid((0, 0), nx=2, ny=1, spacing=1.0)
-    with pytest.raises(ValueError, match="out of range"):
-        learn_detection_map([0, 5], [1, 1], grid)
-    with pytest.raises(ValueError, match="out of range"):
-        learn_detection_map([-1], [1], grid)
     with pytest.raises(ValueError, match="0 or 1"):
-        learn_detection_map([0, 1], [1, 2], grid)
-    with pytest.raises(ValueError):
-        learn_detection_map([0, 1], [1], grid)
-    with pytest.raises(ValueError):
-        learn_detection_map([0.5], [1], grid)
+        learn_detection_map([[[0, 1], [1, 2]]])
+    with pytest.raises(ValueError, match="0 or 1"):
+        learn_detection_map([[[0.5]]])
+    for shape in ((4,), (4, 2), (1, 4, 2, 1)):
+        with pytest.raises(ValueError, match=r"\(cells, visits, sensors\)"):
+            learn_detection_map(np.zeros(shape, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
